@@ -36,7 +36,8 @@ pub struct SegDiffIndex {
     segmenter: SlidingWindowSegmenter,
     extractor: FeatureExtractor,
     rows_buf: Vec<FeatureRow>,
-    colbuf: Vec<f64>,
+    /// Per feature table (drop 1–3, jump 1–3), the segment's rows.
+    colbufs: [Vec<f64>; 6],
     n_observations: u64,
     n_segments: u64,
     drop_hist: CornerHistogram,
@@ -106,7 +107,7 @@ impl SegDiffIndex {
             jump_tables,
             segments_table,
             rows_buf: Vec::new(),
-            colbuf: Vec::new(),
+            colbufs: Default::default(),
             n_observations: 0,
             n_segments: 0,
             drop_hist: CornerHistogram::default(),
@@ -224,7 +225,7 @@ impl SegDiffIndex {
             jump_tables,
             segments_table,
             rows_buf: Vec::new(),
-            colbuf: Vec::new(),
+            colbufs: Default::default(),
             n_observations,
             n_segments: 0,
             drop_hist,
@@ -384,8 +385,28 @@ jump_hist {} {} {}
         let mut rows = std::mem::take(&mut self.rows_buf);
         self.extractor.push_segment(seg, &mut rows);
         self.metrics.feature_rows.add(rows.len() as u64);
+        // One batch per table. Each table still receives its rows in
+        // emission order, so its heap and B+trees are what row-at-a-time
+        // insertion builds.
         for row in &rows {
-            self.insert_feature_row(row)?;
+            let corners = row.boundary.len();
+            let slot = match row.kind {
+                SearchKind::Drop => {
+                    self.drop_hist.record(corners);
+                    corners - 1
+                }
+                SearchKind::Jump => {
+                    self.jump_hist.record(corners);
+                    corners + 2
+                }
+            };
+            encode_row(row, &mut self.colbufs[slot]);
+        }
+        let tables = self.drop_tables.iter().chain(&self.jump_tables);
+        for (table, buf) in tables.zip(&mut self.colbufs).filter(|(_, b)| !b.is_empty()) {
+            let inserted = table.insert_many(buf);
+            buf.clear();
+            inserted?;
         }
         self.rows_buf = rows;
         // Segment boundaries are the commit points: recovery always lands
@@ -402,21 +423,6 @@ jump_hist {} {} {}
                 subs.flush();
             }
         }
-        Ok(())
-    }
-
-    fn insert_feature_row(&mut self, row: &FeatureRow) -> Result<()> {
-        let corners = row.boundary.len();
-        match row.kind {
-            SearchKind::Drop => self.drop_hist.record(corners),
-            SearchKind::Jump => self.jump_hist.record(corners),
-        }
-        encode_row(row, &mut self.colbuf);
-        let table = match row.kind {
-            SearchKind::Drop => &self.drop_tables[corners - 1],
-            SearchKind::Jump => &self.jump_tables[corners - 1],
-        };
-        table.insert(&self.colbuf)?;
         Ok(())
     }
 
@@ -670,6 +676,7 @@ jump_hist {} {} {}
                     SearchKind::Drop => corners - 1,
                     SearchKind::Jump => 3 + corners - 1,
                 };
+                colbuf.clear();
                 encode_row(row, &mut colbuf);
                 expected[slot].push(colbuf.clone());
             }

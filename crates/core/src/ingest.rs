@@ -204,6 +204,24 @@ mod proptests {
             let _ = last;
         }
 
+        /// The order the standing-query dedup rests on: over a whole
+        /// stream, the rows of each kind come out in strictly increasing
+        /// `(t_b, t_d)`.
+        #[test]
+        fn rows_of_a_kind_strictly_increase_in_tb_td(segs in arb_segments(), w in 100.0f64..20_000.0, eps in 0.0f64..1.0) {
+            let mut ex = FeatureExtractor::new(eps, w);
+            let mut rows = Vec::new();
+            for &s in &segs {
+                ex.push_segment(s, &mut rows);
+            }
+            for kind in [SearchKind::Drop, SearchKind::Jump] {
+                let at: Vec<(f64, f64)> = rows.iter().filter(|r| r.kind == kind).map(|r| (r.t_b, r.t_d)).collect();
+                for pair in at.windows(2) {
+                    prop_assert!(pair[0] < pair[1], "{kind:?} rows out of order: {:?} then {:?}", pair[0], pair[1]);
+                }
+            }
+        }
+
         /// Rows are deterministic: extracting twice gives identical rows.
         #[test]
         fn extraction_is_deterministic(segs in arb_segments(), w in 100.0f64..20_000.0) {

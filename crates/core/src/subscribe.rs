@@ -17,17 +17,20 @@
 //! made historical queries sublinear. The `subscribe.regions_tested` /
 //! `subscribe.features_evaluated` counters expose the ratio.
 //!
-//! Delivery semantics: matches found by `on_features` are *staged*;
-//! [`SubscriptionRegistry::flush`] assigns sequence numbers and publishes
-//! them. The ingest hook flushes right after the WAL commit of the
-//! segment that produced the features, so a published notification may
-//! precede durability by at most one group-commit window — the same
-//! window a crash can already un-commit. Per-subscription logs are
-//! bounded; a slow consumer loses oldest-first (`notify.dropped`) rather
-//! than stalling ingest. A feature seen twice — e.g. provisionally and
+//! Delivery semantics: matches found by `on_features` are *staged* —
+//! numbered and logged, but invisible to the cursors until
+//! [`SubscriptionRegistry::flush`] publishes them. The ingest hook
+//! flushes right after the WAL commit of the segment that produced the
+//! features, so a published notification may precede durability by at
+//! most one group-commit window — the same window a crash can already
+//! un-commit. Per-subscription logs are bounded; a slow consumer loses
+//! oldest-first (`notify.dropped`) rather than stalling ingest. A
+//! feature seen twice — e.g. provisionally and
 //! then committed, or across two evaluation ticks — notifies once per
-//! subscription, keyed on the pair's start times like the
-//! [`crate::alerts::AlertEngine`] dedup.
+//! subscription: Algorithm 1 emits a sensor's pairs in increasing
+//! `(t_b, t_d)` order, so each `(subscription, sensor)` keeps only the
+//! last pair it delivered and a row at or below that watermark is a
+//! duplicate — one comparison, O(1) memory.
 //!
 //! Each sensor also accumulates an [`EventFrequency`] — observed event
 //! count over the observation span, in the spirit of Albrecht et al.'s
@@ -37,15 +40,11 @@
 use crate::ingest::FeatureRow;
 use featurespace::{QueryRegion, RegionIndex, RegionMatchStats, SearchKind};
 use obs::json::Json;
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 
 /// Notifications retained per subscription before the oldest are dropped.
 pub const DEFAULT_NOTIFICATION_LOG_CAPACITY: usize = 1024;
-
-/// Fired-pair keys retained per subscription before the dedup set is
-/// cleared (same bound the alert engine uses).
-const FIRED_PAIRS_BOUND: usize = 8192;
 
 /// One registered standing query.
 #[derive(Debug, Clone, PartialEq)]
@@ -166,24 +165,50 @@ impl EventFrequency {
     }
 }
 
+/// "Nothing delivered yet": below every real `(t_b, t_d)`.
+const NEVER: (f64, f64) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+
 /// Per-subscription delivery state.
 struct SubState {
     sub: Subscription,
-    next_seq: u64,
-    /// Matches staged by `on_features`, published by `flush`.
-    pending: Vec<Notification>,
-    /// Published notifications, oldest first, bounded.
+    /// Notifications, oldest first, bounded, dense in `seq`; the newest
+    /// has `seq == last_seq`.
     log: VecDeque<Notification>,
-    /// Pairs already notified, keyed on `(sensor, t_d, t_b)` bits.
-    fired: HashSet<(u32, u64, u64)>,
+    last_seq: u64,
+    /// What the cursors may see: `seq <= published`. `on_features` stages
+    /// past it, `flush` moves it up to `last_seq`.
+    published: u64,
+    /// Per sensor slot, the `(t_b, t_d)` of the last pair delivered.
+    delivered: Vec<(f64, f64)>,
 }
 
 struct Inner {
     next_id: u64,
+    /// Registered regions, keyed by the subscription's slot in `slots`.
     index: RegionIndex,
-    subs: HashMap<u64, SubState>,
-    sensor_stats: HashMap<u32, EventFrequency>,
+    slots: Vec<Option<SubState>>,
+    free_slots: Vec<usize>,
+    slot_of: HashMap<u64, usize>,
+    /// Slots staged past `published`, in staging order.
+    staged: Vec<usize>,
+    sensors: Vec<(u32, EventFrequency)>,
+    sensor_slot_of: HashMap<u32, usize>,
     match_buf: Vec<u64>,
+}
+
+/// Strictly increasing `(t_b, t_d)` within each kind.
+fn in_emission_order(rows: &[FeatureRow]) -> bool {
+    let mut last = [NEVER; 2];
+    rows.iter().all(|r| {
+        let at = (r.t_b, r.t_d);
+        std::mem::replace(&mut last[r.kind as usize], at) < at
+    })
+}
+
+impl Inner {
+    fn state(&self, id: u64) -> Option<&SubState> {
+        self.slots[*self.slot_of.get(&id)?].as_ref()
+    }
 }
 
 /// The standing-query registry: subscriptions, their region index, and
@@ -226,8 +251,12 @@ impl SubscriptionRegistry {
             inner: Mutex::new(Inner {
                 next_id: 1,
                 index: RegionIndex::new(),
-                subs: HashMap::new(),
-                sensor_stats: HashMap::new(),
+                slots: Vec::new(),
+                free_slots: Vec::new(),
+                slot_of: HashMap::new(),
+                staged: Vec::new(),
+                sensors: Vec::new(),
+                sensor_slot_of: HashMap::new(),
                 match_buf: Vec::new(),
             }),
             log_capacity: log_capacity.max(1),
@@ -266,46 +295,56 @@ impl SubscriptionRegistry {
             sensors: sensors.to_vec(),
             created_ms: now_ms,
         };
-        inner.index.insert(id, region);
-        inner.subs.insert(
-            id,
-            SubState {
-                sub: sub.clone(),
-                next_seq: 1,
-                pending: Vec::new(),
-                log: VecDeque::new(),
-                fired: HashSet::new(),
-            },
-        );
+        let slot = inner.free_slots.pop().unwrap_or_else(|| {
+            inner.slots.push(None);
+            inner.slots.len() - 1
+        });
+        inner.slots[slot] = Some(SubState {
+            sub: sub.clone(),
+            log: VecDeque::new(),
+            last_seq: 0,
+            published: 0,
+            delivered: Vec::new(),
+        });
+        inner.index.insert(slot as u64, region);
+        inner.slot_of.insert(id, slot);
         self.registered.inc();
-        self.active.set(inner.subs.len() as i64);
+        self.active.set(inner.slot_of.len() as i64);
         sub
     }
 
-    /// Removes a subscription (and its pending/published notifications);
+    /// Removes a subscription (and its staged/published notifications);
     /// returns whether it existed.
     pub fn unsubscribe(&self, id: u64) -> bool {
         let mut inner = self.lock();
-        let Some(state) = inner.subs.remove(&id) else {
+        let Some(slot) = inner.slot_of.remove(&id) else {
             return false;
         };
-        inner.index.remove(id, &state.sub.region);
+        if let Some(state) = inner.slots[slot].take() {
+            inner.index.remove(slot as u64, &state.sub.region);
+        }
+        inner.free_slots.push(slot);
         self.removed.inc();
-        self.active.set(inner.subs.len() as i64);
+        self.active.set(inner.slot_of.len() as i64);
         true
     }
 
     /// All registered subscriptions, ordered by id.
     pub fn subscriptions(&self) -> Vec<Subscription> {
         let inner = self.lock();
-        let mut subs: Vec<Subscription> = inner.subs.values().map(|s| s.sub.clone()).collect();
+        let mut subs: Vec<Subscription> = inner
+            .slots
+            .iter()
+            .flatten()
+            .map(|s| s.sub.clone())
+            .collect();
         subs.sort_by_key(|s| s.id);
         subs
     }
 
     /// One subscription by id.
     pub fn subscription(&self, id: u64) -> Option<Subscription> {
-        self.lock().subs.get(&id).map(|s| s.sub.clone())
+        self.lock().state(id).map(|s| s.sub.clone())
     }
 
     /// The highest sequence number published to `id` so far (0 before
@@ -313,12 +352,12 @@ impl SubscriptionRegistry {
     /// live feed starts its cursor here to deliver only what happens
     /// next.
     pub fn last_seq(&self, id: u64) -> Option<u64> {
-        self.lock().subs.get(&id).map(|s| s.next_seq - 1)
+        self.lock().state(id).map(|s| s.published)
     }
 
     /// Number of registered subscriptions.
     pub fn len(&self) -> usize {
-        self.lock().subs.len()
+        self.lock().slot_of.len()
     }
 
     /// Whether no subscriptions are registered.
@@ -330,53 +369,65 @@ impl SubscriptionRegistry {
     /// region index and stages matches. Call [`Self::flush`] afterwards
     /// (the ingest hook does, right after the segment's WAL commit) to
     /// publish them to the cursors.
+    ///
+    /// `rows` must be in Algorithm 1's emission order: strictly
+    /// increasing `(t_b, t_d)` within each kind, calls for one sensor in
+    /// segment order. A row at or below the `(t_b, t_d)` a subscription
+    /// last delivered for `sensor` is a duplicate by definition — a
+    /// replay, never a late arrival — and counts as `notify.deduped`.
     pub fn on_features(&self, sensor: u32, rows: &[FeatureRow], now_ms: u64) {
-        let mut inner = self.lock();
-        if inner.subs.is_empty() {
+        debug_assert!(
+            in_emission_order(rows),
+            "rows must arrive in Algorithm 1's emission order"
+        );
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        if inner.slot_of.is_empty() {
             return;
         }
-        let inner = &mut *inner;
+        let si = *inner.sensor_slot_of.entry(sensor).or_insert_with(|| {
+            inner.sensors.push((sensor, EventFrequency::default()));
+            inner.sensors.len() - 1
+        });
+        let mut stats = RegionMatchStats::default();
+        let (mut deduped, mut dropped) = (0u64, 0u64);
         for row in rows {
-            self.features_evaluated.inc();
-            let mut stats = RegionMatchStats::default();
             inner.match_buf.clear();
             inner
                 .index
                 .matches(&row.boundary, &mut inner.match_buf, &mut stats);
-            self.cells_visited.add(stats.cells_visited);
-            self.regions_tested.add(stats.regions_tested);
+            let at = (row.t_b, row.t_d);
+            let dvs = row.boundary.corners().iter().map(|c| c.dv);
+            let dv = dvs.fold(0.0f64, |a, dv| if dv.abs() > a.abs() { dv } else { a });
             let mut novel = false;
-            for &id in &inner.match_buf {
-                let Some(state) = inner.subs.get_mut(&id) else {
+            for &slot in &inner.match_buf {
+                let slot = slot as usize;
+                let Some(state) = inner.slots[slot].as_mut() else {
                     continue;
                 };
                 if !state.sub.covers(sensor) {
                     continue;
                 }
-                let key = (sensor, row.t_d.to_bits(), row.t_b.to_bits());
-                if !state.fired.insert(key) {
-                    self.deduped.inc();
+                if state.delivered.len() <= si {
+                    state.delivered.resize(si + 1, NEVER);
+                }
+                if at <= state.delivered[si] {
+                    deduped += 1;
                     continue;
                 }
-                // Bound the dedup set; clearing can at worst re-notify
-                // an old pair, and the log below is bounded anyway.
-                if state.fired.len() > FIRED_PAIRS_BOUND {
-                    state.fired.clear();
-                    state.fired.insert(key);
-                }
-                let dv = row
-                    .boundary
-                    .corners()
-                    .iter()
-                    .map(|c| c.dv)
-                    .fold(
-                        0.0f64,
-                        |acc, dv| if dv.abs() > acc.abs() { dv } else { acc },
-                    );
+                state.delivered[si] = at;
                 novel = true;
-                state.pending.push(Notification {
-                    seq: 0, // assigned at flush
-                    sub_id: id,
+                if state.last_seq == state.published {
+                    inner.staged.push(slot);
+                }
+                if state.log.len() >= self.log_capacity {
+                    state.log.pop_front();
+                    dropped += 1;
+                }
+                state.last_seq += 1;
+                state.log.push_back(Notification {
+                    seq: state.last_seq,
+                    sub_id: state.sub.id,
                     sensor,
                     kind: row.kind,
                     t_d: row.t_d,
@@ -388,30 +439,31 @@ impl SubscriptionRegistry {
                 });
             }
             if novel {
-                inner.sensor_stats.entry(sensor).or_default().record(now_ms);
+                inner.sensors[si].1.record(now_ms);
             }
         }
+        self.features_evaluated.add(rows.len() as u64);
+        self.cells_visited.add(stats.cells_visited);
+        self.regions_tested.add(stats.regions_tested);
+        self.deduped.add(deduped);
+        self.dropped.add(dropped);
     }
 
-    /// Publishes everything staged since the last flush: assigns
-    /// sequence numbers and appends to the bounded per-subscription
-    /// logs. Returns the number of notifications published.
+    /// Publishes everything staged since the last flush to the cursors.
+    /// Returns the number of notifications published.
     pub fn flush(&self) -> u64 {
-        let mut inner = self.lock();
+        let mut guard = self.lock();
+        let inner = &mut *guard;
         let mut published = 0u64;
-        for state in inner.subs.values_mut() {
-            for mut n in state.pending.drain(..) {
-                n.seq = state.next_seq;
-                state.next_seq += 1;
-                if state.log.len() >= self.log_capacity {
-                    state.log.pop_front();
-                    self.dropped.inc();
-                }
-                state.log.push_back(n);
-                self.delivered.inc();
-                published += 1;
+        for slot in inner.staged.drain(..) {
+            // Nothing is staged in a slot an unsubscribe has emptied or
+            // re-let since.
+            if let Some(state) = inner.slots[slot].as_mut() {
+                published += state.last_seq - state.published;
+                state.published = state.last_seq;
             }
         }
+        self.delivered.add(published);
         published
     }
 
@@ -423,14 +475,16 @@ impl SubscriptionRegistry {
     /// the dropped prefix — visible as a gap in the returned `seq`s.
     pub fn since(&self, sub_id: u64, after: u64, max: usize) -> Option<(Vec<Notification>, u64)> {
         let inner = self.lock();
-        let state = inner.subs.get(&sub_id)?;
-        let out: Vec<Notification> = state
+        let state = inner.state(sub_id)?;
+        // The log is dense in `seq`, so `after` names an offset.
+        let first = state.log.front().map_or(0, |n| n.seq);
+        let skip = usize::try_from(after.saturating_add(1).saturating_sub(first))
+            .map_or(state.log.len(), |skip| skip.min(state.log.len()));
+        let visible = state
             .log
-            .iter()
-            .filter(|n| n.seq > after)
-            .take(max)
-            .cloned()
-            .collect();
+            .range(skip..)
+            .take_while(|n| n.seq <= state.published);
+        let out: Vec<Notification> = visible.take(max).cloned().collect();
         let next_after = out.last().map_or(after, |n| n.seq);
         Some((out, next_after))
     }
@@ -438,8 +492,12 @@ impl SubscriptionRegistry {
     /// Per-sensor event-frequency characterization, ordered by sensor.
     pub fn sensor_stats(&self) -> Vec<(u32, EventFrequency)> {
         let inner = self.lock();
-        let mut stats: Vec<(u32, EventFrequency)> =
-            inner.sensor_stats.iter().map(|(s, f)| (*s, *f)).collect();
+        let mut stats: Vec<(u32, EventFrequency)> = inner
+            .sensors
+            .iter()
+            .filter(|(_, f)| f.events > 0)
+            .copied()
+            .collect();
         stats.sort_by_key(|(s, _)| *s);
         stats
     }
@@ -449,6 +507,14 @@ impl SubscriptionRegistry {
 mod tests {
     use super::*;
     use featurespace::{Boundary, FeaturePoint};
+
+    /// Held by every test that makes `notify.deduped` move: the counter is
+    /// process-wide and the tests of this crate run in parallel.
+    static DEDUPING_TESTS: Mutex<()> = Mutex::new(());
+
+    fn deduping_test() -> std::sync::MutexGuard<'static, ()> {
+        DEDUPING_TESTS.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     fn drop_row(t_d: f64, dv: f64) -> FeatureRow {
         FeatureRow {
@@ -509,6 +575,7 @@ mod tests {
         // The AlertEngine-style dedup property: the same pair surfacing
         // in two evaluation ticks (e.g. provisional then committed)
         // produces one notification.
+        let _serial = deduping_test();
         let reg = SubscriptionRegistry::new();
         let sub = reg.subscribe("deep", QueryRegion::drop(3600.0, -3.0), &[], 0);
         let row = drop_row(1000.0, -4.0);
@@ -564,6 +631,72 @@ mod tests {
             obs::global().counter("notify.dropped").get() - dropped_before,
             2
         );
+        // A cursor inside the dropped prefix resumes at the oldest entry
+        // kept; one at or past the end gets nothing and stays put.
+        let (got, next) = reg.since(sub.id, 1, 100).unwrap();
+        assert_eq!(got.iter().map(|n| n.seq).collect::<Vec<_>>(), [3, 4, 5]);
+        assert_eq!(next, 5);
+        for after in [5, 6, u64::MAX] {
+            let (none, same) = reg.since(sub.id, after, 100).unwrap();
+            assert!(none.is_empty());
+            assert_eq!(same, after);
+        }
+    }
+
+    #[test]
+    fn staged_notifications_wait_for_flush_even_behind_published_ones() {
+        let reg = SubscriptionRegistry::new();
+        let sub = reg.subscribe("deep", QueryRegion::drop(36_000.0, -3.0), &[], 0);
+        reg.on_features(0, &[drop_row(0.0, -4.0)], 0);
+        reg.flush();
+        reg.on_features(0, &[drop_row(10_000.0, -4.0)], 1);
+        let (got, next) = reg.since(sub.id, 0, 100).unwrap();
+        assert_eq!(got.len(), 1, "the second match is staged, not published");
+        assert_eq!((next, reg.last_seq(sub.id)), (1, Some(1)));
+        assert_eq!(reg.flush(), 1);
+        let (got, next) = reg.since(sub.id, next, 100).unwrap();
+        assert_eq!((got.len(), got[0].seq, next), (1, 2, 2));
+        assert_eq!(reg.flush(), 0, "nothing staged since");
+    }
+
+    #[test]
+    fn old_pairs_never_notify_again() {
+        // The hash-set dedup this replaces cleared itself after 8,192
+        // pairs and then notified replayed ones again.
+        let _serial = deduping_test();
+        let reg = SubscriptionRegistry::new();
+        let sub = reg.subscribe("deep", QueryRegion::drop(36_000.0, -3.0), &[], 0);
+        let rows: Vec<FeatureRow> = (0..10_000)
+            .map(|i| drop_row(i as f64 * 10_000.0, -4.0))
+            .collect();
+        reg.on_features(0, &rows, 0);
+        assert_eq!(reg.flush(), 10_000);
+        let deduped = obs::global().counter("notify.deduped");
+        let before = deduped.get();
+        reg.on_features(0, &rows[..100], 1);
+        assert_eq!(reg.flush(), 0, "a replayed pair is a duplicate");
+        assert_eq!(deduped.get() - before, 100);
+        assert_eq!(reg.last_seq(sub.id), Some(10_000));
+        // The watermark is per sensor: the same pairs from another sensor
+        // are news.
+        reg.on_features(1, &rows[..100], 2);
+        assert_eq!(reg.flush(), 100);
+    }
+
+    #[test]
+    fn unsubscribe_between_staging_and_flush_publishes_nothing_stale() {
+        let reg = SubscriptionRegistry::new();
+        let gone = reg.subscribe("gone", QueryRegion::drop(36_000.0, -3.0), &[], 0);
+        reg.on_features(0, &[drop_row(0.0, -4.0)], 0);
+        assert!(reg.unsubscribe(gone.id));
+        // The slot is re-let; the newcomer must not inherit the match.
+        let new = reg.subscribe("new", QueryRegion::drop(36_000.0, -3.0), &[], 0);
+        assert_eq!(reg.flush(), 0);
+        assert_eq!(reg.last_seq(new.id), Some(0));
+        reg.on_features(0, &[drop_row(10_000.0, -4.0)], 1);
+        assert_eq!(reg.flush(), 1);
+        assert_eq!(reg.since(new.id, 0, 10).unwrap().0[0].sub_id, new.id);
+        assert!(reg.since(gone.id, 0, 10).is_none());
     }
 
     #[test]
@@ -580,6 +713,87 @@ mod tests {
         assert_eq!(sensor, 3);
         assert_eq!(freq.events, 2);
         assert!((freq.expected_per_hour() - 2.0).abs() < 1e-9);
+    }
+
+    /// Exactly-once over replays: every segment's rows are fed twice, to
+    /// random regions with random sensor filters, and each subscription
+    /// must end up with exactly the pairs the brute-force matcher
+    /// predicts, each once; a sensor's event count is its number of rows
+    /// that were news to someone.
+    #[test]
+    fn replayed_rows_publish_the_brute_force_multiset_once() {
+        use crate::ingest::FeatureExtractor;
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        use segmentation::Segment;
+        use std::collections::BTreeSet;
+
+        let _serial = deduping_test();
+        let mut pairs = 0;
+        for seed in 0..if cfg!(miri) { 2 } else { 40 } {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut unit = move || rng.random::<f64>();
+            let reg = SubscriptionRegistry::with_log_capacity(1 << 20);
+            let mut brute = RegionIndex::new();
+            let mut subs = Vec::new();
+            for i in 0..1 + (unit() * 24.0) as usize {
+                let (t, v) = (f64::exp2(6.0 + unit() * 8.0), f64::exp2(unit() * 4.0 - 1.0));
+                let region = if unit() < 0.5 {
+                    QueryRegion::drop(t, -v)
+                } else {
+                    QueryRegion::jump(t, v)
+                };
+                let sensors: Vec<u32> = (0..3).filter(|_| unit() < 0.3).collect();
+                let sub = reg.subscribe(&format!("r{i}"), region, &sensors, 0);
+                brute.insert(sub.id, region);
+                subs.push(sub);
+            }
+            // (sub, sensor, t_d, t_b) bits, as the old hash set keyed them.
+            let mut predicted: BTreeSet<(u64, u32, u64, u64)> = BTreeSet::new();
+            let mut events = [0u64; 3];
+            for sensor in 0..3u32 {
+                let mut ex = FeatureExtractor::new(unit(), 100.0 + unit() * 20_000.0);
+                let (mut t, mut v) = (0.0, 0.0);
+                let mut rows = Vec::new();
+                for _ in 0..2 + (unit() * 30.0) as usize {
+                    let (t2, v2) = (t + 1.0 + unit() * 5000.0, v + (unit() - 0.5) * 10.0);
+                    rows.clear();
+                    ex.push_segment(Segment::new(t, v, t2, v2), &mut rows);
+                    (t, v) = (t2, v2);
+                    for row in &rows {
+                        let mut novel = false;
+                        for id in brute.matches_brute(&row.boundary) {
+                            let sub = subs.iter().find(|s| s.id == id).unwrap();
+                            let key = (id, sensor, row.t_d.to_bits(), row.t_b.to_bits());
+                            novel |= sub.covers(sensor) && predicted.insert(key);
+                        }
+                        events[sensor as usize] += u64::from(novel);
+                    }
+                    for now_ms in [1, 2] {
+                        reg.on_features(sensor, &rows, now_ms);
+                        reg.flush();
+                    }
+                }
+            }
+            let mut published = Vec::new();
+            for sub in &subs {
+                let (got, _) = reg.since(sub.id, 0, usize::MAX).unwrap();
+                published.extend(
+                    got.iter()
+                        .map(|n| (n.sub_id, n.sensor, n.t_d.to_bits(), n.t_b.to_bits())),
+                );
+            }
+            let n_published = published.len();
+            let distinct: BTreeSet<_> = published.into_iter().collect();
+            assert_eq!(distinct.len(), n_published, "seed {seed}: a pair twice");
+            assert_eq!(distinct, predicted, "seed {seed}");
+            let mut counted = [0u64; 3];
+            for (sensor, freq) in reg.sensor_stats() {
+                counted[sensor as usize] = freq.events;
+            }
+            assert_eq!(counted, events, "seed {seed}: EventFrequency.events");
+            pairs += predicted.len();
+        }
+        assert!(pairs > 0, "the streams matched nothing");
     }
 
     #[test]

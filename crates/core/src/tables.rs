@@ -50,9 +50,8 @@ pub(crate) fn table_cols(corners: usize) -> Vec<&'static str> {
     cols
 }
 
-/// Serializes a feature row into the column vector for its table.
+/// Appends a feature row's columns, in its table's column order.
 pub(crate) fn encode_row(row: &FeatureRow, out: &mut Vec<f64>) {
-    out.clear();
     for p in row.boundary.corners() {
         out.push(p.dt);
         out.push(p.dv);

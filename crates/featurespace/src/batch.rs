@@ -166,25 +166,37 @@ pub fn zone_may_intersect(
 ) -> bool {
     assert!((1..=3).contains(&corners), "corners must be 1-3");
     assert!(mins.len() >= 2 * corners && maxs.len() >= 2 * corners);
-    let min_dt = (0..corners)
-        .map(|j| mins[2 * j])
-        .fold(f64::INFINITY, f64::min);
-    if min_dt > region.t {
-        return false;
+    let mut zone = ZoneExtent::EMPTY;
+    for j in 0..corners {
+        zone.min_dt = zone.min_dt.min(mins[2 * j]);
+        zone.min_dv = zone.min_dv.min(mins[2 * j + 1]);
+        zone.max_dv = zone.max_dv.max(maxs[2 * j + 1]);
     }
-    match region.kind {
-        SearchKind::Drop => {
-            let min_dv = (0..corners)
-                .map(|j| mins[2 * j + 1])
-                .fold(f64::INFINITY, f64::min);
-            min_dv <= region.v
-        }
-        SearchKind::Jump => {
-            let max_dv = (0..corners)
-                .map(|j| maxs[2 * j + 1])
-                .fold(f64::NEG_INFINITY, f64::max);
-            max_dv >= region.v
-        }
+    zone.may_intersect(region)
+}
+
+/// What [`zone_may_intersect`] reads of a zone: its extremes over all
+/// corner columns. The region index takes them once per boundary and
+/// tests many regions.
+pub(crate) struct ZoneExtent {
+    pub min_dt: f64,
+    pub min_dv: f64,
+    pub max_dv: f64,
+}
+
+impl ZoneExtent {
+    pub const EMPTY: ZoneExtent = ZoneExtent {
+        min_dt: f64::INFINITY,
+        min_dv: f64::INFINITY,
+        max_dv: f64::NEG_INFINITY,
+    };
+
+    pub fn may_intersect(&self, region: &QueryRegion) -> bool {
+        self.min_dt <= region.t
+            && match region.kind {
+                SearchKind::Drop => self.min_dv <= region.v,
+                SearchKind::Jump => self.max_dv >= region.v,
+            }
     }
 }
 

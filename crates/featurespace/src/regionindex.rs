@@ -14,13 +14,18 @@
 //! `|V|` at its lower bound — so [`zone_may_intersect`] on the
 //! representative is a sound coarse test: if it fails, no member region
 //! can intersect the boundary (the ε shift is already folded into the
-//! boundary corners, so cell bounds need no shift of their own). Cells
+//! boundary corners, so cell bounds need no shift of their own). The
+//! cells of one kind sit under one more representative, the most
+//! permissive of theirs, which lets a boundary of the other kind skip
+//! them all with a single test. Cells
 //! that survive refine member by member with the exact
 //! [`Boundary::intersects`] predicate, which stays the single source of
 //! truth — [`RegionIndex::matches_brute`] runs it over every member and
 //! the property tests assert both paths return identical sets.
+//!
+//! [`zone_may_intersect`]: crate::batch::zone_may_intersect
 
-use crate::batch::zone_may_intersect;
+use crate::batch::ZoneExtent;
 use crate::{Boundary, QueryRegion, SearchKind};
 use std::collections::HashMap;
 
@@ -38,9 +43,31 @@ pub struct RegionMatchStats {
 struct Cell {
     /// Most permissive region representable in this cell: `T` at the
     /// upper cell bound, `|V|` at the lower. Sound for pruning because
-    /// [`zone_may_intersect`] is monotone in both thresholds.
+    /// the zone test is monotone in both thresholds.
     rep: QueryRegion,
     members: Vec<(u64, QueryRegion)>,
+}
+
+/// The cells of one [`SearchKind`], under one more representative: the
+/// most permissive region of *any* cell, so a boundary that cannot reach
+/// it — typically one of the other kind — skips all of them at once.
+#[derive(Debug, Default)]
+struct KindGrid {
+    cells: HashMap<(i32, i32), Cell>,
+    /// `None` while `cells` is empty.
+    rep: Option<QueryRegion>,
+}
+
+impl KindGrid {
+    fn widest(&self) -> Option<QueryRegion> {
+        let mut cells = self.cells.values().map(|c| c.rep);
+        let first = cells.next()?;
+        Some(cells.fold(first, |a, b| QueryRegion {
+            kind: a.kind,
+            t: a.t.max(b.t),
+            v: if a.v.abs() <= b.v.abs() { a.v } else { b.v },
+        }))
+    }
 }
 
 /// A logarithmic `(T, |V|)` grid over registered query regions,
@@ -48,7 +75,8 @@ struct Cell {
 /// in O(matching + occupied cells) instead of O(all regions).
 #[derive(Debug, Default)]
 pub struct RegionIndex {
-    cells: HashMap<(SearchKind, i32, i32), Cell>,
+    /// Indexed by `SearchKind as usize`.
+    kinds: [KindGrid; 2],
     len: usize,
 }
 
@@ -60,8 +88,7 @@ fn bucket(x: f64) -> i32 {
 
 /// The most permissive region in cell `(bt, bv)`: largest `T`, smallest
 /// `|V|`. Built as a struct literal — the upper `T` bound may exceed what
-/// the checked constructors accept, and only `zone_may_intersect` ever
-/// sees it.
+/// the checked constructors accept, and only the zone test ever sees it.
 fn representative(kind: SearchKind, bt: i32, bv: i32) -> QueryRegion {
     let t = f64::exp2(f64::from(bt) + 1.0);
     let t = if t.is_finite() { t } else { f64::MAX };
@@ -73,21 +100,20 @@ fn representative(kind: SearchKind, bt: i32, bv: i32) -> QueryRegion {
     QueryRegion { kind, t, v }
 }
 
-fn cell_key(region: &QueryRegion) -> (SearchKind, i32, i32) {
-    (region.kind, bucket(region.t), bucket(region.v.abs()))
+fn cell_key(region: &QueryRegion) -> (i32, i32) {
+    (bucket(region.t), bucket(region.v.abs()))
 }
 
-/// Flattens a boundary into the `(Δt₁, Δv₁, …)` column layout
-/// [`zone_may_intersect`] expects; for a single boundary the per-column
-/// min and max coincide with the corner itself.
-fn corner_columns(boundary: &Boundary) -> ([f64; 6], usize) {
-    let mut cols = [0.0; 6];
-    let corners = boundary.corners();
-    for (j, p) in corners.iter().enumerate() {
-        cols[2 * j] = p.dt;
-        cols[2 * j + 1] = p.dv;
+/// The zone of one boundary: its per-column min and max coincide with
+/// the corner itself.
+fn extent(boundary: &Boundary) -> ZoneExtent {
+    let mut zone = ZoneExtent::EMPTY;
+    for p in boundary.corners() {
+        zone.min_dt = zone.min_dt.min(p.dt);
+        zone.min_dv = zone.min_dv.min(p.dv);
+        zone.max_dv = zone.max_dv.max(p.dv);
     }
-    (cols, corners.len())
+    zone
 }
 
 impl RegionIndex {
@@ -109,12 +135,14 @@ impl RegionIndex {
     /// Registers `region` under the caller-chosen `id`. Ids are opaque to
     /// the index; registering the same id twice stores it twice.
     pub fn insert(&mut self, id: u64, region: QueryRegion) {
+        let grid = &mut self.kinds[region.kind as usize];
         let key = cell_key(&region);
-        let cell = self.cells.entry(key).or_insert_with(|| Cell {
-            rep: representative(key.0, key.1, key.2),
+        let cell = grid.cells.entry(key).or_insert_with(|| Cell {
+            rep: representative(region.kind, key.0, key.1),
             members: Vec::new(),
         });
         cell.members.push((id, region));
+        grid.rep = grid.widest();
         self.len += 1;
     }
 
@@ -122,8 +150,9 @@ impl RegionIndex {
     /// present. The region must match what was inserted — it names the
     /// cell to search.
     pub fn remove(&mut self, id: u64, region: &QueryRegion) -> bool {
+        let grid = &mut self.kinds[region.kind as usize];
         let key = cell_key(region);
-        let Some(cell) = self.cells.get_mut(&key) else {
+        let Some(cell) = grid.cells.get_mut(&key) else {
             return false;
         };
         let Some(pos) = cell.members.iter().position(|(mid, _)| *mid == id) else {
@@ -132,29 +161,36 @@ impl RegionIndex {
         cell.members.swap_remove(pos);
         self.len -= 1;
         if cell.members.is_empty() {
-            self.cells.remove(&key);
+            grid.cells.remove(&key);
+            grid.rep = grid.widest();
         }
         true
     }
 
     /// Appends to `out` the ids of every registered region the boundary
-    /// intersects, via the grid: zone-test each occupied cell's
-    /// representative, then refine surviving cells member by member with
-    /// the exact predicate. Work counters accumulate into `stats`.
+    /// intersects, via the grid: zone-test each kind's representative,
+    /// then each of its occupied cells', then refine surviving cells
+    /// member by member with the exact predicate. Work counters
+    /// accumulate into `stats`.
     ///
     /// Lossless by construction — returns exactly the ids
     /// [`Self::matches_brute`] returns, in unspecified order.
     pub fn matches(&self, boundary: &Boundary, out: &mut Vec<u64>, stats: &mut RegionMatchStats) {
-        let (cols, corners) = corner_columns(boundary);
-        for cell in self.cells.values() {
-            stats.cells_visited += 1;
-            if !zone_may_intersect(corners, &cols, &cols, &cell.rep) {
+        let extent = extent(boundary);
+        for grid in &self.kinds {
+            if !grid.rep.is_some_and(|rep| extent.may_intersect(&rep)) {
                 continue;
             }
-            for (id, region) in &cell.members {
-                stats.regions_tested += 1;
-                if boundary.intersects(region) {
-                    out.push(*id);
+            for cell in grid.cells.values() {
+                stats.cells_visited += 1;
+                if !extent.may_intersect(&cell.rep) {
+                    continue;
+                }
+                for (id, region) in &cell.members {
+                    stats.regions_tested += 1;
+                    if boundary.intersects(region) {
+                        out.push(*id);
+                    }
                 }
             }
         }
@@ -165,7 +201,7 @@ impl RegionIndex {
     /// [`Self::matches`] agrees with this bit for bit.
     pub fn matches_brute(&self, boundary: &Boundary) -> Vec<u64> {
         let mut out = Vec::new();
-        for cell in self.cells.values() {
+        for cell in self.kinds.iter().flat_map(|g| g.cells.values()) {
             for (id, region) in &cell.members {
                 if boundary.intersects(region) {
                     out.push(*id);
@@ -291,6 +327,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn other_kind_is_skipped_wholesale() {
+        // A boundary that never dips below zero cannot reach any drop
+        // cell: the kind-level representative rejects them all unvisited.
+        let mut idx = RegionIndex::new();
+        for id in 0..40 {
+            idx.insert(
+                id,
+                QueryRegion::drop(f64::exp2((id % 8) as f64), -1.0 - id as f64),
+            );
+        }
+        idx.insert(100, QueryRegion::jump(20.0, 2.0));
+        let b = Boundary::two(FeaturePoint::new(1.0, 0.5), FeaturePoint::new(9.0, 3.0));
+        let mut out = Vec::new();
+        let mut stats = RegionMatchStats::default();
+        idx.matches(&b, &mut out, &mut stats);
+        assert_eq!(out, vec![100]);
+        assert_eq!(stats.cells_visited, 1, "only the jump cell is visited");
+        // Removing the shallowest drop regions narrows the representative.
+        assert!(idx.remove(0, &QueryRegion::drop(1.0, -1.0)));
+        assert_eq!(sorted(idx.matches_brute(&b)), vec![100]);
     }
 
     #[test]

@@ -20,6 +20,11 @@ const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 /// Sentinel for "no next leaf".
 const NO_PAGE: u32 = u32::MAX;
+/// Widest key [`BTree::create`] accepts: four entries must fit a leaf.
+pub(crate) const MAX_KEY_WIDTH: usize = (PAGE_SIZE - HDR) / 4 - 8;
+/// No tree is taller: an internal node has at least two children and a
+/// file at most 2³² pages.
+const MAX_HEIGHT: usize = 32;
 
 /// Global-registry counters for index activity (`btree.*`), shared by
 /// every tree in the process.
@@ -230,10 +235,11 @@ impl BTree {
         assert_eq!(key.len(), self.key_width, "key width mismatch");
         self.metrics.inserts.inc();
         // Descend, recording the path of internal pages.
-        let mut path: Vec<PageId> = Vec::with_capacity(self.height as usize);
+        let mut path = [NO_PAGE; MAX_HEIGHT];
+        let mut depth = self.height as usize;
         let mut pid = self.root;
-        for _ in 0..self.height {
-            path.push(pid);
+        for slot in &mut path[..depth] {
+            *slot = pid;
             pid = self.child_for(pid, key)?;
         }
         // Fast path: leaf has room.
@@ -260,8 +266,9 @@ impl BTree {
         // Slow path: split the leaf, then propagate.
         let (mut sep, mut new_pid) = self.split_leaf(pid, key, val)?;
         self.count += 1;
-        while let Some(parent) = path.pop() {
-            match self.internal_insert(parent, &sep, new_pid)? {
+        while depth > 0 {
+            depth -= 1;
+            match self.internal_insert(path[depth], &sep, new_pid)? {
                 None => return Ok(()),
                 Some((s, p)) => {
                     sep = s;
@@ -560,7 +567,7 @@ impl BTree {
             while lo < hi {
                 let mid = (lo + hi) / 2;
                 let off = HDR + mid * esz;
-                if &b[off..off + kw] < key {
+                if key_cmp(&b[off..off + kw], key).is_lt() {
                     lo = mid + 1;
                 } else {
                     hi = mid;
@@ -705,6 +712,26 @@ impl BTree {
     }
 }
 
+/// Byte-lexicographic order of two keys of one width. A width that is a
+/// multiple of 8 — every key [`crate::encode`] builds — compares word by
+/// word: big-endian words order as their bytes do.
+fn key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+    let (words_a, words_b) = (a.chunks_exact(8), b.chunks_exact(8));
+    if !words_a.remainder().is_empty() {
+        return a.cmp(b);
+    }
+    for (x, y) in words_a.zip(words_b) {
+        let (x, y) = (
+            u64::from_be_bytes(page::arr(x, 0)),
+            u64::from_be_bytes(page::arr(y, 0)),
+        );
+        if x != y {
+            return x.cmp(&y);
+        }
+    }
+    std::cmp::Ordering::Equal
+}
+
 /// First leaf index whose key is `>= key`.
 fn leaf_lower_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
     let esz = kw + 8;
@@ -712,7 +739,7 @@ fn leaf_lower_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
     while lo < hi {
         let mid = (lo + hi) / 2;
         let off = HDR + mid * esz;
-        if &b[off..off + kw] < key {
+        if key_cmp(&b[off..off + kw], key).is_lt() {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -729,7 +756,7 @@ fn internal_upper_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
     while lo < hi {
         let mid = (lo + hi) / 2;
         let off = HDR + mid * esz;
-        if &b[off..off + kw] <= key {
+        if key_cmp(&b[off..off + kw], key).is_le() {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -754,6 +781,27 @@ mod tests {
 
     fn key8(v: u64) -> [u8; 8] {
         v.to_be_bytes()
+    }
+
+    #[test]
+    fn key_order_is_byte_order_at_every_width() {
+        // Keys that differ in one byte only, at every position, so a word
+        // compared in the wrong byte order would show.
+        for width in [1, 7, 8, 12, 16, 24, 40] {
+            let mut keys: Vec<Vec<u8>> = vec![vec![0x80; width]];
+            for pos in 0..width {
+                for byte in [0x00, 0x7F, 0x81, 0xFF] {
+                    let mut k = vec![0x80; width];
+                    k[pos] = byte;
+                    keys.push(k);
+                }
+            }
+            for a in &keys {
+                for b in &keys {
+                    assert_eq!(key_cmp(a, b), a.cmp(b), "{a:?} vs {b:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,12 @@
 //! A page `(FileId, PageId)` is pinned to one shard by hashing, so two
 //! threads touching pages in different shards never contend. Physical
 //! I/O goes through a per-file mutex *below* the shard lock, which keeps
-//! the lock order (`files` registry → shard → file) acyclic.
+//! the lock order (`files` registry → WAL handle → shard → file) acyclic.
+//!
+//! A page *hit* takes the shard lock and nothing else. Only a miss needs
+//! the registry (to read the page) and the WAL handle (to log a dirty
+//! victim first); it lets go of the shard, takes both in the declared
+//! order and looks the page up again.
 
 use crate::error::Result;
 use crate::page::PageBuf;
@@ -14,6 +19,7 @@ use crate::wal::Wal;
 use crate::PAGE_SIZE;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -119,10 +125,31 @@ struct FileEntry {
     wal_name: Option<String>,
 }
 
+/// Hasher of the shard maps. The keys are two `u32`s this program hands
+/// out itself, so one multiply per word replaces SipHash; the rotation
+/// brings the product's well-mixed high bits down to where the table
+/// takes its bucket index from.
+#[derive(Default)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("page keys hash as two u32 words");
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.0 = (self.0 ^ u64::from(word)).wrapping_mul(0xF135_7AEA_2E62_A9C5);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 /// One lock stripe: an independent frame table with its own clock hand.
 struct Shard {
     capacity: usize,
-    map: HashMap<(FileId, PageId), usize>,
+    map: HashMap<(FileId, PageId), usize, BuildHasherDefault<PageKeyHasher>>,
     frames: Vec<Frame>,
     hand: usize,
     stats: PoolStats,
@@ -132,7 +159,7 @@ impl Shard {
     fn new(capacity: usize) -> Self {
         Shard {
             capacity,
-            map: HashMap::new(),
+            map: HashMap::default(),
             frames: Vec::new(),
             hand: 0,
             stats: PoolStats::default(),
@@ -292,6 +319,27 @@ impl BufferPool {
         Ok(pid)
     }
 
+    /// Runs `f` on the frame holding the page, under its shard lock.
+    fn with_frame<R>(
+        &self,
+        fid: FileId,
+        pid: PageId,
+        f: impl FnOnce(&mut Frame) -> R,
+    ) -> Result<R> {
+        let si = shard_for(self.shards.len(), fid, pid);
+        {
+            let mut shard = self.shards[si].lock();
+            if let Some(i) = self.lookup(&mut shard, si, (fid, pid)) {
+                return Ok(f(&mut shard.frames[i]));
+            }
+        }
+        let files = self.files.read();
+        let wal = self.wal.read().clone();
+        let mut shard = self.shards[si].lock();
+        let i = self.frame_for(&mut shard, si, &files, wal.as_ref(), fid, pid, true)?;
+        Ok(f(&mut shard.frames[i]))
+    }
+
     /// Runs `f` over a read-only view of the page. The closure executes
     /// under the page's shard lock, so it must not re-enter the pool.
     pub fn with_page<R>(
@@ -300,12 +348,7 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&[u8; PAGE_SIZE]) -> R,
     ) -> Result<R> {
-        let files = self.files.read();
-        let wal = self.wal.read().clone();
-        let si = shard_for(self.shards.len(), fid, pid);
-        let mut shard = self.shards[si].lock();
-        let frame = self.frame_for(&mut shard, si, &files, wal.as_ref(), fid, pid, true)?;
-        Ok(f(shard.frames[frame].buf.bytes()))
+        self.with_frame(fid, pid, |frame| f(frame.buf.bytes()))
     }
 
     /// Runs `f` over a mutable view of the page and marks it dirty.
@@ -315,27 +358,19 @@ impl BufferPool {
         pid: PageId,
         f: impl FnOnce(&mut [u8; PAGE_SIZE]) -> R,
     ) -> Result<R> {
-        let files = self.files.read();
-        let wal = self.wal.read().clone();
-        let si = shard_for(self.shards.len(), fid, pid);
-        let mut shard = self.shards[si].lock();
-        let frame = self.frame_for(&mut shard, si, &files, wal.as_ref(), fid, pid, true)?;
-        shard.frames[frame].dirty = true;
-        shard.frames[frame].logged = false;
-        Ok(f(shard.frames[frame].buf.bytes_mut()))
+        self.with_frame(fid, pid, |frame| {
+            frame.dirty = true;
+            frame.logged = false;
+            f(frame.buf.bytes_mut())
+        })
     }
 
     /// Copies the page into `out`. Use this when the caller needs to run
     /// user code over the contents (scans), so no lock is held meanwhile.
     pub fn read_page_into(&self, fid: FileId, pid: PageId, out: &mut PageBuf) -> Result<()> {
-        let files = self.files.read();
-        let wal = self.wal.read().clone();
-        let si = shard_for(self.shards.len(), fid, pid);
-        let mut shard = self.shards[si].lock();
-        let frame = self.frame_for(&mut shard, si, &files, wal.as_ref(), fid, pid, true)?;
-        out.bytes_mut()
-            .copy_from_slice(shard.frames[frame].buf.bytes());
-        Ok(())
+        self.with_frame(fid, pid, |frame| {
+            out.bytes_mut().copy_from_slice(frame.buf.bytes())
+        })
     }
 
     /// Writes every dirty frame back to its file, then syncs the files
@@ -345,7 +380,7 @@ impl BufferPool {
         let wal = self.wal.read().clone();
         for (si, s) in self.shards.iter().enumerate() {
             let mut shard = s.lock();
-            self.flush_shard(&mut shard, si, &files, wal.as_ref())?;
+            self.flush_shard(&mut shard, si, &files, wal.as_ref(), None)?;
         }
         self.sync_files(&files)
     }
@@ -359,26 +394,9 @@ impl BufferPool {
         let wal = self.wal.read().clone();
         for (si, s) in self.shards.iter().enumerate() {
             let mut shard = s.lock();
-            for i in 0..shard.frames.len() {
-                if shard.frames[i].dirty && shard.frames[i].key.0 == fid {
-                    self.log_before_write(&files, wal.as_ref(), &mut shard.frames[i])?;
-                    let (fid, pid) = shard.frames[i].key;
-                    let buf = shard.frames[i].buf.bytes();
-                    files[fid as usize].file.lock().write_page(pid, buf)?;
-                    shard.frames[i].dirty = false;
-                    shard.stats.physical_writes += 1;
-                    self.metrics.physical_writes.inc();
-                    self.shard_metrics[si].physical_writes.inc();
-                }
-            }
+            self.flush_shard(&mut shard, si, &files, wal.as_ref(), Some(fid))?;
         }
-        let mut file = files[fid as usize].file.lock();
-        if self.sync.load(Ordering::Acquire) {
-            file.sync_all()?;
-        } else {
-            file.sync()?;
-        }
-        Ok(())
+        self.sync_files(&files[fid as usize..=fid as usize])
     }
 
     /// Flushes and then drops every cached frame: the next access to any
@@ -388,7 +406,7 @@ impl BufferPool {
         let wal = self.wal.read().clone();
         for (si, s) in self.shards.iter().enumerate() {
             let mut shard = s.lock();
-            self.flush_shard(&mut shard, si, &files, wal.as_ref())?;
+            self.flush_shard(&mut shard, si, &files, wal.as_ref(), None)?;
             self.resident_pages.sub(shard.frames.len() as i64);
             shard.map.clear();
             shard.frames.clear();
@@ -466,26 +484,31 @@ impl BufferPool {
         Ok(())
     }
 
-    /// WAL-before-data: appends the frame's image to the log if its file
-    /// is WAL-named and the current contents are not yet logged. Called
-    /// on every writeback path (flush and eviction). The WAL handle is
+    /// Writes dirty frame `i` of `shard` back to its file. WAL-before-data:
+    /// if the file is WAL-named and the current contents are not yet
+    /// logged, their image is appended to the log first. The WAL handle is
     /// read by the caller *before* any shard lock is taken (the declared
     /// order is `pool.walref` before `pool.shard`) and threaded in here.
-    fn log_before_write(
+    fn write_back(
         &self,
+        shard: &mut Shard,
+        si: usize,
+        i: usize,
         files: &[FileEntry],
         wal: Option<&Arc<Wal>>,
-        frame: &mut Frame,
     ) -> Result<()> {
-        if frame.logged {
-            return Ok(());
+        let frame = &mut shard.frames[i];
+        let (fid, pid) = frame.key;
+        let entry = &files[fid as usize];
+        if let (false, Some(name), Some(wal)) = (frame.logged, &entry.wal_name, wal) {
+            wal.append_image(name, pid, frame.buf.bytes())?;
+            frame.logged = true;
         }
-        if let Some(name) = &files[frame.key.0 as usize].wal_name {
-            if let Some(wal) = wal {
-                wal.append_image(name, frame.key.1, frame.buf.bytes())?;
-                frame.logged = true;
-            }
-        }
+        entry.file.lock().write_page(pid, frame.buf.bytes())?;
+        frame.dirty = false;
+        shard.stats.physical_writes += 1;
+        self.metrics.physical_writes.inc();
+        self.shard_metrics[si].physical_writes.inc();
         Ok(())
     }
 
@@ -511,26 +534,32 @@ impl BufferPool {
         }
     }
 
+    /// Writes back the dirty frames of `shard` (of file `only`, if given).
     fn flush_shard(
         &self,
         shard: &mut Shard,
         si: usize,
         files: &[FileEntry],
         wal: Option<&Arc<Wal>>,
+        only: Option<FileId>,
     ) -> Result<()> {
         for i in 0..shard.frames.len() {
-            if shard.frames[i].dirty {
-                self.log_before_write(files, wal, &mut shard.frames[i])?;
-                let (fid, pid) = shard.frames[i].key;
-                let buf = shard.frames[i].buf.bytes();
-                files[fid as usize].file.lock().write_page(pid, buf)?;
-                shard.frames[i].dirty = false;
-                shard.stats.physical_writes += 1;
-                self.metrics.physical_writes.inc();
-                self.shard_metrics[si].physical_writes.inc();
+            let frame = &shard.frames[i];
+            if frame.dirty && frame.key.0 == only.unwrap_or(frame.key.0) {
+                self.write_back(shard, si, i, files, wal)?;
             }
         }
         Ok(())
+    }
+
+    /// The frame index of a resident page, counted as a hit.
+    fn lookup(&self, shard: &mut Shard, si: usize, key: (FileId, PageId)) -> Option<usize> {
+        let i = *shard.map.get(&key)?;
+        shard.stats.hits += 1;
+        self.metrics.hits.inc();
+        self.shard_metrics[si].hits.inc();
+        shard.frames[i].referenced = true;
+        Some(i)
     }
 
     /// Returns the frame index holding `(fid, pid)` within `shard`,
@@ -549,11 +578,7 @@ impl BufferPool {
         pid: PageId,
         load: bool,
     ) -> Result<usize> {
-        if let Some(&i) = shard.map.get(&(fid, pid)) {
-            shard.stats.hits += 1;
-            self.metrics.hits.inc();
-            self.shard_metrics[si].hits.inc();
-            shard.frames[i].referenced = true;
+        if let Some(i) = self.lookup(shard, si, (fid, pid)) {
             return Ok(i);
         }
         shard.stats.misses += 1;
@@ -573,19 +598,13 @@ impl BufferPool {
             let victim = clock_victim(shard);
             let old = shard.frames[victim].key;
             if shard.frames[victim].dirty {
-                self.log_before_write(files, wal, &mut shard.frames[victim])?;
-                let buf = shard.frames[victim].buf.bytes();
-                files[old.0 as usize].file.lock().write_page(old.1, buf)?;
-                shard.stats.physical_writes += 1;
-                self.metrics.physical_writes.inc();
-                self.shard_metrics[si].physical_writes.inc();
+                self.write_back(shard, si, victim, files, wal)?;
             }
             shard.map.remove(&old);
             shard.stats.evictions += 1;
             self.metrics.evictions.inc();
             self.shard_metrics[si].evictions.inc();
             shard.frames[victim].key = (fid, pid);
-            shard.frames[victim].dirty = false;
             shard.frames[victim].logged = false;
             shard.frames[victim].referenced = true;
             victim
@@ -672,6 +691,59 @@ mod tests {
         let s = pool.stats();
         assert!(s.evictions > 0, "pool capacity was never exceeded");
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn evicted_dirty_victim_is_logged_before_it_is_written() {
+        use crate::wal::{scan, CommitState, Record, WAL_FILE};
+        let dir = tmpfile("walevict");
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let wal = Arc::new(Wal::create(&dir, &CommitState::default(), false, 1).unwrap());
+        let pool = BufferPool::with_shards(8, 1);
+        pool.attach_wal(Arc::clone(&wal));
+        let path = dir.join("t.tbl");
+        let file = PageFile::create(&path).unwrap();
+        let fid = pool.register_file_named(file, Some("t.tbl".to_string()));
+        // Four times the pool: allocation and the read-back below both
+        // evict dirty pages, and nothing else ever writes one back.
+        for i in 0..32u8 {
+            let pid = pool.allocate_page(fid).unwrap();
+            pool.with_page_mut(fid, pid, |b| b[..2].copy_from_slice(&[i + 1, 0xEE]))
+                .unwrap();
+        }
+        for pid in 0..32u32 {
+            let first = pool.with_page(fid, pid, |b| b[0]).unwrap();
+            assert_eq!(u32::from(first), pid + 1);
+        }
+        assert!(pool.stats().evictions >= 24);
+        let logged: Vec<(u32, Box<[u8; PAGE_SIZE]>)> = scan(&dir.join(WAL_FILE))
+            .unwrap()
+            .records
+            .into_iter()
+            .filter_map(|(_, record)| match record {
+                Record::PageImage { file, pid, image } if file == "t.tbl" => Some((pid, image)),
+                _ => None,
+            })
+            .collect();
+        // Whatever reached the data file is in the log already.
+        let on_disk = std::fs::read(&path).unwrap();
+        let written: Vec<(u32, &[u8])> = on_disk
+            .chunks_exact(PAGE_SIZE)
+            .enumerate()
+            .filter(|(_, page)| page[1] == 0xEE)
+            .map(|(pid, page)| (pid as u32, page))
+            .collect();
+        assert!(written.len() >= 24, "evictions wrote {}", written.len());
+        for (pid, page) in written {
+            assert!(
+                logged
+                    .iter()
+                    .any(|(p, image)| *p == pid && image[..] == *page),
+                "page {pid} was written back without a log image"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

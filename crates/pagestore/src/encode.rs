@@ -50,6 +50,22 @@ pub fn encode_key(cols: &[f64], rid: u64, out: &mut KeyBuf) {
     out.put_u64(rid);
 }
 
+/// [`encode_key`] into a slice of exactly the key's width (`8 * cols + 8`
+/// bytes), for callers that keep the key on the stack.
+///
+/// # Panics
+///
+/// Panics if `out` is not exactly that wide.
+pub fn encode_key_into(cols: impl IntoIterator<Item = f64>, rid: u64, out: &mut [u8]) {
+    let mut at = 0;
+    for c in cols {
+        out[at..at + 8].copy_from_slice(&encode_f64(c));
+        at += 8;
+    }
+    out[at..at + 8].copy_from_slice(&rid.to_be_bytes());
+    assert_eq!(at + 8, out.len(), "key slice wider than the key");
+}
+
 /// Decodes the `i`-th `f64` column of a composite key produced by
 /// [`encode_key`].
 pub fn decode_key_col(key: &[u8], i: usize) -> f64 {
@@ -64,6 +80,16 @@ pub fn decode_key_rid(key: &[u8], ncols: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn slice_encoding_is_the_buffer_encoding() {
+        let cols = [3600.0, -3.0, 0.0];
+        let mut buf = KeyBuf::new();
+        encode_key(&cols, 77, &mut buf);
+        let mut key = [0xAAu8; 32];
+        encode_key_into(cols, 77, &mut key);
+        assert_eq!(&buf[..], &key[..]);
+    }
 
     #[test]
     fn roundtrip_exact() {

@@ -1,7 +1,7 @@
 //! Tables: a heap file plus any number of B+tree indexes.
 
-use crate::btree::BTree;
-use crate::encode::{decode_key_rid, encode_key, KeyBuf};
+use crate::btree::{BTree, MAX_KEY_WIDTH};
+use crate::encode::{decode_key_rid, encode_key, encode_key_into, KeyBuf};
 use crate::error::Result;
 use crate::heap::{CompressionStats, HeapFile, PageFormat, RowId};
 use crate::pagefile::FileId;
@@ -127,19 +127,44 @@ impl Table {
 
     /// Appends a row, maintaining every index.
     pub fn insert(&self, row: &[f64]) -> Result<RowId> {
-        let rid = self.heap.write().insert(row)?;
-        let indexes = self.indexes.read();
-        if !indexes.is_empty() {
-            let mut key = KeyBuf::new();
-            let mut colbuf = Vec::new();
-            for idx in indexes.iter() {
-                colbuf.clear();
-                colbuf.extend(idx.cols.iter().map(|&c| row[c]));
-                encode_key(&colbuf, rid, &mut key);
-                idx.tree.write().insert(&key, rid)?;
+        let mut rid = [0];
+        self.insert_rows(row, &mut rid)?;
+        Ok(rid[0])
+    }
+
+    /// Appends `rows` (row-major, whole rows), maintaining every index,
+    /// with one acquisition of the heap lock and of each tree lock for
+    /// the whole batch. The heap, and each B+tree, receives the rows in
+    /// the given order, so every file ends byte for byte as
+    /// [`Table::insert`] row by row leaves it.
+    pub fn insert_many(&self, rows: &[f64]) -> Result<()> {
+        let mut rids = vec![0; rows.len() / self.cols.len()];
+        self.insert_rows(rows, &mut rids)
+    }
+
+    fn insert_rows(&self, rows: &[f64], rids: &mut [RowId]) -> Result<()> {
+        let ncols = self.cols.len();
+        assert_eq!(rows.len(), rids.len() * ncols, "row arity mismatch");
+        {
+            let mut heap = self.heap.write();
+            for (row, rid) in rows.chunks_exact(ncols).zip(rids.iter_mut()) {
+                *rid = heap.insert(row)?;
             }
         }
-        Ok(rid)
+        let indexes = self.indexes.read();
+        if indexes.is_empty() {
+            return Ok(());
+        }
+        let mut key = [0u8; MAX_KEY_WIDTH];
+        for idx in indexes.iter() {
+            let key = &mut key[..idx.cols.len() * 8 + 8];
+            let mut tree = idx.tree.write();
+            for (row, &rid) in rows.chunks_exact(ncols).zip(rids.iter()) {
+                encode_key_into(idx.cols.iter().map(|&c| row[c]), rid, key);
+                tree.insert(key, rid)?;
+            }
+        }
+        Ok(())
     }
 
     /// Reads one row by id.
@@ -428,6 +453,58 @@ mod tests {
         assert_eq!(n, 2);
         assert_eq!(table.num_rows(), 2);
         cleanup(&paths);
+    }
+
+    #[test]
+    fn insert_many_leaves_the_files_row_at_a_time_insertion_leaves() {
+        // Enough rows, in scattered key order, to split leaves and grow
+        // the trees; batches of uneven size, one of them empty.
+        let rows: Vec<[f64; 3]> = (0..6000u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                [(h % 977) as f64, -((h % 13) as f64), i as f64]
+            })
+            .collect();
+        let build = |name: &str, batched: bool| {
+            let (pool, table, mut paths) = setup(name, &["dt", "dv", "t"]);
+            add_index(&pool, &table, "by_dt_dv", vec![0, 1], &mut paths);
+            add_index(&pool, &table, "by_t", vec![2], &mut paths);
+            if batched {
+                let mut rest = rows.as_slice();
+                for size in (0..).map(|i| (i * 7) % 40) {
+                    let (batch, tail) = rest.split_at(size.min(rest.len()));
+                    table.insert_many(batch.concat().as_slice()).unwrap();
+                    rest = tail;
+                    if rest.is_empty() {
+                        break;
+                    }
+                }
+            } else {
+                for row in &rows {
+                    table.insert(row).unwrap();
+                }
+            }
+            table.sync_meta().unwrap();
+            pool.flush_all().unwrap();
+            let files: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+            let sizes = (table.num_rows(), table.heap_bytes(), table.index_bytes());
+            cleanup(&paths);
+            (sizes, files)
+        };
+        let (one_by_one, batched) = (build("rowwise", false), build("batched", true));
+        assert_eq!(one_by_one.0, batched.0);
+        assert_eq!(one_by_one.0 .0, 6000);
+        assert!(one_by_one.1 == batched.1, "heap or B+tree bytes differ");
+    }
+
+    #[test]
+    fn insert_many_rejects_a_ragged_batch() {
+        let (_pool, table, paths) = setup("ragged", &["a", "b"]);
+        let ragged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            table.insert_many(&[1.0, 2.0, 3.0])
+        }));
+        cleanup(&paths);
+        assert!(ragged.is_err(), "one and a half rows must not be accepted");
     }
 
     #[test]

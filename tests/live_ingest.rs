@@ -1,0 +1,186 @@
+//! The live write path end to end: samples pushed one by one into indexes
+//! whose B+trees exist from the start, standing queries attached, searches
+//! running beside the writes.
+
+use segdiff_repro::pagestore::{Database, TableSpec};
+use segdiff_repro::prelude::*;
+use segdiff_repro::segdiff::SubscriptionRegistry;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+const SENSORS: u32 = 2;
+
+fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("segdiff-live-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&d).ok();
+    d
+}
+
+fn series() -> Vec<TimeSeries> {
+    let cfg = CadTransectConfig::default()
+        .with_days(6)
+        .with_sensors(SENSORS);
+    (0..SENSORS)
+        .map(|s| RobustSmoother::default().smooth(&generate_sensor(&cfg, s, 41)))
+        .collect()
+}
+
+/// A pair's identity, bit for bit.
+fn key(t_d: f64, t_c: f64, t_b: f64, t_a: f64) -> [u64; 4] {
+    [t_d, t_c, t_b, t_a].map(f64::to_bits)
+}
+
+#[test]
+fn pushes_queries_and_standing_queries_agree() {
+    let root = tmpdir("agree");
+    let series = series();
+    let config = SegDiffConfig::default()
+        .with_epsilon(0.2)
+        .with_window(8.0 * HOUR)
+        .with_durable(true)
+        .with_sync(false)
+        .with_group_commit(8);
+    let registry = Arc::new(SubscriptionRegistry::with_log_capacity(1 << 20));
+    // One standing region per kind; the second watches sensor 1 only.
+    let standing = [
+        (QueryRegion::drop(1.0 * HOUR, -1.5), vec![]),
+        (QueryRegion::jump(2.0 * HOUR, 1.0), vec![1]),
+    ];
+    let subs: Vec<_> = standing
+        .iter()
+        .map(|(region, sensors)| registry.subscribe("standing", *region, sensors, 0))
+        .collect();
+    let mut indexes: Vec<SegDiffIndex> = (0..SENSORS)
+        .map(|k| {
+            let dir = root.join(format!("sensor-{k}"));
+            let mut index = SegDiffIndex::create(&dir, config.clone()).unwrap();
+            index.build_indexes().unwrap();
+            index.attach_subscriptions(Arc::clone(&registry), k);
+            index
+        })
+        .collect();
+
+    // Six-hour batches, time-major; after each, both plans must agree on
+    // the store as it stands.
+    let searches = [
+        QueryRegion::drop(0.5 * HOUR, -1.0),
+        QueryRegion::drop(4.0 * HOUR, -3.0),
+        QueryRegion::jump(1.0 * HOUR, 1.0),
+        QueryRegion::jump(8.0 * HOUR, 2.5),
+    ];
+    let longest = series.iter().map(TimeSeries::len).max().unwrap();
+    let mut compared = 0;
+    for lo in (0..longest).step_by(72) {
+        for (index, s) in indexes.iter_mut().zip(&series) {
+            for j in lo..(lo + 72).min(s.len()) {
+                let (t, v) = s.get(j);
+                index.push(t, v).unwrap();
+            }
+        }
+        for index in &indexes {
+            let region = &searches[compared % searches.len()];
+            let (scan, _) = index.query(region, QueryPlan::SeqScan).unwrap();
+            let (indexed, _) = index.query(region, QueryPlan::Index).unwrap();
+            assert_eq!(scan, indexed, "plans disagree mid-ingest on {region:?}");
+            compared += 1;
+        }
+    }
+    for index in &mut indexes {
+        index.finish().unwrap();
+        index.verify_consistency().unwrap();
+    }
+
+    // Theorem 1 through the subscription path: what a standing region was
+    // notified of is what searching for it now returns, pair for pair.
+    let mut notified = 0;
+    for (sub, (region, sensors)) in subs.iter().zip(&standing) {
+        let (log, _) = registry.since(sub.id, 0, usize::MAX).unwrap();
+        for (k, index) in indexes.iter().enumerate() {
+            let k = k as u32;
+            let pushed: Vec<[u64; 4]> = log
+                .iter()
+                .filter(|n| n.sensor == k)
+                .map(|n| key(n.t_d, n.t_c, n.t_b, n.t_a))
+                .collect();
+            let distinct: BTreeSet<[u64; 4]> = pushed.iter().copied().collect();
+            assert_eq!(distinct.len(), pushed.len(), "a pair was notified twice");
+            let (found, _) = index.query(region, QueryPlan::Index).unwrap();
+            let searched: BTreeSet<[u64; 4]> = found
+                .iter()
+                .map(|p| key(p.t_d, p.t_c, p.t_b, p.t_a))
+                .collect();
+            if sensors.is_empty() || sensors.contains(&k) {
+                assert_eq!(distinct, searched, "sensor {k}, {region:?}");
+                notified += distinct.len();
+            } else {
+                assert!(distinct.is_empty(), "sensor {k} is not watched");
+            }
+        }
+    }
+    assert!(
+        notified > 20,
+        "the standing regions matched only {notified} pairs"
+    );
+    std::fs::remove_dir_all(&root).ok();
+}
+
+#[test]
+fn batched_inserts_store_what_row_at_a_time_inserts_store() {
+    // The index stores a segment's rows with one `Table::insert_many` per
+    // table. Replaying each table's rows, in stored order, through
+    // `Table::insert` into a scratch database of the same catalogue must
+    // fill exactly as many heap and B+tree bytes — the same bytes.
+    let root = tmpdir("bytes");
+    let mut index = SegDiffIndex::create(&root.join("live"), SegDiffConfig::default()).unwrap();
+    index.build_indexes().unwrap();
+    index.ingest_series(&series()[0]).unwrap();
+    index.finish().unwrap();
+
+    let live = index.database();
+    let scratch = Database::create(&root.join("scratch"), 4096).unwrap();
+    let mut names = live.table_names();
+    names.sort();
+    let mut tree_bytes = 0;
+    for name in &names {
+        let from = live.table(name).unwrap();
+        let columns: Vec<&str> = from.columns().iter().map(String::as_str).collect();
+        let to = scratch
+            .create_table(TableSpec::new(name, &columns))
+            .unwrap();
+        for tree in from.index_names() {
+            let cols: Vec<&str> = from
+                .index(&tree)
+                .unwrap()
+                .cols()
+                .iter()
+                .map(|&c| columns[c])
+                .collect();
+            scratch.create_index(name, &tree, &cols).unwrap();
+        }
+        from.seq_scan(|_, row| {
+            to.insert(row).unwrap();
+            true
+        })
+        .unwrap();
+        assert_eq!(to.num_rows(), from.num_rows(), "{name}");
+        assert_eq!(to.heap_bytes(), from.heap_bytes(), "{name}: heap bytes");
+        assert_eq!(to.index_bytes(), from.index_bytes(), "{name}: B+tree bytes");
+        tree_bytes += from.index_bytes();
+    }
+    assert!(tree_bytes > 0, "no B+tree was maintained");
+    // And the very same bytes: every heap and B+tree file, once flushed.
+    scratch.flush().unwrap();
+    let mut compared = 0;
+    for entry in std::fs::read_dir(root.join("live")).unwrap() {
+        let file = entry.unwrap().file_name();
+        let name = file.to_string_lossy();
+        if name.ends_with(".tbl") || name.ends_with(".idx") {
+            let live = std::fs::read(root.join("live").join(&file)).unwrap();
+            let replayed = std::fs::read(root.join("scratch").join(&file)).unwrap();
+            assert!(live == replayed, "{name} differs byte-wise");
+            compared += 1;
+        }
+    }
+    assert!(compared > names.len(), "compared only {compared} files");
+    std::fs::remove_dir_all(&root).ok();
+}
