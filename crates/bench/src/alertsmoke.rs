@@ -122,10 +122,9 @@ pub fn run_alertsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
             ..ServerConfig::default()
         },
     )
-    .map_err(|e| format!("bind alertsmoke server: {e}"))?;
-    let host = server.local_addr().to_string();
-    let flag = server.shutdown_flag();
-    let handle = std::thread::spawn(move || server.run());
+    .map_err(|e| format!("bind alertsmoke server: {e}"))?
+    .spawn();
+    let host = server.host().to_string();
 
     // Every body is distinct so the result cache cannot short-circuit
     // the executor (V varies by far less than any result cares about).
@@ -154,11 +153,7 @@ pub fn run_alertsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
     let (_, slow_traces_body) = fetch(&host, "GET", "/debug/traces?ring=slow&n=64&full=1", None)?;
     let (_, recent_traces_body) = fetch(&host, "GET", "/debug/traces?n=64", None)?;
 
-    flag.store(true, std::sync::atomic::Ordering::Release);
-    handle
-        .join()
-        .map_err(|_| "server thread panicked".to_string())?
-        .map_err(|e| format!("server run: {e}"))?;
+    server.stop().map_err(|e| format!("server run: {e}"))?;
     std::fs::remove_dir_all(&dir).ok();
 
     let doc = Json::parse(&alerts_body).map_err(|e| format!("parse /alerts: {e}"))?;

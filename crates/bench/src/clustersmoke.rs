@@ -272,10 +272,9 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
         ),
         ServerConfig::default(),
     )
-    .map_err(|e| format!("bind reference server: {e}"))?;
-    let ref_host = reference.local_addr().to_string();
-    let ref_flag = reference.shutdown_flag();
-    let ref_handle = std::thread::spawn(move || reference.run());
+    .map_err(|e| format!("bind reference server: {e}"))?
+    .spawn();
+    let ref_host = reference.host().to_string();
 
     // One private store copy + one `segdiff serve` process per shard.
     let host_of = |port: u16| format!("127.0.0.1:{port}");
@@ -549,11 +548,9 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
 
     // Teardown. Children die via Drop; the reference drains cleanly.
     drop(procs);
-    ref_flag.store(true, std::sync::atomic::Ordering::Release);
-    match ref_handle.join() {
-        Ok(r) => r.map_err(|e| format!("reference server: {e}"))?,
-        Err(_) => return Err("reference server thread panicked".to_string()),
-    }
+    reference
+        .stop()
+        .map_err(|e| format!("reference server: {e}"))?;
     std::fs::remove_dir_all(dir.join("transect")).ok();
 
     Ok(ClusterOutcome {

@@ -65,14 +65,12 @@ pub fn run_serving(
                 ..ServerConfig::default()
             },
         )
-        .expect("bind serving benchmark server");
-        let host = server.local_addr().to_string();
-        let flag = server.shutdown_flag();
-        let handle = std::thread::spawn(move || server.run().expect("server run"));
+        .expect("bind serving benchmark server")
+        .spawn();
 
         let before = obs::global().snapshot();
         let report = loadgen::run(&LoadgenConfig {
-            host,
+            host: server.host().to_string(),
             concurrency: 8,
             duration,
             bodies: bodies.clone(),
@@ -80,8 +78,7 @@ pub fn run_serving(
         .expect("loadgen run");
         let delta = obs::global().snapshot().delta(&before);
 
-        flag.store(true, std::sync::atomic::Ordering::Release);
-        handle.join().expect("server thread");
+        server.stop().expect("server run");
 
         let ms = |nanos: u64| nanos as f64 / 1e6;
         points.push(ServingPoint {

@@ -123,10 +123,9 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
         },
     )
     .map_err(|e| format!("bind subsmoke server: {e}"))?;
-    let host = server.local_addr().to_string();
     let registry = Arc::clone(&server.service().observability().subs);
-    let flag = server.shutdown_flag();
-    let handle = std::thread::spawn(move || server.run());
+    let server = server.spawn();
+    let host = server.host().to_string();
 
     // Four interleaved populations: two that must hear about the planted
     // drop (one listening to every sensor, one pinned to the planted
@@ -235,11 +234,7 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
     }
 
     let _ = fetch(&host, "POST", "/shutdown", None);
-    flag.store(true, std::sync::atomic::Ordering::Release);
-    handle
-        .join()
-        .map_err(|_| "server thread panicked".to_string())?
-        .map_err(|e| format!("server run: {e}"))?;
+    server.stop().map_err(|e| format!("server run: {e}"))?;
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&side_dir).ok();
 

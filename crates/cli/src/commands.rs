@@ -865,7 +865,6 @@ fn cluster(
     use router::{Ring, Router, RouterConfig, ShardSpec};
     use segdiff_server::server::signal;
     use segdiff_server::{Engine, Server, ServerConfig};
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
 
     let ids = TransectIndex::scan_ids(index)?;
@@ -912,8 +911,7 @@ fn cluster(
     signal::install();
     let mut specs = Vec::new();
     let mut engines = Vec::new();
-    let mut flags = Vec::new();
-    let mut handles = Vec::new();
+    let mut shard_servers = Vec::new();
     for (shard, bucket) in buckets.iter().enumerate() {
         let engine = Engine::transect(
             Arc::new(TransectIndex::open_subset(index, 4096, bucket)?),
@@ -935,8 +933,7 @@ fn cluster(
             replica: None,
         });
         engines.push(engine);
-        flags.push(server.shutdown_flag());
-        handles.push(std::thread::spawn(move || server.run()));
+        shard_servers.push(server.spawn());
     }
 
     let router = Router::bind(
@@ -956,14 +953,8 @@ fn cluster(
     );
     let run_result = router.run();
     // Router drained (signal or POST /shutdown): drain the shards too.
-    for flag in &flags {
-        flag.store(true, Ordering::Release);
-    }
-    for handle in handles {
-        match handle.join() {
-            Ok(r) => r?,
-            Err(_) => return Err("shard server thread panicked".into()),
-        }
+    for server in shard_servers {
+        server.stop()?;
     }
     run_result?;
     for engine in &engines {

@@ -26,12 +26,6 @@ pub const LOCK_ORDER_PATH: &str = "ci/lock-order.toml";
 /// Workspace-relative path of the metric registry source.
 pub const NAMES_RS_PATH: &str = "crates/obs/src/names.rs";
 
-/// Workspace-relative path of the HTTP route registry source (rule L8).
-pub const ROUTES_RS_PATH: &str = "crates/server/src/routes.rs";
-
-/// Workspace-relative path of the HTTP dispatch site (rule L8).
-pub const SERVICE_RS_PATH: &str = "crates/server/src/service.rs";
-
 /// Workspace-relative path of the CLI argument parser (rule L8).
 pub const ARGS_RS_PATH: &str = "crates/cli/src/args.rs";
 
@@ -39,11 +33,6 @@ pub const ARGS_RS_PATH: &str = "crates/cli/src/args.rs";
 pub const METRICS_TABLE_BEGIN: &str = "<!-- metrics-table:begin -->";
 /// Closing marker.
 pub const METRICS_TABLE_END: &str = "<!-- metrics-table:end -->";
-
-/// README markers delimiting the generated HTTP routes table.
-pub const ROUTES_TABLE_BEGIN: &str = "<!-- routes-table:begin -->";
-/// Closing marker.
-pub const ROUTES_TABLE_END: &str = "<!-- routes-table:end -->";
 
 /// One lock class: a name, its rank in the global order, and the
 /// receiver-path patterns that identify its acquisition sites.

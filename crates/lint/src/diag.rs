@@ -29,9 +29,7 @@ pub enum Rule {
     /// while any guard is live, outside the `[[allow_blocking]]`
     /// allowlist in `ci/lock-order.toml`.
     L7,
-    /// Contract drift: HTTP routes vs the `routes.rs` registry vs
-    /// `check_query_params` coverage vs the README table, and CLI
-    /// subcommands vs the usage text vs the README.
+    /// Contract drift: CLI subcommands vs the usage text vs the README.
     L8,
 }
 
@@ -91,7 +89,7 @@ impl Rule {
             Rule::L5 => "no `let _ =` result discards in pagestore/core production code",
             Rule::L6 => "lock order holds across intra-crate calls (call-graph summaries)",
             Rule::L7 => "no blocking call under a live guard outside the allowlist",
-            Rule::L8 => "HTTP routes and CLI subcommands match their registries and docs",
+            Rule::L8 => "CLI subcommands match their dispatch, usage text and docs",
         }
     }
 }

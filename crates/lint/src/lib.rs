@@ -22,7 +22,7 @@
 //! | L5 | no `let _ =` result discards in `pagestore`/`core` |
 //! | L6 | lock order holds across intra-crate calls ([`callgraph`] summaries) |
 //! | L7 | no blocking call under a live guard, outside the `[[allow_blocking]]` allowlist |
-//! | L8 | HTTP routes and CLI subcommands match their registries, handlers, and docs |
+//! | L8 | CLI subcommands match their dispatch, `USAGE` text, and README |
 //!
 //! L0–L5 are per-file passes. L6 assembles a workspace call graph
 //! ([`callgraph`]) over the shared guard-lifetime walk ([`flow`]) and
@@ -48,9 +48,7 @@ pub mod lexer;
 pub mod rules;
 pub mod toml;
 
-use config::{
-    LockOrder, ARGS_RS_PATH, LOCK_ORDER_PATH, NAMES_RS_PATH, ROUTES_RS_PATH, SERVICE_RS_PATH,
-};
+use config::{LockOrder, ARGS_RS_PATH, LOCK_ORDER_PATH, NAMES_RS_PATH};
 use context::{FileCtx, SuppressionIndex};
 use diag::{Diagnostic, Rule};
 use std::collections::BTreeSet;
@@ -162,16 +160,9 @@ pub fn run(opts: &Options) -> Result<RunResult, Fatal> {
         diags.extend(rules::interlock::check(&graph));
     }
     if on(Rule::L8) {
-        let routes_src = read_artifact(&opts.root, ROUTES_RS_PATH)?;
-        let service_src = read_artifact(&opts.root, SERVICE_RS_PATH)?;
         let args_src = read_artifact(&opts.root, ARGS_RS_PATH)?;
         let readme = std::fs::read_to_string(opts.root.join("README.md")).ok();
-        diags.extend(rules::contracts::check(&rules::contracts::Inputs {
-            routes_src: Some(&routes_src),
-            service_src: Some(&service_src),
-            args_src: Some(&args_src),
-            readme: readme.as_deref(),
-        }));
+        diags.extend(rules::contracts::check(&args_src, readme.as_deref()));
     }
 
     // Central suppression filtering, then the dead-suppression audit:
@@ -236,18 +227,6 @@ pub fn load_registry(root: &Path) -> Result<Vec<rules::names::RegistryEntry>, Fa
         )));
     }
     Ok(registry)
-}
-
-/// Parses the checked-in HTTP route registry.
-pub fn load_routes(root: &Path) -> Result<Vec<rules::contracts::ParsedRoute>, Fatal> {
-    let src = read_artifact(root, ROUTES_RS_PATH)?;
-    let routes = rules::contracts::parse_routes(&src);
-    if routes.is_empty() {
-        return Err(Fatal(format!(
-            "{ROUTES_RS_PATH}: no RouteDef entries found"
-        )));
-    }
-    Ok(routes)
 }
 
 /// Every `.rs` file the lint walks: `crates/*/src/**` plus the facade

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! segdiff-lint [--root DIR] [--rules L1,L3] [--format text|json]
-//!              [--list] [--emit-metrics-table] [--emit-routes-table]
+//!              [--list] [--emit-metrics-table]
 //! ```
 //!
 //! Exit codes: 0 clean, 1 violations found, 2 usage/config error.
@@ -11,7 +11,7 @@
 //! wall-clock, per-rule counts, diagnostics).
 
 use lint::diag::{render_report, Report, Rule};
-use lint::{find_root, load_registry, load_routes, run, Options};
+use lint::{find_root, load_registry, run, Options};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -33,7 +33,6 @@ fn real_main() -> Result<ExitCode, String> {
     let mut json = false;
     let mut list = false;
     let mut emit_metrics = false;
-    let mut emit_routes = false;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -60,12 +59,11 @@ fn real_main() -> Result<ExitCode, String> {
             }
             "--list" => list = true,
             "--emit-metrics-table" => emit_metrics = true,
-            "--emit-routes-table" => emit_routes = true,
             "--help" | "-h" => {
                 println!(
                     "segdiff-lint: workspace invariant checker\n\n\
                      USAGE: segdiff-lint [--root DIR] [--rules L1,L3] [--format text|json]\n\
-                     \x20                 [--list] [--emit-metrics-table] [--emit-routes-table]\n\n\
+                     \x20                 [--list] [--emit-metrics-table]\n\n\
                      Exit codes: 0 clean, 1 violations, 2 usage/config error.\n\n\
                      Rules (all enabled by default; suppress a site with\n\
                      `// lint: allow(<rule>) <reason>`):"
@@ -98,11 +96,6 @@ fn real_main() -> Result<ExitCode, String> {
     if emit_metrics {
         let registry = load_registry(&root).map_err(|e| e.to_string())?;
         print!("{}", lint::rules::names::markdown_table(&registry));
-        return Ok(ExitCode::SUCCESS);
-    }
-    if emit_routes {
-        let routes = load_routes(&root).map_err(|e| e.to_string())?;
-        print!("{}", lint::rules::contracts::markdown_table(&routes));
         return Ok(ExitCode::SUCCESS);
     }
 

@@ -1,407 +1,31 @@
 //! Rule L8: cross-artifact contract drift.
 //!
-//! Two contracts in this workspace live in prose and string literals
-//! rather than types, so the compiler cannot see them rot:
+//! The CLI's subcommand contract lives in prose and string literals
+//! rather than types, so the compiler cannot see it rot: the `match sub`
+//! dispatch in `crates/cli/src/args.rs` must agree with the `USAGE`
+//! text and the README — every subcommand is documented in both, and
+//! every `segdiff <word>` the README mentions is a real subcommand.
 //!
-//! * **HTTP routes** — the `crates/server/src/routes.rs` registry must
-//!   match the `(method, path)` dispatch arms in `service.rs` (both
-//!   directions), each registry entry's `params` must equal the
-//!   `check_query_params` allowed list of the handler its arm calls,
-//!   and the README routes table (between the
-//!   `<!-- routes-table:begin/end -->` markers) must be the registry's
-//!   generated table, byte for byte.
-//! * **CLI subcommands** — the `match sub` dispatch in
-//!   `crates/cli/src/args.rs` must agree with the `USAGE` text and the
-//!   README: every subcommand is documented in both, and every
-//!   `segdiff <word>` the README mentions is a real subcommand.
+//! (The HTTP route contract used to be reconciled here too. It no longer
+//! needs a lint: `segdiff_server::routes` is one table that carries each
+//! route's handler, and its dispatcher validates query parameters before
+//! the handler runs, so registry, dispatch and validation cannot
+//! disagree; the README tables are pinned by `tests/self_check.rs`.)
 //!
 //! Everything is parsed lexically with the crate's own lexer, in the
-//! same style as L4's metric-registry reconciliation; the routes table
-//! renderer here is pinned byte-identical to
-//! `segdiff_server::routes::markdown_table()` by an integration test.
+//! same style as L4's metric-registry reconciliation.
 
-use crate::callgraph::file_functions;
-use crate::config::{
-    ARGS_RS_PATH, ROUTES_RS_PATH, ROUTES_TABLE_BEGIN, ROUTES_TABLE_END, SERVICE_RS_PATH,
-};
+use crate::config::ARGS_RS_PATH;
 use crate::context::FileCtx;
 use crate::diag::{Diagnostic, Rule};
-use crate::lexer::{lex, TokKind};
-use std::collections::BTreeMap;
+use crate::lexer::TokKind;
 
-/// One entry parsed from the `routes.rs` registry.
-#[derive(Debug, Clone)]
-pub struct ParsedRoute {
-    /// `GET` / `POST` / `DELETE` (upper-cased ctor name).
-    pub method: String,
-    /// Path, possibly with a `<…>` dynamic segment.
-    pub path: String,
-    /// Declared query parameters.
-    pub params: Vec<String>,
-    /// Help text (last column of the generated table).
-    pub help: String,
-    /// Line in `routes.rs`.
-    pub line: u32,
-}
-
-impl ParsedRoute {
-    /// Whether the path has a dynamic `<…>` segment (no dispatch-arm
-    /// literal to reconcile against).
-    pub fn is_dynamic(&self) -> bool {
-        self.path.contains('<')
-    }
-}
-
-/// One static `(method, path)` dispatch arm in `service.rs`.
-#[derive(Debug, Clone)]
-struct DispatchArm {
-    method: String,
-    path: String,
-    /// First `self.<name>(` called by the arm body, when present.
-    handler: Option<String>,
-    line: u32,
-}
-
-/// The artifact sources rule L8 reconciles. `None` skips the checks
-/// that need the artifact (the orchestrator reports unreadable files
-/// separately).
-#[derive(Debug, Default)]
-pub struct Inputs<'a> {
-    /// `crates/server/src/routes.rs`.
-    pub routes_src: Option<&'a str>,
-    /// `crates/server/src/service.rs`.
-    pub service_src: Option<&'a str>,
-    /// `crates/cli/src/args.rs`.
-    pub args_src: Option<&'a str>,
-    /// `README.md`.
-    pub readme: Option<&'a str>,
-}
-
-/// Runs every L8 check the available inputs allow. Diagnostics are
-/// unfiltered; the caller applies the suppression index.
-pub fn check(inputs: &Inputs) -> Vec<Diagnostic> {
+/// CLI contract: `match sub` dispatch in `args_src`
+/// (`crates/cli/src/args.rs`) ↔ its `USAGE` text ↔ the README (skipped
+/// when `None`). Diagnostics are unfiltered; the caller applies the
+/// suppression index.
+pub fn check(args_src: &str, readme: Option<&str>) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    let routes = inputs.routes_src.map(parse_routes);
-    if let (Some(routes), Some(service)) = (&routes, inputs.service_src) {
-        reconcile_routes(routes, service, &mut out);
-    }
-    if let (Some(routes), Some(readme)) = (&routes, inputs.readme) {
-        readme_routes_drift(routes, readme, &mut out);
-    }
-    if let Some(args) = inputs.args_src {
-        reconcile_cli(args, inputs.readme, &mut out);
-    }
-    out
-}
-
-/// Parses `RouteDef::get("/path", &["p", …], "help")` constructor calls.
-pub fn parse_routes(src: &str) -> Vec<ParsedRoute> {
-    let toks = lex(src);
-    let mut out = Vec::new();
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let method = match t.text(src) {
-            "get" => "GET",
-            "post" => "POST",
-            "delete" => "DELETE",
-            _ => continue,
-        };
-        let preceded = i >= 3
-            && toks[i - 1].kind == TokKind::Punct(b':')
-            && toks[i - 2].kind == TokKind::Punct(b':')
-            && toks[i - 3].kind == TokKind::Ident
-            && toks[i - 3].text(src) == "RouteDef";
-        if !preceded {
-            continue;
-        }
-        // ( "path" , & [ "p" , … ] , "help" )
-        let (Some(op), Some(path), Some(c1), Some(amp), Some(open)) = (
-            toks.get(i + 1),
-            toks.get(i + 2),
-            toks.get(i + 3),
-            toks.get(i + 4),
-            toks.get(i + 5),
-        ) else {
-            continue;
-        };
-        if op.kind != TokKind::Punct(b'(')
-            || path.kind != TokKind::Str
-            || c1.kind != TokKind::Punct(b',')
-            || amp.kind != TokKind::Punct(b'&')
-            || open.kind != TokKind::Punct(b'[')
-        {
-            continue;
-        }
-        let mut params = Vec::new();
-        let mut j = i + 6;
-        while j < toks.len() && toks[j].kind != TokKind::Punct(b']') {
-            if toks[j].kind == TokKind::Str {
-                params.push(toks[j].str_value(src));
-            }
-            j += 1;
-        }
-        let help = match (toks.get(j + 1), toks.get(j + 2)) {
-            (Some(c), Some(h)) if c.kind == TokKind::Punct(b',') && h.kind == TokKind::Str => {
-                h.str_value(src)
-            }
-            _ => continue,
-        };
-        out.push(ParsedRoute {
-            method: method.to_string(),
-            path: path.str_value(src),
-            params,
-            help,
-            line: path.line,
-        });
-    }
-    out
-}
-
-/// The markdown routes table generated from the parsed registry — must
-/// stay byte-identical to `segdiff_server::routes::markdown_table()`
-/// (an integration test in the facade crate pins the two together).
-pub fn markdown_table(routes: &[ParsedRoute]) -> String {
-    let mut out =
-        String::from("| method | path | query params | description |\n|---|---|---|---|\n");
-    for r in routes {
-        let params = if r.params.is_empty() {
-            "—".to_string()
-        } else {
-            r.params
-                .iter()
-                .map(|p| format!("`{p}`"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        out.push_str(&format!(
-            "| {} | `{}` | {} | {} |\n",
-            r.method, r.path, params, r.help
-        ));
-    }
-    out
-}
-
-/// Registry ↔ dispatch ↔ handler-params reconciliation.
-fn reconcile_routes(routes: &[ParsedRoute], service_src: &str, out: &mut Vec<Diagnostic>) {
-    let ctx = FileCtx::new(SERVICE_RS_PATH, service_src);
-    let arms = dispatch_arms(&ctx);
-    let params_of = handler_params(&ctx);
-
-    // Forward: every static registry entry has a dispatch arm, and its
-    // params equal the handler's allowed list.
-    for r in routes.iter().filter(|r| !r.is_dynamic()) {
-        let Some(arm) = arms
-            .iter()
-            .find(|a| a.method == r.method && a.path == r.path)
-        else {
-            out.push(Diagnostic {
-                rule: Rule::L8,
-                file: ROUTES_RS_PATH.to_string(),
-                line: r.line,
-                col: 1,
-                message: format!(
-                    "route `{} {}` is registered but has no dispatch arm in service.rs",
-                    r.method, r.path
-                ),
-                help: "add the arm to `SegDiffService::handle` or delete the registry entry"
-                    .to_string(),
-            });
-            continue;
-        };
-        let Some(handler) = &arm.handler else {
-            continue;
-        };
-        let Some(Some(allowed)) = params_of.get(handler.as_str()) else {
-            // Handler takes no request / does its own parsing: nothing
-            // to reconcile.
-            continue;
-        };
-        let mut want = r.params.clone();
-        let mut have = allowed.clone();
-        want.sort();
-        have.sort();
-        if want != have {
-            out.push(Diagnostic {
-                rule: Rule::L8,
-                file: ROUTES_RS_PATH.to_string(),
-                line: r.line,
-                col: 1,
-                message: format!(
-                    "route `{} {}` declares params [{}] but handler `{}` accepts [{}]",
-                    r.method,
-                    r.path,
-                    r.params.join(", "),
-                    handler,
-                    allowed.join(", "),
-                ),
-                help: "update the registry entry or the handler's `check_query_params` list"
-                    .to_string(),
-            });
-        }
-    }
-
-    // Reverse: every dispatch arm is registered.
-    for a in &arms {
-        if !routes
-            .iter()
-            .any(|r| r.method == a.method && r.path == a.path)
-        {
-            out.push(Diagnostic {
-                rule: Rule::L8,
-                file: SERVICE_RS_PATH.to_string(),
-                line: a.line,
-                col: 1,
-                message: format!(
-                    "dispatch arm `{} {}` is not in the crates/server/src/routes.rs registry",
-                    a.method, a.path
-                ),
-                help: "register the route (with its params and help text) in routes.rs".to_string(),
-            });
-        }
-    }
-}
-
-/// Static `("METHOD", "/path") =>` arms in non-test code, with the
-/// first `self.<handler>(` the arm body calls.
-fn dispatch_arms(ctx: &FileCtx) -> Vec<DispatchArm> {
-    let toks = &ctx.toks;
-    let src = ctx.src;
-    let mut out = Vec::new();
-    for i in 0..toks.len() {
-        // ( Str , Str ) = >
-        let pat = (
-            toks.get(i),
-            toks.get(i + 1),
-            toks.get(i + 2),
-            toks.get(i + 3),
-            toks.get(i + 4),
-            toks.get(i + 5),
-            toks.get(i + 6),
-        );
-        let (Some(op), Some(m), Some(c), Some(p), Some(cl), Some(eq), Some(gt)) = pat else {
-            continue;
-        };
-        if op.kind != TokKind::Punct(b'(')
-            || m.kind != TokKind::Str
-            || c.kind != TokKind::Punct(b',')
-            || p.kind != TokKind::Str
-            || cl.kind != TokKind::Punct(b')')
-            || eq.kind != TokKind::Punct(b'=')
-            || gt.kind != TokKind::Punct(b'>')
-            || ctx.in_test(m.line)
-        {
-            continue;
-        }
-        let method = m.str_value(src);
-        let path = p.str_value(src);
-        if !matches!(
-            method.as_str(),
-            "GET" | "POST" | "PUT" | "DELETE" | "HEAD" | "PATCH"
-        ) || !path.starts_with('/')
-        {
-            continue;
-        }
-        // The arm body's handler: the first `self . name (` within the
-        // next few tokens (arm bodies here are single calls).
-        let mut handler = None;
-        let mut j = i + 7;
-        while j + 3 < toks.len() && j < i + 40 {
-            if toks[j].kind == TokKind::Ident
-                && toks[j].text(src) == "self"
-                && toks[j + 1].kind == TokKind::Punct(b'.')
-                && toks[j + 2].kind == TokKind::Ident
-                && toks[j + 3].kind == TokKind::Punct(b'(')
-            {
-                handler = Some(toks[j + 2].text(src).to_string());
-                break;
-            }
-            // Stop at the arm's end.
-            if toks[j].kind == TokKind::Punct(b',') && toks[j].line > m.line {
-                break;
-            }
-            j += 1;
-        }
-        out.push(DispatchArm {
-            method,
-            path,
-            handler,
-            line: m.line,
-        });
-    }
-    out
-}
-
-/// Per-handler allowed query parameters: the first
-/// `check_query_params(req, &[…])` call in each function body.
-/// `Some(None)` means the function makes no such call.
-fn handler_params(ctx: &FileCtx) -> BTreeMap<String, Option<Vec<String>>> {
-    let toks = &ctx.toks;
-    let src = ctx.src;
-    let mut out = BTreeMap::new();
-    for (name, _impl_type, _line, open, close) in file_functions(ctx) {
-        let mut params: Option<Vec<String>> = None;
-        let mut i = open;
-        while i < close {
-            if toks[i].kind == TokKind::Ident
-                && toks[i].text(src) == "check_query_params"
-                && toks.get(i + 1).map(|t| t.kind) == Some(TokKind::Punct(b'('))
-            {
-                // Skip to the `[` and collect strings to the `]`.
-                let mut j = i + 2;
-                while j < close && toks[j].kind != TokKind::Punct(b'[') {
-                    j += 1;
-                }
-                let mut list = Vec::new();
-                while j < close && toks[j].kind != TokKind::Punct(b']') {
-                    if toks[j].kind == TokKind::Str {
-                        list.push(toks[j].str_value(src));
-                    }
-                    j += 1;
-                }
-                params = Some(list);
-                break;
-            }
-            i += 1;
-        }
-        out.insert(name, params);
-    }
-    out
-}
-
-/// README routes-table drift, mirroring L4's metrics-table check.
-fn readme_routes_drift(routes: &[ParsedRoute], readme: &str, out: &mut Vec<Diagnostic>) {
-    let expected = markdown_table(routes);
-    match extract_between(readme, ROUTES_TABLE_BEGIN, ROUTES_TABLE_END) {
-        None => out.push(Diagnostic {
-            rule: Rule::L8,
-            file: "README.md".to_string(),
-            line: 1,
-            col: 1,
-            message: format!(
-                "README.md lacks the `{ROUTES_TABLE_BEGIN}` / `{ROUTES_TABLE_END}` markers"
-            ),
-            help: "add the markers and run `segdiff-lint --emit-routes-table`".to_string(),
-        }),
-        Some((line, actual)) => {
-            if actual.trim() != expected.trim() {
-                out.push(Diagnostic {
-                    rule: Rule::L8,
-                    file: "README.md".to_string(),
-                    line,
-                    col: 1,
-                    message: "README routes table is out of sync with the registry".to_string(),
-                    help: "replace the table with the output of `segdiff-lint --emit-routes-table`"
-                        .to_string(),
-                });
-            }
-        }
-    }
-}
-
-/// CLI contract: `match sub` dispatch ↔ `USAGE` text ↔ README.
-fn reconcile_cli(args_src: &str, readme: Option<&str>, out: &mut Vec<Diagnostic>) {
     let ctx = FileCtx::new(ARGS_RS_PATH, args_src);
     let subs = cli_dispatch_subs(&ctx);
     let usage = usage_text(&ctx);
@@ -461,6 +85,7 @@ fn reconcile_cli(args_src: &str, readme: Option<&str>, out: &mut Vec<Diagnostic>
             }
         }
     }
+    out
 }
 
 /// String arms of the `match sub {` block at relative brace depth 1.
@@ -589,149 +214,9 @@ fn readme_segdiff_words(readme: &str) -> Vec<(String, u32)> {
     out
 }
 
-/// Returns (1-based line after the begin marker, text between markers).
-fn extract_between<'a>(text: &'a str, begin: &str, end: &str) -> Option<(u32, &'a str)> {
-    let b = text.find(begin)?;
-    let after = b + begin.len();
-    let e = text[after..].find(end)? + after;
-    let line = text[..after].lines().count() as u32 + 1;
-    Some((line, &text[after..e]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ROUTES_SRC: &str = r#"
-pub const ROUTES: &[RouteDef] = &[
-    RouteDef::post("/query", &[], "run one query"),
-    RouteDef::get("/metrics", &["format"], "registry dump"),
-    RouteDef::get("/subscribe/<id>", &[], "inspect one subscription"),
-];
-"#;
-
-    const SERVICE_SRC: &str = r#"
-impl Svc {
-    fn handle(&self, req: &Request) -> Response {
-        match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/query") => self.query(req),
-            ("GET", "/metrics") => (self.metrics_dump(req), None),
-            _ => Response::error(404, "no".into()),
-        }
-    }
-    fn query(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &[]) { return bad(e); }
-        ok()
-    }
-    fn metrics_dump(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["format"]) { return bad(e); }
-        ok()
-    }
-}
-"#;
-
-    #[test]
-    fn routes_parse() {
-        let r = parse_routes(ROUTES_SRC);
-        assert_eq!(r.len(), 3);
-        assert_eq!(r[0].method, "POST");
-        assert_eq!(r[0].path, "/query");
-        assert!(r[0].params.is_empty());
-        assert_eq!(r[1].params, vec!["format".to_string()]);
-        assert!(r[2].is_dynamic());
-    }
-
-    #[test]
-    fn in_sync_routes_are_clean() {
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            service_src: Some(SERVICE_SRC),
-            ..Inputs::default()
-        });
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn unregistered_arm_and_dead_entry_fire() {
-        let service = SERVICE_SRC.replace(
-            "(\"GET\", \"/metrics\") => (self.metrics_dump(req), None),",
-            "(\"GET\", \"/healthz\") => (self.metrics_dump(req), None),",
-        );
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            service_src: Some(&service),
-            ..Inputs::default()
-        });
-        assert!(
-            d.iter()
-                .any(|d| d.message.contains("`GET /healthz` is not in the")),
-            "{d:?}"
-        );
-        assert!(
-            d.iter().any(|d| d
-                .message
-                .contains("`GET /metrics` is registered but has no dispatch arm")),
-            "{d:?}"
-        );
-    }
-
-    #[test]
-    fn param_mismatch_fires() {
-        let service = SERVICE_SRC.replace("&[\"format\"]", "&[\"format\", \"verbose\"]");
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            service_src: Some(&service),
-            ..Inputs::default()
-        });
-        assert_eq!(d.len(), 1, "{d:?}");
-        assert!(
-            d[0].message.contains(
-                "declares params [format] but handler `metrics_dump` accepts [format, verbose]"
-            ),
-            "{}",
-            d[0].message
-        );
-    }
-
-    #[test]
-    fn test_code_arms_are_ignored() {
-        let service = format!(
-            "{SERVICE_SRC}\n#[cfg(test)]\nmod tests {{\n fn t() {{ match x {{ (\"GET\", \"/fake\") => self.q(r), _ => () }} }}\n}}\n"
-        );
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            service_src: Some(&service),
-            ..Inputs::default()
-        });
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn readme_table_drift() {
-        let routes = parse_routes(ROUTES_SRC);
-        let table = markdown_table(&routes);
-        let good =
-            format!("# Doc\n<!-- routes-table:begin -->\n{table}<!-- routes-table:end -->\n");
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            readme: Some(&good),
-            ..Inputs::default()
-        });
-        assert!(d.is_empty(), "{d:?}");
-        let stale = good.replace("registry dump", "old words");
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            readme: Some(&stale),
-            ..Inputs::default()
-        });
-        assert!(d.iter().any(|d| d.message.contains("out of sync")), "{d:?}");
-        let d = check(&Inputs {
-            routes_src: Some(ROUTES_SRC),
-            readme: Some("no markers"),
-            ..Inputs::default()
-        });
-        assert!(d.iter().any(|d| d.message.contains("lacks the")), "{d:?}");
-    }
 
     const ARGS_SRC: &str = r#"
 pub const USAGE: &str = "\
@@ -751,11 +236,7 @@ fn dispatch(sub: &str) -> Result<Command, String> {
     #[test]
     fn cli_in_sync_is_clean() {
         let readme = "Run `segdiff generate` then `segdiff query`.";
-        let d = check(&Inputs {
-            args_src: Some(ARGS_SRC),
-            readme: Some(readme),
-            ..Inputs::default()
-        });
+        let d = check(ARGS_SRC, Some(readme));
         assert!(d.is_empty(), "{d:?}");
     }
 
@@ -766,11 +247,7 @@ fn dispatch(sub: &str) -> Result<Command, String> {
             "\"query\" => Ok(Command::Query {}),\n        \"hidden\" => Ok(Command::Hidden {}),",
         );
         let readme = "Run `segdiff generate`, `segdiff query`, and `segdiff hidden`.";
-        let d = check(&Inputs {
-            args_src: Some(&args),
-            readme: Some(readme),
-            ..Inputs::default()
-        });
+        let d = check(&args, Some(readme));
         assert!(
             d.iter().any(|d| d
                 .message
@@ -782,11 +259,7 @@ fn dispatch(sub: &str) -> Result<Command, String> {
             "  segdiff query    --index DIR",
             "  segdiff query    --index DIR\n  segdiff ghost    --spooky",
         );
-        let d = check(&Inputs {
-            args_src: Some(&args),
-            readme: None,
-            ..Inputs::default()
-        });
+        let d = check(&args, None);
         assert!(
             d.iter()
                 .any(|d| d.message.contains("USAGE documents `segdiff ghost`")),
@@ -797,11 +270,7 @@ fn dispatch(sub: &str) -> Result<Command, String> {
     #[test]
     fn readme_phantom_subcommand_fires() {
         let readme = "Use `segdiff generate`, `segdiff query`, or `segdiff frobnicate` today.";
-        let d = check(&Inputs {
-            args_src: Some(ARGS_SRC),
-            readme: Some(readme),
-            ..Inputs::default()
-        });
+        let d = check(ARGS_SRC, Some(readme));
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(d[0].message.contains("`segdiff frobnicate`"));
     }

@@ -246,7 +246,7 @@ pub const METRICS: &[MetricDef] = &[
         "notify.dropped",
         "Published notifications evicted from a bounded log",
     ),
-    // HTTP server (server).
+    // HTTP server (server); the accept-loop four come from server::httpd.
     MetricDef::counter("server.accepted", "TCP connections accepted"),
     MetricDef::counter("server.rejected", "Connections shed with 503 (queue full)"),
     MetricDef::counter(
@@ -325,6 +325,14 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef::counter(
         "router.rejected",
         "Router connections shed with 503 (queue full)",
+    ),
+    MetricDef::counter(
+        "router.requeued",
+        "Router keep-alive connections yielded back to the queue",
+    ),
+    MetricDef::gauge(
+        "router.queue_depth",
+        "Accepted router connections waiting for a worker",
     ),
     MetricDef::histogram("router.query_nanos", "Wall time per scatter–gather query"),
     // Load generator (server::loadgen).

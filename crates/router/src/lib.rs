@@ -9,7 +9,11 @@
 //! registry — so the router composes the existing HTTP surface instead
 //! of introducing a new protocol.
 //!
-//! Routes:
+//! The front end itself is the shard servers' own: [`Router::run`]
+//! starts the health thread and hands the listener to
+//! [`segdiff_server::httpd::serve`] with the router as the request
+//! handler, and requests go through the same table-driven
+//! [`dispatch`] over [`ROUTES`]:
 //!
 //! * `POST /query` — scatter to the owning shards, merge
 //!   deterministically ([`segdiff::merge_sharded`]): the `results`
@@ -25,12 +29,13 @@ pub mod scatter;
 pub use health::{HealthBoard, ShardSpec, ShardState};
 pub use ring::Ring;
 
-use obs::export::Exporter;
 use obs::json::Json;
-use segdiff_server::http::{read_request, HttpError, Request, Response};
-use segdiff_server::queue::{BoundedQueue, PushError};
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use segdiff_server::http::{Request, Response};
+use segdiff_server::httpd::{self, Handler, Reply, Running, Tuning};
+use segdiff_server::routes::{dispatch, render_table, RouteDef};
+use segdiff_server::service::metrics_dump;
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,7 +102,7 @@ pub struct Router {
     config: RouterConfig,
     board: Arc<HealthBoard>,
     ring: Ring,
-    metrics: Arc<RouterMetrics>,
+    metrics: RouterMetrics,
 }
 
 impl Router {
@@ -116,7 +121,7 @@ impl Router {
             shutdown: Arc::new(AtomicBool::new(false)),
             board: Arc::new(HealthBoard::new(config.shards.clone())),
             ring: Ring::new(config.shards.len()),
-            metrics: Arc::new(RouterMetrics::new()),
+            metrics: RouterMetrics::new(),
             config,
         })
     }
@@ -136,186 +141,119 @@ impl Router {
         &self.board
     }
 
-    /// Runs the accept loop on the calling thread until shutdown. Probes
-    /// every shard once before accepting, so the first query already
-    /// knows the cluster topology.
+    /// Serves on the calling thread until shutdown. Probes every shard
+    /// once before accepting, so the first query already knows the
+    /// cluster topology.
     pub fn run(self) -> io::Result<()> {
-        let registry = obs::global();
-        let accepted = registry.counter("router.accepted");
-        let rejected = registry.counter("router.rejected");
         self.board.probe_all();
-
-        let health_thread = {
-            let board = Arc::clone(&self.board);
-            let shutdown = Arc::clone(&self.shutdown);
-            let interval = self.config.health_interval;
+        let served = std::thread::scope(|scope| {
             std::thread::Builder::new()
                 .name("router-health".to_string())
-                .spawn(move || {
-                    while !shutdown.load(Ordering::Acquire) {
-                        let t0 = std::time::Instant::now();
-                        board.probe_all();
-                        while t0.elapsed() < interval && !shutdown.load(Ordering::Acquire) {
-                            let left = interval.saturating_sub(t0.elapsed());
-                            std::thread::sleep(left.min(Duration::from_millis(20)));
-                        }
-                    }
-                })?
-        };
-
-        let queue: Arc<BoundedQueue<TcpStream>> =
-            Arc::new(BoundedQueue::new(self.config.queue_depth));
-        let mut workers = Vec::new();
-        for i in 0..self.config.threads.max(1) {
-            let queue = Arc::clone(&queue);
-            let shutdown = Arc::clone(&self.shutdown);
-            let board = Arc::clone(&self.board);
-            let metrics = Arc::clone(&self.metrics);
-            let ring = self.ring.clone();
-            let timeout = self.config.read_timeout;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("router-http-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = queue.pop() {
-                            serve_connection(&board, &ring, &metrics, &shutdown, stream, timeout);
-                        }
-                    })?,
+                .spawn_scoped(scope, || self.probe_until_shutdown())?;
+            let served = httpd::serve(
+                &self.listener,
+                &self.shutdown,
+                Tuning {
+                    name: "router",
+                    threads: self.config.threads,
+                    queue_depth: self.config.queue_depth,
+                    read_timeout: self.config.read_timeout,
+                },
+                &self,
             );
-        }
-
-        while !self.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    accepted.inc();
-                    match queue.try_push(stream) {
-                        Ok(()) => {}
-                        Err(PushError::Full(stream)) | Err(PushError::Closed(stream)) => {
-                            rejected.inc();
-                            let mut stream = stream;
-                            let _ = stream.set_nonblocking(false);
-                            let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-                            let _ = Response::error(503, "router overloaded, try again")
-                                .with_close()
-                                .write_to(&mut stream);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    obs::warn!("router accept failed: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-
-        queue.close();
-        for w in workers {
-            let _ = w.join();
-        }
-        let _ = health_thread.join();
+            // The health thread leaves the scope only once the flag is
+            // set, whichever way the loop ended.
+            self.shutdown.store(true, Ordering::Release);
+            served
+        });
         obs::info!("router drained");
-        Ok(())
+        served
     }
-}
 
-/// Serves a keep-alive request stream until close, error, or shutdown.
-fn serve_connection(
-    board: &HealthBoard,
-    ring: &Ring,
-    metrics: &RouterMetrics,
-    shutdown: &AtomicBool,
-    stream: TcpStream,
-    timeout: Duration,
-) {
-    if stream.set_nonblocking(false).is_err() {
-        return;
+    /// [`Router::run`] on a thread of its own.
+    pub fn spawn(self) -> Running {
+        Running::start(self.addr, self.shutdown_flag(), move || self.run())
     }
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    loop {
-        match read_request(&mut reader) {
-            Ok(req) => {
-                let mut resp = route(board, ring, metrics, shutdown, &req);
-                if !req.keep_alive() || shutdown.load(Ordering::Acquire) {
-                    resp.close = true;
-                }
-                let close = resp.close;
-                if resp.write_to(&mut writer).is_err() || close {
-                    return;
-                }
+
+    /// The health thread: re-probes every shard each interval.
+    fn probe_until_shutdown(&self) {
+        let interval = self.config.health_interval;
+        while !self.shutdown.load(Ordering::Acquire) {
+            let t0 = std::time::Instant::now();
+            self.board.probe_all();
+            while t0.elapsed() < interval && !self.shutdown.load(Ordering::Acquire) {
+                let left = interval.saturating_sub(t0.elapsed());
+                std::thread::sleep(left.min(Duration::from_millis(20)));
             }
-            Err(HttpError::Closed) => return,
-            Err(HttpError::TooLarge) => {
-                let _ = Response::error(413, "request too large")
-                    .with_close()
-                    .write_to(&mut writer);
-                return;
-            }
-            Err(HttpError::Malformed(m)) => {
-                let _ = Response::error(400, m).with_close().write_to(&mut writer);
-                return;
-            }
-            Err(HttpError::Io(_)) => return,
         }
     }
-}
 
-/// Dispatches one request.
-fn route(
-    board: &HealthBoard,
-    ring: &Ring,
-    metrics: &RouterMetrics,
-    shutdown: &AtomicBool,
-    req: &Request,
-) -> Response {
-    match (req.method.as_str(), req.path.as_str()) {
-        ("POST", "/query") => match req.body_str() {
-            Ok(body) => scatter::scatter_query(board, ring, body, metrics),
+    /// `POST /query`: scatter–gather over the shards.
+    fn query(&self, req: &Request, _id: u64) -> Response {
+        match req.body_str() {
+            Ok(body) => scatter::scatter_query(&self.board, &self.ring, body, &self.metrics),
             Err(e) => {
-                metrics.bad_requests.inc();
+                self.metrics.bad_requests.inc();
                 Response::error(400, e.to_string())
             }
-        },
-        ("GET", "/healthz") => healthz(board),
-        ("GET", "/metrics") => {
-            let snapshot = obs::global().snapshot();
-            match req.query_param("format") {
-                Some("json") => Response::text(
-                    200,
-                    obs::export::JsonLinesExporter::default().export(&snapshot),
-                ),
-                None | Some("text") => {
-                    Response::text(200, obs::export::TextExporter.export(&snapshot))
+        }
+    }
+
+    /// `POST /shutdown`: cooperative drain.
+    fn initiate_shutdown(&self) -> Response {
+        self.shutdown.store(true, Ordering::Release);
+        Response::json(200, &Json::obj([("status", Json::from("draining"))])).with_close()
+    }
+}
+
+/// Every route the router answers.
+pub const ROUTES: &[RouteDef<Router, Response>] = &[
+    RouteDef::new(
+        "POST",
+        "/query",
+        &[],
+        "scatter one drop/jump query to the owning shards and merge; same body as a shard's `/query`",
+        Router::query,
+    ),
+    RouteDef::new(
+        "GET",
+        "/healthz",
+        &[],
+        "role `router` plus every shard's failover state and endpoints",
+        |router, _, _| healthz(&router.board),
+    ),
+    RouteDef::new(
+        "GET",
+        "/metrics",
+        &["format"],
+        "full telemetry registry dump (`?format=json` for NDJSON)",
+        |_, req, _| metrics_dump(req),
+    ),
+    RouteDef::new(
+        "POST",
+        "/shutdown",
+        &[],
+        "graceful drain: finish in-flight work, stop probing",
+        |router, _, _| router.initiate_shutdown(),
+    ),
+];
+
+/// The markdown table of [`ROUTES`] — the block between the README's
+/// `router-routes-table` markers.
+pub fn markdown_table() -> String {
+    render_table(ROUTES)
+}
+
+impl Handler for Router {
+    fn serve(&self, req: &Request) -> Reply {
+        dispatch(ROUTES, self, req)
+            .unwrap_or_else(|rejected| {
+                if rejected.status == 400 {
+                    self.metrics.bad_requests.inc();
                 }
-                Some(other) => Response::error(
-                    400,
-                    format!("format must be \"text\" or \"json\", got {other:?}"),
-                ),
-            }
-        }
-        ("POST", "/shutdown") => {
-            shutdown.store(true, Ordering::Release);
-            let mut resp = Response::json(
-                200,
-                &Json::obj([("status", Json::Str("draining".to_string()))]),
-            );
-            resp.close = true;
-            resp
-        }
-        (_, "/query" | "/healthz" | "/metrics" | "/shutdown") => {
-            Response::error(405, format!("method {} not allowed", req.method))
-        }
-        _ => Response::error(404, format!("no route for {}", req.path)),
+                rejected
+            })
+            .into()
     }
 }
 
@@ -381,8 +319,8 @@ mod tests {
         assert!(Router::bind("127.0.0.1:0", RouterConfig::default()).is_err());
     }
 
-    #[test]
-    fn bind_builds_ring_over_shards() {
+    /// A router over two shards nobody listens on.
+    fn two_shard_router() -> Router {
         let config = RouterConfig {
             shards: vec![
                 ShardSpec {
@@ -396,9 +334,62 @@ mod tests {
             ],
             ..RouterConfig::default()
         };
-        let router = Router::bind("127.0.0.1:0", config).expect("bind");
+        Router::bind("127.0.0.1:0", config).expect("bind")
+    }
+
+    #[test]
+    fn bind_builds_ring_over_shards() {
+        let router = two_shard_router();
         assert_eq!(router.ring.num_shards(), 2);
         assert_eq!(router.board().num_shards(), 2);
         assert_ne!(router.local_addr().port(), 0);
+    }
+
+    fn status_of(router: &Router, method: &str, target: &str) -> u16 {
+        let raw = format!("{method} {target} HTTP/1.1\r\n\r\n");
+        let req = segdiff_server::http::read_request(&mut io::BufReader::new(raw.as_bytes()))
+            .expect("request parses");
+        match router.serve(&req) {
+            Reply::Response(resp) => {
+                let body = String::from_utf8(resp.body).expect("utf-8 body");
+                assert!(
+                    resp.status < 400 || body.starts_with(r#"{"error":"#),
+                    "{method} {target}: unstructured error body {body}"
+                );
+                resp.status
+            }
+            Reply::Stream(_) => panic!("the router never streams"),
+        }
+    }
+
+    /// The router's four routes go through the shared table: undeclared
+    /// parameters are counted 400s before any handler runs, known paths
+    /// under the wrong method are 405s, anything else is a 404.
+    #[test]
+    fn routes_validate_params_methods_and_paths() {
+        let router = two_shard_router();
+        let bad_before = router.metrics.bad_requests.get();
+        for def in ROUTES {
+            let target = format!("{}?bogus=1", def.path);
+            assert_eq!(status_of(&router, def.method, &target), 400, "{target}");
+        }
+        assert_eq!(router.metrics.bad_requests.get() - bad_before, 4);
+        assert!(
+            !router.shutdown.load(Ordering::Acquire),
+            "a rejected /shutdown must not shut down"
+        );
+
+        assert_eq!(status_of(&router, "GET", "/healthz"), 200);
+        assert_eq!(status_of(&router, "GET", "/metrics?format=json"), 200);
+        assert_eq!(status_of(&router, "GET", "/metrics?format=xml"), 400);
+        for def in ROUTES {
+            assert_eq!(status_of(&router, "PUT", def.path), 405, "{}", def.path);
+        }
+        assert_eq!(status_of(&router, "GET", "/query"), 405);
+        assert_eq!(status_of(&router, "GET", "/subscribe"), 404);
+        assert_eq!(status_of(&router, "GET", "/nope"), 404);
+
+        assert_eq!(status_of(&router, "POST", "/shutdown"), 200);
+        assert!(router.shutdown.load(Ordering::Acquire));
     }
 }

@@ -24,6 +24,7 @@ use obs::json::Json;
 use segdiff::{merge_sharded, SegmentPair};
 use segdiff_server::http::Response;
 use segdiff_server::loadgen::fetch;
+use segdiff_server::service::pairs_to_json;
 use segdiff_server::QuerySpec;
 use std::time::Instant;
 
@@ -312,22 +313,6 @@ fn parse_pair(item: &Json) -> Result<SegmentPair, String> {
         t_b: field("t_b")?,
         t_a: field("t_a")?,
     })
-}
-
-fn pairs_to_json(results: &[SegmentPair]) -> Json {
-    Json::Array(
-        results
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("t_d", Json::Float(p.t_d)),
-                    ("t_c", Json::Float(p.t_c)),
-                    ("t_b", Json::Float(p.t_b)),
-                    ("t_a", Json::Float(p.t_a)),
-                ])
-            })
-            .collect(),
-    )
 }
 
 #[cfg(test)]

@@ -15,11 +15,12 @@ use obs::json::Json;
 use proptest::prelude::*;
 use router::{Ring, Router, RouterConfig, ShardSpec};
 use segdiff::{SegDiffConfig, TransectIndex};
+use segdiff_server::httpd::Running;
 use segdiff_server::loadgen::fetch;
 use segdiff_server::{Engine, Server, ServerConfig};
 use sensorgen::{generate_sensor, CadTransectConfig};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -64,14 +65,8 @@ fn build_transect(dir: &Path, sensors: u32) {
     t.flush_all().expect("flush");
 }
 
-struct Running {
-    host: String,
-    flag: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<()>,
-}
-
 fn start_server(engine: Engine) -> Running {
-    let server = Server::bind(
+    Server::bind(
         "127.0.0.1:0",
         engine,
         ServerConfig {
@@ -81,11 +76,8 @@ fn start_server(engine: Engine) -> Running {
             ..ServerConfig::default()
         },
     )
-    .expect("bind shard server");
-    let host = server.local_addr().to_string();
-    let flag = server.shutdown_flag();
-    let handle = std::thread::spawn(move || server.run().expect("server run"));
-    Running { host, flag, handle }
+    .expect("bind shard server")
+    .spawn()
 }
 
 fn results_of(host: &str, body: &str) -> Result<String, String> {
@@ -139,7 +131,7 @@ proptest! {
         for bucket in &buckets {
             let sub = TransectIndex::open_subset(&shard_dir, 2048, bucket).expect("open subset");
             let running = start_server(Engine::transect(Arc::new(sub), threads));
-            specs.push(ShardSpec { primary: running.host.clone(), replica: None });
+            specs.push(ShardSpec { primary: running.host().to_string(), replica: None });
             servers.push(running);
         }
 
@@ -153,14 +145,12 @@ proptest! {
                 health_interval: Duration::from_millis(200),
             },
         )
-        .expect("bind router");
-        let router_host = router.local_addr().to_string();
-        let router_flag = router.shutdown_flag();
-        let router_handle = std::thread::spawn(move || router.run().expect("router run"));
+        .expect("bind router")
+        .spawn();
 
-        let want = results_of(&reference.host, &body).expect("reference query");
-        let want_wide = results_of(&reference_wide.host, &body).expect("wide reference query");
-        let got = results_of(&router_host, &body).expect("router query");
+        let want = results_of(reference.host(), &body).expect("reference query");
+        let want_wide = results_of(reference_wide.host(), &body).expect("wide reference query");
+        let got = results_of(router.host(), &body).expect("router query");
         prop_assert_eq!(
             &want, &want_wide,
             "fan-out thread count changed the reference answer"
@@ -175,18 +165,16 @@ proptest! {
             r#"{{"kind":"{kind}","v":{v},"t_hours":{t_hours},"plan":"index","sensors":[{}]}}"#,
             subset.join(",")
         );
-        let want_subset = results_of(&reference.host, &subset_body).expect("reference subset");
-        let got_subset = results_of(&router_host, &subset_body).expect("router subset");
+        let want_subset = results_of(reference.host(), &subset_body).expect("reference subset");
+        let got_subset = results_of(router.host(), &subset_body).expect("router subset");
         prop_assert_eq!(
             &got_subset, &want_subset,
             "router subset query diverged from one process"
         );
 
-        router_flag.store(true, Ordering::Release);
-        router_handle.join().expect("router thread");
+        router.stop().expect("router run");
         for running in servers.into_iter().chain([reference, reference_wide]) {
-            running.flag.store(true, Ordering::Release);
-            running.handle.join().expect("server thread");
+            running.stop().expect("server run");
         }
         std::fs::remove_dir_all(&dir).ok();
         std::fs::remove_dir_all(&shard_dir).ok();

@@ -9,12 +9,15 @@
 //!
 //! * [`http`] — minimal HTTP/1.1 framing (requests, responses,
 //!   keep-alive, `Content-Length` bodies), shared by server and client;
+//! * [`httpd`] — the one accept loop, worker pool and keep-alive
+//!   connection loop, generic over a request handler; the router
+//!   (`segdiff-router`) runs on it too;
 //! * [`queue`] — the bounded accept queue between the non-blocking
 //!   accept loop and the worker pool (`503` load-shedding when full);
-//! * [`routes`] — the route registry: every `(method, path)` the
-//!   service answers, checked in as data, enforced against the
-//!   dispatch table and the README by `segdiff-lint` rule L8;
-//! * [`service`] — the routes: `POST /query`, `GET /metrics`,
+//! * [`routes`] — the route table: every `(method, path)` the service
+//!   answers, the query parameters it accepts and its handler, plus the
+//!   dispatcher that answers 404/405/400 from the table;
+//! * [`service`] — the handlers: `POST /query`, `GET /metrics`,
 //!   `GET /healthz`, `GET /series`, `GET /alerts`,
 //!   `GET /debug/traces`, `POST /shutdown`, plus the standing-query
 //!   surface: `POST /subscribe`, `GET /subscribe`,
@@ -24,8 +27,8 @@
 //!   every registered metric into ring-buffered time series and feeding
 //!   them through the paper's own drop/jump detection as standing
 //!   alert rules;
-//! * [`server`] — the worker pool, graceful drain on shutdown, and the
-//!   SIGINT/SIGTERM latch ([`server::signal`]);
+//! * [`server`] — bind, run, flush on drain, and the SIGINT/SIGTERM
+//!   latch ([`server::signal`]);
 //! * [`loadgen`] — a closed-loop load generator with persistent
 //!   connections, used by `segdiff loadgen` and the bench harness.
 //!
@@ -36,6 +39,7 @@
 //! answered from the epoch-tagged result cache (`cache.*` counters).
 
 pub mod http;
+pub mod httpd;
 pub mod loadgen;
 pub mod observer;
 pub mod queue;
@@ -60,7 +64,6 @@ mod e2e_tests {
     use obs::json::Json;
     use segdiff::{QueryPlan, SegDiffConfig, SegDiffIndex};
     use sensorgen::{generate_sensor, CadTransectConfig};
-    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use std::time::Duration;
 
@@ -88,11 +91,8 @@ mod e2e_tests {
         Arc::new(idx)
     }
 
-    fn start_server(
-        idx: Arc<SegDiffIndex>,
-        threads: usize,
-    ) -> (String, std::thread::JoinHandle<()>) {
-        let server = Server::bind(
+    fn start_server(idx: Arc<SegDiffIndex>, threads: usize) -> httpd::Running {
+        Server::bind(
             "127.0.0.1:0",
             idx,
             ServerConfig {
@@ -103,10 +103,8 @@ mod e2e_tests {
                 ..ServerConfig::default()
             },
         )
-        .unwrap();
-        let host = server.local_addr().to_string();
-        let handle = std::thread::spawn(move || server.run().unwrap());
-        (host, handle)
+        .unwrap()
+        .spawn()
     }
 
     #[test]
@@ -119,7 +117,8 @@ mod e2e_tests {
                 QueryPlan::Index,
             )
             .unwrap();
-        let (host, handle) = start_server(Arc::clone(&idx), 4);
+        let running = start_server(Arc::clone(&idx), 4);
+        let host = running.host().to_string();
 
         let (status, body) = fetch(&host, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
@@ -173,7 +172,7 @@ mod e2e_tests {
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
     }
 
     /// The transect engine serves the parallel fan-out path: a `/query`
@@ -211,8 +210,8 @@ mod e2e_tests {
             },
         )
         .unwrap();
-        let host = server.local_addr().to_string();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let running = server.spawn();
+        let host = running.host().to_string();
 
         let (status, body) = fetch(&host, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
@@ -234,7 +233,7 @@ mod e2e_tests {
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
     }
 
     /// The self-observation surface end to end: `/query` responses carry
@@ -246,7 +245,8 @@ mod e2e_tests {
     fn observability_routes_serve_series_alerts_and_traces() {
         let dir = TempDir::new("observe");
         let idx = build_index(&dir.0);
-        let (host, handle) = start_server(idx, 2);
+        let running = start_server(idx, 2);
+        let host = running.host().to_string();
 
         // A couple of queries to give the rings and series content.
         let query = r#"{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"}"#;
@@ -387,14 +387,15 @@ mod e2e_tests {
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
     }
 
     #[test]
     fn loadgen_closed_loop_round_trips() {
         let dir = TempDir::new("loadgen");
         let idx = build_index(&dir.0);
-        let (host, handle) = start_server(idx, 4);
+        let running = start_server(idx, 4);
+        let host = running.host().to_string();
 
         let report = loadgen::run(&LoadgenConfig {
             host: host.clone(),
@@ -421,52 +422,7 @@ mod e2e_tests {
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
-    }
-
-    /// With ONE worker thread, a hot keep-alive client must not starve a
-    /// second connection: after `YIELD_AFTER` consecutive requests the
-    /// worker re-queues the hot connection and serves the waiter.
-    #[test]
-    fn single_worker_round_robins_hot_connections() {
-        use super::http::{read_response, write_request};
-        use std::io::BufReader;
-        use std::net::TcpStream;
-
-        let dir = TempDir::new("fair");
-        let idx = build_index(&dir.0);
-        let (host, handle) = start_server(idx, 1);
-
-        // Connection A claims the only worker with a first request.
-        let mut a = TcpStream::connect(&host).unwrap();
-        a.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut a_reader = BufReader::new(a.try_clone().unwrap());
-        write_request(&mut a, "GET", "/healthz", &host, None).unwrap();
-        let (status, _) = read_response(&mut a_reader).unwrap();
-        assert_eq!(status, 200);
-
-        // Connection B sends a request and then waits in the queue.
-        let mut b = TcpStream::connect(&host).unwrap();
-        b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        let mut b_reader = BufReader::new(b.try_clone().unwrap());
-        write_request(&mut b, "GET", "/healthz", &host, None).unwrap();
-
-        // A stays hot well past the yield threshold. The worker must
-        // re-queue A at some point in this loop and answer B; A's own
-        // requests still all complete (the pending one is served when the
-        // worker rotates back).
-        for _ in 0..80 {
-            write_request(&mut a, "GET", "/healthz", &host, None).unwrap();
-            let (status, _) = read_response(&mut a_reader).unwrap();
-            assert_eq!(status, 200);
-        }
-        let (status, _) = read_response(&mut b_reader).unwrap();
-        assert_eq!(status, 200);
-
-        drop((a, b));
-        let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
-        assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
     }
 
     /// The standing-query surface end to end: register over HTTP, attach
@@ -494,9 +450,9 @@ mod e2e_tests {
             },
         )
         .unwrap();
-        let host = server.local_addr().to_string();
         let subs = Arc::clone(&server.service().observability().subs);
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let running = server.spawn();
+        let host = running.host().to_string();
 
         // Register: the response echoes the stored subscription with id.
         let body = r#"{"label":"deep","kind":"drop","v":-3.0,"t_hours":1.0,"sensors":[7]}"#;
@@ -622,7 +578,7 @@ mod e2e_tests {
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
     }
 
     /// The PR 6 audit satellite: malformed or unknown query parameters
@@ -631,9 +587,27 @@ mod e2e_tests {
     fn malformed_query_params_are_structured_400s_everywhere() {
         let dir = TempDir::new("params");
         let idx = build_index(&dir.0);
-        let (host, handle) = start_server(idx, 2);
+        let running = start_server(idx, 2);
+        let host = running.host().to_string();
 
-        let bad = [
+        let expect_structured_400 = |method: &str, target: &str| {
+            let (status, body) = fetch(&host, method, target, None).unwrap();
+            assert_eq!(status, 400, "{method} {target}: {body}");
+            let doc = Json::parse(&body)
+                .unwrap_or_else(|e| panic!("{method} {target}: non-JSON 400 body {body:?}: {e}"));
+            assert!(
+                doc.get("error").and_then(Json::as_str).is_some(),
+                "{method} {target}: 400 body must carry an error field: {body}"
+            );
+        };
+        // Every route rejects a parameter it does not declare — the
+        // dispatcher validates before any handler runs, so `/shutdown`
+        // does not shut down and the stream is never opened.
+        for def in routes::ROUTES {
+            let target = format!("{}?bogus=1", def.path.replace("<id>", "1"));
+            expect_structured_400(def.method, &target);
+        }
+        for (method, target) in [
             ("GET", "/metrics?format=xml"),
             ("GET", "/metrics?fmt=json"),
             ("GET", "/healthz?verbose=1"),
@@ -650,16 +624,8 @@ mod e2e_tests {
             ("GET", "/notifications?sub=1&page=2"),
             ("GET", "/subscribe?x=1"),
             ("DELETE", "/subscribe/xyz"),
-        ];
-        for (method, target) in bad {
-            let (status, body) = fetch(&host, method, target, None).unwrap();
-            assert_eq!(status, 400, "{method} {target}: {body}");
-            let doc = Json::parse(&body)
-                .unwrap_or_else(|e| panic!("{method} {target}: non-JSON 400 body {body:?}: {e}"));
-            assert!(
-                doc.get("error").and_then(Json::as_str).is_some(),
-                "{method} {target}: 400 body must carry an error field: {body}"
-            );
+        ] {
+            expect_structured_400(method, target);
         }
         // Bad subscription bodies too.
         let (status, body) = fetch(
@@ -681,21 +647,20 @@ mod e2e_tests {
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
     }
 
     #[test]
     fn shutdown_flag_drains_and_stops() {
         let dir = TempDir::new("drain");
         let idx = build_index(&dir.0);
-        let server = Server::bind("127.0.0.1:0", idx, ServerConfig::default()).unwrap();
-        let host = server.local_addr().to_string();
-        let flag = server.shutdown_flag();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let running = Server::bind("127.0.0.1:0", idx, ServerConfig::default())
+            .unwrap()
+            .spawn();
+        let host = running.host().to_string();
         let (status, _) = fetch(&host, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
-        flag.store(true, Ordering::Release);
-        handle.join().unwrap();
+        running.stop().unwrap();
         // The listener is gone: new connections are refused.
         assert!(fetch(&host, "GET", "/healthz", None).is_err());
     }
@@ -710,7 +675,8 @@ mod e2e_tests {
                 QueryPlan::Index,
             )
             .unwrap();
-        let (host, handle) = start_server(idx, 2);
+        let running = start_server(idx, 2);
+        let host = running.host().to_string();
         // The WAL's counter family is part of the exported metrics.
         let (status, body) = fetch(&host, "GET", "/metrics?format=json", None).unwrap();
         assert_eq!(status, 200);
@@ -723,7 +689,7 @@ mod e2e_tests {
         let before = obs::global().histogram("server.flush_ms").count();
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
-        handle.join().unwrap();
+        running.stop().unwrap();
         // The drain ended in a flush: its duration was recorded...
         assert_eq!(
             obs::global().histogram("server.flush_ms").count(),
@@ -782,15 +748,14 @@ mod e2e_tests {
             read_timeout: Duration::from_millis(250),
             ..ServerConfig::default()
         };
-        let server = Server::bind(
+        let running = Server::bind(
             "127.0.0.1:0",
             Engine::transect(Arc::new(t), 2),
             config.clone(),
         )
-        .unwrap();
-        let primary_host = server.local_addr().to_string();
-        let primary_flag = server.shutdown_flag();
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        .unwrap()
+        .spawn();
+        let primary_host = running.host().to_string();
 
         let query = r#"{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"}"#;
         let results_of = |host: &str| -> String {
@@ -811,7 +776,7 @@ mod e2e_tests {
         .unwrap();
         assert_eq!(replica.sensor_ids(), vec![0, 1]);
 
-        let rep_server = Server::bind(
+        let rep_running = Server::bind(
             "127.0.0.1:0",
             replica.engine(),
             ServerConfig {
@@ -819,9 +784,9 @@ mod e2e_tests {
                 ..config.clone()
             },
         )
-        .unwrap();
-        let replica_host = rep_server.local_addr().to_string();
-        let rep_handle = std::thread::spawn(move || rep_server.run().unwrap());
+        .unwrap()
+        .spawn();
+        let replica_host = rep_running.host().to_string();
 
         let (status, body) = fetch(&replica_host, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
@@ -841,8 +806,7 @@ mod e2e_tests {
         // Restart the primary with new data: drain (via the flag, so no
         // server-side close leaves the port in TIME_WAIT), ingest the
         // second half of sensor 0 offline, rebind on the same port.
-        primary_flag.store(true, Ordering::Release);
-        handle.join().unwrap();
+        running.stop().unwrap();
         let mut t = TransectIndex::open(&prim.0, 4096).unwrap();
         let rest = TimeSeries::from_parts(
             series0.times()[half..].to_vec(),
@@ -870,7 +834,7 @@ mod e2e_tests {
                 }
             }
         };
-        let handle = std::thread::spawn(move || server.run().unwrap());
+        let running = server.spawn();
         let updated = results_of(&primary_host);
         assert_ne!(updated, reference, "the second half must change the answer");
 
@@ -892,7 +856,7 @@ mod e2e_tests {
             let (status, _) = fetch(host, "POST", "/shutdown", None).unwrap();
             assert_eq!(status, 200);
         }
-        handle.join().unwrap();
-        rep_handle.join().unwrap();
+        running.stop().unwrap();
+        rep_running.stop().unwrap();
     }
 }

@@ -1,195 +1,250 @@
-//! The HTTP route registry: every route the service answers, checked
-//! in as data.
+//! The HTTP route table: which `(method, path)` exist, which query
+//! parameters each accepts, and who handles it — one decision, in one
+//! place.
 //!
-//! Routes are stringly typed at the dispatch site
-//! ([`crate::service::SegDiffService::handle`] matches on
-//! `(method, path)` literals), which makes drift between the dispatch
-//! table, the per-handler query-parameter validation, and the README
-//! route table invisible to the compiler. This module is the single
-//! source of truth the `segdiff-lint` L8 rule enforces in all
-//! directions:
-//!
-//! * every static `(method, path)` dispatch arm must appear here, and
-//!   every static entry here must have a dispatch arm;
-//! * each entry's `params` must equal the `check_query_params` allowed
-//!   list of the handler its dispatch arm calls;
-//! * the README "HTTP routes" table is generated from this registry
-//!   ([`markdown_table`]) and lint fails when the two diverge.
-//!
-//! The registry is also live code, not just documentation: the
-//! dispatch fallback distinguishes `405 Method Not Allowed` from
-//! `404 Not Found` by asking [`is_known_path`] whether *some* method
-//! serves the path — previously a hand-maintained literal list that
-//! this registry replaces.
+//! A front end declares its routes as a `&[RouteDef<C, R>]` over its own
+//! context type `C` (the shard server's [`Service`], the router's
+//! `Router`), and [`dispatch`] does everything that can be decided from
+//! the table alone: it matches the path (capturing an integer `<id>`
+//! segment), answers `404` for a path no route serves and `405` for a
+//! known path under the wrong method, rejects any query parameter the
+//! matched route does not declare, and only then calls the handler. A
+//! route therefore cannot exist without validation, and the README
+//! tables ([`render_table`]) are generated from the same entries, pinned
+//! by `tests/self_check.rs`.
 
-/// One registered route.
-#[derive(Debug, Clone, Copy)]
-pub struct RouteDef {
+use crate::http::{Request, Response};
+use crate::service::{metrics_dump, Handled, Service};
+
+/// One route of a front end with context `C` whose handlers return `R`.
+pub struct RouteDef<C, R> {
     /// HTTP method (`GET`, `POST`, `DELETE`).
     pub method: &'static str,
-    /// Path; dynamic segments are spelled `<name>` (e.g.
-    /// `/subscribe/<id>`) and matched by prefix at dispatch.
+    /// Path; at most one dynamic segment, spelled `<id>` (e.g.
+    /// `/subscribe/<id>/stream`), which must be an unsigned integer.
     pub path: &'static str,
-    /// Query parameters the handler accepts (its
-    /// `check_query_params` allowed list). Empty means the handler
-    /// rejects any query string.
+    /// Query parameters the route accepts; [`dispatch`] rejects any
+    /// other. Empty means the route takes none.
     pub params: &'static [&'static str],
     /// One-line description, surfaced in the generated docs table.
     pub help: &'static str,
+    /// Called with the context, the validated request, and the captured
+    /// `<id>` (0 for a static path).
+    pub handler: fn(&C, &Request, u64) -> R,
 }
 
-impl RouteDef {
-    /// A `GET` route.
-    pub const fn get(
+impl<C, R> RouteDef<C, R> {
+    /// A route entry.
+    pub const fn new(
+        method: &'static str,
         path: &'static str,
         params: &'static [&'static str],
         help: &'static str,
+        handler: fn(&C, &Request, u64) -> R,
     ) -> Self {
         RouteDef {
-            method: "GET",
+            method,
             path,
             params,
             help,
+            handler,
         }
     }
 
-    /// A `POST` route.
-    pub const fn post(
-        path: &'static str,
-        params: &'static [&'static str],
-        help: &'static str,
-    ) -> Self {
-        RouteDef {
-            method: "POST",
-            path,
-            params,
-            help,
-        }
-    }
-
-    /// A `DELETE` route.
-    pub const fn delete(
-        path: &'static str,
-        params: &'static [&'static str],
-        help: &'static str,
-    ) -> Self {
-        RouteDef {
-            method: "DELETE",
-            path,
-            params,
-            help,
-        }
-    }
-
-    /// Whether the path contains a dynamic `<…>` segment (matched by
-    /// prefix rather than a dispatch-arm literal).
-    pub fn is_dynamic(&self) -> bool {
-        self.path.contains('<')
-    }
-
-    /// Whether a concrete request path is served by this route.
-    pub fn matches_path(&self, path: &str) -> bool {
-        match self.path.split_once('<') {
-            None => self.path == path,
-            Some((prefix, rest)) => {
-                // `/subscribe/<id>` → prefix `/subscribe/`, tail after
-                // the closing `>` (`""` or `/stream`).
-                let Some((_, suffix)) = rest.split_once('>') else {
-                    return false;
-                };
-                let Some(mid) = path.strip_prefix(prefix) else {
-                    return false;
-                };
-                let Some(seg) = mid.strip_suffix(suffix) else {
-                    return false;
-                };
-                !seg.is_empty() && !seg.contains('/')
-            }
-        }
+    /// `None` when this route does not serve `path`; otherwise the text
+    /// standing in for `<id>` (`None` for a static path).
+    fn capture<'p>(&self, path: &'p str) -> Option<Option<&'p str>> {
+        let Some((prefix, rest)) = self.path.split_once('<') else {
+            return (self.path == path).then_some(None);
+        };
+        let (_, suffix) = rest.split_once('>')?;
+        let segment = path.strip_prefix(prefix)?.strip_suffix(suffix)?;
+        (!segment.contains('/')).then_some(Some(segment))
     }
 }
 
-/// Every route the service answers, in dispatch order.
-pub const ROUTES: &[RouteDef] = &[
-    RouteDef::post(
+/// Routes one request through `routes`: `Ok` is the matched handler's
+/// answer, `Err` the table's own `404` / `405` / `400`.
+pub fn dispatch<C, R>(routes: &[RouteDef<C, R>], ctx: &C, req: &Request) -> Result<R, Response> {
+    let mut known_path = false;
+    for def in routes {
+        let Some(segment) = def.capture(&req.path) else {
+            continue;
+        };
+        known_path = true;
+        if def.method != req.method {
+            continue;
+        }
+        let id = match segment {
+            None => 0,
+            Some(raw) => raw.parse::<u64>().map_err(|_| {
+                Response::error(
+                    400,
+                    format!("<id> in {} must be an integer, got {raw:?}", def.path),
+                )
+            })?,
+        };
+        check_query_params(req, def.params).map_err(|e| Response::error(400, e))?;
+        return Ok((def.handler)(ctx, req, id));
+    }
+    Err(if known_path {
+        Response::error(405, format!("method {} not allowed", req.method))
+    } else {
+        Response::error(404, format!("no route for {}", req.path))
+    })
+}
+
+/// Uniform query-string validation: every pair must be `key=value` with
+/// a key in `allowed`, so a typo'd or unsupported parameter is a
+/// structured `400` on every route rather than silently ignored.
+fn check_query_params(req: &Request, allowed: &[&str]) -> Result<(), String> {
+    for pair in req.query.split('&').filter(|p| !p.is_empty()) {
+        let Some((key, _)) = pair.split_once('=') else {
+            return Err(format!(
+                "malformed query parameter {pair:?} (expected key=value)"
+            ));
+        };
+        if !allowed.contains(&key) {
+            return Err(if allowed.is_empty() {
+                format!("unknown query parameter {key:?} (route takes none)")
+            } else {
+                format!(
+                    "unknown query parameter {key:?} (allowed: {})",
+                    allowed.join(", ")
+                )
+            });
+        }
+    }
+    Ok(())
+}
+
+/// Every route the shard server answers, in dispatch order.
+pub const ROUTES: &[RouteDef<Service, Handled>] = &[
+    RouteDef::new(
+        "POST",
         "/query",
         &[],
         "run one drop/jump query; body carries kind, V, T, plan, trace",
+        Service::query,
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/metrics",
         &["format"],
         "full telemetry registry dump (`?format=json` for NDJSON)",
+        |_, req, _| metrics_dump(req).into(),
     ),
-    RouteDef::get("/healthz", &[], "liveness plus the current index epoch"),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
+        "/healthz",
+        &[],
+        "liveness plus the current index epoch",
+        |s, _, _| s.healthz().into(),
+    ),
+    RouteDef::new(
+        "GET",
         "/wal",
         &["sensor", "after_lsn", "max_bytes"],
         "WAL segment shipping for replicas (frames after a LSN cursor)",
+        |s, req, _| s.wal_ship(req).into(),
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/wal/manifest",
         &["sensor"],
         "WAL file manifest for replica bootstrap",
+        |s, req, _| s.wal_manifest(req).into(),
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/wal/file",
         &["sensor", "name", "offset", "len"],
         "raw WAL file byte ranges for replica bootstrap",
+        |s, req, _| s.wal_file(req).into(),
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/series",
         &["name", "window"],
         "sampled time series of any internal metric",
+        |s, req, _| s.series_dump(req).into(),
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/alerts",
         &["after"],
         "standing drop/jump rules and the fired-alert log",
+        |s, req, _| s.alerts_dump(req).into(),
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/debug/traces",
         &["n", "ring", "full"],
         "always-on request-trace rings (recent and slow)",
+        |s, req, _| s.traces_dump(req).into(),
     ),
-    RouteDef::post("/subscribe", &[], "register a standing query"),
-    RouteDef::get(
+    RouteDef::new(
+        "POST",
+        "/subscribe",
+        &[],
+        "register a standing query",
+        |s, req, _| s.subscribe_create(req).into(),
+    ),
+    RouteDef::new(
+        "GET",
         "/subscribe",
         &[],
         "list subscriptions with per-sensor event statistics",
+        |s, _, _| s.subscribe_list().into(),
     ),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
         "/notifications",
         &["sub", "after", "max"],
         "durable polling cursor over a subscription's matches",
+        |s, req, _| s.notifications(req).into(),
     ),
-    RouteDef::post(
+    RouteDef::new(
+        "POST",
         "/shutdown",
         &[],
         "graceful drain: finish in-flight work, flush, final snapshot",
+        |s, _, _| s.initiate_shutdown().into(),
     ),
-    RouteDef::get("/subscribe/<id>", &[], "inspect one subscription"),
-    RouteDef::delete("/subscribe/<id>", &[], "remove one subscription"),
-    RouteDef::get(
+    RouteDef::new(
+        "GET",
+        "/subscribe/<id>",
+        &[],
+        "inspect one subscription",
+        |s, _, id| s.subscribe_get(id).into(),
+    ),
+    RouteDef::new(
+        "DELETE",
+        "/subscribe/<id>",
+        &[],
+        "remove one subscription",
+        |s, _, id| s.subscribe_delete(id).into(),
+    ),
+    RouteDef::new(
+        "GET",
         "/subscribe/<id>/stream",
         &["after", "max"],
         "chunked NDJSON live feed of a subscription's notifications",
+        Service::subscribe_stream,
     ),
 ];
 
-/// Whether any route serves `path` (under some method). The dispatch
-/// fallback uses this to answer `405` instead of `404` for known paths.
-pub fn is_known_path(path: &str) -> bool {
-    ROUTES.iter().any(|r| r.matches_path(path))
+/// The markdown table of the shard server's [`ROUTES`] — the block
+/// between the README's `routes-table` markers.
+pub fn markdown_table() -> String {
+    render_table(ROUTES)
 }
 
-/// The markdown route table generated from [`ROUTES`] — the
-/// `segdiff-lint --emit-routes-table` output, pinned byte-identical to
-/// the lint crate's own renderer and the README by integration tests.
-pub fn markdown_table() -> String {
+/// The markdown table generated from a route table.
+pub fn render_table<C, R>(routes: &[RouteDef<C, R>]) -> String {
     let mut out =
         String::from("| method | path | query params | description |\n|---|---|---|---|\n");
-    for r in ROUTES {
+    for r in routes {
         let params = if r.params.is_empty() {
             "—".to_string()
         } else {
@@ -211,38 +266,79 @@ pub fn markdown_table() -> String {
 mod tests {
     use super::*;
 
-    #[test]
-    fn static_paths_match_exactly() {
-        let q = ROUTES.iter().find(|r| r.path == "/query").unwrap();
-        assert!(q.matches_path("/query"));
-        assert!(!q.matches_path("/query/x"));
+    fn request(method: &str, target: &str) -> Request {
+        let raw = format!("{method} {target} HTTP/1.1\r\n\r\n");
+        crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap()
+    }
+
+    /// A fake front end: the context is a number the handlers add to.
+    const THINGS: &[RouteDef<u64, String>] = &[
+        RouteDef::new("GET", "/things", &["n"], "list", |_, req, _| {
+            format!("list {}", req.query)
+        }),
+        RouteDef::new("GET", "/things/<id>", &[], "one", |base, _, id| {
+            format!("get {}", base + id)
+        }),
+        RouteDef::new("DELETE", "/things/<id>", &[], "drop", |_, _, id| {
+            format!("delete {id}")
+        }),
+        RouteDef::new(
+            "GET",
+            "/things/<id>/tail",
+            &["after"],
+            "feed",
+            |_, _, id| format!("tail {id}"),
+        ),
+    ];
+
+    fn go(method: &str, target: &str) -> Result<String, u16> {
+        dispatch(THINGS, &100, &request(method, target)).map_err(|resp| {
+            let body = String::from_utf8(resp.body).unwrap();
+            assert!(body.starts_with(r#"{"error":"#), "unstructured: {body}");
+            resp.status
+        })
     }
 
     #[test]
-    fn dynamic_paths_match_one_segment() {
-        let item = ROUTES
-            .iter()
-            .find(|r| r.path == "/subscribe/<id>" && r.method == "GET")
-            .unwrap();
-        assert!(item.is_dynamic());
-        assert!(item.matches_path("/subscribe/7"));
-        assert!(!item.matches_path("/subscribe/"));
-        assert!(!item.matches_path("/subscribe/7/stream"));
-        let stream = ROUTES
-            .iter()
-            .find(|r| r.path == "/subscribe/<id>/stream")
-            .unwrap();
-        assert!(stream.matches_path("/subscribe/7/stream"));
-        assert!(!stream.matches_path("/subscribe/stream"));
+    fn static_and_dynamic_paths_reach_their_handlers() {
+        assert_eq!(go("GET", "/things?n=3").unwrap(), "list n=3");
+        assert_eq!(go("GET", "/things/7").unwrap(), "get 107");
+        assert_eq!(go("DELETE", "/things/7").unwrap(), "delete 7");
+        assert_eq!(go("GET", "/things/7/tail?after=2").unwrap(), "tail 7");
     }
 
     #[test]
-    fn known_paths_cover_both_kinds() {
-        assert!(is_known_path("/metrics"));
-        assert!(is_known_path("/subscribe/123"));
-        assert!(is_known_path("/subscribe/123/stream"));
-        assert!(!is_known_path("/nope"));
-        assert!(!is_known_path("/subscribe/123/extra"));
+    fn unknown_paths_are_404_and_wrong_methods_405() {
+        assert_eq!(go("GET", "/nope"), Err(404));
+        assert_eq!(go("GET", "/things/7/extra"), Err(404));
+        assert_eq!(go("GET", "/things/tail/7"), Err(404));
+        assert_eq!(go("POST", "/things"), Err(405));
+        assert_eq!(go("POST", "/things/7"), Err(405));
+        assert_eq!(go("DELETE", "/things/7/tail"), Err(405));
+    }
+
+    #[test]
+    fn the_id_segment_must_be_an_unsigned_integer() {
+        for target in [
+            "/things/xyz",
+            "/things/",
+            "/things/-1",
+            "/things/99999999999999999999",
+            "/things/x/tail",
+        ] {
+            assert_eq!(go("GET", target), Err(400), "{target}");
+        }
+    }
+
+    #[test]
+    fn undeclared_or_malformed_params_never_reach_the_handler() {
+        assert_eq!(go("GET", "/things?m=3"), Err(400));
+        assert_eq!(go("GET", "/things?n"), Err(400));
+        assert_eq!(go("GET", "/things/7?n=3"), Err(400));
+        assert_eq!(go("DELETE", "/things/7?x=1"), Err(400));
+        assert_eq!(go("GET", "/things/7/tail?max=1"), Err(400));
+        // Validation belongs to the matched route, not to the path.
+        assert_eq!(go("POST", "/things?m=3"), Err(405));
     }
 
     #[test]

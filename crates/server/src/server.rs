@@ -1,33 +1,21 @@
-//! The multi-threaded HTTP server: accept loop, worker pool, shutdown.
+//! The shard server: a [`Service`] behind the shared HTTP front end.
 //!
-//! Architecture: one non-blocking accept loop (the thread that calls
-//! [`Server::run`]) feeds accepted connections into a bounded
-//! [`BoundedQueue`]; a fixed pool of worker threads pops connections and
-//! serves keep-alive request streams off them. When the queue is full
-//! the acceptor answers `503` inline — bounded memory under overload,
-//! the textbook load-shedding move. Workers yield a connection back to
-//! the queue after [`YIELD_AFTER`] consecutive requests whenever other
-//! connections are waiting, so hot keep-alive clients cannot starve the
-//! rest even with a single worker thread.
-//!
-//! Shutdown is cooperative: setting the shared flag (SIGINT/SIGTERM via
-//! [`crate::signal`], or `POST /shutdown`) stops the acceptor, which
-//! closes the queue; workers drain already-queued connections, finish
-//! the request in flight, and exit. `run` returns only after every
-//! worker has joined, so the caller can flush and print a final metrics
-//! snapshot knowing no query is still executing.
+//! [`Server::run`] starts the self-observation thread, hands the
+//! listener and the service to [`crate::httpd::serve`] (accept loop,
+//! worker pool, keep-alive connections, load shedding — see that module),
+//! and once the loop has drained makes the store durable. Shutdown is
+//! cooperative: setting the shared flag (SIGINT/SIGTERM via
+//! [`signal`], or `POST /shutdown`) stops the loop; `run` returns only
+//! after every worker has joined, so the caller can flush and print a
+//! final metrics snapshot knowing no query is still executing.
 
-use crate::http::{finish_chunks, read_request, write_chunk, write_chunked_head};
-use crate::http::{HttpError, Request, Response};
+use crate::httpd::{self, Running, Tuning};
 use crate::observer::{Observability, Observer};
-use crate::queue::{BoundedQueue, PushError};
-use crate::service::{check_query_params, parse_u64_param, Engine, Service, ShardRole};
-use obs::json::Json;
-use obs::Counter;
+use crate::service::{Engine, Service, ShardRole};
 use segdiff::alerts::AlertRuleSet;
-use std::io::{self, BufReader};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -126,74 +114,24 @@ impl Server {
         &self.service
     }
 
-    /// Runs the accept loop on the calling thread until shutdown, then
-    /// drains and joins the workers.
+    /// Serves on the calling thread until shutdown, then drains the
+    /// workers and flushes the store.
     pub fn run(self) -> io::Result<()> {
-        let registry = obs::global();
-        let accepted = registry.counter("server.accepted");
-        let rejected = registry.counter("server.rejected");
-        let requeued = registry.counter("server.requeued");
-        let queue_depth = registry.gauge("server.queue_depth");
-        let queue: Arc<BoundedQueue<TcpStream>> =
-            Arc::new(BoundedQueue::new(self.config.queue_depth));
         // The self-observation thread: samples every registered metric
         // into the series store and runs the standing drop/jump rules
         // over the fresh points, for as long as the server serves.
         let observer = Observer::start(self.service.observability(), self.config.sample_period);
-
-        let mut workers = Vec::new();
-        for i in 0..self.config.threads.max(1) {
-            let queue = Arc::clone(&queue);
-            let service = Arc::clone(&self.service);
-            let shutdown = Arc::clone(&self.shutdown);
-            let requeued = Arc::clone(&requeued);
-            let timeout = self.config.read_timeout;
-            workers.push(
-                std::thread::Builder::new()
-                    .name(format!("segdiff-http-{i}"))
-                    .spawn(move || {
-                        while let Some(stream) = queue.pop() {
-                            handle_connection(
-                                &service, stream, &queue, &requeued, &shutdown, timeout,
-                            );
-                        }
-                    })?,
-            );
-        }
-
-        while !self.shutdown.load(Ordering::Acquire) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    accepted.inc();
-                    match queue.try_push(stream) {
-                        Ok(()) => {}
-                        Err(PushError::Full(stream)) | Err(PushError::Closed(stream)) => {
-                            rejected.inc();
-                            shed(stream);
-                        }
-                    }
-                    queue_depth.set(queue.len() as i64);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    queue_depth.set(queue.len() as i64);
-                    std::thread::sleep(Duration::from_millis(2));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => {
-                    obs::warn!("accept failed: {e}");
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-            }
-        }
-
-        obs::info!(
-            "draining: {} request(s) in flight",
-            self.service.in_flight()
-        );
-        queue.close();
-        for w in workers {
-            let _ = w.join();
-        }
+        httpd::serve(
+            &self.listener,
+            &self.shutdown,
+            Tuning {
+                name: "server",
+                threads: self.config.threads,
+                queue_depth: self.config.queue_depth,
+                read_timeout: self.config.read_timeout,
+            },
+            self.service.as_ref(),
+        )?;
         // Every query has finished; make the store durable before telling
         // the caller the drain is complete. With WAL on this checkpoints
         // and truncates the log, so the next open is clean. Replicas
@@ -207,7 +145,7 @@ impl Server {
                 .engine()
                 .flush()
                 .map_err(|e| io::Error::other(format!("flush on drain failed: {e}")))?;
-            registry
+            obs::global()
                 .histogram("server.flush_ms")
                 .record(flush_start.elapsed().as_millis().min(u64::MAX as u128) as u64);
             obs::info!(
@@ -216,223 +154,12 @@ impl Server {
             );
         }
         observer.stop();
-        queue_depth.set(0);
         Ok(())
     }
-}
 
-/// Answers `503` on a connection the queue refused.
-fn shed(stream: TcpStream) {
-    let mut stream = stream;
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = Response::error(503, "server overloaded, try again")
-        .with_close()
-        .write_to(&mut stream);
-}
-
-/// How many requests one connection may be served in a row while other
-/// connections wait in the queue. A keep-alive client with a hot request
-/// loop would otherwise monopolize its worker indefinitely — with
-/// `--threads 1` and N clients, N-1 of them would starve for the whole
-/// run. After a burst the connection goes to the back of the queue and
-/// the worker picks up the next waiter, so a single worker round-robins.
-const YIELD_AFTER: u32 = 32;
-
-/// Serves a keep-alive request stream until close, error, or shutdown.
-///
-/// Fairness: after [`YIELD_AFTER`] requests, if other connections are
-/// waiting in `queue`, the connection is pushed to the back of the queue
-/// (counted in `server.requeued`) and this call returns so the worker can
-/// serve a waiter. The re-queue is skipped when the client has already
-/// pipelined bytes into the read buffer — those would be lost with the
-/// `BufReader` — or when the queue filled up in the meantime.
-fn handle_connection(
-    service: &Service,
-    stream: TcpStream,
-    queue: &BoundedQueue<TcpStream>,
-    requeued: &Counter,
-    shutdown: &AtomicBool,
-    timeout: Duration,
-) {
-    // Accepted sockets are blocking on Linux regardless of the listener's
-    // non-blocking flag, but make it explicit rather than rely on that.
-    if stream.set_nonblocking(false).is_err() {
-        return;
-    }
-    let _ = stream.set_read_timeout(Some(timeout));
-    let _ = stream.set_write_timeout(Some(timeout));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut served: u32 = 0;
-    loop {
-        let outcome = match read_request(&mut reader) {
-            Ok(req) => {
-                // A live-feed request takes over the socket: the
-                // response is an open-ended chunked stream, so the
-                // connection never re-enters the keep-alive loop.
-                if let Some(sub_id) = Service::stream_target(&req) {
-                    serve_stream(service, &mut writer, &req, shutdown, sub_id);
-                    return;
-                }
-                let mut resp = service.handle(&req);
-                // The request in flight finishes; the connection does not
-                // outlive a shutdown.
-                if !req.keep_alive() || shutdown.load(Ordering::Acquire) {
-                    resp.close = true;
-                }
-                let close = resp.close;
-                if resp.write_to(&mut writer).is_err() || close {
-                    None
-                } else {
-                    Some(())
-                }
-            }
-            Err(HttpError::Closed) => None,
-            Err(HttpError::TooLarge) => {
-                let _ = Response::error(413, "request too large")
-                    .with_close()
-                    .write_to(&mut writer);
-                None
-            }
-            Err(HttpError::Malformed(m)) => {
-                let _ = Response::error(400, m).with_close().write_to(&mut writer);
-                None
-            }
-            // Timeouts land here. A timed-out read may have consumed a
-            // partial request, so the stream cannot be resynchronized —
-            // drop the connection and let the client reconnect.
-            Err(HttpError::Io(_)) => None,
-        };
-        if outcome.is_none() {
-            return;
-        }
-        served += 1;
-        if served >= YIELD_AFTER
-            && !queue.is_empty()
-            && reader.buffer().is_empty()
-            && !shutdown.load(Ordering::Acquire)
-        {
-            match queue.try_push(reader.into_inner()) {
-                Ok(()) => {
-                    requeued.inc();
-                    return;
-                }
-                // The queue filled between the is_empty check and the
-                // push; keep serving this connection rather than drop it.
-                Err(PushError::Full(stream)) => {
-                    reader = BufReader::new(stream);
-                    served = 0;
-                }
-                // Shutdown began; the connection does not outlive it.
-                Err(PushError::Closed(_)) => return,
-            }
-        }
-    }
-}
-
-/// How often the live feed polls the registry for fresh notifications.
-const STREAM_POLL: Duration = Duration::from_millis(25);
-
-/// Idle live-feed connections get a heartbeat line this often, so a
-/// silent sensor still produces traffic and a dead client is detected
-/// by the write failing.
-const STREAM_HEARTBEAT: Duration = Duration::from_millis(1000);
-
-/// `GET /subscribe/<id>/stream` — the chunked live notification feed.
-///
-/// Writes one NDJSON line per notification as chunks on a
-/// `Transfer-Encoding: chunked` response, starting from `?after=`
-/// (default: only notifications published from now on). The stream ends
-/// cleanly (zero-length chunk) on server shutdown, on unsubscribe, or
-/// after `?max=` notifications; it ends abruptly when the client goes
-/// away and a write fails. The worker thread is occupied for the
-/// stream's lifetime — live feeds are for watchers, not for fan-out;
-/// polling `GET /notifications` scales to many consumers.
-fn serve_stream(
-    service: &Service,
-    w: &mut TcpStream,
-    req: &Request,
-    shutdown: &AtomicBool,
-    sub_id: u64,
-) {
-    let registry = Arc::clone(&service.observability().subs);
-    if let Err(e) = check_query_params(req, &["after", "max"]) {
-        let _ = Response::error(400, e).with_close().write_to(w);
-        return;
-    }
-    let Some(sub) = registry.subscription(sub_id) else {
-        let _ = Response::error(404, format!("no subscription {sub_id}"))
-            .with_close()
-            .write_to(w);
-        return;
-    };
-    // Default to "from now": everything already published is the
-    // polling cursor's job; the live feed is about what happens next.
-    let mut cursor = match parse_u64_param(req, "after", registry.last_seq(sub_id).unwrap_or(0)) {
-        Ok(n) => n,
-        Err(e) => {
-            let _ = Response::error(400, e).with_close().write_to(w);
-            return;
-        }
-    };
-    let max = match parse_u64_param(req, "max", 0) {
-        Ok(n) => n, // 0 = unbounded
-        Err(e) => {
-            let _ = Response::error(400, e).with_close().write_to(w);
-            return;
-        }
-    };
-    if write_chunked_head(w, 200, "application/x-ndjson").is_err() {
-        return;
-    }
-    // First line: what the stream is serving and where it starts, so a
-    // client can resume over `GET /notifications` after a disconnect.
-    let hello = Json::obj([("stream", sub.to_json()), ("after", Json::from(cursor))]);
-    if write_chunk(w, format!("{}\n", hello.to_string_compact()).as_bytes()).is_err() {
-        return;
-    }
-    let mut delivered = 0u64;
-    let mut last_write = std::time::Instant::now();
-    loop {
-        if shutdown.load(Ordering::Acquire) {
-            let _ = finish_chunks(w);
-            return;
-        }
-        let Some((batch, next)) = registry.since(sub_id, cursor, 256) else {
-            // Unsubscribed mid-stream: end cleanly.
-            let _ = finish_chunks(w);
-            return;
-        };
-        cursor = next;
-        for n in &batch {
-            if write_chunk(
-                w,
-                format!("{}\n", n.to_json().to_string_compact()).as_bytes(),
-            )
-            .is_err()
-            {
-                return;
-            }
-            last_write = std::time::Instant::now();
-            delivered += 1;
-            if max > 0 && delivered >= max {
-                let _ = finish_chunks(w);
-                return;
-            }
-        }
-        if batch.is_empty() && last_write.elapsed() >= STREAM_HEARTBEAT {
-            let beat = Json::obj([("heartbeat", Json::from(obs::unix_ms()))]);
-            if write_chunk(w, format!("{}\n", beat.to_string_compact()).as_bytes()).is_err() {
-                return;
-            }
-            last_write = std::time::Instant::now();
-        }
-        std::thread::sleep(STREAM_POLL);
+    /// [`Server::run`] on a thread of its own.
+    pub fn spawn(self) -> Running {
+        Running::start(self.addr, self.shutdown_flag(), move || self.run())
     }
 }
 

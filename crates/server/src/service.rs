@@ -16,17 +16,22 @@
 //! `GET /alerts` serve the sampled metric history and the standing
 //! drop/jump alerts (see [`crate::observer`]).
 
-use crate::http::{Request, Response};
+use crate::http::{finish_chunks, write_chunk, write_chunked_head, Request, Response};
+use crate::httpd::{Handler, Reply};
 use crate::observer::Observability;
+use crate::routes::{dispatch, ROUTES};
 use obs::export::Exporter;
 use obs::json::Json;
 use obs::tracering::TraceRecord;
 use obs::TraceNode;
 use pagestore::StoreError;
 use parking_lot::RwLock;
-use segdiff::{QueryPlan, QueryStats, SegDiffIndex, SegmentPair, ShardResults, TransectIndex};
+use segdiff::{
+    QueryPlan, QueryStats, SegDiffIndex, SegmentPair, ShardResults, Subscription,
+    SubscriptionRegistry, TransectIndex,
+};
 use sensorgen::HOUR;
-use std::io::{Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -658,33 +663,8 @@ fn parse_window(raw: &str) -> Result<Duration, String> {
     }
 }
 
-/// Uniform query-string validation: every pair must be `key=value` with
-/// a key in `allowed`. Routes apply this before doing any work, so a
-/// typo'd or unsupported parameter is a structured `400` on every route
-/// rather than silently ignored on some and rejected on others.
-pub(crate) fn check_query_params(req: &Request, allowed: &[&str]) -> Result<(), String> {
-    for pair in req.query.split('&').filter(|p| !p.is_empty()) {
-        let Some((key, _)) = pair.split_once('=') else {
-            return Err(format!(
-                "malformed query parameter {pair:?} (expected key=value)"
-            ));
-        };
-        if !allowed.contains(&key) {
-            return Err(if allowed.is_empty() {
-                format!("unknown query parameter {key:?} (route takes none)")
-            } else {
-                format!(
-                    "unknown query parameter {key:?} (allowed: {})",
-                    allowed.join(", ")
-                )
-            });
-        }
-    }
-    Ok(())
-}
-
 /// Parses an optional unsigned query parameter, with a default.
-pub(crate) fn parse_u64_param(req: &Request, key: &str, default: u64) -> Result<u64, String> {
+fn parse_u64_param(req: &Request, key: &str, default: u64) -> Result<u64, String> {
     match req.query_param(key) {
         None => Ok(default),
         Some(raw) => raw
@@ -700,8 +680,11 @@ enum QueryOutput {
     Parts(Vec<(u32, Vec<SegmentPair>)>),
 }
 
-/// Serializes result pairs in the canonical field order.
-fn pairs_to_json(results: &[SegmentPair]) -> Json {
+/// Serializes result pairs in the canonical field order. The shard
+/// server and the router both answer through this one function, which is
+/// what makes a scattered `results` array byte-identical to a single
+/// process's.
+pub fn pairs_to_json(results: &[SegmentPair]) -> Json {
     Json::Array(
         results
             .iter()
@@ -732,6 +715,135 @@ fn trace_to_json(node: &TraceNode) -> Json {
         ));
     }
     Json::Object(fields)
+}
+
+/// How often the live feed polls the registry for fresh notifications.
+const STREAM_POLL: Duration = Duration::from_millis(25);
+
+/// Idle live-feed connections get a heartbeat line this often, so a
+/// silent sensor still produces traffic and a dead client is detected
+/// by the write failing.
+const STREAM_HEARTBEAT: Duration = Duration::from_millis(1000);
+
+/// The body of `GET /subscribe/<id>/stream`: the chunked head, a hello
+/// line, then notifications after `cursor` as they are published.
+fn stream_notifications(
+    mut w: &mut dyn Write,
+    registry: &SubscriptionRegistry,
+    shutdown: &AtomicBool,
+    sub: &Subscription,
+    mut cursor: u64,
+    max: u64,
+) -> std::io::Result<()> {
+    fn line(mut w: &mut dyn Write, doc: &Json) -> std::io::Result<()> {
+        write_chunk(&mut w, format!("{}\n", doc.to_string_compact()).as_bytes())
+    }
+    write_chunked_head(&mut w, 200, "application/x-ndjson")?;
+    // First line: what the stream is serving and where it starts, so a
+    // client can resume over `GET /notifications` after a disconnect.
+    let hello = Json::obj([("stream", sub.to_json()), ("after", Json::from(cursor))]);
+    line(w, &hello)?;
+    let mut delivered = 0u64;
+    let mut last_write = Instant::now();
+    loop {
+        if shutdown.load(Ordering::Acquire) {
+            return finish_chunks(&mut w);
+        }
+        let Some((batch, next)) = registry.since(sub.id, cursor, 256) else {
+            // Unsubscribed mid-stream: end cleanly.
+            return finish_chunks(&mut w);
+        };
+        cursor = next;
+        for n in &batch {
+            line(w, &n.to_json())?;
+            last_write = Instant::now();
+            delivered += 1;
+            if max > 0 && delivered >= max {
+                return finish_chunks(&mut w);
+            }
+        }
+        if batch.is_empty() && last_write.elapsed() >= STREAM_HEARTBEAT {
+            line(w, &Json::obj([("heartbeat", Json::from(obs::unix_ms()))]))?;
+            last_write = Instant::now();
+        }
+        std::thread::sleep(STREAM_POLL);
+    }
+}
+
+/// `GET /metrics` — the process-global telemetry registry as text or
+/// (`?format=json`) NDJSON. The shard server and the router serve the
+/// same handler.
+pub fn metrics_dump(req: &Request) -> Response {
+    let snapshot = obs::global().snapshot();
+    match req.query_param("format") {
+        Some("json") => Response::text(
+            200,
+            obs::export::JsonLinesExporter::default().export(&snapshot),
+        ),
+        None | Some("text") => Response::text(200, obs::export::TextExporter.export(&snapshot)),
+        Some(other) => Response::error(
+            400,
+            format!("format must be \"text\" or \"json\", got {other:?}"),
+        ),
+    }
+}
+
+/// What a route handler of the shard server returns: the reply, and the
+/// span tree when the handler collected one (only `/query` does).
+pub struct Handled(Reply, Option<TraceNode>);
+
+impl From<Response> for Handled {
+    fn from(resp: Response) -> Handled {
+        Handled(resp.into(), None)
+    }
+}
+
+/// The accounting and tracing around [`dispatch`]: every request is
+/// counted, gets a process-unique trace id (propagated to executor
+/// worker threads via [`obs::TraceIdScope`]) and lands in the
+/// tail-sampling trace ring when it finishes — with its span tree for
+/// `/query`, summary-only for the cheap routes.
+impl Handler for Service {
+    fn serve(&self, req: &Request) -> Reply {
+        let start = Instant::now();
+        let started_ms = obs::unix_ms();
+        self.metrics.requests.inc();
+        self.in_flight.fetch_add(1, Ordering::AcqRel);
+        self.metrics.inflight.add(1);
+        let trace_id = obs::next_trace_id();
+        let scope = obs::TraceIdScope::enter(trace_id);
+        let Handled(reply, root) = dispatch(ROUTES, self, req).unwrap_or_else(|resp| {
+            if resp.status == 404 {
+                self.metrics.not_found.inc();
+            }
+            resp.into()
+        });
+        drop(scope);
+        self.in_flight.fetch_sub(1, Ordering::AcqRel);
+        self.metrics.inflight.sub(1);
+        let status = match &reply {
+            Reply::Response(resp) => resp.status,
+            Reply::Stream(_) => 200,
+        };
+        if status == 400 {
+            self.metrics.bad_requests.inc();
+        }
+        if status >= 400 {
+            self.metrics.errors.inc();
+        }
+        let wall = start.elapsed();
+        self.metrics.request_nanos.record_duration(wall);
+        self.observability.traces.record(TraceRecord {
+            trace_id,
+            name: format!("{} {}", req.method, req.path),
+            started_ms,
+            wall_nanos: wall.as_nanos().min(u64::MAX as u128) as u64,
+            status,
+            error: status >= 400,
+            root,
+        });
+        reply
+    }
 }
 
 impl Service {
@@ -789,93 +901,28 @@ impl Service {
         self.in_flight.load(Ordering::Acquire)
     }
 
-    /// Dispatches one request.
-    ///
-    /// Tracing is always on: every request gets a process-unique trace
-    /// id (propagated to executor worker threads via
-    /// [`obs::TraceIdScope`]) and lands in the tail-sampling trace ring
-    /// when it finishes — with its span tree for `/query`, summary-only
-    /// for the cheap routes.
+    /// Answers one request on a transport that cannot hand its socket
+    /// over: the live feed, which needs one, is refused.
     pub fn handle(&self, req: &Request) -> Response {
-        let start = Instant::now();
-        let started_ms = obs::unix_ms();
-        self.metrics.requests.inc();
-        self.in_flight.fetch_add(1, Ordering::AcqRel);
-        self.metrics.inflight.add(1);
-        let trace_id = obs::next_trace_id();
-        let scope = obs::TraceIdScope::enter(trace_id);
-        let (resp, root) = match (req.method.as_str(), req.path.as_str()) {
-            ("POST", "/query") => self.query(req, trace_id),
-            ("GET", "/metrics") => (self.metrics_dump(req), None),
-            ("GET", "/healthz") => (self.healthz(req), None),
-            ("GET", "/wal") => (self.wal_ship(req), None),
-            ("GET", "/wal/manifest") => (self.wal_manifest(req), None),
-            ("GET", "/wal/file") => (self.wal_file(req), None),
-            ("GET", "/series") => (self.series_dump(req), None),
-            ("GET", "/alerts") => (self.alerts_dump(req), None),
-            ("GET", "/debug/traces") => (self.traces_dump(req), None),
-            ("POST", "/subscribe") => (self.subscribe_create(req), None),
-            ("GET", "/subscribe") => (self.subscribe_list(req), None),
-            ("GET", "/notifications") => (self.notifications(req), None),
-            ("POST", "/shutdown") => (self.initiate_shutdown(), None),
-            (method, path) if path.starts_with("/subscribe/") => {
-                (self.subscribe_item(method, path), None)
-            }
-            (_, path) if crate::routes::is_known_path(path) => (
-                Response::error(405, format!("method {} not allowed", req.method)),
-                None,
+        match self.serve(req) {
+            Reply::Response(resp) => resp,
+            Reply::Stream(_) => Response::error(
+                400,
+                "the stream endpoint requires a dedicated streaming connection",
             ),
-            _ => {
-                self.metrics.not_found.inc();
-                (
-                    Response::error(404, format!("no route for {}", req.path)),
-                    None,
-                )
-            }
-        };
-        drop(scope);
-        self.in_flight.fetch_sub(1, Ordering::AcqRel);
-        self.metrics.inflight.sub(1);
-        if resp.status >= 400 {
-            self.metrics.errors.inc();
         }
-        let wall = start.elapsed();
-        self.metrics.request_nanos.record_duration(wall);
-        self.observability.traces.record(TraceRecord {
-            trace_id,
-            name: format!("{} {}", req.method, req.path),
-            started_ms,
-            wall_nanos: wall.as_nanos().min(u64::MAX as u128) as u64,
-            status: resp.status,
-            error: resp.status >= 400,
-            root,
-        });
-        resp
     }
 
-    /// A structured `400`, counted in `server.bad_requests`.
-    fn bad_request(&self, message: String) -> Response {
-        self.metrics.bad_requests.inc();
-        Response::error(400, message)
-    }
-
-    fn query(&self, req: &Request, trace_id: u64) -> (Response, Option<TraceNode>) {
-        if let Err(e) = check_query_params(req, &[]) {
-            return (self.bad_request(e), None);
-        }
+    /// `POST /query`.
+    pub(crate) fn query(&self, req: &Request, _id: u64) -> Handled {
+        let trace_id = obs::current_trace_id().unwrap_or(0);
         let body = match req.body_str() {
             Ok(b) => b,
-            Err(e) => {
-                self.metrics.bad_requests.inc();
-                return (Response::error(400, e.to_string()), None);
-            }
+            Err(e) => return Response::error(400, e.to_string()).into(),
         };
         let spec = match QuerySpec::from_json(body) {
             Ok(s) => s,
-            Err(e) => {
-                self.metrics.bad_requests.inc();
-                return (Response::error(400, e), None);
-            }
+            Err(e) => return Response::error(400, e).into(),
         };
         self.metrics.queries.inc();
         let start = Instant::now();
@@ -895,14 +942,12 @@ impl Service {
         let (output, stats, cached) = match outcome {
             Ok(t) => t,
             Err(StoreError::NotFound(m)) if grouped => {
-                self.metrics.bad_requests.inc();
-                return (
-                    Response::error(400, format!("bad sensor filter: {m}")),
-                    trace,
-                );
+                let resp = Response::error(400, format!("bad sensor filter: {m}"));
+                return Handled(resp.into(), trace);
             }
             Err(e) => {
-                return (Response::error(500, format!("query failed: {e}")), trace);
+                let resp = Response::error(500, format!("query failed: {e}"));
+                return Handled(resp.into(), trace);
             }
         };
         self.metrics.query_nanos.record_duration(start.elapsed());
@@ -970,33 +1015,13 @@ impl Service {
                 fields.push(("trace".to_string(), trace_to_json(node)));
             }
         }
-        (Response::json(200, &Json::Object(fields)), trace)
-    }
-
-    fn metrics_dump(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["format"]) {
-            return self.bad_request(e);
-        }
-        let snapshot = obs::global().snapshot();
-        match req.query_param("format") {
-            Some("json") => Response::text(
-                200,
-                obs::export::JsonLinesExporter::default().export(&snapshot),
-            ),
-            None | Some("text") => Response::text(200, obs::export::TextExporter.export(&snapshot)),
-            Some(other) => self.bad_request(format!(
-                "format must be \"text\" or \"json\", got {other:?}"
-            )),
-        }
+        Handled(Response::json(200, &Json::Object(fields)).into(), trace)
     }
 
     /// `GET /series` — the sampled metric history. Without a `name`
     /// parameter, lists the sampled series; with one, returns the points
     /// inside `window` (e.g. `60s`, `5m`, `2h`; default the whole ring).
-    fn series_dump(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["name", "window"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn series_dump(&self, req: &Request) -> Response {
         let store = &self.observability.series;
         let Some(name) = req.query_param("name") else {
             let names = store.names();
@@ -1014,10 +1039,7 @@ impl Service {
         let window = match req.query_param("window").map(parse_window) {
             None => None,
             Some(Ok(w)) => Some(w),
-            Some(Err(e)) => {
-                self.metrics.bad_requests.inc();
-                return Response::error(400, e);
-            }
+            Some(Err(e)) => return Response::error(400, e),
         };
         let points = match window {
             Some(w) => store.window(name, w, obs::unix_ms()),
@@ -1054,13 +1076,10 @@ impl Service {
     /// with sequence number > N (the polling cursor `segdiff alerts
     /// --follow` rides on); each alert then carries its `seq` and the
     /// response a `next_after` to resume from.
-    fn alerts_dump(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["after"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn alerts_dump(&self, req: &Request) -> Response {
         let after = match parse_u64_param(req, "after", 0) {
             Ok(n) => n,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let engine = &self.observability.alerts;
         let rules: Vec<Json> = engine
@@ -1109,17 +1128,13 @@ impl Service {
     /// rings. `?ring=slow` selects the tail-sampled slow/error ring,
     /// `?n=` bounds the count (default 20), `?full=1` includes span
     /// trees.
-    fn traces_dump(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["n", "ring", "full"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn traces_dump(&self, req: &Request) -> Response {
         let store = &self.observability.traces;
         let n = match req.query_param("n") {
             None => 20,
             Some(raw) => match raw.parse::<usize>() {
                 Ok(n) if n >= 1 => n.min(4096),
                 _ => {
-                    self.metrics.bad_requests.inc();
                     return Response::error(
                         400,
                         format!("n must be a positive integer, got {raw:?}"),
@@ -1132,7 +1147,6 @@ impl Service {
             "recent" => store.recent(n),
             "slow" => store.slow(n),
             other => {
-                self.metrics.bad_requests.inc();
                 return Response::error(
                     400,
                     format!("ring must be \"recent\" or \"slow\", got {other:?}"),
@@ -1143,7 +1157,7 @@ impl Service {
             None | Some("0") => false,
             Some("1") => true,
             Some(other) => {
-                return self.bad_request(format!("full must be \"0\" or \"1\", got {other:?}"));
+                return Response::error(400, format!("full must be \"0\" or \"1\", got {other:?}"));
             }
         };
         Response::json(
@@ -1178,17 +1192,14 @@ impl Service {
     /// [`SubscribeSpec`]; the response echoes the stored subscription,
     /// including the `id` used by `GET /notifications?sub=` and
     /// `GET /subscribe/<id>/stream`.
-    fn subscribe_create(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &[]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn subscribe_create(&self, req: &Request) -> Response {
         let body = match req.body_str() {
             Ok(b) => b,
-            Err(e) => return self.bad_request(e.to_string()),
+            Err(e) => return Response::error(400, e.to_string()),
         };
         let spec = match SubscribeSpec::from_json(body) {
             Ok(s) => s,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let sub = self.observability.subs.subscribe(
             &spec.label,
@@ -1202,10 +1213,7 @@ impl Service {
     /// `GET /subscribe` — every registered subscription plus the
     /// per-sensor event-frequency characterization (events observed and
     /// the expected rate per hour over the observed span).
-    fn subscribe_list(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &[]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn subscribe_list(&self) -> Response {
         let registry = &self.observability.subs;
         let subs = registry.subscriptions();
         let sensors: Vec<Json> = registry
@@ -1238,27 +1246,27 @@ impl Service {
     /// Returns notifications with sequence number > `after` (default 0,
     /// i.e. everything retained), at most `max` (default 100), plus a
     /// `next_after` to resume from.
-    fn notifications(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["sub", "after", "max"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn notifications(&self, req: &Request) -> Response {
         let sub = match req.query_param("sub") {
-            None => return self.bad_request("missing query parameter \"sub\"".to_string()),
+            None => return Response::error(400, "missing query parameter \"sub\""),
             Some(raw) => match raw.parse::<u64>() {
                 Ok(n) => n,
                 Err(_) => {
-                    return self.bad_request(format!("sub must be a subscription id, got {raw:?}"));
+                    return Response::error(
+                        400,
+                        format!("sub must be a subscription id, got {raw:?}"),
+                    );
                 }
             },
         };
         let after = match parse_u64_param(req, "after", 0) {
             Ok(n) => n,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let max = match parse_u64_param(req, "max", 100) {
             Ok(n) if (1..=1000).contains(&n) => n as usize,
-            Ok(n) => return self.bad_request(format!("max must be in 1..=1000, got {n}")),
-            Err(e) => return self.bad_request(e),
+            Ok(n) => return Response::error(400, format!("max must be in 1..=1000, got {n}")),
+            Err(e) => return Response::error(400, e),
         };
         match self.observability.subs.since(sub, after, max) {
             None => Response::error(404, format!("no subscription {sub}")),
@@ -1277,75 +1285,69 @@ impl Service {
         }
     }
 
-    /// Routes `/subscribe/<id>` (GET one, DELETE to unsubscribe) and the
-    /// `/subscribe/<id>/stream` tail. The stream variant is intercepted
-    /// by the connection handler before [`Service::handle`] (it takes
-    /// over the socket for a chunked live feed); reaching it here means
-    /// the transport cannot stream.
-    fn subscribe_item(&self, method: &str, path: &str) -> Response {
-        let rest = &path["/subscribe/".len()..];
-        if let Some(id_raw) = rest.strip_suffix("/stream") {
-            return if method == "GET" && id_raw.parse::<u64>().is_ok() {
-                Response::error(
-                    400,
-                    "the stream endpoint requires a dedicated streaming connection",
-                )
-            } else if method == "GET" {
-                self.bad_request(format!(
-                    "subscription id must be an integer, got {id_raw:?}"
-                ))
-            } else {
-                Response::error(405, format!("method {method} not allowed"))
-            };
-        }
-        let id = match rest.parse::<u64>() {
-            Ok(id) => id,
-            Err(_) => {
-                return self
-                    .bad_request(format!("subscription id must be an integer, got {rest:?}"))
-            }
-        };
-        match method {
-            "GET" => match self.observability.subs.subscription(id) {
-                Some(sub) => Response::json(200, &sub.to_json()),
-                None => Response::error(404, format!("no subscription {id}")),
-            },
-            "DELETE" => {
-                if self.observability.subs.unsubscribe(id) {
-                    Response::json(
-                        200,
-                        &Json::obj([
-                            ("status", Json::from("unsubscribed")),
-                            ("id", Json::from(id)),
-                        ]),
-                    )
-                } else {
-                    Response::error(404, format!("no subscription {id}"))
-                }
-            }
-            other => Response::error(405, format!("method {other} not allowed")),
+    /// `GET /subscribe/<id>`.
+    pub(crate) fn subscribe_get(&self, id: u64) -> Response {
+        match self.observability.subs.subscription(id) {
+            Some(sub) => Response::json(200, &sub.to_json()),
+            None => Response::error(404, format!("no subscription {id}")),
         }
     }
 
-    /// The subscription id when `req` is `GET /subscribe/<id>/stream` —
-    /// the connection handler checks this before dispatching to
-    /// [`Service::handle`] and, on a hit, takes over the socket for a
-    /// chunked live notification feed.
-    pub fn stream_target(req: &Request) -> Option<u64> {
-        if req.method != "GET" {
-            return None;
+    /// `DELETE /subscribe/<id>`.
+    pub(crate) fn subscribe_delete(&self, id: u64) -> Response {
+        if self.observability.subs.unsubscribe(id) {
+            Response::json(
+                200,
+                &Json::obj([
+                    ("status", Json::from("unsubscribed")),
+                    ("id", Json::from(id)),
+                ]),
+            )
+        } else {
+            Response::error(404, format!("no subscription {id}"))
         }
-        let rest = req.path.strip_prefix("/subscribe/")?;
-        rest.strip_suffix("/stream")?.parse().ok()
+    }
+
+    /// `GET /subscribe/<id>/stream` — the chunked live notification feed.
+    ///
+    /// Takes over the socket and writes one NDJSON line per notification
+    /// as chunks on a `Transfer-Encoding: chunked` response, starting
+    /// from `?after=` (default: only notifications published from now
+    /// on). The stream ends cleanly (zero-length chunk) on server
+    /// shutdown, on unsubscribe, or after `?max=` notifications; it ends
+    /// abruptly when the client goes away and a write fails. The worker
+    /// thread is occupied for the stream's lifetime — live feeds are for
+    /// watchers, not for fan-out; polling `GET /notifications` scales to
+    /// many consumers.
+    pub(crate) fn subscribe_stream(&self, req: &Request, sub_id: u64) -> Handled {
+        let registry = Arc::clone(&self.observability.subs);
+        let Some(sub) = registry.subscription(sub_id) else {
+            return Response::error(404, format!("no subscription {sub_id}"))
+                .with_close()
+                .into();
+        };
+        // Default to "from now": everything already published is the
+        // polling cursor's job; the live feed is about what happens next.
+        let from_now = registry.last_seq(sub_id).unwrap_or(0);
+        let (cursor, max) = match (
+            parse_u64_param(req, "after", from_now),
+            parse_u64_param(req, "max", 0), // 0 = unbounded
+        ) {
+            (Ok(cursor), Ok(max)) => (cursor, max),
+            (Err(e), _) | (_, Err(e)) => return Response::error(400, e).with_close().into(),
+        };
+        let shutdown = Arc::clone(&self.shutdown);
+        let feed = move |w: &mut dyn Write| {
+            // A failed write means the client went away.
+            let _ = stream_notifications(w, &registry, &shutdown, &sub, cursor, max);
+        };
+        Handled(Reply::Stream(Box::new(feed)), None)
     }
 
     /// `GET /healthz` — liveness plus the shard's cluster-facing state:
     /// role, served sensor ids, last durable WAL LSN, what recovery did
     /// at open, and (on replicas) the highest primary LSN applied.
-    fn healthz(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &[]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn healthz(&self) -> Response {
         let ids = self.engine.sensor_ids();
         let (clean, replayed_pages, truncated_rows) = self.engine.recovery_summary();
         let mut fields = vec![
@@ -1389,21 +1391,18 @@ impl Service {
     /// `GET /wal?sensor=G&after_lsn=N[&max_bytes=M]` — raw WAL frames
     /// with LSN > N for one served sensor, wrapped in the
     /// [`crate::ship`] header. A warm replica tails this to stay fresh.
-    fn wal_ship(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["sensor", "after_lsn", "max_bytes"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn wal_ship(&self, req: &Request) -> Response {
         let sensor = match self.sensor_param(req) {
             Ok(sensor) => sensor,
             Err(resp) => return *resp,
         };
         let after = match parse_u64_param(req, "after_lsn", 0) {
             Ok(n) => n,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let max_bytes = match parse_u64_param(req, "max_bytes", SHIP_DEFAULT_BYTES) {
             Ok(n) => n.min(SHIP_MAX_BYTES) as usize,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let Some(dir) = self.engine.sensor_dir(sensor) else {
             return Response::error(404, format!("no sensor {sensor}"));
@@ -1425,10 +1424,7 @@ impl Service {
     /// `?sensor=G`, the sensor directory's file list (name + length) a
     /// replica copies to bootstrap. Volatile companions (`*.tmp`, the
     /// replica cursor) are excluded.
-    fn wal_manifest(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["sensor"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn wal_manifest(&self, req: &Request) -> Response {
         if req.query_param("sensor").is_none() {
             let ids = self.engine.sensor_ids();
             return Response::json(
@@ -1495,27 +1491,24 @@ impl Service {
     /// `GET /wal/file?sensor=G&name=F&offset=O[&len=L]` — one bounded
     /// chunk of a sensor data file, for replica bootstrap. An empty body
     /// means EOF at `offset`.
-    fn wal_file(&self, req: &Request) -> Response {
-        if let Err(e) = check_query_params(req, &["sensor", "name", "offset", "len"]) {
-            return self.bad_request(e);
-        }
+    pub(crate) fn wal_file(&self, req: &Request) -> Response {
         let sensor = match self.sensor_param(req) {
             Ok(sensor) => sensor,
             Err(resp) => return *resp,
         };
         let Some(name) = req.query_param("name") else {
-            return self.bad_request("missing query parameter \"name\"".to_string());
+            return Response::error(400, "missing query parameter \"name\"");
         };
         if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
-            return self.bad_request(format!("invalid file name {name:?}"));
+            return Response::error(400, format!("invalid file name {name:?}"));
         }
         let offset = match parse_u64_param(req, "offset", 0) {
             Ok(n) => n,
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let len = match parse_u64_param(req, "len", SHIP_DEFAULT_BYTES) {
             Ok(n) => n.min(SHIP_MAX_BYTES),
-            Err(e) => return self.bad_request(e),
+            Err(e) => return Response::error(400, e),
         };
         let Some(dir) = self.engine.sensor_dir(sensor) else {
             return Response::error(404, format!("no sensor {sensor}"));
@@ -1542,16 +1535,20 @@ impl Service {
     /// ready-to-return response (boxed to keep the Ok path lean).
     fn sensor_param(&self, req: &Request) -> Result<u32, Box<Response>> {
         match req.query_param("sensor") {
-            None => Err(Box::new(
-                self.bad_request("missing query parameter \"sensor\"".to_string()),
-            )),
+            None => Err(Box::new(Response::error(
+                400,
+                "missing query parameter \"sensor\"",
+            ))),
             Some(raw) => raw.parse::<u32>().map_err(|_| {
-                Box::new(self.bad_request(format!("sensor must be a sensor id, got {raw:?}")))
+                Box::new(Response::error(
+                    400,
+                    format!("sensor must be a sensor id, got {raw:?}"),
+                ))
             }),
         }
     }
 
-    fn initiate_shutdown(&self) -> Response {
+    pub(crate) fn initiate_shutdown(&self) -> Response {
         obs::info!("shutdown requested over HTTP");
         self.shutdown.store(true, Ordering::Release);
         Response::json(200, &Json::obj([("status", Json::from("shutting down"))])).with_close()
@@ -1626,31 +1623,6 @@ mod tests {
         ] {
             assert!(SubscribeSpec::from_json(body).is_err(), "accepted: {body}");
         }
-    }
-
-    fn get(path_and_query: &str) -> crate::http::Request {
-        let raw = format!("GET {path_and_query} HTTP/1.1\r\n\r\n");
-        crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap()
-    }
-
-    #[test]
-    fn query_param_checks_reject_unknown_and_malformed() {
-        let req = get("/series?name=x&window=5m");
-        assert!(check_query_params(&req, &["name", "window"]).is_ok());
-        let req = get("/series?nam=x");
-        assert!(check_query_params(&req, &["name", "window"]).is_err());
-        let req = get("/series?name");
-        assert!(check_query_params(&req, &["name", "window"]).is_err());
-        let req = get("/healthz");
-        assert!(check_query_params(&req, &[]).is_ok());
-    }
-
-    #[test]
-    fn stream_targets_are_recognized() {
-        assert_eq!(Service::stream_target(&get("/subscribe/7/stream")), Some(7));
-        assert_eq!(Service::stream_target(&get("/subscribe/7")), None);
-        assert_eq!(Service::stream_target(&get("/subscribe/x/stream")), None);
-        assert_eq!(Service::stream_target(&get("/notifications")), None);
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! The workspace must satisfy its own lint, and the tables the lint
-//! re-derives lexically must match the ones the live crates generate —
-//! if either drifts, CI should say so here before the lint job does.
+//! The workspace must satisfy its own lint, the metrics table the lint
+//! re-derives lexically must match the one the live crate generates, and
+//! the README route tables must be the ones the route tables render — if
+//! any drifts, CI should say so here before the lint job does.
 
 use lint::diag::Rule;
-use lint::{load_registry, load_routes, run, Options};
+use lint::{load_registry, run, Options};
 use std::path::PathBuf;
 
 fn root() -> PathBuf {
@@ -49,34 +50,32 @@ fn lint_metrics_table_matches_obs_registry() {
     );
 }
 
-#[test]
-fn routes_table_round_trips() {
-    // Three independent derivations of the HTTP routes table must be
-    // byte-identical: the lint's lexical parse of routes.rs, the live
-    // registry compiled into the server, and the block between the
-    // README's routes-table markers (what `--emit-routes-table`
-    // regenerates).
-    let routes = load_routes(&root()).expect("routes.rs parses");
-    let from_lint = lint::rules::contracts::markdown_table(&routes);
-    assert_eq!(
-        from_lint,
-        segdiff_server::routes::markdown_table(),
-        "crates/lint re-derives the routes table lexically from \
-         crates/server/src/routes.rs; the two generators must agree"
-    );
-
+/// The text between `<!-- {name}:begin -->` and `<!-- {name}:end -->`
+/// in the README must be `expected`, byte for byte.
+fn assert_readme_block(name: &str, expected: &str) {
     let readme = std::fs::read_to_string(root().join("README.md")).expect("README.md readable");
-    let begin = readme
-        .find(lint::config::ROUTES_TABLE_BEGIN)
-        .expect("README has routes-table:begin marker");
-    let end = readme
-        .find(lint::config::ROUTES_TABLE_END)
-        .expect("README has routes-table:end marker");
-    let block = readme[begin + lint::config::ROUTES_TABLE_BEGIN.len()..end].trim();
-    assert_eq!(
-        block,
-        from_lint.trim(),
-        "README routes table drifted; regenerate with \
-         `cargo run -p lint -- --emit-routes-table`"
+    let (begin, end) = (
+        format!("<!-- {name}:begin -->"),
+        format!("<!-- {name}:end -->"),
     );
+    let from = readme
+        .find(&begin)
+        .unwrap_or_else(|| panic!("README lacks {begin}"))
+        + begin.len();
+    let to = readme
+        .find(&end)
+        .unwrap_or_else(|| panic!("README lacks {end}"));
+    assert_eq!(
+        readme[from..to].trim(),
+        expected.trim(),
+        "README {name} drifted from the route table; replace the block with:\n{expected}"
+    );
+}
+
+/// The README route tables are generated from the tables that dispatch:
+/// the shard server's and the router's.
+#[test]
+fn readme_route_tables_match_the_dispatch_tables() {
+    assert_readme_block("routes-table", &segdiff_server::routes::markdown_table());
+    assert_readme_block("router-routes-table", &router::markdown_table());
 }
