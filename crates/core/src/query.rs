@@ -8,7 +8,7 @@
 //! trace is active — an `EXPLAIN ANALYZE`-style call tree.
 
 use crate::result::SegmentPair;
-use crate::tables::pair_from_row;
+use crate::tables::{pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, zone_may_intersect};
 use featurespace::{edge_crosses_region, FeaturePoint, QueryRegion, SearchKind};
 use pagestore::{Database, PoolStats, Result, Table, ZoneScanStats};
@@ -192,7 +192,6 @@ pub(crate) fn run_feature_query(
             let mut zstats = ZoneScanStats::default();
             let mut cols: Vec<Vec<f64>> = Vec::new();
             let mut mask: Vec<bool> = Vec::new();
-            let mut row: Vec<f64> = Vec::new();
             for (i, table) in tables.iter().enumerate() {
                 let corners = i + 1;
                 let s = table.scan_columns(
@@ -201,11 +200,11 @@ pub(crate) fn run_feature_query(
                     |cols, n| {
                         scanned += n as u64;
                         boundaries_intersect_cols(corners, cols, n, region, &mut mask);
+                        let stamps = &cols[stamp_cols(corners)];
                         for r in 0..n {
                             if mask[r] {
-                                row.clear();
-                                row.extend(cols.iter().map(|c| c[r]));
-                                out.push(pair_from_row(&row, corners));
+                                let row = [stamps[0][r], stamps[1][r], stamps[2][r], stamps[3][r]];
+                                out.push(pair_from_stamps(&row));
                             }
                         }
                         true
@@ -306,12 +305,14 @@ pub(crate) fn run_feature_query(
 
             // Phase: fetch the matched heap rows. The ids are sorted
             // (page-major), so the batched fetch reads each heap page
-            // once instead of once per row.
+            // once instead of once per row, and a result tuple is the
+            // four time stamps, so only those columns are decoded: the
+            // corner coordinates did their work in the probe.
             let p = Phase::start(db, "query.fetch");
             for (corners, rids) in &all_rids {
                 let table = &tables[*corners - 1];
-                table.fetch_many(rids, |_, row| {
-                    out.push(pair_from_row(row, *corners));
+                table.fetch_many_cols(rids, stamp_cols(*corners), |_, stamps| {
+                    out.push(pair_from_stamps(stamps));
                     true
                 })?;
             }

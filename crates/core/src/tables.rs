@@ -74,14 +74,19 @@ pub(crate) fn boundary_from_row(row: &[f64], corners: usize) -> Boundary {
     }
 }
 
-/// Extracts the result tuple from a row of the `corners`-corner table.
-pub(crate) fn pair_from_row(row: &[f64], corners: usize) -> SegmentPair {
-    let base = 2 * corners;
+/// Positions of the four time stamps `td, tc, tb, ta` in a row of the
+/// `corners`-corner table: all a result tuple needs of it.
+pub(crate) fn stamp_cols(corners: usize) -> std::ops::Range<usize> {
+    2 * corners..2 * corners + 4
+}
+
+/// The result tuple of a row's [`stamp_cols`] values.
+pub(crate) fn pair_from_stamps(stamps: &[f64]) -> SegmentPair {
     SegmentPair {
-        t_d: row[base],
-        t_c: row[base + 1],
-        t_b: row[base + 2],
-        t_a: row[base + 3],
+        t_d: stamps[0],
+        t_c: stamps[1],
+        t_b: stamps[2],
+        t_a: stamps[3],
     }
 }
 
@@ -136,7 +141,7 @@ mod tests {
         assert_eq!(cols.len(), 10);
         let b = boundary_from_row(&cols, 3);
         assert_eq!(b, r.boundary);
-        let p = pair_from_row(&cols, 3);
+        let p = pair_from_stamps(&cols[stamp_cols(3)]);
         assert_eq!((p.t_d, p.t_c, p.t_b, p.t_a), (10.0, 20.0, 30.0, 40.0));
     }
 

@@ -46,7 +46,8 @@
 //! ```
 
 use crate::error::Result;
-use crate::{StoreError, PAGE_SIZE};
+use crate::{page, StoreError, PAGE_SIZE};
+use std::ops::Range;
 
 /// Per-page format tag at byte offset 2 (raw pages store zero there).
 pub const COLPAGE_TAG: u16 = 0xC7A9;
@@ -141,20 +142,60 @@ fn write_bits(buf: &mut [u8], bit: usize, w: u32, v: u64) {
     }
 }
 
-/// Reads `w` bits at bit offset `bit` (LSB-first).
-#[inline]
-fn read_bits(buf: &[u8], bit: usize, w: u32) -> u64 {
-    if w == 0 {
-        return 0;
+/// Word-at-a-time LSB-first bit reader over one column's payload.
+#[derive(Clone, Copy)]
+struct BitReader<'a> {
+    buf: &'a [u8],
+}
+
+impl BitReader<'_> {
+    /// The eight payload bytes from `byte` on as a little-endian word; one
+    /// unaligned load, or for the last < 8 bytes of the payload the byte
+    /// loop. Bytes past the end read as zero.
+    #[inline]
+    fn word(self, byte: usize) -> u64 {
+        match self.buf.get(byte..byte + 8) {
+            Some(b) => page::get_u64(b, 0),
+            None => self.tail_word(byte),
+        }
     }
-    let byte = bit / 8;
-    let shift = (bit % 8) as u32;
-    let nbytes = ((shift + w) as usize).div_ceil(8);
-    let mut acc = 0u128;
-    for (i, b) in buf[byte..byte + nbytes].iter().enumerate() {
-        acc |= (*b as u128) << (8 * i);
+
+    #[cold]
+    fn tail_word(self, byte: usize) -> u64 {
+        let tail = self.buf.get(byte..).unwrap_or(&[]);
+        tail.iter().rev().fold(0, |acc, &b| (acc << 8) | b as u64)
     }
-    ((acc >> shift) as u64) & mask(w)
+
+    /// The `w <= 64` bits at bit offset `bit`: load, shift, mask. A field
+    /// that straddles the word takes its top bits from the ninth byte.
+    #[inline]
+    fn bits(self, bit: usize, w: u32) -> u64 {
+        let (byte, shift) = (bit / 8, (bit % 8) as u32);
+        let mut v = self.word(byte) >> shift;
+        if shift + w > 64 {
+            v |= (self.buf.get(byte + 8).copied().unwrap_or(0) as u64) << (64 - shift);
+        }
+        v & mask(w)
+    }
+
+    /// Appends `n` fields of `w` bits each, packed from bit 0, to `out`,
+    /// each mapped through `value`.
+    #[inline]
+    fn unpack(self, n: usize, w: u32, out: &mut Vec<f64>, mut value: impl FnMut(u64) -> f64) {
+        let step = w as usize;
+        // The leading fields whose eight bytes lie inside the payload and
+        // which, at `w <= 57`, cannot straddle them need no case analysis.
+        let whole = match self.buf.len().checked_sub(8) {
+            Some(last) if (1..=57).contains(&w) => n.min((last * 8 + 7) / step + 1),
+            _ => 0,
+        };
+        let m = mask(w);
+        out.extend((0..whole).map(|i| {
+            let bit = i * step;
+            value((page::get_u64(self.buf, bit / 8) >> (bit % 8)) & m)
+        }));
+        out.extend((whole..n).map(|i| value(self.bits(i * step, w))));
+    }
 }
 
 #[inline]
@@ -607,131 +648,196 @@ pub fn gather_row(cols: &[Vec<f64>], r: usize, row: &mut [f64]) {
     }
 }
 
-/// Decodes a columnar page, appending each column's values to `cols[c]`.
-/// Returns the number of rows decoded.
-pub fn decode_into(page: &[u8], ncols: usize, cols: &mut [Vec<f64>]) -> Result<usize> {
-    debug_assert!(page.len() >= PAGE_SIZE);
-    if !is_colpage(page) {
-        return Err(StoreError::Corrupt(
-            "decode of a non-columnar page".to_string(),
+fn corrupt<T>(what: String) -> Result<T> {
+    Err(StoreError::Corrupt(what))
+}
+
+/// Checks the page header against the expected column count and returns
+/// the row count. Afterwards the whole directory lies inside `page`.
+fn check_header(page: &[u8], ncols: usize) -> Result<usize> {
+    if page.len() < PAGE_SIZE || !is_colpage(page) {
+        return corrupt("not a columnar page".to_string());
+    }
+    let stored_cols = page::get_u16(page, 4) as usize;
+    if stored_cols != ncols || ncols > max_cols() {
+        return corrupt(format!(
+            "columnar page has {stored_cols} columns, expected {ncols}"
         ));
     }
-    let n = page_nrows(page);
-    let stored_cols = u16::from_le_bytes([page[4], page[5]]) as usize;
-    if stored_cols != ncols || cols.len() != ncols {
-        return Err(StoreError::Corrupt(format!(
-            "columnar page has {stored_cols} columns, expected {ncols}"
-        )));
-    }
-    for (c, out) in cols.iter_mut().enumerate() {
-        let d = HDR + DIR * c;
-        let enc = ColEncoding::from_byte(page[d])?;
-        let width = page[d + 1] as u32;
-        let off = u16::from_le_bytes([page[d + 2], page[d + 3]]) as usize;
-        let aux = u32::from_le_bytes([page[d + 4], page[d + 5], page[d + 6], page[d + 7]]);
-        let reference = u64::from_le_bytes([
-            page[d + 8],
-            page[d + 9],
-            page[d + 10],
-            page[d + 11],
-            page[d + 12],
-            page[d + 13],
-            page[d + 14],
-            page[d + 15],
-        ]);
-        let end = match enc {
-            ColEncoding::Raw => off + n * 8,
-            ColEncoding::IntDelta => off + (n.saturating_sub(1) * width as usize).div_ceil(8),
-            ColEncoding::Gorilla => off + aux as usize,
-            _ => off + (n * width as usize).div_ceil(8),
-        };
-        if end > PAGE_SIZE {
-            return Err(StoreError::Corrupt(format!(
-                "columnar payload for column {c} overruns the page ({end} > {PAGE_SIZE})"
-            )));
+    Ok(page_nrows(page))
+}
+
+/// The exponent and mantissa widths `SPLIT` packs into `aux`.
+fn split_widths(aux: u32) -> (u32, u32) {
+    (aux & 0xFF, (aux >> 8) & 0xFF)
+}
+
+/// One column's directory entry, checked: every shift and width its
+/// decode loop will use is in range and its payload lies inside the page,
+/// so [`ColDir::decode`] cannot index or shift out of bounds.
+struct ColDir<'a> {
+    enc: ColEncoding,
+    width: u32,
+    aux: u32,
+    reference: u64,
+    payload: &'a [u8],
+}
+
+impl<'a> ColDir<'a> {
+    /// Parses and checks entry `c` of a page of `n` rows that passed
+    /// [`check_header`].
+    fn parse(page: &'a [u8], n: usize, c: usize) -> Result<Self> {
+        let d = &page[HDR + DIR * c..][..DIR];
+        let enc = ColEncoding::from_byte(d[0])?;
+        let width = d[1] as u32;
+        let off = page::get_u16(d, 2) as usize;
+        let aux = page::get_u32(d, 4);
+        let reference = page::get_u64(d, 8);
+        if width > 64 {
+            return corrupt(format!("bit width {width} > 64 in column {c}"));
         }
-        let payload = &page[off..end];
-        out.reserve(n);
-        match enc {
-            ColEncoding::Raw => {
-                for i in 0..n {
-                    let mut b = [0u8; 8];
-                    b.copy_from_slice(&payload[i * 8..i * 8 + 8]);
-                    out.push(f64::from_bits(u64::from_le_bytes(b)));
+        let len = match enc {
+            ColEncoding::Raw => n * 8,
+            ColEncoding::IntFor => (n * width as usize).div_ceil(8),
+            ColEncoding::IntDelta => (n.saturating_sub(1) * width as usize).div_ceil(8),
+            ColEncoding::Xor if aux >= 64 => {
+                return corrupt(format!("xor shift {aux} >= 64 in column {c}"));
+            }
+            ColEncoding::Xor => (n * width as usize).div_ceil(8),
+            // Every value after the first spends at least a control bit.
+            ColEncoding::Gorilla if (aux as u64) * 8 < n.saturating_sub(1) as u64 => {
+                return corrupt(format!(
+                    "gorilla payload of {aux} bytes cannot hold {n} values in column {c}"
+                ));
+            }
+            ColEncoding::Gorilla => aux as usize,
+            ColEncoding::Split => {
+                let (ew, mw) = split_widths(aux);
+                if 1 + ew + mw != width || mw > 52 || ew > 11 {
+                    return corrupt(format!(
+                        "split widths 1+{ew}+{mw} disagree with {width} in column {c}"
+                    ));
                 }
+                (n * width as usize).div_ceil(8)
+            }
+        };
+        let Some(payload) = off.checked_add(len).and_then(|end| page.get(off..end)) else {
+            return corrupt(format!(
+                "columnar payload for column {c} overruns the page ({off} + {len} bytes)"
+            ));
+        };
+        Ok(ColDir {
+            enc,
+            width,
+            aux,
+            reference,
+            payload,
+        })
+    }
+
+    /// Appends the column's `n >= 1` values to `out`. Integer
+    /// reconstruction wraps: a sealed page never overflows, and a corrupt
+    /// one must decode to garbage, not panic.
+    fn decode(&self, n: usize, out: &mut Vec<f64>) -> Result<()> {
+        let bits = BitReader { buf: self.payload };
+        let (w, aux, reference) = (self.width, self.aux, self.reference);
+        out.reserve(n);
+        match self.enc {
+            ColEncoding::Raw => {
+                out.extend(self.payload.chunks_exact(8).map(|b| page::get_f64(b, 0)));
             }
             ColEncoding::IntFor => {
-                let g = aux as u64;
-                let min = reference as i64;
-                for i in 0..n {
-                    let delta = read_bits(payload, i * width as usize, width);
-                    out.push((min + (delta * g) as i64) as f64);
-                }
+                let (g, min) = (aux as u64, reference as i64);
+                bits.unpack(n, w, out, |d| {
+                    min.wrapping_add(d.wrapping_mul(g) as i64) as f64
+                });
             }
             ColEncoding::IntDelta => {
                 let g = aux as u64;
                 let mut cur = reference as i64;
                 out.push(cur as f64);
-                for i in 1..n {
-                    let zz = read_bits(payload, (i - 1) * width as usize, width) * g;
-                    cur += unzigzag(zz);
-                    out.push(cur as f64);
-                }
+                bits.unpack(n - 1, w, out, |zz| {
+                    cur = cur.wrapping_add(unzigzag(zz.wrapping_mul(g)));
+                    cur as f64
+                });
             }
             ColEncoding::Xor => {
-                for i in 0..n {
-                    let x = read_bits(payload, i * width as usize, width) << aux;
-                    out.push(f64::from_bits(x ^ reference));
-                }
+                bits.unpack(n, w, out, |x| f64::from_bits((x << aux) ^ reference));
             }
             ColEncoding::Gorilla => {
+                let nbits = self.payload.len() * 8;
                 let mut prev = reference;
                 out.push(f64::from_bits(prev));
                 let (mut bit, mut lead, mut sig) = (0usize, 0u32, 0u32);
                 for _ in 1..n {
-                    if read_bits(payload, bit, 1) == 0 {
+                    // One load holds both control bits and, when a new
+                    // window opens, its 5 + 6 bits.
+                    let head = bits.bits(bit, 13);
+                    if head & 1 == 0 {
                         bit += 1;
-                        out.push(f64::from_bits(prev));
-                        continue;
-                    }
-                    bit += 1;
-                    if read_bits(payload, bit, 1) == 1 {
-                        bit += 1;
-                        lead = read_bits(payload, bit, 5) as u32;
-                        bit += 5;
-                        sig = read_bits(payload, bit, 6) as u32 + 1;
-                        bit += 6;
                     } else {
-                        bit += 1;
+                        if head & 2 == 0 {
+                            bit += 2;
+                        } else {
+                            lead = (head >> 2) as u32 & 31;
+                            sig = (head >> 7) as u32 + 1;
+                            bit += 13;
+                        }
+                        if sig == 0 || lead + sig > 64 {
+                            return corrupt(format!("gorilla window {lead}+{sig} bits"));
+                        }
+                        prev ^= bits.bits(bit, sig) << (64 - lead - sig);
+                        bit += sig as usize;
                     }
-                    if lead + sig > 64 {
-                        return Err(StoreError::Corrupt(format!(
-                            "gorilla window {lead}+{sig} exceeds 64 bits in column {c}"
-                        )));
+                    if bit > nbits {
+                        return corrupt(format!(
+                            "gorilla stream overruns its {}-byte payload",
+                            self.payload.len()
+                        ));
                     }
-                    let m = read_bits(payload, bit, sig);
-                    bit += sig as usize;
-                    prev ^= m << (64 - lead - sig);
                     out.push(f64::from_bits(prev));
                 }
             }
             ColEncoding::Split => {
-                let (ew, mw) = (aux & 0xFF, (aux >> 8) & 0xFF);
-                if 1 + ew + mw != width || mw > 52 || ew > 11 {
-                    return Err(StoreError::Corrupt(format!(
-                        "split widths 1+{ew}+{mw} disagree with {width} in column {c}"
-                    )));
-                }
-                for i in 0..n {
-                    let mut bit = i * width as usize;
-                    let sign = read_bits(payload, bit, 1);
-                    bit += 1;
-                    let exp = read_bits(payload, bit, ew) + reference;
-                    bit += ew as usize;
-                    let mant = read_bits(payload, bit, mw) << (52 - mw);
-                    out.push(f64::from_bits((sign << 63) | (exp << 52) | mant));
-                }
+                // Sign, exponent and mantissa are cut from one load.
+                let (ew, mw) = split_widths(aux);
+                bits.unpack(n, w, out, |v| {
+                    let exp = ((v >> 1) & mask(ew)).wrapping_add(reference);
+                    let mant = (v >> (1 + ew)) << (52 - mw);
+                    f64::from_bits((v << 63) | (exp << 52) | mant)
+                });
             }
+        }
+        Ok(())
+    }
+}
+
+/// Decodes columns `cols` of a columnar page of `ncols` columns, appending
+/// column `cols.start + i`'s values to `out[i]`. Returns the page's row
+/// count. The directory entries of the columns outside `cols` are checked
+/// all the same, so a page is either sound or `Corrupt` whatever is asked
+/// of it.
+///
+/// # Panics
+///
+/// Panics unless `cols` lies within `0..ncols` and `out` has one buffer
+/// per column of `cols`.
+pub fn decode_into(
+    page: &[u8],
+    ncols: usize,
+    cols: Range<usize>,
+    out: &mut [Vec<f64>],
+) -> Result<usize> {
+    assert!(
+        cols.end <= ncols && out.len() == cols.len(),
+        "column range {cols:?} of {ncols} into {} buffers",
+        out.len()
+    );
+    let n = check_header(page, ncols)?;
+    for c in 0..ncols {
+        let dir = ColDir::parse(page, n, c)?;
+        if n > 0 && cols.contains(&c) {
+            dir.decode(n, &mut out[c - cols.start])?;
         }
     }
     Ok(n)
@@ -740,32 +846,32 @@ pub fn decode_into(page: &[u8], ncols: usize, cols: &mut [Vec<f64>]) -> Result<u
 /// Per-column `(encoding, payload bytes)` of a sealed page, for the
 /// compression accounting surfaced in benchmarks and experiments.
 pub fn column_layout(page: &[u8], ncols: usize) -> Result<Vec<(ColEncoding, usize)>> {
-    if !is_colpage(page) {
-        return Err(StoreError::Corrupt(
-            "layout of a non-columnar page".to_string(),
-        ));
-    }
-    let n = page_nrows(page);
-    let mut out = Vec::with_capacity(ncols);
-    for c in 0..ncols {
-        let d = HDR + DIR * c;
-        let enc = ColEncoding::from_byte(page[d])?;
-        let width = page[d + 1] as u32;
-        let aux = u32::from_le_bytes([page[d + 4], page[d + 5], page[d + 6], page[d + 7]]);
-        let bytes = match enc {
-            ColEncoding::Raw => n * 8,
-            ColEncoding::IntDelta => (n.saturating_sub(1) * width as usize).div_ceil(8),
-            ColEncoding::Gorilla => aux as usize,
-            _ => (n * width as usize).div_ceil(8),
-        };
-        out.push((enc, bytes));
-    }
-    Ok(out)
+    let n = check_header(page, ncols)?;
+    (0..ncols)
+        .map(|c| ColDir::parse(page, n, c).map(|dir| (dir.enc, dir.payload.len())))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reads `w` bits at bit offset `bit` (LSB-first), a byte at a time
+    /// through a `u128`: the reader this format was first written with, kept
+    /// as the oracle [`BitReader`] is tested against.
+    fn read_bits_bytewise(buf: &[u8], bit: usize, w: u32) -> u64 {
+        if w == 0 {
+            return 0;
+        }
+        let byte = bit / 8;
+        let shift = (bit % 8) as u32;
+        let nbytes = ((shift + w) as usize).div_ceil(8);
+        let mut acc = 0u128;
+        for (i, b) in buf[byte..byte + nbytes].iter().enumerate() {
+            acc |= (*b as u128) << (8 * i);
+        }
+        ((acc >> shift) as u64) & mask(w)
+    }
 
     fn roundtrip(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let ncols = rows[0].len();
@@ -780,7 +886,7 @@ mod tests {
         assert!(is_colpage(&page));
         assert_eq!(page_nrows(&page), rows.len());
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); ncols];
-        let n = decode_into(&page, ncols, &mut cols).unwrap();
+        let n = decode_into(&page, ncols, 0..ncols, &mut cols).unwrap();
         assert_eq!(n, rows.len());
         (0..n)
             .map(|r| (0..ncols).map(|c| cols[c][r]).collect())
@@ -891,13 +997,13 @@ mod tests {
     fn decode_rejects_raw_pages_and_bad_counts() {
         let page = [0u8; PAGE_SIZE];
         let mut cols = vec![Vec::new(); 2];
-        assert!(decode_into(&page, 2, &mut cols).is_err());
+        assert!(decode_into(&page, 2, 0..2, &mut cols).is_err());
         let mut b = ColPageBuilder::new(2);
         b.try_push(&[1.0, 2.0]);
         let mut sealed = Box::new([0u8; PAGE_SIZE]);
         b.seal_into(&mut sealed);
         let mut three = vec![Vec::new(); 3];
-        assert!(decode_into(&sealed[..], 3, &mut three).is_err());
+        assert!(decode_into(&sealed[..], 3, 0..3, &mut three).is_err());
     }
 
     #[test]
@@ -912,13 +1018,134 @@ mod tests {
         }
         bit = 3;
         for (v, w) in vals.iter().zip(widths) {
-            assert_eq!(read_bits(&buf, bit, w), v & mask(w));
+            assert_eq!(read_bits_bytewise(&buf, bit, w), v & mask(w));
             bit += w as usize;
         }
     }
+
+    /// Deterministic noise bytes (xorshift64).
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn word_reader_matches_the_bytewise_oracle() {
+        // Every width at every bit alignment, at the start of a payload,
+        // in its middle, and ending in each of its last eight bit
+        // positions (where the 8-byte load no longer fits).
+        let buf = noise(if cfg!(miri) { 24 } else { 40 }, 0x9E37_79B9_7F4A_7C15);
+        let reader = BitReader { buf: &buf };
+        let nbits = buf.len() * 8;
+        for w in 0..=64u32 {
+            for o in 0..8usize {
+                for bit in [o, nbits / 2 + o, nbits - w as usize - o] {
+                    assert_eq!(
+                        reader.bits(bit, w),
+                        read_bits_bytewise(&buf, bit, w),
+                        "width {w} at bit {bit}"
+                    );
+                }
+            }
+        }
+        // Past the end the reader yields zeros, never a panic.
+        assert_eq!(reader.bits(nbits + 5, 64), 0);
+        assert_eq!(reader.bits(nbits - 3, 64), (buf[buf.len() - 1] >> 5) as u64);
+    }
+
+    #[test]
+    fn unpack_matches_the_bytewise_oracle() {
+        let counts: &[usize] = if cfg!(miri) {
+            &[1, 9]
+        } else {
+            &[1, 2, 7, 8, 9, 64, 150]
+        };
+        for w in 0..=64u32 {
+            for &n in counts {
+                let payload = noise(
+                    (n * w as usize).div_ceil(8),
+                    0xD1B5_4A32_D192_ED03 + w as u64,
+                );
+                let mut got = vec![-1.0];
+                BitReader { buf: &payload }.unpack(n, w, &mut got, f64::from_bits);
+                let want: Vec<u64> = (0..n)
+                    .map(|i| read_bits_bytewise(&payload, i * w as usize, w))
+                    .collect();
+                assert_eq!(got[0], -1.0, "unpack appends");
+                let got: Vec<u64> = got[1..].iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "width {w}, {n} values");
+            }
+        }
+    }
+
+    /// A four-column page: a `dt`-like column, incompressible noise (so
+    /// the column is stored `RAW`, with `aux` 0), and two time stamps.
+    fn page_with_a_raw_column() -> Box<[u8; PAGE_SIZE]> {
+        let mut b = ColPageBuilder::new(4);
+        let noise = noise(8 * 60, 0x2545_F491_4F6C_DD1D);
+        for (i, v) in noise.chunks_exact(8).enumerate() {
+            let v = page::get_f64(v, 0);
+            let t = 1.0e6 + 300.0 * i as f64;
+            assert!(b.try_push(&[300.0 * (i % 7) as f64, v, t, t + 600.0]));
+        }
+        let mut page = Box::new([0u8; PAGE_SIZE]);
+        b.seal_into(&mut page);
+        assert_eq!(column_layout(&page[..], 4).unwrap()[1].0, ColEncoding::Raw);
+        page
+    }
+
+    #[test]
+    fn corrupt_directory_entries_are_errors_for_skipped_columns_too() {
+        let sealed = page_with_a_raw_column();
+        let mut cols = vec![Vec::new(); 4];
+        assert_eq!(decode_into(&sealed[..], 4, 0..4, &mut cols).unwrap(), 60);
+        let d1 = HDR + DIR; // column 1's directory entry
+        let (gorilla, xor) = (ColEncoding::Gorilla as u8, ColEncoding::Xor as u8);
+        let cases: [(&str, &[(usize, u8)]); 5] = [
+            // RAW -> GORILLA: `aux` 0 becomes a 0-byte payload, which
+            // the byte-at-a-time reader indexed past in release builds.
+            ("gorilla stream with no payload", &[(d1, gorilla)]),
+            ("unknown encoding", &[(d1, 9)]),
+            ("width above 64", &[(d1 + 1, 65)]),
+            ("payload past the page", &[(d1 + 3, 0xFF)]),
+            ("xor shift of 64", &[(d1, xor), (d1 + 4, 64)]),
+        ];
+        for (what, edits) in cases {
+            let mut page = sealed.clone();
+            for &(at, byte) in edits {
+                page[at] = byte;
+            }
+            // Column 1 is corrupt whether or not it is asked for.
+            for range in [0..4, 1..2, 2..4, 0..0] {
+                let mut cols = vec![Vec::new(); range.len()];
+                let got = decode_into(&page[..], 4, range.clone(), &mut cols);
+                assert!(
+                    matches!(got, Err(StoreError::Corrupt(_))),
+                    "{what}, columns {range:?}: {got:?}"
+                );
+            }
+            assert!(column_layout(&page[..], 4).is_err(), "{what}");
+        }
+    }
+
+    #[test]
+    fn empty_and_short_pages_decode_to_nothing_or_corrupt() {
+        let mut page = page_with_a_raw_column();
+        page[0..2].copy_from_slice(&0u16.to_le_bytes());
+        let mut cols = vec![Vec::new(); 4];
+        assert_eq!(decode_into(&page[..], 4, 0..4, &mut cols).unwrap(), 0);
+        assert!(cols.iter().all(|c| c.is_empty()), "zero rows, zero values");
+        assert!(decode_into(&page[..100], 4, 0..4, &mut cols).is_err());
+    }
 }
 
-#[cfg(all(test, not(miri)))]
+#[cfg(test)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;
@@ -938,7 +1165,7 @@ mod proptests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 2 } else { 64 }))]
 
         #[test]
         fn any_page_roundtrips_bit_exactly(
@@ -957,11 +1184,24 @@ mod proptests {
             let mut page = Box::new([0u8; PAGE_SIZE]);
             b.seal_into(&mut page);
             let mut cols: Vec<Vec<f64>> = vec![Vec::new(); ncols];
-            let n = decode_into(&page[..], ncols, &mut cols).unwrap();
+            let n = decode_into(&page[..], ncols, 0..ncols, &mut cols).unwrap();
             prop_assert_eq!(n, staged.len());
             for (r, row) in staged.iter().enumerate() {
                 for (c, v) in row.iter().enumerate() {
                     prop_assert_eq!(cols[c][r].to_bits(), v.to_bits());
+                }
+            }
+            // Every contiguous projection is the full decode restricted
+            // to it, appended after whatever the buffers already held.
+            let bits = |col: &[f64]| col.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            for lo in 0..=ncols {
+                for hi in lo..=ncols {
+                    let mut part: Vec<Vec<f64>> = vec![vec![f64::NAN]; hi - lo];
+                    prop_assert_eq!(decode_into(&page[..], ncols, lo..hi, &mut part).unwrap(), n);
+                    for (c, got) in (lo..hi).zip(&part) {
+                        prop_assert_eq!(got[0].to_bits(), f64::NAN.to_bits());
+                        prop_assert_eq!(bits(&got[1..]), bits(&cols[c]), "columns {}..{}", lo, hi);
+                    }
                 }
             }
         }

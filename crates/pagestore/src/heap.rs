@@ -7,6 +7,7 @@ use crate::page::{self, PageBuf};
 use crate::pagefile::FileId;
 use crate::zonemap::{ZoneMap, ZONE_LEVELS};
 use crate::{StoreError, PAGE_SIZE};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifies a row: the data page number in the high bits, the slot within
@@ -405,8 +406,8 @@ impl HeapFile {
                 let mut buf = PageBuf::zeroed();
                 self.pool.read_page_into(self.fid, pid, &mut buf)?;
                 let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-                let got = colpage::decode_into(buf.bytes(), self.ncols, &mut cols)?;
-                obs::global().counter("colpage.pages_decoded").inc();
+                let got = colpage::decode_into(buf.bytes(), self.ncols, 0..self.ncols, &mut cols)?;
+                Self::flush_decoded(1);
                 if got < n as usize {
                     return Err(StoreError::Corrupt(format!(
                         "columnar tail page {pid} holds {got} rows, expected {n}"
@@ -423,27 +424,45 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Decodes the data page in `buf` into `cols` (each column cleared
-    /// first), dispatching on the page format. Returns the row count.
-    fn decode_page_columns(&self, buf: &PageBuf, cols: &mut [Vec<f64>]) -> Result<usize> {
+    /// Decodes columns `range` of the data page in `buf` into `cols` (one
+    /// buffer per column of `range`, each cleared first), dispatching on
+    /// the page format, and counts a decoded columnar page into
+    /// `decoded`. Returns the row count.
+    fn decode_page_columns(
+        &self,
+        buf: &PageBuf,
+        range: Range<usize>,
+        cols: &mut [Vec<f64>],
+        decoded: &mut u64,
+    ) -> Result<usize> {
         let b = buf.bytes();
         for c in cols.iter_mut() {
             c.clear();
         }
         if colpage::is_colpage(b) {
-            obs::global().counter("colpage.pages_decoded").inc();
-            return colpage::decode_into(b, self.ncols, cols);
+            *decoded += 1;
+            return colpage::decode_into(b, self.ncols, range, cols);
         }
         // Raw page: transpose into the column buffers.
         let n = page::get_u16(b, 0) as usize;
-        let mut off = PAGE_HDR;
-        for _ in 0..n {
-            for col in cols.iter_mut() {
-                col.push(page::get_f64(b, off));
-                off += 8;
-            }
+        for (c, col) in range.zip(cols.iter_mut()) {
+            col.extend((0..n).map(|slot| page::get_f64(b, self.raw_offset(slot, c))));
         }
         Ok(n)
+    }
+
+    /// Byte offset of column `c` of row `slot` in a raw page.
+    #[inline]
+    fn raw_offset(&self, slot: usize, c: usize) -> usize {
+        PAGE_HDR + (slot * self.ncols + c) * 8
+    }
+
+    /// Adds the columnar pages one scan or fetch decoded to
+    /// `colpage.pages_decoded`: one registry lookup per call, not per page.
+    fn flush_decoded(pages: u64) {
+        if pages > 0 {
+            obs::global().counter("colpage.pages_decoded").add(pages);
+        }
     }
 
     /// Scans all rows in storage order. The visitor receives the row id and
@@ -456,16 +475,18 @@ impl HeapFile {
         let mut buf = PageBuf::zeroed();
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
         let mut row = vec![0.0f64; self.ncols];
-        for pid in 1..npages {
+        let mut decoded = 0;
+        'pages: for pid in 1..npages {
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, &mut cols)?;
+            let n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
             for slot in 0..n {
                 colpage::gather_row(&cols, slot, &mut row);
                 if !visit(rid(pid, slot as u16), &row) {
-                    return Ok(());
+                    break 'pages;
                 }
             }
         }
+        Self::flush_decoded(decoded);
         Ok(())
     }
 
@@ -497,12 +518,13 @@ impl HeapFile {
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
         let mut row = vec![0.0f64; self.ncols];
         let mut remaining = self.nrows;
+        let mut decoded = 0;
         'pages: for pid in 1..npages {
             if remaining == 0 {
                 break;
             }
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, &mut cols)?;
+            let n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
             for slot in 0..n {
                 if remaining == 0 {
                     break 'pages;
@@ -512,6 +534,7 @@ impl HeapFile {
                 remaining -= 1;
             }
         }
+        Self::flush_decoded(decoded);
         self.zones = Some(z);
         Ok(())
     }
@@ -654,10 +677,11 @@ impl HeapFile {
         let mut buf = PageBuf::zeroed();
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
         let mut block = Vec::new();
+        let mut decoded = 0;
         for pid in live {
             stats.pages_scanned += 1;
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, &mut cols)?;
+            let n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
             block.clear();
             block.reserve(n * self.ncols);
             for slot in 0..n {
@@ -669,6 +693,7 @@ impl HeapFile {
                 break;
             }
         }
+        Self::flush_decoded(decoded);
         Self::flush_zone_counters(&stats);
         Ok(stats)
     }
@@ -690,25 +715,27 @@ impl HeapFile {
         let live = self.live_pages(&mut filter, npages, &mut stats);
         cols.resize(self.ncols, Vec::new());
         let mut buf = PageBuf::zeroed();
+        let mut decoded = 0;
         for pid in live {
             stats.pages_scanned += 1;
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, cols)?;
+            let n = self.decode_page_columns(&buf, 0..self.ncols, cols, &mut decoded)?;
             if !visit(cols, n) {
                 break;
             }
         }
+        Self::flush_decoded(decoded);
         Self::flush_zone_counters(&stats);
         Ok(stats)
     }
 
     /// Reads the row `r` into `out` (resized to the column count).
     pub fn fetch(&self, r: RowId, out: &mut Vec<f64>) -> Result<()> {
-        let (pid, slot) = rid_parts(r);
         out.resize(self.ncols, 0.0);
         match self.format {
             PageFormat::Raw => {
-                let off = PAGE_HDR + slot as usize * self.ncols * 8;
+                let (pid, slot) = rid_parts(r);
+                let off = self.raw_offset(slot as usize, 0);
                 self.pool.with_page(self.fid, pid, |b| {
                     let n = page::get_u16(b, 0);
                     if slot >= n {
@@ -722,21 +749,10 @@ impl HeapFile {
                     Ok(())
                 })?
             }
-            PageFormat::Columnar => {
-                let mut buf = PageBuf::zeroed();
-                self.pool.read_page_into(self.fid, pid, &mut buf)?;
-                let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-                let n = self.decode_page_columns(&buf, &mut cols)?;
-                if slot as usize >= n {
-                    return Err(StoreError::Corrupt(format!(
-                        "row {r:#x}: slot {slot} >= page rows {n}"
-                    )));
-                }
-                for (c, o) in out.iter_mut().enumerate() {
-                    *o = cols[c][slot as usize];
-                }
-                Ok(())
-            }
+            PageFormat::Columnar => self.fetch_many_cols(&[r], 0..self.ncols, |_, row| {
+                out.copy_from_slice(row);
+                true
+            }),
         }
     }
 
@@ -751,36 +767,64 @@ impl HeapFile {
     pub fn fetch_many(
         &self,
         rids: &[RowId],
+        visit: impl FnMut(RowId, &[f64]) -> bool,
+    ) -> Result<()> {
+        self.fetch_many_cols(rids, 0..self.ncols, visit)
+    }
+
+    /// [`HeapFile::fetch_many`] projected onto the contiguous columns
+    /// `cols`: the visitor's row holds `cols.len()` values. A columnar
+    /// page decodes only those columns; a raw page's values are read from
+    /// the requested slots in place.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `cols` lies within the heap's columns; debug-asserts
+    /// the ids are sorted.
+    pub fn fetch_many_cols(
+        &self,
+        rids: &[RowId],
+        cols: Range<usize>,
         mut visit: impl FnMut(RowId, &[f64]) -> bool,
     ) -> Result<()> {
+        assert!(cols.end <= self.ncols, "column range {cols:?} out of range");
         debug_assert!(rids.windows(2).all(|w| w[0] <= w[1]), "rids must be sorted");
         let mut buf = PageBuf::zeroed();
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-        let mut row = vec![0.0f64; self.ncols];
-        let mut loaded: Option<(u32, usize)> = None;
+        let mut decoded: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
+        let mut row = vec![0.0f64; cols.len()];
+        let (mut loaded, mut columnar) = (None, false);
+        let mut pages_decoded = 0;
         for &r in rids {
             let (pid, slot) = rid_parts(r);
-            let n = match loaded {
-                Some((p, n)) if p == pid => n,
-                _ => {
-                    self.pool.read_page_into(self.fid, pid, &mut buf)?;
-                    let n = self.decode_page_columns(&buf, &mut cols)?;
-                    loaded = Some((pid, n));
-                    n
+            if loaded != Some(pid) {
+                self.pool.read_page_into(self.fid, pid, &mut buf)?;
+                columnar = colpage::is_colpage(buf.bytes());
+                if columnar {
+                    self.decode_page_columns(&buf, cols.clone(), &mut decoded, &mut pages_decoded)?;
                 }
-            };
-            if slot as usize >= n {
+                loaded = Some(pid);
+            }
+            let b = buf.bytes();
+            let n = colpage::page_nrows(b);
+            let slot = slot as usize;
+            if slot >= n {
                 return Err(StoreError::Corrupt(format!(
                     "row {r:#x}: slot {slot} >= page rows {n}"
                 )));
             }
-            for (c, o) in row.iter_mut().enumerate() {
-                *o = cols[c][slot as usize];
+            if columnar {
+                colpage::gather_row(&decoded, slot, &mut row);
+            } else {
+                let off = self.raw_offset(slot, cols.start);
+                for (i, o) in row.iter_mut().enumerate() {
+                    *o = page::get_f64(b, off + i * 8);
+                }
             }
             if !visit(r, &row) {
                 break;
             }
         }
+        Self::flush_decoded(pages_decoded);
         Ok(())
     }
 
@@ -1027,6 +1071,52 @@ mod tests {
         .unwrap();
         assert_eq!(via_blocks, via_cols);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn projected_fetch_matches_fetch_per_row_on_both_formats() {
+        for format in [PageFormat::Raw, PageFormat::Columnar] {
+            let (_pool, mut h, p) = setup_fmt(&format!("fetchcols-{}", format.name()), 5, format);
+            let rids: Vec<RowId> = (0..3000u64)
+                .map(|i| {
+                    let h64 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                    let dv = f64::from_bits(0xBFF0_0000_0000_0000 | (h64 >> 12));
+                    let row = [
+                        300.0 * (i % 90) as f64,
+                        dv,
+                        i as f64,
+                        -0.0,
+                        300.0 * i as f64,
+                    ];
+                    h.insert(&row).unwrap()
+                })
+                .collect();
+            // The last page is part-filled: rows are still being appended
+            // to it, and it is read as it stands.
+            let on_page = |pid| rids.iter().filter(|r| **r >> 16 == pid).count();
+            let last = rids[2999] >> 16;
+            assert!(last > 2 && on_page(last) < on_page(last - 1), "{format:?}");
+            let picked: Vec<RowId> = rids.iter().copied().filter(|r| r % 3 != 1).collect();
+            let mut row = Vec::new();
+            for cols in [0..5, 1..4, 4..5, 2..2] {
+                let mut seen = 0;
+                h.fetch_many_cols(&picked, cols.clone(), |rid, got| {
+                    h.fetch(rid, &mut row).unwrap();
+                    let want: Vec<u64> = row[cols.clone()].iter().map(|v| v.to_bits()).collect();
+                    let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{format:?} row {rid:#x} columns {cols:?}");
+                    seen += 1;
+                    true
+                })
+                .unwrap();
+                assert_eq!(seen, picked.len());
+            }
+            // A slot past the page's rows is an error, not stale data.
+            let beyond = *rids.last().unwrap() + 1;
+            assert!(h.fetch_many_cols(&[beyond], 0..2, |_, _| true).is_err());
+            assert!(h.fetch(beyond, &mut row).is_err());
+            std::fs::remove_file(&p).ok();
+        }
     }
 
     #[test]

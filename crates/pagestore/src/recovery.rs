@@ -284,7 +284,7 @@ fn truncate_columnar_heap(
             f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
             f.read_exact(&mut page)?;
             let mut cols: Vec<Vec<f64>> = vec![Vec::new(); ncols];
-            let got = crate::colpage::decode_into(&page, ncols, &mut cols)? as u64;
+            let got = crate::colpage::decode_into(&page, ncols, 0..ncols, &mut cols)? as u64;
             if got < keep {
                 return Err(StoreError::Corrupt(format!(
                     "{}: boundary page {pid} decodes {got} rows, need {keep}",

@@ -276,6 +276,17 @@ impl Table {
         self.heap.read().fetch_many(rids, visit)
     }
 
+    /// [`Table::fetch_many`] projected onto the contiguous columns
+    /// `cols`; see [`HeapFile::fetch_many_cols`].
+    pub fn fetch_many_cols(
+        &self,
+        rids: &[RowId],
+        cols: std::ops::Range<usize>,
+        visit: impl FnMut(RowId, &[f64]) -> bool,
+    ) -> Result<()> {
+        self.heap.read().fetch_many_cols(rids, cols, visit)
+    }
+
     /// Page-at-a-time scan with zone-map pruning; see
     /// [`HeapFile::scan_blocks`]. The visitor receives each surviving
     /// page's rows as one row-major block of `n * ncols` values.

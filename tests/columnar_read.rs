@@ -1,0 +1,94 @@
+//! The columnar read path, end to end: answers recorded on the row store
+//! must come back unchanged from compressed columnar pages read through a
+//! buffer pool a quarter of the heap — sequential scan (every column
+//! decoded) and index plan (only the time stamps decoded) alike — and
+//! Theorem 1's completeness must hold on what they return.
+
+use segdiff_repro::prelude::*;
+
+fn tmpdir(tag: &str) -> std::path::PathBuf {
+    let d = std::env::temp_dir().join(format!("segdiff-colread-{}-{tag}", std::process::id()));
+    std::fs::remove_dir_all(&d).ok();
+    d
+}
+
+/// A (V, T) grid over both kinds, plus a drop nothing satisfies.
+fn regions() -> Vec<QueryRegion> {
+    let mut out = Vec::new();
+    for hours in [1.0, 4.0] {
+        for v in [-2.0, -4.0] {
+            out.push(QueryRegion::drop(hours * HOUR, v));
+        }
+        for v in [2.0, 3.0] {
+            out.push(QueryRegion::jump(hours * HOUR, v));
+        }
+    }
+    out.push(QueryRegion::drop(1.0 * HOUR, -30.0));
+    out
+}
+
+#[test]
+fn columnar_pages_answer_as_the_row_store_did() {
+    let cfg = CadTransectConfig::default().with_days(8).with_sensors(2);
+    let regions = regions();
+    let decoded = || obs::global().counter("colpage.pages_decoded").get();
+    for sensor in 0..2 {
+        let dir = tmpdir(&format!("s{sensor}"));
+        let series = generate_sensor(&cfg, sensor, 20_080_325);
+        let (recorded, row_heap_bytes) = {
+            let mut idx = SegDiffIndex::create(
+                &dir,
+                SegDiffConfig::default()
+                    .with_epsilon(0.2)
+                    .with_window(8.0 * HOUR),
+            )
+            .unwrap();
+            idx.ingest_series(&series).unwrap();
+            idx.finish().unwrap();
+            idx.build_indexes().unwrap();
+            let recorded: Vec<Vec<SegmentPair>> = regions
+                .iter()
+                .map(|r| {
+                    let (scan, _) = idx.query(r, QueryPlan::SeqScan).unwrap();
+                    let (indexed, _) = idx.query(r, QueryPlan::Index).unwrap();
+                    assert_eq!(scan, indexed, "row store: plans disagree on {r:?}");
+                    scan
+                })
+                .collect();
+            let row_heap_bytes = idx.stats().heap_bytes;
+            idx.compact_storage().unwrap();
+            (recorded, row_heap_bytes)
+        };
+        assert!(recorded.last().unwrap().is_empty(), "a 30-degree drop");
+        assert!(recorded.iter().filter(|r| !r.is_empty()).count() >= 6);
+
+        // Reopen with a pool a quarter of the compacted heap: every scan
+        // evicts, and every page it reads is decoded afresh.
+        let heap_pages = {
+            let idx = SegDiffIndex::open(&dir, 1024).unwrap();
+            let heap_bytes = idx.stats().heap_bytes;
+            assert!(heap_bytes * 2 < row_heap_bytes, "compaction must shrink");
+            (heap_bytes / 4096) as usize
+        };
+        assert!(heap_pages >= 40, "{heap_pages} heap pages");
+        let idx = SegDiffIndex::open(&dir, heap_pages / 4).unwrap();
+        let before = decoded();
+        for (region, want) in regions.iter().zip(&recorded) {
+            let (scan, _) = idx.query(region, QueryPlan::SeqScan).unwrap();
+            let (indexed, _) = idx.query(region, QueryPlan::Index).unwrap();
+            assert_eq!(&scan, want, "columnar scan diverged on {region:?}");
+            assert_eq!(&indexed, want, "columnar index plan diverged on {region:?}");
+            let events = oracle::true_events(&series, region);
+            assert_eq!(
+                oracle::find_missed_event(&events, &scan),
+                None,
+                "sensor {sensor}, {region:?}: {} events, {} results",
+                events.len(),
+                scan.len()
+            );
+        }
+        assert!(decoded() > before, "no columnar page was decoded");
+        idx.verify_consistency().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
