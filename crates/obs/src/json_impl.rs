@@ -6,6 +6,7 @@
 //! the CLI integration tests rely on.
 
 use std::fmt;
+use std::io::Write;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -128,52 +129,48 @@ impl Json {
 
     /// Serializes to a compact JSON string.
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out);
-        out
+        let mut out = Vec::new();
+        self.write_to(&mut out);
+        // lint: allow(L1) the writer emits only ASCII punctuation and bytes copied from `str`s
+        String::from_utf8(out).expect("the JSON writer emits UTF-8")
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact serialization to `out` — the bytes of
+    /// [`Json::to_string_compact`] without the UTF-8 re-check.
+    pub fn write_to(&self, out: &mut Vec<u8>) {
         match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Uint(v) => out.push_str(&v.to_string()),
-            Json::Int(v) => out.push_str(&v.to_string()),
-            Json::Float(v) => {
-                if v.is_finite() {
-                    // Ensure the token re-parses as a float even when the
-                    // value is integral (e.g. "2.0", not "2").
-                    let s = format!("{v}");
-                    out.push_str(&s);
-                    if !s.contains(['.', 'e', 'E']) {
-                        out.push_str(".0");
-                    }
-                } else {
-                    out.push_str("null");
+            Json::Null => out.extend_from_slice(b"null"),
+            Json::Bool(b) => out.extend_from_slice(if *b { b"true" } else { b"false" }),
+            Json::Uint(v) => write_u64(out, *v),
+            Json::Int(v) => {
+                if *v < 0 {
+                    out.push(b'-');
                 }
+                write_u64(out, v.unsigned_abs());
             }
+            Json::Float(v) => write_f64(out, *v),
             Json::Str(s) => write_escaped(s, out),
             Json::Array(items) => {
-                out.push('[');
+                out.push(b'[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
-                    item.write(out);
+                    item.write_to(out);
                 }
-                out.push(']');
+                out.push(b']');
             }
             Json::Object(fields) => {
-                out.push('{');
+                out.push(b'{');
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        out.push(',');
+                        out.push(b',');
                     }
                     write_escaped(k, out);
-                    out.push(':');
-                    v.write(out);
+                    out.push(b':');
+                    v.write_to(out);
                 }
-                out.push('}');
+                out.push(b'}');
             }
         }
     }
@@ -198,20 +195,93 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The two ASCII digits of every value below 100, so an integer prints
+/// with one division per two digits.
+const DIGIT_PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324\
+25262728293031323334353637383940414243444546474849\
+50515253545556575859606162636465666768697071727374\
+75767778798081828384858687888990919293949596979899";
+
+/// Writes the decimal digits of `n` into `buf` so that they end at
+/// `end`; returns where they start.
+fn digits_ending_at(buf: &mut [u8], end: usize, mut n: u64) -> usize {
+    let mut at = end;
+    while n >= 100 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    }
+    if n >= 10 {
+        let pair = n as usize * 2;
+        at -= 2;
+        buf[at..at + 2].copy_from_slice(&DIGIT_PAIRS[pair..pair + 2]);
+    } else {
+        at -= 1;
+        buf[at] = b'0' + n as u8;
+    }
+    at
+}
+
+/// Appends `n` in decimal.
+pub fn write_u64(out: &mut Vec<u8>, n: u64) {
+    let mut buf = [0u8; 20];
+    let at = digits_ending_at(&mut buf, 20, n);
+    out.extend_from_slice(&buf[at..]);
+}
+
+/// Appends `v` the one way every JSON body of this workspace prints a
+/// float: `null` when not finite, otherwise Rust's shortest round-trip
+/// `{v}` form with `.0` appended when it carries no `.`/`e`/`E`, so the
+/// token re-parses as a float even when the value is integral (`2.0`,
+/// not `2`). Integral values below 2^53 other than `-0.0` — every time
+/// stamp of a result pair — take a digits-only path that prints the same
+/// bytes without the float formatter.
+pub fn write_f64(out: &mut Vec<u8>, v: f64) {
+    // The cast saturates and sends NaN to 0, so nothing non-finite
+    // compares equal to its image.
+    let int = v as i64;
+    if int as f64 == v && int.unsigned_abs() < 1 << 53 && (int != 0 || v.is_sign_positive()) {
+        // Sign, at most 16 digits and `.0`, appended in one piece.
+        let mut buf = *b"-0000000000000000.0";
+        let mut at = digits_ending_at(&mut buf, 17, int.unsigned_abs());
+        if int < 0 {
+            at -= 1;
+            buf[at] = b'-';
+        }
+        out.extend_from_slice(&buf[at..]);
+        return;
+    }
+    if !v.is_finite() {
+        out.extend_from_slice(b"null");
+        return;
+    }
+    let start = out.len();
+    // Writing into a `Vec` cannot fail.
+    let _ = write!(out, "{v}");
+    if !out[start..].iter().any(|b| matches!(b, b'.' | b'e' | b'E')) {
+        out.extend_from_slice(b".0");
+    }
+}
+
+fn write_escaped(s: &str, out: &mut Vec<u8>) {
+    out.push(b'"');
+    // Every byte that needs an escape is ASCII, so multi-byte scalars
+    // pass through byte by byte.
+    for &b in s.as_bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b'\r' => out.extend_from_slice(b"\\r"),
+            b'\t' => out.extend_from_slice(b"\\t"),
+            b if b < 0x20 => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+            b => out.push(b),
         }
     }
-    out.push('"');
+    out.push(b'"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -434,6 +504,110 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    /// The rule `Json::write` applied before the printer was shared:
+    /// `{v}`, plus `.0` when that carries no `.`/`e`/`E`; `null` when
+    /// not finite.
+    fn format_rule(v: f64) -> String {
+        if !v.is_finite() {
+            return "null".to_string();
+        }
+        let s = format!("{v}");
+        if s.contains(['.', 'e', 'E']) {
+            s
+        } else {
+            s + ".0"
+        }
+    }
+
+    fn printed(v: f64) -> String {
+        let mut out = Vec::new();
+        write_f64(&mut out, v);
+        String::from_utf8(out).expect("ASCII")
+    }
+
+    #[test]
+    fn float_printer_matches_the_format_rule() {
+        let two53 = (1u64 << 53) as f64;
+        let named = [
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            0.5,
+            1234567.0,
+            1234567.25,
+            two53 - 1.0,
+            -(two53 - 1.0),
+            two53,
+            -two53,
+            two53 + 2.0,
+            1e15,
+            1e16,
+            1e20,
+            1e21,
+            1e-7,
+            1e300,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MAX,
+            f64::MIN,
+            i64::MIN as f64,
+            i64::MAX as f64,
+            u64::MAX as f64,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        for v in named {
+            assert_eq!(printed(v), format_rule(v), "bits {:#018x}", v.to_bits());
+        }
+        assert_eq!(printed(-0.0), "-0.0");
+        assert_eq!(printed(two53 - 1.0), "9007199254740991.0");
+        assert_eq!(printed(1e-7), "0.0000001");
+        assert_eq!(printed(f64::NAN), "null");
+
+        // 100 k random bit patterns (every exponent, subnormals, NaNs),
+        // and as many random integral values around the fast path's edge.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for _ in 0..if cfg!(miri) { 500 } else { 100_000 } {
+            let v = f64::from_bits(next());
+            assert_eq!(printed(v), format_rule(v), "bits {:#018x}", v.to_bits());
+            let whole =
+                (next() >> (next() % 64)) as i64 as f64 * if next() & 1 == 0 { 1.0 } else { -1.0 };
+            assert_eq!(printed(whole), format_rule(whole), "integral {whole}");
+        }
+    }
+
+    #[test]
+    fn integers_print_like_to_string() {
+        let mut out = Vec::new();
+        for v in [0u64, 7, 9, 10, 42, 99, 100, 101, 999, 1000, 12345, u64::MAX] {
+            out.clear();
+            write_u64(&mut out, v);
+            assert_eq!(out, v.to_string().as_bytes());
+        }
+        assert_eq!(
+            Json::Int(i64::MIN).to_string_compact(),
+            i64::MIN.to_string()
+        );
+        assert_eq!(Json::Int(-5).to_string_compact(), "-5");
+    }
+
+    #[test]
+    fn escapes_control_bytes_and_passes_unicode_through() {
+        assert_eq!(
+            Json::from("a\u{1}\u{1f}\"\\é\u{10348}").to_string_compact(),
+            "\"a\\u0001\\u001f\\\"\\\\é\u{10348}\""
+        );
     }
 
     #[test]

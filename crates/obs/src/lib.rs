@@ -83,7 +83,7 @@ pub mod export {
 
 /// Dependency-free JSON value, writer and parser.
 pub mod json {
-    pub use crate::json_impl::Json;
+    pub use crate::json_impl::{write_f64, write_u64, Json};
 }
 
 #[doc(hidden)]

@@ -15,8 +15,9 @@
 //! handler, and requests go through the same table-driven
 //! [`dispatch`] over [`ROUTES`]:
 //!
-//! * `POST /query` — scatter to the owning shards, merge
-//!   deterministically ([`segdiff::merge_sharded`]): the `results`
+//! * `POST /query` — scatter to the owning shards over kept-alive
+//!   connections and splice their per-sensor fragments in sensor order
+//!   (the union [`segdiff::merge_sharded`] defines): the `results`
 //!   array is byte-identical to a single process serving all sensors.
 //! * `GET /healthz` — role `"router"` plus the live per-shard states.
 //! * `GET /metrics` — the process-global registry (text or JSON lines).
@@ -102,6 +103,7 @@ pub struct Router {
     config: RouterConfig,
     board: Arc<HealthBoard>,
     ring: Ring,
+    upstreams: scatter::Upstreams,
     metrics: RouterMetrics,
 }
 
@@ -121,6 +123,7 @@ impl Router {
             shutdown: Arc::new(AtomicBool::new(false)),
             board: Arc::new(HealthBoard::new(config.shards.clone())),
             ring: Ring::new(config.shards.len()),
+            upstreams: scatter::Upstreams::default(),
             metrics: RouterMetrics::new(),
             config,
         })
@@ -191,7 +194,13 @@ impl Router {
     /// `POST /query`: scatter–gather over the shards.
     fn query(&self, req: &Request, _id: u64) -> Response {
         match req.body_str() {
-            Ok(body) => scatter::scatter_query(&self.board, &self.ring, body, &self.metrics),
+            Ok(body) => scatter::scatter_query(
+                &self.board,
+                &self.ring,
+                &self.upstreams,
+                body,
+                &self.metrics,
+            ),
             Err(e) => {
                 self.metrics.bad_requests.inc();
                 Response::error(400, e.to_string())

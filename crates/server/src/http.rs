@@ -9,7 +9,7 @@
 //! implementation.
 
 use obs::json::Json;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
 /// Upper bound on the request line plus all header bytes.
 pub const MAX_HEADER_BYTES: usize = 16 * 1024;
@@ -272,10 +272,17 @@ impl Response {
 
     /// A JSON response.
     pub fn json(status: u16, doc: &Json) -> Self {
+        let mut body = Vec::new();
+        doc.write_to(&mut body);
+        Response::json_bytes(status, body)
+    }
+
+    /// A JSON response over an already serialized document.
+    pub fn json_bytes(status: u16, body: Vec<u8>) -> Self {
         Response {
             status,
             content_type: "application/json",
-            body: doc.to_string_compact().into_bytes(),
+            body,
             close: false,
         }
     }
@@ -301,7 +308,9 @@ impl Response {
         self
     }
 
-    /// Serializes status line, headers and body to `w`.
+    /// Serializes status line, headers and body to `w` as one vectored
+    /// write: on a `TCP_NODELAY` socket two writes are two segments and
+    /// can be two wake-ups of the reader.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
         let head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: {}\r\n\r\n",
@@ -311,8 +320,20 @@ impl Response {
             self.body.len(),
             if self.close { "close" } else { "keep-alive" },
         );
-        w.write_all(head.as_bytes())?;
-        w.write_all(&self.body)?;
+        let (head, body) = (head.as_bytes(), self.body.as_slice());
+        let mut sent = 0;
+        while sent < head.len() + body.len() {
+            let rest = [
+                IoSlice::new(&head[sent.min(head.len())..]),
+                IoSlice::new(&body[sent.saturating_sub(head.len())..]),
+            ];
+            match w.write_vectored(&rest) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => sent += n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 }
@@ -483,6 +504,60 @@ mod tests {
             Json::parse(std::str::from_utf8(&body).unwrap()).unwrap(),
             Json::obj([("ok", Json::Bool(true))])
         );
+    }
+
+    /// A sink that counts calls and takes at most `cap` bytes per call.
+    struct Counting {
+        bytes: Vec<u8>,
+        calls: usize,
+        cap: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.bytes.len();
+            for buf in bufs {
+                let room = self.cap - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&buf[..buf.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_response_is_one_write() {
+        let resp = Response::text(200, "x".repeat(5000));
+        let mut reference = Vec::new();
+        resp.write_to(&mut reference).unwrap();
+        assert!(reference.starts_with(b"HTTP/1.1 200 OK\r\n"));
+        assert!(reference.ends_with(&resp.body));
+
+        let mut sink = Counting {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: usize::MAX,
+        };
+        resp.write_to(&mut sink).unwrap();
+        assert_eq!(sink.calls, 1, "head and body must leave in one call");
+        assert_eq!(sink.bytes, reference);
+
+        // A sink that takes 7 bytes a call (splitting the head, the
+        // seam and the body) still receives every byte once, in order.
+        let mut slow = Counting {
+            bytes: Vec::new(),
+            calls: 0,
+            cap: 7,
+        };
+        resp.write_to(&mut slow).unwrap();
+        assert_eq!(slow.bytes, reference);
+        assert_eq!(slow.calls, reference.len().div_ceil(7));
     }
 
     #[test]

@@ -135,17 +135,16 @@ fn connect(host: &str) -> Result<TcpStream, HttpError> {
 }
 
 fn roundtrip_once(
-    stream: &mut TcpStream,
+    mut stream: &TcpStream,
     host: &str,
     method: &str,
     path: &str,
     body: Option<&str>,
 ) -> Result<(u16, Vec<u8>), HttpError> {
-    write_request(stream, method, path, host, body)?;
-    // A fresh BufReader per request wastes a little but guarantees no
+    write_request(&mut stream, method, path, host, body)?;
+    // The reader borrows the socket and lives for one response, so no
     // buffered bytes survive a connection swap on retry.
-    let mut reader = BufReader::new(stream.try_clone().map_err(HttpError::Io)?);
-    read_response(&mut reader)
+    read_response(&mut BufReader::new(stream))
 }
 
 /// One request over a pooled connection with a single reconnect retry:

@@ -21,14 +21,14 @@ use crate::httpd::{Handler, Reply};
 use crate::observer::Observability;
 use crate::routes::{dispatch, ROUTES};
 use obs::export::Exporter;
-use obs::json::Json;
+use obs::json::{write_f64, write_u64, Json};
 use obs::tracering::TraceRecord;
 use obs::TraceNode;
 use pagestore::StoreError;
 use parking_lot::RwLock;
 use segdiff::{
-    QueryPlan, QueryStats, SegDiffIndex, SegmentPair, ShardResults, Subscription,
-    SubscriptionRegistry, TransectIndex,
+    QueryPlan, QueryStats, SegDiffIndex, SegmentPair, Subscription, SubscriptionRegistry,
+    TransectIndex,
 };
 use sensorgen::HOUR;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -184,41 +184,18 @@ impl Engine {
         }
     }
 
-    /// Executes one query; the bool reports whether the answer came from
-    /// a result cache (the transect path is always computed fresh).
+    /// Executes one query restricted to `sensors` (None = all served),
+    /// returning per-sensor result lists in ascending sensor order — the
+    /// order a flat response concatenates them in and a scatter–gather
+    /// router splices them in. The bool reports whether the answer came
+    /// from a result cache (the transect path is always computed fresh).
+    /// Unknown sensor ids are a `NotFound` error.
     fn query(
         &self,
         region: &featurespace::QueryRegion,
         plan: QueryPlan,
-    ) -> pagestore::Result<(Arc<Vec<SegmentPair>>, QueryStats, bool)> {
-        match self {
-            Engine::Single(idx) => idx.query_cached(region, plan),
-            Engine::Transect { index, threads } => {
-                let (per_sensor, stats) = index.query_all_with_threads(region, plan, *threads)?;
-                let flat: Vec<SegmentPair> = per_sensor.into_iter().flatten().collect();
-                Ok((Arc::new(flat), stats, false))
-            }
-            Engine::Swappable(cell) => {
-                let guard = cell.engine.read();
-                match guard.as_ref() {
-                    Some(engine) => engine.query(region, plan),
-                    None => Err(engine_reloading()),
-                }
-            }
-        }
-    }
-
-    /// Executes one query restricted to `sensors` (None = all served),
-    /// returning per-sensor result lists in ascending sensor order — the
-    /// shape a scatter–gather router merges with
-    /// [`segdiff::merge_sharded`]. Unknown sensor ids are a `NotFound`
-    /// error.
-    fn query_by_sensor(
-        &self,
-        region: &featurespace::QueryRegion,
-        plan: QueryPlan,
         sensors: Option<&[u32]>,
-    ) -> pagestore::Result<(ShardResults, QueryStats, bool)> {
+    ) -> pagestore::Result<(SensorResults, QueryStats, bool)> {
         match self {
             Engine::Single(idx) => {
                 if let Some(&bad) = sensors.unwrap_or(&[]).iter().find(|&&sensor| sensor != 0) {
@@ -227,25 +204,19 @@ impl Engine {
                     )));
                 }
                 let (results, stats, cached) = idx.query_cached(region, plan)?;
-                Ok((vec![(0, results.as_ref().clone())], stats, cached))
+                Ok((vec![(0, results)], stats, cached))
             }
             Engine::Transect { index, threads } => {
-                let all;
-                let ids = match sensors {
-                    Some(ids) => ids,
-                    None => {
-                        all = index.sensor_ids().to_vec();
-                        &all
-                    }
-                };
+                let ids = sensors.unwrap_or(index.sensor_ids());
                 let (parts, stats) =
                     index.query_subset_with_threads(ids, region, plan, *threads)?;
+                let parts = parts.into_iter().map(|(id, r)| (id, Arc::new(r))).collect();
                 Ok((parts, stats, false))
             }
             Engine::Swappable(cell) => {
                 let guard = cell.engine.read();
                 match guard.as_ref() {
-                    Some(engine) => engine.query_by_sensor(region, plan, sensors),
+                    Some(engine) => engine.query(region, plan, sensors),
                     None => Err(engine_reloading()),
                 }
             }
@@ -673,31 +644,134 @@ fn parse_u64_param(req: &Request, key: &str, default: u64) -> Result<u64, String
     }
 }
 
-/// Result shape of one `/query` execution: flat (the classic response)
-/// or grouped per sensor (the scatter–gather shape).
-enum QueryOutput {
-    Flat(Arc<Vec<SegmentPair>>),
-    Parts(Vec<(u32, Vec<SegmentPair>)>),
+/// One query's answer per sensor, ascending. A result-cache hit shares
+/// the cached vector, so nothing between the cache and the socket
+/// copies a pair.
+type SensorResults = Vec<(u32, Arc<Vec<SegmentPair>>)>;
+
+/// What one result pair prints to, rounded up: four 7-byte keys, four
+/// time stamps of ≈ 9 digits, a brace and a comma.
+const PAIR_JSON_BYTES: usize = 72;
+
+/// Appends result pairs as a JSON array in the canonical field order,
+/// straight into the response buffer: fixed key bytes and the one float
+/// printer ([`obs::json::write_f64`]) that `Json` itself prints with,
+/// so the bytes are those of the tree form (`pairs_to_json` in the
+/// tests below) without building it. The shard server answers through
+/// this and the router splices what it wrote, which is what makes a
+/// scattered `results` array byte-identical to a single process's.
+fn write_pairs<'a>(out: &mut Vec<u8>, pairs: impl Iterator<Item = &'a SegmentPair>) {
+    out.push(b'[');
+    for (i, p) in pairs.enumerate() {
+        out.extend_from_slice(if i == 0 { b"{\"t_d\":" } else { b",{\"t_d\":" });
+        write_f64(out, p.t_d);
+        out.extend_from_slice(b",\"t_c\":");
+        write_f64(out, p.t_c);
+        out.extend_from_slice(b",\"t_b\":");
+        write_f64(out, p.t_b);
+        out.extend_from_slice(b",\"t_a\":");
+        write_f64(out, p.t_a);
+        out.push(b'}');
+    }
+    out.push(b']');
 }
 
-/// Serializes result pairs in the canonical field order. The shard
-/// server and the router both answer through this one function, which is
-/// what makes a scattered `results` array byte-identical to a single
-/// process's.
-pub fn pairs_to_json(results: &[SegmentPair]) -> Json {
-    Json::Array(
-        results
-            .iter()
-            .map(|p| {
-                Json::obj([
-                    ("t_d", Json::Float(p.t_d)),
-                    ("t_c", Json::Float(p.t_c)),
-                    ("t_b", Json::Float(p.t_b)),
-                    ("t_a", Json::Float(p.t_a)),
-                ])
-            })
-            .collect(),
-    )
+/// What a `/query` response says besides the pairs.
+struct Envelope<'a> {
+    spec: &'a QuerySpec,
+    stats: &'a QueryStats,
+    cached: bool,
+    epoch: u64,
+    /// `sensors`: how many the engine serves (transect engines only).
+    served: Option<u32>,
+    trace_id: u64,
+    /// The span tree, when the request asked for it.
+    trace: Option<&'a TraceNode>,
+}
+
+/// Starts a `/query` answer in `out`: the scalar fields every answer
+/// begins with — a shard's and, from the shards' sums, the router's —
+/// with the object left open for the arrays that follow. These go
+/// through [`Json`]: they are few, and it keeps one definition of how a
+/// string and a float print.
+pub fn open_answer(
+    out: &mut Vec<u8>,
+    spec: &QuerySpec,
+    epoch: u64,
+    cached: bool,
+    count: u64,
+    rows_considered: u64,
+    wall_ms: f64,
+) {
+    let mut fields = Vec::new();
+    if let Some(series) = &spec.series {
+        fields.push(("series".to_string(), Json::Str(series.clone())));
+    }
+    fields.extend([
+        ("kind".to_string(), Json::Str(spec.kind.clone())),
+        ("v".to_string(), Json::Float(spec.v)),
+        ("t_hours".to_string(), Json::Float(spec.t_hours)),
+        ("plan".to_string(), Json::Str(spec.plan.clone())),
+        ("epoch".to_string(), Json::Uint(epoch)),
+        ("cached".to_string(), Json::Bool(cached)),
+        ("count".to_string(), Json::Uint(count)),
+        ("rows_considered".to_string(), Json::Uint(rows_considered)),
+        ("wall_ms".to_string(), Json::Float(wall_ms)),
+    ]);
+    Json::Object(fields).write_to(out);
+    out.pop(); // reopen the object
+}
+
+/// The `200` body of `/query`, all three shapes: `results` flattened in
+/// ascending sensor order (with or without a sensor filter —
+/// byte-identical to the unfiltered response over the same sensors), or
+/// `by_sensor` entries for `per_sensor`. The arrays are written in
+/// place, into a buffer reserved once.
+fn write_answer(env: &Envelope, parts: &[(u32, Arc<Vec<SegmentPair>>)]) -> Vec<u8> {
+    let spec = env.spec;
+    let count: usize = parts.iter().map(|(_, r)| r.len()).sum();
+    let mut out = Vec::with_capacity(512 + 48 * parts.len() + PAIR_JSON_BYTES * count);
+    open_answer(
+        &mut out,
+        spec,
+        env.epoch,
+        env.cached,
+        count as u64,
+        env.stats.rows_considered,
+        env.stats.wall_seconds * 1e3,
+    );
+    if spec.per_sensor {
+        out.extend_from_slice(b",\"by_sensor\":[");
+        for (i, (sensor, results)) in parts.iter().enumerate() {
+            out.extend_from_slice(if i == 0 {
+                b"{\"sensor\":"
+            } else {
+                b",{\"sensor\":"
+            });
+            write_u64(&mut out, u64::from(*sensor));
+            out.extend_from_slice(b",\"count\":");
+            write_u64(&mut out, results.len() as u64);
+            out.extend_from_slice(b",\"results\":");
+            write_pairs(&mut out, results.iter());
+            out.push(b'}');
+        }
+        out.push(b']');
+    } else {
+        out.extend_from_slice(b",\"results\":");
+        write_pairs(&mut out, parts.iter().flat_map(|(_, r)| r.iter()));
+    }
+    if let Some(served) = env.served {
+        out.extend_from_slice(b",\"sensors\":");
+        write_u64(&mut out, u64::from(served));
+    }
+    out.extend_from_slice(b",\"trace_id\":");
+    write_u64(&mut out, env.trace_id);
+    if let Some(node) = env.trace {
+        out.extend_from_slice(b",\"trace\":");
+        trace_to_json(node).write_to(&mut out);
+    }
+    out.push(b'}');
+    out
 }
 
 fn trace_to_json(node: &TraceNode) -> Json {
@@ -927,21 +1001,13 @@ impl Service {
         self.metrics.queries.inc();
         let start = Instant::now();
         obs::trace_begin();
-        let grouped = spec.per_sensor || !spec.sensors.is_empty();
-        let outcome = if grouped {
-            let subset = (!spec.sensors.is_empty()).then_some(spec.sensors.as_slice());
-            self.engine
-                .query_by_sensor(&spec.region(), spec.query_plan(), subset)
-                .map(|(parts, stats, cached)| (QueryOutput::Parts(parts), stats, cached))
-        } else {
-            self.engine
-                .query(&spec.region(), spec.query_plan())
-                .map(|(flat, stats, cached)| (QueryOutput::Flat(flat), stats, cached))
-        };
+        let filtered = spec.per_sensor || !spec.sensors.is_empty();
+        let subset = (!spec.sensors.is_empty()).then_some(spec.sensors.as_slice());
+        let outcome = self.engine.query(&spec.region(), spec.query_plan(), subset);
         let trace = obs::trace_take();
-        let (output, stats, cached) = match outcome {
+        let (parts, stats, cached) = match outcome {
             Ok(t) => t,
-            Err(StoreError::NotFound(m)) if grouped => {
+            Err(StoreError::NotFound(m)) if filtered => {
                 let resp = Response::error(400, format!("bad sensor filter: {m}"));
                 return Handled(resp.into(), trace);
             }
@@ -951,71 +1017,20 @@ impl Service {
             }
         };
         self.metrics.query_nanos.record_duration(start.elapsed());
-
-        let count = match &output {
-            QueryOutput::Flat(results) => results.len(),
-            QueryOutput::Parts(parts) => parts.iter().map(|(_, r)| r.len()).sum(),
+        let envelope = Envelope {
+            spec: &spec,
+            stats: &stats,
+            cached,
+            epoch: self.engine.epoch(),
+            served: match &self.engine {
+                Engine::Single(_) => None,
+                Engine::Transect { .. } | Engine::Swappable(_) => Some(self.engine.num_sensors()),
+            },
+            trace_id,
+            trace: trace.as_ref().filter(|_| spec.trace),
         };
-        let mut fields = Vec::new();
-        if let Some(series) = &spec.series {
-            fields.push(("series".to_string(), Json::Str(series.clone())));
-        }
-        fields.extend([
-            ("kind".to_string(), Json::Str(spec.kind.clone())),
-            ("v".to_string(), Json::Float(spec.v)),
-            ("t_hours".to_string(), Json::Float(spec.t_hours)),
-            ("plan".to_string(), Json::Str(spec.plan.clone())),
-            ("epoch".to_string(), Json::Uint(self.engine.epoch())),
-            ("cached".to_string(), Json::Bool(cached)),
-            ("count".to_string(), Json::Uint(count as u64)),
-            (
-                "rows_considered".to_string(),
-                Json::Uint(stats.rows_considered),
-            ),
-            ("wall_ms".to_string(), Json::Float(stats.wall_seconds * 1e3)),
-        ]);
-        match output {
-            QueryOutput::Flat(results) => {
-                fields.push(("results".to_string(), pairs_to_json(&results)));
-            }
-            QueryOutput::Parts(parts) if spec.per_sensor => {
-                fields.push((
-                    "by_sensor".to_string(),
-                    Json::Array(
-                        parts
-                            .iter()
-                            .map(|(sensor, results)| {
-                                Json::obj([
-                                    ("sensor", Json::Uint(u64::from(*sensor))),
-                                    ("count", Json::Uint(results.len() as u64)),
-                                    ("results", pairs_to_json(results)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ));
-            }
-            QueryOutput::Parts(parts) => {
-                // Flatten in ascending sensor order — byte-identical to
-                // the unfiltered single-process response over the same
-                // sensors (the merge_sharded contract).
-                let flat: Vec<SegmentPair> = parts.into_iter().flat_map(|(_, r)| r).collect();
-                fields.push(("results".to_string(), pairs_to_json(&flat)));
-            }
-        }
-        if let Engine::Transect { .. } | Engine::Swappable(_) = &self.engine {
-            fields.push((
-                "sensors".to_string(),
-                Json::Uint(self.engine.num_sensors() as u64),
-            ));
-        }
-        fields.push(("trace_id".to_string(), Json::Uint(trace_id)));
-        if spec.trace {
-            if let Some(node) = &trace {
-                fields.push(("trace".to_string(), trace_to_json(node)));
-            }
-        }
-        Handled(Response::json(200, &Json::Object(fields)).into(), trace)
+        let body = write_answer(&envelope, &parts);
+        Handled(Response::json_bytes(200, body).into(), trace)
     }
 
     /// `GET /series` — the sampled metric history. Without a `name`
@@ -1558,6 +1573,273 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use segdiff::SegDiffConfig;
+    use sensorgen::{generate_sensor, CadTransectConfig};
+
+    /// The tree form of a pair list — what `/query` built and printed
+    /// before it wrote bytes, kept as the oracle [`write_pairs`] must
+    /// match byte for byte.
+    fn pairs_to_json(results: &[SegmentPair]) -> Json {
+        Json::Array(
+            results
+                .iter()
+                .map(|p| {
+                    Json::obj([
+                        ("t_d", Json::Float(p.t_d)),
+                        ("t_c", Json::Float(p.t_c)),
+                        ("t_b", Json::Float(p.t_b)),
+                        ("t_a", Json::Float(p.t_a)),
+                    ])
+                })
+                .collect(),
+        )
+    }
+
+    /// The tree-built `/query` body, as `Service::query` assembled it
+    /// before [`write_answer`].
+    fn tree_answer(env: &Envelope, parts: &[(u32, Arc<Vec<SegmentPair>>)]) -> String {
+        let spec = env.spec;
+        let count: usize = parts.iter().map(|(_, r)| r.len()).sum();
+        let mut fields = Vec::new();
+        if let Some(series) = &spec.series {
+            fields.push(("series".to_string(), Json::Str(series.clone())));
+        }
+        fields.extend([
+            ("kind".to_string(), Json::Str(spec.kind.clone())),
+            ("v".to_string(), Json::Float(spec.v)),
+            ("t_hours".to_string(), Json::Float(spec.t_hours)),
+            ("plan".to_string(), Json::Str(spec.plan.clone())),
+            ("epoch".to_string(), Json::Uint(env.epoch)),
+            ("cached".to_string(), Json::Bool(env.cached)),
+            ("count".to_string(), Json::Uint(count as u64)),
+            (
+                "rows_considered".to_string(),
+                Json::Uint(env.stats.rows_considered),
+            ),
+            (
+                "wall_ms".to_string(),
+                Json::Float(env.stats.wall_seconds * 1e3),
+            ),
+        ]);
+        if spec.per_sensor {
+            let entries = parts.iter().map(|(sensor, results)| {
+                Json::obj([
+                    ("sensor", Json::Uint(u64::from(*sensor))),
+                    ("count", Json::Uint(results.len() as u64)),
+                    ("results", pairs_to_json(results)),
+                ])
+            });
+            fields.push(("by_sensor".to_string(), Json::Array(entries.collect())));
+        } else {
+            let flat: Vec<SegmentPair> =
+                parts.iter().flat_map(|(_, r)| r.iter().copied()).collect();
+            fields.push(("results".to_string(), pairs_to_json(&flat)));
+        }
+        if let Some(served) = env.served {
+            fields.push(("sensors".to_string(), Json::Uint(u64::from(served))));
+        }
+        fields.push(("trace_id".to_string(), Json::Uint(env.trace_id)));
+        if let Some(node) = env.trace {
+            fields.push(("trace".to_string(), trace_to_json(node)));
+        }
+        Json::Object(fields).to_string_compact()
+    }
+
+    #[test]
+    fn written_pairs_equal_the_tree_form() {
+        let two53 = (1u64 << 53) as f64;
+        let odd = [
+            0.0,
+            -0.0,
+            two53 - 1.0,
+            two53 + 2.0,
+            -two53,
+            1e20,
+            1e-7,
+            0.1,
+            -1234567.875,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        let mut pairs: Vec<SegmentPair> = odd
+            .windows(4)
+            .map(|w| SegmentPair {
+                t_d: w[0],
+                t_c: w[1],
+                t_b: w[2],
+                t_a: w[3],
+            })
+            .collect();
+        pairs.extend((0..500).map(|i| SegmentPair {
+            t_d: f64::from(i) * 300.0,
+            t_c: f64::from(i) * 300.0 + 150.5,
+            t_b: f64::from(i) * 300.0 + 86400.0,
+            t_a: f64::from(i) * 300.0 + 2_592_000.0,
+        }));
+        for n in [0, 1, 2, pairs.len()] {
+            let mut out = Vec::new();
+            write_pairs(&mut out, pairs[..n].iter());
+            assert_eq!(
+                String::from_utf8(out).unwrap(),
+                pairs_to_json(&pairs[..n]).to_string_compact()
+            );
+        }
+    }
+
+    struct TempDir(PathBuf);
+    impl TempDir {
+        fn new(tag: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("segdiff-service-{tag}-{}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            TempDir(dir)
+        }
+    }
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.0).ok();
+        }
+    }
+
+    fn post_query(body: &str) -> Request {
+        let raw = format!(
+            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+            body.len()
+        );
+        crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap()
+    }
+
+    /// Every `/query` shape, on the single-sensor engine (cache miss,
+    /// then hit) and the transect engine: the written body equals the
+    /// tree-built one byte for byte — same envelope values on both
+    /// sides, so `trace_id` and `wall_ms` compare too — and what
+    /// `Service::handle` serves is that body in canonical form.
+    #[test]
+    fn every_query_shape_is_byte_identical_to_the_tree_built_body() {
+        let dir = TempDir::new("shapes");
+        let cfg = CadTransectConfig::default()
+            .with_days(3)
+            .with_sensors(3)
+            .clean();
+        let mut transect =
+            TransectIndex::create(&dir.0.join("t"), SegDiffConfig::default(), 3).unwrap();
+        for k in 0..3 {
+            transect
+                .ingest_series(k, &generate_sensor(&cfg, k, 7))
+                .unwrap();
+        }
+        transect.finish_all().unwrap();
+        transect.build_indexes_all().unwrap();
+        let mut single = SegDiffIndex::create(&dir.0.join("s"), SegDiffConfig::default()).unwrap();
+        single.ingest_series(&generate_sensor(&cfg, 1, 7)).unwrap();
+        single.finish().unwrap();
+        single.build_indexes().unwrap();
+        let engines = [
+            (Engine::Single(Arc::new(single)), "0"),
+            // One fan-out thread: the sensors' spans land on this thread.
+            (Engine::transect(Arc::new(transect), 1), "0,2"),
+        ];
+
+        let (mut nonempty, mut traced) = (0, 0);
+        for (engine, subset) in engines {
+            let bodies = [
+                r#"{"kind":"drop","v":-2,"t_hours":1,"plan":"index"}"#.to_string(),
+                r#"{"kind":"drop","v":-2,"t_hours":1,"plan":"index","per_sensor":true}"#
+                    .to_string(),
+                format!(r#"{{"kind":"jump","v":1.5,"t_hours":2.5,"sensors":[{subset}]}}"#),
+                format!(
+                    r#"{{"kind":"jump","v":1.5,"t_hours":2.5,"sensors":[{subset}],"per_sensor":true}}"#
+                ),
+                r#"{"series":"cad \"12\"\n","kind":"drop","v":-1,"t_hours":0.75}"#.to_string(),
+                r#"{"kind":"drop","v":-2,"t_hours":1,"trace":true}"#.to_string(),
+                r#"{"kind":"drop","v":-2,"t_hours":1,"per_sensor":true,"trace":true}"#.to_string(),
+                r#"{"kind":"drop","v":-90,"t_hours":0.25}"#.to_string(),
+                r#"{"kind":"drop","v":-90,"t_hours":0.25,"per_sensor":true}"#.to_string(),
+            ];
+            let service = Service::new(engine, Arc::new(AtomicBool::new(false)));
+            // Twice: the single engine's second round is all cache hits.
+            for round in 0..2 {
+                for body in &bodies {
+                    let spec = QuerySpec::from_json(body).unwrap();
+                    let subset = (!spec.sensors.is_empty()).then_some(spec.sensors.as_slice());
+                    obs::trace_begin();
+                    let (parts, stats, cached) = service
+                        .engine
+                        .query(&spec.region(), spec.query_plan(), subset)
+                        .unwrap();
+                    let trace = obs::trace_take();
+                    let single = matches!(service.engine, Engine::Single(_));
+                    assert!(single || !cached, "{body}");
+                    assert!(cached || !single || round == 0, "{body}");
+                    let envelope = Envelope {
+                        spec: &spec,
+                        stats: &stats,
+                        cached,
+                        epoch: service.engine.epoch(),
+                        served: (!single).then(|| service.engine.num_sensors()),
+                        trace_id: 7_000_000 + round,
+                        trace: trace.as_ref().filter(|_| spec.trace),
+                    };
+                    let written = String::from_utf8(write_answer(&envelope, &parts)).unwrap();
+                    assert_eq!(written, tree_answer(&envelope, &parts), "{body}");
+                    // A cache hit runs no span, so it has no tree to attach.
+                    let has_trace = written.contains(r#","trace":{"span":"#);
+                    assert_eq!(has_trace, spec.trace && !cached, "{body}");
+                    traced += usize::from(has_trace);
+                    nonempty += usize::from(parts.iter().any(|(_, r)| !r.is_empty()));
+
+                    // Served: the same answer (the time stamps of the
+                    // span tree and `wall_ms` aside), in canonical form.
+                    let resp = service.handle(&post_query(body));
+                    assert_eq!(resp.status, 200, "{body}");
+                    let served = String::from_utf8(resp.body).unwrap();
+                    let doc = Json::parse(&served).unwrap();
+                    assert_eq!(doc.to_string_compact(), served, "{body}");
+                    let reference = Json::parse(&written).unwrap();
+                    for key in ["series", "kind", "v", "t_hours", "plan", "epoch", "count"] {
+                        assert_eq!(doc.get(key), reference.get(key), "{key} of {body}");
+                    }
+                    for key in ["results", "by_sensor", "sensors"] {
+                        assert_eq!(
+                            doc.get(key).map(Json::to_string_compact),
+                            reference.get(key).map(Json::to_string_compact),
+                            "{key} of {body}"
+                        );
+                    }
+                    assert!(spec.trace || doc.get("trace").is_none(), "{body}");
+                }
+            }
+        }
+        assert!(
+            nonempty >= 20,
+            "the shapes must carry pairs, got {nonempty}"
+        );
+        assert!(traced >= 4, "span trees must be attached, got {traced}");
+    }
+
+    /// A cache hit hands the cached vector to the writer: no pair is
+    /// copied on the way to the response.
+    #[test]
+    fn per_sensor_cache_hits_share_the_cached_vector() {
+        let dir = TempDir::new("share");
+        let series = generate_sensor(&CadTransectConfig::default().with_days(3).clean(), 1, 7);
+        let mut idx = SegDiffIndex::create(&dir.0, SegDiffConfig::default()).unwrap();
+        idx.ingest_series(&series).unwrap();
+        idx.finish().unwrap();
+        let idx = Arc::new(idx);
+        let engine = Engine::Single(Arc::clone(&idx));
+        let region = featurespace::QueryRegion::drop(HOUR, -2.0);
+        let (cold, _, cached) = engine
+            .query(&region, QueryPlan::SeqScan, Some(&[0]))
+            .unwrap();
+        assert!(!cached && !cold[0].1.is_empty());
+        let (warm, _, cached) = engine.query(&region, QueryPlan::SeqScan, None).unwrap();
+        assert!(cached);
+        let (held, _, _) = idx.query_cached(&region, QueryPlan::SeqScan).unwrap();
+        assert!(Arc::ptr_eq(&warm[0].1, &held));
+        assert!(Arc::ptr_eq(&cold[0].1, &held));
+    }
 
     #[test]
     fn parses_minimal_query_spec() {
