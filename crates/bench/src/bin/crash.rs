@@ -14,6 +14,11 @@
 //! 2. **Theorem-1 completeness over the prefix**: a drop query against
 //!    the recovered index finds every true event inside the recovered
 //!    prefix — no event is lost across the crash/recovery seam.
+//! 3. **The B+trees are the heap's**: the child maintains every query
+//!    B+tree while it ingests, so a kill loses write buffers and leaves
+//!    tree files behind the heap; whether recovery dropped and rebuilt
+//!    them or a completed run's reopen re-derived the buffers, the index
+//!    plan must answer exactly as the sequential scan does.
 //!
 //! The child then *resumes* from the recovered prefix, so one run also
 //! exercises repeated crash–recover–resume cycles over the same store.
@@ -131,6 +136,8 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
             f64::NEG_INFINITY,
         )
     };
+    // Idempotent: builds only the B+trees a kill kept from existing.
+    idx.build_indexes().expect("build_indexes");
     for (t, v) in series.iter().filter(|&(t, _)| t > last_t) {
         idx.push(t, v).expect("push");
         if throttle_us > 0 {
@@ -187,11 +194,26 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
             results.len()
         ));
     }
+    // A kill before the child's `build_indexes` finished leaves some
+    // B+trees unbuilt; the ones that exist stay as recovery left them.
+    idx.build_indexes().map_err(|e| e.to_string())?;
+    for region in [region, QueryRegion::jump(2.0 * HOUR, 1.0)] {
+        let run = |plan| idx.query(&region, plan).map_err(|e| e.to_string());
+        let (scan, index) = (run(QueryPlan::SeqScan)?.0, run(QueryPlan::Index)?.0);
+        if scan != index {
+            return Err(format!(
+                "plans disagree on {region:?}: {} pairs by scan, {} by index",
+                scan.len(),
+                index.len()
+            ));
+        }
+    }
     Ok(format!(
-        "clean={} replayed={} truncated={} segments={} events={} results={}",
+        "clean={} replayed={} truncated={} dropped_indexes={} segments={} events={} results={}",
         report.clean,
         report.replayed_pages,
         report.truncated_rows,
+        report.dropped_indexes,
         segments.len(),
         events.len(),
         results.len()

@@ -159,12 +159,23 @@ pub const METRICS: &[MetricDef] = &[
         "probe.leaf_hops",
         "Leaf-sibling links followed by batched probes instead of re-descending",
     ),
-    // B+trees (pagestore::btree).
-    MetricDef::counter("btree.inserts", "Entries inserted into B+tree indexes"),
+    // B+trees and their write buffers (pagestore::btree, pagestore::table).
+    MetricDef::counter(
+        "btree.inserts",
+        "Entries inserted into B+tree indexes (counted as they enter the write buffer)",
+    ),
+    MetricDef::counter(
+        "btree.applies",
+        "Write buffers merged into their B+tree, a whole sorted buffer at a time",
+    ),
+    MetricDef::counter(
+        "btree.apply_leaves",
+        "Leaf visits made by those merges (btree.inserts / btree.apply_leaves = entries per visit)",
+    ),
     MetricDef::counter("btree.range_scans", "Range scans started on B+tree indexes"),
     MetricDef::counter(
         "btree.entries_scanned",
-        "Index entries visited by range scans",
+        "Index entries visited by range scans, in the tree or its write buffer",
     ),
     // Write-ahead log (pagestore::wal).
     MetricDef::counter("wal.appends", "Records appended to the write-ahead log"),

@@ -27,11 +27,14 @@ pub(crate) const MAX_KEY_WIDTH: usize = (PAGE_SIZE - HDR) / 4 - 8;
 const MAX_HEIGHT: usize = 32;
 
 /// Global-registry counters for index activity (`btree.*`), shared by
-/// every tree in the process.
-struct BTreeMetrics {
-    inserts: Arc<obs::Counter>,
+/// every tree in the process. The table layer counts what happens in a
+/// tree's write buffer: an entry received, an entry scanned there.
+pub(crate) struct BTreeMetrics {
+    pub(crate) inserts: Arc<obs::Counter>,
+    applies: Arc<obs::Counter>,
+    apply_leaves: Arc<obs::Counter>,
     range_scans: Arc<obs::Counter>,
-    entries_scanned: Arc<obs::Counter>,
+    pub(crate) entries_scanned: Arc<obs::Counter>,
     probe_batches: Arc<obs::Counter>,
     probe_ranges: Arc<obs::Counter>,
     probe_descents: Arc<obs::Counter>,
@@ -43,6 +46,8 @@ impl BTreeMetrics {
         let r = obs::global();
         BTreeMetrics {
             inserts: r.counter("btree.inserts"),
+            applies: r.counter("btree.applies"),
+            apply_leaves: r.counter("btree.apply_leaves"),
             range_scans: r.counter("btree.range_scans"),
             entries_scanned: r.counter("btree.entries_scanned"),
             probe_batches: r.counter("probe.batches"),
@@ -214,6 +219,10 @@ impl BTree {
         self.key_width
     }
 
+    pub(crate) fn metrics(&self) -> &BTreeMetrics {
+        &self.metrics
+    }
+
     /// Bytes used on disk.
     pub fn size_bytes(&self) -> u64 {
         self.pool.file_size_bytes(self.fid)
@@ -229,18 +238,19 @@ impl BTree {
         self.height
     }
 
-    /// Inserts an entry. Duplicate keys are allowed and kept adjacent (the
-    /// engine appends a unique row-id suffix to every key anyway).
+    /// Inserts one entry. Duplicate keys are allowed and kept adjacent (the
+    /// engine appends a unique row-id suffix to every key anyway). Tables
+    /// write through [`BTree::insert_sorted`]; this is the step it takes
+    /// for a key whose leaf is full, and the oracle its tests compare to.
     pub fn insert(&mut self, key: &[u8], val: u64) -> Result<()> {
         assert_eq!(key.len(), self.key_width, "key width mismatch");
-        self.metrics.inserts.inc();
         // Descend, recording the path of internal pages.
         let mut path = [NO_PAGE; MAX_HEIGHT];
         let mut depth = self.height as usize;
         let mut pid = self.root;
         for slot in &mut path[..depth] {
             *slot = pid;
-            pid = self.child_for(pid, key)?;
+            pid = self.child_for(pid, key, None)?;
         }
         // Fast path: leaf has room.
         let kw = self.key_width;
@@ -288,6 +298,90 @@ impl BTree {
         })?;
         self.root = new_root;
         self.height += 1;
+        Ok(())
+    }
+
+    /// Inserts `n` entries that are **already sorted by key** —
+    /// `entry(0)`, …, `entry(n - 1)` — visiting each leaf they touch once
+    /// instead of once per entry. One descent finds the leaf of the next
+    /// entry and that leaf's upper fence (the tightest separator above the
+    /// key on the path); every following entry below the fence that still
+    /// fits is merged into the leaf in the same backward pass. Only an
+    /// entry that finds its leaf full goes through [`BTree::insert`] and
+    /// its split. The tree ends up holding what `n` single inserts would
+    /// have stored; page contents may differ from theirs, but are a pure
+    /// function of the tree and the run.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key has the wrong width or the run is not sorted.
+    pub fn insert_sorted<'a>(
+        &mut self,
+        n: usize,
+        entry: impl Fn(usize) -> (&'a [u8], u64),
+    ) -> Result<()> {
+        self.metrics.applies.inc();
+        let kw = self.key_width;
+        let esz = kw + 8;
+        let cap = self.leaf_cap;
+        let mut fence = Vec::new();
+        let mut i = 0;
+        while i < n {
+            let (key, val) = entry(i);
+            assert_eq!(key.len(), kw, "key width mismatch");
+            fence.clear();
+            let mut pid = self.root;
+            for _ in 0..self.height {
+                pid = self.child_for(pid, key, Some(&mut fence))?;
+            }
+            self.metrics.apply_leaves.inc();
+            let taken = self.pool.with_page_mut(self.fid, pid, |b| {
+                let have = page::get_u16(b, 2) as usize;
+                // The run this leaf takes: below its fence, as many as fit.
+                let mut take = 0;
+                while take < cap - have && i + take < n {
+                    let next = entry(i + take).0;
+                    if i + take > 0 {
+                        let sorted = key_cmp(entry(i + take - 1).0, next).is_le();
+                        assert!(sorted, "insert_sorted input must be sorted");
+                    }
+                    if !fence.is_empty() && key_cmp(next, &fence).is_ge() {
+                        break;
+                    }
+                    take += 1;
+                }
+                // Merge from the back: each stored entry moves at most
+                // once, straight to its final slot. `src` and `dst` are
+                // the exclusive ends of what is still to be placed and of
+                // the room left for it. The page is walked, not searched:
+                // the whole of it is touched anyway, and in address order
+                // a cold page streams in where a binary search would
+                // stall on every probe.
+                let (mut src, mut dst) = (have, have + take);
+                for j in (i..i + take).rev() {
+                    let (k, v) = entry(j);
+                    let mut pos = src;
+                    while pos > 0 && key_cmp(&b[HDR + (pos - 1) * esz..][..kw], k).is_ge() {
+                        pos -= 1;
+                    }
+                    dst -= src - pos;
+                    b.copy_within(HDR + pos * esz..HDR + src * esz, HDR + dst * esz);
+                    src = pos;
+                    dst -= 1;
+                    b[HDR + dst * esz..HDR + dst * esz + kw].copy_from_slice(k);
+                    page::put_u64(b, HDR + dst * esz + kw, v);
+                }
+                page::put_u16(b, 2, (have + take) as u16);
+                take
+            })?;
+            if taken == 0 {
+                self.insert(key, val)?;
+                i += 1;
+            } else {
+                self.count += taken as u64;
+                i += taken;
+            }
+        }
         Ok(())
     }
 
@@ -535,14 +629,21 @@ impl BTree {
         Ok(())
     }
 
-    /// Finds the child of internal node `pid` that covers `key`.
-    fn child_for(&self, pid: PageId, key: &[u8]) -> Result<PageId> {
+    /// Finds the child of internal node `pid` that covers `key`. When the
+    /// node holds a separator above `key`, it replaces `fence`: the last
+    /// one a descent leaves there bounds the leaf it ends in.
+    fn child_for(&self, pid: PageId, key: &[u8], fence: Option<&mut Vec<u8>>) -> Result<PageId> {
         let kw = self.key_width;
         self.pool.with_page(self.fid, pid, |b| {
             debug_assert_eq!(b[0], KIND_INTERNAL);
             let n = page::get_u16(b, 2) as usize;
             // Largest entry with key <= search key, else child0.
             let pos = internal_upper_bound(b, n, kw, key);
+            if let Some(fence) = fence.filter(|_| pos < n) {
+                let off = HDR + pos * (kw + 4);
+                fence.clear();
+                fence.extend_from_slice(&b[off..off + kw]);
+            }
             if pos == 0 {
                 page::get_u32(b, 4)
             } else {
@@ -589,51 +690,36 @@ impl BTree {
         let esz = kw + 8;
         let mut old = PageBuf::zeroed();
         self.pool.read_page_into(self.fid, pid, &mut old)?;
-        let n = page::get_u16(old.bytes(), 2) as usize;
-        let next = page::get_u32(old.bytes(), 4);
+        let old = old.bytes();
+        let n = page::get_u16(old, 2) as usize;
+        let next = page::get_u32(old, 4);
 
-        // Gather all n + 1 entries in order.
-        let mut entries: Vec<(Vec<u8>, u64)> = Vec::with_capacity(n + 1);
-        let pos = leaf_lower_bound(old.bytes(), n, kw, key);
-        for i in 0..n {
-            let off = HDR + i * esz;
-            if i == pos {
-                entries.push((key.to_vec(), val));
-            }
-            entries.push((
-                old.bytes()[off..off + kw].to_vec(),
-                page::get_u64(old.bytes(), off + kw),
-            ));
-        }
-        if pos == n {
-            entries.push((key.to_vec(), val));
-        }
+        // All n + 1 entries in key order, as the bytes a page stores.
+        let at = HDR + leaf_lower_bound(old, n, kw, key) * esz;
+        let mut all = Vec::with_capacity((n + 1) * esz);
+        all.extend_from_slice(&old[HDR..at]);
+        all.extend_from_slice(key);
+        all.extend_from_slice(&val.to_le_bytes());
+        all.extend_from_slice(&old[at..HDR + n * esz]);
 
-        let mid = entries.len() / 2;
+        let mid = all.len() / esz / 2;
+        let (left, right) = all.split_at(mid * esz);
         let new_pid = self.pool.allocate_page(self.fid)?;
-        // Rewrite the left page.
+        // Rewrite the left page (what lies past its entries stays).
         self.pool.with_page_mut(self.fid, pid, |b| {
             b[0] = KIND_LEAF;
             page::put_u16(b, 2, mid as u16);
             page::put_u32(b, 4, new_pid);
-            for (i, (k, v)) in entries[..mid].iter().enumerate() {
-                let off = HDR + i * esz;
-                b[off..off + kw].copy_from_slice(k);
-                page::put_u64(b, off + kw, *v);
-            }
+            b[HDR..HDR + left.len()].copy_from_slice(left);
         })?;
         // Fill the right page.
         self.pool.with_page_mut(self.fid, new_pid, |b| {
             b[0] = KIND_LEAF;
-            page::put_u16(b, 2, (entries.len() - mid) as u16);
+            page::put_u16(b, 2, (n + 1 - mid) as u16);
             page::put_u32(b, 4, next);
-            for (i, (k, v)) in entries[mid..].iter().enumerate() {
-                let off = HDR + i * esz;
-                b[off..off + kw].copy_from_slice(k);
-                page::put_u64(b, off + kw, *v);
-            }
+            b[HDR..HDR + right.len()].copy_from_slice(right);
         })?;
-        Ok((entries[mid].0.clone(), new_pid))
+        Ok((right[..kw].to_vec(), new_pid))
     }
 
     /// Inserts (sep, child) into internal node `pid`; splits it when full,
@@ -663,59 +749,44 @@ impl BTree {
         if done {
             return Ok(None);
         }
-        // Split: gather entries + child0, insert, promote the middle key.
+        // Split: all n + 1 entries in key order as page bytes, the middle
+        // one promoted (its key goes up, its child opens the right node).
         let mut old = PageBuf::zeroed();
         self.pool.read_page_into(self.fid, pid, &mut old)?;
-        let n = page::get_u16(old.bytes(), 2) as usize;
-        let child0 = page::get_u32(old.bytes(), 4);
-        let mut entries: Vec<(Vec<u8>, PageId)> = Vec::with_capacity(n + 1);
-        let pos = internal_upper_bound(old.bytes(), n, kw, sep);
-        for i in 0..n {
-            let off = HDR + i * esz;
-            if i == pos {
-                entries.push((sep.to_vec(), child));
-            }
-            entries.push((
-                old.bytes()[off..off + kw].to_vec(),
-                page::get_u32(old.bytes(), off + kw),
-            ));
-        }
-        if pos == n {
-            entries.push((sep.to_vec(), child));
-        }
+        let old = old.bytes();
+        let n = page::get_u16(old, 2) as usize;
+        let child0 = page::get_u32(old, 4);
+        let at = HDR + internal_upper_bound(old, n, kw, sep) * esz;
+        let mut all = Vec::with_capacity((n + 1) * esz);
+        all.extend_from_slice(&old[HDR..at]);
+        all.extend_from_slice(sep);
+        all.extend_from_slice(&child.to_le_bytes());
+        all.extend_from_slice(&old[at..HDR + n * esz]);
 
-        let mid = entries.len() / 2;
-        let (promoted, right_child0) = entries[mid].clone();
+        let mid = all.len() / esz / 2;
+        let (left, rest) = all.split_at(mid * esz);
+        let (promoted, right) = rest.split_at(esz);
         let new_pid = self.pool.allocate_page(self.fid)?;
         self.pool.with_page_mut(self.fid, pid, |b| {
             b[0] = KIND_INTERNAL;
             page::put_u16(b, 2, mid as u16);
             page::put_u32(b, 4, child0);
-            for (i, (k, c)) in entries[..mid].iter().enumerate() {
-                let off = HDR + i * esz;
-                b[off..off + kw].copy_from_slice(k);
-                page::put_u32(b, off + kw, *c);
-            }
+            b[HDR..HDR + left.len()].copy_from_slice(left);
         })?;
-        let right = &entries[mid + 1..];
         self.pool.with_page_mut(self.fid, new_pid, |b| {
             b[0] = KIND_INTERNAL;
-            page::put_u16(b, 2, right.len() as u16);
-            page::put_u32(b, 4, right_child0);
-            for (i, (k, c)) in right.iter().enumerate() {
-                let off = HDR + i * esz;
-                b[off..off + kw].copy_from_slice(k);
-                page::put_u32(b, off + kw, *c);
-            }
+            page::put_u16(b, 2, (n - mid) as u16);
+            page::put_u32(b, 4, page::get_u32(promoted, kw));
+            b[HDR..HDR + right.len()].copy_from_slice(right);
         })?;
-        Ok(Some((promoted, new_pid)))
+        Ok(Some((promoted[..kw].to_vec(), new_pid)))
     }
 }
 
 /// Byte-lexicographic order of two keys of one width. A width that is a
 /// multiple of 8 — every key [`crate::encode`] builds — compares word by
 /// word: big-endian words order as their bytes do.
-fn key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
+pub(crate) fn key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
     let (words_a, words_b) = (a.chunks_exact(8), b.chunks_exact(8));
     if !words_a.remainder().is_empty() {
         return a.cmp(b);
@@ -987,6 +1058,150 @@ mod tests {
         .unwrap();
         assert_eq!(n, 3000);
         std::fs::remove_file(&p).ok();
+    }
+
+    /// Feeds the same sorted runs to one tree through `insert_sorted` and
+    /// to another one entry at a time, and after every run compares both,
+    /// over the whole key space and over random sub-ranges, with a sorted
+    /// model. Entries of equal key may come in any order of value.
+    fn check_sorted_runs(name: &str, kw: usize, runs: &[Vec<(Vec<u8>, u64)>], min_height: u32) {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let (_pa, mut merged, pa) = setup(&format!("{name}-sorted"), kw);
+        let (_pb, mut single, pb) = setup(&format!("{name}-single"), kw);
+        let mut model: Vec<(Vec<u8>, u64)> = Vec::new();
+        let mut rng = StdRng::seed_from_u64(kw as u64);
+        let dump = |bt: &BTree, lo: &[u8], hi: &[u8]| {
+            let mut got = Vec::new();
+            bt.range(lo, hi, |k, v| {
+                got.push((k.to_vec(), v));
+                true
+            })
+            .unwrap();
+            assert!(
+                got.windows(2).all(|w| w[0].0 <= w[1].0),
+                "{name}: key order"
+            );
+            got.sort();
+            got
+        };
+        for (r, run) in runs.iter().enumerate() {
+            merged
+                .insert_sorted(run.len(), |i| (run[i].0.as_slice(), run[i].1))
+                .unwrap();
+            for (k, v) in run {
+                single.insert(k, *v).unwrap();
+            }
+            model.extend(run.iter().cloned());
+            model.sort();
+            assert_eq!(merged.len(), model.len() as u64, "{name}: run {r}");
+            let mut bounds = vec![(vec![0u8; kw], vec![0xFFu8; kw])];
+            for _ in 0..4 {
+                let (mut lo, mut hi) = (vec![0u8; kw], vec![0xFFu8; kw]);
+                rng.fill(&mut lo[..2]);
+                rng.fill(&mut hi[..2]);
+                bounds.push((lo.clone().min(hi.clone()), lo.max(hi)));
+            }
+            for (lo, hi) in &bounds {
+                let want: Vec<_> = model
+                    .iter()
+                    .filter(|(k, _)| lo <= k && k <= hi)
+                    .cloned()
+                    .collect();
+                assert_eq!(dump(&merged, lo, hi), want, "{name}: run {r}, sorted");
+                assert_eq!(dump(&single, lo, hi), want, "{name}: run {r}, single");
+            }
+        }
+        assert!(merged.height() >= min_height, "height {}", merged.height());
+        std::fs::remove_file(&pa).ok();
+        std::fs::remove_file(&pb).ok();
+    }
+
+    /// A run of `len` sorted entries: `kw`-byte keys that open with a
+    /// random draw from `domain` values (so keys repeat when it is small)
+    /// and, when `unique`, close with a counter.
+    fn sorted_run(
+        rng: &mut impl rand::RngExt,
+        kw: usize,
+        len: usize,
+        domain: u64,
+        unique: &mut Option<u64>,
+    ) -> Vec<(Vec<u8>, u64)> {
+        let mut run: Vec<(Vec<u8>, u64)> = (0..len)
+            .map(|_| {
+                let mut k = vec![0u8; kw];
+                let lead = rng.random_range(0..domain) * (u64::MAX / domain);
+                k[..8].copy_from_slice(&lead.to_be_bytes());
+                if let Some(n) = unique {
+                    k[kw - 8..].copy_from_slice(&n.to_be_bytes());
+                    *n += 1;
+                }
+                (k, rng.random_range(0..1_000_000u64))
+            })
+            .collect();
+        run.sort();
+        run
+    }
+
+    #[test]
+    fn insert_sorted_matches_single_inserts_on_random_runs() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        // 16-byte keys: 170 to a leaf. The first run goes into the empty
+        // tree; many runs are longer than a leaf.
+        let mut rng = StdRng::seed_from_u64(512);
+        let mut unique = Some(0);
+        let runs: Vec<_> = (0..40)
+            .map(|_| {
+                let len = rng.random_range(1..600usize);
+                sorted_run(&mut rng, 16, len, 1 << 40, &mut unique)
+            })
+            .collect();
+        check_sorted_runs("random", 16, &runs, 1);
+    }
+
+    #[test]
+    fn insert_sorted_into_full_leaves_past_the_last_fence_and_onto_equal_keys() {
+        // 8-byte keys: 255 to a leaf. Even keys fill the root leaf to the
+        // brim; the next run finds it full at its first key (the split
+        // step), a later one lies wholly above every separator, and the
+        // last two repeat stored keys, and one key many times over.
+        let evens = |range: std::ops::Range<u64>| -> Vec<(Vec<u8>, u64)> {
+            range.map(|i| (key8(i * 2).to_vec(), i)).collect()
+        };
+        let odds: Vec<_> = (100..140u64)
+            .map(|i| (key8(i * 2 + 1).to_vec(), i))
+            .collect();
+        let beyond: Vec<_> = (0..700u64)
+            .map(|i| (key8(1_000_000 + i).to_vec(), i))
+            .collect();
+        let again: Vec<_> = evens(0..255).into_iter().map(|(k, v)| (k, v + 7)).collect();
+        let same: Vec<_> = (0..600u64).map(|i| (key8(300).to_vec(), i)).collect();
+        let runs = [evens(0..255), odds, evens(255..300), beyond, again, same];
+        check_sorted_runs("edges", 8, &runs, 1);
+    }
+
+    #[test]
+    fn insert_sorted_grows_a_tall_tree_of_wide_keys() {
+        use rand::{rngs::StdRng, SeedableRng};
+        // 200-byte keys: 19 to a leaf, 20 to an internal node.
+        let mut rng = StdRng::seed_from_u64(200);
+        let mut unique = Some(0);
+        let runs: Vec<_> = (0..30)
+            .map(|_| sorted_run(&mut rng, 200, 100, 1 << 30, &mut unique))
+            .collect();
+        check_sorted_runs("tall", 200, &runs, 2);
+        // Few distinct keys, many copies: runs of equal keys span leaves.
+        let runs: Vec<_> = (0..12)
+            .map(|_| sorted_run(&mut rng, 200, 90, 5, &mut None))
+            .collect();
+        check_sorted_runs("tall-dups", 200, &runs, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "sorted")]
+    fn insert_sorted_rejects_an_unsorted_run() {
+        let (_pool, mut bt, _p) = setup("unsorted-run", 8);
+        let keys = [key8(5), key8(3)];
+        let _ = bt.insert_sorted(2, |i| (keys[i].as_slice(), 0));
     }
 
     /// `search_batch` over random key batches is observationally identical

@@ -247,18 +247,29 @@ impl Database {
                     let path = db.index_path(tname, iname);
                     let tree = if BTree::file_is_valid(&path) {
                         let fid = db.pool.register_file(PageFile::open(&path)?);
-                        BTree::open(db.pool.clone(), fid)?
+                        Some(BTree::open(db.pool.clone(), fid)?)
                     } else {
-                        // The file is missing (recovery dropped the
-                        // unlogged B+tree) or torn (a crash caught the
-                        // build before its pages were flushed); rebuild
-                        // it from the recovered heap with the same
-                        // deterministic bulk load that created it.
-                        let fid = db.pool.register_file(PageFile::create(&path)?);
-                        rebuilt_indexes = true;
-                        db.bulk_build_tree(&table, fid, &cols)?
+                        None
                     };
-                    table.attach_index(iname.to_string(), cols, tree);
+                    // A tree holds the first `len()` rows of its heap
+                    // (`attach_index` derives the rest into its write
+                    // buffer), so one that claims more rows than the
+                    // heap has is as unusable as a torn file.
+                    let tree = match tree.filter(|t| t.len() <= table.num_rows()) {
+                        Some(tree) => tree,
+                        None => {
+                            // The file is missing (recovery dropped the
+                            // unlogged B+tree), torn (a crash caught the
+                            // build before its pages were flushed) or
+                            // ahead of its heap; rebuild it from the
+                            // recovered heap with the same deterministic
+                            // bulk load that created it.
+                            let fid = db.pool.register_file(PageFile::create(&path)?);
+                            rebuilt_indexes = true;
+                            db.bulk_build_tree(&table, fid, &cols)?
+                        }
+                    };
+                    table.attach_index(iname.to_string(), cols, tree)?;
                 }
                 [] => {}
                 _ => {
@@ -364,7 +375,7 @@ impl Database {
         // B+trees are unlogged, so a crash between the two would leave a
         // cataloged index whose file is still unwritten zeros.
         self.pool.flush_file(fid)?;
-        table.attach_index(index_name.to_string(), col_idx.clone(), tree);
+        table.attach_index(index_name.to_string(), col_idx.clone(), tree)?;
         let cols_text: Vec<String> = col_idx.iter().map(|c| c.to_string()).collect();
         self.catalog.lock().push(format!(
             "index {table_name} {index_name} {}",
@@ -911,6 +922,171 @@ mod tests {
         .unwrap();
         assert_eq!(hits, 100, "torn index rebuilt from the heap");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every `.tbl` and `.idx` file of `dir`, by name.
+    fn data_files(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+        fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tbl") || name.ends_with(".idx"))
+            .map(|name| (name.clone(), fs::read(dir.join(&name)).unwrap()))
+            .collect()
+    }
+
+    /// Row `i` of a load whose keys arrive in scattered order.
+    fn scattered_row(i: u64) -> [f64; 3] {
+        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+        [(h % 977) as f64, -((h % 13) as f64), i as f64]
+    }
+
+    #[test]
+    fn reopen_and_continue_builds_the_files_of_one_handle() {
+        use crate::table::BUFFER_ENTRIES;
+        // Inserts rows up to each stop, flushing there and — when
+        // `reopen` — continuing on a fresh handle, whose write buffers
+        // are the ones derived from the heap. Apply points depend on the
+        // rows received alone, so a flush or a reopen on the way must
+        // not show in any file.
+        let build = |tag: &str, wal: bool, stops: &[u64], reopen: bool| {
+            let dir = tmpdir(tag);
+            fs::remove_dir_all(&dir).ok();
+            let opts = DurabilityOptions {
+                wal,
+                ..DurabilityOptions::default()
+            };
+            let mut db = Database::create_with(&dir, 256, opts).unwrap();
+            db.create_table(TableSpec::new("ev", &["a", "b", "c"]))
+                .unwrap();
+            db.create_index("ev", "by_ab", &["a", "b"]).unwrap();
+            db.create_index("ev", "by_c", &["c"]).unwrap();
+            db.create_index("ev", "by_ba", &["b", "a"]).unwrap();
+            let mut stored = 0;
+            for &stop in stops {
+                let t = db.table("ev").unwrap();
+                for name in t.index_names() {
+                    let tree = t.index(&name).unwrap();
+                    assert_eq!(tree.len(), stored, "{tag}: {name}");
+                    assert!(tree.buffered() < BUFFER_ENTRIES, "{tag}: {name}");
+                }
+                for i in stored..stop {
+                    t.insert(&scattered_row(i)).unwrap();
+                }
+                stored = stop;
+                db.commit(b"stop").unwrap();
+                db.flush().unwrap();
+                if reopen {
+                    drop((t, db));
+                    db = Database::open(&dir, 256).unwrap();
+                }
+            }
+            let buffered: usize = {
+                let t = db.table("ev").unwrap();
+                let trees = t.index_names().into_iter();
+                trees.map(|name| t.index(&name).unwrap().buffered()).sum()
+            };
+            drop(db);
+            let files = data_files(&dir);
+            fs::remove_dir_all(&dir).ok();
+            (files, buffered)
+        };
+        let b = BUFFER_ENTRIES as u64;
+        for (case, (n, m)) in [
+            (b / 5, b / 3),
+            (b / 5, b + 190),
+            (b + 190, b / 5),
+            (2 * b + 300, 2 * b),
+            (b, b),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            for wal in [false, true] {
+                let tag = |kind: &str| format!("continue-{case}-{wal}-{kind}");
+                let (whole, buffered) = build(&tag("whole"), wal, &[n + m], false);
+                let (flushed, _) = build(&tag("flushed"), wal, &[n, n + m], false);
+                let (reopened, _) = build(&tag("reopened"), wal, &[n, n + m], true);
+                assert_eq!(whole.len(), 4, "one heap, three trees");
+                assert!(buffered > 0, "{n} + {m}: nothing was left buffered");
+                assert!(whole == flushed, "{n} + {m}, wal {wal}: a flush shows");
+                assert!(whole == reopened, "{n} + {m}, wal {wal}: a reopen shows");
+            }
+        }
+    }
+
+    #[test]
+    fn reopen_derives_write_buffers_from_the_heap_tail_alone() {
+        let dir = tmpdir("tailonly");
+        fs::remove_dir_all(&dir).ok();
+        {
+            let db = Database::create(&dir, 1024).unwrap();
+            let t = db
+                .create_table(TableSpec::new("ev", &["a", "b", "c"]))
+                .unwrap();
+            db.create_index("ev", "by_ab", &["a", "b"]).unwrap();
+            db.create_index("ev", "by_c", &["c"]).unwrap();
+            for i in 0..40_000 {
+                t.insert(&scattered_row(i)).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        let db = Database::open(&dir, 1024).unwrap();
+        let reads = db.stats().physical_reads;
+        let t = db.table("ev").unwrap();
+        let heap_pages = t.heap_bytes() / crate::PAGE_SIZE as u64;
+        assert!(heap_pages > 200, "{heap_pages} heap pages");
+        // The meta pages of the heap and the two trees, and the few heap
+        // pages that hold the last rows (at most a buffer's worth).
+        assert!(reads <= 12, "open read {reads} of {heap_pages} heap pages");
+        for name in ["by_ab", "by_c"] {
+            let tree = t.index(name).unwrap();
+            assert_eq!(tree.len(), 40_000);
+            assert!(tree.buffered() > 0, "{name}: nothing derived");
+        }
+        // Tree and derived buffer together still hold every row once.
+        let mut seen = Vec::new();
+        t.index_scan("by_c", &[f64::NEG_INFINITY], &[f64::INFINITY], |_, cols| {
+            seen.push(cols[0] as u64);
+            true
+        })
+        .unwrap();
+        seen.sort_unstable();
+        assert!(seen.into_iter().eq(0..40_000));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn tree_ahead_of_its_heap_is_rebuilt_on_open() {
+        let dir = tmpdir("aheadidx");
+        fs::remove_dir_all(&dir).ok();
+        {
+            let db = Database::create(&dir, 128).unwrap();
+            let t = db.create_table(TableSpec::new("ev", &["x"])).unwrap();
+            db.create_index("ev", "by_x", &["x"]).unwrap();
+            for i in 0..300 {
+                t.insert(&[i as f64]).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        // A tree that claims more entries than the heap has rows cannot
+        // be "the first `len()` rows" of it: whatever wrote it, it is not
+        // this heap's index. (Entry count: a u64 at byte 16 of page 0.)
+        let idx = dir.join("ev.by_x.idx");
+        let mut bytes = fs::read(&idx).unwrap();
+        bytes[16..24].copy_from_slice(&10_000u64.to_le_bytes());
+        fs::write(&idx, bytes).unwrap();
+        let db = Database::open(&dir, 128).unwrap();
+        let t = db.table("ev").unwrap();
+        let tree = t.index("by_x").unwrap();
+        assert_eq!((tree.len(), tree.buffered()), (300, 0), "bulk-rebuilt");
+        let mut hits = 0;
+        t.index_scan("by_x", &[100.0], &[199.0], |_, _| {
+            hits += 1;
+            true
+        })
+        .unwrap();
+        assert_eq!(hits, 100);
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

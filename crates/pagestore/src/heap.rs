@@ -490,6 +490,49 @@ impl HeapFile {
         Ok(())
     }
 
+    /// Visits the rows after the first `skip`, in storage order, reading
+    /// only the pages that hold them: page row counts are walked back
+    /// from the tail page (columnar pages hold a variable number), then
+    /// those pages are decoded. This is how an index re-derives its write
+    /// buffer, so the cost follows the buffer, not the table.
+    pub fn scan_tail(&self, skip: u64, mut visit: impl FnMut(RowId, &[f64])) -> Result<()> {
+        let want = self.nrows.saturating_sub(skip);
+        let Some((tail, tail_rows)) = self.tail.filter(|_| want > 0) else {
+            return Ok(());
+        };
+        let (mut first, mut have) = (tail, tail_rows as u64);
+        while have < want {
+            first -= 1;
+            if first == META_PAGE {
+                return Err(StoreError::Corrupt(format!(
+                    "heap pages hold {have} of the last {want} rows"
+                )));
+            }
+            have += self
+                .pool
+                .with_page(self.fid, first, |b| page::get_u16(b, 0))? as u64;
+        }
+        let mut skip_slots = (have - want) as usize;
+        let mut buf = PageBuf::zeroed();
+        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
+        let mut row = vec![0.0f64; self.ncols];
+        let mut decoded = 0;
+        for pid in first..=tail {
+            self.pool.read_page_into(self.fid, pid, &mut buf)?;
+            let mut n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
+            if pid == tail {
+                n = n.min(tail_rows as usize); // past it: a crash's leftovers
+            }
+            for slot in skip_slots..n {
+                colpage::gather_row(&cols, slot, &mut row);
+                visit(rid(pid, slot as u16), &row);
+            }
+            skip_slots = 0;
+        }
+        Self::flush_decoded(decoded);
+        Ok(())
+    }
+
     /// Whether a zone map is currently maintained.
     pub fn has_zones(&self) -> bool {
         self.zones.is_some()

@@ -77,7 +77,7 @@ pub use heap::{CompressionStats, HeapFile, PageFormat, RowId, ZoneScanStats};
 pub use pagefile::{FileId, PageFile, PageId};
 pub use recovery::RecoveryReport;
 pub use sql::{ExecOutcome, Plan};
-pub use table::{Index, Table};
+pub use table::{Index, Table, BUFFER_ENTRIES};
 pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
 pub use zonemap::{ZoneMap, EXTENT_PAGES, ZONE_LEVELS};
 

@@ -1,12 +1,121 @@
-//! Tables: a heap file plus any number of B+tree indexes.
+//! Tables: a heap file plus any number of B+tree indexes, each behind a
+//! sorted write buffer.
 
-use crate::btree::{BTree, MAX_KEY_WIDTH};
-use crate::encode::{decode_key_rid, encode_key, encode_key_into, KeyBuf};
+use crate::btree::{key_cmp, BTree, MAX_KEY_WIDTH};
+use crate::encode::{decode_key_col, decode_key_rid, encode_key, encode_key_into, KeyBuf};
 use crate::error::Result;
 use crate::heap::{CompressionStats, HeapFile, PageFormat, RowId};
 use crate::pagefile::FileId;
 use crate::StoreError;
 use parking_lot::RwLock;
+use std::sync::Arc;
+
+/// How many entries an index holds back in its write buffer before it
+/// merges them into the B+tree in one [`BTree::insert_sorted`] pass.
+/// Inserts hit random leaves, so a tree of at most 75 leaves takes 7 or
+/// more entries per leaf visit (15 on average while a month of one
+/// sensor's features arrives) instead of one.
+pub const BUFFER_ENTRIES: usize = 512;
+
+/// When index `ordinal` of a table's `n` applies its buffer: every time
+/// the entries it has received, modulo [`BUFFER_ENTRIES`], equal this. The
+/// indexes of one table fill in lock-step; spreading their phases keeps
+/// them from all applying inside one batch.
+fn apply_phase(ordinal: usize, n: usize) -> u64 {
+    (BUFFER_ENTRIES * (ordinal + 1) / n % BUFFER_ENTRIES) as u64
+}
+
+/// How many of the sorted `keys` (`kw` bytes each) come before the first
+/// one `before` rejects.
+fn partition_point(keys: &[u8], kw: usize, mut before: impl FnMut(&[u8]) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, keys.len() / kw);
+    while lo < hi {
+        let mid = (lo + hi) / 2;
+        if before(&keys[mid * kw..][..kw]) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// What an [`Index`]'s lock guards: the B+tree, and the write buffer that
+/// holds the entries the tree has yet to receive. The tree always holds
+/// exactly the first `tree.len()` rows of the heap and the buffer the
+/// rows after them, so a buffer is never persisted: it is what
+/// [`Table::attach_index`] derives from the heap's tail.
+struct Buffered {
+    tree: BTree,
+    /// The buffered keys, `tree.key_width()` bytes each, in key order.
+    keys: Vec<u8>,
+}
+
+impl Buffered {
+    fn new(tree: BTree) -> Self {
+        Self {
+            tree,
+            keys: Vec::new(),
+        }
+    }
+
+    fn buffered(&self) -> usize {
+        self.keys.len() / self.tree.key_width()
+    }
+
+    /// Adds `key` to the buffer, in key order.
+    fn hold(&mut self, key: &[u8]) {
+        let kw = key.len();
+        let at = kw * partition_point(&self.keys, kw, |k| key_cmp(k, key).is_lt());
+        let end = self.keys.len();
+        self.keys.extend_from_slice(key);
+        self.keys.copy_within(at..end, at + kw);
+        self.keys[at..at + kw].copy_from_slice(key);
+    }
+
+    /// Inserts `key`: into the buffer, and the whole buffer into the tree
+    /// when that made the entries received (applied or buffered) reach an
+    /// apply point of `phase`. Apply points depend on that count alone —
+    /// not on a commit, flush, read or batch boundary — so one sequence
+    /// of rows always builds one tree file, however it was batched,
+    /// flushed or reopened on the way.
+    fn insert(&mut self, key: &[u8], phase: u64) -> Result<()> {
+        self.hold(key);
+        self.tree.metrics().inserts.inc();
+        let received = self.tree.len() + self.buffered() as u64;
+        if received % BUFFER_ENTRIES as u64 != phase {
+            return Ok(());
+        }
+        let Self { tree, keys } = self;
+        let kw = tree.key_width();
+        tree.insert_sorted(keys.len() / kw, |i| {
+            let key = &keys[i * kw..][..kw];
+            (key, decode_key_rid(key, kw / 8 - 1))
+        })?;
+        keys.clear();
+        Ok(())
+    }
+
+    /// Visits the buffered keys within `[lo, hi]` in key order; `false`
+    /// when the visitor stopped the scan. Two binary searches bound the
+    /// run, so no key outside the range is looked at.
+    fn scan(&self, lo: &[u8], hi: &[u8], mut visit: impl FnMut(&[u8]) -> bool) -> bool {
+        if self.keys.is_empty() {
+            return true;
+        }
+        let kw = lo.len();
+        let from = kw * partition_point(&self.keys, kw, |k| key_cmp(k, lo).is_lt());
+        let run = &self.keys[from..];
+        let run = &run[..kw * partition_point(run, kw, |k| key_cmp(k, hi).is_le())];
+        let mut visited = 0;
+        let more = run.chunks_exact(kw).all(|key| {
+            visited += 1;
+            visit(key)
+        });
+        self.tree.metrics().entries_scanned.add(visited);
+        more
+    }
+}
 
 /// A secondary index over a subset of a table's columns.
 ///
@@ -19,7 +128,7 @@ pub struct Index {
     name: String,
     /// Positions of the indexed columns within the table schema.
     cols: Vec<usize>,
-    tree: RwLock<BTree>,
+    tree: RwLock<Buffered>,
 }
 
 impl Index {
@@ -33,14 +142,22 @@ impl Index {
         &self.cols
     }
 
-    /// Bytes used on disk.
+    /// Bytes used on disk (the tree file; buffered entries are not
+    /// stored).
     pub fn size_bytes(&self) -> u64 {
-        self.tree.read().size_bytes()
+        self.tree.read().tree.size_bytes()
     }
 
-    /// Number of entries.
+    /// Number of entries, buffered ones included.
     pub fn len(&self) -> u64 {
-        self.tree.read().len()
+        let guard = self.tree.read();
+        guard.tree.len() + guard.buffered() as u64
+    }
+
+    /// How many of the entries sit in the write buffer, yet to be merged
+    /// into the tree.
+    pub fn buffered(&self) -> usize {
+        self.tree.read().buffered()
     }
 
     /// Whether the index is empty.
@@ -50,13 +167,14 @@ impl Index {
 
     /// The pool file id of the backing B+tree.
     pub(crate) fn tree_fid(&self) -> FileId {
-        self.tree.read().fid()
+        self.tree.read().tree.fid()
     }
 
     /// Replaces the backing tree in place (heap rewrites rebuild every
-    /// index because row ids change with the page format).
+    /// index because row ids change with the page format). The new tree
+    /// holds every row, so the buffer starts empty.
     pub(crate) fn replace_tree(&self, tree: BTree) {
-        *self.tree.write() = tree;
+        *self.tree.write() = Buffered::new(tree);
     }
 }
 
@@ -65,7 +183,7 @@ pub struct Table {
     name: String,
     cols: Vec<String>,
     heap: RwLock<HeapFile>,
-    indexes: RwLock<Vec<std::sync::Arc<Index>>>,
+    indexes: RwLock<Vec<Arc<Index>>>,
 }
 
 impl Table {
@@ -78,12 +196,24 @@ impl Table {
         }
     }
 
-    pub(crate) fn attach_index(&self, name: String, cols: Vec<usize>, tree: BTree) {
-        self.indexes.write().push(std::sync::Arc::new(Index {
+    /// Attaches `tree` as an index over `cols`. A tree that holds fewer
+    /// entries than the heap holds rows was persisted with the rest in
+    /// its buffer: those are the heap's last rows, and the buffer is
+    /// derived from them again (reading the heap's tail, not the heap).
+    pub(crate) fn attach_index(&self, name: String, cols: Vec<usize>, tree: BTree) -> Result<()> {
+        let mut tree = Buffered::new(tree);
+        let mut key = [0u8; MAX_KEY_WIDTH];
+        let key = &mut key[..cols.len() * 8 + 8];
+        self.heap.read().scan_tail(tree.tree.len(), |rid, row| {
+            encode_key_into(cols.iter().map(|&c| row[c]), rid, key);
+            tree.hold(key);
+        })?;
+        self.indexes.write().push(Arc::new(Index {
             name,
             cols,
             tree: RwLock::new(tree),
         }));
+        Ok(())
     }
 
     /// The table name.
@@ -134,8 +264,9 @@ impl Table {
 
     /// Appends `rows` (row-major, whole rows), maintaining every index,
     /// with one acquisition of the heap lock and of each tree lock for
-    /// the whole batch. The heap, and each B+tree, receives the rows in
-    /// the given order, so every file ends byte for byte as
+    /// the whole batch. The heap, and each index, receives the rows in
+    /// the given order, and an index applies its buffer at the same rows
+    /// wherever a batch ends, so every file ends byte for byte as
     /// [`Table::insert`] row by row leaves it.
     pub fn insert_many(&self, rows: &[f64]) -> Result<()> {
         let mut rids = vec![0; rows.len() / self.cols.len()];
@@ -156,12 +287,13 @@ impl Table {
             return Ok(());
         }
         let mut key = [0u8; MAX_KEY_WIDTH];
-        for idx in indexes.iter() {
+        for (ordinal, idx) in indexes.iter().enumerate() {
             let key = &mut key[..idx.cols.len() * 8 + 8];
+            let phase = apply_phase(ordinal, indexes.len());
             let mut tree = idx.tree.write();
             for (row, &rid) in rows.chunks_exact(ncols).zip(rids.iter()) {
                 encode_key_into(idx.cols.iter().map(|&c| row[c]), rid, key);
-                tree.insert(key, rid)?;
+                tree.insert(key, phase)?;
             }
         }
         Ok(())
@@ -182,7 +314,7 @@ impl Table {
     }
 
     /// Looks up an index by name.
-    pub fn index(&self, name: &str) -> Result<std::sync::Arc<Index>> {
+    pub fn index(&self, name: &str) -> Result<Arc<Index>> {
         self.indexes
             .read()
             .iter()
@@ -201,6 +333,9 @@ impl Table {
     /// column order). The visitor receives the row id and the *indexed*
     /// column values decoded from the key; fetch the full row with
     /// [`Table::fetch`] only when needed.
+    ///
+    /// Entries arrive as two key-ordered runs, tree first: what the
+    /// B+tree holds of the range, then what the write buffer holds of it.
     pub fn index_scan(
         &self,
         index_name: &str,
@@ -217,22 +352,32 @@ impl Table {
         encode_key(lo, 0, &mut lo_key);
         encode_key(hi, u64::MAX, &mut hi_key);
         let mut cols = vec![0.0f64; ncols];
-        let result = idx.tree.read().range(&lo_key, &hi_key, |key, _val| {
+        let mut emit = |key: &[u8]| {
             for (i, c) in cols.iter_mut().enumerate() {
-                *c = crate::encode::decode_key_col(key, i);
+                *c = decode_key_col(key, i);
             }
-            let rid = decode_key_rid(key, ncols);
-            visit(rid, &cols)
-        });
-        result
+            visit(decode_key_rid(key, ncols), &cols)
+        };
+        let guard = idx.tree.read();
+        let mut more = true;
+        guard.tree.range(&lo_key, &hi_key, |key, _val| {
+            more = emit(key);
+            more
+        })?;
+        if more {
+            guard.scan(&lo_key, &hi_key, emit);
+        }
+        Ok(())
     }
 
     /// Batched variant of [`Table::index_scan`]: runs every `(lo, hi)`
     /// probe in one pass over the index via [`BTree::search_batch`]. The
     /// visitor receives the *range index* (position in `ranges`), the row
-    /// id and the decoded indexed columns; entries arrive in key order
-    /// within each range, with ranges processed in ascending-`lo` order.
-    /// Returning `false` stops the whole batch.
+    /// id and the decoded indexed columns. Each range's entries arrive as
+    /// [`Table::index_scan`] delivers them — two key-ordered runs per
+    /// range, tree first — with the tree runs of all ranges (in
+    /// ascending-`lo` order) ahead of the buffer runs. Returning `false`
+    /// stops the whole batch.
     pub fn index_scan_batch(
         &self,
         index_name: &str,
@@ -254,15 +399,22 @@ impl Table {
         let byte_ranges: Vec<(&[u8], &[u8])> =
             keys.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
         let mut cols = vec![0.0f64; ncols];
-        let tree = idx.tree.read();
-        let result = tree.search_batch(&byte_ranges, |ri, key, _val| {
+        let mut emit = |ri: usize, key: &[u8]| {
             for (i, c) in cols.iter_mut().enumerate() {
-                *c = crate::encode::decode_key_col(key, i);
+                *c = decode_key_col(key, i);
             }
-            let rid = decode_key_rid(key, ncols);
-            visit(ri, rid, &cols)
-        });
-        result
+            visit(ri, decode_key_rid(key, ncols), &cols)
+        };
+        let guard = idx.tree.read();
+        let mut more = true;
+        guard.tree.search_batch(&byte_ranges, |ri, key, _val| {
+            more = emit(ri, key);
+            more
+        })?;
+        for (ri, (lo, hi)) in byte_ranges.iter().enumerate() {
+            more = more && guard.scan(lo, hi, |key| emit(ri, key));
+        }
+        Ok(())
     }
 
     /// Fetches many rows with one page read per distinct page. `rids`
@@ -345,7 +497,7 @@ impl Table {
         *self.heap.write() = heap;
     }
 
-    pub(crate) fn indexes(&self) -> Vec<std::sync::Arc<Index>> {
+    pub(crate) fn indexes(&self) -> Vec<Arc<Index>> {
         self.indexes.read().clone()
     }
 
@@ -366,34 +518,13 @@ impl Table {
         self.heap.write().drop_zones()
     }
 
-    /// Persists heap and index metadata (called by `Database::flush`).
+    /// Persists heap and index metadata (called by `Database::flush`). A
+    /// tree's meta page records the entries applied to it; the ones still
+    /// buffered are rows of the heap, and persisted as such.
     pub(crate) fn sync_meta(&self) -> Result<()> {
         self.heap.read().sync_meta()?;
         for idx in self.indexes.read().iter() {
-            idx.tree.read().sync_meta()?;
-        }
-        Ok(())
-    }
-
-    /// Builds index contents from the existing heap rows, one insert at a
-    /// time. [`crate::Database::create_index`] uses the much faster
-    /// sort-and-bulk-load path instead; this incremental variant remains
-    /// for callers that attach an index to a table they keep appending to.
-    pub fn backfill_index(&self, index_name: &str) -> Result<()> {
-        let idx = self.index(index_name)?;
-        let mut key = KeyBuf::new();
-        let mut colbuf = Vec::new();
-        let mut pending: Vec<(KeyBuf, RowId)> = Vec::new();
-        self.heap.read().scan(|rid, row| {
-            colbuf.clear();
-            colbuf.extend(idx.cols.iter().map(|&c| row[c]));
-            encode_key(&colbuf, rid, &mut key);
-            pending.push((key.clone(), rid));
-            true
-        })?;
-        let mut tree = idx.tree.write();
-        for (k, rid) in pending {
-            tree.insert(&k, rid)?;
+            idx.tree.read().tree.sync_meta()?;
         }
         Ok(())
     }
@@ -405,7 +536,6 @@ mod tests {
     use crate::buffer::BufferPool;
     use crate::pagefile::PageFile;
     use std::path::PathBuf;
-    use std::sync::Arc;
 
     fn setup(name: &str, cols: &[&str]) -> (Arc<BufferPool>, Table, Vec<PathBuf>) {
         let base =
@@ -436,7 +566,7 @@ mod tests {
         ));
         let fid = pool.register_file(PageFile::create(&p).unwrap());
         let tree = BTree::create(pool.clone(), fid, cols.len() * 8 + 8).unwrap();
-        table.attach_index(name.to_string(), cols, tree);
+        table.attach_index(name.to_string(), cols, tree).unwrap();
         paths.push(p);
     }
 
@@ -469,7 +599,8 @@ mod tests {
     #[test]
     fn insert_many_leaves_the_files_row_at_a_time_insertion_leaves() {
         // Enough rows, in scattered key order, to split leaves and grow
-        // the trees; batches of uneven size, one of them empty.
+        // the trees; batches of uneven size, one of them empty, many of
+        // them straddling a point where a tree applies its buffer.
         let rows: Vec<[f64; 3]> = (0..6000u64)
             .map(|i| {
                 let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
@@ -482,18 +613,30 @@ mod tests {
             add_index(&pool, &table, "by_t", vec![2], &mut paths);
             if batched {
                 let mut rest = rows.as_slice();
+                let mut straddled = 0;
                 for size in (0..).map(|i| (i * 7) % 40) {
                     let (batch, tail) = rest.split_at(size.min(rest.len()));
+                    // Two trees: they apply at every multiple of half a
+                    // buffer between them.
+                    let stored = rows.len() - rest.len();
+                    let next = (stored / (BUFFER_ENTRIES / 2) + 1) * (BUFFER_ENTRIES / 2);
+                    straddled += usize::from(stored + batch.len() > next);
                     table.insert_many(batch.concat().as_slice()).unwrap();
                     rest = tail;
                     if rest.is_empty() {
                         break;
                     }
                 }
+                assert!(straddled > 10, "{straddled} batches straddled an apply");
             } else {
                 for row in &rows {
                     table.insert(row).unwrap();
                 }
+            }
+            for tree in ["by_dt_dv", "by_t"] {
+                let tree = table.index(tree).unwrap();
+                assert_eq!(tree.len(), 6000);
+                assert!(tree.buffered() > 0 && tree.buffered() < BUFFER_ENTRIES);
             }
             table.sync_meta().unwrap();
             pool.flush_all().unwrap();
@@ -563,23 +706,54 @@ mod tests {
     }
 
     #[test]
-    fn backfill_matches_incremental() {
-        let (pool, table, mut paths) = setup("backfill", &["a", "b"]);
-        for i in 0..500 {
-            table.insert(&[i as f64, (i * i) as f64]).unwrap();
+    fn index_scans_read_through_the_write_buffer_after_every_insert() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let (pool, table, mut paths) = setup("readthrough", &["dt", "dv", "t"]);
+        add_index(&pool, &table, "by_dt_dv", vec![0, 1], &mut paths);
+        add_index(&pool, &table, "by_t_dt", vec![2, 0], &mut paths);
+        let mut rng = StdRng::seed_from_u64(3000);
+        // What each tree should hold: (its key columns, row id).
+        let mut stored: [Vec<(Vec<f64>, RowId)>; 2] = Default::default();
+        let mut buffered_scans = 0;
+        for _ in 0..3000 {
+            let row = [
+                rng.random_range(0..40u32) as f64,
+                -(rng.random_range(0..500u32) as f64) / 7.0,
+                rng.random_range(0..200u32) as f64,
+            ];
+            let rid = table.insert(&row).unwrap();
+            stored[0].push((vec![row[0], row[1]], rid));
+            stored[1].push((vec![row[2], row[0]], rid));
+            for (tree, stored) in ["by_dt_dv", "by_t_dt"].into_iter().zip(&stored) {
+                let lead = if tree == "by_dt_dv" { 40u32 } else { 200 };
+                let a = rng.random_range(0..lead) as f64;
+                let b = a + rng.random_range(0..lead / 4) as f64;
+                let (lo, hi) = ([a, f64::NEG_INFINITY], [b, f64::INFINITY]);
+                let mut got: Vec<(Vec<f64>, RowId)> = Vec::new();
+                table
+                    .index_scan(tree, &lo, &hi, |rid, cols| {
+                        got.push((cols.to_vec(), rid));
+                        true
+                    })
+                    .unwrap();
+                // Two key-ordered runs at most: the tree's, the buffer's.
+                let before = |x: &(Vec<f64>, RowId), y: &(Vec<f64>, RowId)| {
+                    x.partial_cmp(y) == Some(std::cmp::Ordering::Less)
+                };
+                let descents = got.windows(2).filter(|w| !before(&w[0], &w[1])).count();
+                assert!(descents <= 1, "{tree}: {descents} breaks of key order");
+                let mut want: Vec<_> = stored
+                    .iter()
+                    .filter(|(cols, _)| a <= cols[0] && cols[0] <= b)
+                    .cloned()
+                    .collect();
+                got.sort_by(|x, y| x.partial_cmp(y).unwrap());
+                want.sort_by(|x, y| x.partial_cmp(y).unwrap());
+                assert_eq!(got, want, "{tree} over [{a}, {b}]");
+                buffered_scans += usize::from(table.index(tree).unwrap().buffered() > 0);
+            }
         }
-        add_index(&pool, &table, "by_a", vec![0], &mut paths);
-        table.backfill_index("by_a").unwrap();
-        let idx = table.index("by_a").unwrap();
-        assert_eq!(idx.len(), 500);
-        let mut seen = Vec::new();
-        table
-            .index_scan("by_a", &[100.0], &[104.0], |_, cols| {
-                seen.push(cols[0]);
-                true
-            })
-            .unwrap();
-        assert_eq!(seen, vec![100.0, 101.0, 102.0, 103.0, 104.0]);
+        assert!(buffered_scans > 5000, "{buffered_scans} scans met a buffer");
         cleanup(&paths);
     }
 
@@ -610,17 +784,21 @@ mod tests {
                 true
             })
             .unwrap();
-        // Reference: one index_scan per range, ascending-lo order.
-        let mut single: Vec<(usize, RowId, Vec<f64>)> = Vec::new();
-        for &ri in &[0usize, 2, 1, 3] {
+        // Reference: one index_scan per range. The batch delivers each
+        // range's entries in that sequence; how the ranges interleave is
+        // its own business.
+        assert!(table.index("by_dt_dv").unwrap().buffered() > 0);
+        for (ri, (lo, hi)) in ranges.iter().enumerate() {
+            let mut single: Vec<(usize, RowId, Vec<f64>)> = Vec::new();
             table
-                .index_scan("by_dt_dv", ranges[ri].0, ranges[ri].1, |rid, cols| {
+                .index_scan("by_dt_dv", lo, hi, |rid, cols| {
                     single.push((ri, rid, cols.to_vec()));
                     true
                 })
                 .unwrap();
+            let of_range: Vec<_> = batched.iter().filter(|e| e.0 == ri).cloned().collect();
+            assert_eq!(of_range, single, "range {ri}");
         }
-        assert_eq!(batched, single);
         assert!(batched.iter().any(|(ri, _, _)| *ri == 2), "overlap covered");
         assert!(batched.iter().all(|(ri, _, _)| *ri != 3), "empty range");
         // fetch_many over the sorted, deduped matches agrees with fetch.

@@ -107,6 +107,30 @@ mod e2e_tests {
         .spawn()
     }
 
+    /// A search wider than the index window (8 h by default) is a 400
+    /// that names the window and counts as a bad request — and the
+    /// worker that took it is still there for the next request.
+    fn expect_window_400(host: &str) {
+        let bad_before = obs::global().counter("server.bad_requests").get();
+        for too_long in [
+            r#"{"kind":"drop","v":-2.0,"t_hours":8.5}"#,
+            r#"{"kind":"jump","v":2.0,"t_hours":9000,"plan":"scan","per_sensor":true}"#,
+        ] {
+            let (status, body) = fetch(host, "POST", "/query", Some(too_long)).unwrap();
+            assert_eq!(status, 400, "{too_long}: {body}");
+            let error = Json::parse(&body).unwrap();
+            let error = error.get("error").and_then(Json::as_str).unwrap();
+            assert!(error.contains("window of 8 h"), "{too_long}: {error}");
+        }
+        let bad = obs::global().counter("server.bad_requests").get() - bad_before;
+        assert!(bad >= 2, "server.bad_requests moved by {bad}");
+        let at_the_window = r#"{"kind":"drop","v":-2.0,"t_hours":8}"#;
+        for _ in 0..8 {
+            let (status, body) = fetch(host, "POST", "/query", Some(at_the_window)).unwrap();
+            assert_eq!(status, 200, "{body}");
+        }
+    }
+
     #[test]
     fn serves_queries_matching_offline_results() {
         let dir = TempDir::new("e2e");
@@ -161,6 +185,7 @@ mod e2e_tests {
         )
         .unwrap();
         assert_eq!(status, 400);
+        expect_window_400(&host);
         let (status, _) = fetch(&host, "GET", "/nope", None).unwrap();
         assert_eq!(status, 404);
 
@@ -230,6 +255,7 @@ mod e2e_tests {
             assert_eq!(got.get("t_d").unwrap().as_f64().unwrap(), want.t_d);
             assert_eq!(got.get("t_a").unwrap().as_f64().unwrap(), want.t_a);
         }
+        expect_window_400(&host);
 
         let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
         assert_eq!(status, 200);
@@ -637,6 +663,12 @@ mod e2e_tests {
         .unwrap();
         assert_eq!(status, 400, "{body}");
         assert!(Json::parse(&body).unwrap().get("error").is_some());
+        // A well-formed search the index cannot answer: `t_hours` above
+        // its window.
+        let beyond = r#"{"kind":"drop","v":-2.0,"t_hours":24}"#;
+        let (status, body) = fetch(&host, "POST", "/query", Some(beyond)).unwrap();
+        assert_eq!(status, 400, "{body}");
+        assert!(Json::parse(&body).unwrap().get("error").is_some());
 
         // And the unknowns stay 404 with an error body.
         for target in ["/notifications?sub=999", "/subscribe/999"] {
@@ -802,6 +834,7 @@ mod e2e_tests {
             reference,
             "bootstrapped replica must answer byte-identically"
         );
+        expect_window_400(&replica_host); // the swappable engine, too
 
         // Restart the primary with new data: drain (via the flag, so no
         // server-side close leaves the port in TIME_WAIT), ingest the

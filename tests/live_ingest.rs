@@ -2,7 +2,7 @@
 //! whose B+trees exist from the start, standing queries attached, searches
 //! running beside the writes.
 
-use segdiff_repro::pagestore::{Database, TableSpec};
+use segdiff_repro::pagestore::{Database, TableSpec, BUFFER_ENTRIES};
 use segdiff_repro::prelude::*;
 use segdiff_repro::segdiff::SubscriptionRegistry;
 use std::collections::BTreeSet;
@@ -16,13 +16,17 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     d
 }
 
-fn series() -> Vec<TimeSeries> {
+fn series_of(days: u32) -> Vec<TimeSeries> {
     let cfg = CadTransectConfig::default()
-        .with_days(6)
+        .with_days(days)
         .with_sensors(SENSORS);
     (0..SENSORS)
         .map(|s| RobustSmoother::default().smooth(&generate_sensor(&cfg, s, 41)))
         .collect()
+}
+
+fn series() -> Vec<TimeSeries> {
+    series_of(6)
 }
 
 /// A pair's identity, bit for bit.
@@ -33,7 +37,9 @@ fn key(t_d: f64, t_c: f64, t_b: f64, t_a: f64) -> [u64; 4] {
 #[test]
 fn pushes_queries_and_standing_queries_agree() {
     let root = tmpdir("agree");
-    let series = series();
+    // Long enough for the B+trees to merge their write buffers into the
+    // trees several times over (checked below).
+    let series = series_of(30);
     let config = SegDiffConfig::default()
         .with_epsilon(0.2)
         .with_window(8.0 * HOUR)
@@ -61,7 +67,8 @@ fn pushes_queries_and_standing_queries_agree() {
         .collect();
 
     // Six-hour batches, time-major; after each, both plans must agree on
-    // the store as it stands.
+    // the store as it stands — whichever of its rows the B+trees hold and
+    // whichever still sit in their write buffers.
     let searches = [
         QueryRegion::drop(0.5 * HOUR, -1.0),
         QueryRegion::drop(4.0 * HOUR, -3.0),
@@ -70,6 +77,23 @@ fn pushes_queries_and_standing_queries_agree() {
     ];
     let longest = series.iter().map(TimeSeries::len).max().unwrap();
     let mut compared = 0;
+    let mut met_a_buffer = 0;
+    // (entries merged into the tree, entries buffered) of every B+tree.
+    let trees = |index: &SegDiffIndex| -> Vec<(u64, u64)> {
+        let db = index.database();
+        let mut tables = db.table_names();
+        tables.sort();
+        let tables = tables.iter().map(|name| db.table(name).unwrap());
+        tables
+            .flat_map(|table| {
+                let names = table.index_names().into_iter();
+                names.map(move |name| {
+                    let tree = table.index(&name).unwrap();
+                    (tree.len() - tree.buffered() as u64, tree.buffered() as u64)
+                })
+            })
+            .collect()
+    };
     for lo in (0..longest).step_by(72) {
         for (index, s) in indexes.iter_mut().zip(&series) {
             for j in lo..(lo + 72).min(s.len()) {
@@ -83,11 +107,28 @@ fn pushes_queries_and_standing_queries_agree() {
             let (indexed, _) = index.query(region, QueryPlan::Index).unwrap();
             assert_eq!(scan, indexed, "plans disagree mid-ingest on {region:?}");
             compared += 1;
+            met_a_buffer += usize::from(trees(index).iter().any(|&(_, buffered)| buffered > 0));
         }
     }
+    assert_eq!(
+        met_a_buffer, compared,
+        "every comparison read through a buffer"
+    );
     for index in &mut indexes {
         index.finish().unwrap();
         index.verify_consistency().unwrap();
+        let trees = trees(index);
+        assert_eq!(trees.len(), 18);
+        // Every tree has applied its buffer; all but the two of the
+        // sparse one-corner tables many times.
+        let applies = trees
+            .iter()
+            .map(|&(merged, _)| merged / BUFFER_ENTRIES as u64);
+        assert!(
+            applies.clone().all(|n| n >= 1) && applies.clone().filter(|&n| n >= 3).count() >= 16,
+            "B+trees took {:?} whole buffers",
+            applies.collect::<Vec<_>>()
+        );
     }
 
     // Theorem 1 through the subscription path: what a standing region was

@@ -82,6 +82,67 @@ fn segdiff_resumed_ingest_preserves_completeness() {
 }
 
 #[test]
+fn buffered_index_entries_survive_finish_reopen_and_resume() {
+    // `finish` persists the B+trees as they are: rows not yet merged
+    // into a tree sit in its write buffer, which is not stored — the
+    // reopened index derives it from the heap again. Both plans must see
+    // every row before the restart, after it, and after pushing on.
+    let dir = tmpdir("seg-buffers");
+    let series = walk(1500, 29);
+    let (first, rest) = (900, 1500);
+    let searches = [
+        QueryRegion::drop(1.0 * HOUR, -1.5),
+        QueryRegion::jump(4.0 * HOUR, 2.0),
+    ];
+    let buffered = |idx: &SegDiffIndex| -> usize {
+        let db = idx.database();
+        let tables = db.table_names().into_iter().map(|t| db.table(&t).unwrap());
+        tables
+            .flat_map(|t| {
+                t.index_names()
+                    .into_iter()
+                    .map(move |i| t.index(&i).unwrap())
+            })
+            .map(|tree| tree.buffered())
+            .sum()
+    };
+    let plans_agree = |idx: &SegDiffIndex, when: &str| {
+        searches.map(|region| {
+            let (scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+            let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+            assert_eq!(scan, indexed, "{when}: {region:?}");
+            assert!(!scan.is_empty(), "{when}: {region:?} found nothing");
+            scan
+        })
+    };
+    let (before, buffered_before) = {
+        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+        idx.build_indexes().unwrap();
+        for i in 0..first {
+            let (t, v) = series.get(i);
+            idx.push(t, v).unwrap();
+        }
+        idx.finish().unwrap();
+        (plans_agree(&idx, "before the restart"), buffered(&idx))
+    };
+    assert!(buffered_before > 1000, "{buffered_before} entries buffered");
+
+    let mut idx = SegDiffIndex::open(&dir, 1024).unwrap();
+    assert!(idx.recovery_report().unwrap().clean);
+    assert_eq!(buffered(&idx), buffered_before, "buffers derived on open");
+    assert_eq!(plans_agree(&idx, "after the restart"), before);
+    for i in first..rest {
+        let (t, v) = series.get(i);
+        idx.push(t, v).unwrap();
+    }
+    idx.finish().unwrap();
+    idx.verify_consistency().unwrap();
+    let after = plans_agree(&idx, "after pushing on");
+    assert!(after[0].len() > before[0].len(), "the new rows are found");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn exh_reopen_and_resume() {
     let dir = tmpdir("exh-resume");
     let series = walk(400, 5);
