@@ -12,7 +12,7 @@ use crate::tables::{
 use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, RecoveryReport, Result, StoreError, Table, TableSpec};
 use segmentation::{PiecewiseLinear, Segment, SlidingWindowSegmenter};
-use sensorgen::TimeSeries;
+use sensorgen::{TimeSeries, HOUR};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -498,18 +498,21 @@ jump_hist {} {} {}
     /// Runs a drop or jump search; returns the matching segment pairs
     /// (time-ordered, deduplicated) and execution metrics.
     ///
-    /// `region.t` must not exceed the configured window `w`.
+    /// A search for pairs further apart than the configured window `w`
+    /// has no answer here — their features were never extracted — and is
+    /// a [`StoreError::InvalidArgument`] naming the window.
     pub fn query(
         &self,
         region: &QueryRegion,
         plan: QueryPlan,
     ) -> Result<(Vec<SegmentPair>, QueryStats)> {
-        assert!(
-            region.t <= self.config.window,
-            "query T={} exceeds window w={}",
-            region.t,
-            self.config.window
-        );
+        if region.t > self.config.window {
+            return Err(StoreError::InvalidArgument(format!(
+                "t_hours {} exceeds the index window of {} h",
+                region.t / HOUR,
+                self.config.window / HOUR
+            )));
+        }
         let tables = match region.kind {
             SearchKind::Drop => &self.drop_tables,
             SearchKind::Jump => &self.jump_tables,
@@ -1147,13 +1150,26 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "exceeds window")]
     fn query_beyond_window_rejected() {
         let dir = tmpdir("window");
         let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
         idx.ingest_series(&drop_series()).unwrap();
         idx.finish().unwrap();
         let region = QueryRegion::drop(9.0 * HOUR, -3.0); // w is 8 h
-        let _ = idx.query(&region, QueryPlan::SeqScan);
+        for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+            let expect = "t_hours 9 exceeds the index window of 8 h";
+            match idx.query(&region, plan) {
+                Err(StoreError::InvalidArgument(m)) => assert_eq!(m, expect),
+                other => panic!("{plan:?}: {:?}", other.map(|(r, _)| r.len())),
+            }
+            let cached = idx.query_cached(&region, plan).map(|(r, _, _)| r.len());
+            assert!(
+                matches!(&cached, Err(StoreError::InvalidArgument(m)) if m == expect),
+                "{plan:?} through the cache: {cached:?}"
+            );
+        }
+        let at_the_window = QueryRegion::drop(8.0 * HOUR, -3.0);
+        assert!(idx.query(&at_the_window, QueryPlan::SeqScan).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

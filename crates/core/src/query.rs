@@ -9,8 +9,8 @@
 
 use crate::result::SegmentPair;
 use crate::tables::{pair_from_stamps, stamp_cols};
-use featurespace::batch::{boundaries_intersect_cols, zone_may_intersect};
-use featurespace::{edge_crosses_region, FeaturePoint, QueryRegion, SearchKind};
+use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
+use featurespace::QueryRegion;
 use pagestore::{Database, PoolStats, Result, Table, ZoneScanStats};
 use std::sync::Arc;
 use std::time::Instant;
@@ -181,33 +181,39 @@ pub(crate) fn run_feature_query(
             // zone hierarchy is pruned top-down — whole segment, then
             // 64-page extents, then page entries — before any page is
             // read; each skip is conservative, so pruning is lossless.
-            // Surviving pages (compressed columnar or raw) decode
-            // straight into struct-of-arrays column buffers, which the
-            // batch intersection kernel evaluates in place; only the few
-            // matching rows are ever materialized row-wise, for result
-            // assembly. `rows_considered` counts only rows actually
-            // examined — pruned pages contribute nothing.
+            // Of a surviving page (compressed columnar or raw) only the
+            // corner coordinates are decoded, straight into
+            // struct-of-arrays column buffers which the batch
+            // intersection kernel evaluates in place; the four time
+            // stamps are decoded only when the page's mask has a bit set,
+            // and only the few matching rows are ever materialized
+            // row-wise, for result assembly. `rows_considered` counts
+            // only rows actually examined — pruned pages contribute
+            // nothing.
             let p = Phase::start(db, "query.scan");
             let mut scanned = 0u64;
             let mut zstats = ZoneScanStats::default();
-            let mut cols: Vec<Vec<f64>> = Vec::new();
+            let mut coords: Vec<Vec<f64>> = Vec::new();
+            let mut stamps: Vec<Vec<f64>> = vec![Vec::new(); 4];
             let mut mask: Vec<bool> = Vec::new();
             for (i, table) in tables.iter().enumerate() {
                 let corners = i + 1;
-                let s = table.scan_columns(
+                coords.resize(2 * corners, Vec::new());
+                let s = table.scan_pages(
                     |mins, maxs| zone_may_intersect(corners, mins, maxs, region),
-                    &mut cols,
-                    |cols, n| {
+                    |page| {
+                        let n = page.rows();
                         scanned += n as u64;
-                        boundaries_intersect_cols(corners, cols, n, region, &mut mask);
-                        let stamps = &cols[stamp_cols(corners)];
-                        for r in 0..n {
-                            if mask[r] {
+                        page.columns(0..2 * corners, &mut coords)?;
+                        boundaries_intersect_cols(corners, &coords, n, region, &mut mask);
+                        if mask.contains(&true) {
+                            page.columns(stamp_cols(corners), &mut stamps)?;
+                            for r in (0..n).filter(|&r| mask[r]) {
                                 let row = [stamps[0][r], stamps[1][r], stamps[2][r], stamps[3][r]];
                                 out.push(pair_from_stamps(&row));
                             }
                         }
-                        true
+                        Ok(true)
                     },
                 )?;
                 zstats.pages_scanned += s.pages_scanned;
@@ -224,18 +230,21 @@ pub(crate) fn run_feature_query(
             // Phase: index probes — B+tree range scans issued through
             // the batched descend-once-merge-along-the-leaf-chain path,
             // with the ε-shifted corner/edge predicate applied to each
-            // entry. Matching row ids are unioned with sort + dedup (not
-            // a hash set), so the candidate order — and everything
+            // entry as one branch-free expression (`|` of the lane
+            // predicates the scan's kernels are made of: which entries
+            // hit is not predictable, what they cost should not depend
+            // on it). Matching row ids are unioned with sort + dedup
+            // (not a hash set), so the candidate order — and everything
             // downstream — is deterministic.
             let p = Phase::start(db, "query.probe");
             let mut probed = 0u64;
             let mut all_rids: Vec<(usize, Vec<u64>)> = Vec::with_capacity(3);
-            let in_region = |dt: f64, dv: f64| {
-                dt <= region.t
-                    && match region.kind {
-                        SearchKind::Drop => dv <= region.v,
-                        SearchKind::Jump => dv >= region.v,
-                    }
+            // Appends `rid`, then keeps it only on a hit: whether an entry
+            // hits is the one thing here a branch predictor cannot learn.
+            let keep_if = |rids: &mut Vec<u64>, rid: u64, hit: bool| {
+                let kept = rids.len() + usize::from(hit);
+                rids.push(rid);
+                rids.truncate(kept);
             };
             for (i, table) in tables.iter().enumerate() {
                 let corners = i + 1;
@@ -258,9 +267,7 @@ pub(crate) fn run_feature_query(
                     let ranges: [(&[f64], &[f64]); 1] = [(&pt_lo, &pt_hi)];
                     table.index_scan_batch("pt1", &ranges, |_, rid, cols| {
                         probed += 1;
-                        if in_region(cols[0], cols[1]) {
-                            rids.push(rid);
-                        }
+                        keep_if(&mut rids, rid, point_hits(cols[0], cols[1], region));
                         true
                     })?;
                 } else {
@@ -281,16 +288,11 @@ pub(crate) fn run_feature_query(
                         let ranges: [(&[f64], &[f64]); 1] = [(&ln_lo, &ln_hi)];
                         table.index_scan_batch(&format!("ln{j}"), &ranges, |_, rid, cols| {
                             probed += 1;
-                            if (first && in_region(cols[0], cols[1]))
-                                || in_region(cols[2], cols[3])
-                                || edge_crosses_region(
-                                    FeaturePoint::new(cols[0], cols[1]),
-                                    FeaturePoint::new(cols[2], cols[3]),
-                                    region,
-                                )
-                            {
-                                rids.push(rid);
-                            }
+                            let (dt1, dv1, dt2, dv2) = (cols[0], cols[1], cols[2], cols[3]);
+                            let hit = (first & point_hits(dt1, dv1, region))
+                                | point_hits(dt2, dv2, region)
+                                | edge_hits(dt1, dv1, dt2, dv2, region);
+                            keep_if(&mut rids, rid, hit);
                             true
                         })?;
                     }

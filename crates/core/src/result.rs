@@ -47,20 +47,87 @@ impl SegmentPair {
 /// shards produce and [`merge_sharded`] consumes.
 pub type ShardResults = Vec<(u32, Vec<SegmentPair>)>;
 
-/// Sorts by time and removes duplicates in place.
+/// The order of [`sort_dedup`]: the four time stamps, each by
+/// `f64::total_cmp`. Two pairs compare equal only when they are the same
+/// bits, so any sort by it, stable or not, yields one output.
+fn canonical_order(a: &SegmentPair, b: &SegmentPair) -> std::cmp::Ordering {
+    a.t_d
+        .total_cmp(&b.t_d)
+        .then(a.t_c.total_cmp(&b.t_c))
+        .then(a.t_b.total_cmp(&b.t_b))
+        .then(a.t_a.total_cmp(&b.t_a))
+}
+
+/// Fewer pairs than this are sorted directly: the distribution pass has
+/// two allocations and three sweeps to pay for.
+const DISTRIBUTE_MIN: usize = 64;
+
+/// Sorts `results` into [`canonical_order`] by distribution on `t_d`:
+/// `n` equal-width buckets over `[min, max]`, a counting pass, a scatter
+/// that keeps arrival order, and the full four-field sort inside every
+/// bucket that received more than one pair. The bucket of a pair is a
+/// monotone function of its `t_d` (subtract, scale, truncate — each one
+/// monotone, and `-0.0` and `0.0` share a bucket), so bucket order plus
+/// order within buckets is the canonical order, whatever the input. A
+/// query's pairs spread over a month of `t_d` with a dozen ties apiece,
+/// so the in-bucket sorts are short and the whole is O(n); were they all
+/// to land in one bucket, that bucket's sort is the plain sort.
+///
+/// Returns `false`, `results` untouched, when there is nothing to
+/// distribute on: few pairs, one `t_d`, or a `t_d` that is not finite.
+fn distribute_on_t_d(results: &mut Vec<SegmentPair>) -> bool {
+    let n = results.len();
+    if n < DISTRIBUTE_MIN {
+        return false;
+    }
+    let (mut min, mut max, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
+    for p in results.iter() {
+        min = min.min(p.t_d);
+        max = max.max(p.t_d);
+        finite &= p.t_d.is_finite();
+    }
+    let spread = max - min;
+    if !(finite && spread > 0.0 && spread.is_finite()) {
+        return false;
+    }
+    let scale = (n - 1) as f64 / spread;
+    let bucket = |p: &SegmentPair| (((p.t_d - min) * scale) as usize).min(n - 1);
+    // `next[b]` starts as bucket b's first slot and ends as its end.
+    let mut next = vec![0usize; n + 1];
+    for p in results.iter() {
+        next[bucket(p) + 1] += 1;
+    }
+    for b in 1..n {
+        next[b] += next[b - 1];
+    }
+    let mut sorted = vec![results[0]; n];
+    for p in results.iter() {
+        let slot = &mut next[bucket(p)];
+        sorted[*slot] = *p;
+        *slot += 1;
+    }
+    let mut start = 0;
+    for &end in &next[..n] {
+        if end - start > 1 {
+            sorted[start..end].sort_by(canonical_order);
+        }
+        start = end;
+    }
+    *results = sorted;
+    true
+}
+
+/// Sorts by time — `t_d`, then `t_c`, `t_b`, `t_a`, each by
+/// `f64::total_cmp` — and removes duplicates in place.
 ///
 /// Public because this is the determinism contract distributed execution
 /// relies on: every per-sensor result list is in this canonical order, so
 /// a shard union only has to concatenate lists in sensor order to be
 /// byte-identical to single-process execution ([`merge_sharded`]).
 pub fn sort_dedup(results: &mut Vec<SegmentPair>) {
-    results.sort_by(|a, b| {
-        a.t_d
-            .total_cmp(&b.t_d)
-            .then(a.t_c.total_cmp(&b.t_c))
-            .then(a.t_b.total_cmp(&b.t_b))
-            .then(a.t_a.total_cmp(&b.t_a))
-    });
+    if !distribute_on_t_d(results) {
+        results.sort_by(canonical_order);
+    }
     results.dedup_by_key(|p| p.key());
 }
 
@@ -161,6 +228,109 @@ mod tests {
         ];
         let merged = merge_sharded(parts);
         assert_eq!(merged, vec![pair(9.0), pair(5.0)]);
+    }
+
+    /// `sort_dedup` as it was before the distribution pass: the reference.
+    fn sort_dedup_plain(results: &mut Vec<SegmentPair>) {
+        results.sort_by(|a, b| {
+            a.t_d
+                .total_cmp(&b.t_d)
+                .then(a.t_c.total_cmp(&b.t_c))
+                .then(a.t_b.total_cmp(&b.t_b))
+                .then(a.t_a.total_cmp(&b.t_a))
+        });
+        results.dedup_by_key(|p| p.key());
+    }
+
+    fn assert_same_as_plain(input: &[SegmentPair], what: &str) {
+        let (mut got, mut want) = (input.to_vec(), input.to_vec());
+        sort_dedup(&mut got);
+        sort_dedup_plain(&mut want);
+        let bits = |v: &[SegmentPair]| v.iter().map(SegmentPair::key).collect::<Vec<_>>();
+        assert!(bits(&got) == bits(&want), "{what}, n = {}", input.len());
+    }
+
+    #[test]
+    fn sort_dedup_equals_the_plain_sort_on_every_shape_of_input() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(1808);
+        // Pairs as a query yields them: `ties` later segments per earlier
+        // one, so `t_d` repeats and `t_b` tells the repeats apart.
+        let mut tied = |n: usize, t0: f64, span: f64, ties: usize| -> Vec<SegmentPair> {
+            (0..n)
+                .map(|_| {
+                    let t_d = t0 + (rng.random_range(0.0..span) / 300.0).floor() * 300.0;
+                    let t_b = t_d + 300.0 * rng.random_range(0..ties) as f64;
+                    SegmentPair {
+                        t_d,
+                        t_c: t_d + 600.0,
+                        t_b,
+                        t_a: t_b + 900.0,
+                    }
+                })
+                .collect()
+        };
+        // Every length around the cutoff, and well past it.
+        let lens = (0..4).chain(DISTRIBUTE_MIN - 3..DISTRIBUTE_MIN + 4);
+        for n in lens.chain([200, 1200, 5000]) {
+            let random = tied(n, 0.0, 2.6e6, 11);
+            assert_same_as_plain(&random, "random");
+            let mut sorted = random.clone();
+            sort_dedup_plain(&mut sorted);
+            assert_same_as_plain(&sorted, "already sorted");
+            sorted.reverse();
+            assert_same_as_plain(&sorted, "reversed");
+            assert_same_as_plain(&tied(n, 7200.0, 1.0, 40), "one t_d");
+            let mut clusters = tied(n / 2, 0.0, 3000.0, 5);
+            clusters.extend(tied(n - n / 2, 1e9, 3000.0, 5));
+            assert_same_as_plain(&clusters, "two clusters");
+            assert_same_as_plain(&tied(n, -2.6e6, 2.6e6, 11), "negative times");
+            assert_same_as_plain(&tied(n, -3000.0, 6000.0, 3), "around zero");
+            let mut dups = tied(n / 3 + 1, 0.0, 9e4, 4);
+            dups.extend(dups.clone());
+            dups.extend(dups.clone());
+            dups.truncate(n);
+            assert_same_as_plain(&dups, "duplicates");
+            // One far outlier: every other pair lands in bucket 0.
+            let mut skewed = tied(n, 0.0, 9e4, 11);
+            if let Some(p) = skewed.first_mut() {
+                p.t_d = 1e18;
+            }
+            assert_same_as_plain(&skewed, "skewed");
+            // Zeros of both signs, which total_cmp tells apart and `==`
+            // does not, in every field.
+            let zeros: Vec<SegmentPair> = (0..n)
+                .map(|i| {
+                    let z = |bit: usize| if i >> bit & 1 == 0 { 0.0 } else { -0.0 };
+                    SegmentPair {
+                        t_d: if i % 5 == 4 {
+                            (i % 7) as f64 - 3.0
+                        } else {
+                            z(0)
+                        },
+                        t_c: z(1),
+                        t_b: z(2),
+                        t_a: z(3),
+                    }
+                })
+                .collect();
+            assert_same_as_plain(&zeros, "signed zeros");
+            // Nothing to distribute on: the spread overflows, or a `t_d`
+            // is not a number at all.
+            for odd in [
+                f64::MAX,
+                f64::INFINITY,
+                f64::NEG_INFINITY,
+                f64::NAN,
+                -f64::NAN,
+            ] {
+                let mut v = tied(n, -1e300, 1e5, 11);
+                if let Some(p) = v.last_mut() {
+                    p.t_d = odd;
+                }
+                assert_same_as_plain(&v, "non-finite spread");
+            }
+        }
     }
 
     #[test]

@@ -1,49 +1,106 @@
 //! Columnar batch predicates: the kernels of §4.4 over struct-of-arrays
 //! corner buffers.
 //!
-//! The row-at-a-time executor materializes one [`FeaturePoint`] per stored
-//! corner and calls [`crate::point_in_region`] /
+//! The row-at-a-time executor materializes one [`crate::FeaturePoint`] per
+//! stored corner and calls [`crate::point_in_region`] /
 //! [`crate::edge_crosses_region`] per row.
 //! These kernels evaluate the same predicates over column slices decoded a
 //! page at a time: one pass per corner column, accumulating into a shared
-//! match mask. The scalar predicates stay the single source of truth — the
-//! property tests assert the batch kernels agree with them bit for bit.
+//! match mask. Each pass is straight-line lane arithmetic — `&` where the
+//! scalar predicates short-circuit, the search kind fixed outside the
+//! loop — so it vectorises instead of mispredicting; a lane whose answer
+//! is already known is computed anyway. The scalar predicates stay the
+//! single source of truth — the tests assert the batch kernels agree with
+//! them bit for bit, degenerate lanes included.
 //!
 //! The module also hosts [`zone_may_intersect`], the page-level pruning
 //! predicate derived from the same conditions: a page whose per-column
 //! min/max summary fails it cannot contain any matching row, so a
 //! sequential scan may skip it without changing results.
 
-use crate::intersect::edge_crosses_region;
-use crate::{FeaturePoint, QueryRegion, SearchKind};
+use crate::{QueryRegion, SearchKind};
+
+/// One lane of the point query: [`crate::point_in_region`] with `&` for
+/// `&&`, the search kind a compile-time constant.
+#[inline(always)]
+fn point_lane<const DROP: bool>(dt: f64, dv: f64, t: f64, v: f64) -> bool {
+    (dt <= t) & if DROP { dv <= v } else { dv >= v }
+}
+
+/// One lane of the line query: [`crate::edge_crosses_region`] as
+/// straight-line arithmetic. The interpolation is computed whatever the
+/// endpoints are — a lane with `dt1 == dt2` divides by zero and gets an
+/// infinity or a NaN — and masked by the four inequalities, of which
+/// `dt1 <= t < dt2` excludes exactly those lanes. Where the inequalities
+/// hold, the value is the one the scalar predicate computes, from the same
+/// operations in the same order.
+#[inline(always)]
+fn edge_lane<const DROP: bool>(dt1: f64, dv1: f64, dt2: f64, dv2: f64, t: f64, v: f64) -> bool {
+    let at_t = dv1 + (dv2 - dv1) / (dt2 - dt1) * (t - dt1);
+    (dt1 <= t)
+        & (dt2 > t)
+        & if DROP {
+            (dv1 > v) & (dv2 < v) & (at_t <= v)
+        } else {
+            (dv1 < v) & (dv2 > v) & (at_t >= v)
+        }
+}
+
+/// [`crate::point_in_region`] without a data-dependent branch: what one
+/// lane of [`points_in_region`] computes, for callers that visit corners
+/// one at a time (the index plan's probe).
+#[inline]
+pub fn point_hits(dt: f64, dv: f64, region: &QueryRegion) -> bool {
+    match region.kind {
+        SearchKind::Drop => point_lane::<true>(dt, dv, region.t, region.v),
+        SearchKind::Jump => point_lane::<false>(dt, dv, region.t, region.v),
+    }
+}
+
+/// [`crate::edge_crosses_region`] without a data-dependent branch: what
+/// one lane of [`edges_cross_region`] computes.
+#[inline]
+pub fn edge_hits(dt1: f64, dv1: f64, dt2: f64, dv2: f64, region: &QueryRegion) -> bool {
+    match region.kind {
+        SearchKind::Drop => edge_lane::<true>(dt1, dv1, dt2, dv2, region.t, region.v),
+        SearchKind::Jump => edge_lane::<false>(dt1, dv1, dt2, dv2, region.t, region.v),
+    }
+}
+
+fn points<const DROP: bool>(dts: &[f64], dvs: &[f64], t: f64, v: f64, mask: &mut [bool]) {
+    for ((m, &dt), &dv) in mask.iter_mut().zip(dts).zip(dvs) {
+        *m |= point_lane::<DROP>(dt, dv, t, v);
+    }
+}
+
+fn edges<const DROP: bool>(cols: [&[f64]; 4], t: f64, v: f64, mask: &mut [bool]) {
+    let [dt1s, dv1s, dt2s, dv2s] = cols;
+    for ((((m, &dt1), &dv1), &dt2), &dv2) in mask.iter_mut().zip(dt1s).zip(dv1s).zip(dt2s).zip(dv2s)
+    {
+        *m |= edge_lane::<DROP>(dt1, dv1, dt2, dv2, t, v);
+    }
+}
 
 /// OR-accumulates the point query (`point_in_region`) over parallel
-/// `(Δt, Δv)` columns into `mask`.
+/// `(Δt, Δv)` columns into `mask`: one compare pair per lane, no branch,
+/// so the loop vectorises.
 ///
 /// # Panics
 ///
 /// Panics unless `dts`, `dvs` and `mask` have equal lengths.
 pub fn points_in_region(dts: &[f64], dvs: &[f64], region: &QueryRegion, mask: &mut [bool]) {
     assert!(dts.len() == dvs.len() && dts.len() == mask.len());
-    let (t, v) = (region.t, region.v);
     match region.kind {
-        SearchKind::Drop => {
-            for i in 0..mask.len() {
-                mask[i] |= dts[i] <= t && dvs[i] <= v;
-            }
-        }
-        SearchKind::Jump => {
-            for i in 0..mask.len() {
-                mask[i] |= dts[i] <= t && dvs[i] >= v;
-            }
-        }
+        SearchKind::Drop => points::<true>(dts, dvs, region.t, region.v, mask),
+        SearchKind::Jump => points::<false>(dts, dvs, region.t, region.v, mask),
     }
 }
 
 /// OR-accumulates the line query (`edge_crosses_region`) over parallel
 /// edge-endpoint columns (`p1 = (dt1s, dv1s)`, `p2 = (dt2s, dv2s)`,
-/// `p1.dt <= p2.dt` per lane) into `mask`. Lanes already set are skipped —
-/// the union semantics of [`crate::Boundary::intersects`].
+/// `p1.dt <= p2.dt` per lane) into `mask` — the union semantics of
+/// [`crate::Boundary::intersects`]. Every lane is computed, set or not:
+/// a dead lane costs less than the branch that would skip it.
 ///
 /// # Panics
 ///
@@ -62,14 +119,10 @@ pub fn edges_cross_region(
             && dt1s.len() == dv2s.len()
             && dt1s.len() == mask.len()
     );
-    for i in 0..mask.len() {
-        if !mask[i] {
-            mask[i] = edge_crosses_region(
-                FeaturePoint::new(dt1s[i], dv1s[i]),
-                FeaturePoint::new(dt2s[i], dv2s[i]),
-                region,
-            );
-        }
+    let cols = [dt1s, dv1s, dt2s, dv2s];
+    match region.kind {
+        SearchKind::Drop => edges::<true>(cols, region.t, region.v, mask),
+        SearchKind::Jump => edges::<false>(cols, region.t, region.v, mask),
     }
 }
 
@@ -203,7 +256,7 @@ impl ZoneExtent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Boundary;
+    use crate::{edge_crosses_region, point_in_region, Boundary, FeaturePoint};
 
     fn soa(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let ncols = rows.first().map_or(0, Vec::len);
@@ -255,6 +308,108 @@ mod tests {
             vec![2.0, 1.0, 9.0, 1.5],
         ];
         check_against_scalar(2, &rows_j, &jump);
+    }
+
+    /// Runs both kernels and both lane functions over `lanes`
+    /// (`[dt1, dv1, dt2, dv2]`, `dt1 <= dt2`) and compares every lane with
+    /// the scalar predicates; then checks that a lane already set stays
+    /// set (the kernels OR into the mask).
+    fn check_lanes_against_scalar(lanes: &[[f64; 4]], region: &QueryRegion) {
+        let col = |c: usize| lanes.iter().map(|l| l[c]).collect::<Vec<f64>>();
+        let (dt1s, dv1s, dt2s, dv2s) = (col(0), col(1), col(2), col(3));
+        let mut points = vec![false; lanes.len()];
+        points_in_region(&dt1s, &dv1s, region, &mut points);
+        let mut edges = vec![false; lanes.len()];
+        edges_cross_region(&dt1s, &dv1s, &dt2s, &dv2s, region, &mut edges);
+        for (i, &[dt1, dv1, dt2, dv2]) in lanes.iter().enumerate() {
+            let (p1, p2) = (FeaturePoint::new(dt1, dv1), FeaturePoint::new(dt2, dv2));
+            let (point, edge) = (
+                point_in_region(p1, region),
+                edge_crosses_region(p1, p2, region),
+            );
+            let lane = &lanes[i];
+            assert_eq!(points[i], point, "point kernel, {lane:?} in {region:?}");
+            assert_eq!(edges[i], edge, "edge kernel, {lane:?} in {region:?}");
+            assert_eq!(point_hits(dt1, dv1, region), point, "point lane {lane:?}");
+            assert_eq!(
+                edge_hits(dt1, dv1, dt2, dv2, region),
+                edge,
+                "edge lane {lane:?}"
+            );
+        }
+        let preset: Vec<bool> = (0..lanes.len()).map(|i| i % 3 == 0).collect();
+        let mut mask = preset.clone();
+        points_in_region(&dt1s, &dv1s, region, &mut mask);
+        edges_cross_region(&dt1s, &dv1s, &dt2s, &dv2s, region, &mut mask);
+        for i in 0..lanes.len() {
+            assert_eq!(
+                mask[i],
+                preset[i] | points[i] | edges[i],
+                "lane {i} of the union"
+            );
+        }
+    }
+
+    #[test]
+    fn kernels_equal_scalar_predicates_on_degenerate_lanes() {
+        // Every combination of values on, next to and far from the
+        // region's bounds: corners exactly on T and V, zeros of both
+        // signs, equal endpoints (a division by zero in the dead lane),
+        // flat edges, and magnitudes whose differences overflow.
+        for (t, v) in [(3600.0, -2.0), (5e-324, -5e-324), (1e300, -1e300)] {
+            let next_up = |x: f64| f64::from_bits(x.to_bits() + 1);
+            let dts = [0.0, -0.0, t, next_up(t), t / 2.0, 2.0 * t + 1.0, f64::MAX];
+            let dvs = [
+                0.0,
+                -0.0,
+                v,
+                -v,
+                v - 1.0,
+                v + 1.0,
+                next_up(v),
+                f64::MAX,
+                f64::MIN,
+                5e-324,
+            ];
+            let mut lanes = Vec::new();
+            for &dt1 in &dts {
+                for &dt2 in dts.iter().filter(|&&dt2| dt1 <= dt2) {
+                    for &dv1 in &dvs {
+                        for &dv2 in &dvs {
+                            lanes.push([dt1, dv1, dt2, dv2]);
+                        }
+                    }
+                }
+            }
+            assert!(lanes.iter().any(|l| l[0] == l[2]) && lanes.iter().any(|l| l[1] == l[3]));
+            check_lanes_against_scalar(&lanes, &QueryRegion::drop(t, v));
+            check_lanes_against_scalar(&lanes, &QueryRegion::jump(t, -v));
+        }
+    }
+
+    #[test]
+    fn kernels_equal_scalar_predicates_on_random_rows() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(44);
+        let regions = [
+            QueryRegion::drop(8.0, -1.5),
+            QueryRegion::jump(8.0, 1.5),
+            QueryRegion::drop(2.0, -6.0),
+            QueryRegion::jump(20.0, 0.25),
+        ];
+        // Odd lengths, so a vectorised loop's remainder lanes are covered.
+        for len in [0, 1, 7, 64, 333] {
+            let lanes: Vec<[f64; 4]> = (0..len)
+                .map(|_| {
+                    let (a, b) = (rng.random_range(0.0..16.0), rng.random_range(0.0..16.0));
+                    let mut dv = || rng.random_range(-8.0..8.0);
+                    [f64::min(a, b), dv(), f64::max(a, b), dv()]
+                })
+                .collect();
+            for region in &regions {
+                check_lanes_against_scalar(&lanes, region);
+            }
+        }
     }
 
     #[test]

@@ -223,6 +223,15 @@ impl BTree {
         &self.metrics
     }
 
+    /// Counts this tree's scanned entries into a counter of its own from
+    /// here on, and returns it: tests that assert exact counts run beside
+    /// other tests' scans, which move the process-wide counter.
+    #[cfg(test)]
+    pub(crate) fn count_scans_apart(&mut self) -> Arc<obs::Counter> {
+        self.metrics.entries_scanned = Arc::new(obs::Counter::default());
+        self.metrics.entries_scanned.clone()
+    }
+
     /// Bytes used on disk.
     pub fn size_bytes(&self) -> u64 {
         self.pool.file_size_bytes(self.fid)
@@ -503,33 +512,64 @@ impl BTree {
         for _ in 0..self.height {
             pid = self.child_for_range_start(pid, lo)?;
         }
-        let kw = self.key_width;
-        let esz = kw + 8;
         let mut buf = PageBuf::zeroed();
+        let mut first = true;
         loop {
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
             let b = buf.bytes();
             debug_assert_eq!(b[0], KIND_LEAF);
             let n = page::get_u16(b, 2) as usize;
             let next = page::get_u32(b, 4);
-            let start = leaf_lower_bound(b, n, kw, lo);
-            for i in start..n {
-                let off = HDR + i * esz;
-                let key = &b[off..off + kw];
-                if key > hi {
-                    return Ok(());
-                }
-                let val = page::get_u64(b, off + kw);
-                self.metrics.entries_scanned.inc();
-                if !visit(key, val) {
-                    return Ok(());
-                }
-            }
-            if next == NO_PAGE {
+            if !self.leaf_run(b, n, lo, first, hi, &mut visit) || next == NO_PAGE {
                 return Ok(());
             }
-            pid = next;
+            (pid, first) = (next, false);
         }
+    }
+
+    /// Visits one leaf's share of the range `[lo, hi]`: the entries of the
+    /// `n`-entry leaf `b` from the first key `>= lo` (the leaf's first
+    /// entry unless this is the `first` leaf of the range: a leaf a scan
+    /// walked into holds no key below `lo`) up to the last key `<= hi`.
+    /// The run is bounded before it is visited — a lower-bound search, one
+    /// comparison of the leaf's last key with `hi`, an upper-bound search
+    /// only in the leaf where the range ends — so the visit loop compares
+    /// no key, and `btree.entries_scanned` moves once per run, by the
+    /// number of calls `visit` received. Returns whether the range goes on
+    /// into the next leaf: `false` once a key above `hi` turned up or
+    /// `visit` returned `false`.
+    fn leaf_run(
+        &self,
+        b: &[u8],
+        n: usize,
+        lo: &[u8],
+        first: bool,
+        hi: &[u8],
+        mut visit: impl FnMut(&[u8], u64) -> bool,
+    ) -> bool {
+        let kw = self.key_width;
+        let esz = kw + 8;
+        let entries = &b[HDR..HDR + n * esz];
+        let start = if first {
+            leaf_lower_bound(b, n, kw, lo)
+        } else {
+            debug_assert!(n == 0 || key_cmp(&entries[..kw], lo).is_ge());
+            0
+        };
+        let ends_here = n > 0 && key_cmp(&entries[(n - 1) * esz..][..kw], hi).is_gt();
+        let end = if ends_here {
+            let rest = &entries[start * esz..];
+            start + partition_point(rest, n - start, esz, kw, |k| key_cmp(k, hi).is_le())
+        } else {
+            n
+        };
+        let mut visited = 0;
+        let more = entries[start * esz..end * esz].chunks_exact(esz).all(|e| {
+            visited += 1;
+            visit(&e[..kw], page::get_u64(e, kw))
+        });
+        self.metrics.entries_scanned.add(visited);
+        more && !ends_here
     }
 
     /// Runs many inclusive range probes in one batched pass.
@@ -600,30 +640,18 @@ impl BTree {
                 have_leaf = true;
             }
             // Scan `[lo, hi]` from `cur` along the sibling chain.
-            let mut done = false;
-            while !done {
-                let b = cur.buf.bytes();
-                let start = leaf_lower_bound(b, cur.n, kw, lo);
-                for i in start..cur.n {
-                    let off = HDR + i * esz;
-                    let key = &b[off..off + kw];
-                    if key > hi {
-                        done = true;
-                        break;
-                    }
-                    self.metrics.entries_scanned.inc();
-                    if !visit(ri, key, page::get_u64(b, off + kw)) {
-                        return Ok(());
-                    }
-                }
-                if !done {
-                    if cur.next == NO_PAGE {
-                        done = true;
-                    } else {
-                        let next = cur.next;
-                        cur.load(&self.pool, self.fid, next)?;
-                    }
-                }
+            let (mut more, mut first) = (true, true);
+            while self.leaf_run(cur.buf.bytes(), cur.n, lo, first, hi, |key, val| {
+                more = visit(ri, key, val);
+                more
+            }) && cur.next != NO_PAGE
+            {
+                let next = cur.next;
+                cur.load(&self.pool, self.fid, next)?;
+                first = false;
+            }
+            if !more {
+                return Ok(());
             }
         }
         Ok(())
@@ -664,16 +692,7 @@ impl BTree {
             let n = page::get_u16(b, 2) as usize;
             // Count separators strictly below the key.
             let esz = kw + 4;
-            let (mut lo, mut hi) = (0usize, n);
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let off = HDR + mid * esz;
-                if key_cmp(&b[off..off + kw], key).is_lt() {
-                    lo = mid + 1;
-                } else {
-                    hi = mid;
-                }
-            }
+            let lo = partition_point(&b[HDR..], n, esz, kw, |k| key_cmp(k, key).is_lt());
             if lo == 0 {
                 page::get_u32(b, 4)
             } else {
@@ -803,14 +822,20 @@ pub(crate) fn key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
     std::cmp::Ordering::Equal
 }
 
-/// First leaf index whose key is `>= key`.
-fn leaf_lower_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
-    let esz = kw + 8;
+/// How many of the `n` sorted entries in `entries` (`esz` bytes each, the
+/// `kw`-byte key first) come before the first one whose key `before`
+/// rejects.
+pub(crate) fn partition_point(
+    entries: &[u8],
+    n: usize,
+    esz: usize,
+    kw: usize,
+    before: impl Fn(&[u8]) -> bool,
+) -> usize {
     let (mut lo, mut hi) = (0usize, n);
     while lo < hi {
         let mid = (lo + hi) / 2;
-        let off = HDR + mid * esz;
-        if key_cmp(&b[off..off + kw], key).is_lt() {
+        if before(&entries[mid * esz..][..kw]) {
             lo = mid + 1;
         } else {
             hi = mid;
@@ -819,21 +844,15 @@ fn leaf_lower_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
     lo
 }
 
+/// First leaf index whose key is `>= key`.
+fn leaf_lower_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
+    partition_point(&b[HDR..], n, kw + 8, kw, |k| key_cmp(k, key).is_lt())
+}
+
 /// Number of internal entries with key `<= key` (insertion point for
 /// separators, and the child selector during descent).
 fn internal_upper_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
-    let esz = kw + 4;
-    let (mut lo, mut hi) = (0usize, n);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        let off = HDR + mid * esz;
-        if key_cmp(&b[off..off + kw], key).is_le() {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
+    partition_point(&b[HDR..], n, kw + 4, kw, |k| key_cmp(k, key).is_le())
 }
 
 #[cfg(test)]
@@ -1262,6 +1281,109 @@ mod tests {
             assert_eq!(batched, single, "trial {trial} diverged");
         }
         std::fs::remove_file(&p).ok();
+    }
+
+    /// `range` and `search_batch` over `[lo, hi]`, with a visitor that
+    /// stops at its `stop`-th entry, deliver what the one-compare-per-entry
+    /// loop delivered — the model's entries in range, cut at `stop` — and
+    /// count exactly the entries delivered.
+    fn check_run(bt: &BTree, scanned: &obs::Counter, model: &[u64], lo: u64, hi: u64, stop: usize) {
+        let all: Vec<(u64, u64)> = model
+            .iter()
+            .filter(|&&k| lo <= k && k <= hi)
+            .map(|&k| (k, k + 1))
+            .collect();
+        let want: Vec<(u64, u64)> = all.iter().copied().take(stop).collect();
+        let (lo_key, hi_key) = (key8(lo), key8(hi));
+        let before = scanned.get();
+        let mut got = Vec::new();
+        bt.range(&lo_key, &hi_key, |k, v| {
+            got.push((u64::from_be_bytes(k.try_into().unwrap()), v));
+            got.len() < stop
+        })
+        .unwrap();
+        assert!(got == want, "range [{lo}, {hi}] stop {stop}");
+        assert_eq!(scanned.get() - before, want.len() as u64, "range count");
+        // The same range twice in one batch: a stop ends the whole batch.
+        let ranges: [(&[u8], &[u8]); 2] = [(&lo_key, &hi_key), (&lo_key, &hi_key)];
+        let want: Vec<(usize, u64, u64)> = (0..2)
+            .flat_map(|ri| all.iter().map(move |&(k, v)| (ri, k, v)))
+            .take(stop)
+            .collect();
+        let before = scanned.get();
+        let mut got = Vec::new();
+        bt.search_batch(&ranges, |ri, k, v| {
+            got.push((ri, u64::from_be_bytes(k.try_into().unwrap()), v));
+            got.len() < stop
+        })
+        .unwrap();
+        assert!(got == want, "batch [{lo}, {hi}] stop {stop}");
+        assert_eq!(scanned.get() - before, want.len() as u64, "batch count");
+    }
+
+    #[test]
+    fn leaf_runs_deliver_and_count_what_the_per_entry_loop_did() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        // Bulk-loaded, so the leaf boundaries are known: 8-byte keys fill
+        // a leaf to 229 entries; key 10 * i + 5 is entry i.
+        let p = std::env::temp_dir().join(format!("pagestore-bt-{}-runs", std::process::id()));
+        let pool = Arc::new(BufferPool::new(128));
+        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let per_leaf = (PAGE_SIZE - HDR) / 16 * 9 / 10;
+        let model: Vec<u64> = (0..4 * per_leaf as u64 + 17).map(|i| 10 * i + 5).collect();
+        let keys: Vec<[u8; 8]> = model.iter().map(|&k| key8(k)).collect();
+        let mut bt = BTree::bulk_load(
+            pool,
+            fid,
+            8,
+            keys.iter().zip(&model).map(|(k, &m)| (k.as_slice(), m + 1)),
+        )
+        .unwrap();
+        let scanned = bt.count_scans_apart();
+        let key_at = |leaf: usize, slot: usize| model[leaf * per_leaf + slot];
+        let last = *model.last().unwrap();
+        let bounds = [
+            (key_at(0, 40), key_at(0, 90)),                     // inside one leaf
+            (key_at(0, 40) - 3, key_at(0, 90) + 3),             // bounds between keys
+            (key_at(1, 100), key_at(3, 7)),                     // mid-leaf to mid-leaf
+            (key_at(1, 0), key_at(2, per_leaf - 1)),            // exactly two whole leaves
+            (key_at(1, 0) - 1, key_at(2, per_leaf - 1) + 1),    // whole leaves, open bounds
+            (key_at(1, per_leaf - 1), key_at(2, 0)), // one entry either side of a boundary
+            (key_at(2, 0), key_at(2, 0)),            // a leaf's first key alone
+            (key_at(2, per_leaf - 1), key_at(2, per_leaf - 1)), // a leaf's last key alone
+            (key_at(1, 9) + 1, key_at(1, 10) - 1),   // between two keys: nothing
+            (key_at(0, per_leaf - 1) + 1, key_at(1, 0) - 1), // between two leaves: nothing
+            (0, 4),                                  // below the first key
+            (0, last),                               // everything
+            (key_at(3, 0), u64::MAX),                // into the last, partial leaf
+            (last, u64::MAX),                        // the last key
+            (last + 1, u64::MAX),                    // above the last key
+        ];
+        for &(lo, hi) in &bounds {
+            let len = model.iter().filter(|&&k| lo <= k && k <= hi).count();
+            // Never stopped, stopped at the first entry, mid-run, on the
+            // run's last entry, and at the last entry of its first leaf.
+            let to_leaf_end = per_leaf - model.partition_point(|&k| k < lo) % per_leaf;
+            for stop in [usize::MAX, 1, len / 2, len, to_leaf_end, to_leaf_end + 1] {
+                check_run(&bt, &scanned, &model, lo, hi, stop.max(1));
+            }
+        }
+        // Leaves left by splits, random bounds.
+        let (_pool, mut grown, p2) = setup("runs-grown", 8);
+        let mut rng = StdRng::seed_from_u64(18);
+        let mut model: Vec<u64> = (0..3000u64).map(|i| i * 7 % 3001).collect();
+        for &k in &model {
+            grown.insert(&key8(k), k + 1).unwrap();
+        }
+        model.sort_unstable();
+        let scanned = grown.count_scans_apart();
+        for _ in 0..200 {
+            let (a, b) = (rng.random_range(0..3100u64), rng.random_range(0..3100u64));
+            let stop = [usize::MAX, rng.random_range(1..400usize)][rng.random_range(0..2usize)];
+            check_run(&grown, &scanned, &model, a.min(b), a.max(b), stop);
+        }
+        std::fs::remove_file(&p).ok();
+        std::fs::remove_file(&p2).ok();
     }
 
     #[test]

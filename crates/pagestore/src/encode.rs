@@ -27,6 +27,7 @@ pub fn encode_f64(v: f64) -> [u8; 8] {
 }
 
 /// Inverse of [`encode_f64`].
+#[inline]
 pub fn decode_f64(b: [u8; 8]) -> f64 {
     let flipped = u64::from_be_bytes(b);
     let bits = if flipped & (1 << 63) != 0 {
@@ -68,11 +69,13 @@ pub fn encode_key_into(cols: impl IntoIterator<Item = f64>, rid: u64, out: &mut 
 
 /// Decodes the `i`-th `f64` column of a composite key produced by
 /// [`encode_key`].
+#[inline]
 pub fn decode_key_col(key: &[u8], i: usize) -> f64 {
     decode_f64(crate::page::arr(key, i * 8))
 }
 
 /// Decodes the row-id suffix of a composite key with `ncols` columns.
+#[inline]
 pub fn decode_key_rid(key: &[u8], ncols: usize) -> u64 {
     u64::from_be_bytes(crate::page::arr(key, ncols * 8))
 }

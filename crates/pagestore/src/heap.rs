@@ -140,6 +140,46 @@ impl CompressionStats {
     }
 }
 
+/// One data page of a [`HeapFile::scan_pages`] scan, copied out of the
+/// pool and not yet decoded.
+pub struct ScanPage<'a> {
+    heap: &'a HeapFile,
+    buf: &'a PageBuf,
+    /// Columnar decodes so far: `colpage.pages_decoded` counts the page
+    /// once, however many projections read it.
+    decoded: std::cell::Cell<u64>,
+}
+
+impl ScanPage<'_> {
+    /// Rows on the page.
+    pub fn rows(&self) -> usize {
+        colpage::page_nrows(self.buf.bytes())
+    }
+
+    /// Decodes (a columnar page) or transposes (a raw one) the contiguous
+    /// columns `range` into `cols`, one buffer per column of `range`, each
+    /// cleared first and left holding the page's values in slot order.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `range` lies within the heap's columns and `cols`
+    /// has one buffer per column of it.
+    pub fn columns(&self, range: Range<usize>, cols: &mut [Vec<f64>]) -> Result<()> {
+        assert!(
+            range.end <= self.heap.ncols && cols.len() == range.len(),
+            "column range {range:?} of {} into {} buffers",
+            self.heap.ncols,
+            cols.len()
+        );
+        let mut decoded = self.decoded.get();
+        let read = self
+            .heap
+            .decode_page_columns(self.buf, range, cols, &mut decoded);
+        self.decoded.set(decoded);
+        read.map(|_| ())
+    }
+}
+
 impl HeapFile {
     /// Creates an empty heap in the (already registered, freshly created)
     /// file `fid`.
@@ -741,35 +781,58 @@ impl HeapFile {
         Ok(stats)
     }
 
-    /// Like [`HeapFile::scan_blocks`], but hands the visitor the page's
-    /// rows column by column, decoded straight into `cols` (resized to
-    /// the column count; each column holds the page's values in slot
-    /// order). Compressed columnar pages decode directly into these
-    /// buffers with no row-at-a-time materialization; raw pages are
-    /// transposed during the decode. Returning `false` stops the scan.
-    pub fn scan_columns(
+    /// Like [`HeapFile::scan_blocks`], but hands the visitor each
+    /// surviving page undecoded, as a [`ScanPage`]: the visitor asks for
+    /// the columns it needs, and may ask again once those have told it
+    /// whether the rest is worth reading. Compressed columnar pages decode
+    /// the asked columns straight into the visitor's buffers with no
+    /// row-at-a-time materialization; raw pages are transposed. Returning
+    /// `Ok(false)` stops the scan, an error aborts it.
+    pub fn scan_pages(
         &self,
         mut filter: impl FnMut(&[f64], &[f64]) -> bool,
-        cols: &mut Vec<Vec<f64>>,
-        mut visit: impl FnMut(&[Vec<f64>], usize) -> bool,
+        mut visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
     ) -> Result<ZoneScanStats> {
         let npages = self.pool.file_pages(self.fid);
         let mut stats = ZoneScanStats::default();
         let live = self.live_pages(&mut filter, npages, &mut stats);
-        cols.resize(self.ncols, Vec::new());
         let mut buf = PageBuf::zeroed();
         let mut decoded = 0;
+        let mut outcome = Ok(true);
         for pid in live {
             stats.pages_scanned += 1;
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, 0..self.ncols, cols, &mut decoded)?;
-            if !visit(cols, n) {
+            let page = ScanPage {
+                heap: self,
+                buf: &buf,
+                decoded: std::cell::Cell::new(0),
+            };
+            outcome = visit(&page);
+            decoded += page.decoded.get().min(1);
+            if !matches!(outcome, Ok(true)) {
                 break;
             }
         }
         Self::flush_decoded(decoded);
         Self::flush_zone_counters(&stats);
-        Ok(stats)
+        outcome.map(|_| stats)
+    }
+
+    /// [`HeapFile::scan_pages`] with every column of every surviving page
+    /// decoded into `cols` (resized to the column count; each column holds
+    /// the page's values in slot order) before the visitor sees it.
+    /// Returning `false` stops the scan.
+    pub fn scan_columns(
+        &self,
+        filter: impl FnMut(&[f64], &[f64]) -> bool,
+        cols: &mut Vec<Vec<f64>>,
+        mut visit: impl FnMut(&[Vec<f64>], usize) -> bool,
+    ) -> Result<ZoneScanStats> {
+        cols.resize(self.ncols, Vec::new());
+        self.scan_pages(filter, |page| {
+            page.columns(0..self.ncols, cols)?;
+            Ok(visit(cols, page.rows()))
+        })
     }
 
     /// Reads the row `r` into `out` (resized to the column count).
@@ -1114,6 +1177,74 @@ mod tests {
         .unwrap();
         assert_eq!(via_blocks, via_cols);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn projected_scan_matches_scan_columns_on_both_formats() {
+        for format in [PageFormat::Raw, PageFormat::Columnar] {
+            let (_pool, mut h, p) = setup_fmt(&format!("scanproj-{}", format.name()), 5, format);
+            for i in 0..3000u64 {
+                let h64 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let dv = f64::from_bits(0xBFF0_0000_0000_0000 | (h64 >> 12));
+                h.insert(&[
+                    300.0 * (i % 90) as f64,
+                    dv,
+                    i as f64,
+                    -0.0,
+                    300.0 * i as f64,
+                ])
+                .unwrap();
+            }
+            // The reference: every page whole, through `scan_columns`,
+            // under a filter that prunes some pages.
+            let filter = |_: &[f64], maxs: &[f64]| maxs[2] >= 700.0;
+            let mut full: Vec<Vec<Vec<u64>>> = Vec::new();
+            let mut bufs = Vec::new();
+            let bits = |col: &Vec<f64>| col.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+            let want = h
+                .scan_columns(filter, &mut bufs, |cols, n| {
+                    assert!(cols.iter().all(|c| c.len() == n));
+                    full.push(cols.iter().map(bits).collect());
+                    true
+                })
+                .unwrap();
+            assert!(want.pages_pruned > 0 && full.len() > 3, "{format:?}");
+            // Two projections of each page, the second one only on every
+            // other page, into buffers that still hold the last page.
+            let (mut lead, mut rest) = (vec![Vec::new(); 2], vec![Vec::new(); 3]);
+            let mut at = 0;
+            let got = h
+                .scan_pages(filter, |page| {
+                    assert_eq!(page.rows(), full[at][0].len(), "{format:?} page {at}");
+                    page.columns(0..2, &mut lead)?;
+                    let lead: Vec<_> = lead.iter().map(bits).collect();
+                    assert!(lead == full[at][0..2], "{format:?} page {at}, 0..2");
+                    if at % 2 == 0 {
+                        page.columns(2..5, &mut rest)?;
+                        let rest: Vec<_> = rest.iter().map(bits).collect();
+                        assert!(rest == full[at][2..5], "{format:?} page {at}, 2..5");
+                        page.columns(4..4, &mut [])?;
+                    }
+                    at += 1;
+                    Ok(true)
+                })
+                .unwrap();
+            assert_eq!((got, at), (want, full.len()), "{format:?}");
+            // A visitor's `Ok(false)` stops the scan, its error aborts it.
+            let mut seen = 0;
+            h.scan_pages(
+                |_, _| true,
+                |_| {
+                    seen += 1;
+                    Ok(seen < 2)
+                },
+            )
+            .unwrap();
+            assert_eq!(seen, 2, "{format:?}");
+            let failed = h.scan_pages(|_, _| true, |_| Err(StoreError::Corrupt("stop".into())));
+            assert!(matches!(failed, Err(StoreError::Corrupt(_))), "{format:?}");
+            std::fs::remove_file(&p).ok();
+        }
     }
 
     #[test]

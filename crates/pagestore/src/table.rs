@@ -1,10 +1,10 @@
 //! Tables: a heap file plus any number of B+tree indexes, each behind a
 //! sorted write buffer.
 
-use crate::btree::{key_cmp, BTree, MAX_KEY_WIDTH};
+use crate::btree::{key_cmp, partition_point, BTree, MAX_KEY_WIDTH};
 use crate::encode::{decode_key_col, decode_key_rid, encode_key, encode_key_into, KeyBuf};
 use crate::error::Result;
-use crate::heap::{CompressionStats, HeapFile, PageFormat, RowId};
+use crate::heap::{CompressionStats, HeapFile, PageFormat, RowId, ScanPage};
 use crate::pagefile::FileId;
 use crate::StoreError;
 use parking_lot::RwLock;
@@ -23,21 +23,6 @@ pub const BUFFER_ENTRIES: usize = 512;
 /// them from all applying inside one batch.
 fn apply_phase(ordinal: usize, n: usize) -> u64 {
     (BUFFER_ENTRIES * (ordinal + 1) / n % BUFFER_ENTRIES) as u64
-}
-
-/// How many of the sorted `keys` (`kw` bytes each) come before the first
-/// one `before` rejects.
-fn partition_point(keys: &[u8], kw: usize, mut before: impl FnMut(&[u8]) -> bool) -> usize {
-    let (mut lo, mut hi) = (0, keys.len() / kw);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if before(&keys[mid * kw..][..kw]) {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
 }
 
 /// What an [`Index`]'s lock guards: the B+tree, and the write buffer that
@@ -66,7 +51,8 @@ impl Buffered {
     /// Adds `key` to the buffer, in key order.
     fn hold(&mut self, key: &[u8]) {
         let kw = key.len();
-        let at = kw * partition_point(&self.keys, kw, |k| key_cmp(k, key).is_lt());
+        let held = self.keys.len() / kw;
+        let at = kw * partition_point(&self.keys, held, kw, kw, |k| key_cmp(k, key).is_lt());
         let end = self.keys.len();
         self.keys.extend_from_slice(key);
         self.keys.copy_within(at..end, at + kw);
@@ -104,9 +90,11 @@ impl Buffered {
             return true;
         }
         let kw = lo.len();
-        let from = kw * partition_point(&self.keys, kw, |k| key_cmp(k, lo).is_lt());
-        let run = &self.keys[from..];
-        let run = &run[..kw * partition_point(run, kw, |k| key_cmp(k, hi).is_le())];
+        let held = self.keys.len() / kw;
+        let from = partition_point(&self.keys, held, kw, kw, |k| key_cmp(k, lo).is_lt());
+        let run = &self.keys[from * kw..];
+        let run =
+            &run[..kw * partition_point(run, held - from, kw, kw, |k| key_cmp(k, hi).is_le())];
         let mut visited = 0;
         let more = run.chunks_exact(kw).all(|key| {
             visited += 1;
@@ -450,9 +438,19 @@ impl Table {
         self.heap.read().scan_blocks(filter, visit)
     }
 
-    /// Column-at-a-time scan with the same zone-map pruning as
-    /// [`Table::scan_blocks`]; see [`HeapFile::scan_columns`]. Compressed
-    /// pages decode straight into the caller's column buffers.
+    /// Page-at-a-time scan with the same zone-map pruning as
+    /// [`Table::scan_blocks`], the visitor choosing which columns of each
+    /// surviving page to decode, and when; see [`HeapFile::scan_pages`].
+    pub fn scan_pages(
+        &self,
+        filter: impl FnMut(&[f64], &[f64]) -> bool,
+        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
+    ) -> Result<crate::heap::ZoneScanStats> {
+        self.heap.read().scan_pages(filter, visit)
+    }
+
+    /// [`Table::scan_pages`] with every column decoded into the caller's
+    /// column buffers; see [`HeapFile::scan_columns`].
     pub fn scan_columns(
         &self,
         filter: impl FnMut(&[f64], &[f64]) -> bool,
@@ -816,6 +814,71 @@ mod tests {
             })
             .unwrap();
         assert_eq!(n, rids.len());
+        cleanup(&paths);
+    }
+
+    #[test]
+    fn scans_through_tree_and_buffer_deliver_and_count_exactly() {
+        let (pool, table, mut paths) = setup("runs", &["dt", "dv", "t"]);
+        add_index(&pool, &table, "by_dt_dv", vec![0, 1], &mut paths);
+        let mut rows: Vec<(f64, f64, RowId)> = Vec::new();
+        for i in 0..3000u64 {
+            let row = [(i * 37 % 120) as f64, -((i % 11) as f64) - 1.0, i as f64];
+            rows.push((row[0], row[1], table.insert(&row).unwrap()));
+        }
+        let idx = table.index("by_dt_dv").unwrap();
+        let in_tree = idx.len() as usize - idx.buffered();
+        assert!(idx.buffered() > 100 && in_tree > 2000);
+        let scanned = idx.tree.write().tree.count_scans_apart();
+        // What a store holds of `[lo, hi]`, in key order.
+        let run = |part: &[(f64, f64, RowId)], lo: f64, hi: f64| {
+            let mut run: Vec<_> = part
+                .iter()
+                .filter(|r| lo <= r.0 && r.0 <= hi)
+                .copied()
+                .collect();
+            run.sort_by(|x, y| x.partial_cmp(y).unwrap());
+            run
+        };
+        let (neg, inf) = (f64::NEG_INFINITY, f64::INFINITY);
+        for (lo, hi) in [
+            (neg, 10.0),
+            (50.0, 60.5),
+            (119.0, 500.0),
+            (200.0, 300.0),
+            (neg, inf),
+        ] {
+            let mut want = run(&rows[..in_tree], lo, hi);
+            let from_tree = want.len();
+            want.extend(run(&rows[in_tree..], lo, hi));
+            // Never stopped; stopped at the first entry, on the tree run's
+            // last entry, on the buffer run's first and on the last of all.
+            for stop in [usize::MAX, 1, from_tree, from_tree + 1, want.len()] {
+                let stop = stop.max(1);
+                let want: Vec<_> = want.iter().copied().take(stop).collect();
+                let (lo, hi) = ([lo, neg], [hi, inf]);
+                let before = scanned.get();
+                let mut got = Vec::new();
+                table
+                    .index_scan_batch("by_dt_dv", &[(&lo, &hi)], |_, rid, cols| {
+                        got.push((cols[0], cols[1], rid));
+                        got.len() < stop
+                    })
+                    .unwrap();
+                assert!(got == want, "batch over {lo:?}..{hi:?}, stop {stop}");
+                assert_eq!(scanned.get() - before, want.len() as u64, "batch count");
+                let before = scanned.get();
+                got.clear();
+                table
+                    .index_scan("by_dt_dv", &lo, &hi, |rid, cols| {
+                        got.push((cols[0], cols[1], rid));
+                        got.len() < stop
+                    })
+                    .unwrap();
+                assert!(got == want, "scan over {lo:?}..{hi:?}, stop {stop}");
+                assert_eq!(scanned.get() - before, want.len() as u64, "scan count");
+            }
+        }
         cleanup(&paths);
     }
 

@@ -54,6 +54,27 @@ fn pages_decoded_counts_every_decoded_columnar_page_once() {
         .unwrap();
     assert_eq!(decoded() - before, 3, "a scan stopped on its third page");
 
+    // A page read through several projections was decoded once; a page
+    // the visitor asked nothing of was not decoded at all.
+    let before = decoded();
+    let (mut lead, mut rest) = (vec![Vec::new(); 1], vec![Vec::new(); 2]);
+    let mut at = 0;
+    columnar
+        .scan_pages(
+            |_, _| true,
+            |page| {
+                if at % 2 == 0 {
+                    page.columns(0..1, &mut lead)?;
+                    page.columns(1..3, &mut rest)?;
+                    page.columns(0..1, &mut lead)?;
+                }
+                at += 1;
+                Ok(true)
+            },
+        )
+        .unwrap();
+    assert_eq!(decoded() - before, pages.div_ceil(2), "projected scan");
+
     // A fetch decodes each distinct page once, whatever it projects.
     let on_pages = |lo: u64, hi: u64| -> Vec<RowId> {
         rids.iter()

@@ -143,21 +143,26 @@ pub fn scatter_query(
         .map(|(shard, sensors)| (shard, sensors.as_slice()))
         .collect();
 
-    // Scatter: one thread per participating shard.
+    // Scatter: the last participating shard's sub-query runs on this
+    // thread and every other one on a scoped thread of its own, so a query
+    // that one shard answers spawns nothing. Outcomes keep shard order.
+    let run = |&(shard, sensors): &(usize, &[u32])| {
+        let body = shard_body(&spec, sensors);
+        query_shard(board, upstreams, metrics, shard, sensors, &body)
+    };
     let outcomes: Vec<Result<ShardAnswer, ShardFailure>> = std::thread::scope(|s| {
-        let handles: Vec<_> = jobs
-            .iter()
-            .map(|&(shard, sensors)| {
-                let body = shard_body(&spec, sensors);
-                s.spawn(move || query_shard(board, upstreams, metrics, shard, sensors, &body))
-            })
-            .collect();
+        let Some((last, others)) = jobs.split_last() else {
+            return Vec::new();
+        };
+        let handles: Vec<_> = others.iter().map(|job| s.spawn(move || run(job))).collect();
+        let own = run(last);
         handles
             .into_iter()
             .map(|h| match h.join() {
                 Ok(outcome) => outcome,
                 Err(_) => Err(ShardFailure::Status(500, "scatter worker panicked".into())),
             })
+            .chain([own])
             .collect()
     });
 

@@ -161,22 +161,6 @@ fn engine_reloading() -> StoreError {
     StoreError::NotFound("engine unavailable: reload in progress".to_string())
 }
 
-/// A search for pairs further apart than an index's window `w` has no
-/// answer there — their features were never extracted — and
-/// [`SegDiffIndex::query`] asserts as much. From a request it is an
-/// invalid argument, caught here, before it reaches the index.
-fn within_window(region: &featurespace::QueryRegion, idx: &SegDiffIndex) -> pagestore::Result<()> {
-    let window = idx.config().window;
-    if region.t <= window {
-        return Ok(());
-    }
-    Err(StoreError::InvalidArgument(format!(
-        "t_hours {} exceeds the index window of {} h",
-        region.t / HOUR,
-        window / HOUR
-    )))
-}
-
 /// Aggregates per-sensor recovery reports into `(clean, replayed_pages,
 /// truncated_rows)`; sensors without a report count as clean.
 fn recovery_of<'a>(sensors: impl Iterator<Item = &'a SegDiffIndex>) -> (bool, u64, u64) {
@@ -219,15 +203,11 @@ impl Engine {
                         "sensor {bad} (this shard serves sensor 0 only)"
                     )));
                 }
-                within_window(region, idx)?;
                 let (results, stats, cached) = idx.query_cached(region, plan)?;
                 Ok((vec![(0, results)], stats, cached))
             }
             Engine::Transect { index, threads } => {
                 let ids = sensors.unwrap_or(index.sensor_ids());
-                for &id in ids {
-                    within_window(region, index.sensor(id)?)?;
-                }
                 let (parts, stats) =
                     index.query_subset_with_threads(ids, region, plan, *threads)?;
                 let parts = parts.into_iter().map(|(id, r)| (id, Arc::new(r))).collect();

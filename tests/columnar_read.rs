@@ -12,6 +12,24 @@ fn tmpdir(tag: &str) -> std::path::PathBuf {
     d
 }
 
+/// Both plans answer a region no zone intersects from the zone summaries
+/// alone: nothing comes back, no page was asked of the pool (hit or
+/// miss) and none was decoded.
+fn assert_answered_without_a_page(idx: &SegDiffIndex, unsatisfiable: &QueryRegion, store: &str) {
+    let decoded = || obs::global().counter("colpage.pages_decoded").get();
+    for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+        let before = decoded();
+        let (results, stats) = idx.query(unsatisfiable, plan).unwrap();
+        assert!(results.is_empty(), "{store}, {plan:?}");
+        assert_eq!(
+            stats.io.hits + stats.io.misses,
+            0,
+            "{store}, {plan:?}: pool accesses for an unsatisfiable region"
+        );
+        assert_eq!(decoded(), before, "{store}, {plan:?}: pages decoded");
+    }
+}
+
 /// A (V, T) grid over both kinds, plus a drop nothing satisfies.
 fn regions() -> Vec<QueryRegion> {
     let mut out = Vec::new();
@@ -55,6 +73,7 @@ fn columnar_pages_answer_as_the_row_store_did() {
                     scan
                 })
                 .collect();
+            assert_answered_without_a_page(&idx, regions.last().unwrap(), "row store");
             let row_heap_bytes = idx.stats().heap_bytes;
             idx.compact_storage().unwrap();
             (recorded, row_heap_bytes)
@@ -88,6 +107,7 @@ fn columnar_pages_answer_as_the_row_store_did() {
             );
         }
         assert!(decoded() > before, "no columnar page was decoded");
+        assert_answered_without_a_page(&idx, regions.last().unwrap(), "compacted store");
         idx.verify_consistency().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }
