@@ -9,6 +9,13 @@
 //! level — the `zonemap.extents_pruned` counter proves the upper levels
 //! of the hierarchy are consulted, and the guard file bounds the
 //! index-plan p99 exactly as the `scaling` experiment does.
+//!
+//! Compaction clusters the feature heaps on `(Δt₁, Δv₁)`, so the run
+//! then sets the scan plan against the index plan the way the paper's
+//! evaluation does (§6, Tables 5–6): per window `T`, behind the quarter
+//! pool and behind a pool that holds the whole store, what each plan
+//! reads, skips and examines per result, and how long a query takes
+//! ([`PlanAtT`]).
 
 use crate::harness::{scratch_dir, with_registry_delta, Scale};
 use crate::report::Report;
@@ -37,6 +44,95 @@ pub struct BigCorpusResult {
     pub extents_pruned: u64,
     /// Registry delta across the timed queries (the metrics artifact).
     pub metrics: obs::MetricsSnapshot,
+    /// Scan plan against index plan, per pool and per `T`.
+    pub sweep: Vec<PlanAtT>,
+}
+
+/// One plan over the regions of one window `T` behind one pool: the
+/// counts of one pass over [`regions_at`], which repeat, and the time of
+/// a query.
+#[derive(Debug, Clone)]
+pub struct PlanAtT {
+    /// `"quarter"` (of the heap) or `"resident"` (the whole store).
+    pub pool: &'static str,
+    /// The window `T`, in hours.
+    pub t_hours: f64,
+    /// The plan that ran.
+    pub plan: QueryPlan,
+    /// Pages asked of the pool: heap pages by the scan plan, B+tree and
+    /// heap pages by the index plan.
+    pub pages_read: u64,
+    /// Heap pages the zone hierarchy skipped.
+    pub pages_pruned: u64,
+    /// Rows the scan's kernel examined, or entries the probe visited.
+    pub examined: u64,
+    /// Pairs returned.
+    pub results: u64,
+    /// Median over the timed passes of pass time / regions, milliseconds.
+    pub ms_per_query: f64,
+}
+
+/// The windows of the scan-against-index table (the benchmark's grid).
+const SWEEP_HOURS: [f64; 5] = [0.5, 1.0, 2.0, 4.0, 8.0];
+
+/// The benchmark's thresholds at one window: eight drops, four jumps.
+fn regions_at(t_hours: f64) -> Vec<QueryRegion> {
+    let drops = [-1.0, -1.5, -2.0, -3.0, -4.0, -5.0, -6.0, -8.0];
+    let jumps = [1.0, 2.0, 3.0, 4.0];
+    drops
+        .iter()
+        .map(|&v| QueryRegion::drop(t_hours * HOUR, v))
+        .chain(jumps.iter().map(|&v| QueryRegion::jump(t_hours * HOUR, v)))
+        .collect()
+}
+
+/// Runs both plans over every window's regions on `idx`: one pass each
+/// that fills the pool as far as it goes and takes the counts, then
+/// `repeats` timed rounds of one pass each — rounds, not a burst per row,
+/// so a busy moment of the host lands on every row alike and the medians
+/// stay comparable.
+fn sweep_plans(idx: &SegDiffIndex, pool: &'static str, repeats: u32, out: &mut Vec<PlanAtT>) {
+    let pruned = || obs::global().counter("zonemap.pages_pruned").get();
+    let first = out.len();
+    for t_hours in SWEEP_HOURS {
+        for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+            let mut row = PlanAtT {
+                pool,
+                t_hours,
+                plan,
+                pages_read: 0,
+                pages_pruned: 0,
+                examined: 0,
+                results: 0,
+                ms_per_query: 0.0,
+            };
+            let pruned_before = pruned();
+            for region in regions_at(t_hours) {
+                let (_, stats) = idx.query(&region, plan).expect("query");
+                row.pages_read += stats.io.hits + stats.io.misses;
+                row.examined += stats.rows_considered;
+                row.results += stats.results;
+            }
+            row.pages_pruned = pruned() - pruned_before;
+            out.push(row);
+        }
+    }
+    let rows = &mut out[first..];
+    let mut pass_ms = vec![Vec::new(); rows.len()];
+    for _ in 0..repeats.max(1) {
+        for (row, ms) in rows.iter().zip(&mut pass_ms) {
+            let regions = regions_at(row.t_hours);
+            let t = Instant::now();
+            for region in &regions {
+                idx.query(region, row.plan).expect("query");
+            }
+            ms.push(t.elapsed().as_secs_f64() * 1e3 / regions.len() as f64);
+        }
+    }
+    for (row, mut ms) in rows.iter_mut().zip(pass_ms) {
+        ms.sort_by(|a, b| a.total_cmp(b));
+        row.ms_per_query = percentile(&ms, 0.50);
+    }
 }
 
 fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
@@ -155,6 +251,18 @@ pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
             }
         }
     });
+
+    // Scan against index per `T`: behind this pool, then behind one that
+    // holds heaps and trees whole (twice their pages, so nothing evicts).
+    let mut sweep = Vec::new();
+    sweep_plans(&idx, "quarter", scale.repeats, &mut sweep);
+    let stats = idx.stats();
+    drop(idx);
+    let store_pages = (stats.heap_bytes + stats.index_bytes) / pagestore::PAGE_SIZE as u64;
+    let idx = SegDiffIndex::open(&root, 2 * store_pages as usize).expect("reopen resident");
+    sweep_plans(&idx, "resident", scale.repeats, &mut sweep);
+    drop(idx);
+
     std::fs::remove_dir_all(&root).ok();
     BigCorpusResult {
         corpus_bytes,
@@ -168,6 +276,7 @@ pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
             .unwrap_or(0),
         points,
         metrics,
+        sweep,
     }
 }
 
@@ -214,6 +323,43 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
             "results",
             "pages pruned",
             "extents pruned",
+        ],
+        &rows,
+    );
+    report.para(&format!(
+        "\nScan plan against index plan on the clustered store, per window T: \
+         one pass over {} regions (8 drops, 4 jumps) for the counts, the median \
+         of the timed passes for the time. Pages read are heap pages for the \
+         scan plan, B+tree and heap pages for the index plan; examined are \
+         rows through the kernel or B+tree entries through the probe.",
+        regions_at(1.0).len()
+    ));
+    let rows: Vec<Vec<String>> = r
+        .sweep
+        .iter()
+        .map(|p| {
+            vec![
+                p.pool.to_string(),
+                format!("{}", p.t_hours),
+                p.plan.name().to_string(),
+                p.pages_read.to_string(),
+                p.pages_pruned.to_string(),
+                format!("{:.2}", p.examined as f64 / p.results.max(1) as f64),
+                p.results.to_string(),
+                format!("{:.3}", p.ms_per_query),
+            ]
+        })
+        .collect();
+    report.table(
+        &[
+            "pool",
+            "T (h)",
+            "plan",
+            "pages read",
+            "pages pruned",
+            "examined / result",
+            "results",
+            "ms / query",
         ],
         &rows,
     );
@@ -277,6 +423,25 @@ mod tests {
             r.points.iter().find(|p| p.plan == "index").unwrap(),
         );
         assert_eq!(seq.results, idx.results, "plans disagree: {:?}", r.points);
+        // The sweep: both plans agree at every window behind both pools,
+        // counts do not depend on the pool, and on the clustered heaps a
+        // short window skips most pages and a long one few.
+        assert_eq!(r.sweep.len(), 2 * SWEEP_HOURS.len() * 2);
+        for pair in r.sweep.chunks(2) {
+            assert_eq!(pair[0].results, pair[1].results, "{pair:?}");
+        }
+        let (quarter, resident) = r.sweep.split_at(r.sweep.len() / 2);
+        for (q, res) in quarter.iter().zip(resident) {
+            let counts = |p: &PlanAtT| (p.pages_read, p.pages_pruned, p.examined, p.results);
+            assert_eq!(counts(q), counts(res), "{q:?} / {res:?}");
+        }
+        let scanned_share = |p: &PlanAtT| {
+            assert_eq!(p.plan, QueryPlan::SeqScan);
+            p.pages_read as f64 / (p.pages_read + p.pages_pruned) as f64
+        };
+        let (short, long) = (&quarter[0], &quarter[2 * (SWEEP_HOURS.len() - 1)]);
+        assert!(scanned_share(short) < 0.25, "{short:?}");
+        assert!(scanned_share(long) > 0.75, "{long:?}");
         let json = metrics_json(&r);
         assert!(json.contains("\"extents_pruned\""), "{json}");
 
@@ -287,6 +452,7 @@ mod tests {
             md.contains("extents pruned") && md.contains("seq_scan"),
             "{md}"
         );
+        assert!(md.contains("examined / result") && md.contains("resident"));
     }
 }
 

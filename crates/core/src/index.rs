@@ -574,26 +574,30 @@ jump_hist {} {} {}
     /// Rewrites every feature table — and the segments table — into the
     /// compressed columnar page format, rebuilding each table's B+trees
     /// and hierarchical zone map in the process (see
-    /// [`pagestore::Database::rewrite_table_format`]). Row contents are
-    /// preserved bit-exactly, so query results before and after are
-    /// identical; ingestion continues to work on the rewritten tables.
+    /// [`pagestore::Database::rewrite_table_format`]). The feature tables
+    /// come out clustered on the feature-space key `(Δt₁, Δv₁)` — the two
+    /// dimensions every query region bounds — so a page's zone is narrow
+    /// in exactly what `zone_may_intersect` reads and a search skips the
+    /// pages whose least `Δt₁` exceeds its `T`; `segments` stays in
+    /// temporal order, which [`SegDiffIndex::segments`] and the resume
+    /// path read it in. Row contents are preserved bit-exactly and no
+    /// answer depends on row order inside a heap (every result is
+    /// `sort_dedup`ed), so query results before and after are identical;
+    /// ingestion continues to work on the rewritten tables.
     /// Idempotent: already-columnar tables are left untouched.
     ///
     /// Returns one `(table name, compression accounting)` entry per
     /// table, in `drop1..3, jump1..3, segments` order.
     pub fn compact_storage(&self) -> Result<Vec<(String, pagestore::CompressionStats)>> {
         let _span = obs::span("ingest.compact");
+        let features = self.drop_tables.iter().chain(self.jump_tables.iter());
         let mut out = Vec::new();
-        for t in self
-            .drop_tables
-            .iter()
-            .chain(self.jump_tables.iter())
-            .chain(std::iter::once(&self.segments_table))
+        for (t, cluster_on) in features
+            .map(|t| (t, &[0, 1][..]))
+            .chain(std::iter::once((&self.segments_table, &[][..])))
         {
-            if t.format() != pagestore::PageFormat::Columnar {
-                self.db
-                    .rewrite_table_format(t.name(), pagestore::PageFormat::Columnar)?;
-            }
+            self.db
+                .rewrite_table_format(t.name(), pagestore::PageFormat::Columnar, cluster_on)?;
             out.push((t.name().to_string(), t.compression_stats()?));
         }
         // Row ids changed wholesale; cached results keyed on the old
@@ -651,9 +655,11 @@ jump_hist {} {} {}
     ///    share their boundary point — the segmenter guarantees this, and
     ///    recovery truncates whole segments, never splits one).
     /// 2. Replaying feature extraction over the stored segments reproduces
-    ///    every feature table row for row. Extraction is deterministic and
-    ///    insertion order equals replay order, so any divergence means the
-    ///    tables and the segment log are from different instants.
+    ///    every feature table as a multiset of rows, bit for bit.
+    ///    Extraction is deterministic, so any divergence means the tables
+    ///    and the segment log are from different instants. Order inside a
+    ///    feature heap is not compared: compaction clusters it (see
+    ///    [`SegDiffIndex::compact_storage`]) and later rows append behind.
     ///
     /// Returns [`StoreError::Corrupt`] describing the first violation.
     pub fn verify_consistency(&self) -> Result<()> {
@@ -666,8 +672,14 @@ jump_hist {} {} {}
                 )));
             }
         }
+        /// The rows of a row-major vector of bit patterns, sorted.
+        fn in_bit_order(flat: &[u64], ncols: usize) -> Vec<&[u64]> {
+            let mut rows: Vec<&[u64]> = flat.chunks_exact(ncols).collect();
+            rows.sort_unstable();
+            rows
+        }
         let mut replay = FeatureExtractor::new(self.config.epsilon, self.config.window);
-        let mut expected: Vec<Vec<Vec<f64>>> = vec![Vec::new(); 6];
+        let mut expected: Vec<Vec<u64>> = vec![Vec::new(); 6];
         let mut rows = Vec::new();
         let mut colbuf = Vec::new();
         for seg in &segments {
@@ -681,33 +693,39 @@ jump_hist {} {} {}
                 };
                 colbuf.clear();
                 encode_row(row, &mut colbuf);
-                expected[slot].push(colbuf.clone());
+                expected[slot].extend(colbuf.iter().map(|v| v.to_bits()));
             }
         }
-        for (slot, table) in self
+        for (table, want) in self
             .drop_tables
             .iter()
             .chain(self.jump_tables.iter())
-            .enumerate()
+            .zip(&expected)
         {
-            let want = &expected[slot];
-            let mut i = 0usize;
-            let mut mismatch = false;
+            let ncols = table.columns().len();
+            let mut stored: Vec<u64> = Vec::with_capacity(want.len());
             table.seq_scan(|_, row| {
-                if want.get(i).map(Vec::as_slice) != Some(row) {
-                    mismatch = true;
-                    return false;
-                }
-                i += 1;
+                stored.extend(row.iter().map(|v| v.to_bits()));
                 true
             })?;
-            if mismatch || i != want.len() {
+            let (stored, want) = (in_bit_order(&stored, ncols), in_bit_order(want, ncols));
+            if stored != want {
+                let at = stored.iter().zip(&want).take_while(|(s, w)| s == w).count();
+                let floats = |row: Option<&&[u64]>| match row {
+                    Some(r) => format!(
+                        "{:?}",
+                        r.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>()
+                    ),
+                    None => "no row".to_string(),
+                };
                 return Err(StoreError::Corrupt(format!(
-                    "feature table {} disagrees with segment replay at row {i} \
-                     ({} stored, {} expected)",
+                    "feature table {} disagrees with segment replay ({} rows stored, {} \
+                     expected): of the rows in bit order, number {at} is {} stored and {} expected",
                     table.name(),
-                    table.num_rows(),
-                    want.len()
+                    stored.len(),
+                    want.len(),
+                    floats(stored.get(at)),
+                    floats(want.get(at)),
                 )));
             }
         }
@@ -1146,6 +1164,71 @@ mod tests {
             idx.verify_consistency(),
             Err(pagestore::StoreError::Corrupt(_))
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn verify_consistency_compares_feature_tables_as_multisets() {
+        let dir = tmpdir("multiset");
+        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+        idx.ingest_series(&drop_series()).unwrap();
+        idx.finish().unwrap();
+        // A row the replay does not extract, whose bits sort behind every
+        // stored row's (`dt1` is never negative): named, with both counts.
+        let rows = idx.drop_tables[0].num_rows();
+        let forged = [-1.0, -2.0, 3.0, 4.0, 5.0, 6.0];
+        idx.drop_tables[0].insert(&forged).unwrap();
+        match idx.verify_consistency() {
+            Err(StoreError::Corrupt(m)) => {
+                assert!(m.contains("feature table drop1"), "{m}");
+                let counts = format!("{} rows stored, {rows} expected", rows + 1);
+                assert!(m.contains(&counts), "{m}");
+                let rows = format!("{forged:?} stored and no row expected");
+                assert!(m.contains(&rows), "{m}");
+            }
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn compaction_clusters_the_feature_heaps_and_leaves_segments_temporal() {
+        let dir = tmpdir("clustered");
+        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+        idx.ingest_series(&drop_series()).unwrap();
+        idx.finish().unwrap();
+        idx.build_indexes().unwrap();
+        let rows_of = |t: &Table| {
+            let mut rows: Vec<Vec<u64>> = Vec::new();
+            t.seq_scan(|_, row| {
+                rows.push(row.iter().map(|v| v.to_bits()).collect());
+                true
+            })
+            .unwrap();
+            rows
+        };
+        let features = |idx: &SegDiffIndex| {
+            let tables = idx.drop_tables.iter().chain(idx.jump_tables.iter());
+            tables.map(|t| rows_of(t)).collect::<Vec<_>>()
+        };
+        let (segments, before) = (idx.segments().unwrap(), features(&idx));
+        idx.compact_storage().unwrap();
+        assert_eq!(idx.segments().unwrap(), segments, "segments moved");
+        assert!(segments.windows(2).all(|w| w[0].t_end == w[1].t_start));
+        let mut moved = 0;
+        for (mut before, after) in before.into_iter().zip(features(&idx)) {
+            let key = |r: &Vec<u64>| (f64::from_bits(r[0]), f64::from_bits(r[1]));
+            assert!(
+                after.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
+                "not in (dt1, dv1) order"
+            );
+            moved += usize::from(before != after);
+            let mut after = after;
+            before.sort_unstable();
+            after.sort_unstable();
+            assert!(before == after, "compaction changed a row");
+        }
+        assert!(moved >= 2, "{moved} heaps were not in key order already");
         std::fs::remove_dir_all(&dir).ok();
     }
 

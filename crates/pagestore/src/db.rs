@@ -11,8 +11,10 @@ use crate::pagefile::{FileId, PageFile};
 use crate::recovery::{self, RecoveryReport};
 use crate::table::Table;
 use crate::wal::{sync_dir, CommitState, Wal, WAL_FILE};
+use crate::zonemap::ZoneMap;
 use crate::StoreError;
 use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -386,16 +388,27 @@ impl Database {
     }
 
     /// Rewrites a table's heap in the other data-page format, in place
-    /// and crash-safely. Row *contents* are preserved bit-exactly; row
-    /// ids change (columnar pages hold a variable number of rows), so
-    /// every index is rebuilt, as is the zone-map sidecar.
+    /// and crash-safely, emitting the rows in a stable sort by
+    /// [`f64::total_cmp`] on the columns `cluster_on` (compared in the
+    /// order given; rows with equal keys, and every row under an empty
+    /// key, keep their storage order, so the files written are a pure
+    /// function of the rows). Row *contents* are preserved bit-exactly;
+    /// row ids change (columnar pages hold a variable number of rows, and
+    /// a key moves rows), so every index is rebuilt, as is the zone-map
+    /// sidecar — whose page, extent and segment entries come out narrow
+    /// in the key's columns, which is all a reader ever sees of the key.
+    ///
+    /// One table's rows are held in memory while it is rewritten (rows x
+    /// columns x 8 bytes, about what [`Database::bulk_build_tree`] then
+    /// takes for each tree's keys).
     ///
     /// The protocol leans on machinery that already exists for crashes:
     ///
     /// 1. checkpoint, so no WAL image of the old pages can replay onto
     ///    the rewritten file;
-    /// 2. stream the rows into `<name>.tbl.tmp` *outside* the buffer
-    ///    pool, building the new hierarchical zone map along the way;
+    /// 2. write the ordered rows into `<name>.tbl.tmp` *outside* the
+    ///    buffer pool, building the new hierarchical zone map along the
+    ///    way;
     /// 3. delete the index files — a missing/torn `.idx` is rebuilt by
     ///    [`Database::open`] from the heap, so a crash anywhere past
     ///    this point self-repairs;
@@ -404,102 +417,44 @@ impl Database {
     /// 5. install the new zone map (a crash between 4 and here leaves
     ///    the *old-format* sidecar behind, which the next open discards
     ///    exactly like a row-count mismatch) and rebuild the indexes.
-    pub fn rewrite_table_format(&self, name: &str, format: PageFormat) -> Result<()> {
+    pub fn rewrite_table_format(
+        &self,
+        name: &str,
+        format: PageFormat,
+        cluster_on: &[usize],
+    ) -> Result<()> {
         let table = self.table(name)?;
+        let ncols = table.columns().len();
+        if let Some(c) = cluster_on.iter().find(|&&c| c >= ncols) {
+            return Err(StoreError::InvalidArgument(format!(
+                "clustering column {c} of table {name}, which has {ncols}"
+            )));
+        }
         if table.format() == format {
             return Ok(());
         }
         self.flush()?; // checkpoint in WAL mode: the log ends here
 
-        // Stream every row into the temp file, meta page first.
         let path = self.table_path(name);
         let tmp = self.dir.join(format!("{name}.tbl.tmp"));
-        let ncols = table.columns().len();
-        let mut out = PageFile::create(&tmp)?;
-        out.allocate()?; // meta page 0, filled in below
-        let mut zones = crate::zonemap::ZoneMap::new(ncols, format.tag());
-        let mut io_err: Option<StoreError> = None;
-        let mut next_pid: u32 = 1;
-        let mut pagebuf = PageBuf::zeroed();
-        match format {
-            PageFormat::Columnar => {
-                let mut builder = ColPageBuilder::new(ncols);
-                let mut seal =
-                    |out: &mut PageFile, builder: &ColPageBuilder, pid: u32| -> Result<()> {
-                        let got = out.allocate()?;
-                        debug_assert_eq!(got, pid);
-                        builder.seal_into(pagebuf.bytes_mut());
-                        out.write_page(pid, pagebuf.bytes())?;
-                        obs::global().counter("colpage.pages_written").inc();
-                        Ok(())
-                    };
-                table.seq_scan(|_rid, row| {
-                    if !builder.try_push(row) {
-                        if let Err(e) = seal(&mut out, &builder, next_pid) {
-                            io_err = Some(e);
-                            return false;
-                        }
-                        next_pid += 1;
-                        builder.clear();
-                        assert!(builder.try_push(row), "a row must fit an empty page");
-                    }
-                    zones.observe(next_pid, row);
-                    true
-                })?;
-                if io_err.is_none() && !builder.is_empty() {
-                    io_err = seal(&mut out, &builder, next_pid).err();
-                }
-            }
-            PageFormat::Raw => {
-                let rows_per_page = (crate::PAGE_SIZE - PAGE_HDR) / (ncols * 8);
-                let mut slot = 0usize;
-                let flush =
-                    |out: &mut PageFile, b: &mut PageBuf, pid: u32, n: usize| -> Result<()> {
-                        let got = out.allocate()?;
-                        debug_assert_eq!(got, pid);
-                        page::put_u16(b.bytes_mut(), 0, n as u16);
-                        out.write_page(pid, b.bytes())?;
-                        *b = PageBuf::zeroed();
-                        Ok(())
-                    };
-                table.seq_scan(|_rid, row| {
-                    let off = PAGE_HDR + slot * ncols * 8;
-                    for (i, &v) in row.iter().enumerate() {
-                        page::put_f64(pagebuf.bytes_mut(), off + i * 8, v);
-                    }
-                    zones.observe(next_pid, row);
-                    slot += 1;
-                    if slot == rows_per_page {
-                        if let Err(e) = flush(&mut out, &mut pagebuf, next_pid, slot) {
-                            io_err = Some(e);
-                            return false;
-                        }
-                        next_pid += 1;
-                        slot = 0;
-                    }
-                    true
-                })?;
-                if io_err.is_none() && slot > 0 {
-                    io_err = flush(&mut out, &mut pagebuf, next_pid, slot).err();
-                }
-            }
+        let zones = {
+            let mut values: Vec<f64> = Vec::with_capacity(table.num_rows() as usize * ncols);
+            table.seq_scan(|_rid, row| {
+                values.extend_from_slice(row);
+                true
+            })?;
+            let mut rows: Vec<&[f64]> = values.chunks_exact(ncols).collect();
+            // Stable: an empty key compares every pair equal and moves nothing.
+            rows.sort_by(|a, b| {
+                cluster_on.iter().fold(Ordering::Equal, |o, &c| {
+                    o.then_with(|| a[c].total_cmp(&b[c]))
+                })
+            });
+            self.write_heap_file(&tmp, format, ncols, &rows)
         }
-        if let Some(e) = io_err {
+        .inspect_err(|_| {
             std::fs::remove_file(&tmp).ok();
-            return Err(e);
-        }
-        let nrows = zones.num_rows();
-        debug_assert_eq!(nrows, table.num_rows());
-        let mut meta = PageBuf::zeroed();
-        page::put_u32(meta.bytes_mut(), 0, HEAP_MAGIC);
-        page::put_u16(meta.bytes_mut(), 4, ncols as u16);
-        page::put_u64(meta.bytes_mut(), 8, nrows);
-        page::put_u16(meta.bytes_mut(), 16, format.tag());
-        out.write_page(0, meta.bytes())?;
-        if self.opts.sync {
-            out.sync_all()?;
-        }
-        drop(out);
+        })?;
 
         // Point of no return: drop derived files, then the heap itself.
         for iname in table.index_names() {
@@ -525,6 +480,74 @@ impl Database {
         }
         self.flush()?; // the rewritten state becomes the recovery point
         Ok(())
+    }
+
+    /// Writes `rows`, in the order given, as a whole heap file at `path`
+    /// in `format` — meta page, then data pages filled front to back —
+    /// and returns the zone map of the rows under the pages they landed
+    /// on.
+    fn write_heap_file(
+        &self,
+        path: &Path,
+        format: PageFormat,
+        ncols: usize,
+        rows: &[&[f64]],
+    ) -> Result<ZoneMap> {
+        fn append_page(out: &mut PageFile, page: &PageBuf) -> Result<()> {
+            let pid = out.allocate()?;
+            out.write_page(pid, page.bytes())
+        }
+        let mut out = PageFile::create(path)?;
+        out.allocate()?; // meta page 0, filled in below
+        let mut zones = ZoneMap::new(ncols, format.tag());
+        let mut pagebuf = PageBuf::zeroed();
+        // A row lands on the page the file grows by next: `num_pages()`.
+        match format {
+            PageFormat::Columnar => {
+                let mut builder = ColPageBuilder::new(ncols);
+                let mut seal = |out: &mut PageFile, builder: &ColPageBuilder| {
+                    builder.seal_into(pagebuf.bytes_mut());
+                    obs::global().counter("colpage.pages_written").inc();
+                    append_page(out, &pagebuf)
+                };
+                for row in rows {
+                    if !builder.try_push(row) {
+                        seal(&mut out, &builder)?;
+                        builder.clear();
+                        assert!(builder.try_push(row), "a row must fit an empty page");
+                    }
+                    zones.observe(out.num_pages(), row);
+                }
+                if !builder.is_empty() {
+                    seal(&mut out, &builder)?;
+                }
+            }
+            PageFormat::Raw => {
+                let rows_per_page = (crate::PAGE_SIZE - PAGE_HDR) / (ncols * 8);
+                for page_rows in rows.chunks(rows_per_page) {
+                    pagebuf = PageBuf::zeroed();
+                    page::put_u16(pagebuf.bytes_mut(), 0, page_rows.len() as u16);
+                    for (slot, row) in page_rows.iter().enumerate() {
+                        let off = PAGE_HDR + slot * ncols * 8;
+                        for (i, &v) in row.iter().enumerate() {
+                            page::put_f64(pagebuf.bytes_mut(), off + i * 8, v);
+                        }
+                        zones.observe(out.num_pages(), row);
+                    }
+                    append_page(&mut out, &pagebuf)?;
+                }
+            }
+        }
+        let mut meta = PageBuf::zeroed();
+        page::put_u32(meta.bytes_mut(), 0, HEAP_MAGIC);
+        page::put_u16(meta.bytes_mut(), 4, ncols as u16);
+        page::put_u64(meta.bytes_mut(), 8, rows.len() as u64);
+        page::put_u16(meta.bytes_mut(), 16, format.tag());
+        out.write_page(0, meta.bytes())?;
+        if self.opts.sync {
+            out.sync_all()?;
+        }
+        Ok(zones)
     }
 
     /// Bulk-loads a B+tree over `col_idx` from the table's current rows
@@ -1198,7 +1221,8 @@ mod tests {
         .unwrap();
         let heap_before = t.heap_bytes();
 
-        db.rewrite_table_format("ev", PageFormat::Columnar).unwrap();
+        db.rewrite_table_format("ev", PageFormat::Columnar, &[])
+            .unwrap();
         assert_eq!(t.format(), PageFormat::Columnar);
         assert!(t.has_zones(), "rewrite installs a fresh zone map");
         assert!(
@@ -1243,7 +1267,7 @@ mod tests {
         assert_eq!(t.num_rows(), 3001);
         assert!(t.has_zones(), "sidecar valid across reopen");
         // Round-trip back to raw: same rows again.
-        db.rewrite_table_format("ev", PageFormat::Raw).unwrap();
+        db.rewrite_table_format("ev", PageFormat::Raw, &[]).unwrap();
         assert_eq!(t.format(), PageFormat::Raw);
         assert_eq!(t.num_rows(), 3001);
         let mut n = 0;
@@ -1257,6 +1281,212 @@ mod tests {
         .unwrap();
         assert_eq!(n, 3001);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Row `i` of a load with few distinct `(dt, dv)` keys — so most rows
+    /// tie — among them both zeros and both infinities; `i` itself is the
+    /// third column, and the fourth does not compress.
+    fn keyed_row(i: u64) -> [f64; 4] {
+        let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let special = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY];
+        let dt = match (h >> 40) % 23 {
+            k @ 0..=3 => special[k as usize],
+            k => 300.0 * k as f64,
+        };
+        let dv = match (h >> 20) % 11 {
+            k @ 0..=3 => special[k as usize],
+            k => -(k as f64) * 0.37,
+        };
+        let noise = f64::from_bits(0xBFF0_0000_0000_0000 | (h >> 12));
+        [dt, dv, i as f64, noise]
+    }
+
+    const KEYED_ROWS: u64 = 40_000;
+
+    /// A table `ev(dt, dv, t, noise)` of [`KEYED_ROWS`] [`keyed_row`]s in
+    /// `format`, with a tree over the key and one over `t`.
+    fn keyed_table(tag: &str, format: PageFormat) -> (PathBuf, Arc<Database>, Arc<Table>) {
+        let dir = tmpdir(tag);
+        fs::remove_dir_all(&dir).ok();
+        let db = Database::create(&dir, 512).unwrap();
+        let mut spec = TableSpec::new("ev", &["dt", "dv", "t", "noise"]);
+        spec.format = format;
+        let t = db.create_table(spec).unwrap();
+        for i in 0..KEYED_ROWS {
+            t.insert(&keyed_row(i)).unwrap();
+        }
+        db.create_index("ev", "by_dt_dv", &["dt", "dv"]).unwrap();
+        db.create_index("ev", "by_t", &["t"]).unwrap();
+        (dir, db, t)
+    }
+
+    fn row_bits(t: &Table) -> Vec<[u64; 4]> {
+        let mut rows = Vec::new();
+        t.seq_scan(|_, row| {
+            rows.push([0, 1, 2, 3].map(|c| row[c].to_bits()));
+            true
+        })
+        .unwrap();
+        rows
+    }
+
+    /// Every `(mins, maxs)` entry of the zone hierarchy, as a scan that
+    /// prunes nothing is shown them: segment, then each extent ahead of
+    /// its pages.
+    fn zone_entries(t: &Table) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let mut entries = Vec::new();
+        t.scan_pages(
+            |mins, maxs| {
+                entries.push((mins.to_vec(), maxs.to_vec()));
+                true
+            },
+            |_| Ok(true),
+        )
+        .unwrap();
+        entries
+    }
+
+    #[test]
+    fn clustered_rewrite_sorts_stably_and_keeps_rows_zones_and_trees() {
+        let (dir, db, t) = keyed_table("cluster", PageFormat::Raw);
+        db.flush().unwrap();
+        let arrival_file = fs::read(dir.join("ev.tbl")).unwrap();
+        // Arrival order is the third column, so sorting on it as the last
+        // key is the stable sort on the first two.
+        let by = |cols: &'static [usize]| {
+            move |a: &[u64; 4], b: &[u64; 4]| {
+                let col = |r: &[u64; 4], c: usize| f64::from_bits(r[c]);
+                cols.iter()
+                    .map(|&c| col(a, c).total_cmp(&col(b, c)))
+                    .fold(Ordering::Equal, Ordering::then)
+            }
+        };
+        let mut want = row_bits(&t);
+        want.sort_unstable_by(by(&[0, 1, 2]));
+        let ties = want.windows(2).filter(|w| w[0][..2] == w[1][..2]).count();
+        assert!(ties > 30_000, "{ties} neighbours share a key");
+
+        let check = |format: PageFormat, want: &[[u64; 4]]| {
+            assert_eq!(t.format(), format);
+            assert!(row_bits(&t) == want, "{format:?}: rows or their order");
+            // The zones the rewrite observed are the zones of the pages.
+            let installed = zone_entries(&t);
+            assert!(installed.len() > 64 + 2, "{format:?}: more than an extent");
+            t.drop_zones();
+            t.ensure_zones().unwrap();
+            assert!(installed == zone_entries(&t), "{format:?}: zones");
+            // Both trees were rebuilt over the new row ids.
+            let (neg, inf) = (f64::NEG_INFINITY, f64::INFINITY);
+            for (tree, col, lo, hi) in [
+                ("by_dt_dv", 0, 600.0, 3000.0),
+                ("by_dt_dv", 0, -1.0, 1.0),
+                ("by_dt_dv", 0, neg, inf),
+                ("by_t", 2, 777.0, 20_000.5),
+            ] {
+                let (lo_key, hi_key) = match tree {
+                    "by_t" => (vec![lo], vec![hi]),
+                    _ => (vec![lo, neg], vec![hi, inf]),
+                };
+                let mut via_tree = Vec::new();
+                let mut row = Vec::new();
+                t.index_scan(tree, &lo_key, &hi_key, |rid, cols| {
+                    t.fetch(rid, &mut row).unwrap();
+                    assert_eq!(cols[0].to_bits(), row[col].to_bits());
+                    via_tree.push((rid, row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
+                    true
+                })
+                .unwrap();
+                via_tree.sort_unstable();
+                let mut via_scan = Vec::new();
+                t.seq_scan(|rid, row| {
+                    if lo <= row[col] && row[col] <= hi {
+                        via_scan.push((rid, row.iter().map(|v| v.to_bits()).collect()));
+                    }
+                    true
+                })
+                .unwrap();
+                assert!(
+                    !via_scan.is_empty() && via_tree == via_scan,
+                    "{format:?} {tree}"
+                );
+            }
+        };
+        db.rewrite_table_format("ev", PageFormat::Columnar, &[0, 1])
+            .unwrap();
+        check(PageFormat::Columnar, &want);
+        // Pages are narrow in the leading key column and nowhere else.
+        let (mut lead, mut last) = (0, 0);
+        for (mins, maxs) in &zone_entries(&t)[1..] {
+            lead += usize::from(mins[0] == maxs[0]);
+            last += usize::from(maxs[2] - mins[2] < KEYED_ROWS as f64 / 2.0);
+        }
+        assert!(lead > 30 && last == 0, "{lead} / {last} narrow zones");
+        // Back to raw pages under another key: the rows the clustered
+        // heap holds, stably sorted on `dv` alone.
+        want.sort_by(by(&[1]));
+        db.rewrite_table_format("ev", PageFormat::Raw, &[1])
+            .unwrap();
+        check(PageFormat::Raw, &want);
+        // And under `t`, which is arrival order: the file as inserted.
+        want.sort_by(by(&[2]));
+        db.rewrite_table_format("ev", PageFormat::Columnar, &[])
+            .unwrap();
+        db.rewrite_table_format("ev", PageFormat::Raw, &[2])
+            .unwrap();
+        check(PageFormat::Raw, &want);
+        assert!(fs::read(dir.join("ev.tbl")).unwrap() == arrival_file);
+        // A column the table does not have is refused, whatever the format.
+        for format in [PageFormat::Raw, PageFormat::Columnar] {
+            assert!(matches!(
+                db.rewrite_table_format("ev", format, &[0, 4]),
+                Err(StoreError::InvalidArgument(_))
+            ));
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rewrite_without_a_key_writes_the_files_inserts_write() {
+        // The same rows inserted into a heap of either format, and each
+        // heap then rewritten into the other format in the order it has.
+        let load = |tag: &str, format: PageFormat| {
+            let (dir, db, _t) = keyed_table(tag, format);
+            db.flush().unwrap();
+            let inserted = data_files(&dir);
+            assert_eq!(inserted.len(), 3, "one heap, two trees");
+            (dir, db, inserted)
+        };
+        let (raw_dir, raw_db, raw_inserted) = load("nokey-raw", PageFormat::Raw);
+        let (col_dir, col_db, col_inserted) = load("nokey-col", PageFormat::Columnar);
+        assert!(raw_inserted != col_inserted);
+        raw_db
+            .rewrite_table_format("ev", PageFormat::Columnar, &[])
+            .unwrap();
+        assert!(data_files(&raw_dir) == col_inserted, "raw to columnar");
+        col_db
+            .rewrite_table_format("ev", PageFormat::Raw, &[])
+            .unwrap();
+        assert!(data_files(&col_dir) == raw_inserted, "columnar to raw");
+        fs::remove_dir_all(&raw_dir).ok();
+        fs::remove_dir_all(&col_dir).ok();
+    }
+
+    #[test]
+    fn two_clustered_rewrites_of_equal_tables_write_equal_files() {
+        let build = |tag: &str| {
+            let (dir, db, _t) = keyed_table(tag, PageFormat::Raw);
+            db.rewrite_table_format("ev", PageFormat::Columnar, &[0, 1])
+                .unwrap();
+            let files = data_files(&dir);
+            fs::remove_dir_all(&dir).ok();
+            files
+        };
+        let (one, other) = (build("twice-a"), build("twice-b"));
+        assert_eq!(one.len(), 3, "one heap, two trees");
+        assert!(
+            one == other,
+            "a clustered rewrite is not a function of the rows"
+        );
     }
 
     #[test]
@@ -1278,7 +1508,8 @@ mod tests {
             db.flush().unwrap();
             let sidecar = dir.join("ev.tbl.zones");
             let old = std::fs::read(&sidecar).unwrap();
-            db.rewrite_table_format("ev", PageFormat::Columnar).unwrap();
+            db.rewrite_table_format("ev", PageFormat::Columnar, &[])
+                .unwrap();
             // Simulate the crash window: old sidecar back in place.
             std::fs::write(&sidecar, old).unwrap();
         }
@@ -1298,14 +1529,11 @@ mod tests {
         // Pruned scan over the rebuilt hierarchy matches ground truth.
         let mut pruned = 0u64;
         let stats = t
-            .scan_blocks(
+            .scan_columns(
                 |mins, _| mins[0] < 100.0,
-                |block, n| {
-                    for r in 0..n {
-                        if block[r * 2] < 100.0 {
-                            pruned += 1;
-                        }
-                    }
+                &mut Vec::new(),
+                |cols, n| {
+                    pruned += cols[0][..n].iter().filter(|&&a| a < 100.0).count() as u64;
                     true
                 },
             )

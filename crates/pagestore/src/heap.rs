@@ -741,53 +741,18 @@ impl HeapFile {
 
     /// Scans rows a page at a time, skipping zones that fail `filter`
     /// (applied top-down: segment, then extent, then page summaries;
-    /// pages without zone coverage are always visited). The visitor
-    /// receives the page's rows as one row-major block of `n * ncols`
-    /// decoded columns; returning `false` stops the scan.
+    /// pages without zone coverage are always visited). The visitor is
+    /// handed each surviving page undecoded, as a [`ScanPage`]: it asks
+    /// for the columns it needs, and may ask again once those have told it
+    /// whether the rest is worth reading. Compressed columnar pages decode
+    /// the asked columns straight into the visitor's buffers with no
+    /// row-at-a-time materialization; raw pages are transposed. Returning
+    /// `Ok(false)` stops the scan, an error aborts it.
     ///
     /// Skipped pages are counted into `zonemap.pages_pruned` /
     /// `zonemap.extents_pruned` and the returned [`ZoneScanStats`]. The
     /// filter must be *conservative* — return `true` whenever any row in
     /// the bounds could match — for pruning to be lossless.
-    pub fn scan_blocks(
-        &self,
-        mut filter: impl FnMut(&[f64], &[f64]) -> bool,
-        mut visit: impl FnMut(&[f64], usize) -> bool,
-    ) -> Result<ZoneScanStats> {
-        let npages = self.pool.file_pages(self.fid);
-        let mut stats = ZoneScanStats::default();
-        let live = self.live_pages(&mut filter, npages, &mut stats);
-        let mut buf = PageBuf::zeroed();
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-        let mut block = Vec::new();
-        let mut decoded = 0;
-        for pid in live {
-            stats.pages_scanned += 1;
-            self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
-            block.clear();
-            block.reserve(n * self.ncols);
-            for slot in 0..n {
-                for col in &cols {
-                    block.push(col[slot]);
-                }
-            }
-            if !visit(&block, n) {
-                break;
-            }
-        }
-        Self::flush_decoded(decoded);
-        Self::flush_zone_counters(&stats);
-        Ok(stats)
-    }
-
-    /// Like [`HeapFile::scan_blocks`], but hands the visitor each
-    /// surviving page undecoded, as a [`ScanPage`]: the visitor asks for
-    /// the columns it needs, and may ask again once those have told it
-    /// whether the rest is worth reading. Compressed columnar pages decode
-    /// the asked columns straight into the visitor's buffers with no
-    /// row-at-a-time materialization; raw pages are transposed. Returning
-    /// `Ok(false)` stops the scan, an error aborts it.
     pub fn scan_pages(
         &self,
         mut filter: impl FnMut(&[f64], &[f64]) -> bool,
@@ -1147,19 +1112,16 @@ mod tests {
     }
 
     #[test]
-    fn columnar_scan_columns_matches_scan_blocks() {
+    fn columnar_scan_columns_matches_scan() {
         let (_pool, mut h, p) = setup_fmt("col-scancols", 2, PageFormat::Columnar);
         for i in 0..2500 {
             h.insert(&[i as f64, (i * i % 97) as f64]).unwrap();
         }
-        let mut via_blocks: Vec<f64> = Vec::new();
-        h.scan_blocks(
-            |_, _| true,
-            |block, n| {
-                via_blocks.extend_from_slice(&block[..n * 2]);
-                true
-            },
-        )
+        let mut via_rows: Vec<f64> = Vec::new();
+        h.scan(|_, row| {
+            via_rows.extend_from_slice(row);
+            true
+        })
         .unwrap();
         let mut via_cols: Vec<f64> = Vec::new();
         let mut bufs: Vec<Vec<f64>> = Vec::new();
@@ -1175,7 +1137,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(via_blocks, via_cols);
+        assert_eq!(via_rows, via_cols);
         std::fs::remove_file(&p).ok();
     }
 
@@ -1304,7 +1266,7 @@ mod tests {
         // A filter matching only the very first page's range: everything
         // else must be pruned, and all but extent 0 at the extent level.
         let stats = h
-            .scan_blocks(|mins, _maxs| mins[0] < 511.0, |_b, _n| true)
+            .scan_pages(|mins, _maxs| mins[0] < 511.0, |_| Ok(true))
             .unwrap();
         assert_eq!(stats.pages_scanned, 1);
         assert!(stats.extents_pruned >= 2, "stats: {stats:?}");
@@ -1314,7 +1276,7 @@ mod tests {
             "stats: {stats:?}"
         );
         // A filter matching nothing prunes at the segment level.
-        let stats = h.scan_blocks(|_m, _x| false, |_b, _n| true).unwrap();
+        let stats = h.scan_pages(|_m, _x| false, |_| Ok(true)).unwrap();
         assert_eq!(stats.pages_scanned, 0);
         assert_eq!(stats.extents_pruned, 3, "three extents under the segment");
         std::fs::remove_file(&p).ok();

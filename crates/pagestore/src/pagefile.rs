@@ -3,7 +3,8 @@
 use crate::error::Result;
 use crate::{StoreError, PAGE_SIZE};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 /// Identifier of a page within one [`PageFile`].
@@ -15,8 +16,9 @@ pub type FileId = u32;
 /// A file holding an array of fixed-size pages.
 ///
 /// `PageFile` does raw, unbuffered page I/O; all caching lives in the
-/// [`crate::BufferPool`]. Not internally synchronized — callers (the pool)
-/// serialize access.
+/// [`crate::BufferPool`]. Every transfer is positional (`pread` /
+/// `pwrite`): one system call a page, and no file cursor to share. Not
+/// internally synchronized — callers (the pool) serialize access.
 #[derive(Debug)]
 pub struct PageFile {
     file: File,
@@ -76,8 +78,7 @@ impl PageFile {
     pub fn allocate(&mut self) -> Result<PageId> {
         let id = self.pages;
         self.file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.file.write_all(&[0u8; PAGE_SIZE])?;
+            .write_all_at(&[0u8; PAGE_SIZE], id as u64 * PAGE_SIZE as u64)?;
         self.pages += 1;
         Ok(id)
     }
@@ -91,9 +92,7 @@ impl PageFile {
                 self.path.display()
             )));
         }
-        self.file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.file.read_exact(buf)?;
+        self.file.read_exact_at(buf, id as u64 * PAGE_SIZE as u64)?;
         Ok(())
     }
 
@@ -106,9 +105,7 @@ impl PageFile {
                 self.path.display()
             )));
         }
-        self.file
-            .seek(SeekFrom::Start(id as u64 * PAGE_SIZE as u64))?;
-        self.file.write_all(buf)?;
+        self.file.write_all_at(buf, id as u64 * PAGE_SIZE as u64)?;
         Ok(())
     }
 

@@ -427,20 +427,9 @@ impl Table {
         self.heap.read().fetch_many_cols(rids, cols, visit)
     }
 
-    /// Page-at-a-time scan with zone-map pruning; see
-    /// [`HeapFile::scan_blocks`]. The visitor receives each surviving
-    /// page's rows as one row-major block of `n * ncols` values.
-    pub fn scan_blocks(
-        &self,
-        filter: impl FnMut(&[f64], &[f64]) -> bool,
-        visit: impl FnMut(&[f64], usize) -> bool,
-    ) -> Result<crate::heap::ZoneScanStats> {
-        self.heap.read().scan_blocks(filter, visit)
-    }
-
-    /// Page-at-a-time scan with the same zone-map pruning as
-    /// [`Table::scan_blocks`], the visitor choosing which columns of each
-    /// surviving page to decode, and when; see [`HeapFile::scan_pages`].
+    /// Page-at-a-time scan with zone-map pruning, the visitor choosing
+    /// which columns of each surviving page to decode, and when; see
+    /// [`HeapFile::scan_pages`].
     pub fn scan_pages(
         &self,
         filter: impl FnMut(&[f64], &[f64]) -> bool,
@@ -883,23 +872,21 @@ mod tests {
     }
 
     #[test]
-    fn scan_blocks_prunes_losslessly() {
+    fn scan_columns_prunes_losslessly() {
         let (_pool, table, paths) = setup("zones", &["dt", "dv"]);
         for i in 0..4000 {
             table.insert(&[i as f64, -((i % 13) as f64)]).unwrap();
         }
         assert!(table.has_zones());
-        // Count rows with dt <= 100 via pruned block scan.
+        // Count rows with dt <= 100 via the pruned page scan.
         let mut pruned_rows = 0;
+        let mut cols = Vec::new();
         let stats = table
-            .scan_blocks(
+            .scan_columns(
                 |mins, _maxs| mins[0] <= 100.0,
-                |block, n| {
-                    for r in 0..n {
-                        if block[r * 2] <= 100.0 {
-                            pruned_rows += 1;
-                        }
-                    }
+                &mut cols,
+                |cols, n| {
+                    pruned_rows += cols[0][..n].iter().filter(|&&dt| dt <= 100.0).count();
                     true
                 },
             )
@@ -919,7 +906,7 @@ mod tests {
         // Dropping zones disables pruning but not the scan itself.
         table.drop_zones();
         assert!(!table.has_zones());
-        let stats = table.scan_blocks(|_, _| false, |_, _| true).unwrap();
+        let stats = table.scan_pages(|_, _| false, |_| Ok(true)).unwrap();
         assert_eq!(stats.pages_pruned, 0);
         table.ensure_zones().unwrap();
         assert!(table.has_zones());

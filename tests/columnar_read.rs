@@ -2,7 +2,10 @@
 //! must come back unchanged from compressed columnar pages read through a
 //! buffer pool a quarter of the heap — sequential scan (every column
 //! decoded) and index plan (only the time stamps decoded) alike — and
-//! Theorem 1's completeness must hold on what they return.
+//! Theorem 1's completeness must hold on what they return. Compaction
+//! also clusters the feature heaps on `(Δt₁, Δv₁)`: a short search then
+//! skips most pages, and rows that arrive later append behind the
+//! clustered ones.
 
 use segdiff_repro::prelude::*;
 
@@ -30,6 +33,14 @@ fn assert_answered_without_a_page(idx: &SegDiffIndex, unsatisfiable: &QueryRegio
     }
 }
 
+/// Pages a sequential-scan search read, and pages its zone filter skipped.
+fn pages_scanned_and_pruned(idx: &SegDiffIndex, region: &QueryRegion) -> (u64, u64) {
+    let pruned = || obs::global().counter("zonemap.pages_pruned").get();
+    let before = pruned();
+    let (_, stats) = idx.query(region, QueryPlan::SeqScan).unwrap();
+    (stats.io.hits + stats.io.misses, pruned() - before)
+}
+
 /// A (V, T) grid over both kinds, plus a drop nothing satisfies.
 fn regions() -> Vec<QueryRegion> {
     let mut out = Vec::new();
@@ -49,11 +60,15 @@ fn regions() -> Vec<QueryRegion> {
 fn columnar_pages_answer_as_the_row_store_did() {
     let cfg = CadTransectConfig::default().with_days(8).with_sensors(2);
     let regions = regions();
+    // Half an hour of an eight-hour window: most first corners lie beyond.
+    let short = QueryRegion::drop(0.5 * HOUR, -2.0);
     let decoded = || obs::global().counter("colpage.pages_decoded").get();
     for sensor in 0..2 {
         let dir = tmpdir(&format!("s{sensor}"));
-        let series = generate_sensor(&cfg, sensor, 20_080_325);
-        let (recorded, row_heap_bytes) = {
+        // The last day arrives after compaction.
+        let whole = generate_sensor(&cfg, sensor, 20_080_325);
+        let series = whole.prefix(whole.len() * 7 / 8);
+        let (recorded, row_heap_bytes, row_pages_scanned) = {
             let mut idx = SegDiffIndex::create(
                 &dir,
                 SegDiffConfig::default()
@@ -75,8 +90,9 @@ fn columnar_pages_answer_as_the_row_store_did() {
                 .collect();
             assert_answered_without_a_page(&idx, regions.last().unwrap(), "row store");
             let row_heap_bytes = idx.stats().heap_bytes;
+            let (row_pages_scanned, _) = pages_scanned_and_pruned(&idx, &short);
             idx.compact_storage().unwrap();
-            (recorded, row_heap_bytes)
+            (recorded, row_heap_bytes, row_pages_scanned)
         };
         assert!(recorded.last().unwrap().is_empty(), "a 30-degree drop");
         assert!(recorded.iter().filter(|r| !r.is_empty()).count() >= 6);
@@ -109,6 +125,48 @@ fn columnar_pages_answer_as_the_row_store_did() {
         assert!(decoded() > before, "no columnar page was decoded");
         assert_answered_without_a_page(&idx, regions.last().unwrap(), "compacted store");
         idx.verify_consistency().unwrap();
+
+        // Clustered on the feature-space key, the short search reads under
+        // a quarter of the pages it read of the row store — and under a
+        // quarter of the compacted heap's own, so compression alone (a
+        // third of the pages) is not what skipped them.
+        let (scanned, pruned) = pages_scanned_and_pruned(&idx, &short);
+        assert!(
+            scanned * 4 < row_pages_scanned && scanned * 4 < scanned + pruned,
+            "sensor {sensor}: {scanned} pages scanned, {pruned} pruned, {row_pages_scanned} of the row store"
+        );
+        drop(idx);
+
+        // Ingest continues onto the clustered heaps: the tables still hold
+        // what a replay of the segments extracts, before and after a
+        // reopen, and the searches see the new day on both plans.
+        let mut idx = SegDiffIndex::open(&dir, 1024).unwrap();
+        for i in series.len()..whole.len() {
+            let (t, v) = whole.get(i);
+            idx.push(t, v).unwrap();
+        }
+        idx.finish().unwrap();
+        idx.verify_consistency().unwrap();
+        drop(idx);
+        let idx = SegDiffIndex::open(&dir, 1024).unwrap();
+        idx.verify_consistency().unwrap();
+        let mut grown = 0;
+        for (region, before) in regions.iter().zip(&recorded) {
+            let (scan, _) = idx.query(region, QueryPlan::SeqScan).unwrap();
+            let (indexed, _) = idx.query(region, QueryPlan::Index).unwrap();
+            assert_eq!(
+                scan, indexed,
+                "after the last day: plans disagree on {region:?}"
+            );
+            let events = oracle::true_events(&whole, region);
+            assert_eq!(
+                oracle::find_missed_event(&events, &scan),
+                None,
+                "{region:?}"
+            );
+            grown += usize::from(scan.len() > before.len());
+        }
+        assert!(grown >= 4, "sensor {sensor}: {grown} searches found more");
         std::fs::remove_dir_all(&dir).ok();
     }
 }
