@@ -7,18 +7,11 @@
 //! ```
 //!
 //! Experiments: `table3 table4 table5 table6 table7 fig7_11 fig12_13
-//! fig14_15 fig16_24 serving durability scaling all`, plus `bigcorpus`
+//! fig14_15 fig16_24 ablations durability all`, plus `bigcorpus`
 //! (larger-than-RAM columnar smoke; runs only when named explicitly,
 //! never under `all`). Flags: `--days N` (subset size), `--full-days N`
 //! (scalability run), `--queries N` (random-query count), `--repeats N`,
-//! `--tiny` (smoke-test scale), `--out PATH` (write markdown). The
-//! `scaling` experiment also honours `--record-baseline` (write
-//! `BENCH_query.json`), `--baseline PATH` (compare against a recorded
-//! file, default `BENCH_query.json`) and `--guard PATH` (fail when the
-//! index-plan p99 exceeds the guard's `max_p99_ms`, mirroring
-//! `loadgen --guard`). `bigcorpus` shares `--guard` and adds
-//! `--metrics-out PATH` (write the run's counter delta as a JSON
-//! artifact; CI asserts `zonemap.extents_pruned > 0` from it).
+//! `--tiny` (smoke-test scale), `--out PATH` (write markdown).
 
 use segdiff_bench::experiments::{self, EpsSweep, RandomQueryPoint, ScalePoint, WPoint};
 use segdiff_bench::harness::with_registry_delta;
@@ -31,13 +24,9 @@ struct Args {
     scale: Scale,
     queries: usize,
     out: Option<PathBuf>,
-    baseline: PathBuf,
-    record_baseline: bool,
-    guard: Option<PathBuf>,
-    metrics_out: Option<PathBuf>,
 }
 
-const KNOWN: [&str; 14] = [
+const KNOWN: [&str; 13] = [
     "all",
     "table3",
     "table4",
@@ -48,9 +37,8 @@ const KNOWN: [&str; 14] = [
     "fig12_13",
     "fig14_15",
     "fig16_24",
-    "serving",
+    "ablations",
     "durability",
-    "scaling",
     "bigcorpus",
 ];
 
@@ -60,10 +48,6 @@ fn parse_args() -> Args {
         scale: Scale::default(),
         queries: 30,
         out: None,
-        baseline: PathBuf::from("BENCH_query.json"),
-        record_baseline: false,
-        guard: None,
-        metrics_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
@@ -85,12 +69,6 @@ fn parse_args() -> Args {
             }
             "--tiny" => args.scale = Scale::tiny(),
             "--out" => args.out = Some(PathBuf::from(it.next().expect("--out PATH"))),
-            "--baseline" => args.baseline = PathBuf::from(it.next().expect("--baseline PATH")),
-            "--record-baseline" => args.record_baseline = true,
-            "--guard" => args.guard = Some(PathBuf::from(it.next().expect("--guard PATH"))),
-            "--metrics-out" => {
-                args.metrics_out = Some(PathBuf::from(it.next().expect("--metrics-out PATH")))
-            }
             name if !name.starts_with('-') => {
                 if !KNOWN.contains(&name) {
                     eprintln!("unknown experiment {name}; known: {KNOWN:?}");
@@ -180,41 +158,11 @@ fn main() {
         report.metrics("Telemetry: random queries", &delta);
     }
 
-    if want("serving") {
-        eprintln!("[reproduce] running serving benchmark ...");
-        // Short points at --tiny scale so smoke runs stay fast; real runs
-        // get long enough windows for stable qps.
-        let per_point = if args.scale.subset_days <= 2 {
-            std::time::Duration::from_millis(500)
-        } else {
-            std::time::Duration::from_secs(3)
-        };
-        let (points, delta) = with_registry_delta(|| {
-            segdiff_bench::serving::run_serving(&args.scale, &[1, 8], per_point)
-        });
-        segdiff_bench::serving::serving_report(&points, &mut report);
-        report.metrics("Telemetry: serving", &delta);
-    }
-
-    if want("scaling") {
-        eprintln!("[reproduce] running query-scaling benchmark ...");
-        let (points, delta) =
-            with_registry_delta(|| segdiff_bench::scaling::run_query_scaling(&args.scale, &[1, 8]));
-        if args.record_baseline {
-            let json = segdiff_bench::scaling::baseline_json(&args.scale, &points);
-            std::fs::write(&args.baseline, json).expect("write baseline");
-            eprintln!("[reproduce] recorded baseline {}", args.baseline.display());
-        }
-        let baseline = segdiff_bench::scaling::load_baseline(&args.baseline);
-        segdiff_bench::scaling::scaling_report(&points, baseline.as_deref(), &mut report);
-        report.metrics("Telemetry: query scaling", &delta);
-        if let Some(guard) = &args.guard {
-            if let Err(msg) = segdiff_bench::scaling::check_guard(&points, guard) {
-                eprintln!("[reproduce] query guard FAILED: {msg}");
-                std::process::exit(1);
-            }
-            eprintln!("[reproduce] query guard OK ({})", guard.display());
-        }
+    if want("ablations") {
+        eprintln!("[reproduce] running ablations ...");
+        let (rows, delta) = with_registry_delta(|| experiments::run_ablations(&args.scale));
+        experiments::ablations_report(&rows, &mut report);
+        report.metrics("Telemetry: ablations", &delta);
     }
 
     // Explicit-only: a larger-than-RAM run is too slow for `all`.
@@ -223,21 +171,9 @@ fn main() {
         let result = segdiff_bench::bigcorpus::run_bigcorpus(&args.scale);
         segdiff_bench::bigcorpus::bigcorpus_report(&result, &mut report);
         report.metrics("Telemetry: big corpus", &result.metrics);
-        if let Some(path) = &args.metrics_out {
-            std::fs::write(path, segdiff_bench::bigcorpus::metrics_json(&result))
-                .expect("write metrics artifact");
-            eprintln!("[reproduce] wrote metrics artifact {}", path.display());
-        }
         if result.extents_pruned == 0 {
             eprintln!("[reproduce] big-corpus FAILED: zonemap.extents_pruned == 0");
             std::process::exit(1);
-        }
-        if let Some(guard) = &args.guard {
-            if let Err(msg) = segdiff_bench::scaling::check_guard(&result.points, guard) {
-                eprintln!("[reproduce] big-corpus guard FAILED: {msg}");
-                std::process::exit(1);
-            }
-            eprintln!("[reproduce] big-corpus guard OK ({})", guard.display());
         }
     }
 

@@ -420,17 +420,11 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
         ),
     );
     if let Some(guard_path) = &cfg.guard {
-        let text = std::fs::read_to_string(guard_path)
-            .map_err(|e| format!("guard file {}: {e}", guard_path.display()))?;
-        let max_p99_ms = Json::parse(&text)
-            .map_err(|e| format!("guard file: {e}"))?
-            .get("max_p99_ms")
-            .and_then(Json::as_f64)
-            .ok_or("guard file needs a numeric max_p99_ms field")?;
+        let verdict = loadgen::check_p99_guard(&report.latency, guard_path);
         check(
             "router p99 within guard",
-            p99_ms <= max_p99_ms,
-            format!("p99 {p99_ms:.2} ms vs bound {max_p99_ms:.2} ms"),
+            verdict.is_ok(),
+            verdict.unwrap_or_else(|e| e),
         );
     }
 

@@ -36,7 +36,7 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// A much smaller scale for Criterion benches and smoke tests.
+    /// A much smaller scale for smoke tests.
     pub fn tiny() -> Self {
         Self {
             subset_days: 10,

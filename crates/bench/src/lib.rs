@@ -1,9 +1,9 @@
 //! Experiment harness: everything needed to regenerate every table and
 //! figure of the paper's §6 on the synthetic CAD workload.
 //!
-//! The `reproduce` binary drives the functions in [`experiments`]; the
-//! Criterion benches under `benches/` exercise reduced-size versions of the
-//! same code paths so `cargo bench` stays fast.
+//! The `reproduce` binary drives the functions in [`experiments`]. What
+//! is timed for engineering rather than for the paper lives in the repo's
+//! benchmark (`benchmark/`, `BENCHMARK.json`), not here.
 
 pub mod alertsmoke;
 pub mod bigcorpus;
@@ -11,8 +11,6 @@ pub mod clustersmoke;
 pub mod experiments;
 pub mod harness;
 pub mod report;
-pub mod scaling;
-pub mod serving;
 pub mod subsmoke;
 
 pub use harness::{

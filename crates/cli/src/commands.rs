@@ -974,7 +974,7 @@ fn loadgen(
     t_hours: f64,
     guard: Option<&Path>,
 ) -> Result<(), Anyhow> {
-    use segdiff_server::loadgen::{fetch, parse_url, query_mix, run as run_load};
+    use segdiff_server::loadgen::{check_p99_guard, fetch, parse_url, query_mix, run as run_load};
     use segdiff_server::LoadgenConfig;
 
     let host = parse_url(url)?;
@@ -1036,24 +1036,7 @@ fn loadgen(
         );
     }
     if let Some(guard_path) = guard {
-        let text = std::fs::read_to_string(guard_path)
-            .map_err(|e| format!("guard file {}: {e}", guard_path.display()))?;
-        let doc = Json::parse(&text).map_err(|e| format!("guard file: {e}"))?;
-        let max_p99_ms = doc
-            .get("max_p99_ms")
-            .and_then(Json::as_f64)
-            .ok_or("guard file needs a numeric max_p99_ms field")?;
-        if ms(l.p99) > max_p99_ms {
-            return Err(format!(
-                "p99 {:.2} ms exceeds guard limit {max_p99_ms:.2} ms",
-                ms(l.p99)
-            )
-            .into());
-        }
-        println!(
-            "guard:    p99 {:.2} ms within limit {max_p99_ms:.2} ms",
-            ms(l.p99)
-        );
+        println!("guard:    {}", check_p99_guard(&l, guard_path)?);
     }
     if report.errors > 0 || report.non_2xx > 0 {
         return Err(format!(

@@ -8,7 +8,7 @@
 //! parallelograms' corners by half") while verifying that both forms
 //! return identical result sets.
 
-use crate::query::{QueryPlan, QueryStats};
+use crate::query::{check_window, QueryPlan, QueryStats};
 use crate::result::{sort_dedup, SegmentPair};
 use featurespace::{
     extract_full_corners, extract_full_self_corners, full_corners_intersect, FeaturePoint,
@@ -154,13 +154,10 @@ impl FullCornerIndex {
     }
 
     /// Runs a search by sequential scan with the exact four-corner test.
+    /// A `T` above the window is a [`pagestore::StoreError::InvalidArgument`],
+    /// as in [`crate::SegDiffIndex::query`].
     pub fn query(&self, region: &QueryRegion) -> Result<(Vec<SegmentPair>, QueryStats)> {
-        assert!(
-            region.t <= self.window,
-            "query T={} exceeds window w={}",
-            region.t,
-            self.window
-        );
+        check_window(region, self.window)?;
         let io_before = self.db.stats();
         let start = Instant::now();
         let mut rows_considered = 0u64;
@@ -305,5 +302,21 @@ mod tests {
         );
         std::fs::remove_dir_all(&d1).ok();
         std::fs::remove_dir_all(&d2).ok();
+    }
+
+    #[test]
+    fn query_beyond_window_rejected() {
+        let dir = tmpdir("window");
+        let mut full = FullCornerIndex::create(&dir, 0.2, 4.0 * HOUR, 128).unwrap();
+        full.ingest_series(&walk(100, 5)).unwrap();
+        full.finish().unwrap();
+        match full.query(&QueryRegion::drop(5.0 * HOUR, -1.0)) {
+            Err(pagestore::StoreError::InvalidArgument(m)) => {
+                assert_eq!(m, "t_hours 5 exceeds the index window of 4 h")
+            }
+            other => panic!("{:?}", other.map(|(r, _)| r.len())),
+        }
+        assert!(full.query(&QueryRegion::drop(4.0 * HOUR, -1.0)).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

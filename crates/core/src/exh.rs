@@ -8,7 +8,7 @@
 //! unlike SegDiff — blind to events of the data generating model G that
 //! fall between samples (§5.1).
 
-use crate::query::{QueryPlan, QueryStats};
+use crate::query::{check_window, QueryPlan, QueryStats};
 use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, Result, Table, TableSpec};
 use sensorgen::TimeSeries;
@@ -179,17 +179,14 @@ impl ExhIndex {
 
     /// Runs a drop or jump search. Results are exact over sampled
     /// observations: each returned event names the two time stamps.
+    /// A `T` above the window is a [`pagestore::StoreError::InvalidArgument`],
+    /// as in [`crate::SegDiffIndex::query`].
     pub fn query(
         &self,
         region: &QueryRegion,
         plan: QueryPlan,
     ) -> Result<(Vec<ExhEvent>, QueryStats)> {
-        assert!(
-            region.t <= self.window,
-            "query T={} exceeds window w={}",
-            region.t,
-            self.window
-        );
+        check_window(region, self.window)?;
         let io_before = self.db.stats();
         let start = Instant::now();
         let mut rows_considered = 0u64;
@@ -356,6 +353,25 @@ mod tests {
         // Rises of >= 1 within 600 s: (900, 1500) and (1200, 1500), both +1.
         let got: Vec<(f64, f64)> = events.iter().map(|e| (e.t1, e.t2)).collect();
         assert_eq!(got, vec![(900.0, 1500.0), (1200.0, 1500.0)]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn query_beyond_window_rejected() {
+        let dir = tmpdir("window");
+        let mut exh = ExhIndex::create(&dir, HOUR, 128).unwrap();
+        exh.ingest_series(&series()).unwrap();
+        let region = QueryRegion::drop(1.5 * HOUR, -1.0);
+        for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+            match exh.query(&region, plan) {
+                Err(pagestore::StoreError::InvalidArgument(m)) => {
+                    assert_eq!(m, "t_hours 1.5 exceeds the index window of 1 h")
+                }
+                other => panic!("{plan:?}: {:?}", other.map(|(r, _)| r.len())),
+            }
+        }
+        let at_the_window = QueryRegion::drop(HOUR, -1.0);
+        assert!(exh.query(&at_the_window, QueryPlan::SeqScan).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -3,7 +3,7 @@
 use crate::cache::{CacheKey, QueryCache};
 use crate::config::SegDiffConfig;
 use crate::ingest::{FeatureExtractor, FeatureRow};
-use crate::query::{run_feature_query, QueryPlan, QueryStats};
+use crate::query::{check_window, run_feature_query, QueryPlan, QueryStats};
 use crate::result::SegmentPair;
 use crate::stats::{CornerHistogram, SegDiffStats};
 use crate::tables::{
@@ -12,7 +12,7 @@ use crate::tables::{
 use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, RecoveryReport, Result, StoreError, Table, TableSpec};
 use segmentation::{PiecewiseLinear, Segment, SlidingWindowSegmenter};
-use sensorgen::{TimeSeries, HOUR};
+use sensorgen::TimeSeries;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -506,13 +506,7 @@ jump_hist {} {} {}
         region: &QueryRegion,
         plan: QueryPlan,
     ) -> Result<(Vec<SegmentPair>, QueryStats)> {
-        if region.t > self.config.window {
-            return Err(StoreError::InvalidArgument(format!(
-                "t_hours {} exceeds the index window of {} h",
-                region.t / HOUR,
-                self.config.window / HOUR
-            )));
-        }
+        check_window(region, self.config.window)?;
         let tables = match region.kind {
             SearchKind::Drop => &self.drop_tables,
             SearchKind::Jump => &self.jump_tables,

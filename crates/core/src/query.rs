@@ -11,7 +11,8 @@ use crate::result::SegmentPair;
 use crate::tables::{pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
 use featurespace::QueryRegion;
-use pagestore::{Database, PoolStats, Result, Table, ZoneScanStats};
+use pagestore::{Database, PoolStats, Result, StoreError, Table, ZoneScanStats};
+use sensorgen::HOUR;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,6 +71,20 @@ pub struct QueryStats {
     pub io: PoolStats,
     /// Per-phase breakdown; the phase `io` deltas sum to `io`.
     pub phases: Vec<PhaseStats>,
+}
+
+/// Rejects a search for pairs further apart than the window `w` a store
+/// was built with: their features were never extracted, so the store has
+/// no answer, and says so with an error naming the window.
+pub(crate) fn check_window(region: &QueryRegion, window: f64) -> Result<()> {
+    if region.t > window {
+        return Err(StoreError::InvalidArgument(format!(
+            "t_hours {} exceeds the index window of {} h",
+            region.t / HOUR,
+            window / HOUR
+        )));
+    }
+    Ok(())
 }
 
 /// Measures one phase: wall time, an [`obs`] span, and the pool delta

@@ -6,8 +6,6 @@
 //! for non-negative values and flip *all* bits for negative values, then
 //! emit big-endian.
 
-use bytes::{BufMut, BytesMut};
-
 /// Encodes an `f64` into 8 bytes whose lexicographic order matches the
 /// numeric total order (`total_cmp`).
 ///
@@ -39,16 +37,16 @@ pub fn decode_f64(b: [u8; 8]) -> f64 {
 }
 
 /// A reusable composite-key buffer.
-pub type KeyBuf = BytesMut;
+pub type KeyBuf = Vec<u8>;
 
 /// Encodes a composite key: the given `f64` columns in order, followed by
 /// the row id (big-endian) as a uniquifying suffix.
 pub fn encode_key(cols: &[f64], rid: u64, out: &mut KeyBuf) {
     out.clear();
     for &c in cols {
-        out.put_slice(&encode_f64(c));
+        out.extend_from_slice(&encode_f64(c));
     }
-    out.put_u64(rid);
+    out.extend_from_slice(&rid.to_be_bytes());
 }
 
 /// [`encode_key`] into a slice of exactly the key's width (`8 * cols + 8`

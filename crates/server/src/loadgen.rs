@@ -9,9 +9,11 @@
 //! global registry as `loadgen.request_nanos`.
 
 use crate::http::{read_response, write_request, HttpError};
+use obs::json::Json;
 use obs::HistogramSummary;
 use std::io::BufReader;
 use std::net::TcpStream;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -283,6 +285,29 @@ pub fn run(config: &LoadgenConfig) -> Result<LoadReport, String> {
     })
 }
 
+/// Holds a run's p99 against the `max_p99_ms` bound of a guard file
+/// (`ci/serving-guard.json`): the verdict line when the p99 is within
+/// the bound; an error naming the file, the missing field or the two
+/// numbers when it is not.
+pub fn check_p99_guard(latency: &HistogramSummary, guard: &Path) -> Result<String, String> {
+    let text = std::fs::read_to_string(guard)
+        .map_err(|e| format!("guard file {}: {e}", guard.display()))?;
+    let max_p99_ms = Json::parse(&text)
+        .map_err(|e| format!("guard file: {e}"))?
+        .get("max_p99_ms")
+        .and_then(Json::as_f64)
+        .ok_or("guard file needs a numeric max_p99_ms field")?;
+    let p99_ms = latency.p99 as f64 / 1e6;
+    if p99_ms > max_p99_ms {
+        return Err(format!(
+            "p99 {p99_ms:.2} ms exceeds guard limit {max_p99_ms:.2} ms"
+        ));
+    }
+    Ok(format!(
+        "p99 {p99_ms:.2} ms within limit {max_p99_ms:.2} ms"
+    ))
+}
+
 /// Builds the standard query mix for one `(kind, v, t_hours)` target:
 /// both plans over four time thresholds, so a run exercises scan and
 /// index paths and produces plenty of repeat queries for the cache.
@@ -343,6 +368,34 @@ mod tests {
         assert_eq!(r.qps(), 25.0);
         assert_eq!(r.total(), 103);
         assert_eq!(r.errors_by_body.iter().sum::<u64>(), r.errors);
+    }
+
+    #[test]
+    fn p99_guard_reads_the_bound_and_compares() {
+        let dir = std::env::temp_dir().join(format!("segdiff-guard-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let guard = dir.join("guard.json");
+        let latency = HistogramSummary {
+            p99: 3_000_000,
+            ..HistogramSummary::default()
+        };
+
+        let err = check_p99_guard(&latency, &guard).unwrap_err();
+        assert!(err.contains("guard.json"), "missing file: {err}");
+        std::fs::write(&guard, r#"{"max_p99_ms": "250"}"#).unwrap();
+        let err = check_p99_guard(&latency, &guard).unwrap_err();
+        assert!(err.contains("numeric max_p99_ms"), "{err}");
+        std::fs::write(&guard, r#"{"max_p99_ms": 2.5}"#).unwrap();
+        assert_eq!(
+            check_p99_guard(&latency, &guard).unwrap_err(),
+            "p99 3.00 ms exceeds guard limit 2.50 ms"
+        );
+        std::fs::write(&guard, r#"{"comment": "ci", "max_p99_ms": 250.0}"#).unwrap();
+        assert_eq!(
+            check_p99_guard(&latency, &guard).unwrap(),
+            "p99 3.00 ms within limit 250.00 ms"
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
