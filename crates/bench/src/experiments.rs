@@ -771,12 +771,11 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
         let tree = if bulk {
             let mut sorted = keys.clone();
             sorted.sort_unstable();
-            BTree::bulk_load(pool, fid, 16, sorted.iter().map(|k| (k.as_slice(), 0)))
-                .expect("bulk load")
+            BTree::bulk_load(pool, fid, 16, sorted.iter().map(|k| k.as_slice())).expect("bulk load")
         } else {
             let mut tree = BTree::create(pool, fid, 16).expect("create tree");
             for k in &keys {
-                tree.insert(k, 0).expect("insert");
+                tree.insert(k).expect("insert");
             }
             tree
         };
@@ -784,7 +783,7 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
     };
     let entries = |tree: &BTree| {
         let mut held = Vec::new();
-        tree.range(&[0; 16], &[0xFF; 16], |key, _| {
+        tree.range(&[0; 16], &[0xFF; 16], |key| {
             held.push(<[u8; 16]>::try_from(key).expect("key width"));
             true
         })

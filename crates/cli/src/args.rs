@@ -13,7 +13,6 @@ usage:
   segdiff stats    --index DIR [--json] [--series]
   segdiff recover  --index DIR [--json]
   segdiff metrics  --index DIR [--json]
-  segdiff sql      --index DIR \"SELECT ...\"
   segdiff serve    --index DIR [--port P] [--threads N] [--queue-depth Q]
                    [--all-sensors] [--sensors 1,2,...] [--json]
                    [--sample-ms MS] [--slow-ms MS] [--alert-rules FILE]
@@ -115,13 +114,6 @@ pub enum Command {
         index: PathBuf,
         /// Emit line-delimited JSON instead of text.
         json: bool,
-    },
-    /// Execute a SQL statement against the index's database.
-    Sql {
-        /// Index directory.
-        index: PathBuf,
-        /// The statement.
-        statement: String,
     },
     /// Run the HTTP query service over an index.
     Serve {
@@ -310,7 +302,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut plan = "scan".to_string();
     let mut refine: Option<PathBuf> = None;
     let mut limit = 50usize;
-    let mut statement: Option<String> = None;
     let mut trace = false;
     let mut all_sensors = false;
     let mut json = false;
@@ -496,9 +487,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                         .map_err(|_| "--delete must be a subscription id")?,
                 )
             }
-            other if !other.starts_with("--") && sub == "sql" && statement.is_none() => {
-                statement = Some(other.to_string());
-            }
             other => return Err(format!("unknown flag {other}")),
         }
         i += 1;
@@ -565,10 +553,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
         "metrics" => Ok(Command::Metrics {
             index: index.ok_or("metrics needs --index")?,
             json,
-        }),
-        "sql" => Ok(Command::Sql {
-            index: index.ok_or("sql needs --index")?,
-            statement: statement.ok_or("sql needs a statement argument")?,
         }),
         "serve" => {
             if threads == 0 {
@@ -1189,22 +1173,5 @@ mod tests {
         );
         assert!(parse(&argv("watch --url u")).is_err());
         assert!(parse(&argv("watch --url u --sub 1 --interval-ms 0")).is_err());
-    }
-
-    #[test]
-    fn parses_sql_statement() {
-        let args = vec![
-            "sql".to_string(),
-            "--index".to_string(),
-            "d".to_string(),
-            "SELECT COUNT(*) FROM drop1".to_string(),
-        ];
-        let c = parse(&args).unwrap();
-        match c {
-            Command::Sql { statement, .. } => {
-                assert!(statement.starts_with("SELECT"));
-            }
-            _ => panic!(),
-        }
     }
 }

@@ -65,7 +65,6 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
         } => stats(&index, json, series),
         Command::Recover { index, json } => recover(&index, json),
         Command::Metrics { index, json } => metrics(&index, json),
-        Command::Sql { index, statement } => sql(&index, &statement),
         Command::Serve {
             index,
             port,
@@ -1433,28 +1432,4 @@ fn watch(
         }
         std::thread::sleep(std::time::Duration::from_millis(interval_ms));
     }
-}
-
-fn sql(index: &Path, statement: &str) -> Result<(), Anyhow> {
-    let idx = SegDiffIndex::open(index, 4096)?;
-    match idx.database().execute(statement)? {
-        pagestore::ExecOutcome::Created => println!("ok"),
-        pagestore::ExecOutcome::Inserted(n) => println!("inserted {n} rows"),
-        pagestore::ExecOutcome::Count { count, plan } => {
-            println!("count: {count}  (plan: {plan:?})")
-        }
-        pagestore::ExecOutcome::Rows {
-            columns,
-            rows,
-            plan,
-        } => {
-            println!("-- plan: {plan:?}");
-            println!("{}", columns.join(","));
-            for row in rows {
-                let cells: Vec<String> = row.iter().map(|v| format!("{v}")).collect();
-                println!("{}", cells.join(","));
-            }
-        }
-    }
-    Ok(())
 }

@@ -5,7 +5,6 @@
 //! segdiff ingest   --index DIR --csv data.csv [--epsilon 0.2] [--window-hours 8] [--no-smooth]
 //! segdiff query    --index DIR --kind drop --v -3 --t-hours 1 [--plan scan|index] [--refine data.csv]
 //! segdiff stats    --index DIR
-//! segdiff sql      --index DIR "SELECT COUNT(*) FROM drop2"
 //! ```
 //!
 //! `ingest` creates the index directory on first use and *resumes* an

@@ -1,5 +1,5 @@
 //! End-to-end tests of the `segdiff` binary: generate → ingest → query →
-//! stats → sql, all through the real executable.
+//! stats, all through the real executable.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -83,16 +83,6 @@ fn full_workflow_through_the_binary() {
     let text = stdout(&o);
     assert!(text.contains("observations:"));
     assert!(text.contains("epsilon 0.2"));
-
-    // sql
-    let o = run(&[
-        "sql",
-        "--index",
-        idx.to_str().unwrap(),
-        "SELECT COUNT(*) FROM segments",
-    ]);
-    assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
-    assert!(stdout(&o).contains("count:"));
 
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -426,10 +426,11 @@ jump_hist {} {} {}
         Ok(())
     }
 
-    /// Builds every point- and line-query B+tree (required for
-    /// [`QueryPlan::Index`]). Idempotent: B+trees that already exist are
-    /// kept (they are maintained incrementally on insert), so this is
-    /// safe to call after every ingest.
+    /// Builds the point- and line-query B+trees [`QueryPlan::Index`]
+    /// probes (`pt1` on the one-corner tables, one `ln{j}` per edge on
+    /// the others: eight a sensor). Idempotent: B+trees that already
+    /// exist are kept (they are maintained incrementally on insert), so
+    /// this is safe to call after every ingest.
     pub fn build_indexes(&self) -> Result<()> {
         let _span = obs::span("ingest.build_indexes");
         let mut built = 0u32;
@@ -437,9 +438,9 @@ jump_hist {} {} {}
             for corners in 1..=3 {
                 let tname = table_name(kind, corners);
                 let table = self.db.table(tname)?;
-                for (iname, cols) in index_specs(corners) {
-                    if table.index(&iname).is_err() {
-                        self.db.create_index(tname, &iname, &cols)?;
+                for &(iname, cols) in index_specs(corners) {
+                    if table.index(iname).is_err() {
+                        self.db.create_index(tname, iname, cols)?;
                         built += 1;
                     }
                 }

@@ -68,7 +68,6 @@ pub mod pool;
 mod query;
 pub mod refine;
 pub mod result;
-pub mod sqlgen;
 mod stats;
 pub mod subscribe;
 mod tables;

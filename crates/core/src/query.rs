@@ -8,7 +8,7 @@
 //! trace is active — an `EXPLAIN ANALYZE`-style call tree.
 
 use crate::result::SegmentPair;
-use crate::tables::{pair_from_stamps, stamp_cols};
+use crate::tables::{index_specs, pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
 use featurespace::QueryRegion;
 use pagestore::{Database, PoolStats, Result, StoreError, Table, ZoneScanStats};
@@ -280,7 +280,8 @@ pub(crate) fn run_feature_query(
                     let pt_lo = [f64::NEG_INFINITY, f64::NEG_INFINITY];
                     let pt_hi = [region.t, f64::INFINITY];
                     let ranges: [(&[f64], &[f64]); 1] = [(&pt_lo, &pt_hi)];
-                    table.index_scan_batch("pt1", &ranges, |_, rid, cols| {
+                    let (pt1, _) = index_specs(1)[0];
+                    table.index_scan_batch(pt1, &ranges, |_, rid, cols| {
                         probed += 1;
                         keep_if(&mut rids, rid, point_hits(cols[0], cols[1], region));
                         true
@@ -298,10 +299,10 @@ pub(crate) fn run_feature_query(
                     // below scans.
                     let ln_lo = [f64::NEG_INFINITY; 4];
                     let ln_hi = [region.t, f64::INFINITY, f64::INFINITY, f64::INFINITY];
-                    for j in 1..corners {
-                        let first = j == 1;
+                    for (edge, &(ln, _)) in index_specs(corners).iter().enumerate() {
+                        let first = edge == 0;
                         let ranges: [(&[f64], &[f64]); 1] = [(&ln_lo, &ln_hi)];
-                        table.index_scan_batch(&format!("ln{j}"), &ranges, |_, rid, cols| {
+                        table.index_scan_batch(ln, &ranges, |_, rid, cols| {
                             probed += 1;
                             let (dt1, dv1, dt2, dv2) = (cols[0], cols[1], cols[2], cols[3]);
                             let hit = (first & point_hits(dt1, dv1, region))

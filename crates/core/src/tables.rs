@@ -90,28 +90,26 @@ pub(crate) fn pair_from_stamps(stamps: &[f64]) -> SegmentPair {
     }
 }
 
-/// Index specifications for a feature table with `corners` corners:
-/// one point-query index per corner and one line-query index per edge,
-/// mirroring the paper's B-trees "on the concatenation of" the involved
-/// columns (§4.4).
-pub(crate) fn index_specs(corners: usize) -> Vec<(String, Vec<&'static str>)> {
-    let coord = ["dt1", "dv1", "dt2", "dv2", "dt3", "dv3"];
-    let mut specs = Vec::new();
-    for j in 0..corners {
-        specs.push((format!("pt{}", j + 1), vec![coord[2 * j], coord[2 * j + 1]]));
+/// A B+tree of a feature table: its name and the columns it is keyed on.
+pub(crate) type IndexSpec = (&'static str, &'static [&'static str]);
+
+/// The B+trees of a feature table with `corners` corners — the ones
+/// [`crate::QueryPlan::Index`] probes, and no other: the point-query tree
+/// `pt1` on the one-corner table, and one line-query tree `ln{j}` per
+/// edge `(j, j + 1)` elsewhere, each "on the concatenation of" the
+/// involved columns (§4.4). An `ln{j}` entry carries both end points of
+/// its edge, so the edge scans evaluate every corner's point query as
+/// well and the paper's other `pt*` trees would never be read.
+pub(crate) fn index_specs(corners: usize) -> &'static [IndexSpec] {
+    match corners {
+        1 => &[("pt1", &["dt1", "dv1"])],
+        2 => &[("ln1", &["dt1", "dv1", "dt2", "dv2"])],
+        3 => &[
+            ("ln1", &["dt1", "dv1", "dt2", "dv2"]),
+            ("ln2", &["dt2", "dv2", "dt3", "dv3"]),
+        ],
+        _ => unreachable!("boundaries have 1-3 corners"),
     }
-    for j in 0..corners.saturating_sub(1) {
-        specs.push((
-            format!("ln{}", j + 1),
-            vec![
-                coord[2 * j],
-                coord[2 * j + 1],
-                coord[2 * j + 2],
-                coord[2 * j + 3],
-            ],
-        ));
-    }
-    specs
 }
 
 #[cfg(test)]
@@ -159,13 +157,83 @@ mod tests {
     }
 
     #[test]
-    fn index_specs_cover_corners_and_edges() {
-        let s1 = index_specs(1);
-        assert_eq!(s1.len(), 1); // pt1
-        let s3 = index_specs(3);
-        assert_eq!(s3.len(), 5); // pt1..3, ln1..2
-        assert!(s3.iter().any(|(n, _)| n == "ln2"));
-        let (_, ln1) = s3.iter().find(|(n, _)| n == "ln1").unwrap();
-        assert_eq!(ln1, &vec!["dt1", "dv1", "dt2", "dv2"]);
+    fn index_specs_are_one_point_tree_or_one_line_tree_an_edge() {
+        let names = |corners| -> Vec<&str> { index_specs(corners).iter().map(|s| s.0).collect() };
+        assert_eq!(names(1), ["pt1"]);
+        assert_eq!(names(2), ["ln1"]);
+        assert_eq!(names(3), ["ln1", "ln2"]);
+        assert_eq!(index_specs(1)[0].1, ["dt1", "dv1"]);
+        assert_eq!(index_specs(3)[1].1, ["dt2", "dv2", "dt3", "dv3"]);
+        for corners in 1..=3 {
+            for (_, cols) in index_specs(corners) {
+                assert!(cols.iter().all(|c| table_cols(corners).contains(c)));
+            }
+        }
+    }
+
+    /// The trees `build_indexes` creates are the trees the index plan
+    /// scans, for 1, 2 and 3 corners: the catalogue lists exactly
+    /// `index_specs`' names, the plan answers on them as the scan does,
+    /// and a store that lacks any one of them fails the plan with that
+    /// tree's name — so none is created unread, and none is read that was
+    /// not created.
+    #[test]
+    fn the_trees_created_are_the_trees_the_index_plan_scans() {
+        use crate::{QueryPlan, SegDiffConfig, SegDiffIndex};
+        use featurespace::QueryRegion;
+        use sensorgen::{TimeSeries, HOUR};
+        let series: TimeSeries = (0..600)
+            .map(|i| {
+                let v = (i % 16) as f64 * 0.5 - ((i / 37) % 5) as f64;
+                (i as f64 * 300.0, v)
+            })
+            .collect();
+        let region = QueryRegion::drop(4.0 * HOUR, -0.5);
+        let build = |tag: &str| {
+            let dir =
+                std::env::temp_dir().join(format!("segdiff-specs-{}-{tag}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            let config = SegDiffConfig::default().with_durable(false);
+            let mut idx = SegDiffIndex::create(&dir, config).unwrap();
+            idx.ingest_series(&series).unwrap();
+            idx.finish().unwrap();
+            // No zone summary: the plan probes every table it has trees for.
+            idx.drop_zone_maps();
+            (dir, idx)
+        };
+        let (dir, idx) = build("all");
+        idx.build_indexes().unwrap();
+        let mut created = Vec::new();
+        for corners in 1..=3 {
+            let tname = table_name(SearchKind::Drop, corners);
+            let table = idx.database().table(tname).unwrap();
+            assert!(table.num_rows() > 0, "{tname} is empty");
+            let specs: Vec<&str> = index_specs(corners).iter().map(|s| s.0).collect();
+            assert_eq!(table.index_names(), specs, "{tname}");
+            created.extend(specs.into_iter().map(|tree| (corners, tree)));
+        }
+        assert_eq!(created.len(), 4, "eight trees a sensor, four a kind");
+        let (scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+        let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+        assert!(!scan.is_empty() && scan == indexed);
+        std::fs::remove_dir_all(&dir).ok();
+        for &(skip_corners, skip) in &created {
+            let (dir, idx) = build(&format!("{skip_corners}-{skip}"));
+            for &(corners, tree) in created.iter().filter(|&&c| c != (skip_corners, skip)) {
+                let (_, cols) = index_specs(corners).iter().find(|s| s.0 == tree).unwrap();
+                let tname = table_name(SearchKind::Drop, corners);
+                idx.database().create_index(tname, tree, cols).unwrap();
+            }
+            let err = idx
+                .query(&region, QueryPlan::Index)
+                .unwrap_err()
+                .to_string();
+            let tname = table_name(SearchKind::Drop, skip_corners);
+            assert!(
+                err.contains(skip) && err.contains(tname),
+                "without {tname}.{skip}: {err}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 }

@@ -412,6 +412,105 @@ mod tests {
         }
     }
 
+    /// §4.4's point query on corner `j`, as the paper states it (for a
+    /// drop; a jump mirrors the comparisons on Δv):
+    /// `Δt_j <= T AND Δv_j <= V`.
+    fn paper_point_query(dt: f64, dv: f64, region: &QueryRegion) -> bool {
+        let (t, v) = (region.t, region.v);
+        match region.kind {
+            SearchKind::Drop => dt <= t && dv <= v,
+            SearchKind::Jump => dt <= t && dv >= v,
+        }
+    }
+
+    /// §4.4's line query on the edge from corner `j` to corner `k = j + 1`:
+    /// both ends outside the region, the edge crossing into it — the last
+    /// conjunct is the paper's interpolation condition, verbatim.
+    fn paper_line_query(dtj: f64, dvj: f64, dtk: f64, dvk: f64, region: &QueryRegion) -> bool {
+        let (t, v) = (region.t, region.v);
+        match region.kind {
+            SearchKind::Drop => {
+                dtj <= t
+                    && dvj > v
+                    && dtk > t
+                    && dvk < v
+                    && dvj + (dvk - dvj) / (dtk - dtj) * (t - dtj) <= v
+            }
+            SearchKind::Jump => {
+                dtj <= t
+                    && dvj < v
+                    && dtk > t
+                    && dvk > v
+                    && dvj + (dvk - dvj) / (dtk - dtj) * (t - dtj) >= v
+            }
+        }
+    }
+
+    /// The statements of §4.4 *are* the range predicates the index plan
+    /// applies to the entries it scans: on random boundaries of one to
+    /// three corners, "some corner answers the point query or some edge
+    /// answers the line query" selects what `point_hits` / `edge_hits`
+    /// select — per corner, per edge, and for the boundary as the plan
+    /// combines them (corner 1 and every edge's far corner on the `ln`
+    /// entries) — which is also what the scan's kernel answers.
+    #[test]
+    fn section_4_4_statements_are_the_probe_predicates() {
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(4_4);
+        let (mut hits, mut point_hit, mut edge_hit) = (0, 0, 0);
+        for _ in 0..20_000 {
+            let t = rng.random_range(0.5..12.0);
+            let mag = rng.random_range(0.1..6.0);
+            let region = if rng.random_range(0..2u32) == 0 {
+                QueryRegion::drop(t, -mag)
+            } else {
+                QueryRegion::jump(t, mag)
+            };
+            // Corners ascend in Δt; one in twelve coordinates sits exactly
+            // on the region's bound.
+            let corners = rng.random_range(1..4usize);
+            let mut coord = |range: std::ops::Range<f64>, bound: f64| {
+                [rng.random_range(range), bound][usize::from(rng.random_range(0..12u32) == 0)]
+            };
+            let mut dts: Vec<f64> = (0..corners).map(|_| coord(0.0..16.0, region.t)).collect();
+            dts.sort_by(f64::total_cmp);
+            let row: Vec<f64> = dts
+                .iter()
+                .flat_map(|&dt| [dt, coord(-8.0..8.0, region.v)])
+                .collect();
+            let corner = |j: usize| (row[2 * j], row[2 * j + 1]);
+            let (mut stated, mut probed) = (false, false);
+            for j in 0..corners {
+                let (dt, dv) = corner(j);
+                let point = paper_point_query(dt, dv, &region);
+                assert_eq!(point_hits(dt, dv, &region), point, "corner {j} of {row:?}");
+                stated |= point;
+                point_hit += usize::from(point);
+                // The one-corner table's `pt1` entry.
+                probed |= (corners == 1) & point;
+            }
+            for j in 0..corners - 1 {
+                let ((dt1, dv1), (dt2, dv2)) = (corner(j), corner(j + 1));
+                let line = paper_line_query(dt1, dv1, dt2, dv2, &region);
+                let edge = edge_hits(dt1, dv1, dt2, dv2, &region);
+                assert_eq!(edge, line, "edge {j} of {row:?}");
+                stated |= line;
+                edge_hit += usize::from(line);
+                // What the index plan evaluates on this edge's `ln` entry.
+                probed |= ((j == 0) & point_hits(dt1, dv1, &region))
+                    | point_hits(dt2, dv2, &region)
+                    | edge;
+            }
+            assert_eq!(probed, stated, "{row:?} in {region:?}");
+            let cols = soa(std::slice::from_ref(&row));
+            let mut mask = Vec::new();
+            boundaries_intersect_cols(corners, &cols, 1, &region, &mut mask);
+            assert_eq!(mask, [stated], "scan kernel, {row:?} in {region:?}");
+            hits += usize::from(stated);
+        }
+        assert!(hits > 1000 && point_hit > 1000 && edge_hit > 100);
+    }
+
     #[test]
     fn cols_variant_matches_slice_variant_and_ignores_trailing_cols() {
         let region = QueryRegion::drop(10.0, -2.0);

@@ -225,12 +225,12 @@ impl SuppressionIndex {
     }
 }
 
-/// Path-level test/bench classification: integration tests, benches,
-/// the bench harness crate, and the `#[cfg(test)] mod x;` file modules
+/// Path-level test classification: integration tests, the reproduction
+/// harness crate, and the `#[cfg(test)] mod x;` file modules
 /// (`*_tests.rs`, `proptests.rs`, `tests.rs`, `appendix_tests.rs`).
 fn is_test_path(path: &str) -> bool {
     let p = path.replace('\\', "/");
-    if p.contains("/tests/") || p.contains("/benches/") || p.starts_with("crates/bench/") {
+    if p.contains("/tests/") || p.starts_with("crates/bench/") {
         return true;
     }
     let file = p.rsplit('/').next().unwrap_or(&p);

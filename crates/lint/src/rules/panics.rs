@@ -152,7 +152,7 @@ fn f() {
     #[test]
     fn arity_distinguishes_user_methods() {
         let src = "fn f() {\n  self.expect(&Token::LParen, \"'('\")?;\n  x.unwrap_or(0);\n  y.unwrap(z);\n}\n";
-        assert!(run("crates/pagestore/src/sql/parser.rs", src).is_empty());
+        assert!(run("crates/obs/src/json_impl.rs", src).is_empty());
     }
 
     #[test]

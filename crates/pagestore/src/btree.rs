@@ -1,10 +1,12 @@
-//! A disk-backed B+tree with fixed-width byte-string keys and `u64` values.
+//! A disk-backed B+tree holding a multiset of fixed-width byte-string keys.
 //!
 //! This is the engine's analogue of the paper's "B-tree index ... on the
 //! concatenation of" feature columns (§4.4): keys are order-preserving
-//! encodings of column tuples (see [`crate::encode`]), values are heap row
-//! ids. Only insert and inclusive range scans are provided — the workload
-//! is append-then-query, matching the paper's one-time-search setting.
+//! encodings of column tuples that end in the heap row id (see
+//! [`crate::encode`]), so an entry is its key and nothing else — the row
+//! id is stored once. Only insert and inclusive range scans are provided
+//! — the workload is append-then-query, matching the paper's
+//! one-time-search setting.
 
 use crate::buffer::BufferPool;
 use crate::error::Result;
@@ -13,15 +15,19 @@ use crate::pagefile::{FileId, PageId};
 use crate::{StoreError, PAGE_SIZE};
 use std::sync::Arc;
 
-const MAGIC: u32 = 0x5344_4254; // "SDBT"
+/// "SDBK": trees of keys alone. A file with the magic of the layout this
+/// one replaced ("SDBT": every leaf entry a key and a `u64` value) is not
+/// a valid tree, so [`crate::Database::open`] rebuilds it from its heap.
+const MAGIC: u32 = 0x5344_424B;
 const META_PAGE: u32 = 0;
 const HDR: usize = 8; // kind u8, pad u8, nkeys u16, next/child0 u32
 const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 /// Sentinel for "no next leaf".
 const NO_PAGE: u32 = u32::MAX;
-/// Widest key [`BTree::create`] accepts: four entries must fit a leaf.
-pub(crate) const MAX_KEY_WIDTH: usize = (PAGE_SIZE - HDR) / 4 - 8;
+/// Widest key [`BTree::create`] accepts: four separators, each with its
+/// child pointer, must fit an internal node.
+pub(crate) const MAX_KEY_WIDTH: usize = (PAGE_SIZE - HDR) / 4 - 4;
 /// No tree is taller: an internal node has at least two children and a
 /// file at most 2³² pages.
 const MAX_HEIGHT: usize = 32;
@@ -88,8 +94,8 @@ impl LeafCursor {
         &self.buf.bytes()[HDR..HDR + kw]
     }
 
-    fn last_key(&self, kw: usize, esz: usize) -> &[u8] {
-        let off = HDR + (self.n - 1) * esz;
+    fn last_key(&self, kw: usize) -> &[u8] {
+        let off = HDR + (self.n - 1) * kw;
         &self.buf.bytes()[off..off + kw]
     }
 }
@@ -112,12 +118,9 @@ impl BTree {
     /// exactly `key_width` bytes.
     pub fn create(pool: Arc<BufferPool>, fid: FileId, key_width: usize) -> Result<Self> {
         assert!(key_width >= 1, "key width must be positive");
-        let leaf_cap = (PAGE_SIZE - HDR) / (key_width + 8);
+        assert!(key_width <= MAX_KEY_WIDTH, "key width too large for a page");
+        let leaf_cap = (PAGE_SIZE - HDR) / key_width;
         let int_cap = (PAGE_SIZE - HDR) / (key_width + 4);
-        assert!(
-            leaf_cap >= 4 && int_cap >= 4,
-            "key width too large for a page"
-        );
         let meta = pool.allocate_page(fid)?;
         debug_assert_eq!(meta, META_PAGE);
         let root = pool.allocate_page(fid)?;
@@ -176,8 +179,11 @@ impl BTree {
         if magic != MAGIC {
             return Err(StoreError::Corrupt("btree file has bad magic".into()));
         }
+        if kw == 0 || kw > MAX_KEY_WIDTH {
+            return Err(StoreError::Corrupt(format!("btree key width {kw}")));
+        }
         Ok(Self {
-            leaf_cap: (PAGE_SIZE - HDR) / (kw + 8),
+            leaf_cap: (PAGE_SIZE - HDR) / kw,
             int_cap: (PAGE_SIZE - HDR) / (kw + 4),
             pool,
             fid,
@@ -247,11 +253,11 @@ impl BTree {
         self.height
     }
 
-    /// Inserts one entry. Duplicate keys are allowed and kept adjacent (the
-    /// engine appends a unique row-id suffix to every key anyway). Tables
-    /// write through [`BTree::insert_sorted`]; this is the step it takes
-    /// for a key whose leaf is full, and the oracle its tests compare to.
-    pub fn insert(&mut self, key: &[u8], val: u64) -> Result<()> {
+    /// Inserts one key. Duplicate keys are allowed and kept adjacent (the
+    /// engine ends every key in a unique row id anyway). Tables write
+    /// through [`BTree::insert_sorted`]; this is the step it takes for a
+    /// key whose leaf is full, and the oracle its tests compare to.
+    pub fn insert(&mut self, key: &[u8]) -> Result<()> {
         assert_eq!(key.len(), self.key_width, "key width mismatch");
         // Descend, recording the path of internal pages.
         let mut path = [NO_PAGE; MAX_HEIGHT];
@@ -269,12 +275,9 @@ impl BTree {
             if n >= cap {
                 return false;
             }
-            let pos = leaf_lower_bound(b, n, kw, key);
-            let esz = kw + 8;
-            let start = HDR + pos * esz;
-            b.copy_within(start..HDR + n * esz, start + esz);
+            let start = HDR + leaf_lower_bound(b, n, kw, key) * kw;
+            b.copy_within(start..HDR + n * kw, start + kw);
             b[start..start + kw].copy_from_slice(key);
-            page::put_u64(b, start + kw, val);
             page::put_u16(b, 2, (n + 1) as u16);
             true
         })?;
@@ -283,7 +286,7 @@ impl BTree {
             return Ok(());
         }
         // Slow path: split the leaf, then propagate.
-        let (mut sep, mut new_pid) = self.split_leaf(pid, key, val)?;
+        let (mut sep, mut new_pid) = self.split_leaf(pid, key)?;
         self.count += 1;
         while depth > 0 {
             depth -= 1;
@@ -310,33 +313,27 @@ impl BTree {
         Ok(())
     }
 
-    /// Inserts `n` entries that are **already sorted by key** —
-    /// `entry(0)`, …, `entry(n - 1)` — visiting each leaf they touch once
-    /// instead of once per entry. One descent finds the leaf of the next
-    /// entry and that leaf's upper fence (the tightest separator above the
-    /// key on the path); every following entry below the fence that still
-    /// fits is merged into the leaf in the same backward pass. Only an
-    /// entry that finds its leaf full goes through [`BTree::insert`] and
-    /// its split. The tree ends up holding what `n` single inserts would
+    /// Inserts `n` keys that are **already sorted** — `entry(0)`, …,
+    /// `entry(n - 1)` — visiting each leaf they touch once instead of once
+    /// per key. One descent finds the leaf of the next key and that leaf's
+    /// upper fence (the tightest separator above the key on the path);
+    /// every following key below the fence that still fits is merged into
+    /// the leaf in the same backward pass. Only a key that finds its leaf
+    /// full goes through [`BTree::insert`] and its split. The tree ends up holding what `n` single inserts would
     /// have stored; page contents may differ from theirs, but are a pure
     /// function of the tree and the run.
     ///
     /// # Panics
     ///
     /// Panics if a key has the wrong width or the run is not sorted.
-    pub fn insert_sorted<'a>(
-        &mut self,
-        n: usize,
-        entry: impl Fn(usize) -> (&'a [u8], u64),
-    ) -> Result<()> {
+    pub fn insert_sorted<'a>(&mut self, n: usize, entry: impl Fn(usize) -> &'a [u8]) -> Result<()> {
         self.metrics.applies.inc();
         let kw = self.key_width;
-        let esz = kw + 8;
         let cap = self.leaf_cap;
         let mut fence = Vec::new();
         let mut i = 0;
         while i < n {
-            let (key, val) = entry(i);
+            let key = entry(i);
             assert_eq!(key.len(), kw, "key width mismatch");
             fence.clear();
             let mut pid = self.root;
@@ -349,9 +346,9 @@ impl BTree {
                 // The run this leaf takes: below its fence, as many as fit.
                 let mut take = 0;
                 while take < cap - have && i + take < n {
-                    let next = entry(i + take).0;
+                    let next = entry(i + take);
                     if i + take > 0 {
-                        let sorted = key_cmp(entry(i + take - 1).0, next).is_le();
+                        let sorted = key_cmp(entry(i + take - 1), next).is_le();
                         assert!(sorted, "insert_sorted input must be sorted");
                     }
                     if !fence.is_empty() && key_cmp(next, &fence).is_ge() {
@@ -368,23 +365,22 @@ impl BTree {
                 // stall on every probe.
                 let (mut src, mut dst) = (have, have + take);
                 for j in (i..i + take).rev() {
-                    let (k, v) = entry(j);
+                    let k = entry(j);
                     let mut pos = src;
-                    while pos > 0 && key_cmp(&b[HDR + (pos - 1) * esz..][..kw], k).is_ge() {
+                    while pos > 0 && key_cmp(&b[HDR + (pos - 1) * kw..][..kw], k).is_ge() {
                         pos -= 1;
                     }
                     dst -= src - pos;
-                    b.copy_within(HDR + pos * esz..HDR + src * esz, HDR + dst * esz);
+                    b.copy_within(HDR + pos * kw..HDR + src * kw, HDR + dst * kw);
                     src = pos;
                     dst -= 1;
-                    b[HDR + dst * esz..HDR + dst * esz + kw].copy_from_slice(k);
-                    page::put_u64(b, HDR + dst * esz + kw, v);
+                    b[HDR + dst * kw..][..kw].copy_from_slice(k);
                 }
                 page::put_u16(b, 2, (have + take) as u16);
                 take
             })?;
             if taken == 0 {
-                self.insert(key, val)?;
+                self.insert(key)?;
                 i += 1;
             } else {
                 self.count += taken as u64;
@@ -394,8 +390,8 @@ impl BTree {
         Ok(())
     }
 
-    /// Builds a tree from entries that are **already sorted by key**
-    /// (duplicates allowed, kept in order). Orders of magnitude faster
+    /// Builds a tree from keys that are **already sorted** (duplicates
+    /// allowed). Orders of magnitude faster
     /// than repeated [`BTree::insert`]: leaves are written left to right at
     /// a ~90% fill factor and the internal levels are assembled bottom-up
     /// with no page ever touched twice.
@@ -407,11 +403,10 @@ impl BTree {
         pool: Arc<BufferPool>,
         fid: FileId,
         key_width: usize,
-        entries: impl IntoIterator<Item = (&'a [u8], u64)>,
+        keys: impl IntoIterator<Item = &'a [u8]>,
     ) -> Result<Self> {
         let mut tree = Self::create(pool, fid, key_width)?;
         let kw = key_width;
-        let esz = kw + 8;
         let fill = (tree.leaf_cap * 9 / 10).max(1);
 
         // Phase 1: fill leaves. The first leaf reuses the root page the
@@ -421,7 +416,7 @@ impl BTree {
         let mut in_page = 0usize;
         let mut count = 0u64;
         let mut prev_key: Option<Vec<u8>> = None;
-        for (key, val) in entries {
+        for key in keys {
             assert_eq!(key.len(), kw, "key width mismatch");
             if let Some(prev) = &prev_key {
                 assert!(prev.as_slice() <= key, "bulk_load input must be sorted");
@@ -443,10 +438,9 @@ impl BTree {
             if in_page == 0 {
                 leaves.push((key.to_vec(), current));
             }
-            let off = HDR + in_page * esz;
+            let off = HDR + in_page * kw;
             tree.pool.with_page_mut(fid, current, |b| {
                 b[off..off + kw].copy_from_slice(key);
-                page::put_u64(b, off + kw, val);
                 page::put_u16(b, 2, (in_page + 1) as u16);
             })?;
             in_page += 1;
@@ -491,17 +485,12 @@ impl BTree {
         Ok(tree)
     }
 
-    /// Visits every entry with `lo <= key <= hi` in key order. Returning
+    /// Visits every key with `lo <= key <= hi` in key order. Returning
     /// `false` from the visitor stops the scan.
     ///
     /// Leaf pages are copied out of the pool before the visitor runs, so
     /// the visitor may access other pool-backed structures.
-    pub fn range(
-        &self,
-        lo: &[u8],
-        hi: &[u8],
-        mut visit: impl FnMut(&[u8], u64) -> bool,
-    ) -> Result<()> {
+    pub fn range(&self, lo: &[u8], hi: &[u8], mut visit: impl FnMut(&[u8]) -> bool) -> Result<()> {
         assert_eq!(lo.len(), self.key_width, "lo width mismatch");
         assert_eq!(hi.len(), self.key_width, "hi width mismatch");
         self.metrics.range_scans.inc();
@@ -545,28 +534,27 @@ impl BTree {
         lo: &[u8],
         first: bool,
         hi: &[u8],
-        mut visit: impl FnMut(&[u8], u64) -> bool,
+        mut visit: impl FnMut(&[u8]) -> bool,
     ) -> bool {
         let kw = self.key_width;
-        let esz = kw + 8;
-        let entries = &b[HDR..HDR + n * esz];
+        let entries = &b[HDR..HDR + n * kw];
         let start = if first {
             leaf_lower_bound(b, n, kw, lo)
         } else {
             debug_assert!(n == 0 || key_cmp(&entries[..kw], lo).is_ge());
             0
         };
-        let ends_here = n > 0 && key_cmp(&entries[(n - 1) * esz..][..kw], hi).is_gt();
+        let ends_here = n > 0 && key_cmp(&entries[(n - 1) * kw..], hi).is_gt();
         let end = if ends_here {
-            let rest = &entries[start * esz..];
-            start + partition_point(rest, n - start, esz, kw, |k| key_cmp(k, hi).is_le())
+            let rest = &entries[start * kw..];
+            start + partition_point(rest, n - start, kw, kw, |k| key_cmp(k, hi).is_le())
         } else {
             n
         };
         let mut visited = 0;
-        let more = entries[start * esz..end * esz].chunks_exact(esz).all(|e| {
+        let more = entries[start * kw..end * kw].chunks_exact(kw).all(|key| {
             visited += 1;
-            visit(&e[..kw], page::get_u64(e, kw))
+            visit(key)
         });
         self.metrics.entries_scanned.add(visited);
         more && !ends_here
@@ -576,9 +564,9 @@ impl BTree {
     ///
     /// Semantically identical to calling [`BTree::range`] once per range
     /// in ascending-`lo` order (ties keep their submission order): the
-    /// visitor sees `(range_index, key, value)` triples with entries in
-    /// key order within each range, and entries shared by overlapping
-    /// ranges are delivered once per range. The implementation descends
+    /// visitor sees `(range_index, key)` pairs with keys in order within
+    /// each range, and keys shared by overlapping ranges are delivered once
+    /// per range. The implementation descends
     /// root-to-leaf only when it must and otherwise advances a
     /// [`LeafCursor`] along the leaf-sibling chain, peeking at most one
     /// sibling ahead before re-descending — classic batched B-tree access
@@ -592,7 +580,7 @@ impl BTree {
     pub fn search_batch(
         &self,
         ranges: &[(&[u8], &[u8])],
-        mut visit: impl FnMut(usize, &[u8], u64) -> bool,
+        mut visit: impl FnMut(usize, &[u8]) -> bool,
     ) -> Result<()> {
         for (lo, hi) in ranges {
             assert_eq!(lo.len(), self.key_width, "lo width mismatch");
@@ -607,7 +595,6 @@ impl BTree {
         order.sort_by(|&a, &b| ranges[a].0.cmp(ranges[b].0)); // stable: ties keep order
 
         let kw = self.key_width;
-        let esz = kw + 8;
         let mut cur = LeafCursor::new();
         let mut have_leaf = false;
         for &ri in &order {
@@ -620,7 +607,7 @@ impl BTree {
             // above its first key: every earlier leaf then holds only keys
             // `< lo`, so no duplicate run of `lo` can start before it.
             let positioned = |c: &LeafCursor| {
-                c.n > 0 && lo > c.first_key(kw) && (lo <= c.last_key(kw, esz) || c.next == NO_PAGE)
+                c.n > 0 && lo > c.first_key(kw) && (lo <= c.last_key(kw) || c.next == NO_PAGE)
             };
             let mut ok = have_leaf && positioned(&cur);
             if !ok && have_leaf && cur.n > 0 && lo > cur.first_key(kw) && cur.next != NO_PAGE {
@@ -641,8 +628,8 @@ impl BTree {
             }
             // Scan `[lo, hi]` from `cur` along the sibling chain.
             let (mut more, mut first) = (true, true);
-            while self.leaf_run(cur.buf.bytes(), cur.n, lo, first, hi, |key, val| {
-                more = visit(ri, key, val);
+            while self.leaf_run(cur.buf.bytes(), cur.n, lo, first, hi, |key| {
+                more = visit(ri, key);
                 more
             }) && cur.next != NO_PAGE
             {
@@ -702,27 +689,25 @@ impl BTree {
         })
     }
 
-    /// Splits the full leaf `pid` while inserting (key, val); returns the
+    /// Splits the full leaf `pid` while inserting `key`; returns the
     /// separator (first key of the new right leaf) and the new page id.
-    fn split_leaf(&mut self, pid: PageId, key: &[u8], val: u64) -> Result<(Vec<u8>, PageId)> {
+    fn split_leaf(&mut self, pid: PageId, key: &[u8]) -> Result<(Vec<u8>, PageId)> {
         let kw = self.key_width;
-        let esz = kw + 8;
         let mut old = PageBuf::zeroed();
         self.pool.read_page_into(self.fid, pid, &mut old)?;
         let old = old.bytes();
         let n = page::get_u16(old, 2) as usize;
         let next = page::get_u32(old, 4);
 
-        // All n + 1 entries in key order, as the bytes a page stores.
-        let at = HDR + leaf_lower_bound(old, n, kw, key) * esz;
-        let mut all = Vec::with_capacity((n + 1) * esz);
+        // All n + 1 keys in order, as the bytes a page stores.
+        let at = HDR + leaf_lower_bound(old, n, kw, key) * kw;
+        let mut all = Vec::with_capacity((n + 1) * kw);
         all.extend_from_slice(&old[HDR..at]);
         all.extend_from_slice(key);
-        all.extend_from_slice(&val.to_le_bytes());
-        all.extend_from_slice(&old[at..HDR + n * esz]);
+        all.extend_from_slice(&old[at..HDR + n * kw]);
 
-        let mid = all.len() / esz / 2;
-        let (left, right) = all.split_at(mid * esz);
+        let mid = all.len() / kw / 2;
+        let (left, right) = all.split_at(mid * kw);
         let new_pid = self.pool.allocate_page(self.fid)?;
         // Rewrite the left page (what lies past its entries stays).
         self.pool.with_page_mut(self.fid, pid, |b| {
@@ -846,7 +831,7 @@ pub(crate) fn partition_point(
 
 /// First leaf index whose key is `>= key`.
 fn leaf_lower_bound(b: &[u8], n: usize, kw: usize, key: &[u8]) -> usize {
-    partition_point(&b[HDR..], n, kw + 8, kw, |k| key_cmp(k, key).is_lt())
+    partition_point(&b[HDR..], n, kw, kw, |k| key_cmp(k, key).is_lt())
 }
 
 /// Number of internal entries with key `<= key` (insertion point for
@@ -898,20 +883,16 @@ mod tests {
     fn insert_and_full_range() {
         let (_pool, mut bt, p) = setup("basic", 8);
         for i in (0..1000u64).rev() {
-            bt.insert(&key8(i), i * 10).unwrap();
+            bt.insert(&key8(i * 10)).unwrap();
         }
         assert_eq!(bt.len(), 1000);
         let mut seen = Vec::new();
-        bt.range(&key8(0), &key8(u64::MAX), |k, v| {
-            seen.push((u64::from_be_bytes(k.try_into().unwrap()), v));
+        bt.range(&key8(0), &key8(u64::MAX), |k| {
+            seen.push(u64::from_be_bytes(k.try_into().unwrap()));
             true
         })
         .unwrap();
-        assert_eq!(seen.len(), 1000);
-        for (i, &(k, v)) in seen.iter().enumerate() {
-            assert_eq!(k, i as u64);
-            assert_eq!(v, i as u64 * 10);
-        }
+        assert!(seen.into_iter().eq((0..1000u64).map(|i| i * 10)));
         assert!(bt.height() >= 1, "1000 keys of width 8 must split");
         std::fs::remove_file(&p).ok();
     }
@@ -920,10 +901,10 @@ mod tests {
     fn partial_ranges_inclusive() {
         let (_pool, mut bt, p) = setup("ranges", 8);
         for i in 0..500u64 {
-            bt.insert(&key8(i * 2), i).unwrap(); // even keys only
+            bt.insert(&key8(i * 2)).unwrap(); // even keys only
         }
         let mut seen = Vec::new();
-        bt.range(&key8(10), &key8(20), |k, _| {
+        bt.range(&key8(10), &key8(20), |k| {
             seen.push(u64::from_be_bytes(k.try_into().unwrap()));
             true
         })
@@ -931,7 +912,7 @@ mod tests {
         assert_eq!(seen, vec![10, 12, 14, 16, 18, 20]);
         // Bounds not present in the tree.
         seen.clear();
-        bt.range(&key8(11), &key8(19), |k, _| {
+        bt.range(&key8(11), &key8(19), |k| {
             seen.push(u64::from_be_bytes(k.try_into().unwrap()));
             true
         })
@@ -939,13 +920,13 @@ mod tests {
         assert_eq!(seen, vec![12, 14, 16, 18]);
         // Empty and inverted ranges.
         seen.clear();
-        bt.range(&key8(1001), &key8(2000), |k, _| {
+        bt.range(&key8(1001), &key8(2000), |k| {
             seen.push(u64::from_be_bytes(k.try_into().unwrap()));
             true
         })
         .unwrap();
         assert!(seen.is_empty());
-        bt.range(&key8(20), &key8(10), |_, _| {
+        bt.range(&key8(20), &key8(10), |_| {
             panic!("inverted range must visit nothing")
         })
         .unwrap();
@@ -956,10 +937,10 @@ mod tests {
     fn early_exit() {
         let (_pool, mut bt, p) = setup("early", 8);
         for i in 0..100u64 {
-            bt.insert(&key8(i), i).unwrap();
+            bt.insert(&key8(i)).unwrap();
         }
         let mut n = 0;
-        bt.range(&key8(0), &key8(u64::MAX), |_, _| {
+        bt.range(&key8(0), &key8(u64::MAX), |_| {
             n += 1;
             n < 5
         })
@@ -971,32 +952,38 @@ mod tests {
     #[test]
     fn duplicate_keys_kept() {
         let (_pool, mut bt, p) = setup("dups", 8);
-        for i in 0..300u64 {
-            bt.insert(&key8(7), i).unwrap();
+        // More copies of one key than a leaf holds, between two others.
+        for k in [6, 8] {
+            bt.insert(&key8(k)).unwrap();
         }
-        let mut vals = Vec::new();
-        bt.range(&key8(7), &key8(7), |_, v| {
-            vals.push(v);
+        for _ in 0..1300 {
+            bt.insert(&key8(7)).unwrap();
+        }
+        let mut copies = 0;
+        bt.range(&key8(7), &key8(7), |k| {
+            assert_eq!(k, key8(7));
+            copies += 1;
             true
         })
         .unwrap();
-        assert_eq!(vals.len(), 300);
+        assert_eq!(copies, 1300);
+        assert_eq!(bt.len(), 1302);
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
     fn model_check_against_btreemap() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
-        use std::collections::BTreeMap;
+        use std::collections::BTreeSet;
         let (_pool, mut bt, p) = setup("model", 16);
         let mut rng = StdRng::seed_from_u64(99);
-        let mut model: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+        let mut model: BTreeSet<Vec<u8>> = BTreeSet::new();
         for i in 0..20_000u64 {
             let mut k = vec![0u8; 16];
             rng.fill(&mut k[..8]);
             k[8..].copy_from_slice(&i.to_be_bytes()); // unique suffix
-            bt.insert(&k, i).unwrap();
-            model.insert(k, i);
+            bt.insert(&k).unwrap();
+            model.insert(k);
         }
         assert_eq!(bt.len(), model.len() as u64);
         // Compare 50 random ranges.
@@ -1012,15 +999,12 @@ mod tests {
                 *b = 0xFF;
             }
             let mut got = Vec::new();
-            bt.range(&lo, &hi, |k, v| {
-                got.push((k.to_vec(), v));
+            bt.range(&lo, &hi, |k| {
+                got.push(k.to_vec());
                 true
             })
             .unwrap();
-            let want: Vec<(Vec<u8>, u64)> = model
-                .range(lo.clone()..=hi.clone())
-                .map(|(k, &v)| (k.clone(), v))
-                .collect();
+            let want: Vec<Vec<u8>> = model.range(lo.clone()..=hi.clone()).cloned().collect();
             assert_eq!(got, want);
         }
         std::fs::remove_file(&p).ok();
@@ -1034,7 +1018,7 @@ mod tests {
             let fid = pool.register_file(PageFile::create(&p).unwrap());
             let mut bt = BTree::create(pool.clone(), fid, 8).unwrap();
             for i in 0..5000u64 {
-                bt.insert(&key8(i), i).unwrap();
+                bt.insert(&key8(i)).unwrap();
             }
             bt.sync_meta().unwrap();
             pool.flush_all().unwrap();
@@ -1045,7 +1029,7 @@ mod tests {
         assert_eq!(bt.len(), 5000);
         assert_eq!(bt.key_width(), 8);
         let mut n = 0u64;
-        bt.range(&key8(0), &key8(u64::MAX), |k, _| {
+        bt.range(&key8(0), &key8(u64::MAX), |k| {
             assert_eq!(u64::from_be_bytes(k.try_into().unwrap()), n);
             n += 1;
             true
@@ -1062,15 +1046,15 @@ mod tests {
         let mut key = vec![0u8; 200];
         for i in 0..3000u64 {
             key[..8].copy_from_slice(&i.to_be_bytes());
-            bt.insert(&key, i).unwrap();
+            bt.insert(&key).unwrap();
         }
         assert!(bt.height() >= 2, "height {}", bt.height());
         let mut n = 0u64;
         let lo = vec![0u8; 200];
         let hi = vec![0xFFu8; 200];
-        bt.range(&lo, &hi, |k, v| {
+        bt.range(&lo, &hi, |k| {
             assert_eq!(u64::from_be_bytes(k[..8].try_into().unwrap()), n);
-            assert_eq!(v, n);
+            assert!(k[8..].iter().all(|&b| b == 0));
             n += 1;
             true
         })
@@ -1082,33 +1066,28 @@ mod tests {
     /// Feeds the same sorted runs to one tree through `insert_sorted` and
     /// to another one entry at a time, and after every run compares both,
     /// over the whole key space and over random sub-ranges, with a sorted
-    /// model. Entries of equal key may come in any order of value.
-    fn check_sorted_runs(name: &str, kw: usize, runs: &[Vec<(Vec<u8>, u64)>], min_height: u32) {
+    /// model.
+    fn check_sorted_runs(name: &str, kw: usize, runs: &[Vec<Vec<u8>>], min_height: u32) {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
         let (_pa, mut merged, pa) = setup(&format!("{name}-sorted"), kw);
         let (_pb, mut single, pb) = setup(&format!("{name}-single"), kw);
-        let mut model: Vec<(Vec<u8>, u64)> = Vec::new();
+        let mut model: Vec<Vec<u8>> = Vec::new();
         let mut rng = StdRng::seed_from_u64(kw as u64);
         let dump = |bt: &BTree, lo: &[u8], hi: &[u8]| {
             let mut got = Vec::new();
-            bt.range(lo, hi, |k, v| {
-                got.push((k.to_vec(), v));
+            bt.range(lo, hi, |k| {
+                got.push(k.to_vec());
                 true
             })
             .unwrap();
-            assert!(
-                got.windows(2).all(|w| w[0].0 <= w[1].0),
-                "{name}: key order"
-            );
-            got.sort();
             got
         };
         for (r, run) in runs.iter().enumerate() {
             merged
-                .insert_sorted(run.len(), |i| (run[i].0.as_slice(), run[i].1))
+                .insert_sorted(run.len(), |i| run[i].as_slice())
                 .unwrap();
-            for (k, v) in run {
-                single.insert(k, *v).unwrap();
+            for k in run {
+                single.insert(k).unwrap();
             }
             model.extend(run.iter().cloned());
             model.sort();
@@ -1123,7 +1102,7 @@ mod tests {
             for (lo, hi) in &bounds {
                 let want: Vec<_> = model
                     .iter()
-                    .filter(|(k, _)| lo <= k && k <= hi)
+                    .filter(|k| lo <= *k && *k <= hi)
                     .cloned()
                     .collect();
                 assert_eq!(dump(&merged, lo, hi), want, "{name}: run {r}, sorted");
@@ -1135,17 +1114,17 @@ mod tests {
         std::fs::remove_file(&pb).ok();
     }
 
-    /// A run of `len` sorted entries: `kw`-byte keys that open with a
-    /// random draw from `domain` values (so keys repeat when it is small)
-    /// and, when `unique`, close with a counter.
+    /// A run of `len` sorted `kw`-byte keys that open with a random draw
+    /// from `domain` values (so keys repeat when it is small) and, when
+    /// `unique`, close with a counter.
     fn sorted_run(
         rng: &mut impl rand::RngExt,
         kw: usize,
         len: usize,
         domain: u64,
         unique: &mut Option<u64>,
-    ) -> Vec<(Vec<u8>, u64)> {
-        let mut run: Vec<(Vec<u8>, u64)> = (0..len)
+    ) -> Vec<Vec<u8>> {
+        let mut run: Vec<Vec<u8>> = (0..len)
             .map(|_| {
                 let mut k = vec![0u8; kw];
                 let lead = rng.random_range(0..domain) * (u64::MAX / domain);
@@ -1154,7 +1133,7 @@ mod tests {
                     k[kw - 8..].copy_from_slice(&n.to_be_bytes());
                     *n += 1;
                 }
-                (k, rng.random_range(0..1_000_000u64))
+                k
             })
             .collect();
         run.sort();
@@ -1164,7 +1143,7 @@ mod tests {
     #[test]
     fn insert_sorted_matches_single_inserts_on_random_runs() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
-        // 16-byte keys: 170 to a leaf. The first run goes into the empty
+        // 16-byte keys: 255 to a leaf. The first run goes into the empty
         // tree; many runs are longer than a leaf.
         let mut rng = StdRng::seed_from_u64(512);
         let mut unique = Some(0);
@@ -1179,29 +1158,32 @@ mod tests {
 
     #[test]
     fn insert_sorted_into_full_leaves_past_the_last_fence_and_onto_equal_keys() {
-        // 8-byte keys: 255 to a leaf. Even keys fill the root leaf to the
+        // 8-byte keys: 511 to a leaf. Even keys fill the root leaf to the
         // brim; the next run finds it full at its first key (the split
         // step), a later one lies wholly above every separator, and the
         // last two repeat stored keys, and one key many times over.
-        let evens = |range: std::ops::Range<u64>| -> Vec<(Vec<u8>, u64)> {
-            range.map(|i| (key8(i * 2).to_vec(), i)).collect()
+        let cap = ((PAGE_SIZE - HDR) / 8) as u64;
+        let evens = |range: std::ops::Range<u64>| -> Vec<Vec<u8>> {
+            range.map(|i| key8(i * 2).to_vec()).collect()
         };
-        let odds: Vec<_> = (100..140u64)
-            .map(|i| (key8(i * 2 + 1).to_vec(), i))
-            .collect();
-        let beyond: Vec<_> = (0..700u64)
-            .map(|i| (key8(1_000_000 + i).to_vec(), i))
-            .collect();
-        let again: Vec<_> = evens(0..255).into_iter().map(|(k, v)| (k, v + 7)).collect();
-        let same: Vec<_> = (0..600u64).map(|i| (key8(300).to_vec(), i)).collect();
-        let runs = [evens(0..255), odds, evens(255..300), beyond, again, same];
+        let odds: Vec<_> = (100..140u64).map(|i| key8(i * 2 + 1).to_vec()).collect();
+        let beyond: Vec<_> = (0..1400u64).map(|i| key8(1_000_000 + i).to_vec()).collect();
+        let same: Vec<_> = (0..1200u64).map(|_| key8(300).to_vec()).collect();
+        let runs = [
+            evens(0..cap),
+            odds,
+            evens(cap..cap + 45),
+            beyond,
+            evens(0..cap),
+            same,
+        ];
         check_sorted_runs("edges", 8, &runs, 1);
     }
 
     #[test]
     fn insert_sorted_grows_a_tall_tree_of_wide_keys() {
         use rand::{rngs::StdRng, SeedableRng};
-        // 200-byte keys: 19 to a leaf, 20 to an internal node.
+        // 200-byte keys: 20 to a leaf, 20 to an internal node.
         let mut rng = StdRng::seed_from_u64(200);
         let mut unique = Some(0);
         let runs: Vec<_> = (0..30)
@@ -1220,22 +1202,22 @@ mod tests {
     fn insert_sorted_rejects_an_unsorted_run() {
         let (_pool, mut bt, _p) = setup("unsorted-run", 8);
         let keys = [key8(5), key8(3)];
-        let _ = bt.insert_sorted(2, |i| (keys[i].as_slice(), 0));
+        let _ = bt.insert_sorted(2, |i| keys[i].as_slice());
     }
 
     /// `search_batch` over random key batches is observationally identical
     /// to issuing one `range` per probe in ascending-`lo` order: same
-    /// `(range_index, key, value)` stream, duplicates and overlapping
-    /// ranges included.
+    /// `(range_index, key)` stream, duplicates and overlapping ranges
+    /// included.
     #[test]
     fn search_batch_matches_single_probes() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
         let (_pool, mut bt, p) = setup("batchprobe", 8);
         let mut rng = StdRng::seed_from_u64(20_080_325);
         // Clustered keys with heavy duplication so runs span leaf splits.
-        for i in 0..8_000u64 {
+        for _ in 0..8_000 {
             let k: u64 = rng.random_range(0u64..600);
-            bt.insert(&key8(k), i).unwrap();
+            bt.insert(&key8(k)).unwrap();
         }
         for trial in 0..30 {
             let nranges: usize = rng.random_range(1usize..24);
@@ -1257,8 +1239,8 @@ mod tests {
                 .map(|(lo, hi)| (lo.as_slice(), hi.as_slice()))
                 .collect();
             let mut batched = Vec::new();
-            bt.search_batch(&ranges, |ri, k, v| {
-                batched.push((ri, k.to_vec(), v));
+            bt.search_batch(&ranges, |ri, k| {
+                batched.push((ri, k.to_vec()));
                 true
             })
             .unwrap();
@@ -1272,8 +1254,8 @@ mod tests {
                 if lo > hi {
                     continue;
                 }
-                bt.range(lo, hi, |k, v| {
-                    single.push((ri, k.to_vec(), v));
+                bt.range(lo, hi, |k| {
+                    single.push((ri, k.to_vec()));
                     true
                 })
                 .unwrap();
@@ -1288,17 +1270,17 @@ mod tests {
     /// loop delivered — the model's entries in range, cut at `stop` — and
     /// count exactly the entries delivered.
     fn check_run(bt: &BTree, scanned: &obs::Counter, model: &[u64], lo: u64, hi: u64, stop: usize) {
-        let all: Vec<(u64, u64)> = model
+        let all: Vec<u64> = model
             .iter()
-            .filter(|&&k| lo <= k && k <= hi)
-            .map(|&k| (k, k + 1))
+            .copied()
+            .filter(|&k| lo <= k && k <= hi)
             .collect();
-        let want: Vec<(u64, u64)> = all.iter().copied().take(stop).collect();
+        let want: Vec<u64> = all.iter().copied().take(stop).collect();
         let (lo_key, hi_key) = (key8(lo), key8(hi));
         let before = scanned.get();
         let mut got = Vec::new();
-        bt.range(&lo_key, &hi_key, |k, v| {
-            got.push((u64::from_be_bytes(k.try_into().unwrap()), v));
+        bt.range(&lo_key, &hi_key, |k| {
+            got.push(u64::from_be_bytes(k.try_into().unwrap()));
             got.len() < stop
         })
         .unwrap();
@@ -1306,14 +1288,14 @@ mod tests {
         assert_eq!(scanned.get() - before, want.len() as u64, "range count");
         // The same range twice in one batch: a stop ends the whole batch.
         let ranges: [(&[u8], &[u8]); 2] = [(&lo_key, &hi_key), (&lo_key, &hi_key)];
-        let want: Vec<(usize, u64, u64)> = (0..2)
-            .flat_map(|ri| all.iter().map(move |&(k, v)| (ri, k, v)))
+        let want: Vec<(usize, u64)> = (0..2)
+            .flat_map(|ri| all.iter().map(move |&k| (ri, k)))
             .take(stop)
             .collect();
         let before = scanned.get();
         let mut got = Vec::new();
-        bt.search_batch(&ranges, |ri, k, v| {
-            got.push((ri, u64::from_be_bytes(k.try_into().unwrap()), v));
+        bt.search_batch(&ranges, |ri, k| {
+            got.push((ri, u64::from_be_bytes(k.try_into().unwrap())));
             got.len() < stop
         })
         .unwrap();
@@ -1325,20 +1307,14 @@ mod tests {
     fn leaf_runs_deliver_and_count_what_the_per_entry_loop_did() {
         use rand::{rngs::StdRng, RngExt, SeedableRng};
         // Bulk-loaded, so the leaf boundaries are known: 8-byte keys fill
-        // a leaf to 229 entries; key 10 * i + 5 is entry i.
+        // a leaf to 459 entries; key 10 * i + 5 is entry i.
         let p = std::env::temp_dir().join(format!("pagestore-bt-{}-runs", std::process::id()));
         let pool = Arc::new(BufferPool::new(128));
         let fid = pool.register_file(PageFile::create(&p).unwrap());
-        let per_leaf = (PAGE_SIZE - HDR) / 16 * 9 / 10;
+        let per_leaf = (PAGE_SIZE - HDR) / 8 * 9 / 10;
         let model: Vec<u64> = (0..4 * per_leaf as u64 + 17).map(|i| 10 * i + 5).collect();
         let keys: Vec<[u8; 8]> = model.iter().map(|&k| key8(k)).collect();
-        let mut bt = BTree::bulk_load(
-            pool,
-            fid,
-            8,
-            keys.iter().zip(&model).map(|(k, &m)| (k.as_slice(), m + 1)),
-        )
-        .unwrap();
+        let mut bt = BTree::bulk_load(pool, fid, 8, keys.iter().map(|k| k.as_slice())).unwrap();
         let scanned = bt.count_scans_apart();
         let key_at = |leaf: usize, slot: usize| model[leaf * per_leaf + slot];
         let last = *model.last().unwrap();
@@ -1373,7 +1349,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(18);
         let mut model: Vec<u64> = (0..3000u64).map(|i| i * 7 % 3001).collect();
         for &k in &model {
-            grown.insert(&key8(k), k + 1).unwrap();
+            grown.insert(&key8(k)).unwrap();
         }
         model.sort_unstable();
         let scanned = grown.count_scans_apart();
@@ -1393,14 +1369,14 @@ mod tests {
         let hi = key8(u64::MAX);
         let ranges: Vec<(&[u8], &[u8])> = vec![(&lo, &hi), (&lo, &hi)];
         // Empty tree: visitor never called.
-        bt.search_batch(&ranges, |_, _, _| panic!("empty tree must visit nothing"))
+        bt.search_batch(&ranges, |_, _| panic!("empty tree must visit nothing"))
             .unwrap();
         for i in 0..100u64 {
-            bt.insert(&key8(i), i).unwrap();
+            bt.insert(&key8(i)).unwrap();
         }
         // `false` from the visitor stops the whole batch, not just one range.
         let mut n = 0;
-        bt.search_batch(&ranges, |_, _, _| {
+        bt.search_batch(&ranges, |_, _| {
             n += 1;
             n < 7
         })
@@ -1408,46 +1384,26 @@ mod tests {
         assert_eq!(n, 7);
         std::fs::remove_file(&p).ok();
     }
-}
 
-#[cfg(test)]
-mod bulk_tests {
-    use super::*;
-    use crate::buffer::BufferPool;
-    use crate::pagefile::PageFile;
-    use std::path::PathBuf;
-    use std::sync::Arc;
-
-    fn setup(name: &str) -> (Arc<BufferPool>, FileId, PathBuf) {
+    /// A registered, empty file for a bulk load.
+    fn bulk_file(name: &str) -> (Arc<BufferPool>, FileId, PathBuf) {
         let p = std::env::temp_dir().join(format!("pagestore-bulk-{}-{name}", std::process::id()));
         let pool = Arc::new(BufferPool::new(256));
         let fid = pool.register_file(PageFile::create(&p).unwrap());
         (pool, fid, p)
     }
 
-    fn key8(v: u64) -> [u8; 8] {
-        v.to_be_bytes()
-    }
-
     #[test]
     fn bulk_load_matches_incremental() {
-        let (pool, fid, p) = setup("match");
-        let keys: Vec<[u8; 8]> = (0..50_000u64).map(key8).collect();
-        let bt = BTree::bulk_load(
-            pool.clone(),
-            fid,
-            8,
-            keys.iter()
-                .map(|k| (k.as_slice(), u64::from_be_bytes(*k) * 3)),
-        )
-        .unwrap();
+        let (pool, fid, p) = bulk_file("match");
+        let keys: Vec<[u8; 8]> = (0..50_000u64).map(|i| key8(i * 3)).collect();
+        let bt = BTree::bulk_load(pool.clone(), fid, 8, keys.iter().map(|k| k.as_slice())).unwrap();
         assert_eq!(bt.len(), 50_000);
         assert!(bt.height() >= 1);
         // Full scan returns everything in order.
         let mut n = 0u64;
-        bt.range(&key8(0), &key8(u64::MAX), |k, v| {
-            assert_eq!(u64::from_be_bytes(k.try_into().unwrap()), n);
-            assert_eq!(v, n * 3);
+        bt.range(&key8(0), &key8(u64::MAX), |k| {
+            assert_eq!(u64::from_be_bytes(k.try_into().unwrap()), n * 3);
             n += 1;
             true
         })
@@ -1455,38 +1411,36 @@ mod bulk_tests {
         assert_eq!(n, 50_000);
         // Random sub-ranges agree with expectations.
         let mut got = Vec::new();
-        bt.range(&key8(777), &key8(790), |k, _| {
+        bt.range(&key8(777), &key8(790), |k| {
             got.push(u64::from_be_bytes(k.try_into().unwrap()));
             true
         })
         .unwrap();
-        assert_eq!(got, (777..=790).collect::<Vec<_>>());
+        assert_eq!(got, [777, 780, 783, 786, 789]);
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
     fn bulk_load_empty_and_tiny() {
-        let (pool, fid, p) = setup("tiny");
-        let bt = BTree::bulk_load(pool, fid, 8, std::iter::empty()).unwrap();
+        let (pool, fid, p) = bulk_file("tiny");
+        let bt = BTree::bulk_load(pool, fid, 8, std::iter::empty::<&[u8]>()).unwrap();
         assert_eq!(bt.len(), 0);
         assert_eq!(bt.height(), 0);
-        bt.range(&key8(0), &key8(10), |_, _| panic!("empty"))
-            .unwrap();
+        bt.range(&key8(0), &key8(10), |_| panic!("empty")).unwrap();
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
     fn bulk_loaded_tree_accepts_inserts() {
-        let (pool, fid, p) = setup("insert-after");
+        let (pool, fid, p) = bulk_file("insert-after");
         let evens: Vec<[u8; 8]> = (0..2000u64).map(|i| key8(i * 2)).collect();
-        let mut bt =
-            BTree::bulk_load(pool, fid, 8, evens.iter().map(|k| (k.as_slice(), 0))).unwrap();
+        let mut bt = BTree::bulk_load(pool, fid, 8, evens.iter().map(|k| k.as_slice())).unwrap();
         for i in 0..2000u64 {
-            bt.insert(&key8(i * 2 + 1), 1).unwrap();
+            bt.insert(&key8(i * 2 + 1)).unwrap();
         }
         assert_eq!(bt.len(), 4000);
         let mut n = 0u64;
-        bt.range(&key8(0), &key8(u64::MAX), |k, _| {
+        bt.range(&key8(0), &key8(u64::MAX), |k| {
             assert_eq!(u64::from_be_bytes(k.try_into().unwrap()), n);
             n += 1;
             true
@@ -1499,20 +1453,18 @@ mod bulk_tests {
     #[test]
     #[should_panic(expected = "sorted")]
     fn bulk_load_rejects_unsorted() {
-        let (pool, fid, _p) = setup("unsorted");
+        let (pool, fid, _p) = bulk_file("unsorted");
         let keys = [key8(5), key8(3)];
-        let _ = BTree::bulk_load(pool, fid, 8, keys.iter().map(|k| (k.as_slice(), 0)));
+        let _ = BTree::bulk_load(pool, fid, 8, keys.iter().map(|k| k.as_slice()));
     }
 
     #[test]
     fn bulk_load_reopen() {
-        let p = std::env::temp_dir().join(format!("pagestore-bulk-{}-reopen", std::process::id()));
+        let (pool, fid, p) = bulk_file("reopen");
         {
-            let pool = Arc::new(BufferPool::new(256));
-            let fid = pool.register_file(PageFile::create(&p).unwrap());
             let keys: Vec<[u8; 8]> = (0..10_000u64).map(key8).collect();
-            let bt = BTree::bulk_load(pool.clone(), fid, 8, keys.iter().map(|k| (k.as_slice(), 7)))
-                .unwrap();
+            let bt =
+                BTree::bulk_load(pool.clone(), fid, 8, keys.iter().map(|k| k.as_slice())).unwrap();
             bt.sync_meta().unwrap();
             pool.flush_all().unwrap();
         }
@@ -1521,8 +1473,8 @@ mod bulk_tests {
         let bt = BTree::open(pool, fid).unwrap();
         assert_eq!(bt.len(), 10_000);
         let mut n = 0;
-        bt.range(&key8(0), &key8(u64::MAX), |_, v| {
-            assert_eq!(v, 7);
+        bt.range(&key8(0), &key8(u64::MAX), |k| {
+            assert_eq!(k, key8(n));
             n += 1;
             true
         })

@@ -1,9 +1,10 @@
 //! The database facade: a directory of tables and indexes with a shared
 //! buffer pool and a persistent catalog.
 
-use crate::btree::BTree;
+use crate::btree::{key_cmp, BTree};
 use crate::buffer::{BufferPool, PoolStats};
 use crate::colpage::ColPageBuilder;
+use crate::encode::encode_key_into;
 use crate::error::Result;
 use crate::heap::{HeapFile, PageFormat, MAGIC as HEAP_MAGIC, PAGE_HDR};
 use crate::page::{self, PageBuf};
@@ -249,23 +250,34 @@ impl Database {
                     let path = db.index_path(tname, iname);
                     let tree = if BTree::file_is_valid(&path) {
                         let fid = db.pool.register_file(PageFile::open(&path)?);
-                        Some(BTree::open(db.pool.clone(), fid)?)
+                        match BTree::open(db.pool.clone(), fid) {
+                            Ok(tree) => Some(tree),
+                            Err(StoreError::Corrupt(_)) => None,
+                            Err(e) => return Err(e),
+                        }
                     } else {
                         None
                     };
                     // A tree holds the first `len()` rows of its heap
                     // (`attach_index` derives the rest into its write
-                    // buffer), so one that claims more rows than the
-                    // heap has is as unusable as a torn file.
-                    let tree = match tree.filter(|t| t.len() <= table.num_rows()) {
+                    // buffer, as keys of the catalogue's columns), so one
+                    // that claims more rows than the heap has, or keys of
+                    // another width than those columns encode to, is as
+                    // unusable as a torn file.
+                    let usable = |t: &BTree| {
+                        t.len() <= table.num_rows() && t.key_width() == cols.len() * 8 + 8
+                    };
+                    let tree = match tree.filter(usable) {
                         Some(tree) => tree,
                         None => {
                             // The file is missing (recovery dropped the
                             // unlogged B+tree), torn (a crash caught the
-                            // build before its pages were flushed) or
-                            // ahead of its heap; rebuild it from the
-                            // recovered heap with the same deterministic
-                            // bulk load that created it.
+                            // build before its pages were flushed), in
+                            // the layout of an earlier release (another
+                            // magic), ahead of its heap or of the wrong
+                            // key width; rebuild it from the recovered
+                            // heap with the same deterministic bulk load
+                            // that created it.
                             let fid = db.pool.register_file(PageFile::create(&path)?);
                             rebuilt_indexes = true;
                             db.bulk_build_tree(&table, fid, &cols)?
@@ -555,25 +567,17 @@ impl Database {
     /// given heap, which is what makes post-recovery index rebuilds
     /// byte-equivalent to the trees they replace.
     fn bulk_build_tree(&self, table: &Arc<Table>, fid: FileId, col_idx: &[usize]) -> Result<BTree> {
-        let mut entries: Vec<(Vec<u8>, u64)> = Vec::with_capacity(table.num_rows() as usize);
-        {
-            let mut key = crate::encode::KeyBuf::new();
-            let mut colbuf = Vec::new();
-            table.seq_scan(|rid, row| {
-                colbuf.clear();
-                colbuf.extend(col_idx.iter().map(|&c| row[c]));
-                crate::encode::encode_key(&colbuf, rid, &mut key);
-                entries.push((key.to_vec(), rid));
-                true
-            })?;
-        }
-        entries.sort();
-        BTree::bulk_load(
-            self.pool.clone(),
-            fid,
-            col_idx.len() * 8 + 8,
-            entries.iter().map(|(k, v)| (k.as_slice(), *v)),
-        )
+        let kw = col_idx.len() * 8 + 8;
+        let mut keys: Vec<u8> = Vec::with_capacity(table.num_rows() as usize * kw);
+        let mut key = vec![0u8; kw];
+        table.seq_scan(|rid, row| {
+            encode_key_into(col_idx.iter().map(|&c| row[c]), rid, &mut key);
+            keys.extend_from_slice(&key);
+            true
+        })?;
+        let mut sorted: Vec<&[u8]> = keys.chunks_exact(kw).collect();
+        sorted.sort_unstable_by(|a, b| key_cmp(a, b));
+        BTree::bulk_load(self.pool.clone(), fid, kw, sorted)
     }
 
     /// The current per-table row counts plus the last commit blob — the

@@ -36,21 +36,10 @@ pub fn decode_f64(b: [u8; 8]) -> f64 {
     f64::from_bits(bits)
 }
 
-/// A reusable composite-key buffer.
-pub type KeyBuf = Vec<u8>;
-
-/// Encodes a composite key: the given `f64` columns in order, followed by
-/// the row id (big-endian) as a uniquifying suffix.
-pub fn encode_key(cols: &[f64], rid: u64, out: &mut KeyBuf) {
-    out.clear();
-    for &c in cols {
-        out.extend_from_slice(&encode_f64(c));
-    }
-    out.extend_from_slice(&rid.to_be_bytes());
-}
-
-/// [`encode_key`] into a slice of exactly the key's width (`8 * cols + 8`
-/// bytes), for callers that keep the key on the stack.
+/// Encodes a composite key into `out`, a slice of exactly the key's width
+/// (`8 * cols + 8` bytes, so callers can keep it on the stack): the given
+/// `f64` columns in order, followed by the row id (big-endian) as a
+/// uniquifying suffix — an index entry is this key and nothing else.
 ///
 /// # Panics
 ///
@@ -66,7 +55,7 @@ pub fn encode_key_into(cols: impl IntoIterator<Item = f64>, rid: u64, out: &mut 
 }
 
 /// Decodes the `i`-th `f64` column of a composite key produced by
-/// [`encode_key`].
+/// [`encode_key_into`].
 #[inline]
 pub fn decode_key_col(key: &[u8], i: usize) -> f64 {
     decode_f64(crate::page::arr(key, i * 8))
@@ -82,14 +71,16 @@ pub fn decode_key_rid(key: &[u8], ncols: usize) -> u64 {
 mod tests {
     use super::*;
 
+    fn key<const N: usize>(cols: &[f64], rid: u64) -> [u8; N] {
+        let mut key = [0xAA; N];
+        encode_key_into(cols.iter().copied(), rid, &mut key);
+        key
+    }
+
     #[test]
-    fn slice_encoding_is_the_buffer_encoding() {
-        let cols = [3600.0, -3.0, 0.0];
-        let mut buf = KeyBuf::new();
-        encode_key(&cols, 77, &mut buf);
-        let mut key = [0xAAu8; 32];
-        encode_key_into(cols, 77, &mut key);
-        assert_eq!(&buf[..], &key[..]);
+    #[should_panic(expected = "wider")]
+    fn a_slice_wider_than_the_key_is_rejected() {
+        key::<32>(&[3600.0, -3.0], 77);
     }
 
     #[test]
@@ -145,9 +136,7 @@ mod tests {
 
     #[test]
     fn composite_key_roundtrip() {
-        let mut k = KeyBuf::new();
-        encode_key(&[1800.0, -3.5], 0xDEAD, &mut k);
-        assert_eq!(k.len(), 24);
+        let k = key::<24>(&[1800.0, -3.5], 0xDEAD);
         assert_eq!(decode_key_col(&k, 0), 1800.0);
         assert_eq!(decode_key_col(&k, 1), -3.5);
         assert_eq!(decode_key_rid(&k, 2), 0xDEAD);
@@ -155,17 +144,13 @@ mod tests {
 
     #[test]
     fn composite_order_is_lexicographic() {
-        let mut a = KeyBuf::new();
-        let mut b = KeyBuf::new();
-        encode_key(&[1.0, 100.0], 0, &mut a);
-        encode_key(&[2.0, -100.0], 0, &mut b);
-        assert!(a[..] < b[..], "first column dominates");
-        encode_key(&[1.0, -1.0], 5, &mut a);
-        encode_key(&[1.0, 1.0], 0, &mut b);
-        assert!(a[..] < b[..], "second column breaks ties");
-        encode_key(&[1.0, 1.0], 1, &mut a);
-        encode_key(&[1.0, 1.0], 2, &mut b);
-        assert!(a[..] < b[..], "rid breaks ties last");
+        let k = key::<24>;
+        assert!(k(&[1.0, 100.0], 0) < k(&[2.0, -100.0], 0), "first column");
+        assert!(k(&[1.0, -1.0], 5) < k(&[1.0, 1.0], 0), "second column");
+        assert!(
+            k(&[1.0, 1.0], 1) < k(&[1.0, 1.0], 2),
+            "rid breaks ties last"
+        );
     }
 
     #[test]

@@ -578,13 +578,6 @@ impl HeapFile {
         self.zones.is_some()
     }
 
-    /// The whole-heap `(mins, maxs)` zone summary, when a zone map is
-    /// maintained and the heap is non-empty. Lets query plans reject an
-    /// entire table with one comparison before probing any index.
-    pub fn zone_segment_bounds(&self) -> Option<(&[f64], &[f64])> {
-        self.zones.as_ref().and_then(|z| z.segment_bounds())
-    }
-
     /// Rebuilds the zone map from a full scan (idempotent; a heap that
     /// already maintains one is left untouched). Needed after opening a
     /// heap whose sidecar was missing or stale — e.g. created before zone

@@ -56,7 +56,6 @@ mod heap;
 pub mod page;
 mod pagefile;
 pub mod recovery;
-pub mod sql;
 mod table;
 pub mod wal;
 mod zonemap;
@@ -71,12 +70,11 @@ mod stress_tests;
 pub use btree::BTree;
 pub use buffer::{BufferPool, PoolStats};
 pub use db::{sync_from_env, Database, DurabilityOptions, TableSpec};
-pub use encode::{decode_f64, encode_f64, encode_key, KeyBuf};
+pub use encode::{decode_f64, encode_f64};
 pub use error::{Result, StoreError};
 pub use heap::{CompressionStats, HeapFile, PageFormat, RowId, ScanPage, ZoneScanStats};
 pub use pagefile::{FileId, PageFile, PageId};
 pub use recovery::RecoveryReport;
-pub use sql::{ExecOutcome, Plan};
 pub use table::{Index, Table, BUFFER_ENTRIES};
 pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
 pub use zonemap::{ZoneMap, EXTENT_PAGES, ZONE_LEVELS};

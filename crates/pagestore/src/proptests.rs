@@ -57,25 +57,25 @@ proptest! {
         std::fs::remove_file(&p).ok();
     }
 
-    /// The B+tree agrees with BTreeMap on inserts and arbitrary ranges,
+    /// The B+tree agrees with BTreeSet on inserts and arbitrary ranges,
     /// under random (possibly duplicate-prefix) keys.
     #[test]
     fn btree_matches_model_random_ranges(
         keys in prop::collection::vec(any::<u32>(), 1..300),
         ranges in prop::collection::vec((any::<u32>(), any::<u32>()), 1..10),
     ) {
-        use std::collections::BTreeMap;
+        use std::collections::BTreeSet;
         let p = tmpfile("btree");
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::create(&p).unwrap());
         let mut bt = BTree::create(pool, fid, 12).unwrap();
-        let mut model = BTreeMap::new();
+        let mut model = BTreeSet::new();
         for (i, &k) in keys.iter().enumerate() {
             let mut key = [0u8; 12];
             key[..4].copy_from_slice(&k.to_be_bytes());
             key[4..].copy_from_slice(&(i as u64).to_be_bytes());
-            bt.insert(&key, i as u64).unwrap();
-            model.insert(key.to_vec(), i as u64);
+            bt.insert(&key).unwrap();
+            model.insert(key.to_vec());
         }
         for &(a, b) in &ranges {
             let (a, b) = (a.min(b), a.max(b));
@@ -84,60 +84,71 @@ proptest! {
             lo[..4].copy_from_slice(&a.to_be_bytes());
             hi[..4].copy_from_slice(&b.to_be_bytes());
             let mut got = Vec::new();
-            bt.range(&lo, &hi, |k, v| {
-                got.push((k.to_vec(), v));
+            bt.range(&lo, &hi, |k| {
+                got.push(k.to_vec());
                 true
             })
             .unwrap();
-            let want: Vec<(Vec<u8>, u64)> = model
-                .range(lo.to_vec()..=hi.to_vec())
-                .map(|(k, &v)| (k.clone(), v))
-                .collect();
+            let want: Vec<Vec<u8>> = model.range(lo.to_vec()..=hi.to_vec()).cloned().collect();
             prop_assert_eq!(got, want);
         }
         std::fs::remove_file(&p).ok();
     }
 
-    /// SQL plans agree: a filtered SELECT returns the same multiset of rows
-    /// whether the planner runs a sequential scan or an index range scan,
-    /// for random data and random range predicates.
+    /// Index and sequential execution agree: a range on the leading key
+    /// column plus a residual predicate on the covered columns selects the
+    /// same multiset of rows whether it runs as a B+tree range scan with
+    /// the residual applied to the decoded key columns and the matches
+    /// fetched, or as a sequential scan with both applied to the row — on
+    /// random data, part of it still in the tree's write buffer.
     #[test]
-    fn sql_plans_agree(
+    fn index_and_sequential_execution_agree(
         rows in prop::collection::vec((-100i32..100, -100i32..100), 1..200),
+        later in prop::collection::vec((-100i32..100, -100i32..100), 0..40),
         t_bound in -100i32..100,
         v_bound in -100i32..100,
         case in 0u8..4,
     ) {
         use crate::db::{Database, TableSpec};
-        use crate::sql::ExecOutcome;
-        let dir = tmpfile("sqlprop");
+        let dir = tmpfile("planprop");
         let db = Database::create(&dir, 128).unwrap();
-        let t = db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
-        for &(a, b) in &rows {
-            t.insert(&[a as f64, b as f64]).unwrap();
-        }
+        let t = db.create_table(TableSpec::new("t", &["a", "b", "c"])).unwrap();
+        let insert = |i: usize, &(a, b): &(i32, i32)| t.insert(&[a as f64, b as f64, i as f64]).unwrap();
+        rows.iter().enumerate().for_each(|(i, r)| { insert(i, r); });
         db.create_index("t", "by_a_b", &["a", "b"]).unwrap();
-        let predicate = match case {
-            0 => format!("a <= {t_bound} AND b <= {v_bound}"),
-            1 => format!("a >= {t_bound} OR b = {v_bound}"),
-            2 => format!("a = {t_bound} AND b >= {v_bound}"),
-            _ => format!("a > {t_bound} AND a <= {} AND b != {v_bound}", t_bound.saturating_add(50)),
+        later.iter().enumerate().for_each(|(i, r)| { insert(rows.len() + i, r); });
+        let (tb, vb) = (t_bound as f64, v_bound as f64);
+        let (neg, inf) = (f64::NEG_INFINITY, f64::INFINITY);
+        // (range of `a`, residual over `(a, b)`).
+        type Residual = Box<dyn Fn(f64, f64) -> bool>;
+        let ((a_lo, a_hi), residual): ((f64, f64), Residual) = match case {
+            0 => ((neg, tb), Box::new(move |_, b| b <= vb)),
+            1 => ((tb, inf), Box::new(move |a, b| a > tb + 20.0 || b == vb)),
+            2 => ((tb, tb), Box::new(move |_, b| b >= vb)),
+            _ => ((tb, tb + 50.0), Box::new(move |a, b| a > tb && b != vb)),
         };
-        // Planner path (free to use the index).
-        let auto = db.execute(&format!("SELECT a, b FROM t WHERE {predicate}")).unwrap();
-        // Forced sequential scan: obfuscate the bounds with arithmetic.
-        let scan_pred = predicate.replace("a ", "(a + 0) ");
-        let scan = db.execute(&format!("SELECT a, b FROM t WHERE {scan_pred}")).unwrap();
-        let (ExecOutcome::Rows { rows: mut r1, .. }, ExecOutcome::Rows { rows: mut r2, plan, .. }) =
-            (auto, scan)
-        else {
-            panic!()
-        };
-        prop_assert_eq!(plan, crate::sql::Plan::SeqScan);
-        let key = |r: &Vec<f64>| (r[0] as i64, r[1] as i64);
-        r1.sort_by_key(key);
-        r2.sort_by_key(key);
-        prop_assert_eq!(r1, r2);
+        let mut indexed: Vec<Vec<f64>> = Vec::new();
+        let mut row = Vec::new();
+        t.index_scan("by_a_b", &[a_lo, neg], &[a_hi, inf], |rid, cols| {
+            if residual(cols[0], cols[1]) {
+                t.fetch(rid, &mut row).unwrap();
+                indexed.push(row.clone());
+            }
+            true
+        })
+        .unwrap();
+        let mut scanned: Vec<Vec<f64>> = Vec::new();
+        t.seq_scan(|_, row| {
+            if a_lo <= row[0] && row[0] <= a_hi && residual(row[0], row[1]) {
+                scanned.push(row.to_vec());
+            }
+            true
+        })
+        .unwrap();
+        let key = |r: &Vec<f64>| r[2] as i64;
+        indexed.sort_by_key(key);
+        scanned.sort_by_key(key);
+        prop_assert_eq!(indexed, scanned);
         std::fs::remove_dir_all(&dir).ok();
     }
 

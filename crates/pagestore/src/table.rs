@@ -2,7 +2,7 @@
 //! sorted write buffer.
 
 use crate::btree::{key_cmp, partition_point, BTree, MAX_KEY_WIDTH};
-use crate::encode::{decode_key_col, decode_key_rid, encode_key, encode_key_into, KeyBuf};
+use crate::encode::{decode_key_col, decode_key_rid, encode_key_into};
 use crate::error::Result;
 use crate::heap::{CompressionStats, HeapFile, PageFormat, RowId, ScanPage};
 use crate::pagefile::FileId;
@@ -12,9 +12,9 @@ use std::sync::Arc;
 
 /// How many entries an index holds back in its write buffer before it
 /// merges them into the B+tree in one [`BTree::insert_sorted`] pass.
-/// Inserts hit random leaves, so a tree of at most 75 leaves takes 7 or
-/// more entries per leaf visit (15 on average while a month of one
-/// sensor's features arrives) instead of one.
+/// Inserts hit random leaves, so a tree of a few dozen leaves — what a
+/// month of one sensor's features makes of its largest — takes a dozen
+/// or more entries per leaf visit instead of one.
 pub const BUFFER_ENTRIES: usize = 512;
 
 /// When index `ordinal` of a table's `n` applies its buffer: every time
@@ -74,10 +74,7 @@ impl Buffered {
         }
         let Self { tree, keys } = self;
         let kw = tree.key_width();
-        tree.insert_sorted(keys.len() / kw, |i| {
-            let key = &keys[i * kw..][..kw];
-            (key, decode_key_rid(key, kw / 8 - 1))
-        })?;
+        tree.insert_sorted(keys.len() / kw, |i| &keys[i * kw..][..kw])?;
         keys.clear();
         Ok(())
     }
@@ -108,10 +105,11 @@ impl Buffered {
 /// A secondary index over a subset of a table's columns.
 ///
 /// The B+tree key is the order-preserving encoding of the indexed columns
-/// followed by the row id, so keys are unique and equal-prefix entries stay
-/// adjacent. Because the indexed column values are recoverable from the key
-/// itself, predicates over indexed columns are evaluated without touching
-/// the heap ("covered" evaluation) — heap fetches happen only for matches.
+/// followed by the row id — the whole entry: the row id is read back out
+/// of the key — so keys are unique and equal-prefix entries stay adjacent.
+/// Because the indexed column values are recoverable from the key itself,
+/// predicates over indexed columns are evaluated without touching the
+/// heap ("covered" evaluation) — heap fetches happen only for matches.
 pub struct Index {
     name: String,
     /// Positions of the indexed columns within the table schema.
@@ -158,12 +156,33 @@ impl Index {
         self.tree.read().tree.fid()
     }
 
+    /// The keys that bound the entries whose indexed columns lie between
+    /// `lo` and `hi`: below and above every row id.
+    fn bounds(&self, lo: &[f64], hi: &[f64]) -> (Vec<u8>, Vec<u8>) {
+        let key = |cols: &[f64], rid: u64| {
+            assert_eq!(cols.len(), self.cols.len(), "bound arity");
+            let mut key = vec![0u8; cols.len() * 8 + 8];
+            encode_key_into(cols.iter().copied(), rid, &mut key);
+            key
+        };
+        (key(lo, 0), key(hi, u64::MAX))
+    }
+
     /// Replaces the backing tree in place (heap rewrites rebuild every
     /// index because row ids change with the page format). The new tree
     /// holds every row, so the buffer starts empty.
     pub(crate) fn replace_tree(&self, tree: BTree) {
         *self.tree.write() = Buffered::new(tree);
     }
+}
+
+/// Decodes an index entry: its indexed columns into `cols`, and its row id.
+#[inline]
+fn decode_entry(key: &[u8], cols: &mut [f64]) -> RowId {
+    for (i, c) in cols.iter_mut().enumerate() {
+        *c = decode_key_col(key, i);
+    }
+    decode_key_rid(key, cols.len())
 }
 
 /// A table of fixed-width `f64` rows with optional indexes.
@@ -332,28 +351,17 @@ impl Table {
         mut visit: impl FnMut(RowId, &[f64]) -> bool,
     ) -> Result<()> {
         let idx = self.index(index_name)?;
-        let ncols = idx.cols.len();
-        assert_eq!(lo.len(), ncols, "lo bound arity");
-        assert_eq!(hi.len(), ncols, "hi bound arity");
-        let mut lo_key = KeyBuf::new();
-        let mut hi_key = KeyBuf::new();
-        encode_key(lo, 0, &mut lo_key);
-        encode_key(hi, u64::MAX, &mut hi_key);
-        let mut cols = vec![0.0f64; ncols];
-        let mut emit = |key: &[u8]| {
-            for (i, c) in cols.iter_mut().enumerate() {
-                *c = decode_key_col(key, i);
-            }
-            visit(decode_key_rid(key, ncols), &cols)
-        };
+        let (lo, hi) = idx.bounds(lo, hi);
+        let mut cols = vec![0.0f64; idx.cols.len()];
+        let mut emit = |key: &[u8]| visit(decode_entry(key, &mut cols), &cols);
         let guard = idx.tree.read();
         let mut more = true;
-        guard.tree.range(&lo_key, &hi_key, |key, _val| {
+        guard.tree.range(&lo, &hi, |key| {
             more = emit(key);
             more
         })?;
         if more {
-            guard.scan(&lo_key, &hi_key, emit);
+            guard.scan(&lo, &hi, emit);
         }
         Ok(())
     }
@@ -373,29 +381,14 @@ impl Table {
         mut visit: impl FnMut(usize, RowId, &[f64]) -> bool,
     ) -> Result<()> {
         let idx = self.index(index_name)?;
-        let ncols = idx.cols.len();
-        let mut keys: Vec<(KeyBuf, KeyBuf)> = Vec::with_capacity(ranges.len());
-        for (lo, hi) in ranges {
-            assert_eq!(lo.len(), ncols, "lo bound arity");
-            assert_eq!(hi.len(), ncols, "hi bound arity");
-            let mut lo_key = KeyBuf::new();
-            let mut hi_key = KeyBuf::new();
-            encode_key(lo, 0, &mut lo_key);
-            encode_key(hi, u64::MAX, &mut hi_key);
-            keys.push((lo_key, hi_key));
-        }
+        let keys: Vec<_> = ranges.iter().map(|(lo, hi)| idx.bounds(lo, hi)).collect();
         let byte_ranges: Vec<(&[u8], &[u8])> =
             keys.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
-        let mut cols = vec![0.0f64; ncols];
-        let mut emit = |ri: usize, key: &[u8]| {
-            for (i, c) in cols.iter_mut().enumerate() {
-                *c = decode_key_col(key, i);
-            }
-            visit(ri, decode_key_rid(key, ncols), &cols)
-        };
+        let mut cols = vec![0.0f64; idx.cols.len()];
+        let mut emit = |ri: usize, key: &[u8]| visit(ri, decode_entry(key, &mut cols), &cols);
         let guard = idx.tree.read();
         let mut more = true;
-        guard.tree.search_batch(&byte_ranges, |ri, key, _val| {
+        guard.tree.search_batch(&byte_ranges, |ri, key| {
             more = emit(ri, key);
             more
         })?;
@@ -452,15 +445,6 @@ impl Table {
     /// The data-page format of the backing heap.
     pub fn format(&self) -> PageFormat {
         self.heap.read().format()
-    }
-
-    /// The whole-heap `(mins, maxs)` zone summary, when maintained and
-    /// non-empty (cloned out of the heap lock).
-    pub fn zone_segment_bounds(&self) -> Option<(Vec<f64>, Vec<f64>)> {
-        self.heap
-            .read()
-            .zone_segment_bounds()
-            .map(|(mins, maxs)| (mins.to_vec(), maxs.to_vec()))
     }
 
     /// Segment-level pre-probe pruning: `true` when the whole table's

@@ -118,14 +118,14 @@ fn pushes_queries_and_standing_queries_agree() {
         index.finish().unwrap();
         index.verify_consistency().unwrap();
         let trees = trees(index);
-        assert_eq!(trees.len(), 18);
+        assert_eq!(trees.len(), 8, "the trees the index plan probes");
         // Every tree has applied its buffer; all but the two of the
         // sparse one-corner tables many times.
         let applies = trees
             .iter()
             .map(|&(merged, _)| merged / BUFFER_ENTRIES as u64);
         assert!(
-            applies.clone().all(|n| n >= 1) && applies.clone().filter(|&n| n >= 3).count() >= 16,
+            applies.clone().all(|n| n >= 1) && applies.clone().filter(|&n| n >= 3).count() >= 6,
             "B+trees took {:?} whole buffers",
             applies.collect::<Vec<_>>()
         );
