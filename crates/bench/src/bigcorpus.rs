@@ -9,12 +9,15 @@
 //! level — the `zonemap.extents_pruned` counter proves the upper levels
 //! of the hierarchy are consulted.
 //!
-//! Compaction clusters the feature heaps on `(Δt₁, Δv₁)`, so the run
-//! then sets the scan plan against the index plan the way the paper's
-//! evaluation does (§6, Tables 5–6): per window `T`, behind the quarter
-//! pool and behind a pool that holds the whole store, what each plan
-//! reads, skips and examines per result, and how long a query takes
-//! ([`PlanAtT`]).
+//! The run sets the scan plan against the index plan the way the paper's
+//! evaluation does (§6, Tables 5–6) where the data has two plans — the
+//! row store, in arrival order under whole B+trees — per window `T`: what
+//! each plan reads, skips and examines per result, and how long a query
+//! takes ([`PlanAtT`]). Compaction clusters the feature heaps on
+//! `(Δt₁, Δv₁)` and seals them, emptying the trees: there both plans are
+//! the zone-pruned scan (checked: they examine and return the same), and
+//! a window has one row, behind the quarter pool and behind a pool that
+//! holds the whole store.
 
 use crate::harness::{scratch_dir, with_registry_delta, Scale};
 use crate::report::Report;
@@ -40,7 +43,8 @@ pub struct BigCorpusResult {
     pub extents_pruned: u64,
     /// Registry delta across the timed queries.
     pub metrics: obs::MetricsSnapshot,
-    /// Scan plan against index plan, per pool and per `T`.
+    /// Scan plan against index plan on the row store, then the one plan of
+    /// the sealed store behind each pool, per `T`.
     pub sweep: Vec<PlanAtT>,
 }
 
@@ -68,21 +72,24 @@ pub struct QueryScalingPoint {
     pub extents_pruned: u64,
 }
 
-/// One plan over the regions of one window `T` behind one pool: the
-/// counts of one pass over [`regions_at`], which repeat, and the time of
-/// a query.
+/// One plan over the regions of one window `T` on one store: the counts
+/// of one pass over [`regions_at`], which repeat, and the time of a query.
 #[derive(Debug, Clone)]
 pub struct PlanAtT {
-    /// `"quarter"` (of the heap) or `"resident"` (the whole store).
-    pub pool: &'static str,
+    /// `"row"` (arrival order, whole trees, the build's pool), or the
+    /// sealed store behind a pool a quarter of its heap
+    /// (`"sealed/quarter"`) or one that holds it whole
+    /// (`"sealed/resident"`).
+    pub store: &'static str,
     /// The window `T`, in hours.
     pub t_hours: f64,
-    /// The plan that ran.
-    pub plan: QueryPlan,
+    /// The plan that ran; `None` on a sealed store, where both are the
+    /// zone scan and were checked to count alike.
+    pub plan: Option<QueryPlan>,
     /// Pages asked of the pool: heap pages by the scan plan, B+tree and
     /// heap pages by the index plan.
     pub pages_read: u64,
-    /// Heap pages the scan's zone hierarchy skipped.
+    /// Heap pages the zone hierarchy skipped.
     pub pages_pruned: u64,
     /// Rows the scan's kernel examined, or entries the probe visited.
     pub examined: u64,
@@ -106,26 +113,38 @@ fn regions_at(t_hours: f64) -> Vec<QueryRegion> {
         .collect()
 }
 
-/// Runs both plans over every window's regions on `idx`: one pass each
-/// that fills the pool as far as it goes and takes the counts, then
+/// Runs the plans `idx` has over every window's regions — both on the row
+/// store; on a `sealed` one the scan, with the index plan beside it in the
+/// counting pass to check that it examines and returns the same: one pass
+/// each that fills the pool as far as it goes and takes the counts, then
 /// `repeats` timed rounds of one pass each — rounds, not a burst per row,
 /// so a busy moment of the host lands on every row alike and the medians
 /// stay comparable.
-fn sweep_plans(idx: &SegDiffIndex, pool: &'static str, repeats: u32, out: &mut Vec<PlanAtT>) {
-    // What the scan phase's span of this thread's own trace recorded: the
+fn sweep_plans(
+    idx: &SegDiffIndex,
+    store: &'static str,
+    sealed: bool,
+    repeats: u32,
+    out: &mut Vec<PlanAtT>,
+) {
+    // What the scan's span of this thread's own trace recorded: the
     // `zonemap.*` counters are the process's, and move under any other
     // thread's scan.
     fn pruned(node: &obs::TraceNode) -> u64 {
         let own = node.attr("pages_pruned").and_then(|v| v.as_u64());
         own.unwrap_or(0) + node.children.iter().map(pruned).sum::<u64>()
     }
+    let plans: &[QueryPlan] = match sealed {
+        true => &[QueryPlan::SeqScan],
+        false => &[QueryPlan::SeqScan, QueryPlan::Index],
+    };
     let first = out.len();
     for t_hours in SWEEP_HOURS {
-        for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+        for &plan in plans {
             let mut row = PlanAtT {
-                pool,
+                store,
                 t_hours,
-                plan,
+                plan: (!sealed).then_some(plan),
                 pages_read: 0,
                 pages_pruned: 0,
                 examined: 0,
@@ -139,6 +158,13 @@ fn sweep_plans(idx: &SegDiffIndex, pool: &'static str, repeats: u32, out: &mut V
                 row.pages_read += stats.io.hits + stats.io.misses;
                 row.examined += stats.rows_considered;
                 row.results += stats.results;
+                if sealed {
+                    let (_, index) = idx.query(&region, QueryPlan::Index).expect("query");
+                    let counts = |s: &segdiff::QueryStats| {
+                        (s.rows_considered, s.results, s.io.hits + s.io.misses)
+                    };
+                    assert_eq!(counts(&index), counts(&stats), "sealed {store}: {region:?}");
+                }
             }
             out.push(row);
         }
@@ -148,9 +174,10 @@ fn sweep_plans(idx: &SegDiffIndex, pool: &'static str, repeats: u32, out: &mut V
     for _ in 0..repeats.max(1) {
         for (row, ms) in rows.iter().zip(&mut pass_ms) {
             let regions = regions_at(row.t_hours);
+            let plan = row.plan.unwrap_or(QueryPlan::SeqScan);
             let t = Instant::now();
             for region in &regions {
-                idx.query(region, row.plan).expect("query");
+                idx.query(region, plan).expect("query");
             }
             ms.push(t.elapsed().as_secs_f64() * 1e3 / regions.len() as f64);
         }
@@ -202,6 +229,8 @@ pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
     idx.ingest_series(&series).expect("ingest sensor");
     idx.finish().expect("finish");
     idx.build_indexes().expect("build indexes");
+    let mut sweep = Vec::new();
+    sweep_plans(&idx, "row", false, scale.repeats, &mut sweep);
 
     // Compress, then account: aggregate ratio over the feature tables
     // and the ratio over the corner columns alone (first `2 * corners`
@@ -277,15 +306,14 @@ pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
         }
     });
 
-    // Scan against index per `T`: behind this pool, then behind one that
-    // holds heaps and trees whole (twice their pages, so nothing evicts).
-    let mut sweep = Vec::new();
-    sweep_plans(&idx, "quarter", scale.repeats, &mut sweep);
+    // The sealed store per `T`: behind this pool, then behind one that
+    // holds it whole (twice its pages, so nothing evicts).
+    sweep_plans(&idx, "sealed/quarter", true, scale.repeats, &mut sweep);
     let stats = idx.stats();
     drop(idx);
     let store_pages = (stats.heap_bytes + stats.index_bytes) / pagestore::PAGE_SIZE as u64;
     let idx = SegDiffIndex::open(&root, 2 * store_pages as usize).expect("reopen resident");
-    sweep_plans(&idx, "resident", scale.repeats, &mut sweep);
+    sweep_plans(&idx, "sealed/resident", true, scale.repeats, &mut sweep);
     drop(idx);
 
     std::fs::remove_dir_all(&root).ok();
@@ -352,11 +380,14 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
         &rows,
     );
     report.para(&format!(
-        "\nScan plan against index plan on the clustered store, per window T: \
-         one pass over {} regions (8 drops, 4 jumps) for the counts, the median \
-         of the timed passes for the time. Pages read are heap pages for the \
-         scan plan, B+tree and heap pages for the index plan; examined are \
-         rows through the kernel or B+tree entries through the probe.",
+        "\nScan plan against index plan per window T — on the row store, which \
+         has both; the sealed store (clustered, no trees) has the zone scan \
+         under either name, checked to count alike, behind a pool a quarter \
+         of its heap and one that holds it whole: one pass over {} regions \
+         (8 drops, 4 jumps) for the counts, the median of the timed passes \
+         for the time. Pages read are heap pages for the scan, B+tree and \
+         heap pages for the index plan; examined are rows through the kernel \
+         or B+tree entries through the probe.",
         regions_at(1.0).len()
     ));
     let rows: Vec<Vec<String>> = r
@@ -364,9 +395,9 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
         .iter()
         .map(|p| {
             vec![
-                p.pool.to_string(),
+                p.store.to_string(),
                 format!("{}", p.t_hours),
-                p.plan.name().to_string(),
+                p.plan.map_or("either", |plan| plan.name()).to_string(),
                 p.pages_read.to_string(),
                 p.pages_pruned.to_string(),
                 format!("{:.2}", p.examined as f64 / p.results.max(1) as f64),
@@ -377,7 +408,7 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
         .collect();
     report.table(
         &[
-            "pool",
+            "store",
             "T (h)",
             "plan",
             "pages read",
@@ -425,23 +456,24 @@ mod tests {
             r.points.iter().find(|p| p.plan == "index").unwrap(),
         );
         assert_eq!(seq.results, idx.results, "plans disagree: {:?}", r.points);
-        // The sweep: both plans agree at every window behind both pools,
-        // counts do not depend on the pool, and on the clustered heaps a
-        // short window skips most pages and a long one few.
-        assert_eq!(r.sweep.len(), 2 * SWEEP_HOURS.len() * 2);
-        for pair in r.sweep.chunks(2) {
+        // The sweep: on the row store the plans agree at every window; the
+        // sealed store returns the same, its counts do not depend on the
+        // pool, and on its clustered heaps a short window skips most pages
+        // and a long one few.
+        let windows = SWEEP_HOURS.len();
+        assert_eq!(r.sweep.len(), 4 * windows);
+        let (row, sealed) = r.sweep.split_at(2 * windows);
+        let (quarter, resident) = sealed.split_at(windows);
+        for ((pair, q), res) in row.chunks(2).zip(quarter).zip(resident) {
             assert_eq!(pair[0].results, pair[1].results, "{pair:?}");
-        }
-        let (quarter, resident) = r.sweep.split_at(r.sweep.len() / 2);
-        for (q, res) in quarter.iter().zip(resident) {
+            assert_eq!(pair[0].results, q.results, "{q:?}");
             let counts = |p: &PlanAtT| (p.pages_read, p.pages_pruned, p.examined, p.results);
             assert_eq!(counts(q), counts(res), "{q:?} / {res:?}");
+            assert!(q.plan.is_none() && q.examined < pair[1].examined, "{q:?}");
         }
-        let scanned_share = |p: &PlanAtT| {
-            assert_eq!(p.plan, QueryPlan::SeqScan);
-            p.pages_read as f64 / (p.pages_read + p.pages_pruned) as f64
-        };
-        let (short, long) = (&quarter[0], &quarter[2 * (SWEEP_HOURS.len() - 1)]);
+        let scanned_share =
+            |p: &PlanAtT| p.pages_read as f64 / (p.pages_read + p.pages_pruned) as f64;
+        let (short, long) = (&quarter[0], &quarter[windows - 1]);
         assert!(scanned_share(short) < 0.25, "{short:?}");
         assert!(scanned_share(long) > 0.75, "{long:?}");
         let mut report = Report::new();
@@ -451,7 +483,7 @@ mod tests {
             md.contains("extents pruned") && md.contains("seq_scan"),
             "{md}"
         );
-        assert!(md.contains("examined / result") && md.contains("resident"));
+        assert!(md.contains("examined / result") && md.contains("either"));
     }
 }
 

@@ -22,6 +22,10 @@
 //!
 //! The child then *resumes* from the recovered prefix, so one run also
 //! exercises repeated crash–recover–resume cycles over the same store.
+//! The child whose prefix first passes half the input compacts the store
+//! there ([`SegDiffIndex::compact_storage`]: columnar, clustered, sealed,
+//! the B+trees emptied), so kills land before, inside and after a seal,
+//! and later children ingest behind the sealed rows.
 //!
 //! ```sh
 //! cargo run --release -p segdiff-bench --bin crash -- --iterations 20
@@ -138,7 +142,16 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
     };
     // Idempotent: builds only the B+trees a kill kept from existing.
     idx.build_indexes().expect("build_indexes");
+    let half = series.times()[series.len() / 2];
+    // `segments` is rewritten last: while it is in row format, a
+    // compaction has yet to finish (tables it did rewrite are skipped).
+    let segments = idx.database().table("segments").expect("segments");
+    let mut row_format = segments.format() == pagestore::PageFormat::Raw;
     for (t, v) in series.iter().filter(|&(t, _)| t > last_t) {
+        if row_format && t > half {
+            idx.compact_storage().expect("compact_storage");
+            row_format = false;
+        }
         idx.push(t, v).expect("push");
         if throttle_us > 0 {
             std::thread::sleep(Duration::from_micros(throttle_us));
@@ -146,6 +159,15 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
     }
     idx.finish().expect("finish");
     exit(0);
+}
+
+/// The rows sealed across the feature tables (a kill inside a compaction
+/// leaves some of them sealed and the others in row format).
+fn sealed_rows(idx: &SegDiffIndex) -> u64 {
+    ["drop1", "drop2", "drop3", "jump1", "jump2", "jump3"]
+        .iter()
+        .map(|name| idx.database().table(name).expect("table").sealed_rows())
+        .sum()
 }
 
 /// One recovered-prefix check: consistency invariants plus Theorem-1
@@ -209,11 +231,12 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
         }
     }
     Ok(format!(
-        "clean={} replayed={} truncated={} dropped_indexes={} segments={} events={} results={}",
+        "clean={} replayed={} truncated={} dropped_indexes={} sealed_rows={} segments={} events={} results={}",
         report.clean,
         report.replayed_pages,
         report.truncated_rows,
         report.dropped_indexes,
+        sealed_rows(&idx),
         segments.len(),
         events.len(),
         results.len()

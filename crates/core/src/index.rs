@@ -567,19 +567,29 @@ jump_hist {} {} {}
     }
 
     /// Rewrites every feature table — and the segments table — into the
-    /// compressed columnar page format, rebuilding each table's B+trees
-    /// and hierarchical zone map in the process (see
-    /// [`pagestore::Database::rewrite_table_format`]). The feature tables
-    /// come out clustered on the feature-space key `(Δt₁, Δv₁)` — the two
-    /// dimensions every query region bounds — so a page's zone is narrow
-    /// in exactly what `zone_may_intersect` reads and a search skips the
-    /// pages whose least `Δt₁` exceeds its `T`; `segments` stays in
-    /// temporal order, which [`SegDiffIndex::segments`] and the resume
-    /// path read it in. Row contents are preserved bit-exactly and no
-    /// answer depends on row order inside a heap (every result is
-    /// `sort_dedup`ed), so query results before and after are identical;
-    /// ingestion continues to work on the rewritten tables.
-    /// Idempotent: already-columnar tables are left untouched.
+    /// compressed columnar page format, and **seals** the rows it writes
+    /// (see [`pagestore::Database::rewrite_table_format`]). The feature
+    /// tables come out clustered on the feature-space key `(Δt₁, Δv₁)` —
+    /// the two dimensions every query region bounds — so a page's zone is
+    /// narrow in exactly what `zone_may_intersect` reads and a search
+    /// skips the pages whose least `Δt₁` exceeds its `T`; `segments` stays
+    /// in temporal order, which [`SegDiffIndex::segments`] and the resume
+    /// path read it in.
+    ///
+    /// Sealed rows keep no B+tree entry: over rows in key order the zone
+    /// hierarchy is the index, and [`QueryPlan::Index`] reads them through
+    /// it. The eight trees stay in the catalogue, emptied (two pages
+    /// each), and index the rows ingested afterwards, which append behind
+    /// the sealed ones in arrival order — so [`SegDiffIndex::build_indexes`]
+    /// after this call still finds nothing to build. A store compacted by
+    /// an earlier release keeps the whole trees it has and answers as it
+    /// did; only a fresh compaction sheds them.
+    ///
+    /// Row contents are preserved bit-exactly and no answer depends on row
+    /// order inside a heap (every result is `sort_dedup`ed), so query
+    /// results before and after are identical; ingestion continues to work
+    /// on the rewritten tables. Idempotent: already-columnar tables are
+    /// left untouched.
     ///
     /// Returns one `(table name, compression accounting)` entry per
     /// table, in `drop1..3, jump1..3, segments` order.
@@ -831,14 +841,32 @@ mod tests {
             }
         }
         // Bit-identical results on both plans, and the replay check
-        // still holds over the rewritten heaps.
-        let (scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-        let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+        // still holds over the rewritten heaps. Every row is sealed: the
+        // eight trees are empty files of two pages, and the index plan
+        // examines what the scan examines.
+        let (scan, scan_stats) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+        let (indexed, index_stats) = idx.query(&region, QueryPlan::Index).unwrap();
         assert_eq!(before_scan, scan, "compaction changed scan results");
         assert_eq!(before_scan, indexed, "compaction changed index results");
+        assert_eq!(index_stats.rows_considered, scan_stats.rows_considered);
+        let empty_trees = 8 * 2 * pagestore::PAGE_SIZE as u64;
+        assert_eq!(idx.stats().index_bytes, empty_trees);
         idx.verify_consistency().unwrap();
-        // A second call is a no-op.
+        // A second call is a no-op, and so is building the trees again:
+        // the catalogue still lists them.
+        let sizes = |dir: &std::path::Path| {
+            let mut sizes: Vec<_> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap())
+                .map(|e| (e.file_name(), e.metadata().unwrap().len()))
+                .collect();
+            sizes.sort();
+            sizes
+        };
+        let compacted = sizes(&dir);
         idx.compact_storage().unwrap();
+        idx.build_indexes().unwrap();
+        assert_eq!(sizes(&dir), compacted, "a file changed size");
         // Ingestion resumes on the columnar tables after a reopen (which
         // re-anchors the segmenter, keeping the segment chain unbroken).
         // The tail picks up at the series' final value.
@@ -859,6 +887,21 @@ mod tests {
         idx.verify_consistency().unwrap();
         let (after, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
         assert!(after.len() > before_scan.len(), "second drop must appear");
+        // The trees index the tail alone — here still in their write
+        // buffers, so no file has grown — and both plans see the second
+        // drop.
+        let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+        assert_eq!(after, indexed, "plans disagree behind the sealed rows");
+        assert_eq!(idx.stats().index_bytes, empty_trees);
+        let mut behind = 0;
+        for t in idx.drop_tables.iter().chain(idx.jump_tables.iter()) {
+            behind += t.num_rows() - t.sealed_rows();
+            for name in t.index_names() {
+                let tree = t.index(&name).unwrap();
+                assert_eq!(tree.len(), t.num_rows() - t.sealed_rows(), "{name}");
+            }
+        }
+        assert!(behind > 0, "no row behind the sealed ones");
         std::fs::remove_dir_all(&dir).ok();
     }
 

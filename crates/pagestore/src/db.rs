@@ -6,7 +6,7 @@ use crate::buffer::{BufferPool, PoolStats};
 use crate::colpage::ColPageBuilder;
 use crate::encode::encode_key_into;
 use crate::error::Result;
-use crate::heap::{HeapFile, PageFormat, MAGIC as HEAP_MAGIC, PAGE_HDR};
+use crate::heap::{HeapFile, PageFormat, MAGIC as HEAP_MAGIC, META_SEALED_ROWS, PAGE_HDR};
 use crate::page::{self, PageBuf};
 use crate::pagefile::{FileId, PageFile};
 use crate::recovery::{self, RecoveryReport};
@@ -18,6 +18,7 @@ use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fs;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -258,14 +259,16 @@ impl Database {
                     } else {
                         None
                     };
-                    // A tree holds the first `len()` rows of its heap
-                    // (`attach_index` derives the rest into its write
-                    // buffer, as keys of the catalogue's columns), so one
-                    // that claims more rows than the heap has, or keys of
+                    // A tree holds the `len()` rows behind its heap's
+                    // sealed ones (`attach_index` derives the rest into
+                    // its write buffer, as keys of the catalogue's
+                    // columns), so one that claims more rows than the heap
+                    // has there — a file from before the seal — or keys of
                     // another width than those columns encode to, is as
                     // unusable as a torn file.
                     let usable = |t: &BTree| {
-                        t.len() <= table.num_rows() && t.key_width() == cols.len() * 8 + 8
+                        table.sealed_rows() + t.len() <= table.num_rows()
+                            && t.key_width() == cols.len() * 8 + 8
                     };
                     let tree = match tree.filter(usable) {
                         Some(tree) => tree,
@@ -328,12 +331,18 @@ impl Database {
         self.dir.join(format!("{table}.{index}.idx"))
     }
 
-    /// Atomic catalog rewrite: temp file + rename + directory fsync, so
-    /// a crash mid-write leaves the old or the new catalog, never a mix.
+    /// Atomic catalog rewrite: temp file, fsynced before the rename that
+    /// publishes it, + directory fsync, so a crash mid-write leaves the
+    /// old or the new catalog, never a mix or an empty file.
     fn persist_catalog(&self) -> Result<()> {
         let text = self.catalog.lock().join("\n");
         let tmp = self.dir.join("catalog.txt.tmp");
-        fs::write(&tmp, text)?;
+        let mut file = fs::File::create(&tmp)?;
+        file.write_all(text.as_bytes())?;
+        if self.opts.sync {
+            file.sync_all()?;
+        }
+        drop(file);
         fs::rename(&tmp, self.dir.join(CATALOG))?;
         if self.opts.sync {
             sync_dir(&self.dir)?;
@@ -366,8 +375,8 @@ impl Database {
         Ok(table)
     }
 
-    /// Creates a B+tree index over the named columns, backfilling existing
-    /// rows.
+    /// Creates a B+tree index over the named columns, backfilling the
+    /// existing rows behind the sealed ones.
     pub fn create_index(&self, table_name: &str, index_name: &str, cols: &[&str]) -> Result<()> {
         let table = self.table(table_name)?;
         if table.index(index_name).is_ok() {
@@ -410,9 +419,18 @@ impl Database {
     /// sidecar — whose page, extent and segment entries come out narrow
     /// in the key's columns, which is all a reader ever sees of the key.
     ///
+    /// A rewrite into columnar pages **seals** the rows it writes: the
+    /// new heap's meta page records their count
+    /// ([`HeapFile::sealed_rows`]), its trees are rebuilt over the rows
+    /// behind them — none: every tree comes out empty, and grows again
+    /// with the rows inserted later — and readers reach the sealed rows
+    /// through [`Table::scan_sealed_pages`], whose zone hierarchy over
+    /// rows in key order does the work a tree over them would. A rewrite
+    /// into raw pages records no sealed row and rebuilds whole trees: raw
+    /// pages are positional, and have no page boundary to seal at.
+    ///
     /// One table's rows are held in memory while it is rewritten (rows x
-    /// columns x 8 bytes, about what [`Database::bulk_build_tree`] then
-    /// takes for each tree's keys).
+    /// columns x 8 bytes).
     ///
     /// The protocol leans on machinery that already exists for crashes:
     ///
@@ -421,11 +439,14 @@ impl Database {
     /// 2. write the ordered rows into `<name>.tbl.tmp` *outside* the
     ///    buffer pool, building the new hierarchical zone map along the
     ///    way;
-    /// 3. delete the index files — a missing/torn `.idx` is rebuilt by
+    /// 3. delete the index files — a missing/torn `.idx`, or one that
+    ///    holds more rows than lie behind the sealed ones, is rebuilt by
     ///    [`Database::open`] from the heap, so a crash anywhere past
     ///    this point self-repairs;
-    /// 4. rename the temp file over the heap and swap the pool's file
-    ///    handle ([`BufferPool::swap_file`] discards the stale frames);
+    /// 4. rename the temp file over the heap — the sealed row count is
+    ///    in the file, so the rename publishes both — and swap the pool's
+    ///    file handle ([`BufferPool::swap_file`] discards the stale
+    ///    frames);
     /// 5. install the new zone map (a crash between 4 and here leaves
     ///    the *old-format* sidecar behind, which the next open discards
     ///    exactly like a row-count mismatch) and rebuild the indexes.
@@ -495,9 +516,9 @@ impl Database {
     }
 
     /// Writes `rows`, in the order given, as a whole heap file at `path`
-    /// in `format` — meta page, then data pages filled front to back —
-    /// and returns the zone map of the rows under the pages they landed
-    /// on.
+    /// in `format` — meta page, then data pages filled front to back, all
+    /// of them sealed when columnar — and returns the zone map of the rows
+    /// under the pages they landed on.
     fn write_heap_file(
         &self,
         path: &Path,
@@ -550,11 +571,16 @@ impl Database {
                 }
             }
         }
+        let sealed = match format {
+            PageFormat::Columnar => rows.len() as u64,
+            PageFormat::Raw => 0,
+        };
         let mut meta = PageBuf::zeroed();
         page::put_u32(meta.bytes_mut(), 0, HEAP_MAGIC);
         page::put_u16(meta.bytes_mut(), 4, ncols as u16);
         page::put_u64(meta.bytes_mut(), 8, rows.len() as u64);
         page::put_u16(meta.bytes_mut(), 16, format.tag());
+        page::put_u64(meta.bytes_mut(), META_SEALED_ROWS, sealed);
         out.write_page(0, meta.bytes())?;
         if self.opts.sync {
             out.sync_all()?;
@@ -563,17 +589,17 @@ impl Database {
     }
 
     /// Bulk-loads a B+tree over `col_idx` from the table's current rows
-    /// (sorted once, leaves written left to right). Deterministic for a
-    /// given heap, which is what makes post-recovery index rebuilds
-    /// byte-equivalent to the trees they replace.
+    /// behind its sealed ones (sorted once, leaves written left to right).
+    /// Deterministic for a given heap, which is what makes post-recovery
+    /// index rebuilds byte-equivalent to the trees they replace.
     fn bulk_build_tree(&self, table: &Arc<Table>, fid: FileId, col_idx: &[usize]) -> Result<BTree> {
         let kw = col_idx.len() * 8 + 8;
-        let mut keys: Vec<u8> = Vec::with_capacity(table.num_rows() as usize * kw);
+        let unsealed = table.num_rows() - table.sealed_rows();
+        let mut keys: Vec<u8> = Vec::with_capacity(unsealed as usize * kw);
         let mut key = vec![0u8; kw];
-        table.seq_scan(|rid, row| {
+        table.scan_unsealed(|rid, row| {
             encode_key_into(col_idx.iter().map(|&c| row[c]), rid, &mut key);
             keys.extend_from_slice(&key);
-            true
         })?;
         let mut sorted: Vec<&[u8]> = keys.chunks_exact(kw).collect();
         sorted.sort_unstable_by(|a, b| key_cmp(a, b));
@@ -1247,33 +1273,53 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "rows must be bit-identical");
             }
         }
-        // The rebuilt index answers the same query, and fetches resolve
-        // against the new row ids.
-        let mut hits = 0;
-        let mut row = Vec::new();
-        t.index_scan("by_dt", &[3000.0], &[3000.0], |rid, cols| {
-            t.fetch(rid, &mut row).unwrap();
-            assert_eq!(row[0], cols[0]);
-            hits += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(hits, 60);
-        // Inserts keep working after the swap, and the whole thing
-        // survives a clean reopen.
-        t.insert(&[0.0, 0.0, 1e9]).unwrap();
+        // The rewrite sealed every row: the tree was rebuilt over the rows
+        // behind them, which are none, and the sealed pages answer.
+        assert_eq!(t.sealed_rows(), 3000);
+        assert_eq!(t.index("by_dt").unwrap().len(), 0);
+        let at_3000 = |t: &Table| {
+            let (mut by_tree, mut sealed) = (0, 0);
+            let mut row = Vec::new();
+            t.index_scan("by_dt", &[3000.0], &[3000.0], |rid, cols| {
+                t.fetch(rid, &mut row).unwrap();
+                assert_eq!(row[0], cols[0]);
+                by_tree += 1;
+                true
+            })
+            .unwrap();
+            let mut dt = vec![Vec::new()];
+            t.scan_sealed_pages(
+                |mins, maxs| mins[0] <= 3000.0 && 3000.0 <= maxs[0],
+                |page| {
+                    page.columns(0..1, &mut dt)?;
+                    sealed += dt[0].iter().filter(|&&v| v == 3000.0).count();
+                    Ok(true)
+                },
+            )
+            .unwrap();
+            (by_tree, sealed)
+        };
+        assert_eq!(at_3000(&t), (0, 60));
+        // Inserts keep working after the swap — the tree takes the rows
+        // behind the sealed ones — and the whole thing survives a clean
+        // reopen.
+        t.insert(&[3000.0, 0.0, 1e9]).unwrap();
+        assert_eq!(at_3000(&t), (1, 60));
         db.commit(b"post-rewrite").unwrap();
         db.flush().unwrap();
         drop((t, db));
         let db = Database::open(&dir, 128).unwrap();
         let t = db.table("ev").unwrap();
         assert_eq!(t.format(), PageFormat::Columnar);
-        assert_eq!(t.num_rows(), 3001);
+        assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 3000));
         assert!(t.has_zones(), "sidecar valid across reopen");
+        assert_eq!(at_3000(&t), (1, 60));
         // Round-trip back to raw: same rows again.
+        // Raw pages seal nothing: the tree holds every row again.
         db.rewrite_table_format("ev", PageFormat::Raw, &[]).unwrap();
         assert_eq!(t.format(), PageFormat::Raw);
-        assert_eq!(t.num_rows(), 3001);
+        assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 0));
+        assert_eq!(at_3000(&t), (61, 0));
         let mut n = 0;
         t.seq_scan(|_, row| {
             if n < before.len() {
@@ -1285,6 +1331,74 @@ mod tests {
         .unwrap();
         assert_eq!(n, 3001);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn rows_behind_the_seal_start_a_page_and_leave_the_sealed_ones_alone() {
+        let dir = tmpdir("sealedge");
+        fs::remove_dir_all(&dir).ok();
+        // A pool this small writes the uncommitted rows below to the file
+        // before the crash.
+        let db = Database::create_with(&dir, 16, durable_every_commit()).unwrap();
+        let t = db
+            .create_table(TableSpec::new("ev", &["a", "b", "c"]))
+            .unwrap();
+        db.create_index("ev", "by_c", &["c"]).unwrap();
+        for i in 0..3000 {
+            t.insert(&scattered_row(i)).unwrap();
+        }
+        db.commit(b"loaded").unwrap();
+        db.rewrite_table_format("ev", PageFormat::Columnar, &[0, 1])
+            .unwrap();
+        let sealed_file = fs::read(dir.join("ev.tbl")).unwrap();
+        let first_free = (sealed_file.len() / crate::PAGE_SIZE) as u64;
+        let last_rows = page::get_u16(&sealed_file[sealed_file.len() - crate::PAGE_SIZE..], 0);
+        assert!(first_free > 3, "several sealed pages");
+        let check = |t: &Table, rows: u64| {
+            assert_eq!((t.num_rows(), t.sealed_rows()), (rows, 3000));
+            let tree = t.index("by_c").unwrap();
+            assert_eq!(tree.len(), rows - 3000);
+            let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree("by_c");
+            assert!(scanned.len() as u64 == rows && scanned == found);
+        };
+        check(&t, 3000);
+
+        // A commit exactly at the seal, then rows no commit covers: the
+        // crash takes them, and recovery lands on the boundary.
+        db.commit(b"sealed").unwrap();
+        for i in 3000..9000 {
+            t.insert(&scattered_row(i)).unwrap();
+        }
+        drop((t, db));
+        let db = Database::open(&dir, 16).unwrap();
+        assert!(!db.recovery_report().unwrap().clean);
+        let t = db.table("ev").unwrap();
+        check(&t, 3000);
+
+        // The first row behind the seal starts the page after the last
+        // sealed one, though that one had room.
+        let rid = t.insert(&scattered_row(3000)).unwrap();
+        assert_eq!((rid >> 16, rid & 0xFFFF), (first_free, 0));
+        for i in 3001..3400 {
+            t.insert(&scattered_row(i)).unwrap();
+        }
+        db.commit(b"tail").unwrap();
+        db.flush().unwrap();
+        check(&t, 3400);
+        drop((t, db));
+        let grown = fs::read(dir.join("ev.tbl")).unwrap();
+        assert!(grown.len() > sealed_file.len());
+        assert!(
+            grown[crate::PAGE_SIZE..sealed_file.len()] == sealed_file[crate::PAGE_SIZE..],
+            "a sealed page was written"
+        );
+        assert_eq!(
+            page::get_u16(&grown[sealed_file.len() - crate::PAGE_SIZE..], 0),
+            last_rows
+        );
+        let db = Database::open(&dir, 16).unwrap();
+        check(&db.table("ev").unwrap(), 3400);
+        fs::remove_dir_all(&dir).ok();
     }
 
     /// Row `i` of a load with few distinct `(dt, dv)` keys — so most rows
@@ -1379,7 +1493,18 @@ mod tests {
             t.drop_zones();
             t.ensure_zones().unwrap();
             assert!(installed == zone_entries(&t), "{format:?}: zones");
-            // Both trees were rebuilt over the new row ids.
+            // Both trees were rebuilt over the new row ids: whole over
+            // raw pages, empty over columnar ones, whose rows are sealed
+            // and read through their pages. Either way every row once.
+            let sealed = t.sealed_rows();
+            assert_eq!(
+                sealed,
+                if format == PageFormat::Raw {
+                    0
+                } else {
+                    KEYED_ROWS
+                }
+            );
             let (neg, inf) = (f64::NEG_INFINITY, f64::INFINITY);
             for (tree, col, lo, hi) in [
                 ("by_dt_dv", 0, 600.0, 3000.0),
@@ -1387,30 +1512,46 @@ mod tests {
                 ("by_dt_dv", 0, neg, inf),
                 ("by_t", 2, 777.0, 20_000.5),
             ] {
+                assert_eq!(t.index(tree).unwrap().len(), KEYED_ROWS - sealed);
                 let (lo_key, hi_key) = match tree {
                     "by_t" => (vec![lo], vec![hi]),
                     _ => (vec![lo, neg], vec![hi, inf]),
                 };
-                let mut via_tree = Vec::new();
+                let mut via_tree_or_seal: Vec<Vec<u64>> = Vec::new();
                 let mut row = Vec::new();
                 t.index_scan(tree, &lo_key, &hi_key, |rid, cols| {
                     t.fetch(rid, &mut row).unwrap();
                     assert_eq!(cols[0].to_bits(), row[col].to_bits());
-                    via_tree.push((rid, row.iter().map(|v| v.to_bits()).collect::<Vec<_>>()));
+                    via_tree_or_seal.push(row.iter().map(|v| v.to_bits()).collect());
                     true
                 })
                 .unwrap();
-                via_tree.sort_unstable();
-                let mut via_scan = Vec::new();
-                t.seq_scan(|rid, row| {
+                let mut cols = vec![Vec::new(); 4];
+                t.scan_sealed_pages(
+                    |mins, maxs| mins[col] <= hi && lo <= maxs[col],
+                    |page| {
+                        page.columns(0..4, &mut cols)?;
+                        for r in
+                            (0..page.rows()).filter(|&r| lo <= cols[col][r] && cols[col][r] <= hi)
+                        {
+                            via_tree_or_seal.push(cols.iter().map(|c| c[r].to_bits()).collect());
+                        }
+                        Ok(true)
+                    },
+                )
+                .unwrap();
+                via_tree_or_seal.sort_unstable();
+                let mut via_scan: Vec<Vec<u64>> = Vec::new();
+                t.seq_scan(|_, row| {
                     if lo <= row[col] && row[col] <= hi {
-                        via_scan.push((rid, row.iter().map(|v| v.to_bits()).collect()));
+                        via_scan.push(row.iter().map(|v| v.to_bits()).collect());
                     }
                     true
                 })
                 .unwrap();
+                via_scan.sort_unstable();
                 assert!(
-                    !via_scan.is_empty() && via_tree == via_scan,
+                    !via_scan.is_empty() && via_tree_or_seal == via_scan,
                     "{format:?} {tree}"
                 );
             }
@@ -1463,10 +1604,25 @@ mod tests {
         let (raw_dir, raw_db, raw_inserted) = load("nokey-raw", PageFormat::Raw);
         let (col_dir, col_db, col_inserted) = load("nokey-col", PageFormat::Columnar);
         assert!(raw_inserted != col_inserted);
+        // Into columnar pages: the heap inserts write but for the sealed
+        // row count on its meta page, and the trees of a table whose rows
+        // are all sealed — the trees of an empty one.
         raw_db
             .rewrite_table_format("ev", PageFormat::Columnar, &[])
             .unwrap();
-        assert!(data_files(&raw_dir) == col_inserted, "raw to columnar");
+        let mut rewritten = data_files(&raw_dir);
+        let heap = rewritten.get_mut("ev.tbl").unwrap();
+        let sealed = &mut heap[META_SEALED_ROWS..META_SEALED_ROWS + 8];
+        assert_eq!(sealed, KEYED_ROWS.to_le_bytes());
+        sealed.fill(0);
+        assert!(
+            rewritten["ev.tbl"] == col_inserted["ev.tbl"],
+            "raw to columnar"
+        );
+        for tree in ["ev.by_dt_dv.idx", "ev.by_t.idx"] {
+            assert_eq!(rewritten[tree].len(), 2 * crate::PAGE_SIZE, "{tree}");
+        }
+        // Into raw pages nothing is sealed: the files inserts write.
         col_db
             .rewrite_table_format("ev", PageFormat::Raw, &[])
             .unwrap();

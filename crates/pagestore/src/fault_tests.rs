@@ -227,3 +227,141 @@ fn tree_with_the_old_magic_is_rebuilt_on_open() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A WAL-backed store in `tmpdir(tag)`: table `t(a, b)` of 2,000 rows
+/// under the tree `by_ab`, flushed; and, beside it, a copy of the store
+/// made before `t` was rewritten into columnar pages clustered on
+/// `(a, b)`, which the store itself then was. Returns (rewritten, copy),
+/// both closed, and the rows in bit order.
+fn sealed_table_and_its_past(tag: &str) -> (PathBuf, PathBuf, Vec<Vec<u64>>) {
+    let (dir, past) = (tmpdir(tag), tmpdir(&format!("{tag}-past")));
+    let db = Database::create_with(&dir, 64, crate::DurabilityOptions::durable()).unwrap();
+    let t = db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
+    db.create_index("t", "by_ab", &["a", "b"]).unwrap();
+    for i in 0..2000 {
+        t.insert(&[(i % 10) as f64, -(i as f64)]).unwrap();
+    }
+    db.commit(b"loaded").unwrap();
+    db.flush().unwrap();
+    std::fs::create_dir_all(&past).unwrap();
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let entry = entry.unwrap();
+        std::fs::copy(entry.path(), past.join(entry.file_name())).unwrap();
+    }
+    db.rewrite_table_format("t", crate::PageFormat::Columnar, &[0, 1])
+        .unwrap();
+    let [rows, found] = t.rows_by_scan_and_by_seal_and_tree("by_ab");
+    assert!(rows.len() == 2000 && rows == found);
+    assert_eq!(
+        (t.sealed_rows(), t.index("by_ab").unwrap().len()),
+        (2000, 0)
+    );
+    (dir, past, rows)
+}
+
+/// Opens `dir` and checks that `t` holds `rows` by both paths, `sealed`
+/// of them sealed, the tree holding the rest.
+fn assert_reopens_to(dir: &std::path::Path, rows: &[Vec<u64>], sealed: u64) {
+    let db = Database::open(dir, 64).unwrap();
+    let t = db.table("t").unwrap();
+    let tree = t.index("by_ab").unwrap();
+    assert_eq!((t.sealed_rows(), tree.len()), (sealed, 2000 - sealed));
+    let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree("by_ab");
+    assert!(scanned == rows && found == rows);
+}
+
+#[test]
+fn tree_left_from_before_the_seal_is_rebuilt_on_open() {
+    // The rewrite deletes the tree files before it publishes the sealed
+    // heap; one that survived (2,000 entries where no row lies behind the
+    // sealed ones) is not that heap's index, and must not be read as one.
+    let (dir, past, rows) = sealed_table_and_its_past("staletree");
+    std::fs::copy(past.join("t.by_ab.idx"), dir.join("t.by_ab.idx")).unwrap();
+    assert_reopens_to(&dir, &rows, 2000);
+    // The rebuilt tree is the sealed heap's own: the next open keeps it.
+    let rebuilt = std::fs::read(dir.join("t.by_ab.idx")).unwrap();
+    assert_eq!(rebuilt.len(), 2 * PAGE_SIZE, "an empty tree");
+    assert_reopens_to(&dir, &rows, 2000);
+    assert!(std::fs::read(dir.join("t.by_ab.idx")).unwrap() == rebuilt);
+    for d in [dir, past] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
+#[test]
+fn crash_inside_a_rewrite_reopens_to_the_same_rows_on_both_sides_of_the_rename() {
+    let (dir, past, rows) = sealed_table_and_its_past("midrewrite");
+    // Before the rename: the old heap and log, the trees already deleted,
+    // the rewritten rows in a temp file nobody reads. Whole trees again.
+    std::fs::copy(dir.join("t.tbl"), past.join("t.tbl.tmp")).unwrap();
+    std::fs::remove_file(past.join("t.by_ab.idx")).unwrap();
+    assert_reopens_to(&past, &rows, 0);
+    // After the rename, before the final flush: the sealed heap under the
+    // old store's log (same row counts), the old-format zone sidecar, and
+    // no tree file. The heap says what is sealed; the trees come out empty.
+    std::fs::copy(dir.join("t.tbl"), past.join("t.tbl")).unwrap();
+    std::fs::remove_file(past.join("t.by_ab.idx")).unwrap();
+    assert_reopens_to(&past, &rows, 2000);
+    for d in [dir, past] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
+#[test]
+fn rewritten_heap_from_before_the_sealed_count_opens_with_whole_trees() {
+    // Heaps rewritten by earlier releases hold zeros where the sealed row
+    // count now lives, beside trees over every row: nothing is sealed, and
+    // a tree to rebuild is rebuilt whole.
+    let (dir, past, rows) = sealed_table_and_its_past("presealed");
+    let heap = dir.join("t.tbl");
+    let mut bytes = std::fs::read(&heap).unwrap();
+    assert_eq!(bytes[24..32], 2000u64.to_le_bytes());
+    bytes[24..32].fill(0);
+    std::fs::write(&heap, bytes).unwrap();
+    std::fs::remove_file(dir.join("t.by_ab.idx")).unwrap();
+    assert_reopens_to(&dir, &rows, 0);
+    let whole = std::fs::read(dir.join("t.by_ab.idx")).unwrap();
+    assert!(whole.len() > 2 * PAGE_SIZE);
+    assert_reopens_to(&dir, &rows, 0);
+    assert!(
+        std::fs::read(dir.join("t.by_ab.idx")).unwrap() == whole,
+        "kept"
+    );
+    // A count no page boundary matches is a damaged heap, not a guess.
+    let mut bytes = std::fs::read(&heap).unwrap();
+    bytes[24..32].copy_from_slice(&1999u64.to_le_bytes());
+    std::fs::write(&heap, bytes).unwrap();
+    assert!(matches!(
+        Database::open(&dir, 64),
+        Err(StoreError::Corrupt(_))
+    ));
+    for d in [dir, past] {
+        std::fs::remove_dir_all(&d).ok();
+    }
+}
+
+#[test]
+fn catalog_temp_file_is_whole_before_the_rename_and_the_old_catalog_survives_its_failure() {
+    let dir = tmpdir("catalogrename");
+    let db = Database::create(&dir, 64).unwrap();
+    db.create_table(TableSpec::new("a", &["x"])).unwrap();
+    // A rename onto a directory that is not empty fails: put the catalogue
+    // so far inside one of its name.
+    let catalog = dir.join("catalog.txt");
+    let old = std::fs::read_to_string(&catalog).unwrap();
+    assert_eq!(old, "table a x");
+    std::fs::remove_file(&catalog).unwrap();
+    std::fs::create_dir(&catalog).unwrap();
+    std::fs::write(catalog.join("kept"), &old).unwrap();
+    assert!(matches!(
+        db.create_table(TableSpec::new("b", &["y", "z"])),
+        Err(StoreError::Io(_))
+    ));
+    assert_eq!(
+        std::fs::read_to_string(dir.join("catalog.txt.tmp")).unwrap(),
+        "table a x\ntable b y,z",
+        "the temp file was renamed before it was written out"
+    );
+    assert_eq!(std::fs::read_to_string(catalog.join("kept")).unwrap(), old);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -16,6 +16,9 @@ pub type RowId = u64;
 
 pub(crate) const MAGIC: u32 = 0x5344_4850; // "SDHP"
 pub(crate) const PAGE_HDR: usize = 8; // u16 row count + format tag + padding
+/// Byte offset of the sealed row count (a u64) on the meta page; heaps
+/// written before it existed hold zeros there.
+pub(crate) const META_SEALED_ROWS: usize = 24;
 const META_PAGE: u32 = 0;
 
 /// On-disk page layout of a heap's data pages.
@@ -73,8 +76,9 @@ fn rid_parts(r: RowId) -> (u32, u16) {
 
 /// An append-only table file of rows with a fixed number of `f64` columns.
 ///
-/// Page 0 holds metadata (magic, column count, row count, page format);
-/// data pages follow. All I/O goes through the shared [`BufferPool`].
+/// Page 0 holds metadata (magic, column count, row count, page format,
+/// sealed row count); data pages follow. All I/O goes through the shared
+/// [`BufferPool`].
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     fid: FileId,
@@ -84,6 +88,10 @@ pub struct HeapFile {
     /// capacity varies with compressibility).
     rows_per_page: usize,
     nrows: u64,
+    /// The leading rows a rewrite wrote (see [`HeapFile::sealed_rows`]),
+    /// and the data pages `1..=sealed_pages` that hold exactly them.
+    sealed_rows: u64,
+    sealed_pages: u32,
     /// Last data page and its row count, for O(1) appends.
     tail: Option<(u32, u16)>,
     /// Columnar tail staging: mirrors the rows of the tail page so an
@@ -208,6 +216,8 @@ impl HeapFile {
             format,
             rows_per_page: (PAGE_SIZE - PAGE_HDR) / (ncols * 8),
             nrows: 0,
+            sealed_rows: 0,
+            sealed_pages: 0,
             tail: None,
             builder: None,
             zones: Some(Self::new_zones(ncols, format)),
@@ -225,12 +235,13 @@ impl HeapFile {
 
     /// Opens an existing heap in file `fid`.
     pub fn open(pool: Arc<BufferPool>, fid: FileId) -> Result<Self> {
-        let (magic, ncols, nrows, ftag) = pool.with_page(fid, META_PAGE, |b| {
+        let (magic, ncols, nrows, ftag, sealed_rows) = pool.with_page(fid, META_PAGE, |b| {
             (
                 page::get_u32(b, 0),
                 page::get_u16(b, 4) as usize,
                 page::get_u64(b, 8),
                 page::get_u16(b, 16),
+                page::get_u64(b, META_SEALED_ROWS),
             )
         })?;
         if magic != MAGIC {
@@ -238,6 +249,7 @@ impl HeapFile {
         }
         let format = PageFormat::from_tag(ftag)?;
         let rows_per_page = (PAGE_SIZE - PAGE_HDR) / (ncols * 8);
+        let mut sealed_pages = 0;
         let tail = match format {
             PageFormat::Raw => {
                 if nrows == 0 {
@@ -266,6 +278,9 @@ impl HeapFile {
                     let take = n.min(remaining);
                     remaining -= take;
                     tail = Some((pid, take as u16));
+                    if take > 0 && nrows - remaining == sealed_rows {
+                        sealed_pages = pid;
+                    }
                 }
                 if remaining > 0 {
                     return Err(StoreError::Corrupt(format!(
@@ -275,6 +290,15 @@ impl HeapFile {
                 tail
             }
         };
+        // Raw pages are positional (row `k` lives on page `k / rows_per_page`),
+        // so only a columnar heap can end its sealed rows on a page of
+        // their own; wherever the count came from, it must do so.
+        if sealed_rows > 0 && sealed_pages == 0 {
+            return Err(StoreError::Corrupt(format!(
+                "{} heap of {nrows} rows claims {sealed_rows} sealed, which end on no page",
+                format.name()
+            )));
+        }
         let zones = ZoneMap::load(&pool.file_path(fid), ncols, nrows, ftag);
         if zones.is_some() {
             obs::global()
@@ -288,6 +312,8 @@ impl HeapFile {
             format,
             rows_per_page,
             nrows,
+            sealed_rows,
+            sealed_pages,
             tail,
             builder: None,
             zones,
@@ -300,6 +326,7 @@ impl HeapFile {
             page::put_u16(b, 4, self.ncols as u16);
             page::put_u64(b, 8, self.nrows);
             page::put_u16(b, 16, self.format.tag());
+            page::put_u64(b, META_SEALED_ROWS, self.sealed_rows);
         })
     }
 
@@ -321,6 +348,17 @@ impl HeapFile {
     /// Number of rows.
     pub fn num_rows(&self) -> u64 {
         self.nrows
+    }
+
+    /// How many leading rows the rewrite that produced this file wrote
+    /// ([`crate::Database::rewrite_table_format`] into columnar pages; 0
+    /// for a heap no rewrite produced, or one from before the count was
+    /// kept). Those rows are *sealed*: their pages hold no other row and
+    /// are never written again — the first append behind them opens a new
+    /// page — and no B+tree holds an entry for them; readers reach them
+    /// through [`HeapFile::scan_sealed_pages`].
+    pub fn sealed_rows(&self) -> u64 {
+        self.sealed_rows
     }
 
     /// The data-page format of this heap.
@@ -406,8 +444,9 @@ impl HeapFile {
             .take()
             .unwrap_or_else(|| ColPageBuilder::new(self.ncols));
         let fits = builder.try_push(row);
+        // The first row behind the sealed ones opens a page, room or not.
         let (pid, slot) = match (fits, self.tail) {
-            (true, Some((pid, n))) if n > 0 => (pid, n),
+            (true, Some((pid, n))) if n > 0 && self.nrows > self.sealed_rows => (pid, n),
             _ => {
                 if !fits {
                     builder.clear();
@@ -435,13 +474,14 @@ impl HeapFile {
     }
 
     /// Re-stages the tail page's rows into the columnar builder (after
-    /// open, or after an operation that invalidated the staging copy).
+    /// open, or after an operation that invalidated the staging copy). A
+    /// sealed tail page takes no more rows and is not staged.
     fn ensure_builder(&mut self) -> Result<()> {
         if self.builder.is_some() {
             return Ok(());
         }
         let mut b = ColPageBuilder::new(self.ncols);
-        if let Some((pid, n)) = self.tail {
+        if let Some((pid, n)) = self.tail.filter(|_| self.nrows > self.sealed_rows) {
             if n > 0 {
                 let mut buf = PageBuf::zeroed();
                 self.pool.read_page_into(self.fid, pid, &mut buf)?;
@@ -540,7 +580,11 @@ impl HeapFile {
         let Some((tail, tail_rows)) = self.tail.filter(|_| want > 0) else {
             return Ok(());
         };
-        let (mut first, mut have) = (tail, tail_rows as u64);
+        // Every row: from the first data page, no walk back.
+        let (mut first, mut have) = match skip {
+            0 => (META_PAGE + 1, want),
+            _ => (tail, tail_rows as u64),
+        };
         while have < want {
             first -= 1;
             if first == META_PAGE {
@@ -748,21 +792,44 @@ impl HeapFile {
     /// the bounds could match — for pruning to be lossless.
     pub fn scan_pages(
         &self,
+        filter: impl FnMut(&[f64], &[f64]) -> bool,
+        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
+    ) -> Result<ZoneScanStats> {
+        self.scan_pages_below(self.pool.file_pages(self.fid), filter, visit)
+    }
+
+    /// [`HeapFile::scan_pages`] over the pages of the sealed rows alone
+    /// (see [`HeapFile::sealed_rows`]): with a B+tree scan of the rows
+    /// behind them, every row once. Touches nothing when no row is sealed.
+    pub fn scan_sealed_pages(
+        &self,
+        filter: impl FnMut(&[f64], &[f64]) -> bool,
+        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
+    ) -> Result<ZoneScanStats> {
+        self.scan_pages_below(self.sealed_pages + 1, filter, visit)
+    }
+
+    /// [`HeapFile::scan_pages`] over data pages `1..npages`.
+    fn scan_pages_below(
+        &self,
+        npages: u32,
         mut filter: impl FnMut(&[f64], &[f64]) -> bool,
         mut visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
     ) -> Result<ZoneScanStats> {
-        let npages = self.pool.file_pages(self.fid);
         let mut stats = ZoneScanStats::default();
         let live = self.live_pages(&mut filter, npages, &mut stats);
-        let mut buf = PageBuf::zeroed();
+        // Allocated for the first page read: a scan that prunes every page,
+        // or finds none sealed, costs no more than its zone tests.
+        let mut buf = None;
         let mut decoded = 0;
         let mut outcome = Ok(true);
         for pid in live {
             stats.pages_scanned += 1;
-            self.pool.read_page_into(self.fid, pid, &mut buf)?;
+            let buf = buf.get_or_insert_with(PageBuf::zeroed);
+            self.pool.read_page_into(self.fid, pid, buf)?;
             let page = ScanPage {
                 heap: self,
-                buf: &buf,
+                buf,
                 decoded: std::cell::Cell::new(0),
             };
             outcome = visit(&page);

@@ -152,6 +152,71 @@ proptest! {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Sealed pages and trees partition the heap: through any interleaving
+    /// of insert batches, clustered rewrites into columnar pages (which
+    /// seal what they write) and back into raw ones (which seal nothing),
+    /// flushes and reopens, the sealed pages plus a tree's entries are the
+    /// heap's rows, each once, and every tree holds exactly the rows
+    /// behind the sealed ones, a buffer's worth of them at most unapplied.
+    #[test]
+    fn sealed_pages_and_trees_hold_every_row_once(
+        ops in prop::collection::vec((0u8..5, 1usize..700), 1..10),
+        wal in any::<bool>(),
+    ) {
+        use crate::db::{Database, DurabilityOptions, TableSpec};
+        let dir = tmpfile("sealprop");
+        let opts = DurabilityOptions { wal, ..DurabilityOptions::default() };
+        let mut db = Database::create_with(&dir, 64, opts).unwrap();
+        db.create_table(TableSpec::new("t", &["a", "b", "c"])).unwrap();
+        db.create_index("t", "by_ab", &["a", "b"]).unwrap();
+        db.create_index("t", "by_c", &["c"]).unwrap();
+        let (mut rows, mut sealed) = (0u64, 0u64);
+        for (op, n) in ops {
+            let t = db.table("t").unwrap();
+            match op {
+                0 | 1 => {
+                    let batch: Vec<f64> = (rows..rows + n as u64)
+                        .flat_map(|i| {
+                            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+                            [(h % 97) as f64, -((h % 13) as f64), i as f64]
+                        })
+                        .collect();
+                    t.insert_many(&batch).unwrap();
+                    rows += n as u64;
+                    db.commit(b"batch").unwrap();
+                }
+                2 => {
+                    if t.format() == PageFormat::Raw {
+                        sealed = rows;
+                    }
+                    db.rewrite_table_format("t", PageFormat::Columnar, &[0, 1]).unwrap();
+                }
+                3 => {
+                    db.rewrite_table_format("t", PageFormat::Raw, &[2]).unwrap();
+                    sealed = 0;
+                }
+                _ => {
+                    db.flush().unwrap();
+                    if n % 2 == 0 {
+                        drop((t, db));
+                        db = Database::open(&dir, 64).unwrap();
+                    }
+                }
+            }
+            let t = db.table("t").unwrap();
+            prop_assert_eq!((t.num_rows(), t.sealed_rows()), (rows, sealed));
+            for name in ["by_ab", "by_c"] {
+                let tree = t.index(name).unwrap();
+                prop_assert_eq!(tree.len(), rows - sealed, "{}", name);
+                prop_assert!(tree.buffered() < crate::BUFFER_ENTRIES, "{}", name);
+                let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree(name);
+                prop_assert_eq!(scanned.len() as u64, rows);
+                prop_assert!(scanned == found, "{}: sealed pages + tree != heap", name);
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// Data written through the pool is never lost, whatever the order of
     /// reads, writes and cache drops.
     #[test]

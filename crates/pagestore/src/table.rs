@@ -26,10 +26,12 @@ fn apply_phase(ordinal: usize, n: usize) -> u64 {
 }
 
 /// What an [`Index`]'s lock guards: the B+tree, and the write buffer that
-/// holds the entries the tree has yet to receive. The tree always holds
-/// exactly the first `tree.len()` rows of the heap and the buffer the
-/// rows after them, so a buffer is never persisted: it is what
-/// [`Table::attach_index`] derives from the heap's tail.
+/// holds the entries the tree has yet to receive. With `s` the heap's
+/// [`HeapFile::sealed_rows`], the tree always holds rows
+/// `[s, s + tree.len())` of the heap and the buffer the rows after them —
+/// the sealed rows have no entry anywhere — so a buffer is never
+/// persisted: it is what [`Table::attach_index`] derives from the heap's
+/// tail.
 struct Buffered {
     tree: BTree,
     /// The buffered keys, `tree.key_width()` bytes each, in key order.
@@ -46,6 +48,11 @@ impl Buffered {
 
     fn buffered(&self) -> usize {
         self.keys.len() / self.tree.key_width()
+    }
+
+    /// No entry, applied or buffered.
+    fn is_empty(&self) -> bool {
+        self.tree.is_empty() && self.keys.is_empty()
     }
 
     /// Adds `key` to the buffer, in key order.
@@ -170,7 +177,7 @@ impl Index {
 
     /// Replaces the backing tree in place (heap rewrites rebuild every
     /// index because row ids change with the page format). The new tree
-    /// holds every row, so the buffer starts empty.
+    /// holds every row behind the sealed ones, so the buffer starts empty.
     pub(crate) fn replace_tree(&self, tree: BTree) {
         *self.tree.write() = Buffered::new(tree);
     }
@@ -204,14 +211,16 @@ impl Table {
     }
 
     /// Attaches `tree` as an index over `cols`. A tree that holds fewer
-    /// entries than the heap holds rows was persisted with the rest in
-    /// its buffer: those are the heap's last rows, and the buffer is
-    /// derived from them again (reading the heap's tail, not the heap).
+    /// entries than the heap holds rows behind its sealed ones was
+    /// persisted with the rest in its buffer: those are the heap's last
+    /// rows, and the buffer is derived from them again (reading the heap's
+    /// tail, not the heap).
     pub(crate) fn attach_index(&self, name: String, cols: Vec<usize>, tree: BTree) -> Result<()> {
         let mut tree = Buffered::new(tree);
         let mut key = [0u8; MAX_KEY_WIDTH];
         let key = &mut key[..cols.len() * 8 + 8];
-        self.heap.read().scan_tail(tree.tree.len(), |rid, row| {
+        let heap = self.heap.read();
+        heap.scan_tail(heap.sealed_rows() + tree.tree.len(), |rid, row| {
             encode_key_into(cols.iter().map(|&c| row[c]), rid, key);
             tree.hold(key);
         })?;
@@ -244,6 +253,13 @@ impl Table {
     /// Number of rows.
     pub fn num_rows(&self) -> u64 {
         self.heap.read().num_rows()
+    }
+
+    /// How many leading rows are sealed: written by a rewrite into
+    /// columnar pages, indexed by no B+tree, read through
+    /// [`Table::scan_sealed_pages`]; see [`HeapFile::sealed_rows`].
+    pub fn sealed_rows(&self) -> u64 {
+        self.heap.read().sealed_rows()
     }
 
     /// Heap bytes on disk (pages, including the meta page).
@@ -320,6 +336,13 @@ impl Table {
         self.heap.read().scan(visit)
     }
 
+    /// Visits the rows behind the sealed ones — the rows the B+trees
+    /// index — in storage order.
+    pub(crate) fn scan_unsealed(&self, visit: impl FnMut(RowId, &[f64])) -> Result<()> {
+        let heap = self.heap.read();
+        heap.scan_tail(heap.sealed_rows(), visit)
+    }
+
     /// Looks up an index by name.
     pub fn index(&self, name: &str) -> Result<Arc<Index>> {
         self.indexes
@@ -339,7 +362,8 @@ impl Table {
     /// lie lexicographically between `lo` and `hi` (inclusive, in index
     /// column order). The visitor receives the row id and the *indexed*
     /// column values decoded from the key; fetch the full row with
-    /// [`Table::fetch`] only when needed.
+    /// [`Table::fetch`] only when needed. An index has no entry for a
+    /// sealed row ([`Table::sealed_rows`]), and an empty one is not read.
     ///
     /// Entries arrive as two key-ordered runs, tree first: what the
     /// B+tree holds of the range, then what the write buffer holds of it.
@@ -351,10 +375,13 @@ impl Table {
         mut visit: impl FnMut(RowId, &[f64]) -> bool,
     ) -> Result<()> {
         let idx = self.index(index_name)?;
+        let guard = idx.tree.read();
+        if guard.is_empty() {
+            return Ok(());
+        }
         let (lo, hi) = idx.bounds(lo, hi);
         let mut cols = vec![0.0f64; idx.cols.len()];
         let mut emit = |key: &[u8]| visit(decode_entry(key, &mut cols), &cols);
-        let guard = idx.tree.read();
         let mut more = true;
         guard.tree.range(&lo, &hi, |key| {
             more = emit(key);
@@ -381,12 +408,15 @@ impl Table {
         mut visit: impl FnMut(usize, RowId, &[f64]) -> bool,
     ) -> Result<()> {
         let idx = self.index(index_name)?;
+        let guard = idx.tree.read();
+        if guard.is_empty() {
+            return Ok(());
+        }
         let keys: Vec<_> = ranges.iter().map(|(lo, hi)| idx.bounds(lo, hi)).collect();
         let byte_ranges: Vec<(&[u8], &[u8])> =
             keys.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
         let mut cols = vec![0.0f64; idx.cols.len()];
         let mut emit = |ri: usize, key: &[u8]| visit(ri, decode_entry(key, &mut cols), &cols);
-        let guard = idx.tree.read();
         let mut more = true;
         guard.tree.search_batch(&byte_ranges, |ri, key| {
             more = emit(ri, key);
@@ -429,6 +459,16 @@ impl Table {
         visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
     ) -> Result<crate::heap::ZoneScanStats> {
         self.heap.read().scan_pages(filter, visit)
+    }
+
+    /// [`Table::scan_pages`] over the pages of the sealed rows alone; see
+    /// [`HeapFile::scan_sealed_pages`].
+    pub fn scan_sealed_pages(
+        &self,
+        filter: impl FnMut(&[f64], &[f64]) -> bool,
+        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
+    ) -> Result<crate::heap::ZoneScanStats> {
+        self.heap.read().scan_sealed_pages(filter, visit)
     }
 
     /// [`Table::scan_pages`] with every column decoded into the caller's
@@ -498,6 +538,48 @@ impl Table {
             idx.tree.read().tree.sync_meta()?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Table {
+    /// Every row as bit patterns, in bit order, read two ways: by a full
+    /// scan, and by the sealed pages plus every entry of the tree `tree` —
+    /// which must agree, each row once.
+    pub(crate) fn rows_by_scan_and_by_seal_and_tree(&self, tree: &str) -> [Vec<Vec<u64>>; 2] {
+        let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+        let mut scanned = Vec::new();
+        self.seq_scan(|_, row| {
+            scanned.push(bits(row));
+            true
+        })
+        .unwrap();
+        let mut cols = vec![Vec::new(); self.cols.len()];
+        let mut found = Vec::new();
+        self.scan_sealed_pages(
+            |_, _| true,
+            |page| {
+                page.columns(0..cols.len(), &mut cols)?;
+                found.extend(
+                    (0..page.rows()).map(|r| cols.iter().map(|c| c[r].to_bits()).collect()),
+                );
+                Ok(true)
+            },
+        )
+        .unwrap();
+        assert_eq!(found.len() as u64, self.sealed_rows(), "sealed pages");
+        let width = self.index(tree).unwrap().cols().len();
+        let (lo, hi) = (vec![f64::NEG_INFINITY; width], vec![f64::INFINITY; width]);
+        let mut row = Vec::new();
+        self.index_scan(tree, &lo, &hi, |rid, _| {
+            self.fetch(rid, &mut row).unwrap();
+            found.push(bits(&row));
+            true
+        })
+        .unwrap();
+        scanned.sort_unstable();
+        found.sort_unstable();
+        [scanned, found]
     }
 }
 
@@ -725,6 +807,41 @@ mod tests {
             }
         }
         assert!(buffered_scans > 5000, "{buffered_scans} scans met a buffer");
+        cleanup(&paths);
+    }
+
+    #[test]
+    fn probing_an_empty_index_asks_nothing_of_the_pool() {
+        let (pool, table, mut paths) = setup("emptyprobe", &["dt", "dv"]);
+        add_index(&pool, &table, "by_dt_dv", vec![0, 1], &mut paths);
+        pool.clear_cache().unwrap();
+        let before = pool.stats();
+        let (lo, hi) = ([f64::NEG_INFINITY; 2], [f64::INFINITY; 2]);
+        let mut seen = 0;
+        table
+            .index_scan("by_dt_dv", &lo, &hi, |_, _| {
+                seen += 1;
+                true
+            })
+            .unwrap();
+        table
+            .index_scan_batch("by_dt_dv", &[(&lo, &hi), (&lo, &hi)], |_, _, _| {
+                seen += 1;
+                true
+            })
+            .unwrap();
+        let io = pool.stats().since(&before);
+        assert_eq!((seen, io.hits + io.misses), (0, 0), "{io:?}");
+        // One buffered entry is an entry: still no tree page, but found.
+        table.insert(&[1.0, 2.0]).unwrap();
+        table
+            .index_scan("by_dt_dv", &lo, &hi, |_, cols| {
+                assert_eq!(cols, [1.0, 2.0]);
+                seen += 1;
+                true
+            })
+            .unwrap();
+        assert_eq!(seen, 1);
         cleanup(&paths);
     }
 

@@ -3,9 +3,10 @@
 //! buffer pool a quarter of the heap — sequential scan (every column
 //! decoded) and index plan (only the time stamps decoded) alike — and
 //! Theorem 1's completeness must hold on what they return. Compaction
-//! also clusters the feature heaps on `(Δt₁, Δv₁)`: a short search then
-//! skips most pages, and rows that arrive later append behind the
-//! clustered ones.
+//! also clusters the feature heaps on `(Δt₁, Δv₁)` and seals them: a short
+//! search then skips most pages, the B+trees are emptied — the index plan
+//! reads sealed rows through their zones — and rows that arrive later
+//! append behind the clustered ones, under trees that hold them alone.
 
 use segdiff_repro::prelude::*;
 
@@ -68,7 +69,7 @@ fn columnar_pages_answer_as_the_row_store_did() {
         // The last day arrives after compaction.
         let whole = generate_sensor(&cfg, sensor, 20_080_325);
         let series = whole.prefix(whole.len() * 7 / 8);
-        let (recorded, row_heap_bytes, row_pages_scanned) = {
+        let (recorded, row_heap_bytes, row_index_bytes, row_pages_scanned) = {
             let mut idx = SegDiffIndex::create(
                 &dir,
                 SegDiffConfig::default()
@@ -89,10 +90,15 @@ fn columnar_pages_answer_as_the_row_store_did() {
                 })
                 .collect();
             assert_answered_without_a_page(&idx, regions.last().unwrap(), "row store");
-            let row_heap_bytes = idx.stats().heap_bytes;
+            let row_stats = idx.stats();
             let (row_pages_scanned, _) = pages_scanned_and_pruned(&idx, &short);
             idx.compact_storage().unwrap();
-            (recorded, row_heap_bytes, row_pages_scanned)
+            (
+                recorded,
+                row_stats.heap_bytes,
+                row_stats.index_bytes,
+                row_pages_scanned,
+            )
         };
         assert!(recorded.last().unwrap().is_empty(), "a 30-degree drop");
         assert!(recorded.iter().filter(|r| !r.is_empty()).count() >= 6);
@@ -107,12 +113,21 @@ fn columnar_pages_answer_as_the_row_store_did() {
         };
         assert!(heap_pages >= 40, "{heap_pages} heap pages");
         let idx = SegDiffIndex::open(&dir, heap_pages / 4).unwrap();
+        // Every row is sealed: eight empty trees of two pages, and an
+        // index plan that examines the rows the scan examines.
+        let empty_trees = 8 * 2 * 4096;
+        assert_eq!(idx.stats().index_bytes, empty_trees);
+        assert!(row_index_bytes > 20 * empty_trees, "{row_index_bytes}");
         let before = decoded();
         for (region, want) in regions.iter().zip(&recorded) {
-            let (scan, _) = idx.query(region, QueryPlan::SeqScan).unwrap();
-            let (indexed, _) = idx.query(region, QueryPlan::Index).unwrap();
+            let (scan, scan_stats) = idx.query(region, QueryPlan::SeqScan).unwrap();
+            let (indexed, index_stats) = idx.query(region, QueryPlan::Index).unwrap();
             assert_eq!(&scan, want, "columnar scan diverged on {region:?}");
             assert_eq!(&indexed, want, "columnar index plan diverged on {region:?}");
+            assert_eq!(
+                index_stats.rows_considered, scan_stats.rows_considered,
+                "{region:?}"
+            );
             let events = oracle::true_events(&series, region);
             assert_eq!(
                 oracle::find_missed_event(&events, &scan),
@@ -139,7 +154,8 @@ fn columnar_pages_answer_as_the_row_store_did() {
 
         // Ingest continues onto the clustered heaps: the tables still hold
         // what a replay of the segments extracts, before and after a
-        // reopen, and the searches see the new day on both plans.
+        // reopen, the searches see the new day on both plans, and the
+        // trees have grown by that day's entries, not by the store's.
         let mut idx = SegDiffIndex::open(&dir, 1024).unwrap();
         for i in series.len()..whole.len() {
             let (t, v) = whole.get(i);
@@ -150,6 +166,11 @@ fn columnar_pages_answer_as_the_row_store_did() {
         drop(idx);
         let idx = SegDiffIndex::open(&dir, 1024).unwrap();
         idx.verify_consistency().unwrap();
+        let index_bytes = idx.stats().index_bytes;
+        assert!(
+            empty_trees <= index_bytes && index_bytes < row_index_bytes / 4,
+            "sensor {sensor}: {index_bytes} index bytes behind the sealed rows, {row_index_bytes} of the row store"
+        );
         let mut grown = 0;
         for (region, before) in regions.iter().zip(&recorded) {
             let (scan, _) = idx.query(region, QueryPlan::SeqScan).unwrap();
