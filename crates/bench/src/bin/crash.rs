@@ -24,8 +24,10 @@
 //! exercises repeated crash–recover–resume cycles over the same store.
 //! The child whose prefix first passes half the input compacts the store
 //! there ([`SegDiffIndex::compact_storage`]: columnar, clustered, sealed,
-//! the B+trees emptied), so kills land before, inside and after a seal,
-//! and later children ingest behind the sealed rows.
+//! the B+trees emptied), later children ingest behind the sealed rows,
+//! and the one that passes three quarters compacts again, so kills land
+//! before, inside and after a seal of a row store and a seal of a sealed
+//! prefix with a raw tail.
 //!
 //! ```sh
 //! cargo run --release -p segdiff-bench --bin crash -- --iterations 20
@@ -142,16 +144,19 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
     };
     // Idempotent: builds only the B+trees a kill kept from existing.
     idx.build_indexes().expect("build_indexes");
-    let half = series.times()[series.len() / 2];
-    // `segments` is rewritten last: while it is in row format, a
-    // compaction has yet to finish (tables it did rewrite are skipped).
+    let marks = [series.len() / 2, series.len() * 3 / 4].map(|i| series.times()[i]);
+    // `segments` is sealed last: past a mark, rows behind its sealed ones
+    // are a compaction that has yet to finish — or rows that arrived since
+    // one did, which sealing once more does no harm.
     let segments = idx.database().table("segments").expect("segments");
-    let mut row_format = segments.format() == pagestore::PageFormat::Raw;
+    let mut due = last_t > marks[0] && segments.sealed_rows() < segments.num_rows();
+    let mut prev = last_t;
     for (t, v) in series.iter().filter(|&(t, _)| t > last_t) {
-        if row_format && t > half {
+        if due || marks.iter().any(|&mark| prev <= mark && mark < t) {
             idx.compact_storage().expect("compact_storage");
-            row_format = false;
+            due = false;
         }
+        prev = t;
         idx.push(t, v).expect("push");
         if throttle_us > 0 {
             std::thread::sleep(Duration::from_micros(throttle_us));
@@ -162,7 +167,7 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
 }
 
 /// The rows sealed across the feature tables (a kill inside a compaction
-/// leaves some of them sealed and the others in row format).
+/// leaves some of them sealed whole and the others with their raw tail).
 fn sealed_rows(idx: &SegDiffIndex) -> u64 {
     ["drop1", "drop2", "drop3", "jump1", "jump2", "jump3"]
         .iter()
@@ -193,8 +198,10 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
     let segments = idx.segments().map_err(|e| e.to_string())?;
     let Some(last) = segments.last() else {
         return Ok(format!(
-            "clean={} replayed={} segments=0 (no committed segment yet)",
-            report.clean, report.replayed_pages
+            "clean={} replayed={} sealed_rows={} segments=0 (no committed segment yet)",
+            report.clean,
+            report.replayed_pages,
+            sealed_rows(&idx)
         ));
     };
     // Completeness over the recovered prefix: every true drop event that

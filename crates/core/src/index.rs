@@ -566,30 +566,31 @@ jump_hist {} {} {}
         Ok(())
     }
 
-    /// Rewrites every feature table — and the segments table — into the
-    /// compressed columnar page format, and **seals** the rows it writes
-    /// (see [`pagestore::Database::rewrite_table_format`]). The feature
-    /// tables come out clustered on the feature-space key `(Δt₁, Δv₁)` —
-    /// the two dimensions every query region bounds — so a page's zone is
-    /// narrow in exactly what `zone_may_intersect` reads and a search
-    /// skips the pages whose least `Δt₁` exceeds its `T`; `segments` stays
-    /// in temporal order, which [`SegDiffIndex::segments`] and the resume
-    /// path read it in.
+    /// Seals every feature table — and the segments table — into
+    /// compressed columnar pages (see [`pagestore::Database::seal_table`]).
+    /// The feature tables come out clustered on the feature-space key
+    /// `(Δt₁, Δv₁)` — the two dimensions every query region bounds — so a
+    /// page's zone is narrow in exactly what `zone_may_intersect` reads
+    /// and a search skips the pages whose least `Δt₁` exceeds its `T`;
+    /// `segments` stays in temporal order, which
+    /// [`SegDiffIndex::segments`] and the resume path read it in.
     ///
     /// Sealed rows keep no B+tree entry: over rows in key order the zone
     /// hierarchy is the index, and [`QueryPlan::Index`] reads them through
     /// it. The eight trees stay in the catalogue, emptied (two pages
     /// each), and index the rows ingested afterwards, which append behind
-    /// the sealed ones in arrival order — so [`SegDiffIndex::build_indexes`]
-    /// after this call still finds nothing to build. A store compacted by
-    /// an earlier release keeps the whole trees it has and answers as it
-    /// did; only a fresh compaction sheds them.
+    /// the sealed ones on raw pages in arrival order — so
+    /// [`SegDiffIndex::build_indexes`] after this call still finds nothing
+    /// to build, and the next call seals those rows too: a table is
+    /// rewritten whenever a row lies behind its sealed ones, and left
+    /// untouched otherwise. A store compacted by an earlier release has
+    /// every row it holds in a columnar page sealed where it stands when
+    /// it opens.
     ///
     /// Row contents are preserved bit-exactly and no answer depends on row
     /// order inside a heap (every result is `sort_dedup`ed), so query
     /// results before and after are identical; ingestion continues to work
-    /// on the rewritten tables. Idempotent: already-columnar tables are
-    /// left untouched.
+    /// on the sealed tables.
     ///
     /// Returns one `(table name, compression accounting)` entry per
     /// table, in `drop1..3, jump1..3, segments` order.
@@ -601,8 +602,7 @@ jump_hist {} {} {}
             .map(|t| (t, &[0, 1][..]))
             .chain(std::iter::once((&self.segments_table, &[][..])))
         {
-            self.db
-                .rewrite_table_format(t.name(), pagestore::PageFormat::Columnar, cluster_on)?;
+            self.db.seal_table(t.name(), cluster_on)?;
             out.push((t.name().to_string(), t.compression_stats()?));
         }
         // Row ids changed wholesale; cached results keyed on the old
@@ -819,7 +819,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_storage_preserves_results_and_keeps_ingesting() {
+    fn compact_storage_preserves_results_on_both_plans() {
         let dir = tmpdir("compact");
         let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
         idx.ingest_series(&drop_series()).unwrap();
@@ -832,7 +832,7 @@ mod tests {
         assert_eq!(report.len(), 7, "six feature tables plus segments");
         for (name, stats) in &report {
             let t = idx.db.table(name).unwrap();
-            assert_eq!(t.format(), pagestore::PageFormat::Columnar, "{name}");
+            assert_eq!(t.sealed_rows(), t.num_rows(), "{name}");
             // Tiny tables can regress (per-page directory overhead beats
             // the savings on a handful of rows); demand gains only where
             // there is data to compress.
@@ -853,7 +853,8 @@ mod tests {
         assert_eq!(idx.stats().index_bytes, empty_trees);
         idx.verify_consistency().unwrap();
         // A second call is a no-op, and so is building the trees again:
-        // the catalogue still lists them.
+        // the catalogue still lists them. (Ingest behind the sealed rows,
+        // and the compaction after it: `tests/compact_twice.rs`.)
         let sizes = |dir: &std::path::Path| {
             let mut sizes: Vec<_> = std::fs::read_dir(dir)
                 .unwrap()
@@ -867,41 +868,6 @@ mod tests {
         idx.compact_storage().unwrap();
         idx.build_indexes().unwrap();
         assert_eq!(sizes(&dir), compacted, "a file changed size");
-        // Ingestion resumes on the columnar tables after a reopen (which
-        // re-anchors the segmenter, keeping the segment chain unbroken).
-        // The tail picks up at the series' final value.
-        idx.finish().unwrap();
-        drop(idx);
-        let mut idx = SegDiffIndex::open(&dir, 4096).unwrap();
-        let mut tail = TimeSeries::new();
-        let (_, mut v) = drop_series().iter().last().unwrap();
-        for i in 200..400 {
-            let t = i as f64 * 300.0;
-            if (280..286).contains(&i) {
-                v -= 4.0 / 6.0;
-            }
-            tail.push(t, v);
-        }
-        idx.ingest_series(&tail).unwrap();
-        idx.finish().unwrap();
-        idx.verify_consistency().unwrap();
-        let (after, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-        assert!(after.len() > before_scan.len(), "second drop must appear");
-        // The trees index the tail alone — here still in their write
-        // buffers, so no file has grown — and both plans see the second
-        // drop.
-        let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
-        assert_eq!(after, indexed, "plans disagree behind the sealed rows");
-        assert_eq!(idx.stats().index_bytes, empty_trees);
-        let mut behind = 0;
-        for t in idx.drop_tables.iter().chain(idx.jump_tables.iter()) {
-            behind += t.num_rows() - t.sealed_rows();
-            for name in t.index_names() {
-                let tree = t.index(&name).unwrap();
-                assert_eq!(tree.len(), t.num_rows() - t.sealed_rows(), "{name}");
-            }
-        }
-        assert!(behind > 0, "no row behind the sealed ones");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -142,7 +142,7 @@ pub const METRICS: &[MetricDef] = &[
     // Compressed columnar pages (pagestore::colpage).
     MetricDef::counter(
         "colpage.pages_written",
-        "Columnar data pages started (inserts opening a fresh page, and heap-rewrite seals)",
+        "Columnar data pages written by seals (an insert never writes one)",
     ),
     MetricDef::counter(
         "colpage.pages_decoded",
@@ -366,7 +366,7 @@ pub const METRICS: &[MetricDef] = &[
     ),
     MetricDef::histogram(
         "span.ingest.compact",
-        "Heap rewrite into the compressed columnar page format",
+        "Sealing of every table's rows into compressed columnar pages",
     ),
 ];
 

@@ -3,16 +3,14 @@
 
 use crate::btree::{key_cmp, BTree};
 use crate::buffer::{BufferPool, PoolStats};
-use crate::colpage::ColPageBuilder;
+use crate::colpage;
 use crate::encode::encode_key_into;
 use crate::error::Result;
-use crate::heap::{HeapFile, PageFormat, MAGIC as HEAP_MAGIC, META_SEALED_ROWS, PAGE_HDR};
-use crate::page::{self, PageBuf};
+use crate::heap::HeapFile;
 use crate::pagefile::{FileId, PageFile};
 use crate::recovery::{self, RecoveryReport};
 use crate::table::Table;
 use crate::wal::{sync_dir, CommitState, Wal, WAL_FILE};
-use crate::zonemap::ZoneMap;
 use crate::StoreError;
 use parking_lot::Mutex;
 use std::cmp::Ordering;
@@ -75,6 +73,25 @@ impl DurabilityOptions {
     }
 }
 
+/// Atomic catalog rewrite, for [`Database`] and for recovery's pruning:
+/// temp file, fsynced (when `sync`) before the rename that publishes it, +
+/// directory fsync, so a crash mid-write leaves the old or the new
+/// catalog, never a mix or an empty file.
+pub(crate) fn write_catalog(dir: &Path, text: &str, sync: bool) -> Result<()> {
+    let tmp = dir.join("catalog.txt.tmp");
+    let mut file = fs::File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    if sync {
+        file.sync_all()?;
+    }
+    drop(file);
+    fs::rename(&tmp, dir.join(CATALOG))?;
+    if sync {
+        sync_dir(dir)?;
+    }
+    Ok(())
+}
+
 /// Declares a table to be created: name plus column names.
 #[derive(Debug, Clone)]
 pub struct TableSpec {
@@ -82,9 +99,6 @@ pub struct TableSpec {
     pub name: String,
     /// Column names.
     pub cols: Vec<String>,
-    /// Data-page format of the heap (raw fixed-width rows by default;
-    /// the format is recorded in the heap meta page, not the catalog).
-    pub format: PageFormat,
 }
 
 impl TableSpec {
@@ -93,14 +107,7 @@ impl TableSpec {
         Self {
             name: name.to_string(),
             cols: cols.iter().map(|c| c.to_string()).collect(),
-            format: PageFormat::Raw,
         }
-    }
-
-    /// Stores the heap in compressed columnar pages.
-    pub fn columnar(mut self) -> Self {
-        self.format = PageFormat::Columnar;
-        self
     }
 }
 
@@ -190,7 +197,7 @@ impl Database {
     pub fn open_with(dir: &Path, pool_pages: usize, opts: DurabilityOptions) -> Result<Arc<Self>> {
         let wal_exists = dir.join(WAL_FILE).exists();
         let report = if wal_exists {
-            Some(recovery::recover(dir)?)
+            Some(recovery::recover(dir, opts.sync)?)
         } else {
             None
         };
@@ -331,23 +338,9 @@ impl Database {
         self.dir.join(format!("{table}.{index}.idx"))
     }
 
-    /// Atomic catalog rewrite: temp file, fsynced before the rename that
-    /// publishes it, + directory fsync, so a crash mid-write leaves the
-    /// old or the new catalog, never a mix or an empty file.
+    /// Persists the in-memory catalog; see [`write_catalog`].
     fn persist_catalog(&self) -> Result<()> {
-        let text = self.catalog.lock().join("\n");
-        let tmp = self.dir.join("catalog.txt.tmp");
-        let mut file = fs::File::create(&tmp)?;
-        file.write_all(text.as_bytes())?;
-        if self.opts.sync {
-            file.sync_all()?;
-        }
-        drop(file);
-        fs::rename(&tmp, self.dir.join(CATALOG))?;
-        if self.opts.sync {
-            sync_dir(&self.dir)?;
-        }
-        Ok(())
+        write_catalog(&self.dir, &self.catalog.lock().join("\n"), self.opts.sync)
     }
 
     /// Creates a table; errors if it already exists.
@@ -364,7 +357,7 @@ impl Database {
         if self.opts.sync {
             sync_dir(&self.dir)?;
         }
-        let heap = HeapFile::create(self.pool.clone(), fid, spec.cols.len(), spec.format)?;
+        let heap = HeapFile::create(self.pool.clone(), fid, spec.cols.len())?;
         let table = Arc::new(Table::new(spec.name.clone(), spec.cols.clone(), heap));
         tables.insert(spec.name.clone(), table.clone());
         drop(tables);
@@ -408,54 +401,43 @@ impl Database {
         Ok(())
     }
 
-    /// Rewrites a table's heap in the other data-page format, in place
-    /// and crash-safely, emitting the rows in a stable sort by
-    /// [`f64::total_cmp`] on the columns `cluster_on` (compared in the
-    /// order given; rows with equal keys, and every row under an empty
-    /// key, keep their storage order, so the files written are a pure
-    /// function of the rows). Row *contents* are preserved bit-exactly;
-    /// row ids change (columnar pages hold a variable number of rows, and
-    /// a key moves rows), so every index is rebuilt, as is the zone-map
-    /// sidecar — whose page, extent and segment entries come out narrow
-    /// in the key's columns, which is all a reader ever sees of the key.
+    /// Seals a table: rewrites its heap, in place and crash-safely, with
+    /// every row — the sealed ones and the raw tail behind them — in
+    /// columnar pages, in a stable sort by [`f64::total_cmp`] on the
+    /// columns `cluster_on` (rows with equal keys, and every row under an
+    /// empty key, keep their storage order, so the files written are a
+    /// pure function of the rows). A table with no row behind its sealed
+    /// ones is left as it is. Row contents are preserved bit-exactly; row
+    /// ids change, so the zone map is rebuilt — narrow in the key's
+    /// columns, which is all a reader ever sees of the key — and so is
+    /// every index, over the rows behind the sealed ones: none, so every
+    /// tree comes out empty, and grows again with later inserts. Readers
+    /// reach the sealed rows ([`HeapFile::sealed_rows`]) through
+    /// [`Table::scan_sealed_pages`].
     ///
-    /// A rewrite into columnar pages **seals** the rows it writes: the
-    /// new heap's meta page records their count
-    /// ([`HeapFile::sealed_rows`]), its trees are rebuilt over the rows
-    /// behind them — none: every tree comes out empty, and grows again
-    /// with the rows inserted later — and readers reach the sealed rows
-    /// through [`Table::scan_sealed_pages`], whose zone hierarchy over
-    /// rows in key order does the work a tree over them would. A rewrite
-    /// into raw pages records no sealed row and rebuilds whole trees: raw
-    /// pages are positional, and have no page boundary to seal at.
-    ///
-    /// One table's rows are held in memory while it is rewritten (rows x
+    /// One table's rows are held in memory while it is sealed (rows x
     /// columns x 8 bytes).
     ///
     /// The protocol leans on machinery that already exists for crashes:
     ///
     /// 1. checkpoint, so no WAL image of the old pages can replay onto
-    ///    the rewritten file;
+    ///    the sealed file, and the log's row counts are the ones sealed;
     /// 2. write the ordered rows into `<name>.tbl.tmp` *outside* the
     ///    buffer pool, building the new hierarchical zone map along the
     ///    way;
-    /// 3. delete the index files — a missing/torn `.idx`, or one that
-    ///    holds more rows than lie behind the sealed ones, is rebuilt by
-    ///    [`Database::open`] from the heap, so a crash anywhere past
-    ///    this point self-repairs;
+    /// 3. delete the derived files — the indexes (a missing or torn
+    ///    `.idx`, or one that holds more rows than lie behind the sealed
+    ///    ones, is rebuilt by [`Database::open`] from the heap) and the
+    ///    zone sidecar (whose row count a seal does not change: left in
+    ///    place it would pass for the sealed file's; a heap without one
+    ///    rebuilds it) — so a crash anywhere past this point self-repairs;
     /// 4. rename the temp file over the heap — the sealed row count is
     ///    in the file, so the rename publishes both — and swap the pool's
     ///    file handle ([`BufferPool::swap_file`] discards the stale
     ///    frames);
-    /// 5. install the new zone map (a crash between 4 and here leaves
-    ///    the *old-format* sidecar behind, which the next open discards
-    ///    exactly like a row-count mismatch) and rebuild the indexes.
-    pub fn rewrite_table_format(
-        &self,
-        name: &str,
-        format: PageFormat,
-        cluster_on: &[usize],
-    ) -> Result<()> {
+    /// 5. install the new zone map, rebuild the indexes, and checkpoint:
+    ///    every commit from here on counts at least the sealed rows.
+    pub fn seal_table(&self, name: &str, cluster_on: &[usize]) -> Result<()> {
         let table = self.table(name)?;
         let ncols = table.columns().len();
         if let Some(c) = cluster_on.iter().find(|&&c| c >= ncols) {
@@ -463,7 +445,13 @@ impl Database {
                 "clustering column {c} of table {name}, which has {ncols}"
             )));
         }
-        if table.format() == format {
+        if ncols > colpage::max_cols() {
+            return Err(StoreError::InvalidArgument(format!(
+                "table {name} has {ncols} columns, a columnar page takes {}",
+                colpage::max_cols()
+            )));
+        }
+        if table.sealed_rows() == table.num_rows() {
             return Ok(());
         }
         self.flush()?; // checkpoint in WAL mode: the log ends here
@@ -483,7 +471,7 @@ impl Database {
                     o.then_with(|| a[c].total_cmp(&b[c]))
                 })
             });
-            self.write_heap_file(&tmp, format, ncols, &rows)
+            HeapFile::write_sealed(&tmp, ncols, &rows, self.opts.sync)
         }
         .inspect_err(|_| {
             std::fs::remove_file(&tmp).ok();
@@ -493,6 +481,7 @@ impl Database {
         for iname in table.index_names() {
             std::fs::remove_file(self.index_path(name, &iname)).ok();
         }
+        table.drop_zones();
         fs::rename(&tmp, &path)?;
         if self.opts.sync {
             sync_dir(&self.dir)?;
@@ -501,7 +490,7 @@ impl Database {
         self.pool.swap_file(fid, PageFile::open(&path)?);
         let mut heap = HeapFile::open(self.pool.clone(), fid)?;
         heap.install_zones(zones);
-        heap.sync_meta()?; // persists the new-format sidecar
+        heap.sync_meta()?; // persists the sealed file's sidecar
         table.replace_heap(heap);
         for idx in table.indexes() {
             let ipath = self.index_path(name, idx.name());
@@ -511,81 +500,8 @@ impl Database {
             self.pool.flush_file(ifid)?;
             idx.replace_tree(tree);
         }
-        self.flush()?; // the rewritten state becomes the recovery point
+        self.flush()?; // the sealed state becomes the recovery point
         Ok(())
-    }
-
-    /// Writes `rows`, in the order given, as a whole heap file at `path`
-    /// in `format` — meta page, then data pages filled front to back, all
-    /// of them sealed when columnar — and returns the zone map of the rows
-    /// under the pages they landed on.
-    fn write_heap_file(
-        &self,
-        path: &Path,
-        format: PageFormat,
-        ncols: usize,
-        rows: &[&[f64]],
-    ) -> Result<ZoneMap> {
-        fn append_page(out: &mut PageFile, page: &PageBuf) -> Result<()> {
-            let pid = out.allocate()?;
-            out.write_page(pid, page.bytes())
-        }
-        let mut out = PageFile::create(path)?;
-        out.allocate()?; // meta page 0, filled in below
-        let mut zones = ZoneMap::new(ncols, format.tag());
-        let mut pagebuf = PageBuf::zeroed();
-        // A row lands on the page the file grows by next: `num_pages()`.
-        match format {
-            PageFormat::Columnar => {
-                let mut builder = ColPageBuilder::new(ncols);
-                let mut seal = |out: &mut PageFile, builder: &ColPageBuilder| {
-                    builder.seal_into(pagebuf.bytes_mut());
-                    obs::global().counter("colpage.pages_written").inc();
-                    append_page(out, &pagebuf)
-                };
-                for row in rows {
-                    if !builder.try_push(row) {
-                        seal(&mut out, &builder)?;
-                        builder.clear();
-                        assert!(builder.try_push(row), "a row must fit an empty page");
-                    }
-                    zones.observe(out.num_pages(), row);
-                }
-                if !builder.is_empty() {
-                    seal(&mut out, &builder)?;
-                }
-            }
-            PageFormat::Raw => {
-                let rows_per_page = (crate::PAGE_SIZE - PAGE_HDR) / (ncols * 8);
-                for page_rows in rows.chunks(rows_per_page) {
-                    pagebuf = PageBuf::zeroed();
-                    page::put_u16(pagebuf.bytes_mut(), 0, page_rows.len() as u16);
-                    for (slot, row) in page_rows.iter().enumerate() {
-                        let off = PAGE_HDR + slot * ncols * 8;
-                        for (i, &v) in row.iter().enumerate() {
-                            page::put_f64(pagebuf.bytes_mut(), off + i * 8, v);
-                        }
-                        zones.observe(out.num_pages(), row);
-                    }
-                    append_page(&mut out, &pagebuf)?;
-                }
-            }
-        }
-        let sealed = match format {
-            PageFormat::Columnar => rows.len() as u64,
-            PageFormat::Raw => 0,
-        };
-        let mut meta = PageBuf::zeroed();
-        page::put_u32(meta.bytes_mut(), 0, HEAP_MAGIC);
-        page::put_u16(meta.bytes_mut(), 4, ncols as u16);
-        page::put_u64(meta.bytes_mut(), 8, rows.len() as u64);
-        page::put_u16(meta.bytes_mut(), 16, format.tag());
-        page::put_u64(meta.bytes_mut(), META_SEALED_ROWS, sealed);
-        out.write_page(0, meta.bytes())?;
-        if self.opts.sync {
-            out.sync_all()?;
-        }
-        Ok(zones)
     }
 
     /// Bulk-loads a B+tree over `col_idx` from the table's current rows
@@ -600,6 +516,7 @@ impl Database {
         table.scan_unsealed(|rid, row| {
             encode_key_into(col_idx.iter().map(|&c| row[c]), rid, &mut key);
             keys.extend_from_slice(&key);
+            true
         })?;
         let mut sorted: Vec<&[u8]> = keys.chunks_exact(kw).collect();
         sorted.sort_unstable_by(|a, b| key_cmp(a, b));
@@ -752,6 +669,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::heap::META_SEALED_ROWS;
 
     fn tmpdir(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pagestore-db-{}-{name}", std::process::id()))
@@ -1225,8 +1143,8 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_format_preserves_rows_and_indexes() {
-        let dir = tmpdir("rewrite");
+    fn seal_preserves_rows_and_empties_indexes() {
+        let dir = tmpdir("seal");
         std::fs::remove_dir_all(&dir).ok();
         let db = Database::create_with(&dir, 128, durable_every_commit()).unwrap();
         let t = db
@@ -1242,38 +1160,30 @@ mod tests {
             .unwrap();
         }
         db.create_index("ev", "by_dt", &["dt"]).unwrap();
-        db.commit(b"pre-rewrite").unwrap();
-        let mut before: Vec<Vec<f64>> = Vec::new();
-        t.seq_scan(|_, row| {
-            before.push(row.to_vec());
-            true
-        })
-        .unwrap();
+        db.commit(b"pre-seal").unwrap();
+        let rows_of = |t: &Table| {
+            let mut rows: Vec<Vec<u64>> = Vec::new();
+            t.seq_scan(|_, row| {
+                rows.push(row.iter().map(|v| v.to_bits()).collect());
+                true
+            })
+            .unwrap();
+            rows
+        };
+        let mut before = rows_of(&t);
         let heap_before = t.heap_bytes();
 
-        db.rewrite_table_format("ev", PageFormat::Columnar, &[])
-            .unwrap();
-        assert_eq!(t.format(), PageFormat::Columnar);
-        assert!(t.has_zones(), "rewrite installs a fresh zone map");
+        db.seal_table("ev", &[]).unwrap();
+        t.assert_one_layout();
+        assert!(t.has_zones(), "a seal installs a fresh zone map");
         assert!(
             t.heap_bytes() < heap_before,
-            "columnar heap must shrink ({} -> {})",
+            "sealed heap must shrink ({} -> {})",
             heap_before,
             t.heap_bytes()
         );
-        let mut after: Vec<Vec<f64>> = Vec::new();
-        t.seq_scan(|_, row| {
-            after.push(row.to_vec());
-            true
-        })
-        .unwrap();
-        assert_eq!(before.len(), after.len());
-        for (b, a) in before.iter().zip(&after) {
-            for (x, y) in b.iter().zip(a) {
-                assert_eq!(x.to_bits(), y.to_bits(), "rows must be bit-identical");
-            }
-        }
-        // The rewrite sealed every row: the tree was rebuilt over the rows
+        assert!(rows_of(&t) == before, "rows must be bit-identical");
+        // The seal took every row: the tree was rebuilt over the rows
         // behind them, which are none, and the sealed pages answer.
         assert_eq!(t.sealed_rows(), 3000);
         assert_eq!(t.index("by_dt").unwrap().len(), 0);
@@ -1303,33 +1213,26 @@ mod tests {
         // Inserts keep working after the swap — the tree takes the rows
         // behind the sealed ones — and the whole thing survives a clean
         // reopen.
-        t.insert(&[3000.0, 0.0, 1e9]).unwrap();
+        let tail = [3000.0, 0.0, 1e9];
+        t.insert(&tail).unwrap();
+        before.push(tail.iter().map(|v| v.to_bits()).collect());
         assert_eq!(at_3000(&t), (1, 60));
-        db.commit(b"post-rewrite").unwrap();
+        db.commit(b"post-seal").unwrap();
         db.flush().unwrap();
         drop((t, db));
         let db = Database::open(&dir, 128).unwrap();
         let t = db.table("ev").unwrap();
-        assert_eq!(t.format(), PageFormat::Columnar);
+        t.assert_one_layout();
         assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 3000));
         assert!(t.has_zones(), "sidecar valid across reopen");
         assert_eq!(at_3000(&t), (1, 60));
-        // Round-trip back to raw: same rows again.
-        // Raw pages seal nothing: the tree holds every row again.
-        db.rewrite_table_format("ev", PageFormat::Raw, &[]).unwrap();
-        assert_eq!(t.format(), PageFormat::Raw);
-        assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 0));
-        assert_eq!(at_3000(&t), (61, 0));
-        let mut n = 0;
-        t.seq_scan(|_, row| {
-            if n < before.len() {
-                assert_eq!(row[1].to_bits(), before[n][1].to_bits());
-            }
-            n += 1;
-            true
-        })
-        .unwrap();
-        assert_eq!(n, 3001);
+        // A second seal takes the row behind the first, and the tree is
+        // empty again.
+        db.seal_table("ev", &[]).unwrap();
+        t.assert_one_layout();
+        assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 3001));
+        assert_eq!(at_3000(&t), (0, 61));
+        assert!(rows_of(&t) == before, "the second seal changed a row");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1348,13 +1251,12 @@ mod tests {
             t.insert(&scattered_row(i)).unwrap();
         }
         db.commit(b"loaded").unwrap();
-        db.rewrite_table_format("ev", PageFormat::Columnar, &[0, 1])
-            .unwrap();
+        db.seal_table("ev", &[0, 1]).unwrap();
         let sealed_file = fs::read(dir.join("ev.tbl")).unwrap();
         let first_free = (sealed_file.len() / crate::PAGE_SIZE) as u64;
-        let last_rows = page::get_u16(&sealed_file[sealed_file.len() - crate::PAGE_SIZE..], 0);
         assert!(first_free > 3, "several sealed pages");
         let check = |t: &Table, rows: u64| {
+            t.assert_one_layout();
             assert_eq!((t.num_rows(), t.sealed_rows()), (rows, 3000));
             let tree = t.index("by_c").unwrap();
             assert_eq!(tree.len(), rows - 3000);
@@ -1374,6 +1276,7 @@ mod tests {
         assert!(!db.recovery_report().unwrap().clean);
         let t = db.table("ev").unwrap();
         check(&t, 3000);
+        assert!(fs::read(dir.join("ev.tbl")).unwrap() == sealed_file);
 
         // The first row behind the seal starts the page after the last
         // sealed one, though that one had room.
@@ -1391,10 +1294,6 @@ mod tests {
         assert!(
             grown[crate::PAGE_SIZE..sealed_file.len()] == sealed_file[crate::PAGE_SIZE..],
             "a sealed page was written"
-        );
-        assert_eq!(
-            page::get_u16(&grown[sealed_file.len() - crate::PAGE_SIZE..], 0),
-            last_rows
         );
         let db = Database::open(&dir, 16).unwrap();
         check(&db.table("ev").unwrap(), 3400);
@@ -1421,16 +1320,16 @@ mod tests {
 
     const KEYED_ROWS: u64 = 40_000;
 
-    /// A table `ev(dt, dv, t, noise)` of [`KEYED_ROWS`] [`keyed_row`]s in
-    /// `format`, with a tree over the key and one over `t`.
-    fn keyed_table(tag: &str, format: PageFormat) -> (PathBuf, Arc<Database>, Arc<Table>) {
+    /// A table `ev(dt, dv, t, noise)` of the first `rows` [`keyed_row`]s,
+    /// with a tree over the key and one over `t`.
+    fn keyed_table(tag: &str, rows: u64) -> (PathBuf, Arc<Database>, Arc<Table>) {
         let dir = tmpdir(tag);
         fs::remove_dir_all(&dir).ok();
         let db = Database::create(&dir, 512).unwrap();
-        let mut spec = TableSpec::new("ev", &["dt", "dv", "t", "noise"]);
-        spec.format = format;
-        let t = db.create_table(spec).unwrap();
-        for i in 0..KEYED_ROWS {
+        let t = db
+            .create_table(TableSpec::new("ev", &["dt", "dv", "t", "noise"]))
+            .unwrap();
+        for i in 0..rows {
             t.insert(&keyed_row(i)).unwrap();
         }
         db.create_index("ev", "by_dt_dv", &["dt", "dv"]).unwrap();
@@ -1465,10 +1364,8 @@ mod tests {
     }
 
     #[test]
-    fn clustered_rewrite_sorts_stably_and_keeps_rows_zones_and_trees() {
-        let (dir, db, t) = keyed_table("cluster", PageFormat::Raw);
-        db.flush().unwrap();
-        let arrival_file = fs::read(dir.join("ev.tbl")).unwrap();
+    fn clustered_seal_sorts_stably_and_keeps_rows_zones_and_trees() {
+        let (dir, db, t) = keyed_table("cluster", KEYED_ROWS);
         // Arrival order is the third column, so sorting on it as the last
         // key is the stable sort on the first two.
         let by = |cols: &'static [usize]| {
@@ -1484,35 +1381,28 @@ mod tests {
         let ties = want.windows(2).filter(|w| w[0][..2] == w[1][..2]).count();
         assert!(ties > 30_000, "{ties} neighbours share a key");
 
-        let check = |format: PageFormat, want: &[[u64; 4]]| {
-            assert_eq!(t.format(), format);
-            assert!(row_bits(&t) == want, "{format:?}: rows or their order");
-            // The zones the rewrite observed are the zones of the pages.
+        let check = |sealed: u64, want: &[[u64; 4]]| {
+            t.assert_one_layout();
+            assert_eq!(t.sealed_rows(), sealed);
+            assert!(row_bits(&t) == want, "{sealed} sealed: rows or their order");
+            // The zones the seal and the inserts observed are the zones
+            // of the pages.
             let installed = zone_entries(&t);
-            assert!(installed.len() > 64 + 2, "{format:?}: more than an extent");
+            assert!(installed.len() > 64 + 2, "more than an extent");
             t.drop_zones();
             t.ensure_zones().unwrap();
-            assert!(installed == zone_entries(&t), "{format:?}: zones");
-            // Both trees were rebuilt over the new row ids: whole over
-            // raw pages, empty over columnar ones, whose rows are sealed
-            // and read through their pages. Either way every row once.
-            let sealed = t.sealed_rows();
-            assert_eq!(
-                sealed,
-                if format == PageFormat::Raw {
-                    0
-                } else {
-                    KEYED_ROWS
-                }
-            );
+            assert!(installed == zone_entries(&t), "{sealed} sealed: zones");
+            // Both trees hold the rows behind the sealed ones, which are
+            // read through their pages: every row once.
+            let behind = want.len() as u64 - sealed;
             let (neg, inf) = (f64::NEG_INFINITY, f64::INFINITY);
             for (tree, col, lo, hi) in [
                 ("by_dt_dv", 0, 600.0, 3000.0),
                 ("by_dt_dv", 0, -1.0, 1.0),
                 ("by_dt_dv", 0, neg, inf),
-                ("by_t", 2, 777.0, 20_000.5),
+                ("by_t", 2, 777.0, 41_000.5),
             ] {
-                assert_eq!(t.index(tree).unwrap().len(), KEYED_ROWS - sealed);
+                assert_eq!(t.index(tree).unwrap().len(), behind);
                 let (lo_key, hi_key) = match tree {
                     "by_t" => (vec![lo], vec![hi]),
                     _ => (vec![lo, neg], vec![hi, inf]),
@@ -1552,13 +1442,12 @@ mod tests {
                 via_scan.sort_unstable();
                 assert!(
                     !via_scan.is_empty() && via_tree_or_seal == via_scan,
-                    "{format:?} {tree}"
+                    "{sealed} sealed, {tree}"
                 );
             }
         };
-        db.rewrite_table_format("ev", PageFormat::Columnar, &[0, 1])
-            .unwrap();
-        check(PageFormat::Columnar, &want);
+        db.seal_table("ev", &[0, 1]).unwrap();
+        check(KEYED_ROWS, &want);
         // Pages are narrow in the leading key column and nowhere else.
         let (mut lead, mut last) = (0, 0);
         for (mins, maxs) in &zone_entries(&t)[1..] {
@@ -1566,77 +1455,75 @@ mod tests {
             last += usize::from(maxs[2] - mins[2] < KEYED_ROWS as f64 / 2.0);
         }
         assert!(lead > 30 && last == 0, "{lead} / {last} narrow zones");
-        // Back to raw pages under another key: the rows the clustered
-        // heap holds, stably sorted on `dv` alone.
+        // With no row behind the sealed ones there is nothing to seal,
+        // under whatever key: no file is written.
+        db.flush().unwrap();
+        let sealed_files = data_files(&dir);
+        db.seal_table("ev", &[1]).unwrap();
+        assert!(
+            data_files(&dir) == sealed_files,
+            "a no-op seal wrote a file"
+        );
+        // Rows arriving now append behind the sealed ones, in arrival
+        // order, under both trees.
+        for i in KEYED_ROWS..KEYED_ROWS + 3000 {
+            t.insert(&keyed_row(i)).unwrap();
+            want.push(keyed_row(i).map(f64::to_bits));
+        }
+        check(KEYED_ROWS, &want);
+        // The next seal takes them all, under another key: the rows the
+        // heap holds — clustered prefix, then tail — stably sorted on `dv`.
         want.sort_by(by(&[1]));
-        db.rewrite_table_format("ev", PageFormat::Raw, &[1])
-            .unwrap();
-        check(PageFormat::Raw, &want);
-        // And under `t`, which is arrival order: the file as inserted.
-        want.sort_by(by(&[2]));
-        db.rewrite_table_format("ev", PageFormat::Columnar, &[])
-            .unwrap();
-        db.rewrite_table_format("ev", PageFormat::Raw, &[2])
-            .unwrap();
-        check(PageFormat::Raw, &want);
-        assert!(fs::read(dir.join("ev.tbl")).unwrap() == arrival_file);
-        // A column the table does not have is refused, whatever the format.
-        for format in [PageFormat::Raw, PageFormat::Columnar] {
+        db.seal_table("ev", &[1]).unwrap();
+        check(KEYED_ROWS + 3000, &want);
+        // A column the table does not have is refused, rows to seal or not.
+        for _ in 0..2 {
             assert!(matches!(
-                db.rewrite_table_format("ev", format, &[0, 4]),
+                db.seal_table("ev", &[0, 4]),
                 Err(StoreError::InvalidArgument(_))
             ));
+            t.insert(&keyed_row(0)).unwrap();
         }
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn rewrite_without_a_key_writes_the_files_inserts_write() {
-        // The same rows inserted into a heap of either format, and each
-        // heap then rewritten into the other format in the order it has.
-        let load = |tag: &str, format: PageFormat| {
-            let (dir, db, _t) = keyed_table(tag, format);
-            db.flush().unwrap();
-            let inserted = data_files(&dir);
-            assert_eq!(inserted.len(), 3, "one heap, two trees");
-            (dir, db, inserted)
-        };
-        let (raw_dir, raw_db, raw_inserted) = load("nokey-raw", PageFormat::Raw);
-        let (col_dir, col_db, col_inserted) = load("nokey-col", PageFormat::Columnar);
-        assert!(raw_inserted != col_inserted);
-        // Into columnar pages: the heap inserts write but for the sealed
-        // row count on its meta page, and the trees of a table whose rows
-        // are all sealed — the trees of an empty one.
-        raw_db
-            .rewrite_table_format("ev", PageFormat::Columnar, &[])
-            .unwrap();
-        let mut rewritten = data_files(&raw_dir);
-        let heap = rewritten.get_mut("ev.tbl").unwrap();
-        let sealed = &mut heap[META_SEALED_ROWS..META_SEALED_ROWS + 8];
-        assert_eq!(sealed, KEYED_ROWS.to_le_bytes());
-        sealed.fill(0);
-        assert!(
-            rewritten["ev.tbl"] == col_inserted["ev.tbl"],
-            "raw to columnar"
-        );
-        for tree in ["ev.by_dt_dv.idx", "ev.by_t.idx"] {
-            assert_eq!(rewritten[tree].len(), 2 * crate::PAGE_SIZE, "{tree}");
+    fn sealing_in_two_steps_without_a_key_writes_the_files_one_seal_writes() {
+        // Without a key a seal writes the rows in the order the heap has
+        // them — sealed ones, then the tail — so the pages depend on the
+        // rows alone, not on where an earlier seal stopped.
+        let (once_dir, once_db, _t) = keyed_table("nokey-once", KEYED_ROWS);
+        once_db.seal_table("ev", &[]).unwrap();
+        let (twice_dir, twice_db, t) = keyed_table("nokey-twice", KEYED_ROWS / 3);
+        twice_db.seal_table("ev", &[]).unwrap();
+        for i in KEYED_ROWS / 3..KEYED_ROWS {
+            t.insert(&keyed_row(i)).unwrap();
         }
-        // Into raw pages nothing is sealed: the files inserts write.
-        col_db
-            .rewrite_table_format("ev", PageFormat::Raw, &[])
-            .unwrap();
-        assert!(data_files(&col_dir) == raw_inserted, "columnar to raw");
-        fs::remove_dir_all(&raw_dir).ok();
-        fs::remove_dir_all(&col_dir).ok();
+        assert_eq!(
+            (t.sealed_rows(), t.num_rows()),
+            (KEYED_ROWS / 3, KEYED_ROWS)
+        );
+        twice_db.seal_table("ev", &[]).unwrap();
+        let once = data_files(&once_dir);
+        assert_eq!(once.len(), 3, "one heap, two trees");
+        let heap = &once["ev.tbl"];
+        let sealed = &heap[META_SEALED_ROWS..META_SEALED_ROWS + 8];
+        assert_eq!(sealed, KEYED_ROWS.to_le_bytes());
+        for tree in ["ev.by_dt_dv.idx", "ev.by_t.idx"] {
+            assert_eq!(once[tree].len(), 2 * crate::PAGE_SIZE, "{tree}");
+        }
+        assert!(once == data_files(&twice_dir), "heap or trees");
+        let zones = |dir: &Path| fs::read(dir.join("ev.tbl.zones")).unwrap();
+        assert!(zones(&once_dir) == zones(&twice_dir), "zone sidecars");
+        fs::remove_dir_all(&once_dir).ok();
+        fs::remove_dir_all(&twice_dir).ok();
     }
 
     #[test]
-    fn two_clustered_rewrites_of_equal_tables_write_equal_files() {
+    fn two_clustered_seals_of_equal_tables_write_equal_files() {
         let build = |tag: &str| {
-            let (dir, db, _t) = keyed_table(tag, PageFormat::Raw);
-            db.rewrite_table_format("ev", PageFormat::Columnar, &[0, 1])
-                .unwrap();
+            let (dir, db, _t) = keyed_table(tag, KEYED_ROWS);
+            db.seal_table("ev", &[0, 1]).unwrap();
             let files = data_files(&dir);
             fs::remove_dir_all(&dir).ok();
             files
@@ -1645,77 +1532,26 @@ mod tests {
         assert_eq!(one.len(), 3, "one heap, two trees");
         assert!(
             one == other,
-            "a clustered rewrite is not a function of the rows"
+            "a clustered seal is not a function of the rows"
         );
     }
 
     #[test]
-    fn stale_format_sidecar_is_discarded_after_crashed_rewrite() {
-        // Satellite regression, end to end: a crash between the heap
-        // rename and the sidecar save leaves the *old-format* sidecar
-        // next to the rewritten heap. Reopening must discard it like a
-        // row-count mismatch and rebuild on ensure_zones.
-        let dir = tmpdir("stalefmt");
-        std::fs::remove_dir_all(&dir).ok();
-        {
-            let db = Database::create(&dir, 128).unwrap();
-            let t = db.create_table(TableSpec::new("ev", &["a", "b"])).unwrap();
-            // Enough rows that even the compressed heap spans many pages
-            // (columnar pages hold thousands of these dense rows each).
-            for i in 0..20_000 {
-                t.insert(&[i as f64, 300.0 * i as f64]).unwrap();
-            }
-            db.flush().unwrap();
-            let sidecar = dir.join("ev.tbl.zones");
-            let old = std::fs::read(&sidecar).unwrap();
-            db.rewrite_table_format("ev", PageFormat::Columnar, &[])
-                .unwrap();
-            // Simulate the crash window: old sidecar back in place.
-            std::fs::write(&sidecar, old).unwrap();
-        }
-        let db = Database::open(&dir, 128).unwrap();
-        let t = db.table("ev").unwrap();
-        assert_eq!(t.format(), PageFormat::Columnar);
-        assert!(
-            !t.has_zones(),
-            "old-format sidecar must be discarded on open"
-        );
-        assert!(
-            !dir.join("ev.tbl.zones").exists(),
-            "stale sidecar deleted from disk"
-        );
-        t.ensure_zones().unwrap();
-        assert!(t.has_zones());
-        // Pruned scan over the rebuilt hierarchy matches ground truth.
-        let mut pruned = 0u64;
-        let stats = t
-            .scan_columns(
-                |mins, _| mins[0] < 100.0,
-                &mut Vec::new(),
-                |cols, n| {
-                    pruned += cols[0][..n].iter().filter(|&&a| a < 100.0).count() as u64;
-                    true
-                },
-            )
-            .unwrap();
-        assert_eq!(pruned, 100);
-        assert!(stats.pages_pruned > 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn columnar_table_recovers_to_last_commit() {
-        // WAL recovery's logical truncation must handle variable
-        // rows-per-page heaps: crash with uncommitted tail rows.
+    fn rows_behind_a_seal_recover_to_last_commit() {
+        // WAL recovery's logical truncation works on the raw pages behind
+        // the sealed ones: crash with uncommitted tail rows.
         let dir = tmpdir("colwal");
         std::fs::remove_dir_all(&dir).ok();
+        let row = |i: u64| [300.0 * i as f64, (i % 9) as f64];
         {
             let db = Database::create_with(&dir, 128, durable_every_commit()).unwrap();
-            let t = db
-                .create_table(TableSpec::new("ev", &["x", "y"]).columnar())
-                .unwrap();
-            for i in 0..1500 {
-                t.insert(&[300.0 * i as f64, (i % 9) as f64]).unwrap();
+            let t = db.create_table(TableSpec::new("ev", &["x", "y"])).unwrap();
+            for i in 0..1000 {
+                t.insert(&row(i)).unwrap();
+            }
+            db.seal_table("ev", &[]).unwrap();
+            for i in 1000..1500 {
+                t.insert(&row(i)).unwrap();
             }
             db.commit(b"at-1500").unwrap();
             for i in 1500..1900 {
@@ -1727,20 +1563,20 @@ mod tests {
         let report = db.recovery_report().expect("recovery ran");
         assert!(!report.clean);
         let t = db.table("ev").unwrap();
-        assert_eq!(t.format(), PageFormat::Columnar);
-        assert_eq!(t.num_rows(), 1500, "uncommitted tail truncated");
+        t.assert_one_layout();
+        assert_eq!((t.num_rows(), t.sealed_rows()), (1500, 1000));
         let mut n = 0u64;
-        t.seq_scan(|_, row| {
-            assert_eq!(row[0], 300.0 * n as f64);
-            assert_eq!(row[1], (n % 9) as f64);
+        t.seq_scan(|_, got| {
+            assert_eq!(got, row(n));
             n += 1;
             true
         })
         .unwrap();
-        assert_eq!(n, 1500);
+        assert_eq!(n, 1500, "uncommitted tail truncated");
         // And appending continues cleanly after recovery.
-        t.insert(&[300.0 * 1500.0, 6.0]).unwrap();
+        t.insert(&row(1500)).unwrap();
         assert_eq!(t.num_rows(), 1501);
+        t.assert_one_layout();
         std::fs::remove_dir_all(&dir).ok();
     }
 

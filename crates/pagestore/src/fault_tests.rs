@@ -4,13 +4,20 @@
 #![cfg(test)]
 
 use crate::{BTree, BufferPool, Database, HeapFile, PageFile, StoreError, TableSpec, PAGE_SIZE};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn tmpdir(tag: &str) -> PathBuf {
     let d = std::env::temp_dir().join(format!("pagestore-fault-{}-{tag}", std::process::id()));
     std::fs::remove_dir_all(&d).ok();
     d
+}
+
+/// Overwrites the bytes at `at` of the file `path` with `bytes`.
+fn patch(path: &Path, at: usize, bytes: &[u8]) {
+    let mut file = std::fs::read(path).unwrap();
+    file[at..at + bytes.len()].copy_from_slice(bytes);
+    std::fs::write(path, file).unwrap();
 }
 
 #[test]
@@ -182,19 +189,15 @@ fn tree_of_another_key_width_is_rebuilt_on_open() {
     // it 24-byte keys.
     let (dir, before) = indexed_table("keywidth");
     let idx = dir.join("t.by_ab.idx");
-    let mut bytes = std::fs::read(&idx).unwrap();
-    assert_eq!(bytes[4..6], 24u16.to_le_bytes());
-    bytes[4..6].copy_from_slice(&16u16.to_le_bytes());
-    std::fs::write(&idx, bytes).unwrap();
+    assert_eq!(std::fs::read(&idx).unwrap()[4..6], 24u16.to_le_bytes());
+    patch(&idx, 4, &16u16.to_le_bytes());
     let db = Database::open(&dir, 64).unwrap();
     let tree = db.table("t").unwrap().index("by_ab").unwrap();
     assert_eq!((tree.len(), tree.buffered()), (700, 0), "bulk-rebuilt");
     assert_eq!(both_plans(&db), before);
     // Nor can a width no tree has be opened as one.
     drop((tree, db));
-    let mut bytes = std::fs::read(&idx).unwrap();
-    bytes[4..6].copy_from_slice(&0u16.to_le_bytes());
-    std::fs::write(&idx, bytes).unwrap();
+    patch(&idx, 4, &0u16.to_le_bytes());
     let db = Database::open(&dir, 64).unwrap();
     assert_eq!(both_plans(&db), before);
     std::fs::remove_dir_all(&dir).ok();
@@ -207,9 +210,7 @@ fn tree_with_the_old_magic_is_rebuilt_on_open() {
     // its trees are rebuilt, in today's layout, the first time it opens.
     let (dir, before) = indexed_table("oldmagic");
     let idx = dir.join("t.by_ab.idx");
-    let mut bytes = std::fs::read(&idx).unwrap();
-    bytes[..4].copy_from_slice(&0x5344_4254u32.to_le_bytes());
-    std::fs::write(&idx, bytes).unwrap();
+    patch(&idx, 0, &0x5344_4254u32.to_le_bytes());
     let db = Database::open(&dir, 64).unwrap();
     let tree = db.table("t").unwrap().index("by_ab").unwrap();
     assert_eq!((tree.len(), tree.buffered()), (700, 0), "bulk-rebuilt");
@@ -228,28 +229,47 @@ fn tree_with_the_old_magic_is_rebuilt_on_open() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Copies the files of the store `from` (not a directory a test put
+/// there) into the fresh directory `to`.
+fn copy_store(from: &Path, to: &Path) {
+    std::fs::create_dir_all(to).unwrap();
+    for entry in std::fs::read_dir(from).unwrap() {
+        let entry = entry.unwrap();
+        if entry.file_type().unwrap().is_file() {
+            std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
+        }
+    }
+}
+
+/// Row `i` of the table the seal tests load.
+fn loaded_row(i: u64) -> [f64; 2] {
+    [(i % 10) as f64, -(i as f64)]
+}
+
 /// A WAL-backed store in `tmpdir(tag)`: table `t(a, b)` of 2,000 rows
-/// under the tree `by_ab`, flushed; and, beside it, a copy of the store
-/// made before `t` was rewritten into columnar pages clustered on
-/// `(a, b)`, which the store itself then was. Returns (rewritten, copy),
-/// both closed, and the rows in bit order.
-fn sealed_table_and_its_past(tag: &str) -> (PathBuf, PathBuf, Vec<Vec<u64>>) {
-    let (dir, past) = (tmpdir(tag), tmpdir(&format!("{tag}-past")));
+/// under the tree `by_ab`, committed and flushed, open.
+fn loaded_store(tag: &str) -> (PathBuf, Arc<Database>) {
+    let dir = tmpdir(tag);
     let db = Database::create_with(&dir, 64, crate::DurabilityOptions::durable()).unwrap();
     let t = db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
     db.create_index("t", "by_ab", &["a", "b"]).unwrap();
     for i in 0..2000 {
-        t.insert(&[(i % 10) as f64, -(i as f64)]).unwrap();
+        t.insert(&loaded_row(i)).unwrap();
     }
     db.commit(b"loaded").unwrap();
     db.flush().unwrap();
-    std::fs::create_dir_all(&past).unwrap();
-    for entry in std::fs::read_dir(&dir).unwrap() {
-        let entry = entry.unwrap();
-        std::fs::copy(entry.path(), past.join(entry.file_name())).unwrap();
-    }
-    db.rewrite_table_format("t", crate::PageFormat::Columnar, &[0, 1])
-        .unwrap();
+    (dir, db)
+}
+
+/// A [`loaded_store`] and, beside it, a copy of the store made before
+/// `t` was sealed, clustered on `(a, b)`, which the store itself then
+/// was. Returns (sealed, copy), both closed, and the rows in bit order.
+fn sealed_table_and_its_past(tag: &str) -> (PathBuf, PathBuf, Vec<Vec<u64>>) {
+    let (dir, db) = loaded_store(tag);
+    let past = tmpdir(&format!("{tag}-past"));
+    copy_store(&dir, &past);
+    db.seal_table("t", &[0, 1]).unwrap();
+    let t = db.table("t").unwrap();
     let [rows, found] = t.rows_by_scan_and_by_seal_and_tree("by_ab");
     assert!(rows.len() == 2000 && rows == found);
     assert_eq!(
@@ -259,20 +279,23 @@ fn sealed_table_and_its_past(tag: &str) -> (PathBuf, PathBuf, Vec<Vec<u64>>) {
     (dir, past, rows)
 }
 
-/// Opens `dir` and checks that `t` holds `rows` by both paths, `sealed`
-/// of them sealed, the tree holding the rest.
-fn assert_reopens_to(dir: &std::path::Path, rows: &[Vec<u64>], sealed: u64) {
+/// Opens `dir` and checks that `t` has the one layout and holds `rows` by
+/// both paths, `sealed` of them sealed, the tree holding the rest.
+fn assert_reopens_to(dir: &Path, rows: &[Vec<u64>], sealed: u64) -> Arc<Database> {
     let db = Database::open(dir, 64).unwrap();
     let t = db.table("t").unwrap();
+    t.assert_one_layout();
     let tree = t.index("by_ab").unwrap();
-    assert_eq!((t.sealed_rows(), tree.len()), (sealed, 2000 - sealed));
+    let behind = rows.len() as u64 - sealed;
+    assert_eq!((t.sealed_rows(), tree.len()), (sealed, behind));
     let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree("by_ab");
     assert!(scanned == rows && found == rows);
+    db
 }
 
 #[test]
 fn tree_left_from_before_the_seal_is_rebuilt_on_open() {
-    // The rewrite deletes the tree files before it publishes the sealed
+    // The seal deletes the tree files before it publishes the sealed
     // heap; one that survived (2,000 entries where no row lies behind the
     // sealed ones) is not that heap's index, and must not be read as one.
     let (dir, past, rows) = sealed_table_and_its_past("staletree");
@@ -289,55 +312,211 @@ fn tree_left_from_before_the_seal_is_rebuilt_on_open() {
 }
 
 #[test]
-fn crash_inside_a_rewrite_reopens_to_the_same_rows_on_both_sides_of_the_rename() {
-    let (dir, past, rows) = sealed_table_and_its_past("midrewrite");
-    // Before the rename: the old heap and log, the trees already deleted,
-    // the rewritten rows in a temp file nobody reads. Whole trees again.
-    std::fs::copy(dir.join("t.tbl"), past.join("t.tbl.tmp")).unwrap();
-    std::fs::remove_file(past.join("t.by_ab.idx")).unwrap();
-    assert_reopens_to(&past, &rows, 0);
-    // After the rename, before the final flush: the sealed heap under the
-    // old store's log (same row counts), the old-format zone sidecar, and
-    // no tree file. The heap says what is sealed; the trees come out empty.
-    std::fs::copy(dir.join("t.tbl"), past.join("t.tbl")).unwrap();
-    std::fs::remove_file(past.join("t.by_ab.idx")).unwrap();
-    assert_reopens_to(&past, &rows, 2000);
-    for d in [dir, past] {
-        std::fs::remove_dir_all(&d).ok();
+fn a_seal_leaves_no_sidecar_behind_the_rename() {
+    // A seal moves rows and keeps their count, so the zone sidecar of the
+    // heap it replaces would pass for the sealed file's: it must be gone,
+    // with the trees, before the rename publishes that file. A rename onto
+    // a directory that is not empty fails: stop the seal there.
+    let (dir, db) = loaded_store("sealsidecar");
+    let heap = dir.join("t.tbl");
+    let old_heap = std::fs::read(&heap).unwrap();
+    let [rows, _] = db
+        .table("t")
+        .unwrap()
+        .rows_by_scan_and_by_seal_and_tree("by_ab");
+    assert!(dir.join("t.tbl.zones").exists() && dir.join("t.by_ab.idx").exists());
+    std::fs::remove_file(&heap).unwrap(); // the pool keeps reading it
+    std::fs::create_dir(&heap).unwrap();
+    std::fs::write(heap.join("kept"), b"").unwrap();
+    assert!(matches!(
+        db.seal_table("t", &[0, 1]),
+        Err(StoreError::Io(_))
+    ));
+    drop(db);
+    assert!(
+        !dir.join("t.tbl.zones").exists(),
+        "sidecar outlived the seal"
+    );
+    assert!(!dir.join("t.by_ab.idx").exists(), "tree outlived the seal");
+    let sealed_heap = std::fs::read(dir.join("t.tbl.tmp")).unwrap();
+    assert_eq!(sealed_heap[24..32], 2000u64.to_le_bytes(), "temp file");
+    // A kill on either side of the rename reopens to the same rows, with
+    // no zone map until one is rebuilt from the heap that is there.
+    let sides = [("before", &old_heap, 0), ("after", &sealed_heap, 2000)];
+    for (side, heap, sealed) in sides {
+        let killed = tmpdir(&format!("sealsidecar-{side}"));
+        copy_store(&dir, &killed);
+        std::fs::write(killed.join("t.tbl"), heap).unwrap();
+        let db = assert_reopens_to(&killed, &rows, sealed);
+        let t = db.table("t").unwrap();
+        assert!(!t.has_zones(), "{side}: a zone map from nowhere");
+        t.ensure_zones().unwrap();
+        let mut low = 0;
+        t.scan_columns(
+            |mins, _| mins[0] < 3.0,
+            &mut Vec::new(),
+            |cols, n| {
+                low += cols[0][..n].iter().filter(|&&a| a < 3.0).count();
+                true
+            },
+        )
+        .unwrap();
+        assert_eq!(low, 600, "{side}: pruned scan over rebuilt zones");
+        std::fs::remove_dir_all(&killed).ok();
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The store an earlier release leaves after compacting 2,000 rows and
+/// ingesting `tail` more: their columnar pages behind the compacted ones,
+/// the last of them partly filled, `sealed` rows counted sealed on the meta
+/// page (0 before that count existed) and a tree of `entries` entries.
+/// Returns it closed, with the rows in bit order.
+fn earlier_release_store(
+    tag: &str,
+    tail: u64,
+    sealed: u64,
+    entries: u64,
+) -> (PathBuf, Vec<Vec<u64>>) {
+    let (dir, past, mut rows) = sealed_table_and_its_past(tag);
+    let tail_rows: Vec<[f64; 2]> = (2000..2000 + tail).map(loaded_row).collect();
+    let tail_refs: Vec<&[f64]> = tail_rows.iter().map(|r| &r[..]).collect();
+    let tail_file = dir.join("tail.tmp");
+    HeapFile::write_sealed(&tail_file, 2, &tail_refs, false).unwrap();
+    let mut heap = std::fs::read(dir.join("t.tbl")).unwrap();
+    assert_eq!(heap[16..18], 1u16.to_le_bytes());
+    heap.extend_from_slice(&std::fs::read(&tail_file).unwrap()[PAGE_SIZE..]);
+    heap[8..16].copy_from_slice(&(2000 + tail).to_le_bytes());
+    heap[24..32].copy_from_slice(&sealed.to_le_bytes());
+    std::fs::write(dir.join("t.tbl"), heap).unwrap();
+    std::fs::remove_file(&tail_file).unwrap();
+    // (Entry count of a tree: a u64 at byte 16 of page 0.)
+    std::fs::copy(past.join("t.by_ab.idx"), dir.join("t.by_ab.idx")).unwrap();
+    patch(&dir.join("t.by_ab.idx"), 16, &entries.to_le_bytes());
+    std::fs::remove_file(dir.join("t.tbl.zones")).unwrap();
+    std::fs::remove_dir_all(&past).ok();
+    rows.extend(tail_rows.iter().map(|r| r.map(f64::to_bits).to_vec()));
+    rows.sort_unstable();
+    (dir, rows)
+}
+
+/// Replaces the log of `dir` by one that was not shut down cleanly and
+/// whose last commit counts `committed` rows of `t`.
+fn unclean_log(dir: &Path, committed: u64) {
+    std::fs::remove_file(dir.join(crate::WAL_FILE)).unwrap();
+    let state = crate::CommitState {
+        tables: vec![("t".into(), committed)],
+        blob: Vec::new(),
+    };
+    let wal = crate::Wal::create(dir, &state, false, 1).unwrap();
+    wal.append_commit(&state).unwrap();
+}
+
+#[test]
+fn heaps_of_earlier_releases_are_sealed_where_they_stand() {
+    // A heap compacted before the sealed count existed (zeros there,
+    // beside a tree over every row), and one compacted since and ingested
+    // into (a columnar tail behind the count, under a tree of its rows).
+    // Every row on a columnar page is sealed where it stands: both trees
+    // claim rows that are not behind those, and are rebuilt, empty.
+    for (tag, tail, sealed, entries) in [("presealed", 0, 0, 2000), ("coltail", 700, 2000, 700)] {
+        let (dir, mut rows) = earlier_release_store(tag, tail, sealed, entries);
+        let (heap, stored) = (dir.join("t.tbl"), 2000 + tail);
+        let before = std::fs::read(&heap).unwrap();
+        let db = assert_reopens_to(&dir, &rows, stored);
+        let tree_bytes = std::fs::metadata(dir.join("t.by_ab.idx")).unwrap().len();
+        assert_eq!(tree_bytes, 2 * PAGE_SIZE as u64, "{tag}");
+        // The next row opens a raw page behind the last columnar one,
+        // partly filled or not, and the store reopens with it.
+        let t = db.table("t").unwrap();
+        let rid = t.insert(&[3.0, 0.5]).unwrap();
+        assert_eq!(rid, ((before.len() / PAGE_SIZE) as u64) << 16, "{tag}");
+        db.commit(b"appended").unwrap();
+        db.flush().unwrap();
+        drop((t, db));
+        let after = std::fs::read(&heap).unwrap();
+        assert!(
+            after[PAGE_SIZE..before.len()] == before[PAGE_SIZE..],
+            "{tag}"
+        );
+        assert_eq!(after[24..32], stored.to_le_bytes(), "{tag}: count recorded");
+        rows.push(vec![3.0f64.to_bits(), 0.5f64.to_bits()]);
+        rows.sort_unstable();
+        assert_reopens_to(&dir, &rows, stored);
+        // A log that was cut where the columnar pages end recovers there.
+        unclean_log(&dir, stored);
+        rows.retain(|r| r[1] != 0.5f64.to_bits());
+        let db = assert_reopens_to(&dir, &rows, stored);
+        assert!(!db.recovery_report().unwrap().clean, "{tag}");
+        drop(db);
+        // A count no page boundary matches is a damaged heap, not a guess.
+        patch(&heap, 24, &(stored - 1).to_le_bytes());
+        assert!(matches!(
+            Database::open(&dir, 64),
+            Err(StoreError::Corrupt(_))
+        ));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
 #[test]
-fn rewritten_heap_from_before_the_sealed_count_opens_with_whole_trees() {
-    // Heaps rewritten by earlier releases hold zeros where the sealed row
-    // count now lives, beside trees over every row: nothing is sealed, and
-    // a tree to rebuild is rebuilt whole.
-    let (dir, past, rows) = sealed_table_and_its_past("presealed");
-    let heap = dir.join("t.tbl");
-    let mut bytes = std::fs::read(&heap).unwrap();
-    assert_eq!(bytes[24..32], 2000u64.to_le_bytes());
-    bytes[24..32].fill(0);
-    std::fs::write(&heap, bytes).unwrap();
-    std::fs::remove_file(dir.join("t.by_ab.idx")).unwrap();
-    assert_reopens_to(&dir, &rows, 0);
-    let whole = std::fs::read(dir.join("t.by_ab.idx")).unwrap();
-    assert!(whole.len() > 2 * PAGE_SIZE);
-    assert_reopens_to(&dir, &rows, 0);
-    assert!(
-        std::fs::read(dir.join("t.by_ab.idx")).unwrap() == whole,
-        "kept"
-    );
-    // A count no page boundary matches is a damaged heap, not a guess.
-    let mut bytes = std::fs::read(&heap).unwrap();
-    bytes[24..32].copy_from_slice(&1999u64.to_le_bytes());
-    std::fs::write(&heap, bytes).unwrap();
-    assert!(matches!(
-        Database::open(&dir, 64),
-        Err(StoreError::Corrupt(_))
-    ));
-    for d in [dir, past] {
-        std::fs::remove_dir_all(&d).ok();
+fn committed_count_inside_a_columnar_page_is_corrupt_not_a_panic() {
+    // Only an earlier release, killed while it ingested behind a
+    // compaction, leaves a log whose last commit ends inside a columnar
+    // page; recovery re-encoded that page then, and says so now.
+    let (dir, _rows) = earlier_release_store("colcut", 700, 2000, 700);
+    unclean_log(&dir, 2699);
+    match Database::open(&dir, 64) {
+        Err(StoreError::Corrupt(m)) => {
+            assert!(
+                m.contains("2699 committed rows end inside columnar page"),
+                "{m}"
+            );
+            assert!(m.contains("the release that wrote it"), "{m}");
+        }
+        other => panic!("{:?}", other.map(|_| "opened")),
     }
+    // So does a heap, opened without a log, whose count does.
+    std::fs::remove_file(dir.join(crate::WAL_FILE)).unwrap();
+    patch(&dir.join("t.tbl"), 8, &2699u64.to_le_bytes());
+    match Database::open(&dir, 64) {
+        Err(StoreError::Corrupt(m)) => assert!(m.contains("the release that wrote it"), "{m}"),
+        other => panic!("{:?}", other.map(|_| "opened")),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Opens a one-table store whose heap meta page claims `ncols` columns
+/// (a u16 at byte 4 of page 0): rows per page is a division by it.
+fn assert_column_count_rejected(tag: &str, ncols: u16) {
+    let dir = tmpdir(tag);
+    {
+        let db = Database::create(&dir, 64).unwrap();
+        let t = db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
+        t.insert(&[1.0, 2.0]).unwrap();
+        db.flush().unwrap();
+    }
+    patch(&dir.join("t.tbl"), 4, &ncols.to_le_bytes());
+    match Database::open(&dir, 64) {
+        Err(StoreError::Corrupt(m)) => {
+            assert!(
+                m.contains(&format!("impossible column count {ncols}")),
+                "{m}"
+            )
+        }
+        other => panic!("{:?}", other.map(|_| "opened")),
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn heap_with_no_columns_rejected() {
+    assert_column_count_rejected("nocols", 0);
+}
+
+#[test]
+fn heap_with_more_columns_than_a_page_holds_rejected() {
+    assert_column_count_rejected("manycols", 600);
 }
 
 #[test]

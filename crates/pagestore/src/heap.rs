@@ -1,13 +1,15 @@
-//! Append-only heap files of `f64` rows, in raw or compressed columnar pages.
+//! Append-only heap files of `f64` rows: sealed columnar pages, then a raw
+//! tail.
 
 use crate::buffer::BufferPool;
 use crate::colpage::{self, ColPageBuilder};
 use crate::error::Result;
 use crate::page::{self, PageBuf};
-use crate::pagefile::FileId;
+use crate::pagefile::{FileId, PageFile};
 use crate::zonemap::{ZoneMap, ZONE_LEVELS};
 use crate::{StoreError, PAGE_SIZE};
 use std::ops::Range;
+use std::path::Path;
 use std::sync::Arc;
 
 /// Identifies a row: the data page number in the high bits, the slot within
@@ -16,52 +18,38 @@ pub type RowId = u64;
 
 pub(crate) const MAGIC: u32 = 0x5344_4850; // "SDHP"
 pub(crate) const PAGE_HDR: usize = 8; // u16 row count + format tag + padding
+/// Byte offset on the meta page of a u16 that reads 1 when columnar pages
+/// lead the file (and open walks their headers), 0 when every page is raw.
+pub(crate) const META_COLUMNAR: usize = 16;
 /// Byte offset of the sealed row count (a u64) on the meta page; heaps
 /// written before it existed hold zeros there.
 pub(crate) const META_SEALED_ROWS: usize = 24;
 const META_PAGE: u32 = 0;
+/// Why a row count that falls inside a columnar page is corruption: this
+/// release appends to raw pages alone, so only an earlier one, killed while
+/// it ingested behind a compaction, leaves such a heap.
+pub(crate) const RELEASE_RULE: &str =
+    "a store killed while ingesting behind a compaction is recovered by the release that wrote it";
 
-/// On-disk page layout of a heap's data pages.
-///
-/// * `Raw` — fixed-width rows of little-endian f64s (the original format;
-///   the discriminant matches the zero meta bytes of pre-format heaps).
-/// * `Columnar` — compressed [`crate::colpage`] pages: per-column
-///   delta/frame-of-reference/XOR encodings with a raw fallback, chosen
-///   per column per page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[repr(u16)]
-pub enum PageFormat {
-    /// Fixed-width row-major f64 pages.
-    #[default]
-    Raw = 0,
-    /// Bit-packed columnar pages.
-    Columnar = 1,
+/// How many rows of `ncols` columns a raw page holds; a count no heap can
+/// have (`file` names the heap in the error) is corruption.
+pub(crate) fn raw_rows_per_page(ncols: usize, file: &Path) -> Result<usize> {
+    if ncols == 0 || ncols * 8 > PAGE_SIZE - PAGE_HDR {
+        return Err(StoreError::Corrupt(format!(
+            "{}: impossible column count {ncols}",
+            file.display()
+        )));
+    }
+    Ok((PAGE_SIZE - PAGE_HDR) / (ncols * 8))
 }
 
-impl PageFormat {
-    /// The on-disk meta tag.
-    pub fn tag(self) -> u16 {
-        self as u16
-    }
-
-    /// Parses the meta tag.
-    pub fn from_tag(tag: u16) -> Result<Self> {
-        match tag {
-            0 => Ok(PageFormat::Raw),
-            1 => Ok(PageFormat::Columnar),
-            other => Err(StoreError::Corrupt(format!(
-                "unknown heap page format tag {other}"
-            ))),
-        }
-    }
-
-    /// Human-readable name (used in stats and reports).
-    pub fn name(self) -> &'static str {
-        match self {
-            PageFormat::Raw => "raw",
-            PageFormat::Columnar => "columnar",
-        }
-    }
+/// Fills in a heap's meta page.
+fn put_meta(b: &mut [u8; PAGE_SIZE], ncols: usize, nrows: u64, sealed_rows: u64) {
+    page::put_u32(b, 0, MAGIC);
+    page::put_u16(b, 4, ncols as u16);
+    page::put_u64(b, 8, nrows);
+    page::put_u16(b, META_COLUMNAR, u16::from(sealed_rows > 0));
+    page::put_u64(b, META_SEALED_ROWS, sealed_rows);
 }
 
 #[inline]
@@ -76,28 +64,27 @@ fn rid_parts(r: RowId) -> (u32, u16) {
 
 /// An append-only table file of rows with a fixed number of `f64` columns.
 ///
-/// Page 0 holds metadata (magic, column count, row count, page format,
-/// sealed row count); data pages follow. All I/O goes through the shared
-/// [`BufferPool`].
+/// Page 0 holds metadata (magic, column count, row count, sealed row
+/// count); data pages follow, in one layout: pages `1..=sealed_pages` are
+/// compressed [`crate::colpage`] pages holding exactly the `sealed_rows`
+/// rows the last seal wrote ([`HeapFile::write_sealed`]), and every page
+/// behind them is a raw page of fixed-width little-endian rows, so row
+/// `k >= sealed_rows` lives at page
+/// `sealed_pages + 1 + (k - sealed_rows) / rows_per_page`. Rows arrive on
+/// the raw tail and move into columnar pages only by being sealed. All
+/// I/O goes through the shared [`BufferPool`].
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     fid: FileId,
     ncols: usize,
-    format: PageFormat,
-    /// Raw-format rows per page; meaningless for columnar heaps (their
-    /// capacity varies with compressibility).
+    /// Rows a raw page holds.
     rows_per_page: usize,
     nrows: u64,
-    /// The leading rows a rewrite wrote (see [`HeapFile::sealed_rows`]),
-    /// and the data pages `1..=sealed_pages` that hold exactly them.
+    /// The leading rows the last seal wrote (see
+    /// [`HeapFile::sealed_rows`]), and the data pages `1..=sealed_pages`
+    /// that hold exactly them.
     sealed_rows: u64,
     sealed_pages: u32,
-    /// Last data page and its row count, for O(1) appends.
-    tail: Option<(u32, u16)>,
-    /// Columnar tail staging: mirrors the rows of the tail page so an
-    /// append can re-encode it without re-decoding. Rebuilt lazily from
-    /// the tail page after open.
-    builder: Option<ColPageBuilder>,
     /// Hierarchical min/max column summaries, when available. Maintained
     /// incrementally on insert; `None` after opening a heap whose sidecar
     /// was missing or stale (rebuild with [`HeapFile::rebuild_zones`]).
@@ -191,142 +178,159 @@ impl ScanPage<'_> {
 impl HeapFile {
     /// Creates an empty heap in the (already registered, freshly created)
     /// file `fid`.
-    pub fn create(
-        pool: Arc<BufferPool>,
-        fid: FileId,
-        ncols: usize,
-        format: PageFormat,
-    ) -> Result<Self> {
-        assert!(
-            ncols > 0 && ncols * 8 <= PAGE_SIZE - PAGE_HDR,
-            "bad column count"
-        );
-        if format == PageFormat::Columnar {
-            assert!(
-                ncols <= colpage::max_cols(),
-                "too many columns for columnar pages"
-            );
-        }
+    pub fn create(pool: Arc<BufferPool>, fid: FileId, ncols: usize) -> Result<Self> {
+        let rows_per_page = raw_rows_per_page(ncols, &pool.file_path(fid))?;
         let meta = pool.allocate_page(fid)?;
         debug_assert_eq!(meta, META_PAGE);
         let h = Self {
             pool,
             fid,
             ncols,
-            format,
-            rows_per_page: (PAGE_SIZE - PAGE_HDR) / (ncols * 8),
+            rows_per_page,
             nrows: 0,
             sealed_rows: 0,
             sealed_pages: 0,
-            tail: None,
-            builder: None,
-            zones: Some(Self::new_zones(ncols, format)),
+            zones: Some(Self::with_levels_gauge(ZoneMap::new(ncols))),
         };
         h.write_meta()?;
         Ok(h)
     }
 
-    fn new_zones(ncols: usize, format: PageFormat) -> ZoneMap {
+    /// Takes `zones` as this heap's map (and says how deep it is).
+    fn with_levels_gauge(zones: ZoneMap) -> ZoneMap {
         obs::global()
             .gauge("zonemap.levels")
             .set(ZONE_LEVELS as i64);
-        ZoneMap::new(ncols, format.tag())
+        zones
     }
 
     /// Opens an existing heap in file `fid`.
+    ///
+    /// The columnar pages that lead the file are the sealed rows, whatever
+    /// wrote them: a heap an earlier release compacted and then appended
+    /// to in columnar pages has every such row sealed where it stands
+    /// (its meta count, which ends on one of those pages, is brought up to
+    /// date by the next flush), and the next row opens a raw page.
     pub fn open(pool: Arc<BufferPool>, fid: FileId) -> Result<Self> {
-        let (magic, ncols, nrows, ftag, sealed_rows) = pool.with_page(fid, META_PAGE, |b| {
+        let (magic, ncols, nrows, columnar, meta_sealed) = pool.with_page(fid, META_PAGE, |b| {
             (
                 page::get_u32(b, 0),
                 page::get_u16(b, 4) as usize,
                 page::get_u64(b, 8),
-                page::get_u16(b, 16),
+                page::get_u16(b, META_COLUMNAR),
                 page::get_u64(b, META_SEALED_ROWS),
             )
         })?;
         if magic != MAGIC {
             return Err(StoreError::Corrupt("heap file has bad magic".into()));
         }
-        let format = PageFormat::from_tag(ftag)?;
-        let rows_per_page = (PAGE_SIZE - PAGE_HDR) / (ncols * 8);
-        let mut sealed_pages = 0;
-        let tail = match format {
-            PageFormat::Raw => {
-                if nrows == 0 {
-                    None
-                } else {
-                    let full_pages = (nrows as usize) / rows_per_page;
-                    let rem = (nrows as usize) % rows_per_page;
-                    if rem == 0 {
-                        Some((full_pages as u32, rows_per_page as u16))
-                    } else {
-                        Some((full_pages as u32 + 1, rem as u16))
-                    }
-                }
-            }
-            PageFormat::Columnar => {
-                // Variable rows per page: walk the headers up to the
-                // logical row count. Pages past it are crash leftovers.
-                let mut tail = None;
-                let mut remaining = nrows;
-                let npages = pool.file_pages(fid);
-                for pid in 1..npages {
-                    if remaining == 0 {
-                        break;
-                    }
-                    let n = pool.with_page(fid, pid, |b| page::get_u16(b, 0))? as u64;
-                    let take = n.min(remaining);
-                    remaining -= take;
-                    tail = Some((pid, take as u16));
-                    if take > 0 && nrows - remaining == sealed_rows {
-                        sealed_pages = pid;
-                    }
-                }
-                if remaining > 0 {
-                    return Err(StoreError::Corrupt(format!(
-                        "columnar heap holds fewer rows than its meta count ({remaining} missing)"
-                    )));
-                }
-                tail
-            }
+        let path = pool.file_path(fid);
+        let rows_per_page = raw_rows_per_page(ncols, &path)?;
+        let corrupt =
+            |what: String| Err(StoreError::Corrupt(format!("{}: {what}", path.display())));
+        let npages = pool.file_pages(fid);
+        let walk_end = match columnar {
+            0 => META_PAGE + 1,
+            1 => npages,
+            tag => return corrupt(format!("unknown heap page format tag {tag}")),
         };
-        // Raw pages are positional (row `k` lives on page `k / rows_per_page`),
-        // so only a columnar heap can end its sealed rows on a page of
-        // their own; wherever the count came from, it must do so.
-        if sealed_rows > 0 && sealed_pages == 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{} heap of {nrows} rows claims {sealed_rows} sealed, which end on no page",
-                format.name()
-            )));
+        // Variable rows per columnar page: walk their headers, up to the
+        // logical row count (pages past it are crash leftovers).
+        let (mut sealed_rows, mut sealed_pages) = (0u64, 0u32);
+        let mut meta_ends_a_page = meta_sealed == 0;
+        for pid in META_PAGE + 1..walk_end {
+            if sealed_rows >= nrows {
+                break;
+            }
+            let (n, is_columnar) = pool.with_page(fid, pid, |b| {
+                (page::get_u16(b, 0) as u64, colpage::is_colpage(b))
+            })?;
+            if !is_columnar {
+                break;
+            }
+            (sealed_rows, sealed_pages) = (sealed_rows + n, pid);
+            meta_ends_a_page |= sealed_rows == meta_sealed;
         }
-        let zones = ZoneMap::load(&pool.file_path(fid), ncols, nrows, ftag);
-        if zones.is_some() {
-            obs::global()
-                .gauge("zonemap.levels")
-                .set(ZONE_LEVELS as i64);
+        if sealed_rows > nrows {
+            return corrupt(format!(
+                "columnar page {sealed_pages} holds rows past the heap's {nrows}: {RELEASE_RULE}"
+            ));
         }
+        if !meta_ends_a_page {
+            return corrupt(format!(
+                "{meta_sealed} of {nrows} rows claimed sealed, which end on no columnar page"
+            ));
+        }
+        let tail_pages = (nrows - sealed_rows).div_ceil(rows_per_page as u64);
+        if (npages as u64) < 1 + sealed_pages as u64 + tail_pages {
+            return corrupt(format!(
+                "{npages} pages hold fewer rows than the meta count {nrows}"
+            ));
+        }
+        let zones = ZoneMap::load(&path, ncols, nrows).map(Self::with_levels_gauge);
         Ok(Self {
             pool,
             fid,
             ncols,
-            format,
             rows_per_page,
             nrows,
             sealed_rows,
             sealed_pages,
-            tail,
-            builder: None,
             zones,
         })
     }
 
+    /// Writes `rows`, in the order given, as a whole heap file at `path`
+    /// with every row sealed — meta page, then columnar pages filled front
+    /// to back — fsynced when `sync`, and returns the zone map of the rows
+    /// under the pages they landed on. The one place a columnar page is
+    /// built: rows reach one by being sealed, never by being appended.
+    pub(crate) fn write_sealed(
+        path: &Path,
+        ncols: usize,
+        rows: &[&[f64]],
+        sync: bool,
+    ) -> Result<ZoneMap> {
+        let mut out = PageFile::create(path)?;
+        out.allocate()?; // meta page 0, filled in below
+        let mut zones = ZoneMap::new(ncols);
+        let mut page = PageBuf::zeroed();
+        let mut builder = ColPageBuilder::new(ncols);
+        let mut seal = |out: &mut PageFile, builder: &ColPageBuilder| {
+            builder.seal_into(page.bytes_mut());
+            obs::global().counter("colpage.pages_written").inc();
+            let pid = out.allocate()?;
+            out.write_page(pid, page.bytes())
+        };
+        for row in rows {
+            if !builder.try_push(row) {
+                seal(&mut out, &builder)?;
+                builder.clear();
+                assert!(builder.try_push(row), "a row must fit an empty page");
+            }
+            // The row lands on the page the file grows by next.
+            zones.observe(out.num_pages(), row);
+        }
+        if !builder.is_empty() {
+            seal(&mut out, &builder)?;
+        }
+        let mut meta = PageBuf::zeroed();
+        put_meta(
+            meta.bytes_mut(),
+            ncols,
+            rows.len() as u64,
+            rows.len() as u64,
+        );
+        out.write_page(META_PAGE, meta.bytes())?;
+        if sync {
+            out.sync_all()?;
+        }
+        Ok(zones)
+    }
+
     fn write_meta(&self) -> Result<()> {
         self.pool.with_page_mut(self.fid, META_PAGE, |b| {
-            page::put_u32(b, 0, MAGIC);
-            page::put_u16(b, 4, self.ncols as u16);
-            page::put_u64(b, 8, self.nrows);
-            page::put_u16(b, 16, self.format.tag());
-            page::put_u64(b, META_SEALED_ROWS, self.sealed_rows);
+            put_meta(b, self.ncols, self.nrows, self.sealed_rows)
         })
     }
 
@@ -350,20 +354,14 @@ impl HeapFile {
         self.nrows
     }
 
-    /// How many leading rows the rewrite that produced this file wrote
-    /// ([`crate::Database::rewrite_table_format`] into columnar pages; 0
-    /// for a heap no rewrite produced, or one from before the count was
-    /// kept). Those rows are *sealed*: their pages hold no other row and
-    /// are never written again — the first append behind them opens a new
-    /// page — and no B+tree holds an entry for them; readers reach them
-    /// through [`HeapFile::scan_sealed_pages`].
+    /// How many leading rows the last seal wrote
+    /// ([`crate::Database::seal_table`]; 0 for a heap never sealed). Those
+    /// rows are *sealed*: they live in columnar pages that hold no other
+    /// row and are never written again — the first append behind them
+    /// opens a raw page — and no B+tree holds an entry for them; readers
+    /// reach them through [`HeapFile::scan_sealed_pages`].
     pub fn sealed_rows(&self) -> u64 {
         self.sealed_rows
-    }
-
-    /// The data-page format of this heap.
-    pub fn format(&self) -> PageFormat {
-        self.format
     }
 
     /// The pool file id backing this heap (for in-place rewrites).
@@ -381,7 +379,17 @@ impl HeapFile {
         self.nrows * self.ncols as u64 * 8
     }
 
-    /// Appends a row; returns its [`RowId`].
+    /// The page and slot of row `k`, which lies behind the sealed rows (or
+    /// is the row an append writes next).
+    fn tail_position(&self, k: u64) -> (u32, usize) {
+        let (behind, rpp) = (k - self.sealed_rows, self.rows_per_page as u64);
+        (
+            self.sealed_pages + 1 + (behind / rpp) as u32,
+            (behind % rpp) as usize,
+        )
+    }
+
+    /// Appends a row on the raw tail; returns its [`RowId`].
     ///
     /// Rows are kept physically contiguous: a new page is always the one
     /// right after the logical tail, even when a crash left the file
@@ -394,33 +402,13 @@ impl HeapFile {
     /// Panics if `row.len() != ncols`.
     pub fn insert(&mut self, row: &[f64]) -> Result<RowId> {
         assert_eq!(row.len(), self.ncols, "row arity mismatch");
-        let (pid, slot) = match self.format {
-            PageFormat::Raw => self.insert_raw(row)?,
-            PageFormat::Columnar => self.insert_columnar(row)?,
-        };
-        self.tail = Some((pid, slot + 1));
-        self.nrows += 1;
-        if let Some(z) = &mut self.zones {
-            z.observe(pid, row);
+        let (pid, slot) = self.tail_position(self.nrows);
+        // A leftover page from an interrupted extension is reused.
+        if slot == 0 && pid >= self.pool.file_pages(self.fid) {
+            let allocated = self.pool.allocate_page(self.fid)?;
+            debug_assert_eq!(allocated, pid);
         }
-        Ok(rid(pid, slot))
-    }
-
-    fn next_tail_page(&self) -> Result<u32> {
-        let next = self.tail.map_or(1, |(pid, _)| pid + 1);
-        if next < self.pool.file_pages(self.fid) {
-            Ok(next) // reuse a leftover page from an interrupted extension
-        } else {
-            self.pool.allocate_page(self.fid)
-        }
-    }
-
-    fn insert_raw(&mut self, row: &[f64]) -> Result<(u32, u16)> {
-        let (pid, slot) = match self.tail {
-            Some((pid, n)) if (n as usize) < self.rows_per_page => (pid, n),
-            _ => (self.next_tail_page()?, 0),
-        };
-        let off = PAGE_HDR + slot as usize * self.ncols * 8;
+        let off = self.raw_offset(slot, 0);
         self.pool.with_page_mut(self.fid, pid, |b| {
             if slot == 0 {
                 // First row of the page: clear any stale bytes a reused
@@ -430,83 +418,18 @@ impl HeapFile {
             for (i, &v) in row.iter().enumerate() {
                 page::put_f64(b, off + i * 8, v);
             }
-            page::put_u16(b, 0, slot + 1);
+            page::put_u16(b, 0, slot as u16 + 1);
         })?;
-        Ok((pid, slot))
-    }
-
-    fn insert_columnar(&mut self, row: &[f64]) -> Result<(u32, u16)> {
-        self.ensure_builder()?;
-        // Taken out of self to sidestep the borrow across
-        // `next_tail_page`; put back on every exit path.
-        let mut builder = self
-            .builder
-            .take()
-            .unwrap_or_else(|| ColPageBuilder::new(self.ncols));
-        let fits = builder.try_push(row);
-        // The first row behind the sealed ones opens a page, room or not.
-        let (pid, slot) = match (fits, self.tail) {
-            (true, Some((pid, n))) if n > 0 && self.nrows > self.sealed_rows => (pid, n),
-            _ => {
-                if !fits {
-                    builder.clear();
-                    assert!(
-                        builder.try_push(row),
-                        "a single row must fit a columnar page"
-                    );
-                }
-                obs::global().counter("colpage.pages_written").inc();
-                match self.next_tail_page() {
-                    Ok(pid) => (pid, 0),
-                    Err(e) => {
-                        self.builder = Some(builder);
-                        return Err(e);
-                    }
-                }
-            }
-        };
-        let sealed = self
-            .pool
-            .with_page_mut(self.fid, pid, |b| builder.seal_into(b));
-        self.builder = Some(builder);
-        sealed?;
-        Ok((pid, slot))
-    }
-
-    /// Re-stages the tail page's rows into the columnar builder (after
-    /// open, or after an operation that invalidated the staging copy). A
-    /// sealed tail page takes no more rows and is not staged.
-    fn ensure_builder(&mut self) -> Result<()> {
-        if self.builder.is_some() {
-            return Ok(());
+        self.nrows += 1;
+        if let Some(z) = &mut self.zones {
+            z.observe(pid, row);
         }
-        let mut b = ColPageBuilder::new(self.ncols);
-        if let Some((pid, n)) = self.tail.filter(|_| self.nrows > self.sealed_rows) {
-            if n > 0 {
-                let mut buf = PageBuf::zeroed();
-                self.pool.read_page_into(self.fid, pid, &mut buf)?;
-                let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-                let got = colpage::decode_into(buf.bytes(), self.ncols, 0..self.ncols, &mut cols)?;
-                Self::flush_decoded(1);
-                if got < n as usize {
-                    return Err(StoreError::Corrupt(format!(
-                        "columnar tail page {pid} holds {got} rows, expected {n}"
-                    )));
-                }
-                let mut row = vec![0.0f64; self.ncols];
-                for r in 0..n as usize {
-                    colpage::gather_row(&cols, r, &mut row);
-                    assert!(b.try_push(&row), "re-staged tail rows must fit");
-                }
-            }
-        }
-        self.builder = Some(b);
-        Ok(())
+        Ok(rid(pid, slot as u16))
     }
 
     /// Decodes columns `range` of the data page in `buf` into `cols` (one
-    /// buffer per column of `range`, each cleared first), dispatching on
-    /// the page format, and counts a decoded columnar page into
+    /// buffer per column of `range`, each cleared first), columnar or raw
+    /// as the page itself says, and counts a decoded columnar page into
     /// `decoded`. Returns the row count.
     fn decode_page_columns(
         &self,
@@ -524,7 +447,7 @@ impl HeapFile {
             return colpage::decode_into(b, self.ncols, range, cols);
         }
         // Raw page: transpose into the column buffers.
-        let n = page::get_u16(b, 0) as usize;
+        let n = (page::get_u16(b, 0) as usize).min(self.rows_per_page);
         for (c, col) in range.zip(cols.iter_mut()) {
             col.extend((0..n).map(|slot| page::get_f64(b, self.raw_offset(slot, c))));
         }
@@ -545,73 +468,56 @@ impl HeapFile {
         }
     }
 
-    /// Scans all rows in storage order. The visitor receives the row id and
-    /// the decoded columns; returning `false` stops the scan early.
+    /// Visits the rows after the first `skip` in storage order, reading
+    /// only the pages that hold them: behind the sealed rows a row's page
+    /// is arithmetic (this is how an index re-derives its write buffer, so
+    /// the cost follows the buffer, not the table), and a `skip` that ends
+    /// among them walks their pages from the first. The visitor receives
+    /// the row id and the decoded columns; returning `false` stops the
+    /// scan early.
     ///
     /// Pages are copied out of the pool before decoding, so the visitor may
     /// freely access other tables.
-    pub fn scan(&self, mut visit: impl FnMut(RowId, &[f64]) -> bool) -> Result<()> {
-        let npages = self.pool.file_pages(self.fid);
+    pub fn scan(&self, skip: u64, mut visit: impl FnMut(RowId, &[f64]) -> bool) -> Result<()> {
+        if skip >= self.nrows {
+            return Ok(());
+        }
+        let (first, mut skip_slots) = if skip >= self.sealed_rows {
+            self.tail_position(skip)
+        } else {
+            (META_PAGE + 1, skip as usize)
+        };
+        let (last, last_rows) = self.tail_position(self.nrows);
         let mut buf = PageBuf::zeroed();
         let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
         let mut row = vec![0.0f64; self.ncols];
         let mut decoded = 0;
-        'pages: for pid in 1..npages {
+        'pages: for pid in first..=last {
+            // A raw page holds the rows its position says, whatever a
+            // crash left in its header; a sealed page says itself.
+            let positional = match pid {
+                _ if pid <= self.sealed_pages => None,
+                _ if pid == last => Some(last_rows),
+                _ => Some(self.rows_per_page),
+            };
+            if positional == Some(0) {
+                break;
+            }
             self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
-            for slot in 0..n {
+            let held = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
+            let n = positional.unwrap_or(held);
+            if held < n {
+                return Err(StoreError::Corrupt(format!(
+                    "heap page {pid} holds {held} rows of {n}"
+                )));
+            }
+            for slot in skip_slots.min(n)..n {
                 colpage::gather_row(&cols, slot, &mut row);
                 if !visit(rid(pid, slot as u16), &row) {
                     break 'pages;
                 }
             }
-        }
-        Self::flush_decoded(decoded);
-        Ok(())
-    }
-
-    /// Visits the rows after the first `skip`, in storage order, reading
-    /// only the pages that hold them: page row counts are walked back
-    /// from the tail page (columnar pages hold a variable number), then
-    /// those pages are decoded. This is how an index re-derives its write
-    /// buffer, so the cost follows the buffer, not the table.
-    pub fn scan_tail(&self, skip: u64, mut visit: impl FnMut(RowId, &[f64])) -> Result<()> {
-        let want = self.nrows.saturating_sub(skip);
-        let Some((tail, tail_rows)) = self.tail.filter(|_| want > 0) else {
-            return Ok(());
-        };
-        // Every row: from the first data page, no walk back.
-        let (mut first, mut have) = match skip {
-            0 => (META_PAGE + 1, want),
-            _ => (tail, tail_rows as u64),
-        };
-        while have < want {
-            first -= 1;
-            if first == META_PAGE {
-                return Err(StoreError::Corrupt(format!(
-                    "heap pages hold {have} of the last {want} rows"
-                )));
-            }
-            have += self
-                .pool
-                .with_page(self.fid, first, |b| page::get_u16(b, 0))? as u64;
-        }
-        let mut skip_slots = (have - want) as usize;
-        let mut buf = PageBuf::zeroed();
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-        let mut row = vec![0.0f64; self.ncols];
-        let mut decoded = 0;
-        for pid in first..=tail {
-            self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let mut n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
-            if pid == tail {
-                n = n.min(tail_rows as usize); // past it: a crash's leftovers
-            }
-            for slot in skip_slots..n {
-                colpage::gather_row(&cols, slot, &mut row);
-                visit(rid(pid, slot as u16), &row);
-            }
-            skip_slots = 0;
+            skip_slots = skip_slots.saturating_sub(n);
         }
         Self::flush_decoded(decoded);
         Ok(())
@@ -625,52 +531,32 @@ impl HeapFile {
     /// Rebuilds the zone map from a full scan (idempotent; a heap that
     /// already maintains one is left untouched). Needed after opening a
     /// heap whose sidecar was missing or stale — e.g. created before zone
-    /// maps existed, truncated by WAL recovery, or rewritten in the other
-    /// page format.
+    /// maps existed, truncated by WAL recovery, or killed inside a seal,
+    /// which removes the sidecar before it publishes the sealed file.
     pub fn rebuild_zones(&mut self) -> Result<()> {
         if self.zones.is_some() {
             return Ok(());
         }
         obs::global().counter("zonemap.builds").inc();
-        let mut z = Self::new_zones(self.ncols, self.format);
-        let npages = self.pool.file_pages(self.fid);
-        let mut buf = PageBuf::zeroed();
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-        let mut row = vec![0.0f64; self.ncols];
-        let mut remaining = self.nrows;
-        let mut decoded = 0;
-        'pages: for pid in 1..npages {
-            if remaining == 0 {
-                break;
-            }
-            self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let n = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
-            for slot in 0..n {
-                if remaining == 0 {
-                    break 'pages;
-                }
-                colpage::gather_row(&cols, slot, &mut row);
-                z.observe(pid, &row);
-                remaining -= 1;
-            }
-        }
-        Self::flush_decoded(decoded);
+        let mut z = Self::with_levels_gauge(ZoneMap::new(self.ncols));
+        self.scan(0, |rid, row| {
+            z.observe(rid_parts(rid).0, row);
+            true
+        })?;
         self.zones = Some(z);
         Ok(())
     }
 
-    /// Installs a zone map built elsewhere (the heap-rewrite path, which
-    /// observes every row while streaming it into the new file).
+    /// Installs a zone map built elsewhere (the seal, which observes
+    /// every row while streaming it into the new file).
     pub(crate) fn install_zones(&mut self, zones: ZoneMap) {
         debug_assert_eq!(zones.num_rows(), self.nrows);
-        obs::global()
-            .gauge("zonemap.levels")
-            .set(ZONE_LEVELS as i64);
-        self.zones = Some(zones);
+        self.zones = Some(Self::with_levels_gauge(zones));
     }
 
     /// Drops the zone map and deletes its sidecar, forcing subsequent
-    /// scans down the unpruned path (used by tests and ablations).
+    /// scans down the unpruned path (a seal, before it replaces the file;
+    /// tests and ablations).
     pub fn drop_zones(&mut self) {
         self.zones = None;
         std::fs::remove_file(ZoneMap::sidecar_path(&self.pool.file_path(self.fid))).ok();
@@ -860,53 +746,22 @@ impl HeapFile {
         })
     }
 
-    /// Reads the row `r` into `out` (resized to the column count).
+    /// Reads the row `r` into `out` (resized to the column count): the
+    /// one-row call of [`HeapFile::fetch_many_cols`].
     pub fn fetch(&self, r: RowId, out: &mut Vec<f64>) -> Result<()> {
         out.resize(self.ncols, 0.0);
-        match self.format {
-            PageFormat::Raw => {
-                let (pid, slot) = rid_parts(r);
-                let off = self.raw_offset(slot as usize, 0);
-                self.pool.with_page(self.fid, pid, |b| {
-                    let n = page::get_u16(b, 0);
-                    if slot >= n {
-                        return Err(StoreError::Corrupt(format!(
-                            "row {r:#x}: slot {slot} >= page rows {n}"
-                        )));
-                    }
-                    for (i, o) in out.iter_mut().enumerate() {
-                        *o = page::get_f64(b, off + i * 8);
-                    }
-                    Ok(())
-                })?
-            }
-            PageFormat::Columnar => self.fetch_many_cols(&[r], 0..self.ncols, |_, row| {
-                out.copy_from_slice(row);
-                true
-            }),
-        }
+        self.fetch_many_cols(&[r], 0..self.ncols, |_, row| {
+            out.copy_from_slice(row);
+            true
+        })
     }
 
-    /// Fetches many rows with one page read (and, for columnar pages, one
-    /// decode) per distinct page. `rids` must be sorted (ascending row id
-    /// — which is page-major order). The visitor receives each row id
-    /// with its decoded columns.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts the ids are sorted.
-    pub fn fetch_many(
-        &self,
-        rids: &[RowId],
-        visit: impl FnMut(RowId, &[f64]) -> bool,
-    ) -> Result<()> {
-        self.fetch_many_cols(rids, 0..self.ncols, visit)
-    }
-
-    /// [`HeapFile::fetch_many`] projected onto the contiguous columns
-    /// `cols`: the visitor's row holds `cols.len()` values. A columnar
-    /// page decodes only those columns; a raw page's values are read from
-    /// the requested slots in place.
+    /// Fetches the contiguous columns `cols` of many rows with one page
+    /// read (and, for columnar pages, one decode) per distinct page. `rids`
+    /// must be sorted (ascending row id — which is page-major order). The
+    /// visitor receives each row id with the `cols.len()` values asked
+    /// for: a columnar page decodes only those columns; a raw page's values
+    /// are read from the requested slots in place.
     ///
     /// # Panics
     ///
@@ -1000,26 +855,102 @@ impl HeapFile {
 }
 
 #[cfg(test)]
+impl HeapFile {
+    /// Asserts the one layout: pages `1..=sealed_pages` are columnar and
+    /// hold the sealed rows, every page behind them is raw and holds the
+    /// rows its position says.
+    pub(crate) fn assert_one_layout(&self) {
+        let (last, last_rows) = self.tail_position(self.nrows);
+        let mut sealed = 0;
+        for pid in 1..self.pool.file_pages(self.fid).min(last + 1) {
+            let (n, columnar) = self
+                .pool
+                .with_page(self.fid, pid, |b| {
+                    (colpage::page_nrows(b), colpage::is_colpage(b))
+                })
+                .unwrap();
+            assert_eq!(columnar, pid <= self.sealed_pages, "page {pid}");
+            match pid {
+                _ if columnar => sealed += n as u64,
+                _ if pid < last => assert_eq!(n, self.rows_per_page, "page {pid}"),
+                _ if last_rows > 0 => assert_eq!(n, last_rows, "page {pid}"),
+                _ => {}
+            }
+        }
+        assert_eq!(sealed, self.sealed_rows, "rows on columnar pages");
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pagefile::PageFile;
     use std::path::PathBuf;
 
-    fn setup_fmt(
+    /// A heap of `rows` whose first `sealed` rows a seal wrote and whose
+    /// others were appended behind them, with every row's id in storage
+    /// order.
+    fn heap_of(
         name: &str,
         ncols: usize,
-        format: PageFormat,
-    ) -> (Arc<BufferPool>, HeapFile, PathBuf) {
+        rows: &[Vec<f64>],
+        sealed: usize,
+    ) -> (Arc<BufferPool>, HeapFile, PathBuf, Vec<RowId>) {
         let p = std::env::temp_dir().join(format!("pagestore-heap-{}-{name}", std::process::id()));
         std::fs::remove_file(&p).ok();
         let pool = Arc::new(BufferPool::new(64));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
-        let heap = HeapFile::create(pool.clone(), fid, ncols, format).unwrap();
-        (pool, heap, p)
+        let mut heap = if sealed == 0 {
+            let fid = pool.register_file(PageFile::create(&p).unwrap());
+            HeapFile::create(pool.clone(), fid, ncols).unwrap()
+        } else {
+            let lead: Vec<&[f64]> = rows[..sealed].iter().map(|r| &r[..]).collect();
+            let zones = HeapFile::write_sealed(&p, ncols, &lead, false).unwrap();
+            let fid = pool.register_file(PageFile::open(&p).unwrap());
+            let mut heap = HeapFile::open(pool.clone(), fid).unwrap();
+            heap.install_zones(zones);
+            heap
+        };
+        for row in &rows[sealed..] {
+            heap.insert(row).unwrap();
+        }
+        assert_eq!(
+            (heap.num_rows(), heap.sealed_rows()),
+            (rows.len() as u64, sealed as u64)
+        );
+        let mut rids = Vec::new();
+        heap.scan(0, |rid, _| {
+            rids.push(rid);
+            true
+        })
+        .unwrap();
+        (pool, heap, p, rids)
     }
 
     fn setup(name: &str, ncols: usize) -> (Arc<BufferPool>, HeapFile, PathBuf) {
-        setup_fmt(name, ncols, PageFormat::Raw)
+        let (pool, heap, p, _) = heap_of(name, ncols, &[], 0);
+        (pool, heap, p)
+    }
+
+    /// Row `i` of a five-column load: two columns that compress, one that
+    /// does not, a constant and the row's own number.
+    fn mixed_row(i: u64) -> Vec<f64> {
+        let h64 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let dv = f64::from_bits(0xBFF0_0000_0000_0000 | (h64 >> 12));
+        vec![
+            300.0 * (i % 90) as f64,
+            dv,
+            i as f64,
+            -0.0,
+            300.0 * i as f64,
+        ]
+    }
+
+    /// The layouts a heap of `n` rows is tested in: how many are sealed.
+    fn layouts(n: usize) -> [usize; 3] {
+        [0, n, n * 2 / 3]
+    }
+
+    fn bits(row: &[f64]) -> Vec<u64> {
+        row.iter().map(|v| v.to_bits()).collect()
     }
 
     #[test]
@@ -1044,7 +975,7 @@ mod tests {
             h.insert(&[i as f64, -(i as f64)]).unwrap();
         }
         let mut count = 0usize;
-        h.scan(|_rid, row| {
+        h.scan(0, |_rid, row| {
             assert_eq!(row[0], count as f64);
             assert_eq!(row[1], -(count as f64));
             count += 1;
@@ -1062,7 +993,7 @@ mod tests {
             h.insert(&[i as f64]).unwrap();
         }
         let mut seen = 0;
-        h.scan(|_, _| {
+        h.scan(0, |_, _| {
             seen += 1;
             seen < 10
         })
@@ -1072,12 +1003,59 @@ mod tests {
     }
 
     #[test]
+    fn scans_read_every_layout_and_a_skip_reads_only_its_pages() {
+        let rows: Vec<Vec<f64>> = (0..3000).map(mixed_row).collect();
+        for sealed in layouts(rows.len()) {
+            let (pool, h, p, rids) = heap_of(&format!("skip-{sealed}"), 5, &rows, sealed);
+            h.assert_one_layout();
+            // Page at a time, every column: the same rows in the same order.
+            let (mut via_cols, mut bufs) = (Vec::new(), Vec::new());
+            h.scan_columns(
+                |_, _| true,
+                &mut bufs,
+                |cols, n| {
+                    via_cols.extend((0..n).flat_map(|r| cols.iter().map(move |c| c[r].to_bits())));
+                    true
+                },
+            )
+            .unwrap();
+            assert!(via_cols == bits(&rows.concat()), "{sealed}: scan_columns");
+            let s = sealed as u64;
+            for skip in [0, 1, 1999, 2000, 2001, 2102, 2999, 3000, 5000] {
+                let before = pool.stats();
+                let mut at = skip as usize;
+                h.scan(skip, |rid, row| {
+                    assert_eq!(
+                        (rid, bits(row)),
+                        (rids[at], bits(&rows[at])),
+                        "{sealed}/{skip}"
+                    );
+                    at += 1;
+                    true
+                })
+                .unwrap();
+                assert_eq!(at, rows.len().max(skip as usize), "{sealed}/{skip}");
+                // Behind the seal, only the pages that hold the rows asked
+                // for are read, each once.
+                let io = pool.stats().since(&before);
+                if skip >= s && skip < 3000 {
+                    let pages = (rids[2999] >> 16) - (rids[skip as usize] >> 16) + 1;
+                    assert_eq!(io.hits + io.misses, pages, "{sealed}/{skip}");
+                } else if skip >= 3000 {
+                    assert_eq!(io.hits + io.misses, 0, "{sealed}/{skip}");
+                }
+            }
+            std::fs::remove_file(&p).ok();
+        }
+    }
+
+    #[test]
     fn reopen_preserves_rows() {
         let p = std::env::temp_dir().join(format!("pagestore-heap-{}-reopen", std::process::id()));
         {
             let pool = Arc::new(BufferPool::new(64));
             let fid = pool.register_file(PageFile::create(&p).unwrap());
-            let mut h = HeapFile::create(pool.clone(), fid, 2, PageFormat::Raw).unwrap();
+            let mut h = HeapFile::create(pool.clone(), fid, 2).unwrap();
             for i in 0..1000 {
                 h.insert(&[i as f64, 2.0 * i as f64]).unwrap();
             }
@@ -1087,12 +1065,11 @@ mod tests {
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::open(&p).unwrap());
         let mut h = HeapFile::open(pool, fid).unwrap();
-        assert_eq!(h.num_rows(), 1000);
-        assert_eq!(h.format(), PageFormat::Raw);
+        assert_eq!((h.num_rows(), h.sealed_rows()), (1000, 0));
         // Appends continue where the tail left off.
         h.insert(&[1000.0, 2000.0]).unwrap();
         let mut count = 0;
-        h.scan(|_, row| {
+        h.scan(0, |_, row| {
             assert_eq!(row[1], 2.0 * row[0]);
             count += 1;
             true
@@ -1103,21 +1080,17 @@ mod tests {
     }
 
     #[test]
-    fn columnar_insert_scan_fetch_roundtrip() {
-        let (_pool, mut h, p) = setup_fmt("col-roundtrip", 3, PageFormat::Columnar);
-        assert_eq!(h.format(), PageFormat::Columnar);
+    fn sealed_rows_scan_fetch_roundtrip() {
+        // A mix of integer-like and full-precision columns.
         let n = 4000usize; // several columnar pages
-        let mut rids = Vec::new();
-        for i in 0..n {
-            // A mix of integer-like and full-precision columns.
-            rids.push(
-                h.insert(&[300.0 * i as f64, -(i as f64) * 0.001, (i % 7) as f64])
-                    .unwrap(),
-            );
-        }
-        assert_eq!(h.num_rows(), n as u64);
+        let rows: Vec<Vec<f64>> = (0..n)
+            .map(|i| vec![300.0 * i as f64, -(i as f64) * 0.001, (i % 7) as f64])
+            .collect();
+        let (_pool, h, p, rids) = heap_of("col-roundtrip", 3, &rows, n);
+        h.assert_one_layout();
+        assert!(rids[n - 1] >> 16 > 2, "several sealed pages");
         let mut count = 0usize;
-        h.scan(|r, row| {
+        h.scan(0, |r, row| {
             assert_eq!(r, rids[count]);
             assert_eq!(row[0], 300.0 * count as f64);
             assert_eq!(row[1].to_bits(), (-(count as f64) * 0.001).to_bits());
@@ -1129,129 +1102,93 @@ mod tests {
         let mut out = Vec::new();
         h.fetch(rids[1234], &mut out).unwrap();
         assert_eq!(out[0], 300.0 * 1234.0);
-        // Columnar pages hold far more of these compressible rows than the
-        // raw format's fixed capacity would.
+        // Columnar pages hold far more of these compressible rows than a
+        // raw page's fixed capacity would.
         let stats = h.compression_stats().unwrap();
         assert!(stats.ratio() > 2.0, "ratio {}", stats.ratio());
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn columnar_reopen_appends_into_tail_page() {
-        let p = std::env::temp_dir().join(format!("pagestore-heap-{}-colre", std::process::id()));
-        std::fs::remove_file(&p).ok();
+    fn reopen_behind_a_seal_appends_on_a_fresh_raw_page() {
         let n = 1000usize;
-        {
-            let pool = Arc::new(BufferPool::new(64));
-            let fid = pool.register_file(PageFile::create(&p).unwrap());
-            let mut h = HeapFile::create(pool.clone(), fid, 2, PageFormat::Columnar).unwrap();
-            for i in 0..n {
-                h.insert(&[i as f64, 0.5]).unwrap();
-            }
-            h.sync_meta().unwrap();
-            pool.flush_all().unwrap();
-        }
+        let rows: Vec<Vec<f64>> = (0..n).map(|i| vec![i as f64, 0.5]).collect();
+        let (pool, h, p, _) = heap_of("colre", 2, &rows, n);
+        h.sync_meta().unwrap();
+        pool.flush_all().unwrap();
+        drop((h, pool));
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::open(&p).unwrap());
         let mut h = HeapFile::open(pool.clone(), fid).unwrap();
-        assert_eq!(h.num_rows(), n as u64);
+        assert_eq!((h.num_rows(), h.sealed_rows()), (n as u64, n as u64));
         let pages_before = pool.file_pages(fid);
+        let last_sealed = pool.with_page(fid, pages_before - 1, |b| *b).unwrap();
+        // The append opens a raw page — the last sealed one had room — and
+        // writes nothing on a sealed one.
         let r = h.insert(&[n as f64, 0.5]).unwrap();
-        // The append lands in the existing tail page, not a fresh one.
-        assert_eq!(pool.file_pages(fid), pages_before);
-        assert_eq!(r >> 16, (pages_before - 1) as u64);
+        assert_eq!(r, rid(pages_before, 0));
+        assert_eq!(pool.file_pages(fid), pages_before + 1);
+        assert!(pool.with_page(fid, pages_before - 1, |b| *b).unwrap() == last_sealed);
+        h.assert_one_layout();
         let mut seen = 0usize;
-        h.scan(|_, row| {
+        h.scan(0, |_, row| {
             assert_eq!(row[0], seen as f64);
             seen += 1;
             true
         })
         .unwrap();
         assert_eq!(seen, n + 1);
+        // And so it reopens: one row behind the seal, on its raw page.
+        h.sync_meta().unwrap();
+        pool.flush_all().unwrap();
+        drop((h, pool));
+        let pool = Arc::new(BufferPool::new(64));
+        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let mut h = HeapFile::open(pool.clone(), fid).unwrap();
+        assert_eq!((h.num_rows(), h.sealed_rows()), (n as u64 + 1, n as u64));
+        assert_eq!(h.insert(&[0.0, 0.0]).unwrap(), rid(pages_before, 1));
         std::fs::remove_file(&p).ok();
     }
 
     #[test]
-    fn columnar_scan_columns_matches_scan() {
-        let (_pool, mut h, p) = setup_fmt("col-scancols", 2, PageFormat::Columnar);
-        for i in 0..2500 {
-            h.insert(&[i as f64, (i * i % 97) as f64]).unwrap();
-        }
-        let mut via_rows: Vec<f64> = Vec::new();
-        h.scan(|_, row| {
-            via_rows.extend_from_slice(row);
-            true
-        })
-        .unwrap();
-        let mut via_cols: Vec<f64> = Vec::new();
-        let mut bufs: Vec<Vec<f64>> = Vec::new();
-        h.scan_columns(
-            |_, _| true,
-            &mut bufs,
-            |cols, n| {
-                for (a, b) in cols[0][..n].iter().zip(&cols[1][..n]) {
-                    via_cols.push(*a);
-                    via_cols.push(*b);
-                }
-                true
-            },
-        )
-        .unwrap();
-        assert_eq!(via_rows, via_cols);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn projected_scan_matches_scan_columns_on_both_formats() {
-        for format in [PageFormat::Raw, PageFormat::Columnar] {
-            let (_pool, mut h, p) = setup_fmt(&format!("scanproj-{}", format.name()), 5, format);
-            for i in 0..3000u64 {
-                let h64 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                let dv = f64::from_bits(0xBFF0_0000_0000_0000 | (h64 >> 12));
-                h.insert(&[
-                    300.0 * (i % 90) as f64,
-                    dv,
-                    i as f64,
-                    -0.0,
-                    300.0 * i as f64,
-                ])
-                .unwrap();
-            }
+    fn projected_scan_matches_scan_columns_on_every_layout() {
+        let rows: Vec<Vec<f64>> = (0..3000).map(mixed_row).collect();
+        for sealed in layouts(rows.len()) {
+            let (_pool, h, p, _) = heap_of(&format!("scanproj-{sealed}"), 5, &rows, sealed);
             // The reference: every page whole, through `scan_columns`,
             // under a filter that prunes some pages.
             let filter = |_: &[f64], maxs: &[f64]| maxs[2] >= 700.0;
             let mut full: Vec<Vec<Vec<u64>>> = Vec::new();
             let mut bufs = Vec::new();
-            let bits = |col: &Vec<f64>| col.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
             let want = h
                 .scan_columns(filter, &mut bufs, |cols, n| {
                     assert!(cols.iter().all(|c| c.len() == n));
-                    full.push(cols.iter().map(bits).collect());
+                    full.push(cols.iter().map(|c| bits(c)).collect());
                     true
                 })
                 .unwrap();
-            assert!(want.pages_pruned > 0 && full.len() > 3, "{format:?}");
+            assert!(want.pages_pruned > 0 && full.len() > 3, "{sealed}");
             // Two projections of each page, the second one only on every
             // other page, into buffers that still hold the last page.
             let (mut lead, mut rest) = (vec![Vec::new(); 2], vec![Vec::new(); 3]);
             let mut at = 0;
             let got = h
                 .scan_pages(filter, |page| {
-                    assert_eq!(page.rows(), full[at][0].len(), "{format:?} page {at}");
+                    assert_eq!(page.rows(), full[at][0].len(), "{sealed} page {at}");
                     page.columns(0..2, &mut lead)?;
-                    let lead: Vec<_> = lead.iter().map(bits).collect();
-                    assert!(lead == full[at][0..2], "{format:?} page {at}, 0..2");
+                    let lead: Vec<_> = lead.iter().map(|c| bits(c)).collect();
+                    assert!(lead == full[at][0..2], "{sealed} page {at}, 0..2");
                     if at % 2 == 0 {
                         page.columns(2..5, &mut rest)?;
-                        let rest: Vec<_> = rest.iter().map(bits).collect();
-                        assert!(rest == full[at][2..5], "{format:?} page {at}, 2..5");
+                        let rest: Vec<_> = rest.iter().map(|c| bits(c)).collect();
+                        assert!(rest == full[at][2..5], "{sealed} page {at}, 2..5");
                         page.columns(4..4, &mut [])?;
                     }
                     at += 1;
                     Ok(true)
                 })
                 .unwrap();
-            assert_eq!((got, at), (want, full.len()), "{format:?}");
+            assert_eq!((got, at), (want, full.len()), "{sealed}");
             // A visitor's `Ok(false)` stops the scan, its error aborts it.
             let mut seen = 0;
             h.scan_pages(
@@ -1262,45 +1199,37 @@ mod tests {
                 },
             )
             .unwrap();
-            assert_eq!(seen, 2, "{format:?}");
+            assert_eq!(seen, 2, "{sealed}");
             let failed = h.scan_pages(|_, _| true, |_| Err(StoreError::Corrupt("stop".into())));
-            assert!(matches!(failed, Err(StoreError::Corrupt(_))), "{format:?}");
+            assert!(matches!(failed, Err(StoreError::Corrupt(_))), "{sealed}");
             std::fs::remove_file(&p).ok();
         }
     }
 
     #[test]
-    fn projected_fetch_matches_fetch_per_row_on_both_formats() {
-        for format in [PageFormat::Raw, PageFormat::Columnar] {
-            let (_pool, mut h, p) = setup_fmt(&format!("fetchcols-{}", format.name()), 5, format);
-            let rids: Vec<RowId> = (0..3000u64)
-                .map(|i| {
-                    let h64 = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                    let dv = f64::from_bits(0xBFF0_0000_0000_0000 | (h64 >> 12));
-                    let row = [
-                        300.0 * (i % 90) as f64,
-                        dv,
-                        i as f64,
-                        -0.0,
-                        300.0 * i as f64,
-                    ];
-                    h.insert(&row).unwrap()
-                })
-                .collect();
-            // The last page is part-filled: rows are still being appended
-            // to it, and it is read as it stands.
+    fn projected_fetch_returns_the_rows_stored_on_every_layout() {
+        let rows: Vec<Vec<f64>> = (0..3000).map(mixed_row).collect();
+        for sealed in layouts(rows.len()) {
+            let (_pool, h, p, rids) = heap_of(&format!("fetchcols-{sealed}"), 5, &rows, sealed);
+            // The last page is part-filled, and it is read as it stands.
             let on_page = |pid| rids.iter().filter(|r| **r >> 16 == pid).count();
             let last = rids[2999] >> 16;
-            assert!(last > 2 && on_page(last) < on_page(last - 1), "{format:?}");
-            let picked: Vec<RowId> = rids.iter().copied().filter(|r| r % 3 != 1).collect();
+            assert!(last > 2 && on_page(last) < on_page(last - 1), "{sealed}");
+            let picked: Vec<usize> = (0..3000).filter(|i| rids[*i] % 3 != 1).collect();
+            let picked_rids: Vec<RowId> = picked.iter().map(|&i| rids[i]).collect();
             let mut row = Vec::new();
             for cols in [0..5, 1..4, 4..5, 2..2] {
                 let mut seen = 0;
-                h.fetch_many_cols(&picked, cols.clone(), |rid, got| {
+                h.fetch_many_cols(&picked_rids, cols.clone(), |rid, got| {
+                    let want = &rows[picked[seen]];
+                    assert_eq!(rid, picked_rids[seen]);
+                    assert_eq!(
+                        bits(got),
+                        bits(&want[cols.clone()]),
+                        "{sealed} {rid:#x} {cols:?}"
+                    );
                     h.fetch(rid, &mut row).unwrap();
-                    let want: Vec<u64> = row[cols.clone()].iter().map(|v| v.to_bits()).collect();
-                    let got: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(got, want, "{format:?} row {rid:#x} columns {cols:?}");
+                    assert_eq!(bits(&row), bits(want), "{sealed} row {rid:#x}");
                     seen += 1;
                     true
                 })
@@ -1317,7 +1246,7 @@ mod tests {
 
     #[test]
     fn hierarchical_pruning_skips_extents() {
-        let (_pool, mut h, p) = setup_fmt("extents", 1, PageFormat::Raw);
+        let (_pool, mut h, p) = setup("extents", 1);
         // 511 rows per page at 1 column; fill > 2 extents (129 pages).
         let rows = 511 * 130;
         for i in 0..rows {
@@ -1344,7 +1273,7 @@ mod tests {
 
     #[test]
     fn whole_segment_prune_respects_bounds_and_counts() {
-        let (_pool, mut h, p) = setup_fmt("segprune", 1, PageFormat::Raw);
+        let (_pool, mut h, p) = setup("segprune", 1);
         for i in 0..511 * 70 {
             h.insert(&[i as f64]).unwrap();
         }
@@ -1379,7 +1308,7 @@ mod tests {
         {
             let pool = Arc::new(BufferPool::new(64));
             let fid = pool.register_file(PageFile::create(&p).unwrap());
-            let mut h = HeapFile::create(pool.clone(), fid, 1, PageFormat::Raw).unwrap();
+            let mut h = HeapFile::create(pool.clone(), fid, 1).unwrap();
             for i in 0..511 {
                 h.insert(&[i as f64]).unwrap(); // fills data page 1 exactly
             }
@@ -1395,6 +1324,14 @@ mod tests {
         let fid = pool.register_file(PageFile::open(&p).unwrap());
         let mut h = HeapFile::open(pool.clone(), fid).unwrap();
         assert_eq!(h.num_rows(), 511);
+        // The leftovers hold no row, whatever their headers say.
+        let mut seen = 0u64;
+        h.scan(0, |_, _| {
+            seen += 1;
+            true
+        })
+        .unwrap();
+        assert_eq!(seen, 511);
         let r = h.insert(&[511.0]).unwrap();
         assert_eq!(r >> 16, 2, "insert must reuse the first leftover page");
         assert_eq!(pool.file_pages(fid), 4, "no page appended past the gap");
@@ -1403,7 +1340,7 @@ mod tests {
             .unwrap();
         assert!(!stale, "reused page must be zeroed beyond its rows");
         let mut seen = 0u64;
-        h.scan(|_, row| {
+        h.scan(0, |_, row| {
             assert_eq!(row[0], seen as f64);
             seen += 1;
             true

@@ -72,7 +72,7 @@ pub use buffer::{BufferPool, PoolStats};
 pub use db::{sync_from_env, Database, DurabilityOptions, TableSpec};
 pub use encode::{decode_f64, encode_f64};
 pub use error::{Result, StoreError};
-pub use heap::{CompressionStats, HeapFile, PageFormat, RowId, ScanPage, ZoneScanStats};
+pub use heap::{CompressionStats, HeapFile, RowId, ScanPage, ZoneScanStats};
 pub use pagefile::{FileId, PageFile, PageId};
 pub use recovery::RecoveryReport;
 pub use table::{Index, Table, BUFFER_ENTRIES};

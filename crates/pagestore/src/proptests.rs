@@ -2,7 +2,7 @@
 //! against an in-memory model under randomized workloads.
 
 use crate::buffer::BufferPool;
-use crate::heap::{HeapFile, PageFormat};
+use crate::heap::HeapFile;
 use crate::pagefile::PageFile;
 use crate::BTree;
 use proptest::prelude::*;
@@ -33,7 +33,7 @@ proptest! {
         let p = tmpfile("heap");
         let pool = Arc::new(BufferPool::new(pool_pages));
         let fid = pool.register_file(PageFile::create(&p).unwrap());
-        let mut heap = HeapFile::create(pool, fid, 3, PageFormat::Raw).unwrap();
+        let mut heap = HeapFile::create(pool, fid, 3).unwrap();
         let mut rids = Vec::new();
         for row in &rows {
             rids.push(heap.insert(row).unwrap());
@@ -46,7 +46,7 @@ proptest! {
         }
         // Scan order and contents.
         let mut seen = 0usize;
-        heap.scan(|rid, row| {
+        heap.scan(0, |rid, row| {
             assert_eq!(rid, rids[seen]);
             assert_eq!(row, rows[seen].as_slice());
             seen += 1;
@@ -153,11 +153,12 @@ proptest! {
     }
 
     /// Sealed pages and trees partition the heap: through any interleaving
-    /// of insert batches, clustered rewrites into columnar pages (which
-    /// seal what they write) and back into raw ones (which seal nothing),
-    /// flushes and reopens, the sealed pages plus a tree's entries are the
-    /// heap's rows, each once, and every tree holds exactly the rows
-    /// behind the sealed ones, a buffer's worth of them at most unapplied.
+    /// of insert batches, seals under one clustering key or another (each
+    /// seals every row there is), flushes and reopens, the heap has the
+    /// one layout — columnar pages up to the last sealed one, raw pages
+    /// behind — the sealed pages plus a tree's entries are the heap's
+    /// rows, each once, and every tree holds exactly the rows behind the
+    /// sealed ones, a buffer's worth of them at most unapplied.
     #[test]
     fn sealed_pages_and_trees_hold_every_row_once(
         ops in prop::collection::vec((0u8..5, 1usize..700), 1..10),
@@ -185,15 +186,10 @@ proptest! {
                     rows += n as u64;
                     db.commit(b"batch").unwrap();
                 }
-                2 => {
-                    if t.format() == PageFormat::Raw {
-                        sealed = rows;
-                    }
-                    db.rewrite_table_format("t", PageFormat::Columnar, &[0, 1]).unwrap();
-                }
-                3 => {
-                    db.rewrite_table_format("t", PageFormat::Raw, &[2]).unwrap();
-                    sealed = 0;
+                2 | 3 => {
+                    let key: &[usize] = if op == 2 { &[0, 1] } else { &[2] };
+                    db.seal_table("t", key).unwrap();
+                    sealed = rows;
                 }
                 _ => {
                     db.flush().unwrap();
@@ -205,6 +201,7 @@ proptest! {
             }
             let t = db.table("t").unwrap();
             prop_assert_eq!((t.num_rows(), t.sealed_rows()), (rows, sealed));
+            t.assert_one_layout();
             for name in ["by_ab", "by_c"] {
                 let tree = t.index(name).unwrap();
                 prop_assert_eq!(tree.len(), rows - sealed, "{}", name);

@@ -13,8 +13,11 @@
 //! 3. **Truncate logically** to the last commit's per-table row counts:
 //!    chop each heap file to the committed page count, rewrite the
 //!    per-page slot counts, zero the uncommitted tail slots, and restore
-//!    the meta-page row count. Tables created after the last commit are
-//!    removed (file + catalog line) — they never reached a durable state.
+//!    the meta-page row count. Only raw pages are touched: a seal begins
+//!    and ends with a checkpoint, so a committed count falls on the end of
+//!    the sealed rows' columnar pages or among the positional raw pages
+//!    behind them. Tables created after the last commit are removed (file
+//!    + catalog line) — they never reached a durable state.
 //! 4. **Drop B+tree files.** Index pages are not WAL-logged; on an
 //!    unclean shutdown every `*.idx` file is deleted and
 //!    [`crate::Database::open`] rebuilds it from the (recovered) heap via
@@ -24,16 +27,15 @@
 //! its committed rows, a bad heap magic — is a typed
 //! [`StoreError::Corrupt`], never a panic.
 
+use crate::colpage;
 use crate::error::Result;
+use crate::heap::{raw_rows_per_page, MAGIC as HEAP_MAGIC, PAGE_HDR, RELEASE_RULE};
 use crate::wal::{self, CommitState, Record, WAL_FILE};
 use crate::{StoreError, PAGE_SIZE};
 use std::collections::HashSet;
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
-
-const HEAP_MAGIC: u32 = 0x5344_4850; // keep in sync with heap.rs
-const PAGE_HDR: usize = 8;
 
 /// What [`recover`] did, surfaced through
 /// [`crate::Database::recovery_report`] and `segdiff recover`.
@@ -63,9 +65,11 @@ pub struct RecoveryReport {
     pub committed: CommitState,
 }
 
-/// Recovers the database directory `dir` to its last commit point.
-/// Call only when `dir/wal.log` exists; a clean log is a cheap no-op.
-pub fn recover(dir: &Path) -> Result<RecoveryReport> {
+/// Recovers the database directory `dir` to its last commit point;
+/// `sync` is the fsync discipline of the catalog rewrite that drops
+/// uncommitted tables. Call only when `dir/wal.log` exists; a clean log
+/// is a cheap no-op.
+pub fn recover(dir: &Path, sync: bool) -> Result<RecoveryReport> {
     let scan = wal::scan(&dir.join(WAL_FILE))?;
     let mut report = RecoveryReport {
         torn_bytes: scan.torn_bytes,
@@ -135,7 +139,7 @@ pub fn recover(dir: &Path) -> Result<RecoveryReport> {
             report.dropped_indexes += 1;
         }
     }
-    prune_catalog(dir, &report.pruned_tables)?;
+    prune_catalog(dir, &report.pruned_tables, sync)?;
     Ok(report)
 }
 
@@ -182,25 +186,32 @@ fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
         )));
     }
     let ncols = u16::from_le_bytes([page[4], page[5]]) as usize;
-    if ncols == 0 || ncols * 8 > PAGE_SIZE - PAGE_HDR {
-        return Err(StoreError::Corrupt(format!(
-            "{}: impossible column count {ncols}",
-            path.display()
-        )));
-    }
-    match u16::from_le_bytes([page[16], page[17]]) {
-        0 => {}
-        1 => return truncate_columnar_heap(path, &mut f, len, ncols, nrows),
-        other => {
-            return Err(StoreError::Corrupt(format!(
-                "{}: unknown heap page format {other}",
-                path.display()
-            )))
+    let rpp = raw_rows_per_page(ncols, path)? as u64;
+    let old_pages = len / PAGE_SIZE as u64;
+
+    // Walk the page headers: the columnar pages that lead the file hold
+    // the sealed rows, whole; the rest count rows visible before
+    // truncation (for the report).
+    let (mut sealed, mut sealed_pages, mut observed) = (0u64, 0u64, 0u64);
+    let mut leading = true;
+    for pid in 1..old_pages {
+        f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
+        let mut hdr = [0u8; 4];
+        f.read_exact(&mut hdr)?;
+        let n = u16::from_le_bytes([hdr[0], hdr[1]]) as u64;
+        leading &= colpage::is_colpage(&hdr);
+        observed += if leading { n } else { n.min(rpp) };
+        if leading && sealed < nrows {
+            if sealed + n > nrows {
+                return Err(StoreError::Corrupt(format!(
+                    "{}: {nrows} committed rows end inside columnar page {pid}: {RELEASE_RULE}",
+                    path.display()
+                )));
+            }
+            (sealed, sealed_pages) = (sealed + n, pid);
         }
     }
-    let rpp = (PAGE_SIZE - PAGE_HDR) / (ncols * 8);
-    let need_pages = 1 + nrows.div_ceil(rpp as u64);
-    let old_pages = len / PAGE_SIZE as u64;
+    let need_pages = 1 + sealed_pages + (nrows - sealed).div_ceil(rpp);
     if old_pages < need_pages {
         return Err(StoreError::Corrupt(format!(
             "{}: {nrows} committed rows need {need_pages} pages, file has {old_pages}",
@@ -208,18 +219,10 @@ fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
         )));
     }
 
-    // Count the rows visible before truncation (for the report).
-    let mut observed = 0u64;
-    for pid in 1..old_pages {
-        f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-        let mut hdr = [0u8; 2];
-        f.read_exact(&mut hdr)?;
-        observed += (u16::from_le_bytes(hdr) as u64).min(rpp as u64);
-    }
-
     f.set_len(need_pages * PAGE_SIZE as u64)?;
-    for pid in 1..need_pages {
-        let expect = (nrows - (pid - 1) * rpp as u64).min(rpp as u64) as u16;
+    for pid in sealed_pages + 1..need_pages {
+        let before = sealed + (pid - sealed_pages - 1) * rpp;
+        let expect = (nrows - before).min(rpp) as u16;
         f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
         f.read_exact(&mut page)?;
         page[0..2].copy_from_slice(&expect.to_le_bytes());
@@ -238,80 +241,9 @@ fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
     Ok(observed.saturating_sub(nrows))
 }
 
-/// Columnar variant of the logical truncation: pages hold a variable
-/// number of rows, so the committed boundary is found by walking the
-/// page headers, and a boundary page that carries uncommitted tail rows
-/// is decoded and re-encoded with the committed prefix only (fewer rows
-/// never need more bits, so the prefix always fits the page).
-fn truncate_columnar_heap(
-    path: &Path,
-    f: &mut std::fs::File,
-    len: u64,
-    ncols: usize,
-    nrows: u64,
-) -> Result<u64> {
-    let old_pages = len / PAGE_SIZE as u64;
-    let mut page = vec![0u8; PAGE_SIZE];
-    let mut observed = 0u64;
-    let mut cum = 0u64;
-    // Last page holding committed rows, and how many of its rows are
-    // committed (a post-commit image may have appended more).
-    let mut boundary: Option<(u64, u64, u64)> = None; // (pid, keep, have)
-    for pid in 1..old_pages {
-        f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-        let mut hdr = [0u8; 2];
-        f.read_exact(&mut hdr)?;
-        let n = u16::from_le_bytes(hdr) as u64;
-        observed += n;
-        if cum < nrows {
-            let keep = n.min(nrows - cum);
-            if keep > 0 {
-                boundary = Some((pid, keep, n));
-            }
-            cum += keep;
-        }
-    }
-    if cum < nrows {
-        return Err(StoreError::Corrupt(format!(
-            "{}: {nrows} committed rows, heap holds only {cum}",
-            path.display()
-        )));
-    }
-    let need_pages = boundary.map_or(1, |(pid, _, _)| pid + 1);
-    if let Some((pid, keep, have)) = boundary {
-        if keep < have {
-            // Re-encode the boundary page with the committed prefix.
-            f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-            f.read_exact(&mut page)?;
-            let mut cols: Vec<Vec<f64>> = vec![Vec::new(); ncols];
-            let got = crate::colpage::decode_into(&page, ncols, 0..ncols, &mut cols)? as u64;
-            if got < keep {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: boundary page {pid} decodes {got} rows, need {keep}",
-                    path.display()
-                )));
-            }
-            let mut builder = crate::colpage::ColPageBuilder::new(ncols);
-            let mut row = vec![0.0f64; ncols];
-            for r in 0..keep as usize {
-                crate::colpage::gather_row(&cols, r, &mut row);
-                assert!(builder.try_push(&row), "committed prefix must fit");
-            }
-            let mut buf = [0u8; PAGE_SIZE];
-            builder.seal_into(&mut buf);
-            f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-            f.write_all(&buf)?;
-        }
-    }
-    f.set_len(need_pages * PAGE_SIZE as u64)?;
-    f.seek(SeekFrom::Start(8))?;
-    f.write_all(&nrows.to_le_bytes())?;
-    Ok(observed.saturating_sub(nrows))
-}
-
 /// Drops catalog lines referring to pruned (uncommitted) tables, leaving
-/// the committed prefix intact. Atomic rewrite (temp + rename).
-fn prune_catalog(dir: &Path, pruned: &[String]) -> Result<()> {
+/// the committed prefix intact. Atomic rewrite, by the catalog's one writer.
+fn prune_catalog(dir: &Path, pruned: &[String], sync: bool) -> Result<()> {
     if pruned.is_empty() {
         return Ok(());
     }
@@ -331,11 +263,7 @@ fn prune_catalog(dir: &Path, pruned: &[String]) -> Result<()> {
             }
         })
         .collect();
-    let tmp = dir.join("catalog.txt.tmp");
-    std::fs::write(&tmp, kept.join("\n"))?;
-    std::fs::rename(&tmp, &path)?;
-    wal::sync_dir(dir)?;
-    Ok(())
+    crate::db::write_catalog(dir, &kept.join("\n"), sync)
 }
 
 #[cfg(test)]
@@ -382,7 +310,7 @@ mod tests {
             blob: b"meta".to_vec(),
         };
         Wal::create(&dir, &state, false, 8).unwrap();
-        let report = recover(&dir).unwrap();
+        let report = recover(&dir, false).unwrap();
         assert!(report.clean);
         assert_eq!(report.committed, state);
         assert_eq!(report.replayed_pages, 0);
@@ -405,7 +333,7 @@ mod tests {
         // counts (models a crash right after a commit).
         wal.append_commit(&state).unwrap();
         drop(wal);
-        let report = recover(&dir).unwrap();
+        let report = recover(&dir, false).unwrap();
         assert!(!report.clean);
         assert_eq!(report.truncated_rows, 31);
         let data = std::fs::read(&heap).unwrap();
@@ -447,7 +375,7 @@ mod tests {
         }
         std::fs::write(&heap, &bad).unwrap();
 
-        let report = recover(&dir).unwrap();
+        let report = recover(&dir, false).unwrap();
         assert_eq!(report.replayed_pages, 1);
         assert_eq!(report.dropped_indexes, 1);
         assert!(!dir.join("t.i.idx").exists());
@@ -473,7 +401,7 @@ mod tests {
         let wal = Wal::create(&dir, &state, false, 8).unwrap();
         wal.append_commit(&state).unwrap();
         drop(wal);
-        let report = recover(&dir).unwrap();
+        let report = recover(&dir, false).unwrap();
         assert_eq!(report.pruned_tables, vec!["new".to_string()]);
         assert!(!dir.join("new.tbl").exists());
         let cat = std::fs::read_to_string(dir.join("catalog.txt")).unwrap();
@@ -485,7 +413,7 @@ mod tests {
     fn corrupt_log_head_is_typed_error() {
         let dir = tmpdir("badhead");
         std::fs::write(dir.join(WAL_FILE), b"not a wal").unwrap();
-        assert!(matches!(recover(&dir), Err(StoreError::Corrupt(_))));
+        assert!(matches!(recover(&dir, false), Err(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -501,7 +429,7 @@ mod tests {
         let wal = Wal::create(&dir, &state, false, 8).unwrap();
         wal.append_commit(&state).unwrap();
         drop(wal);
-        assert!(matches!(recover(&dir), Err(StoreError::Corrupt(_))));
+        assert!(matches!(recover(&dir, false), Err(StoreError::Corrupt(_))));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

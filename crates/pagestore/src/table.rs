@@ -4,7 +4,7 @@
 use crate::btree::{key_cmp, partition_point, BTree, MAX_KEY_WIDTH};
 use crate::encode::{decode_key_col, decode_key_rid, encode_key_into};
 use crate::error::Result;
-use crate::heap::{CompressionStats, HeapFile, PageFormat, RowId, ScanPage};
+use crate::heap::{CompressionStats, HeapFile, RowId, ScanPage};
 use crate::pagefile::FileId;
 use crate::StoreError;
 use parking_lot::RwLock;
@@ -175,8 +175,8 @@ impl Index {
         (key(lo, 0), key(hi, u64::MAX))
     }
 
-    /// Replaces the backing tree in place (heap rewrites rebuild every
-    /// index because row ids change with the page format). The new tree
+    /// Replaces the backing tree in place (a seal rebuilds every index:
+    /// the rows it moves into columnar pages change their ids). The new tree
     /// holds every row behind the sealed ones, so the buffer starts empty.
     pub(crate) fn replace_tree(&self, tree: BTree) {
         *self.tree.write() = Buffered::new(tree);
@@ -220,9 +220,10 @@ impl Table {
         let mut key = [0u8; MAX_KEY_WIDTH];
         let key = &mut key[..cols.len() * 8 + 8];
         let heap = self.heap.read();
-        heap.scan_tail(heap.sealed_rows() + tree.tree.len(), |rid, row| {
+        heap.scan(heap.sealed_rows() + tree.tree.len(), |rid, row| {
             encode_key_into(cols.iter().map(|&c| row[c]), rid, key);
             tree.hold(key);
+            true
         })?;
         self.indexes.write().push(Arc::new(Index {
             name,
@@ -255,8 +256,8 @@ impl Table {
         self.heap.read().num_rows()
     }
 
-    /// How many leading rows are sealed: written by a rewrite into
-    /// columnar pages, indexed by no B+tree, read through
+    /// How many leading rows are sealed: written into columnar pages by
+    /// [`crate::Database::seal_table`], indexed by no B+tree, read through
     /// [`Table::scan_sealed_pages`]; see [`HeapFile::sealed_rows`].
     pub fn sealed_rows(&self) -> u64 {
         self.heap.read().sealed_rows()
@@ -333,14 +334,14 @@ impl Table {
         // lock during the visitor cannot deadlock against the pool. The
         // lock is a read lock: any number of scans proceed in parallel,
         // and only inserts take the heap exclusively.
-        self.heap.read().scan(visit)
+        self.heap.read().scan(0, visit)
     }
 
     /// Visits the rows behind the sealed ones — the rows the B+trees
     /// index — in storage order.
-    pub(crate) fn scan_unsealed(&self, visit: impl FnMut(RowId, &[f64])) -> Result<()> {
+    pub(crate) fn scan_unsealed(&self, visit: impl FnMut(RowId, &[f64]) -> bool) -> Result<()> {
         let heap = self.heap.read();
-        heap.scan_tail(heap.sealed_rows(), visit)
+        heap.scan(heap.sealed_rows(), visit)
     }
 
     /// Looks up an index by name.
@@ -430,13 +431,13 @@ impl Table {
 
     /// Fetches many rows with one page read per distinct page. `rids`
     /// must be sorted ascending (page-major order); see
-    /// [`HeapFile::fetch_many`].
+    /// [`HeapFile::fetch_many_cols`].
     pub fn fetch_many(
         &self,
         rids: &[RowId],
         visit: impl FnMut(RowId, &[f64]) -> bool,
     ) -> Result<()> {
-        self.heap.read().fetch_many(rids, visit)
+        self.fetch_many_cols(rids, 0..self.cols.len(), visit)
     }
 
     /// [`Table::fetch_many`] projected onto the contiguous columns
@@ -480,11 +481,6 @@ impl Table {
         visit: impl FnMut(&[Vec<f64>], usize) -> bool,
     ) -> Result<crate::heap::ZoneScanStats> {
         self.heap.read().scan_columns(filter, cols, visit)
-    }
-
-    /// The data-page format of the backing heap.
-    pub fn format(&self) -> PageFormat {
-        self.heap.read().format()
     }
 
     /// Segment-level pre-probe pruning: `true` when the whole table's
@@ -543,6 +539,11 @@ impl Table {
 
 #[cfg(test)]
 impl Table {
+    /// See [`HeapFile::assert_one_layout`].
+    pub(crate) fn assert_one_layout(&self) {
+        self.heap.read().assert_one_layout()
+    }
+
     /// Every row as bit patterns, in bit order, read two ways: by a full
     /// scan, and by the sealed pages plus every entry of the tree `tree` —
     /// which must agree, each row once.
@@ -596,7 +597,7 @@ mod tests {
         let pool = Arc::new(BufferPool::new(256));
         let heap_path = base.with_extension("tbl");
         let fid = pool.register_file(PageFile::create(&heap_path).unwrap());
-        let heap = HeapFile::create(pool.clone(), fid, cols.len(), PageFormat::Raw).unwrap();
+        let heap = HeapFile::create(pool.clone(), fid, cols.len()).unwrap();
         let table = Table::new(
             name.to_string(),
             cols.iter().map(|s| s.to_string()).collect(),

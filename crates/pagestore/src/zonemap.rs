@@ -24,11 +24,12 @@
 //!
 //! Zone maps are derived data, like the B+trees: they are persisted to a
 //! `<heap>.zones` sidecar (atomic temp + rename) keyed by the heap's row
-//! count *and page format*, and a sidecar that disagrees with the heap
-//! meta on either — e.g. after WAL recovery truncated the heap, or after
-//! the heap was rewritten into the other page format — is discarded and
-//! rebuilt from a scan. They are maintained incrementally on insert, so a
-//! freshly created heap always carries an up-to-date map.
+//! count, and a sidecar that disagrees with the heap meta on it — e.g.
+//! after WAL recovery truncated the heap — is discarded and rebuilt from a
+//! scan. A seal moves rows without changing their count, so it deletes the
+//! sidecar itself before it publishes the sealed file. They are maintained
+//! incrementally on insert, so a freshly created heap always carries an
+//! up-to-date map.
 
 use crate::error::{Result, StoreError};
 use std::path::{Path, PathBuf};
@@ -54,9 +55,6 @@ pub struct ZoneMap {
     ncols: usize,
     /// Rows observed; must equal the heap's row count to be valid.
     nrows: u64,
-    /// Heap page format the map was built over; a sidecar built for the
-    /// other format is as stale as a wrong row count.
-    format: u16,
     mins: Vec<f64>,
     maxs: Vec<f64>,
     ext_mins: Vec<f64>,
@@ -66,14 +64,12 @@ pub struct ZoneMap {
 }
 
 impl ZoneMap {
-    /// An empty zone map for rows of `ncols` columns stored in heap page
-    /// format `format` (see `heap`: 0 = raw rows, 1 = columnar).
-    pub fn new(ncols: usize, format: u16) -> Self {
+    /// An empty zone map for rows of `ncols` columns.
+    pub fn new(ncols: usize) -> Self {
         assert!(ncols > 0, "zone map needs at least one column");
         Self {
             ncols,
             nrows: 0,
-            format,
             mins: Vec::new(),
             maxs: Vec::new(),
             ext_mins: Vec::new(),
@@ -96,11 +92,6 @@ impl ZoneMap {
     /// Rows observed so far.
     pub fn num_rows(&self) -> u64 {
         self.nrows
-    }
-
-    /// The heap page format this map was built over.
-    pub fn format(&self) -> u16 {
-        self.format
     }
 
     /// The extent entry index covering data page `page`.
@@ -211,7 +202,7 @@ impl ZoneMap {
         out.extend_from_slice(&(self.ncols as u32).to_le_bytes());
         out.extend_from_slice(&self.nrows.to_le_bytes());
         out.extend_from_slice(&npages.to_le_bytes());
-        out.extend_from_slice(&self.format.to_le_bytes());
+        out.extend_from_slice(&[0; 2]); // reserved (once a page-format stamp)
         out.extend_from_slice(&(EXTENT_PAGES as u16).to_le_bytes());
         out.extend_from_slice(&next.to_le_bytes());
         out.extend_from_slice(&seg.to_le_bytes());
@@ -239,16 +230,16 @@ impl ZoneMap {
     }
 
     /// Loads the sidecar for `heap_path`, returning `None` when it is
-    /// missing, malformed, or stale (`ncols`/`nrows`/page `format`
-    /// disagree with the heap meta). A stale map is deleted so it cannot
-    /// be mistaken for current later.
-    pub fn load(heap_path: &Path, ncols: usize, nrows: u64, format: u16) -> Option<ZoneMap> {
+    /// missing, malformed, or stale (`ncols`/`nrows` disagree with the
+    /// heap meta). A stale map is deleted so it cannot be mistaken for
+    /// current later.
+    pub fn load(heap_path: &Path, ncols: usize, nrows: u64) -> Option<ZoneMap> {
         let path = Self::sidecar_path(heap_path);
         let bytes = std::fs::read(&path).ok()?;
         let map = Self::from_bytes(&bytes).ok();
         let valid = map
             .as_ref()
-            .is_some_and(|m| m.ncols == ncols && m.nrows == nrows && m.format == format);
+            .is_some_and(|m| m.ncols == ncols && m.nrows == nrows);
         if !valid {
             std::fs::remove_file(&path).ok();
             return None;
@@ -267,7 +258,6 @@ impl ZoneMap {
         let ncols = u32::from_le_bytes(crate::page::arr(b, 4)) as usize;
         let nrows = u64::from_le_bytes(crate::page::arr(b, 8));
         let npages = u32::from_le_bytes(crate::page::arr(b, 16)) as usize;
-        let format = u16::from_le_bytes(crate::page::arr(b, 20));
         let ext_pages = u16::from_le_bytes(crate::page::arr(b, 22)) as u32;
         let next = u32::from_le_bytes(crate::page::arr(b, 24)) as usize;
         let seg = u32::from_le_bytes(crate::page::arr(b, 28)) as usize;
@@ -301,7 +291,6 @@ impl ZoneMap {
         Ok(ZoneMap {
             ncols,
             nrows,
-            format,
             mins: take(pn),
             maxs: take(pn),
             ext_mins: take(en),
@@ -318,7 +307,7 @@ mod tests {
 
     #[test]
     fn observe_tracks_min_max_per_page() {
-        let mut z = ZoneMap::new(2, 0);
+        let mut z = ZoneMap::new(2);
         z.observe(1, &[1.0, -5.0]);
         z.observe(1, &[3.0, -1.0]);
         z.observe(2, &[10.0, 0.0]);
@@ -336,7 +325,7 @@ mod tests {
 
     #[test]
     fn upper_levels_envelop_lower_levels() {
-        let mut z = ZoneMap::new(1, 0);
+        let mut z = ZoneMap::new(1);
         // Pages 1 and 64 fall in extent 0; page 65 starts extent 1.
         z.observe(1, &[5.0]);
         z.observe(64, &[-2.0]);
@@ -359,7 +348,7 @@ mod tests {
             assert!(smin[0] <= pmin[0] && smax[0] >= pmax[0]);
         }
         assert!(z.extent_bounds(2).is_none());
-        assert!(ZoneMap::new(1, 0).segment_bounds().is_none());
+        assert!(ZoneMap::new(1).segment_bounds().is_none());
     }
 
     #[test]
@@ -367,44 +356,31 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("segdiff-zones-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let heap = dir.join("t.tbl");
-        let mut z = ZoneMap::new(3, 0);
+        let mut z = ZoneMap::new(3);
         z.observe(1, &[1.0, 2.0, 3.0]);
         z.observe(2, &[-1.0, 0.0, 9.0]);
         z.observe(70, &[5.0, 5.0, 5.0]);
         z.save(&heap).unwrap();
-        let loaded = ZoneMap::load(&heap, 3, 3, 0).expect("valid sidecar loads");
+        let loaded = ZoneMap::load(&heap, 3, 3).expect("valid sidecar loads");
         assert_eq!(loaded.page_bounds(2), z.page_bounds(2));
         assert_eq!(loaded.extent_bounds(1), z.extent_bounds(1));
         assert_eq!(loaded.segment_bounds(), z.segment_bounds());
-        assert_eq!(loaded.format(), 0);
+        // Bytes 20..22 are reserved: earlier releases stamped a page format
+        // there, and their sidecars still load.
+        let mut stamped = std::fs::read(ZoneMap::sidecar_path(&heap)).unwrap();
+        assert_eq!(stamped[20..22], [0, 0]);
+        stamped[20] = 1;
+        std::fs::write(ZoneMap::sidecar_path(&heap), stamped).unwrap();
+        assert!(ZoneMap::load(&heap, 3, 3).is_some());
         // Row-count mismatch (e.g. recovery truncation): discarded + deleted.
-        assert!(ZoneMap::load(&heap, 3, 1, 0).is_none());
+        assert!(ZoneMap::load(&heap, 3, 1).is_none());
         assert!(
             !ZoneMap::sidecar_path(&heap).exists(),
             "stale sidecar must be deleted"
         );
         // Malformed bytes: rejected.
         std::fs::write(ZoneMap::sidecar_path(&heap), b"junk").unwrap();
-        assert!(ZoneMap::load(&heap, 3, 2, 0).is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn format_mismatch_discards_sidecar() {
-        // The satellite regression: a sidecar built over one page format
-        // must be treated exactly like a row-count mismatch when the heap
-        // has been rewritten in the other format.
-        let dir = std::env::temp_dir().join(format!("segdiff-zones-fmt-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let heap = dir.join("t.tbl");
-        let mut z = ZoneMap::new(2, 0);
-        z.observe(1, &[1.0, 2.0]);
-        z.save(&heap).unwrap();
-        assert!(ZoneMap::load(&heap, 2, 1, 1).is_none(), "format 0 != 1");
-        assert!(
-            !ZoneMap::sidecar_path(&heap).exists(),
-            "stale-format sidecar must be deleted"
-        );
+        assert!(ZoneMap::load(&heap, 3, 2).is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -423,7 +399,7 @@ mod tests {
         v1.extend_from_slice(&1.0f64.to_le_bytes());
         v1.extend_from_slice(&1.0f64.to_le_bytes());
         std::fs::write(ZoneMap::sidecar_path(&heap), &v1).unwrap();
-        assert!(ZoneMap::load(&heap, 1, 1, 0).is_none(), "v1 must not load");
+        assert!(ZoneMap::load(&heap, 1, 1).is_none(), "v1 must not load");
         assert!(!ZoneMap::sidecar_path(&heap).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -431,6 +407,6 @@ mod tests {
     #[test]
     fn missing_sidecar_is_none() {
         let heap = std::env::temp_dir().join("segdiff-zones-missing.tbl");
-        assert!(ZoneMap::load(&heap, 2, 0, 0).is_none());
+        assert!(ZoneMap::load(&heap, 2, 0).is_none());
     }
 }

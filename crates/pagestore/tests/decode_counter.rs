@@ -14,22 +14,31 @@ fn pages_decoded_counts_every_decoded_columnar_page_once() {
     std::fs::remove_dir_all(&dir).ok();
     let db = Database::create(&dir, 256).unwrap();
     let cols = ["dt", "dv", "t"];
-    let columnar = db
-        .create_table(TableSpec::new("c", &cols).columnar())
-        .unwrap();
+    let columnar = db.create_table(TableSpec::new("c", &cols)).unwrap();
     let raw = db.create_table(TableSpec::new("r", &cols)).unwrap();
-    let mut rids: Vec<RowId> = Vec::new();
     for i in 0..20_000 {
         let row = [
             300.0 * (i % 90) as f64,
             -(i as f64) * 0.001,
             300.0 * i as f64,
         ];
-        rids.push(columnar.insert(&row).unwrap());
+        columnar.insert(&row).unwrap();
         raw.insert(&row).unwrap();
     }
+    // Rows reach columnar pages by being sealed; in the order they have.
+    db.seal_table("c", &[]).unwrap();
+    assert_eq!(columnar.sealed_rows(), 20_000);
+    let mut rids: Vec<RowId> = Vec::new();
+    let before = decoded();
+    columnar
+        .seq_scan(|rid, _| {
+            rids.push(rid);
+            true
+        })
+        .unwrap();
     let pages = rids[rids.len() - 1] >> 16;
     assert!(pages > 8, "{pages} columnar pages");
+    assert_eq!(decoded() - before, pages, "one row scan");
 
     let mut bufs = Vec::new();
     let before = decoded();
