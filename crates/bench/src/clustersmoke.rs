@@ -294,7 +294,6 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
             "serve".to_string(),
             "--index".to_string(),
             shard_root.display().to_string(),
-            "--all-sensors".to_string(),
             "--sensors".to_string(),
             csv.join(","),
             "--port".to_string(),

@@ -9,12 +9,12 @@ usage:
   segdiff ingest   --index DIR --csv FILE [--epsilon E] [--window-hours H] [--no-smooth]
   segdiff query    --index DIR --kind drop|jump --v V --t-hours H
                    [--plan scan|index] [--refine FILE] [--limit N] [--trace]
-                   [--all-sensors] [--threads N]
+                   [--threads N]
   segdiff stats    --index DIR [--json] [--series]
   segdiff recover  --index DIR [--json]
   segdiff metrics  --index DIR [--json]
   segdiff serve    --index DIR [--port P] [--threads N] [--queue-depth Q]
-                   [--all-sensors] [--sensors 1,2,...] [--json]
+                   [--sensors 1,2,...] [--json]
                    [--sample-ms MS] [--slow-ms MS] [--alert-rules FILE]
   segdiff serve    --index DIR --replica-of http://HOST:PORT [--port P]
                    [--threads N] [--poll-ms MS] [--json]
@@ -66,9 +66,10 @@ pub enum Command {
         /// Skip smoothing before ingest.
         no_smooth: bool,
     },
-    /// Search an index.
+    /// Search what a directory holds: one index, or every `sensor-<k>/`
+    /// index of a transect root.
     Query {
-        /// Index directory.
+        /// Index directory, or transect root.
         index: PathBuf,
         /// "drop" or "jump".
         kind: String,
@@ -84,10 +85,7 @@ pub enum Command {
         limit: usize,
         /// Print an EXPLAIN ANALYZE-style per-phase trace.
         trace: bool,
-        /// Treat `--index` as a transect root and fan out over every
-        /// `sensor-<k>/` index in parallel.
-        all_sensors: bool,
-        /// Worker threads for the `--all-sensors` fan-out.
+        /// Worker threads a transect root's sensors fan out on.
         threads: usize,
     },
     /// Print index statistics.
@@ -115,9 +113,10 @@ pub enum Command {
         /// Emit line-delimited JSON instead of text.
         json: bool,
     },
-    /// Run the HTTP query service over an index.
+    /// Run the HTTP query service over what a directory holds: one
+    /// index, or the `sensor-<k>/` indexes of a transect root.
     Serve {
-        /// Index directory.
+        /// Index directory, or transect root.
         index: PathBuf,
         /// TCP port (0 picks an ephemeral port).
         port: u16,
@@ -125,11 +124,8 @@ pub enum Command {
         threads: usize,
         /// Bounded accept-queue depth (503s beyond it).
         queue_depth: usize,
-        /// Serve a transect root (every `sensor-<k>/` index) instead of
-        /// a single-sensor index.
-        all_sensors: bool,
-        /// Restrict a transect root to these global sensor ids — how a
-        /// cluster shard serves its ring slice (requires --all-sensors).
+        /// Narrow a transect root to these global sensor ids — how a
+        /// cluster shard serves its ring slice.
         sensors: Vec<u32>,
         /// Run as a warm replica of this primary (`http://host:port`):
         /// bootstrap `--index` as the replica root, tail the primary's
@@ -303,7 +299,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
     let mut refine: Option<PathBuf> = None;
     let mut limit = 50usize;
     let mut trace = false;
-    let mut all_sensors = false;
     let mut json = false;
     let mut port = 7878u16;
     let mut threads = 8usize;
@@ -389,7 +384,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     .map_err(|_| "--limit must be an integer")?
             }
             "--trace" => trace = true,
-            "--all-sensors" => all_sensors = true,
             "--json" => json = true,
             "--port" => {
                 port = take_value(argv, &mut i, "--port")?
@@ -515,16 +509,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             if plan != "scan" && plan != "index" {
                 return Err("--plan must be scan or index".into());
             }
-            if all_sensors && refine.is_some() {
-                return Err("--refine needs a single sensor's raw CSV; \
-                            it cannot be combined with --all-sensors"
-                    .into());
-            }
-            if all_sensors && trace {
-                return Err("--trace is per-sensor; \
-                            it cannot be combined with --all-sensors"
-                    .into());
-            }
             if threads == 0 {
                 return Err("--threads must be at least 1".into());
             }
@@ -537,7 +521,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 refine,
                 limit,
                 trace,
-                all_sensors,
                 threads,
             })
         }
@@ -565,12 +548,9 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 return Err("--poll-ms must be at least 1".into());
             }
             let sensors = parse_sensor_list(sensors.as_deref())?;
-            if !sensors.is_empty() && !all_sensors {
-                return Err("--sensors restricts a transect root; add --all-sensors".into());
-            }
-            if replica_of.is_some() && (all_sensors || !sensors.is_empty()) {
+            if replica_of.is_some() && !sensors.is_empty() {
                 return Err("--replica-of mirrors whatever the primary serves; \
-                            it cannot be combined with --all-sensors or --sensors"
+                            it cannot be combined with --sensors"
                     .into());
             }
             Ok(Command::Serve {
@@ -578,7 +558,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 port,
                 threads,
                 queue_depth: queue_depth.max(1),
-                all_sensors,
                 sensors,
                 replica_of,
                 poll_ms,
@@ -770,7 +749,6 @@ mod tests {
                 limit,
                 refine,
                 trace,
-                all_sensors,
                 threads,
                 ..
             } => {
@@ -778,7 +756,6 @@ mod tests {
                 assert_eq!(limit, 50);
                 assert!(refine.is_none());
                 assert!(!trace);
-                assert!(!all_sensors);
                 assert_eq!(threads, 8);
             }
             _ => panic!(),
@@ -786,34 +763,29 @@ mod tests {
     }
 
     #[test]
-    fn parses_all_sensors_query() {
+    fn parses_query_threads() {
         match parse(&argv(
-            "query --index d --kind drop --v -3 --t-hours 1 --all-sensors --threads 4",
+            "query --index d --kind drop --v -3 --t-hours 1 --threads 4",
         ))
         .unwrap()
         {
-            Command::Query {
-                all_sensors,
-                threads,
-                ..
-            } => {
-                assert!(all_sensors);
-                assert_eq!(threads, 4);
-            }
+            Command::Query { threads, .. } => assert_eq!(threads, 4),
             _ => panic!(),
         }
-        // Refinement needs one sensor's raw CSV; rejected with the fan-out.
-        assert!(parse(&argv(
-            "query --index d --kind drop --v -3 --t-hours 1 --all-sensors --refine raw.csv"
-        ))
-        .is_err());
         assert!(parse(&argv(
             "query --index d --kind drop --v -3 --t-hours 1 --threads 0"
         ))
         .is_err());
-        match parse(&argv("serve --index d --all-sensors")).unwrap() {
-            Command::Serve { all_sensors, .. } => assert!(all_sensors),
-            _ => panic!(),
+        // What `--index` holds says whether it is a transect: the flag
+        // that used to say so is gone from `query` and `serve`.
+        for gone in [
+            "query --index d --kind drop --v -3 --t-hours 1 --all-sensors",
+            "serve --index d --all-sensors",
+        ] {
+            assert_eq!(
+                parse(&argv(gone)).unwrap_err(),
+                "unknown flag --all-sensors"
+            );
         }
     }
 
@@ -881,7 +853,6 @@ mod tests {
                 port: 7878,
                 threads: 8,
                 queue_depth: 64,
-                all_sensors: false,
                 sensors: Vec::new(),
                 replica_of: None,
                 poll_ms: 200,
@@ -903,7 +874,6 @@ mod tests {
                 port: 0,
                 threads: 2,
                 queue_depth: 4,
-                all_sensors: false,
                 sensors: Vec::new(),
                 replica_of: None,
                 poll_ms: 200,
@@ -920,20 +890,11 @@ mod tests {
 
     #[test]
     fn parses_shard_serve() {
-        match parse(&argv("serve --index d --all-sensors --sensors 3,7,11")).unwrap() {
-            Command::Serve {
-                all_sensors,
-                sensors,
-                ..
-            } => {
-                assert!(all_sensors);
-                assert_eq!(sensors, vec![3, 7, 11]);
-            }
+        match parse(&argv("serve --index d --sensors 3,7,11")).unwrap() {
+            Command::Serve { sensors, .. } => assert_eq!(sensors, vec![3, 7, 11]),
             _ => panic!(),
         }
-        // A sensor slice only makes sense over a transect root.
-        assert!(parse(&argv("serve --index d --sensors 1,2")).is_err());
-        assert!(parse(&argv("serve --index d --all-sensors --sensors x")).is_err());
+        assert!(parse(&argv("serve --index d --sensors x")).is_err());
     }
 
     #[test]
@@ -955,7 +916,6 @@ mod tests {
         }
         // A replica mirrors the primary's sensor set; slicing it is a
         // contradiction.
-        assert!(parse(&argv("serve --index r --replica-of u --all-sensors")).is_err());
         assert!(parse(&argv("serve --index r --replica-of u --sensors 1")).is_err());
         assert!(parse(&argv("serve --index r --replica-of u --poll-ms 0")).is_err());
     }

@@ -5,6 +5,7 @@ use featurespace::QueryRegion;
 use obs::export::Exporter;
 use obs::json::Json;
 use segdiff::refine::refine_results;
+use segdiff::transect::fan_out;
 use segdiff::{QueryPlan, SegDiffConfig, SegDiffIndex, TransectIndex};
 use sensorgen::{
     generate_sensor, read_csv, smooth::RobustSmoother, write_csv, CadTransectConfig, HOUR,
@@ -40,24 +41,18 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
             refine,
             limit,
             trace,
-            all_sensors,
             threads,
-        } => {
-            if all_sensors {
-                query_all_sensors(&index, &kind, v, t_hours, &plan, limit, threads)
-            } else {
-                query(
-                    &index,
-                    &kind,
-                    v,
-                    t_hours,
-                    &plan,
-                    refine.as_deref(),
-                    limit,
-                    trace,
-                )
-            }
-        }
+        } => query(
+            &index,
+            &kind,
+            v,
+            t_hours,
+            &plan,
+            refine.as_deref(),
+            limit,
+            trace,
+            threads,
+        ),
         Command::Stats {
             index,
             json,
@@ -70,7 +65,6 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
             port,
             threads,
             queue_depth,
-            all_sensors,
             sensors,
             replica_of,
             poll_ms,
@@ -83,7 +77,6 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
             port,
             threads,
             queue_depth,
-            all_sensors,
             sensors,
             replica_of,
             poll_ms,
@@ -258,6 +251,11 @@ fn print_trace_node(node: &obs::TraceNode, depth: usize) {
     }
 }
 
+/// `segdiff query`: searches what `index` holds — every `sensor-<k>/`
+/// index of a transect root, fanned out on a pool of `threads` workers,
+/// or the one index of any other directory. A transect's results print
+/// in sensor order, so the output below the timing header is
+/// byte-identical for every `--threads` value.
 #[allow(clippy::too_many_arguments)]
 fn query(
     index: &Path,
@@ -268,8 +266,8 @@ fn query(
     refine: Option<&Path>,
     limit: usize,
     trace: bool,
+    threads: usize,
 ) -> Result<(), Anyhow> {
-    let idx = SegDiffIndex::open(index, 4096)?;
     let region = match kind {
         "drop" => QueryRegion::drop(t_hours * HOUR, v),
         _ => QueryRegion::jump(t_hours * HOUR, v),
@@ -279,16 +277,44 @@ fn query(
     } else {
         QueryPlan::SeqScan
     };
+    let is_transect = !TransectIndex::scan_ids(index)?.is_empty();
+    let (transect, bare);
+    let (ids, indexes): (&[u32], &[SegDiffIndex]) = if is_transect {
+        transect = TransectIndex::open(index, 4096)?;
+        (transect.sensor_ids(), transect.indexes())
+    } else {
+        bare = SegDiffIndex::open(index, 4096)?;
+        (&[0], std::slice::from_ref(&bare))
+    };
+    if ids.len() > 1 && (refine.is_some() || trace) {
+        return Err(format!(
+            "--refine and --trace read one sensor, and {} holds {} (point --index at one sensor-<k>/)",
+            index.display(),
+            ids.len()
+        )
+        .into());
+    }
     if trace {
         obs::trace_begin();
     }
-    let (results, qstats) = idx.query(&region, plan)?;
-    println!(
-        "{} periods ({} rows examined, {:.2} ms)",
-        results.len(),
-        qstats.rows_considered,
-        qstats.wall_seconds * 1e3
-    );
+    let sensors: Vec<&SegDiffIndex> = indexes.iter().collect();
+    let (per_sensor, qstats) = fan_out(&sensors, threads, |s| s.query(&region, plan))?;
+    let total: usize = per_sensor.iter().map(Vec::len).sum();
+    if is_transect {
+        println!(
+            "{total} periods across {} sensors ({} rows examined, {:.2} ms, {threads} thread{})",
+            ids.len(),
+            qstats.rows_considered,
+            qstats.wall_seconds * 1e3,
+            if threads == 1 { "" } else { "s" },
+        );
+    } else {
+        println!(
+            "{total} periods ({} rows examined, {:.2} ms)",
+            qstats.rows_considered,
+            qstats.wall_seconds * 1e3
+        );
+    }
     if trace {
         if let Some(node) = obs::trace_take() {
             println!();
@@ -315,84 +341,16 @@ fn query(
         );
         println!();
     }
-    for p in results.iter().take(limit) {
-        println!(
-            "start in [{:.1}, {:.1}]  end in [{:.1}, {:.1}]{}",
-            p.t_d,
-            p.t_c,
-            p.t_b,
-            p.t_a,
-            if p.is_self_pair() {
-                "  (single segment)"
-            } else {
-                ""
-            }
-        );
-    }
-    if results.len() > limit {
-        println!("... and {} more (raise --limit)", results.len() - limit);
-    }
-    if let Some(raw_csv) = refine {
-        let series = read_csv(raw_csv)?;
-        let refined = refine_results(&series, &results, &region, 24);
-        let exact = refined.iter().filter(|e| e.meets_threshold).count();
-        println!(
-            "\nrefined against {}: {exact}/{} meet the threshold exactly",
-            raw_csv.display(),
-            refined.len()
-        );
-        for e in refined.iter().filter(|e| e.meets_threshold).take(limit) {
-            println!(
-                "event at t = {:.1} .. {:.1}: change {:.3}",
-                e.t1, e.t2, e.dv
-            );
-        }
-    }
-    Ok(())
-}
-
-/// `segdiff query --all-sensors`: fan one query out over every
-/// `sensor-<k>/` index under the transect root on a pool of `threads`
-/// workers. Results are printed in sensor order, so the output below the
-/// timing header is byte-identical for every `--threads` value.
-fn query_all_sensors(
-    root: &Path,
-    kind: &str,
-    v: f64,
-    t_hours: f64,
-    plan: &str,
-    limit: usize,
-    threads: usize,
-) -> Result<(), Anyhow> {
-    let transect = TransectIndex::open(root, 4096)?;
-    let region = match kind {
-        "drop" => QueryRegion::drop(t_hours * HOUR, v),
-        _ => QueryRegion::jump(t_hours * HOUR, v),
-    };
-    let plan = if plan == "index" {
-        QueryPlan::Index
-    } else {
-        QueryPlan::SeqScan
-    };
-    let (per_sensor, qstats) = transect.query_all_with_threads(&region, plan, threads)?;
-    let total: usize = per_sensor.iter().map(Vec::len).sum();
-    println!(
-        "{total} periods across {} sensors ({} rows examined, {:.2} ms, {threads} thread{})",
-        transect.num_sensors(),
-        qstats.rows_considered,
-        qstats.wall_seconds * 1e3,
-        if threads == 1 { "" } else { "s" },
-    );
+    let indent = if is_transect { "  " } else { "" };
     let mut printed = 0usize;
-    for (k, per) in per_sensor.iter().enumerate() {
-        println!("sensor {k}: {} periods", per.len());
-        for p in per {
-            if printed >= limit {
-                continue;
-            }
+    for (id, pairs) in ids.iter().zip(&per_sensor) {
+        if is_transect {
+            println!("sensor {id}: {} periods", pairs.len());
+        }
+        for p in pairs.iter().take(limit - printed) {
             printed += 1;
             println!(
-                "  start in [{:.1}, {:.1}]  end in [{:.1}, {:.1}]{}",
+                "{indent}start in [{:.1}, {:.1}]  end in [{:.1}, {:.1}]{}",
                 p.t_d,
                 p.t_c,
                 p.t_b,
@@ -407,6 +365,22 @@ fn query_all_sensors(
     }
     if total > limit {
         println!("... and {} more (raise --limit)", total - limit);
+    }
+    if let (Some(raw_csv), [results]) = (refine, per_sensor.as_slice()) {
+        let series = read_csv(raw_csv)?;
+        let refined = refine_results(&series, results, &region, 24);
+        let exact = refined.iter().filter(|e| e.meets_threshold).count();
+        println!(
+            "\nrefined against {}: {exact}/{} meet the threshold exactly",
+            raw_csv.display(),
+            refined.len()
+        );
+        for e in refined.iter().filter(|e| e.meets_threshold).take(limit) {
+            println!(
+                "event at t = {:.1} .. {:.1}: change {:.3}",
+                e.t1, e.t2, e.dv
+            );
+        }
     }
     Ok(())
 }
@@ -662,15 +636,15 @@ fn render_registry(json: bool) -> String {
     }
 }
 
-/// Everything `segdiff serve` parses, bundled so the four serving modes
-/// (single index, full transect, shard subset, warm replica) share one
-/// signature.
+/// Everything `segdiff serve` parses. It serves what `index` holds — one
+/// index, or a transect root's `sensor-<k>/` indexes, which `sensors`
+/// narrows to a shard's slice — or, with `replica_of`, a warm replica
+/// bootstrapped into it.
 struct ServeOpts {
     index: std::path::PathBuf,
     port: u16,
     threads: usize,
     queue_depth: usize,
-    all_sensors: bool,
     sensors: Vec<u32>,
     replica_of: Option<String>,
     poll_ms: u64,
@@ -727,19 +701,26 @@ fn serve(opts: ServeOpts) -> Result<(), Anyhow> {
     };
     let engine = match &replica {
         Some(r) => r.engine(),
-        None if !opts.sensors.is_empty() => Engine::transect(
-            Arc::new(TransectIndex::open_subset(
-                &opts.index,
-                4096,
-                &opts.sensors,
-            )?),
-            opts.threads,
-        ),
-        None if opts.all_sensors => Engine::transect(
-            Arc::new(TransectIndex::open(&opts.index, 4096)?),
-            opts.threads,
-        ),
-        None => Engine::from(Arc::new(SegDiffIndex::open(&opts.index, 4096)?)),
+        None => {
+            let held = TransectIndex::scan_ids(&opts.index)?;
+            let wanted = if opts.sensors.is_empty() {
+                &held
+            } else {
+                &opts.sensors
+            };
+            if !held.is_empty() {
+                let transect = TransectIndex::open_subset(&opts.index, 4096, wanted)?;
+                Engine::transect(Arc::new(transect), opts.threads)
+            } else if wanted.is_empty() {
+                Engine::from(Arc::new(SegDiffIndex::open(&opts.index, 4096)?))
+            } else {
+                return Err(format!(
+                    "--sensors narrows a transect root, and {} holds no sensor-<k>/ index",
+                    opts.index.display()
+                )
+                .into());
+            }
+        }
     };
     let rules = match &opts.alert_rules {
         Some(path) => segdiff::alerts::AlertRuleSet::load(path)?,

@@ -345,10 +345,57 @@ fn http_once(addr: &str, method: &str, path: &str, body: Option<&str>) -> (u16, 
     (status, body)
 }
 
+/// `segdiff serve` with `args` on an ephemeral port, stopped over HTTP.
+/// The pipe stays open until then: the server prints as it exits.
+struct Serving {
+    child: std::process::Child,
+    out: std::io::BufReader<std::process::ChildStdout>,
+    banner: String,
+    addr: String,
+}
+
+impl Serving {
+    /// Drains the server; returns what it printed on the way out.
+    fn shut_down(mut self) -> String {
+        let (status, _) = http_once(&self.addr, "POST", "/shutdown", None);
+        assert_eq!(status, 200);
+        let exit = self.child.wait().expect("serve exits");
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut self.out, &mut rest).unwrap();
+        assert!(exit.success(), "serve exited with {exit:?}: {rest}");
+        rest
+    }
+}
+
+fn spawn_serve(args: &[&str]) -> Serving {
+    use std::io::BufRead;
+    let mut child = Command::new(bin())
+        .arg("serve")
+        .args(args)
+        .args(["--port", "0"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn segdiff serve");
+    let mut out = std::io::BufReader::new(child.stdout.take().unwrap());
+    let mut banner = String::new();
+    out.read_line(&mut banner).unwrap();
+    let addr = banner
+        .split("http://")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
+        .to_string();
+    Serving {
+        child,
+        out,
+        banner,
+        addr,
+    }
+}
+
 #[test]
 fn serve_answers_http_queries_matching_offline_results() {
-    use std::io::BufRead;
-
     let (dir, _csv, idx) = build_ten_day_index("serve");
 
     // Offline ground truth through the ordinary query subcommand.
@@ -375,29 +422,8 @@ fn serve_answers_http_queries_matching_offline_results() {
         .collect();
 
     // Serve the same index on an ephemeral port.
-    let mut child = Command::new(bin())
-        .args([
-            "serve",
-            "--index",
-            idx.to_str().unwrap(),
-            "--port",
-            "0",
-            "--threads",
-            "4",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn segdiff serve");
-    let mut child_out = std::io::BufReader::new(child.stdout.take().unwrap());
-    let mut banner = String::new();
-    child_out.read_line(&mut banner).unwrap();
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
-        .to_string();
+    let serving = spawn_serve(&["--index", idx.to_str().unwrap(), "--threads", "4"]);
+    let addr = serving.addr.clone();
 
     let (status, body) = http_once(&addr, "GET", "/healthz", None);
     assert_eq!(status, 200, "{body}");
@@ -461,12 +487,7 @@ fn serve_answers_http_queries_matching_offline_results() {
 
     // Clean shutdown over HTTP: process drains and exits 0 with a final
     // telemetry snapshot in the same shape as `segdiff metrics`.
-    let (status, _) = http_once(&addr, "POST", "/shutdown", None);
-    assert_eq!(status, 200);
-    let exit = child.wait().expect("serve exits");
-    assert!(exit.success(), "serve exited with {exit:?}");
-    let mut rest = String::new();
-    std::io::Read::read_to_string(&mut child_out, &mut rest).unwrap();
+    let rest = serving.shut_down();
     assert!(rest.contains("final telemetry"), "{rest}");
     assert!(rest.contains("server.requests"), "{rest}");
     assert!(rest.contains("cache.hit"), "{rest}");
@@ -474,18 +495,30 @@ fn serve_answers_http_queries_matching_offline_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `query --all-sensors` fans out over a transect root; the result
-/// listing (everything below the timing header) must be byte-identical
-/// whatever `--threads` is — the CLI face of the parallel-fan-out
-/// determinism guarantee.
+/// `query` and `serve` open what `--index` holds. Over a transect root
+/// that is every `sensor-<k>/` index, fanned out: the listing below the
+/// timing header is each sensor's own listing under a `sensor <k>:` line
+/// — what `--all-sensors` printed while the flag existed — byte-identical
+/// whatever `--threads` is; the flag itself is now a usage error, and
+/// `--refine` / `--trace`, which read one sensor, refuse a root that
+/// holds several.
 #[test]
-fn all_sensors_query_is_thread_count_invariant() {
+fn a_transect_root_is_queried_and_served_as_what_it_holds() {
     let dir = tmp("transect");
     let root = dir.join("transect");
+    let search = [
+        "--kind",
+        "drop",
+        "--v",
+        "-2",
+        "--t-hours",
+        "1",
+        "--limit",
+        "100000",
+    ];
 
     // Build a three-sensor transect through the ordinary single-sensor
-    // commands: each `sensor-<k>/` directory is a complete index, which
-    // is exactly the layout `--all-sensors` discovers.
+    // commands: each `sensor-<k>/` directory is a complete index.
     for k in 0..3u32 {
         let csv = dir.join(format!("s{k}.csv"));
         let o = run(&[
@@ -511,45 +544,122 @@ fn all_sensors_query_is_thread_count_invariant() {
         assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
     }
 
+    let mut total = 0;
     for plan in ["scan", "index"] {
-        let mut outputs = Vec::new();
-        for threads in ["1", "8"] {
+        // One sensor's directory is a bare index: header, then periods.
+        let mut expected = String::new();
+        total = 0;
+        for k in 0..3 {
+            let sensor = root.join(format!("sensor-{k}"));
             let o = run(&[
-                "query",
-                "--index",
-                root.to_str().unwrap(),
-                "--all-sensors",
-                "--threads",
-                threads,
-                "--kind",
-                "drop",
-                "--v",
-                "-2",
-                "--t-hours",
-                "1",
-                "--plan",
-                plan,
-                "--limit",
-                "100000",
-            ]);
+                &["query", "--index", sensor.to_str().unwrap(), "--plan", plan],
+                &search[..],
+            ]
+            .concat());
             assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
             let text = stdout(&o);
+            let periods: Vec<&str> = text.lines().skip(1).collect();
             assert!(
-                text.contains("across 3 sensors"),
-                "missing fan-out header: {text}"
+                text.starts_with(&format!("{} periods (", periods.len())),
+                "{text}"
             );
-            // Drop the first line: it carries wall time and thread count.
-            let body: String = text.lines().skip(1).collect::<Vec<_>>().join("\n");
-            assert!(body.contains("sensor 0:"), "{text}");
-            outputs.push(body);
+            assert!(
+                periods.iter().all(|l| l.starts_with("start in [")),
+                "{text}"
+            );
+            expected.push_str(&format!("sensor {k}: {} periods\n", periods.len()));
+            for line in &periods {
+                expected.push_str(&format!("  {line}\n"));
+            }
+            total += periods.len();
         }
-        assert_eq!(
-            outputs[0], outputs[1],
-            "plan {plan}: results differ between --threads 1 and --threads 8"
-        );
+        assert!(total > 0, "the search must match something");
+        for threads in ["1", "8"] {
+            let o = run(&[
+                &[
+                    "query",
+                    "--index",
+                    root.to_str().unwrap(),
+                    "--plan",
+                    plan,
+                    "--threads",
+                    threads,
+                ],
+                &search[..],
+            ]
+            .concat());
+            assert!(o.status.success(), "{}", String::from_utf8_lossy(&o.stderr));
+            let text = stdout(&o);
+            // The first line carries wall time and thread count.
+            let (header, body) = text.split_once('\n').unwrap();
+            assert!(
+                header.starts_with(&format!("{total} periods across 3 sensors (")),
+                "{header}"
+            );
+            assert_eq!(body, expected, "plan {plan}, --threads {threads}");
+        }
     }
 
-    // Both plans agree on the total period count per sensor.
+    let query_root = |extra: &[&str]| {
+        let o = run(&[
+            &["query", "--index", root.to_str().unwrap()],
+            &search[..],
+            extra,
+        ]
+        .concat());
+        (
+            o.status.code(),
+            String::from_utf8_lossy(&o.stderr).to_string(),
+        )
+    };
+    let (code, err) = query_root(&["--all-sensors"]);
+    assert_eq!(code, Some(2), "{err}");
+    assert!(err.contains("unknown flag --all-sensors"), "{err}");
+    for reads_one_sensor in [&["--refine", "raw.csv"][..], &["--trace"]] {
+        let (code, err) = query_root(reads_one_sensor);
+        assert_eq!(code, Some(1), "{err}");
+        assert!(err.contains("holds 3"), "{err}");
+    }
+
+    // Served: the same sensors, each behind its result cache.
+    let serving = spawn_serve(&["--index", root.to_str().unwrap()]);
+    assert!(
+        serving.banner.contains("(primary, 3 sensors,"),
+        "{}",
+        serving.banner
+    );
+    let query = r#"{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"}"#;
+    for cached in [false, true] {
+        let (status, body) = http_once(&serving.addr, "POST", "/query", Some(query));
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains(&format!("\"cached\":{cached},")), "{body}");
+        assert!(body.contains(&format!("\"count\":{total},")), "{body}");
+        assert!(body.contains("\"sensors\":3,"), "{body}");
+    }
+    serving.shut_down();
+
+    // `--sensors` narrows a root to a shard's slice, and nothing else.
+    let serving = spawn_serve(&["--index", root.to_str().unwrap(), "--sensors", "2,1"]);
+    assert!(
+        serving.banner.contains("(primary, 2 sensors,"),
+        "{}",
+        serving.banner
+    );
+    let (_, body) = http_once(&serving.addr, "GET", "/healthz", None);
+    assert!(body.contains("\"sensor_ids\":[1,2]"), "{body}");
+    serving.shut_down();
+    let sensor = root.join("sensor-0");
+    let o = run(&[
+        "serve",
+        "--index",
+        sensor.to_str().unwrap(),
+        "--sensors",
+        "0",
+    ]);
+    assert_eq!(o.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&o.stderr);
+    assert!(err.contains("--sensors narrows a transect root"), "{err}");
+
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -558,8 +668,6 @@ fn all_sensors_query_is_thread_count_invariant() {
 /// `stats --series` runs the same sampler offline.
 #[test]
 fn observability_subcommands_round_trip() {
-    use std::io::BufRead;
-
     let (dir, _csv, idx) = build_ten_day_index("observe");
 
     // stats --series runs the sampler offline over a probe query.
@@ -587,31 +695,9 @@ fn observability_subcommands_round_trip() {
 
     // Serve with a fast sampler, then read the observability routes back
     // through the dedicated subcommands.
-    let mut child = Command::new(bin())
-        .args([
-            "serve",
-            "--index",
-            idx.to_str().unwrap(),
-            "--port",
-            "0",
-            "--threads",
-            "2",
-            "--sample-ms",
-            "50",
-        ])
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::piped())
-        .spawn()
-        .expect("spawn segdiff serve");
-    let mut child_out = std::io::BufReader::new(child.stdout.take().unwrap());
-    let mut banner = String::new();
-    child_out.read_line(&mut banner).unwrap();
-    let addr = banner
-        .split("http://")
-        .nth(1)
-        .and_then(|rest| rest.split_whitespace().next())
-        .unwrap_or_else(|| panic!("no address in banner: {banner:?}"))
-        .to_string();
+    let index = idx.to_str().unwrap();
+    let serving = spawn_serve(&["--index", index, "--threads", "2", "--sample-ms", "50"]);
+    let addr = serving.addr.clone();
     let url = format!("http://{addr}");
 
     // Give the rings content and the sampler a few periods.
@@ -653,10 +739,7 @@ fn observability_subcommands_round_trip() {
     assert!(text.contains("qps"), "{text}");
     assert!(text.contains("alerts fired:"), "{text}");
 
-    let (status, _) = http_once(&addr, "POST", "/shutdown", None);
-    assert_eq!(status, 200);
-    let exit = child.wait().expect("serve exits");
-    assert!(exit.success(), "serve exited with {exit:?}");
+    serving.shut_down();
     std::fs::remove_dir_all(&dir).ok();
 }
 

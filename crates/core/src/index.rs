@@ -286,16 +286,11 @@ jump_hist {} {} {}
     fn write_meta(&self) -> Result<()> {
         // Atomic replace: a crash mid-write must never leave a truncated
         // meta file next to good tables.
-        let tmp = self.dir.join("segdiff.meta.tmp");
-        std::fs::write(&tmp, self.meta_text())?;
-        if self.db.durability().sync {
-            std::fs::File::open(&tmp)?.sync_all()?;
-        }
-        std::fs::rename(&tmp, Self::meta_path(&self.dir))?;
-        if self.db.durability().sync {
-            pagestore::wal::sync_dir(&self.dir)?;
-        }
-        Ok(())
+        pagestore::write_atomic(
+            &Self::meta_path(&self.dir),
+            self.meta_text().as_bytes(),
+            self.db.durability().sync,
+        )
     }
 
     /// The configuration this index was built with.
@@ -480,20 +475,46 @@ jump_hist {} {} {}
         region: &QueryRegion,
         plan: QueryPlan,
     ) -> Result<(Arc<Vec<SegmentPair>>, QueryStats, bool)> {
-        let key = CacheKey::new(region, plan, self.epoch());
-        let start = Instant::now();
-        if let Some(results) = self.cache.get(&key) {
-            let stats = QueryStats {
-                wall_seconds: start.elapsed().as_secs_f64(),
-                results: results.len() as u64,
-                ..QueryStats::default()
-            };
-            return Ok((results, stats, true));
+        match self.cached(region, plan) {
+            Some((results, stats)) => Ok((results, stats, true)),
+            None => self
+                .query_into_cache(region, plan)
+                .map(|(results, stats)| (results, stats, false)),
         }
+    }
+
+    /// The hit half of [`SegDiffIndex::query_cached`]: the answer the
+    /// result cache holds for this query at the current epoch, if any.
+    /// Apart, so that a fan-out over several sensors can look all of them
+    /// up on its own thread and send only the misses to the worker pool
+    /// ([`crate::transect::fan_out_cached`]).
+    pub(crate) fn cached(
+        &self,
+        region: &QueryRegion,
+        plan: QueryPlan,
+    ) -> Option<(Arc<Vec<SegmentPair>>, QueryStats)> {
+        let start = Instant::now();
+        let results = self.cache.get(&CacheKey::new(region, plan, self.epoch()))?;
+        let stats = QueryStats {
+            wall_seconds: start.elapsed().as_secs_f64(),
+            results: results.len() as u64,
+            ..QueryStats::default()
+        };
+        Some((results, stats))
+    }
+
+    /// The miss half of [`SegDiffIndex::query_cached`]: runs the query
+    /// and caches its answer under the epoch it started at.
+    pub(crate) fn query_into_cache(
+        &self,
+        region: &QueryRegion,
+        plan: QueryPlan,
+    ) -> Result<(Arc<Vec<SegmentPair>>, QueryStats)> {
+        let key = CacheKey::new(region, plan, self.epoch());
         let (results, stats) = self.query(region, plan)?;
         let results = Arc::new(results);
         self.cache.insert(key, Arc::clone(&results));
-        Ok((results, stats, false))
+        Ok((results, stats))
     }
 
     /// Runs a drop or jump search; returns the matching segment pairs

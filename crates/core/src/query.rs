@@ -81,6 +81,30 @@ pub struct QueryStats {
     pub phases: Vec<PhaseStats>,
 }
 
+impl QueryStats {
+    /// Folds in the stats of the same query run beside this one on
+    /// another sensor: rows, results and I/O sum — phase by phase, by
+    /// name, so the phase `io` deltas still tile `io` — and wall time
+    /// takes the slower of the two, the sensors having run in parallel.
+    pub fn absorb(&mut self, other: QueryStats) {
+        self.wall_seconds = self.wall_seconds.max(other.wall_seconds);
+        self.rows_considered += other.rows_considered;
+        self.results += other.results;
+        self.io = self.io.merged(&other.io);
+        for phase in other.phases {
+            match self.phases.iter_mut().find(|p| p.name == phase.name) {
+                Some(m) => {
+                    m.wall_seconds = m.wall_seconds.max(phase.wall_seconds);
+                    m.rows_in += phase.rows_in;
+                    m.rows_out += phase.rows_out;
+                    m.io = m.io.merged(&phase.io);
+                }
+                None => self.phases.push(phase),
+            }
+        }
+    }
+}
+
 /// Rejects a search for pairs further apart than the window `w` a store
 /// was built with: their features were never extracted, so the store has
 /// no answer, and says so with an error naming the window.

@@ -15,6 +15,7 @@ use featurespace::QueryRegion;
 use pagestore::{Result, StoreError};
 use sensorgen::TimeSeries;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A collection of per-sensor SegDiff indexes under one root directory
 /// (`<root>/sensor-<k>/`).
@@ -150,6 +151,11 @@ impl TransectIndex {
         &self.ids
     }
 
+    /// The per-sensor indexes, parallel to [`TransectIndex::sensor_ids`].
+    pub fn indexes(&self) -> &[SegDiffIndex] {
+        &self.sensors
+    }
+
     /// Position of global sensor id `sensor`, or an error naming it.
     fn pos(&self, sensor: u32) -> Result<usize> {
         self.ids
@@ -211,45 +217,18 @@ impl TransectIndex {
         self.query_all_with_threads(region, plan, self.sensors.len())
     }
 
-    /// Like [`TransectIndex::query_all`], but fans the per-sensor queries
-    /// out on a fixed pool of at most `threads` worker threads
-    /// ([`crate::pool::run_on_pool`]). Results are identical for every
-    /// thread count — per-sensor execution is independent and the merge
-    /// preserves sensor order — which the integration tests assert.
+    /// Like [`TransectIndex::query_all`], but on a pool of at most
+    /// `threads` worker threads ([`fan_out`]). Results are identical for
+    /// every thread count — per-sensor execution is independent and the
+    /// merge preserves sensor order — which the integration tests assert.
     pub fn query_all_with_threads(
         &self,
         region: &QueryRegion,
         plan: QueryPlan,
         threads: usize,
     ) -> Result<(Vec<Vec<SegmentPair>>, QueryStats)> {
-        let outcomes: Vec<Result<(Vec<SegmentPair>, QueryStats)>> =
-            crate::pool::run_on_pool(threads.max(1), self.sensors.len(), |k| {
-                self.sensors[k].query(region, plan)
-            });
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut merged = QueryStats::default();
-        for outcome in outcomes {
-            let (r, s) = outcome?;
-            merged.wall_seconds = merged.wall_seconds.max(s.wall_seconds);
-            merged.rows_considered += s.rows_considered;
-            merged.results += s.results;
-            merged.io = merged.io.merged(&s.io);
-            // Merge phases by name: rows and I/O sum across sensors; wall
-            // time takes the slowest sensor (phases ran in parallel).
-            for phase in s.phases {
-                match merged.phases.iter_mut().find(|p| p.name == phase.name) {
-                    Some(m) => {
-                        m.wall_seconds = m.wall_seconds.max(phase.wall_seconds);
-                        m.rows_in += phase.rows_in;
-                        m.rows_out += phase.rows_out;
-                        m.io = m.io.merged(&phase.io);
-                    }
-                    None => merged.phases.push(phase),
-                }
-            }
-            results.push(r);
-        }
-        Ok((results, merged))
+        let sensors: Vec<&SegDiffIndex> = self.sensors.iter().collect();
+        fan_out(&sensors, threads, |s| s.query(region, plan))
     }
 
     /// Queries only the named global sensor ids on the worker pool,
@@ -266,32 +245,12 @@ impl TransectIndex {
         let mut wanted = ids.to_vec();
         wanted.sort_unstable();
         wanted.dedup();
-        let mut positions = Vec::with_capacity(wanted.len());
-        for &id in &wanted {
-            positions.push(self.pos(id)?);
-        }
-        let outcomes: Vec<Result<(Vec<SegmentPair>, QueryStats)>> =
-            crate::pool::run_on_pool(threads.max(1), positions.len(), |i| {
-                self.sensors[positions[i]].query(region, plan)
-            });
-        let mut results = Vec::with_capacity(outcomes.len());
-        let mut merged = QueryStats::default();
-        for (id, outcome) in wanted.into_iter().zip(outcomes) {
-            let (r, s) = outcome?;
-            merged.wall_seconds = merged.wall_seconds.max(s.wall_seconds);
-            merged.rows_considered += s.rows_considered;
-            merged.results += s.results;
-            merged.io = merged.io.merged(&s.io);
-            results.push((id, r));
-        }
-        Ok((results, merged))
-    }
-
-    /// Sum of the per-sensor invalidation epochs; changes whenever any
-    /// sensor's data changes, so it can version fan-out query responses
-    /// the way [`SegDiffIndex::epoch`] versions single-sensor ones.
-    pub fn epoch(&self) -> u64 {
-        self.sensors.iter().map(|s| s.epoch()).sum()
+        let sensors = wanted
+            .iter()
+            .map(|&id| self.sensor(id))
+            .collect::<Result<Vec<_>>>()?;
+        let (results, stats) = fan_out(&sensors, threads, |s| s.query(region, plan))?;
+        Ok((wanted.into_iter().zip(results).collect(), stats))
     }
 
     /// Flushes every sensor's database (dirty pages + checkpoint).
@@ -314,6 +273,66 @@ impl TransectIndex {
             .map(|s| s.stats().feature_payload_bytes)
             .sum()
     }
+}
+
+/// The one fan-out: runs `run` on each of `sensors` on a pool of at most
+/// `threads` workers ([`crate::pool::run_on_pool`], which runs a single
+/// task, or a pool of one, on the calling thread) and folds the
+/// per-sensor statistics into one ([`QueryStats::absorb`]). Outputs keep
+/// the order of `sensors` whatever the thread count. The sensors need
+/// not share a [`TransectIndex`]: a server fans out over whatever it
+/// serves.
+pub fn fan_out<T: Send>(
+    sensors: &[&SegDiffIndex],
+    threads: usize,
+    run: impl Fn(&SegDiffIndex) -> Result<(T, QueryStats)> + Sync,
+) -> Result<(Vec<T>, QueryStats)> {
+    let outcomes = crate::pool::run_on_pool(threads.max(1), sensors.len(), |i| run(sensors[i]));
+    let mut results = Vec::with_capacity(outcomes.len());
+    let mut merged = QueryStats::default();
+    for outcome in outcomes {
+        let (r, stats) = outcome?;
+        merged.absorb(stats);
+        results.push(r);
+    }
+    Ok((results, merged))
+}
+
+/// One sensor's answer, shared with the result cache that holds it.
+pub type CachedAnswer = Arc<Vec<SegmentPair>>;
+
+/// [`fan_out`] through the sensors' result caches
+/// ([`SegDiffIndex::query_cached`], a sensor at a time): the hits are
+/// collected on the calling thread — one hash lookup each — and only the
+/// misses run, on the pool, filling their caches. Returns each sensor's
+/// (shared) answer in the order of `sensors`, the merged statistics, and
+/// whether every answer came from a cache.
+pub fn fan_out_cached(
+    sensors: &[&SegDiffIndex],
+    region: &QueryRegion,
+    plan: QueryPlan,
+    threads: usize,
+) -> Result<(Vec<CachedAnswer>, QueryStats, bool)> {
+    let mut stats = QueryStats::default();
+    let mut answers = Vec::with_capacity(sensors.len());
+    let (mut missed, mut missed_at) = (Vec::new(), Vec::new());
+    for &sensor in sensors {
+        let (results, hit) = sensor.cached(region, plan).unwrap_or_else(|| {
+            missed.push(sensor);
+            missed_at.push(answers.len());
+            Default::default()
+        });
+        stats.absorb(hit);
+        answers.push(results);
+    }
+    if !missed.is_empty() {
+        let (filled, ran) = fan_out(&missed, threads, |s| s.query_into_cache(region, plan))?;
+        stats.absorb(ran);
+        for (at, results) in missed_at.into_iter().zip(filled) {
+            answers[at] = results;
+        }
+    }
+    Ok((answers, stats, missed.is_empty()))
 }
 
 #[cfg(test)]
@@ -376,6 +395,36 @@ mod tests {
             assert_eq!(r1, rd, "{plan:?}: default fan-out disagrees");
             assert_eq!(s1.results, s8.results);
             assert_eq!(s1.rows_considered, s8.rows_considered);
+        }
+        std::fs::remove_dir_all(&root).ok();
+    }
+
+    /// What `index::tests::phase_io_deltas_tile_the_query` holds for one
+    /// sensor holds for the merged stats of every fan-out: the phase I/O
+    /// deltas sum to the query's total, component for component.
+    #[test]
+    fn merged_phase_io_deltas_tile_the_fan_out() {
+        let (t, root) = build("phases", 4, 3);
+        t.build_indexes_all().unwrap();
+        let region = QueryRegion::drop(1.0 * HOUR, -3.0);
+        for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+            for threads in [1, 4] {
+                let (_, all) = t.query_all_with_threads(&region, plan, threads).unwrap();
+                let (_, subset) = t
+                    .query_subset_with_threads(&[3, 1], &region, plan, threads)
+                    .unwrap();
+                for (what, stats) in [("all sensors", all), ("a subset", subset)] {
+                    let context = format!("{plan:?}, {threads} threads, {what}");
+                    assert!(stats.io.hits > 0, "{context}: the query read no page");
+                    let mut summed = pagestore::PoolStats::default();
+                    for p in &stats.phases {
+                        summed = summed.merged(&p.io);
+                    }
+                    assert_eq!(summed, stats.io, "{context}: phases do not tile the query");
+                    let refine = stats.phases.last().unwrap();
+                    assert_eq!(refine.rows_out, stats.results, "{context}");
+                }
+            }
         }
         std::fs::remove_dir_all(&root).ok();
     }

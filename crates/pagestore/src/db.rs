@@ -10,13 +10,12 @@ use crate::heap::HeapFile;
 use crate::pagefile::{FileId, PageFile};
 use crate::recovery::{self, RecoveryReport};
 use crate::table::Table;
-use crate::wal::{sync_dir, CommitState, Wal, WAL_FILE};
+use crate::wal::{sync_dir, write_atomic, CommitState, Wal, WAL_FILE};
 use crate::StoreError;
 use parking_lot::Mutex;
 use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -78,18 +77,7 @@ impl DurabilityOptions {
 /// directory fsync, so a crash mid-write leaves the old or the new
 /// catalog, never a mix or an empty file.
 pub(crate) fn write_catalog(dir: &Path, text: &str, sync: bool) -> Result<()> {
-    let tmp = dir.join("catalog.txt.tmp");
-    let mut file = fs::File::create(&tmp)?;
-    file.write_all(text.as_bytes())?;
-    if sync {
-        file.sync_all()?;
-    }
-    drop(file);
-    fs::rename(&tmp, dir.join(CATALOG))?;
-    if sync {
-        sync_dir(dir)?;
-    }
-    Ok(())
+    write_atomic(&dir.join(CATALOG), text.as_bytes(), sync)
 }
 
 /// Declares a table to be created: name plus column names.

@@ -76,7 +76,7 @@ pub use heap::{CompressionStats, HeapFile, RowId, ScanPage, ZoneScanStats};
 pub use pagefile::{FileId, PageFile, PageId};
 pub use recovery::RecoveryReport;
 pub use table::{Index, Table, BUFFER_ENTRIES};
-pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
+pub use wal::{write_atomic, CommitState, Wal, WalSegment, WAL_FILE};
 pub use zonemap::{ZoneMap, EXTENT_PAGES, ZONE_LEVELS};
 
 /// Size of every page in bytes.

@@ -375,7 +375,6 @@ struct WalInner {
 /// pool).
 pub struct Wal {
     path: PathBuf,
-    dir: PathBuf,
     inner: Mutex<WalInner>,
     sync: bool,
     group_commit: u64,
@@ -389,7 +388,6 @@ impl Wal {
     pub fn create(dir: &Path, state: &CommitState, sync: bool, group_commit: u64) -> Result<Wal> {
         let wal = Wal {
             path: dir.join(WAL_FILE),
-            dir: dir.to_path_buf(),
             inner: Mutex::new(WalInner {
                 // Placeholder; checkpoint() replaces the file handle.
                 file: OpenOptions::new()
@@ -432,7 +430,6 @@ impl Wal {
         file.seek(SeekFrom::End(0))?;
         Ok(Wal {
             path,
-            dir: dir.to_path_buf(),
             inner: Mutex::new(WalInner {
                 file,
                 next_lsn,
@@ -533,15 +530,8 @@ impl Wal {
         encode_state(&mut payload, state);
         let frame = frame_bytes(&payload);
 
-        let tmp = self.dir.join("wal.log.tmp");
-        let mut f = File::create(&tmp)?;
-        f.write_all(&frame)?;
+        write_atomic(&self.path, &frame, self.sync)?;
         if self.sync {
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        if self.sync {
-            sync_dir(&self.dir)?;
             self.metrics.fsyncs.inc();
         }
         // Re-open the renamed file for appending.
@@ -579,6 +569,29 @@ fn frame_bytes(payload: &[u8]) -> Vec<u8> {
     frame.extend_from_slice(&crc32(payload).to_le_bytes());
     frame.extend_from_slice(payload);
     frame
+}
+
+/// Replaces the small file at `path` with `bytes` atomically: written to
+/// `<path>.tmp` through one handle, fsynced through it when `sync`,
+/// renamed over `path`, and — again when `sync` — the directory fsynced,
+/// so a crash leaves the old file or the new one, never a mix or an
+/// empty file. Without `sync` the rename is still atomic against readers
+/// and process crashes, which is all derived data needs.
+pub fn write_atomic(path: &Path, bytes: &[u8], sync: bool) -> Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut file = File::create(&tmp)?;
+    file.write_all(bytes)?;
+    if sync {
+        file.sync_all()?;
+    }
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    if let (true, Some(dir)) = (sync, path.parent()) {
+        sync_dir(dir)?;
+    }
+    Ok(())
 }
 
 /// Fsyncs a directory so a just-created or just-renamed entry survives

@@ -220,13 +220,10 @@ impl ZoneMap {
         out
     }
 
-    /// Writes the sidecar for `heap_path` atomically (temp + rename).
+    /// Writes the sidecar for `heap_path` atomically, unsynced: it is
+    /// derived data, rebuilt from the heap when missing or stale.
     pub fn save(&self, heap_path: &Path) -> Result<()> {
-        let path = Self::sidecar_path(heap_path);
-        let tmp = path.with_extension("zones.tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
+        crate::wal::write_atomic(&Self::sidecar_path(heap_path), &self.to_bytes(), false)
     }
 
     /// Loads the sidecar for `heap_path`, returning `None` when it is

@@ -17,8 +17,9 @@
 //! process serving all sensors without a float being parsed or printed.
 //!
 //! Failure semantics: a connection the shard idled out is retried once
-//! on a fresh one; a shard whose selected endpoint still errors gets
-//! one immediate failover retry via [`HealthBoard::report_failure`]; if
+//! on a fresh one; a shard whose selected endpoint still errors — or
+//! answers `503`: a replica reopening its store, a full accept queue —
+//! gets one immediate failover retry via [`HealthBoard::report_failure`]; if
 //! no endpoint serves it, the whole query degrades to a structured
 //! `503 {"error": ..., "unavailable_sensors": [...]}` naming exactly
 //! the sensors this query needed from dead shards — queries whose
@@ -276,21 +277,31 @@ fn query_shard(
     let Some((addr, _)) = board.endpoint(shard) else {
         return Err(ShardFailure::Unavailable(sensors.to_vec()));
     };
-    metrics.scatter_requests.inc();
-    let (status, bytes) = match upstreams.post_query(&addr, body) {
-        Ok(out) => out,
-        Err(_) => {
+    // An endpoint that answers `503` has nothing to answer from just now
+    // (a replica between two refreshes of its store, or a full accept
+    // queue): to this query that is a connection that failed.
+    let attempt = |addr: &str| {
+        metrics.scatter_requests.inc();
+        let answered = upstreams
+            .post_query(addr, body)
+            .ok()
+            .filter(|(status, _)| *status != 503);
+        if answered.is_none() {
             metrics.shard_errors.inc();
+        }
+        answered
+    };
+    let (status, bytes) = match attempt(&addr) {
+        Some(out) => out,
+        None => {
             // Failover: re-probe now and retry once on whatever
             // endpoint the board selects next (typically the replica).
             let Some((next, _)) = board.report_failure(shard, &addr) else {
                 return Err(ShardFailure::Unavailable(sensors.to_vec()));
             };
-            metrics.scatter_requests.inc();
-            match upstreams.post_query(&next, body) {
-                Ok(out) => out,
-                Err(_) => {
-                    metrics.shard_errors.inc();
+            match attempt(&next) {
+                Some(out) => out,
+                None => {
                     board.report_failure(shard, &next);
                     return Err(ShardFailure::Unavailable(sensors.to_vec()));
                 }
@@ -742,5 +753,80 @@ mod tests {
         // reconnect fails, and only then does the caller see an error.
         assert!(upstreams.post_query(&addr, "{}").is_err());
         assert!(upstreams.idle.lock().expect("lock").is_empty());
+    }
+
+    /// A scripted endpoint: answers one request a connection, in order,
+    /// each with the path it must be for.
+    fn scripted(script: Vec<(&'static str, Response)>) -> (String, std::thread::JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let served = std::thread::spawn(move || {
+            for (path, response) in script {
+                let (mut stream, _) = listener.accept().expect("accept");
+                let request = read_request(&mut BufReader::new(&stream)).expect("request");
+                assert_eq!(request.path, path);
+                response
+                    .with_close()
+                    .write_to(&mut stream)
+                    .expect("respond");
+            }
+        });
+        (addr, served)
+    }
+
+    /// A shard endpoint that answers `503` — a replica whose cell is
+    /// empty mid-refresh says so, where it used to say `400` — is a
+    /// failed endpoint to the query in hand: reported, re-probed, and the
+    /// query answered by the shard's other endpoint.
+    #[test]
+    fn a_shard_that_answers_503_is_failed_over_like_a_dead_connection() {
+        let healthz = || {
+            Response::json(
+                200,
+                &Json::obj([
+                    ("status", Json::from("ok")),
+                    ("sensor_ids", Json::Array(vec![Json::Uint(4)])),
+                ]),
+            )
+        };
+        let pair = SegmentPair {
+            t_d: 0.0,
+            t_c: 300.0,
+            t_b: 600.0,
+            t_a: 900.0,
+        };
+        let answer = shard_response(&[(4, vec![pair])], true);
+        // Healthy at start-up, `503` to the query, gone at the re-probe.
+        let (primary, primary_thread) = scripted(vec![
+            ("/healthz", healthz()),
+            (
+                "/query",
+                Response::error(503, "engine unavailable: reload in progress"),
+            ),
+            ("/healthz", Response::error(500, "going away")),
+        ]);
+        let (replica, replica_thread) = scripted(vec![
+            ("/healthz", healthz()),
+            ("/query", Response::json_bytes(200, answer.clone())),
+        ]);
+        let board = HealthBoard::new(vec![crate::ShardSpec {
+            primary: primary.clone(),
+            replica: Some(replica.clone()),
+        }]);
+        board.probe_all();
+        assert_eq!(board.endpoint(0).map(|(addr, _)| addr), Some(primary));
+
+        let metrics = RouterMetrics::new();
+        let errors_before = metrics.shard_errors.get();
+        let answered = query_shard(&board, &Upstreams::default(), &metrics, 0, &[4], "{}");
+        let Ok(answered) = answered else {
+            panic!("the replica's answer must be the shard's");
+        };
+        assert_eq!(answered.body, answer);
+        assert_eq!(answered.entries.len(), 1);
+        assert_eq!(board.endpoint(0).map(|(addr, _)| addr), Some(replica));
+        assert!(metrics.shard_errors.get() > errors_before);
+        primary_thread.join().expect("fake primary");
+        replica_thread.join().expect("fake replica");
     }
 }

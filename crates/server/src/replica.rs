@@ -175,7 +175,7 @@ impl Replica {
 
     /// The swappable engine to serve queries from.
     pub fn engine(&self) -> Engine {
-        Engine::Swappable(Arc::clone(&self.cell))
+        Engine::over(Arc::clone(&self.cell), self.cfg.threads)
     }
 
     /// Sensors this replica mirrors, ascending.
@@ -370,8 +370,7 @@ impl Replica {
         self.cell.clear();
         let index = TransectIndex::open(&self.cfg.root, self.cfg.pool_pages)
             .map_err(|e| format!("open replica index: {e}"))?;
-        self.cell
-            .set(Engine::transect(Arc::new(index), self.cfg.threads));
+        self.cell.set(index);
         self.cell
             .set_applied_lsn(self.cursors.values().copied().max().unwrap_or(0));
         self.engine_stale = false;
@@ -384,11 +383,14 @@ impl Replica {
         for (sensor, lsn) in &self.cursors {
             text.push_str(&format!("{sensor} {lsn}\n"));
         }
-        let tmp = self.cfg.root.join("replica.cursor.tmp");
-        std::fs::write(&tmp, text).map_err(|e| format!("write {}: {e}", tmp.display()))?;
-        std::fs::rename(&tmp, self.cfg.root.join(CURSOR_FILE))
-            .map_err(|e| format!("persist {CURSOR_FILE}: {e}"))?;
-        Ok(())
+        // Synced like the frames the cursor counts (`append_frames`): a
+        // cursor may lag the local log, never lead it.
+        pagestore::write_atomic(
+            &self.cfg.root.join(CURSOR_FILE),
+            text.as_bytes(),
+            sync_from_env(),
+        )
+        .map_err(|e| format!("persist {CURSOR_FILE}: {e}"))
     }
 }
 

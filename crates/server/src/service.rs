@@ -3,8 +3,8 @@
 //! The service is the pure request→response core of the server: it owns
 //! no sockets and no threads, which makes every route unit-testable
 //! without networking. Handlers run concurrently on worker threads over
-//! one shared read-only [`SegDiffIndex`], so everything here takes
-//! `&self`.
+//! the shared read-only indexes of one [`Engine`], so everything here
+//! takes `&self`.
 //!
 //! Every request is traced: the service assigns a process-unique trace
 //! id, installs it in the handler thread (whence it propagates onto the
@@ -26,6 +26,7 @@ use obs::tracering::TraceRecord;
 use obs::TraceNode;
 use pagestore::StoreError;
 use parking_lot::RwLock;
+use segdiff::transect::{fan_out_cached, CachedAnswer};
 use segdiff::{
     QueryPlan, QueryStats, SegDiffIndex, SegmentPair, Subscription, SubscriptionRegistry,
     TransectIndex,
@@ -64,280 +65,203 @@ impl ShardRole {
     }
 }
 
-/// The query backend a [`Service`] executes against: one sensor's index,
-/// or a whole transect fanned out on the worker pool
-/// ([`TransectIndex::query_all_with_threads`]).
+/// The sensors a [`Service`] answers for: whatever its [`EngineCell`]
+/// holds. Every method reads the cell through one accessor
+/// ([`Engine::with_sensors`]), so there is one query path whatever is
+/// held — each wanted sensor answers through its own result cache.
 #[derive(Clone)]
-pub enum Engine {
-    /// One sensor's index, answered through its epoch-tagged result cache.
-    Single(Arc<SegDiffIndex>),
-    /// A transect of per-sensor indexes queried in parallel; results are
-    /// concatenated in sensor order, so responses are deterministic for
-    /// every `threads` value.
-    Transect {
-        /// The per-sensor index collection.
-        index: Arc<TransectIndex>,
-        /// Worker threads per fan-out query.
-        threads: usize,
-    },
-    /// An engine behind a hot-swappable cell, so a replica's WAL tail
-    /// loop can atomically replace the whole index after applying
-    /// shipped frames while queries keep flowing.
-    Swappable(Arc<EngineCell>),
+pub struct Engine {
+    cell: Arc<EngineCell>,
+    /// Worker threads the cache misses of one query fan out on (min 1).
+    threads: usize,
 }
 
-/// A hot-swappable engine slot shared between serving threads and a
-/// replica's tail loop.
-///
-/// The slot briefly holds `None` mid-refresh: the outgoing engine must
-/// drop (closing its buffer pools and file handles) before the
-/// refreshed one recovers over the same files. Queries landing in that
-/// window get a typed "engine reloading" error instead of torn reads.
-/// The cell must hold a non-swappable engine; nesting cells would
-/// self-deadlock.
+/// The slot an [`Engine`] serves from. A replica's tail loop shares it
+/// and swaps what it holds after applying shipped frames: the outgoing
+/// indexes must close their files before the refreshed ones recover over
+/// them, so the slot is empty in between. A query holds the read guard
+/// while it runs — [`EngineCell::clear`] waits for those in flight — and
+/// one landing in the gap is answered `503`, never from torn pages.
 pub struct EngineCell {
-    engine: RwLock<Option<Engine>>,
-    /// Highest primary LSN a tailing replica has applied (0 until the
-    /// first refresh; primaries never set it).
+    held: RwLock<Option<Held>>,
+    /// Highest primary LSN a tailing replica has applied (0 on a primary).
     applied_lsn: AtomicU64,
 }
 
+enum Held {
+    /// One index outside any transect root, served as sensor 0.
+    Bare(Arc<SegDiffIndex>),
+    /// A transect root's indexes: all of them, or a shard's slice.
+    Transect(Arc<TransectIndex>),
+}
+
 impl EngineCell {
-    /// A cell initially holding `engine`.
-    pub fn new(engine: Engine) -> Arc<EngineCell> {
+    fn holding(held: Option<Held>) -> Arc<EngineCell> {
         Arc::new(EngineCell {
-            engine: RwLock::new(Some(engine)),
+            held: RwLock::new(held),
             applied_lsn: AtomicU64::new(0),
         })
     }
 
-    /// An initially empty cell (queries get the typed reload error
-    /// until [`EngineCell::set`] installs an engine).
+    /// An empty cell, for a replica to [`EngineCell::set`].
     pub fn empty() -> Arc<EngineCell> {
-        Arc::new(EngineCell {
-            engine: RwLock::new(None),
-            applied_lsn: AtomicU64::new(0),
-        })
+        EngineCell::holding(None)
     }
 
-    /// Empties the slot, dropping the current engine (and with it every
-    /// open file handle) before a refresh reopens the same directory.
+    /// Empties the slot, dropping the indexes it held and with them
+    /// every open file, before a refresh reopens the directory.
     pub fn clear(&self) {
-        self.engine.write().take();
+        self.held.write().take();
     }
 
-    /// Installs a fresh engine.
-    pub fn set(&self, engine: Engine) {
-        *self.engine.write() = Some(engine);
+    /// Installs a freshly opened transect.
+    pub fn set(&self, index: TransectIndex) {
+        *self.held.write() = Some(Held::Transect(Arc::new(index)));
     }
 
-    /// Whether the slot currently holds an engine.
-    pub fn is_loaded(&self) -> bool {
-        self.engine.read().is_some()
-    }
-
-    /// Records the highest primary LSN applied by the replica tail loop.
+    /// Records the highest primary LSN the replica's tail loop applied.
     pub fn set_applied_lsn(&self, lsn: u64) {
         self.applied_lsn.store(lsn, Ordering::Release);
     }
-
-    /// The highest primary LSN applied so far (0 on primaries).
-    pub fn applied_lsn(&self) -> u64 {
-        self.applied_lsn.load(Ordering::Acquire)
-    }
-
-    /// Runs `f` on the held engine, or returns `default` mid-refresh.
-    fn with_engine<R>(&self, default: R, f: impl FnOnce(&Engine) -> R) -> R {
-        let guard = self.engine.read();
-        match guard.as_ref() {
-            Some(engine) => f(engine),
-            None => default,
-        }
-    }
 }
 
-/// The typed error queries see while an [`EngineCell`] is mid-refresh.
-fn engine_reloading() -> StoreError {
-    StoreError::NotFound("engine unavailable: reload in progress".to_string())
+/// What an engine serves at one moment: `indexes[i]` is global sensor
+/// `ids[i]`, ascending.
+struct Sensors<'a> {
+    ids: &'a [u32],
+    indexes: &'a [SegDiffIndex],
+    /// A bare index's answers carry no `sensors` count.
+    bare: bool,
 }
 
-/// Aggregates per-sensor recovery reports into `(clean, replayed_pages,
-/// truncated_rows)`; sensors without a report count as clean.
-fn recovery_of<'a>(sensors: impl Iterator<Item = &'a SegDiffIndex>) -> (bool, u64, u64) {
-    let (mut clean, mut replayed, mut truncated) = (true, 0u64, 0u64);
-    for idx in sensors {
-        if let Some(r) = idx.recovery_report() {
-            clean &= r.clean;
-            replayed += r.replayed_pages;
-            truncated += r.truncated_rows;
-        }
+impl<'a> Sensors<'a> {
+    fn get(&self, sensor: u32) -> Option<&'a SegDiffIndex> {
+        self.indexes.get(self.ids.binary_search(&sensor).ok()?)
     }
-    (clean, replayed, truncated)
 }
 
 impl Engine {
-    /// A transect engine with an explicit worker-pool size (min 1).
+    /// An engine over a transect, with a worker-pool size.
     pub fn transect(index: Arc<TransectIndex>, threads: usize) -> Engine {
-        Engine::Transect {
-            index,
-            threads: threads.max(1),
-        }
+        Engine::over(EngineCell::holding(Some(Held::Transect(index))), threads)
     }
 
-    /// Executes one query restricted to `sensors` (None = all served),
-    /// returning per-sensor result lists in ascending sensor order — the
-    /// order a flat response concatenates them in and a scatter–gather
-    /// router splices them in. The bool reports whether the answer came
-    /// from a result cache (the transect path is always computed fresh).
-    /// Unknown sensor ids are a `NotFound` error.
+    /// An engine over a replica's cell; `threads` as in [`Engine::transect`].
+    pub fn over(cell: Arc<EngineCell>, threads: usize) -> Engine {
+        let threads = threads.max(1);
+        Engine { cell, threads }
+    }
+
+    /// Runs `f` on what the cell holds, the read guard held until it
+    /// returns; `None` from an empty cell. The one place that knows how
+    /// the sensors are held.
+    fn with_sensors<R>(&self, f: impl FnOnce(Sensors<'_>) -> R) -> Option<R> {
+        let held = self.cell.held.read();
+        let (ids, indexes, bare) = match held.as_ref()? {
+            Held::Bare(index) => (&[0][..], std::slice::from_ref(index.as_ref()), true),
+            Held::Transect(t) => (t.sensor_ids(), t.indexes(), false),
+        };
+        Some(f(Sensors { ids, indexes, bare }))
+    }
+
+    /// Executes one query on `wanted` (`None`: every sensor served), each
+    /// sensor through its result cache ([`fan_out_cached`]). Parts come
+    /// back in ascending sensor order — the order a flat response
+    /// concatenates and a router splices them in — with whether every one
+    /// came from a cache. `Ok(None)`: the cell is empty.
     fn query(
         &self,
         region: &featurespace::QueryRegion,
         plan: QueryPlan,
-        sensors: Option<&[u32]>,
-    ) -> pagestore::Result<(SensorResults, QueryStats, bool)> {
-        match self {
-            Engine::Single(idx) => {
-                if let Some(&bad) = sensors.unwrap_or(&[]).iter().find(|&&sensor| sensor != 0) {
-                    return Err(StoreError::NotFound(format!(
-                        "sensor {bad} (this shard serves sensor 0 only)"
-                    )));
-                }
-                let (results, stats, cached) = idx.query_cached(region, plan)?;
-                Ok((vec![(0, results)], stats, cached))
-            }
-            Engine::Transect { index, threads } => {
-                let ids = sensors.unwrap_or(index.sensor_ids());
-                let (parts, stats) =
-                    index.query_subset_with_threads(ids, region, plan, *threads)?;
-                let parts = parts.into_iter().map(|(id, r)| (id, Arc::new(r))).collect();
-                Ok((parts, stats, false))
-            }
-            Engine::Swappable(cell) => {
-                let guard = cell.engine.read();
-                match guard.as_ref() {
-                    Some(engine) => engine.query(region, plan, sensors),
-                    None => Err(engine_reloading()),
-                }
-            }
-        }
+        wanted: Option<&[u32]>,
+    ) -> pagestore::Result<Option<(SensorResults, QueryStats, bool)>> {
+        let answer = |held: Sensors<'_>| {
+            let mut ids = wanted.unwrap_or(held.ids).to_vec();
+            ids.sort_unstable();
+            ids.dedup();
+            let unknown = |id| format!("bad sensor filter: sensor {id} is not served here");
+            let picked = ids
+                .iter()
+                .map(|&id| held.get(id).ok_or_else(|| unknown(id)))
+                .collect::<Result<Vec<_>, _>>()
+                .map_err(StoreError::InvalidArgument)?;
+            let (parts, stats, cached) = fan_out_cached(&picked, region, plan, self.threads)?;
+            Ok((ids.into_iter().zip(parts).collect(), stats, cached))
+        };
+        self.with_sensors(answer).transpose()
     }
 
-    /// The invalidation epoch versioning responses.
+    /// The epoch versioning responses: the sum of the sensors' epochs.
     pub fn epoch(&self) -> u64 {
-        match self {
-            Engine::Single(idx) => idx.epoch(),
-            Engine::Transect { index, .. } => index.epoch(),
-            Engine::Swappable(cell) => cell.with_engine(0, Engine::epoch),
-        }
+        let sum = |s: Sensors<'_>| s.indexes.iter().map(SegDiffIndex::epoch).sum();
+        self.with_sensors(sum).unwrap_or(0)
     }
 
-    /// Entries currently held in result caches.
+    /// Entries currently held in the sensors' result caches.
     fn cache_entries(&self) -> usize {
-        match self {
-            Engine::Single(idx) => idx.result_cache().len(),
-            Engine::Transect { .. } => 0,
-            Engine::Swappable(cell) => cell.with_engine(0, Engine::cache_entries),
-        }
+        let sum = |s: Sensors<'_>| s.indexes.iter().map(|i| i.result_cache().len()).sum();
+        self.with_sensors(sum).unwrap_or(0)
     }
 
     /// Number of sensors served.
     pub fn num_sensors(&self) -> u32 {
-        match self {
-            Engine::Single(_) => 1,
-            Engine::Transect { index, .. } => index.num_sensors(),
-            Engine::Swappable(cell) => cell.with_engine(0, Engine::num_sensors),
-        }
+        self.with_sensors(|s| s.ids.len() as u32).unwrap_or(0)
+    }
+
+    /// The `sensors` count of a `/query` answer: none from a bare index.
+    fn served(&self) -> Option<u32> {
+        self.with_sensors(|s| (!s.bare).then_some(s.ids.len() as u32))?
     }
 
     /// The global sensor ids this engine serves, ascending.
     pub fn sensor_ids(&self) -> Vec<u32> {
-        match self {
-            Engine::Single(_) => vec![0],
-            Engine::Transect { index, .. } => index.sensor_ids().to_vec(),
-            Engine::Swappable(cell) => cell.with_engine(Vec::new(), Engine::sensor_ids),
-        }
+        self.with_sensors(|s| s.ids.to_vec()).unwrap_or_default()
     }
 
-    /// The on-disk directory backing `sensor`, when this engine serves
-    /// it (the WAL-shipping routes read `wal.log` and data files here).
+    /// The directory backing `sensor`, when this engine serves it (the
+    /// WAL-shipping routes read `wal.log` and data files there).
     pub fn sensor_dir(&self, sensor: u32) -> Option<PathBuf> {
-        match self {
-            Engine::Single(idx) => (sensor == 0).then(|| idx.database().dir().to_path_buf()),
-            Engine::Transect { index, .. } => index
-                .sensor(sensor)
-                .ok()
-                .map(|s| s.database().dir().to_path_buf()),
-            Engine::Swappable(cell) => cell.with_engine(None, |e| e.sensor_dir(sensor)),
-        }
+        self.with_sensors(|s| Some(s.get(sensor)?.database().dir().to_path_buf()))?
     }
 
-    /// The highest LSN durably appended to any backing WAL (0 when the
-    /// engine runs without logs).
+    /// The highest LSN durably appended to any backing WAL (0 without logs).
     pub fn last_durable_lsn(&self) -> u64 {
-        fn of(idx: &SegDiffIndex) -> u64 {
-            idx.database()
-                .wal()
-                .map(|w| w.next_lsn().saturating_sub(1))
-                .unwrap_or(0)
-        }
-        match self {
-            Engine::Single(idx) => of(idx),
-            Engine::Transect { index, .. } => index
-                .sensor_ids()
-                .iter()
-                .filter_map(|&sensor| index.sensor(sensor).ok())
-                .map(of)
-                .max()
-                .unwrap_or(0),
-            Engine::Swappable(cell) => cell.with_engine(0, Engine::last_durable_lsn),
-        }
+        let last = |i: &SegDiffIndex| Some(i.database().wal()?.next_lsn().saturating_sub(1));
+        self.with_sensors(|s| s.indexes.iter().filter_map(last).max())
+            .flatten()
+            .unwrap_or(0)
     }
 
-    /// What recovery did when the backing databases opened, aggregated
-    /// as `(all clean, pages replayed, rows truncated)`.
+    /// What recovery did when the backing databases opened: `(all clean,
+    /// pages replayed, rows truncated)`; no report counts as clean.
     pub fn recovery_summary(&self) -> (bool, u64, u64) {
-        match self {
-            Engine::Single(idx) => recovery_of(std::iter::once(idx.as_ref())),
-            Engine::Transect { index, .. } => recovery_of(
-                index
-                    .sensor_ids()
-                    .iter()
-                    .filter_map(|&sensor| index.sensor(sensor).ok()),
-            ),
-            Engine::Swappable(cell) => cell.with_engine((true, 0, 0), Engine::recovery_summary),
-        }
+        let sum = |s: Sensors<'_>| {
+            let reports = s.indexes.iter().filter_map(SegDiffIndex::recovery_report);
+            reports.fold((true, 0, 0), |(clean, replayed, truncated), r| {
+                let (replayed, truncated) =
+                    (replayed + r.replayed_pages, truncated + r.truncated_rows);
+                (clean && r.clean, replayed, truncated)
+            })
+        };
+        self.with_sensors(sum).unwrap_or((true, 0, 0))
     }
 
-    /// The highest primary LSN applied by a tailing replica (0 unless
-    /// this is a swappable replica engine).
+    /// The highest primary LSN a tailing replica applied (0 on a primary).
     pub fn applied_lsn(&self) -> u64 {
-        match self {
-            Engine::Swappable(cell) => cell.applied_lsn(),
-            _ => 0,
-        }
+        self.cell.applied_lsn.load(Ordering::Acquire)
     }
 
     /// Flushes dirty pages (and checkpoints the WAL) on every backing
     /// database; called once the server has drained.
     pub fn flush(&self) -> pagestore::Result<()> {
-        match self {
-            Engine::Single(idx) => idx.database().flush(),
-            Engine::Transect { index, .. } => index.flush_all(),
-            Engine::Swappable(cell) => {
-                let guard = cell.engine.read();
-                match guard.as_ref() {
-                    Some(engine) => engine.flush(),
-                    None => Ok(()),
-                }
-            }
-        }
+        let flush = |s: Sensors<'_>| s.indexes.iter().try_for_each(|i| i.database().flush());
+        self.with_sensors(flush).unwrap_or(Ok(()))
     }
 }
 
 impl From<Arc<SegDiffIndex>> for Engine {
     fn from(index: Arc<SegDiffIndex>) -> Engine {
-        Engine::Single(index)
+        Engine::over(EngineCell::holding(Some(Held::Bare(index))), 1)
     }
 }
 
@@ -647,7 +571,7 @@ fn parse_u64_param(req: &Request, key: &str, default: u64) -> Result<u64, String
 /// One query's answer per sensor, ascending. A result-cache hit shares
 /// the cached vector, so nothing between the cache and the socket
 /// copies a pair.
-type SensorResults = Vec<(u32, Arc<Vec<SegmentPair>>)>;
+type SensorResults = Vec<(u32, CachedAnswer)>;
 
 /// What one result pair prints to, rounded up: four 7-byte keys, four
 /// time stamps of ≈ 9 digits, a brace and a comma.
@@ -682,7 +606,7 @@ struct Envelope<'a> {
     stats: &'a QueryStats,
     cached: bool,
     epoch: u64,
-    /// `sensors`: how many the engine serves (transect engines only).
+    /// `sensors`: how many the engine serves ([`Engine::served`]).
     served: Option<u32>,
     trace_id: u64,
     /// The span tree, when the request asked for it.
@@ -727,7 +651,7 @@ pub fn open_answer(
 /// byte-identical to the unfiltered response over the same sensors), or
 /// `by_sensor` entries for `per_sensor`. The arrays are written in
 /// place, into a buffer reserved once.
-fn write_answer(env: &Envelope, parts: &[(u32, Arc<Vec<SegmentPair>>)]) -> Vec<u8> {
+fn write_answer(env: &Envelope, parts: &[(u32, CachedAnswer)]) -> Vec<u8> {
     let spec = env.spec;
     let count: usize = parts.iter().map(|(_, r)| r.len()).sum();
     let mut out = Vec::with_capacity(512 + 48 * parts.len() + PAIR_JSON_BYTES * count);
@@ -1001,14 +925,14 @@ impl Service {
         self.metrics.queries.inc();
         let start = Instant::now();
         obs::trace_begin();
-        let filtered = spec.per_sensor || !spec.sensors.is_empty();
         let subset = (!spec.sensors.is_empty()).then_some(spec.sensors.as_slice());
         let outcome = self.engine.query(&spec.region(), spec.query_plan(), subset);
         let trace = obs::trace_take();
         let (parts, stats, cached) = match outcome {
-            Ok(t) => t,
-            Err(StoreError::NotFound(m)) if filtered => {
-                let resp = Response::error(400, format!("bad sensor filter: {m}"));
+            Ok(Some(t)) => t,
+            // A replica reopening its store: not the caller's mistake.
+            Ok(None) => {
+                let resp = Response::error(503, "engine unavailable: reload in progress");
                 return Handled(resp.into(), trace);
             }
             Err(StoreError::InvalidArgument(m)) => {
@@ -1025,10 +949,7 @@ impl Service {
             stats: &stats,
             cached,
             epoch: self.engine.epoch(),
-            served: match &self.engine {
-                Engine::Single(_) => None,
-                Engine::Transect { .. } | Engine::Swappable(_) => Some(self.engine.num_sensors()),
-            },
+            served: self.engine.served(),
             trace_id,
             trace: trace.as_ref().filter(|_| spec.trace),
         };
@@ -1600,7 +1521,7 @@ mod tests {
 
     /// The tree-built `/query` body, as `Service::query` assembled it
     /// before [`write_answer`].
-    fn tree_answer(env: &Envelope, parts: &[(u32, Arc<Vec<SegmentPair>>)]) -> String {
+    fn tree_answer(env: &Envelope, parts: &[(u32, CachedAnswer)]) -> String {
         let spec = env.spec;
         let count: usize = parts.iter().map(|(_, r)| r.len()).sum();
         let mut fields = Vec::new();
@@ -1713,35 +1634,45 @@ mod tests {
         crate::http::read_request(&mut std::io::BufReader::new(raw.as_bytes())).unwrap()
     }
 
-    /// Every `/query` shape, on the single-sensor engine (cache miss,
-    /// then hit) and the transect engine: the written body equals the
-    /// tree-built one byte for byte — same envelope values on both
-    /// sides, so `trace_id` and `wall_ms` compare too — and what
-    /// `Service::handle` serves is that body in canonical form.
-    #[test]
-    fn every_query_shape_is_byte_identical_to_the_tree_built_body() {
-        let dir = TempDir::new("shapes");
+    fn build_transect(root: &std::path::Path, sensors: u32) -> TransectIndex {
         let cfg = CadTransectConfig::default()
             .with_days(3)
-            .with_sensors(3)
+            .with_sensors(sensors)
             .clean();
-        let mut transect =
-            TransectIndex::create(&dir.0.join("t"), SegDiffConfig::default(), 3).unwrap();
-        for k in 0..3 {
+        let mut transect = TransectIndex::create(root, SegDiffConfig::default(), sensors).unwrap();
+        for k in 0..sensors {
             transect
                 .ingest_series(k, &generate_sensor(&cfg, k, 7))
                 .unwrap();
         }
         transect.finish_all().unwrap();
         transect.build_indexes_all().unwrap();
+        transect
+    }
+
+    /// Every `/query` shape, twice (cache misses, then hits), on a bare
+    /// index, a transect and a replica's loaded cell: the written body
+    /// equals the tree-built one byte for byte — same envelope values on
+    /// both sides, so `trace_id` and `wall_ms` compare too — and what
+    /// `Service::handle` serves is that body in canonical form.
+    #[test]
+    fn every_query_shape_is_byte_identical_to_the_tree_built_body() {
+        let dir = TempDir::new("shapes");
+        let cfg = CadTransectConfig::default().with_days(3).clean();
         let mut single = SegDiffIndex::create(&dir.0.join("s"), SegDiffConfig::default()).unwrap();
         single.ingest_series(&generate_sensor(&cfg, 1, 7)).unwrap();
         single.finish().unwrap();
         single.build_indexes().unwrap();
+        let cell = EngineCell::empty();
+        cell.set(build_transect(&dir.0.join("c"), 3));
         let engines = [
-            (Engine::Single(Arc::new(single)), "0"),
+            (Engine::from(Arc::new(single)), "0"),
             // One fan-out thread: the sensors' spans land on this thread.
-            (Engine::transect(Arc::new(transect), 1), "0,2"),
+            (
+                Engine::transect(Arc::new(build_transect(&dir.0.join("t"), 3)), 1),
+                "0,2",
+            ),
+            (Engine::over(cell, 1), "1,2"),
         ];
 
         let (mut nonempty, mut traced) = (0, 0);
@@ -1760,8 +1691,12 @@ mod tests {
                 r#"{"kind":"drop","v":-90,"t_hours":0.25}"#.to_string(),
                 r#"{"kind":"drop","v":-90,"t_hours":0.25,"per_sensor":true}"#.to_string(),
             ];
+            let bare = engine.served().is_none();
+            assert_eq!(bare, subset == "0");
             let service = Service::new(engine, Arc::new(AtomicBool::new(false)));
-            // Twice: the single engine's second round is all cache hits.
+            // `cached` means every part came from a cache: true exactly
+            // when each wanted sensor has answered this search before.
+            let mut answered = std::collections::HashSet::new();
             for round in 0..2 {
                 for body in &bodies {
                     let spec = QuerySpec::from_json(body).unwrap();
@@ -1770,22 +1705,28 @@ mod tests {
                     let (parts, stats, cached) = service
                         .engine
                         .query(&spec.region(), spec.query_plan(), subset)
+                        .unwrap()
                         .unwrap();
                     let trace = obs::trace_take();
-                    let single = matches!(service.engine, Engine::Single(_));
-                    assert!(single || !cached, "{body}");
-                    assert!(cached || !single || round == 0, "{body}");
+                    let search = format!("{} {} {} {}", spec.kind, spec.v, spec.t_hours, spec.plan);
+                    let fresh = parts
+                        .iter()
+                        .filter(|(sensor, _)| answered.insert((search.clone(), *sensor)))
+                        .count();
+                    assert_eq!(cached, fresh == 0, "{body}");
+                    assert!(cached || round == 0, "{body}");
                     let envelope = Envelope {
                         spec: &spec,
                         stats: &stats,
                         cached,
                         epoch: service.engine.epoch(),
-                        served: (!single).then(|| service.engine.num_sensors()),
+                        served: service.engine.served(),
                         trace_id: 7_000_000 + round,
                         trace: trace.as_ref().filter(|_| spec.trace),
                     };
                     let written = String::from_utf8(write_answer(&envelope, &parts)).unwrap();
                     assert_eq!(written, tree_answer(&envelope, &parts), "{body}");
+                    assert_eq!(written.contains(r#","sensors":3,"#), !bare, "{body}");
                     // A cache hit runs no span, so it has no tree to attach.
                     let has_trace = written.contains(r#","trace":{"span":"#);
                     assert_eq!(has_trace, spec.trace && !cached, "{body}");
@@ -1799,6 +1740,7 @@ mod tests {
                     let served = String::from_utf8(resp.body).unwrap();
                     let doc = Json::parse(&served).unwrap();
                     assert_eq!(doc.to_string_compact(), served, "{body}");
+                    assert_eq!(doc.get("cached"), Some(&Json::Bool(true)), "{body}");
                     let reference = Json::parse(&written).unwrap();
                     for key in ["series", "kind", "v", "t_hours", "plan", "epoch", "count"] {
                         assert_eq!(doc.get(key), reference.get(key), "{key} of {body}");
@@ -1815,33 +1757,115 @@ mod tests {
             }
         }
         assert!(
-            nonempty >= 20,
+            nonempty >= 30,
             "the shapes must carry pairs, got {nonempty}"
         );
-        assert!(traced >= 4, "span trees must be attached, got {traced}");
+        assert!(traced >= 3, "span trees must be attached, got {traced}");
     }
 
-    /// A cache hit hands the cached vector to the writer: no pair is
-    /// copied on the way to the response.
+    /// A cache hit hands the cached vector to the writer — no pair is
+    /// copied on the way to the response — from one sensor or several:
+    /// each part of a transect's answer is the vector that sensor's
+    /// cache holds, and new data in one sensor makes exactly its part a
+    /// miss.
     #[test]
     fn per_sensor_cache_hits_share_the_cached_vector() {
         let dir = TempDir::new("share");
         let series = generate_sensor(&CadTransectConfig::default().with_days(3).clean(), 1, 7);
-        let mut idx = SegDiffIndex::create(&dir.0, SegDiffConfig::default()).unwrap();
+        let mut idx = SegDiffIndex::create(&dir.0.join("s"), SegDiffConfig::default()).unwrap();
         idx.ingest_series(&series).unwrap();
         idx.finish().unwrap();
         let idx = Arc::new(idx);
-        let engine = Engine::Single(Arc::clone(&idx));
+        let engine = Engine::from(Arc::clone(&idx));
         let region = featurespace::QueryRegion::drop(HOUR, -2.0);
-        let (cold, _, cached) = engine
-            .query(&region, QueryPlan::SeqScan, Some(&[0]))
-            .unwrap();
+        let query = |engine: &Engine, wanted: Option<&[u32]>| {
+            engine
+                .query(&region, QueryPlan::SeqScan, wanted)
+                .unwrap()
+                .unwrap()
+        };
+        let (cold, _, cached) = query(&engine, Some(&[0]));
         assert!(!cached && !cold[0].1.is_empty());
-        let (warm, _, cached) = engine.query(&region, QueryPlan::SeqScan, None).unwrap();
+        let (warm, _, cached) = query(&engine, None);
         assert!(cached);
         let (held, _, _) = idx.query_cached(&region, QueryPlan::SeqScan).unwrap();
         assert!(Arc::ptr_eq(&warm[0].1, &held));
         assert!(Arc::ptr_eq(&cold[0].1, &held));
+
+        let root = dir.0.join("t");
+        drop(build_transect(&root, 3));
+        let held_by = |transect: &TransectIndex, sensor: u32| {
+            let sensor = transect.sensor(sensor).unwrap();
+            let (held, _, cached) = sensor.query_cached(&region, QueryPlan::SeqScan).unwrap();
+            assert!(cached, "the engine's query filled this sensor's cache");
+            held
+        };
+        let transect = Arc::new(TransectIndex::open(&root, 256).unwrap());
+        let engine = Engine::transect(Arc::clone(&transect), 2);
+        let (cold, _, cached) = query(&engine, None);
+        assert!(!cached && cold.iter().all(|(_, part)| !part.is_empty()));
+        let (warm, stats, cached) = query(&engine, Some(&[2, 0, 1]));
+        assert!(cached);
+        assert_eq!((stats.rows_considered, stats.io.hits), (0, 0));
+        for (k, (sensor, part)) in warm.iter().enumerate() {
+            assert_eq!(*sensor, k as u32);
+            assert!(Arc::ptr_eq(part, &held_by(&transect, *sensor)));
+            assert!(Arc::ptr_eq(part, &cold[k].1));
+        }
+        // One more segment in sensor 1 alone: its epoch moves, its part
+        // runs again, and the other two still come from their caches.
+        drop(engine);
+        let mut transect = Arc::into_inner(transect).expect("the engine is gone");
+        let last = series.times()[series.len() - 1];
+        for step in 1..=12 {
+            transect
+                .push(
+                    1,
+                    last + 300.0 * f64::from(step),
+                    40.0 * f64::from(step % 2),
+                )
+                .unwrap();
+        }
+        let engine = Engine::transect(Arc::new(transect), 2);
+        let (after, stats, cached) = query(&engine, None);
+        assert!(!cached && stats.rows_considered > 0);
+        for (k, (_, part)) in after.iter().enumerate() {
+            assert_eq!(Arc::ptr_eq(part, &warm[k].1), k != 1, "sensor {k}");
+        }
+    }
+
+    /// A replica mid-refresh has no engine to ask, which is not the
+    /// caller's mistake: `503`, whatever the request's shape — the router
+    /// always sends a sensor filter. An unknown sensor is still a `400`.
+    #[test]
+    fn an_empty_cell_answers_503_and_an_unknown_sensor_400() {
+        let dir = TempDir::new("reload");
+        let cell = EngineCell::empty();
+        let service = Service::new(
+            Engine::over(Arc::clone(&cell), 2),
+            Arc::new(AtomicBool::new(false)),
+        );
+        let routed = r#"{"kind":"drop","v":-2,"t_hours":1,"sensors":[0,1],"per_sensor":true}"#;
+        let unknown = r#"{"kind":"drop","v":-2,"t_hours":1,"sensors":[0,7]}"#;
+        let error_of = |body: &str| {
+            let resp = service.handle(&post_query(body));
+            let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+            let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
+            (resp.status, error.unwrap_or_default())
+        };
+        for body in [routed, unknown, r#"{"kind":"drop","v":-2,"t_hours":1}"#] {
+            let (status, error) = error_of(body);
+            assert_eq!(status, 503, "{body}: {error}");
+            assert!(error.contains("reload in progress"), "{body}: {error}");
+        }
+        assert_eq!(service.engine.sensor_ids(), Vec::<u32>::new());
+        cell.set(build_transect(&dir.0, 2));
+        assert_eq!(service.handle(&post_query(routed)).status, 200);
+        let (status, error) = error_of(unknown);
+        assert_eq!(status, 400, "{error}");
+        assert!(error.contains("bad sensor filter: sensor 7"), "{error}");
+        cell.clear();
+        assert_eq!(error_of(routed).0, 503);
     }
 
     #[test]
