@@ -3,11 +3,12 @@
 use crate::cache::{CacheKey, QueryCache};
 use crate::config::SegDiffConfig;
 use crate::ingest::{FeatureExtractor, FeatureRow};
-use crate::query::{check_window, run_feature_query, QueryPlan, QueryStats};
+use crate::query::{check_window, run_feature_query, Extraction, QueryPlan, QueryStats};
 use crate::result::SegmentPair;
 use crate::stats::{CornerHistogram, SegDiffStats};
 use crate::tables::{
-    encode_row, index_specs, table_cols, table_name, DROP_TABLES, JUMP_TABLES, SEGMENTS_TABLE,
+    encode_row, index_specs, sketch_row, table_cols, table_name, DROP_TABLES, JUMP_TABLES,
+    SEGMENTS_TABLE,
 };
 use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, RecoveryReport, Result, StoreError, Table, TableSpec};
@@ -537,8 +538,19 @@ jump_hist {} {} {}
         let io_before = self.db.stats();
         let start = Instant::now();
         let mut rows_considered = 0u64;
-        let (results, phases) =
-            run_feature_query(&self.db, tables, region, plan, &mut rows_considered)?;
+        let extraction = Extraction {
+            segments: &self.segments_table,
+            epsilon: self.config.epsilon,
+            window: self.config.window,
+        };
+        let (results, phases) = run_feature_query(
+            &self.db,
+            tables,
+            extraction,
+            region,
+            plan,
+            &mut rows_considered,
+        )?;
         let wall = start.elapsed().as_secs_f64();
         span.record("plan", plan.name());
         span.record("kind", region.kind.name());
@@ -608,24 +620,40 @@ jump_hist {} {} {}
     /// every row it holds in a columnar page sealed where it stands when
     /// it opens.
     ///
-    /// Row contents are preserved bit-exactly and no answer depends on row
-    /// order inside a heap (every result is `sort_dedup`ed), so query
-    /// results before and after are identical; ingestion continues to work
-    /// on the sealed tables.
+    /// A sealed feature row keeps its stamps and `Δt`s bit-exactly but
+    /// not its corner `Δv`s: each is stored as its `f32` sketch
+    /// ([`featurespace::sketch::round`]), rounded away from every region
+    /// of the table's kind, and clustered on. The sketch decides which rows a
+    /// search may skip and which it surely answers; the few rows it cannot
+    /// settle are decided on corners recomputed from `segments`, which is
+    /// sealed bit-exactly (see [`featurespace::sketch`]). No answer
+    /// depends on row order inside a heap either (every result is
+    /// `sort_dedup`ed), so query results before and after are identical;
+    /// ingestion continues to work on the sealed tables, and the rows it
+    /// appends stay exact until the next call. The sketch is idempotent:
+    /// a row sealed again keeps its bits, and a row sealed exactly by an
+    /// earlier release is a sketch of itself.
     ///
     /// Returns one `(table name, compression accounting)` entry per
     /// table, in `drop1..3, jump1..3, segments` order.
     pub fn compact_storage(&self) -> Result<Vec<(String, pagestore::CompressionStats)>> {
         let _span = obs::span("ingest.compact");
-        let features = self.drop_tables.iter().chain(self.jump_tables.iter());
         let mut out = Vec::new();
-        for (t, cluster_on) in features
-            .map(|t| (t, &[0, 1][..]))
-            .chain(std::iter::once((&self.segments_table, &[][..])))
-        {
-            self.db.seal_table(t.name(), cluster_on)?;
-            out.push((t.name().to_string(), t.compression_stats()?));
+        for (kind, tables) in [
+            (SearchKind::Drop, &self.drop_tables),
+            (SearchKind::Jump, &self.jump_tables),
+        ] {
+            for (t, corners) in tables.iter().zip(1..) {
+                self.db
+                    .seal_table(t.name(), &[0, 1], |row| sketch_row(kind, corners, row))?;
+                out.push((t.name().to_string(), t.compression_stats()?));
+            }
         }
+        self.db.seal_table(SEGMENTS_TABLE, &[], |_| {})?;
+        out.push((
+            SEGMENTS_TABLE.to_string(),
+            self.segments_table.compression_stats()?,
+        ));
         // Row ids changed wholesale; cached results keyed on the old
         // epoch must never resurface.
         self.bump_epoch();
@@ -681,11 +709,14 @@ jump_hist {} {} {}
     ///    share their boundary point — the segmenter guarantees this, and
     ///    recovery truncates whole segments, never splits one).
     /// 2. Replaying feature extraction over the stored segments reproduces
-    ///    every feature table as a multiset of rows, bit for bit.
-    ///    Extraction is deterministic, so any divergence means the tables
-    ///    and the segment log are from different instants. Order inside a
-    ///    feature heap is not compared: compaction clusters it (see
-    ///    [`SegDiffIndex::compact_storage`]) and later rows append behind.
+    ///    every feature table as a multiset of rows, bit for bit: the rows
+    ///    behind the sealed ones as extracted, the sealed ones as a seal
+    ///    sketches them ([`SegDiffIndex::compact_storage`]) — or, in a
+    ///    table an earlier release sealed and nothing has resealed since,
+    ///    as extracted. Extraction is deterministic, so any divergence
+    ///    means the tables and the segment log are from different
+    ///    instants. Order inside a feature heap is not compared: compaction
+    ///    clusters it and later rows append behind.
     ///
     /// Returns [`StoreError::Corrupt`] describing the first violation.
     pub fn verify_consistency(&self) -> Result<()> {
@@ -698,16 +729,9 @@ jump_hist {} {} {}
                 )));
             }
         }
-        /// The rows of a row-major vector of bit patterns, sorted.
-        fn in_bit_order(flat: &[u64], ncols: usize) -> Vec<&[u64]> {
-            let mut rows: Vec<&[u64]> = flat.chunks_exact(ncols).collect();
-            rows.sort_unstable();
-            rows
-        }
         let mut replay = FeatureExtractor::new(self.config.epsilon, self.config.window);
-        let mut expected: Vec<Vec<u64>> = vec![Vec::new(); 6];
+        let mut expected: Vec<Vec<f64>> = vec![Vec::new(); 6];
         let mut rows = Vec::new();
-        let mut colbuf = Vec::new();
         for seg in &segments {
             rows.clear();
             replay.push_segment(*seg, &mut rows);
@@ -717,43 +741,33 @@ jump_hist {} {} {}
                     SearchKind::Drop => corners - 1,
                     SearchKind::Jump => 3 + corners - 1,
                 };
-                colbuf.clear();
-                encode_row(row, &mut colbuf);
-                expected[slot].extend(colbuf.iter().map(|v| v.to_bits()));
+                encode_row(row, &mut expected[slot]);
             }
         }
-        for (table, want) in self
-            .drop_tables
-            .iter()
-            .chain(self.jump_tables.iter())
-            .zip(&expected)
-        {
+        let tables = [SearchKind::Drop, SearchKind::Jump]
+            .into_iter()
+            .flat_map(|kind| (1..=3).map(move |corners| (kind, corners)))
+            .zip(self.drop_tables.iter().chain(self.jump_tables.iter()));
+        for (((kind, corners), table), want) in tables.zip(&expected) {
             let ncols = table.columns().len();
-            let mut stored: Vec<u64> = Vec::with_capacity(want.len());
+            let mut stored: Vec<f64> = Vec::with_capacity(want.len());
             table.seq_scan(|_, row| {
-                stored.extend(row.iter().map(|v| v.to_bits()));
+                stored.extend_from_slice(row);
                 true
             })?;
-            let (stored, want) = (in_bit_order(&stored, ncols), in_bit_order(want, ncols));
-            if stored != want {
-                let at = stored.iter().zip(&want).take_while(|(s, w)| s == w).count();
-                let floats = |row: Option<&&[u64]>| match row {
-                    Some(r) => format!(
-                        "{:?}",
-                        r.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>()
-                    ),
-                    None => "no row".to_string(),
-                };
-                return Err(StoreError::Corrupt(format!(
-                    "feature table {} disagrees with segment replay ({} rows stored, {} \
-                     expected): of the rows in bit order, number {at} is {} stored and {} expected",
-                    table.name(),
-                    stored.len(),
-                    want.len(),
-                    floats(stored.get(at)),
-                    floats(want.get(at)),
-                )));
+            // The sealed rows lead the heap and are the first rows ingest
+            // stored; the rest follow in both.
+            let sealed = |rows: &[f64]| (table.sealed_rows() as usize * ncols).min(rows.len());
+            let (stored_sealed, stored_tail) = stored.split_at(sealed(&stored));
+            let (want_sealed, want_tail) = want.split_at(sealed(want));
+            let mut sketched = want_sealed.to_vec();
+            for row in sketched.chunks_exact_mut(ncols) {
+                sketch_row(kind, corners, row);
             }
+            let same = |stored: &[f64], want: &[f64]| same_rows(table.name(), ncols, stored, want);
+            same(stored_tail, want_tail)?;
+            same(stored_sealed, &sketched)
+                .or_else(|e| same(stored_sealed, want_sealed).map_err(|_| e))?;
         }
         Ok(())
     }
@@ -768,6 +782,40 @@ jump_hist {} {} {}
         })?;
         Ok(out)
     }
+}
+
+/// Whether the row-major rows `stored` of the feature table `table` are
+/// the rows `want`, bit for bit, as multisets; a [`StoreError::Corrupt`]
+/// naming the table and the first row that differs when not.
+fn same_rows(table: &str, ncols: usize, stored: &[f64], want: &[f64]) -> Result<()> {
+    /// The rows of a row-major vector of bit patterns, sorted.
+    fn in_bit_order(flat: &[u64], ncols: usize) -> Vec<&[u64]> {
+        let mut rows: Vec<&[u64]> = flat.chunks_exact(ncols).collect();
+        rows.sort_unstable();
+        rows
+    }
+    let bits = |flat: &[f64]| flat.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    let (stored, want) = (bits(stored), bits(want));
+    let (stored, want) = (in_bit_order(&stored, ncols), in_bit_order(&want, ncols));
+    if stored == want {
+        return Ok(());
+    }
+    let at = stored.iter().zip(&want).take_while(|(s, w)| s == w).count();
+    let floats = |row: Option<&&[u64]>| match row {
+        Some(r) => format!(
+            "{:?}",
+            r.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>()
+        ),
+        None => "no row".to_string(),
+    };
+    Err(StoreError::Corrupt(format!(
+        "feature table {table} disagrees with segment replay ({} rows stored, {} expected): \
+         of the rows in bit order, number {at} is {} stored and {} expected",
+        stored.len(),
+        want.len(),
+        floats(stored.get(at)),
+        floats(want.get(at)),
+    )))
 }
 
 #[cfg(test)]
@@ -1216,6 +1264,138 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Seals every table of `idx` as `compact_storage` does, but through
+    /// `map` for the feature tables (given the table's kind and corner
+    /// count).
+    fn seal_with(idx: &SegDiffIndex, mut map: impl FnMut(SearchKind, usize, &mut [f64])) {
+        for kind in [SearchKind::Drop, SearchKind::Jump] {
+            for corners in 1..=3 {
+                let name = table_name(kind, corners);
+                idx.db
+                    .seal_table(name, &[0, 1], |row| map(kind, corners, row))
+                    .unwrap();
+            }
+        }
+        idx.db.seal_table(SEGMENTS_TABLE, &[], |_| {}).unwrap();
+    }
+
+    /// The consistency check stays exact on sketched rows: one sealed `Δv`
+    /// an `f32` ulp off its sketch — still a value a seal could write —
+    /// is `Corrupt`, naming its table.
+    #[test]
+    fn a_sealed_dv_one_f32_ulp_off_its_sketch_fails_verification() {
+        let dir = tmpdir("ulp-off");
+        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+        idx.ingest_series(&drop_series()).unwrap();
+        idx.finish().unwrap();
+        let mut nudged = false;
+        seal_with(&idx, |kind, corners, row| {
+            sketch_row(kind, corners, row);
+            if !nudged && (kind, corners) == (SearchKind::Drop, 2) {
+                let bits = (row[1] as f32).to_bits();
+                row[1] = f64::from(f32::from_bits(if row[1] <= 0.0 {
+                    bits + 1
+                } else {
+                    bits - 1
+                }));
+                nudged = true;
+            }
+        });
+        assert!(nudged);
+        match idx.verify_consistency() {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("feature table drop2"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A store sealed the way the release before sketches sealed it —
+    /// every row bit-exact, `Δv`s included — needs no migration: it
+    /// opens, verifies and answers as the row store does, a
+    /// `compact_storage` with nothing behind the seal leaves it exact,
+    /// and the next reseal sketches every row and still verifies.
+    #[test]
+    fn a_store_sealed_with_exact_dvs_opens_verifies_and_answers_as_is() {
+        let (rows_dir, exact_dir) = (tmpdir("exact-rows"), tmpdir("exact-sealed"));
+        let build = |dir: &Path| {
+            let mut idx = SegDiffIndex::create(dir, SegDiffConfig::default()).unwrap();
+            idx.ingest_series(&drop_series()).unwrap();
+            idx.finish().unwrap();
+            idx.build_indexes().unwrap();
+            idx
+        };
+        let rows = build(&rows_dir);
+        let sealed = build(&exact_dir);
+        seal_with(&sealed, |_, _, _| {});
+        sealed.db.flush().unwrap();
+        drop(sealed);
+        let regions = [
+            QueryRegion::drop(HOUR, -3.0),
+            QueryRegion::drop(2.0 * HOUR, -1.0),
+            QueryRegion::drop(0.5 * HOUR, -0.5),
+            QueryRegion::jump(HOUR, 0.5),
+            QueryRegion::jump(4.0 * HOUR, 1.0),
+        ];
+        let answers = |idx: &SegDiffIndex| {
+            let mut all = Vec::new();
+            for region in &regions {
+                for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                    all.push(idx.query(region, plan).unwrap().0);
+                }
+            }
+            all
+        };
+        let want = answers(&rows);
+        assert!(want.iter().any(|a| !a.is_empty()));
+        let feature_bits = |idx: &SegDiffIndex| {
+            let mut bits = Vec::new();
+            for t in idx.drop_tables.iter().chain(idx.jump_tables.iter()) {
+                t.seq_scan(|_, row| {
+                    bits.extend(row.iter().map(|v| v.to_bits()));
+                    true
+                })
+                .unwrap();
+            }
+            bits.sort_unstable();
+            bits
+        };
+        let exact = SegDiffIndex::open(&exact_dir, 4096).unwrap();
+        assert!(exact.drop_tables[1].sealed_rows() > 0);
+        exact.verify_consistency().unwrap();
+        assert!(
+            answers(&exact) == want,
+            "an exactly sealed store answers differently"
+        );
+        exact.compact_storage().unwrap();
+        assert_eq!(
+            feature_bits(&exact),
+            feature_bits(&rows),
+            "a no-op seal moved a Δv"
+        );
+        // Behind the seal, then resealed: every row sketched.
+        drop(exact);
+        let mut exact = SegDiffIndex::open(&exact_dir, 4096).unwrap();
+        let mut rows = SegDiffIndex::open(&rows_dir, 4096).unwrap();
+        let end = drop_series().iter().last().unwrap().0;
+        for (t, v) in drop_series().iter() {
+            exact.push(end + 300.0 + t, v).unwrap();
+            rows.push(end + 300.0 + t, v).unwrap();
+        }
+        exact.finish().unwrap();
+        rows.finish().unwrap();
+        exact.verify_consistency().unwrap();
+        exact.compact_storage().unwrap();
+        exact.verify_consistency().unwrap();
+        assert!(answers(&exact) == answers(&rows), "resealed");
+        assert_ne!(
+            feature_bits(&exact),
+            feature_bits(&rows),
+            "nothing sketched"
+        );
+        std::fs::remove_dir_all(&rows_dir).ok();
+        std::fs::remove_dir_all(&exact_dir).ok();
+    }
+
     #[test]
     fn compaction_clusters_the_feature_heaps_and_leaves_segments_temporal() {
         let dir = tmpdir("clustered");
@@ -1241,17 +1421,33 @@ mod tests {
         assert_eq!(idx.segments().unwrap(), segments, "segments moved");
         assert!(segments.windows(2).all(|w| w[0].t_end == w[1].t_start));
         let mut moved = 0;
-        for (mut before, after) in before.into_iter().zip(features(&idx)) {
+        let tables = [SearchKind::Drop, SearchKind::Jump]
+            .into_iter()
+            .flat_map(|kind| (1..=3).map(move |corners| (kind, corners)));
+        for ((kind, corners), (before, after)) in tables.zip(before.into_iter().zip(features(&idx)))
+        {
             let key = |r: &Vec<u64>| (f64::from_bits(r[0]), f64::from_bits(r[1]));
             assert!(
                 after.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
                 "not in (dt1, dv1) order"
             );
-            moved += usize::from(before != after);
+            // Every row as it was, its corner Δvs sketched.
+            let mut sketched: Vec<Vec<u64>> = before
+                .iter()
+                .map(|bits| {
+                    let mut row: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+                    sketch_row(kind, corners, &mut row);
+                    row.iter().map(|v| v.to_bits()).collect()
+                })
+                .collect();
+            moved += usize::from(sketched != after);
             let mut after = after;
-            before.sort_unstable();
+            sketched.sort_unstable();
             after.sort_unstable();
-            assert!(before == after, "compaction changed a row");
+            assert!(
+                sketched == after,
+                "compaction changed a row beyond its sketch"
+            );
         }
         assert!(moved >= 2, "{moved} heaps were not in key order already");
         std::fs::remove_dir_all(&dir).ok();

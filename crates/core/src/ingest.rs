@@ -111,42 +111,55 @@ impl FeatureExtractor {
                 break;
             }
         }
-        // Cross pairs with every retained segment (truncated if needed).
+        // Cross pairs with every retained segment, then the self pair:
+        // events inside `ab` itself.
         for cd in &self.prev {
-            let cd_eff = match cd.truncate_left(win_start) {
-                Some(s) => s,
-                None => continue, // zero overlap after truncation
-            };
-            self.pairs_emitted += 1;
-            for kind in [SearchKind::Drop, SearchKind::Jump] {
-                if let Some(boundary) = extract_boundary(&cd_eff, &ab, self.epsilon, kind) {
-                    out.push(FeatureRow {
-                        kind,
-                        boundary,
-                        t_d: cd_eff.t_start,
-                        t_c: cd_eff.t_end,
-                        t_b: ab.t_start,
-                        t_a: ab.t_end,
-                    });
-                }
-            }
+            self.pairs_emitted +=
+                u64::from(pair_rows(Some(cd), &ab, self.epsilon, self.window, out));
         }
-        // The self pair: events inside `ab` itself.
-        self.pairs_emitted += 1;
-        for kind in [SearchKind::Drop, SearchKind::Jump] {
-            if let Some(boundary) = extract_self_boundary(&ab, self.epsilon, kind) {
-                out.push(FeatureRow {
-                    kind,
-                    boundary,
-                    t_d: ab.t_start,
-                    t_c: ab.t_end,
-                    t_b: ab.t_start,
-                    t_a: ab.t_end,
-                });
-            }
-        }
+        self.pairs_emitted += u64::from(pair_rows(None, &ab, self.epsilon, self.window, out));
         self.prev.push_back(ab);
     }
+}
+
+/// Appends the rows Algorithm 1 stores for the segment pair (`cd`, `ab`)
+/// — `cd` truncated at the window start `ab.t_start − window`, `None` for
+/// the self pair of `ab` — one per search kind whose boundary is not
+/// pruned, drop first. Returns `false`, appending nothing, when the window
+/// leaves nothing of `cd`.
+///
+/// The one place a row's corners are computed: ingest stores what it
+/// returns, and a search that cannot decide a sealed row on its `f32`
+/// sketch (`featurespace::sketch::certain`) recomputes the row here from the
+/// two stored segments its stamps name, so the two cannot drift.
+pub(crate) fn pair_rows(
+    cd: Option<&Segment>,
+    ab: &Segment,
+    epsilon: f64,
+    window: f64,
+    out: &mut Vec<FeatureRow>,
+) -> bool {
+    let cd = match cd.map(|cd| cd.truncate_left(ab.t_start - window)) {
+        Some(Some(cd)) => Some(cd),
+        Some(None) => return false, // zero overlap after truncation
+        None => None,
+    };
+    let (t_d, t_c) = cd.map_or((ab.t_start, ab.t_end), |cd| (cd.t_start, cd.t_end));
+    for kind in [SearchKind::Drop, SearchKind::Jump] {
+        let boundary = match &cd {
+            Some(cd) => extract_boundary(cd, ab, epsilon, kind),
+            None => extract_self_boundary(ab, epsilon, kind),
+        };
+        out.extend(boundary.map(|boundary| FeatureRow {
+            kind,
+            boundary,
+            t_d,
+            t_c,
+            t_b: ab.t_start,
+            t_a: ab.t_end,
+        }));
+    }
+    true
 }
 
 #[cfg(test)]

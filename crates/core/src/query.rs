@@ -7,11 +7,13 @@
 //! execution feeds the `span.query.*` latency histograms and — when a
 //! trace is active — an `EXPLAIN ANALYZE`-style call tree.
 
+use crate::ingest::pair_rows;
 use crate::result::SegmentPair;
 use crate::tables::{index_specs, pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
-use featurespace::QueryRegion;
+use featurespace::{sketch, QueryRegion};
 use pagestore::{Database, PoolStats, Result, ScanPage, StoreError, Table, ZoneScanStats};
+use segmentation::Segment;
 use sensorgen::HOUR;
 use std::sync::Arc;
 use std::time::Instant;
@@ -196,6 +198,90 @@ fn fault_injection_sleep() {
     }
 }
 
+/// Where a search settles the sealed rows their `f32` sketches cannot
+/// ([`sketch::certain`]): the stored segments, and the tolerance and window
+/// the feature rows were extracted from them with.
+pub(crate) struct Extraction<'a> {
+    pub segments: &'a Table,
+    pub epsilon: f64,
+    pub window: f64,
+}
+
+impl Extraction<'_> {
+    /// Decides the band of a `corners`-corner table — the stamps of the
+    /// sealed rows a search admitted and could not settle — on each row's
+    /// exact boundary ([`Extraction::exact_hit`]), appends the pairs of
+    /// those that intersect `region` to `out`, and counts them all into
+    /// `sketch.rechecks`. Cold: the band is almost always empty.
+    #[cold]
+    fn settle(
+        &self,
+        region: &QueryRegion,
+        corners: usize,
+        band: &[[f64; 4]],
+        out: &mut Vec<SegmentPair>,
+    ) -> Result<()> {
+        obs::global()
+            .counter("sketch.rechecks")
+            .add(band.len() as u64);
+        for stamps in band {
+            if self.exact_hit(region, corners, stamps)? {
+                out.push(pair_from_stamps(stamps));
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the exact row behind `stamps` (`t_d, t_c, t_b, t_a`) in the
+    /// `corners`-corner table of `region`'s kind intersects `region`: its
+    /// boundary recomputed by [`pair_rows`], the function ingest stored it
+    /// with, from its two stored segments — the one starting at `t_b`, and
+    /// the one ending at `t_c` unless the row is that segment's self pair
+    /// (`t_c > t_b`). Both are found through the zone map of `segments`,
+    /// which is in temporal order. A row whose segments are missing, or
+    /// which they do not reproduce, is [`StoreError::Corrupt`].
+    fn exact_hit(&self, region: &QueryRegion, corners: usize, stamps: &[f64; 4]) -> Result<bool> {
+        let [_, t_c, t_b, _] = *stamps;
+        let self_pair = t_c > t_b;
+        let holds = |lo: f64, t: f64, hi: f64| lo <= t && t <= hi;
+        let (mut cd, mut ab) = (None, None);
+        let mut cols = vec![Vec::new(); 4];
+        self.segments.scan_pages(
+            |mins, maxs| {
+                holds(mins[0], t_b, maxs[0]) || (!self_pair && holds(mins[2], t_c, maxs[2]))
+            },
+            |page| {
+                page.columns(0..4, &mut cols)?;
+                let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
+                if let Some(r) = cols[0].iter().position(|&t| t == t_b) {
+                    ab = Some(at(r));
+                }
+                if let Some(r) = cols[2].iter().position(|&t| t == t_c && !self_pair) {
+                    cd = Some(at(r));
+                }
+                Ok(ab.is_none() || (!self_pair && cd.is_none()))
+            },
+        )?;
+        let mut rows = Vec::with_capacity(2);
+        if let Some(ab) = ab.filter(|_| self_pair || cd.is_some()) {
+            pair_rows(cd.as_ref(), &ab, self.epsilon, self.window, &mut rows);
+        }
+        let row = rows.iter().find(|row| {
+            row.kind == region.kind
+                && row.boundary.len() == corners
+                && [row.t_d, row.t_c, row.t_b, row.t_a] == *stamps
+        });
+        match row {
+            Some(row) => Ok(row.boundary.intersects(region)),
+            None => Err(StoreError::Corrupt(format!(
+                "sealed {} row of {corners} corners with stamps {stamps:?}: its segments do not \
+                 reproduce it",
+                region.kind.name()
+            ))),
+        }
+    }
+}
+
 /// The zone-pruned page scan both plans read feature pages with: the
 /// column buffers it decodes into, reused from page to page and table to
 /// table, and what it has examined and skipped so far.
@@ -208,8 +294,15 @@ fn fault_injection_sleep() {
 /// kernel evaluates in place; the four time stamps are decoded only when
 /// the page's mask has a bit set, and only the few matching rows are ever
 /// materialized row-wise, for result assembly.
-#[derive(Default)]
-struct PageScan {
+///
+/// A sealed page holds corner sketches, so [`sketch::admitted`] is its
+/// kernel, and each row it admits is asked [`sketch::certain`]: a certain
+/// row is an answer, any other is in the band, decided exactly by
+/// [`Extraction::settle`] once the table's pages are read. A raw page's
+/// corners are exact, and so is its kernel's verdict.
+struct PageScan<'a> {
+    /// Where the band is decided.
+    extraction: Extraction<'a>,
     coords: Vec<Vec<f64>>,
     stamps: Vec<Vec<f64>>,
     mask: Vec<bool>,
@@ -218,10 +311,22 @@ struct PageScan {
     zones: ZoneScanStats,
 }
 
-impl PageScan {
+impl<'a> PageScan<'a> {
+    fn new(extraction: Extraction<'a>) -> Self {
+        PageScan {
+            extraction,
+            coords: Vec::new(),
+            stamps: Vec::new(),
+            mask: Vec::new(),
+            rows: 0,
+            zones: ZoneScanStats::default(),
+        }
+    }
+
     /// Scans `table`, whose rows have `corners` corners — every page of
     /// it, or the pages of its sealed rows alone — and appends the pairs
-    /// of the rows that intersect `region` to `out`.
+    /// of the rows that intersect `region` to `out`, deciding the band
+    /// once the pages are read.
     fn scan(
         &mut self,
         table: &Table,
@@ -230,6 +335,8 @@ impl PageScan {
         region: &QueryRegion,
         out: &mut Vec<SegmentPair>,
     ) -> Result<()> {
+        // The stamps of the rows a sealed page admits and cannot settle.
+        let mut band = Vec::new();
         let filter = |mins: &[f64], maxs: &[f64]| zone_may_intersect(corners, mins, maxs, region);
         let visit = |page: &ScanPage<'_>| {
             self.coords.resize(2 * corners, Vec::new());
@@ -237,13 +344,22 @@ impl PageScan {
             let n = page.rows();
             self.rows += n as u64;
             page.columns(0..2 * corners, &mut self.coords)?;
-            boundaries_intersect_cols(corners, &self.coords, n, region, &mut self.mask);
+            let sealed = page.sealed();
+            if sealed {
+                sketch::admitted(corners, &self.coords, n, region, &mut self.mask);
+            } else {
+                boundaries_intersect_cols(corners, &self.coords, n, region, &mut self.mask);
+            }
             if self.mask.contains(&true) {
                 page.columns(stamp_cols(corners), &mut self.stamps)?;
                 let stamps = &self.stamps;
                 for r in (0..n).filter(|&r| self.mask[r]) {
                     let row = [stamps[0][r], stamps[1][r], stamps[2][r], stamps[3][r]];
-                    out.push(pair_from_stamps(&row));
+                    if !sealed || sketch::certain(corners, &self.coords, r, region) {
+                        out.push(pair_from_stamps(&row));
+                    } else {
+                        band.push(row);
+                    }
                 }
             }
             Ok(true)
@@ -256,6 +372,9 @@ impl PageScan {
         self.zones.pages_scanned += s.pages_scanned;
         self.zones.pages_pruned += s.pages_pruned;
         self.zones.extents_pruned += s.extents_pruned;
+        if !band.is_empty() {
+            self.extraction.settle(region, corners, &band, out)?;
+        }
         Ok(())
     }
 
@@ -273,6 +392,7 @@ impl PageScan {
 pub(crate) fn run_feature_query(
     db: &Database,
     tables: &[Arc<Table>; 3],
+    extraction: Extraction<'_>,
     region: &QueryRegion,
     plan: QueryPlan,
     rows_considered: &mut u64,
@@ -299,7 +419,7 @@ pub(crate) fn run_feature_query(
             // [`PageScan`]). `rows_considered` counts only rows actually
             // examined.
             let p = Phase::start(db, "query.scan");
-            let mut scan = PageScan::default();
+            let mut scan = PageScan::new(extraction);
             for (i, table) in tables.iter().enumerate() {
                 scan.scan(table, i + 1, false, region, &mut out)?;
             }
@@ -322,7 +442,7 @@ pub(crate) fn run_feature_query(
             // downstream — is deterministic.
             let p = Phase::start(db, "query.probe");
             let mut probed = 0u64;
-            let mut sealed = PageScan::default();
+            let mut sealed = PageScan::new(extraction);
             let mut all_rids: Vec<(usize, Vec<u64>)> = Vec::with_capacity(3);
             // Appends `rid`, then keeps it only on a hit: whether an entry
             // hits is the one thing here a branch predictor cannot learn.
@@ -423,7 +543,9 @@ pub(crate) fn run_feature_query(
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::tables::table_name;
     use crate::{SegDiffConfig, SegDiffIndex};
+    use featurespace::SearchKind;
     use proptest::prelude::*;
     use sensorgen::{TimeSeries, HOUR};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -505,6 +627,93 @@ mod proptests {
             std::fs::remove_dir_all(&dir).ok();
         }
     }
+
+    /// The `f32` neighbour of `x` toward +∞.
+    fn f32_up(x: f32) -> f32 {
+        match x {
+            _ if x == 0.0 => f32::from_bits(1),
+            _ if x > 0.0 => f32::from_bits(x.to_bits() + 1),
+            _ => f32::from_bits(x.to_bits() - 1),
+        }
+    }
+
+    /// Every corner the row store holds, exactly: `(kind, Δt, Δv)`.
+    fn stored_corners(idx: &SegDiffIndex) -> Vec<(SearchKind, f64, f64)> {
+        let mut corners = Vec::new();
+        for kind in [SearchKind::Drop, SearchKind::Jump] {
+            for c in 1..=3 {
+                let table = idx.database().table(table_name(kind, c)).unwrap();
+                table
+                    .seq_scan(|_, row| {
+                        corners.extend((0..c).map(|j| (kind, row[2 * j], row[2 * j + 1])));
+                        true
+                    })
+                    .unwrap();
+            }
+        }
+        corners
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        /// The sketch band, on purpose: regions whose `V` sits exactly on
+        /// a stored `Δv`, on its `f32` sketch, and one and two `f32` ulps
+        /// to either side of both, with `T` on that corner's stored `Δt`.
+        /// After compaction both plans answer exactly as the row store
+        /// did, whichever rows the sketches leave in the band.
+        #[test]
+        fn regions_on_the_sketch_band_answer_as_the_row_store(
+            steps in prop::collection::vec(-1.2f64..1.2, 80..250),
+            picks in prop::collection::vec(any::<u64>(), 3..5),
+        ) {
+            let mut series = TimeSeries::new();
+            let mut val = 10.0;
+            for (i, s) in steps.iter().enumerate() {
+                val += s;
+                series.push(i as f64 * 300.0, val);
+            }
+            let dir = tmpdir();
+            let mut idx = SegDiffIndex::create(
+                &dir,
+                SegDiffConfig::default().with_durable(false),
+            ).unwrap();
+            idx.ingest_series(&series).unwrap();
+            idx.finish().unwrap();
+            idx.build_indexes().unwrap();
+            let corners = stored_corners(&idx);
+            prop_assume!(!corners.is_empty());
+            let mut regions = Vec::new();
+            for pick in &picks {
+                let (kind, t, dv) = corners[(pick % corners.len() as u64) as usize];
+                for on in [dv, sketch::round(kind, dv)] {
+                    let near = on as f32;
+                    let (up, down) = (f32_up(near), -f32_up(-near));
+                    for v in [on, up.into(), f32_up(up).into(), down.into(), (-f32_up(-down)).into()] {
+                        let valid = match kind {
+                            SearchKind::Drop => v < 0.0,
+                            SearchKind::Jump => v > 0.0,
+                        };
+                        if valid && t > 0.0 && t <= idx.config().window {
+                            regions.push(QueryRegion { kind, t, v });
+                        }
+                    }
+                }
+            }
+            let row_store: Vec<Vec<SegmentPair>> = regions
+                .iter()
+                .map(|r| idx.query(r, QueryPlan::SeqScan).unwrap().0)
+                .collect();
+            idx.compact_storage().unwrap();
+            for (region, want) in regions.iter().zip(&row_store) {
+                for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                    let (got, _) = idx.query(region, plan).unwrap();
+                    prop_assert_eq!(&got, want, "{:?} on {:?}", plan, region);
+                }
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
 
 #[cfg(test)]
@@ -527,6 +736,74 @@ mod tests {
             s.push(t, v);
         }
         s
+    }
+
+    /// A sealed row its sketch cannot settle — `(T, V)` on its deepest
+    /// corner, which its sketch reaches and no lane of it clears by `δ` —
+    /// is decided on the corners [`Extraction::exact_hit`] recomputes from
+    /// its two segments, for a cross pair and for a self pair, on both
+    /// plans: the answer is the row store's, and `sketch.rechecks` counts
+    /// the row.
+    #[test]
+    fn the_band_is_decided_on_corners_recomputed_from_segments() {
+        use crate::tables::table_name;
+        use featurespace::SearchKind;
+        let dir = tmpdir("band");
+        let mut idx =
+            SegDiffIndex::create(&dir, SegDiffConfig::default().with_durable(false)).unwrap();
+        idx.ingest_series(&zigzag_series()).unwrap();
+        idx.finish().unwrap();
+        idx.build_indexes().unwrap();
+        // Of each kind, the first self pair (`t_c > t_b`) and the first
+        // cross pair, each searched on its deepest corner.
+        let mut regions = Vec::new();
+        let mut picked = [[false; 2]; 2];
+        for (k, kind) in [SearchKind::Drop, SearchKind::Jump].into_iter().enumerate() {
+            for corners in 1..=3 {
+                let table = idx.database().table(table_name(kind, corners)).unwrap();
+                table
+                    .seq_scan(|_, row| {
+                        let depth = |j: usize| match kind {
+                            SearchKind::Drop => -row[2 * j + 1],
+                            SearchKind::Jump => row[2 * j + 1],
+                        };
+                        let j = (0..corners)
+                            .max_by(|&a, &b| depth(a).total_cmp(&depth(b)))
+                            .unwrap_or(0);
+                        let (t, v) = (row[2 * j], row[2 * j + 1]);
+                        let self_pair = usize::from(row[2 * corners + 1] > row[2 * corners + 2]);
+                        let valid = t > 0.0 && depth(j) > 0.0;
+                        if valid && !picked[k][self_pair] {
+                            picked[k][self_pair] = true;
+                            regions.push(QueryRegion { kind, t, v });
+                        }
+                        true
+                    })
+                    .unwrap();
+            }
+        }
+        assert_eq!(
+            picked, [[true; 2]; 2],
+            "a cross and a self pair of each kind"
+        );
+        let want: Vec<Vec<SegmentPair>> = regions
+            .iter()
+            .map(|r| idx.query(r, QueryPlan::SeqScan).unwrap().0)
+            .collect();
+        idx.compact_storage().unwrap();
+        let rechecks = obs::global().counter("sketch.rechecks");
+        for (region, want) in regions.iter().zip(&want) {
+            for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                let before = rechecks.get();
+                let (got, _) = idx.query(region, plan).unwrap();
+                assert!(!got.is_empty() && &got == want, "{plan:?} on {region:?}");
+                assert!(
+                    rechecks.get() > before,
+                    "{plan:?} on {region:?}: no recheck"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Repeated executions of both plans return byte-identical result

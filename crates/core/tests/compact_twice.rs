@@ -1,8 +1,10 @@
 //! `compact → ingest a day → compact`: a compacted store keeps ingesting
 //! on raw pages behind its sealed rows, and the next compaction seals
-//! those too. Alone in its own test binary because the
+//! those too — sketching their corner `Δv`s once, and leaving the bits of
+//! the rows sealed before alone. Alone in its own test binary because the
 //! `colpage.pages_written` counter is process-wide.
 
+use featurespace::{sketch, SearchKind};
 use segdiff::{QueryPlan, QueryRegion, SegDiffConfig, SegDiffIndex, SegmentPair};
 use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
 
@@ -29,6 +31,45 @@ fn answers(idx: &SegDiffIndex) -> Vec<Vec<SegmentPair>> {
         scan
     };
     regions.iter().map(answer).collect()
+}
+
+/// Rows as bit patterns, sorted.
+type Rows = Vec<Vec<u64>>;
+
+/// The rows of each feature table: (sealed ones, the rest, what a seal
+/// stores of the rest).
+fn sealed_and_tail(idx: &SegDiffIndex) -> Vec<(Rows, Rows, Rows)> {
+    let bits = |row: &[f64]| row.iter().map(|v| v.to_bits()).collect::<Vec<u64>>();
+    TABLES[..6]
+        .iter()
+        .map(|name| {
+            let kind = match &name[..4] {
+                "drop" => SearchKind::Drop,
+                _ => SearchKind::Jump,
+            };
+            let corners = usize::from(name.as_bytes()[4] - b'0');
+            let t = idx.database().table(name).unwrap();
+            let (mut sealed, mut tail, mut sketched) = (Vec::new(), Vec::new(), Vec::new());
+            t.seq_scan(|_, row| {
+                if (sealed.len() as u64) < t.sealed_rows() {
+                    sealed.push(bits(row));
+                } else {
+                    tail.push(bits(row));
+                    let mut row = row.to_vec();
+                    for dv in row[..2 * corners].iter_mut().skip(1).step_by(2) {
+                        *dv = sketch::round(kind, *dv);
+                    }
+                    sketched.push(bits(&row));
+                }
+                true
+            })
+            .unwrap();
+            for rows in [&mut sealed, &mut tail, &mut sketched] {
+                rows.sort_unstable();
+            }
+            (sealed, tail, sketched)
+        })
+        .collect()
 }
 
 /// (sealed rows, rows, entries under the trees) of each of the seven tables.
@@ -112,8 +153,25 @@ fn a_compacted_store_ingests_and_is_compacted_again() {
     twice.verify_consistency().unwrap();
 
     // The second compaction seals the tail too: every row sealed, eight
-    // empty trees, the same answers.
+    // empty trees, the same answers. The rows sealed before keep their
+    // bits; the tail, exact until now, is sketched once.
+    let before = sealed_and_tail(&twice);
+    assert!(
+        before.iter().any(|(_, tail, sketched)| tail != sketched),
+        "no exact Δv behind the seal"
+    );
     twice.compact_storage().unwrap();
+    for ((name, (sealed, _, sketched)), (now, tail, _)) in
+        TABLES.iter().zip(before).zip(sealed_and_tail(&twice))
+    {
+        assert!(tail.is_empty(), "{name}: rows behind the second seal");
+        let mut want = [sealed, sketched].concat();
+        want.sort_unstable();
+        assert!(
+            now == want,
+            "{name}: a reseal changed a sealed row or missed a tail row"
+        );
+    }
     assert!(pages_written.get() > written);
     for (name, (sealed, stored, trees)) in TABLES.iter().zip(layout(&twice)) {
         assert_eq!(sealed, stored, "{name}: rows left behind the seal");

@@ -390,13 +390,17 @@ impl Database {
     }
 
     /// Seals a table: rewrites its heap, in place and crash-safely, with
-    /// every row — the sealed ones and the raw tail behind them — in
-    /// columnar pages, in a stable sort by [`f64::total_cmp`] on the
-    /// columns `cluster_on` (rows with equal keys, and every row under an
-    /// empty key, keep their storage order, so the files written are a
-    /// pure function of the rows). A table with no row behind its sealed
-    /// ones is left as it is. Row contents are preserved bit-exactly; row
-    /// ids change, so the zone map is rebuilt — narrow in the key's
+    /// every row — the sealed ones and the raw tail behind them — passed
+    /// through the caller's `map` and then in columnar pages, in a stable
+    /// sort by [`f64::total_cmp`] on the columns `cluster_on` of the mapped
+    /// rows (rows with equal keys, and every row under an empty key, keep
+    /// their storage order, so the files written are a pure function of
+    /// the rows). A table with no row behind its sealed ones is left as it
+    /// is. A sealed row holds what `map` made of it, not necessarily what
+    /// was inserted: the storage layer does not know what a column means,
+    /// so a caller that rounds one owns the rule, and sees its rows again
+    /// at the next seal, already mapped (`|_| {}` seals them bit-exactly).
+    /// Row ids change, so the zone map is rebuilt — narrow in the key's
     /// columns, which is all a reader ever sees of the key — and so is
     /// every index, over the rows behind the sealed ones: none, so every
     /// tree comes out empty, and grows again with later inserts. Readers
@@ -425,7 +429,12 @@ impl Database {
     ///    frames);
     /// 5. install the new zone map, rebuild the indexes, and checkpoint:
     ///    every commit from here on counts at least the sealed rows.
-    pub fn seal_table(&self, name: &str, cluster_on: &[usize]) -> Result<()> {
+    pub fn seal_table(
+        &self,
+        name: &str,
+        cluster_on: &[usize],
+        mut map: impl FnMut(&mut [f64]),
+    ) -> Result<()> {
         let table = self.table(name)?;
         let ncols = table.columns().len();
         if let Some(c) = cluster_on.iter().find(|&&c| c >= ncols) {
@@ -449,7 +458,9 @@ impl Database {
         let zones = {
             let mut values: Vec<f64> = Vec::with_capacity(table.num_rows() as usize * ncols);
             table.seq_scan(|_rid, row| {
+                let at = values.len();
                 values.extend_from_slice(row);
+                map(&mut values[at..]);
                 true
             })?;
             let mut rows: Vec<&[f64]> = values.chunks_exact(ncols).collect();
@@ -1161,7 +1172,7 @@ mod tests {
         let mut before = rows_of(&t);
         let heap_before = t.heap_bytes();
 
-        db.seal_table("ev", &[]).unwrap();
+        db.seal_table("ev", &[], |_| {}).unwrap();
         t.assert_one_layout();
         assert!(t.has_zones(), "a seal installs a fresh zone map");
         assert!(
@@ -1216,7 +1227,7 @@ mod tests {
         assert_eq!(at_3000(&t), (1, 60));
         // A second seal takes the row behind the first, and the tree is
         // empty again.
-        db.seal_table("ev", &[]).unwrap();
+        db.seal_table("ev", &[], |_| {}).unwrap();
         t.assert_one_layout();
         assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 3001));
         assert_eq!(at_3000(&t), (0, 61));
@@ -1239,7 +1250,7 @@ mod tests {
             t.insert(&scattered_row(i)).unwrap();
         }
         db.commit(b"loaded").unwrap();
-        db.seal_table("ev", &[0, 1]).unwrap();
+        db.seal_table("ev", &[0, 1], |_| {}).unwrap();
         let sealed_file = fs::read(dir.join("ev.tbl")).unwrap();
         let first_free = (sealed_file.len() / crate::PAGE_SIZE) as u64;
         assert!(first_free > 3, "several sealed pages");
@@ -1434,7 +1445,7 @@ mod tests {
                 );
             }
         };
-        db.seal_table("ev", &[0, 1]).unwrap();
+        db.seal_table("ev", &[0, 1], |_| {}).unwrap();
         check(KEYED_ROWS, &want);
         // Pages are narrow in the leading key column and nowhere else.
         let (mut lead, mut last) = (0, 0);
@@ -1447,7 +1458,7 @@ mod tests {
         // under whatever key: no file is written.
         db.flush().unwrap();
         let sealed_files = data_files(&dir);
-        db.seal_table("ev", &[1]).unwrap();
+        db.seal_table("ev", &[1], |_| {}).unwrap();
         assert!(
             data_files(&dir) == sealed_files,
             "a no-op seal wrote a file"
@@ -1462,12 +1473,12 @@ mod tests {
         // The next seal takes them all, under another key: the rows the
         // heap holds — clustered prefix, then tail — stably sorted on `dv`.
         want.sort_by(by(&[1]));
-        db.seal_table("ev", &[1]).unwrap();
+        db.seal_table("ev", &[1], |_| {}).unwrap();
         check(KEYED_ROWS + 3000, &want);
         // A column the table does not have is refused, rows to seal or not.
         for _ in 0..2 {
             assert!(matches!(
-                db.seal_table("ev", &[0, 4]),
+                db.seal_table("ev", &[0, 4], |_| {}),
                 Err(StoreError::InvalidArgument(_))
             ));
             t.insert(&keyed_row(0)).unwrap();
@@ -1481,9 +1492,9 @@ mod tests {
         // them — sealed ones, then the tail — so the pages depend on the
         // rows alone, not on where an earlier seal stopped.
         let (once_dir, once_db, _t) = keyed_table("nokey-once", KEYED_ROWS);
-        once_db.seal_table("ev", &[]).unwrap();
+        once_db.seal_table("ev", &[], |_| {}).unwrap();
         let (twice_dir, twice_db, t) = keyed_table("nokey-twice", KEYED_ROWS / 3);
-        twice_db.seal_table("ev", &[]).unwrap();
+        twice_db.seal_table("ev", &[], |_| {}).unwrap();
         for i in KEYED_ROWS / 3..KEYED_ROWS {
             t.insert(&keyed_row(i)).unwrap();
         }
@@ -1491,7 +1502,7 @@ mod tests {
             (t.sealed_rows(), t.num_rows()),
             (KEYED_ROWS / 3, KEYED_ROWS)
         );
-        twice_db.seal_table("ev", &[]).unwrap();
+        twice_db.seal_table("ev", &[], |_| {}).unwrap();
         let once = data_files(&once_dir);
         assert_eq!(once.len(), 3, "one heap, two trees");
         let heap = &once["ev.tbl"];
@@ -1508,10 +1519,74 @@ mod tests {
     }
 
     #[test]
+    fn a_seal_maps_every_row_before_it_sorts_and_again_at_the_next_seal() {
+        // The caller's map rounds `noise` (full precision in [-2, -1)) down
+        // to a sixteenth, and the seal clusters on the rounded value, ties
+        // in arrival order: the stored rows are the mapped ones, in their
+        // order, and a scan says which pages are sealed.
+        let round = |row: &mut [f64]| row[3] = (row[3] * 16.0).floor() / 16.0;
+        let mapped = |i: u64| {
+            let mut row = keyed_row(i);
+            round(&mut row);
+            row.map(f64::to_bits)
+        };
+        let rows = KEYED_ROWS / 4;
+        let (dir, db, t) = keyed_table("mapped", rows);
+        let calls = std::cell::Cell::new(0u64);
+        let seal = || {
+            db.seal_table("ev", &[3], |row| {
+                calls.set(calls.get() + 1);
+                round(row)
+            })
+            .unwrap()
+        };
+        seal();
+        assert_eq!(calls.get(), rows, "one call a row");
+        let key = |r: &[u64; 4]| f64::from_bits(r[3]);
+        let mut want: Vec<[u64; 4]> = (0..rows).map(mapped).collect();
+        want.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        assert!(
+            row_bits(&t) == want,
+            "mapped rows, sorted on the mapped key"
+        );
+        // A raw tail keeps its rows as inserted; the next seal sees every
+        // row again, the sealed ones already mapped.
+        for i in rows..2 * rows {
+            t.insert(&keyed_row(i)).unwrap();
+        }
+        let sealed_pages = |t: &Table| {
+            let mut flags = Vec::new();
+            t.scan_pages(
+                |_, _| true,
+                |page| {
+                    flags.push(page.sealed());
+                    Ok(true)
+                },
+            )
+            .unwrap();
+            flags
+        };
+        let flags = sealed_pages(&t);
+        let lead = flags.iter().take_while(|&&s| s).count();
+        assert!(lead > 0 && lead < flags.len() && !flags[lead..].contains(&true));
+        assert_eq!(
+            row_bits(&t)[rows as usize].map(f64::from_bits),
+            keyed_row(rows)
+        );
+        seal();
+        assert_eq!(calls.get(), 3 * rows);
+        let mut want: Vec<[u64; 4]> = (0..2 * rows).map(mapped).collect();
+        want.sort_by(|a, b| key(a).total_cmp(&key(b)));
+        assert!(row_bits(&t) == want, "the second seal");
+        assert!(sealed_pages(&t).iter().all(|&s| s));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn two_clustered_seals_of_equal_tables_write_equal_files() {
         let build = |tag: &str| {
             let (dir, db, _t) = keyed_table(tag, KEYED_ROWS);
-            db.seal_table("ev", &[0, 1]).unwrap();
+            db.seal_table("ev", &[0, 1], |_| {}).unwrap();
             let files = data_files(&dir);
             fs::remove_dir_all(&dir).ok();
             files
@@ -1537,7 +1612,7 @@ mod tests {
             for i in 0..1000 {
                 t.insert(&row(i)).unwrap();
             }
-            db.seal_table("ev", &[]).unwrap();
+            db.seal_table("ev", &[], |_| {}).unwrap();
             for i in 1000..1500 {
                 t.insert(&row(i)).unwrap();
             }

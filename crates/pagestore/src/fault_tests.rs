@@ -268,7 +268,7 @@ fn sealed_table_and_its_past(tag: &str) -> (PathBuf, PathBuf, Vec<Vec<u64>>) {
     let (dir, db) = loaded_store(tag);
     let past = tmpdir(&format!("{tag}-past"));
     copy_store(&dir, &past);
-    db.seal_table("t", &[0, 1]).unwrap();
+    db.seal_table("t", &[0, 1], |_| {}).unwrap();
     let t = db.table("t").unwrap();
     let [rows, found] = t.rows_by_scan_and_by_seal_and_tree("by_ab");
     assert!(rows.len() == 2000 && rows == found);
@@ -329,7 +329,7 @@ fn a_seal_leaves_no_sidecar_behind_the_rename() {
     std::fs::create_dir(&heap).unwrap();
     std::fs::write(heap.join("kept"), b"").unwrap();
     assert!(matches!(
-        db.seal_table("t", &[0, 1]),
+        db.seal_table("t", &[0, 1], |_| {}),
         Err(StoreError::Io(_))
     ));
     drop(db);

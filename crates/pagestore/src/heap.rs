@@ -140,6 +140,7 @@ impl CompressionStats {
 pub struct ScanPage<'a> {
     heap: &'a HeapFile,
     buf: &'a PageBuf,
+    sealed: bool,
     /// Columnar decodes so far: `colpage.pages_decoded` counts the page
     /// once, however many projections read it.
     decoded: std::cell::Cell<u64>,
@@ -149,6 +150,13 @@ impl ScanPage<'_> {
     /// Rows on the page.
     pub fn rows(&self) -> usize {
         colpage::page_nrows(self.buf.bytes())
+    }
+
+    /// Whether the page holds sealed rows ([`HeapFile::sealed_rows`]):
+    /// rows a seal wrote, through whatever map its caller gave it
+    /// ([`crate::Database::seal_table`]), rather than rows as inserted.
+    pub fn sealed(&self) -> bool {
+        self.sealed
     }
 
     /// Decodes (a columnar page) or transposes (a raw one) the contiguous
@@ -716,6 +724,7 @@ impl HeapFile {
             let page = ScanPage {
                 heap: self,
                 buf,
+                sealed: pid <= self.sealed_pages,
                 decoded: std::cell::Cell::new(0),
             };
             outcome = visit(&page);

@@ -188,7 +188,7 @@ proptest! {
                 }
                 2 | 3 => {
                     let key: &[usize] = if op == 2 { &[0, 1] } else { &[2] };
-                    db.seal_table("t", key).unwrap();
+                    db.seal_table("t", key, |_| {}).unwrap();
                     sealed = rows;
                 }
                 _ => {

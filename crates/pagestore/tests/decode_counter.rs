@@ -26,7 +26,7 @@ fn pages_decoded_counts_every_decoded_columnar_page_once() {
         raw.insert(&row).unwrap();
     }
     // Rows reach columnar pages by being sealed; in the order they have.
-    db.seal_table("c", &[]).unwrap();
+    db.seal_table("c", &[], |_| {}).unwrap();
     assert_eq!(columnar.sealed_rows(), 20_000);
     let mut rids: Vec<RowId> = Vec::new();
     let before = decoded();
