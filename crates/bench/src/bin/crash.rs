@@ -4,16 +4,18 @@
 //! `--child`) that ingests a deterministic transect into a WAL-backed
 //! index, throttled so the kill window is wide, and SIGKILLs it at a
 //! random point. After every kill the parent reopens the index — which
-//! runs WAL recovery — and asserts the two properties the durability
-//! design promises:
+//! runs WAL recovery — and holds it to the one crash checker,
+//! [`oracle::check_prefix`], which the simulated-crash schedules
+//! (`crates/sim`) share:
 //!
 //! 1. **Prefix consistency**: the recovered index equals the index a
 //!    crash-free run would have produced over some prefix of the input
 //!    (segment chain unbroken, feature tables exactly reproducible by
 //!    replaying extraction over the stored segments).
-//! 2. **Theorem-1 completeness over the prefix**: a drop query against
-//!    the recovered index finds every true event inside the recovered
-//!    prefix — no event is lost across the crash/recovery seam.
+//! 2. **Theorem 1 and Lemma 5 over the prefix**: a drop and a jump query
+//!    against the recovered index find every true event inside the
+//!    recovered prefix — no event is lost across the crash/recovery seam —
+//!    and every pair they return holds a change within `2ε` of `V`.
 //! 3. **The B+trees are the heap's**: the child maintains every query
 //!    B+tree while it ingests, so a kill loses write buffers and leaves
 //!    tree files behind the heap; whether recovery dropped and rebuilt
@@ -40,7 +42,7 @@
 
 use featurespace::QueryRegion;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
-use segdiff::{oracle, QueryPlan, SegDiffConfig, SegDiffIndex};
+use segdiff::{oracle, SegDiffConfig, SegDiffIndex};
 use sensorgen::{generate_sensor, CadTransectConfig, TimeSeries, HOUR};
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -175,9 +177,8 @@ fn sealed_rows(idx: &SegDiffIndex) -> u64 {
         .sum()
 }
 
-/// One recovered-prefix check: consistency invariants plus Theorem-1
-/// completeness of a drop query over the prefix the index covers.
-/// Returns a human-readable summary for the recovery log.
+/// One recovered-prefix check ([`oracle::check_prefix`]). Returns a
+/// human-readable summary for the recovery log.
 fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
     let idx = match SegDiffIndex::open(dir, 512) {
         Ok(idx) => idx,
@@ -193,50 +194,14 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
         .recovery_report()
         .ok_or("index opened without WAL recovery")?
         .clone();
-    idx.verify_consistency()
-        .map_err(|e| format!("prefix inconsistent: {e}"))?;
-    let segments = idx.segments().map_err(|e| e.to_string())?;
-    let Some(last) = segments.last() else {
-        return Ok(format!(
-            "clean={} replayed={} sealed_rows={} segments=0 (no committed segment yet)",
-            report.clean,
-            report.replayed_pages,
-            sealed_rows(&idx)
-        ));
-    };
-    // Completeness over the recovered prefix: every true drop event that
-    // lies entirely within the covered time range must be found.
-    let mut prefix = TimeSeries::new();
-    for (t, v) in series.iter().filter(|&(t, _)| t <= last.t_end) {
-        prefix.push(t, v);
-    }
-    let region = QueryRegion::drop(1.0 * HOUR, -1.0);
-    let events = oracle::true_events(&prefix, &region);
-    let (results, _) = idx
-        .query(&region, QueryPlan::SeqScan)
-        .map_err(|e| e.to_string())?;
-    if let Some(missed) = oracle::find_missed_event(&events, &results) {
-        return Err(format!(
-            "completeness violated: true event {missed:?} in the recovered \
-             prefix (t <= {}) is not covered by any of {} results",
-            last.t_end,
-            results.len()
-        ));
-    }
     // A kill before the child's `build_indexes` finished leaves some
     // B+trees unbuilt; the ones that exist stay as recovery left them.
     idx.build_indexes().map_err(|e| e.to_string())?;
-    for region in [region, QueryRegion::jump(2.0 * HOUR, 1.0)] {
-        let run = |plan| idx.query(&region, plan).map_err(|e| e.to_string());
-        let (scan, index) = (run(QueryPlan::SeqScan)?.0, run(QueryPlan::Index)?.0);
-        if scan != index {
-            return Err(format!(
-                "plans disagree on {region:?}: {} pairs by scan, {} by index",
-                scan.len(),
-                index.len()
-            ));
-        }
-    }
+    let regions = [
+        QueryRegion::drop(1.0 * HOUR, -1.0),
+        QueryRegion::jump(2.0 * HOUR, 1.0),
+    ];
+    let seen = oracle::check_prefix(&idx, series, &regions)?;
     Ok(format!(
         "clean={} replayed={} truncated={} dropped_indexes={} sealed_rows={} segments={} events={} results={}",
         report.clean,
@@ -244,9 +209,9 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
         report.truncated_rows,
         report.dropped_indexes,
         sealed_rows(&idx),
-        segments.len(),
-        events.len(),
-        results.len()
+        seen.segments,
+        seen.events,
+        seen.results
     ))
 }
 

@@ -766,7 +766,8 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
         let path = trees.join("tree.idx");
         std::fs::remove_file(&path).ok();
         let pool = std::sync::Arc::new(BufferPool::new(scale.pool_pages));
-        let fid = pool.register_file(PageFile::create(&path).expect("create tree file"));
+        let fid = pool
+            .register_file(PageFile::create(&pagestore::OsVfs, &path).expect("create tree file"));
         let start = Instant::now();
         let tree = if bulk {
             let mut sorted = keys.clone();

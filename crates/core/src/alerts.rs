@@ -26,6 +26,7 @@
 use featurespace::{QueryRegion, SearchKind};
 use obs::json::Json;
 use obs::series::SeriesStore;
+use pagestore::{OsVfs, Vfs};
 use segmentation::SlidingWindowSegmenter;
 use std::collections::{HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -176,9 +177,9 @@ impl AlertRuleSet {
 
     /// Loads and parses a rules file.
     pub fn load(path: &std::path::Path) -> Result<AlertRuleSet, String> {
-        let src =
-            std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        Self::parse(&src)
+        let src = OsVfs.read(path);
+        let src = src.map_err(|e| format!("read {}: {e}", path.display()))?;
+        Self::parse(&String::from_utf8_lossy(&src))
     }
 
     /// The built-in rules used when no file is given: watch query

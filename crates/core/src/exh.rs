@@ -10,7 +10,7 @@
 
 use crate::query::{check_window, QueryPlan, QueryStats};
 use featurespace::{QueryRegion, SearchKind};
-use pagestore::{Database, Result, Table, TableSpec};
+use pagestore::{Database, OsVfs, Result, Table, TableSpec, Vfs};
 use sensorgen::TimeSeries;
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -84,9 +84,10 @@ impl ExhIndex {
     /// observations still inside the window is persisted alongside the
     /// feature table).
     pub fn open(dir: &Path, pool_pages: usize) -> Result<Self> {
-        let meta = std::fs::read_to_string(dir.join("exh.meta")).map_err(|_| {
+        let meta = OsVfs.read(&dir.join("exh.meta")).map_err(|_| {
             pagestore::StoreError::NotFound(format!("exh meta in {}", dir.display()))
         })?;
+        let meta = String::from_utf8_lossy(&meta);
         let mut window = None;
         let mut n_observations = 0u64;
         let mut buf = VecDeque::new();
@@ -167,7 +168,8 @@ impl ExhIndex {
         for (t, v) in &self.buf {
             meta.push_str(&format!("tail {t} {v}\n"));
         }
-        std::fs::write(self.dir.join("exh.meta"), meta)?;
+        let path = self.dir.join("exh.meta");
+        pagestore::write_atomic(&**self.db.vfs(), &path, meta.as_bytes(), false)?;
         self.db.flush()
     }
 

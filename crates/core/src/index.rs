@@ -11,7 +11,7 @@ use crate::tables::{
     SEGMENTS_TABLE,
 };
 use featurespace::{QueryRegion, SearchKind};
-use pagestore::{Database, RecoveryReport, Result, StoreError, Table, TableSpec};
+use pagestore::{Database, OsVfs, RecoveryReport, Result, StoreError, Table, TableSpec, Vfs};
 use segmentation::{PiecewiseLinear, Segment, SlidingWindowSegmenter};
 use sensorgen::TimeSeries;
 use std::path::{Path, PathBuf};
@@ -79,45 +79,23 @@ impl SegDiffIndex {
     /// logs every page write; each stored segment then ends in a commit
     /// record, so a crash mid-ingest recovers to the last completed segment.
     pub fn create(dir: &Path, config: SegDiffConfig) -> Result<Self> {
-        let db = Database::create_with(dir, config.pool_pages, config.durability())?;
-        let mk = |db: &Arc<Database>, name: &str, corners: usize| -> Result<Arc<Table>> {
-            db.create_table(TableSpec::new(name, &table_cols(corners)))
-        };
-        let drop_tables = [
-            mk(&db, DROP_TABLES[0], 1)?,
-            mk(&db, DROP_TABLES[1], 2)?,
-            mk(&db, DROP_TABLES[2], 3)?,
-        ];
-        let jump_tables = [
-            mk(&db, JUMP_TABLES[0], 1)?,
-            mk(&db, JUMP_TABLES[1], 2)?,
-            mk(&db, JUMP_TABLES[2], 3)?,
-        ];
-        let segments_table = db.create_table(TableSpec::new(
-            SEGMENTS_TABLE,
-            &["t_start", "v_start", "t_end", "v_end"],
-        ))?;
-        let cache = QueryCache::new(config.cache_entries);
-        let idx = Self {
-            dir: dir.to_path_buf(),
-            segmenter: SlidingWindowSegmenter::new(config.epsilon),
-            extractor: FeatureExtractor::new(config.epsilon, config.window),
-            config,
-            db,
-            drop_tables,
-            jump_tables,
-            segments_table,
-            rows_buf: Vec::new(),
-            colbufs: Default::default(),
-            n_observations: 0,
-            n_segments: 0,
-            drop_hist: CornerHistogram::default(),
-            jump_hist: CornerHistogram::default(),
-            metrics: IngestMetrics::new(),
-            epoch: AtomicU64::new(0),
-            cache,
-            subs: None,
-        };
+        Self::create_in(Arc::new(OsVfs), dir, config)
+    }
+
+    /// [`SegDiffIndex::create`] in the file system `vfs`.
+    pub fn create_in(vfs: Arc<dyn Vfs>, dir: &Path, config: SegDiffConfig) -> Result<Self> {
+        let db = Database::create_in(vfs, dir, config.pool_pages, config.durability())?;
+        for (name, corners) in DROP_TABLES
+            .iter()
+            .chain(&JUMP_TABLES)
+            .zip([1, 2, 3, 1, 2, 3])
+        {
+            db.create_table(TableSpec::new(name, &table_cols(corners)))?;
+        }
+        let segment_cols = ["t_start", "v_start", "t_end", "v_end"];
+        db.create_table(TableSpec::new(SEGMENTS_TABLE, &segment_cols))?;
+        let hist = CornerHistogram::default();
+        let idx = Self::assemble(dir, config, db, 0, hist, hist)?;
         // Make the empty index durable right away: a crash after `create`
         // must reopen cleanly, not leave half a catalog behind.
         idx.write_meta()?;
@@ -139,30 +117,31 @@ impl SegDiffIndex {
     ///
     /// If the storage engine detected an unclean shutdown, its WAL recovery
     /// has already rolled the tables back to the last commit point; the
-    /// metadata snapshot carried by that commit record then overrides
-    /// `segdiff.meta` (which may be from a different instant) and is written
-    /// back to disk, so the whole index — tables, B+trees, metadata — is one
-    /// consistent prefix of the ingest history.
+    /// metadata snapshot carried by the log's last commit record then
+    /// overrides `segdiff.meta` (which may be from a different instant) and
+    /// is written back to disk, so the whole index — tables, B+trees,
+    /// metadata — is one consistent prefix of the ingest history.
     pub fn open(dir: &Path, pool_pages: usize) -> Result<Self> {
-        let db = Database::open(dir, pool_pages)?;
-        let unclean = db.recovery_report().is_some_and(|r| !r.clean);
-        let blob_text = db.recovery_report().and_then(|r| {
-            std::str::from_utf8(&r.committed.blob)
-                .ok()
-                .filter(|s| !s.is_empty())
-                .map(String::from)
-        });
-        let disk_meta = std::fs::read_to_string(Self::meta_path(dir)).ok();
-        let (meta, rewrite_meta) = match (unclean, blob_text, disk_meta) {
-            (true, Some(blob), _) => (blob, true),
-            (_, _, Some(text)) => (text, false),
-            (_, Some(blob), None) => (blob, true),
-            (_, None, None) => {
-                return Err(StoreError::NotFound(format!(
-                    "segdiff meta in {}",
-                    dir.display()
-                )))
-            }
+        Self::open_in(Arc::new(OsVfs), dir, pool_pages)
+    }
+
+    /// [`SegDiffIndex::open`] in the file system `vfs`.
+    pub fn open_in(vfs: Arc<dyn Vfs>, dir: &Path, pool_pages: usize) -> Result<Self> {
+        let db = Database::open_in(vfs, dir, pool_pages, Default::default())?;
+        // The blob of the commit the log restored describes the tables as
+        // they are; `segdiff.meta` can be older (written at `finish`) or
+        // newer (written before a commit the crash took), and is rewritten
+        // when it differs.
+        let text = |bytes: &[u8]| String::from_utf8_lossy(bytes).into_owned();
+        let blob = db.recovery_report().map(|r| text(&r.committed.blob));
+        let blob = blob.filter(|blob| !blob.is_empty());
+        let disk = db.vfs().read(&Self::meta_path(dir)).ok().map(|b| text(&b));
+        let rewrite_meta = blob.is_some() && blob != disk;
+        let Some(meta) = blob.or(disk) else {
+            return Err(StoreError::NotFound(format!(
+                "segdiff meta in {}",
+                dir.display()
+            )));
         };
         let mut epsilon = None;
         let mut window = None;
@@ -176,18 +155,10 @@ impl SegDiffIndex {
                 ["window", v] => window = v.parse().ok(),
                 ["n_observations", v] => n_observations = v.parse().unwrap_or(0),
                 ["drop_hist", a, b, c] => {
-                    drop_hist.counts = [
-                        a.parse().unwrap_or(0),
-                        b.parse().unwrap_or(0),
-                        c.parse().unwrap_or(0),
-                    ]
+                    drop_hist.counts = [a, b, c].map(|n| n.parse().unwrap_or(0))
                 }
                 ["jump_hist", a, b, c] => {
-                    jump_hist.counts = [
-                        a.parse().unwrap_or(0),
-                        b.parse().unwrap_or(0),
-                        c.parse().unwrap_or(0),
-                    ]
+                    jump_hist.counts = [a, b, c].map(|n| n.parse().unwrap_or(0))
                 }
                 _ => {}
             }
@@ -202,40 +173,7 @@ impl SegDiffIndex {
             .with_window(window)
             .with_pool_pages(pool_pages)
             .with_durable(db.wal().is_some());
-        let get = |name: &str| db.table(name);
-        let drop_tables = [
-            get(DROP_TABLES[0])?,
-            get(DROP_TABLES[1])?,
-            get(DROP_TABLES[2])?,
-        ];
-        let jump_tables = [
-            get(JUMP_TABLES[0])?,
-            get(JUMP_TABLES[1])?,
-            get(JUMP_TABLES[2])?,
-        ];
-        let segments_table = get(SEGMENTS_TABLE)?;
-
-        let cache = QueryCache::new(config.cache_entries);
-        let mut idx = Self {
-            dir: dir.to_path_buf(),
-            segmenter: SlidingWindowSegmenter::new(epsilon),
-            extractor: FeatureExtractor::new(epsilon, window),
-            config,
-            db,
-            drop_tables,
-            jump_tables,
-            segments_table,
-            rows_buf: Vec::new(),
-            colbufs: Default::default(),
-            n_observations,
-            n_segments: 0,
-            drop_hist,
-            jump_hist,
-            metrics: IngestMetrics::new(),
-            epoch: AtomicU64::new(0),
-            cache,
-            subs: None,
-        };
+        let mut idx = Self::assemble(dir, config, db, n_observations, drop_hist, jump_hist)?;
         if rewrite_meta {
             idx.write_meta()?;
         }
@@ -254,6 +192,42 @@ impl SegDiffIndex {
             idx.segmenter.push(last.t_end, last.v_end);
         }
         Ok(idx)
+    }
+
+    /// The index over `db`'s tables, `n_observations` and the corner
+    /// histograms as its metadata last recorded them.
+    fn assemble(
+        dir: &Path,
+        config: SegDiffConfig,
+        db: Arc<Database>,
+        n_observations: u64,
+        drop_hist: CornerHistogram,
+        jump_hist: CornerHistogram,
+    ) -> Result<Self> {
+        let tables = |names: [&str; 3]| -> Result<[Arc<Table>; 3]> {
+            let [a, b, c] = names.map(|name| db.table(name));
+            Ok([a?, b?, c?])
+        };
+        Ok(Self {
+            dir: dir.to_path_buf(),
+            segmenter: SlidingWindowSegmenter::new(config.epsilon),
+            extractor: FeatureExtractor::new(config.epsilon, config.window),
+            drop_tables: tables(DROP_TABLES)?,
+            jump_tables: tables(JUMP_TABLES)?,
+            segments_table: db.table(SEGMENTS_TABLE)?,
+            cache: QueryCache::new(config.cache_entries),
+            config,
+            db,
+            rows_buf: Vec::new(),
+            colbufs: Default::default(),
+            n_observations,
+            n_segments: 0,
+            drop_hist,
+            jump_hist,
+            metrics: IngestMetrics::new(),
+            epoch: AtomicU64::new(0),
+            subs: None,
+        })
     }
 
     fn meta_path(dir: &Path) -> PathBuf {
@@ -288,6 +262,7 @@ jump_hist {} {} {}
         // Atomic replace: a crash mid-write must never leave a truncated
         // meta file next to good tables.
         pagestore::write_atomic(
+            &**self.db.vfs(),
             &Self::meta_path(&self.dir),
             self.meta_text().as_bytes(),
             self.db.durability().sync,
@@ -584,10 +559,11 @@ jump_hist {} {} {}
     /// Drops every feature table's zone map (and its sidecar file),
     /// forcing subsequent sequential scans down the unpruned path — for
     /// ablation experiments and the pruning-losslessness tests.
-    pub fn drop_zone_maps(&self) {
+    pub fn drop_zone_maps(&self) -> Result<()> {
         for t in self.drop_tables.iter().chain(self.jump_tables.iter()) {
-            t.drop_zones();
+            t.drop_zones()?;
         }
+        Ok(())
     }
 
     /// Rebuilds any missing feature-table zone map from the stored rows

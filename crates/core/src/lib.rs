@@ -35,7 +35,6 @@
 //! use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
 //!
 //! let dir = std::env::temp_dir().join(format!("segdiff-doc-{}", std::process::id()));
-//! std::fs::remove_dir_all(&dir).ok();
 //!
 //! // A week of synthetic canyon temperatures, five-minute sampling.
 //! let series = generate_sensor(&CadTransectConfig::default().with_days(7).clean(), 12, 7);
@@ -51,7 +50,6 @@
 //!     // The drop starts in [t_d, t_c] and ends in [t_b, t_a].
 //!     assert!(pair.t_d <= pair.t_c && pair.t_b <= pair.t_a);
 //! }
-//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 pub mod ablation;

@@ -9,8 +9,12 @@
 //! * **bounded false positives** — every returned pair must contain an
 //!   event with `Δv <= V + 2ε` within `Δt <= T`
 //!   ([`pair_extreme_change`] vs the threshold).
+//!
+//! [`check_prefix`] holds a store that survived a crash to both, and to
+//! the store's own consistency: the one checker of crash recovery.
 
 use crate::result::SegmentPair;
+use crate::{QueryPlan, SegDiffIndex};
 use featurespace::{QueryRegion, SearchKind};
 use sensorgen::TimeSeries;
 
@@ -54,31 +58,45 @@ pub fn find_missed_event(events: &[(f64, f64)], results: &[SegmentPair]) -> Opti
 /// `t2 ∈ [t_b, t_a]`, `0 < t2 - t1 <= T`, where `G` is the linear
 /// interpolation of the raw series.
 ///
-/// Evaluated over a dense grid (`grid` points per interval plus all sampled
-/// observations inside the intervals), which is exact up to grid
-/// resolution — adequate for checking the `2ε` tolerance with a small
-/// slack. Returns `None` when no pair of instants satisfies `Δt <= T`
-/// (cannot happen for pairs produced by the framework).
+/// Exact: `G(t2) - G(t1)` is affine on each cell between sampled
+/// observations, so its extreme over the feasible part of a cell lies on
+/// a corner — two sample times or interval ends, or one of them and the
+/// instant `T` away from it — and every such corner is evaluated (plus
+/// `grid` evenly spaced points per interval, which can only agree).
+/// Returns `None` when no pair of instants satisfies `Δt <= T` (cannot
+/// happen for pairs produced by the framework).
 pub fn pair_extreme_change(
     series: &TimeSeries,
     pair: &SegmentPair,
     region: &QueryRegion,
     grid: usize,
 ) -> Option<f64> {
-    let earlier = candidate_times(series, pair.t_d, pair.t_c, grid);
-    let later = candidate_times(series, pair.t_b, pair.t_a, grid);
-    // When the two intervals overlap in more than a point, events with
-    // Δt -> 0+ exist and their Δv -> 0 by continuity of G: zero is an
-    // infimum the grid cannot attain, so seed it explicitly.
-    let overlap = pair.t_d.max(pair.t_b) < pair.t_c.min(pair.t_a);
+    let mut earlier = candidate_times(series, pair.t_d, pair.t_c, grid);
+    let mut later = candidate_times(series, pair.t_b, pair.t_a, grid);
+    let shifted = |times: &[f64], by: f64, lo: f64, hi: f64| -> Vec<f64> {
+        let moved = times.iter().map(|t| t + by);
+        moved.filter(|t| (lo..=hi).contains(t)).collect()
+    };
+    let ends = shifted(&later, -region.t, pair.t_d, pair.t_c);
+    let starts = shifted(&earlier, region.t, pair.t_b, pair.t_a);
+    for (times, extra) in [(&mut earlier, ends), (&mut later, starts)] {
+        times.extend(extra);
+        times.sort_by(f64::total_cmp);
+        times.dedup();
+    }
+    // When the two intervals meet, events with Δt -> 0+ exist and their
+    // Δv -> 0 by continuity of G: zero is an infimum no corner attains,
+    // so seed it explicitly.
+    let overlap = pair.t_d.max(pair.t_b) <= pair.t_c.min(pair.t_a);
     let mut best: Option<f64> = if overlap { Some(0.0) } else { None };
     for &t1 in &earlier {
         let Some(v1) = series.interpolate(t1) else {
             continue;
         };
         for &t2 in &later {
+            // `t1 + T - t1` may round past `T`: a corner on `Δt = T` stays.
             let dt = t2 - t1;
-            if dt <= 0.0 || dt > region.t {
+            if dt <= 0.0 || dt > region.t * (1.0 + 1e-12) {
                 continue;
             }
             let Some(v2) = series.interpolate(t2) else {
@@ -95,7 +113,93 @@ pub fn pair_extreme_change(
     best
 }
 
-/// Sampled observations within `[lo, hi]` plus a uniform grid over it.
+/// What [`check_prefix`] saw of a store that passed it.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PrefixCheck {
+    /// Segments stored: the prefix of the input the store holds.
+    pub segments: usize,
+    /// True events in that prefix, over every region checked.
+    pub events: usize,
+    /// Result pairs, over every region checked.
+    pub results: usize,
+}
+
+/// Checks a store — typically one just reopened after a crash — against
+/// the series it was fed, and returns what it saw, or the first violation:
+///
+/// 1. **prefix consistency**: [`SegDiffIndex::verify_consistency`] — the
+///    segment chain is unbroken and every feature table is what
+///    extraction over those segments produces, so the store is what a
+///    crash-free ingest of some prefix of the input would have built;
+/// 2. **Theorem 1 over that prefix**: every true event of each region
+///    among the observations up to the last stored segment's end is
+///    covered by a result pair;
+/// 3. **Lemma 5**: every result pair holds a change within `2ε` of the
+///    region's `V` ([`pair_extreme_change`], exactly);
+/// 4. **one answer**: [`QueryPlan::Index`] returns exactly what
+///    [`QueryPlan::SeqScan`] does (the store's trees must exist).
+pub fn check_prefix(
+    idx: &SegDiffIndex,
+    series: &TimeSeries,
+    regions: &[QueryRegion],
+) -> Result<PrefixCheck, String> {
+    idx.verify_consistency()
+        .map_err(|e| format!("prefix inconsistent: {e}"))?;
+    let segments = idx.segments().map_err(|e| e.to_string())?;
+    let mut seen = PrefixCheck {
+        segments: segments.len(),
+        ..PrefixCheck::default()
+    };
+    let Some(last) = segments.last() else {
+        return Ok(seen);
+    };
+    let mut prefix = TimeSeries::new();
+    for (t, v) in series.iter().take_while(|&(t, _)| t <= last.t_end) {
+        prefix.push(t, v);
+    }
+    let eps = idx.config().epsilon;
+    for region in regions {
+        let run = |plan| idx.query(region, plan).map(|(pairs, _)| pairs);
+        let scan = run(QueryPlan::SeqScan).map_err(|e| e.to_string())?;
+        let index = run(QueryPlan::Index).map_err(|e| e.to_string())?;
+        if scan != index {
+            return Err(format!(
+                "plans disagree on {region:?}: {} pairs by scan, {} by index",
+                scan.len(),
+                index.len()
+            ));
+        }
+        let events = true_events(&prefix, region);
+        if let Some(missed) = find_missed_event(&events, &scan) {
+            return Err(format!(
+                "Theorem 1 violated on {region:?}: true event {missed:?} in the prefix \
+                 (t <= {}) is not covered by any of {} results",
+                last.t_end,
+                scan.len()
+            ));
+        }
+        for pair in &scan {
+            let reach = pair_extreme_change(&prefix, pair, region, 0);
+            let within = reach.is_some_and(|dv| match region.kind {
+                SearchKind::Drop => dv <= region.v + 2.0 * eps + 1e-9,
+                SearchKind::Jump => dv >= region.v - 2.0 * eps - 1e-9,
+            });
+            if !within {
+                return Err(format!(
+                    "Lemma 5 violated on {region:?}: pair {pair:?} reaches {reach:?}, \
+                     beyond V by more than 2ε = {}",
+                    2.0 * eps
+                ));
+            }
+        }
+        seen.events += events.len();
+        seen.results += scan.len();
+    }
+    Ok(seen)
+}
+
+/// Sampled observations within `[lo, hi]`, its ends, and `grid` points
+/// evenly spaced between.
 fn candidate_times(series: &TimeSeries, lo: f64, hi: f64, grid: usize) -> Vec<f64> {
     let mut out: Vec<f64> = series
         .times()
@@ -103,12 +207,9 @@ fn candidate_times(series: &TimeSeries, lo: f64, hi: f64, grid: usize) -> Vec<f6
         .copied()
         .filter(|&t| lo <= t && t <= hi)
         .collect();
-    if hi > lo {
-        for k in 0..=grid {
-            out.push(lo + (hi - lo) * k as f64 / grid as f64);
-        }
-    } else {
-        out.push(lo);
+    out.extend([lo, hi]);
+    for k in 1..grid {
+        out.push(lo + (hi - lo) * k as f64 / grid as f64);
     }
     out.sort_by(f64::total_cmp);
     out.dedup();

@@ -597,7 +597,7 @@ mod proptests {
             };
             let (pruned, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
             let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
-            idx.drop_zone_maps();
+            idx.drop_zone_maps().unwrap();
             let (unpruned, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
             prop_assert_eq!(&pruned, &unpruned, "pruning lost or invented results");
             prop_assert_eq!(&pruned, &indexed, "index plan disagrees with scan");

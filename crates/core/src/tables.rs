@@ -208,7 +208,7 @@ mod tests {
             idx.ingest_series(&series).unwrap();
             idx.finish().unwrap();
             // No zone summary: the plan probes every table it has trees for.
-            idx.drop_zone_maps();
+            idx.drop_zone_maps().unwrap();
             (dir, idx)
         };
         let (dir, idx) = build("all");

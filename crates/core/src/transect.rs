@@ -12,7 +12,7 @@ use crate::query::{QueryPlan, QueryStats};
 use crate::result::SegmentPair;
 use crate::stats::SegDiffStats;
 use featurespace::QueryRegion;
-use pagestore::{Result, StoreError};
+use pagestore::{OsVfs, Result, StoreError, Vfs};
 use sensorgen::TimeSeries;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -109,23 +109,14 @@ impl TransectIndex {
 
     /// Global sensor ids present under `root`, ascending.
     pub fn scan_ids(root: &Path) -> Result<Vec<u32>> {
-        let mut ids = Vec::new();
-        let entries = match std::fs::read_dir(root) {
-            Ok(e) => e,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(ids),
-            Err(e) => return Err(e.into()),
+        let names = match OsVfs.list(root) {
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
+            listed => listed?,
         };
-        for entry in entries {
-            let entry = entry?;
-            if let Some(k) = entry
-                .file_name()
-                .to_str()
-                .and_then(|n| n.strip_prefix("sensor-"))
-                .and_then(|n| n.parse::<u32>().ok())
-            {
-                ids.push(k);
-            }
-        }
+        let mut ids: Vec<u32> = names
+            .iter()
+            .filter_map(|n| n.strip_prefix("sensor-")?.parse().ok())
+            .collect();
         ids.sort_unstable();
         ids.dedup();
         Ok(ids)

@@ -9,6 +9,10 @@
 //! live — classified or anonymous; an unranked mutex blocks its
 //! waiters just the same.
 //!
+//! File I/O is named by the one seam every byte of a store goes through
+//! (`pagestore::vfs`) and by the pagestore calls that reach it, so the
+//! table follows the seam rather than the standard library.
+//!
 //! Some sites are blocking-under-lock *by design*: the WAL serializes
 //! appends and fsyncs under its writer lock, and the buffer pool writes
 //! pages under the per-file latch. Those are blessed in the
@@ -26,22 +30,22 @@ use crate::flow::{self, CallForm, Guard, Site};
 /// matched (a local `fn flush()` is not `File::flush`). Condvar waits
 /// are deliberately absent: `wait`/`wait_timeout` release the mutex.
 pub const BLOCKING_OPS: &[&str] = &[
-    // File I/O and durability.
-    "write_page",
-    "read_page",
-    "write_all",
-    "read_exact",
-    "read_to_end",
+    // File I/O: the `Vfs` seam's calls (`open`, `create`, `list` and `len`
+    // share their names with too much to be told apart lexically) ...
+    "read_at",
+    "write_at",
     "set_len",
-    "seek",
+    "sync",
     "rename",
     "remove_file",
-    "sync_all",
-    "sync_data",
-    "fsync",
-    "flush",
-    "sync",
+    "sync_dir",
+    "create_dir_all",
+    "write_atomic",
+    // ... and the pagestore calls that reach them.
+    "read_page",
+    "write_page",
     "append_image",
+    "mark_unclean",
     // Sockets.
     "accept",
     "connect",
@@ -148,7 +152,7 @@ paths = ["*.shards[]"]
 
 [[allow_blocking]]
 file = "crates/pagestore/src/wal.rs"
-ops = ["write_all", "sync_data"]
+ops = ["write_at", "sync"]
 reason = "WAL durability: fsync must serialize under the writer lock"
 "#;
 
@@ -167,15 +171,33 @@ reason = "WAL durability: fsync must serialize under the writer lock"
 
     #[test]
     fn fsync_under_classified_guard_fires() {
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.sync_all();\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.sync();\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
         assert!(
             d[0].message
-                .contains("blocking call `sync_all` while holding `shard`"),
+                .contains("blocking call `sync` while holding `shard`"),
             "{}",
             d[0].message
         );
+    }
+
+    #[test]
+    fn seam_write_under_shard_guard_fires() {
+        let src =
+            "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.write_at(&buf, off);\n}\n";
+        let d = run(src);
+        assert_eq!(d.len(), 1);
+        assert!(
+            d[0].message
+                .contains("blocking call `write_at` while holding `shard`"),
+            "{}",
+            d[0].message
+        );
+        // The standard library's name for it is not the seam's.
+        let std_src =
+            "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.write_all(&buf);\n}\n";
+        assert!(run(std_src).is_empty());
     }
 
     #[test]
@@ -189,7 +211,7 @@ reason = "WAL durability: fsync must serialize under the writer lock"
 
     #[test]
     fn no_guard_no_finding() {
-        let src = "fn f(&self) {\n file.sync_all();\n std::thread::sleep(d);\n}\n";
+        let src = "fn f(&self) {\n file.sync();\n std::thread::sleep(d);\n}\n";
         assert!(run(src).is_empty());
     }
 
@@ -210,7 +232,7 @@ reason = "WAL durability: fsync must serialize under the writer lock"
     #[test]
     fn allowlist_matches_and_is_tracked() {
         let src =
-            "fn append(&self) {\n let mut inner = self.inner.lock();\n f.write_all(&buf);\n f.sync_data();\n}\n";
+            "fn append(&self) {\n let mut inner = self.inner.lock();\n f.write_at(&buf, 0);\n f.sync();\n}\n";
         let (d, used) = run_at("crates/pagestore/src/wal.rs", src);
         assert!(d.is_empty(), "{d:?}");
         assert_eq!(used, vec![0, 0]);
@@ -219,14 +241,14 @@ reason = "WAL durability: fsync must serialize under the writer lock"
     #[test]
     fn allowlist_is_per_file_and_per_op() {
         // Same ops in a different file are not covered.
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n f.write_all(&buf);\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n f.write_at(&buf, 0);\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
     }
 
     #[test]
     fn suppression_honored() {
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.sync_all(); // lint: allow(L7) shutdown path, no concurrent readers\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.sync(); // lint: allow(L7) shutdown path, no concurrent readers\n}\n";
         assert!(run(src).is_empty());
     }
 }

@@ -144,27 +144,6 @@ impl BTree {
         Ok(t)
     }
 
-    /// True when the file at `path` plausibly holds a finished tree:
-    /// page-aligned, non-empty, tree magic on the meta page. B+trees are
-    /// unlogged and rebuildable, so [`crate::Database::open`] uses this
-    /// to tell a usable index apart from one a crash left torn (typically
-    /// all zeros: pages allocated, cached writes never flushed) and
-    /// silently rebuilds the latter instead of failing the open.
-    pub(crate) fn file_is_valid(path: &std::path::Path) -> bool {
-        use std::io::Read;
-        let Ok(meta) = std::fs::metadata(path) else {
-            return false;
-        };
-        if meta.len() == 0 || meta.len() % PAGE_SIZE as u64 != 0 {
-            return false;
-        }
-        let Ok(mut f) = std::fs::File::open(path) else {
-            return false;
-        };
-        let mut magic = [0u8; 4];
-        f.read_exact(&mut magic).is_ok() && u32::from_le_bytes(magic) == MAGIC
-    }
-
     /// Opens an existing tree in file `fid`.
     pub fn open(pool: Arc<BufferPool>, fid: FileId) -> Result<Self> {
         let (magic, kw, root, height, count) = pool.with_page(fid, META_PAGE, |b| {
@@ -849,7 +828,7 @@ mod tests {
     fn setup(name: &str, kw: usize) -> (Arc<BufferPool>, BTree, PathBuf) {
         let p = std::env::temp_dir().join(format!("pagestore-bt-{}-{name}", std::process::id()));
         let pool = Arc::new(BufferPool::new(128));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         let bt = BTree::create(pool.clone(), fid, kw).unwrap();
         (pool, bt, p)
     }
@@ -1015,7 +994,7 @@ mod tests {
         let p = std::env::temp_dir().join(format!("pagestore-bt-{}-reopen", std::process::id()));
         {
             let pool = Arc::new(BufferPool::new(128));
-            let fid = pool.register_file(PageFile::create(&p).unwrap());
+            let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
             let mut bt = BTree::create(pool.clone(), fid, 8).unwrap();
             for i in 0..5000u64 {
                 bt.insert(&key8(i)).unwrap();
@@ -1024,7 +1003,7 @@ mod tests {
             pool.flush_all().unwrap();
         }
         let pool = Arc::new(BufferPool::new(128));
-        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let fid = pool.register_file(PageFile::open(&crate::OsVfs, &p).unwrap());
         let bt = BTree::open(pool, fid).unwrap();
         assert_eq!(bt.len(), 5000);
         assert_eq!(bt.key_width(), 8);
@@ -1310,7 +1289,7 @@ mod tests {
         // a leaf to 459 entries; key 10 * i + 5 is entry i.
         let p = std::env::temp_dir().join(format!("pagestore-bt-{}-runs", std::process::id()));
         let pool = Arc::new(BufferPool::new(128));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         let per_leaf = (PAGE_SIZE - HDR) / 8 * 9 / 10;
         let model: Vec<u64> = (0..4 * per_leaf as u64 + 17).map(|i| 10 * i + 5).collect();
         let keys: Vec<[u8; 8]> = model.iter().map(|&k| key8(k)).collect();
@@ -1389,7 +1368,7 @@ mod tests {
     fn bulk_file(name: &str) -> (Arc<BufferPool>, FileId, PathBuf) {
         let p = std::env::temp_dir().join(format!("pagestore-bulk-{}-{name}", std::process::id()));
         let pool = Arc::new(BufferPool::new(256));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         (pool, fid, p)
     }
 
@@ -1469,7 +1448,7 @@ mod tests {
             pool.flush_all().unwrap();
         }
         let pool = Arc::new(BufferPool::new(256));
-        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let fid = pool.register_file(PageFile::open(&crate::OsVfs, &p).unwrap());
         let bt = BTree::open(pool, fid).unwrap();
         assert_eq!(bt.len(), 10_000);
         let mut n = 0;

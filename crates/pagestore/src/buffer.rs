@@ -4,8 +4,9 @@
 //! own frame table, hash map, clock hand and counters with its own lock.
 //! A page `(FileId, PageId)` is pinned to one shard by hashing, so two
 //! threads touching pages in different shards never contend. Physical
-//! I/O goes through a per-file mutex *below* the shard lock, which keeps
-//! the lock order (`files` registry → WAL handle → shard → file) acyclic.
+//! I/O is positional and takes no lock of its own — a page's shard lock
+//! serializes every transfer of that page — so the lock order is `files`
+//! registry → WAL handle → shard.
 //!
 //! A page *hit* takes the shard lock and nothing else. Only a miss needs
 //! the registry (to read the page) and the WAL handle (to log a dirty
@@ -15,6 +16,7 @@
 use crate::error::Result;
 use crate::page::PageBuf;
 use crate::pagefile::{FileId, PageFile, PageId};
+use crate::vfs::{OsVfs, Vfs};
 use crate::wal::Wal;
 use crate::PAGE_SIZE;
 use parking_lot::{Mutex, RwLock};
@@ -119,9 +121,9 @@ struct Frame {
 /// A registered file plus its durability identity. Files registered with
 /// a `wal_name` have their dirty pages logged (WAL-before-data) before
 /// any writeback; files without one (B+tree indexes, plain-pool users)
-/// are written back directly.
+/// are written back directly (after [`Wal::mark_unclean`]).
 struct FileEntry {
-    file: Mutex<PageFile>,
+    file: PageFile,
     wal_name: Option<String>,
 }
 
@@ -182,6 +184,8 @@ pub const DEFAULT_SHARDS: usize = 8;
 /// safe for concurrent use from many threads; see the module docs for the
 /// striping design.
 pub struct BufferPool {
+    /// The file system every registered file lives in.
+    vfs: Arc<dyn Vfs>,
     files: RwLock<Vec<FileEntry>>,
     shards: Vec<Mutex<Shard>>,
     /// When attached, dirty pages of WAL-named files are appended to the
@@ -230,6 +234,7 @@ impl BufferPool {
             .collect();
         let shard_metrics = (0..nshards).map(PoolMetrics::for_shard).collect();
         Self {
+            vfs: Arc::new(OsVfs),
             files: RwLock::new(Vec::new()),
             shards,
             wal: RwLock::new(None),
@@ -238,6 +243,17 @@ impl BufferPool {
             shard_metrics,
             resident_pages: obs::global().gauge("pool.resident_pages"),
         }
+    }
+
+    /// This pool with its files in `vfs` rather than the operating system's.
+    pub fn in_vfs(mut self, vfs: Arc<dyn Vfs>) -> Self {
+        self.vfs = vfs;
+        self
+    }
+
+    /// The file system the pool's files live in.
+    pub fn vfs(&self) -> &Arc<dyn Vfs> {
+        &self.vfs
     }
 
     /// Number of lock stripes.
@@ -264,10 +280,7 @@ impl BufferPool {
     /// appended to the log (under that name) before it is written back.
     pub fn register_file_named(&self, file: PageFile, wal_name: Option<String>) -> FileId {
         let mut files = self.files.write();
-        files.push(FileEntry {
-            file: Mutex::new(file),
-            wal_name,
-        });
+        files.push(FileEntry { file, wal_name });
         (files.len() - 1) as FileId
     }
 
@@ -283,24 +296,25 @@ impl BufferPool {
         self.sync.store(sync, Ordering::Release);
     }
 
+    /// Whether flushes end in a sync (see [`BufferPool::set_sync`]).
+    pub(crate) fn syncs(&self) -> bool {
+        self.sync.load(Ordering::Acquire)
+    }
+
     /// Number of pages currently allocated in file `fid`.
     pub fn file_pages(&self, fid: FileId) -> u32 {
-        self.files.read()[fid as usize].file.lock().num_pages()
+        self.files.read()[fid as usize].file.num_pages()
     }
 
     /// On-disk size of file `fid` in bytes.
     pub fn file_size_bytes(&self, fid: FileId) -> u64 {
-        self.files.read()[fid as usize].file.lock().size_bytes()
+        self.files.read()[fid as usize].file.size_bytes()
     }
 
     /// Filesystem path of file `fid` (used for derived sidecar files,
     /// e.g. zone maps).
     pub fn file_path(&self, fid: FileId) -> std::path::PathBuf {
-        self.files.read()[fid as usize]
-            .file
-            .lock()
-            .path()
-            .to_path_buf()
+        self.files.read()[fid as usize].file.path().to_path_buf()
     }
 
     /// Appends a zeroed page to file `fid` and returns its id. The page is
@@ -308,7 +322,7 @@ impl BufferPool {
     pub fn allocate_page(&self, fid: FileId) -> Result<PageId> {
         let files = self.files.read();
         let wal = self.wal.read().clone();
-        let pid = files[fid as usize].file.lock().allocate()?;
+        let pid = files[fid as usize].file.allocate()?;
         let si = shard_for(self.shards.len(), fid, pid);
         let mut shard = self.shards[si].lock();
         shard.stats.physical_writes += 1; // the zero-fill write
@@ -376,6 +390,7 @@ impl BufferPool {
     /// Writes every dirty frame back to its file, then syncs the files
     /// (a real `fsync` unless [`BufferPool::set_sync`] opted out).
     pub fn flush_all(&self) -> Result<()> {
+        self.log_before_flush()?;
         let files = self.files.read();
         let wal = self.wal.read().clone();
         for (si, s) in self.shards.iter().enumerate() {
@@ -402,6 +417,7 @@ impl BufferPool {
     /// Flushes and then drops every cached frame: the next access to any
     /// page is a miss ("cold cache").
     pub fn clear_cache(&self) -> Result<()> {
+        self.log_before_flush()?;
         let files = self.files.read();
         let wal = self.wal.read().clone();
         for (si, s) in self.shards.iter().enumerate() {
@@ -424,7 +440,7 @@ impl BufferPool {
     /// file. Callers must checkpoint first so no WAL image of the old
     /// contents can replay onto the new file.
     pub fn swap_file(&self, fid: FileId, file: PageFile) {
-        let files = self.files.read();
+        let mut files = self.files.write();
         for s in self.shards.iter() {
             let mut shard = s.lock();
             let mut i = 0;
@@ -444,7 +460,7 @@ impl BufferPool {
             }
             shard.hand = 0;
         }
-        *files[fid as usize].file.lock() = file;
+        files[fid as usize].file = file;
     }
 
     /// Appends the image of every dirty-but-unlogged page of every
@@ -471,14 +487,19 @@ impl BufferPool {
         Ok(logged)
     }
 
+    /// Logs the images of every dirty logged page, durably, before a flush
+    /// writes any page back, so no unlogged page it writes indexes a row
+    /// missing from both the log and the heap.
+    fn log_before_flush(&self) -> Result<()> {
+        self.log_dirty_pages()?;
+        let wal = self.wal.read().clone();
+        wal.map_or(Ok(()), |wal| wal.sync())
+    }
+
     fn sync_files(&self, files: &[FileEntry]) -> Result<()> {
-        let fsync = self.sync.load(Ordering::Acquire);
-        for f in files.iter() {
-            let mut file = f.file.lock();
-            if fsync {
-                file.sync_all()?;
-            } else {
-                file.sync()?;
+        if self.syncs() {
+            for f in files {
+                f.file.sync()?;
             }
         }
         Ok(())
@@ -504,7 +525,7 @@ impl BufferPool {
             wal.append_image(name, pid, frame.buf.bytes())?;
             frame.logged = true;
         }
-        entry.file.lock().write_page(pid, frame.buf.bytes())?;
+        entry.file.write_page(pid, frame.buf.bytes())?;
         frame.dirty = false;
         shard.stats.physical_writes += 1;
         self.metrics.physical_writes.inc();
@@ -598,6 +619,10 @@ impl BufferPool {
             let victim = clock_victim(shard);
             let old = shard.frames[victim].key;
             if shard.frames[victim].dirty {
+                // A tree page evicted before its heap's rows are logged.
+                if let (None, Some(wal)) = (&files[old.0 as usize].wal_name, wal) {
+                    wal.mark_unclean()?;
+                }
                 self.write_back(shard, si, victim, files, wal)?;
             }
             shard.map.remove(&old);
@@ -611,7 +636,7 @@ impl BufferPool {
         };
         if load {
             let buf = shard.frames[i].buf.bytes_mut();
-            files[fid as usize].file.lock().read_page(pid, buf)?;
+            files[fid as usize].file.read_page(pid, buf)?;
             shard.stats.physical_reads += 1;
             self.metrics.physical_reads.inc();
             self.shard_metrics[si].physical_reads.inc();
@@ -659,7 +684,7 @@ mod tests {
     fn pool_with_file(name: &str, cap: usize) -> (BufferPool, FileId, PathBuf) {
         let p = tmpfile(name);
         let pool = BufferPool::new(cap);
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         (pool, fid, p)
     }
 
@@ -699,11 +724,12 @@ mod tests {
         let dir = tmpfile("walevict");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let wal = Arc::new(Wal::create(&dir, &CommitState::default(), false, 1).unwrap());
+        let state = CommitState::default();
+        let wal = Arc::new(Wal::create(Arc::new(crate::OsVfs), &dir, &state, false).unwrap());
         let pool = BufferPool::with_shards(8, 1);
         pool.attach_wal(Arc::clone(&wal));
         let path = dir.join("t.tbl");
-        let file = PageFile::create(&path).unwrap();
+        let file = PageFile::create(&crate::OsVfs, &path).unwrap();
         let fid = pool.register_file_named(file, Some("t.tbl".to_string()));
         // Four times the pool: allocation and the read-back below both
         // evict dirty pages, and nothing else ever writes one back.
@@ -717,7 +743,7 @@ mod tests {
             assert_eq!(u32::from(first), pid + 1);
         }
         assert!(pool.stats().evictions >= 24);
-        let logged: Vec<(u32, Box<[u8; PAGE_SIZE]>)> = scan(&dir.join(WAL_FILE))
+        let logged: Vec<(u32, Box<[u8; PAGE_SIZE]>)> = scan(&crate::OsVfs, &dir.join(WAL_FILE))
             .unwrap()
             .records
             .into_iter()
@@ -918,8 +944,8 @@ mod tests {
         let p1 = tmpfile("multi1");
         let p2 = tmpfile("multi2");
         let pool = BufferPool::new(16);
-        let f1 = pool.register_file(PageFile::create(&p1).unwrap());
-        let f2 = pool.register_file(PageFile::create(&p2).unwrap());
+        let f1 = pool.register_file(PageFile::create(&crate::OsVfs, &p1).unwrap());
+        let f2 = pool.register_file(PageFile::create(&crate::OsVfs, &p2).unwrap());
         let a = pool.allocate_page(f1).unwrap();
         let b = pool.allocate_page(f2).unwrap();
         pool.with_page_mut(f1, a, |x| x[0] = 1).unwrap();

@@ -6,6 +6,7 @@ use crate::colpage::{self, ColPageBuilder};
 use crate::error::Result;
 use crate::page::{self, PageBuf};
 use crate::pagefile::{FileId, PageFile};
+use crate::vfs::Vfs;
 use crate::zonemap::{ZoneMap, ZONE_LEVELS};
 use crate::{StoreError, PAGE_SIZE};
 use std::ops::Range;
@@ -141,6 +142,7 @@ pub struct ScanPage<'a> {
     heap: &'a HeapFile,
     buf: &'a PageBuf,
     sealed: bool,
+    rows: usize,
     /// Columnar decodes so far: `colpage.pages_decoded` counts the page
     /// once, however many projections read it.
     decoded: std::cell::Cell<u64>,
@@ -149,7 +151,7 @@ pub struct ScanPage<'a> {
 impl ScanPage<'_> {
     /// Rows on the page.
     pub fn rows(&self) -> usize {
-        colpage::page_nrows(self.buf.bytes())
+        self.rows
     }
 
     /// Whether the page holds sealed rows ([`HeapFile::sealed_rows`]):
@@ -179,6 +181,7 @@ impl ScanPage<'_> {
             .heap
             .decode_page_columns(self.buf, range, cols, &mut decoded);
         self.decoded.set(decoded);
+        cols.iter_mut().for_each(|col| col.truncate(self.rows));
         read.map(|_| ())
     }
 }
@@ -275,7 +278,8 @@ impl HeapFile {
                 "{npages} pages hold fewer rows than the meta count {nrows}"
             ));
         }
-        let zones = ZoneMap::load(&path, ncols, nrows).map(Self::with_levels_gauge);
+        let zones = ZoneMap::load(&**pool.vfs(), &path, ncols, nrows)?;
+        let zones = zones.map(Self::with_levels_gauge);
         Ok(Self {
             pool,
             fid,
@@ -289,22 +293,24 @@ impl HeapFile {
     }
 
     /// Writes `rows`, in the order given, as a whole heap file at `path`
-    /// with every row sealed — meta page, then columnar pages filled front
-    /// to back — fsynced when `sync`, and returns the zone map of the rows
-    /// under the pages they landed on. The one place a columnar page is
-    /// built: rows reach one by being sealed, never by being appended.
+    /// of `vfs` with every row sealed — meta page, then columnar pages
+    /// filled front to back — synced when `sync`, and returns the zone map
+    /// of the rows under the pages they landed on. The one place a
+    /// columnar page is built: rows reach one by being sealed, never by
+    /// being appended.
     pub(crate) fn write_sealed(
+        vfs: &dyn Vfs,
         path: &Path,
         ncols: usize,
         rows: &[&[f64]],
         sync: bool,
     ) -> Result<ZoneMap> {
-        let mut out = PageFile::create(path)?;
+        let out = PageFile::create(vfs, path)?;
         out.allocate()?; // meta page 0, filled in below
         let mut zones = ZoneMap::new(ncols);
         let mut page = PageBuf::zeroed();
         let mut builder = ColPageBuilder::new(ncols);
-        let mut seal = |out: &mut PageFile, builder: &ColPageBuilder| {
+        let mut seal = |builder: &ColPageBuilder| {
             builder.seal_into(page.bytes_mut());
             obs::global().counter("colpage.pages_written").inc();
             let pid = out.allocate()?;
@@ -312,7 +318,7 @@ impl HeapFile {
         };
         for row in rows {
             if !builder.try_push(row) {
-                seal(&mut out, &builder)?;
+                seal(&builder)?;
                 builder.clear();
                 assert!(builder.try_push(row), "a row must fit an empty page");
             }
@@ -320,7 +326,7 @@ impl HeapFile {
             zones.observe(out.num_pages(), row);
         }
         if !builder.is_empty() {
-            seal(&mut out, &builder)?;
+            seal(&builder)?;
         }
         let mut meta = PageBuf::zeroed();
         put_meta(
@@ -331,7 +337,7 @@ impl HeapFile {
         );
         out.write_page(META_PAGE, meta.bytes())?;
         if sync {
-            out.sync_all()?;
+            out.sync()?;
         }
         Ok(zones)
     }
@@ -347,7 +353,8 @@ impl HeapFile {
     pub fn sync_meta(&self) -> Result<()> {
         self.write_meta()?;
         if let Some(z) = &self.zones {
-            z.save(&self.pool.file_path(self.fid))?;
+            let path = self.pool.file_path(self.fid);
+            z.save(&**self.pool.vfs(), &path, self.pool.syncs())?;
         }
         Ok(())
     }
@@ -565,9 +572,10 @@ impl HeapFile {
     /// Drops the zone map and deletes its sidecar, forcing subsequent
     /// scans down the unpruned path (a seal, before it replaces the file;
     /// tests and ablations).
-    pub fn drop_zones(&mut self) {
+    pub fn drop_zones(&mut self) -> Result<()> {
         self.zones = None;
-        std::fs::remove_file(ZoneMap::sidecar_path(&self.pool.file_path(self.fid))).ok();
+        let sidecar = ZoneMap::sidecar_path(&self.pool.file_path(self.fid));
+        Ok(self.pool.vfs().remove_file(&sidecar)?)
     }
 
     /// Top-down hierarchical pruning: applies `filter` to the segment
@@ -689,7 +697,9 @@ impl HeapFile {
         filter: impl FnMut(&[f64], &[f64]) -> bool,
         visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
     ) -> Result<ZoneScanStats> {
-        self.scan_pages_below(self.pool.file_pages(self.fid), filter, visit)
+        // Pages behind the last row's are a crash's leftovers: no row.
+        let (last, rows) = self.tail_position(self.nrows);
+        self.scan_pages_below(last + u32::from(rows > 0), filter, visit)
     }
 
     /// [`HeapFile::scan_pages`] over the pages of the sealed rows alone
@@ -717,14 +727,24 @@ impl HeapFile {
         let mut buf = None;
         let mut decoded = 0;
         let mut outcome = Ok(true);
+        let (last, last_rows) = self.tail_position(self.nrows);
         for pid in live {
             stats.pages_scanned += 1;
             let buf = buf.get_or_insert_with(PageBuf::zeroed);
             self.pool.read_page_into(self.fid, pid, buf)?;
+            // A raw page holds the rows its position says, whatever a
+            // crash left in its header; a sealed page says itself.
+            let held = colpage::page_nrows(buf.bytes());
+            let rows = match pid {
+                _ if pid <= self.sealed_pages => held,
+                _ if pid == last => last_rows.min(held),
+                _ => self.rows_per_page.min(held),
+            };
             let page = ScanPage {
                 heap: self,
                 buf,
                 sealed: pid <= self.sealed_pages,
+                rows,
                 decoded: std::cell::Cell::new(0),
             };
             outcome = visit(&page);
@@ -893,6 +913,7 @@ impl HeapFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::OsVfs;
     use std::path::PathBuf;
 
     /// A heap of `rows` whose first `sealed` rows a seal wrote and whose
@@ -908,12 +929,12 @@ mod tests {
         std::fs::remove_file(&p).ok();
         let pool = Arc::new(BufferPool::new(64));
         let mut heap = if sealed == 0 {
-            let fid = pool.register_file(PageFile::create(&p).unwrap());
+            let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
             HeapFile::create(pool.clone(), fid, ncols).unwrap()
         } else {
             let lead: Vec<&[f64]> = rows[..sealed].iter().map(|r| &r[..]).collect();
-            let zones = HeapFile::write_sealed(&p, ncols, &lead, false).unwrap();
-            let fid = pool.register_file(PageFile::open(&p).unwrap());
+            let zones = HeapFile::write_sealed(&OsVfs, &p, ncols, &lead, false).unwrap();
+            let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
             let mut heap = HeapFile::open(pool.clone(), fid).unwrap();
             heap.install_zones(zones);
             heap
@@ -1063,7 +1084,7 @@ mod tests {
         let p = std::env::temp_dir().join(format!("pagestore-heap-{}-reopen", std::process::id()));
         {
             let pool = Arc::new(BufferPool::new(64));
-            let fid = pool.register_file(PageFile::create(&p).unwrap());
+            let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
             let mut h = HeapFile::create(pool.clone(), fid, 2).unwrap();
             for i in 0..1000 {
                 h.insert(&[i as f64, 2.0 * i as f64]).unwrap();
@@ -1072,7 +1093,7 @@ mod tests {
             pool.flush_all().unwrap();
         }
         let pool = Arc::new(BufferPool::new(64));
-        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
         let mut h = HeapFile::open(pool, fid).unwrap();
         assert_eq!((h.num_rows(), h.sealed_rows()), (1000, 0));
         // Appends continue where the tail left off.
@@ -1127,7 +1148,7 @@ mod tests {
         pool.flush_all().unwrap();
         drop((h, pool));
         let pool = Arc::new(BufferPool::new(64));
-        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
         let mut h = HeapFile::open(pool.clone(), fid).unwrap();
         assert_eq!((h.num_rows(), h.sealed_rows()), (n as u64, n as u64));
         let pages_before = pool.file_pages(fid);
@@ -1152,7 +1173,7 @@ mod tests {
         pool.flush_all().unwrap();
         drop((h, pool));
         let pool = Arc::new(BufferPool::new(64));
-        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
         let mut h = HeapFile::open(pool.clone(), fid).unwrap();
         assert_eq!((h.num_rows(), h.sealed_rows()), (n as u64 + 1, n as u64));
         assert_eq!(h.insert(&[0.0, 0.0]).unwrap(), rid(pages_before, 1));
@@ -1296,7 +1317,7 @@ mod tests {
         // so only a lower bound is exact here: 70 pages = 2 extents.
         let after = obs::global().counter("zonemap.extents_pruned").get();
         assert!(after - before >= 2, "before {before}, after {after}");
-        h.drop_zones();
+        h.drop_zones().unwrap();
         assert!(
             !h.prune_whole_segment(|_m, _x| false),
             "no zone map, no pruning"
@@ -1316,7 +1337,7 @@ mod tests {
         std::fs::remove_file(&p).ok();
         {
             let pool = Arc::new(BufferPool::new(64));
-            let fid = pool.register_file(PageFile::create(&p).unwrap());
+            let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
             let mut h = HeapFile::create(pool.clone(), fid, 1).unwrap();
             for i in 0..511 {
                 h.insert(&[i as f64]).unwrap(); // fills data page 1 exactly
@@ -1330,7 +1351,7 @@ mod tests {
             pool.flush_all().unwrap();
         }
         let pool = Arc::new(BufferPool::new(64));
-        let fid = pool.register_file(PageFile::open(&p).unwrap());
+        let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
         let mut h = HeapFile::open(pool.clone(), fid).unwrap();
         assert_eq!(h.num_rows(), 511);
         // The leftovers hold no row, whatever their headers say.

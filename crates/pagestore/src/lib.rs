@@ -6,7 +6,7 @@
 //! and issues standard SQL range queries (§4.4, §6). This crate is the
 //! from-scratch substitute: a small relational storage engine with
 //!
-//! * fixed-size 4 KiB [`page`]s backed by ordinary files,
+//! * fixed-size 4 KiB [`page`]s in files reached through one seam, [`vfs`],
 //! * a shared [`BufferPool`] (clock eviction) with hit/miss/physical-I/O
 //!   accounting, so experiments can run "cold" (cache dropped) or "warm"
 //!   exactly like the paper's flushed-vs-cached runs,
@@ -43,7 +43,6 @@
 //!     })
 //!     .unwrap();
 //! assert_eq!(deep, 1);
-//! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 mod btree;
@@ -57,6 +56,7 @@ pub mod page;
 mod pagefile;
 pub mod recovery;
 mod table;
+pub mod vfs;
 pub mod wal;
 mod zonemap;
 
@@ -76,7 +76,8 @@ pub use heap::{CompressionStats, HeapFile, RowId, ScanPage, ZoneScanStats};
 pub use pagefile::{FileId, PageFile, PageId};
 pub use recovery::RecoveryReport;
 pub use table::{Index, Table, BUFFER_ENTRIES};
-pub use wal::{write_atomic, CommitState, Wal, WalSegment, WAL_FILE};
+pub use vfs::{write_atomic, OsVfs, Vfs, VfsFile};
+pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
 pub use zonemap::{ZoneMap, EXTENT_PAGES, ZONE_LEVELS};
 
 /// Size of every page in bytes.

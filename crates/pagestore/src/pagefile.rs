@@ -1,10 +1,9 @@
 //! File-backed page storage.
 
 use crate::error::Result;
+use crate::vfs::{Vfs, VfsFile};
 use crate::{StoreError, PAGE_SIZE};
-use std::fs::{File, OpenOptions};
-use std::io::Write;
-use std::os::unix::fs::FileExt;
+use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
 
 /// Identifier of a page within one [`PageFile`].
@@ -16,57 +15,50 @@ pub type FileId = u32;
 /// A file holding an array of fixed-size pages.
 ///
 /// `PageFile` does raw, unbuffered page I/O; all caching lives in the
-/// [`crate::BufferPool`]. Every transfer is positional (`pread` /
-/// `pwrite`): one system call a page, and no file cursor to share. Not
-/// internally synchronized — callers (the pool) serialize access.
+/// [`crate::BufferPool`]. Every transfer is positional, through the
+/// [`Vfs`] the file was opened in: one call a page, and no file cursor to
+/// share, so transfers of different pages need no lock (the pool's shard
+/// lock serializes those of one page).
 #[derive(Debug)]
 pub struct PageFile {
-    file: File,
+    file: Box<dyn VfsFile>,
     path: PathBuf,
-    pages: u32,
+    /// Pages allocated; its lock serializes allocation.
+    pages: Mutex<u32>,
 }
 
 impl PageFile {
     /// Creates a new empty page file, truncating any existing file.
-    pub fn create(path: &Path) -> Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
+    pub fn create(vfs: &dyn Vfs, path: &Path) -> Result<Self> {
         Ok(Self {
-            file,
+            file: vfs.create(path)?,
             path: path.to_path_buf(),
-            pages: 0,
+            pages: Mutex::new(0),
         })
     }
 
-    /// Opens an existing page file.
-    pub fn open(path: &Path) -> Result<Self> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        let len = file.metadata()?.len();
-        if len % PAGE_SIZE as u64 != 0 {
-            return Err(StoreError::Corrupt(format!(
-                "{} has length {len}, not a multiple of the page size",
-                path.display()
-            )));
-        }
+    /// Opens an existing page file. A partial page at its end is the
+    /// allocation of a page a crash cut short — a write nothing synced,
+    /// so nothing committed — and is not counted: the next
+    /// [`PageFile::allocate`] writes over it.
+    pub fn open(vfs: &dyn Vfs, path: &Path) -> Result<Self> {
+        let file = vfs.open(path)?;
+        let len = file.len()?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
-            pages: (len / PAGE_SIZE as u64) as u32,
+            pages: Mutex::new((len / PAGE_SIZE as u64) as u32),
         })
     }
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u32 {
-        self.pages
+        *self.pages.lock()
     }
 
     /// Total size on disk in bytes.
     pub fn size_bytes(&self) -> u64 {
-        self.pages as u64 * PAGE_SIZE as u64
+        self.num_pages() as u64 * PAGE_SIZE as u64
     }
 
     /// The backing path.
@@ -75,50 +67,39 @@ impl PageFile {
     }
 
     /// Appends a zeroed page and returns its id.
-    pub fn allocate(&mut self) -> Result<PageId> {
-        let id = self.pages;
+    pub fn allocate(&self) -> Result<PageId> {
+        let mut pages = self.pages.lock();
+        let id = *pages;
         self.file
-            .write_all_at(&[0u8; PAGE_SIZE], id as u64 * PAGE_SIZE as u64)?;
-        self.pages += 1;
+            .write_at(&[0u8; PAGE_SIZE], id as u64 * PAGE_SIZE as u64)?;
+        *pages += 1;
         Ok(id)
     }
 
-    /// Reads page `id` into `buf`.
-    pub fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
-        if id >= self.pages {
-            return Err(StoreError::Corrupt(format!(
-                "read of page {id} beyond end ({} pages) in {}",
-                self.pages,
+    /// The byte offset of page `id`, which the file must hold.
+    fn offset(&self, id: PageId, what: &str) -> Result<u64> {
+        match self.num_pages() {
+            pages if id < pages => Ok(id as u64 * PAGE_SIZE as u64),
+            pages => Err(StoreError::Corrupt(format!(
+                "{what} of page {id} beyond end ({pages} pages) in {}",
                 self.path.display()
-            )));
+            ))),
         }
-        self.file.read_exact_at(buf, id as u64 * PAGE_SIZE as u64)?;
-        Ok(())
+    }
+
+    /// Reads page `id` into `buf`.
+    pub fn read_page(&self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<()> {
+        Ok(self.file.read_at(buf, self.offset(id, "read")?)?)
     }
 
     /// Writes `buf` to page `id`.
-    pub fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
-        if id >= self.pages {
-            return Err(StoreError::Corrupt(format!(
-                "write of page {id} beyond end ({} pages) in {}",
-                self.pages,
-                self.path.display()
-            )));
-        }
-        self.file.write_all_at(buf, id as u64 * PAGE_SIZE as u64)?;
-        Ok(())
+    pub fn write_page(&self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<()> {
+        Ok(self.file.write_at(buf, self.offset(id, "write")?)?)
     }
 
-    /// Flushes file contents to the OS (no durability guarantee).
-    pub fn sync(&mut self) -> Result<()> {
-        self.file.flush()?;
-        Ok(())
-    }
-
-    /// Flushes and fsyncs: contents and length are durable on return.
-    pub fn sync_all(&mut self) -> Result<()> {
-        self.file.flush()?;
-        self.file.sync_all()?;
+    /// Makes the file's pages and length durable.
+    pub fn sync(&self) -> Result<()> {
+        self.file.sync()?;
         Ok(())
     }
 }
@@ -126,6 +107,7 @@ impl PageFile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::OsVfs;
 
     fn tmp(name: &str) -> PathBuf {
         std::env::temp_dir().join(format!("pagestore-pf-{}-{name}", std::process::id()))
@@ -134,7 +116,7 @@ mod tests {
     #[test]
     fn allocate_read_write_roundtrip() {
         let p = tmp("rw");
-        let mut f = PageFile::create(&p).unwrap();
+        let f = PageFile::create(&OsVfs, &p).unwrap();
         let a = f.allocate().unwrap();
         let b = f.allocate().unwrap();
         assert_eq!((a, b), (0, 1));
@@ -153,7 +135,7 @@ mod tests {
     #[test]
     fn out_of_bounds_rejected() {
         let p = tmp("oob");
-        let mut f = PageFile::create(&p).unwrap();
+        let f = PageFile::create(&OsVfs, &p).unwrap();
         let mut buf = [0u8; PAGE_SIZE];
         assert!(f.read_page(0, &mut buf).is_err());
         assert!(f.write_page(3, &buf).is_err());
@@ -164,7 +146,7 @@ mod tests {
     fn reopen_preserves_pages() {
         let p = tmp("reopen");
         {
-            let mut f = PageFile::create(&p).unwrap();
+            let f = PageFile::create(&OsVfs, &p).unwrap();
             f.allocate().unwrap();
             f.allocate().unwrap();
             let mut page = [9u8; PAGE_SIZE];
@@ -172,7 +154,7 @@ mod tests {
             f.write_page(1, &page).unwrap();
             f.sync().unwrap();
         }
-        let mut f = PageFile::open(&p).unwrap();
+        let f = PageFile::open(&OsVfs, &p).unwrap();
         assert_eq!(f.num_pages(), 2);
         assert_eq!(f.size_bytes(), 2 * PAGE_SIZE as u64);
         let mut buf = [0u8; PAGE_SIZE];
@@ -182,10 +164,19 @@ mod tests {
     }
 
     #[test]
-    fn open_rejects_ragged_file() {
+    fn open_drops_a_torn_last_page() {
         let p = tmp("ragged");
-        std::fs::write(&p, vec![0u8; PAGE_SIZE + 13]).unwrap();
-        assert!(matches!(PageFile::open(&p), Err(StoreError::Corrupt(_))));
+        std::fs::write(&p, vec![1u8; PAGE_SIZE + 13]).unwrap();
+        let f = PageFile::open(&OsVfs, &p).unwrap();
+        assert_eq!(f.num_pages(), 1);
+        assert_eq!(f.allocate().unwrap(), 1);
+        assert_eq!(std::fs::read(&p).unwrap().len(), 2 * PAGE_SIZE);
+        let mut page = [9u8; PAGE_SIZE];
+        f.read_page(1, &mut page).unwrap();
+        assert!(
+            page.iter().all(|&b| b == 0),
+            "the torn page was written over"
+        );
         std::fs::remove_file(&p).ok();
     }
 }

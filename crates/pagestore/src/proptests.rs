@@ -32,7 +32,7 @@ proptest! {
     ) {
         let p = tmpfile("heap");
         let pool = Arc::new(BufferPool::new(pool_pages));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         let mut heap = HeapFile::create(pool, fid, 3).unwrap();
         let mut rids = Vec::new();
         for row in &rows {
@@ -67,7 +67,7 @@ proptest! {
         use std::collections::BTreeSet;
         let p = tmpfile("btree");
         let pool = Arc::new(BufferPool::new(64));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         let mut bt = BTree::create(pool, fid, 12).unwrap();
         let mut model = BTreeSet::new();
         for (i, &k) in keys.iter().enumerate() {
@@ -222,7 +222,7 @@ proptest! {
     ) {
         let p = tmpfile("pool");
         let pool = BufferPool::new(8); // tiny: constant eviction
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
         let mut model: Vec<u8> = Vec::new();
         for (op, page, val) in ops {
             match op {

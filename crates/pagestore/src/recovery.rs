@@ -28,13 +28,14 @@
 //! [`StoreError::Corrupt`], never a panic.
 
 use crate::colpage;
+use crate::db::CATALOG;
 use crate::error::Result;
 use crate::heap::{raw_rows_per_page, MAGIC as HEAP_MAGIC, PAGE_HDR, RELEASE_RULE};
+use crate::vfs::{write_atomic, Vfs};
 use crate::wal::{self, CommitState, Record, WAL_FILE};
 use crate::{StoreError, PAGE_SIZE};
 use std::collections::HashSet;
-use std::fs::OpenOptions;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::ErrorKind;
 use std::path::Path;
 
 /// What [`recover`] did, surfaced through
@@ -65,12 +66,14 @@ pub struct RecoveryReport {
     pub committed: CommitState,
 }
 
-/// Recovers the database directory `dir` to its last commit point;
-/// `sync` is the fsync discipline of the catalog rewrite that drops
+/// Recovers the database directory `dir` of `vfs` to its last commit
+/// point; `sync` is the fsync discipline of the catalog rewrite that drops
 /// uncommitted tables. Call only when `dir/wal.log` exists; a clean log
-/// is a cheap no-op.
-pub fn recover(dir: &Path, sync: bool) -> Result<RecoveryReport> {
-    let scan = wal::scan(&dir.join(WAL_FILE))?;
+/// is a cheap no-op. Nothing recovery writes is synced here: the
+/// checkpoint [`crate::Database::open`] takes after an unclean recovery
+/// syncs the files it repaired and the directory entries it removed.
+pub fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<RecoveryReport> {
+    let scan = wal::scan(vfs, &dir.join(WAL_FILE))?;
     let mut report = RecoveryReport {
         torn_bytes: scan.torn_bytes,
         scanned_records: scan.records.len() as u64,
@@ -106,7 +109,14 @@ pub fn recover(dir: &Path, sync: bool) -> Result<RecoveryReport> {
     let replayed = obs::global().counter("wal.replayed_records");
     for (_, rec) in &scan.records {
         if let Record::PageImage { file, pid, image } = rec {
-            write_image(&dir.join(file), *pid, image)?;
+            // A file whose creation a crash lost is made again; a write
+            // past its end zero-fills the gap its lost allocations left.
+            let path = dir.join(file);
+            let f = match vfs.open(&path) {
+                Err(e) if e.kind() == ErrorKind::NotFound => vfs.create(&path)?,
+                open => open?,
+            };
+            f.write_at(image.as_slice(), *pid as u64 * PAGE_SIZE as u64)?;
             report.replayed_pages += 1;
         }
         replayed.inc();
@@ -121,54 +131,30 @@ pub fn recover(dir: &Path, sync: bool) -> Result<RecoveryReport> {
         .map(|(n, _)| n.as_str())
         .collect();
     for (name, nrows) in &report.committed.tables {
-        report.truncated_rows += truncate_heap(&dir.join(format!("{name}.tbl")), *nrows)?;
+        let path = dir.join(format!("{name}.tbl"));
+        report.truncated_rows += truncate_heap(vfs, &path, *nrows)?;
     }
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let fname = entry.file_name();
-        let Some(fname) = fname.to_str() else {
-            continue;
-        };
+    for fname in vfs.list(dir)? {
         if let Some(stem) = fname.strip_suffix(".tbl") {
             if !committed_names.contains(stem) {
-                std::fs::remove_file(entry.path())?;
+                vfs.remove_file(&dir.join(&fname))?;
                 report.pruned_tables.push(stem.to_string());
             }
         } else if fname.ends_with(".idx") {
-            std::fs::remove_file(entry.path())?;
+            vfs.remove_file(&dir.join(&fname))?;
             report.dropped_indexes += 1;
         }
     }
-    prune_catalog(dir, &report.pruned_tables, sync)?;
+    prune_catalog(vfs, dir, &report.pruned_tables, sync)?;
     Ok(report)
-}
-
-/// Writes one full page image at its offset, extending the file if the
-/// page lies beyond the current end (the zero-fill of allocation may
-/// not have reached disk).
-fn write_image(path: &Path, pid: u32, image: &[u8; PAGE_SIZE]) -> Result<()> {
-    let mut f = OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create(true)
-        .truncate(false)
-        .open(path)?;
-    let off = pid as u64 * PAGE_SIZE as u64;
-    let len = f.metadata()?.len();
-    if len < off {
-        f.set_len(off)?;
-    }
-    f.seek(SeekFrom::Start(off))?;
-    f.write_all(image)?;
-    Ok(())
 }
 
 /// Truncates a heap file to exactly `nrows` committed rows: page count,
 /// per-page slot counts, tail-slot contents and the meta row count all
 /// restored. Returns how many uncommitted rows were discarded.
-fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
-    let mut f = OpenOptions::new().read(true).write(true).open(path)?;
-    let len = f.metadata()?.len();
+fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64) -> Result<u64> {
+    let f = vfs.open(path)?;
+    let len = f.len()?;
     if len < PAGE_SIZE as u64 {
         return Err(StoreError::Corrupt(format!(
             "{}: shorter than its meta page",
@@ -176,8 +162,7 @@ fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
         )));
     }
     let mut page = vec![0u8; PAGE_SIZE];
-    f.seek(SeekFrom::Start(0))?;
-    f.read_exact(&mut page)?;
+    f.read_at(&mut page, 0)?;
     let magic = u32::from_le_bytes([page[0], page[1], page[2], page[3]]);
     if magic != HEAP_MAGIC {
         return Err(StoreError::Corrupt(format!(
@@ -195,9 +180,8 @@ fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
     let (mut sealed, mut sealed_pages, mut observed) = (0u64, 0u64, 0u64);
     let mut leading = true;
     for pid in 1..old_pages {
-        f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
         let mut hdr = [0u8; 4];
-        f.read_exact(&mut hdr)?;
+        f.read_at(&mut hdr, pid * PAGE_SIZE as u64)?;
         let n = u16::from_le_bytes([hdr[0], hdr[1]]) as u64;
         leading &= colpage::is_colpage(&hdr);
         observed += if leading { n } else { n.min(rpp) };
@@ -223,33 +207,28 @@ fn truncate_heap(path: &Path, nrows: u64) -> Result<u64> {
     for pid in sealed_pages + 1..need_pages {
         let before = sealed + (pid - sealed_pages - 1) * rpp;
         let expect = (nrows - before).min(rpp) as u16;
-        f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-        f.read_exact(&mut page)?;
+        f.read_at(&mut page, pid * PAGE_SIZE as u64)?;
         page[0..2].copy_from_slice(&expect.to_le_bytes());
         // Zero the uncommitted tail slots so stale row bytes cannot leak.
         let used = PAGE_HDR + expect as usize * ncols * 8;
-        for b in &mut page[used..] {
-            *b = 0;
-        }
-        f.seek(SeekFrom::Start(pid * PAGE_SIZE as u64))?;
-        f.write_all(&page)?;
+        page[used..].fill(0);
+        f.write_at(&page, pid * PAGE_SIZE as u64)?;
     }
 
     // Restore the committed row count on the meta page.
-    f.seek(SeekFrom::Start(8))?;
-    f.write_all(&nrows.to_le_bytes())?;
+    f.write_at(&nrows.to_le_bytes(), 8)?;
     Ok(observed.saturating_sub(nrows))
 }
 
 /// Drops catalog lines referring to pruned (uncommitted) tables, leaving
-/// the committed prefix intact. Atomic rewrite, by the catalog's one writer.
-fn prune_catalog(dir: &Path, pruned: &[String], sync: bool) -> Result<()> {
+/// the committed prefix intact, in one atomic rewrite.
+fn prune_catalog(vfs: &dyn Vfs, dir: &Path, pruned: &[String], sync: bool) -> Result<()> {
     if pruned.is_empty() {
         return Ok(());
     }
-    let path = dir.join("catalog.txt");
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return Ok(());
+    let text = match vfs.read(&dir.join(CATALOG)) {
+        Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
+        read => String::from_utf8_lossy(&read?).into_owned(),
     };
     let gone: HashSet<&str> = pruned.iter().map(|s| s.as_str()).collect();
     let kept: Vec<&str> = text
@@ -263,14 +242,16 @@ fn prune_catalog(dir: &Path, pruned: &[String], sync: bool) -> Result<()> {
             }
         })
         .collect();
-    crate::db::write_catalog(dir, &kept.join("\n"), sync)
+    write_atomic(vfs, &dir.join(CATALOG), kept.join("\n").as_bytes(), sync)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::OsVfs;
     use crate::wal::Wal;
     use std::path::PathBuf;
+    use std::sync::Arc;
 
     fn tmpdir(name: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("pagestore-rec-{}-{name}", std::process::id()));
@@ -309,8 +290,8 @@ mod tests {
             tables: vec![("t".into(), 7)],
             blob: b"meta".to_vec(),
         };
-        Wal::create(&dir, &state, false, 8).unwrap();
-        let report = recover(&dir, false).unwrap();
+        Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
+        let report = recover(&OsVfs, &dir, false).unwrap();
         assert!(report.clean);
         assert_eq!(report.committed, state);
         assert_eq!(report.replayed_pages, 0);
@@ -328,12 +309,12 @@ mod tests {
             tables: vec![("t".into(), 264)],
             blob: Vec::new(),
         };
-        let wal = Wal::create(&dir, &state, false, 8).unwrap();
+        let wal = Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
         // A post-checkpoint commit makes the log unclean with the same
         // counts (models a crash right after a commit).
         wal.append_commit(&state).unwrap();
         drop(wal);
-        let report = recover(&dir, false).unwrap();
+        let report = recover(&OsVfs, &dir, false).unwrap();
         assert!(!report.clean);
         assert_eq!(report.truncated_rows, 31);
         let data = std::fs::read(&heap).unwrap();
@@ -361,7 +342,7 @@ mod tests {
             tables: vec![("t".into(), 3)],
             blob: Vec::new(),
         };
-        let wal = Wal::create(&dir, &state, false, 8).unwrap();
+        let wal = Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
         // Clobber the data page on "disk", but log the good image.
         let mut good = [0u8; PAGE_SIZE];
         good[0..2].copy_from_slice(&3u16.to_le_bytes());
@@ -375,7 +356,7 @@ mod tests {
         }
         std::fs::write(&heap, &bad).unwrap();
 
-        let report = recover(&dir, false).unwrap();
+        let report = recover(&OsVfs, &dir, false).unwrap();
         assert_eq!(report.replayed_pages, 1);
         assert_eq!(report.dropped_indexes, 1);
         assert!(!dir.join("t.i.idx").exists());
@@ -398,10 +379,10 @@ mod tests {
             tables: vec![("old".into(), 2)],
             blob: Vec::new(),
         };
-        let wal = Wal::create(&dir, &state, false, 8).unwrap();
+        let wal = Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
         wal.append_commit(&state).unwrap();
         drop(wal);
-        let report = recover(&dir, false).unwrap();
+        let report = recover(&OsVfs, &dir, false).unwrap();
         assert_eq!(report.pruned_tables, vec!["new".to_string()]);
         assert!(!dir.join("new.tbl").exists());
         let cat = std::fs::read_to_string(dir.join("catalog.txt")).unwrap();
@@ -413,7 +394,10 @@ mod tests {
     fn corrupt_log_head_is_typed_error() {
         let dir = tmpdir("badhead");
         std::fs::write(dir.join(WAL_FILE), b"not a wal").unwrap();
-        assert!(matches!(recover(&dir, false), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            recover(&OsVfs, &dir, false),
+            Err(StoreError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -426,10 +410,13 @@ mod tests {
             tables: vec![("t".into(), 5000)],
             blob: Vec::new(),
         };
-        let wal = Wal::create(&dir, &state, false, 8).unwrap();
+        let wal = Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
         wal.append_commit(&state).unwrap();
         drop(wal);
-        assert!(matches!(recover(&dir, false), Err(StoreError::Corrupt(_))));
+        assert!(matches!(
+            recover(&OsVfs, &dir, false),
+            Err(StoreError::Corrupt(_))
+        ));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -521,7 +521,7 @@ impl Table {
 
     /// Drops the zone map and its sidecar, disabling pruning (tests and
     /// ablations).
-    pub fn drop_zones(&self) {
+    pub fn drop_zones(&self) -> Result<()> {
         self.heap.write().drop_zones()
     }
 
@@ -589,6 +589,7 @@ mod tests {
     use super::*;
     use crate::buffer::BufferPool;
     use crate::pagefile::PageFile;
+    use crate::vfs::OsVfs;
     use std::path::PathBuf;
 
     fn setup(name: &str, cols: &[&str]) -> (Arc<BufferPool>, Table, Vec<PathBuf>) {
@@ -596,7 +597,7 @@ mod tests {
             std::env::temp_dir().join(format!("pagestore-tbl-{}-{name}", std::process::id()));
         let pool = Arc::new(BufferPool::new(256));
         let heap_path = base.with_extension("tbl");
-        let fid = pool.register_file(PageFile::create(&heap_path).unwrap());
+        let fid = pool.register_file(PageFile::create(&OsVfs, &heap_path).unwrap());
         let heap = HeapFile::create(pool.clone(), fid, cols.len()).unwrap();
         let table = Table::new(
             name.to_string(),
@@ -618,7 +619,7 @@ mod tests {
             std::process::id(),
             table.name()
         ));
-        let fid = pool.register_file(PageFile::create(&p).unwrap());
+        let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
         let tree = BTree::create(pool.clone(), fid, cols.len() * 8 + 8).unwrap();
         table.attach_index(name.to_string(), cols, tree).unwrap();
         paths.push(p);
@@ -1006,7 +1007,7 @@ mod tests {
             .unwrap();
         assert_eq!(pruned_rows, expect);
         // Dropping zones disables pruning but not the scan itself.
-        table.drop_zones();
+        table.drop_zones().unwrap();
         assert!(!table.has_zones());
         let stats = table.scan_pages(|_, _| false, |_| Ok(true)).unwrap();
         assert_eq!(stats.pages_pruned, 0);

@@ -31,7 +31,10 @@
 //! incrementally on insert, so a freshly created heap always carries an
 //! up-to-date map.
 
-use crate::error::{Result, StoreError};
+use crate::error::Result;
+use crate::page::arr;
+use crate::vfs::{write_atomic, Vfs};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
 /// Version-2 magic ("SDZH" — zone hierarchy). Version-1 flat sidecars
@@ -220,80 +223,59 @@ impl ZoneMap {
         out
     }
 
-    /// Writes the sidecar for `heap_path` atomically, unsynced: it is
-    /// derived data, rebuilt from the heap when missing or stale.
-    pub fn save(&self, heap_path: &Path) -> Result<()> {
-        crate::wal::write_atomic(&Self::sidecar_path(heap_path), &self.to_bytes(), false)
+    /// Writes the sidecar for `heap_path` atomically, synced when `sync`:
+    /// it is derived data, rebuilt from the heap when missing or stale, but
+    /// one a crash left torn behind a valid header would pass for current.
+    pub fn save(&self, vfs: &dyn Vfs, heap_path: &Path, sync: bool) -> Result<()> {
+        write_atomic(vfs, &Self::sidecar_path(heap_path), &self.to_bytes(), sync)
     }
 
     /// Loads the sidecar for `heap_path`, returning `None` when it is
     /// missing, malformed, or stale (`ncols`/`nrows` disagree with the
     /// heap meta). A stale map is deleted so it cannot be mistaken for
-    /// current later.
-    pub fn load(heap_path: &Path, ncols: usize, nrows: u64) -> Option<ZoneMap> {
+    /// current later, once the heap has grown to its row count again.
+    pub fn load(vfs: &dyn Vfs, heap_path: &Path, ncols: usize, nrows: u64) -> Result<Option<Self>> {
         let path = Self::sidecar_path(heap_path);
-        let bytes = std::fs::read(&path).ok()?;
-        let map = Self::from_bytes(&bytes).ok();
-        let valid = map
-            .as_ref()
-            .is_some_and(|m| m.ncols == ncols && m.nrows == nrows);
-        if !valid {
-            std::fs::remove_file(&path).ok();
-            return None;
+        let bytes = match vfs.read(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
+            read => read?,
+        };
+        let map = Self::from_bytes(&bytes).filter(|m| m.ncols == ncols && m.nrows == nrows);
+        if map.is_none() {
+            vfs.remove_file(&path)?;
         }
-        map
+        Ok(map)
     }
 
-    fn from_bytes(b: &[u8]) -> Result<ZoneMap> {
-        let corrupt = || StoreError::Corrupt("zone-map sidecar malformed".into());
-        if b.len() < 32 {
-            return Err(corrupt());
+    /// The map `b` serializes, if it is a well-formed one.
+    fn from_bytes(b: &[u8]) -> Option<ZoneMap> {
+        let word = |at: usize| u32::from_le_bytes(arr(b, at)) as usize;
+        if b.len() < 32 || word(0) != MAGIC as usize {
+            return None;
         }
-        if u32::from_le_bytes(crate::page::arr(b, 0)) != MAGIC {
-            return Err(corrupt());
-        }
-        let ncols = u32::from_le_bytes(crate::page::arr(b, 4)) as usize;
-        let nrows = u64::from_le_bytes(crate::page::arr(b, 8));
-        let npages = u32::from_le_bytes(crate::page::arr(b, 16)) as usize;
-        let ext_pages = u16::from_le_bytes(crate::page::arr(b, 22)) as u32;
-        let next = u32::from_le_bytes(crate::page::arr(b, 24)) as usize;
-        let seg = u32::from_le_bytes(crate::page::arr(b, 28)) as usize;
+        let (ncols, npages, next, seg) = (word(4), word(16), word(24), word(28));
+        let ext_pages = u16::from_le_bytes(arr(b, 22)) as u32;
         let expected_ext = (npages as u32).div_ceil(EXTENT_PAGES) as usize;
         if ncols == 0 || ext_pages != EXTENT_PAGES || next != expected_ext || seg > 1 {
-            return Err(corrupt());
+            return None;
         }
-        let n = (npages + next + seg) * ncols;
-        if b.len() != 32 + n * 16 {
-            return Err(corrupt());
+        let entries = (npages + next + seg).checked_mul(ncols)?;
+        if b.len() as u128 != 32 + entries as u128 * 16 {
+            return None;
         }
-        let read_f64s = |start: usize, count: usize| -> Vec<f64> {
-            b[start..start + count * 8]
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut a = [0u8; 8];
-                    a.copy_from_slice(c);
-                    f64::from_le_bytes(a)
-                })
-                .collect()
-        };
-        let pn = npages * ncols;
-        let en = next * ncols;
-        let sn = seg * ncols;
-        let mut at = 32;
-        let mut take = |count: usize| {
-            let v = read_f64s(at, count);
-            at += count * 8;
-            v
-        };
-        Ok(ZoneMap {
+        let mut values = b[32..]
+            .chunks_exact(8)
+            .map(|v| f64::from_le_bytes(arr(v, 0)));
+        let mut take = |count: usize| values.by_ref().take(count * ncols).collect();
+        Some(ZoneMap {
             ncols,
-            nrows,
-            mins: take(pn),
-            maxs: take(pn),
-            ext_mins: take(en),
-            ext_maxs: take(en),
-            seg_mins: take(sn),
-            seg_maxs: take(sn),
+            nrows: u64::from_le_bytes(arr(b, 8)),
+            mins: take(npages),
+            maxs: take(npages),
+            ext_mins: take(next),
+            ext_maxs: take(next),
+            seg_mins: take(seg),
+            seg_maxs: take(seg),
         })
     }
 }
@@ -301,6 +283,7 @@ impl ZoneMap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vfs::OsVfs;
 
     #[test]
     fn observe_tracks_min_max_per_page() {
@@ -357,8 +340,10 @@ mod tests {
         z.observe(1, &[1.0, 2.0, 3.0]);
         z.observe(2, &[-1.0, 0.0, 9.0]);
         z.observe(70, &[5.0, 5.0, 5.0]);
-        z.save(&heap).unwrap();
-        let loaded = ZoneMap::load(&heap, 3, 3).expect("valid sidecar loads");
+        z.save(&OsVfs, &heap, false).unwrap();
+        let loaded = ZoneMap::load(&OsVfs, &heap, 3, 3)
+            .unwrap()
+            .expect("valid sidecar loads");
         assert_eq!(loaded.page_bounds(2), z.page_bounds(2));
         assert_eq!(loaded.extent_bounds(1), z.extent_bounds(1));
         assert_eq!(loaded.segment_bounds(), z.segment_bounds());
@@ -368,16 +353,16 @@ mod tests {
         assert_eq!(stamped[20..22], [0, 0]);
         stamped[20] = 1;
         std::fs::write(ZoneMap::sidecar_path(&heap), stamped).unwrap();
-        assert!(ZoneMap::load(&heap, 3, 3).is_some());
+        assert!(ZoneMap::load(&OsVfs, &heap, 3, 3).unwrap().is_some());
         // Row-count mismatch (e.g. recovery truncation): discarded + deleted.
-        assert!(ZoneMap::load(&heap, 3, 1).is_none());
+        assert!(ZoneMap::load(&OsVfs, &heap, 3, 1).unwrap().is_none());
         assert!(
             !ZoneMap::sidecar_path(&heap).exists(),
             "stale sidecar must be deleted"
         );
         // Malformed bytes: rejected.
         std::fs::write(ZoneMap::sidecar_path(&heap), b"junk").unwrap();
-        assert!(ZoneMap::load(&heap, 3, 2).is_none());
+        assert!(ZoneMap::load(&OsVfs, &heap, 3, 2).unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -396,7 +381,10 @@ mod tests {
         v1.extend_from_slice(&1.0f64.to_le_bytes());
         v1.extend_from_slice(&1.0f64.to_le_bytes());
         std::fs::write(ZoneMap::sidecar_path(&heap), &v1).unwrap();
-        assert!(ZoneMap::load(&heap, 1, 1).is_none(), "v1 must not load");
+        assert!(
+            ZoneMap::load(&OsVfs, &heap, 1, 1).unwrap().is_none(),
+            "v1 must not load"
+        );
         assert!(!ZoneMap::sidecar_path(&heap).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -404,6 +392,6 @@ mod tests {
     #[test]
     fn missing_sidecar_is_none() {
         let heap = std::env::temp_dir().join("segdiff-zones-missing.tbl");
-        assert!(ZoneMap::load(&heap, 2, 0).is_none());
+        assert!(ZoneMap::load(&OsVfs, &heap, 2, 0).unwrap().is_none());
     }
 }

@@ -33,7 +33,7 @@ fn shard_counters_tile_the_pool_counters_and_deltas_are_exact() {
     // A pool larger than the file: every access after the first is a hit
     // on the shard-lock-only path, whichever of the three calls makes it.
     let roomy = BufferPool::with_shards(1024, 8);
-    let fid = roomy.register_file(PageFile::create(&dir.join("roomy")).unwrap());
+    let fid = roomy.register_file(PageFile::create(&pagestore::OsVfs, &dir.join("roomy")).unwrap());
     let pids: Vec<u32> = (0..100)
         .map(|_| roomy.allocate_page(fid).unwrap())
         .collect();
@@ -62,7 +62,7 @@ fn shard_counters_tile_the_pool_counters_and_deltas_are_exact() {
     // evicts every page before its turn comes round again, so every access
     // takes the miss path; the first round also writes the dirty victims.
     let tight = BufferPool::with_shards(8, 1);
-    let fid = tight.register_file(PageFile::create(&dir.join("tight")).unwrap());
+    let fid = tight.register_file(PageFile::create(&pagestore::OsVfs, &dir.join("tight")).unwrap());
     let pids: Vec<u32> = (0..32).map(|_| tight.allocate_page(fid).unwrap()).collect();
     for &pid in &pids {
         tight.with_page_mut(fid, pid, |b| b[0] = pid as u8).unwrap();

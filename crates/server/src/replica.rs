@@ -6,12 +6,13 @@
 //! 1. **Bootstrap** — copy the sensor directory over
 //!    `GET /wal/manifest?sensor=` + `GET /wal/file` (data files first,
 //!    `wal.log` last, so the log covers anything the data files were
-//!    still missing), truncate the copied log to its valid prefix, and
-//!    remember the log's last LSN as the replication cursor. A
+//!    still missing), open the copied log — which cuts it to its valid
+//!    prefix — and remember its last LSN as the replication cursor. A
 //!    checkpoint racing the copy moves the log's start LSN; the copy is
 //!    simply retried.
 //! 2. **Tail** — poll `GET /wal?sensor=&after_lsn=cursor`, append the
-//!    shipped raw frames to the local `wal.log`, and refresh the serving
+//!    shipped raw frames to the local `wal.log` ([`Wal::append_frames`]:
+//!    the log format has one reader and writer), and refresh the serving
 //!    engine by reopening the directory: recovery replays the primary's
 //!    page images (file order, no LSN assumptions), truncates to the
 //!    last commit, rebuilds indexes, and checkpoints. A `restart` flag
@@ -30,11 +31,9 @@ use crate::loadgen::{fetch, fetch_bytes};
 use crate::service::{Engine, EngineCell};
 use crate::ship;
 use obs::json::Json;
-use pagestore::{sync_from_env, wal, WalSegment, WAL_FILE};
+use pagestore::{sync_from_env, OsVfs, Vfs, Wal, WalSegment, WAL_FILE};
 use segdiff::TransectIndex;
 use std::collections::BTreeMap;
-use std::fs::OpenOptions;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -247,19 +246,11 @@ impl Replica {
     }
 
     fn append_frames(&self, sensor: u32, seg: &WalSegment) -> Result<(), String> {
-        let path = self.sensor_dir(sensor).join(WAL_FILE);
-        let mut file = OpenOptions::new()
-            .append(true)
-            .create(true)
-            .open(&path)
-            .map_err(|e| format!("open {}: {e}", path.display()))?;
-        file.write_all(&seg.frames)
-            .map_err(|e| format!("append {}: {e}", path.display()))?;
-        if sync_from_env() {
-            file.sync_all()
-                .map_err(|e| format!("sync {}: {e}", path.display()))?;
-        }
-        self.metrics.frames.add(ship::count_frames(&seg.frames));
+        let dir = self.sensor_dir(sensor);
+        let frames = open_log(&dir)
+            .and_then(|wal| wal.append_frames(&seg.frames))
+            .map_err(|e| format!("append to the log in {}: {e}", dir.display()))?;
+        self.metrics.frames.add(frames);
         self.metrics.bytes.add(seg.frames.len() as u64);
         Ok(())
     }
@@ -310,33 +301,21 @@ impl Replica {
         if post.log_start_lsn != pre.log_start_lsn {
             return Ok(false);
         }
-        // Truncate the copied log to its valid prefix: the copy may end
-        // in a torn frame, and appended frames after torn bytes would be
-        // invisible to recovery.
-        let log_path = dir.join(WAL_FILE);
-        let local =
-            wal::read_after(&log_path, u64::MAX, 0).map_err(|e| format!("scan copied log: {e}"))?;
-        if local.log_start_lsn != pre.log_start_lsn {
+        // Opening the copied log cuts off a torn frame the copy may end
+        // in: frames appended behind torn bytes would be invisible to
+        // recovery. The log starts with its one checkpoint.
+        let local = open_log(&dir).map_err(|e| format!("open copied log: {e}"))?;
+        if local.last_checkpoint_lsn() != pre.log_start_lsn {
             return Ok(false);
         }
-        let file = OpenOptions::new()
-            .write(true)
-            .open(&log_path)
-            .map_err(|e| format!("open {}: {e}", log_path.display()))?;
-        file.set_len(local.valid_bytes)
-            .map_err(|e| format!("truncate {}: {e}", log_path.display()))?;
-        if sync_from_env() {
-            file.sync_all()
-                .map_err(|e| format!("sync {}: {e}", log_path.display()))?;
-        }
-        self.cursors.insert(sensor, local.log_end_lsn);
+        self.cursors.insert(sensor, local.next_lsn() - 1);
         Ok(true)
     }
 
     fn copy_file(&self, sensor: u32, name: &str, dir: &Path) -> Result<(), String> {
         let path = dir.join(name);
-        let mut out =
-            std::fs::File::create(&path).map_err(|e| format!("create {}: {e}", path.display()))?;
+        let failed = |e: std::io::Error| format!("copy to {}: {e}", path.display());
+        let out = OsVfs.create(&path).map_err(failed)?;
         let mut offset = 0u64;
         loop {
             let target = format!(
@@ -350,13 +329,11 @@ impl Replica {
             if chunk.is_empty() {
                 break;
             }
-            out.write_all(&chunk)
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
+            out.write_at(&chunk, offset).map_err(failed)?;
             offset += chunk.len() as u64;
         }
         if sync_from_env() {
-            out.sync_all()
-                .map_err(|e| format!("sync {}: {e}", path.display()))?;
+            out.sync().map_err(failed)?;
         }
         Ok(())
     }
@@ -379,13 +356,15 @@ impl Replica {
     }
 
     fn save_cursors(&self) -> Result<(), String> {
-        let mut text = String::new();
-        for (sensor, lsn) in &self.cursors {
-            text.push_str(&format!("{sensor} {lsn}\n"));
-        }
+        let text: String = self
+            .cursors
+            .iter()
+            .map(|(s, lsn)| format!("{s} {lsn}\n"))
+            .collect();
         // Synced like the frames the cursor counts (`append_frames`): a
         // cursor may lag the local log, never lead it.
         pagestore::write_atomic(
+            &OsVfs,
             &self.cfg.root.join(CURSOR_FILE),
             text.as_bytes(),
             sync_from_env(),
@@ -394,21 +373,21 @@ impl Replica {
     }
 }
 
+/// The log of the sensor directory `dir`, opened for appending.
+fn open_log(dir: &Path) -> pagestore::Result<Wal> {
+    Wal::open(Arc::new(OsVfs), dir, sync_from_env())
+}
+
 /// Loads persisted cursors; a missing or garbled file is an empty map
 /// (the affected sensors re-bootstrap).
 fn load_cursors(root: &Path) -> BTreeMap<u32, u64> {
-    let mut out = BTreeMap::new();
-    let Ok(text) = std::fs::read_to_string(root.join(CURSOR_FILE)) else {
-        return out;
+    let text = OsVfs.read(&root.join(CURSOR_FILE)).unwrap_or_default();
+    let lines = String::from_utf8_lossy(&text).into_owned();
+    let cursor = |line: &str| {
+        let (sensor, lsn) = line.split_once(' ')?;
+        Some((sensor.parse().ok()?, lsn.parse().ok()?))
     };
-    for line in text.lines() {
-        if let Some((sensor, lsn)) = line.split_once(' ') {
-            if let (Ok(sensor), Ok(lsn)) = (sensor.parse(), lsn.parse()) {
-                out.insert(sensor, lsn);
-            }
-        }
-    }
-    out
+    lines.lines().filter_map(cursor).collect()
 }
 
 #[cfg(test)]

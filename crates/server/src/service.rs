@@ -24,7 +24,7 @@ use obs::export::Exporter;
 use obs::json::{write_f64, write_u64, Json};
 use obs::tracering::TraceRecord;
 use obs::TraceNode;
-use pagestore::StoreError;
+use pagestore::{OsVfs, StoreError, Vfs};
 use parking_lot::RwLock;
 use segdiff::transect::{fan_out_cached, CachedAnswer};
 use segdiff::{
@@ -32,7 +32,7 @@ use segdiff::{
     TransectIndex,
 };
 use sensorgen::HOUR;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -1346,7 +1346,8 @@ impl Service {
         let Some(dir) = self.engine.sensor_dir(sensor) else {
             return Response::error(404, format!("no sensor {sensor}"));
         };
-        match pagestore::wal::read_after(&dir.join(pagestore::WAL_FILE), after, max_bytes) {
+        let log = dir.join(pagestore::WAL_FILE);
+        match pagestore::wal::read_after(&OsVfs, &log, after, max_bytes) {
             Ok(seg) => {
                 self.metrics.ship_requests.inc();
                 self.metrics.ship_bytes.add(seg.frames.len() as u64);
@@ -1384,25 +1385,20 @@ impl Service {
         let Some(dir) = self.engine.sensor_dir(sensor) else {
             return Response::error(404, format!("no sensor {sensor}"));
         };
-        let entries = match std::fs::read_dir(&dir) {
-            Ok(entries) => entries,
+        let names = match OsVfs.list(&dir) {
+            Ok(names) => names,
             Err(e) => return Response::error(500, format!("read_dir failed: {e}")),
         };
         let mut files = Vec::new();
-        for entry in entries.flatten() {
-            let Ok(name) = entry.file_name().into_string() else {
-                continue;
-            };
+        for name in names {
             if name.ends_with(".tmp") || name == crate::replica::CURSOR_FILE {
                 continue;
             }
-            let Ok(meta) = entry.metadata() else {
-                continue;
-            };
-            if !meta.is_file() {
-                continue;
+            // A directory does not open as a file; a file that vanished
+            // since the listing is not one to copy.
+            if let Ok(len) = OsVfs.open(&dir.join(&name)).and_then(|f| f.len()) {
+                files.push((name, len));
             }
-            files.push((name, meta.len()));
         }
         files.sort();
         Response::json(
@@ -1452,22 +1448,21 @@ impl Service {
         let Some(dir) = self.engine.sensor_dir(sensor) else {
             return Response::error(404, format!("no sensor {sensor}"));
         };
-        let path = dir.join(name);
-        let mut file = match std::fs::File::open(&path) {
+        let file = match OsVfs.open(&dir.join(name)) {
             Ok(f) => f,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 return Response::error(404, format!("no file {name:?} for sensor {sensor}"));
             }
             Err(e) => return Response::error(500, format!("open failed: {e}")),
         };
-        if let Err(e) = file.seek(SeekFrom::Start(offset)) {
-            return Response::error(500, format!("seek failed: {e}"));
+        let read = file.len().and_then(|size| {
+            let mut buf = vec![0; size.saturating_sub(offset).min(len) as usize];
+            file.read_at(&mut buf, offset).map(|()| buf)
+        });
+        match read {
+            Ok(buf) => Response::binary(200, buf),
+            Err(e) => Response::error(500, format!("read failed: {e}")),
         }
-        let mut buf = Vec::new();
-        if let Err(e) = file.take(len).read_to_end(&mut buf) {
-            return Response::error(500, format!("read failed: {e}"));
-        }
-        Response::binary(200, buf)
     }
 
     /// Parses the required `sensor` query parameter; the error side is a

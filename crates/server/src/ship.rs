@@ -11,7 +11,7 @@
 //! [raw frames ...]
 //! ```
 
-use pagestore::{wal, WalSegment};
+use pagestore::WalSegment;
 
 /// Magic word opening every shipping response ("SDWS").
 pub const SHIP_MAGIC: u32 = u32::from_le_bytes(*b"SDWS");
@@ -36,8 +36,7 @@ pub fn encode_segment(seg: &WalSegment) -> Vec<u8> {
     out
 }
 
-/// Parses a shipping response body back into a [`WalSegment`]
-/// (`valid_bytes` is not carried on the wire and decodes as 0).
+/// Parses a shipping response body back into a [`WalSegment`].
 pub fn decode_segment(body: &[u8]) -> Result<WalSegment, String> {
     if body.len() < SHIP_HDR {
         return Err(format!(
@@ -65,28 +64,7 @@ pub fn decode_segment(body: &[u8]) -> Result<WalSegment, String> {
         first_lsn: u64_at(24),
         last_lsn: u64_at(32),
         frames: body[SHIP_HDR..].to_vec(),
-        valid_bytes: 0,
     })
-}
-
-/// Counts whole frames in a shipped `frames` buffer (shipping always
-/// sends whole frames, so a partial trailer would be a transport bug
-/// and simply stops the count, like recovery's torn-tail rule).
-pub fn count_frames(frames: &[u8]) -> u64 {
-    let mut count = 0u64;
-    let mut pos = 0usize;
-    while let Some(hdr) = frames.get(pos..pos + wal::FRAME_HDR) {
-        if u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]) != wal::WAL_MAGIC {
-            break;
-        }
-        let len = u32::from_le_bytes([hdr[4], hdr[5], hdr[6], hdr[7]]) as usize;
-        if frames.len() < pos + wal::FRAME_HDR + len {
-            break;
-        }
-        count += 1;
-        pos += wal::FRAME_HDR + len;
-    }
-    count
 }
 
 #[cfg(test)]
@@ -102,7 +80,6 @@ mod tests {
             log_start_lsn: 3,
             log_end_lsn: 11,
             restart: true,
-            valid_bytes: 99,
         };
         let body = encode_segment(&seg);
         assert_eq!(body.len(), SHIP_HDR + 5);
@@ -113,7 +90,6 @@ mod tests {
         assert_eq!(back.log_start_lsn, 3);
         assert_eq!(back.log_end_lsn, 11);
         assert!(back.restart);
-        assert_eq!(back.valid_bytes, 0, "not carried on the wire");
 
         let empty = encode_segment(&WalSegment::default());
         let back = decode_segment(&empty).expect("decode empty");
@@ -126,21 +102,5 @@ mod tests {
         assert!(decode_segment(&[]).is_err());
         assert!(decode_segment(&[0u8; SHIP_HDR - 1]).is_err());
         assert!(decode_segment(&[0u8; SHIP_HDR]).is_err(), "bad magic");
-    }
-
-    #[test]
-    fn counts_frames() {
-        assert_eq!(count_frames(&[]), 0);
-        // Two synthetic frames with empty payloads.
-        let mut buf = Vec::new();
-        for _ in 0..2 {
-            buf.extend_from_slice(&wal::WAL_MAGIC.to_le_bytes());
-            buf.extend_from_slice(&0u32.to_le_bytes()); // len
-            buf.extend_from_slice(&0u32.to_le_bytes()); // crc (unchecked)
-        }
-        assert_eq!(count_frames(&buf), 2);
-        // A truncated trailer stops the count.
-        buf.extend_from_slice(&wal::WAL_MAGIC.to_le_bytes());
-        assert_eq!(count_frames(&buf), 2);
     }
 }

@@ -1,0 +1,160 @@
+//! Schedules aimed at one place: the unlogged-tree window, every step of a
+//! seal, the inside of a group commit.
+
+use crate::fs::{CrashModel, Op, SimVfs};
+use crate::schedule::{Schedule, Sim, Step};
+use pagestore::PAGE_SIZE;
+use pagestore::{Database, DurabilityOptions, Result as StoreResult, Table, TableSpec, Vfs};
+use segdiff::SegDiffConfig;
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
+
+/// The unlogged-tree window: a checkpoint; inserts until the pool evicts
+/// a dirty B+tree page — trees are not logged, so the eviction appends no
+/// image — and a crash before the next commit. A log that is its
+/// checkpoint alone reads as a clean shutdown, and recovery keeps the
+/// trees of a clean one: unless the log says otherwise before the tree
+/// page reaches its file, the reopened tree holds entries for rows the
+/// crash took from the heap. Checks that the log does say so, and that a
+/// full index scan then finds exactly the rows a sequential scan finds.
+pub fn unlogged_tree(seed: u64, model: CrashModel) -> Result<(), String> {
+    let fs = SimVfs::new(seed);
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let dir = Path::new("/sim/db");
+    let opts = DurabilityOptions {
+        wal: true,
+        sync: model == CrashModel::PowerLoss,
+        group_commit: 1,
+        checkpoint_wal_bytes: u64::MAX,
+    };
+    let key = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as f64;
+    let fail = |e: pagestore::StoreError| e.to_string();
+    let db = Database::create_in(Arc::clone(&vfs), dir, 24, opts.clone()).map_err(fail)?;
+    let t = db
+        .create_table(TableSpec::new("ev", &["k"]))
+        .map_err(fail)?;
+    db.create_index("ev", "by_k", &["k"]).map_err(fail)?;
+    for i in 0..1000 {
+        t.insert(&[key(i)]).map_err(fail)?;
+    }
+    db.commit(b"")
+        .and_then(|()| db.checkpoint())
+        .map_err(fail)?;
+    // A tree's file grows by one zeroed page a split allocates (no entry
+    // in it); every other write to it is a page the pool wrote back.
+    let written_back = || fs.count(Op::WriteAt, ".idx") - t.index_bytes() / PAGE_SIZE as u64;
+    let before = written_back();
+    let mut i = 1000;
+    while written_back() == before {
+        t.insert(&[key(i)]).map_err(fail)?;
+        i += 1;
+        if i == 20_000 {
+            return Err("no tree page was evicted".into());
+        }
+    }
+    drop((t, db));
+    fs.crash(seed, model);
+    let db = Database::open_in(vfs, dir, 24, opts).map_err(fail)?;
+    if db.recovery_report().is_some_and(|r| r.clean) {
+        return Err(format!(
+            "a tree page reached its file {} rows after the checkpoint, and recovery called \
+             the shutdown clean",
+            i - 1000
+        ));
+    }
+    let t = db.table("ev").map_err(fail)?;
+    let (scanned, indexed) = rows_by_scan_and_tree(&t).map_err(fail)?;
+    if scanned != indexed {
+        return Err(format!(
+            "after the crash the heap holds {} rows and its tree {}",
+            scanned.len(),
+            indexed.len()
+        ));
+    }
+    Ok(())
+}
+
+/// The keys of a one-column table by a sequential scan and by a full
+/// index scan, each sorted.
+fn rows_by_scan_and_tree(t: &Table) -> StoreResult<(Vec<u64>, Vec<u64>)> {
+    let (mut scanned, mut indexed) = (Vec::new(), Vec::new());
+    t.seq_scan(|_, row| {
+        scanned.push(row[0].to_bits());
+        true
+    })?;
+    let (lo, hi) = ([f64::NEG_INFINITY], [f64::INFINITY]);
+    t.index_scan("by_k", &lo, &hi, |_, cols| {
+        indexed.push(cols[0].to_bits());
+        true
+    })?;
+    scanned.sort_unstable();
+    indexed.sort_unstable();
+    Ok((scanned, indexed))
+}
+
+/// The calls of `trace` a crash can land before: the first of each kind
+/// of call on each kind of file (the table's name aside) between two
+/// checkpoints, and the end.
+fn steps_of(trace: &[(Op, PathBuf)]) -> Vec<u64> {
+    let mut seen = std::collections::BTreeSet::new();
+    let mut checkpoints = 0;
+    let mut points = Vec::new();
+    for (i, (op, path)) in trace.iter().enumerate() {
+        let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+        let name = name.unwrap_or_default();
+        let kind = name.split_once('.').map_or(name.as_str(), |(_, ext)| ext);
+        if seen.insert((checkpoints, *op, kind.to_string())) {
+            points.push(i as u64);
+        }
+        checkpoints += usize::from(*op == Op::Rename && name == "wal.log");
+    }
+    points.push(trace.len() as u64);
+    points
+}
+
+/// A crash at every step of a seal — the checkpoint it begins with, the
+/// temporary heap, the removal of the derived files, the rename, the
+/// rebuilt zones and trees, the checkpoint it ends with — of the first
+/// table a compaction seals: one compaction after each of `fills` samples
+/// pushed, so the first seals a row store and the next ones a store
+/// sealed before with rows behind the seal. Returns the crashes made.
+pub fn seal_steps(seed: u64, model: CrashModel, fills: &[usize]) -> Result<usize, String> {
+    let config = SegDiffConfig::default().with_pool_pages(48);
+    let mut sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
+    let mut crashes = 0;
+    for (i, &fill) in (0..).step_by(3).zip(fills) {
+        sim.arm(i, Step::Push(fill), None)?;
+        sim.arm(i + 1, Step::Checkpoint, None)?;
+        let trace = sim.trace(Step::Compact)?;
+        // The first seal ends with the second checkpoint's new log.
+        let log = |(op, path): &(Op, PathBuf)| *op == Op::Rename && path.ends_with("wal.log");
+        let renames: Vec<usize> = (0..trace.len()).filter(|&i| log(&trace[i])).collect();
+        let end = renames.get(1).map_or(trace.len(), |&at| at + 2);
+        crashes += sim.crash_at(Step::Compact, &steps_of(&trace[..end]))?;
+        sim.arm(i + 2, Step::Compact, None)?;
+    }
+    Ok(crashes)
+}
+
+/// A crash at every step of a group commit: before its first page image,
+/// among them, before its commit record, before and after the sync.
+/// Returns the crashes made.
+pub fn group_commit_steps(seed: u64, model: CrashModel) -> Result<usize, String> {
+    let config = SegDiffConfig::default()
+        .with_pool_pages(256)
+        .with_group_commit(4);
+    let sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
+    let trace = sim.trace(Step::Push(60))?;
+    let log = |i: &usize| trace[*i].1.ends_with("wal.log");
+    let first = (0..trace.len())
+        .find(log)
+        .ok_or("no group commit in 60 samples")?;
+    let end = (first..trace.len())
+        .find(|i| !log(i))
+        .unwrap_or(trace.len());
+    let mut points: Vec<u64> = [first, first + 1, (first + end) / 2, end - 1, end]
+        .map(|i| i as u64)
+        .into();
+    points.dedup();
+    sim.crash_at(Step::Push(60), &points)
+}

@@ -1,0 +1,42 @@
+//! Crash recovery, in tier 1: fixed seeds of the simulated file system's
+//! schedules (`crates/sim`). Each crash is followed by a reopen, and each
+//! reopened store must pass the crash checker (`segdiff::oracle::
+//! check_prefix`: Theorem 1 and Lemma 5 over the prefix it kept, its own
+//! consistency, one answer from both plans) and keep everything known
+//! durable.
+
+use sim::points::{group_commit_steps, seal_steps, unlogged_tree};
+use sim::CrashModel::{PowerLoss, ProcessKill};
+use sim::{run, Schedule};
+
+/// A B+tree page evicted between a checkpoint and the next commit: the
+/// log must say the shutdown was not clean before the page reaches its
+/// file, or recovery keeps a tree of rows the heap lost.
+#[test]
+fn unlogged_tree_window() {
+    unlogged_tree(0, ProcessKill).unwrap();
+    unlogged_tree(1, PowerLoss).unwrap();
+}
+
+/// A power loss at every step of a seal of a row store.
+#[test]
+fn crash_inside_each_step_of_a_seal() {
+    let crashes = seal_steps(11, PowerLoss, &[60]).unwrap();
+    assert!(crashes >= 30, "{crashes} crash points");
+}
+
+/// A power loss before, among and after the writes of a group commit.
+#[test]
+fn crash_inside_a_group_commit() {
+    let crashes = group_commit_steps(12, PowerLoss).unwrap();
+    assert!(crashes >= 4, "{crashes} crash points");
+}
+
+/// Whole schedules: a store that does not sync, killed (everything
+/// written survives); and the power-loss seed that found a page file
+/// whose last page a crash had torn, which the store could not open.
+#[test]
+fn seeded_schedules() {
+    run(&Schedule::new(1001, ProcessKill, 10)).unwrap();
+    run(&Schedule::new(20, PowerLoss, 10)).unwrap();
+}
