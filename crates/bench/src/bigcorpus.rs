@@ -73,7 +73,7 @@ pub struct QueryScalingPoint {
 }
 
 /// One plan over the regions of one window `T` on one store: the counts
-/// of one pass over [`regions_at`], which repeat, and the time of a query.
+/// of one pass over `regions_at`, which repeat, and the time of a query.
 #[derive(Debug, Clone)]
 pub struct PlanAtT {
     /// `"row"` (arrival order, whole trees, the build's pool), or the

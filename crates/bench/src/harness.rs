@@ -92,7 +92,7 @@ fn add_paper_point_trees(index: &SegDiffIndex) {
 }
 
 /// Builds a SegDiff index over `series` under `dir`; `with_indexes` builds
-/// the paper's full §4.4 tree set (see [`add_paper_point_trees`]), not
+/// the paper's full §4.4 tree set (see `add_paper_point_trees`), not
 /// only the trees the index plan serves from.
 pub fn build_segdiff(
     series: &TimeSeries,

@@ -218,7 +218,6 @@ impl ExhIndex {
             QueryPlan::Index => {
                 let lo = [f64::NEG_INFINITY, f64::NEG_INFINITY];
                 let hi = [region.t, f64::INFINITY];
-                let mut rowbuf = Vec::new();
                 let mut rids = Vec::new();
                 self.table.index_scan("by_dt_dv", &lo, &hi, |rid, cols| {
                     rows_considered += 1;
@@ -227,14 +226,15 @@ impl ExhIndex {
                     }
                     true
                 })?;
-                for rid in rids {
-                    self.table.fetch(rid, &mut rowbuf)?;
+                rids.sort_unstable();
+                self.table.fetch_many(&rids, |_, row| {
                     out.push(ExhEvent {
-                        t1: rowbuf[2] - rowbuf[0],
-                        t2: rowbuf[2],
-                        dv: rowbuf[1],
+                        t1: row[2] - row[0],
+                        t2: row[2],
+                        dv: row[1],
                     });
-                }
+                    true
+                })?;
             }
         }
         out.sort_by(|a, b| a.t1.total_cmp(&b.t1).then(a.t2.total_cmp(&b.t2)));

@@ -15,6 +15,7 @@ use featurespace::{sketch, QueryRegion};
 use pagestore::{Database, PoolStats, Result, ScanPage, StoreError, Table, ZoneScanStats};
 use segmentation::Segment;
 use sensorgen::HOUR;
+use std::ops::RangeBounds;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -247,6 +248,7 @@ impl Extraction<'_> {
         let (mut cd, mut ab) = (None, None);
         let mut cols = vec![Vec::new(); 4];
         self.segments.scan_pages(
+            ..,
             |mins, maxs| {
                 holds(mins[0], t_b, maxs[0]) || (!self_pair && holds(mins[2], t_c, maxs[2]))
             },
@@ -323,15 +325,15 @@ impl<'a> PageScan<'a> {
         }
     }
 
-    /// Scans `table`, whose rows have `corners` corners — every page of
-    /// it, or the pages of its sealed rows alone — and appends the pairs
-    /// of the rows that intersect `region` to `out`, deciding the band
-    /// once the pages are read.
+    /// Scans the pages of `table` that hold the rows `rows` — every row,
+    /// or the sealed ones alone — whose rows have `corners` corners, and
+    /// appends the pairs of the rows that intersect `region` to `out`,
+    /// deciding the band once the pages are read.
     fn scan(
         &mut self,
         table: &Table,
         corners: usize,
-        sealed_only: bool,
+        rows: impl RangeBounds<u64>,
         region: &QueryRegion,
         out: &mut Vec<SegmentPair>,
     ) -> Result<()> {
@@ -364,11 +366,7 @@ impl<'a> PageScan<'a> {
             }
             Ok(true)
         };
-        let s = if sealed_only {
-            table.scan_sealed_pages(filter, visit)?
-        } else {
-            table.scan_pages(filter, visit)?
-        };
+        let s = table.scan_pages(rows, filter, visit)?;
         self.zones.pages_scanned += s.pages_scanned;
         self.zones.pages_pruned += s.pages_pruned;
         self.zones.extents_pruned += s.extents_pruned;
@@ -421,7 +419,7 @@ pub(crate) fn run_feature_query(
             let p = Phase::start(db, "query.scan");
             let mut scan = PageScan::new(extraction);
             for (i, table) in tables.iter().enumerate() {
-                scan.scan(table, i + 1, false, region, &mut out)?;
+                scan.scan(table, i + 1, .., region, &mut out)?;
             }
             *rows_considered += scan.rows;
             scan.record(&p.span);
@@ -464,7 +462,7 @@ pub(crate) fn run_feature_query(
                     all_rids.push((corners, rids));
                     continue;
                 }
-                sealed.scan(table, corners, true, region, &mut out)?;
+                sealed.scan(table, corners, ..table.sealed_rows(), region, &mut out)?;
                 if corners == 1 {
                     // Degenerate single-corner boundary: a point query on
                     // the lone corner.

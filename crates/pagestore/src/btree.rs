@@ -547,7 +547,7 @@ impl BTree {
     /// each range, and keys shared by overlapping ranges are delivered once
     /// per range. The implementation descends
     /// root-to-leaf only when it must and otherwise advances a
-    /// [`LeafCursor`] along the leaf-sibling chain, peeking at most one
+    /// `LeafCursor` along the leaf-sibling chain, peeking at most one
     /// sibling ahead before re-descending — classic batched B-tree access
     /// (Graefe, "Modern B-Tree Techniques").
     ///

@@ -215,13 +215,13 @@ fn shard_for(nshards: usize, fid: FileId, pid: PageId) -> usize {
 
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages (min 8), striped
-    /// over [`DEFAULT_SHARDS`] shards (fewer for small capacities).
+    /// over `DEFAULT_SHARDS` shards (fewer for small capacities).
     pub fn new(capacity: usize) -> Self {
         Self::with_shards(capacity, DEFAULT_SHARDS)
     }
 
     /// Creates a pool with an explicit shard count. The count is clamped
-    /// so every shard holds at least [`MIN_FRAMES_PER_SHARD`] frames; the
+    /// so every shard holds at least `MIN_FRAMES_PER_SHARD` frames; the
     /// total capacity is preserved exactly (frames are distributed as
     /// evenly as possible).
     pub fn with_shards(capacity: usize, shards: usize) -> Self {

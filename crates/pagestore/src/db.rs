@@ -423,7 +423,7 @@ impl Database {
     /// every index, over the rows behind the sealed ones: none, so every
     /// tree comes out empty, and grows again with later inserts. Readers
     /// reach the sealed rows ([`HeapFile::sealed_rows`]) through
-    /// [`Table::scan_sealed_pages`].
+    /// [`Table::scan_pages`] over `..sealed_rows`.
     ///
     /// One table's rows are held in memory while it is sealed (rows x
     /// columns x 8 bytes).
@@ -525,12 +525,20 @@ impl Database {
         let kw = col_idx.len() * 8 + 8;
         let unsealed = table.num_rows() - table.sealed_rows();
         let mut keys: Vec<u8> = Vec::with_capacity(unsealed as usize * kw);
-        let mut key = vec![0u8; kw];
-        table.scan_unsealed(|rid, row| {
-            encode_key_into(col_idx.iter().map(|&c| row[c]), rid, &mut key);
-            keys.extend_from_slice(&key);
-            true
-        })?;
+        let (mut key, mut cols) = (vec![0u8; kw], vec![Vec::new(); table.columns().len()]);
+        table.scan_pages(
+            table.sealed_rows()..,
+            |_, _| true,
+            |page| {
+                page.columns(0..cols.len(), &mut cols)?;
+                (0..page.rows()).for_each(|r| {
+                    let row = col_idx.iter().map(|&c| cols[c][r]);
+                    encode_key_into(row, page.row_id(r), &mut key);
+                    keys.extend_from_slice(&key);
+                });
+                Ok(true)
+            },
+        )?;
         let mut sorted: Vec<&[u8]> = keys.chunks_exact(kw).collect();
         sorted.sort_unstable_by(|a, b| key_cmp(a, b));
         BTree::bulk_load(self.pool.clone(), fid, kw, sorted)
@@ -1202,16 +1210,19 @@ mod tests {
         assert_eq!(t.index("by_dt").unwrap().len(), 0);
         let at_3000 = |t: &Table| {
             let (mut by_tree, mut sealed) = (0, 0);
-            let mut row = Vec::new();
             t.index_scan("by_dt", &[3000.0], &[3000.0], |rid, cols| {
-                t.fetch(rid, &mut row).unwrap();
-                assert_eq!(row[0], cols[0]);
-                by_tree += 1;
+                t.fetch_many(&[rid], |_, row| {
+                    assert_eq!(row[0], cols[0]);
+                    by_tree += 1;
+                    true
+                })
+                .unwrap();
                 true
             })
             .unwrap();
             let mut dt = vec![Vec::new()];
-            t.scan_sealed_pages(
+            t.scan_pages(
+                ..t.sealed_rows(),
                 |mins, maxs| mins[0] <= 3000.0 && 3000.0 <= maxs[0],
                 |page| {
                     page.columns(0..1, &mut dt)?;
@@ -1366,6 +1377,7 @@ mod tests {
     fn zone_entries(t: &Table) -> Vec<(Vec<f64>, Vec<f64>)> {
         let mut entries = Vec::new();
         t.scan_pages(
+            ..,
             |mins, maxs| {
                 entries.push((mins.to_vec(), maxs.to_vec()));
                 true
@@ -1421,16 +1433,19 @@ mod tests {
                     _ => (vec![lo, neg], vec![hi, inf]),
                 };
                 let mut via_tree_or_seal: Vec<Vec<u64>> = Vec::new();
-                let mut row = Vec::new();
                 t.index_scan(tree, &lo_key, &hi_key, |rid, cols| {
-                    t.fetch(rid, &mut row).unwrap();
-                    assert_eq!(cols[0].to_bits(), row[col].to_bits());
-                    via_tree_or_seal.push(row.iter().map(|v| v.to_bits()).collect());
+                    t.fetch_many(&[rid], |_, row| {
+                        assert_eq!(cols[0].to_bits(), row[col].to_bits());
+                        via_tree_or_seal.push(row.iter().map(|v| v.to_bits()).collect());
+                        true
+                    })
+                    .unwrap();
                     true
                 })
                 .unwrap();
                 let mut cols = vec![Vec::new(); 4];
-                t.scan_sealed_pages(
+                t.scan_pages(
+                    ..t.sealed_rows(),
                     |mins, maxs| mins[col] <= hi && lo <= maxs[col],
                     |page| {
                         page.columns(0..4, &mut cols)?;
@@ -1571,6 +1586,7 @@ mod tests {
         let sealed_pages = |t: &Table| {
             let mut flags = Vec::new();
             t.scan_pages(
+                ..,
                 |_, _| true,
                 |page| {
                     flags.push(page.sealed());

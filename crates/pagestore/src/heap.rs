@@ -9,7 +9,7 @@ use crate::pagefile::{FileId, PageFile};
 use crate::vfs::Vfs;
 use crate::zonemap::{ZoneMap, ZONE_LEVELS};
 use crate::{StoreError, PAGE_SIZE};
-use std::ops::Range;
+use std::ops::{Bound, Range, RangeBounds};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -68,12 +68,16 @@ fn rid_parts(r: RowId) -> (u32, u16) {
 /// Page 0 holds metadata (magic, column count, row count, sealed row
 /// count); data pages follow, in one layout: pages `1..=sealed_pages` are
 /// compressed [`crate::colpage`] pages holding exactly the `sealed_rows`
-/// rows the last seal wrote ([`HeapFile::write_sealed`]), and every page
-/// behind them is a raw page of fixed-width little-endian rows, so row
-/// `k >= sealed_rows` lives at page
+/// rows the last seal wrote, and every page behind them is a raw page of
+/// fixed-width little-endian rows, so row `k >= sealed_rows` lives at page
 /// `sealed_pages + 1 + (k - sealed_rows) / rows_per_page`. Rows arrive on
 /// the raw tail and move into columnar pages only by being sealed. All
 /// I/O goes through the shared [`BufferPool`].
+///
+/// Every page holds the rows its position says: a sealed page the rows
+/// its header said when the heap was opened, a raw page its share of the
+/// row count. A page whose header holds fewer is corrupt; one that holds
+/// more carries a crash's leftovers, which no reader sees.
 pub struct HeapFile {
     pool: Arc<BufferPool>,
     fid: FileId,
@@ -81,11 +85,10 @@ pub struct HeapFile {
     /// Rows a raw page holds.
     rows_per_page: usize,
     nrows: u64,
-    /// The leading rows the last seal wrote (see
-    /// [`HeapFile::sealed_rows`]), and the data pages `1..=sealed_pages`
-    /// that hold exactly them.
-    sealed_rows: u64,
-    sealed_pages: u32,
+    /// Where the sealed rows ([`HeapFile::sealed_rows`]) start each page
+    /// and, last, how many they are: sealed page `p` holds rows
+    /// `sealed_bounds[p - 1]..sealed_bounds[p]`. `[0]` when none is sealed.
+    sealed_bounds: Vec<u64>,
     /// Hierarchical min/max column summaries, when available. Maintained
     /// incrementally on insert; `None` after opening a heap whose sidecar
     /// was missing or stale (rebuild with [`HeapFile::rebuild_zones`]).
@@ -137,33 +140,39 @@ impl CompressionStats {
 }
 
 /// One data page of a [`HeapFile::scan_pages`] scan, copied out of the
-/// pool and not yet decoded.
+/// pool and not yet decoded: the rows of the scanned range it holds.
 pub struct ScanPage<'a> {
     heap: &'a HeapFile,
     buf: &'a PageBuf,
-    sealed: bool,
-    rows: usize,
+    pid: u32,
+    /// The page's slots that hold rows of the range.
+    slots: Range<usize>,
     /// Columnar decodes so far: `colpage.pages_decoded` counts the page
     /// once, however many projections read it.
     decoded: std::cell::Cell<u64>,
 }
 
 impl ScanPage<'_> {
-    /// Rows on the page.
+    /// Rows of the range on the page.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.slots.len()
+    }
+
+    /// The id of the page's `r`-th row of the range.
+    pub fn row_id(&self, r: usize) -> RowId {
+        rid(self.pid, (self.slots.start + r) as u16)
     }
 
     /// Whether the page holds sealed rows ([`HeapFile::sealed_rows`]):
     /// rows a seal wrote, through whatever map its caller gave it
     /// ([`crate::Database::seal_table`]), rather than rows as inserted.
     pub fn sealed(&self) -> bool {
-        self.sealed
+        self.pid <= self.heap.sealed_pages()
     }
 
     /// Decodes (a columnar page) or transposes (a raw one) the contiguous
     /// columns `range` into `cols`, one buffer per column of `range`, each
-    /// cleared first and left holding the page's values in slot order.
+    /// cleared first and left holding the range's values in slot order.
     ///
     /// # Panics
     ///
@@ -181,8 +190,11 @@ impl ScanPage<'_> {
             .heap
             .decode_page_columns(self.buf, range, cols, &mut decoded);
         self.decoded.set(decoded);
-        cols.iter_mut().for_each(|col| col.truncate(self.rows));
-        read.map(|_| ())
+        for col in cols.iter_mut() {
+            col.truncate(self.slots.end);
+            col.drain(..self.slots.start);
+        }
+        read
     }
 }
 
@@ -199,8 +211,7 @@ impl HeapFile {
             ncols,
             rows_per_page,
             nrows: 0,
-            sealed_rows: 0,
-            sealed_pages: 0,
+            sealed_bounds: vec![0],
             zones: Some(Self::with_levels_gauge(ZoneMap::new(ncols))),
         };
         h.write_meta()?;
@@ -247,7 +258,8 @@ impl HeapFile {
         };
         // Variable rows per columnar page: walk their headers, up to the
         // logical row count (pages past it are crash leftovers).
-        let (mut sealed_rows, mut sealed_pages) = (0u64, 0u32);
+        let mut sealed_bounds = vec![0u64];
+        let mut sealed_rows = 0;
         let mut meta_ends_a_page = meta_sealed == 0;
         for pid in META_PAGE + 1..walk_end {
             if sealed_rows >= nrows {
@@ -259,9 +271,11 @@ impl HeapFile {
             if !is_columnar {
                 break;
             }
-            (sealed_rows, sealed_pages) = (sealed_rows + n, pid);
+            sealed_rows += n;
+            sealed_bounds.push(sealed_rows);
             meta_ends_a_page |= sealed_rows == meta_sealed;
         }
+        let sealed_pages = sealed_bounds.len() - 1;
         if sealed_rows > nrows {
             return corrupt(format!(
                 "columnar page {sealed_pages} holds rows past the heap's {nrows}: {RELEASE_RULE}"
@@ -286,8 +300,7 @@ impl HeapFile {
             ncols,
             rows_per_page,
             nrows,
-            sealed_rows,
-            sealed_pages,
+            sealed_bounds,
             zones,
         })
     }
@@ -344,7 +357,7 @@ impl HeapFile {
 
     fn write_meta(&self) -> Result<()> {
         self.pool.with_page_mut(self.fid, META_PAGE, |b| {
-            put_meta(b, self.ncols, self.nrows, self.sealed_rows)
+            put_meta(b, self.ncols, self.nrows, self.sealed_rows())
         })
     }
 
@@ -374,9 +387,14 @@ impl HeapFile {
     /// rows are *sealed*: they live in columnar pages that hold no other
     /// row and are never written again — the first append behind them
     /// opens a raw page — and no B+tree holds an entry for them; readers
-    /// reach them through [`HeapFile::scan_sealed_pages`].
+    /// reach them through [`HeapFile::scan_pages`] over `..sealed_rows`.
     pub fn sealed_rows(&self) -> u64 {
-        self.sealed_rows
+        self.sealed_bounds[self.sealed_bounds.len() - 1]
+    }
+
+    /// The data pages `1..=sealed_pages` that hold the sealed rows.
+    fn sealed_pages(&self) -> u32 {
+        (self.sealed_bounds.len() - 1) as u32
     }
 
     /// The pool file id backing this heap (for in-place rewrites).
@@ -394,14 +412,50 @@ impl HeapFile {
         self.nrows * self.ncols as u64 * 8
     }
 
-    /// The page and slot of row `k`, which lies behind the sealed rows (or
-    /// is the row an append writes next).
-    fn tail_position(&self, k: u64) -> (u32, usize) {
-        let (behind, rpp) = (k - self.sealed_rows, self.rows_per_page as u64);
+    /// The page and slot of row `k` (`num_rows()` itself is the row an
+    /// append writes next).
+    fn position(&self, k: u64) -> (u32, usize) {
+        let sealed = self.sealed_rows();
+        if k < sealed {
+            let pid = self.sealed_bounds.partition_point(|&b| b <= k);
+            return (pid as u32, (k - self.sealed_bounds[pid - 1]) as usize);
+        }
+        let (behind, rpp) = (k - sealed, self.rows_per_page as u64);
         (
-            self.sealed_pages + 1 + (behind / rpp) as u32,
+            self.sealed_pages() + 1 + (behind / rpp) as u32,
             (behind % rpp) as usize,
         )
+    }
+
+    /// The rows data page `pid` holds by its position (none for the meta
+    /// page or a page behind the last row).
+    fn page_rows(&self, pid: u32) -> Range<u64> {
+        let sealed = self.sealed_pages();
+        if pid <= sealed {
+            let at = pid as usize;
+            return self.sealed_bounds[at.max(1) - 1]..self.sealed_bounds[at];
+        }
+        let rpp = self.rows_per_page as u64;
+        let start = self.sealed_rows() + u64::from(pid - sealed - 1) * rpp;
+        start.min(self.nrows)..(start + rpp).min(self.nrows)
+    }
+
+    /// Reads data page `pid` into `buf` and returns the rows it holds by
+    /// position; a page whose header holds fewer is corrupt. A page that
+    /// holds no row is not read.
+    fn read_page(&self, pid: u32, buf: &mut PageBuf) -> Result<Range<u64>> {
+        let rows = self.page_rows(pid);
+        if rows.is_empty() {
+            return Ok(rows);
+        }
+        self.pool.read_page_into(self.fid, pid, buf)?;
+        let (held, n) = (colpage::page_nrows(buf.bytes()), rows.end - rows.start);
+        if (held as u64) < n {
+            return Err(StoreError::Corrupt(format!(
+                "heap page {pid} holds {held} rows of {n}"
+            )));
+        }
+        Ok(rows)
     }
 
     /// Appends a row on the raw tail; returns its [`RowId`].
@@ -417,7 +471,7 @@ impl HeapFile {
     /// Panics if `row.len() != ncols`.
     pub fn insert(&mut self, row: &[f64]) -> Result<RowId> {
         assert_eq!(row.len(), self.ncols, "row arity mismatch");
-        let (pid, slot) = self.tail_position(self.nrows);
+        let (pid, slot) = self.position(self.nrows);
         // A leftover page from an interrupted extension is reused.
         if slot == 0 && pid >= self.pool.file_pages(self.fid) {
             let allocated = self.pool.allocate_page(self.fid)?;
@@ -445,28 +499,28 @@ impl HeapFile {
     /// Decodes columns `range` of the data page in `buf` into `cols` (one
     /// buffer per column of `range`, each cleared first), columnar or raw
     /// as the page itself says, and counts a decoded columnar page into
-    /// `decoded`. Returns the row count.
+    /// `decoded`.
     fn decode_page_columns(
         &self,
         buf: &PageBuf,
         range: Range<usize>,
         cols: &mut [Vec<f64>],
         decoded: &mut u64,
-    ) -> Result<usize> {
+    ) -> Result<()> {
         let b = buf.bytes();
         for c in cols.iter_mut() {
             c.clear();
         }
         if colpage::is_colpage(b) {
             *decoded += 1;
-            return colpage::decode_into(b, self.ncols, range, cols);
+            return colpage::decode_into(b, self.ncols, range, cols).map(|_| ());
         }
         // Raw page: transpose into the column buffers.
         let n = (page::get_u16(b, 0) as usize).min(self.rows_per_page);
         for (c, col) in range.zip(cols.iter_mut()) {
             col.extend((0..n).map(|slot| page::get_f64(b, self.raw_offset(slot, c))));
         }
-        Ok(n)
+        Ok(())
     }
 
     /// Byte offset of column `c` of row `slot` in a raw page.
@@ -484,57 +538,27 @@ impl HeapFile {
     }
 
     /// Visits the rows after the first `skip` in storage order, reading
-    /// only the pages that hold them: behind the sealed rows a row's page
-    /// is arithmetic (this is how an index re-derives its write buffer, so
-    /// the cost follows the buffer, not the table), and a `skip` that ends
-    /// among them walks their pages from the first. The visitor receives
-    /// the row id and the decoded columns; returning `false` stops the
-    /// scan early.
+    /// only the pages that hold them (this is how an index re-derives its
+    /// write buffer, so the cost follows the buffer, not the table): the
+    /// row-at-a-time view of [`HeapFile::scan_pages`]. The visitor
+    /// receives the row id and the decoded columns; returning `false`
+    /// stops the scan early.
     ///
     /// Pages are copied out of the pool before decoding, so the visitor may
     /// freely access other tables.
     pub fn scan(&self, skip: u64, mut visit: impl FnMut(RowId, &[f64]) -> bool) -> Result<()> {
-        if skip >= self.nrows {
-            return Ok(());
-        }
-        let (first, mut skip_slots) = if skip >= self.sealed_rows {
-            self.tail_position(skip)
-        } else {
-            (META_PAGE + 1, skip as usize)
-        };
-        let (last, last_rows) = self.tail_position(self.nrows);
-        let mut buf = PageBuf::zeroed();
-        let mut cols: Vec<Vec<f64>> = vec![Vec::new(); self.ncols];
-        let mut row = vec![0.0f64; self.ncols];
-        let mut decoded = 0;
-        'pages: for pid in first..=last {
-            // A raw page holds the rows its position says, whatever a
-            // crash left in its header; a sealed page says itself.
-            let positional = match pid {
-                _ if pid <= self.sealed_pages => None,
-                _ if pid == last => Some(last_rows),
-                _ => Some(self.rows_per_page),
-            };
-            if positional == Some(0) {
-                break;
-            }
-            self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let held = self.decode_page_columns(&buf, 0..self.ncols, &mut cols, &mut decoded)?;
-            let n = positional.unwrap_or(held);
-            if held < n {
-                return Err(StoreError::Corrupt(format!(
-                    "heap page {pid} holds {held} rows of {n}"
-                )));
-            }
-            for slot in skip_slots.min(n)..n {
-                colpage::gather_row(&cols, slot, &mut row);
-                if !visit(rid(pid, slot as u16), &row) {
-                    break 'pages;
-                }
-            }
-            skip_slots = skip_slots.saturating_sub(n);
-        }
-        Self::flush_decoded(decoded);
+        let (mut cols, mut row) = (vec![Vec::new(); self.ncols], vec![0.0f64; self.ncols]);
+        self.scan_pages(
+            skip..,
+            |_, _| true,
+            |page| {
+                page.columns(0..self.ncols, &mut cols)?;
+                Ok((0..page.rows()).all(|r| {
+                    colpage::gather_row(&cols, r, &mut row);
+                    visit(page.row_id(r), &row)
+                }))
+            },
+        )?;
         Ok(())
     }
 
@@ -578,41 +602,36 @@ impl HeapFile {
         Ok(self.pool.vfs().remove_file(&sidecar)?)
     }
 
-    /// Top-down hierarchical pruning: applies `filter` to the segment
-    /// entry, then to each surviving extent entry, then to the page
-    /// entries of surviving extents. Returns the pages to visit (in
-    /// order) and the skip accounting. Pages without zone coverage are
-    /// always visited.
+    /// Top-down hierarchical pruning of data pages `pages`: applies
+    /// `filter` to the segment entry, then to each surviving extent entry,
+    /// then to the page entries of surviving extents. Returns the pages to
+    /// visit (in order) and the skip accounting. Pages without zone
+    /// coverage are always visited.
     fn live_pages(
         &self,
         filter: &mut impl FnMut(&[f64], &[f64]) -> bool,
-        npages: u32,
+        pages: Range<u32>,
         stats: &mut ZoneScanStats,
     ) -> Vec<u32> {
-        let mut live = Vec::new();
         let Some(z) = &self.zones else {
-            live.extend(1..npages);
-            return live;
+            return pages.collect();
         };
-        // Pages 1..covered_end carry zone entries; later pages (crash
-        // leftovers, or rows landed after the map was dropped) do not.
-        let covered_end = (z.pages() + 1).min(npages);
-        let covered = covered_end.saturating_sub(1) as u64;
-        if covered > 0 {
-            let seg_live = match z.segment_bounds() {
-                Some((mins, maxs)) => filter(mins, maxs),
-                None => true,
-            };
-            if !seg_live {
-                stats.extents_pruned += z.extents() as u64;
-                stats.pages_pruned += covered;
+        // Pages before `covered.end` carry zone entries; later ones (rows
+        // landed after the map was dropped) do not.
+        let covered = pages.start..(z.pages() + 1).clamp(pages.start, pages.end);
+        let mut live = Vec::new();
+        if !covered.is_empty() {
+            let extents = ZoneMap::extent_of(covered.start)..=ZoneMap::extent_of(covered.end - 1);
+            if !z
+                .segment_bounds()
+                .is_none_or(|(mins, maxs)| filter(mins, maxs))
+            {
+                stats.extents_pruned += extents.count() as u64;
+                stats.pages_pruned += covered.len() as u64;
             } else {
-                for ext in 0..z.extents() {
-                    let pages = ZoneMap::extent_pages(ext);
-                    let (lo, hi) = (pages.start, pages.end.min(covered_end));
-                    if lo >= hi {
-                        break;
-                    }
+                for ext in extents {
+                    let in_ext = ZoneMap::extent_pages(ext);
+                    let (lo, hi) = (in_ext.start.max(covered.start), in_ext.end.min(covered.end));
                     if let Some((mins, maxs)) = z.extent_bounds(ext) {
                         if !filter(mins, maxs) {
                             stats.extents_pruned += 1;
@@ -629,7 +648,7 @@ impl HeapFile {
                 }
             }
         }
-        live.extend(covered_end..npages);
+        live.extend(covered.end..pages.end);
         live
     }
 
@@ -678,15 +697,19 @@ impl HeapFile {
         }
     }
 
-    /// Scans rows a page at a time, skipping zones that fail `filter`
-    /// (applied top-down: segment, then extent, then page summaries;
-    /// pages without zone coverage are always visited). The visitor is
-    /// handed each surviving page undecoded, as a [`ScanPage`]: it asks
-    /// for the columns it needs, and may ask again once those have told it
-    /// whether the rest is worth reading. Compressed columnar pages decode
-    /// the asked columns straight into the visitor's buffers with no
-    /// row-at-a-time materialization; raw pages are transposed. Returning
-    /// `Ok(false)` stops the scan, an error aborts it.
+    /// The one page walk under every scan: visits the data pages that
+    /// hold the rows `rows` (clamped to the heap's), skipping zones that
+    /// fail `filter` (applied top-down: segment, then extent, then page
+    /// summaries; pages without zone coverage are always visited). The
+    /// visitor is handed each surviving page undecoded, as a
+    /// [`ScanPage`] of the range's rows on it: it asks for the columns it
+    /// needs, and may ask again once those have told it whether the rest
+    /// is worth reading. Compressed columnar pages decode the asked
+    /// columns straight into the visitor's buffers with no row-at-a-time
+    /// materialization; raw pages are transposed. Returning `Ok(false)`
+    /// stops the scan, an error aborts it. `..sealed_rows` reads the
+    /// sealed rows alone — with a B+tree scan of the rows behind them,
+    /// every row once — and `sealed_rows..` the rows the trees index.
     ///
     /// Skipped pages are counted into `zonemap.pages_pruned` /
     /// `zonemap.extents_pruned` and the returned [`ZoneScanStats`]. The
@@ -694,57 +717,42 @@ impl HeapFile {
     /// the bounds could match — for pruning to be lossless.
     pub fn scan_pages(
         &self,
-        filter: impl FnMut(&[f64], &[f64]) -> bool,
-        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
-    ) -> Result<ZoneScanStats> {
-        // Pages behind the last row's are a crash's leftovers: no row.
-        let (last, rows) = self.tail_position(self.nrows);
-        self.scan_pages_below(last + u32::from(rows > 0), filter, visit)
-    }
-
-    /// [`HeapFile::scan_pages`] over the pages of the sealed rows alone
-    /// (see [`HeapFile::sealed_rows`]): with a B+tree scan of the rows
-    /// behind them, every row once. Touches nothing when no row is sealed.
-    pub fn scan_sealed_pages(
-        &self,
-        filter: impl FnMut(&[f64], &[f64]) -> bool,
-        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
-    ) -> Result<ZoneScanStats> {
-        self.scan_pages_below(self.sealed_pages + 1, filter, visit)
-    }
-
-    /// [`HeapFile::scan_pages`] over data pages `1..npages`.
-    fn scan_pages_below(
-        &self,
-        npages: u32,
+        rows: impl RangeBounds<u64>,
         mut filter: impl FnMut(&[f64], &[f64]) -> bool,
         mut visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
     ) -> Result<ZoneScanStats> {
+        let start = match rows.start_bound() {
+            Bound::Included(&k) => k,
+            Bound::Excluded(&k) => k.saturating_add(1),
+            Bound::Unbounded => 0,
+        };
+        let end = match rows.end_bound() {
+            Bound::Included(&k) => k.saturating_add(1),
+            Bound::Excluded(&k) => k,
+            Bound::Unbounded => self.nrows,
+        }
+        .min(self.nrows);
         let mut stats = ZoneScanStats::default();
-        let live = self.live_pages(&mut filter, npages, &mut stats);
-        // Allocated for the first page read: a scan that prunes every page,
-        // or finds none sealed, costs no more than its zone tests.
+        if start >= end {
+            return Ok(stats);
+        }
+        let pages = self.position(start).0..self.position(end - 1).0 + 1;
+        let live = self.live_pages(&mut filter, pages, &mut stats);
+        // Allocated for the first page read: a scan that prunes every page
+        // costs no more than its zone tests.
         let mut buf = None;
         let mut decoded = 0;
         let mut outcome = Ok(true);
-        let (last, last_rows) = self.tail_position(self.nrows);
         for pid in live {
             stats.pages_scanned += 1;
             let buf = buf.get_or_insert_with(PageBuf::zeroed);
-            self.pool.read_page_into(self.fid, pid, buf)?;
-            // A raw page holds the rows its position says, whatever a
-            // crash left in its header; a sealed page says itself.
-            let held = colpage::page_nrows(buf.bytes());
-            let rows = match pid {
-                _ if pid <= self.sealed_pages => held,
-                _ if pid == last => last_rows.min(held),
-                _ => self.rows_per_page.min(held),
-            };
+            let on_page = self.read_page(pid, buf)?;
+            let slot = |k: u64| (k.clamp(on_page.start, on_page.end) - on_page.start) as usize;
             let page = ScanPage {
                 heap: self,
                 buf,
-                sealed: pid <= self.sealed_pages,
-                rows,
+                pid,
+                slots: slot(start)..slot(end),
                 decoded: std::cell::Cell::new(0),
             };
             outcome = visit(&page);
@@ -758,10 +766,10 @@ impl HeapFile {
         outcome.map(|_| stats)
     }
 
-    /// [`HeapFile::scan_pages`] with every column of every surviving page
-    /// decoded into `cols` (resized to the column count; each column holds
-    /// the page's values in slot order) before the visitor sees it.
-    /// Returning `false` stops the scan.
+    /// [`HeapFile::scan_pages`] over every row, with every column of every
+    /// surviving page decoded into `cols` (resized to the column count;
+    /// each column holds the page's values in slot order) before the
+    /// visitor sees it. Returning `false` stops the scan.
     pub fn scan_columns(
         &self,
         filter: impl FnMut(&[f64], &[f64]) -> bool,
@@ -769,19 +777,9 @@ impl HeapFile {
         mut visit: impl FnMut(&[Vec<f64>], usize) -> bool,
     ) -> Result<ZoneScanStats> {
         cols.resize(self.ncols, Vec::new());
-        self.scan_pages(filter, |page| {
+        self.scan_pages(.., filter, |page| {
             page.columns(0..self.ncols, cols)?;
             Ok(visit(cols, page.rows()))
-        })
-    }
-
-    /// Reads the row `r` into `out` (resized to the column count): the
-    /// one-row call of [`HeapFile::fetch_many_cols`].
-    pub fn fetch(&self, r: RowId, out: &mut Vec<f64>) -> Result<()> {
-        out.resize(self.ncols, 0.0);
-        self.fetch_many_cols(&[r], 0..self.ncols, |_, row| {
-            out.copy_from_slice(row);
-            true
         })
     }
 
@@ -790,7 +788,9 @@ impl HeapFile {
     /// must be sorted (ascending row id — which is page-major order). The
     /// visitor receives each row id with the `cols.len()` values asked
     /// for: a columnar page decodes only those columns; a raw page's values
-    /// are read from the requested slots in place.
+    /// are read from the requested slots in place. A page holds the rows
+    /// its position says, as under [`HeapFile::scan_pages`]: an id past
+    /// them is an error.
     ///
     /// # Panics
     ///
@@ -807,20 +807,19 @@ impl HeapFile {
         let mut buf = PageBuf::zeroed();
         let mut decoded: Vec<Vec<f64>> = vec![Vec::new(); cols.len()];
         let mut row = vec![0.0f64; cols.len()];
-        let (mut loaded, mut columnar) = (None, false);
+        let (mut loaded, mut n, mut columnar) = (None, 0, false);
         let mut pages_decoded = 0;
         for &r in rids {
             let (pid, slot) = rid_parts(r);
             if loaded != Some(pid) {
-                self.pool.read_page_into(self.fid, pid, &mut buf)?;
-                columnar = colpage::is_colpage(buf.bytes());
+                let on_page = self.read_page(pid, &mut buf)?;
+                n = (on_page.end - on_page.start) as usize;
+                columnar = n > 0 && colpage::is_colpage(buf.bytes());
                 if columnar {
                     self.decode_page_columns(&buf, cols.clone(), &mut decoded, &mut pages_decoded)?;
                 }
                 loaded = Some(pid);
             }
-            let b = buf.bytes();
-            let n = colpage::page_nrows(b);
             let slot = slot as usize;
             if slot >= n {
                 return Err(StoreError::Corrupt(format!(
@@ -832,7 +831,7 @@ impl HeapFile {
             } else {
                 let off = self.raw_offset(slot, cols.start);
                 for (i, o) in row.iter_mut().enumerate() {
-                    *o = page::get_f64(b, off + i * 8);
+                    *o = page::get_f64(buf.bytes(), off + i * 8);
                 }
             }
             if !visit(r, &row) {
@@ -843,40 +842,35 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Walks every data page and accounts encoded vs fixed-width payload
-    /// sizes (raw pages count as fixed-width on both sides).
+    /// Accounts encoded vs fixed-width payload sizes over the pages that
+    /// hold rows (raw pages count as fixed-width on both sides).
     pub fn compression_stats(&self) -> Result<CompressionStats> {
         let mut s = CompressionStats {
             col_stored: vec![0; self.ncols],
             col_raw: vec![0; self.ncols],
             ..CompressionStats::default()
         };
-        let npages = self.pool.file_pages(self.fid);
-        let mut buf = PageBuf::zeroed();
-        for pid in 1..npages {
-            self.pool.read_page_into(self.fid, pid, &mut buf)?;
-            let b = buf.bytes();
-            let n = colpage::page_nrows(b) as u64;
-            s.pages += 1;
-            if colpage::is_colpage(b) {
-                for (c, (enc, bytes)) in colpage::column_layout(b, self.ncols)?
-                    .into_iter()
-                    .enumerate()
-                {
+        self.scan_pages(
+            ..,
+            |_, _| true,
+            |page| {
+                let (b, n) = (page.buf.bytes(), page.rows() as u64);
+                s.pages += 1;
+                if !colpage::is_colpage(b) {
+                    s.col_stored.iter_mut().for_each(|c| *c += n * 8);
+                    s.col_raw.iter_mut().for_each(|c| *c += n * 8);
+                    return Ok(true);
+                }
+                let layout = colpage::column_layout(b, self.ncols)?;
+                for (c, (enc, bytes)) in layout.into_iter().enumerate() {
                     s.col_stored[c] += bytes as u64;
                     s.col_raw[c] += n * 8;
-                    if enc == colpage::ColEncoding::Raw {
-                        s.raw_fallback_cols += 1;
-                    }
+                    s.raw_fallback_cols += u64::from(enc == colpage::ColEncoding::Raw);
                 }
                 s.stored_bytes += 16 * self.ncols as u64; // directory overhead
-            } else {
-                for c in 0..self.ncols {
-                    s.col_stored[c] += n * 8;
-                    s.col_raw[c] += n * 8;
-                }
-            }
-        }
+                Ok(true)
+            },
+        )?;
         s.raw_bytes = s.col_raw.iter().sum();
         s.stored_bytes += s.col_stored.iter().sum::<u64>();
         Ok(s)
@@ -889,7 +883,7 @@ impl HeapFile {
     /// hold the sealed rows, every page behind them is raw and holds the
     /// rows its position says.
     pub(crate) fn assert_one_layout(&self) {
-        let (last, last_rows) = self.tail_position(self.nrows);
+        let (last, last_rows) = self.position(self.nrows);
         let mut sealed = 0;
         for pid in 1..self.pool.file_pages(self.fid).min(last + 1) {
             let (n, columnar) = self
@@ -898,7 +892,7 @@ impl HeapFile {
                     (colpage::page_nrows(b), colpage::is_colpage(b))
                 })
                 .unwrap();
-            assert_eq!(columnar, pid <= self.sealed_pages, "page {pid}");
+            assert_eq!(columnar, pid <= self.sealed_pages(), "page {pid}");
             match pid {
                 _ if columnar => sealed += n as u64,
                 _ if pid < last => assert_eq!(n, self.rows_per_page, "page {pid}"),
@@ -906,7 +900,7 @@ impl HeapFile {
                 _ => {}
             }
         }
-        assert_eq!(sealed, self.sealed_rows, "rows on columnar pages");
+        assert_eq!(sealed, self.sealed_rows(), "rows on columnar pages");
     }
 }
 
@@ -983,16 +977,23 @@ mod tests {
         row.iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Row `r`, every column, through the one fetch.
+    fn fetch(h: &HeapFile, r: RowId) -> Result<Vec<f64>> {
+        let mut out = Vec::new();
+        h.fetch_many_cols(&[r], 0..h.ncols(), |_, row| {
+            out = row.to_vec();
+            true
+        })?;
+        Ok(out)
+    }
+
     #[test]
     fn insert_fetch_roundtrip() {
         let (_pool, mut h, p) = setup("roundtrip", 3);
         let r1 = h.insert(&[1.0, 2.0, 3.0]).unwrap();
         let r2 = h.insert(&[-4.0, 5.5, 0.0]).unwrap();
-        let mut out = Vec::new();
-        h.fetch(r1, &mut out).unwrap();
-        assert_eq!(out, vec![1.0, 2.0, 3.0]);
-        h.fetch(r2, &mut out).unwrap();
-        assert_eq!(out, vec![-4.0, 5.5, 0.0]);
+        assert_eq!(fetch(&h, r1).unwrap(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(fetch(&h, r2).unwrap(), vec![-4.0, 5.5, 0.0]);
         assert_eq!(h.num_rows(), 2);
         std::fs::remove_file(&p).ok();
     }
@@ -1050,7 +1051,31 @@ mod tests {
             )
             .unwrap();
             assert!(via_cols == bits(&rows.concat()), "{sealed}: scan_columns");
+            // The sealed range, then the tail: each its own rows, ids and
+            // pages.
             let s = sealed as u64;
+            for (range, want) in [(0..s, 0..sealed), (s..u64::MAX, sealed..rows.len())] {
+                let (mut got, mut bufs) = (Vec::new(), vec![Vec::new(); 5]);
+                h.scan_pages(
+                    range.clone(),
+                    |_, _| true,
+                    |page| {
+                        page.columns(0..5, &mut bufs)?;
+                        for r in 0..page.rows() {
+                            assert_eq!(page.sealed(), range.end == s, "{sealed}: {range:?}");
+                            got.push((
+                                page.row_id(r),
+                                bufs.iter().map(|c| c[r].to_bits()).collect(),
+                            ));
+                        }
+                        Ok(true)
+                    },
+                )
+                .unwrap();
+                let want: Vec<(RowId, Vec<u64>)> =
+                    want.map(|k| (rids[k], bits(&rows[k]))).collect();
+                assert!(got == want, "{sealed}: {range:?}");
+            }
             for skip in [0, 1, 1999, 2000, 2001, 2102, 2999, 3000, 5000] {
                 let before = pool.stats();
                 let mut at = skip as usize;
@@ -1065,13 +1090,13 @@ mod tests {
                 })
                 .unwrap();
                 assert_eq!(at, rows.len().max(skip as usize), "{sealed}/{skip}");
-                // Behind the seal, only the pages that hold the rows asked
-                // for are read, each once.
+                // Only the pages that hold the rows asked for are read,
+                // each once.
                 let io = pool.stats().since(&before);
-                if skip >= s && skip < 3000 {
+                if skip < 3000 {
                     let pages = (rids[2999] >> 16) - (rids[skip as usize] >> 16) + 1;
                     assert_eq!(io.hits + io.misses, pages, "{sealed}/{skip}");
-                } else if skip >= 3000 {
+                } else {
                     assert_eq!(io.hits + io.misses, 0, "{sealed}/{skip}");
                 }
             }
@@ -1129,9 +1154,7 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count, n);
-        let mut out = Vec::new();
-        h.fetch(rids[1234], &mut out).unwrap();
-        assert_eq!(out[0], 300.0 * 1234.0);
+        assert_eq!(fetch(&h, rids[1234]).unwrap()[0], 300.0 * 1234.0);
         // Columnar pages hold far more of these compressible rows than a
         // raw page's fixed capacity would.
         let stats = h.compression_stats().unwrap();
@@ -1203,7 +1226,7 @@ mod tests {
             let (mut lead, mut rest) = (vec![Vec::new(); 2], vec![Vec::new(); 3]);
             let mut at = 0;
             let got = h
-                .scan_pages(filter, |page| {
+                .scan_pages(.., filter, |page| {
                     assert_eq!(page.rows(), full[at][0].len(), "{sealed} page {at}");
                     page.columns(0..2, &mut lead)?;
                     let lead: Vec<_> = lead.iter().map(|c| bits(c)).collect();
@@ -1222,6 +1245,7 @@ mod tests {
             // A visitor's `Ok(false)` stops the scan, its error aborts it.
             let mut seen = 0;
             h.scan_pages(
+                ..,
                 |_, _| true,
                 |_| {
                     seen += 1;
@@ -1230,7 +1254,7 @@ mod tests {
             )
             .unwrap();
             assert_eq!(seen, 2, "{sealed}");
-            let failed = h.scan_pages(|_, _| true, |_| Err(StoreError::Corrupt("stop".into())));
+            let failed = h.scan_pages(.., |_, _| true, |_| Err(StoreError::Corrupt("stop".into())));
             assert!(matches!(failed, Err(StoreError::Corrupt(_))), "{sealed}");
             std::fs::remove_file(&p).ok();
         }
@@ -1247,7 +1271,6 @@ mod tests {
             assert!(last > 2 && on_page(last) < on_page(last - 1), "{sealed}");
             let picked: Vec<usize> = (0..3000).filter(|i| rids[*i] % 3 != 1).collect();
             let picked_rids: Vec<RowId> = picked.iter().map(|&i| rids[i]).collect();
-            let mut row = Vec::new();
             for cols in [0..5, 1..4, 4..5, 2..2] {
                 let mut seen = 0;
                 h.fetch_many_cols(&picked_rids, cols.clone(), |rid, got| {
@@ -1258,7 +1281,7 @@ mod tests {
                         bits(&want[cols.clone()]),
                         "{sealed} {rid:#x} {cols:?}"
                     );
-                    h.fetch(rid, &mut row).unwrap();
+                    let row = fetch(&h, rid).unwrap();
                     assert_eq!(bits(&row), bits(want), "{sealed} row {rid:#x}");
                     seen += 1;
                     true
@@ -1269,7 +1292,7 @@ mod tests {
             // A slot past the page's rows is an error, not stale data.
             let beyond = *rids.last().unwrap() + 1;
             assert!(h.fetch_many_cols(&[beyond], 0..2, |_, _| true).is_err());
-            assert!(h.fetch(beyond, &mut row).is_err());
+            assert!(fetch(&h, beyond).is_err());
             std::fs::remove_file(&p).ok();
         }
     }
@@ -1285,7 +1308,7 @@ mod tests {
         // A filter matching only the very first page's range: everything
         // else must be pruned, and all but extent 0 at the extent level.
         let stats = h
-            .scan_pages(|mins, _maxs| mins[0] < 511.0, |_| Ok(true))
+            .scan_pages(.., |mins, _maxs| mins[0] < 511.0, |_| Ok(true))
             .unwrap();
         assert_eq!(stats.pages_scanned, 1);
         assert!(stats.extents_pruned >= 2, "stats: {stats:?}");
@@ -1295,7 +1318,7 @@ mod tests {
             "stats: {stats:?}"
         );
         // A filter matching nothing prunes at the segment level.
-        let stats = h.scan_pages(|_m, _x| false, |_| Ok(true)).unwrap();
+        let stats = h.scan_pages(.., |_m, _x| false, |_| Ok(true)).unwrap();
         assert_eq!(stats.pages_scanned, 0);
         assert_eq!(stats.extents_pruned, 3, "three extents under the segment");
         std::fs::remove_file(&p).ok();

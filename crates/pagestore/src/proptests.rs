@@ -39,10 +39,12 @@ proptest! {
             rids.push(heap.insert(row).unwrap());
         }
         // Random access.
-        let mut buf = Vec::new();
         for (i, &rid) in rids.iter().enumerate() {
-            heap.fetch(rid, &mut buf).unwrap();
-            prop_assert_eq!(&buf, &rows[i]);
+            heap.fetch_many_cols(&[rid], 0..3, |_, row| {
+                assert_eq!(row, rows[i].as_slice());
+                true
+            })
+            .unwrap();
         }
         // Scan order and contents.
         let mut seen = 0usize;
@@ -128,12 +130,17 @@ proptest! {
             _ => ((tb, tb + 50.0), Box::new(move |a, b| a > tb && b != vb)),
         };
         let mut indexed: Vec<Vec<f64>> = Vec::new();
-        let mut row = Vec::new();
+        let mut rids = Vec::new();
         t.index_scan("by_a_b", &[a_lo, neg], &[a_hi, inf], |rid, cols| {
             if residual(cols[0], cols[1]) {
-                t.fetch(rid, &mut row).unwrap();
-                indexed.push(row.clone());
+                rids.push(rid);
             }
+            true
+        })
+        .unwrap();
+        rids.sort_unstable();
+        t.fetch_many(&rids, |_, row| {
+            indexed.push(row.to_vec());
             true
         })
         .unwrap();

@@ -56,7 +56,6 @@ fn concurrent_probes_and_fetches_over_shared_pool() {
         for ti in 0..threads {
             let t = Arc::clone(&t);
             s.spawn(move || {
-                let mut rowbuf = Vec::new();
                 for p in 0..probes_per_thread {
                     // Spread the probe windows so threads overlap but do
                     // not all walk the same leaves in lockstep.
@@ -66,10 +65,13 @@ fn concurrent_probes_and_fetches_over_shared_pool() {
                     t.index_scan("by_k", &[lo as f64], &[hi as f64], |rid, cols| {
                         let k = cols[0];
                         assert!((lo as f64..=hi as f64).contains(&k), "key out of range");
-                        t.fetch(rid, &mut rowbuf).unwrap();
-                        assert_eq!(rowbuf[0], k, "heap row disagrees with index key");
-                        assert_eq!(rowbuf[1], k * 2.0, "corrupt column a for k={k}");
-                        assert_eq!(rowbuf[2], k * 3.0, "corrupt column b for k={k}");
+                        t.fetch_many(&[rid], |_, row| {
+                            assert_eq!(row[0], k, "heap row disagrees with index key");
+                            assert_eq!(row[1], k * 2.0, "corrupt column a for k={k}");
+                            assert_eq!(row[2], k * 3.0, "corrupt column b for k={k}");
+                            true
+                        })
+                        .unwrap();
                         seen += 1;
                         true
                     })
@@ -181,13 +183,15 @@ fn readers_survive_dirty_eviction_pressure() {
         for ti in 0..4 {
             let t = Arc::clone(&t);
             s.spawn(move || {
-                let mut rowbuf = Vec::new();
                 for p in 0..30u64 {
                     let lo = ((ti as u64 * 389 + p * 211) * 7) % (rows - 64);
                     t.index_scan("by_k", &[lo as f64], &[(lo + 63) as f64], |rid, cols| {
-                        t.fetch(rid, &mut rowbuf).unwrap();
-                        assert_eq!(rowbuf[0], cols[0]);
-                        assert_eq!(rowbuf[1], cols[0] * 2.0);
+                        t.fetch_many(&[rid], |_, row| {
+                            assert_eq!(row[0], cols[0]);
+                            assert_eq!(row[1], cols[0] * 2.0);
+                            true
+                        })
+                        .unwrap();
                         true
                     })
                     .unwrap();

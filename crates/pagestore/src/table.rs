@@ -258,7 +258,8 @@ impl Table {
 
     /// How many leading rows are sealed: written into columnar pages by
     /// [`crate::Database::seal_table`], indexed by no B+tree, read through
-    /// [`Table::scan_sealed_pages`]; see [`HeapFile::sealed_rows`].
+    /// [`Table::scan_pages`] over `..sealed_rows`; see
+    /// [`HeapFile::sealed_rows`].
     pub fn sealed_rows(&self) -> u64 {
         self.heap.read().sealed_rows()
     }
@@ -323,11 +324,6 @@ impl Table {
         Ok(())
     }
 
-    /// Reads one row by id.
-    pub fn fetch(&self, rid: RowId, out: &mut Vec<f64>) -> Result<()> {
-        self.heap.read().fetch(rid, out)
-    }
-
     /// Full scan in storage order; return `false` to stop early.
     pub fn seq_scan(&self, visit: impl FnMut(RowId, &[f64]) -> bool) -> Result<()> {
         // HeapFile::scan copies pages out of the pool, so holding the heap
@@ -335,13 +331,6 @@ impl Table {
         // lock is a read lock: any number of scans proceed in parallel,
         // and only inserts take the heap exclusively.
         self.heap.read().scan(0, visit)
-    }
-
-    /// Visits the rows behind the sealed ones — the rows the B+trees
-    /// index — in storage order.
-    pub(crate) fn scan_unsealed(&self, visit: impl FnMut(RowId, &[f64]) -> bool) -> Result<()> {
-        let heap = self.heap.read();
-        heap.scan(heap.sealed_rows(), visit)
     }
 
     /// Looks up an index by name.
@@ -362,8 +351,8 @@ impl Table {
     /// Range scan over an index: visits every entry whose indexed columns
     /// lie lexicographically between `lo` and `hi` (inclusive, in index
     /// column order). The visitor receives the row id and the *indexed*
-    /// column values decoded from the key; fetch the full row with
-    /// [`Table::fetch`] only when needed. An index has no entry for a
+    /// column values decoded from the key; fetch the full rows with
+    /// [`Table::fetch_many`] only when needed. An index has no entry for a
     /// sealed row ([`Table::sealed_rows`]), and an empty one is not read.
     ///
     /// Entries arrive as two key-ordered runs, tree first: what the
@@ -451,25 +440,16 @@ impl Table {
         self.heap.read().fetch_many_cols(rids, cols, visit)
     }
 
-    /// Page-at-a-time scan with zone-map pruning, the visitor choosing
-    /// which columns of each surviving page to decode, and when; see
-    /// [`HeapFile::scan_pages`].
+    /// Page-at-a-time scan of the rows `rows` with zone-map pruning, the
+    /// visitor choosing which columns of each surviving page to decode,
+    /// and when; see [`HeapFile::scan_pages`].
     pub fn scan_pages(
         &self,
+        rows: impl std::ops::RangeBounds<u64>,
         filter: impl FnMut(&[f64], &[f64]) -> bool,
         visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
     ) -> Result<crate::heap::ZoneScanStats> {
-        self.heap.read().scan_pages(filter, visit)
-    }
-
-    /// [`Table::scan_pages`] over the pages of the sealed rows alone; see
-    /// [`HeapFile::scan_sealed_pages`].
-    pub fn scan_sealed_pages(
-        &self,
-        filter: impl FnMut(&[f64], &[f64]) -> bool,
-        visit: impl FnMut(&ScanPage<'_>) -> Result<bool>,
-    ) -> Result<crate::heap::ZoneScanStats> {
-        self.heap.read().scan_sealed_pages(filter, visit)
+        self.heap.read().scan_pages(rows, filter, visit)
     }
 
     /// [`Table::scan_pages`] with every column decoded into the caller's
@@ -557,7 +537,8 @@ impl Table {
         .unwrap();
         let mut cols = vec![Vec::new(); self.cols.len()];
         let mut found = Vec::new();
-        self.scan_sealed_pages(
+        self.scan_pages(
+            ..self.sealed_rows(),
             |_, _| true,
             |page| {
                 page.columns(0..cols.len(), &mut cols)?;
@@ -571,10 +552,15 @@ impl Table {
         assert_eq!(found.len() as u64, self.sealed_rows(), "sealed pages");
         let width = self.index(tree).unwrap().cols().len();
         let (lo, hi) = (vec![f64::NEG_INFINITY; width], vec![f64::INFINITY; width]);
-        let mut row = Vec::new();
+        let mut rids = Vec::new();
         self.index_scan(tree, &lo, &hi, |rid, _| {
-            self.fetch(rid, &mut row).unwrap();
-            found.push(bits(&row));
+            rids.push(rid);
+            true
+        })
+        .unwrap();
+        rids.sort_unstable();
+        self.fetch_many(&rids, |_, row| {
+            found.push(bits(row));
             true
         })
         .unwrap();
@@ -635,10 +621,15 @@ mod tests {
     fn insert_scan_fetch() {
         let (_pool, table, paths) = setup("basic", &["dt", "dv", "t"]);
         let r0 = table.insert(&[30.0, -3.0, 0.0]).unwrap();
-        table.insert(&[60.0, 1.0, 300.0]).unwrap();
-        let mut row = Vec::new();
-        table.fetch(r0, &mut row).unwrap();
-        assert_eq!(row, vec![30.0, -3.0, 0.0]);
+        let r1 = table.insert(&[60.0, 1.0, 300.0]).unwrap();
+        let mut rows = Vec::new();
+        table
+            .fetch_many(&[r0, r1], |_, row| {
+                rows.push(row.to_vec());
+                true
+            })
+            .unwrap();
+        assert_eq!(rows, [[30.0, -3.0, 0.0], [60.0, 1.0, 300.0]]);
         let mut n = 0;
         table
             .seq_scan(|_, _| {
@@ -727,7 +718,6 @@ mod tests {
         }
         // All rows with dt <= 10 (prefix range), then residual dv <= -5.
         let mut hits = 0;
-        let mut fetched = Vec::new();
         table
             .index_scan(
                 "by_dt_dv",
@@ -737,9 +727,12 @@ mod tests {
                     assert!(cols[0] <= 10.0);
                     if cols[1] <= -5.0 {
                         hits += 1;
-                        table.fetch(rid, &mut fetched).unwrap();
-                        assert_eq!(fetched[0], cols[0]);
-                        assert_eq!(fetched[1], cols[1]);
+                        table
+                            .fetch_many(&[rid], |_, row| {
+                                assert_eq!(&row[..2], cols);
+                                true
+                            })
+                            .unwrap();
                     }
                     true
                 },
@@ -891,16 +884,19 @@ mod tests {
         }
         assert!(batched.iter().any(|(ri, _, _)| *ri == 2), "overlap covered");
         assert!(batched.iter().all(|(ri, _, _)| *ri != 3), "empty range");
-        // fetch_many over the sorted, deduped matches agrees with fetch.
-        let mut rids: Vec<RowId> = batched.iter().map(|(_, rid, _)| *rid).collect();
-        rids.sort_unstable();
-        rids.dedup();
-        let mut row = Vec::new();
+        // fetch_many over the sorted, deduped matches agrees with the
+        // indexed columns the probes decoded.
+        let mut rids: Vec<(RowId, Vec<f64>)> = batched
+            .into_iter()
+            .map(|(_, rid, cols)| (rid, cols))
+            .collect();
+        rids.sort_by_key(|(rid, _)| *rid);
+        rids.dedup_by_key(|(rid, _)| *rid);
         let mut n = 0;
+        let ids: Vec<RowId> = rids.iter().map(|(rid, _)| *rid).collect();
         table
-            .fetch_many(&rids, |rid, cols| {
-                table.fetch(rid, &mut row).unwrap();
-                assert_eq!(cols, row.as_slice());
+            .fetch_many(&ids, |rid, row| {
+                assert_eq!((rid, &row[..2]), (rids[n].0, &rids[n].1[..]));
                 n += 1;
                 true
             })
@@ -1009,10 +1005,44 @@ mod tests {
         // Dropping zones disables pruning but not the scan itself.
         table.drop_zones().unwrap();
         assert!(!table.has_zones());
-        let stats = table.scan_pages(|_, _| false, |_| Ok(true)).unwrap();
+        let stats = table.scan_pages(.., |_, _| false, |_| Ok(true)).unwrap();
         assert_eq!(stats.pages_pruned, 0);
         table.ensure_zones().unwrap();
         assert!(table.has_zones());
+        cleanup(&paths);
+    }
+
+    #[test]
+    fn a_raw_page_short_of_its_rows_is_corrupt_on_every_read_path() {
+        let (pool, table, paths) = setup("short", &["a", "b"]);
+        for i in 0..1000 {
+            table.insert(&[i as f64, 0.0]).unwrap();
+        }
+        let mut last = 0;
+        table
+            .seq_scan(|rid, _| {
+                last = rid;
+                true
+            })
+            .unwrap();
+        // The last raw page holds 1000 - 3 * 255 rows by its position; its
+        // header is made to say 100.
+        let pid = (last >> 16) as u32;
+        assert_eq!(last & 0xFFFF, 234);
+        pool.with_page_mut(table.heap_fid(), pid, |b| crate::page::put_u16(b, 0, 100))
+            .unwrap();
+        let corrupt = |r: Result<()>| matches!(r, Err(StoreError::Corrupt(_)));
+        let pages = table.scan_pages(.., |_, _| true, |_| Ok(true));
+        assert!(corrupt(pages.map(|_| ())), "scan_pages");
+        assert!(corrupt(table.seq_scan(|_, _| true)), "seq_scan");
+        let cols = table.scan_columns(|_, _| true, &mut Vec::new(), |_, _| true);
+        assert!(corrupt(cols.map(|_| ())), "scan_columns");
+        // Even a row the header still counts: the page is short.
+        let first = (pid as u64) << 16;
+        assert!(
+            corrupt(table.fetch_many_cols(&[first], 0..2, |_, _| true)),
+            "fetch"
+        );
         cleanup(&paths);
     }
 

@@ -25,7 +25,7 @@
 //! checkpointing rewrites it atomically (temp file + fsync + rename +
 //! directory fsync), which both truncates the log and bounds replay. A
 //! log that is its checkpoint alone promises that no data file changed
-//! since; [`Wal::mark_unclean`] breaks the promise, durably, before a page
+//! since; `Wal::mark_unclean` breaks the promise, durably, before a page
 //! the log does not cover is written.
 
 use crate::error::Result;

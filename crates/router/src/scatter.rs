@@ -8,7 +8,7 @@
 //! `by_sensor` entries are already in final byte form and the ring makes
 //! sensors disjoint across shards, so the router parses only the small
 //! envelope in front of them, finds the entries' byte ranges with a
-//! strict scanner ([`scan_answer`]), and copies them out in ascending
+//! strict scanner (`scan_answer`), and copies them out in ascending
 //! sensor order — whole entries for `per_sensor`, the insides of their
 //! `results` arrays joined by commas otherwise. That is the
 //! sort-by-sensor-and-concatenate union [`segdiff::merge_sharded`]

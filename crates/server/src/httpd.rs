@@ -9,7 +9,7 @@
 //! serves keep-alive request streams off them. When the queue is full
 //! the acceptor answers `503` inline — bounded memory under overload,
 //! the textbook load-shedding move. Workers yield a connection back to
-//! the queue after [`YIELD_AFTER`] consecutive requests whenever other
+//! the queue after `YIELD_AFTER` consecutive requests whenever other
 //! connections are waiting, so hot keep-alive clients cannot starve the
 //! rest even with a single worker thread.
 //!

@@ -67,7 +67,7 @@ impl ShardRole {
 
 /// The sensors a [`Service`] answers for: whatever its [`EngineCell`]
 /// holds. Every method reads the cell through one accessor
-/// ([`Engine::with_sensors`]), so there is one query path whatever is
+/// (`Engine::with_sensors`), so there is one query path whatever is
 /// held — each wanted sensor answers through its own result cache.
 #[derive(Clone)]
 pub struct Engine {
@@ -338,12 +338,22 @@ pub struct QuerySpec {
     pub trace: bool,
 }
 
-impl QuerySpec {
-    /// Parses and validates a JSON body. Every constraint the checked
-    /// [`featurespace::QueryRegion`] constructors would `assert!` is
-    /// verified here first, so invalid input becomes a `400`, never a
-    /// worker-thread panic.
-    pub fn from_json(body: &str) -> Result<QuerySpec, String> {
+/// What `/query` and `/subscribe` bodies share: the parsed document, the
+/// search's kind, `V` and `T`, and the sensors it covers.
+struct SearchFields {
+    doc: Json,
+    kind: String,
+    v: f64,
+    t_hours: f64,
+    sensors: Vec<u32>,
+}
+
+impl SearchFields {
+    /// Parses a body and validates the shared fields: every constraint
+    /// the checked [`featurespace::QueryRegion`] constructors would
+    /// `assert!` is verified here first, so invalid input becomes a `400`,
+    /// never a worker-thread panic.
+    fn parse(body: &str) -> Result<SearchFields, String> {
         let doc = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
         let kind = doc
             .get("kind")
@@ -377,19 +387,6 @@ impl QuerySpec {
         if kind == "jump" && !(v.is_finite() && v > 0.0) {
             return Err(format!("v must be positive for a jump search, got {v}"));
         }
-        let plan = doc
-            .get("plan")
-            .and_then(Json::as_str)
-            .unwrap_or("scan")
-            .to_string();
-        if plan != "scan" && plan != "index" {
-            return Err(format!("plan must be \"scan\" or \"index\", got {plan:?}"));
-        }
-        let trace = matches!(doc.get("trace"), Some(Json::Bool(true)));
-        let series = doc
-            .get("series")
-            .and_then(Json::as_str)
-            .map(|s| s.to_string());
         let sensors = match doc.get("sensors") {
             None => Vec::new(),
             Some(Json::Array(items)) => {
@@ -405,6 +402,50 @@ impl QuerySpec {
             }
             Some(_) => return Err("sensors must be an array of sensor ids".to_string()),
         };
+        Ok(SearchFields {
+            doc,
+            kind,
+            v,
+            t_hours,
+            sensors,
+        })
+    }
+}
+
+/// The region of a validated search (safe: the parse already enforced
+/// the constructor preconditions).
+fn search_region(kind: &str, t_hours: f64, v: f64) -> featurespace::QueryRegion {
+    if kind == "drop" {
+        featurespace::QueryRegion::drop(t_hours * HOUR, v)
+    } else {
+        featurespace::QueryRegion::jump(t_hours * HOUR, v)
+    }
+}
+
+impl QuerySpec {
+    /// Parses and validates a JSON body (see [`SubscribeSpec::from_json`]
+    /// for the fields both share).
+    pub fn from_json(body: &str) -> Result<QuerySpec, String> {
+        let SearchFields {
+            doc,
+            kind,
+            v,
+            t_hours,
+            sensors,
+        } = SearchFields::parse(body)?;
+        let plan = doc
+            .get("plan")
+            .and_then(Json::as_str)
+            .unwrap_or("scan")
+            .to_string();
+        if plan != "scan" && plan != "index" {
+            return Err(format!("plan must be \"scan\" or \"index\", got {plan:?}"));
+        }
+        let trace = matches!(doc.get("trace"), Some(Json::Bool(true)));
+        let series = doc
+            .get("series")
+            .and_then(Json::as_str)
+            .map(|s| s.to_string());
         let per_sensor = match doc.get("per_sensor") {
             None => false,
             Some(Json::Bool(b)) => *b,
@@ -431,14 +472,9 @@ impl QuerySpec {
         }
     }
 
-    /// The validated region (safe: `from_json` already enforced the
-    /// constructor preconditions).
+    /// The validated region.
     pub fn region(&self) -> featurespace::QueryRegion {
-        if self.kind == "drop" {
-            featurespace::QueryRegion::drop(self.t_hours * HOUR, self.v)
-        } else {
-            featurespace::QueryRegion::jump(self.t_hours * HOUR, self.v)
-        }
+        search_region(&self.kind, self.t_hours, self.v)
     }
 }
 
@@ -459,44 +495,19 @@ pub struct SubscribeSpec {
 }
 
 impl SubscribeSpec {
-    /// Parses and validates a JSON body with the same rigor as
-    /// [`QuerySpec::from_json`]: every constraint the checked
-    /// [`featurespace::QueryRegion`] constructors would `assert!` becomes
-    /// a `400` here.
+    /// Parses and validates a JSON body with the same rules as
+    /// [`QuerySpec::from_json`] for the fields both share — `kind`, `v`,
+    /// `t_hours` (or `t_seconds`) and `sensors` — so every constraint the
+    /// checked [`featurespace::QueryRegion`] constructors would `assert!`
+    /// becomes a `400` here.
     pub fn from_json(body: &str) -> Result<SubscribeSpec, String> {
-        let doc = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing field: kind (\"drop\" or \"jump\")")?
-            .to_string();
-        if kind != "drop" && kind != "jump" {
-            return Err(format!("kind must be \"drop\" or \"jump\", got {kind:?}"));
-        }
-        let v = doc
-            .get("v")
-            .and_then(Json::as_f64)
-            .ok_or("missing field: v (number)")?;
-        let t_hours = match doc.get("t_hours").and_then(Json::as_f64) {
-            Some(h) => h,
-            None => {
-                doc.get("t_seconds")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing field: t_hours (number)")?
-                    / HOUR
-            }
-        };
-        if !t_hours.is_finite() || t_hours <= 0.0 {
-            return Err(format!(
-                "t_hours must be positive and finite, got {t_hours}"
-            ));
-        }
-        if kind == "drop" && !(v.is_finite() && v < 0.0) {
-            return Err(format!("v must be negative for a drop search, got {v}"));
-        }
-        if kind == "jump" && !(v.is_finite() && v > 0.0) {
-            return Err(format!("v must be positive for a jump search, got {v}"));
-        }
+        let SearchFields {
+            doc,
+            kind,
+            v,
+            t_hours,
+            sensors,
+        } = SearchFields::parse(body)?;
         let label = doc
             .get("label")
             .map(|l| {
@@ -506,21 +517,6 @@ impl SubscribeSpec {
             })
             .transpose()?
             .unwrap_or_default();
-        let sensors = match doc.get("sensors") {
-            None => Vec::new(),
-            Some(Json::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let id = item
-                        .as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .ok_or("sensors must be an array of non-negative sensor ids")?;
-                    out.push(id as u32);
-                }
-                out
-            }
-            Some(_) => return Err("sensors must be an array of sensor ids".to_string()),
-        };
         Ok(SubscribeSpec {
             label,
             kind,
@@ -530,14 +526,9 @@ impl SubscribeSpec {
         })
     }
 
-    /// The validated region (safe: `from_json` already enforced the
-    /// constructor preconditions).
+    /// The validated region.
     pub fn region(&self) -> featurespace::QueryRegion {
-        if self.kind == "drop" {
-            featurespace::QueryRegion::drop(self.t_hours * HOUR, self.v)
-        } else {
-            featurespace::QueryRegion::jump(self.t_hours * HOUR, self.v)
-        }
+        search_region(&self.kind, self.t_hours, self.v)
     }
 }
 
@@ -1913,38 +1904,35 @@ mod tests {
         assert_eq!(s.t_hours, 0.5);
     }
 
+    /// Bodies both parsers refuse: each would have tripped a
+    /// `QueryRegion` assert, or names sensors no id can be.
+    const INVALID_SEARCHES: [&str; 12] = [
+        "not json",
+        "{}",
+        r#"{"kind":"sideways","v":-1,"t_hours":1}"#,
+        r#"{"kind":"drop","v":1,"t_hours":1}"#,
+        r#"{"kind":"drop","v":0,"t_hours":1}"#,
+        r#"{"kind":"jump","v":-1,"t_hours":1}"#,
+        r#"{"kind":"drop","v":-1,"t_hours":0}"#,
+        r#"{"kind":"drop","v":-1,"t_hours":-2}"#,
+        r#"{"kind":"drop","v":-1}"#,
+        r#"{"kind":"drop","t_hours":1}"#,
+        r#"{"kind":"drop","v":-1,"t_hours":1,"sensors":7}"#,
+        r#"{"kind":"drop","v":-1,"t_hours":1,"sensors":[-1]}"#,
+    ];
+
     #[test]
     fn rejects_invalid_subscribe_specs() {
-        for body in [
-            "not json",
-            "{}",
-            r#"{"kind":"drop","v":1,"t_hours":1}"#,
-            r#"{"kind":"jump","v":-1,"t_hours":1}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":0}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":1,"sensors":7}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":1,"sensors":[-1]}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":1,"label":7}"#,
-        ] {
+        let label = r#"{"kind":"drop","v":-1,"t_hours":1,"label":7}"#;
+        for body in INVALID_SEARCHES.into_iter().chain([label]) {
             assert!(SubscribeSpec::from_json(body).is_err(), "accepted: {body}");
         }
     }
 
     #[test]
     fn rejects_invalid_specs() {
-        // Each of these would have tripped a QueryRegion assert.
-        for body in [
-            "not json",
-            "{}",
-            r#"{"kind":"sideways","v":-1,"t_hours":1}"#,
-            r#"{"kind":"drop","v":1,"t_hours":1}"#,
-            r#"{"kind":"drop","v":0,"t_hours":1}"#,
-            r#"{"kind":"jump","v":-1,"t_hours":1}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":0}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":-2}"#,
-            r#"{"kind":"drop","v":-1}"#,
-            r#"{"kind":"drop","t_hours":1}"#,
-            r#"{"kind":"drop","v":-1,"t_hours":1,"plan":"turbo"}"#,
-        ] {
+        let plan = r#"{"kind":"drop","v":-1,"t_hours":1,"plan":"turbo"}"#;
+        for body in INVALID_SEARCHES.into_iter().chain([plan]) {
             assert!(QuerySpec::from_json(body).is_err(), "accepted: {body}");
         }
     }

@@ -291,7 +291,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Lengths acceptable to [`vec`]: a fixed size or a range of sizes.
+    /// Lengths acceptable to [`vec()`]: a fixed size or a range of sizes.
     pub trait SizeRange {
         /// Picks a concrete length.
         fn pick(&self, rng: &mut TestRng) -> usize;
@@ -318,7 +318,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S, L> {
         element: S,
