@@ -16,6 +16,7 @@
 //! once), so clean and fault runs are separate invocations of the
 //! `alertsmoke` binary — which is also how CI consumes this module.
 
+use crate::gate::Gate;
 use crate::harness::{build_segdiff, default_series, scratch_dir, Scale};
 use obs::json::Json;
 use segdiff::alerts::AlertRuleSet;
@@ -53,55 +54,25 @@ pub struct SmokeConfig {
     pub unique_bodies: usize,
 }
 
-impl SmokeConfig {
-    /// The configuration CI runs: 8 s of load, fault (if armed) at 3 s,
-    /// 250 ms sampling.
-    pub fn ci(fault: bool, rules: AlertRuleSet) -> SmokeConfig {
-        SmokeConfig {
-            fault,
-            duration: Duration::from_secs(8),
-            fault_delay: Duration::from_secs(3),
-            sample_period: Duration::from_millis(250),
-            rules,
-            concurrency: 4,
-            unique_bodies: 50_000,
-        }
-    }
-}
-
-/// What a run observed, before any pass/fail judgement.
-#[derive(Debug, Clone)]
-pub struct SmokeOutcome {
-    /// Echo of the mode.
-    pub fault: bool,
-    /// Completed 2xx requests.
-    pub ok: u64,
-    /// Non-2xx responses plus transport errors.
-    pub failures: u64,
-    /// Requests per second over the whole run (fault runs mix the fast
-    /// and slow phases).
-    pub qps: f64,
-    /// Rule names that fired, in log order, deduplicated.
-    pub fired_rules: Vec<String>,
-    /// For the first [`REQUIRED_RULE`] alert: milliseconds from fault
-    /// onset to `fired_at_ms`. `None` when it never fired.
-    pub detection_ms: Option<i64>,
-    /// Raw `GET /alerts` body, snapshotted while the server still held
-    /// the run's state (artifact).
-    pub alerts_body: String,
-    /// Raw `GET /debug/traces?ring=slow&full=1` body (artifact): the
-    /// tail-sampled evidence of the slow requests themselves.
-    pub slow_traces_body: String,
-    /// Raw `GET /debug/traces` body (artifact).
-    pub recent_traces_body: String,
-}
-
 /// Builds a tiny index, serves it, drives the load, and snapshots the
 /// alert log and trace rings **before** the load's own end can register
 /// as a throughput drop (the observer is still ticking during the
 /// snapshot, but the window between loadgen returning and the fetch is
-/// far below one sampling period).
-pub fn run_alertsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
+/// far below one sampling period). Then checks the verdict:
+///
+/// * Clean mode: **nothing** may fire — the standing rules must not
+///   false-positive on an ordinary serving workload.
+/// * Fault mode: [`REQUIRED_RULE`] must fire within `detect_within` of
+///   fault onset, and nothing beyond it and [`COLLATERAL_RULE`] may
+///   fire.
+///
+/// Artifacts: `alerts.json` (the alert log) and `traces-slow.json` /
+/// `traces-recent.json` (the tail-sampled evidence).
+pub fn run_alertsmoke(
+    config: &SmokeConfig,
+    detect_within: Duration,
+    gate: &mut Gate,
+) -> Result<(), String> {
     let dir = scratch_dir(if config.fault {
         "alertsmoke-fault"
     } else {
@@ -150,13 +121,31 @@ pub fn run_alertsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
     if status != 200 {
         return Err(format!("GET /alerts returned {status}"));
     }
-    let (_, slow_traces_body) = fetch(&host, "GET", "/debug/traces?ring=slow&n=64&full=1", None)?;
-    let (_, recent_traces_body) = fetch(&host, "GET", "/debug/traces?n=64", None)?;
+    let (slow_status, slow) = fetch(&host, "GET", "/debug/traces?ring=slow&n=64&full=1", None)?;
+    let (recent_status, recent) = fetch(&host, "GET", "/debug/traces?n=64", None)?;
+    gate.check(
+        "trace rings answered 200",
+        slow_status == 200 && recent_status == 200,
+        format!("slow ring {slow_status}, recent ring {recent_status}"),
+    );
+    gate.artifact("traces-slow.json", slow);
+    gate.artifact("traces-recent.json", recent);
 
     server.stop().map_err(|e| format!("server run: {e}"))?;
     std::fs::remove_dir_all(&dir).ok();
 
+    gate.field("mode", if config.fault { "fault" } else { "clean" });
+    gate.field("load_ok", report.ok);
+    gate.field("load_failures", report.non_2xx + report.errors);
+    gate.field("qps", report.qps());
+    gate.check(
+        "requests succeeded",
+        report.ok > 0,
+        "no request succeeded; the run measured nothing",
+    );
+
     let doc = Json::parse(&alerts_body).map_err(|e| format!("parse /alerts: {e}"))?;
+    gate.artifact("alerts.json", alerts_body);
     let alerts = doc
         .get("alerts")
         .and_then(|v| v.as_array())
@@ -180,91 +169,37 @@ pub fn run_alertsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
             detection_ms = Some(fired_at as i64 - onset_ms as i64);
         }
     }
+    let fired = Json::Array(fired_rules.iter().map(|r| Json::from(r.as_str())).collect());
+    gate.field("fired_rules", fired);
+    gate.field("detection_ms", detection_ms.map_or(Json::Null, Json::from));
 
-    Ok(SmokeOutcome {
-        fault: config.fault,
-        ok: report.ok,
-        failures: report.non_2xx + report.errors,
-        qps: report.qps(),
-        fired_rules,
-        detection_ms,
-        alerts_body,
-        slow_traces_body,
-        recent_traces_body,
-    })
-}
-
-/// Applies the CI gate to an outcome. Returns the failure reasons
-/// (empty = pass).
-///
-/// * Clean mode: **nothing** may fire — the standing rules must not
-///   false-positive on an ordinary serving workload.
-/// * Fault mode: [`REQUIRED_RULE`] must fire within `detect_within` of
-///   fault onset, and nothing beyond it and [`COLLATERAL_RULE`] may
-///   fire.
-pub fn judge(outcome: &SmokeOutcome, detect_within: Duration) -> Vec<String> {
-    let mut failures = Vec::new();
-    if outcome.ok == 0 {
-        failures.push("no request succeeded; the run measured nothing".to_string());
+    if !config.fault {
+        gate.check(
+            "clean run fires nothing",
+            fired_rules.is_empty(),
+            format!("fired {fired_rules:?} — false positive"),
+        );
+        return Ok(());
     }
-    if !outcome.fault {
-        if !outcome.fired_rules.is_empty() {
-            failures.push(format!(
-                "clean run fired {:?} — false positive",
-                outcome.fired_rules
-            ));
-        }
-        return failures;
-    }
-    match outcome.detection_ms {
-        None => failures.push(format!(
-            "fault run never fired '{REQUIRED_RULE}' (fired: {:?})",
-            outcome.fired_rules
-        )),
-        Some(ms) if ms > detect_within.as_millis() as i64 => failures.push(format!(
-            "'{REQUIRED_RULE}' fired {ms} ms after fault onset (bound: {} ms)",
-            detect_within.as_millis()
-        )),
-        Some(_) => {}
-    }
-    for rule in &outcome.fired_rules {
-        if rule != REQUIRED_RULE && rule != COLLATERAL_RULE {
-            failures.push(format!("unexpected rule fired: '{rule}'"));
-        }
-    }
-    failures
-}
-
-/// The outcome as a JSON artifact (`summary.json`).
-pub fn summary_json(outcome: &SmokeOutcome, failures: &[String]) -> Json {
-    Json::obj([
-        (
-            "mode",
-            Json::from(if outcome.fault { "fault" } else { "clean" }),
-        ),
-        ("pass", Json::Bool(failures.is_empty())),
-        ("ok", Json::from(outcome.ok)),
-        ("failures", Json::from(outcome.failures)),
-        ("qps", Json::Float(outcome.qps)),
-        (
-            "fired_rules",
-            Json::Array(
-                outcome
-                    .fired_rules
-                    .iter()
-                    .map(|r| Json::from(r.as_str()))
-                    .collect(),
-            ),
-        ),
-        (
-            "detection_ms",
-            outcome.detection_ms.map_or(Json::Null, Json::from),
-        ),
-        (
-            "gate_failures",
-            Json::Array(failures.iter().map(|f| Json::from(f.as_str())).collect()),
-        ),
-    ])
+    let bound_ms = detect_within.as_millis() as i64;
+    gate.check(
+        &format!("'{REQUIRED_RULE}' fires within {bound_ms} ms of fault onset"),
+        detection_ms.is_some_and(|ms| ms <= bound_ms),
+        match detection_ms {
+            None => format!("never fired (fired: {fired_rules:?})"),
+            Some(ms) => format!("fired {ms} ms after onset"),
+        },
+    );
+    let unexpected: Vec<&String> = fired_rules
+        .iter()
+        .filter(|r| *r != REQUIRED_RULE && *r != COLLATERAL_RULE)
+        .collect();
+    gate.check(
+        &format!("nothing fires beyond '{REQUIRED_RULE}' and '{COLLATERAL_RULE}'"),
+        unexpected.is_empty(),
+        format!("unexpected rules fired: {unexpected:?}"),
+    );
+    Ok(())
 }
 
 #[cfg(test)]
@@ -286,46 +221,12 @@ mod tests {
             concurrency: 2,
             unique_bodies: 20_000,
         };
-        let outcome = run_alertsmoke(&config).expect("smoke runs");
-        let failures = judge(&outcome, Duration::from_secs(1));
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(outcome.ok > 0);
-        assert!(outcome.alerts_body.contains("\"rules\""));
-    }
-
-    #[test]
-    fn judge_rejects_bad_outcomes() {
-        let base = SmokeOutcome {
-            fault: true,
-            ok: 100,
-            failures: 0,
-            qps: 10.0,
-            fired_rules: vec![REQUIRED_RULE.to_string()],
-            detection_ms: Some(400),
-            alerts_body: String::new(),
-            slow_traces_body: String::new(),
-            recent_traces_body: String::new(),
-        };
-        assert!(judge(&base, Duration::from_secs(2)).is_empty());
-
-        let mut slow = base.clone();
-        slow.detection_ms = Some(5_000);
-        assert!(!judge(&slow, Duration::from_secs(2)).is_empty());
-
-        let mut missing = base.clone();
-        missing.fired_rules.clear();
-        missing.detection_ms = None;
-        assert!(!judge(&missing, Duration::from_secs(2)).is_empty());
-
-        let mut rogue = base.clone();
-        rogue.fired_rules.push("disk-full".to_string());
-        assert!(!judge(&rogue, Duration::from_secs(2)).is_empty());
-
-        let mut clean_fired = base;
-        clean_fired.fault = false;
-        assert_eq!(judge(&clean_fired, Duration::from_secs(2)).len(), 1);
-
-        let json = summary_json(&clean_fired, &["x".to_string()]).to_string();
-        assert!(json.contains("\"pass\":false"), "{json}");
+        let mut gate = Gate::new("alertsmoke");
+        run_alertsmoke(&config, Duration::from_secs(1), &mut gate).expect("smoke runs");
+        let out = scratch_dir("alertsmoke-test-out");
+        assert_eq!(gate.finish(Some(&out)), 0, "{}", gate.summary());
+        let alerts = std::fs::read_to_string(out.join("alerts.json")).expect("alerts artifact");
+        assert!(alerts.contains("\"rules\""), "{alerts}");
+        std::fs::remove_dir_all(&out).ok();
     }
 }

@@ -13,131 +13,49 @@
 //! the standing `query-latency-jump` rule must detect within the
 //! detection bound. The hatch reads its environment once per process,
 //! which is why clean and fault are separate runs of this binary.
+//! Defaults: 8 s of load, the fault adding 40 ms a query from 3 s on,
+//! 250 ms sampling, detection within 2.5 s.
 //!
 //! `--out DIR` writes the artifacts CI uploads: `summary.json` (the
 //! verdict), `alerts.json` (the server's alert log), and the slow +
 //! recent trace rings (the tail-sampled evidence).
 
 use segdiff::alerts::AlertRuleSet;
-use segdiff_bench::alertsmoke::{judge, run_alertsmoke, summary_json, SmokeConfig};
+use segdiff_bench::alertsmoke::{run_alertsmoke, SmokeConfig};
+use segdiff_bench::gate::{self, Flags};
 use std::path::PathBuf;
 use std::time::Duration;
-
-struct Args {
-    fault: bool,
-    out: Option<PathBuf>,
-    rules: Option<PathBuf>,
-    duration_secs: u64,
-    fault_delay_secs: u64,
-    fault_sleep_ms: u64,
-    sample_ms: u64,
-    detect_within_ms: u64,
-}
 
 const USAGE: &str = "usage: alertsmoke (--clean | --fault) [--out DIR] [--rules FILE] \
      [--duration-secs N] [--fault-delay-secs N] [--fault-sleep-ms N] \
      [--sample-ms N] [--detect-within-ms N]";
 
-fn parse_args() -> Args {
-    let mut mode: Option<bool> = None;
-    let mut args = Args {
-        fault: false,
-        out: None,
-        rules: None,
-        duration_secs: 8,
-        fault_delay_secs: 3,
-        fault_sleep_ms: 40,
-        sample_ms: 250,
-        detect_within_ms: 2_500,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number\n{USAGE}"))
-        };
-        match a.as_str() {
-            "--clean" => mode = Some(false),
-            "--fault" => mode = Some(true),
-            "--out" => args.out = Some(PathBuf::from(it.next().expect("--out DIR"))),
-            "--rules" => args.rules = Some(PathBuf::from(it.next().expect("--rules FILE"))),
-            "--duration-secs" => args.duration_secs = num("--duration-secs"),
-            "--fault-delay-secs" => args.fault_delay_secs = num("--fault-delay-secs"),
-            "--fault-sleep-ms" => args.fault_sleep_ms = num("--fault-sleep-ms"),
-            "--sample-ms" => args.sample_ms = num("--sample-ms"),
-            "--detect-within-ms" => args.detect_within_ms = num("--detect-within-ms"),
-            other => panic!("unknown argument '{other}'\n{USAGE}"),
-        }
-    }
-    args.fault = mode.unwrap_or_else(|| panic!("pick --clean or --fault\n{USAGE}"));
-    args
-}
-
 fn main() {
-    let args = parse_args();
-    if args.fault {
+    let flags = Flags::from_env(USAGE);
+    let fault = flags.mode(&["--clean", "--fault"]) == "--fault";
+    let fault_delay_secs: u64 = flags.value("--fault-delay-secs").unwrap_or(3);
+    let fault_sleep_ms: u64 = flags.value("--fault-sleep-ms").unwrap_or(40);
+    if fault {
         // Must happen before the first query in this process: the hatch
         // caches its configuration on first use.
-        std::env::set_var("SEGDIFF_FAULT_SLEEP_MS", args.fault_sleep_ms.to_string());
-        std::env::set_var(
-            "SEGDIFF_FAULT_DELAY_SECS",
-            args.fault_delay_secs.to_string(),
-        );
+        std::env::set_var("SEGDIFF_FAULT_SLEEP_MS", fault_sleep_ms.to_string());
+        std::env::set_var("SEGDIFF_FAULT_DELAY_SECS", fault_delay_secs.to_string());
     }
-    let rules = match &args.rules {
-        Some(path) => AlertRuleSet::load(path).expect("load alert rules"),
+    let rules = match flags.value::<PathBuf>("--rules") {
+        Some(path) => AlertRuleSet::load(&path).unwrap_or_else(|e| flags.fail(&e)),
         None => AlertRuleSet::defaults(),
     };
-    let mut config = SmokeConfig::ci(args.fault, rules);
-    config.duration = Duration::from_secs(args.duration_secs);
-    config.fault_delay = Duration::from_secs(args.fault_delay_secs);
-    config.sample_period = Duration::from_millis(args.sample_ms.max(10));
-
-    eprintln!(
-        "alertsmoke: {} run, {} s load{}, sampling every {} ms",
-        if args.fault { "fault" } else { "clean" },
-        args.duration_secs,
-        if args.fault {
-            format!(
-                " (fault: +{} ms per query after {} s)",
-                args.fault_sleep_ms, args.fault_delay_secs
-            )
-        } else {
-            String::new()
-        },
-        config.sample_period.as_millis(),
-    );
-    let outcome = run_alertsmoke(&config).expect("alertsmoke run");
-    let failures = judge(&outcome, Duration::from_millis(args.detect_within_ms));
-    let summary = summary_json(&outcome, &failures);
-
-    if let Some(dir) = &args.out {
-        std::fs::create_dir_all(dir).expect("create --out dir");
-        std::fs::write(dir.join("summary.json"), summary.to_string()).expect("write summary");
-        std::fs::write(dir.join("alerts.json"), &outcome.alerts_body).expect("write alerts");
-        std::fs::write(dir.join("traces-slow.json"), &outcome.slow_traces_body)
-            .expect("write slow traces");
-        std::fs::write(dir.join("traces-recent.json"), &outcome.recent_traces_body)
-            .expect("write recent traces");
-        eprintln!("alertsmoke: artifacts in {}", dir.display());
-    }
-
-    println!("{summary}");
-    if failures.is_empty() {
-        eprintln!(
-            "alertsmoke: PASS ({} ok, {:.0} qps, fired {:?}{})",
-            outcome.ok,
-            outcome.qps,
-            outcome.fired_rules,
-            outcome
-                .detection_ms
-                .map_or(String::new(), |ms| format!(", detected in {ms} ms")),
-        );
-    } else {
-        for failure in &failures {
-            eprintln!("alertsmoke: FAIL: {failure}");
-        }
-        std::process::exit(1);
-    }
+    let config = SmokeConfig {
+        fault,
+        duration: Duration::from_secs(flags.value("--duration-secs").unwrap_or(8)),
+        fault_delay: Duration::from_secs(fault_delay_secs),
+        sample_period: Duration::from_millis(flags.value("--sample-ms").unwrap_or(250).max(10)),
+        rules,
+        concurrency: 4,
+        unique_bodies: 50_000,
+    };
+    let detect_within = Duration::from_millis(flags.value("--detect-within-ms").unwrap_or(2_500));
+    gate::run("alertsmoke", flags.value("--out"), |gate| {
+        run_alertsmoke(&config, detect_within, gate)
+    })
 }

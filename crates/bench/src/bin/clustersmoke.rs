@@ -12,76 +12,40 @@
 //! exact `unavailable_sensors` blast radius of a replica-less shard
 //! dying. `--out DIR` collects every process log plus `summary.json`.
 
-use segdiff_bench::clustersmoke::{run_clustersmoke, summary_json, write_summary, ClusterConfig};
-use std::path::PathBuf;
+use segdiff_bench::clustersmoke::{run_clustersmoke, ClusterConfig};
+use segdiff_bench::gate::{self, Flags};
 use std::time::Duration;
 
 const USAGE: &str = "usage: clustersmoke --segdiff PATH [--out DIR] [--guard FILE] \
-     [--shards N] [--sensors N] [--days N] [--base-port P] \
-     [--duration-secs N] [--health-interval-ms N]";
-
-fn parse_args() -> ClusterConfig {
-    let mut cfg = ClusterConfig::default();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number\n{USAGE}"))
-        };
-        match a.as_str() {
-            "--segdiff" => cfg.segdiff = PathBuf::from(it.next().expect("--segdiff PATH")),
-            "--out" => cfg.out = Some(PathBuf::from(it.next().expect("--out DIR"))),
-            "--guard" => cfg.guard = Some(PathBuf::from(it.next().expect("--guard FILE"))),
-            "--shards" => cfg.shards = num("--shards") as usize,
-            "--sensors" => cfg.sensors = num("--sensors") as u32,
-            "--days" => cfg.days = num("--days") as u32,
-            "--base-port" => cfg.base_port = num("--base-port") as u16,
-            "--duration-secs" => cfg.duration = Duration::from_secs(num("--duration-secs")),
-            "--health-interval-ms" => cfg.health_interval_ms = num("--health-interval-ms").max(1),
-            other => panic!("unknown argument '{other}'\n{USAGE}"),
-        }
-    }
-    assert!(cfg.shards >= 2, "need at least 2 shards\n{USAGE}");
-    assert!(
-        cfg.segdiff.exists(),
-        "segdiff binary not found at {} (build with `cargo build --release -p segdiff-cli`)",
-        cfg.segdiff.display()
-    );
-    cfg
-}
+     [--shards N] [--sensors N] [--days N] [--duration-secs N] [--health-interval-ms N]";
 
 fn main() {
-    let cfg = parse_args();
-    eprintln!(
-        "clustersmoke: {} shards over {} sensors, router on port {}, segdiff = {}",
-        cfg.shards,
-        cfg.sensors,
-        cfg.base_port,
-        cfg.segdiff.display()
-    );
-    let outcome = match run_clustersmoke(&cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("clustersmoke: INFRA FAIL: {e}");
-            std::process::exit(2);
-        }
+    let flags = Flags::from_env(USAGE);
+    let d = ClusterConfig::default();
+    let cfg = ClusterConfig {
+        segdiff: flags.value("--segdiff").unwrap_or(d.segdiff),
+        out: flags.value("--out"),
+        shards: flags.value("--shards").unwrap_or(d.shards),
+        sensors: flags.value("--sensors").unwrap_or(d.sensors),
+        days: flags.value("--days").unwrap_or(d.days),
+        duration: flags
+            .value("--duration-secs")
+            .map_or(d.duration, Duration::from_secs),
+        health_interval_ms: flags
+            .value("--health-interval-ms")
+            .map_or(d.health_interval_ms, |ms: u64| ms.max(1)),
+        guard: flags.value("--guard"),
     };
-    let summary = summary_json(&outcome);
-    if let Some(dir) = &cfg.out {
-        write_summary(dir, &summary).expect("write summary");
-        eprintln!("clustersmoke: artifacts in {}", dir.display());
+    if cfg.shards < 2 {
+        flags.fail("need at least 2 shards");
     }
-    println!("{summary}");
-    if outcome.failures.is_empty() {
-        eprintln!(
-            "clustersmoke: PASS ({} ok @ {:.1} qps, p99 {:.2} ms, failover {} ms)",
-            outcome.ok, outcome.qps, outcome.p99_ms, outcome.failover_ms
-        );
-    } else {
-        for failure in &outcome.failures {
-            eprintln!("clustersmoke: FAIL: {failure}");
-        }
-        std::process::exit(1);
+    if !cfg.segdiff.exists() {
+        flags.fail(&format!(
+            "segdiff binary not found at {} (build with `cargo build --release -p segdiff-cli`)",
+            cfg.segdiff.display()
+        ));
     }
+    gate::run("clustersmoke", cfg.out.clone(), |gate| {
+        run_clustersmoke(&cfg, gate)
+    })
 }

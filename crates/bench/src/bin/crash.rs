@@ -32,66 +32,28 @@
 //! prefix with a raw tail.
 //!
 //! ```sh
-//! cargo run --release -p segdiff-bench --bin crash -- --iterations 20
+//! cargo run --release -p segdiff-bench --bin crash -- --iterations 20 --out /tmp/crash
 //! ```
 //!
 //! Flags: `--iterations N` (default 20), `--days D` (default 2),
 //! `--seed S`, `--throttle-us U` (per-observation ingest delay in the
-//! child), `--dir PATH` (index directory), `--log PATH` (recovery log,
-//! default `crash-recovery.log` in the index dir's parent).
+//! child), `--out DIR` (`summary.json` and `recovery.log`, one line an
+//! iteration). The index lives in a scratch directory, removed when the
+//! run passes.
 
 use featurespace::QueryRegion;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use segdiff::{oracle, SegDiffConfig, SegDiffIndex};
+use segdiff_bench::gate::{self, Flags, Gate, Proc};
 use sensorgen::{generate_sensor, CadTransectConfig, TimeSeries, HOUR};
-use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::process::{exit, Command};
+use std::process::exit;
 use std::time::Duration;
 
-struct Args {
-    child: bool,
-    iterations: u32,
-    days: u32,
-    seed: u64,
-    throttle_us: u64,
-    dir: Option<PathBuf>,
-    log: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        child: false,
-        iterations: 20,
-        days: 2,
-        seed: 7,
-        throttle_us: 2000,
-        dir: None,
-        log: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number"))
-        };
-        match a.as_str() {
-            "--child" => args.child = true,
-            "--iterations" => args.iterations = num("--iterations") as u32,
-            "--days" => args.days = num("--days") as u32,
-            "--seed" => args.seed = num("--seed"),
-            "--throttle-us" => args.throttle_us = num("--throttle-us"),
-            "--dir" => args.dir = Some(PathBuf::from(it.next().expect("--dir PATH"))),
-            "--log" => args.log = Some(PathBuf::from(it.next().expect("--log PATH"))),
-            other => {
-                eprintln!("unknown flag {other}");
-                exit(2);
-            }
-        }
-    }
-    args
-}
+/// `--child INDEX` is how the harness runs its children: the parent's
+/// own flags plus the index to ingest into.
+const USAGE: &str = "usage: crash [--iterations N] [--days N] [--seed S] [--throttle-us U] \
+     [--out DIR] [--child INDEX]";
 
 /// The workload both parent and child derive independently: a clean CAD
 /// transect (no anomalies), fully determined by `days` and `seed`.
@@ -115,35 +77,23 @@ fn durable_config() -> SegDiffConfig {
 /// sleeping `throttle_us` per observation so kills land mid-ingest.
 fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
     let series = workload(days, seed);
-    let (mut idx, last_t) = if dir.join("segdiff.meta").exists() {
+    let reopened = if dir.join("segdiff.meta").exists() {
         match SegDiffIndex::open(dir, 512) {
-            Ok(idx) => {
-                let last_t = idx
-                    .segments()
-                    .expect("segments")
-                    .last()
-                    .map(|s| s.t_end)
-                    .unwrap_or(f64::NEG_INFINITY);
-                (idx, last_t)
-            }
+            Ok(idx) => Some(idx),
             // A kill inside create() can leave a meta file whose tables
             // were pruned as uncommitted; start over like the parent does.
-            Err(pagestore::StoreError::NotFound(_)) => {
-                std::fs::remove_dir_all(dir).ok();
-                (
-                    SegDiffIndex::create(dir, durable_config()).expect("create"),
-                    f64::NEG_INFINITY,
-                )
-            }
+            Err(pagestore::StoreError::NotFound(_)) => None,
             Err(e) => panic!("child reopen failed: {e}"),
         }
     } else {
-        std::fs::remove_dir_all(dir).ok();
-        (
-            SegDiffIndex::create(dir, durable_config()).expect("create"),
-            f64::NEG_INFINITY,
-        )
+        None
     };
+    let mut idx = reopened.unwrap_or_else(|| {
+        std::fs::remove_dir_all(dir).ok();
+        SegDiffIndex::create(dir, durable_config()).expect("create")
+    });
+    let last = idx.segments().expect("segments").last().copied();
+    let last_t = last.map_or(f64::NEG_INFINITY, |s| s.t_end);
     // Idempotent: builds only the B+trees a kill kept from existing.
     idx.build_indexes().expect("build_indexes");
     let marks = [series.len() / 2, series.len() * 3 / 4].map(|i| series.times()[i]);
@@ -215,91 +165,91 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
     ))
 }
 
-fn main() {
-    let args = parse_args();
-    let dir = args.dir.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("segdiff-crash-{}", std::process::id()))
-    });
-    if args.child {
-        run_child(&dir, args.days, args.seed, args.throttle_us);
-    }
-
-    let log_path = args.log.clone().unwrap_or_else(|| {
-        let mut name = dir.file_name().unwrap_or_default().to_os_string();
-        name.push("-recovery.log");
-        dir.with_file_name(name)
-    });
-    let mut log = std::fs::File::create(&log_path).expect("create recovery log");
-    let exe = std::env::current_exe().expect("current_exe");
-    let series = workload(args.days, args.seed);
+/// The parent loop: spawn a child, SIGKILL it after a random delay
+/// unless it finished, check the recovered prefix, repeat.
+fn run_crash(gate: &mut Gate, iterations: u32, days: u32, seed: u64) -> Result<(), String> {
+    let work = std::env::temp_dir().join(format!("segdiff-crash-{}", std::process::id()));
+    let dir = work.join("index");
+    std::fs::remove_dir_all(&work).ok();
+    std::fs::create_dir_all(&work).map_err(|e| format!("mkdir {}: {e}", work.display()))?;
+    let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
+    // The child parses this process's own flags, plus where to ingest.
+    let mut child_args: Vec<String> = std::env::args().skip(1).collect();
+    child_args.extend(["--child".to_string(), dir.display().to_string()]);
+    let series = workload(days, seed);
     let full_span = series.times().last().copied().unwrap_or(0.0);
-    let mut rng = StdRng::seed_from_u64(args.seed ^ 0xC4A5_4CBA);
-    std::fs::remove_dir_all(&dir).ok();
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xC4A5_4CBA);
 
-    let mut kills = 0u32;
-    let mut completions = 0u32;
-    let mut failures = 0u32;
-    for i in 0..args.iterations {
-        let mut child = Command::new(&exe)
-            .arg("--child")
-            .args(["--dir".as_ref(), dir.as_os_str()])
-            .args(["--days", &args.days.to_string()])
-            .args(["--seed", &args.seed.to_string()])
-            .args(["--throttle-us", &args.throttle_us.to_string()])
-            .spawn()
-            .expect("spawn child");
+    let mut log = String::new();
+    let (mut kills, mut completions) = (0u32, 0u32);
+    let child_log = work.join("child.log");
+    for i in 0..iterations {
+        let mut child = Proc::spawn(&exe, &child_args, &child_log)?;
         let delay_ms: u64 = rng.random_range(5..400);
         std::thread::sleep(Duration::from_millis(delay_ms));
-        let completed = match child.try_wait().expect("try_wait") {
+        let completed = match child.try_wait()? {
             Some(status) => {
-                assert!(status.success(), "child failed on its own: {status}");
+                let output = std::fs::read_to_string(&child_log).unwrap_or_default();
+                let detail = format!("iteration {i}: {status}\n{output}");
+                if !gate.check("an unkilled child exits 0", status.success(), detail) {
+                    break;
+                }
                 completions += 1;
                 true
             }
             None => {
-                child.kill().expect("SIGKILL child"); // SIGKILL on unix
-                child.wait().expect("reap child");
+                child.kill();
                 kills += 1;
                 false
             }
         };
         let outcome = verify(&dir, &series);
-        let line = format!(
-            "iter={i} delay_ms={delay_ms} {}: {}",
-            if completed { "completed" } else { "killed" },
-            match &outcome {
-                Ok(s) => s.clone(),
-                Err(e) => format!("FAIL {e}"),
-            }
-        );
+        let state = if completed { "completed" } else { "killed" };
+        let seen = outcome.clone().unwrap_or_else(|e| format!("FAIL {e}"));
+        let line = format!("iter={i} delay_ms={delay_ms} {state}: {seen}");
         eprintln!("[crash] {line}");
-        writeln!(log, "{line}").expect("write log");
-        if outcome.is_err() {
-            failures += 1;
-        }
+        log.push_str(&line);
+        log.push('\n');
+        let what = format!("iteration {i}: check_prefix");
+        gate.check(&what, outcome.is_ok(), outcome.err().unwrap_or_default());
         if completed {
             // Ingest ran to the end: the prefix is the whole workload.
             // Reset so remaining iterations keep exercising the seam.
             if let Ok(idx) = SegDiffIndex::open(&dir, 512) {
-                let last = idx.segments().expect("segments").last().copied();
-                assert_eq!(
-                    last.map(|s| s.t_end),
-                    Some(full_span),
-                    "completed run must cover the full workload"
+                let last = idx
+                    .segments()
+                    .map_err(|e| e.to_string())?
+                    .last()
+                    .map(|s| s.t_end);
+                gate.check(
+                    &format!("iteration {i}: a completed run covers the full span"),
+                    last == Some(full_span),
+                    format!("last segment ends at {last:?}, the input at {full_span}"),
                 );
             }
             std::fs::remove_dir_all(&dir).ok();
         }
     }
-    let summary = format!(
-        "done: {} iterations, {kills} kills, {completions} completions, {failures} failures",
-        args.iterations
-    );
-    eprintln!("[crash] {summary}");
-    writeln!(log, "{summary}").expect("write log");
-    println!("recovery log: {}", log_path.display());
-    if failures > 0 {
-        exit(1);
+    gate.field("iterations", iterations);
+    gate.field("kills", kills);
+    gate.field("completions", completions);
+    gate.artifact("recovery.log", log);
+    if gate.passed() {
+        std::fs::remove_dir_all(&work).ok();
     }
-    std::fs::remove_dir_all(&dir).ok();
+    Ok(())
+}
+
+fn main() {
+    let flags = Flags::from_env(USAGE);
+    let days = flags.value("--days").unwrap_or(2);
+    let seed = flags.value("--seed").unwrap_or(7);
+    let throttle_us = flags.value("--throttle-us").unwrap_or(2000);
+    if let Some(dir) = flags.value::<PathBuf>("--child") {
+        run_child(&dir, days, seed, throttle_us);
+    }
+    let iterations = flags.value("--iterations").unwrap_or(20);
+    gate::run("crash", flags.value("--out"), |gate| {
+        run_crash(gate, iterations, days, seed)
+    })
 }

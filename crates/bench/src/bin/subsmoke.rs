@@ -13,90 +13,32 @@
 //! region index to reproduce brute-force matching with far fewer
 //! region tests.
 
-use segdiff_bench::subsmoke::{
-    churn_summary_json, judge_churn, judge_smoke, run_churn, run_subsmoke, smoke_summary_json,
-    ChurnConfig, SmokeConfig,
-};
-use std::path::PathBuf;
+use segdiff_bench::gate::{self, Flags};
+use segdiff_bench::subsmoke::{run_churn, run_subsmoke, ChurnConfig, SmokeConfig};
 use std::time::Duration;
 
 const USAGE: &str = "usage: subsmoke (--smoke | --churn) [--subs N] [--regions N] \
      [--deadline-secs N] [--out DIR]";
 
 fn main() {
-    let mut mode: Option<bool> = None; // true = smoke
-    let mut out: Option<PathBuf> = None;
-    let mut smoke = SmokeConfig::ci();
-    let mut churn = ChurnConfig::ci();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut num = |name: &str| -> u64 {
-            it.next()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| panic!("{name} needs a number\n{USAGE}"))
-        };
-        match a.as_str() {
-            "--smoke" => mode = Some(true),
-            "--churn" => mode = Some(false),
-            "--subs" => smoke.subs = num("--subs") as usize,
-            "--regions" => churn.regions = num("--regions") as usize,
-            "--deadline-secs" => smoke.deadline = Duration::from_secs(num("--deadline-secs")),
-            "--out" => out = Some(PathBuf::from(it.next().expect("--out DIR"))),
-            other => panic!("unknown argument '{other}'\n{USAGE}"),
-        }
-    }
-    let smoke_mode = mode.unwrap_or_else(|| panic!("pick --smoke or --churn\n{USAGE}"));
-
-    let (summary, failures, log) = if smoke_mode {
-        eprintln!(
-            "subsmoke: smoke run, {} subscriptions, {} s deadline",
-            smoke.subs,
-            smoke.deadline.as_secs()
-        );
-        let outcome = run_subsmoke(&smoke).expect("subsmoke run");
-        let failures = judge_smoke(&outcome);
-        let summary = smoke_summary_json(&outcome, &failures);
-        (
-            summary,
-            failures,
-            Some((outcome.notification_log, outcome.subs_body)),
-        )
-    } else {
-        eprintln!("subsmoke: churn run, {} standing regions", churn.regions);
-        let outcome = run_churn(&churn);
-        let failures = judge_churn(&outcome);
-        eprintln!(
-            "subsmoke: {} rows x {} regions: index tested {} of {} ({:.2}%), \
-             {:.1} ms indexed vs {:.1} ms brute",
-            outcome.rows,
-            outcome.regions,
-            outcome.regions_tested,
-            outcome.brute_tested,
-            outcome.test_ratio() * 100.0,
-            outcome.indexed_seconds * 1e3,
-            outcome.brute_seconds * 1e3,
-        );
-        (churn_summary_json(&outcome, &failures), failures, None)
+    let flags = Flags::from_env(USAGE);
+    let smoke_mode = flags.mode(&["--smoke", "--churn"]) == "--smoke";
+    let smoke = SmokeConfig {
+        subs: flags.value("--subs").unwrap_or(40),
+        deadline: Duration::from_secs(flags.value("--deadline-secs").unwrap_or(10)),
     };
-
-    if let Some(dir) = &out {
-        std::fs::create_dir_all(dir).expect("create --out dir");
-        std::fs::write(dir.join("summary.json"), summary.to_string()).expect("write summary");
-        if let Some((notifications, subs)) = &log {
-            std::fs::write(dir.join("notifications.ndjson"), notifications)
-                .expect("write notification log");
-            std::fs::write(dir.join("subscriptions.json"), subs).expect("write subscriptions");
+    // The churn run EXPERIMENTS.md reports: 3 days of series, seed 42.
+    let churn = ChurnConfig {
+        regions: flags.value("--regions").unwrap_or(1000),
+        days: 3,
+        seed: 42,
+    };
+    gate::run("subsmoke", flags.value("--out"), |gate| {
+        if smoke_mode {
+            run_subsmoke(&smoke, gate)
+        } else {
+            run_churn(&churn, gate);
+            Ok(())
         }
-        eprintln!("subsmoke: artifacts in {}", dir.display());
-    }
-
-    println!("{summary}");
-    if failures.is_empty() {
-        eprintln!("subsmoke: PASS");
-    } else {
-        for failure in &failures {
-            eprintln!("subsmoke: FAIL: {failure}");
-        }
-        std::process::exit(1);
-    }
+    })
 }

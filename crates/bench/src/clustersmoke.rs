@@ -22,6 +22,7 @@
 //! failure the router must survive, and no in-process harness can fake
 //! the half-open sockets it leaves behind.
 
+use crate::gate::{await_until, Gate, Proc};
 use crate::harness::scratch_dir;
 use obs::json::Json;
 use router::Ring;
@@ -29,9 +30,7 @@ use segdiff::{SegDiffConfig, TransectIndex};
 use segdiff_server::loadgen::{self, fetch, query_mix};
 use segdiff_server::{Engine, LoadgenConfig, Server, ServerConfig};
 use sensorgen::{generate_sensor, CadTransectConfig};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -48,9 +47,6 @@ pub struct ClusterConfig {
     pub sensors: u32,
     /// Days of data per sensor.
     pub days: u32,
-    /// Router listens on `base_port`; shard `i` on `base_port + 1 + i`;
-    /// the replica on `base_port + 30`.
-    pub base_port: u16,
     /// Load phase duration.
     pub duration: Duration,
     /// Router health-probe interval.
@@ -67,56 +63,10 @@ impl Default for ClusterConfig {
             shards: 4,
             sensors: 12,
             days: 3,
-            base_port: 7700,
             duration: Duration::from_secs(5),
             health_interval_ms: 200,
             guard: None,
         }
-    }
-}
-
-/// What one smoke run measured; `failures` empty means PASS.
-#[derive(Debug)]
-pub struct ClusterOutcome {
-    /// Sensor ids owned by each shard (ring assignment).
-    pub buckets: Vec<Vec<u32>>,
-    /// Router endpoint used for all client traffic.
-    pub router_host: String,
-    /// Completed 2xx requests in the load phase.
-    pub ok: u64,
-    /// Non-2xx plus transport errors in the load phase.
-    pub load_failures: u64,
-    /// Load-phase throughput.
-    pub qps: f64,
-    /// Load-phase p99 latency, milliseconds.
-    pub p99_ms: f64,
-    /// Wall time from SIGKILL of shard 0's primary to the first
-    /// successful read through the replica.
-    pub failover_ms: u64,
-    /// `unavailable_sensors` reported after the replica-less shard died.
-    pub unavailable: Vec<u64>,
-    /// Every failed assertion, in order.
-    pub failures: Vec<String>,
-}
-
-/// A spawned cluster member, killed on drop so a failed run never
-/// leaves orphans behind.
-struct Proc {
-    name: String,
-    child: Child,
-}
-
-impl Proc {
-    fn kill(&mut self) {
-        // SIGKILL: teardown mirrors the fault the smoke injects.
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
-
-impl Drop for Proc {
-    fn drop(&mut self) {
-        self.kill();
     }
 }
 
@@ -157,48 +107,6 @@ fn copy_dir(from: &Path, to: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// Spawns one `segdiff` subcommand with stdout+stderr into `log`.
-fn spawn_segdiff(binary: &Path, name: &str, args: &[String], log: &Path) -> Result<Proc, String> {
-    let out = std::fs::File::create(log).map_err(|e| format!("create {}: {e}", log.display()))?;
-    let err = out
-        .try_clone()
-        .map_err(|e| format!("clone log handle: {e}"))?;
-    let child = Command::new(binary)
-        .args(args)
-        .stdin(Stdio::null())
-        .stdout(out)
-        .stderr(err)
-        .spawn()
-        .map_err(|e| format!("spawn {name} ({}): {e}", binary.display()))?;
-    Ok(Proc {
-        name: name.to_string(),
-        child,
-    })
-}
-
-/// Polls `f` every 50 ms until it yields, or fails after `deadline`.
-fn await_until<T>(
-    deadline: Duration,
-    what: &str,
-    mut f: impl FnMut() -> Option<T>,
-) -> Result<T, String> {
-    let t0 = Instant::now();
-    loop {
-        if let Some(v) = f() {
-            return Ok(v);
-        }
-        if t0.elapsed() > deadline {
-            return Err(format!("timed out after {deadline:?} waiting for {what}"));
-        }
-        std::thread::sleep(Duration::from_millis(50));
-    }
-}
-
-/// `true` once `host` answers `GET /healthz` with 200.
-fn is_healthy(host: &str) -> bool {
-    matches!(fetch(host, "GET", "/healthz", None), Ok((200, _)))
-}
-
 /// POSTs `body` to `/query`, returning `(status, parsed)`.
 fn post_query(host: &str, body: &str) -> Result<(u16, Json), String> {
     let (status, text) = fetch(host, "POST", "/query", Some(body))?;
@@ -208,16 +116,11 @@ fn post_query(host: &str, body: &str) -> Result<(u16, Json), String> {
 
 /// The canonical probe body, optionally restricted to `sensors`.
 fn probe_body(sensors: Option<&[u32]>) -> String {
-    match sensors {
-        None => r#"{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"}"#.to_string(),
-        Some(ids) => {
-            let csv: Vec<String> = ids.iter().map(ToString::to_string).collect();
-            format!(
-                r#"{{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index","sensors":[{}]}}"#,
-                csv.join(",")
-            )
-        }
-    }
+    let filter = sensors.map_or(String::new(), |ids| {
+        let csv: Vec<String> = ids.iter().map(ToString::to_string).collect();
+        format!(r#","sensors":[{}]"#, csv.join(","))
+    });
+    format!(r#"{{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"{filter}}}"#)
 }
 
 /// The `results` array of a 200 answer, re-serialized compactly. Both
@@ -234,9 +137,19 @@ fn results_bytes(host: &str, body: &str) -> Result<String, String> {
         .unwrap_or_default())
 }
 
-/// Runs the whole smoke. `Err` is an infrastructure failure (nothing
-/// could be measured); assertion failures land in `outcome.failures`.
-pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
+/// The `unavailable_sensors` list of a 503 answer.
+fn unavailable_sensors(doc: &Json) -> Vec<u64> {
+    let list = doc.get("unavailable_sensors").and_then(Json::as_array);
+    list.unwrap_or_default()
+        .iter()
+        .filter_map(Json::as_u64)
+        .collect()
+}
+
+/// Runs the whole smoke, recording every assertion in `gate`. `Err` is
+/// an infrastructure failure (nothing more could be measured). Every
+/// process log lands under `cfg.out`.
+pub fn run_clustersmoke(cfg: &ClusterConfig, gate: &mut Gate) -> Result<(), String> {
     let dir = scratch_dir("clustersmoke");
     std::fs::remove_dir_all(&dir).ok();
     let root = dir.join("transect");
@@ -251,13 +164,15 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     let ids: Vec<u32> = (0..cfg.sensors).collect();
     let ring = Ring::new(cfg.shards);
     let buckets = ring.partition(&ids);
-    for (shard, bucket) in buckets.iter().enumerate() {
-        if bucket.is_empty() {
-            return Err(format!(
-                "shard {shard} owns no sensors; raise --sensors or lower --shards"
-            ));
-        }
+    if let Some(shard) = buckets.iter().position(Vec::is_empty) {
+        let hint = "raise --sensors or lower --shards";
+        return Err(format!("shard {shard} owns no sensors; {hint}"));
     }
+    let assignment = buckets
+        .iter()
+        .map(|b| Json::Array(b.iter().map(|&s| Json::from(s)).collect()));
+    gate.field("shards", buckets.len());
+    gate.field("assignment", Json::Array(assignment.collect()));
 
     let logs = cfg.out.clone().unwrap_or_else(|| dir.join("logs"));
     std::fs::create_dir_all(&logs).map_err(|e| format!("mkdir {}: {e}", logs.display()))?;
@@ -276,10 +191,9 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     .spawn();
     let ref_host = reference.host().to_string();
 
-    // One private store copy + one `segdiff serve` process per shard.
-    let host_of = |port: u16| format!("127.0.0.1:{port}");
+    // One private store copy + one `segdiff serve` process per shard, each
+    // on a port the OS picks; `Proc::serve` reads it from the banner.
     let mut procs: Vec<Proc> = Vec::new();
-    let mut shard_hosts = Vec::new();
     for (shard, bucket) in buckets.iter().enumerate() {
         let shard_root = dir.join(format!("shard-{shard}"));
         for &sensor in bucket {
@@ -288,105 +202,48 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
                 &shard_root.join(format!("sensor-{sensor}")),
             )?;
         }
-        let port = cfg.base_port + 1 + shard as u16;
         let csv: Vec<String> = bucket.iter().map(ToString::to_string).collect();
-        let args = vec![
-            "serve".to_string(),
-            "--index".to_string(),
-            shard_root.display().to_string(),
-            "--sensors".to_string(),
-            csv.join(","),
-            "--port".to_string(),
-            port.to_string(),
-            "--threads".to_string(),
-            "4".to_string(),
-        ];
-        procs.push(spawn_segdiff(
+        let shard_root = shard_root.display().to_string();
+        let args = ["serve", "--index", &shard_root, "--sensors", &csv.join(",")];
+        procs.push(Proc::serve(
             &cfg.segdiff,
-            &format!("shard-{shard}"),
-            &args,
+            args.into_iter().chain(["--port", "0", "--threads", "4"]),
             &logs.join(format!("shard-{shard}.log")),
         )?);
-        shard_hosts.push(host_of(port));
-    }
-    for host in &shard_hosts {
-        let host = host.clone();
-        await_until(Duration::from_secs(30), &format!("shard at {host}"), || {
-            is_healthy(&host).then_some(())
-        })?;
     }
 
     // Warm replica of shard 0: bootstraps a snapshot over HTTP, then
     // tails the primary's WAL.
-    let replica_port = cfg.base_port + 30;
-    let replica_host = host_of(replica_port);
-    let replica_args = vec![
-        "serve".to_string(),
-        "--index".to_string(),
-        dir.join("replica-0").display().to_string(),
-        "--replica-of".to_string(),
-        format!("http://{}", shard_hosts[0]),
-        "--port".to_string(),
-        replica_port.to_string(),
-        "--poll-ms".to_string(),
-        "100".to_string(),
-    ];
-    procs.push(spawn_segdiff(
-        &cfg.segdiff,
-        "replica-0",
-        &replica_args,
-        &logs.join("replica-0.log"),
-    )?);
-    await_until(Duration::from_secs(30), "replica of shard 0", || {
-        is_healthy(&replica_host).then_some(())
-    })?;
+    let replica_root = dir.join("replica-0").display().to_string();
+    let primary = format!("http://{}", procs[0].host);
+    let args = ["serve", "--index", &replica_root, "--replica-of", &primary];
+    let args = args.into_iter().chain(["--port", "0", "--poll-ms", "100"]);
+    let replica = Proc::serve(&cfg.segdiff, args, &logs.join("replica-0.log"))?;
 
     // The router over all shards, replica attached to shard 0.
-    let router_host = host_of(cfg.base_port);
-    let mut router_args = vec![
-        "router".to_string(),
-        "--port".to_string(),
-        cfg.base_port.to_string(),
-        "--health-interval-ms".to_string(),
-        cfg.health_interval_ms.to_string(),
-    ];
-    for (shard, host) in shard_hosts.iter().enumerate() {
-        router_args.push("--shard".to_string());
-        if shard == 0 {
-            router_args.push(format!("{host},{replica_host}"));
-        } else {
-            router_args.push(host.clone());
-        }
+    let interval = cfg.health_interval_ms.to_string();
+    let mut router_args = ["router", "--port", "0", "--health-interval-ms", &interval]
+        .map(String::from)
+        .to_vec();
+    for (shard, p) in procs.iter().enumerate() {
+        let spec = match shard {
+            0 => format!("{},{}", p.host, replica.host),
+            _ => p.host.clone(),
+        };
+        router_args.extend(["--shard".to_string(), spec]);
     }
-    procs.push(spawn_segdiff(
-        &cfg.segdiff,
-        "router",
-        &router_args,
-        &logs.join("router.log"),
-    )?);
-    {
-        let router_host = router_host.clone();
-        await_until(Duration::from_secs(30), "router status ok", move || {
-            let (status, body) = fetch(&router_host, "GET", "/healthz", None).ok()?;
-            let doc = Json::parse(&body).ok()?;
-            (status == 200 && doc.get("status").and_then(Json::as_str) == Some("ok")).then_some(())
-        })?;
-    }
-
-    let mut failures = Vec::new();
-    let mut check = |name: &str, ok: bool, detail: String| {
-        if ok {
-            eprintln!("clustersmoke: ok: {name}");
-        } else {
-            eprintln!("clustersmoke: FAIL: {name}: {detail}");
-            failures.push(format!("{name}: {detail}"));
-        }
-    };
+    let router = Proc::serve(&cfg.segdiff, &router_args, &logs.join("router.log"))?;
+    let router_host = router.host.clone();
+    await_until(Duration::from_secs(30), "router status ok", || {
+        let (status, body) = fetch(&router_host, "GET", "/healthz", None).ok()?;
+        let doc = Json::parse(&body).ok()?;
+        (status == 200 && doc.get("status").and_then(Json::as_str) == Some("ok")).then_some(())
+    })?;
 
     // 1. Byte identity, full fan-out and per-shard subsets.
     let want = results_bytes(&ref_host, &probe_body(None))?;
     let got = results_bytes(&router_host, &probe_body(None))?;
-    check(
+    gate.check(
         "scatter-gather bytes == single-process bytes",
         want == got,
         format!("reference {} bytes, router {} bytes", want.len(), got.len()),
@@ -395,7 +252,7 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
         let body = probe_body(Some(bucket));
         let want = results_bytes(&ref_host, &body)?;
         let got = results_bytes(&router_host, &body)?;
-        check(
+        gate.check(
             &format!("shard {shard} subset bytes match"),
             want == got,
             format!("reference {} bytes, router {} bytes", want.len(), got.len()),
@@ -409,8 +266,11 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
         duration: cfg.duration,
         bodies: query_mix("drop", -2.0, 1.0),
     })?;
-    let p99_ms = report.latency.p99 as f64 / 1e6;
-    check(
+    gate.field("load_ok", report.ok);
+    gate.field("load_failures", report.non_2xx + report.errors);
+    gate.field("qps", report.qps());
+    gate.field("p99_ms", report.latency.p99 as f64 / 1e6);
+    gate.check(
         "load phase completed cleanly",
         report.ok > 0 && report.errors == 0 && report.non_2xx == 0,
         format!(
@@ -420,7 +280,7 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     );
     if let Some(guard_path) = &cfg.guard {
         let verdict = loadgen::check_p99_guard(&report.latency, guard_path);
-        check(
+        gate.check(
             "router p99 within guard",
             verdict.is_ok(),
             verdict.unwrap_or_else(|e| e),
@@ -436,21 +296,18 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     );
     let body0 = probe_body(Some(&buckets[0]));
     let killed_at = Instant::now();
-    let after_failover = {
-        let router_host = router_host.clone();
-        let body0 = body0.clone();
-        await_until(
-            Duration::from_secs(10),
-            "failover to shard 0's replica",
-            move || match post_query(&router_host, &body0) {
-                Ok((200, doc)) => Some(doc.get("results").map(Json::to_string_compact)),
-                _ => None,
-            },
-        )?
-    };
+    let after_failover = await_until(
+        Duration::from_secs(10),
+        "failover to shard 0's replica",
+        || match post_query(&router_host, &body0) {
+            Ok((200, doc)) => Some(doc.get("results").map(Json::to_string_compact)),
+            _ => None,
+        },
+    )?;
     let failover_ms = killed_at.elapsed().as_millis() as u64;
+    gate.field("failover_ms", failover_ms);
     let want0 = results_bytes(&ref_host, &body0)?;
-    check(
+    gate.check(
         "replica answers shard 0 byte-identically",
         after_failover.as_deref() == Some(want0.as_str()),
         format!(
@@ -462,7 +319,7 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     // Sooner is fine (request-path failure triggers an immediate
     // re-probe); much later than two probe intervals plus transport
     // slack means the state machine is stuck.
-    check(
+    gate.check(
         "failover within two health-check intervals",
         failover_ms <= 2 * cfg.health_interval_ms + 1_000,
         format!(
@@ -476,49 +333,30 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     procs[1].kill();
     eprintln!("clustersmoke: killed {} (no replica)", procs[1].name);
     let body1 = probe_body(Some(&buckets[1]));
-    let unavailable = {
-        let router_host = router_host.clone();
-        await_until(
-            Duration::from_secs(10),
-            "structured 503 for the dead shard",
-            move || match post_query(&router_host, &body1) {
-                Ok((503, doc)) => Some(
-                    doc.get("unavailable_sensors")
-                        .and_then(Json::as_array)
-                        .map(|a| a.iter().filter_map(Json::as_u64).collect::<Vec<u64>>())
-                        .unwrap_or_default(),
-                ),
-                _ => None,
-            },
-        )?
-    };
+    let unavailable = await_until(
+        Duration::from_secs(10),
+        "structured 503 for the dead shard",
+        || match post_query(&router_host, &body1) {
+            Ok((503, doc)) => Some(unavailable_sensors(&doc)),
+            _ => None,
+        },
+    )?;
     let want_unavailable: Vec<u64> = buckets[1].iter().map(|&s| u64::from(s)).collect();
-    check(
+    let listed = Json::Array(unavailable.iter().map(|&s| Json::from(s)).collect());
+    gate.field("unavailable_sensors", listed);
+    gate.check(
         "503 names exactly the dead shard's sensors",
         unavailable == want_unavailable,
         format!("got {unavailable:?}, want {want_unavailable:?}"),
     );
     // A full fan-out query needs shard 1, so it degrades too — with the
     // same sensor list, nothing more.
-    match post_query(&router_host, &probe_body(None))? {
-        (503, doc) => {
-            let got: Vec<u64> = doc
-                .get("unavailable_sensors")
-                .and_then(Json::as_array)
-                .map(|a| a.iter().filter_map(Json::as_u64).collect())
-                .unwrap_or_default();
-            check(
-                "full fan-out degrades with the same blast radius",
-                got == want_unavailable,
-                format!("got {got:?}, want {want_unavailable:?}"),
-            );
-        }
-        (status, doc) => check(
-            "full fan-out degrades with the same blast radius",
-            false,
-            format!("got {status}: {doc}"),
-        ),
-    }
+    let (status, doc) = post_query(&router_host, &probe_body(None))?;
+    gate.check(
+        "full fan-out degrades with the same blast radius",
+        status == 503 && unavailable_sensors(&doc) == want_unavailable,
+        format!("got {status}: {doc}; want 503 naming {want_unavailable:?}"),
+    );
     // Queries that avoid the dead shard still answer byte-identically.
     let survivors: Vec<u32> = buckets
         .iter()
@@ -529,7 +367,7 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     let body_rest = probe_body(Some(&survivors));
     let want_rest = results_bytes(&ref_host, &body_rest)?;
     let got_rest = results_bytes(&router_host, &body_rest)?;
-    check(
+    gate.check(
         "surviving shards still answer byte-identically",
         want_rest == got_rest,
         format!(
@@ -540,68 +378,12 @@ pub fn run_clustersmoke(cfg: &ClusterConfig) -> Result<ClusterOutcome, String> {
     );
 
     // Teardown. Children die via Drop; the reference drains cleanly.
-    drop(procs);
+    drop((procs, replica, router));
     reference
         .stop()
         .map_err(|e| format!("reference server: {e}"))?;
     std::fs::remove_dir_all(dir.join("transect")).ok();
-
-    Ok(ClusterOutcome {
-        buckets,
-        router_host,
-        ok: report.ok,
-        load_failures: report.non_2xx + report.errors,
-        qps: report.qps(),
-        p99_ms,
-        failover_ms,
-        unavailable,
-        failures,
-    })
-}
-
-/// Renders the verdict CI uploads as `summary.json`.
-pub fn summary_json(outcome: &ClusterOutcome) -> Json {
-    Json::obj([
-        ("pass", Json::Bool(outcome.failures.is_empty())),
-        ("shards", Json::from(outcome.buckets.len() as u64)),
-        (
-            "assignment",
-            Json::Array(
-                outcome
-                    .buckets
-                    .iter()
-                    .map(|b| Json::Array(b.iter().map(|&s| Json::from(u64::from(s))).collect()))
-                    .collect(),
-            ),
-        ),
-        ("load_ok", Json::from(outcome.ok)),
-        ("load_failures", Json::from(outcome.load_failures)),
-        ("qps", Json::from(outcome.qps)),
-        ("p99_ms", Json::from(outcome.p99_ms)),
-        ("failover_ms", Json::from(outcome.failover_ms)),
-        (
-            "unavailable_sensors",
-            Json::Array(outcome.unavailable.iter().map(|&s| Json::from(s)).collect()),
-        ),
-        (
-            "failures",
-            Json::Array(
-                outcome
-                    .failures
-                    .iter()
-                    .map(|f| Json::Str(f.clone()))
-                    .collect(),
-            ),
-        ),
-    ])
-}
-
-/// Writes `summary.json` under `dir`.
-pub fn write_summary(dir: &Path, summary: &Json) -> Result<(), String> {
-    std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    let mut f = std::fs::File::create(dir.join("summary.json"))
-        .map_err(|e| format!("create summary.json: {e}"))?;
-    writeln!(f, "{summary}").map_err(|e| format!("write summary.json: {e}"))
+    Ok(())
 }
 
 #[cfg(test)]
@@ -633,24 +415,5 @@ mod tests {
         assert!(spec.sensors.is_empty());
         let spec = QuerySpec::from_json(&probe_body(Some(&[3, 5]))).expect("subset body");
         assert_eq!(spec.sensors, vec![3, 5]);
-    }
-
-    #[test]
-    fn summary_round_trips() {
-        let outcome = ClusterOutcome {
-            buckets: vec![vec![0, 2], vec![1]],
-            router_host: "127.0.0.1:7700".to_string(),
-            ok: 100,
-            load_failures: 0,
-            qps: 50.0,
-            p99_ms: 12.5,
-            failover_ms: 180,
-            unavailable: vec![1],
-            failures: Vec::new(),
-        };
-        let doc = summary_json(&outcome);
-        assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
-        let parsed = Json::parse(&doc.to_string_compact()).expect("round trip");
-        assert_eq!(parsed.get("failover_ms").and_then(Json::as_u64), Some(180));
     }
 }

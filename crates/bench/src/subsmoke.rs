@@ -14,6 +14,7 @@
 //!   must test far fewer regions than the brute-force scan while
 //!   returning the identical match set.
 
+use crate::gate::Gate;
 use crate::harness::{build_segdiff, default_series, scratch_dir, Scale};
 use featurespace::{QueryRegion, RegionIndex, RegionMatchStats};
 use obs::json::Json;
@@ -59,39 +60,6 @@ pub struct SmokeConfig {
     pub deadline: Duration,
 }
 
-impl SmokeConfig {
-    /// The configuration CI runs.
-    pub fn ci() -> SmokeConfig {
-        SmokeConfig {
-            subs: 40,
-            deadline: Duration::from_secs(10),
-        }
-    }
-}
-
-/// What a smoke run observed, before any pass/fail judgement.
-#[derive(Debug, Clone)]
-pub struct SmokeOutcome {
-    /// Subscriptions registered.
-    pub subs: usize,
-    /// Subscriptions whose region must match the planted drop.
-    pub matchers: usize,
-    /// Matcher ids that never received a notification.
-    pub missing: Vec<u64>,
-    /// Decoy ids that received one (must stay empty).
-    pub unexpected: Vec<u64>,
-    /// `(sub, seq)` pairs seen more than once across all polls.
-    pub duplicates: u64,
-    /// Matcher ids whose notifications never covered the planted window.
-    pub uncovered: Vec<u64>,
-    /// Worst observed publish-to-poll latency, milliseconds.
-    pub max_latency_ms: i64,
-    /// Every notification received, one JSON object per line (artifact).
-    pub notification_log: String,
-    /// Raw `GET /subscribe` body after registration (artifact).
-    pub subs_body: String,
-}
-
 fn register(host: &str, body: &str) -> Result<u64, String> {
     let (status, resp) = fetch(host, "POST", "/subscribe", Some(body))?;
     if status != 200 {
@@ -104,10 +72,40 @@ fn register(host: &str, body: &str) -> Result<u64, String> {
         .ok_or_else(|| "subscribe response has no id".to_string())
 }
 
+/// Duplicate deliveries among one subscription's polled pages (each the
+/// `notifications` array of one `GET /notifications` answer): a seq that
+/// repeats within one page, or one `(t_d, t_c, t_b, t_a)` pair delivered
+/// under two seqs. A seq re-read by a later poll is not a duplicate: every
+/// poll replays the cursor from the start.
+fn count_duplicates(pages: &[Vec<Json>]) -> u64 {
+    let stamp = |n: &Json, key: &str| n.get(key).and_then(Json::as_f64).map(f64::to_bits);
+    let seq = |n: &Json| n.get("seq").and_then(Json::as_u64);
+    let mut duplicates = 0;
+    let mut pairs: Vec<([Option<u64>; 4], Option<u64>)> = Vec::new();
+    for page in pages {
+        let mut seqs: Vec<Option<u64>> = page.iter().map(seq).collect();
+        seqs.sort_unstable();
+        seqs.dedup();
+        duplicates += (page.len() - seqs.len()) as u64;
+        for n in page {
+            pairs.push((["t_d", "t_c", "t_b", "t_a"].map(|k| stamp(n, k)), seq(n)));
+        }
+    }
+    pairs.sort_unstable();
+    pairs.dedup();
+    let delivered = pairs.len();
+    pairs.dedup_by_key(|(pair, _)| *pair);
+    duplicates + (delivered - pairs.len()) as u64
+}
+
 /// Serves a real index, registers `config.subs` standing queries over
 /// HTTP, ingests the planted series through the server's live registry,
-/// and polls every cursor until the deadline.
-pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
+/// polls every cursor until the deadline, and checks that each expected
+/// notification arrived exactly once and no decoy heard anything.
+/// Artifacts: `notifications.ndjson` (every notification received, one
+/// JSON object a line) and `subscriptions.json` (`GET /subscribe` after
+/// registration).
+pub fn run_subsmoke(config: &SmokeConfig, gate: &mut Gate) -> Result<(), String> {
     let dir = scratch_dir("subsmoke-served");
     let scale = Scale::tiny();
     let series = default_series(scale.subset_days, scale.seed);
@@ -165,6 +163,7 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
         }
     }
     let (_, subs_body) = fetch(&host, "GET", "/subscribe", None)?;
+    gate.artifact("subscriptions.json", subs_body);
 
     // Ingest the planted series through the server's live registry, the
     // way a collector co-located with the server would.
@@ -178,16 +177,16 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
     side.finish().map_err(|e| format!("finish ingest: {e}"))?;
 
     // Poll every cursor until each matcher has heard something (or the
-    // deadline passes), recording seqs so repeats are visible.
-    let mut seen: Vec<Vec<u64>> = vec![Vec::new(); matchers.len() + decoys.len()];
+    // deadline passes), keeping every page so repeats are visible.
+    let subs: Vec<u64> = matchers.iter().chain(&decoys).copied().collect();
+    let mut pages: Vec<Vec<Vec<Json>>> = vec![Vec::new(); subs.len()];
+    let mut seen: Vec<Vec<u64>> = vec![Vec::new(); subs.len()];
     let mut log = String::new();
     let mut covered: Vec<bool> = vec![false; matchers.len()];
-    let mut duplicates = 0u64;
     let mut max_latency_ms = 0i64;
     let deadline = Instant::now() + config.deadline;
     loop {
-        let mut all_matched = true;
-        for (slot, &id) in matchers.iter().chain(decoys.iter()).enumerate() {
+        for (slot, &id) in subs.iter().enumerate() {
             let path = format!("/notifications?sub={id}&after=0&max=1000");
             let (status, body) = fetch(&host, "GET", &path, None)?;
             if status != 200 {
@@ -195,15 +194,12 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
             }
             let doc = Json::parse(&body).map_err(|e| format!("parse notifications: {e}"))?;
             let now_ms = obs::unix_ms() as i64;
-            let empty = Vec::new();
-            for n in doc
-                .get("notifications")
-                .and_then(Json::as_array)
-                .unwrap_or(&empty)
-            {
+            let page = doc.get("notifications").and_then(Json::as_array);
+            let page = page.unwrap_or_default().to_vec();
+            for n in &page {
                 let seq = n.get("seq").and_then(Json::as_u64).unwrap_or(0);
                 if seen[slot].contains(&seq) {
-                    continue; // re-read of an already-counted page
+                    continue; // re-read of an already-logged notification
                 }
                 seen[slot].push(seq);
                 log.push_str(&n.to_string_compact());
@@ -217,16 +213,9 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
                     covered[slot] = true;
                 }
             }
-            // The cursor contract: the same `after` must replay the same
-            // prefix, never grow duplicates within it.
-            let mut sorted = seen[slot].clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            duplicates += (seen[slot].len() - sorted.len()) as u64;
-            if slot < matchers.len() && seen[slot].is_empty() {
-                all_matched = false;
-            }
+            pages[slot].push(page);
         }
+        let all_matched = seen[..matchers.len()].iter().all(|s| !s.is_empty());
         if all_matched || Instant::now() >= deadline {
             break;
         }
@@ -237,86 +226,48 @@ pub fn run_subsmoke(config: &SmokeConfig) -> Result<SmokeOutcome, String> {
     server.stop().map_err(|e| format!("server run: {e}"))?;
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&side_dir).ok();
+    gate.artifact("notifications.ndjson", log);
 
-    let missing = matchers
-        .iter()
-        .enumerate()
-        .filter(|(slot, _)| seen[*slot].is_empty())
-        .map(|(_, &id)| id)
-        .collect();
-    let uncovered = matchers
-        .iter()
-        .enumerate()
-        .filter(|(slot, _)| !seen[*slot].is_empty() && !covered[*slot])
-        .map(|(_, &id)| id)
-        .collect();
-    let unexpected = decoys
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| !seen[matchers.len() + i].is_empty())
-        .map(|(_, &id)| id)
-        .collect();
-    Ok(SmokeOutcome {
-        subs: matchers.len() + decoys.len(),
-        matchers: matchers.len(),
-        missing,
-        unexpected,
-        duplicates,
-        uncovered,
-        max_latency_ms,
-        notification_log: log,
-        subs_body,
-    })
-}
+    let ids = |pick: &dyn Fn(usize) -> bool| -> Vec<u64> {
+        (0..subs.len())
+            .filter(|&s| pick(s))
+            .map(|s| subs[s])
+            .collect()
+    };
+    let is_matcher = |s: usize| s < matchers.len();
+    let missing = ids(&|s| is_matcher(s) && seen[s].is_empty());
+    let uncovered = ids(&|s| is_matcher(s) && !seen[s].is_empty() && !covered[s]);
+    let unexpected = ids(&|s| !is_matcher(s) && !seen[s].is_empty());
+    let duplicates: u64 = pages.iter().map(|p| count_duplicates(p)).sum();
 
-/// Applies the CI gate to a smoke outcome. Returns the failure reasons
-/// (empty = pass).
-pub fn judge_smoke(outcome: &SmokeOutcome) -> Vec<String> {
-    let mut failures = Vec::new();
-    if !outcome.missing.is_empty() {
-        failures.push(format!(
-            "{} matching subscription(s) never notified: {:?}",
-            outcome.missing.len(),
-            outcome.missing
-        ));
-    }
-    if !outcome.unexpected.is_empty() {
-        failures.push(format!(
-            "non-matching subscription(s) notified: {:?}",
-            outcome.unexpected
-        ));
-    }
-    if outcome.duplicates > 0 {
-        failures.push(format!(
-            "{} duplicate (sub, seq) deliveries",
-            outcome.duplicates
-        ));
-    }
-    if !outcome.uncovered.is_empty() {
-        failures.push(format!(
-            "notification(s) never covered the planted drop [{PLANTED_START}, {PLANTED_END}]: {:?}",
-            outcome.uncovered
-        ));
-    }
-    failures
-}
-
-/// The smoke outcome as a JSON artifact (`summary.json`).
-pub fn smoke_summary_json(outcome: &SmokeOutcome, failures: &[String]) -> Json {
-    Json::obj([
-        ("mode", Json::from("smoke")),
-        ("pass", Json::Bool(failures.is_empty())),
-        ("subs", Json::from(outcome.subs as u64)),
-        ("matchers", Json::from(outcome.matchers as u64)),
-        ("missing", Json::from(outcome.missing.len() as u64)),
-        ("unexpected", Json::from(outcome.unexpected.len() as u64)),
-        ("duplicates", Json::from(outcome.duplicates)),
-        ("max_latency_ms", Json::from(outcome.max_latency_ms)),
-        (
-            "gate_failures",
-            Json::Array(failures.iter().map(|f| Json::from(f.as_str())).collect()),
-        ),
-    ])
+    gate.field("mode", "smoke");
+    gate.field("subs", subs.len());
+    gate.field("matchers", matchers.len());
+    gate.field("missing", missing.len());
+    gate.field("unexpected", unexpected.len());
+    gate.field("duplicates", duplicates);
+    gate.field("max_latency_ms", max_latency_ms);
+    gate.check(
+        "every matching subscription notified",
+        missing.is_empty(),
+        format!("{} never notified: {missing:?}", missing.len()),
+    );
+    gate.check(
+        "no decoy notified",
+        unexpected.is_empty(),
+        format!("non-matching subscription(s) notified: {unexpected:?}"),
+    );
+    gate.check(
+        "every notification delivered exactly once",
+        duplicates == 0,
+        format!("{duplicates} duplicate deliveries"),
+    );
+    gate.check(
+        "notifications cover the planted drop",
+        uncovered.is_empty(),
+        format!("never covered [{PLANTED_START}, {PLANTED_END}]: {uncovered:?}"),
+    );
+    Ok(())
 }
 
 // ---------------------------------------------------------------------
@@ -333,47 +284,6 @@ pub struct ChurnConfig {
     pub days: u32,
     /// RNG seed for the series.
     pub seed: u64,
-}
-
-impl ChurnConfig {
-    /// The configuration CI and EXPERIMENTS.md use: 1,000 regions.
-    pub fn ci() -> ChurnConfig {
-        ChurnConfig {
-            regions: 1000,
-            days: 3,
-            seed: 42,
-        }
-    }
-}
-
-/// What a churn run measured.
-#[derive(Debug, Clone)]
-pub struct ChurnOutcome {
-    /// Standing regions registered.
-    pub regions: usize,
-    /// Committed feature rows evaluated against them.
-    pub rows: usize,
-    /// Total matches found (identical for both strategies by the gate).
-    pub matches: u64,
-    /// Rows whose indexed and brute-force match sets differed.
-    pub mismatches: u64,
-    /// Exact region tests the index performed.
-    pub regions_tested: u64,
-    /// Grid cells the index visited.
-    pub cells_visited: u64,
-    /// Region tests brute force performs (`rows * regions`).
-    pub brute_tested: u64,
-    /// Wall time of the indexed pass, seconds.
-    pub indexed_seconds: f64,
-    /// Wall time of the brute-force pass, seconds.
-    pub brute_seconds: f64,
-}
-
-impl ChurnOutcome {
-    /// Fraction of brute-force region tests the index performed.
-    pub fn test_ratio(&self) -> f64 {
-        self.regions_tested as f64 / self.brute_tested.max(1) as f64
-    }
 }
 
 /// A deterministic population of `n` standing regions spread over the
@@ -407,8 +317,11 @@ pub fn committed_rows(days: u32, seed: u64) -> Vec<FeatureRow> {
     rows
 }
 
-/// Runs both matching strategies over the same rows and regions.
-pub fn run_churn(config: &ChurnConfig) -> ChurnOutcome {
+/// Runs both matching strategies over the same rows and regions, and
+/// checks the index agrees exactly with brute force while testing at
+/// most half the regions (in practice far fewer — the summary records
+/// the real ratio).
+pub fn run_churn(config: &ChurnConfig, gate: &mut Gate) {
     let regions = region_population(config.regions);
     let rows = committed_rows(config.days, config.seed);
 
@@ -442,64 +355,38 @@ pub fn run_churn(config: &ChurnConfig) -> ChurnOutcome {
     }
     let indexed_seconds = start.elapsed().as_secs_f64();
 
-    ChurnOutcome {
-        regions: regions.len(),
-        rows: rows.len(),
-        matches,
-        mismatches,
-        regions_tested: stats.regions_tested,
-        cells_visited: stats.cells_visited,
-        brute_tested: rows.len() as u64 * regions.len() as u64,
-        indexed_seconds,
-        brute_seconds,
-    }
-}
-
-/// Applies the CI gate to a churn outcome: the index must agree exactly
-/// with brute force and test at most half the regions (in practice far
-/// fewer — the summary records the real ratio).
-pub fn judge_churn(outcome: &ChurnOutcome) -> Vec<String> {
-    let mut failures = Vec::new();
-    if outcome.rows == 0 {
-        failures.push("no feature rows extracted; the run measured nothing".to_string());
-    }
-    if outcome.mismatches > 0 {
-        failures.push(format!(
-            "indexed matching disagreed with brute force on {} row(s)",
-            outcome.mismatches
-        ));
-    }
-    if outcome.regions_tested * 2 > outcome.brute_tested {
-        failures.push(format!(
-            "index tested {} of {} region evaluations ({:.1}%) — not sublinear",
-            outcome.regions_tested,
-            outcome.brute_tested,
-            outcome.test_ratio() * 100.0
-        ));
-    }
-    failures
-}
-
-/// The churn outcome as a JSON artifact (`summary.json`).
-pub fn churn_summary_json(outcome: &ChurnOutcome, failures: &[String]) -> Json {
-    Json::obj([
-        ("mode", Json::from("churn")),
-        ("pass", Json::Bool(failures.is_empty())),
-        ("regions", Json::from(outcome.regions as u64)),
-        ("rows", Json::from(outcome.rows as u64)),
-        ("matches", Json::from(outcome.matches)),
-        ("mismatches", Json::from(outcome.mismatches)),
-        ("regions_tested", Json::from(outcome.regions_tested)),
-        ("cells_visited", Json::from(outcome.cells_visited)),
-        ("brute_tested", Json::from(outcome.brute_tested)),
-        ("test_ratio", Json::Float(outcome.test_ratio())),
-        ("indexed_seconds", Json::Float(outcome.indexed_seconds)),
-        ("brute_seconds", Json::Float(outcome.brute_seconds)),
-        (
-            "gate_failures",
-            Json::Array(failures.iter().map(|f| Json::from(f.as_str())).collect()),
+    let brute_tested = rows.len() as u64 * regions.len() as u64;
+    let test_ratio = stats.regions_tested as f64 / brute_tested.max(1) as f64;
+    gate.field("mode", "churn");
+    gate.field("regions", regions.len());
+    gate.field("rows", rows.len());
+    gate.field("matches", matches);
+    gate.field("mismatches", mismatches);
+    gate.field("regions_tested", stats.regions_tested);
+    gate.field("cells_visited", stats.cells_visited);
+    gate.field("brute_tested", brute_tested);
+    gate.field("test_ratio", test_ratio);
+    gate.field("indexed_seconds", indexed_seconds);
+    gate.field("brute_seconds", brute_seconds);
+    gate.check(
+        "feature rows extracted",
+        !rows.is_empty(),
+        "no feature rows; the run measured nothing",
+    );
+    gate.check(
+        "indexed matching equals brute force",
+        mismatches == 0,
+        format!("disagreed on {mismatches} row(s)"),
+    );
+    gate.check(
+        "index tests at most half the brute-force regions",
+        stats.regions_tested * 2 <= brute_tested,
+        format!(
+            "tested {} of {brute_tested} ({:.1}%) — not sublinear",
+            stats.regions_tested,
+            test_ratio * 100.0
         ),
-    ])
+    );
 }
 
 #[cfg(test)]
@@ -510,54 +397,55 @@ mod tests {
     /// do asymptotically less work.
     #[test]
     fn churn_index_is_lossless_and_sublinear() {
-        let outcome = run_churn(&ChurnConfig {
+        let config = ChurnConfig {
             regions: 200,
             days: 2,
             seed: 42,
-        });
-        let failures = judge_churn(&outcome);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(
-            outcome.rows > 100,
-            "series too small: {} rows",
-            outcome.rows
-        );
-        assert!(outcome.matches > 0, "population never matched anything");
+        };
+        let mut gate = Gate::new("subsmoke");
+        run_churn(&config, &mut gate);
+        let summary = gate.summary();
+        assert!(gate.passed(), "{summary}");
+        let rows = summary.get("rows").and_then(Json::as_u64);
+        assert!(rows > Some(100), "series too small: {rows:?} rows");
+        let matches = summary.get("matches").and_then(Json::as_u64);
+        assert!(matches > Some(0), "population never matched anything");
     }
 
     /// A reduced smoke run end-to-end over HTTP.
     #[test]
     fn smoke_delivers_exactly_once() {
-        let outcome = run_subsmoke(&SmokeConfig {
+        let config = SmokeConfig {
             subs: 8,
             deadline: Duration::from_secs(10),
-        })
-        .expect("smoke runs");
-        let failures = judge_smoke(&outcome);
-        assert!(failures.is_empty(), "{failures:?}");
-        assert!(!outcome.notification_log.is_empty());
-        assert!(outcome.subs_body.contains("\"subscriptions\""));
+        };
+        let mut gate = Gate::new("subsmoke");
+        run_subsmoke(&config, &mut gate).expect("smoke runs");
+        let out = scratch_dir("subsmoke-test-out");
+        assert_eq!(gate.finish(Some(&out)), 0, "{}", gate.summary());
+        let log = std::fs::read_to_string(out.join("notifications.ndjson")).expect("log");
+        assert!(!log.is_empty());
+        let subs = std::fs::read_to_string(out.join("subscriptions.json")).expect("subs");
+        assert!(subs.contains("\"subscriptions\""));
+        std::fs::remove_dir_all(&out).ok();
     }
 
     #[test]
-    fn judges_reject_bad_outcomes() {
-        let good = SmokeOutcome {
-            subs: 8,
-            matchers: 4,
-            missing: Vec::new(),
-            unexpected: Vec::new(),
-            duplicates: 0,
-            uncovered: Vec::new(),
-            max_latency_ms: 12,
-            notification_log: String::new(),
-            subs_body: String::new(),
+    fn duplicates_are_repeats_within_a_page_or_a_pair_under_two_seqs() {
+        let n = |seq: u64, t_d: f64| {
+            Json::obj([
+                ("seq", Json::from(seq)),
+                ("t_d", Json::from(t_d)),
+                ("t_c", Json::from(t_d + 300.0)),
+                ("t_b", Json::from(t_d + 600.0)),
+                ("t_a", Json::from(t_d + 900.0)),
+            ])
         };
-        assert!(judge_smoke(&good).is_empty());
-        let mut bad = good.clone();
-        bad.missing.push(3);
-        bad.duplicates = 2;
-        assert_eq!(judge_smoke(&bad).len(), 2);
-        let json = smoke_summary_json(&bad, &judge_smoke(&bad)).to_string();
-        assert!(json.contains("\"pass\":false"), "{json}");
+        // A later poll re-reading the same prefix is not a duplicate.
+        let clean = vec![vec![n(1, 0.0)], vec![n(1, 0.0), n(2, 60.0)]];
+        assert_eq!(count_duplicates(&clean), 0);
+        // Seq 1 twice in one page; the pair at 0 again under seq 2.
+        let page = vec![n(1, 0.0), n(1, 0.0), n(2, 0.0)];
+        assert_eq!(count_duplicates(&[page]), 2);
     }
 }
