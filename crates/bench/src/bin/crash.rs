@@ -25,11 +25,12 @@
 //! The child then *resumes* from the recovered prefix, so one run also
 //! exercises repeated crash–recover–resume cycles over the same store.
 //! The child whose prefix first passes half the input compacts the store
-//! there ([`SegDiffIndex::compact_storage`]: columnar, clustered, sealed,
-//! the B+trees emptied), later children ingest behind the sealed rows,
-//! and the one that passes three quarters compacts again, so kills land
-//! before, inside and after a seal of a row store and a seal of a sealed
-//! prefix with a raw tail.
+//! there ([`SegDiffIndex::compact_storage`]: `segments` sealed, the
+//! feature rows of the sealed run cut, the B+trees emptied), later
+//! children ingest behind the sealed run, and the one that passes three
+//! quarters compacts again, so kills land before, inside and after a
+//! compaction of a row store and of a compacted store with rows behind
+//! its sealed run.
 //!
 //! ```sh
 //! cargo run --release -p segdiff-bench --bin crash -- --iterations 20 --out /tmp/crash
@@ -97,9 +98,10 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
     // Idempotent: builds only the B+trees a kill kept from existing.
     idx.build_indexes().expect("build_indexes");
     let marks = [series.len() / 2, series.len() * 3 / 4].map(|i| series.times()[i]);
-    // `segments` is sealed last: past a mark, rows behind its sealed ones
-    // are a compaction that has yet to finish — or rows that arrived since
-    // one did, which sealing once more does no harm.
+    // Past a mark, segments behind the sealed run are a compaction that
+    // has yet to seal them — or segments that arrived since one did, which
+    // compacting once more does no harm. (A kill after the seal is
+    // finished by the reopen, which cuts what the compaction had not.)
     let segments = idx.database().table("segments").expect("segments");
     let mut due = last_t > marks[0] && segments.sealed_rows() < segments.num_rows();
     let mut prev = last_t;
@@ -116,15 +118,6 @@ fn run_child(dir: &Path, days: u32, seed: u64, throttle_us: u64) {
     }
     idx.finish().expect("finish");
     exit(0);
-}
-
-/// The rows sealed across the feature tables (a kill inside a compaction
-/// leaves some of them sealed whole and the others with their raw tail).
-fn sealed_rows(idx: &SegDiffIndex) -> u64 {
-    ["drop1", "drop2", "drop3", "jump1", "jump2", "jump3"]
-        .iter()
-        .map(|name| idx.database().table(name).expect("table").sealed_rows())
-        .sum()
 }
 
 /// One recovered-prefix check ([`oracle::check_prefix`]). Returns a
@@ -153,12 +146,12 @@ fn verify(dir: &Path, series: &TimeSeries) -> Result<String, String> {
     ];
     let seen = oracle::check_prefix(&idx, series, &regions)?;
     Ok(format!(
-        "clean={} replayed={} truncated={} dropped_indexes={} sealed_rows={} segments={} events={} results={}",
+        "clean={} replayed={} truncated={} dropped_indexes={} sealed_segments={} segments={} events={} results={}",
         report.clean,
         report.replayed_pages,
         report.truncated_rows,
         report.dropped_indexes,
-        sealed_rows(&idx),
+        idx.stats().sealed_segments,
         seen.segments,
         seen.events,
         seen.results

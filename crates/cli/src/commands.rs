@@ -418,8 +418,10 @@ fn stats(index: &Path, json: bool, series: bool) -> Result<(), Anyhow> {
         let mut doc = Json::obj([
             ("observations", Json::from(s.n_observations)),
             ("segments", Json::from(s.n_segments)),
+            ("sealed_segments", Json::from(s.sealed_segments)),
             ("compression_rate", Json::from(s.compression_rate())),
             ("feature_rows", Json::from(s.n_rows)),
+            ("feature_rows_represented", Json::from(hist.total())),
             ("feature_payload_bytes", Json::from(s.feature_payload_bytes)),
             ("paper_feature_bytes", Json::from(s.paper_feature_bytes)),
             ("heap_bytes", Json::from(s.heap_bytes)),
@@ -476,11 +478,16 @@ fn stats(index: &Path, json: bool, series: bool) -> Result<(), Anyhow> {
     }
     println!("observations:    {}", s.n_observations);
     println!(
-        "segments:        {} (r = {:.2})",
+        "segments:        {} (r = {:.2}), {} sealed",
         s.n_segments,
-        s.compression_rate()
+        s.compression_rate(),
+        s.sealed_segments
     );
-    println!("feature rows:    {}", s.n_rows);
+    println!(
+        "feature rows:    {} stored of {} represented (the rest generated from sealed segments)",
+        s.n_rows,
+        hist.total()
+    );
     println!(
         "feature bytes:   {} ({} under the paper's c2 accounting)",
         s.feature_payload_bytes, s.paper_feature_bytes

@@ -209,6 +209,28 @@ fn stats_json_round_trips_through_a_parser() {
     let cfg = doc.get("config").expect("config");
     assert_eq!(cfg.get("epsilon").and_then(|v| v.as_f64()), Some(0.2));
     assert_eq!(cfg.get("window_hours").and_then(|v| v.as_f64()), Some(8.0));
+    let count = |doc: &obs::json::Json, key: &str| doc.get(key).and_then(|v| v.as_u64());
+    let rows = count(&doc, "feature_rows").unwrap();
+    assert_eq!(count(&doc, "sealed_segments"), Some(0), "{text}");
+    assert_eq!(
+        count(&doc, "feature_rows_represented"),
+        Some(rows),
+        "{text}"
+    );
+    // A compacted store stores no feature row of its sealed run, and says
+    // how many it represents.
+    segdiff::SegDiffIndex::open(&idx, 256)
+        .unwrap()
+        .compact_storage()
+        .unwrap();
+    let o = run(&["stats", "--index", idx.to_str().unwrap(), "--json"]);
+    let doc = obs::json::Json::parse(stdout(&o).trim()).unwrap();
+    assert_eq!(count(&doc, "sealed_segments"), Some(segments));
+    assert_eq!(count(&doc, "feature_rows"), Some(0));
+    assert_eq!(count(&doc, "feature_rows_represented"), Some(rows));
+    let o = run(&["stats", "--index", idx.to_str().unwrap()]);
+    let want = format!("feature rows:    0 stored of {rows} represented");
+    assert!(stdout(&o).contains(&want), "{}", stdout(&o));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -249,6 +271,15 @@ fn query_trace_prints_consistent_phase_tree() {
             assert!(line.contains("wall="), "{line}");
             assert!(line.contains("physical_reads="), "{line}");
             assert!(line.contains("pool_hits="), "{line}");
+        }
+        // The first phase after `plan` also reports the sealed run it
+        // generated (none here: the store was never compacted).
+        let first = text
+            .lines()
+            .find(|l| l.contains(&format!("-> {} ", phases[1])));
+        let first = first.unwrap_or_default();
+        for field in ["segments_read=0", "pairs_within_t=0", "boundaries=0"] {
+            assert!(first.contains(field), "{first}");
         }
         // The per-phase I/O deltas must tile the query's total delta.
         assert!(text.contains("=> consistent"), "{text}");

@@ -3,11 +3,11 @@
 use crate::cache::{CacheKey, QueryCache};
 use crate::config::SegDiffConfig;
 use crate::ingest::{FeatureExtractor, FeatureRow};
-use crate::query::{check_window, run_feature_query, Extraction, QueryPlan, QueryStats};
+use crate::query::{check_window, run_feature_query, QueryPlan, QueryStats, SealedRun};
 use crate::result::SegmentPair;
 use crate::stats::{CornerHistogram, SegDiffStats};
 use crate::tables::{
-    encode_row, index_specs, sketch_row, table_cols, table_name, DROP_TABLES, JUMP_TABLES,
+    encode_row, index_specs, stamp_cols, table_cols, table_name, DROP_TABLES, JUMP_TABLES,
     SEGMENTS_TABLE,
 };
 use featurespace::{QueryRegion, SearchKind};
@@ -177,6 +177,12 @@ impl SegDiffIndex {
         if rewrite_meta {
             idx.write_meta()?;
         }
+        // A compaction seals `segments` before it cuts the feature tables:
+        // a crash between the two leaves rows both stored and generated
+        // (every search `sort_dedup`s them), and so does a store an earlier
+        // release compacted, whose sealed feature pages held them. Either
+        // way the cut is finished here, as the compaction would have.
+        idx.cut_sealed_run()?;
         // Zone maps are derived data, like the B+trees: any sidecar that
         // was missing or invalidated (e.g. by WAL-recovery truncation)
         // is rebuilt here so sequential scans can prune immediately.
@@ -513,19 +519,13 @@ jump_hist {} {} {}
         let io_before = self.db.stats();
         let start = Instant::now();
         let mut rows_considered = 0u64;
-        let extraction = Extraction {
+        let run = SealedRun {
             segments: &self.segments_table,
             epsilon: self.config.epsilon,
             window: self.config.window,
         };
-        let (results, phases) = run_feature_query(
-            &self.db,
-            tables,
-            extraction,
-            region,
-            plan,
-            &mut rows_considered,
-        )?;
+        let (results, phases) =
+            run_feature_query(&self.db, tables, run, region, plan, &mut rows_considered)?;
         let wall = start.elapsed().as_secs_f64();
         span.record("plan", plan.name());
         span.record("kind", region.kind.name());
@@ -575,65 +575,84 @@ jump_hist {} {} {}
         Ok(())
     }
 
-    /// Seals every feature table — and the segments table — into
-    /// compressed columnar pages (see [`pagestore::Database::seal_table`]).
-    /// The feature tables come out clustered on the feature-space key
-    /// `(Δt₁, Δv₁)` — the two dimensions every query region bounds — so a
-    /// page's zone is narrow in exactly what `zone_may_intersect` reads
-    /// and a search skips the pages whose least `Δt₁` exceeds its `T`;
-    /// `segments` stays in temporal order, which
-    /// [`SegDiffIndex::segments`] and the resume path read it in.
+    /// Compacts the store into its view form: seals `segments` into
+    /// compressed columnar pages ([`pagestore::Database::seal_table`]:
+    /// bit-exact and in temporal order, which [`SegDiffIndex::segments`]
+    /// and the resume path read it in), then cuts every feature table back
+    /// to the rows whose later segment lies behind the sealed run
+    /// ([`pagestore::Database::cut_table`]) — after a full compaction,
+    /// none. The rows cut are a function of the sealed segments, which
+    /// both plans generate them from at query time through the function
+    /// ingest stores rows with, so query results before and after are
+    /// identical (every result is `sort_dedup`ed).
     ///
-    /// Sealed rows keep no B+tree entry: over rows in key order the zone
-    /// hierarchy is the index, and [`QueryPlan::Index`] reads them through
-    /// it. The eight trees stay in the catalogue, emptied (two pages
-    /// each), and index the rows ingested afterwards, which append behind
-    /// the sealed ones on raw pages in arrival order — so
+    /// The order of the two steps is what keeps a crash harmless: between
+    /// them rows are both stored and generated, and [`SegDiffIndex::open`]
+    /// finishes the cut. The eight trees stay in the catalogue, emptied
+    /// (two pages each), and index the rows ingested afterwards, which
+    /// append to the emptied tables in arrival order — so
     /// [`SegDiffIndex::build_indexes`] after this call still finds nothing
-    /// to build, and the next call seals those rows too: a table is
-    /// rewritten whenever a row lies behind its sealed ones, and left
-    /// untouched otherwise. A store compacted by an earlier release has
-    /// every row it holds in a columnar page sealed where it stands when
-    /// it opens.
-    ///
-    /// A sealed feature row keeps its stamps and `Δt`s bit-exactly but
-    /// not its corner `Δv`s: each is stored as its `f32` sketch
-    /// ([`featurespace::sketch::round`]), rounded away from every region
-    /// of the table's kind, and clustered on. The sketch decides which rows a
-    /// search may skip and which it surely answers; the few rows it cannot
-    /// settle are decided on corners recomputed from `segments`, which is
-    /// sealed bit-exactly (see [`featurespace::sketch`]). No answer
-    /// depends on row order inside a heap either (every result is
-    /// `sort_dedup`ed), so query results before and after are identical;
-    /// ingestion continues to work on the sealed tables, and the rows it
-    /// appends stay exact until the next call. The sketch is idempotent:
-    /// a row sealed again keeps its bits, and a row sealed exactly by an
-    /// earlier release is a sketch of itself.
+    /// to build, and the next call seals their segments and cuts them too.
+    /// With nothing ingested since, it writes nothing.
     ///
     /// Returns one `(table name, compression accounting)` entry per
     /// table, in `drop1..3, jump1..3, segments` order.
     pub fn compact_storage(&self) -> Result<Vec<(String, pagestore::CompressionStats)>> {
         let _span = obs::span("ingest.compact");
-        let mut out = Vec::new();
-        for (kind, tables) in [
-            (SearchKind::Drop, &self.drop_tables),
-            (SearchKind::Jump, &self.jump_tables),
-        ] {
-            for (t, corners) in tables.iter().zip(1..) {
-                self.db
-                    .seal_table(t.name(), &[0, 1], |row| sketch_row(kind, corners, row))?;
-                out.push((t.name().to_string(), t.compression_stats()?));
-            }
-        }
-        self.db.seal_table(SEGMENTS_TABLE, &[], |_| {})?;
-        out.push((
-            SEGMENTS_TABLE.to_string(),
-            self.segments_table.compression_stats()?,
-        ));
+        self.db.seal_table(SEGMENTS_TABLE)?;
+        self.cut_sealed_run()?;
         // Row ids changed wholesale; cached results keyed on the old
         // epoch must never resurface.
         self.bump_epoch();
-        Ok(out)
+        let tables = self.drop_tables.iter().chain(&self.jump_tables);
+        tables
+            .chain([&self.segments_table])
+            .map(|t| Ok((t.name().to_string(), t.compression_stats()?)))
+            .collect()
+    }
+
+    /// The start of the last sealed segment, if any is sealed: a stored
+    /// feature row belongs to the sealed run when its `t_b` is at or
+    /// before it.
+    fn sealed_through(&self) -> Result<Option<f64>> {
+        let sealed = self.segments_table.sealed_rows();
+        let mut t_start = vec![Vec::new()];
+        self.segments_table.scan_pages(
+            sealed.saturating_sub(1)..sealed,
+            |_, _| true,
+            |page| page.columns(0..1, &mut t_start).map(|()| false),
+        )?;
+        Ok(t_start[0].first().copied())
+    }
+
+    /// The feature tables, each with the column of its rows' `t_b`.
+    fn feature_tables(&self) -> impl Iterator<Item = (&Arc<Table>, usize)> {
+        let tables = self.drop_tables.iter().chain(&self.jump_tables);
+        tables.zip([1, 2, 3, 1, 2, 3].map(|corners| stamp_cols(corners).start + 2))
+    }
+
+    /// Cuts every feature table that stores a row of the sealed run back
+    /// to the rows behind it. A table's unsealed rows are in arrival
+    /// order, `t_b` ascending, so it needs a cut only when it holds sealed
+    /// rows (an earlier release's) or its first row's `t_b` is sealed.
+    fn cut_sealed_run(&self) -> Result<()> {
+        let Some(through) = self.sealed_through()? else {
+            return Ok(());
+        };
+        let mut first_tb = vec![Vec::new()];
+        for (t, tb) in self.feature_tables() {
+            first_tb[0].clear();
+            t.scan_pages(
+                t.sealed_rows()..,
+                |_, _| true,
+                |page| page.columns(tb..tb + 1, &mut first_tb).map(|()| false),
+            )?;
+            let stored = first_tb[0].first().is_some_and(|&t_b| t_b <= through);
+            if t.sealed_rows() > 0 || stored {
+                self.db.cut_table(t.name(), |row| row[tb] > through)?;
+            }
+        }
+        Ok(())
     }
 
     /// Size and distribution statistics.
@@ -654,6 +673,7 @@ jump_hist {} {} {}
         SegDiffStats {
             n_observations: self.n_observations,
             n_segments: self.n_segments,
+            sealed_segments: self.segments_table.sealed_rows(),
             n_rows,
             feature_payload_bytes: payload,
             paper_feature_bytes: paper_bytes,
@@ -679,20 +699,19 @@ jump_hist {} {} {}
     /// Verifies that the on-disk index is internally consistent — the
     /// invariant WAL recovery promises to restore.
     ///
-    /// Two checks, both exact:
+    /// Three checks, all exact:
     ///
     /// 1. The stored segments form an unbroken chain (consecutive segments
     ///    share their boundary point — the segmenter guarantees this, and
     ///    recovery truncates whole segments, never splits one).
-    /// 2. Replaying feature extraction over the stored segments reproduces
-    ///    every feature table as a multiset of rows, bit for bit: the rows
-    ///    behind the sealed ones as extracted, the sealed ones as a seal
-    ///    sketches them ([`SegDiffIndex::compact_storage`]) — or, in a
-    ///    table an earlier release sealed and nothing has resealed since,
-    ///    as extracted. Extraction is deterministic, so any divergence
-    ///    means the tables and the segment log are from different
-    ///    instants. Order inside a feature heap is not compared: compaction
-    ///    clusters it and later rows append behind.
+    /// 2. No feature table stores a row of the sealed run: every stored
+    ///    row's `t_b` lies behind the last sealed segment's start
+    ///    ([`SegDiffIndex::compact_storage`]).
+    /// 3. Replaying feature extraction over the stored segments reproduces
+    ///    the rows whose later segment is not sealed as every feature
+    ///    table's rows, bit for bit, as multisets. Extraction is
+    ///    deterministic, so any divergence means the tables and the
+    ///    segment log are from different instants.
     ///
     /// Returns [`StoreError::Corrupt`] describing the first violation.
     pub fn verify_consistency(&self) -> Result<()> {
@@ -705,10 +724,14 @@ jump_hist {} {} {}
                 )));
             }
         }
+        let sealed = self.segments_table.sealed_rows() as usize;
         let mut replay = FeatureExtractor::new(self.config.epsilon, self.config.window);
         let mut expected: Vec<Vec<f64>> = vec![Vec::new(); 6];
         let mut rows = Vec::new();
-        for seg in &segments {
+        for seg in &segments[..sealed] {
+            replay.prime_segment(*seg);
+        }
+        for seg in &segments[sealed..] {
             rows.clear();
             replay.push_segment(*seg, &mut rows);
             for row in &rows {
@@ -720,30 +743,22 @@ jump_hist {} {} {}
                 encode_row(row, &mut expected[slot]);
             }
         }
-        let tables = [SearchKind::Drop, SearchKind::Jump]
-            .into_iter()
-            .flat_map(|kind| (1..=3).map(move |corners| (kind, corners)))
-            .zip(self.drop_tables.iter().chain(self.jump_tables.iter()));
-        for (((kind, corners), table), want) in tables.zip(&expected) {
+        let through = self.sealed_through()?.unwrap_or(f64::NEG_INFINITY);
+        for ((table, tb), want) in self.feature_tables().zip(&expected) {
             let ncols = table.columns().len();
             let mut stored: Vec<f64> = Vec::with_capacity(want.len());
             table.seq_scan(|_, row| {
                 stored.extend_from_slice(row);
                 true
             })?;
-            // The sealed rows lead the heap and are the first rows ingest
-            // stored; the rest follow in both.
-            let sealed = |rows: &[f64]| (table.sealed_rows() as usize * ncols).min(rows.len());
-            let (stored_sealed, stored_tail) = stored.split_at(sealed(&stored));
-            let (want_sealed, want_tail) = want.split_at(sealed(want));
-            let mut sketched = want_sealed.to_vec();
-            for row in sketched.chunks_exact_mut(ncols) {
-                sketch_row(kind, corners, row);
+            if let Some(row) = stored.chunks_exact(ncols).find(|row| row[tb] <= through) {
+                return Err(StoreError::Corrupt(format!(
+                    "feature table {} stores {row:?}, a row of the sealed run (segments \
+                     sealed through t_b = {through})",
+                    table.name()
+                )));
             }
-            let same = |stored: &[f64], want: &[f64]| same_rows(table.name(), ncols, stored, want);
-            same(stored_tail, want_tail)?;
-            same(stored_sealed, &sketched)
-                .or_else(|e| same(stored_sealed, want_sealed).map_err(|_| e))?;
+            same_rows(table.name(), ncols, &stored, want)?;
         }
         Ok(())
     }
@@ -1240,75 +1255,57 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// Seals every table of `idx` as `compact_storage` does, but through
-    /// `map` for the feature tables (given the table's kind and corner
-    /// count).
-    fn seal_with(idx: &SegDiffIndex, mut map: impl FnMut(SearchKind, usize, &mut [f64])) {
-        for kind in [SearchKind::Drop, SearchKind::Jump] {
-            for corners in 1..=3 {
-                let name = table_name(kind, corners);
-                idx.db
-                    .seal_table(name, &[0, 1], |row| map(kind, corners, row))
-                    .unwrap();
-            }
-        }
-        idx.db.seal_table(SEGMENTS_TABLE, &[], |_| {}).unwrap();
+    /// Every file of the store in `dir` but its log, which numbers its
+    /// records.
+    fn store_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .filter(|name| name != "wal.log")
+            .map(|name| (name.clone(), std::fs::read(dir.join(&name)).unwrap()))
+            .collect();
+        files.sort();
+        files
     }
 
-    /// The consistency check stays exact on sketched rows: one sealed `Δv`
-    /// an `f32` ulp off its sketch — still a value a seal could write —
-    /// is `Corrupt`, naming its table.
+    /// A store an earlier release compacted — feature rows on sealed
+    /// pages, then rows ingested behind them on raw pages — and one a
+    /// crash stopped between sealing `segments` and cutting the feature
+    /// tables both open as view stores: the rows of the sealed run are
+    /// cut, the rows behind it stay, the store verifies, and both plans
+    /// answer as the row store does. The repair writes what a finished
+    /// compaction writes, and a second open writes nothing.
     #[test]
-    fn a_sealed_dv_one_f32_ulp_off_its_sketch_fails_verification() {
-        let dir = tmpdir("ulp-off");
-        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
-        idx.ingest_series(&drop_series()).unwrap();
-        idx.finish().unwrap();
-        let mut nudged = false;
-        seal_with(&idx, |kind, corners, row| {
-            sketch_row(kind, corners, row);
-            if !nudged && (kind, corners) == (SearchKind::Drop, 2) {
-                let bits = (row[1] as f32).to_bits();
-                row[1] = f64::from(f32::from_bits(if row[1] <= 0.0 {
-                    bits + 1
-                } else {
-                    bits - 1
-                }));
-                nudged = true;
-            }
+    fn parent_format_and_half_compacted_stores_open_as_view_stores() {
+        let first = drop_series();
+        let end = first.iter().last().unwrap().0;
+        let second: TimeSeries = first.iter().map(|(t, v)| (end + 300.0 + t, v)).collect();
+        let names = ["rows", "parent", "half", "compacted"].map(|n| tmpdir(&format!("view-{n}")));
+        let [mut rows, mut parent, mut half, mut compacted] = names.clone().map(|dir| {
+            let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+            idx.build_indexes().unwrap();
+            idx.ingest_series(&first).unwrap();
+            idx
         });
-        assert!(nudged);
-        match idx.verify_consistency() {
-            Err(StoreError::Corrupt(m)) => assert!(m.contains("feature table drop2"), "{m}"),
+        // The earlier release sealed the feature tables, then `segments`,
+        // and ingest went on behind them.
+        for name in DROP_TABLES.iter().chain(&JUMP_TABLES) {
+            parent.db.seal_table(name).unwrap();
+        }
+        parent.db.seal_table(SEGMENTS_TABLE).unwrap();
+        for idx in [&mut rows, &mut parent, &mut half, &mut compacted] {
+            idx.ingest_series(&second).unwrap();
+            idx.finish().unwrap();
+        }
+        half.db.seal_table(SEGMENTS_TABLE).unwrap();
+        compacted.compact_storage().unwrap();
+        match half.verify_consistency() {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("a row of the sealed run"), "{m}"),
             other => panic!("{other:?}"),
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A store sealed the way the release before sketches sealed it —
-    /// every row bit-exact, `Δv`s included — needs no migration: it
-    /// opens, verifies and answers as the row store does, a
-    /// `compact_storage` with nothing behind the seal leaves it exact,
-    /// and the next reseal sketches every row and still verifies.
-    #[test]
-    fn a_store_sealed_with_exact_dvs_opens_verifies_and_answers_as_is() {
-        let (rows_dir, exact_dir) = (tmpdir("exact-rows"), tmpdir("exact-sealed"));
-        let build = |dir: &Path| {
-            let mut idx = SegDiffIndex::create(dir, SegDiffConfig::default()).unwrap();
-            idx.ingest_series(&drop_series()).unwrap();
-            idx.finish().unwrap();
-            idx.build_indexes().unwrap();
-            idx
-        };
-        let rows = build(&rows_dir);
-        let sealed = build(&exact_dir);
-        seal_with(&sealed, |_, _, _| {});
-        sealed.db.flush().unwrap();
-        drop(sealed);
         let regions = [
             QueryRegion::drop(HOUR, -3.0),
             QueryRegion::drop(2.0 * HOUR, -1.0),
-            QueryRegion::drop(0.5 * HOUR, -0.5),
             QueryRegion::jump(HOUR, 0.5),
             QueryRegion::jump(4.0 * HOUR, 1.0),
         ];
@@ -1323,109 +1320,70 @@ mod tests {
         };
         let want = answers(&rows);
         assert!(want.iter().any(|a| !a.is_empty()));
-        let feature_bits = |idx: &SegDiffIndex| {
-            let mut bits = Vec::new();
-            for t in idx.drop_tables.iter().chain(idx.jump_tables.iter()) {
-                t.seq_scan(|_, row| {
-                    bits.extend(row.iter().map(|v| v.to_bits()));
-                    true
-                })
-                .unwrap();
-            }
-            bits.sort_unstable();
-            bits
-        };
-        let exact = SegDiffIndex::open(&exact_dir, 4096).unwrap();
-        assert!(exact.drop_tables[1].sealed_rows() > 0);
-        exact.verify_consistency().unwrap();
-        assert!(
-            answers(&exact) == want,
-            "an exactly sealed store answers differently"
-        );
-        exact.compact_storage().unwrap();
-        assert_eq!(
-            feature_bits(&exact),
-            feature_bits(&rows),
-            "a no-op seal moved a Δv"
-        );
-        // Behind the seal, then resealed: every row sketched.
-        drop(exact);
-        let mut exact = SegDiffIndex::open(&exact_dir, 4096).unwrap();
-        let mut rows = SegDiffIndex::open(&rows_dir, 4096).unwrap();
-        let end = drop_series().iter().last().unwrap().0;
-        for (t, v) in drop_series().iter() {
-            exact.push(end + 300.0 + t, v).unwrap();
-            rows.push(end + 300.0 + t, v).unwrap();
+        // Rows both stored and generated answer once.
+        assert!(answers(&half) == want, "half compacted");
+        drop((parent, half, compacted));
+        let [_, parent_dir, half_dir, compacted_dir] = &names;
+        let parent = SegDiffIndex::open(parent_dir, 4096).unwrap();
+        let mut behind = 0;
+        for t in parent.drop_tables.iter().chain(parent.jump_tables.iter()) {
+            assert_eq!(t.sealed_rows(), 0, "{}", t.name());
+            behind += t.num_rows();
         }
-        exact.finish().unwrap();
-        rows.finish().unwrap();
-        exact.verify_consistency().unwrap();
-        exact.compact_storage().unwrap();
-        exact.verify_consistency().unwrap();
-        assert!(answers(&exact) == answers(&rows), "resealed");
-        assert_ne!(
-            feature_bits(&exact),
-            feature_bits(&rows),
-            "nothing sketched"
-        );
-        std::fs::remove_dir_all(&rows_dir).ok();
-        std::fs::remove_dir_all(&exact_dir).ok();
+        assert!(behind > 0, "the rows behind the sealed run were cut");
+        parent.verify_consistency().unwrap();
+        assert!(answers(&parent) == want, "an earlier release's store");
+        let half = SegDiffIndex::open(half_dir, 4096).unwrap();
+        half.verify_consistency().unwrap();
+        assert!(answers(&half) == want, "half compacted, reopened");
+        drop(half);
+        let repaired = store_files(half_dir);
+        assert!(repaired == store_files(compacted_dir), "the repair");
+        drop(SegDiffIndex::open(half_dir, 4096).unwrap());
+        assert!(store_files(half_dir) == repaired, "a second open");
+        for dir in &names {
+            std::fs::remove_dir_all(dir).ok();
+        }
     }
 
+    /// A compaction keeps `segments` as it was, in temporal order, and
+    /// stores no feature row of the sealed run — the corner histograms
+    /// still count every row it represents — and a stored row of the run
+    /// fails verification, naming its table.
     #[test]
-    fn compaction_clusters_the_feature_heaps_and_leaves_segments_temporal() {
-        let dir = tmpdir("clustered");
+    fn compaction_stores_no_row_of_the_sealed_run() {
+        let dir = tmpdir("view");
         let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
         idx.ingest_series(&drop_series()).unwrap();
         idx.finish().unwrap();
         idx.build_indexes().unwrap();
-        let rows_of = |t: &Table| {
-            let mut rows: Vec<Vec<u64>> = Vec::new();
-            t.seq_scan(|_, row| {
-                rows.push(row.iter().map(|v| v.to_bits()).collect());
-                true
+        let mut first = Vec::new();
+        idx.drop_tables[1]
+            .seq_scan(|_, row| {
+                first.extend_from_slice(row);
+                false
             })
             .unwrap();
-            rows
-        };
-        let features = |idx: &SegDiffIndex| {
-            let tables = idx.drop_tables.iter().chain(idx.jump_tables.iter());
-            tables.map(|t| rows_of(t)).collect::<Vec<_>>()
-        };
-        let (segments, before) = (idx.segments().unwrap(), features(&idx));
+        let (segments, before) = (idx.segments().unwrap(), idx.stats());
         idx.compact_storage().unwrap();
         assert_eq!(idx.segments().unwrap(), segments, "segments moved");
-        assert!(segments.windows(2).all(|w| w[0].t_end == w[1].t_start));
-        let mut moved = 0;
-        let tables = [SearchKind::Drop, SearchKind::Jump]
-            .into_iter()
-            .flat_map(|kind| (1..=3).map(move |corners| (kind, corners)));
-        for ((kind, corners), (before, after)) in tables.zip(before.into_iter().zip(features(&idx)))
-        {
-            let key = |r: &Vec<u64>| (f64::from_bits(r[0]), f64::from_bits(r[1]));
-            assert!(
-                after.windows(2).all(|w| key(&w[0]) <= key(&w[1])),
-                "not in (dt1, dv1) order"
-            );
-            // Every row as it was, its corner Δvs sketched.
-            let mut sketched: Vec<Vec<u64>> = before
-                .iter()
-                .map(|bits| {
-                    let mut row: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
-                    sketch_row(kind, corners, &mut row);
-                    row.iter().map(|v| v.to_bits()).collect()
-                })
-                .collect();
-            moved += usize::from(sketched != after);
-            let mut after = after;
-            sketched.sort_unstable();
-            after.sort_unstable();
-            assert!(
-                sketched == after,
-                "compaction changed a row beyond its sketch"
-            );
+        let after = idx.stats();
+        assert_eq!(
+            (after.n_rows, after.sealed_segments),
+            (0, segments.len() as u64)
+        );
+        assert_eq!(after.corner_hist(), before.corner_hist());
+        idx.verify_consistency().unwrap();
+        idx.drop_tables[1].insert(&first).unwrap();
+        match idx.verify_consistency() {
+            Err(StoreError::Corrupt(m)) => {
+                assert!(
+                    m.contains("feature table drop2") && m.contains("sealed run"),
+                    "{m}"
+                )
+            }
+            other => panic!("{other:?}"),
         }
-        assert!(moved >= 2, "{moved} heaps were not in key order already");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -123,15 +123,10 @@ impl FeatureExtractor {
 }
 
 /// Appends the rows Algorithm 1 stores for the segment pair (`cd`, `ab`)
-/// — `cd` truncated at the window start `ab.t_start − window`, `None` for
-/// the self pair of `ab` — one per search kind whose boundary is not
-/// pruned, drop first. Returns `false`, appending nothing, when the window
-/// leaves nothing of `cd`.
-///
-/// The one place a row's corners are computed: ingest stores what it
-/// returns, and a search that cannot decide a sealed row on its `f32`
-/// sketch (`featurespace::sketch::certain`) recomputes the row here from the
-/// two stored segments its stamps name, so the two cannot drift.
+/// — `cd` truncated at the window start ([`in_window`]), `None` for the
+/// self pair of `ab` — one per search kind whose boundary is not pruned,
+/// drop first. Returns `false`, appending nothing, when the window leaves
+/// nothing of `cd`.
 pub(crate) fn pair_rows(
     cd: Option<&Segment>,
     ab: &Segment,
@@ -139,27 +134,50 @@ pub(crate) fn pair_rows(
     window: f64,
     out: &mut Vec<FeatureRow>,
 ) -> bool {
-    let cd = match cd.map(|cd| cd.truncate_left(ab.t_start - window)) {
+    let cd = match cd.map(|cd| in_window(cd, ab, window)) {
         Some(Some(cd)) => Some(cd),
         Some(None) => return false, // zero overlap after truncation
         None => None,
     };
-    let (t_d, t_c) = cd.map_or((ab.t_start, ab.t_end), |cd| (cd.t_start, cd.t_end));
     for kind in [SearchKind::Drop, SearchKind::Jump] {
-        let boundary = match &cd {
-            Some(cd) => extract_boundary(cd, ab, epsilon, kind),
-            None => extract_self_boundary(ab, epsilon, kind),
-        };
-        out.extend(boundary.map(|boundary| FeatureRow {
-            kind,
-            boundary,
-            t_d,
-            t_c,
-            t_b: ab.t_start,
-            t_a: ab.t_end,
-        }));
+        out.extend(pair_row(cd.as_ref(), ab, epsilon, kind));
     }
     true
+}
+
+/// The earlier segment `cd` as Algorithm 1 pairs it with `ab`: truncated
+/// at the window start `ab.t_start − window`, `None` when nothing of it is
+/// left.
+pub(crate) fn in_window(cd: &Segment, ab: &Segment, window: f64) -> Option<Segment> {
+    cd.truncate_left(ab.t_start - window)
+}
+
+/// The `kind` half of [`pair_rows`]: the row stored for (`cd`, `ab`), `cd`
+/// already [`in_window`] (`None` for the self pair of `ab`), or `None`
+/// when its boundary is pruned.
+///
+/// The one place a row's corners are computed: ingest stores what it
+/// returns, and a search over a sealed run, whose rows are not stored,
+/// generates them here from the stored segments, so the two cannot drift.
+pub(crate) fn pair_row(
+    cd: Option<&Segment>,
+    ab: &Segment,
+    epsilon: f64,
+    kind: SearchKind,
+) -> Option<FeatureRow> {
+    let (t_d, t_c) = cd.map_or((ab.t_start, ab.t_end), |cd| (cd.t_start, cd.t_end));
+    let boundary = match cd {
+        Some(cd) => extract_boundary(cd, ab, epsilon, kind),
+        None => extract_self_boundary(ab, epsilon, kind),
+    }?;
+    Some(FeatureRow {
+        kind,
+        boundary,
+        t_d,
+        t_c,
+        t_b: ab.t_start,
+        t_a: ab.t_end,
+    })
 }
 
 #[cfg(test)]

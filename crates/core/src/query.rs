@@ -7,15 +7,14 @@
 //! execution feeds the `span.query.*` latency histograms and — when a
 //! trace is active — an `EXPLAIN ANALYZE`-style call tree.
 
-use crate::ingest::pair_rows;
+use crate::ingest::{in_window, pair_row};
 use crate::result::SegmentPair;
 use crate::tables::{index_specs, pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
-use featurespace::{sketch, QueryRegion};
+use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, PoolStats, Result, ScanPage, StoreError, Table, ZoneScanStats};
 use segmentation::Segment;
 use sensorgen::HOUR;
-use std::ops::RangeBounds;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -30,13 +29,11 @@ pub enum QueryPlan {
     /// endpoints, so corner membership folds into the edge scans),
     /// unioned by row id — the paper's indexed execution.
     ///
-    /// How much of that runs is a property of the data, not of the
-    /// request: rows that [`crate::SegDiffIndex::compact_storage`] sealed
-    /// lie in `(Δt₁, Δv₁)` order under zone maps and have no tree, so this
-    /// plan reads them the way [`QueryPlan::SeqScan`] does — the zone-pruned
-    /// page scan, inside its `probe` phase — and probes the trees for the
-    /// rows ingested since. On a fully sealed table it touches no tree page
-    /// and fetches nothing; on a table never compacted it is all trees.
+    /// Both plans read a sealed run the same way: its rows are not stored
+    /// ([`crate::SegDiffIndex::compact_storage`]), and the plan's first
+    /// phase (`scan`, `probe`) generates them from the sealed segments. So
+    /// on a fully compacted store this plan touches no tree page and
+    /// fetches nothing; on a store never compacted it is all trees.
     Index,
 }
 
@@ -74,7 +71,10 @@ pub struct PhaseStats {
 pub struct QueryStats {
     /// Wall-clock execution time in seconds.
     pub wall_seconds: f64,
-    /// Rows (or index entries) examined.
+    /// Rows examined: the boundaries generated over the sealed run (one a
+    /// pair whose endpoint values can reach `V`), plus the stored rows
+    /// through the scan's kernel ([`QueryPlan::SeqScan`]) or the tree
+    /// entries probed ([`QueryPlan::Index`]).
     pub rows_considered: u64,
     /// Result tuples returned (after deduplication).
     pub results: u64,
@@ -199,112 +199,130 @@ fn fault_injection_sleep() {
     }
 }
 
-/// Where a search settles the sealed rows their `f32` sketches cannot
-/// ([`sketch::certain`]): the stored segments, and the tolerance and window
-/// the feature rows were extracted from them with.
-pub(crate) struct Extraction<'a> {
+/// A sensor's sealed run: the segments a compaction sealed
+/// ([`Table::sealed_rows`] of `segments`), and the tolerance and window
+/// feature rows are extracted with. A feature row whose later segment `ab`
+/// lies in the run is not stored ([`crate::SegDiffIndex::compact_storage`]
+/// cut it); both plans generate it here, from the run, through the function
+/// ingest stores rows with ([`pair_row`]).
+pub(crate) struct SealedRun<'a> {
     pub segments: &'a Table,
     pub epsilon: f64,
     pub window: f64,
 }
 
-impl Extraction<'_> {
-    /// Decides the band of a `corners`-corner table — the stamps of the
-    /// sealed rows a search admitted and could not settle — on each row's
-    /// exact boundary ([`Extraction::exact_hit`]), appends the pairs of
-    /// those that intersect `region` to `out`, and counts them all into
-    /// `sketch.rechecks`. Cold: the band is almost always empty.
-    #[cold]
-    fn settle(
-        &self,
-        region: &QueryRegion,
-        corners: usize,
-        band: &[[f64; 4]],
-        out: &mut Vec<SegmentPair>,
-    ) -> Result<()> {
-        obs::global()
-            .counter("sketch.rechecks")
-            .add(band.len() as u64);
-        for stamps in band {
-            if self.exact_hit(region, corners, stamps)? {
-                out.push(pair_from_stamps(stamps));
-            }
-        }
-        Ok(())
-    }
+/// What a search generated over a sealed run.
+#[derive(Debug, Default)]
+struct Generated {
+    /// Sealed segments decoded.
+    segments: u64,
+    /// Segment pairs within `T` (self pairs included).
+    pairs: u64,
+    /// Boundaries computed: the pairs whose endpoint values can reach `V`.
+    boundaries: u64,
+}
 
-    /// Whether the exact row behind `stamps` (`t_d, t_c, t_b, t_a`) in the
-    /// `corners`-corner table of `region`'s kind intersects `region`: its
-    /// boundary recomputed by [`pair_rows`], the function ingest stored it
-    /// with, from its two stored segments — the one starting at `t_b`, and
-    /// the one ending at `t_c` unless the row is that segment's self pair
-    /// (`t_c > t_b`). Both are found through the zone map of `segments`,
-    /// which is in temporal order. A row whose segments are missing, or
-    /// which they do not reproduce, is [`StoreError::Corrupt`].
-    fn exact_hit(&self, region: &QueryRegion, corners: usize, stamps: &[f64; 4]) -> Result<bool> {
-        let [_, t_c, t_b, _] = *stamps;
-        let self_pair = t_c > t_b;
-        let holds = |lo: f64, t: f64, hi: f64| lo <= t && t <= hi;
-        let (mut cd, mut ab) = (None, None);
-        let mut cols = vec![Vec::new(); 4];
-        self.segments.scan_pages(
-            ..,
-            |mins, maxs| {
-                holds(mins[0], t_b, maxs[0]) || (!self_pair && holds(mins[2], t_c, maxs[2]))
-            },
-            |page| {
-                page.columns(0..4, &mut cols)?;
-                let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
-                if let Some(r) = cols[0].iter().position(|&t| t == t_b) {
-                    ab = Some(at(r));
-                }
-                if let Some(r) = cols[2].iter().position(|&t| t == t_c && !self_pair) {
-                    cd = Some(at(r));
-                }
-                Ok(ab.is_none() || (!self_pair && cd.is_none()))
-            },
-        )?;
-        let mut rows = Vec::with_capacity(2);
-        if let Some(ab) = ab.filter(|_| self_pair || cd.is_some()) {
-            pair_rows(cd.as_ref(), &ab, self.epsilon, self.window, &mut rows);
-        }
-        let row = rows.iter().find(|row| {
-            row.kind == region.kind
-                && row.boundary.len() == corners
-                && [row.t_d, row.t_c, row.t_b, row.t_a] == *stamps
-        });
-        match row {
-            Some(row) => Ok(row.boundary.intersects(region)),
-            None => Err(StoreError::Corrupt(format!(
-                "sealed {} row of {corners} corners with stamps {stamps:?}: its segments do not \
-                 reproduce it",
-                region.kind.name()
-            ))),
-        }
+impl Generated {
+    /// Attaches what the run cost to its phase's span.
+    fn record(&self, span: &obs::SpanGuard) {
+        span.record("segments_read", self.segments);
+        span.record("pairs_within_t", self.pairs);
+        span.record("boundaries", self.boundaries);
     }
 }
 
-/// The zone-pruned page scan both plans read feature pages with: the
-/// column buffers it decodes into, reused from page to page and table to
-/// table, and what it has examined and skipped so far.
+/// Whether a boundary of `region`'s kind over a segment pair whose later
+/// segment's values lie in `ab` and earlier segment's in `cd` (each a
+/// `(lo, hi)`; the self pair is `ab` with itself) can reach `region.v`.
+///
+/// Conservative: every corner's `Δv` is a later value minus an earlier one,
+/// shifted by `ε` (down for drops, up for jumps), and the bound is the
+/// least (greatest) such difference computed with the same operations, in
+/// the same order. Rounding is monotone, so no corner lies below the drop
+/// bound or above the jump bound, and a boundary whose every corner misses
+/// `V` has no point or edge inside the region.
+fn may_reach(region: &QueryRegion, ab: (f64, f64), cd: (f64, f64), epsilon: f64) -> bool {
+    match region.kind {
+        SearchKind::Drop => ab.0 - cd.1 - epsilon <= region.v,
+        SearchKind::Jump => ab.1 - cd.0 + epsilon >= region.v,
+    }
+}
+
+impl SealedRun<'_> {
+    /// Generates the sealed run's rows of `region`'s kind and appends the
+    /// pairs of those that intersect `region` to `out`: for each sealed
+    /// `ab`, the earlier segments `cd` inside the window, walking back and
+    /// stopping at the first whose gap `t_b − t_c` exceeds `T` (every
+    /// corner's `Δt` is at least the gap, and earlier ones lie further),
+    /// then the self pair. A pair whose endpoint values cannot reach `V`
+    /// ([`may_reach`]) computes no boundary, and neither does a run whose
+    /// whole-heap zone summary cannot. The rest are tested with
+    /// [`featurespace::Boundary::intersects`], the predicate the row
+    /// store's kernels evaluate bit for bit.
+    fn search(&self, region: &QueryRegion, out: &mut Vec<SegmentPair>) -> Result<Generated> {
+        let mut done = Generated::default();
+        let sealed = self.segments.sealed_rows();
+        let reachable = |mins: &[f64], maxs: &[f64]| {
+            let (lo, hi) = (mins[1].min(mins[3]), maxs[1].max(maxs[3]));
+            // A truncated `cd` starts on an interpolated value, which may
+            // round a few ulps outside the stored ones.
+            let slack = (hi - lo + lo.abs().max(hi.abs()) + self.epsilon) * f64::EPSILON * 16.0;
+            may_reach(region, (lo, hi), (lo - slack, hi + slack), self.epsilon)
+        };
+        if sealed == 0 || self.segments.prune_whole_segment(reachable) {
+            return Ok(done);
+        }
+        let mut cols = vec![Vec::new(); 4];
+        let mut run = Vec::with_capacity(sealed as usize);
+        self.segments.scan_pages(
+            ..sealed,
+            |_, _| true,
+            |page| {
+                page.columns(0..4, &mut cols)?;
+                let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
+                run.extend((0..page.rows()).map(at));
+                Ok(true)
+            },
+        )?;
+        done.segments = run.len() as u64;
+        let range = |s: &Segment| (s.min_value(), s.max_value());
+        for (i, ab) in run.iter().enumerate() {
+            let cds = run[..i].iter().rev().map_while(|cd| {
+                let within_t = ab.t_start - cd.t_end <= region.t;
+                within_t.then(|| in_window(cd, ab, self.window)).flatten()
+            });
+            for cd in cds.map(Some).chain([None]) {
+                done.pairs += 1;
+                let earlier = range(cd.as_ref().unwrap_or(ab));
+                if !may_reach(region, range(ab), earlier, self.epsilon) {
+                    continue;
+                }
+                done.boundaries += 1;
+                let row = pair_row(cd.as_ref(), ab, self.epsilon, region.kind);
+                if let Some(row) = row.filter(|row| row.boundary.intersects(region)) {
+                    out.push(pair_from_stamps(&[row.t_d, row.t_c, row.t_b, row.t_a]));
+                }
+            }
+        }
+        Ok(done)
+    }
+}
+
+/// The zone-pruned page scan [`QueryPlan::SeqScan`] reads the stored
+/// feature rows with: the column buffers it decodes into, reused from page
+/// to page and table to table, and what it has examined and skipped so
+/// far.
 ///
 /// The zone hierarchy is pruned top-down — whole segment, then 64-page
 /// extents, then page entries — before any page is read; each skip is
-/// conservative, so pruning is lossless. Of a surviving page (compressed
-/// columnar or raw) only the corner coordinates are decoded, straight
-/// into struct-of-arrays column buffers which the batch intersection
-/// kernel evaluates in place; the four time stamps are decoded only when
-/// the page's mask has a bit set, and only the few matching rows are ever
-/// materialized row-wise, for result assembly.
-///
-/// A sealed page holds corner sketches, so [`sketch::admitted`] is its
-/// kernel, and each row it admits is asked [`sketch::certain`]: a certain
-/// row is an answer, any other is in the band, decided exactly by
-/// [`Extraction::settle`] once the table's pages are read. A raw page's
-/// corners are exact, and so is its kernel's verdict.
-struct PageScan<'a> {
-    /// Where the band is decided.
-    extraction: Extraction<'a>,
+/// conservative, so pruning is lossless. Of a surviving page only the
+/// corner coordinates are decoded, straight into struct-of-arrays column
+/// buffers which the batch intersection kernel evaluates in place; the
+/// four time stamps are decoded only when the page's mask has a bit set,
+/// and only the few matching rows are ever materialized row-wise, for
+/// result assembly.
+#[derive(Default)]
+struct PageScan {
     coords: Vec<Vec<f64>>,
     stamps: Vec<Vec<f64>>,
     mask: Vec<bool>,
@@ -313,32 +331,16 @@ struct PageScan<'a> {
     zones: ZoneScanStats,
 }
 
-impl<'a> PageScan<'a> {
-    fn new(extraction: Extraction<'a>) -> Self {
-        PageScan {
-            extraction,
-            coords: Vec::new(),
-            stamps: Vec::new(),
-            mask: Vec::new(),
-            rows: 0,
-            zones: ZoneScanStats::default(),
-        }
-    }
-
-    /// Scans the pages of `table` that hold the rows `rows` — every row,
-    /// or the sealed ones alone — whose rows have `corners` corners, and
-    /// appends the pairs of the rows that intersect `region` to `out`,
-    /// deciding the band once the pages are read.
+impl PageScan {
+    /// Scans the pages of `table`, whose rows have `corners` corners, and
+    /// appends the pairs of the rows that intersect `region` to `out`.
     fn scan(
         &mut self,
         table: &Table,
         corners: usize,
-        rows: impl RangeBounds<u64>,
         region: &QueryRegion,
         out: &mut Vec<SegmentPair>,
     ) -> Result<()> {
-        // The stamps of the rows a sealed page admits and cannot settle.
-        let mut band = Vec::new();
         let filter = |mins: &[f64], maxs: &[f64]| zone_may_intersect(corners, mins, maxs, region);
         let visit = |page: &ScanPage<'_>| {
             self.coords.resize(2 * corners, Vec::new());
@@ -346,33 +348,25 @@ impl<'a> PageScan<'a> {
             let n = page.rows();
             self.rows += n as u64;
             page.columns(0..2 * corners, &mut self.coords)?;
-            let sealed = page.sealed();
-            if sealed {
-                sketch::admitted(corners, &self.coords, n, region, &mut self.mask);
-            } else {
-                boundaries_intersect_cols(corners, &self.coords, n, region, &mut self.mask);
-            }
+            boundaries_intersect_cols(corners, &self.coords, n, region, &mut self.mask);
             if self.mask.contains(&true) {
                 page.columns(stamp_cols(corners), &mut self.stamps)?;
                 let stamps = &self.stamps;
                 for r in (0..n).filter(|&r| self.mask[r]) {
-                    let row = [stamps[0][r], stamps[1][r], stamps[2][r], stamps[3][r]];
-                    if !sealed || sketch::certain(corners, &self.coords, r, region) {
-                        out.push(pair_from_stamps(&row));
-                    } else {
-                        band.push(row);
-                    }
+                    out.push(pair_from_stamps(&[
+                        stamps[0][r],
+                        stamps[1][r],
+                        stamps[2][r],
+                        stamps[3][r],
+                    ]));
                 }
             }
             Ok(true)
         };
-        let s = table.scan_pages(rows, filter, visit)?;
+        let s = table.scan_pages(.., filter, visit)?;
         self.zones.pages_scanned += s.pages_scanned;
         self.zones.pages_pruned += s.pages_pruned;
         self.zones.extents_pruned += s.extents_pruned;
-        if !band.is_empty() {
-            self.extraction.settle(region, corners, &band, out)?;
-        }
         Ok(())
     }
 
@@ -384,13 +378,14 @@ impl<'a> PageScan<'a> {
     }
 }
 
-/// Runs a drop/jump search over the three per-corner-count feature tables
-/// of the matching kind. Returns deduplicated, time-ordered segment pairs
-/// plus the per-phase breakdown.
+/// Runs a drop/jump search: over the sealed run `run`, generated, and over
+/// the three per-corner-count feature tables of the matching kind, which
+/// hold the rows behind it. Returns deduplicated, time-ordered segment
+/// pairs plus the per-phase breakdown.
 pub(crate) fn run_feature_query(
     db: &Database,
     tables: &[Arc<Table>; 3],
-    extraction: Extraction<'_>,
+    run: SealedRun<'_>,
     region: &QueryRegion,
     plan: QueryPlan,
     rows_considered: &mut u64,
@@ -413,34 +408,36 @@ pub(crate) fn run_feature_query(
     let mut out = Vec::new();
     match plan {
         QueryPlan::SeqScan => {
-            // Phase: sequential candidate scan, a page at a time (see
-            // [`PageScan`]). `rows_considered` counts only rows actually
-            // examined.
+            // Phase: the sealed run generated, then a sequential candidate
+            // scan of the stored rows, a page at a time (see [`PageScan`]).
+            // `rows_considered` counts only boundaries computed and rows
+            // actually examined.
             let p = Phase::start(db, "query.scan");
-            let mut scan = PageScan::new(extraction);
+            let generated = run.search(region, &mut out)?;
+            let mut scan = PageScan::default();
             for (i, table) in tables.iter().enumerate() {
-                scan.scan(table, i + 1, .., region, &mut out)?;
+                scan.scan(table, i + 1, region, &mut out)?;
             }
-            *rows_considered += scan.rows;
+            let rows = generated.boundaries + scan.rows;
+            *rows_considered += rows;
+            generated.record(&p.span);
             scan.record(&p.span);
-            phases.push(p.finish(scan.rows, out.len() as u64));
+            phases.push(p.finish(rows, out.len() as u64));
         }
         QueryPlan::Index => {
-            // Phase: index probes. A table's sealed rows have no tree and
-            // lie in key order under zone maps: the page scan reads them,
-            // and its hits are result pairs already. The rows behind them
-            // are probed: B+tree range scans issued through
-            // the batched descend-once-merge-along-the-leaf-chain path,
-            // with the ε-shifted corner/edge predicate applied to each
-            // entry as one branch-free expression (`|` of the lane
-            // predicates the scan's kernels are made of: which entries
-            // hit is not predictable, what they cost should not depend
-            // on it). Matching row ids are unioned with sort + dedup
-            // (not a hash set), so the candidate order — and everything
-            // downstream — is deterministic.
+            // Phase: the sealed run generated, then index probes of the
+            // stored rows: B+tree range scans issued through the batched
+            // descend-once-merge-along-the-leaf-chain path, with the
+            // ε-shifted corner/edge predicate applied to each entry as one
+            // branch-free expression (`|` of the lane predicates the scan's
+            // kernels are made of: which entries hit is not predictable,
+            // what they cost should not depend on it). Matching row ids
+            // are unioned with sort + dedup (not a hash set), so the
+            // candidate order — and everything downstream — is
+            // deterministic.
             let p = Phase::start(db, "query.probe");
+            let generated = run.search(region, &mut out)?;
             let mut probed = 0u64;
-            let mut sealed = PageScan::new(extraction);
             let mut all_rids: Vec<(usize, Vec<u64>)> = Vec::with_capacity(3);
             // Appends `rid`, then keeps it only on a hit: whether an entry
             // hits is the one thing here a branch predictor cannot learn.
@@ -462,7 +459,6 @@ pub(crate) fn run_feature_query(
                     all_rids.push((corners, rids));
                     continue;
                 }
-                sealed.scan(table, corners, ..table.sealed_rows(), region, &mut out)?;
                 if corners == 1 {
                     // Degenerate single-corner boundary: a point query on
                     // the lone corner.
@@ -506,11 +502,12 @@ pub(crate) fn run_feature_query(
                 rids.dedup();
                 all_rids.push((corners, rids));
             }
-            *rows_considered += probed + sealed.rows;
+            let rows = generated.boundaries + probed;
+            *rows_considered += rows;
             let n_rids: u64 = all_rids.iter().map(|(_, r)| r.len() as u64).sum();
-            let sealed_hits = out.len() as u64;
-            sealed.record(&p.span);
-            phases.push(p.finish(probed + sealed.rows, n_rids + sealed_hits));
+            let generated_hits = out.len() as u64;
+            generated.record(&p.span);
+            phases.push(p.finish(rows, n_rids + generated_hits));
 
             // Phase: fetch the matched heap rows. The ids are sorted
             // (page-major), so the batched fetch reads each heap page
@@ -525,7 +522,7 @@ pub(crate) fn run_feature_query(
                     true
                 })?;
             }
-            phases.push(p.finish(n_rids, out.len() as u64 - sealed_hits));
+            phases.push(p.finish(n_rids, out.len() as u64 - generated_hits));
         }
     }
 
@@ -543,7 +540,6 @@ mod proptests {
     use super::*;
     use crate::tables::table_name;
     use crate::{SegDiffConfig, SegDiffIndex};
-    use featurespace::SearchKind;
     use proptest::prelude::*;
     use sensorgen::{TimeSeries, HOUR};
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -626,15 +622,6 @@ mod proptests {
         }
     }
 
-    /// The `f32` neighbour of `x` toward +∞.
-    fn f32_up(x: f32) -> f32 {
-        match x {
-            _ if x == 0.0 => f32::from_bits(1),
-            _ if x > 0.0 => f32::from_bits(x.to_bits() + 1),
-            _ => f32::from_bits(x.to_bits() - 1),
-        }
-    }
-
     /// Every corner the row store holds, exactly: `(kind, Δt, Δv)`.
     fn stored_corners(idx: &SegDiffIndex) -> Vec<(SearchKind, f64, f64)> {
         let mut corners = Vec::new();
@@ -655,15 +642,19 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// The sketch band, on purpose: regions whose `V` sits exactly on
-        /// a stored `Δv`, on its `f32` sketch, and one and two `f32` ulps
-        /// to either side of both, with `T` on that corner's stored `Δt`.
-        /// After compaction both plans answer exactly as the row store
-        /// did, whichever rows the sketches leave in the band.
+        /// The view store answers as the row store: one random series into
+        /// two stores, the second compacted at two random points (compact,
+        /// ingest more, compact, ingest the rest), then searched on random
+        /// regions and on regions drawn on a stored boundary corner — `V`
+        /// on its exact `Δv`, `T` on its `Δt`. Both plans on the view store
+        /// return exactly what the never-compacted store returns, bit for
+        /// bit.
         #[test]
-        fn regions_on_the_sketch_band_answer_as_the_row_store(
-            steps in prop::collection::vec(-1.2f64..1.2, 80..250),
-            picks in prop::collection::vec(any::<u64>(), 3..5),
+        fn the_view_store_answers_as_the_row_store(
+            steps in prop::collection::vec(-1.2f64..1.2, 80..260),
+            at in (0.1f64..0.6, 0.6f64..1.0),
+            picks in prop::collection::vec(any::<u64>(), 3..6),
+            random in prop::collection::vec((0.02f64..1.0, 0.05f64..4.0, any::<bool>()), 2..4),
         ) {
             let mut series = TimeSeries::new();
             let mut val = 10.0;
@@ -671,45 +662,53 @@ mod proptests {
                 val += s;
                 series.push(i as f64 * 300.0, val);
             }
-            let dir = tmpdir();
-            let mut idx = SegDiffIndex::create(
-                &dir,
-                SegDiffConfig::default().with_durable(false),
-            ).unwrap();
-            idx.ingest_series(&series).unwrap();
-            idx.finish().unwrap();
-            idx.build_indexes().unwrap();
-            let corners = stored_corners(&idx);
-            prop_assume!(!corners.is_empty());
-            let mut regions = Vec::new();
-            for pick in &picks {
-                let (kind, t, dv) = corners[(pick % corners.len() as u64) as usize];
-                for on in [dv, sketch::round(kind, dv)] {
-                    let near = on as f32;
-                    let (up, down) = (f32_up(near), -f32_up(-near));
-                    for v in [on, up.into(), f32_up(up).into(), down.into(), (-f32_up(-down)).into()] {
-                        let valid = match kind {
-                            SearchKind::Drop => v < 0.0,
-                            SearchKind::Jump => v > 0.0,
-                        };
-                        if valid && t > 0.0 && t <= idx.config().window {
-                            regions.push(QueryRegion { kind, t, v });
-                        }
-                    }
+            let config = SegDiffConfig::default().with_durable(false);
+            let (rows_dir, view_dir) = (tmpdir(), tmpdir());
+            let mut rows = SegDiffIndex::create(&rows_dir, config.clone()).unwrap();
+            let mut view = SegDiffIndex::create(&view_dir, config).unwrap();
+            rows.build_indexes().unwrap();
+            view.build_indexes().unwrap();
+            let n = series.len() as f64;
+            let (first, second) = ((at.0 * n) as usize, (at.1 * n) as usize);
+            for (k, (t, v)) in series.iter().enumerate() {
+                if k == first || k == second {
+                    view.compact_storage().unwrap();
                 }
+                rows.push(t, v).unwrap();
+                view.push(t, v).unwrap();
             }
-            let row_store: Vec<Vec<SegmentPair>> = regions
+            rows.finish().unwrap();
+            view.finish().unwrap();
+            let window = rows.config().window;
+            let mut regions: Vec<QueryRegion> = random
                 .iter()
-                .map(|r| idx.query(r, QueryPlan::SeqScan).unwrap().0)
+                .map(|&(t, v, drop)| match drop {
+                    true => QueryRegion::drop(t * window, -v),
+                    false => QueryRegion::jump(t * window, v),
+                })
                 .collect();
-            idx.compact_storage().unwrap();
-            for (region, want) in regions.iter().zip(&row_store) {
-                for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
-                    let (got, _) = idx.query(region, plan).unwrap();
-                    prop_assert_eq!(&got, want, "{:?} on {:?}", plan, region);
+            let corners = stored_corners(&rows);
+            prop_assume!(!corners.is_empty());
+            for pick in &picks {
+                let (kind, t, v) = corners[(pick % corners.len() as u64) as usize];
+                let valid = match kind {
+                    SearchKind::Drop => v < 0.0,
+                    SearchKind::Jump => v > 0.0,
+                };
+                if valid && t > 0.0 && t <= window {
+                    regions.push(QueryRegion { kind, t, v });
                 }
             }
-            std::fs::remove_dir_all(&dir).ok();
+            for region in &regions {
+                let (want, _) = rows.query(region, QueryPlan::SeqScan).unwrap();
+                for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                    let (got, _) = view.query(region, plan).unwrap();
+                    prop_assert_eq!(&got, &want, "{:?} on {:?}", plan, region);
+                }
+            }
+            view.verify_consistency().unwrap();
+            std::fs::remove_dir_all(&rows_dir).ok();
+            std::fs::remove_dir_all(&view_dir).ok();
         }
     }
 }
@@ -734,74 +733,6 @@ mod tests {
             s.push(t, v);
         }
         s
-    }
-
-    /// A sealed row its sketch cannot settle — `(T, V)` on its deepest
-    /// corner, which its sketch reaches and no lane of it clears by `δ` —
-    /// is decided on the corners [`Extraction::exact_hit`] recomputes from
-    /// its two segments, for a cross pair and for a self pair, on both
-    /// plans: the answer is the row store's, and `sketch.rechecks` counts
-    /// the row.
-    #[test]
-    fn the_band_is_decided_on_corners_recomputed_from_segments() {
-        use crate::tables::table_name;
-        use featurespace::SearchKind;
-        let dir = tmpdir("band");
-        let mut idx =
-            SegDiffIndex::create(&dir, SegDiffConfig::default().with_durable(false)).unwrap();
-        idx.ingest_series(&zigzag_series()).unwrap();
-        idx.finish().unwrap();
-        idx.build_indexes().unwrap();
-        // Of each kind, the first self pair (`t_c > t_b`) and the first
-        // cross pair, each searched on its deepest corner.
-        let mut regions = Vec::new();
-        let mut picked = [[false; 2]; 2];
-        for (k, kind) in [SearchKind::Drop, SearchKind::Jump].into_iter().enumerate() {
-            for corners in 1..=3 {
-                let table = idx.database().table(table_name(kind, corners)).unwrap();
-                table
-                    .seq_scan(|_, row| {
-                        let depth = |j: usize| match kind {
-                            SearchKind::Drop => -row[2 * j + 1],
-                            SearchKind::Jump => row[2 * j + 1],
-                        };
-                        let j = (0..corners)
-                            .max_by(|&a, &b| depth(a).total_cmp(&depth(b)))
-                            .unwrap_or(0);
-                        let (t, v) = (row[2 * j], row[2 * j + 1]);
-                        let self_pair = usize::from(row[2 * corners + 1] > row[2 * corners + 2]);
-                        let valid = t > 0.0 && depth(j) > 0.0;
-                        if valid && !picked[k][self_pair] {
-                            picked[k][self_pair] = true;
-                            regions.push(QueryRegion { kind, t, v });
-                        }
-                        true
-                    })
-                    .unwrap();
-            }
-        }
-        assert_eq!(
-            picked, [[true; 2]; 2],
-            "a cross and a self pair of each kind"
-        );
-        let want: Vec<Vec<SegmentPair>> = regions
-            .iter()
-            .map(|r| idx.query(r, QueryPlan::SeqScan).unwrap().0)
-            .collect();
-        idx.compact_storage().unwrap();
-        let rechecks = obs::global().counter("sketch.rechecks");
-        for (region, want) in regions.iter().zip(&want) {
-            for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
-                let before = rechecks.get();
-                let (got, _) = idx.query(region, plan).unwrap();
-                assert!(!got.is_empty() && &got == want, "{plan:?} on {region:?}");
-                assert!(
-                    rechecks.get() > before,
-                    "{plan:?} on {region:?}: no recheck"
-                );
-            }
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Repeated executions of both plans return byte-identical result

@@ -57,7 +57,11 @@ pub struct SegDiffStats {
     pub n_observations: u64,
     /// Segments produced.
     pub n_segments: u64,
-    /// Feature rows stored (all six tables).
+    /// Segments a compaction sealed: the feature rows whose later segment
+    /// is one of them are not stored, and searches generate them.
+    pub sealed_segments: u64,
+    /// Feature rows stored (all six tables); the rows the store represents
+    /// are [`SegDiffStats::corner_hist`]'s total.
     pub n_rows: u64,
     /// Raw feature payload bytes (rows × columns × 8) under *our* physical
     /// layout (explicit corners + four time stamps).

@@ -59,16 +59,6 @@ pub(crate) fn encode_row(row: &FeatureRow, out: &mut Vec<f64>) {
     out.extend([row.t_d, row.t_c, row.t_b, row.t_a]);
 }
 
-/// Rounds the corner `Δv`s of a row of the `corners`-corner `kind` table
-/// to their `f32` sketches ([`featurespace::sketch::round`]), in place:
-/// the row a seal stores. Idempotent, so a sealed row sealed again keeps
-/// its bits.
-pub(crate) fn sketch_row(kind: SearchKind, corners: usize, row: &mut [f64]) {
-    for dv in row[..2 * corners].iter_mut().skip(1).step_by(2) {
-        *dv = featurespace::sketch::round(kind, *dv);
-    }
-}
-
 /// Reconstructs the stored boundary from a row of the `corners`-corner
 /// table. Production scans evaluate intersection through the columnar
 /// batch kernel instead; this scalar path remains the reference the

@@ -199,11 +199,6 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef::counter("ingest.observations", "Raw sensor observations ingested"),
     MetricDef::counter("ingest.segments", "PLA segments produced by ingestion"),
     MetricDef::counter("ingest.feature_rows", "Feature-space rows written"),
-    // Sealed corner sketches (core::query).
-    MetricDef::counter(
-        "sketch.rechecks",
-        "Sealed feature rows a search admitted on their f32 corner sketch but could not settle, decided on corners recomputed from `segments`",
-    ),
     // Worker pool (core::pool).
     MetricDef::counter("parallel.jobs", "Worker-pool fan-out jobs executed"),
     MetricDef::counter(

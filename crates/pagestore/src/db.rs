@@ -14,7 +14,6 @@ use crate::vfs::{write_atomic, OsVfs, Vfs};
 use crate::wal::{CommitState, Wal, WAL_FILE};
 use crate::StoreError;
 use parking_lot::Mutex;
-use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -407,59 +406,17 @@ impl Database {
         Ok(())
     }
 
-    /// Seals a table: rewrites its heap, in place and crash-safely, with
-    /// every row — the sealed ones and the raw tail behind them — passed
-    /// through the caller's `map` and then in columnar pages, in a stable
-    /// sort by [`f64::total_cmp`] on the columns `cluster_on` of the mapped
-    /// rows (rows with equal keys, and every row under an empty key, keep
-    /// their storage order, so the files written are a pure function of
-    /// the rows). A table with no row behind its sealed ones is left as it
-    /// is. A sealed row holds what `map` made of it, not necessarily what
-    /// was inserted: the storage layer does not know what a column means,
-    /// so a caller that rounds one owns the rule, and sees its rows again
-    /// at the next seal, already mapped (`|_| {}` seals them bit-exactly).
-    /// Row ids change, so the zone map is rebuilt — narrow in the key's
-    /// columns, which is all a reader ever sees of the key — and so is
-    /// every index, over the rows behind the sealed ones: none, so every
-    /// tree comes out empty, and grows again with later inserts. Readers
-    /// reach the sealed rows ([`HeapFile::sealed_rows`]) through
-    /// [`Table::scan_pages`] over `..sealed_rows`.
-    ///
-    /// One table's rows are held in memory while it is sealed (rows x
-    /// columns x 8 bytes).
-    ///
-    /// The protocol leans on machinery that already exists for crashes:
-    ///
-    /// 1. checkpoint, so no WAL image of the old pages can replay onto
-    ///    the sealed file, and the log's row counts are the ones sealed;
-    /// 2. write the ordered rows into `<name>.tbl.tmp` *outside* the
-    ///    buffer pool, building the new hierarchical zone map along the
-    ///    way;
-    /// 3. delete the derived files — the indexes (a missing or torn
-    ///    `.idx`, or one that holds more rows than lie behind the sealed
-    ///    ones, is rebuilt by [`Database::open`] from the heap) and the
-    ///    zone sidecar (whose row count a seal does not change: left in
-    ///    place it would pass for the sealed file's; a heap without one
-    ///    rebuilds it) — so a crash anywhere past this point self-repairs;
-    /// 4. rename the temp file over the heap — the sealed row count is
-    ///    in the file, so the rename publishes both — and swap the pool's
-    ///    file handle ([`BufferPool::swap_file`] discards the stale
-    ///    frames);
-    /// 5. install the new zone map, rebuild the indexes, and checkpoint:
-    ///    every commit from here on counts at least the sealed rows.
-    pub fn seal_table(
-        &self,
-        name: &str,
-        cluster_on: &[usize],
-        mut map: impl FnMut(&mut [f64]),
-    ) -> Result<()> {
+    /// Seals a table: rewrites its heap with every row — the sealed ones
+    /// and the raw tail behind them — in columnar pages, in storage order,
+    /// bit for bit. A table with no row behind its sealed ones is left as
+    /// it is. Every index comes out empty: it holds the rows behind the
+    /// sealed ones, which are none, and grows again with later inserts.
+    /// Readers reach the sealed rows ([`HeapFile::sealed_rows`]) through
+    /// [`Table::scan_pages`] over `..sealed_rows`. See
+    /// [`Database::cut_table`] for the rewrite both run.
+    pub fn seal_table(&self, name: &str) -> Result<()> {
         let table = self.table(name)?;
         let ncols = table.columns().len();
-        if let Some(c) = cluster_on.iter().find(|&&c| c >= ncols) {
-            return Err(StoreError::InvalidArgument(format!(
-                "clustering column {c} of table {name}, which has {ncols}"
-            )));
-        }
         if ncols > colpage::max_cols() {
             return Err(StoreError::InvalidArgument(format!(
                 "table {name} has {ncols} columns, a columnar page takes {}",
@@ -469,51 +426,94 @@ impl Database {
         if table.sealed_rows() == table.num_rows() {
             return Ok(());
         }
-        self.flush()?; // checkpoint in WAL mode: the log ends here
+        let mut rows = Vec::with_capacity(table.num_rows() as usize * ncols);
+        table.seq_scan(|_, row| {
+            rows.extend_from_slice(row);
+            true
+        })?;
+        self.rewrite_heap(&table, &rows, true)
+    }
 
+    /// Cuts a table back to the rows `keep` accepts: rewrites its heap
+    /// with those rows alone, in storage order, bit for bit, on raw pages
+    /// (none of them sealed), and rebuilds every index over them. A table
+    /// that holds no sealed row and no row `keep` refuses is left as it
+    /// is.
+    ///
+    /// A seal and a cut are one rewrite, in place and crash-safe, which
+    /// leans on machinery that already exists for crashes:
+    ///
+    /// 1. checkpoint, so no WAL image of the old pages can replay onto
+    ///    the new file;
+    /// 2. write the rows into `<name>.tbl.tmp` *outside* the buffer pool,
+    ///    building the new hierarchical zone map along the way;
+    /// 3. delete the derived files, durably — the indexes (a missing or
+    ///    torn `.idx`, or one that holds more rows than lie behind the
+    ///    sealed ones, is rebuilt by [`Database::open`] from the heap) and
+    ///    the zone sidecar (whose row count a seal does not change: left in
+    ///    place it would pass for the sealed file's; a heap without one
+    ///    rebuilds it) — so a crash anywhere past this point self-repairs;
+    /// 4. rename the temp file over the heap — its row counts are in the
+    ///    file, so the rename publishes them — and swap the pool's file
+    ///    handle ([`BufferPool::swap_file`] discards the stale frames);
+    /// 5. log a checkpoint of the new row counts before any page is
+    ///    written again: nothing is dirty since step 1, and a cut's count
+    ///    is smaller than the one recovery would otherwise truncate to;
+    /// 6. install the new zone map, rebuild the indexes, and checkpoint.
+    ///
+    /// One table's rows are held in memory while it is rewritten (rows x
+    /// columns x 8 bytes).
+    pub fn cut_table(&self, name: &str, mut keep: impl FnMut(&[f64]) -> bool) -> Result<()> {
+        let table = self.table(name)?;
+        let mut rows = Vec::new();
+        table.seq_scan(|_, row| {
+            if keep(row) {
+                rows.extend_from_slice(row);
+            }
+            true
+        })?;
+        let kept = rows.len() as u64 / table.columns().len() as u64;
+        if table.sealed_rows() == 0 && kept == table.num_rows() {
+            return Ok(());
+        }
+        self.rewrite_heap(&table, &rows, false)
+    }
+
+    /// Rewrites `table`'s heap as the row-major `rows`, sealed or raw:
+    /// the protocol of [`Database::cut_table`].
+    fn rewrite_heap(&self, table: &Arc<Table>, rows: &[f64], sealed: bool) -> Result<()> {
+        self.flush()?; // checkpoint in WAL mode: the log ends here
+        let (name, ncols) = (table.name(), table.columns().len());
         let vfs = &**self.vfs();
         let path = self.table_path(name);
         let tmp = self.dir.join(format!("{name}.tbl.tmp"));
-        let zones = {
-            let mut values: Vec<f64> = Vec::with_capacity(table.num_rows() as usize * ncols);
-            table.seq_scan(|_rid, row| {
-                let at = values.len();
-                values.extend_from_slice(row);
-                map(&mut values[at..]);
-                true
-            })?;
-            let mut rows: Vec<&[f64]> = values.chunks_exact(ncols).collect();
-            // Stable: an empty key compares every pair equal and moves nothing.
-            rows.sort_by(|a, b| {
-                cluster_on.iter().fold(Ordering::Equal, |o, &c| {
-                    o.then_with(|| a[c].total_cmp(&b[c]))
-                })
-            });
-            HeapFile::write_sealed(vfs, &tmp, ncols, &rows, self.opts.sync)
-        }?;
+        let rows: Vec<&[f64]> = rows.chunks_exact(ncols).collect();
+        let zones = HeapFile::write(vfs, &tmp, ncols, &rows, sealed, self.opts.sync)?;
 
         // Point of no return: drop derived files, then the heap itself.
         for iname in table.index_names() {
             vfs.remove_file(&self.index_path(name, &iname))?;
         }
         table.drop_zones()?;
+        self.sync_dir()?;
         vfs.rename(&tmp, &path)?;
         self.sync_dir()?;
         let fid = table.heap_fid();
         self.pool.swap_file(fid, PageFile::open(vfs, &path)?);
-        let mut heap = HeapFile::open(self.pool.clone(), fid)?;
-        heap.install_zones(zones);
-        heap.sync_meta()?; // persists the sealed file's sidecar
-        table.replace_heap(heap);
+        table.replace_heap(HeapFile::open(self.pool.clone(), fid)?);
+        if let Some(wal) = &self.wal {
+            wal.checkpoint(&self.current_state())?;
+        }
+        table.install_zones(zones)?; // persists the new file's sidecar
         for idx in table.indexes() {
             let ipath = self.index_path(name, idx.name());
             let ifid = idx.tree_fid();
             self.pool.swap_file(ifid, PageFile::create(vfs, &ipath)?);
-            let tree = self.bulk_build_tree(&table, ifid, idx.cols())?;
+            let tree = self.bulk_build_tree(table, ifid, idx.cols())?;
             self.pool.flush_file(ifid)?;
             idx.replace_tree(tree);
         }
-        self.flush()?; // the sealed state becomes the recovery point
+        self.flush()?; // the rewritten state becomes the recovery point
         Ok(())
     }
 
@@ -1194,7 +1194,7 @@ mod tests {
         let mut before = rows_of(&t);
         let heap_before = t.heap_bytes();
 
-        db.seal_table("ev", &[], |_| {}).unwrap();
+        db.seal_table("ev").unwrap();
         t.assert_one_layout();
         assert!(t.has_zones(), "a seal installs a fresh zone map");
         assert!(
@@ -1252,7 +1252,7 @@ mod tests {
         assert_eq!(at_3000(&t), (1, 60));
         // A second seal takes the row behind the first, and the tree is
         // empty again.
-        db.seal_table("ev", &[], |_| {}).unwrap();
+        db.seal_table("ev").unwrap();
         t.assert_one_layout();
         assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 3001));
         assert_eq!(at_3000(&t), (0, 61));
@@ -1275,7 +1275,7 @@ mod tests {
             t.insert(&scattered_row(i)).unwrap();
         }
         db.commit(b"loaded").unwrap();
-        db.seal_table("ev", &[0, 1], |_| {}).unwrap();
+        db.seal_table("ev").unwrap();
         let sealed_file = fs::read(dir.join("ev.tbl")).unwrap();
         let first_free = (sealed_file.len() / crate::PAGE_SIZE) as u64;
         assert!(first_free > 3, "several sealed pages");
@@ -1388,142 +1388,135 @@ mod tests {
         entries
     }
 
-    #[test]
-    fn clustered_seal_sorts_stably_and_keeps_rows_zones_and_trees() {
-        let (dir, db, t) = keyed_table("cluster", KEYED_ROWS);
-        // Arrival order is the third column, so sorting on it as the last
-        // key is the stable sort on the first two.
-        let by = |cols: &'static [usize]| {
-            move |a: &[u64; 4], b: &[u64; 4]| {
-                let col = |r: &[u64; 4], c: usize| f64::from_bits(r[c]);
-                cols.iter()
-                    .map(|&c| col(a, c).total_cmp(&col(b, c)))
-                    .fold(Ordering::Equal, Ordering::then)
-            }
-        };
-        let mut want = row_bits(&t);
-        want.sort_unstable_by(by(&[0, 1, 2]));
-        let ties = want.windows(2).filter(|w| w[0][..2] == w[1][..2]).count();
-        assert!(ties > 30_000, "{ties} neighbours share a key");
-
-        let check = |sealed: u64, want: &[[u64; 4]]| {
-            t.assert_one_layout();
-            assert_eq!(t.sealed_rows(), sealed);
-            assert!(row_bits(&t) == want, "{sealed} sealed: rows or their order");
-            // The zones the seal and the inserts observed are the zones
-            // of the pages.
-            let installed = zone_entries(&t);
-            assert!(installed.len() > 64 + 2, "more than an extent");
-            t.drop_zones().unwrap();
-            t.ensure_zones().unwrap();
-            assert!(installed == zone_entries(&t), "{sealed} sealed: zones");
-            // Both trees hold the rows behind the sealed ones, which are
-            // read through their pages: every row once.
-            let behind = want.len() as u64 - sealed;
-            let (neg, inf) = (f64::NEG_INFINITY, f64::INFINITY);
-            for (tree, col, lo, hi) in [
-                ("by_dt_dv", 0, 600.0, 3000.0),
-                ("by_dt_dv", 0, -1.0, 1.0),
-                ("by_dt_dv", 0, neg, inf),
-                ("by_t", 2, 777.0, 41_000.5),
-            ] {
-                assert_eq!(t.index(tree).unwrap().len(), behind);
-                let (lo_key, hi_key) = match tree {
-                    "by_t" => (vec![lo], vec![hi]),
-                    _ => (vec![lo, neg], vec![hi, inf]),
-                };
-                let mut via_tree_or_seal: Vec<Vec<u64>> = Vec::new();
-                t.index_scan(tree, &lo_key, &hi_key, |rid, cols| {
-                    t.fetch_many(&[rid], |_, row| {
-                        assert_eq!(cols[0].to_bits(), row[col].to_bits());
-                        via_tree_or_seal.push(row.iter().map(|v| v.to_bits()).collect());
-                        true
-                    })
-                    .unwrap();
-                    true
-                })
-                .unwrap();
-                let mut cols = vec![Vec::new(); 4];
-                t.scan_pages(
-                    ..t.sealed_rows(),
-                    |mins, maxs| mins[col] <= hi && lo <= maxs[col],
-                    |page| {
-                        page.columns(0..4, &mut cols)?;
-                        for r in
-                            (0..page.rows()).filter(|&r| lo <= cols[col][r] && cols[col][r] <= hi)
-                        {
-                            via_tree_or_seal.push(cols.iter().map(|c| c[r].to_bits()).collect());
-                        }
-                        Ok(true)
-                    },
-                )
-                .unwrap();
-                via_tree_or_seal.sort_unstable();
-                let mut via_scan: Vec<Vec<u64>> = Vec::new();
-                t.seq_scan(|_, row| {
-                    if lo <= row[col] && row[col] <= hi {
-                        via_scan.push(row.iter().map(|v| v.to_bits()).collect());
-                    }
-                    true
-                })
-                .unwrap();
-                via_scan.sort_unstable();
-                assert!(
-                    !via_scan.is_empty() && via_tree_or_seal == via_scan,
-                    "{sealed} sealed, {tree}"
-                );
-            }
-        };
-        db.seal_table("ev", &[0, 1], |_| {}).unwrap();
-        check(KEYED_ROWS, &want);
-        // Pages are narrow in the leading key column and nowhere else.
-        let (mut lead, mut last) = (0, 0);
-        for (mins, maxs) in &zone_entries(&t)[1..] {
-            lead += usize::from(mins[0] == maxs[0]);
-            last += usize::from(maxs[2] - mins[2] < KEYED_ROWS as f64 / 2.0);
+    /// Checks that `t` holds `want` in that order, `sealed` of them
+    /// sealed: the one layout, zones equal to the ones a rebuild from the
+    /// pages makes, and both trees holding exactly the rows behind the
+    /// sealed ones — which, with the sealed pages, are every row once.
+    fn check_rewritten(t: &Table, sealed: u64, want: &[[u64; 4]]) {
+        t.assert_one_layout();
+        assert_eq!(t.sealed_rows(), sealed);
+        assert!(row_bits(t) == want, "{sealed} sealed: rows or their order");
+        let installed = zone_entries(t);
+        t.drop_zones().unwrap();
+        t.ensure_zones().unwrap();
+        assert!(installed == zone_entries(t), "{sealed} sealed: zones");
+        for tree in ["by_dt_dv", "by_t"] {
+            assert_eq!(t.index(tree).unwrap().len(), want.len() as u64 - sealed);
+            let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree(tree);
+            assert!(scanned == found, "{sealed} sealed, {tree}");
         }
-        assert!(lead > 30 && last == 0, "{lead} / {last} narrow zones");
-        // With no row behind the sealed ones there is nothing to seal,
-        // under whatever key: no file is written.
+    }
+
+    #[test]
+    fn a_seal_keeps_storage_order_and_rebuilds_zones_and_trees() {
+        let (dir, db, t) = keyed_table("sealorder", KEYED_ROWS);
+        let mut want = row_bits(&t);
+        db.seal_table("ev").unwrap();
+        check_rewritten(&t, KEYED_ROWS, &want);
+        assert!(zone_entries(&t).len() > 64 + 2, "more than an extent");
+        // With no row behind the sealed ones there is nothing to seal: no
+        // file is written.
         db.flush().unwrap();
         let sealed_files = data_files(&dir);
-        db.seal_table("ev", &[1], |_| {}).unwrap();
+        db.seal_table("ev").unwrap();
         assert!(
             data_files(&dir) == sealed_files,
             "a no-op seal wrote a file"
         );
         // Rows arriving now append behind the sealed ones, in arrival
-        // order, under both trees.
+        // order, under both trees; the next seal takes them all.
         for i in KEYED_ROWS..KEYED_ROWS + 3000 {
             t.insert(&keyed_row(i)).unwrap();
             want.push(keyed_row(i).map(f64::to_bits));
         }
-        check(KEYED_ROWS, &want);
-        // The next seal takes them all, under another key: the rows the
-        // heap holds — clustered prefix, then tail — stably sorted on `dv`.
-        want.sort_by(by(&[1]));
-        db.seal_table("ev", &[1], |_| {}).unwrap();
-        check(KEYED_ROWS + 3000, &want);
-        // A column the table does not have is refused, rows to seal or not.
-        for _ in 0..2 {
-            assert!(matches!(
-                db.seal_table("ev", &[0, 4], |_| {}),
-                Err(StoreError::InvalidArgument(_))
-            ));
-            t.insert(&keyed_row(0)).unwrap();
-        }
+        check_rewritten(&t, KEYED_ROWS, &want);
+        db.seal_table("ev").unwrap();
+        check_rewritten(&t, KEYED_ROWS + 3000, &want);
         fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn sealing_in_two_steps_without_a_key_writes_the_files_one_seal_writes() {
-        // Without a key a seal writes the rows in the order the heap has
-        // them — sealed ones, then the tail — so the pages depend on the
-        // rows alone, not on where an earlier seal stopped.
+    fn a_cut_keeps_the_rows_asked_for_on_raw_pages_under_rebuilt_trees() {
+        let (dir, db, t) = keyed_table("cut", KEYED_ROWS);
+        db.seal_table("ev").unwrap();
+        for i in KEYED_ROWS..KEYED_ROWS + 3000 {
+            t.insert(&keyed_row(i)).unwrap();
+        }
+        // Keep the rows from the last 1,000 sealed ones on: sealed rows and
+        // the tail alike move to raw pages, in storage order.
+        let from = (KEYED_ROWS - 1000) as f64;
+        let mut want = row_bits(&t);
+        want.retain(|r| f64::from_bits(r[2]) >= from);
+        db.cut_table("ev", |row| row[2] >= from).unwrap();
+        check_rewritten(&t, 0, &want);
+        // Nothing left to cut, and no sealed row: no file is written.
+        db.flush().unwrap();
+        let cut_files = data_files(&dir);
+        db.cut_table("ev", |row| row[2] >= from).unwrap();
+        assert!(data_files(&dir) == cut_files, "a no-op cut wrote a file");
+        // A cut of every row leaves a heap of its meta page alone, under
+        // empty trees, and rows append to it as to a new one.
+        db.cut_table("ev", |_| false).unwrap();
+        check_rewritten(&t, 0, &[]);
+        assert_eq!(t.heap_bytes(), crate::PAGE_SIZE as u64);
+        assert_eq!(t.index_bytes(), 4 * crate::PAGE_SIZE as u64);
+        t.insert(&keyed_row(7)).unwrap();
+        check_rewritten(&t, 0, &[keyed_row(7).map(f64::to_bits)]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_cut_recovers_to_the_commits_behind_it() {
+        // The cut logs its smaller row count before any page reaches a
+        // file again, so recovery truncates to commits made after it, and
+        // never to the count the log held before.
+        let dir = tmpdir("cutwal");
+        fs::remove_dir_all(&dir).ok();
+        let row = |i: u64| [300.0 * i as f64, (i % 9) as f64];
+        {
+            let db = Database::create_with(&dir, 16, durable_every_commit()).unwrap();
+            let t = db.create_table(TableSpec::new("ev", &["x", "y"])).unwrap();
+            db.create_index("ev", "by_y", &["y"]).unwrap();
+            for i in 0..3000 {
+                t.insert(&row(i)).unwrap();
+            }
+            db.commit(b"loaded").unwrap();
+            db.cut_table("ev", |r| r[0] >= 300.0 * 2500.0).unwrap();
+            for i in 3000..3100 {
+                t.insert(&row(i)).unwrap();
+            }
+            db.commit(b"behind-the-cut").unwrap();
+            for i in 3100..3900 {
+                t.insert(&row(i)).unwrap();
+            }
+            // Crash: dropped without flush.
+        }
+        let db = Database::open(&dir, 16).unwrap();
+        assert!(!db.recovery_report().unwrap().clean);
+        let t = db.table("ev").unwrap();
+        t.assert_one_layout();
+        let want: Vec<[u64; 2]> = (2500..3100).map(|i| row(i).map(f64::to_bits)).collect();
+        let mut got = Vec::new();
+        t.seq_scan(|_, r| {
+            got.push([r[0].to_bits(), r[1].to_bits()]);
+            true
+        })
+        .unwrap();
+        assert!(got == want, "{} rows recovered", got.len());
+        let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree("by_y");
+        assert!(scanned == found);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn sealing_in_two_steps_writes_the_files_one_seal_writes() {
+        // A seal writes the rows in the order the heap has them — sealed
+        // ones, then the tail — so the pages depend on the rows alone, not
+        // on where an earlier seal stopped.
         let (once_dir, once_db, _t) = keyed_table("nokey-once", KEYED_ROWS);
-        once_db.seal_table("ev", &[], |_| {}).unwrap();
+        once_db.seal_table("ev").unwrap();
         let (twice_dir, twice_db, t) = keyed_table("nokey-twice", KEYED_ROWS / 3);
-        twice_db.seal_table("ev", &[], |_| {}).unwrap();
+        twice_db.seal_table("ev").unwrap();
         for i in KEYED_ROWS / 3..KEYED_ROWS {
             t.insert(&keyed_row(i)).unwrap();
         }
@@ -1531,7 +1524,7 @@ mod tests {
             (t.sealed_rows(), t.num_rows()),
             (KEYED_ROWS / 3, KEYED_ROWS)
         );
-        twice_db.seal_table("ev", &[], |_| {}).unwrap();
+        twice_db.seal_table("ev").unwrap();
         let once = data_files(&once_dir);
         assert_eq!(once.len(), 3, "one heap, two trees");
         let heap = &once["ev.tbl"];
@@ -1548,88 +1541,6 @@ mod tests {
     }
 
     #[test]
-    fn a_seal_maps_every_row_before_it_sorts_and_again_at_the_next_seal() {
-        // The caller's map rounds `noise` (full precision in [-2, -1)) down
-        // to a sixteenth, and the seal clusters on the rounded value, ties
-        // in arrival order: the stored rows are the mapped ones, in their
-        // order, and a scan says which pages are sealed.
-        let round = |row: &mut [f64]| row[3] = (row[3] * 16.0).floor() / 16.0;
-        let mapped = |i: u64| {
-            let mut row = keyed_row(i);
-            round(&mut row);
-            row.map(f64::to_bits)
-        };
-        let rows = KEYED_ROWS / 4;
-        let (dir, db, t) = keyed_table("mapped", rows);
-        let calls = std::cell::Cell::new(0u64);
-        let seal = || {
-            db.seal_table("ev", &[3], |row| {
-                calls.set(calls.get() + 1);
-                round(row)
-            })
-            .unwrap()
-        };
-        seal();
-        assert_eq!(calls.get(), rows, "one call a row");
-        let key = |r: &[u64; 4]| f64::from_bits(r[3]);
-        let mut want: Vec<[u64; 4]> = (0..rows).map(mapped).collect();
-        want.sort_by(|a, b| key(a).total_cmp(&key(b)));
-        assert!(
-            row_bits(&t) == want,
-            "mapped rows, sorted on the mapped key"
-        );
-        // A raw tail keeps its rows as inserted; the next seal sees every
-        // row again, the sealed ones already mapped.
-        for i in rows..2 * rows {
-            t.insert(&keyed_row(i)).unwrap();
-        }
-        let sealed_pages = |t: &Table| {
-            let mut flags = Vec::new();
-            t.scan_pages(
-                ..,
-                |_, _| true,
-                |page| {
-                    flags.push(page.sealed());
-                    Ok(true)
-                },
-            )
-            .unwrap();
-            flags
-        };
-        let flags = sealed_pages(&t);
-        let lead = flags.iter().take_while(|&&s| s).count();
-        assert!(lead > 0 && lead < flags.len() && !flags[lead..].contains(&true));
-        assert_eq!(
-            row_bits(&t)[rows as usize].map(f64::from_bits),
-            keyed_row(rows)
-        );
-        seal();
-        assert_eq!(calls.get(), 3 * rows);
-        let mut want: Vec<[u64; 4]> = (0..2 * rows).map(mapped).collect();
-        want.sort_by(|a, b| key(a).total_cmp(&key(b)));
-        assert!(row_bits(&t) == want, "the second seal");
-        assert!(sealed_pages(&t).iter().all(|&s| s));
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn two_clustered_seals_of_equal_tables_write_equal_files() {
-        let build = |tag: &str| {
-            let (dir, db, _t) = keyed_table(tag, KEYED_ROWS);
-            db.seal_table("ev", &[0, 1], |_| {}).unwrap();
-            let files = data_files(&dir);
-            fs::remove_dir_all(&dir).ok();
-            files
-        };
-        let (one, other) = (build("twice-a"), build("twice-b"));
-        assert_eq!(one.len(), 3, "one heap, two trees");
-        assert!(
-            one == other,
-            "a clustered seal is not a function of the rows"
-        );
-    }
-
-    #[test]
     fn rows_behind_a_seal_recover_to_last_commit() {
         // WAL recovery's logical truncation works on the raw pages behind
         // the sealed ones: crash with uncommitted tail rows.
@@ -1642,7 +1553,7 @@ mod tests {
             for i in 0..1000 {
                 t.insert(&row(i)).unwrap();
             }
-            db.seal_table("ev", &[], |_| {}).unwrap();
+            db.seal_table("ev").unwrap();
             for i in 1000..1500 {
                 t.insert(&row(i)).unwrap();
             }

@@ -276,13 +276,13 @@ fn loaded_store(tag: &str) -> (PathBuf, Arc<Database>) {
 }
 
 /// A [`loaded_store`] and, beside it, a copy of the store made before
-/// `t` was sealed, clustered on `(a, b)`, which the store itself then
-/// was. Returns (sealed, copy), both closed, and the rows in bit order.
+/// `t` was sealed, which the store itself then was. Returns (sealed,
+/// copy), both closed, and the rows in bit order.
 fn sealed_table_and_its_past(tag: &str) -> (PathBuf, PathBuf, Vec<Vec<u64>>) {
     let (dir, db) = loaded_store(tag);
     let past = tmpdir(&format!("{tag}-past"));
     copy_store(&dir, &past);
-    db.seal_table("t", &[0, 1], |_| {}).unwrap();
+    db.seal_table("t").unwrap();
     let t = db.table("t").unwrap();
     let [rows, found] = t.rows_by_scan_and_by_seal_and_tree("by_ab");
     assert!(rows.len() == 2000 && rows == found);
@@ -342,10 +342,7 @@ fn a_seal_leaves_no_sidecar_behind_the_rename() {
     std::fs::remove_file(&heap).unwrap(); // the pool keeps reading it
     std::fs::create_dir(&heap).unwrap();
     std::fs::write(heap.join("kept"), b"").unwrap();
-    assert!(matches!(
-        db.seal_table("t", &[0, 1], |_| {}),
-        Err(StoreError::Io(_))
-    ));
+    assert!(matches!(db.seal_table("t"), Err(StoreError::Io(_))));
     drop(db);
     assert!(
         !dir.join("t.tbl.zones").exists(),
@@ -396,7 +393,7 @@ fn earlier_release_store(
     let tail_rows: Vec<[f64; 2]> = (2000..2000 + tail).map(loaded_row).collect();
     let tail_refs: Vec<&[f64]> = tail_rows.iter().map(|r| &r[..]).collect();
     let tail_file = dir.join("tail.tmp");
-    HeapFile::write_sealed(&crate::OsVfs, &tail_file, 2, &tail_refs, false).unwrap();
+    HeapFile::write(&crate::OsVfs, &tail_file, 2, &tail_refs, true, false).unwrap();
     let mut heap = std::fs::read(dir.join("t.tbl")).unwrap();
     assert_eq!(heap[16..18], 1u16.to_le_bytes());
     heap.extend_from_slice(&std::fs::read(&tail_file).unwrap()[PAGE_SIZE..]);

@@ -163,13 +163,6 @@ impl ScanPage<'_> {
         rid(self.pid, (self.slots.start + r) as u16)
     }
 
-    /// Whether the page holds sealed rows ([`HeapFile::sealed_rows`]):
-    /// rows a seal wrote, through whatever map its caller gave it
-    /// ([`crate::Database::seal_table`]), rather than rows as inserted.
-    pub fn sealed(&self) -> bool {
-        self.pid <= self.heap.sealed_pages()
-    }
-
     /// Decodes (a columnar page) or transposes (a raw one) the contiguous
     /// columns `range` into `cols`, one buffer per column of `range`, each
     /// cleared first and left holding the range's values in slot order.
@@ -306,48 +299,64 @@ impl HeapFile {
     }
 
     /// Writes `rows`, in the order given, as a whole heap file at `path`
-    /// of `vfs` with every row sealed — meta page, then columnar pages
-    /// filled front to back — synced when `sync`, and returns the zone map
-    /// of the rows under the pages they landed on. The one place a
-    /// columnar page is built: rows reach one by being sealed, never by
-    /// being appended.
-    pub(crate) fn write_sealed(
+    /// of `vfs` — meta page, then data pages filled front to back: every
+    /// row sealed in columnar pages when `sealed`, every row on raw pages
+    /// otherwise — synced when `sync`, and returns the zone map of the
+    /// rows under the pages they landed on. The one place a columnar page
+    /// is built: rows reach one by being sealed, never by being appended.
+    pub(crate) fn write(
         vfs: &dyn Vfs,
         path: &Path,
         ncols: usize,
         rows: &[&[f64]],
+        sealed: bool,
         sync: bool,
     ) -> Result<ZoneMap> {
+        let rows_per_page = raw_rows_per_page(ncols, path)?;
         let out = PageFile::create(vfs, path)?;
         out.allocate()?; // meta page 0, filled in below
         let mut zones = ZoneMap::new(ncols);
         let mut page = PageBuf::zeroed();
-        let mut builder = ColPageBuilder::new(ncols);
-        let mut seal = |builder: &ColPageBuilder| {
-            builder.seal_into(page.bytes_mut());
-            obs::global().counter("colpage.pages_written").inc();
+        let write = |page: &PageBuf| {
             let pid = out.allocate()?;
             out.write_page(pid, page.bytes())
         };
-        for row in rows {
-            if !builder.try_push(row) {
-                seal(&builder)?;
-                builder.clear();
-                assert!(builder.try_push(row), "a row must fit an empty page");
+        if sealed {
+            let mut builder = ColPageBuilder::new(ncols);
+            let mut seal = |builder: &ColPageBuilder| {
+                builder.seal_into(page.bytes_mut());
+                obs::global().counter("colpage.pages_written").inc();
+                write(&page)
+            };
+            for row in rows {
+                if !builder.try_push(row) {
+                    seal(&builder)?;
+                    builder.clear();
+                    assert!(builder.try_push(row), "a row must fit an empty page");
+                }
+                // The row lands on the page the file grows by next.
+                zones.observe(out.num_pages(), row);
             }
-            // The row lands on the page the file grows by next.
-            zones.observe(out.num_pages(), row);
-        }
-        if !builder.is_empty() {
-            seal(&builder)?;
+            if !builder.is_empty() {
+                seal(&builder)?;
+            }
+        } else {
+            for chunk in rows.chunks(rows_per_page) {
+                let b = page.bytes_mut();
+                b.fill(0);
+                page::put_u16(b, 0, chunk.len() as u16);
+                for (slot, row) in chunk.iter().enumerate() {
+                    for (c, &v) in row.iter().enumerate() {
+                        page::put_f64(b, PAGE_HDR + (slot * ncols + c) * 8, v);
+                    }
+                    zones.observe(out.num_pages(), row);
+                }
+                write(&page)?;
+            }
         }
         let mut meta = PageBuf::zeroed();
-        put_meta(
-            meta.bytes_mut(),
-            ncols,
-            rows.len() as u64,
-            rows.len() as u64,
-        );
+        let n = rows.len() as u64;
+        put_meta(meta.bytes_mut(), ncols, n, if sealed { n } else { 0 });
         out.write_page(META_PAGE, meta.bytes())?;
         if sync {
             out.sync()?;
@@ -927,7 +936,7 @@ mod tests {
             HeapFile::create(pool.clone(), fid, ncols).unwrap()
         } else {
             let lead: Vec<&[f64]> = rows[..sealed].iter().map(|r| &r[..]).collect();
-            let zones = HeapFile::write_sealed(&OsVfs, &p, ncols, &lead, false).unwrap();
+            let zones = HeapFile::write(&OsVfs, &p, ncols, &lead, true, false).unwrap();
             let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
             let mut heap = HeapFile::open(pool.clone(), fid).unwrap();
             heap.install_zones(zones);
@@ -1062,7 +1071,6 @@ mod tests {
                     |page| {
                         page.columns(0..5, &mut bufs)?;
                         for r in 0..page.rows() {
-                            assert_eq!(page.sealed(), range.end == s, "{sealed}: {range:?}");
                             got.push((
                                 page.row_id(r),
                                 bufs.iter().map(|c| c[r].to_bits()).collect(),

@@ -160,8 +160,9 @@ proptest! {
     }
 
     /// Sealed pages and trees partition the heap: through any interleaving
-    /// of insert batches, seals under one clustering key or another (each
-    /// seals every row there is), flushes and reopens, the heap has the
+    /// of insert batches, seals (each seals every row there is), cuts
+    /// (each keeps two rows of three, on raw pages), flushes and reopens,
+    /// the heap holds the rows inserted and kept, in that order, in the
     /// one layout — columnar pages up to the last sealed one, raw pages
     /// behind — the sealed pages plus a tree's entries are the heap's
     /// rows, each once, and every tree holds exactly the rows behind the
@@ -178,25 +179,32 @@ proptest! {
         db.create_table(TableSpec::new("t", &["a", "b", "c"])).unwrap();
         db.create_index("t", "by_ab", &["a", "b"]).unwrap();
         db.create_index("t", "by_c", &["c"]).unwrap();
-        let (mut rows, mut sealed) = (0u64, 0u64);
+        // The third column of every row the heap holds, in storage order.
+        let (mut model, mut sealed, mut next) = (Vec::new(), 0u64, 0u64);
         for (op, n) in ops {
             let t = db.table("t").unwrap();
             match op {
                 0 | 1 => {
-                    let batch: Vec<f64> = (rows..rows + n as u64)
+                    let batch: Vec<f64> = (next..next + n as u64)
                         .flat_map(|i| {
                             let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
                             [(h % 97) as f64, -((h % 13) as f64), i as f64]
                         })
                         .collect();
                     t.insert_many(&batch).unwrap();
-                    rows += n as u64;
+                    model.extend((next..next + n as u64).map(|i| i as f64));
+                    next += n as u64;
                     db.commit(b"batch").unwrap();
                 }
-                2 | 3 => {
-                    let key: &[usize] = if op == 2 { &[0, 1] } else { &[2] };
-                    db.seal_table("t", key, |_| {}).unwrap();
-                    sealed = rows;
+                2 => {
+                    db.seal_table("t").unwrap();
+                    sealed = model.len() as u64;
+                }
+                3 => {
+                    let keep = |c: f64| !(c as u64).is_multiple_of(3);
+                    db.cut_table("t", |row| keep(row[2])).unwrap();
+                    model.retain(|&c| keep(c));
+                    sealed = 0;
                 }
                 _ => {
                     db.flush().unwrap();
@@ -207,8 +215,16 @@ proptest! {
                 }
             }
             let t = db.table("t").unwrap();
+            let rows = model.len() as u64;
             prop_assert_eq!((t.num_rows(), t.sealed_rows()), (rows, sealed));
             t.assert_one_layout();
+            let mut held = Vec::new();
+            t.seq_scan(|_, row| {
+                held.push(row[2]);
+                true
+            })
+            .unwrap();
+            prop_assert!(held == model, "rows or their order");
             for name in ["by_ab", "by_c"] {
                 let tree = t.index(name).unwrap();
                 prop_assert_eq!(tree.len(), rows - sealed, "{}", name);

@@ -484,6 +484,13 @@ impl Table {
         *self.heap.write() = heap;
     }
 
+    /// Installs a zone map a heap rewrite built, and persists it.
+    pub(crate) fn install_zones(&self, zones: crate::zonemap::ZoneMap) -> Result<()> {
+        let mut heap = self.heap.write();
+        heap.install_zones(zones);
+        heap.sync_meta()
+    }
+
     pub(crate) fn indexes(&self) -> Vec<Arc<Index>> {
         self.indexes.read().clone()
     }

@@ -41,7 +41,7 @@ fn pages_decoded_counts_every_decoded_columnar_page_once() {
     }
     // Rows reach columnar pages by being sealed; in the order they have.
     // Rows appended behind the seal land on raw pages.
-    db.seal_table("c", &[], |_| {}).unwrap();
+    db.seal_table("c").unwrap();
     for i in 20_000..21_000 {
         columnar.insert(&row(i)).unwrap();
     }

@@ -1,5 +1,6 @@
 //! Schedules aimed at one place: the unlogged-tree window, every step of a
-//! seal, the inside of a group commit.
+//! compaction's first seal and first cut, the gap between the two, the
+//! inside of a group commit.
 
 use crate::fs::{CrashModel, Op, SimVfs};
 use crate::schedule::{Schedule, Sim, Step};
@@ -8,6 +9,8 @@ use pagestore::{Database, DurabilityOptions, Result as StoreResult, Table, Table
 use segdiff::SegDiffConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+
+const FEATURE_TABLES: [&str; 6] = ["drop1", "drop2", "drop3", "jump1", "jump2", "jump3"];
 
 /// The unlogged-tree window: a checkpoint; inserts until the pool evicts
 /// a dirty B+tree page — trees are not logged, so the eviction appends no
@@ -92,6 +95,12 @@ fn rows_by_scan_and_tree(t: &Table) -> StoreResult<(Vec<u64>, Vec<u64>)> {
     Ok((scanned, indexed))
 }
 
+/// Whether a traced call is the rename that publishes a new log: the end
+/// of a checkpoint.
+fn new_log((op, path): &(Op, PathBuf)) -> bool {
+    *op == Op::Rename && path.ends_with("wal.log")
+}
+
 /// The calls of `trace` a crash can land before: the first of each kind
 /// of call on each kind of file (the table's name aside) between two
 /// checkpoints, and the end.
@@ -106,18 +115,21 @@ fn steps_of(trace: &[(Op, PathBuf)]) -> Vec<u64> {
         if seen.insert((checkpoints, *op, kind.to_string())) {
             points.push(i as u64);
         }
-        checkpoints += usize::from(*op == Op::Rename && name == "wal.log");
+        checkpoints += usize::from(new_log(&trace[i]));
     }
     points.push(trace.len() as u64);
     points
 }
 
-/// A crash at every step of a seal — the checkpoint it begins with, the
-/// temporary heap, the removal of the derived files, the rename, the
-/// rebuilt zones and trees, the checkpoint it ends with — of the first
-/// table a compaction seals: one compaction after each of `fills` samples
-/// pushed, so the first seals a row store and the next ones a store
-/// sealed before with rows behind the seal. Returns the crashes made.
+/// A crash at every step of the first two heap rewrites a compaction
+/// makes — the seal of `segments`, then the cut of the first feature table
+/// that stores rows of the sealed run — each from the checkpoint it begins
+/// with through the temporary heap, the removal of the derived files, the
+/// rename, the checkpoint of the new row counts, the rebuilt zones and
+/// trees, to the checkpoint it ends with: one compaction after each of
+/// `fills` samples pushed, so the first compacts a row store and the next
+/// ones a store compacted before with rows behind its sealed run. Returns
+/// the crashes made.
 pub fn seal_steps(seed: u64, model: CrashModel, fills: &[usize]) -> Result<usize, String> {
     let config = SegDiffConfig::default().with_pool_pages(48);
     let mut sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
@@ -126,14 +138,57 @@ pub fn seal_steps(seed: u64, model: CrashModel, fills: &[usize]) -> Result<usize
         sim.arm(i, Step::Push(fill), None)?;
         sim.arm(i + 1, Step::Checkpoint, None)?;
         let trace = sim.trace(Step::Compact)?;
-        // The first seal ends with the second checkpoint's new log.
-        let log = |(op, path): &(Op, PathBuf)| *op == Op::Rename && path.ends_with("wal.log");
-        let renames: Vec<usize> = (0..trace.len()).filter(|&i| log(&trace[i])).collect();
-        let end = renames.get(1).map_or(trace.len(), |&at| at + 2);
+        // A rewrite logs three checkpoints: the second rewrite ends with
+        // the sixth new log.
+        let renames: Vec<usize> = (0..trace.len()).filter(|&i| new_log(&trace[i])).collect();
+        let end = renames.get(5).map_or(trace.len(), |&at| at + 2);
         crashes += sim.crash_at(Step::Compact, &steps_of(&trace[..end]))?;
         sim.arm(i + 2, Step::Compact, None)?;
     }
     Ok(crashes)
+}
+
+/// A crash in the gap between a compaction's two steps, on a store of
+/// `fill` samples: `segments` sealed, no feature table cut yet. The store
+/// reopens with the rows of the sealed run both stored and generated,
+/// [`segdiff::SegDiffIndex::open`] finishes the cut, and the check holds.
+/// With `cut_first`, the steps run the other way round — every feature
+/// row of the sealed run-to-be cut, then the crash before `segments` is
+/// sealed — and the rows are lost: the check's failure is the error.
+pub fn seal_then_cut(
+    seed: u64,
+    model: CrashModel,
+    fill: usize,
+    cut_first: bool,
+) -> Result<(), String> {
+    let config = SegDiffConfig::default().with_pool_pages(48);
+    let mut sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
+    sim.arm(0, Step::Push(fill), None)?;
+    sim.arm(1, Step::Checkpoint, None)?;
+    if !cut_first {
+        // The seal ends with its third new log; the cut's first change to
+        // a feature table's file comes after.
+        let trace = sim.trace(Step::Compact)?;
+        let sealed = (0..trace.len()).filter(|&i| new_log(&trace[i])).nth(2);
+        let feature = |path: &Path| {
+            let name = path.file_name().map(|n| n.to_string_lossy().into_owned());
+            name.is_some_and(|n| n.starts_with("drop") || n.starts_with("jump"))
+        };
+        let gap = (sealed.ok_or("no seal")?..trace.len()).find(|&i| feature(&trace[i].1));
+        let gap = gap.ok_or("the compaction cut no feature table")?;
+        sim.crash_at(Step::Compact, &[gap as u64])?;
+        return Ok(());
+    }
+    let idx = sim.index();
+    let segments = idx.segments().map_err(|e| e.to_string())?;
+    let through = segments.last().ok_or("no segment")?.t_start;
+    for (name, corners) in FEATURE_TABLES.iter().zip([1, 2, 3, 1, 2, 3]) {
+        let tb = 2 * corners + 2;
+        let cut = idx.database().cut_table(name, |row| row[tb] > through);
+        cut.map_err(|e| e.to_string())?;
+    }
+    sim.crash()?;
+    sim.check()
 }
 
 /// A crash at every step of a group commit: before its first page image,

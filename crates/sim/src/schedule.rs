@@ -8,20 +8,20 @@
 //! step that fails — armed, or hit by an injected fault — takes the
 //! process down with it, and the store is reopened from what the crash
 //! kept. After every step the store must pass
-//! [`segdiff::oracle::check_prefix`] on regions drawn on its stored `Δv`s
-//! and their sketches, and its segments must be a prefix of the input's:
+//! [`segdiff::oracle::check_prefix`] on regions drawn on the `Δv`s of its
+//! boundary corners, and its segments must be a prefix of the input's:
 //! everything known durable is there (no hole), and nothing is there that
 //! ingest never stored (no superset).
 //!
 //! A failure names the seed and prints the schedule that led to it.
 
 use crate::fs::{CrashModel, Fault, Op, SimVfs};
-use featurespace::{sketch, QueryRegion, SearchKind};
+use featurespace::{QueryRegion, SearchKind};
 use pagestore::Vfs;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use segdiff::oracle::check_prefix;
-use segdiff::{QueryPlan, SegDiffConfig, SegDiffIndex};
+use segdiff::{FeatureExtractor, QueryPlan, SegDiffConfig, SegDiffIndex};
 use segmentation::Segment;
 use sensorgen::{TimeSeries, HOUR};
 use std::path::{Path, PathBuf};
@@ -29,8 +29,6 @@ use std::sync::Arc;
 
 /// Where every simulated store lives.
 pub const STORE: &str = "/sim/store";
-
-const FEATURE_TABLES: [&str; 6] = ["drop1", "drop2", "drop3", "jump1", "jump2", "jump3"];
 
 /// One seeded schedule.
 #[derive(Debug, Clone, Copy)]
@@ -382,34 +380,38 @@ impl Sim {
     }
 
     /// A drop or a jump of the kind the paper searches, and regions drawn
-    /// on a stored corner: `T` on its `Δt`, `V` on its `Δv` or that value's
-    /// `f32` sketch, and on an `f32` ulp outside it.
+    /// on a boundary corner the store holds, stored or generated — its
+    /// corners recomputed by replaying the stored segments through
+    /// extraction: `T` on its `Δt`, `V` on its `Δv` and on an `f64` ulp
+    /// outside it.
     fn regions(&mut self) -> Result<Vec<QueryRegion>, String> {
         let fixed = [
             QueryRegion::drop(HOUR, -2.5),
             QueryRegion::jump(2.0 * HOUR, 3.0),
         ];
         let mut regions = vec![fixed[self.rng.random_range(0..2usize)]];
-        let db = self.index().database();
-        let mut corners = Vec::new();
-        for (i, name) in FEATURE_TABLES.iter().enumerate() {
-            let kind = [SearchKind::Drop, SearchKind::Jump][i / 3];
-            let table = db.table(name).map_err(|e| e.to_string())?;
-            table
-                .seq_scan(|_, row| {
-                    corners.extend((0..i % 3 + 1).map(|j| (kind, row[2 * j], row[2 * j + 1])));
-                    true
-                })
-                .map_err(|e| e.to_string())?;
+        let idx = self.index();
+        let (config, segments) = (idx.config(), idx.segments().map_err(|e| e.to_string())?);
+        let mut replay = FeatureExtractor::new(config.epsilon, config.window);
+        let mut rows = Vec::new();
+        for seg in segments {
+            replay.push_segment(seg, &mut rows);
         }
-        let window = self.index().config().window;
+        let corners: Vec<_> = rows
+            .iter()
+            .flat_map(|row| {
+                row.boundary
+                    .corners()
+                    .iter()
+                    .map(|p| (row.kind, p.dt, p.dv))
+            })
+            .collect();
+        let window = config.window;
         if !corners.is_empty() {
-            let (kind, t, dv) = corners[self.rng.random_range(0..corners.len())];
-            let on = [dv, sketch::round(kind, dv)][self.rng.random_range(0..2usize)];
-            let away = match kind {
-                SearchKind::Drop => -f64::from(next_up(-(on as f32))),
-                SearchKind::Jump => f64::from(next_up(on as f32)),
-            };
+            let (kind, t, on) = corners[self.rng.random_range(0..corners.len())];
+            // One ulp further from zero: deeper than the corner for a drop,
+            // higher for a jump.
+            let away = f64::from_bits(on.to_bits() + 1);
             for v in [on, away] {
                 let valid = match kind {
                     SearchKind::Drop => v < 0.0,
@@ -431,14 +433,5 @@ impl Sim {
             self.fault_rate,
             self.outcome.log.join("\n")
         )
-    }
-}
-
-/// The `f32` neighbour of `x` toward +∞.
-fn next_up(x: f32) -> f32 {
-    match x {
-        _ if x == 0.0 => f32::from_bits(1),
-        _ if x > 0.0 => f32::from_bits(x.to_bits() + 1),
-        _ => f32::from_bits(x.to_bits() - 1),
     }
 }

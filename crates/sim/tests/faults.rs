@@ -61,7 +61,7 @@ fn a_failed_directory_sync_is_an_error_and_loses_nothing_committed() {
         ("create_table", |db| {
             db.create_table(TableSpec::new("more", &["x"])).map(|_| ())
         }),
-        ("seal_table", |db| db.seal_table("ev", &[0], |_| {})),
+        ("seal_table", |db| db.seal_table("ev")),
         ("checkpoint", |db| db.checkpoint()),
     ];
     for (name, call) in calls {

@@ -5,7 +5,7 @@
 //! consistency, one answer from both plans) and keep everything known
 //! durable.
 
-use sim::points::{group_commit_steps, seal_steps, unlogged_tree};
+use sim::points::{group_commit_steps, seal_steps, seal_then_cut, unlogged_tree};
 use sim::CrashModel::{PowerLoss, ProcessKill};
 use sim::{run, Schedule};
 
@@ -18,11 +18,23 @@ fn unlogged_tree_window() {
     unlogged_tree(1, PowerLoss).unwrap();
 }
 
-/// A power loss at every step of a seal of a row store.
+/// A power loss at every step of a compaction's seal of `segments` and
+/// its first cut of a feature table, on a row store.
 #[test]
 fn crash_inside_each_step_of_a_seal() {
     let crashes = seal_steps(11, PowerLoss, &[60]).unwrap();
     assert!(crashes >= 30, "{crashes} crash points");
+}
+
+/// A power loss between a compaction's two steps. In the committed order
+/// — seal `segments`, then cut the feature tables — the rows of the sealed
+/// run are stored and generated, and the reopen finishes the cut; cut
+/// first, the crash loses them.
+#[test]
+fn crash_between_sealing_segments_and_cutting_the_feature_tables() {
+    seal_then_cut(14, PowerLoss, 90, false).unwrap();
+    let lost = seal_then_cut(14, PowerLoss, 90, true).unwrap_err();
+    assert!(lost.contains("disagrees with segment replay"), "{lost}");
 }
 
 /// A power loss before, among and after the writes of a group commit.
