@@ -306,10 +306,11 @@ mod tests {
         let r = run_bigcorpus(&scale);
         assert!(r.extents_pruned > 0, "zone summary never pruned the run");
         let bytes = |kind: &str| *r.bytes.iter().find(|b| b.0 == kind).unwrap();
-        let page = pagestore::PAGE_SIZE as u64;
-        // Six feature heaps of their meta page alone, eight empty trees.
-        assert_eq!(bytes("feature heaps").2, 6 * page);
-        assert_eq!(bytes("trees").2, 8 * 2 * page);
+        // Six feature heaps and eight trees that hold nothing own no page,
+        // and an empty heap keeps no zone sidecar.
+        for kind in ["feature heaps", "feature zones", "trees"] {
+            assert_eq!(bytes(kind).2, 0, "{kind}");
+        }
         assert!(bytes("segments heap").2 < bytes("segments heap").1);
         let total =
             |view: bool| -> u64 { r.bytes.iter().map(|b| if view { b.2 } else { b.1 }).sum() };

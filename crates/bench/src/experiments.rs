@@ -774,7 +774,7 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
             sorted.sort_unstable();
             BTree::bulk_load(pool, fid, 16, sorted.iter().map(|k| k.as_slice())).expect("bulk load")
         } else {
-            let mut tree = BTree::create(pool, fid, 16).expect("create tree");
+            let mut tree = BTree::open(pool, fid, 16).expect("open tree");
             for k in &keys {
                 tree.insert(k).expect("insert");
             }

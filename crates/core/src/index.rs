@@ -588,8 +588,10 @@ jump_hist {} {} {}
     ///
     /// The order of the two steps is what keeps a crash harmless: between
     /// them rows are both stored and generated, and [`SegDiffIndex::open`]
-    /// finishes the cut. The eight trees stay in the catalogue, emptied
-    /// (two pages each), and index the rows ingested afterwards, which
+    /// finishes the cut. A table cut to no row owns no page, and neither
+    /// does a tree with no entry: after a full compaction the six feature
+    /// heaps and eight trees are files of length 0, still in the
+    /// catalogue, and the trees index the rows ingested afterwards, which
     /// append to the emptied tables in arrival order — so
     /// [`SegDiffIndex::build_indexes`] after this call still finds nothing
     /// to build, and the next call seals their segments and cuts them too.
@@ -902,15 +904,14 @@ mod tests {
         }
         // Bit-identical results on both plans, and the replay check
         // still holds over the rewritten heaps. Every row is sealed: the
-        // eight trees are empty files of two pages, and the index plan
-        // examines what the scan examines.
+        // six feature heaps and eight trees own no page, and the index
+        // plan examines what the scan examines.
         let (scan, scan_stats) = idx.query(&region, QueryPlan::SeqScan).unwrap();
         let (indexed, index_stats) = idx.query(&region, QueryPlan::Index).unwrap();
         assert_eq!(before_scan, scan, "compaction changed scan results");
         assert_eq!(before_scan, indexed, "compaction changed index results");
         assert_eq!(index_stats.rows_considered, scan_stats.rows_considered);
-        let empty_trees = 8 * 2 * pagestore::PAGE_SIZE as u64;
-        assert_eq!(idx.stats().index_bytes, empty_trees);
+        assert_eq!((idx.stats().heap_bytes, idx.stats().index_bytes), (0, 0));
         idx.verify_consistency().unwrap();
         // A second call is a no-op, and so is building the trees again:
         // the catalogue still lists them. (Ingest behind the sealed rows,

@@ -88,6 +88,9 @@ fn a_compacted_store_ingests_and_is_compacted_again() {
         );
     }
     assert_eq!(twice.stats().corner_hist().total(), represented);
+    // Tables and trees that hold nothing own no page.
+    let stats = twice.stats();
+    assert_eq!((stats.heap_bytes, stats.index_bytes), (0, 0));
     assert!(
         answers(&twice) == answers(&rows),
         "the sealed run answers differently"
@@ -133,7 +136,8 @@ fn a_compacted_store_ingests_and_is_compacted_again() {
     twice.verify_consistency().unwrap();
 
     // The second compaction seals the new segments and cuts their rows:
-    // no feature row stored, eight empty trees, the same answers.
+    // no feature row stored, eight empty trees, no page for any of them,
+    // the same answers.
     twice.compact_storage().unwrap();
     assert!(pages_written.get() > written);
     for (name, (sealed, stored, trees)) in TABLES.iter().zip(layout(&twice)) {
@@ -144,9 +148,11 @@ fn a_compacted_store_ingests_and_is_compacted_again() {
             "{name}: {trees:?}"
         );
     }
+    let stats = twice.stats();
     assert_eq!(
-        twice.stats().index_bytes,
-        8 * 2 * pagestore::PAGE_SIZE as u64
+        (stats.heap_bytes, stats.index_bytes),
+        (0, 0),
+        "a page of nothing"
     );
     assert!(
         answers(&twice) == want,

@@ -25,8 +25,8 @@ const KIND_LEAF: u8 = 0;
 const KIND_INTERNAL: u8 = 1;
 /// Sentinel for "no next leaf".
 const NO_PAGE: u32 = u32::MAX;
-/// Widest key [`BTree::create`] accepts: four separators, each with its
-/// child pointer, must fit an internal node.
+/// Widest key a tree takes: four separators, each with its child pointer,
+/// must fit an internal node.
 pub(crate) const MAX_KEY_WIDTH: usize = (PAGE_SIZE - HDR) / 4 - 4;
 /// No tree is taller: an internal node has at least two children and a
 /// file at most 2³² pages.
@@ -101,6 +101,11 @@ impl LeafCursor {
 }
 
 /// A B+tree index. See the module docs.
+///
+/// A tree with no applied entry owns no page: its file is empty, and its
+/// key width is the catalogue's. The first entry applied takes page 0, the
+/// meta page (magic, key width, root, height, entry count), and page 1,
+/// the root leaf.
 pub struct BTree {
     pool: Arc<BufferPool>,
     fid: FileId,
@@ -114,52 +119,33 @@ pub struct BTree {
 }
 
 impl BTree {
-    /// Creates an empty tree in the freshly created file `fid`, for keys of
-    /// exactly `key_width` bytes.
-    pub fn create(pool: Arc<BufferPool>, fid: FileId, key_width: usize) -> Result<Self> {
-        assert!(key_width >= 1, "key width must be positive");
-        assert!(key_width <= MAX_KEY_WIDTH, "key width too large for a page");
-        let leaf_cap = (PAGE_SIZE - HDR) / key_width;
-        let int_cap = (PAGE_SIZE - HDR) / (key_width + 4);
-        let meta = pool.allocate_page(fid)?;
-        debug_assert_eq!(meta, META_PAGE);
-        let root = pool.allocate_page(fid)?;
-        pool.with_page_mut(fid, root, |b| {
-            b[0] = KIND_LEAF;
-            page::put_u16(b, 2, 0);
-            page::put_u32(b, 4, NO_PAGE);
-        })?;
-        let t = Self {
-            pool,
-            fid,
-            key_width,
-            root,
-            height: 0,
-            count: 0,
-            leaf_cap,
-            int_cap,
-            metrics: BTreeMetrics::new(),
+    /// Opens the tree in file `fid`, of keys exactly `key_width` bytes wide
+    /// (the catalogue's width; a meta page that says otherwise, or a width
+    /// no page holds four of, is corrupt). A file of no page — a new tree,
+    /// or one rebuilt over no row — is an empty tree.
+    pub fn open(pool: Arc<BufferPool>, fid: FileId, key_width: usize) -> Result<Self> {
+        if key_width == 0 || key_width > MAX_KEY_WIDTH {
+            return Err(StoreError::Corrupt(format!("btree key width {key_width}")));
+        }
+        let (magic, kw, root, height, count) = match pool.file_pages(fid) {
+            0 => (MAGIC, key_width, NO_PAGE, 0, 0),
+            _ => pool.with_page(fid, META_PAGE, |b| {
+                (
+                    page::get_u32(b, 0),
+                    page::get_u16(b, 4) as usize,
+                    page::get_u32(b, 8),
+                    page::get_u32(b, 12),
+                    page::get_u64(b, 16),
+                )
+            })?,
         };
-        t.write_meta()?;
-        Ok(t)
-    }
-
-    /// Opens an existing tree in file `fid`.
-    pub fn open(pool: Arc<BufferPool>, fid: FileId) -> Result<Self> {
-        let (magic, kw, root, height, count) = pool.with_page(fid, META_PAGE, |b| {
-            (
-                page::get_u32(b, 0),
-                page::get_u16(b, 4) as usize,
-                page::get_u32(b, 8),
-                page::get_u32(b, 12),
-                page::get_u64(b, 16),
-            )
-        })?;
         if magic != MAGIC {
             return Err(StoreError::Corrupt("btree file has bad magic".into()));
         }
-        if kw == 0 || kw > MAX_KEY_WIDTH {
-            return Err(StoreError::Corrupt(format!("btree key width {kw}")));
+        if kw != key_width {
+            return Err(StoreError::Corrupt(format!(
+                "btree key width {kw}, the catalogue's keys are {key_width} bytes"
+            )));
         }
         Ok(Self {
             leaf_cap: (PAGE_SIZE - HDR) / kw,
@@ -174,6 +160,23 @@ impl BTree {
         })
     }
 
+    /// Gives a tree that owns no page its meta page and its root leaf: the
+    /// first entry's pages.
+    fn take_first_pages(&mut self) -> Result<()> {
+        if self.pool.file_pages(self.fid) > 0 {
+            return Ok(());
+        }
+        let meta = self.pool.allocate_page(self.fid)?;
+        debug_assert_eq!(meta, META_PAGE);
+        self.root = self.pool.allocate_page(self.fid)?;
+        self.pool.with_page_mut(self.fid, self.root, |b| {
+            b[0] = KIND_LEAF;
+            page::put_u16(b, 2, 0);
+            page::put_u32(b, 4, NO_PAGE);
+        })?;
+        self.write_meta()
+    }
+
     fn write_meta(&self) -> Result<()> {
         self.pool.with_page_mut(self.fid, META_PAGE, |b| {
             page::put_u32(b, 0, MAGIC);
@@ -184,8 +187,12 @@ impl BTree {
         })
     }
 
-    /// Persists root/height/count to the meta page.
+    /// Persists root/height/count to the meta page; a tree with no entry
+    /// has none to write.
     pub fn sync_meta(&self) -> Result<()> {
+        if self.count == 0 {
+            return Ok(());
+        }
         self.write_meta()
     }
 
@@ -238,6 +245,7 @@ impl BTree {
     /// key whose leaf is full, and the oracle its tests compare to.
     pub fn insert(&mut self, key: &[u8]) -> Result<()> {
         assert_eq!(key.len(), self.key_width, "key width mismatch");
+        self.take_first_pages()?;
         // Descend, recording the path of internal pages.
         let mut path = [NO_PAGE; MAX_HEIGHT];
         let mut depth = self.height as usize;
@@ -307,6 +315,9 @@ impl BTree {
     /// Panics if a key has the wrong width or the run is not sorted.
     pub fn insert_sorted<'a>(&mut self, n: usize, entry: impl Fn(usize) -> &'a [u8]) -> Result<()> {
         self.metrics.applies.inc();
+        if n > 0 {
+            self.take_first_pages()?;
+        }
         let kw = self.key_width;
         let cap = self.leaf_cap;
         let mut fence = Vec::new();
@@ -369,11 +380,11 @@ impl BTree {
         Ok(())
     }
 
-    /// Builds a tree from keys that are **already sorted** (duplicates
-    /// allowed). Orders of magnitude faster
+    /// Builds a tree in the freshly created file `fid` from keys that are
+    /// **already sorted** (duplicates allowed). Orders of magnitude faster
     /// than repeated [`BTree::insert`]: leaves are written left to right at
     /// a ~90% fill factor and the internal levels are assembled bottom-up
-    /// with no page ever touched twice.
+    /// with no page ever touched twice. No key writes no page.
     ///
     /// # Panics
     ///
@@ -384,12 +395,17 @@ impl BTree {
         key_width: usize,
         keys: impl IntoIterator<Item = &'a [u8]>,
     ) -> Result<Self> {
-        let mut tree = Self::create(pool, fid, key_width)?;
+        let mut tree = Self::open(pool, fid, key_width)?;
+        let mut keys = keys.into_iter().peekable();
+        if keys.peek().is_none() {
+            return Ok(tree);
+        }
+        tree.take_first_pages()?;
         let kw = key_width;
         let fill = (tree.leaf_cap * 9 / 10).max(1);
 
-        // Phase 1: fill leaves. The first leaf reuses the root page the
-        // constructor allocated.
+        // Phase 1: fill leaves. The first leaf is the root page the first
+        // key took.
         let mut leaves: Vec<(Vec<u8>, PageId)> = Vec::new(); // (first key, pid)
         let mut current = tree.root;
         let mut in_page = 0usize;
@@ -829,7 +845,7 @@ mod tests {
         let p = std::env::temp_dir().join(format!("pagestore-bt-{}-{name}", std::process::id()));
         let pool = Arc::new(BufferPool::new(128));
         let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
-        let bt = BTree::create(pool.clone(), fid, kw).unwrap();
+        let bt = BTree::open(pool.clone(), fid, kw).unwrap();
         (pool, bt, p)
     }
 
@@ -995,7 +1011,7 @@ mod tests {
         {
             let pool = Arc::new(BufferPool::new(128));
             let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
-            let mut bt = BTree::create(pool.clone(), fid, 8).unwrap();
+            let mut bt = BTree::open(pool.clone(), fid, 8).unwrap();
             for i in 0..5000u64 {
                 bt.insert(&key8(i)).unwrap();
             }
@@ -1004,7 +1020,7 @@ mod tests {
         }
         let pool = Arc::new(BufferPool::new(128));
         let fid = pool.register_file(PageFile::open(&crate::OsVfs, &p).unwrap());
-        let bt = BTree::open(pool, fid).unwrap();
+        let bt = BTree::open(pool, fid, 8).unwrap();
         assert_eq!(bt.len(), 5000);
         assert_eq!(bt.key_width(), 8);
         let mut n = 0u64;
@@ -1449,7 +1465,7 @@ mod tests {
         }
         let pool = Arc::new(BufferPool::new(256));
         let fid = pool.register_file(PageFile::open(&crate::OsVfs, &p).unwrap());
-        let bt = BTree::open(pool, fid).unwrap();
+        let bt = BTree::open(pool, fid, 8).unwrap();
         assert_eq!(bt.len(), 10_000);
         let mut n = 0;
         bt.range(&key8(0), &key8(u64::MAX), |k| {

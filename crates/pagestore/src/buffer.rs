@@ -120,8 +120,9 @@ struct Frame {
 
 /// A registered file plus its durability identity. Files registered with
 /// a `wal_name` have their dirty pages logged (WAL-before-data) before
-/// any writeback; files without one (B+tree indexes, plain-pool users)
-/// are written back directly (after [`Wal::mark_unclean`]).
+/// any writeback, and their first page allocated after
+/// [`Wal::mark_unclean`]; files without one (B+tree indexes, plain-pool
+/// users) are written back directly (after [`Wal::mark_unclean`]).
 struct FileEntry {
     file: PageFile,
     wal_name: Option<String>,
@@ -319,9 +320,22 @@ impl BufferPool {
 
     /// Appends a zeroed page to file `fid` and returns its id. The page is
     /// installed in the pool as a clean frame (no physical read needed).
+    ///
+    /// The first page of a logged file is its meta page, and a meta page of
+    /// zeros does not open: before a logged file that owns no page takes
+    /// one, the log is marked unclean, so a crash from here on is met by
+    /// recovery, which cuts the file back to what the last commit holds.
+    /// (A file's allocations are serialized by its owner.)
     pub fn allocate_page(&self, fid: FileId) -> Result<PageId> {
-        let files = self.files.read();
+        let first_logged = {
+            let entry = &self.files.read()[fid as usize];
+            entry.wal_name.is_some() && entry.file.num_pages() == 0
+        };
         let wal = self.wal.read().clone();
+        if let (true, Some(wal)) = (first_logged, &wal) {
+            wal.mark_unclean()?;
+        }
+        let files = self.files.read();
         let pid = files[fid as usize].file.allocate()?;
         let si = shard_for(self.shards.len(), fid, pid);
         let mut shard = self.shards[si].lock();

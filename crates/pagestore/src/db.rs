@@ -216,14 +216,7 @@ impl Database {
                     let fid = db
                         .pool
                         .register_file_named(PageFile::open(&*vfs, &path)?, wal_name);
-                    let heap = HeapFile::open(db.pool.clone(), fid)?;
-                    if heap.ncols() != cols.len() {
-                        return Err(StoreError::Corrupt(format!(
-                            "table {name}: catalog says {} columns, heap has {}",
-                            cols.len(),
-                            heap.ncols()
-                        )));
-                    }
+                    let heap = HeapFile::open(db.pool.clone(), fid, cols.len())?;
                     let table = Arc::new(Table::new(name.to_string(), cols, heap));
                     db.tables.lock().insert(name.to_string(), table);
                 }
@@ -241,25 +234,23 @@ impl Database {
                     // A tree holds the `len()` rows behind its heap's
                     // sealed ones (`attach_index` derives the rest into
                     // its write buffer, as keys of the catalogue's
-                    // columns). One that is missing (recovery dropped
-                    // it), torn (empty, or zeros where the magic
-                    // goes), of an earlier release's layout (another
-                    // magic), ahead of its heap (a file from before a
-                    // seal) or of another key width is rebuilt from the
-                    // recovered heap by the deterministic bulk load that
-                    // created it.
-                    let usable = |t: &BTree| {
-                        table.sealed_rows() + t.len() <= table.num_rows()
-                            && t.key_width() == cols.len() * 8 + 8
-                    };
+                    // columns); a file of no page holds none. One that
+                    // is missing (recovery dropped it), torn (zeros
+                    // where the magic goes), of an earlier release's
+                    // layout (another magic), ahead of its heap (a file
+                    // from before a seal) or of another key width is
+                    // rebuilt from the recovered heap by the
+                    // deterministic bulk load that created it.
                     let missing = |e: &StoreError| match e {
                         StoreError::Io(e) => e.kind() == ErrorKind::NotFound,
                         e => matches!(e, StoreError::Corrupt(_)),
                     };
-                    let opened = PageFile::open(&*vfs, &path)
-                        .and_then(|file| BTree::open(db.pool.clone(), db.pool.register_file(file)));
+                    let kw = cols.len() * 8 + 8;
+                    let opened = PageFile::open(&*vfs, &path).and_then(|file| {
+                        BTree::open(db.pool.clone(), db.pool.register_file(file), kw)
+                    });
                     let tree = match opened {
-                        Ok(tree) if usable(&tree) => tree,
+                        Ok(tree) if table.sealed_rows() + tree.len() <= table.num_rows() => tree,
                         Err(e) if !missing(&e) => return Err(e),
                         _ => {
                             let fid = db.pool.register_file(PageFile::create(&*vfs, &path)?);
@@ -362,7 +353,7 @@ impl Database {
             .pool
             .register_file_named(PageFile::create(&**self.vfs(), &path)?, wal_name);
         self.sync_dir()?; // lint: allow(L7) the registry guard makes a name's check and insert one step; tables are made at setup
-        let heap = HeapFile::create(self.pool.clone(), fid, spec.cols.len())?;
+        let heap = HeapFile::open(self.pool.clone(), fid, spec.cols.len())?;
         let table = Arc::new(Table::new(spec.name.clone(), spec.cols.clone(), heap));
         tables.insert(spec.name.clone(), table.clone());
         drop(tables);
@@ -500,7 +491,7 @@ impl Database {
         self.sync_dir()?;
         let fid = table.heap_fid();
         self.pool.swap_file(fid, PageFile::open(vfs, &path)?);
-        table.replace_heap(HeapFile::open(self.pool.clone(), fid)?);
+        table.replace_heap(HeapFile::open(self.pool.clone(), fid, ncols)?);
         if let Some(wal) = &self.wal {
             wal.checkpoint(&self.current_state())?;
         }
@@ -1054,10 +1045,10 @@ mod tests {
         {
             let db = Database::create(&dir, 128).unwrap();
             let t = db.create_table(TableSpec::new("ev", &["x"])).unwrap();
-            db.create_index("ev", "by_x", &["x"]).unwrap();
             for i in 0..300 {
                 t.insert(&[i as f64]).unwrap();
             }
+            db.create_index("ev", "by_x", &["x"]).unwrap();
             db.flush().unwrap();
         }
         // A tree that claims more entries than the heap has rows cannot
@@ -1454,14 +1445,27 @@ mod tests {
         let cut_files = data_files(&dir);
         db.cut_table("ev", |row| row[2] >= from).unwrap();
         assert!(data_files(&dir) == cut_files, "a no-op cut wrote a file");
-        // A cut of every row leaves a heap of its meta page alone, under
-        // empty trees, and rows append to it as to a new one.
+        // A cut of every row leaves a heap and trees that own no page: the
+        // catalogued files stay, empty, with no sidecar beside them, and
+        // rows append to the heap as to a new one.
         db.cut_table("ev", |_| false).unwrap();
         check_rewritten(&t, 0, &[]);
-        assert_eq!(t.heap_bytes(), crate::PAGE_SIZE as u64);
-        assert_eq!(t.index_bytes(), 4 * crate::PAGE_SIZE as u64);
+        db.flush().unwrap();
+        assert_eq!((t.heap_bytes(), t.index_bytes()), (0, 0));
+        let files = data_files(&dir);
+        assert_eq!(files.len(), 3, "one heap, two trees");
+        assert!(files.values().all(Vec::is_empty), "a page of nothing");
+        assert!(!dir.join("ev.tbl.zones").exists(), "a sidecar of nothing");
         t.insert(&keyed_row(7)).unwrap();
         check_rewritten(&t, 0, &[keyed_row(7).map(f64::to_bits)]);
+        db.flush().unwrap();
+        drop((t, db));
+        let db = Database::open(&dir, 512).unwrap();
+        check_rewritten(
+            &db.table("ev").unwrap(),
+            0,
+            &[keyed_row(7).map(f64::to_bits)],
+        );
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -1531,7 +1535,7 @@ mod tests {
         let sealed = &heap[META_SEALED_ROWS..META_SEALED_ROWS + 8];
         assert_eq!(sealed, KEYED_ROWS.to_le_bytes());
         for tree in ["ev.by_dt_dv.idx", "ev.by_t.idx"] {
-            assert_eq!(once[tree].len(), 2 * crate::PAGE_SIZE, "{tree}");
+            assert!(once[tree].is_empty(), "{tree}: an empty tree owns no page");
         }
         assert!(once == data_files(&twice_dir), "heap or trees");
         let zones = |dir: &Path| fs::read(dir.join("ev.tbl.zones")).unwrap();

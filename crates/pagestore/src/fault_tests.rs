@@ -53,7 +53,7 @@ fn heap_with_wrong_magic_rejected() {
     let pool = Arc::new(BufferPool::new(16));
     let fid = pool.register_file(PageFile::open(&crate::OsVfs, &p).unwrap());
     assert!(matches!(
-        HeapFile::open(pool, fid),
+        HeapFile::open(pool, fid, 2),
         Err(StoreError::Corrupt(_))
     ));
     std::fs::remove_dir_all(&dir).ok();
@@ -68,7 +68,7 @@ fn btree_with_wrong_magic_rejected() {
     let pool = Arc::new(BufferPool::new(16));
     let fid = pool.register_file(PageFile::open(&crate::OsVfs, &p).unwrap());
     assert!(matches!(
-        BTree::open(pool, fid),
+        BTree::open(pool, fid, 8),
         Err(StoreError::Corrupt(_))
     ));
     std::fs::remove_dir_all(&dir).ok();
@@ -91,7 +91,10 @@ fn catalog_column_mismatch_rejected() {
     let dir = tmpdir("mismatch");
     {
         let db = Database::create(&dir, 64).unwrap();
-        db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
+        let t = db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
+        // A heap with no row owns no page, and no count but the
+        // catalogue's: give it one of its own.
+        t.insert(&[1.0, 2.0]).unwrap();
         db.flush().unwrap();
     }
     // Tamper: claim three columns in the catalog while the heap has two.
@@ -317,12 +320,115 @@ fn tree_left_from_before_the_seal_is_rebuilt_on_open() {
     assert_reopens_to(&dir, &rows, 2000);
     // The rebuilt tree is the sealed heap's own: the next open keeps it.
     let rebuilt = std::fs::read(dir.join("t.by_ab.idx")).unwrap();
-    assert_eq!(rebuilt.len(), 2 * PAGE_SIZE, "an empty tree");
+    assert_eq!(rebuilt.len(), 0, "an empty tree owns no page");
     assert_reopens_to(&dir, &rows, 2000);
     assert!(std::fs::read(dir.join("t.by_ab.idx")).unwrap() == rebuilt);
     for d in [dir, past] {
         std::fs::remove_dir_all(&d).ok();
     }
+}
+
+/// Cuts the file `path` to `len` bytes.
+fn cut_file(path: &Path, len: u64) {
+    let file = std::fs::File::options().write(true).open(path).unwrap();
+    file.set_len(len).unwrap();
+}
+
+#[test]
+fn a_heap_of_no_page_with_committed_rows_is_corrupt_not_an_empty_table() {
+    // A heap with no row owns no page, so a file of no page reads as one:
+    // unless the log's last commit counts rows of it. Then the file was
+    // lost, and an empty table would be 2,000 events silently missing.
+    let (dir, db) = loaded_store("lostheap");
+    drop(db);
+    unclean_log(&dir, 2000);
+    let heap = dir.join("t.tbl");
+    for len in [0, 13] {
+        cut_file(&heap, len);
+        let recovered = crate::recovery::recover(&crate::OsVfs, &dir, false);
+        assert!(matches!(recovered, Err(StoreError::Corrupt(m)) if m.contains("no meta page")));
+        match Database::open(&dir, 64) {
+            Err(StoreError::Corrupt(m)) => assert!(m.contains("2000 committed rows"), "{m}"),
+            other => panic!("{len} bytes: {:?}", other.map(|_| "opened")),
+        }
+    }
+    // Nor is a meta page of zeros, the page a first row is allocated.
+    std::fs::write(&heap, vec![0u8; PAGE_SIZE]).unwrap();
+    assert!(matches!(
+        Database::open(&dir, 64),
+        Err(StoreError::Corrupt(m)) if m.contains("bad heap magic")
+    ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_heap_recovery_cuts_to_no_row_owns_no_page_and_takes_appends() {
+    // A commit at no row of `t`, then rows no commit covers, some of their
+    // pages written back by a small pool: recovery cuts the heap to the
+    // committed 0 rows — no page — and it grows again as a new one does.
+    let dir = tmpdir("tozero");
+    let opts = crate::DurabilityOptions {
+        group_commit: 1,
+        ..crate::DurabilityOptions::durable()
+    };
+    {
+        let db = Database::create_with(&dir, 16, opts).unwrap();
+        let t = db.create_table(TableSpec::new("t", &["a", "b"])).unwrap();
+        db.create_index("t", "by_ab", &["a", "b"]).unwrap();
+        db.commit(b"no row").unwrap();
+        for i in 0..3000 {
+            t.insert(&loaded_row(i)).unwrap();
+        }
+        // Crash: dropped without a commit.
+    }
+    assert!(std::fs::metadata(dir.join("t.tbl")).unwrap().len() > 0);
+    let db = Database::open(&dir, 16).unwrap();
+    let report = db.recovery_report().unwrap();
+    assert!(!report.clean, "{report:?}");
+    let len = |name: &str| std::fs::metadata(dir.join(name)).unwrap().len();
+    assert_eq!((len("t.tbl"), len("t.by_ab.idx")), (0, 0));
+    let t = db.table("t").unwrap();
+    assert_eq!(t.num_rows(), 0);
+    for i in 0..700 {
+        t.insert(&loaded_row(i)).unwrap();
+    }
+    db.commit(b"appended").unwrap();
+    db.flush().unwrap();
+    drop((t, db));
+    let mut rows: Vec<Vec<u64>> = (0..700)
+        .map(|i| loaded_row(i).map(f64::to_bits).to_vec())
+        .collect();
+    rows.sort_unstable();
+    assert_reopens_to(&dir, &rows, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_tree_of_no_page_under_unsealed_rows_reopens_to_every_row() {
+    // A tree file cut to nothing is an empty tree, not a torn one: open
+    // rebuilds nothing and checkpoints nothing, and its write buffer takes
+    // every row behind the sealed ones, so a full index scan finds what a
+    // sequential scan finds.
+    let (dir, db) = loaded_store("treetozero");
+    let [rows, _] = db
+        .table("t")
+        .unwrap()
+        .rows_by_scan_and_by_seal_and_tree("by_ab");
+    drop(db);
+    let (idx, log) = (dir.join("t.by_ab.idx"), dir.join(crate::WAL_FILE));
+    cut_file(&idx, 0);
+    let log_before = std::fs::read(&log).unwrap();
+    let db = assert_reopens_to(&dir, &rows, 0);
+    let tree = db.table("t").unwrap().index("by_ab").unwrap();
+    assert_eq!((tree.len(), tree.buffered()), (2000, 2000));
+    assert!(db.recovery_report().unwrap().clean);
+    drop((tree, db));
+    assert_eq!(std::fs::metadata(&idx).unwrap().len(), 0, "rebuilt at open");
+    assert!(
+        std::fs::read(&log).unwrap() == log_before,
+        "a checkpoint at open"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -396,7 +502,9 @@ fn earlier_release_store(
     HeapFile::write(&crate::OsVfs, &tail_file, 2, &tail_refs, true, false).unwrap();
     let mut heap = std::fs::read(dir.join("t.tbl")).unwrap();
     assert_eq!(heap[16..18], 1u16.to_le_bytes());
-    heap.extend_from_slice(&std::fs::read(&tail_file).unwrap()[PAGE_SIZE..]);
+    // Its data pages (a tail of no row is a file of no page).
+    let tail_file_bytes = std::fs::read(&tail_file).unwrap();
+    heap.extend_from_slice(tail_file_bytes.get(PAGE_SIZE..).unwrap_or_default());
     heap[8..16].copy_from_slice(&(2000 + tail).to_le_bytes());
     heap[24..32].copy_from_slice(&sealed.to_le_bytes());
     std::fs::write(dir.join("t.tbl"), heap).unwrap();
@@ -436,7 +544,7 @@ fn heaps_of_earlier_releases_are_sealed_where_they_stand() {
         let before = std::fs::read(&heap).unwrap();
         let db = assert_reopens_to(&dir, &rows, stored);
         let tree_bytes = std::fs::metadata(dir.join("t.by_ab.idx")).unwrap().len();
-        assert_eq!(tree_bytes, 2 * PAGE_SIZE as u64, "{tag}");
+        assert_eq!(tree_bytes, 0, "{tag}: an empty tree owns no page");
         // The next row opens a raw page behind the last columnar one,
         // partly filled or not, and the store reopens with it.
         let t = db.table("t").unwrap();

@@ -65,8 +65,10 @@ fn rid_parts(r: RowId) -> (u32, u16) {
 
 /// An append-only table file of rows with a fixed number of `f64` columns.
 ///
-/// Page 0 holds metadata (magic, column count, row count, sealed row
-/// count); data pages follow, in one layout: pages `1..=sealed_pages` are
+/// A heap with no row owns no page: its file is empty, and its column
+/// count is the catalogue's. The first row takes page 0, which holds
+/// metadata (magic, column count, row count, sealed row count); data
+/// pages follow, in one layout: pages `1..=sealed_pages` are
 /// compressed [`crate::colpage`] pages holding exactly the `sealed_rows`
 /// rows the last seal wrote, and every page behind them is a raw page of
 /// fixed-width little-endian rows, so row `k >= sealed_rows` lives at page
@@ -192,25 +194,6 @@ impl ScanPage<'_> {
 }
 
 impl HeapFile {
-    /// Creates an empty heap in the (already registered, freshly created)
-    /// file `fid`.
-    pub fn create(pool: Arc<BufferPool>, fid: FileId, ncols: usize) -> Result<Self> {
-        let rows_per_page = raw_rows_per_page(ncols, &pool.file_path(fid))?;
-        let meta = pool.allocate_page(fid)?;
-        debug_assert_eq!(meta, META_PAGE);
-        let h = Self {
-            pool,
-            fid,
-            ncols,
-            rows_per_page,
-            nrows: 0,
-            sealed_bounds: vec![0],
-            zones: Some(Self::with_levels_gauge(ZoneMap::new(ncols))),
-        };
-        h.write_meta()?;
-        Ok(h)
-    }
-
     /// Takes `zones` as this heap's map (and says how deep it is).
     fn with_levels_gauge(zones: ZoneMap) -> ZoneMap {
         obs::global()
@@ -219,31 +202,40 @@ impl HeapFile {
         zones
     }
 
-    /// Opens an existing heap in file `fid`.
+    /// Opens the heap in file `fid`, whose rows have `ncols` columns (the
+    /// catalogue's count; a meta page that says otherwise is corrupt). A
+    /// file of no page — a new heap, or one every row was cut from — is an
+    /// empty heap.
     ///
     /// The columnar pages that lead the file are the sealed rows, whatever
     /// wrote them: a heap an earlier release compacted and then appended
     /// to in columnar pages has every such row sealed where it stands
     /// (its meta count, which ends on one of those pages, is brought up to
     /// date by the next flush), and the next row opens a raw page.
-    pub fn open(pool: Arc<BufferPool>, fid: FileId) -> Result<Self> {
-        let (magic, ncols, nrows, columnar, meta_sealed) = pool.with_page(fid, META_PAGE, |b| {
-            (
-                page::get_u32(b, 0),
-                page::get_u16(b, 4) as usize,
-                page::get_u64(b, 8),
-                page::get_u16(b, META_COLUMNAR),
-                page::get_u64(b, META_SEALED_ROWS),
-            )
-        })?;
-        if magic != MAGIC {
-            return Err(StoreError::Corrupt("heap file has bad magic".into()));
-        }
+    pub fn open(pool: Arc<BufferPool>, fid: FileId, ncols: usize) -> Result<Self> {
         let path = pool.file_path(fid);
-        let rows_per_page = raw_rows_per_page(ncols, &path)?;
+        let npages = pool.file_pages(fid);
+        let (magic, on_file, nrows, columnar, meta_sealed) = match npages {
+            0 => (MAGIC, ncols, 0, 0, 0),
+            _ => pool.with_page(fid, META_PAGE, |b| {
+                (
+                    page::get_u32(b, 0),
+                    page::get_u16(b, 4) as usize,
+                    page::get_u64(b, 8),
+                    page::get_u16(b, META_COLUMNAR),
+                    page::get_u64(b, META_SEALED_ROWS),
+                )
+            })?,
+        };
         let corrupt =
             |what: String| Err(StoreError::Corrupt(format!("{}: {what}", path.display())));
-        let npages = pool.file_pages(fid);
+        if magic != MAGIC {
+            return corrupt("heap file has bad magic".into());
+        }
+        let rows_per_page = raw_rows_per_page(on_file, &path)?;
+        if on_file != ncols {
+            return corrupt(format!("{on_file} columns, the catalogue says {ncols}"));
+        }
         let walk_end = match columnar {
             0 => META_PAGE + 1,
             1 => npages,
@@ -279,13 +271,20 @@ impl HeapFile {
                 "{meta_sealed} of {nrows} rows claimed sealed, which end on no columnar page"
             ));
         }
-        let tail_pages = (nrows - sealed_rows).div_ceil(rows_per_page as u64);
-        if (npages as u64) < 1 + sealed_pages as u64 + tail_pages {
+        // The meta page comes with the first row.
+        let data_pages = (nrows - sealed_rows)
+            .div_ceil(rows_per_page as u64)
+            .saturating_add(sealed_pages as u64);
+        if (npages as u64) < data_pages.saturating_add(u64::from(nrows > 0)) {
             return corrupt(format!(
                 "{npages} pages hold fewer rows than the meta count {nrows}"
             ));
         }
-        let zones = ZoneMap::load(&**pool.vfs(), &path, ncols, nrows)?;
+        // An empty heap's map is the empty one: it needs no sidecar.
+        let zones = match ZoneMap::load(&**pool.vfs(), &path, ncols, nrows)? {
+            None if nrows == 0 => Some(ZoneMap::new(ncols)),
+            zones => zones,
+        };
         let zones = zones.map(Self::with_levels_gauge);
         Ok(Self {
             pool,
@@ -301,9 +300,10 @@ impl HeapFile {
     /// Writes `rows`, in the order given, as a whole heap file at `path`
     /// of `vfs` — meta page, then data pages filled front to back: every
     /// row sealed in columnar pages when `sealed`, every row on raw pages
-    /// otherwise — synced when `sync`, and returns the zone map of the
-    /// rows under the pages they landed on. The one place a columnar page
-    /// is built: rows reach one by being sealed, never by being appended.
+    /// otherwise; no page at all for no row — synced when `sync`, and
+    /// returns the zone map of the rows under the pages they landed on.
+    /// The one place a columnar page is built: rows reach one by being
+    /// sealed, never by being appended.
     pub(crate) fn write(
         vfs: &dyn Vfs,
         path: &Path,
@@ -314,8 +314,14 @@ impl HeapFile {
     ) -> Result<ZoneMap> {
         let rows_per_page = raw_rows_per_page(ncols, path)?;
         let out = PageFile::create(vfs, path)?;
-        out.allocate()?; // meta page 0, filled in below
         let mut zones = ZoneMap::new(ncols);
+        if rows.is_empty() {
+            if sync {
+                out.sync()?;
+            }
+            return Ok(zones);
+        }
+        out.allocate()?; // meta page 0, filled in below
         let mut page = PageBuf::zeroed();
         let write = |page: &PageBuf| {
             let pid = out.allocate()?;
@@ -371,8 +377,11 @@ impl HeapFile {
     }
 
     /// Persists the row count to the meta page, and the zone-map sidecar
-    /// when one is maintained.
+    /// when one is maintained. A heap with no row has neither to write.
     pub fn sync_meta(&self) -> Result<()> {
+        if self.nrows == 0 {
+            return Ok(());
+        }
         self.write_meta()?;
         if let Some(z) = &self.zones {
             let path = self.pool.file_path(self.fid);
@@ -480,6 +489,14 @@ impl HeapFile {
     /// Panics if `row.len() != ncols`.
     pub fn insert(&mut self, row: &[f64]) -> Result<RowId> {
         assert_eq!(row.len(), self.ncols, "row arity mismatch");
+        if self.nrows == 0 && self.pool.file_pages(self.fid) == 0 {
+            // The first row of a heap that owns no page takes the meta
+            // page, filled in at once: the commit that covers the row
+            // logs it, and recovery needs its magic and column count.
+            let meta = self.pool.allocate_page(self.fid)?;
+            debug_assert_eq!(meta, META_PAGE);
+            self.write_meta()?;
+        }
         let (pid, slot) = self.position(self.nrows);
         // A leftover page from an interrupted extension is reused.
         if slot == 0 && pid >= self.pool.file_pages(self.fid) {
@@ -933,12 +950,12 @@ mod tests {
         let pool = Arc::new(BufferPool::new(64));
         let mut heap = if sealed == 0 {
             let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
-            HeapFile::create(pool.clone(), fid, ncols).unwrap()
+            HeapFile::open(pool.clone(), fid, ncols).unwrap()
         } else {
             let lead: Vec<&[f64]> = rows[..sealed].iter().map(|r| &r[..]).collect();
             let zones = HeapFile::write(&OsVfs, &p, ncols, &lead, true, false).unwrap();
             let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
-            let mut heap = HeapFile::open(pool.clone(), fid).unwrap();
+            let mut heap = HeapFile::open(pool.clone(), fid, ncols).unwrap();
             heap.install_zones(zones);
             heap
         };
@@ -1118,7 +1135,7 @@ mod tests {
         {
             let pool = Arc::new(BufferPool::new(64));
             let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
-            let mut h = HeapFile::create(pool.clone(), fid, 2).unwrap();
+            let mut h = HeapFile::open(pool.clone(), fid, 2).unwrap();
             for i in 0..1000 {
                 h.insert(&[i as f64, 2.0 * i as f64]).unwrap();
             }
@@ -1127,7 +1144,7 @@ mod tests {
         }
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
-        let mut h = HeapFile::open(pool, fid).unwrap();
+        let mut h = HeapFile::open(pool, fid, 2).unwrap();
         assert_eq!((h.num_rows(), h.sealed_rows()), (1000, 0));
         // Appends continue where the tail left off.
         h.insert(&[1000.0, 2000.0]).unwrap();
@@ -1139,6 +1156,53 @@ mod tests {
         })
         .unwrap();
         assert_eq!(count, 1001);
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn a_heap_with_no_row_owns_no_page() {
+        let p = std::env::temp_dir().join(format!("pagestore-heap-{}-nopage", std::process::id()));
+        let open = |ncols: usize| {
+            let pool = Arc::new(BufferPool::new(64));
+            let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
+            (HeapFile::open(pool.clone(), fid, ncols), pool, fid)
+        };
+        let len = || std::fs::metadata(&p).unwrap().len();
+        // Created, synced and flushed with no row: nothing written, no
+        // sidecar, and every read answers nothing.
+        PageFile::create(&OsVfs, &p).unwrap();
+        let (h, pool, fid) = open(3);
+        let mut h = h.unwrap();
+        h.sync_meta().unwrap();
+        pool.flush_all().unwrap();
+        assert_eq!((len(), h.size_bytes()), (0, 0));
+        assert!(
+            !ZoneMap::sidecar_path(&p).exists(),
+            "an empty heap's sidecar"
+        );
+        assert!(h.has_zones() && !h.prune_whole_segment(|_, _| false));
+        h.scan(0, |_, _| panic!("a row of no page")).unwrap();
+        h.fetch_many_cols(&[], 0..3, |_, _| panic!("a row of no page"))
+            .unwrap();
+        assert_eq!(h.compression_stats().unwrap().pages, 0);
+        // The first row takes the meta page and the first data page.
+        assert_eq!(h.insert(&[1.0, 2.0, 3.0]).unwrap(), rid(1, 0));
+        assert_eq!(pool.file_pages(fid), 2);
+        h.sync_meta().unwrap();
+        pool.flush_all().unwrap();
+        drop((h, pool));
+        let (h, _, _) = open(3);
+        assert_eq!(h.unwrap().num_rows(), 1);
+        // A heap of rows says its own column count: another is corrupt.
+        assert!(matches!(open(2).0, Err(StoreError::Corrupt(_))));
+        // Written with no row, a heap is a file of no page again.
+        let zones = HeapFile::write(&OsVfs, &p, 3, &[], false, false).unwrap();
+        assert_eq!((len(), zones.num_rows()), (0, 0));
+        let (h, _, _) = open(3);
+        assert_eq!(h.unwrap().num_rows(), 0);
+        // With no page the catalogue's count is the only one, and it must
+        // be one a heap can have.
+        assert!(matches!(open(0).0, Err(StoreError::Corrupt(_))));
         std::fs::remove_file(&p).ok();
     }
 
@@ -1180,7 +1244,7 @@ mod tests {
         drop((h, pool));
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
-        let mut h = HeapFile::open(pool.clone(), fid).unwrap();
+        let mut h = HeapFile::open(pool.clone(), fid, 2).unwrap();
         assert_eq!((h.num_rows(), h.sealed_rows()), (n as u64, n as u64));
         let pages_before = pool.file_pages(fid);
         let last_sealed = pool.with_page(fid, pages_before - 1, |b| *b).unwrap();
@@ -1205,7 +1269,7 @@ mod tests {
         drop((h, pool));
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
-        let mut h = HeapFile::open(pool.clone(), fid).unwrap();
+        let mut h = HeapFile::open(pool.clone(), fid, 2).unwrap();
         assert_eq!((h.num_rows(), h.sealed_rows()), (n as u64 + 1, n as u64));
         assert_eq!(h.insert(&[0.0, 0.0]).unwrap(), rid(pages_before, 1));
         std::fs::remove_file(&p).ok();
@@ -1369,7 +1433,7 @@ mod tests {
         {
             let pool = Arc::new(BufferPool::new(64));
             let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
-            let mut h = HeapFile::create(pool.clone(), fid, 1).unwrap();
+            let mut h = HeapFile::open(pool.clone(), fid, 1).unwrap();
             for i in 0..511 {
                 h.insert(&[i as f64]).unwrap(); // fills data page 1 exactly
             }
@@ -1383,7 +1447,7 @@ mod tests {
         }
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
-        let mut h = HeapFile::open(pool.clone(), fid).unwrap();
+        let mut h = HeapFile::open(pool.clone(), fid, 1).unwrap();
         assert_eq!(h.num_rows(), 511);
         // The leftovers hold no row, whatever their headers say.
         let mut seen = 0u64;

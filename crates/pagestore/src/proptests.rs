@@ -33,7 +33,7 @@ proptest! {
         let p = tmpfile("heap");
         let pool = Arc::new(BufferPool::new(pool_pages));
         let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
-        let mut heap = HeapFile::create(pool, fid, 3).unwrap();
+        let mut heap = HeapFile::open(pool, fid, 3).unwrap();
         let mut rids = Vec::new();
         for row in &rows {
             rids.push(heap.insert(row).unwrap());
@@ -70,7 +70,7 @@ proptest! {
         let p = tmpfile("btree");
         let pool = Arc::new(BufferPool::new(64));
         let fid = pool.register_file(PageFile::create(&crate::OsVfs, &p).unwrap());
-        let mut bt = BTree::create(pool, fid, 12).unwrap();
+        let mut bt = BTree::open(pool, fid, 12).unwrap();
         let mut model = BTreeSet::new();
         for (i, &k) in keys.iter().enumerate() {
             let mut key = [0u8; 12];

@@ -13,7 +13,8 @@
 //! 3. **Truncate logically** to the last commit's per-table row counts:
 //!    chop each heap file to the committed page count, rewrite the
 //!    per-page slot counts, zero the uncommitted tail slots, and restore
-//!    the meta-page row count. Only raw pages are touched: a seal begins
+//!    the meta-page row count; a count of 0 cuts the heap to no page, as a
+//!    heap with no row owns none. Only raw pages are touched: a seal begins
 //!    and ends with a checkpoint, so a committed count falls on the end of
 //!    the sealed rows' columnar pages or among the positional raw pages
 //!    behind them. Tables created after the last commit are removed (file
@@ -24,8 +25,8 @@
 //!    the same bulk-load path that created it, which is deterministic.
 //!
 //! Anything inconsistent with the committed state — a heap shorter than
-//! its committed rows, a bad heap magic — is a typed
-//! [`StoreError::Corrupt`], never a panic.
+//! its committed rows (one of no page holding any), a bad heap magic — is
+//! a typed [`StoreError::Corrupt`], never a panic.
 
 use crate::colpage;
 use crate::db::CATALOG;
@@ -151,22 +152,34 @@ pub fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<RecoveryReport> 
 
 /// Truncates a heap file to exactly `nrows` committed rows: page count,
 /// per-page slot counts, tail-slot contents and the meta row count all
-/// restored. Returns how many uncommitted rows were discarded.
+/// restored. A heap with no committed row owns no page, and is cut to
+/// none; one of no page (or a meta page of anything but a heap's) with a
+/// committed row lost it, and is corrupt, never an empty table. Returns
+/// how many uncommitted rows were discarded.
 fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64) -> Result<u64> {
     let f = vfs.open(path)?;
     let len = f.len()?;
-    if len < PAGE_SIZE as u64 {
-        return Err(StoreError::Corrupt(format!(
-            "{}: shorter than its meta page",
-            path.display()
-        )));
-    }
     let mut page = vec![0u8; PAGE_SIZE];
-    f.read_at(&mut page, 0)?;
+    if len >= PAGE_SIZE as u64 {
+        f.read_at(&mut page, 0)?;
+    }
     let magic = u32::from_le_bytes([page[0], page[1], page[2], page[3]]);
     if magic != HEAP_MAGIC {
+        // No page, a partial one, or the zeros a first row's meta page is
+        // allocated as: whatever it held of rows, none was committed.
+        if nrows == 0 {
+            if len > 0 {
+                f.set_len(0)?;
+            }
+            return Ok(0);
+        }
+        let what = if len < PAGE_SIZE as u64 {
+            "no meta page"
+        } else {
+            "bad heap magic after replay"
+        };
         return Err(StoreError::Corrupt(format!(
-            "{}: bad heap magic after replay",
+            "{}: {nrows} committed rows, {what}",
             path.display()
         )));
     }
@@ -195,7 +208,8 @@ fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64) -> Result<u64> {
             (sealed, sealed_pages) = (sealed + n, pid);
         }
     }
-    let need_pages = 1 + sealed_pages + (nrows - sealed).div_ceil(rpp);
+    // The meta page comes with the first row.
+    let need_pages = u64::from(nrows > 0) + sealed_pages + (nrows - sealed).div_ceil(rpp);
     if old_pages < need_pages {
         return Err(StoreError::Corrupt(format!(
             "{}: {nrows} committed rows need {need_pages} pages, file has {old_pages}",
@@ -216,7 +230,9 @@ fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64) -> Result<u64> {
     }
 
     // Restore the committed row count on the meta page.
-    f.write_at(&nrows.to_le_bytes(), 8)?;
+    if need_pages > 0 {
+        f.write_at(&nrows.to_le_bytes(), 8)?;
+    }
     Ok(observed.saturating_sub(nrows))
 }
 

@@ -591,7 +591,7 @@ mod tests {
         let pool = Arc::new(BufferPool::new(256));
         let heap_path = base.with_extension("tbl");
         let fid = pool.register_file(PageFile::create(&OsVfs, &heap_path).unwrap());
-        let heap = HeapFile::create(pool.clone(), fid, cols.len()).unwrap();
+        let heap = HeapFile::open(pool.clone(), fid, cols.len()).unwrap();
         let table = Table::new(
             name.to_string(),
             cols.iter().map(|s| s.to_string()).collect(),
@@ -613,7 +613,7 @@ mod tests {
             table.name()
         ));
         let fid = pool.register_file(PageFile::create(&OsVfs, &p).unwrap());
-        let tree = BTree::create(pool.clone(), fid, cols.len() * 8 + 8).unwrap();
+        let tree = BTree::open(pool.clone(), fid, cols.len() * 8 + 8).unwrap();
         table.attach_index(name.to_string(), cols, tree).unwrap();
         paths.push(p);
     }
@@ -1057,10 +1057,12 @@ mod tests {
     fn sizes_and_names() {
         let (pool, table, mut paths) = setup("meta", &["x"]);
         add_index(&pool, &table, "by_x", vec![0], &mut paths);
-        for i in 0..100 {
+        assert_eq!((table.heap_bytes(), table.index_bytes()), (0, 0));
+        // Past the buffer's first apply, so the tree holds entries.
+        for i in 0..BUFFER_ENTRIES {
             table.insert(&[i as f64]).unwrap();
         }
-        assert_eq!(table.payload_bytes(), 800);
+        assert_eq!(table.payload_bytes(), 8 * BUFFER_ENTRIES as u64);
         assert!(table.heap_bytes() > 0);
         assert!(table.index_bytes() > 0);
         assert_eq!(table.index_names(), vec!["by_x".to_string()]);

@@ -464,8 +464,9 @@ impl Wal {
     }
 
     /// Makes the log say, durably, that a file changed since its
-    /// checkpoint, before a page the log does not cover (a B+tree) is
-    /// written back: a log that is its checkpoint alone gets a commit
+    /// checkpoint, before a page the log does not cover (a B+tree, or the
+    /// zeros a heap's first page is allocated as) reaches a file: a log
+    /// that is its checkpoint alone gets a commit
     /// restating the checkpoint's state (recovery lands where it would
     /// have, and rebuilds the trees), and the log is synced.
     pub(crate) fn mark_unclean(&self) -> Result<()> {

@@ -1,6 +1,6 @@
 //! Schedules aimed at one place: the unlogged-tree window, every step of a
 //! compaction's first seal and first cut, the gap between the two, the
-//! inside of a group commit.
+//! first rows behind a full compaction, the inside of a group commit.
 
 use crate::fs::{CrashModel, Op, SimVfs};
 use crate::schedule::{Schedule, Sim, Step};
@@ -148,6 +148,54 @@ pub fn seal_steps(seed: u64, model: CrashModel, fills: &[usize]) -> Result<usize
     Ok(crashes)
 }
 
+/// A crash at every step of the first push behind a full compaction, on a
+/// store of `fill` samples compacted whole: every feature heap and tree
+/// owns no page, and the push's rows give them their first — a heap its
+/// meta page and first data page (logged), a tree its meta page and root
+/// once its write buffer applies (unlogged). The push runs through the
+/// rest of the series; a crash lands before the first two calls of each
+/// kind on each file (the log included), and at the end. Returns the
+/// crashes made.
+pub fn first_rows_behind_a_seal(
+    seed: u64,
+    model: CrashModel,
+    fill: usize,
+) -> Result<usize, String> {
+    let config = SegDiffConfig::default()
+        .with_pool_pages(48)
+        .with_group_commit(4);
+    let mut sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
+    sim.arm(0, Step::Push(fill), None)?;
+    sim.arm(1, Step::Compact, None)?;
+    let db = sim.index().database();
+    for name in FEATURE_TABLES {
+        let t = db.table(name).map_err(|e| e.to_string())?;
+        if t.heap_bytes() + t.index_bytes() > 0 {
+            return Err(format!("a full compaction left {name} a page"));
+        }
+    }
+    // The rest of the series: it holds fewer than 300 samples.
+    let push = Step::Push(300);
+    let trace = sim.trace(push)?;
+    let tree_page = |(op, path): &(Op, PathBuf)| {
+        *op == Op::WriteAt && path.extension().is_some_and(|ext| ext == "idx")
+    };
+    if !trace.iter().any(tree_page) {
+        return Err("no tree took a page in the push".into());
+    }
+    let mut calls = std::collections::BTreeMap::new();
+    let mut points = Vec::new();
+    for (i, call) in trace.iter().enumerate() {
+        let made = calls.entry(call).or_insert(0);
+        *made += 1;
+        if *made <= 2 {
+            points.push(i as u64);
+        }
+    }
+    points.push(trace.len() as u64);
+    sim.crash_at(push, &points)
+}
+
 /// A crash in the gap between a compaction's two steps, on a store of
 /// `fill` samples: `segments` sealed, no feature table cut yet. The store
 /// reopens with the rows of the sealed run both stored and generated,
@@ -201,12 +249,23 @@ pub fn group_commit_steps(seed: u64, model: CrashModel) -> Result<usize, String>
     let sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
     let trace = sim.trace(Step::Push(60))?;
     let log = |i: &usize| trace[*i].1.ends_with("wal.log");
-    let first = (0..trace.len())
-        .find(log)
+    // The longest run of calls on the log is a group commit: its images,
+    // its record, its sync. (The first rows' heaps taking their first
+    // pages mark the log unclean before: one record and its sync.)
+    let mut runs = Vec::new();
+    let mut at = 0;
+    while let Some(first) = (at..trace.len()).find(log) {
+        let end = (first..trace.len())
+            .find(|i| !log(i))
+            .unwrap_or(trace.len());
+        runs.push((first, end));
+        at = end;
+    }
+    let (first, end) = runs
+        .into_iter()
+        .rev()
+        .max_by_key(|(first, end)| end - first)
         .ok_or("no group commit in 60 samples")?;
-    let end = (first..trace.len())
-        .find(|i| !log(i))
-        .unwrap_or(trace.len());
     let mut points: Vec<u64> = [first, first + 1, (first + end) / 2, end - 1, end]
         .map(|i| i as u64)
         .into();
