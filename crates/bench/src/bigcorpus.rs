@@ -87,11 +87,6 @@ fn sweep_plans(
     want: &mut Vec<Vec<segdiff::SegmentPair>>,
     out: &mut Vec<PlanAtT>,
 ) {
-    /// What this thread's trace of one query recorded of the sealed run.
-    fn pairs(node: &obs::TraceNode) -> u64 {
-        let own = node.attr("pairs_within_t").and_then(|v| v.as_u64());
-        own.unwrap_or(0) + node.children.iter().map(pairs).sum::<u64>()
-    }
     let check = !want.is_empty();
     let mut answer = 0;
     let first = out.len();
@@ -108,9 +103,8 @@ fn sweep_plans(
                 us_per_query: 0.0,
             };
             for region in regions_at(t_hours) {
-                obs::trace_begin();
                 let (got, stats) = idx.query(&region, plan).expect("query");
-                row.pairs += obs::trace_take().as_ref().map_or(0, pairs);
+                row.pairs += stats.generated.pairs_within_t;
                 row.pages_read += stats.io.hits + stats.io.misses;
                 row.examined += stats.rows_considered;
                 row.results += stats.results;

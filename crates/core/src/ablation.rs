@@ -186,7 +186,7 @@ impl FullCornerIndex {
             rows_considered,
             results: out.len() as u64,
             io: self.db.stats().since(&io_before),
-            phases: Vec::new(),
+            ..QueryStats::default()
         };
         Ok((out, stats))
     }

@@ -244,7 +244,7 @@ impl ExhIndex {
             rows_considered,
             results: out.len() as u64,
             io: self.db.stats().since(&io_before),
-            phases: Vec::new(),
+            ..QueryStats::default()
         };
         Ok((out, stats))
     }

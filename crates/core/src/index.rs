@@ -3,7 +3,9 @@
 use crate::cache::{CacheKey, QueryCache};
 use crate::config::SegDiffConfig;
 use crate::ingest::{FeatureExtractor, FeatureRow};
-use crate::query::{check_window, run_feature_query, QueryPlan, QueryStats, SealedRun};
+use crate::query::{
+    check_window, run_feature_query, QueryPlan, QueryStats, ResidentRun, SealedRun,
+};
 use crate::result::SegmentPair;
 use crate::stats::{CornerHistogram, SegDiffStats};
 use crate::tables::{
@@ -34,6 +36,9 @@ pub struct SegDiffIndex {
     drop_tables: [Arc<Table>; 3],
     jump_tables: [Arc<Table>; 3],
     segments_table: Arc<Table>,
+    /// The sealed run of `segments`, decoded by the first search that
+    /// needs it and again by the first after a seal.
+    resident: ResidentRun,
     segmenter: SlidingWindowSegmenter,
     extractor: FeatureExtractor,
     rows_buf: Vec<FeatureRow>,
@@ -221,6 +226,7 @@ impl SegDiffIndex {
             drop_tables: tables(DROP_TABLES)?,
             jump_tables: tables(JUMP_TABLES)?,
             segments_table: db.table(SEGMENTS_TABLE)?,
+            resident: ResidentRun::default(),
             cache: QueryCache::new(config.cache_entries),
             config,
             db,
@@ -518,35 +524,30 @@ jump_hist {} {} {}
         let span = obs::span("query");
         let io_before = self.db.stats();
         let start = Instant::now();
-        let mut rows_considered = 0u64;
+        let mut stats = QueryStats::default();
         let run = SealedRun {
             segments: &self.segments_table,
+            resident: &self.resident,
             epsilon: self.config.epsilon,
             window: self.config.window,
         };
-        let (results, phases) =
-            run_feature_query(&self.db, tables, run, region, plan, &mut rows_considered)?;
-        let wall = start.elapsed().as_secs_f64();
+        let results = run_feature_query(&self.db, tables, run, region, plan, &mut stats)?;
+        stats.wall_seconds = start.elapsed().as_secs_f64();
+        stats.results = results.len() as u64;
+        stats.io = self.db.stats().since(&io_before);
         span.record("plan", plan.name());
         span.record("kind", region.kind.name());
-        span.record("rows_considered", rows_considered);
-        span.record("results", results.len() as u64);
+        span.record("rows_considered", stats.rows_considered);
+        span.record("results", stats.results);
         obs::debug!(
             "query kind={} plan={} T={} V={}: {} results, {} rows considered",
             region.kind.name(),
             plan.name(),
             region.t,
             region.v,
-            results.len(),
-            rows_considered
+            stats.results,
+            stats.rows_considered
         );
-        let stats = QueryStats {
-            wall_seconds: wall,
-            rows_considered,
-            results: results.len() as u64,
-            io: self.db.stats().since(&io_before),
-            phases,
-        };
         Ok((results, stats))
     }
 

@@ -108,7 +108,7 @@ impl NaiveSearch {
             rows_considered,
             results: out.len() as u64,
             io: self.db.stats().since(&io_before),
-            phases: Vec::new(),
+            ..QueryStats::default()
         };
         Ok((out, stats))
     }

@@ -15,7 +15,7 @@ use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, PoolStats, Result, ScanPage, StoreError, Table, ZoneScanStats};
 use segmentation::Segment;
 use sensorgen::HOUR;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 /// How a search is executed.
@@ -66,6 +66,29 @@ pub struct PhaseStats {
     pub io: PoolStats,
 }
 
+/// What a search generated over a sensor's sealed run, whose feature rows
+/// are not stored (the first phase after `plan` records the same three
+/// counts on its span).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct GeneratorStats {
+    /// Sealed segments walked: the whole run, or none when the zone
+    /// summary of `segments` rules the region out.
+    pub segments_read: u64,
+    /// Segment pairs within `T`, self pairs included.
+    pub pairs_within_t: u64,
+    /// Boundaries computed: the pairs whose endpoint values can reach `V`.
+    pub boundaries: u64,
+}
+
+impl GeneratorStats {
+    /// Attaches the counts to the phase span the run was generated in.
+    fn record(&self, span: &obs::SpanGuard) {
+        span.record("segments_read", self.segments_read);
+        span.record("pairs_within_t", self.pairs_within_t);
+        span.record("boundaries", self.boundaries);
+    }
+}
+
 /// Execution metrics for one query.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
@@ -82,17 +105,24 @@ pub struct QueryStats {
     pub io: PoolStats,
     /// Per-phase breakdown; the phase `io` deltas sum to `io`.
     pub phases: Vec<PhaseStats>,
+    /// What was generated over the sealed run.
+    pub generated: GeneratorStats,
 }
 
 impl QueryStats {
     /// Folds in the stats of the same query run beside this one on
-    /// another sensor: rows, results and I/O sum — phase by phase, by
-    /// name, so the phase `io` deltas still tile `io` — and wall time
-    /// takes the slower of the two, the sensors having run in parallel.
+    /// another sensor: rows, results, generator counts and I/O sum —
+    /// phase by phase, by name, so the phase `io` deltas still tile `io` —
+    /// and wall time takes the slower of the two, the sensors having run
+    /// in parallel.
     pub fn absorb(&mut self, other: QueryStats) {
         self.wall_seconds = self.wall_seconds.max(other.wall_seconds);
         self.rows_considered += other.rows_considered;
         self.results += other.results;
+        let (g, o) = (&mut self.generated, other.generated);
+        g.segments_read += o.segments_read;
+        g.pairs_within_t += o.pairs_within_t;
+        g.boundaries += o.boundaries;
         self.io = self.io.merged(&other.io);
         for phase in other.phases {
             match self.phases.iter_mut().find(|p| p.name == phase.name) {
@@ -200,34 +230,58 @@ fn fault_injection_sleep() {
 }
 
 /// A sensor's sealed run: the segments a compaction sealed
-/// ([`Table::sealed_rows`] of `segments`), and the tolerance and window
-/// feature rows are extracted with. A feature row whose later segment `ab`
-/// lies in the run is not stored ([`crate::SegDiffIndex::compact_storage`]
-/// cut it); both plans generate it here, from the run, through the function
-/// ingest stores rows with ([`pair_row`]).
+/// ([`Table::sealed_rows`] of `segments`), held decoded between searches,
+/// and the tolerance and window feature rows are extracted with. A feature
+/// row whose later segment `ab` lies in the run is not stored
+/// ([`crate::SegDiffIndex::compact_storage`] cut it); both plans generate
+/// it here, from the run, through the function ingest stores rows with
+/// ([`pair_row`]).
 pub(crate) struct SealedRun<'a> {
     pub segments: &'a Table,
+    pub resident: &'a ResidentRun,
     pub epsilon: f64,
     pub window: f64,
 }
 
-/// What a search generated over a sealed run.
-#[derive(Debug, Default)]
-struct Generated {
-    /// Sealed segments decoded.
-    segments: u64,
-    /// Segment pairs within `T` (self pairs included).
-    pairs: u64,
-    /// Boundaries computed: the pairs whose endpoint values can reach `V`.
-    boundaries: u64,
+/// The decoded sealed run of one sensor, keyed by the number of sealed
+/// rows it was decoded at. The sealed prefix of `segments` is never
+/// rewritten between seals and a seal only lengthens it, so a run whose
+/// key equals [`Table::sealed_rows`] is that prefix; a search that finds
+/// another count decodes the prefix afresh and swaps it in. Nothing of it
+/// is stored.
+#[derive(Default)]
+pub(crate) struct ResidentRun {
+    /// `(sealed rows, their segments)`, locked only to clone or swap the
+    /// `Arc`: the decode runs with the guard released.
+    decoded: Mutex<(u64, Arc<[Segment]>)>,
 }
 
-impl Generated {
-    /// Attaches what the run cost to its phase's span.
-    fn record(&self, span: &obs::SpanGuard) {
-        span.record("segments_read", self.segments);
-        span.record("pairs_within_t", self.pairs);
-        span.record("boundaries", self.boundaries);
+impl ResidentRun {
+    /// The first `sealed` rows of `segments` (`sealed > 0`), decoded.
+    fn get(&self, segments: &Table, sealed: u64) -> Result<Arc<[Segment]>> {
+        let (key, run) = self
+            .decoded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone();
+        if key == sealed {
+            return Ok(run);
+        }
+        let mut cols = vec![Vec::new(); 4];
+        let mut run = Vec::with_capacity(sealed as usize);
+        segments.scan_pages(
+            ..sealed,
+            |_, _| true,
+            |page| {
+                page.columns(0..4, &mut cols)?;
+                let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
+                run.extend((0..page.rows()).map(at));
+                Ok(true)
+            },
+        )?;
+        let run: Arc<[Segment]> = run.into();
+        *self.decoded.lock().unwrap_or_else(PoisonError::into_inner) = (sealed, Arc::clone(&run));
+        Ok(run)
     }
 }
 
@@ -250,17 +304,11 @@ fn may_reach(region: &QueryRegion, ab: (f64, f64), cd: (f64, f64), epsilon: f64)
 
 impl SealedRun<'_> {
     /// Generates the sealed run's rows of `region`'s kind and appends the
-    /// pairs of those that intersect `region` to `out`: for each sealed
-    /// `ab`, the earlier segments `cd` inside the window, walking back and
-    /// stopping at the first whose gap `t_b − t_c` exceeds `T` (every
-    /// corner's `Δt` is at least the gap, and earlier ones lie further),
-    /// then the self pair. A pair whose endpoint values cannot reach `V`
-    /// ([`may_reach`]) computes no boundary, and neither does a run whose
-    /// whole-heap zone summary cannot. The rest are tested with
-    /// [`featurespace::Boundary::intersects`], the predicate the row
-    /// store's kernels evaluate bit for bit.
-    fn search(&self, region: &QueryRegion, out: &mut Vec<SegmentPair>) -> Result<Generated> {
-        let mut done = Generated::default();
+    /// pairs of those that intersect `region` to `out`, in
+    /// [`crate::result::sort_dedup`]'s order ([`generate`]). A run whose
+    /// whole-heap zone summary cannot reach `V` generates nothing and is
+    /// not read.
+    fn search(&self, region: &QueryRegion, out: &mut Vec<SegmentPair>) -> Result<GeneratorStats> {
         let sealed = self.segments.sealed_rows();
         let reachable = |mins: &[f64], maxs: &[f64]| {
             let (lo, hi) = (mins[1].min(mins[3]), maxs[1].max(maxs[3]));
@@ -270,42 +318,64 @@ impl SealedRun<'_> {
             may_reach(region, (lo, hi), (lo - slack, hi + slack), self.epsilon)
         };
         if sealed == 0 || self.segments.prune_whole_segment(reachable) {
-            return Ok(done);
+            return Ok(GeneratorStats::default());
         }
-        let mut cols = vec![Vec::new(); 4];
-        let mut run = Vec::with_capacity(sealed as usize);
-        self.segments.scan_pages(
-            ..sealed,
-            |_, _| true,
-            |page| {
-                page.columns(0..4, &mut cols)?;
-                let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
-                run.extend((0..page.rows()).map(at));
-                Ok(true)
-            },
-        )?;
-        done.segments = run.len() as u64;
-        let range = |s: &Segment| (s.min_value(), s.max_value());
-        for (i, ab) in run.iter().enumerate() {
-            let cds = run[..i].iter().rev().map_while(|cd| {
-                let within_t = ab.t_start - cd.t_end <= region.t;
-                within_t.then(|| in_window(cd, ab, self.window)).flatten()
-            });
-            for cd in cds.map(Some).chain([None]) {
-                done.pairs += 1;
-                let earlier = range(cd.as_ref().unwrap_or(ab));
-                if !may_reach(region, range(ab), earlier, self.epsilon) {
-                    continue;
-                }
-                done.boundaries += 1;
-                let row = pair_row(cd.as_ref(), ab, self.epsilon, region.kind);
-                if let Some(row) = row.filter(|row| row.boundary.intersects(region)) {
-                    out.push(pair_from_stamps(&[row.t_d, row.t_c, row.t_b, row.t_a]));
-                }
-            }
-        }
-        Ok(done)
+        let run = self.resident.get(self.segments, sealed)?;
+        Ok(generate(&run, region, self.epsilon, self.window, out))
     }
+}
+
+/// Generates the rows of `region`'s kind over the segments `run` (in
+/// temporal order) and appends the pairs of those that intersect `region`
+/// to `out`. For each earlier segment `cd`: its self pair, then the later
+/// segments `ab` forward, stopping at the first whose gap `t_b − t_c`
+/// exceeds `T` (every corner's `Δt` is at least the gap, and later ones lie
+/// further) or that leaves nothing of `cd` in its window ([`in_window`]).
+/// Both stops are monotone in `ab`, so these are the pairs ingest extracts
+/// within `T`. A pair whose endpoint values cannot reach `V`
+/// ([`may_reach`]) computes no boundary; the rest are tested with
+/// [`featurespace::Boundary::intersects`], the predicate the row store's
+/// kernels evaluate bit for bit.
+///
+/// The pairs come out in [`crate::result::sort_dedup`]'s order: every pair
+/// of `cd` has `t_d` in `[cd.t_start, cd.t_end)` (a windowed `cd` starts at
+/// `t_b − w`, which truncation keeps below `t_end`), the self pair has the
+/// least `t_b`, and the pairs whose `cd` is whole precede the windowed
+/// ones, each ascending in `t_b`.
+fn generate(
+    run: &[Segment],
+    region: &QueryRegion,
+    epsilon: f64,
+    window: f64,
+    out: &mut Vec<SegmentPair>,
+) -> GeneratorStats {
+    let mut done = GeneratorStats {
+        segments_read: run.len() as u64,
+        ..GeneratorStats::default()
+    };
+    let range = |s: &Segment| (s.min_value(), s.max_value());
+    let mut pair = |cd: Option<&Segment>, ab: &Segment| {
+        done.pairs_within_t += 1;
+        if !may_reach(region, range(ab), range(cd.unwrap_or(ab)), epsilon) {
+            return;
+        }
+        done.boundaries += 1;
+        let row = pair_row(cd, ab, epsilon, region.kind);
+        if let Some(row) = row.filter(|row| row.boundary.intersects(region)) {
+            out.push(pair_from_stamps(&[row.t_d, row.t_c, row.t_b, row.t_a]));
+        }
+    };
+    for (j, cd) in run.iter().enumerate() {
+        pair(None, cd);
+        for ab in &run[j + 1..] {
+            let within_t = ab.t_start - cd.t_end <= region.t;
+            let Some(windowed) = within_t.then(|| in_window(cd, ab, window)).flatten() else {
+                break;
+            };
+            pair(Some(&windowed), ab);
+        }
+    }
+    done
 }
 
 /// The zone-pruned page scan [`QueryPlan::SeqScan`] reads the stored
@@ -381,16 +451,17 @@ impl PageScan {
 /// Runs a drop/jump search: over the sealed run `run`, generated, and over
 /// the three per-corner-count feature tables of the matching kind, which
 /// hold the rows behind it. Returns deduplicated, time-ordered segment
-/// pairs plus the per-phase breakdown.
+/// pairs, and fills in `stats`' rows considered, phases and generator
+/// counts.
 pub(crate) fn run_feature_query(
     db: &Database,
     tables: &[Arc<Table>; 3],
     run: SealedRun<'_>,
     region: &QueryRegion,
     plan: QueryPlan,
-    rows_considered: &mut u64,
-) -> Result<(Vec<SegmentPair>, Vec<PhaseStats>)> {
-    let mut phases = Vec::with_capacity(4);
+    stats: &mut QueryStats,
+) -> Result<Vec<SegmentPair>> {
+    let phases = &mut stats.phases;
     fault_injection_sleep();
 
     // Phase: plan selection. Trivial here (the caller chose), but gives
@@ -419,8 +490,9 @@ pub(crate) fn run_feature_query(
                 scan.scan(table, i + 1, region, &mut out)?;
             }
             let rows = generated.boundaries + scan.rows;
-            *rows_considered += rows;
+            stats.rows_considered += rows;
             generated.record(&p.span);
+            stats.generated = generated;
             scan.record(&p.span);
             phases.push(p.finish(rows, out.len() as u64));
         }
@@ -503,10 +575,11 @@ pub(crate) fn run_feature_query(
                 all_rids.push((corners, rids));
             }
             let rows = generated.boundaries + probed;
-            *rows_considered += rows;
+            stats.rows_considered += rows;
             let n_rids: u64 = all_rids.iter().map(|(_, r)| r.len() as u64).sum();
             let generated_hits = out.len() as u64;
             generated.record(&p.span);
+            stats.generated = generated;
             phases.push(p.finish(rows, n_rids + generated_hits));
 
             // Phase: fetch the matched heap rows. The ids are sorted
@@ -532,12 +605,13 @@ pub(crate) fn run_feature_query(
     crate::result::sort_dedup(&mut out);
     phases.push(p.finish(before, out.len() as u64));
 
-    Ok((out, phases))
+    Ok(out)
 }
 
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::result::canonical_order;
     use crate::tables::table_name;
     use crate::{SegDiffConfig, SegDiffIndex};
     use proptest::prelude::*;
@@ -619,6 +693,78 @@ mod proptests {
             prop_assert!(grown_scan.len() >= pruned.len());
             prop_assert_eq!(&grown_scan, &grown_index, "plans diverged behind the seal");
             std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The generator walks exactly the pairs ingest extracts within `T`
+        /// and hands `refine` its answer already in `sort_dedup`'s order:
+        /// for a random series, either kind and `T` up to the window (a
+        /// quarter of the cases at `T = w`, where windowed `cd`s are
+        /// truncated), its output is sorted and is the sorted brute-force
+        /// answer over every pair of segments, and its counts are the
+        /// brute-force counts — every `(cd, ab)` with the gap within `T` and
+        /// something of `cd` in the window, plus the self pairs, and of
+        /// those the ones whose endpoint values can reach `V`.
+        #[test]
+        fn the_generator_emits_in_answer_order_and_counts_every_pair(
+            steps in prop::collection::vec(-1.2f64..1.2, 40..400),
+            t_frac in 0.02f64..1.3,
+            v_mag in 0.05f64..4.0,
+            is_drop in any::<bool>(),
+        ) {
+            let mut series = TimeSeries::new();
+            let mut val = 10.0;
+            for (i, s) in steps.iter().enumerate() {
+                val += s;
+                series.push(i as f64 * 300.0, val);
+            }
+            let config = SegDiffConfig::default();
+            let (epsilon, window) = (config.epsilon, config.window);
+            let run = segmentation::segment_series(&series, epsilon).segments().to_vec();
+            let t = t_frac.min(1.0) * window;
+            let region = if is_drop {
+                QueryRegion::drop(t, -v_mag)
+            } else {
+                QueryRegion::jump(t, v_mag)
+            };
+            let mut got = Vec::new();
+            let counts = generate(&run, &region, epsilon, window, &mut got);
+            prop_assert!(got.is_sorted_by(|a, b| canonical_order(a, b).is_le()));
+
+            let mut want = GeneratorStats {
+                segments_read: run.len() as u64,
+                ..GeneratorStats::default()
+            };
+            let mut answer = Vec::new();
+            let range = |s: &Segment| (s.min_value(), s.max_value());
+            for (i, ab) in run.iter().enumerate() {
+                for cd in run[..i].iter().map(Some).chain([None]) {
+                    // Every earlier segment, with no early stop.
+                    let cd = match cd {
+                        None => None,
+                        Some(cd) if ab.t_start - cd.t_end <= t => match in_window(cd, ab, window) {
+                            None => continue,
+                            windowed => windowed,
+                        },
+                        Some(_) => continue,
+                    };
+                    want.pairs_within_t += 1;
+                    if !may_reach(&region, range(ab), range(cd.as_ref().unwrap_or(ab)), epsilon) {
+                        continue;
+                    }
+                    want.boundaries += 1;
+                    let row = pair_row(cd.as_ref(), ab, epsilon, region.kind);
+                    if let Some(row) = row.filter(|row| row.boundary.intersects(&region)) {
+                        answer.push(pair_from_stamps(&[row.t_d, row.t_c, row.t_b, row.t_a]));
+                    }
+                }
+            }
+            prop_assert_eq!(counts, want);
+            crate::result::sort_dedup(&mut answer);
+            prop_assert_eq!(got, answer);
         }
     }
 

@@ -50,7 +50,7 @@ pub type ShardResults = Vec<(u32, Vec<SegmentPair>)>;
 /// The order of [`sort_dedup`]: the four time stamps, each by
 /// `f64::total_cmp`. Two pairs compare equal only when they are the same
 /// bits, so any sort by it, stable or not, yields one output.
-fn canonical_order(a: &SegmentPair, b: &SegmentPair) -> std::cmp::Ordering {
+pub(crate) fn canonical_order(a: &SegmentPair, b: &SegmentPair) -> std::cmp::Ordering {
     a.t_d
         .total_cmp(&b.t_d)
         .then(a.t_c.total_cmp(&b.t_c))
@@ -118,14 +118,22 @@ fn distribute_on_t_d(results: &mut Vec<SegmentPair>) -> bool {
 }
 
 /// Sorts by time — `t_d`, then `t_c`, `t_b`, `t_a`, each by
-/// `f64::total_cmp` — and removes duplicates in place.
+/// `f64::total_cmp` — and removes duplicates in place. Input already in
+/// that order, as a compacted sensor's search generates it, is only
+/// deduplicated; the check stops at the first pair out of order.
 ///
 /// Public because this is the determinism contract distributed execution
 /// relies on: every per-sensor result list is in this canonical order, so
 /// a shard union only has to concatenate lists in sensor order to be
 /// byte-identical to single-process execution ([`merge_sharded`]).
 pub fn sort_dedup(results: &mut Vec<SegmentPair>) {
-    if !distribute_on_t_d(results) {
+    // `t_d` settles almost every comparison, so it is compared alone
+    // first: a long sorted prefix of stored rows costs one compare a pair.
+    let sorted = results.is_sorted_by(|a, b| match a.t_d.total_cmp(&b.t_d) {
+        std::cmp::Ordering::Equal => canonical_order(a, b).is_le(),
+        first => first.is_lt(),
+    });
+    if !sorted && !distribute_on_t_d(results) {
         results.sort_by(canonical_order);
     }
     results.dedup_by_key(|p| p.key());
@@ -291,6 +299,11 @@ mod tests {
             dups.extend(dups.clone());
             dups.truncate(n);
             assert_same_as_plain(&dups, "duplicates");
+            // In order and still holding duplicates, as a compacted
+            // sensor's search may hand them over: the order check returns
+            // early from the sort, not from the dedup pass.
+            dups.sort_by(canonical_order);
+            assert_same_as_plain(&dups, "sorted duplicates");
             // One far outlier: every other pair lands in bucket 0.
             let mut skewed = tied(n, 0.0, 9e4, 11);
             if let Some(p) = skewed.first_mut() {
@@ -315,6 +328,11 @@ mod tests {
                 })
                 .collect();
             assert_same_as_plain(&zeros, "signed zeros");
+            // The same in order: `-0.0` before `0.0` is sorted, and two
+            // such pairs are not duplicates.
+            let mut zeros = zeros;
+            zeros.sort_by(canonical_order);
+            assert_same_as_plain(&zeros, "sorted signed zeros");
             // Nothing to distribute on: the spread overflows, or a `t_d`
             // is not a number at all.
             for odd in [

@@ -2,9 +2,10 @@
 //! row of its sealed run, keeps ingesting — segments on raw pages behind
 //! the sealed ones, feature rows into emptied tables under the trees — and
 //! the next compaction seals the new segments and cuts those rows too,
-//! writing the files one compaction of the whole input writes. Alone in
-//! its own test binary because the `colpage.pages_written` counter is
-//! process-wide.
+//! writing the files one compaction of the whole input writes. On one open
+//! handle, every search after a seal generates from the run that seal left
+//! behind. Alone in its own test binary because the `colpage.pages_written`
+//! counter is process-wide.
 
 use segdiff::{QueryPlan, QueryRegion, SegDiffConfig, SegDiffIndex, SegmentPair};
 use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
@@ -34,6 +35,15 @@ fn answers(idx: &SegDiffIndex) -> Vec<Vec<SegmentPair>> {
         scan
     };
     regions.iter().map(answer).collect()
+}
+
+/// The sealed segments a search on `idx` walked, on both plans.
+fn segments_read(idx: &SegDiffIndex) -> u64 {
+    let region = QueryRegion::drop(4.0 * HOUR, -1.0);
+    let (_, scan) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+    let (_, index) = idx.query(&region, QueryPlan::Index).unwrap();
+    assert_eq!(scan.generated, index.generated);
+    scan.generated.segments_read
 }
 
 /// (sealed rows, rows, entries under the trees) of each of the seven tables.
@@ -176,5 +186,43 @@ fn a_compacted_store_ingests_and_is_compacted_again() {
     for (name, bytes) in &once {
         assert!(twice[name] == *bytes, "{name}");
     }
+
+    // One handle, never reopened, beside a store never compacted: each
+    // search after a seal walks the run that seal left, whether the seal
+    // came from `compact_storage` or straight from `Database::seal_table`.
+    let (live_dir, plain_dir) = (root.join("live"), root.join("plain"));
+    let mut live = SegDiffIndex::create(&live_dir, SegDiffConfig::default()).unwrap();
+    let mut plain = SegDiffIndex::create(&plain_dir, SegDiffConfig::default()).unwrap();
+    live.build_indexes().unwrap();
+    plain.build_indexes().unwrap();
+    let sealed = |idx: &SegDiffIndex| idx.stats().sealed_segments;
+    let (half, five_days) = (series.times()[series.len() / 2], last_day);
+    let mut seen = 0;
+    for (t, v) in series.iter() {
+        live.push(t, v).unwrap();
+        plain.push(t, v).unwrap();
+        if t == half || t == five_days {
+            live.compact_storage().unwrap();
+            assert!(sealed(&live) > seen, "the compaction sealed nothing new");
+            seen = sealed(&live);
+            assert_eq!(segments_read(&live), seen);
+            assert!(
+                answers(&live) == answers(&plain),
+                "after the seal at t = {t}"
+            );
+        }
+    }
+    live.finish().unwrap();
+    plain.finish().unwrap();
+    let want = answers(&plain);
+    live.database().seal_table("segments").unwrap();
+    assert!(sealed(&live) > seen);
+    assert_eq!(segments_read(&live), sealed(&live));
+    // Rows both stored and generated answer once.
+    assert!(answers(&live) == want, "after a seal of segments alone");
+    live.compact_storage().unwrap();
+    assert_eq!(segments_read(&live), sealed(&live));
+    assert!(answers(&live) == want, "after the cut");
+    live.verify_consistency().unwrap();
     std::fs::remove_dir_all(&root).ok();
 }
