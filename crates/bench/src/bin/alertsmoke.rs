@@ -22,7 +22,7 @@
 
 use segdiff::alerts::AlertRuleSet;
 use segdiff_bench::alertsmoke::{run_alertsmoke, SmokeConfig};
-use segdiff_bench::gate::{self, Flags};
+use segdiff_bench::gate;
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -31,31 +31,33 @@ const USAGE: &str = "usage: alertsmoke (--clean | --fault) [--out DIR] [--rules 
      [--sample-ms N] [--detect-within-ms N]";
 
 fn main() {
-    let flags = Flags::from_env(USAGE);
-    let fault = flags.mode(&["--clean", "--fault"]) == "--fault";
-    let fault_delay_secs: u64 = flags.value("--fault-delay-secs").unwrap_or(3);
-    let fault_sleep_ms: u64 = flags.value("--fault-sleep-ms").unwrap_or(40);
-    if fault {
+    let (config, fault_sleep_ms, detect_within, out) = obs::flags::from_env(USAGE, |f| {
+        let fault = f.mode(&["--clean", "--fault"])? == "--fault";
+        let rules = match f.value::<PathBuf>("--rules")? {
+            Some(path) => AlertRuleSet::load(&path)?,
+            None => AlertRuleSet::defaults(),
+        };
+        let config = SmokeConfig {
+            fault,
+            duration: Duration::from_secs(f.value("--duration-secs")?.unwrap_or(8)),
+            fault_delay: Duration::from_secs(f.value("--fault-delay-secs")?.unwrap_or(3)),
+            sample_period: Duration::from_millis(f.value("--sample-ms")?.unwrap_or(250).max(10)),
+            rules,
+            concurrency: 4,
+            unique_bodies: 50_000,
+        };
+        let fault_sleep_ms: u64 = f.value("--fault-sleep-ms")?.unwrap_or(40);
+        let detect_within = Duration::from_millis(f.value("--detect-within-ms")?.unwrap_or(2_500));
+        Ok((config, fault_sleep_ms, detect_within, f.value("--out")?))
+    });
+    if config.fault {
         // Must happen before the first query in this process: the hatch
         // caches its configuration on first use.
         std::env::set_var("SEGDIFF_FAULT_SLEEP_MS", fault_sleep_ms.to_string());
-        std::env::set_var("SEGDIFF_FAULT_DELAY_SECS", fault_delay_secs.to_string());
+        let delay = config.fault_delay.as_secs();
+        std::env::set_var("SEGDIFF_FAULT_DELAY_SECS", delay.to_string());
     }
-    let rules = match flags.value::<PathBuf>("--rules") {
-        Some(path) => AlertRuleSet::load(&path).unwrap_or_else(|e| flags.fail(&e)),
-        None => AlertRuleSet::defaults(),
-    };
-    let config = SmokeConfig {
-        fault,
-        duration: Duration::from_secs(flags.value("--duration-secs").unwrap_or(8)),
-        fault_delay: Duration::from_secs(fault_delay_secs),
-        sample_period: Duration::from_millis(flags.value("--sample-ms").unwrap_or(250).max(10)),
-        rules,
-        concurrency: 4,
-        unique_bodies: 50_000,
-    };
-    let detect_within = Duration::from_millis(flags.value("--detect-within-ms").unwrap_or(2_500));
-    gate::run("alertsmoke", flags.value("--out"), |gate| {
+    gate::run("alertsmoke", out, |gate| {
         run_alertsmoke(&config, detect_within, gate)
     })
 }

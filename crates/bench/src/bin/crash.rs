@@ -45,7 +45,7 @@
 use featurespace::QueryRegion;
 use rand::{rngs::StdRng, RngExt, SeedableRng};
 use segdiff::{oracle, SegDiffConfig, SegDiffIndex};
-use segdiff_bench::gate::{self, Flags, Gate, Proc};
+use segdiff_bench::gate::{self, Gate, Proc};
 use sensorgen::{generate_sensor, CadTransectConfig, TimeSeries, HOUR};
 use std::path::{Path, PathBuf};
 use std::process::exit;
@@ -234,15 +234,18 @@ fn run_crash(gate: &mut Gate, iterations: u32, days: u32, seed: u64) -> Result<(
 }
 
 fn main() {
-    let flags = Flags::from_env(USAGE);
-    let days = flags.value("--days").unwrap_or(2);
-    let seed = flags.value("--seed").unwrap_or(7);
-    let throttle_us = flags.value("--throttle-us").unwrap_or(2000);
-    if let Some(dir) = flags.value::<PathBuf>("--child") {
+    let (days, seed, throttle_us, child, iterations, out) = obs::flags::from_env(USAGE, |f| {
+        Ok((
+            f.value("--days")?.unwrap_or(2),
+            f.value("--seed")?.unwrap_or(7),
+            f.value("--throttle-us")?.unwrap_or(2000),
+            f.value::<PathBuf>("--child")?,
+            f.value("--iterations")?.unwrap_or(20),
+            f.value("--out")?,
+        ))
+    });
+    if let Some(dir) = child {
         run_child(&dir, days, seed, throttle_us);
     }
-    let iterations = flags.value("--iterations").unwrap_or(20);
-    gate::run("crash", flags.value("--out"), |gate| {
-        run_crash(gate, iterations, days, seed)
-    })
+    gate::run("crash", out, |gate| run_crash(gate, iterations, days, seed))
 }

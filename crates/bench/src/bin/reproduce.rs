@@ -6,18 +6,23 @@
 //! cargo run --release -p segdiff-bench --bin reproduce -- all --days 60 --out report.md
 //! ```
 //!
-//! Experiments: `table3 table4 table5 table6 table7 fig7_11 fig12_13
-//! fig14_15 fig16_24 ablations durability all`, plus `bigcorpus`
-//! (larger-than-RAM columnar smoke; runs only when named explicitly,
-//! never under `all`). Flags: `--days N` (subset size), `--full-days N`
-//! (scalability run), `--queries N` (random-query count), `--repeats N`,
-//! `--tiny` (smoke-test scale), `--out PATH` (write markdown).
+//! The usage line below lists the experiments and flags. `all` (the
+//! default) runs every experiment but `bigcorpus`, the larger-than-RAM
+//! columnar smoke, which runs only when named. `--days N` is the subset
+//! size, `--full-days N` the scalability run, `--queries N` the
+//! random-query count, `--tiny` the smoke-test scale (the other flags
+//! override it) and `--out PATH` writes the report as markdown.
 
+use obs::flags::Flags;
 use segdiff_bench::experiments::{self, EpsSweep, RandomQueryPoint, ScalePoint, WPoint};
 use segdiff_bench::harness::with_registry_delta;
 use segdiff_bench::{Report, Scale};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
+
+const USAGE: &str = "usage: reproduce [all | table3 | table4 | table5 | table6 | table7 | fig7_11
+                  | fig12_13 | fig14_15 | fig16_24 | ablations | durability | bigcorpus] ...
+                 [--days N] [--full-days N] [--queries N] [--repeats N] [--tiny] [--out PATH]";
 
 struct Args {
     experiments: BTreeSet<String>,
@@ -26,70 +31,29 @@ struct Args {
     out: Option<PathBuf>,
 }
 
-const KNOWN: [&str; 13] = [
-    "all",
-    "table3",
-    "table4",
-    "table5",
-    "table6",
-    "table7",
-    "fig7_11",
-    "fig12_13",
-    "fig14_15",
-    "fig16_24",
-    "ablations",
-    "durability",
-    "bigcorpus",
-];
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        experiments: BTreeSet::new(),
-        scale: Scale::default(),
-        queries: 30,
-        out: None,
+fn parse_args(f: &Flags) -> Result<Args, String> {
+    let mut scale = if f.switch("--tiny") {
+        Scale::tiny()
+    } else {
+        Scale::default()
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--days" => {
-                args.scale.subset_days = it.next().and_then(|v| v.parse().ok()).expect("--days N")
-            }
-            "--full-days" => {
-                args.scale.full_days = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--full-days N")
-            }
-            "--repeats" => {
-                args.scale.repeats = it.next().and_then(|v| v.parse().ok()).expect("--repeats N")
-            }
-            "--queries" => {
-                args.queries = it.next().and_then(|v| v.parse().ok()).expect("--queries N")
-            }
-            "--tiny" => args.scale = Scale::tiny(),
-            "--out" => args.out = Some(PathBuf::from(it.next().expect("--out PATH"))),
-            name if !name.starts_with('-') => {
-                if !KNOWN.contains(&name) {
-                    eprintln!("unknown experiment {name}; known: {KNOWN:?}");
-                    std::process::exit(2);
-                }
-                args.experiments.insert(name.to_string());
-            }
-            other => {
-                eprintln!("unknown flag {other}");
-                std::process::exit(2);
-            }
-        }
+    scale.subset_days = f.value("--days")?.unwrap_or(scale.subset_days);
+    scale.full_days = f.value("--full-days")?.unwrap_or(scale.full_days);
+    scale.repeats = f.value("--repeats")?.unwrap_or(scale.repeats);
+    let mut experiments: BTreeSet<String> = f.words().iter().cloned().collect();
+    if experiments.is_empty() {
+        experiments.insert("all".to_string());
     }
-    if args.experiments.is_empty() {
-        args.experiments.insert("all".to_string());
-    }
-    args
+    Ok(Args {
+        experiments,
+        scale,
+        queries: f.value("--queries")?.unwrap_or(30),
+        out: f.value("--out")?,
+    })
 }
 
 fn main() {
-    let args = parse_args();
+    let args = obs::flags::from_env(USAGE, parse_args);
     let want = |name: &str| -> bool {
         args.experiments.contains("all") || args.experiments.contains(name)
     };

@@ -13,7 +13,7 @@
 //! region index to reproduce brute-force matching with far fewer
 //! region tests.
 
-use segdiff_bench::gate::{self, Flags};
+use segdiff_bench::gate;
 use segdiff_bench::subsmoke::{run_churn, run_subsmoke, ChurnConfig, SmokeConfig};
 use std::time::Duration;
 
@@ -21,19 +21,21 @@ const USAGE: &str = "usage: subsmoke (--smoke | --churn) [--subs N] [--regions N
      [--deadline-secs N] [--out DIR]";
 
 fn main() {
-    let flags = Flags::from_env(USAGE);
-    let smoke_mode = flags.mode(&["--smoke", "--churn"]) == "--smoke";
-    let smoke = SmokeConfig {
-        subs: flags.value("--subs").unwrap_or(40),
-        deadline: Duration::from_secs(flags.value("--deadline-secs").unwrap_or(10)),
-    };
-    // The churn run EXPERIMENTS.md reports: 3 days of series, seed 42.
-    let churn = ChurnConfig {
-        regions: flags.value("--regions").unwrap_or(1000),
-        days: 3,
-        seed: 42,
-    };
-    gate::run("subsmoke", flags.value("--out"), |gate| {
+    let (smoke_mode, smoke, churn, out) = obs::flags::from_env(USAGE, |f| {
+        let smoke = SmokeConfig {
+            subs: f.value("--subs")?.unwrap_or(40),
+            deadline: Duration::from_secs(f.value("--deadline-secs")?.unwrap_or(10)),
+        };
+        // The churn run EXPERIMENTS.md reports: 3 days of series, seed 42.
+        let churn = ChurnConfig {
+            regions: f.value("--regions")?.unwrap_or(1000),
+            days: 3,
+            seed: 42,
+        };
+        let smoke_mode = f.mode(&["--smoke", "--churn"])? == "--smoke";
+        Ok((smoke_mode, smoke, churn, f.value("--out")?))
+    });
+    gate::run("subsmoke", out, |gate| {
         if smoke_mode {
             run_subsmoke(&smoke, gate)
         } else {

@@ -1,5 +1,5 @@
 //! What the CI gate binaries (`crash`, `alertsmoke`, `subsmoke`,
-//! `clustersmoke`) share: one flag parser ([`Flags`]), one
+//! `clustersmoke`) share besides their flag parser ([`obs::flags`]): one
 //! check-and-artifact path ([`Gate`]) and one child process ([`Proc`]).
 //!
 //! A gate's run function takes `&mut Gate` and records each named check
@@ -13,88 +13,7 @@ use std::ffi::OsStr;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, ExitStatus, Stdio};
-use std::str::FromStr;
 use std::time::{Duration, Instant};
-
-/// Flags parsed against a usage line. The usage line is the grammar:
-/// every `--name` in it is a flag, which takes a value when the token
-/// after it is an upper-case placeholder (`--out DIR`) and is a switch
-/// otherwise (`--clean`).
-#[derive(Debug)]
-pub struct Flags {
-    usage: &'static str,
-    given: Vec<(String, Option<String>)>,
-}
-
-impl Flags {
-    /// Parses `args`; an argument the usage line does not name, or a
-    /// valued flag without its value, is an error.
-    fn parse(usage: &'static str, args: impl IntoIterator<Item = String>) -> Result<Flags, String> {
-        let mut given = Vec::new();
-        let mut args = args.into_iter();
-        while let Some(arg) = args.next() {
-            let valued = takes_value(usage, &arg).ok_or(format!("unknown argument '{arg}'"))?;
-            let value = valued.then(|| args.next().ok_or(format!("{arg} needs a value")));
-            let value = value.transpose()?;
-            given.push((arg, value));
-        }
-        Ok(Flags { usage, given })
-    }
-
-    /// The process's own arguments; a usage error exits 2.
-    pub fn from_env(usage: &'static str) -> Flags {
-        Flags::parse(usage, std::env::args().skip(1)).unwrap_or_else(|e| usage_error(usage, &e))
-    }
-
-    /// Whether the switch `name` was given.
-    fn switch(&self, name: &str) -> bool {
-        self.given.iter().any(|(n, _)| n == name)
-    }
-
-    /// The last value given for `name`; one that does not parse as `T`
-    /// is a usage error.
-    pub fn value<T: FromStr>(&self, name: &str) -> Option<T> {
-        let (_, value) = self.given.iter().rev().find(|(n, _)| n == name)?;
-        let value = value.as_deref()?;
-        Some(
-            value
-                .parse()
-                .unwrap_or_else(|_| self.fail(&format!("{name}: cannot parse {value:?}"))),
-        )
-    }
-
-    /// The one switch of `modes` that was given; none or several is a
-    /// usage error.
-    pub fn mode(&self, modes: &[&'static str]) -> &'static str {
-        match modes.iter().filter(|m| self.switch(m)).collect::<Vec<_>>()[..] {
-            [mode] => mode,
-            _ => self.fail(&format!("pick one of {}", modes.join(" | "))),
-        }
-    }
-
-    /// Prints `msg` and the usage line, and exits 2.
-    pub fn fail(&self, msg: &str) -> ! {
-        usage_error(self.usage, msg)
-    }
-}
-
-/// `Some(valued)` when `usage` names the flag `arg`.
-fn takes_value(usage: &str, arg: &str) -> Option<bool> {
-    let mut tokens = usage
-        .split_whitespace()
-        .map(|t| t.trim_matches(|c| matches!(c, '[' | ']' | '(' | ')' | '|')));
-    tokens.find(|&t| t == arg && t.starts_with("--"))?;
-    Some(
-        tokens
-            .next()
-            .is_some_and(|t| t.starts_with(|c: char| c.is_ascii_uppercase())),
-    )
-}
-
-fn usage_error(usage: &str, msg: &str) -> ! {
-    eprintln!("{msg}\n{usage}");
-    std::process::exit(2)
-}
 
 /// One gate run: named checks, summary fields and artifacts.
 #[derive(Debug)]
@@ -322,26 +241,6 @@ pub(crate) fn await_until<T>(
 mod tests {
     use super::*;
     use crate::harness::scratch_dir;
-
-    const USAGE: &str = "usage: g (--a | --b) [--n N] [--out DIR]";
-
-    fn parse(args: &[&str]) -> Result<Flags, String> {
-        Flags::parse(USAGE, args.iter().map(ToString::to_string))
-    }
-
-    #[test]
-    fn flags_follow_the_usage_line() {
-        let flags = parse(&["--b", "--n", "7", "--out", "x"]).expect("valid");
-        assert_eq!(flags.mode(&["--a", "--b"]), "--b");
-        assert_eq!(flags.value::<u32>("--n"), Some(7));
-        assert_eq!(flags.value::<PathBuf>("--out"), Some(PathBuf::from("x")));
-        assert!(!flags.switch("--a"));
-        assert!(parse(&["--bogus"])
-            .unwrap_err()
-            .contains("unknown argument '--bogus'"));
-        assert!(parse(&["N"]).is_err(), "a placeholder is not a flag");
-        assert!(parse(&["--n"]).unwrap_err().contains("needs a value"));
-    }
 
     #[test]
     fn a_failed_check_fails_the_summary_and_the_exit_code() {

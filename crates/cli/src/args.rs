@@ -1,41 +1,135 @@
-//! Command-line parsing (no external dependencies).
+//! Command-line parsing: the subcommand table is the grammar, the
+//! dispatch and the usage text.
+//!
+//! Each [`Subcommand`] holds its usage, one line a form, and the function
+//! that builds its [`Command`]. A command line is parsed against its
+//! subcommand's usage by [`obs::flags`], so a flag that usage does not
+//! name is an error, and [`usage`] prints the same table.
 
+use obs::flags::Flags;
 use std::path::PathBuf;
+use std::str::FromStr;
 
-/// Usage text shown on parse errors.
-pub const USAGE: &str = "\
-usage:
-  segdiff generate --csv FILE --days N [--sensor K] [--seed S] [--raw]
-  segdiff ingest   --index DIR --csv FILE [--epsilon E] [--window-hours H] [--no-smooth]
-  segdiff query    --index DIR --kind drop|jump --v V --t-hours H
-                   [--plan scan|index] [--refine FILE] [--limit N] [--trace]
-                   [--threads N]
-  segdiff stats    --index DIR [--json] [--series]
-  segdiff recover  --index DIR [--json]
-  segdiff metrics  --index DIR [--json]
-  segdiff serve    --index DIR [--port P] [--threads N] [--queue-depth Q]
-                   [--sensors 1,2,...] [--json]
-                   [--sample-ms MS] [--slow-ms MS] [--alert-rules FILE]
-  segdiff serve    --index DIR --replica-of http://HOST:PORT [--port P]
-                   [--threads N] [--poll-ms MS] [--json]
-  segdiff router   --shard PRIMARY[,REPLICA] [--shard ...] [--port P]
-                   [--threads N] [--queue-depth Q] [--health-interval-ms MS]
-                   [--json]
-  segdiff cluster  --index DIR --shards N [--print-plan] [--port P]
-                   [--threads N] [--json]
-  segdiff loadgen  --url http://HOST:PORT [--concurrency N] [--duration-secs S]
-                   [--kind drop|jump] [--v V] [--t-hours H] [--guard FILE]
-  segdiff alerts   --url http://HOST:PORT [--json] [--follow] [--after N]
-                   [--interval-ms MS] [--iterations N]
-  segdiff top      --url http://HOST:PORT [--interval-ms MS] [--iterations N]
-  segdiff subscribe --url http://HOST:PORT --kind drop|jump --v V --t-hours H
-                   [--label NAME] [--sensors 1,2,...] [--json]
-  segdiff subscribe --url http://HOST:PORT --list | --delete ID  [--json]
-  segdiff watch    --url http://HOST:PORT --sub ID [--after N]
-                   [--interval-ms MS] [--iterations N] [--json]
+/// One subcommand: its usage (a line that starts with whitespace
+/// continues the form above it) and how a command line that fits the
+/// usage becomes a [`Command`].
+struct Subcommand {
+    usage: &'static str,
+    build: fn(&Flags) -> Result<Command, String>,
+}
 
-environment:
-  SEGDIFF_LOG=off|error|warn|info|debug   diagnostic verbosity (default warn)";
+impl Subcommand {
+    /// The word after `segdiff`.
+    fn name(&self) -> &'static str {
+        self.usage.split_whitespace().nth(1).unwrap_or_default()
+    }
+}
+
+const SUBCOMMANDS: [Subcommand; 14] = [
+    Subcommand {
+        usage: "segdiff generate --csv FILE --days N [--sensor K] [--seed S] [--raw]",
+        build: generate,
+    },
+    Subcommand {
+        usage:
+            "segdiff ingest --index DIR --csv FILE [--epsilon E] [--window-hours H] [--no-smooth]",
+        build: ingest,
+    },
+    Subcommand {
+        usage: "segdiff query --index DIR --kind drop|jump --v V --t-hours H
+            [--plan scan|index] [--refine FILE] [--limit N] [--trace]
+            [--threads N]",
+        build: query,
+    },
+    Subcommand {
+        usage: "segdiff stats --index DIR [--json] [--series]",
+        build: stats,
+    },
+    Subcommand {
+        usage: "segdiff recover --index DIR [--json]",
+        build: recover,
+    },
+    Subcommand {
+        usage: "segdiff metrics --index DIR [--json]",
+        build: metrics,
+    },
+    Subcommand {
+        usage: "segdiff serve --index DIR [--port P] [--threads N] [--queue-depth Q]
+            [--sensors 1,2,...] [--json]
+            [--sample-ms MS] [--slow-ms MS] [--alert-rules FILE]
+segdiff serve --index DIR --replica-of http://HOST:PORT [--port P]
+            [--threads N] [--poll-ms MS] [--json]",
+        build: serve,
+    },
+    Subcommand {
+        usage: "segdiff router --shard PRIMARY[,REPLICA] [--shard ...] [--port P]
+            [--threads N] [--queue-depth Q] [--health-interval-ms MS]
+            [--json]",
+        build: router,
+    },
+    Subcommand {
+        usage: "segdiff cluster --index DIR --shards N [--print-plan] [--port P]
+            [--threads N] [--json]",
+        build: cluster,
+    },
+    Subcommand {
+        usage: "segdiff loadgen --url http://HOST:PORT [--concurrency N] [--duration-secs S]
+            [--kind drop|jump] [--v V] [--t-hours H] [--guard FILE]",
+        build: loadgen,
+    },
+    Subcommand {
+        usage: "segdiff alerts --url http://HOST:PORT [--json] [--follow] [--after N]
+            [--interval-ms MS] [--iterations N]",
+        build: alerts,
+    },
+    Subcommand {
+        usage: "segdiff top --url http://HOST:PORT [--interval-ms MS] [--iterations N]",
+        build: top,
+    },
+    Subcommand {
+        usage: "segdiff subscribe --url http://HOST:PORT --kind drop|jump --v V --t-hours H
+            [--label NAME] [--sensors 1,2,...] [--json]
+segdiff subscribe --url http://HOST:PORT --list | --delete ID  [--json]",
+        build: subscribe,
+    },
+    Subcommand {
+        usage: "segdiff watch --url http://HOST:PORT --sub ID [--after N]
+            [--interval-ms MS] [--iterations N] [--json]",
+        build: watch,
+    },
+];
+
+/// The usage text shown on parse errors, rendered from [`SUBCOMMANDS`].
+pub fn usage() -> String {
+    let mut out = String::from("usage:\n");
+    for sub in &SUBCOMMANDS {
+        for line in sub.usage.lines() {
+            let line = match line.strip_prefix("segdiff ") {
+                Some(form) => {
+                    let (name, rest) = form.split_once(' ').unwrap_or((form, ""));
+                    format!("  segdiff {name:<8} {rest}")
+                }
+                None => format!("{:19}{}", "", line.trim_start()),
+            };
+            out.push_str(&line);
+            out.push('\n');
+        }
+    }
+    out.push_str(
+        "\nenvironment:\n  SEGDIFF_LOG=off|error|warn|info|debug   diagnostic verbosity (default warn)",
+    );
+    out
+}
+
+/// Parses `argv` (without the program name).
+pub fn parse(argv: &[String]) -> Result<Command, String> {
+    let (name, rest) = argv.split_first().ok_or("missing subcommand")?;
+    let sub = SUBCOMMANDS
+        .iter()
+        .find(|s| s.name() == name)
+        .ok_or_else(|| format!("unknown subcommand {name}"))?;
+    (sub.build)(&Flags::parse(sub.usage, rest.iter().cloned())?)
+}
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,464 +351,239 @@ pub enum Command {
     },
 }
 
-/// Parses a `--sensors 1,2,3` comma list (None or blanks allowed).
-fn parse_sensor_list(csv: Option<&str>) -> Result<Vec<u32>, String> {
-    match csv {
-        None => Ok(Vec::new()),
-        Some(s) => s
-            .split(',')
-            .filter(|p| !p.trim().is_empty())
-            .map(|p| {
-                p.trim()
-                    .parse::<u32>()
-                    .map_err(|_| format!("--sensors: {p:?} is not a sensor id"))
-            })
-            .collect(),
+fn generate(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Generate {
+        csv: f.required("--csv")?,
+        days: f.required("--days")?,
+        sensor: f.value("--sensor")?.unwrap_or(12),
+        seed: f.value("--seed")?.unwrap_or(42),
+        raw: f.switch("--raw"),
+    })
+}
+
+fn ingest(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Ingest {
+        index: f.required("--index")?,
+        csv: f.required("--csv")?,
+        epsilon: f.value("--epsilon")?.unwrap_or(0.2),
+        window_hours: f.value("--window-hours")?.unwrap_or(8.0),
+        no_smooth: f.switch("--no-smooth"),
+    })
+}
+
+fn query(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Query {
+        index: f.required("--index")?,
+        kind: f.required("--kind")?,
+        v: f.required("--v")?,
+        t_hours: f.required("--t-hours")?,
+        plan: f.value("--plan")?.unwrap_or_else(|| "scan".to_string()),
+        refine: f.value("--refine")?,
+        limit: f.value("--limit")?.unwrap_or(50),
+        trace: f.switch("--trace"),
+        threads: at_least_one(f, "--threads", 8)?,
+    })
+}
+
+fn stats(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Stats {
+        index: f.required("--index")?,
+        json: f.switch("--json"),
+        series: f.switch("--series"),
+    })
+}
+
+fn recover(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Recover {
+        index: f.required("--index")?,
+        json: f.switch("--json"),
+    })
+}
+
+fn metrics(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Metrics {
+        index: f.required("--index")?,
+        json: f.switch("--json"),
+    })
+}
+
+fn serve(f: &Flags) -> Result<Command, String> {
+    let replica_of = f.value("--replica-of")?;
+    let sensors = sensor_list(f)?;
+    if replica_of.is_some() && !sensors.is_empty() {
+        return Err("--replica-of mirrors whatever the primary serves; \
+                    it cannot be combined with --sensors"
+            .into());
+    }
+    Ok(Command::Serve {
+        index: f.required("--index")?,
+        port: f.value("--port")?.unwrap_or(7878),
+        threads: at_least_one(f, "--threads", 8)?,
+        queue_depth: f.value("--queue-depth")?.unwrap_or(64).max(1),
+        sensors,
+        replica_of,
+        poll_ms: at_least_one(f, "--poll-ms", 200)?,
+        json: f.switch("--json"),
+        sample_ms: at_least_one(f, "--sample-ms", 500)?,
+        slow_ms: f.value("--slow-ms")?.unwrap_or(25),
+        alert_rules: f.value("--alert-rules")?,
+    })
+}
+
+fn router(f: &Flags) -> Result<Command, String> {
+    let shards: Vec<String> = f.values("--shard").map(String::from).collect();
+    if shards.is_empty() {
+        return Err("router needs at least one --shard PRIMARY[,REPLICA]".into());
+    }
+    Ok(Command::Router {
+        port: f.value("--port")?.unwrap_or(7878),
+        threads: at_least_one(f, "--threads", 8)?,
+        queue_depth: f.value("--queue-depth")?.unwrap_or(64).max(1),
+        shards,
+        health_interval_ms: at_least_one(f, "--health-interval-ms", 500)?,
+        json: f.switch("--json"),
+    })
+}
+
+fn cluster(f: &Flags) -> Result<Command, String> {
+    let shards = f.required("--shards")?;
+    if shards == 0 {
+        return Err("--shards must be at least 1".into());
+    }
+    Ok(Command::Cluster {
+        index: f.required("--index")?,
+        shards,
+        print_plan: f.switch("--print-plan"),
+        port: f.value("--port")?.unwrap_or(7878),
+        threads: at_least_one(f, "--threads", 8)?,
+        json: f.switch("--json"),
+    })
+}
+
+fn loadgen(f: &Flags) -> Result<Command, String> {
+    let kind = f.value("--kind")?.unwrap_or_else(|| "drop".to_string());
+    let v = f
+        .value("--v")?
+        .unwrap_or(if kind == "drop" { -1.0 } else { 1.0 });
+    let duration_secs: f64 = f.value("--duration-secs")?.unwrap_or(5.0);
+    if !(duration_secs.is_finite() && duration_secs > 0.0) {
+        return Err("--duration-secs must be positive".into());
+    }
+    Ok(Command::Loadgen {
+        url: f.required("--url")?,
+        concurrency: at_least_one(f, "--concurrency", 8)?,
+        duration_secs,
+        v: signed_v(&kind, v, "queries")?,
+        kind,
+        t_hours: f.value("--t-hours")?.unwrap_or(1.0),
+        guard: f.value("--guard")?,
+    })
+}
+
+fn alerts(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Alerts {
+        url: f.required("--url")?,
+        json: f.switch("--json"),
+        follow: f.switch("--follow"),
+        after: f.value("--after")?.unwrap_or(0),
+        interval_ms: at_least_one(f, "--interval-ms", 1000)?,
+        iterations: f.value("--iterations")?.unwrap_or(0),
+    })
+}
+
+fn top(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Top {
+        url: f.required("--url")?,
+        interval_ms: at_least_one(f, "--interval-ms", 1000)?,
+        iterations: f.value("--iterations")?.unwrap_or(0),
+    })
+}
+
+fn subscribe(f: &Flags) -> Result<Command, String> {
+    let url = f.required("--url")?;
+    let list = f.switch("--list");
+    let delete = f.value("--delete")?;
+    let json = f.switch("--json");
+    if list && delete.is_some() {
+        return Err("--list and --delete are mutually exclusive".into());
+    }
+    if list || delete.is_some() {
+        return Ok(Command::Subscribe {
+            url,
+            list,
+            delete,
+            kind: String::new(),
+            v: 0.0,
+            t_hours: 0.0,
+            label: String::new(),
+            sensors: Vec::new(),
+            json,
+        });
+    }
+    let kind: String = f.required("--kind")?;
+    let t_hours: f64 = f.required("--t-hours")?;
+    if !(t_hours.is_finite() && t_hours > 0.0) {
+        return Err("--t-hours must be positive".into());
+    }
+    Ok(Command::Subscribe {
+        url,
+        list: false,
+        delete: None,
+        v: signed_v(&kind, f.required("--v")?, "subscriptions")?,
+        kind,
+        t_hours,
+        label: f.value("--label")?.unwrap_or_default(),
+        sensors: sensor_list(f)?,
+        json,
+    })
+}
+
+fn watch(f: &Flags) -> Result<Command, String> {
+    Ok(Command::Watch {
+        url: f.required("--url")?,
+        sub: f.required("--sub")?,
+        after: f.value("--after")?.unwrap_or(0),
+        interval_ms: at_least_one(f, "--interval-ms", 1000)?,
+        iterations: f.value("--iterations")?.unwrap_or(0),
+        json: f.switch("--json"),
+    })
+}
+
+/// A count that defaults to `default` and must not be 0.
+fn at_least_one<T: FromStr + Default + PartialEq>(
+    f: &Flags,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    match f.value(name)?.unwrap_or(default) {
+        n if n == T::default() => Err(format!("{name} must be at least 1")),
+        n => Ok(n),
     }
 }
 
-fn take_value<'a>(argv: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    argv.get(*i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{flag} needs a value"))
+/// `v`, if its sign is the one `kind` searches for.
+fn signed_v(kind: &str, v: f64, what: &str) -> Result<f64, String> {
+    match kind {
+        "drop" if v >= 0.0 => Err(format!("--v must be negative for drop {what}")),
+        "jump" if v <= 0.0 => Err(format!("--v must be positive for jump {what}")),
+        _ => Ok(v),
+    }
 }
 
-/// Parses `argv` (without the program name).
-pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let sub = argv.first().ok_or("missing subcommand")?.as_str();
-    let mut csv: Option<PathBuf> = None;
-    let mut index: Option<PathBuf> = None;
-    let mut days: Option<u32> = None;
-    let mut sensor = 12u32;
-    let mut seed = 42u64;
-    let mut raw = false;
-    let mut epsilon = 0.2f64;
-    let mut window_hours = 8.0f64;
-    let mut no_smooth = false;
-    let mut kind: Option<String> = None;
-    let mut v: Option<f64> = None;
-    let mut t_hours: Option<f64> = None;
-    let mut plan = "scan".to_string();
-    let mut refine: Option<PathBuf> = None;
-    let mut limit = 50usize;
-    let mut trace = false;
-    let mut json = false;
-    let mut port = 7878u16;
-    let mut threads = 8usize;
-    let mut queue_depth = 64usize;
-    let mut url: Option<String> = None;
-    let mut concurrency = 8usize;
-    let mut duration_secs = 5.0f64;
-    let mut guard: Option<PathBuf> = None;
-    let mut series = false;
-    let mut sample_ms = 500u64;
-    let mut slow_ms = 25u64;
-    let mut alert_rules: Option<PathBuf> = None;
-    let mut interval_ms = 1000u64;
-    let mut iterations = 0u64;
-    let mut follow = false;
-    let mut after = 0u64;
-    let mut label: Option<String> = None;
-    let mut sensors: Option<String> = None;
-    let mut sub_id: Option<u64> = None;
-    let mut list = false;
-    let mut delete: Option<u64> = None;
-    let mut replica_of: Option<String> = None;
-    let mut poll_ms = 200u64;
-    let mut shard_specs: Vec<String> = Vec::new();
-    let mut shard_count: Option<usize> = None;
-    let mut health_interval_ms = 500u64;
-    let mut print_plan = false;
-
-    let mut i = 1;
-    while i < argv.len() {
-        match argv[i].as_str() {
-            "--csv" => csv = Some(PathBuf::from(take_value(argv, &mut i, "--csv")?)),
-            "--index" => index = Some(PathBuf::from(take_value(argv, &mut i, "--index")?)),
-            "--days" => {
-                days = Some(
-                    take_value(argv, &mut i, "--days")?
-                        .parse()
-                        .map_err(|_| "--days must be an integer")?,
-                )
-            }
-            "--sensor" => {
-                sensor = take_value(argv, &mut i, "--sensor")?
-                    .parse()
-                    .map_err(|_| "--sensor must be an integer")?
-            }
-            "--seed" => {
-                seed = take_value(argv, &mut i, "--seed")?
-                    .parse()
-                    .map_err(|_| "--seed must be an integer")?
-            }
-            "--raw" => raw = true,
-            "--epsilon" => {
-                epsilon = take_value(argv, &mut i, "--epsilon")?
-                    .parse()
-                    .map_err(|_| "--epsilon must be a number")?
-            }
-            "--window-hours" => {
-                window_hours = take_value(argv, &mut i, "--window-hours")?
-                    .parse()
-                    .map_err(|_| "--window-hours must be a number")?
-            }
-            "--no-smooth" => no_smooth = true,
-            "--kind" => kind = Some(take_value(argv, &mut i, "--kind")?.to_string()),
-            "--v" => {
-                v = Some(
-                    take_value(argv, &mut i, "--v")?
-                        .parse()
-                        .map_err(|_| "--v must be a number")?,
-                )
-            }
-            "--t-hours" => {
-                t_hours = Some(
-                    take_value(argv, &mut i, "--t-hours")?
-                        .parse()
-                        .map_err(|_| "--t-hours must be a number")?,
-                )
-            }
-            "--plan" => plan = take_value(argv, &mut i, "--plan")?.to_string(),
-            "--refine" => refine = Some(PathBuf::from(take_value(argv, &mut i, "--refine")?)),
-            "--limit" => {
-                limit = take_value(argv, &mut i, "--limit")?
-                    .parse()
-                    .map_err(|_| "--limit must be an integer")?
-            }
-            "--trace" => trace = true,
-            "--json" => json = true,
-            "--port" => {
-                port = take_value(argv, &mut i, "--port")?
-                    .parse()
-                    .map_err(|_| "--port must be an integer")?
-            }
-            "--threads" => {
-                threads = take_value(argv, &mut i, "--threads")?
-                    .parse()
-                    .map_err(|_| "--threads must be an integer")?
-            }
-            "--queue-depth" => {
-                queue_depth = take_value(argv, &mut i, "--queue-depth")?
-                    .parse()
-                    .map_err(|_| "--queue-depth must be an integer")?
-            }
-            "--url" => url = Some(take_value(argv, &mut i, "--url")?.to_string()),
-            "--concurrency" => {
-                concurrency = take_value(argv, &mut i, "--concurrency")?
-                    .parse()
-                    .map_err(|_| "--concurrency must be an integer")?
-            }
-            "--duration-secs" => {
-                duration_secs = take_value(argv, &mut i, "--duration-secs")?
-                    .parse()
-                    .map_err(|_| "--duration-secs must be a number")?
-            }
-            "--guard" => guard = Some(PathBuf::from(take_value(argv, &mut i, "--guard")?)),
-            "--series" => series = true,
-            "--sample-ms" => {
-                sample_ms = take_value(argv, &mut i, "--sample-ms")?
-                    .parse()
-                    .map_err(|_| "--sample-ms must be an integer")?
-            }
-            "--slow-ms" => {
-                slow_ms = take_value(argv, &mut i, "--slow-ms")?
-                    .parse()
-                    .map_err(|_| "--slow-ms must be an integer")?
-            }
-            "--alert-rules" => {
-                alert_rules = Some(PathBuf::from(take_value(argv, &mut i, "--alert-rules")?))
-            }
-            "--interval-ms" => {
-                interval_ms = take_value(argv, &mut i, "--interval-ms")?
-                    .parse()
-                    .map_err(|_| "--interval-ms must be an integer")?
-            }
-            "--iterations" => {
-                iterations = take_value(argv, &mut i, "--iterations")?
-                    .parse()
-                    .map_err(|_| "--iterations must be an integer")?
-            }
-            "--follow" => follow = true,
-            "--after" => {
-                after = take_value(argv, &mut i, "--after")?
-                    .parse()
-                    .map_err(|_| "--after must be an integer")?
-            }
-            "--label" => label = Some(take_value(argv, &mut i, "--label")?.to_string()),
-            "--sensors" => sensors = Some(take_value(argv, &mut i, "--sensors")?.to_string()),
-            "--sub" => {
-                sub_id = Some(
-                    take_value(argv, &mut i, "--sub")?
-                        .parse()
-                        .map_err(|_| "--sub must be an integer")?,
-                )
-            }
-            "--replica-of" => {
-                replica_of = Some(take_value(argv, &mut i, "--replica-of")?.to_string())
-            }
-            "--poll-ms" => {
-                poll_ms = take_value(argv, &mut i, "--poll-ms")?
-                    .parse()
-                    .map_err(|_| "--poll-ms must be an integer")?
-            }
-            "--shard" => shard_specs.push(take_value(argv, &mut i, "--shard")?.to_string()),
-            "--shards" => {
-                shard_count = Some(
-                    take_value(argv, &mut i, "--shards")?
-                        .parse()
-                        .map_err(|_| "--shards must be an integer")?,
-                )
-            }
-            "--health-interval-ms" => {
-                health_interval_ms = take_value(argv, &mut i, "--health-interval-ms")?
-                    .parse()
-                    .map_err(|_| "--health-interval-ms must be an integer")?
-            }
-            "--print-plan" => print_plan = true,
-            "--list" => list = true,
-            "--delete" => {
-                delete = Some(
-                    take_value(argv, &mut i, "--delete")?
-                        .parse()
-                        .map_err(|_| "--delete must be a subscription id")?,
-                )
-            }
-            other => return Err(format!("unknown flag {other}")),
-        }
-        i += 1;
-    }
-
-    match sub {
-        "generate" => Ok(Command::Generate {
-            csv: csv.ok_or("generate needs --csv")?,
-            days: days.ok_or("generate needs --days")?,
-            sensor,
-            seed,
-            raw,
-        }),
-        "ingest" => Ok(Command::Ingest {
-            index: index.ok_or("ingest needs --index")?,
-            csv: csv.ok_or("ingest needs --csv")?,
-            epsilon,
-            window_hours,
-            no_smooth,
-        }),
-        "query" => {
-            let kind = kind.ok_or("query needs --kind drop|jump")?;
-            if kind != "drop" && kind != "jump" {
-                return Err("--kind must be drop or jump".into());
-            }
-            if plan != "scan" && plan != "index" {
-                return Err("--plan must be scan or index".into());
-            }
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            Ok(Command::Query {
-                index: index.ok_or("query needs --index")?,
-                kind,
-                v: v.ok_or("query needs --v")?,
-                t_hours: t_hours.ok_or("query needs --t-hours")?,
-                plan,
-                refine,
-                limit,
-                trace,
-                threads,
-            })
-        }
-        "stats" => Ok(Command::Stats {
-            index: index.ok_or("stats needs --index")?,
-            json,
-            series,
-        }),
-        "recover" => Ok(Command::Recover {
-            index: index.ok_or("recover needs --index")?,
-            json,
-        }),
-        "metrics" => Ok(Command::Metrics {
-            index: index.ok_or("metrics needs --index")?,
-            json,
-        }),
-        "serve" => {
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            if sample_ms == 0 {
-                return Err("--sample-ms must be at least 1".into());
-            }
-            if poll_ms == 0 {
-                return Err("--poll-ms must be at least 1".into());
-            }
-            let sensors = parse_sensor_list(sensors.as_deref())?;
-            if replica_of.is_some() && !sensors.is_empty() {
-                return Err("--replica-of mirrors whatever the primary serves; \
-                            it cannot be combined with --sensors"
-                    .into());
-            }
-            Ok(Command::Serve {
-                index: index.ok_or("serve needs --index")?,
-                port,
-                threads,
-                queue_depth: queue_depth.max(1),
-                sensors,
-                replica_of,
-                poll_ms,
-                json,
-                sample_ms,
-                slow_ms,
-                alert_rules,
-            })
-        }
-        "router" => {
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            if health_interval_ms == 0 {
-                return Err("--health-interval-ms must be at least 1".into());
-            }
-            if shard_specs.is_empty() {
-                return Err("router needs at least one --shard PRIMARY[,REPLICA]".into());
-            }
-            Ok(Command::Router {
-                port,
-                threads,
-                queue_depth: queue_depth.max(1),
-                shards: shard_specs,
-                health_interval_ms,
-                json,
-            })
-        }
-        "cluster" => {
-            let shards = shard_count.ok_or("cluster needs --shards N")?;
-            if shards == 0 {
-                return Err("--shards must be at least 1".into());
-            }
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
-            Ok(Command::Cluster {
-                index: index.ok_or("cluster needs --index")?,
-                shards,
-                print_plan,
-                port,
-                threads,
-                json,
-            })
-        }
-        "loadgen" => {
-            let kind = kind.unwrap_or_else(|| "drop".to_string());
-            if kind != "drop" && kind != "jump" {
-                return Err("--kind must be drop or jump".into());
-            }
-            if concurrency == 0 {
-                return Err("--concurrency must be at least 1".into());
-            }
-            if !(duration_secs.is_finite() && duration_secs > 0.0) {
-                return Err("--duration-secs must be positive".into());
-            }
-            let v = v.unwrap_or(if kind == "drop" { -1.0 } else { 1.0 });
-            if kind == "drop" && v >= 0.0 {
-                return Err("--v must be negative for drop queries".into());
-            }
-            if kind == "jump" && v <= 0.0 {
-                return Err("--v must be positive for jump queries".into());
-            }
-            Ok(Command::Loadgen {
-                url: url.ok_or("loadgen needs --url")?,
-                concurrency,
-                duration_secs,
-                kind,
-                v,
-                t_hours: t_hours.unwrap_or(1.0),
-                guard,
-            })
-        }
-        "alerts" => {
-            if interval_ms == 0 {
-                return Err("--interval-ms must be at least 1".into());
-            }
-            Ok(Command::Alerts {
-                url: url.ok_or("alerts needs --url")?,
-                json,
-                follow,
-                after,
-                interval_ms,
-                iterations,
-            })
-        }
-        "top" => {
-            if interval_ms == 0 {
-                return Err("--interval-ms must be at least 1".into());
-            }
-            Ok(Command::Top {
-                url: url.ok_or("top needs --url")?,
-                interval_ms,
-                iterations,
-            })
-        }
-        "subscribe" => {
-            let url = url.ok_or("subscribe needs --url")?;
-            if list && delete.is_some() {
-                return Err("--list and --delete are mutually exclusive".into());
-            }
-            if list || delete.is_some() {
-                return Ok(Command::Subscribe {
-                    url,
-                    list,
-                    delete,
-                    kind: String::new(),
-                    v: 0.0,
-                    t_hours: 0.0,
-                    label: String::new(),
-                    sensors: Vec::new(),
-                    json,
-                });
-            }
-            let kind = kind.ok_or("subscribe needs --kind drop|jump (or --list / --delete)")?;
-            if kind != "drop" && kind != "jump" {
-                return Err("--kind must be drop or jump".into());
-            }
-            let v = v.ok_or("subscribe needs --v")?;
-            if kind == "drop" && v >= 0.0 {
-                return Err("--v must be negative for drop subscriptions".into());
-            }
-            if kind == "jump" && v <= 0.0 {
-                return Err("--v must be positive for jump subscriptions".into());
-            }
-            let t_hours = t_hours.ok_or("subscribe needs --t-hours")?;
-            if !(t_hours.is_finite() && t_hours > 0.0) {
-                return Err("--t-hours must be positive".into());
-            }
-            let sensors = parse_sensor_list(sensors.as_deref())?;
-            Ok(Command::Subscribe {
-                url,
-                list: false,
-                delete: None,
-                kind,
-                v,
-                t_hours,
-                label: label.unwrap_or_default(),
-                sensors,
-                json,
-            })
-        }
-        "watch" => {
-            if interval_ms == 0 {
-                return Err("--interval-ms must be at least 1".into());
-            }
-            Ok(Command::Watch {
-                url: url.ok_or("watch needs --url")?,
-                sub: sub_id.ok_or("watch needs --sub ID")?,
-                after,
-                interval_ms,
-                iterations,
-                json,
-            })
-        }
-        other => Err(format!("unknown subcommand {other}")),
-    }
+/// The `--sensors 1,2,3` comma list (empty when not given; blanks
+/// allowed).
+fn sensor_list(f: &Flags) -> Result<Vec<u32>, String> {
+    let Some(list) = f.value::<String>("--sensors")? else {
+        return Ok(Vec::new());
+    };
+    list.split(',')
+        .map(str::trim)
+        .filter(|p| !p.is_empty())
+        .map(|p| {
+            p.parse()
+                .map_err(|_| format!("--sensors: {p:?} is not a sensor id"))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -723,6 +592,136 @@ mod tests {
 
     fn argv(s: &str) -> Vec<String> {
         s.split_whitespace().map(|x| x.to_string()).collect()
+    }
+
+    fn read(rel: &str) -> String {
+        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(rel);
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    }
+
+    /// Every `segdiff <word>` and `segdiff -- <word>` in `text`, with its
+    /// line (`segdiff-lint` and `--segdiff PATH` are no mentions).
+    fn mentions(text: &str) -> Vec<(usize, String)> {
+        let mut out = Vec::new();
+        for (n, line) in text.lines().enumerate() {
+            for (at, _) in line.match_indices("segdiff") {
+                let before = line[..at].chars().next_back();
+                if before.is_some_and(|c| c.is_ascii_alphanumeric() || "-_".contains(c)) {
+                    continue;
+                }
+                let rest = &line[at + "segdiff".len()..];
+                let Some(rest) = rest.strip_prefix(" -- ").or(rest.strip_prefix(' ')) else {
+                    continue;
+                };
+                let word: String = rest
+                    .chars()
+                    .take_while(|c| c.is_ascii_lowercase() || *c == '-')
+                    .collect();
+                if word.starts_with(|c: char| c.is_ascii_lowercase()) {
+                    out.push((n + 1, word));
+                }
+            }
+        }
+        out
+    }
+
+    /// The arguments of every command line in `text` that runs `segdiff`,
+    /// with its first line: lines ending in `\\` are joined, and a line
+    /// ends at a comment or a shell operator. `bare` counts a plain
+    /// `segdiff` (and `--bin segdiff --`) inside a code block; otherwise
+    /// only a path to the binary (`./target/release/segdiff`) counts.
+    fn command_lines(text: &str, bare: bool) -> Vec<(usize, Vec<String>)> {
+        let mut out = Vec::new();
+        let (mut in_block, mut joined, mut first) = (false, String::new(), 0);
+        for (n, line) in text.lines().enumerate() {
+            if line.trim_start().starts_with("```") {
+                in_block = !in_block;
+                continue;
+            }
+            if bare && !in_block {
+                continue;
+            }
+            if joined.is_empty() {
+                first = n + 1;
+            }
+            if let Some(head) = line.trim_end().strip_suffix('\\') {
+                joined.push_str(head);
+                joined.push(' ');
+                continue;
+            }
+            joined.push_str(line);
+            let tokens: Vec<&str> = joined
+                .split_whitespace()
+                .take_while(|t| !t.starts_with(['#', '>', '|', '&', ';']) && *t != "2>&1")
+                .collect();
+            let program = tokens
+                .iter()
+                .position(|t| t.ends_with("/segdiff") || (bare && *t == "segdiff"));
+            if let Some(at) = program {
+                let args = &tokens[at + 1..];
+                let args = args.strip_prefix(&["--"][..]).unwrap_or(args);
+                if args
+                    .first()
+                    .is_some_and(|a| a.starts_with(|c: char| c.is_ascii_lowercase()))
+                {
+                    out.push((first, args.iter().map(|a| a.to_string()).collect()));
+                }
+            }
+            joined.clear();
+        }
+        out
+    }
+
+    /// The README names every subcommand of the table and no other, and
+    /// every `segdiff` command line of a README code block or a CI step
+    /// parses.
+    #[test]
+    fn the_readme_and_ci_use_the_table() {
+        let names: Vec<&str> = SUBCOMMANDS.iter().map(Subcommand::name).collect();
+        let readme = read("README.md");
+        let mentioned = mentions(&readme);
+        for (line, word) in &mentioned {
+            assert!(
+                names.contains(&word.as_str()),
+                "README.md:{line}: `segdiff {word}` is no subcommand"
+            );
+        }
+        for name in &names {
+            assert!(
+                mentioned.iter().any(|(_, w)| w == name),
+                "README.md never mentions `segdiff {name}`"
+            );
+        }
+        for (file, bare) in [("README.md", true), (".github/workflows/ci.yml", false)] {
+            let lines = command_lines(&read(file), bare);
+            assert!(!lines.is_empty(), "{file}: no segdiff command line found");
+            for (line, args) in lines {
+                if let Err(e) = parse(&args) {
+                    panic!("{file}:{line}: segdiff {}: {e}", args.join(" "));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn command_lines_are_joined_and_cut_at_shell_syntax() {
+        let text =
+            "run: |\n  ./target/release/segdiff serve --index i \\\n    --port 1 > log 2>&1 &\n  \
+                    clustersmoke --segdiff target/release/segdiff --out o\n\
+                    Build segdiff and the gates\n";
+        let want = argv("serve --index i --port 1");
+        assert_eq!(command_lines(text, false), vec![(2, want.clone())]);
+        let text =
+            "segdiff query\n```sh\n# segdiff watch\nsegdiff serve --index i \\\n  --port 1\n```\n";
+        assert_eq!(command_lines(text, true), vec![(4, want)]);
+        let names: Vec<String> =
+            mentions("segdiff-lint, `--segdiff x`, segdiff top, --bin segdiff -- cluster")
+                .into_iter()
+                .map(|(_, w)| w)
+                .collect();
+        assert_eq!(names, ["top", "cluster"]);
     }
 
     #[test]
@@ -778,13 +777,16 @@ mod tests {
         .is_err());
         // What `--index` holds says whether it is a transect: the flag
         // that used to say so is gone from `query` and `serve`.
-        for gone in [
-            "query --index d --kind drop --v -3 --t-hours 1 --all-sensors",
-            "serve --index d --all-sensors",
+        for (gone, sub) in [
+            (
+                "query --index d --kind drop --v -3 --t-hours 1 --all-sensors",
+                "query",
+            ),
+            ("serve --index d --all-sensors", "serve"),
         ] {
             assert_eq!(
                 parse(&argv(gone)).unwrap_err(),
-                "unknown flag --all-sensors"
+                format!("unknown flag --all-sensors for segdiff {sub}")
             );
         }
     }
@@ -841,6 +843,25 @@ mod tests {
         ))
         .is_err());
         assert!(parse(&argv("ingest --index d --csv f --epsilon nope")).is_err());
+        // A flag another subcommand takes is no flag of this one.
+        for (line, flag, sub) in [
+            (
+                "query --index d --kind drop --v -3 --t-hours 1 --json",
+                "--json",
+                "query",
+            ),
+            ("generate --csv f --days 1 --port 9", "--port", "generate"),
+            ("stats --index d --kind drop", "--kind", "stats"),
+        ] {
+            assert_eq!(
+                parse(&argv(line)).unwrap_err(),
+                format!("unknown flag {flag} for segdiff {sub}")
+            );
+        }
+        assert!(parse(&argv(
+            "query --index d stray --kind drop --v -3 --t-hours 1"
+        ))
+        .is_err());
     }
 
     #[test]

@@ -1,16 +1,12 @@
 //! `segdiff` — the command-line front end.
 //!
-//! ```text
-//! segdiff generate --csv data.csv --days 30 [--sensor 12] [--seed 42] [--raw]
-//! segdiff ingest   --index DIR --csv data.csv [--epsilon 0.2] [--window-hours 8] [--no-smooth]
-//! segdiff query    --index DIR --kind drop --v -3 --t-hours 1 [--plan scan|index] [--refine data.csv]
-//! segdiff stats    --index DIR
-//! ```
-//!
-//! `ingest` creates the index directory on first use and *resumes* an
-//! existing one (observations must keep increasing in time). `query`
-//! prints one result period per line; with `--refine` it also locates the
-//! steepest concrete event inside each period against the raw CSV.
+//! Every subcommand, its flags and its defaults are one entry of the
+//! table in `args.rs`, which `segdiff` prints as its usage on any parse
+//! error (exit 2). `ingest` creates the index directory on first use and
+//! *resumes* an existing one (observations must keep increasing in time).
+//! `query` prints one result period per line; with `--refine` it also
+//! locates the steepest concrete event inside each period against the raw
+//! CSV.
 
 mod args;
 mod commands;
@@ -29,7 +25,7 @@ fn main() -> ExitCode {
         },
         Err(msg) => {
             eprintln!("{msg}\n");
-            eprintln!("{}", args::USAGE);
+            eprintln!("{}", args::usage());
             ExitCode::from(2)
         }
     }

@@ -778,6 +778,36 @@ fn observability_subcommands_round_trip() {
 fn bad_usage_exits_nonzero() {
     let o = run(&["frobnicate"]);
     assert_eq!(o.status.code(), Some(2));
+    // A flag only another subcommand takes is a usage error too.
+    for (args, flag) in [
+        (
+            &[
+                "query",
+                "--index",
+                "d",
+                "--kind",
+                "drop",
+                "--v",
+                "-3",
+                "--t-hours",
+                "1",
+                "--json",
+            ][..],
+            "--json",
+        ),
+        (
+            &["generate", "--csv", "f", "--days", "1", "--port", "9"],
+            "--port",
+        ),
+        (&["stats", "--index", "d", "--kind", "drop"], "--kind"),
+    ] {
+        let o = run(args);
+        assert_eq!(o.status.code(), Some(2));
+        let err = String::from_utf8_lossy(&o.stderr);
+        let want = format!("unknown flag {flag} for segdiff {}", args[0]);
+        assert!(err.contains(&want), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+    }
     let o = run(&[
         "query",
         "--index",

@@ -8,7 +8,7 @@
 //! parallelograms' corners by half") while verifying that both forms
 //! return identical result sets.
 
-use crate::query::{check_window, QueryPlan, QueryStats};
+use crate::query::{check_window, QueryStats};
 use crate::result::{sort_dedup, SegmentPair};
 use featurespace::{
     extract_full_corners, extract_full_self_corners, full_corners_intersect, FeaturePoint,
@@ -206,11 +206,6 @@ impl FullCornerIndex {
     /// Makes subsequent queries run cold.
     pub fn clear_cache(&self) -> Result<()> {
         self.db.clear_cache()
-    }
-
-    /// The plans this index supports (scan only).
-    pub fn supported_plan() -> QueryPlan {
-        QueryPlan::SeqScan
     }
 }
 

@@ -18,8 +18,6 @@ pub struct SegDiffConfig {
     pub window: f64,
     /// Buffer-pool capacity in 4 KiB pages.
     pub pool_pages: usize,
-    /// Entry bound of the epoch-tagged query result cache.
-    pub cache_entries: usize,
     /// Write-ahead logging: when `true` (the default) every stored segment
     /// ends in a WAL commit record, so a crash mid-ingest recovers to a
     /// prefix-consistent index (last committed segment boundary).
@@ -42,7 +40,6 @@ impl Default for SegDiffConfig {
             epsilon: 0.2,
             window: 8.0 * HOUR,
             pool_pages: 4096, // 16 MiB
-            cache_entries: 256,
             durable: true,
             sync: sync_from_env(),
             group_commit: d.group_commit,
@@ -83,12 +80,6 @@ impl SegDiffConfig {
     /// Sets the buffer-pool size in pages.
     pub fn with_pool_pages(mut self, pages: usize) -> Self {
         self.pool_pages = pages;
-        self
-    }
-
-    /// Sets the result-cache entry bound (min 1).
-    pub fn with_cache_entries(mut self, entries: usize) -> Self {
-        self.cache_entries = entries.max(1);
         self
     }
 

@@ -227,7 +227,8 @@ impl SegDiffIndex {
             jump_tables: tables(JUMP_TABLES)?,
             segments_table: db.table(SEGMENTS_TABLE)?,
             resident: ResidentRun::default(),
-            cache: QueryCache::new(config.cache_entries),
+            // The results of the 256 most recent searches.
+            cache: QueryCache::new(256),
             config,
             db,
             rows_buf: Vec::new(),

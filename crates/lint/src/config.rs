@@ -26,9 +26,6 @@ pub const LOCK_ORDER_PATH: &str = "ci/lock-order.toml";
 /// Workspace-relative path of the metric registry source.
 pub const NAMES_RS_PATH: &str = "crates/obs/src/names.rs";
 
-/// Workspace-relative path of the CLI argument parser (rule L8).
-pub const ARGS_RS_PATH: &str = "crates/cli/src/args.rs";
-
 /// README markers delimiting the generated metrics table.
 pub const METRICS_TABLE_BEGIN: &str = "<!-- metrics-table:begin -->";
 /// Closing marker.

@@ -97,7 +97,7 @@ impl<'s> FileCtx<'s> {
                     s.comment_line,
                     s.col,
                     format!("unknown rule `{u}` in `lint: allow(...)`"),
-                    "valid rules are L0-L8".to_string(),
+                    "valid rules are L0-L7".to_string(),
                 ));
             }
             if s.reason.is_empty() {
@@ -140,7 +140,7 @@ impl<'s> FileCtx<'s> {
 
 /// Workspace-wide suppression inventory. The rules emit every finding
 /// they see; [`SuppressionIndex::filter`] drops the suppressed ones
-/// centrally — so the cross-file passes (L4/L6/L8) honor suppressions
+/// centrally — so the cross-file passes (L4/L6) honor suppressions
 /// exactly like the per-file rules — and records which suppressions
 /// actually fired. [`SuppressionIndex::dead`] then audits the rest: a
 /// `// lint: allow(<rule>)` that no longer suppresses any diagnostic

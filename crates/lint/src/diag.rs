@@ -29,13 +29,11 @@ pub enum Rule {
     /// while any guard is live, outside the `[[allow_blocking]]`
     /// allowlist in `ci/lock-order.toml`.
     L7,
-    /// Contract drift: CLI subcommands vs the usage text vs the README.
-    L8,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 9] = [
+    pub const ALL: [Rule; 8] = [
         Rule::L0,
         Rule::L1,
         Rule::L2,
@@ -44,7 +42,6 @@ impl Rule {
         Rule::L5,
         Rule::L6,
         Rule::L7,
-        Rule::L8,
     ];
 
     /// Parses `"L1"` (case-insensitive).
@@ -58,7 +55,6 @@ impl Rule {
             "L5" => Some(Rule::L5),
             "L6" => Some(Rule::L6),
             "L7" => Some(Rule::L7),
-            "L8" => Some(Rule::L8),
             _ => None,
         }
     }
@@ -74,7 +70,6 @@ impl Rule {
             Rule::L5 => "L5",
             Rule::L6 => "L6",
             Rule::L7 => "L7",
-            Rule::L8 => "L8",
         }
     }
 
@@ -89,7 +84,6 @@ impl Rule {
             Rule::L5 => "no `let _ =` result discards in pagestore/core production code",
             Rule::L6 => "lock order holds across intra-crate calls (call-graph summaries)",
             Rule::L7 => "no blocking call under a live guard outside the allowlist",
-            Rule::L8 => "CLI subcommands match their dispatch, usage text and docs",
         }
     }
 }

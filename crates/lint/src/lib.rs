@@ -22,7 +22,6 @@
 //! | L5 | no `let _ =` result discards in `pagestore`/`core` |
 //! | L6 | lock order holds across intra-crate calls ([`callgraph`] summaries) |
 //! | L7 | no blocking call under a live guard, outside the `[[allow_blocking]]` allowlist |
-//! | L8 | CLI subcommands match their dispatch, `USAGE` text, and README |
 //!
 //! L0–L5 are per-file passes. L6 assembles a workspace call graph
 //! ([`callgraph`]) over the shared guard-lifetime walk ([`flow`]) and
@@ -48,7 +47,7 @@ pub mod lexer;
 pub mod rules;
 pub mod toml;
 
-use config::{LockOrder, ARGS_RS_PATH, LOCK_ORDER_PATH, NAMES_RS_PATH};
+use config::{LockOrder, LOCK_ORDER_PATH, NAMES_RS_PATH};
 use context::{FileCtx, SuppressionIndex};
 use diag::{Diagnostic, Rule};
 use std::collections::BTreeSet;
@@ -159,11 +158,6 @@ pub fn run(opts: &Options) -> Result<RunResult, Fatal> {
     if on(Rule::L6) {
         diags.extend(rules::interlock::check(&graph));
     }
-    if on(Rule::L8) {
-        let args_src = read_artifact(&opts.root, ARGS_RS_PATH)?;
-        let readme = std::fs::read_to_string(opts.root.join("README.md")).ok();
-        diags.extend(rules::contracts::check(&args_src, readme.as_deref()));
-    }
 
     // Central suppression filtering, then the dead-suppression audit:
     // a well-formed `// lint: allow(…)` that dropped nothing is an L0
@@ -207,12 +201,6 @@ pub fn run(opts: &Options) -> Result<RunResult, Fatal> {
         diags,
         files_analyzed: files.len(),
     })
-}
-
-fn read_artifact(root: &Path, rel: &str) -> Result<String, Fatal> {
-    let path = root.join(rel);
-    std::fs::read_to_string(&path)
-        .map_err(|e| Fatal(format!("cannot read {}: {e}", path.display())))
 }
 
 /// Parses the checked-in metric registry.

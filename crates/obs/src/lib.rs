@@ -32,6 +32,8 @@
 //! * logging macros ([`error!`], [`warn!`], [`info!`], [`debug!`])
 //!   filtered by the `SEGDIFF_LOG` environment variable
 //!   (`off|error|warn|info|debug`).
+//! * [`flags`] — command-line flags parsed against a usage text, the
+//!   argument parser the `segdiff` CLI, `reproduce` and the CI gates share.
 //!
 //! The crate has **zero external dependencies** and sits below
 //! `pagestore` in the dependency graph, so every layer can use it.
@@ -58,6 +60,7 @@
 //! ```
 
 mod export_impl;
+pub mod flags;
 mod json_impl;
 mod log_impl;
 mod metrics;
