@@ -1,15 +1,19 @@
 //! The view store against the row store on one corpus: what a compaction
-//! keeps on disk, and what a search over the sealed run costs.
+//! keeps on disk, and what a search costs, over the stored rows and
+//! generated from the segments.
 //!
 //! The run builds a SegDiff index, sweeps both plans over the benchmark's
-//! regions per window `T` on the row store (arrival order, whole B+trees),
-//! compacts it ([`segdiff::SegDiffIndex::compact_storage`]: `segments`
-//! sealed into columnar pages, every feature row of the sealed run cut),
-//! reopens it with a pool a quarter of the row store's heap, and sweeps
-//! again. The sealed run's rows are generated at query time, so the
-//! second sweep reports per window the segment pairs within `T` and the
-//! boundaries computed a result, next to the row store's rows examined a
-//! result and both stores' time a query; every answer must equal the row
+//! regions per window `T` on the row store (arrival order, whole B+trees,
+//! read through [`segdiff::SegDiffIndex::query_stored_rows`]), sweeps them
+//! again as a search runs them there (every row generated from the
+//! segments, [`segdiff::SegDiffIndex::query`]), compacts it
+//! ([`segdiff::SegDiffIndex::compact_storage`]: `segments` sealed into
+//! columnar pages, every feature row of the sealed run cut), reopens it
+//! with a pool a quarter of the row store's heap, and sweeps a third time.
+//! The view store's rows are generated at query time, so that sweep
+//! reports per window the segment pairs within `T` and the boundaries
+//! computed a result, next to the row store's rows examined a result and
+//! the three sweeps' time a query; every answer must equal the row
 //! store's, on both plans. One region no pair can match must be rejected
 //! by the zone summary of `segments` before a segment is read — the
 //! `zonemap.extents_pruned` counter proves it.
@@ -17,7 +21,7 @@
 use crate::harness::{scratch_dir, with_registry_delta, Scale};
 use crate::report::Report;
 use featurespace::QueryRegion;
-use segdiff::{QueryPlan, SegDiffConfig, SegDiffIndex};
+use segdiff::{QueryPlan, QueryStats, SegDiffConfig, SegDiffIndex, SegmentPair};
 use sensorgen::{generate_sensor, smooth::RobustSmoother, CadTransectConfig, HOUR};
 use std::path::Path;
 use std::time::Instant;
@@ -34,7 +38,8 @@ pub struct BigCorpusResult {
     pub extents_pruned: u64,
     /// Registry delta across the view store's sweep.
     pub metrics: obs::MetricsSnapshot,
-    /// Both plans per window on the row store, then on the view store.
+    /// Both plans per window on the row store, then generated on the row
+    /// store, then on the view store.
     pub sweep: Vec<PlanAtT>,
 }
 
@@ -42,7 +47,8 @@ pub struct BigCorpusResult {
 /// of one pass over `regions_at`, which repeat, and the time of a query.
 #[derive(Debug, Clone)]
 pub struct PlanAtT {
-    /// `"row"` (never compacted) or `"view"` (compacted).
+    /// `"row"` (never compacted, its stored rows read), `"generated"`
+    /// (never compacted, every row generated) or `"view"` (compacted).
     pub store: &'static str,
     /// The window `T`, in hours.
     pub t_hours: f64,
@@ -50,10 +56,10 @@ pub struct PlanAtT {
     pub plan: QueryPlan,
     /// Pages asked of the pool.
     pub pages_read: u64,
-    /// Segment pairs within `T` over the sealed run (0 on the row store).
+    /// Segment pairs within `T` generated (0 on the row store).
     pub pairs: u64,
-    /// Rows examined: boundaries computed over the sealed run, rows through
-    /// the scan's kernel or entries through the probe.
+    /// Rows examined: boundaries computed, rows through the scan's kernel
+    /// or entries through the probe.
     pub examined: u64,
     /// Pairs returned.
     pub results: u64,
@@ -75,16 +81,16 @@ fn regions_at(t_hours: f64) -> Vec<QueryRegion> {
         .collect()
 }
 
-/// Runs both plans over every window's regions: one pass each that fills
-/// the pool as far as it goes and takes the counts — every answer checked
-/// against `want`, when given, or recorded into it — then `repeats` timed
-/// rounds of one pass each (rounds, not a burst per row, so a busy moment
-/// of the host lands on every row alike).
+/// Runs both plans through `search` over every window's regions: one pass
+/// each that fills the pool as far as it goes and takes the counts — every
+/// answer checked against `want`, when given, or recorded into it — then
+/// `repeats` timed rounds of one pass each (rounds, not a burst per row, so
+/// a busy moment of the host lands on every row alike).
 fn sweep_plans(
-    idx: &SegDiffIndex,
+    search: impl Fn(&QueryRegion, QueryPlan) -> (Vec<SegmentPair>, QueryStats),
     store: &'static str,
     repeats: u32,
-    want: &mut Vec<Vec<segdiff::SegmentPair>>,
+    want: &mut Vec<Vec<SegmentPair>>,
     out: &mut Vec<PlanAtT>,
 ) {
     let check = !want.is_empty();
@@ -103,7 +109,7 @@ fn sweep_plans(
                 us_per_query: 0.0,
             };
             for region in regions_at(t_hours) {
-                let (got, stats) = idx.query(&region, plan).expect("query");
+                let (got, stats) = search(&region, plan);
                 row.pairs += stats.generated.pairs_within_t;
                 row.pages_read += stats.io.hits + stats.io.misses;
                 row.examined += stats.rows_considered;
@@ -125,7 +131,7 @@ fn sweep_plans(
             let regions = regions_at(row.t_hours);
             let t = Instant::now();
             for region in &regions {
-                idx.query(region, row.plan).expect("query");
+                search(region, row.plan);
             }
             us.push(t.elapsed().as_secs_f64() * 1e6 / regions.len() as f64);
         }
@@ -167,9 +173,9 @@ fn bytes_by_kind(dir: &Path) -> [u64; 7] {
     bytes
 }
 
-/// Builds the corpus, sweeps the row store, compacts it into the view
-/// store, reopens it behind a quarter of the row store's heap, and sweeps
-/// again.
+/// Builds the corpus, sweeps the row store's stored rows and then its
+/// segments, compacts it into the view store, reopens it behind a quarter
+/// of the row store's heap, and sweeps again.
 pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
     let root = scratch_dir("bigcorpus");
     std::fs::remove_dir_all(&root).ok();
@@ -185,7 +191,10 @@ pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
     idx.finish().expect("finish");
     idx.build_indexes().expect("build indexes");
     let (mut sweep, mut want) = (Vec::new(), Vec::new());
-    sweep_plans(&idx, "row", scale.repeats, &mut want, &mut sweep);
+    let stored = |region: &QueryRegion, plan| idx.query_stored_rows(region, plan).expect("query");
+    sweep_plans(stored, "row", scale.repeats, &mut want, &mut sweep);
+    let generated = |region: &QueryRegion, plan| idx.query(region, plan).expect("query");
+    sweep_plans(generated, "generated", scale.repeats, &mut want, &mut sweep);
     let row_bytes = bytes_by_kind(&root);
     let heap_pages = idx.stats().heap_bytes / pagestore::PAGE_SIZE as u64;
 
@@ -194,8 +203,9 @@ pub fn run_bigcorpus(scale: &Scale) -> BigCorpusResult {
     let pool_pages = ((heap_pages / 4) as usize).max(16);
     let idx = SegDiffIndex::open(&root, pool_pages).expect("reopen");
     let view_bytes = bytes_by_kind(&root);
+    let view = |region: &QueryRegion, plan| idx.query(region, plan).expect("query");
     let ((), metrics) =
-        with_registry_delta(|| sweep_plans(&idx, "view", scale.repeats, &mut want, &mut sweep));
+        with_registry_delta(|| sweep_plans(view, "view", scale.repeats, &mut want, &mut sweep));
     let (_, unsatisfiable) = with_registry_delta(|| {
         // No synthetic sensor falls 30 degC in an hour.
         let region = QueryRegion::drop(1.0 * HOUR, -30.0);
@@ -251,14 +261,17 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
          for the counts, the median of the timed passes for the time: the \
          segment pairs within T of the sealed run, the boundaries computed a \
          result there, against the rows (scan) or entries (index) examined a \
-         result on the row store, and microseconds a query on each.",
+         result on the row store, and microseconds a query on each, and on \
+         the row store with every row generated from its segments, as a \
+         search runs it there.",
         regions_at(1.0).len()
     ));
-    let half = r.sweep.len() / 2;
-    let rows: Vec<Vec<String>> = r.sweep[..half]
+    let third = r.sweep.len() / 3;
+    let rows: Vec<Vec<String>> = r.sweep[..third]
         .iter()
-        .zip(&r.sweep[half..])
-        .map(|(row, view)| {
+        .zip(&r.sweep[third..2 * third])
+        .zip(&r.sweep[2 * third..])
+        .map(|((row, generated), view)| {
             let per_result =
                 |p: &PlanAtT| format!("{:.2}", p.examined as f64 / p.results.max(1) as f64);
             vec![
@@ -270,6 +283,7 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
                 view.results.to_string(),
                 format!("{:.1}", view.us_per_query),
                 format!("{:.1}", row.us_per_query),
+                format!("{:.1}", generated.us_per_query),
             ]
         })
         .collect();
@@ -283,6 +297,7 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
             "results",
             "µs / query",
             "row store µs / query",
+            "row store generated µs / query",
         ],
         &rows,
     );
@@ -311,13 +326,16 @@ mod tests {
         assert!(total(true) * 5 < total(false), "{:?}", r.bytes);
         // Both stores answered alike (checked in the sweep); a longer window
         // pairs more segments, and the sealed run computes a few boundaries
-        // a result.
+        // a result. Generated on the row store, the rows are the view's.
         let windows = SWEEP_HOURS.len();
-        let (row, view) = r.sweep.split_at(2 * windows);
-        for (row, view) in row.iter().zip(view) {
+        let (row, rest) = r.sweep.split_at(2 * windows);
+        let (generated, view) = rest.split_at(2 * windows);
+        for ((row, generated), view) in row.iter().zip(generated).zip(view) {
             assert_eq!((row.plan, row.results), (view.plan, view.results));
             assert!(row.pairs == 0 && view.pairs > 0, "{view:?}");
             assert!(view.examined <= 10 * view.results.max(1), "{view:?}");
+            let counts = |p: &PlanAtT| (p.plan, p.pairs, p.examined, p.results);
+            assert_eq!(counts(generated), counts(view));
         }
         assert!(view[0].pairs < view[2 * windows - 1].pairs);
         let mut report = Report::new();

@@ -721,7 +721,7 @@ pub fn run_ablations(scale: &Scale) -> Vec<AblationRow> {
     let seg_bytes = seg.index.stats().feature_payload_bytes;
     let seg_scan = || {
         seg.index
-            .query(&region, QueryPlan::SeqScan)
+            .query_stored_rows(&region, QueryPlan::SeqScan)
             .expect("segdiff query")
     };
     let mut full =

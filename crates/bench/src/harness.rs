@@ -202,8 +202,10 @@ fn summarize(runs: &[QueryStats]) -> TimedQuery {
     }
 }
 
-/// Times a SegDiff query. With `cold`, the buffer pool is dropped before
-/// every repetition (the paper's flushed-cache mode).
+/// Times a SegDiff query the paper's way, over the stored feature rows
+/// ([`segdiff::SegDiffIndex::query_stored_rows`]). With `cold`, the buffer
+/// pool is dropped before every repetition (the paper's flushed-cache
+/// mode).
 pub fn time_query_segdiff(
     built: &BuiltSegDiff,
     region: &QueryRegion,
@@ -214,13 +216,13 @@ pub fn time_query_segdiff(
     let mut runs = Vec::new();
     if !cold {
         // Warm-up pass so "warm" really is warm.
-        let _ = built.index.query(region, plan).expect("warmup");
+        let _ = built.index.query_stored_rows(region, plan).expect("warmup");
     }
     for _ in 0..repeats.max(1) {
         if cold {
             built.index.clear_cache().expect("clear cache");
         }
-        let (_, stats) = built.index.query(region, plan).expect("query");
+        let (_, stats) = built.index.query_stored_rows(region, plan).expect("query");
         runs.push(stats);
     }
     summarize(&runs)

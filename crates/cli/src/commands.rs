@@ -396,7 +396,7 @@ fn sampled_series(idx: &SegDiffIndex) -> Result<obs::series::SeriesStore, Anyhow
     sampler.tick(obs::global(), &store, obs::unix_ms());
     for region in [QueryRegion::drop(w, -0.1), QueryRegion::jump(w, 0.1)] {
         let _ = idx.query(&region, QueryPlan::SeqScan)?;
-        let _ = idx.query(&region, QueryPlan::Index);
+        let _ = idx.query(&region, QueryPlan::Index)?;
     }
     // The sampler derives rates and interval quantiles from deltas
     // between ticks, so the clock must advance between them.
@@ -617,12 +617,11 @@ fn recover(index: &Path, json: bool) -> Result<(), Anyhow> {
 fn metrics(index: &Path, json: bool) -> Result<(), Anyhow> {
     let idx = SegDiffIndex::open(index, 4096)?;
     let w = idx.config().window;
-    // A permissive probe region so the probe touches all three tables.
+    // A permissive probe region of each kind, searched on both plans: the
+    // first search decodes the segments through the pool.
     for region in [QueryRegion::drop(w, -0.1), QueryRegion::jump(w, 0.1)] {
         let _ = idx.query(&region, QueryPlan::SeqScan)?;
-        // Also exercise the B+tree path when indexes exist (they may not,
-        // for an index built before `ingest` created them).
-        let _ = idx.query(&region, QueryPlan::Index);
+        let _ = idx.query(&region, QueryPlan::Index)?;
     }
     let snapshot = obs::global().snapshot();
     let rendered = if json {

@@ -4,7 +4,8 @@ use crate::cache::{CacheKey, QueryCache};
 use crate::config::SegDiffConfig;
 use crate::ingest::{FeatureExtractor, FeatureRow};
 use crate::query::{
-    check_window, run_feature_query, QueryPlan, QueryStats, ResidentRun, SealedRun,
+    check_window, run_feature_query, run_segment_query, QueryPlan, QueryStats, ResidentRun,
+    SegmentRun,
 };
 use crate::result::SegmentPair;
 use crate::stats::{CornerHistogram, SegDiffStats};
@@ -27,8 +28,11 @@ use std::time::Instant;
 /// Built online: call [`SegDiffIndex::push`] per observation (or
 /// [`SegDiffIndex::ingest_series`] for a whole series) and
 /// [`SegDiffIndex::finish`] once at the end. Then search with
-/// [`SegDiffIndex::query`]; call [`SegDiffIndex::build_indexes`] first if
-/// you want [`QueryPlan::Index`] execution.
+/// [`SegDiffIndex::query`], on either plan: a search generates its rows from
+/// the stored segments and reads no feature table or tree.
+/// [`SegDiffIndex::query_stored_rows`] runs the paper's two plans over the
+/// stored feature rows instead; call [`SegDiffIndex::build_indexes`] first
+/// for its [`QueryPlan::Index`].
 pub struct SegDiffIndex {
     dir: PathBuf,
     config: SegDiffConfig,
@@ -36,8 +40,8 @@ pub struct SegDiffIndex {
     drop_tables: [Arc<Table>; 3],
     jump_tables: [Arc<Table>; 3],
     segments_table: Arc<Table>,
-    /// The sealed run of `segments`, decoded by the first search that
-    /// needs it and again by the first after a seal.
+    /// The rows of `segments`, decoded by the first search and extended
+    /// by the first after an append.
     resident: ResidentRun,
     segmenter: SlidingWindowSegmenter,
     extractor: FeatureExtractor,
@@ -509,6 +513,12 @@ jump_hist {} {} {}
     /// Runs a drop or jump search; returns the matching segment pairs
     /// (time-ordered, deduplicated) and execution metrics.
     ///
+    /// Both plans generate every feature row from the stored segments, a
+    /// run of them held decoded between searches and extended by the rows
+    /// appended since ([`crate::GeneratorStats::rows_decoded`]): no feature
+    /// page and no B+tree is read, and the answer is the one
+    /// [`SegDiffIndex::query_stored_rows`] reads off the stored rows.
+    ///
     /// A search for pairs further apart than the configured window `w`
     /// has no answer here — their features were never extracted — and is
     /// a [`StoreError::InvalidArgument`] naming the window.
@@ -517,22 +527,56 @@ jump_hist {} {} {}
         region: &QueryRegion,
         plan: QueryPlan,
     ) -> Result<(Vec<SegmentPair>, QueryStats)> {
-        check_window(region, self.config.window)?;
+        self.timed_query(region, plan, |stats| {
+            run_segment_query(&self.db, self.segment_run(), region, plan, stats)
+        })
+    }
+
+    /// [`SegDiffIndex::query`] the paper's way (§4.4), over the stored
+    /// feature rows: a sequential scan of the feature tables
+    /// ([`QueryPlan::SeqScan`]) or probes of their B+trees and a fetch of
+    /// the rows matched ([`QueryPlan::Index`]; needs
+    /// [`SegDiffIndex::build_indexes`]), with the sealed run's rows, which
+    /// are not stored, generated. For the experiments that measure those
+    /// plans, and as the reference a search is tested against; no serving
+    /// path calls it.
+    pub fn query_stored_rows(
+        &self,
+        region: &QueryRegion,
+        plan: QueryPlan,
+    ) -> Result<(Vec<SegmentPair>, QueryStats)> {
         let tables = match region.kind {
             SearchKind::Drop => &self.drop_tables,
             SearchKind::Jump => &self.jump_tables,
         };
-        let span = obs::span("query");
-        let io_before = self.db.stats();
-        let start = Instant::now();
-        let mut stats = QueryStats::default();
-        let run = SealedRun {
+        self.timed_query(region, plan, |stats| {
+            run_feature_query(&self.db, tables, self.segment_run(), region, plan, stats)
+        })
+    }
+
+    fn segment_run(&self) -> SegmentRun<'_> {
+        SegmentRun {
             segments: &self.segments_table,
             resident: &self.resident,
             epsilon: self.config.epsilon,
             window: self.config.window,
-        };
-        let results = run_feature_query(&self.db, tables, run, region, plan, &mut stats)?;
+        }
+    }
+
+    /// Checks `region` against the window and runs `execute` under the
+    /// `query` span, filling in the stats' wall time, results and I/O.
+    fn timed_query(
+        &self,
+        region: &QueryRegion,
+        plan: QueryPlan,
+        execute: impl FnOnce(&mut QueryStats) -> Result<Vec<SegmentPair>>,
+    ) -> Result<(Vec<SegmentPair>, QueryStats)> {
+        check_window(region, self.config.window)?;
+        let span = obs::span("query");
+        let io_before = self.db.stats();
+        let start = Instant::now();
+        let mut stats = QueryStats::default();
+        let results = execute(&mut stats)?;
         stats.wall_seconds = start.elapsed().as_secs_f64();
         stats.results = results.len() as u64;
         stats.io = self.db.stats().since(&io_before);
@@ -867,17 +911,28 @@ mod tests {
         idx.ingest_series(&drop_series()).unwrap();
         idx.finish().unwrap();
         idx.build_indexes().unwrap();
+        // The stored rows through both plans, and a search on each.
+        let answers = |region: &QueryRegion| {
+            let plans = [QueryPlan::SeqScan, QueryPlan::Index];
+            let stored = plans.map(|plan| idx.query_stored_rows(region, plan).unwrap().0);
+            let generated = plans.map(|plan| idx.query(region, plan).unwrap().0);
+            (stored, generated)
+        };
         for (t, v) in [(HOUR, -3.0), (2.0 * HOUR, -1.0), (0.5 * HOUR, -2.0)] {
-            let region = QueryRegion::drop(t, v);
-            let (scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-            let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+            let ([scan, indexed], generated) = answers(&QueryRegion::drop(t, v));
             assert_eq!(scan, indexed, "plans disagree for T={t} V={v}");
+            assert!(
+                generated.iter().all(|g| *g == scan),
+                "a search for T={t} V={v}"
+            );
         }
         for (t, v) in [(HOUR, 1.0), (4.0 * HOUR, 2.0)] {
-            let region = QueryRegion::jump(t, v);
-            let (scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-            let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+            let ([scan, indexed], generated) = answers(&QueryRegion::jump(t, v));
             assert_eq!(scan, indexed, "jump plans disagree for T={t} V={v}");
+            assert!(
+                generated.iter().all(|g| *g == scan),
+                "a jump search, T={t} V={v}"
+            );
         }
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -984,9 +1039,17 @@ mod tests {
         idx.finish().unwrap();
         idx.build_indexes().unwrap();
         let region = QueryRegion::drop(1.0 * HOUR, -3.0);
-        for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+        // Over the stored rows, and generated.
+        let plans = [QueryPlan::SeqScan, QueryPlan::Index];
+        for (stored, plan) in [true, false]
+            .into_iter()
+            .flat_map(|s| plans.map(|p| (s, p)))
+        {
             idx.clear_cache().unwrap();
-            let (_, stats) = idx.query(&region, plan).unwrap();
+            let (_, stats) = match stored {
+                true => idx.query_stored_rows(&region, plan).unwrap(),
+                false => idx.query(&region, plan).unwrap(),
+            };
             assert!(!stats.phases.is_empty(), "{plan:?} produced no phases");
             let expected_names: &[&str] = match plan {
                 QueryPlan::SeqScan => &["plan", "scan", "refine"],

@@ -157,8 +157,8 @@ pub(crate) fn in_window(cd: &Segment, ab: &Segment, window: f64) -> Option<Segme
 /// when its boundary is pruned.
 ///
 /// The one place a row's corners are computed: ingest stores what it
-/// returns, and a search over a sealed run, whose rows are not stored,
-/// generates them here from the stored segments, so the two cannot drift.
+/// returns, and a search generates its rows here from the stored
+/// segments, so the two cannot drift.
 pub(crate) fn pair_row(
     cd: Option<&Segment>,
     ab: &Segment,

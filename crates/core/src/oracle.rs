@@ -136,8 +136,11 @@ pub struct PrefixCheck {
 ///    covered by a result pair;
 /// 3. **Lemma 5**: every result pair holds a change within `2ε` of the
 ///    region's `V` ([`pair_extreme_change`], exactly);
-/// 4. **one answer**: [`QueryPlan::Index`] returns exactly what
-///    [`QueryPlan::SeqScan`] does (the store's trees must exist).
+/// 4. **one answer**: a search ([`SegDiffIndex::query`]) on either plan
+///    and [`QueryPlan::Index`] over the stored rows
+///    ([`SegDiffIndex::query_stored_rows`]) return exactly what
+///    [`QueryPlan::SeqScan`] over the stored rows does (the store's trees
+///    must exist).
 pub fn check_prefix(
     idx: &SegDiffIndex,
     series: &TimeSeries,
@@ -159,15 +162,23 @@ pub fn check_prefix(
     }
     let eps = idx.config().epsilon;
     for region in regions {
-        let run = |plan| idx.query(region, plan).map(|(pairs, _)| pairs);
-        let scan = run(QueryPlan::SeqScan).map_err(|e| e.to_string())?;
-        let index = run(QueryPlan::Index).map_err(|e| e.to_string())?;
-        if scan != index {
-            return Err(format!(
-                "plans disagree on {region:?}: {} pairs by scan, {} by index",
-                scan.len(),
-                index.len()
-            ));
+        let stored = |plan| idx.query_stored_rows(region, plan);
+        let generated = |plan| idx.query(region, plan);
+        let answer = |r: pagestore::Result<(Vec<SegmentPair>, _)>| r.map_err(|e| e.to_string());
+        let (scan, _) = answer(stored(QueryPlan::SeqScan))?;
+        for (how, other) in [
+            ("index", stored(QueryPlan::Index)),
+            ("a search by scan", generated(QueryPlan::SeqScan)),
+            ("a search by index", generated(QueryPlan::Index)),
+        ] {
+            let (other, _) = answer(other)?;
+            if other != scan {
+                return Err(format!(
+                    "plans disagree on {region:?}: {} pairs by scan, {} by {how}",
+                    scan.len(),
+                    other.len()
+                ));
+            }
         }
         let events = true_events(&prefix, region);
         if let Some(missed) = find_missed_event(&events, &scan) {

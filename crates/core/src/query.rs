@@ -1,4 +1,6 @@
-//! Query plans and execution over the feature tables (§4.4).
+//! Query plans and execution (§4.4): a search generates its feature rows
+//! from the segments ([`run_segment_query`]); the paper's two plans read
+//! them off the feature tables and their B+trees ([`run_feature_query`]).
 //!
 //! Execution is split into named *phases* whose buffer-pool deltas tile
 //! the query: snapshots are taken only at phase boundaries, so the sum of
@@ -18,7 +20,13 @@ use sensorgen::HOUR;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
-/// How a search is executed.
+/// How the paper executes a search over the stored feature rows
+/// ([`crate::SegDiffIndex::query_stored_rows`]).
+///
+/// A search ([`crate::SegDiffIndex::query`]) answers both plans the same
+/// way: the plan's first phase (`scan`, `probe`) generates every row from
+/// the segments, so it reads no feature page and no tree, and the index
+/// plan's `fetch` phase is empty. The plan names its phases.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryPlan {
     /// Sequential scan of the feature tables, evaluating the full
@@ -28,12 +36,6 @@ pub enum QueryPlan {
     /// one line query per boundary edge (each edge entry carries both
     /// endpoints, so corner membership folds into the edge scans),
     /// unioned by row id — the paper's indexed execution.
-    ///
-    /// Both plans read a sealed run the same way: its rows are not stored
-    /// ([`crate::SegDiffIndex::compact_storage`]), and the plan's first
-    /// phase (`scan`, `probe`) generates them from the sealed segments. So
-    /// on a fully compacted store this plan touches no tree page and
-    /// fetches nothing; on a store never compacted it is all trees.
     Index,
 }
 
@@ -66,14 +68,16 @@ pub struct PhaseStats {
     pub io: PoolStats,
 }
 
-/// What a search generated over a sensor's sealed run, whose feature rows
-/// are not stored (the first phase after `plan` records the same three
-/// counts on its span).
+/// What a search generated over a sensor's segments (the first phase
+/// after `plan` records the same four counts on its span).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GeneratorStats {
-    /// Sealed segments walked: the whole run, or none when the zone
-    /// summary of `segments` rules the region out.
+    /// Segments walked: the whole run, or none when the zone summary of
+    /// `segments` rules the region out.
     pub segments_read: u64,
+    /// `segments` rows this search decoded into the resident run: 0 when
+    /// the run was already held, the rows appended since when it grew.
+    pub rows_decoded: u64,
     /// Segment pairs within `T`, self pairs included.
     pub pairs_within_t: u64,
     /// Boundaries computed: the pairs whose endpoint values can reach `V`.
@@ -84,6 +88,7 @@ impl GeneratorStats {
     /// Attaches the counts to the phase span the run was generated in.
     fn record(&self, span: &obs::SpanGuard) {
         span.record("segments_read", self.segments_read);
+        span.record("rows_decoded", self.rows_decoded);
         span.record("pairs_within_t", self.pairs_within_t);
         span.record("boundaries", self.boundaries);
     }
@@ -94,10 +99,11 @@ impl GeneratorStats {
 pub struct QueryStats {
     /// Wall-clock execution time in seconds.
     pub wall_seconds: f64,
-    /// Rows examined: the boundaries generated over the sealed run (one a
-    /// pair whose endpoint values can reach `V`), plus the stored rows
-    /// through the scan's kernel ([`QueryPlan::SeqScan`]) or the tree
-    /// entries probed ([`QueryPlan::Index`]).
+    /// Rows examined: the boundaries generated (one a pair whose endpoint
+    /// values can reach `V`). Over stored rows
+    /// ([`crate::SegDiffIndex::query_stored_rows`]), plus the rows through
+    /// the scan's kernel ([`QueryPlan::SeqScan`]) or the tree entries
+    /// probed ([`QueryPlan::Index`]).
     pub rows_considered: u64,
     /// Result tuples returned (after deduplication).
     pub results: u64,
@@ -105,7 +111,7 @@ pub struct QueryStats {
     pub io: PoolStats,
     /// Per-phase breakdown; the phase `io` deltas sum to `io`.
     pub phases: Vec<PhaseStats>,
-    /// What was generated over the sealed run.
+    /// What was generated from the segments.
     pub generated: GeneratorStats,
 }
 
@@ -121,6 +127,7 @@ impl QueryStats {
         self.results += other.results;
         let (g, o) = (&mut self.generated, other.generated);
         g.segments_read += o.segments_read;
+        g.rows_decoded += o.rows_decoded;
         g.pairs_within_t += o.pairs_within_t;
         g.boundaries += o.boundaries;
         self.io = self.io.merged(&other.io);
@@ -229,59 +236,63 @@ fn fault_injection_sleep() {
     }
 }
 
-/// A sensor's sealed run: the segments a compaction sealed
-/// ([`Table::sealed_rows`] of `segments`), held decoded between searches,
-/// and the tolerance and window feature rows are extracted with. A feature
-/// row whose later segment `ab` lies in the run is not stored
-/// ([`crate::SegDiffIndex::compact_storage`] cut it); both plans generate
-/// it here, from the run, through the function ingest stores rows with
-/// ([`pair_row`]).
-pub(crate) struct SealedRun<'a> {
+/// A sensor's `segments` heap, the run of it held decoded between
+/// searches, and the tolerance and window feature rows are extracted with.
+/// Both plans generate a feature row here, from the segments, through the
+/// function ingest stores rows with ([`pair_row`]): a search
+/// ([`run_segment_query`]) over the whole heap, a search over stored rows
+/// ([`run_feature_query`]) over the sealed run, whose rows are not stored
+/// ([`crate::SegDiffIndex::compact_storage`] cut them).
+pub(crate) struct SegmentRun<'a> {
     pub segments: &'a Table,
     pub resident: &'a ResidentRun,
     pub epsilon: f64,
     pub window: f64,
 }
 
-/// The decoded sealed run of one sensor, keyed by the number of sealed
-/// rows it was decoded at. The sealed prefix of `segments` is never
-/// rewritten between seals and a seal only lengthens it, so a run whose
-/// key equals [`Table::sealed_rows`] is that prefix; a search that finds
-/// another count decodes the prefix afresh and swaps it in. Nothing of it
-/// is stored.
+/// The decoded rows of one sensor's `segments`, keyed by their number.
+/// The heap only grows by appending, and a seal rewrites it bit for bit in
+/// the same order, so a run of `k` rows is the heap's first `k` whatever
+/// was appended or sealed since; a search that needs more decodes only the
+/// rows past `k` and swaps the longer run in. A reopen starts empty.
+/// Nothing of it is stored.
 #[derive(Default)]
 pub(crate) struct ResidentRun {
-    /// `(sealed rows, their segments)`, locked only to clone or swap the
-    /// `Arc`: the decode runs with the guard released.
-    decoded: Mutex<(u64, Arc<[Segment]>)>,
+    /// The rows decoded so far, locked only to clone or swap the `Arc`:
+    /// the decode runs with the guard released.
+    decoded: Mutex<Arc<[Segment]>>,
 }
 
 impl ResidentRun {
-    /// The first `sealed` rows of `segments` (`sealed > 0`), decoded.
-    fn get(&self, segments: &Table, sealed: u64) -> Result<Arc<[Segment]>> {
-        let (key, run) = self
-            .decoded
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if key == sealed {
-            return Ok(run);
+    /// A run holding at least the first `rows` rows of `segments`, and the
+    /// rows this call decoded into it.
+    fn get(&self, segments: &Table, rows: u64) -> Result<(Arc<[Segment]>, u64)> {
+        let lock = || self.decoded.lock().unwrap_or_else(PoisonError::into_inner);
+        let held = Arc::clone(&lock());
+        let key = held.len() as u64;
+        if key >= rows {
+            return Ok((held, 0));
         }
         let mut cols = vec![Vec::new(); 4];
-        let mut run = Vec::with_capacity(sealed as usize);
+        let mut appended = Vec::with_capacity((rows - key) as usize);
         segments.scan_pages(
-            ..sealed,
+            key..rows,
             |_, _| true,
             |page| {
                 page.columns(0..4, &mut cols)?;
                 let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
-                run.extend((0..page.rows()).map(at));
+                appended.extend((0..page.rows()).map(at));
                 Ok(true)
             },
         )?;
-        let run: Arc<[Segment]> = run.into();
-        *self.decoded.lock().unwrap_or_else(PoisonError::into_inner) = (sealed, Arc::clone(&run));
-        Ok(run)
+        // One allocation of the longer run, written in place.
+        let run: Arc<[Segment]> = held.iter().chain(&appended).copied().collect();
+        let mut held = lock();
+        // Another search may have grown it further meanwhile.
+        if held.len() < run.len() {
+            *held = Arc::clone(&run);
+        }
+        Ok((Arc::clone(&run), run.len() as u64 - key))
     }
 }
 
@@ -302,14 +313,18 @@ fn may_reach(region: &QueryRegion, ab: (f64, f64), cd: (f64, f64), epsilon: f64)
     }
 }
 
-impl SealedRun<'_> {
-    /// Generates the sealed run's rows of `region`'s kind and appends the
-    /// pairs of those that intersect `region` to `out`, in
-    /// [`crate::result::sort_dedup`]'s order ([`generate`]). A run whose
-    /// whole-heap zone summary cannot reach `V` generates nothing and is
+impl SegmentRun<'_> {
+    /// Generates the rows of `region`'s kind over the first `rows`
+    /// segments and appends the pairs of those that intersect `region` to
+    /// `out`, in [`crate::result::sort_dedup`]'s order ([`generate`]). A
+    /// heap whose zone summary cannot reach `V` generates nothing and is
     /// not read.
-    fn search(&self, region: &QueryRegion, out: &mut Vec<SegmentPair>) -> Result<GeneratorStats> {
-        let sealed = self.segments.sealed_rows();
+    fn search(
+        &self,
+        rows: u64,
+        region: &QueryRegion,
+        out: &mut Vec<SegmentPair>,
+    ) -> Result<GeneratorStats> {
         let reachable = |mins: &[f64], maxs: &[f64]| {
             let (lo, hi) = (mins[1].min(mins[3]), maxs[1].max(maxs[3]));
             // A truncated `cd` starts on an interpolated value, which may
@@ -317,11 +332,16 @@ impl SealedRun<'_> {
             let slack = (hi - lo + lo.abs().max(hi.abs()) + self.epsilon) * f64::EPSILON * 16.0;
             may_reach(region, (lo, hi), (lo - slack, hi + slack), self.epsilon)
         };
-        if sealed == 0 || self.segments.prune_whole_segment(reachable) {
+        if rows == 0 || self.segments.prune_whole_segment(reachable) {
             return Ok(GeneratorStats::default());
         }
-        let run = self.resident.get(self.segments, sealed)?;
-        Ok(generate(&run, region, self.epsilon, self.window, out))
+        let (run, rows_decoded) = self.resident.get(self.segments, rows)?;
+        let run = &run[..rows as usize];
+        let generated = generate(run, region, self.epsilon, self.window, out);
+        Ok(GeneratorStats {
+            rows_decoded,
+            ..generated
+        })
     }
 }
 
@@ -448,24 +468,10 @@ impl PageScan {
     }
 }
 
-/// Runs a drop/jump search: over the sealed run `run`, generated, and over
-/// the three per-corner-count feature tables of the matching kind, which
-/// hold the rows behind it. Returns deduplicated, time-ordered segment
-/// pairs, and fills in `stats`' rows considered, phases and generator
-/// counts.
-pub(crate) fn run_feature_query(
-    db: &Database,
-    tables: &[Arc<Table>; 3],
-    run: SealedRun<'_>,
-    region: &QueryRegion,
-    plan: QueryPlan,
-    stats: &mut QueryStats,
-) -> Result<Vec<SegmentPair>> {
-    let phases = &mut stats.phases;
-    fault_injection_sleep();
-
-    // Phase: plan selection. Trivial here (the caller chose), but gives
-    // the trace its "plan chosen" node and anchors the I/O accounting.
+/// The first phase of every search: plan selection. Trivial here (the
+/// caller chose), but it gives the trace its "plan chosen" node and anchors
+/// the I/O accounting.
+fn plan_phase(db: &Database, region: &QueryRegion, plan: QueryPlan) -> PhaseStats {
     let p = Phase::start(db, "query.plan");
     p.span.record("plan", plan.name());
     p.span.record("kind", region.kind.name());
@@ -474,7 +480,71 @@ pub(crate) fn run_feature_query(
         // stamping it here proves propagation reached the executor.
         p.span.record("trace_id", id);
     }
-    phases.push(p.finish(0, 0));
+    p.finish(0, 0)
+}
+
+/// The last phase of every search: refinement — sort by time and drop
+/// duplicate pairs.
+fn refine_phase(db: &Database, out: &mut Vec<SegmentPair>) -> PhaseStats {
+    let p = Phase::start(db, "query.refine");
+    let before = out.len() as u64;
+    crate::result::sort_dedup(out);
+    p.finish(before, out.len() as u64)
+}
+
+/// Runs a drop/jump search over every segment of `run`: both plans
+/// generate every row, so no feature page and no tree is read. The phases
+/// are the stored-row plans' ([`run_feature_query`]), in the same order,
+/// the index plan's `fetch` empty. Returns deduplicated, time-ordered
+/// segment pairs, and fills in `stats`' rows considered, phases and
+/// generator counts.
+pub(crate) fn run_segment_query(
+    db: &Database,
+    run: SegmentRun<'_>,
+    region: &QueryRegion,
+    plan: QueryPlan,
+    stats: &mut QueryStats,
+) -> Result<Vec<SegmentPair>> {
+    let phases = &mut stats.phases;
+    fault_injection_sleep();
+    phases.push(plan_phase(db, region, plan));
+    let mut out = Vec::new();
+    let first = match plan {
+        QueryPlan::SeqScan => "query.scan",
+        QueryPlan::Index => "query.probe",
+    };
+    let p = Phase::start(db, first);
+    let generated = run.search(run.segments.num_rows(), region, &mut out)?;
+    stats.rows_considered += generated.boundaries;
+    generated.record(&p.span);
+    stats.generated = generated;
+    phases.push(p.finish(generated.boundaries, out.len() as u64));
+    if plan == QueryPlan::Index {
+        phases.push(Phase::start(db, "query.fetch").finish(0, 0));
+    }
+    phases.push(refine_phase(db, &mut out));
+    Ok(out)
+}
+
+/// Runs a drop/jump search the paper's way, over stored rows: the sealed
+/// run of `run` (whose rows are not stored) generated, then the three
+/// per-corner-count feature tables of the matching kind, which hold the
+/// rows behind it, scanned ([`QueryPlan::SeqScan`]) or probed through
+/// their B+trees ([`QueryPlan::Index`]). Returns deduplicated,
+/// time-ordered segment pairs, and fills in `stats`' rows considered,
+/// phases and generator counts.
+pub(crate) fn run_feature_query(
+    db: &Database,
+    tables: &[Arc<Table>; 3],
+    run: SegmentRun<'_>,
+    region: &QueryRegion,
+    plan: QueryPlan,
+    stats: &mut QueryStats,
+) -> Result<Vec<SegmentPair>> {
+    let phases = &mut stats.phases;
+    fault_injection_sleep();
+    phases.push(plan_phase(db, region, plan));
+    let sealed = run.segments.sealed_rows();
 
     let mut out = Vec::new();
     match plan {
@@ -484,7 +554,7 @@ pub(crate) fn run_feature_query(
             // `rows_considered` counts only boundaries computed and rows
             // actually examined.
             let p = Phase::start(db, "query.scan");
-            let generated = run.search(region, &mut out)?;
+            let generated = run.search(sealed, region, &mut out)?;
             let mut scan = PageScan::default();
             for (i, table) in tables.iter().enumerate() {
                 scan.scan(table, i + 1, region, &mut out)?;
@@ -508,7 +578,7 @@ pub(crate) fn run_feature_query(
             // candidate order — and everything downstream — is
             // deterministic.
             let p = Phase::start(db, "query.probe");
-            let generated = run.search(region, &mut out)?;
+            let generated = run.search(sealed, region, &mut out)?;
             let mut probed = 0u64;
             let mut all_rids: Vec<(usize, Vec<u64>)> = Vec::with_capacity(3);
             // Appends `rid`, then keeps it only on a hit: whether an entry
@@ -599,12 +669,7 @@ pub(crate) fn run_feature_query(
         }
     }
 
-    // Phase: refinement — sort by time and drop duplicate pairs.
-    let p = Phase::start(db, "query.refine");
-    let before = out.len() as u64;
-    crate::result::sort_dedup(&mut out);
-    phases.push(p.finish(before, out.len() as u64));
-
+    phases.push(refine_phase(db, &mut out));
     Ok(out)
 }
 
@@ -663,21 +728,25 @@ mod proptests {
             } else {
                 QueryRegion::jump(t_frac * 8.0 * HOUR, v_mag)
             };
-            let (pruned, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-            let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+            let stored = |plan| idx.query_stored_rows(&region, plan).unwrap().0;
+            let (pruned, indexed) = (stored(QueryPlan::SeqScan), stored(QueryPlan::Index));
+            for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                let (generated, _) = idx.query(&region, plan).unwrap();
+                prop_assert_eq!(&pruned, &generated, "{:?} generated otherwise", plan);
+            }
             idx.drop_zone_maps().unwrap();
-            let (unpruned, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+            let (unpruned, _) = idx.query_stored_rows(&region, QueryPlan::SeqScan).unwrap();
             prop_assert_eq!(&pruned, &unpruned, "pruning lost or invented results");
             prop_assert_eq!(&pruned, &indexed, "index plan disagrees with scan");
             idx.ensure_zone_maps().unwrap();
-            let (rebuilt, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+            let (rebuilt, _) = idx.query_stored_rows(&region, QueryPlan::SeqScan).unwrap();
             prop_assert_eq!(&pruned, &rebuilt, "rebuilt zone maps change results");
             // Rewrite the heaps into compressed columnar pages: both
             // plans must keep answering bit-identically to the raw
             // format they replaced.
             idx.compact_storage().unwrap();
-            let (col_scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-            let (col_index, _) = idx.query(&region, QueryPlan::Index).unwrap();
+            let stored = |plan| idx.query_stored_rows(&region, plan).unwrap().0;
+            let (col_scan, col_index) = (stored(QueryPlan::SeqScan), stored(QueryPlan::Index));
             prop_assert_eq!(&pruned, &col_scan, "columnar scan diverged");
             prop_assert_eq!(&pruned, &col_index, "columnar index diverged");
             // The series again, a day later, behind the sealed rows: the
@@ -688,10 +757,14 @@ mod proptests {
                 idx.push(end + 300.0 + t, v).unwrap();
             }
             idx.finish().unwrap();
-            let (grown_scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-            let (grown_index, _) = idx.query(&region, QueryPlan::Index).unwrap();
+            let stored = |plan| idx.query_stored_rows(&region, plan).unwrap().0;
+            let (grown_scan, grown_index) = (stored(QueryPlan::SeqScan), stored(QueryPlan::Index));
             prop_assert!(grown_scan.len() >= pruned.len());
             prop_assert_eq!(&grown_scan, &grown_index, "plans diverged behind the seal");
+            for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                let (generated, _) = idx.query(&region, plan).unwrap();
+                prop_assert_eq!(&grown_scan, &generated, "{:?} behind the seal", plan);
+            }
             std::fs::remove_dir_all(&dir).ok();
         }
     }
@@ -846,7 +919,7 @@ mod proptests {
                 }
             }
             for region in &regions {
-                let (want, _) = rows.query(region, QueryPlan::SeqScan).unwrap();
+                let (want, _) = rows.query_stored_rows(region, QueryPlan::SeqScan).unwrap();
                 for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
                     let (got, _) = view.query(region, plan).unwrap();
                     prop_assert_eq!(&got, &want, "{:?} on {:?}", plan, region);
@@ -909,6 +982,50 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// `rows_decoded` counts the `segments` rows a search decoded into the
+    /// resident run: every row on the first search, the rows appended since
+    /// the last search on the next, none on a search after it — and none
+    /// after a compaction, which rewrites `segments` bit for bit.
+    #[test]
+    fn a_search_decodes_only_the_rows_appended_since_the_last() {
+        let dir = tmpdir("decoded");
+        let mut idx =
+            SegDiffIndex::create(&dir, SegDiffConfig::default().with_durable(false)).unwrap();
+        let region = QueryRegion::drop(2.0 * HOUR, -1.5);
+        let decoded = |idx: &SegDiffIndex, plan| {
+            let (_, stats) = idx.query(&region, plan).unwrap();
+            stats.generated.rows_decoded
+        };
+        let seen = std::cell::Cell::new(0);
+        let searched = |idx: &SegDiffIndex| {
+            let rows = idx.stats().n_segments;
+            assert_eq!(decoded(idx, QueryPlan::SeqScan), rows - seen.get());
+            assert_eq!(decoded(idx, QueryPlan::Index), 0);
+            seen.set(rows);
+        };
+        for (k, (t, v)) in zigzag_series().iter().enumerate() {
+            idx.push(t, v).unwrap();
+            if k % 97 == 96 {
+                searched(&idx);
+            }
+        }
+        idx.finish().unwrap();
+        searched(&idx);
+        idx.compact_storage().unwrap();
+        assert_eq!(idx.stats().sealed_segments, seen.get());
+        searched(&idx);
+        assert_eq!(decoded(&idx, QueryPlan::SeqScan), 0, "after the compaction");
+        let end = 600.0 * 300.0;
+        for i in 0..200 {
+            idx.push(end + i as f64 * 300.0, (i % 11) as f64 * 0.7)
+                .unwrap();
+        }
+        let appended = idx.stats().n_segments - seen.get();
+        assert!(appended > 0);
+        assert_eq!(decoded(&idx, QueryPlan::Index), appended);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A selective region on a long series must actually skip pages —
     /// the `zonemap.pages_pruned` counter proves pruning engaged.
     #[test]
@@ -922,7 +1039,7 @@ mod tests {
         // No drop of 50 degrees exists; every corner dv-min is above it,
         // so whole pages fail the zone test.
         let region = QueryRegion::drop(1.0 * HOUR, -50.0);
-        let (results, stats) = idx.query(&region, QueryPlan::SeqScan).unwrap();
+        let (results, stats) = idx.query_stored_rows(&region, QueryPlan::SeqScan).unwrap();
         let after = obs::global().counter("zonemap.pages_pruned").get();
         assert!(results.is_empty());
         assert!(after > before, "selective scan must prune pages");

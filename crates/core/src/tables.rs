@@ -173,7 +173,8 @@ mod tests {
 
     /// The trees `build_indexes` creates are the trees the index plan
     /// scans, for 1, 2 and 3 corners: the catalogue lists exactly
-    /// `index_specs`' names, the plan answers on them as the scan does,
+    /// `index_specs`' names, the plan over stored rows answers on them as
+    /// the scan does,
     /// and a store that lacks any one of them fails the plan with that
     /// tree's name — so none is created unread, and none is read that was
     /// not created.
@@ -213,8 +214,8 @@ mod tests {
             created.extend(specs.into_iter().map(|tree| (corners, tree)));
         }
         assert_eq!(created.len(), 4, "eight trees a sensor, four a kind");
-        let (scan, _) = idx.query(&region, QueryPlan::SeqScan).unwrap();
-        let (indexed, _) = idx.query(&region, QueryPlan::Index).unwrap();
+        let (scan, _) = idx.query_stored_rows(&region, QueryPlan::SeqScan).unwrap();
+        let (indexed, _) = idx.query_stored_rows(&region, QueryPlan::Index).unwrap();
         assert!(!scan.is_empty() && scan == indexed);
         std::fs::remove_dir_all(&dir).ok();
         for &(skip_corners, skip) in &created {
@@ -225,7 +226,7 @@ mod tests {
                 idx.database().create_index(tname, tree, cols).unwrap();
             }
             let err = idx
-                .query(&region, QueryPlan::Index)
+                .query_stored_rows(&region, QueryPlan::Index)
                 .unwrap_err()
                 .to_string();
             let tname = table_name(SearchKind::Drop, skip_corners);

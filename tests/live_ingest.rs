@@ -165,6 +165,67 @@ fn pushes_queries_and_standing_queries_agree() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// One sensor's life — pushes, a compaction, pushes behind the seal, a
+/// finish and a reopen — with searches at every stage: each answer, on
+/// either plan, is what the paper's plans read off the same store's stored
+/// rows, and covers every true event among the samples stored so far
+/// (Theorem 1).
+#[test]
+fn searches_answer_as_the_stored_rows_across_a_compaction_and_a_reopen() {
+    let dir = tmpdir("view");
+    let series = &series()[0];
+    let searches = [
+        QueryRegion::drop(0.5 * HOUR, -1.0),
+        QueryRegion::drop(4.0 * HOUR, -3.0),
+        QueryRegion::jump(1.0 * HOUR, 1.0),
+        QueryRegion::jump(8.0 * HOUR, 2.5),
+    ];
+    let check = |index: &SegDiffIndex, stage: &str| {
+        let segments = index.segments().unwrap();
+        let end = segments.last().expect("a stored segment").t_end;
+        let prefix: TimeSeries = series.iter().take_while(|&(t, _)| t <= end).collect();
+        let mut found = 0;
+        for region in &searches {
+            let events = oracle::true_events(&prefix, region);
+            for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
+                let (got, _) = index.query(region, plan).unwrap();
+                let (want, _) = index.query_stored_rows(region, plan).unwrap();
+                assert!(got == want, "{stage}: {plan:?} on {region:?}");
+                let missed = oracle::find_missed_event(&events, &got);
+                assert!(missed.is_none(), "{stage}: {region:?} misses {missed:?}");
+                found += got.len();
+            }
+        }
+        assert!(found > 0, "{stage}: no search found anything");
+    };
+    let config = SegDiffConfig::default()
+        .with_epsilon(0.2)
+        .with_window(8.0 * HOUR);
+    let mut index = SegDiffIndex::create(&dir, config).unwrap();
+    index.build_indexes().unwrap();
+    let third = series.len() / 3;
+    let mut samples = series.iter();
+    for (t, v) in samples.by_ref().take(third) {
+        index.push(t, v).unwrap();
+    }
+    check(&index, "pushed");
+    index.compact_storage().unwrap();
+    check(&index, "compacted");
+    for (t, v) in samples.by_ref().take(third) {
+        index.push(t, v).unwrap();
+    }
+    check(&index, "pushed behind the seal");
+    for (t, v) in samples {
+        index.push(t, v).unwrap();
+    }
+    index.finish().unwrap();
+    drop(index);
+    let index = SegDiffIndex::open(&dir, 4096).unwrap();
+    check(&index, "reopened");
+    index.verify_consistency().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn batched_inserts_store_what_row_at_a_time_inserts_store() {
     // The index stores a segment's rows with one `Table::insert_many` per
