@@ -1,13 +1,14 @@
 //! Epoch-tagged LRU cache of query results.
 //!
-//! A serving workload repeats a small set of hot queries, so re-walking
-//! the B+trees for each is pure waste. The cache keys results by the
-//! *normalized* query parameters plus the index **epoch** — a counter the
-//! index bumps on every ingest mutation and on `build_indexes`. Because
-//! the epoch is part of the key, a result cached before a re-ingest can
-//! never be returned afterwards: the new epoch simply misses, and the
-//! stale entry ages out through LRU. No invalidation broadcast is needed,
-//! which keeps the read path a single short critical section.
+//! A serving workload repeats a small set of hot queries, so generating
+//! each one's rows again from the resident `segments` run is pure waste.
+//! The cache keys results by the *normalized* query parameters plus the
+//! index **epoch** — a counter the index bumps on every ingest mutation
+//! and on `build_indexes`. Because the epoch is part of the key, a result
+//! cached before a re-ingest can never be returned afterwards: the new
+//! epoch simply misses, and the stale entry ages out through LRU. No
+//! invalidation broadcast is needed, which keeps the read path a single
+//! short critical section.
 
 use crate::query::QueryPlan;
 use crate::result::SegmentPair;

@@ -11,8 +11,13 @@
 //!   within a user tolerance `ε` (Lemma 1);
 //! * [`featurespace`] compresses all pairwise change events into
 //!   parallelogram boundaries of 1–3 corner points (Lemma 3, Table 2);
-//! * [`pagestore`] persists the boundaries in relational tables with
-//!   B+tree indexes and answers the paper's point/line range queries.
+//! * [`pagestore`] persists the segments and the boundaries in relational
+//!   tables with B+tree indexes.
+//!
+//! A search ([`SegDiffIndex::query`]) generates its boundary rows from the
+//! resident `segments` run. The paper's two plans over the stored rows, a
+//! feature-table scan and the point/line range queries on the B+trees
+//! (§4.4), are [`SegDiffIndex::query_stored_rows`].
 //!
 //! The two public index structures are:
 //!

@@ -568,8 +568,7 @@ pub(crate) fn run_feature_query(
         }
         QueryPlan::Index => {
             // Phase: the sealed run generated, then index probes of the
-            // stored rows: B+tree range scans issued through the batched
-            // descend-once-merge-along-the-leaf-chain path, with the
+            // stored rows: one B+tree range scan per tree, with the
             // ε-shifted corner/edge predicate applied to each entry as one
             // branch-free expression (`|` of the lane predicates the scan's
             // kernels are made of: which entries hit is not predictable,
@@ -606,9 +605,8 @@ pub(crate) fn run_feature_query(
                     // the lone corner.
                     let pt_lo = [f64::NEG_INFINITY, f64::NEG_INFINITY];
                     let pt_hi = [region.t, f64::INFINITY];
-                    let ranges: [(&[f64], &[f64]); 1] = [(&pt_lo, &pt_hi)];
                     let (pt1, _) = index_specs(1)[0];
-                    table.index_scan_batch(pt1, &ranges, |_, rid, cols| {
+                    table.index_scan(pt1, &pt_lo, &pt_hi, |rid, cols| {
                         probed += 1;
                         keep_if(&mut rids, rid, point_hits(cols[0], cols[1], region));
                         true
@@ -628,8 +626,7 @@ pub(crate) fn run_feature_query(
                     let ln_hi = [region.t, f64::INFINITY, f64::INFINITY, f64::INFINITY];
                     for (edge, &(ln, _)) in index_specs(corners).iter().enumerate() {
                         let first = edge == 0;
-                        let ranges: [(&[f64], &[f64]); 1] = [(&ln_lo, &ln_hi)];
-                        table.index_scan_batch(ln, &ranges, |_, rid, cols| {
+                        table.index_scan(ln, &ln_lo, &ln_hi, |rid, cols| {
                             probed += 1;
                             let (dt1, dv1, dt2, dv2) = (cols[0], cols[1], cols[2], cols[3]);
                             let hit = (first & point_hits(dt1, dv1, region))

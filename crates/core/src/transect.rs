@@ -222,28 +222,6 @@ impl TransectIndex {
         fan_out(&sensors, threads, |s| s.query(region, plan))
     }
 
-    /// Queries only the named global sensor ids on the worker pool,
-    /// returning `(global id, results)` pairs in ascending id order —
-    /// the shape [`crate::result::merge_sharded`] consumes. Stats merge
-    /// as in [`TransectIndex::query_all_with_threads`].
-    pub fn query_subset_with_threads(
-        &self,
-        ids: &[u32],
-        region: &QueryRegion,
-        plan: QueryPlan,
-        threads: usize,
-    ) -> Result<(crate::result::ShardResults, QueryStats)> {
-        let mut wanted = ids.to_vec();
-        wanted.sort_unstable();
-        wanted.dedup();
-        let sensors = wanted
-            .iter()
-            .map(|&id| self.sensor(id))
-            .collect::<Result<Vec<_>>>()?;
-        let (results, stats) = fan_out(&sensors, threads, |s| s.query(region, plan))?;
-        Ok((wanted.into_iter().zip(results).collect(), stats))
-    }
-
     /// Flushes every sensor's database (dirty pages + checkpoint).
     pub fn flush_all(&self) -> Result<()> {
         for s in &self.sensors {
@@ -404,9 +382,8 @@ mod tests {
         for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
             for threads in [1, 4] {
                 let (_, all) = t.query_all_with_threads(&region, plan, threads).unwrap();
-                let (_, subset) = t
-                    .query_subset_with_threads(&[3, 1], &region, plan, threads)
-                    .unwrap();
+                let subset = [t.sensor(3).unwrap(), t.sensor(1).unwrap()];
+                let (_, subset) = fan_out(&subset, threads, |s| s.query(&region, plan)).unwrap();
                 for (what, stats) in [("all sensors", all), ("a subset", subset)] {
                     let context = format!("{plan:?}, {threads} threads, {what}");
                     let read = stats.io.hits + stats.io.misses > 0;
@@ -457,10 +434,8 @@ mod tests {
         for ids in shards {
             let shard = TransectIndex::open_subset(&root, 256, ids).unwrap();
             assert_eq!(shard.sensor_ids(), ids);
-            let (per, _) = shard
-                .query_subset_with_threads(ids, &region, QueryPlan::SeqScan, 2)
-                .unwrap();
-            parts.extend(per);
+            let (per, _) = shard.query_all(&region, QueryPlan::SeqScan).unwrap();
+            parts.extend(shard.sensor_ids().iter().copied().zip(per));
         }
         let merged = crate::result::merge_sharded(parts);
         assert_eq!(merged, flat);

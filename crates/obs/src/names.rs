@@ -148,17 +148,6 @@ pub const METRICS: &[MetricDef] = &[
         "colpage.pages_decoded",
         "Columnar pages decoded back into column values during scans and fetches",
     ),
-    // Batched index probes (pagestore::btree::search_batch).
-    MetricDef::counter("probe.batches", "Batched B+tree probe calls"),
-    MetricDef::counter("probe.ranges", "Key ranges submitted across probe batches"),
-    MetricDef::counter(
-        "probe.descents",
-        "Root-to-leaf descents performed by batched probes",
-    ),
-    MetricDef::counter(
-        "probe.leaf_hops",
-        "Leaf-sibling links followed by batched probes instead of re-descending",
-    ),
     // B+trees and their write buffers (pagestore::btree, pagestore::table).
     MetricDef::counter(
         "btree.inserts",

@@ -41,10 +41,6 @@ pub(crate) struct BTreeMetrics {
     apply_leaves: Arc<obs::Counter>,
     range_scans: Arc<obs::Counter>,
     pub(crate) entries_scanned: Arc<obs::Counter>,
-    probe_batches: Arc<obs::Counter>,
-    probe_ranges: Arc<obs::Counter>,
-    probe_descents: Arc<obs::Counter>,
-    probe_leaf_hops: Arc<obs::Counter>,
 }
 
 impl BTreeMetrics {
@@ -56,47 +52,7 @@ impl BTreeMetrics {
             apply_leaves: r.counter("btree.apply_leaves"),
             range_scans: r.counter("btree.range_scans"),
             entries_scanned: r.counter("btree.entries_scanned"),
-            probe_batches: r.counter("probe.batches"),
-            probe_ranges: r.counter("probe.ranges"),
-            probe_descents: r.counter("probe.descents"),
-            probe_leaf_hops: r.counter("probe.leaf_hops"),
         }
-    }
-}
-
-/// One decoded leaf of the sibling chain — the cursor
-/// [`BTree::search_batch`] advances instead of re-descending per range.
-struct LeafCursor {
-    buf: PageBuf,
-    n: usize,
-    next: u32,
-}
-
-impl LeafCursor {
-    fn new() -> Self {
-        Self {
-            buf: PageBuf::zeroed(),
-            n: 0,
-            next: NO_PAGE,
-        }
-    }
-
-    fn load(&mut self, pool: &BufferPool, fid: FileId, pid: PageId) -> Result<()> {
-        pool.read_page_into(fid, pid, &mut self.buf)?;
-        let b = self.buf.bytes();
-        debug_assert_eq!(b[0], KIND_LEAF);
-        self.n = page::get_u16(b, 2) as usize;
-        self.next = page::get_u32(b, 4);
-        Ok(())
-    }
-
-    fn first_key(&self, kw: usize) -> &[u8] {
-        &self.buf.bytes()[HDR..HDR + kw]
-    }
-
-    fn last_key(&self, kw: usize) -> &[u8] {
-        let off = HDR + (self.n - 1) * kw;
-        &self.buf.bytes()[off..off + kw]
     }
 }
 
@@ -553,90 +509,6 @@ impl BTree {
         });
         self.metrics.entries_scanned.add(visited);
         more && !ends_here
-    }
-
-    /// Runs many inclusive range probes in one batched pass.
-    ///
-    /// Semantically identical to calling [`BTree::range`] once per range
-    /// in ascending-`lo` order (ties keep their submission order): the
-    /// visitor sees `(range_index, key)` pairs with keys in order within
-    /// each range, and keys shared by overlapping ranges are delivered once
-    /// per range. The implementation descends
-    /// root-to-leaf only when it must and otherwise advances a
-    /// `LeafCursor` along the leaf-sibling chain, peeking at most one
-    /// sibling ahead before re-descending — classic batched B-tree access
-    /// (Graefe, "Modern B-Tree Techniques").
-    ///
-    /// Returning `false` from the visitor stops the whole batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a bound's width differs from the tree's key width.
-    pub fn search_batch(
-        &self,
-        ranges: &[(&[u8], &[u8])],
-        mut visit: impl FnMut(usize, &[u8]) -> bool,
-    ) -> Result<()> {
-        for (lo, hi) in ranges {
-            assert_eq!(lo.len(), self.key_width, "lo width mismatch");
-            assert_eq!(hi.len(), self.key_width, "hi width mismatch");
-        }
-        self.metrics.probe_batches.inc();
-        self.metrics.probe_ranges.add(ranges.len() as u64);
-        if self.count == 0 || ranges.is_empty() {
-            return Ok(());
-        }
-        let mut order: Vec<usize> = (0..ranges.len()).collect();
-        order.sort_by(|&a, &b| ranges[a].0.cmp(ranges[b].0)); // stable: ties keep order
-
-        let kw = self.key_width;
-        let mut cur = LeafCursor::new();
-        let mut have_leaf = false;
-        for &ri in &order {
-            let (lo, hi) = ranges[ri];
-            if lo > hi {
-                continue;
-            }
-            // Position `cur` on the leftmost leaf that can contain `lo`.
-            // Reusing the current leaf is sound only when `lo` is strictly
-            // above its first key: every earlier leaf then holds only keys
-            // `< lo`, so no duplicate run of `lo` can start before it.
-            let positioned = |c: &LeafCursor| {
-                c.n > 0 && lo > c.first_key(kw) && (lo <= c.last_key(kw) || c.next == NO_PAGE)
-            };
-            let mut ok = have_leaf && positioned(&cur);
-            if !ok && have_leaf && cur.n > 0 && lo > cur.first_key(kw) && cur.next != NO_PAGE {
-                // Peek one sibling ahead before paying a full descent.
-                self.metrics.probe_leaf_hops.inc();
-                let next = cur.next;
-                cur.load(&self.pool, self.fid, next)?;
-                ok = positioned(&cur);
-            }
-            if !ok {
-                self.metrics.probe_descents.inc();
-                let mut pid = self.root;
-                for _ in 0..self.height {
-                    pid = self.child_for_range_start(pid, lo)?;
-                }
-                cur.load(&self.pool, self.fid, pid)?;
-                have_leaf = true;
-            }
-            // Scan `[lo, hi]` from `cur` along the sibling chain.
-            let (mut more, mut first) = (true, true);
-            while self.leaf_run(cur.buf.bytes(), cur.n, lo, first, hi, |key| {
-                more = visit(ri, key);
-                more
-            }) && cur.next != NO_PAGE
-            {
-                let next = cur.next;
-                cur.load(&self.pool, self.fid, next)?;
-                first = false;
-            }
-            if !more {
-                return Ok(());
-            }
-        }
-        Ok(())
     }
 
     /// Finds the child of internal node `pid` that covers `key`. When the
@@ -1200,77 +1072,17 @@ mod tests {
         let _ = bt.insert_sorted(2, |i| keys[i].as_slice());
     }
 
-    /// `search_batch` over random key batches is observationally identical
-    /// to issuing one `range` per probe in ascending-`lo` order: same
-    /// `(range_index, key)` stream, duplicates and overlapping ranges
-    /// included.
-    #[test]
-    fn search_batch_matches_single_probes() {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let (_pool, mut bt, p) = setup("batchprobe", 8);
-        let mut rng = StdRng::seed_from_u64(20_080_325);
-        // Clustered keys with heavy duplication so runs span leaf splits.
-        for _ in 0..8_000 {
-            let k: u64 = rng.random_range(0u64..600);
-            bt.insert(&key8(k)).unwrap();
-        }
-        for trial in 0..30 {
-            let nranges: usize = rng.random_range(1usize..24);
-            let mut bounds = Vec::with_capacity(nranges);
-            for _ in 0..nranges {
-                let a: u64 = rng.random_range(0u64..650);
-                let b: u64 = rng.random_range(0u64..650);
-                // Keep a few inverted ranges: they must visit nothing.
-                if rng.random_range(0u32..8) == 0 {
-                    bounds.push((a.max(b), a.min(b)));
-                } else {
-                    bounds.push((a.min(b), a.max(b)));
-                }
-            }
-            let keys: Vec<([u8; 8], [u8; 8])> =
-                bounds.iter().map(|&(a, b)| (key8(a), key8(b))).collect();
-            let ranges: Vec<(&[u8], &[u8])> = keys
-                .iter()
-                .map(|(lo, hi)| (lo.as_slice(), hi.as_slice()))
-                .collect();
-            let mut batched = Vec::new();
-            bt.search_batch(&ranges, |ri, k| {
-                batched.push((ri, k.to_vec()));
-                true
-            })
-            .unwrap();
-            // Reference: independent probes, ascending lo, ties in
-            // submission order (stable sort).
-            let mut order: Vec<usize> = (0..ranges.len()).collect();
-            order.sort_by_key(|&i| bounds[i].0);
-            let mut single = Vec::new();
-            for &ri in &order {
-                let (lo, hi) = ranges[ri];
-                if lo > hi {
-                    continue;
-                }
-                bt.range(lo, hi, |k| {
-                    single.push((ri, k.to_vec()));
-                    true
-                })
-                .unwrap();
-            }
-            assert_eq!(batched, single, "trial {trial} diverged");
-        }
-        std::fs::remove_file(&p).ok();
-    }
-
-    /// `range` and `search_batch` over `[lo, hi]`, with a visitor that
-    /// stops at its `stop`-th entry, deliver what the one-compare-per-entry
-    /// loop delivered — the model's entries in range, cut at `stop` — and
-    /// count exactly the entries delivered.
+    /// `range` over `[lo, hi]`, with a visitor that stops at its `stop`-th
+    /// entry, delivers what the one-compare-per-entry loop delivered — the
+    /// model's entries in range, cut at `stop` — and counts exactly the
+    /// entries delivered.
     fn check_run(bt: &BTree, scanned: &obs::Counter, model: &[u64], lo: u64, hi: u64, stop: usize) {
-        let all: Vec<u64> = model
+        let want: Vec<u64> = model
             .iter()
             .copied()
             .filter(|&k| lo <= k && k <= hi)
+            .take(stop)
             .collect();
-        let want: Vec<u64> = all.iter().copied().take(stop).collect();
         let (lo_key, hi_key) = (key8(lo), key8(hi));
         let before = scanned.get();
         let mut got = Vec::new();
@@ -1280,22 +1092,7 @@ mod tests {
         })
         .unwrap();
         assert!(got == want, "range [{lo}, {hi}] stop {stop}");
-        assert_eq!(scanned.get() - before, want.len() as u64, "range count");
-        // The same range twice in one batch: a stop ends the whole batch.
-        let ranges: [(&[u8], &[u8]); 2] = [(&lo_key, &hi_key), (&lo_key, &hi_key)];
-        let want: Vec<(usize, u64)> = (0..2)
-            .flat_map(|ri| all.iter().map(move |&k| (ri, k)))
-            .take(stop)
-            .collect();
-        let before = scanned.get();
-        let mut got = Vec::new();
-        bt.search_batch(&ranges, |ri, k| {
-            got.push((ri, u64::from_be_bytes(k.try_into().unwrap())));
-            got.len() < stop
-        })
-        .unwrap();
-        assert!(got == want, "batch [{lo}, {hi}] stop {stop}");
-        assert_eq!(scanned.get() - before, want.len() as u64, "batch count");
+        assert_eq!(scanned.get() - before, want.len() as u64, "count");
     }
 
     #[test]
@@ -1355,29 +1152,6 @@ mod tests {
         }
         std::fs::remove_file(&p).ok();
         std::fs::remove_file(&p2).ok();
-    }
-
-    #[test]
-    fn search_batch_early_exit_and_empty_tree() {
-        let (_pool, mut bt, p) = setup("batchstop", 8);
-        let lo = key8(0);
-        let hi = key8(u64::MAX);
-        let ranges: Vec<(&[u8], &[u8])> = vec![(&lo, &hi), (&lo, &hi)];
-        // Empty tree: visitor never called.
-        bt.search_batch(&ranges, |_, _| panic!("empty tree must visit nothing"))
-            .unwrap();
-        for i in 0..100u64 {
-            bt.insert(&key8(i)).unwrap();
-        }
-        // `false` from the visitor stops the whole batch, not just one range.
-        let mut n = 0;
-        bt.search_batch(&ranges, |_, _| {
-            n += 1;
-            n < 7
-        })
-        .unwrap();
-        assert_eq!(n, 7);
-        std::fs::remove_file(&p).ok();
     }
 
     /// A registered, empty file for a bulk load.

@@ -383,41 +383,6 @@ impl Table {
         Ok(())
     }
 
-    /// Batched variant of [`Table::index_scan`]: runs every `(lo, hi)`
-    /// probe in one pass over the index via [`BTree::search_batch`]. The
-    /// visitor receives the *range index* (position in `ranges`), the row
-    /// id and the decoded indexed columns. Each range's entries arrive as
-    /// [`Table::index_scan`] delivers them — two key-ordered runs per
-    /// range, tree first — with the tree runs of all ranges (in
-    /// ascending-`lo` order) ahead of the buffer runs. Returning `false`
-    /// stops the whole batch.
-    pub fn index_scan_batch(
-        &self,
-        index_name: &str,
-        ranges: &[(&[f64], &[f64])],
-        mut visit: impl FnMut(usize, RowId, &[f64]) -> bool,
-    ) -> Result<()> {
-        let idx = self.index(index_name)?;
-        let guard = idx.tree.read();
-        if guard.is_empty() {
-            return Ok(());
-        }
-        let keys: Vec<_> = ranges.iter().map(|(lo, hi)| idx.bounds(lo, hi)).collect();
-        let byte_ranges: Vec<(&[u8], &[u8])> =
-            keys.iter().map(|(lo, hi)| (&lo[..], &hi[..])).collect();
-        let mut cols = vec![0.0f64; idx.cols.len()];
-        let mut emit = |ri: usize, key: &[u8]| visit(ri, decode_entry(key, &mut cols), &cols);
-        let mut more = true;
-        guard.tree.search_batch(&byte_ranges, |ri, key| {
-            more = emit(ri, key);
-            more
-        })?;
-        for (ri, (lo, hi)) in byte_ranges.iter().enumerate() {
-            more = more && guard.scan(lo, hi, |key| emit(ri, key));
-        }
-        Ok(())
-    }
-
     /// Fetches many rows with one page read per distinct page. `rids`
     /// must be sorted ascending (page-major order); see
     /// [`HeapFile::fetch_many_cols`].
@@ -826,12 +791,6 @@ mod tests {
                 true
             })
             .unwrap();
-        table
-            .index_scan_batch("by_dt_dv", &[(&lo, &hi), (&lo, &hi)], |_, _, _| {
-                seen += 1;
-                true
-            })
-            .unwrap();
         let io = pool.stats().since(&before);
         assert_eq!((seen, io.hits + io.misses), (0, 0), "{io:?}");
         // One buffered entry is an entry: still no tree page, but found.
@@ -844,71 +803,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, 1);
-        cleanup(&paths);
-    }
-
-    #[test]
-    fn batch_scan_matches_single_probes_and_fetch_many() {
-        let (pool, table, mut paths) = setup("batch", &["dt", "dv", "t"]);
-        add_index(&pool, &table, "by_dt_dv", vec![0, 1], &mut paths);
-        for i in 0..3000 {
-            let dt = (i % 120) as f64;
-            let dv = -((i % 11) as f64);
-            table.insert(&[dt, dv, i as f64]).unwrap();
-        }
-        let neg = f64::NEG_INFINITY;
-        let bounds: Vec<(Vec<f64>, Vec<f64>)> = vec![
-            (vec![neg, neg], vec![10.0, f64::INFINITY]),
-            (vec![50.0, neg], vec![60.0, -5.0]),
-            (vec![5.0, neg], vec![15.0, f64::INFINITY]), // overlaps the first
-            (vec![500.0, neg], vec![600.0, 0.0]),        // empty
-        ];
-        let ranges: Vec<(&[f64], &[f64])> = bounds
-            .iter()
-            .map(|(lo, hi)| (lo.as_slice(), hi.as_slice()))
-            .collect();
-        let mut batched: Vec<(usize, RowId, Vec<f64>)> = Vec::new();
-        table
-            .index_scan_batch("by_dt_dv", &ranges, |ri, rid, cols| {
-                batched.push((ri, rid, cols.to_vec()));
-                true
-            })
-            .unwrap();
-        // Reference: one index_scan per range. The batch delivers each
-        // range's entries in that sequence; how the ranges interleave is
-        // its own business.
-        assert!(table.index("by_dt_dv").unwrap().buffered() > 0);
-        for (ri, (lo, hi)) in ranges.iter().enumerate() {
-            let mut single: Vec<(usize, RowId, Vec<f64>)> = Vec::new();
-            table
-                .index_scan("by_dt_dv", lo, hi, |rid, cols| {
-                    single.push((ri, rid, cols.to_vec()));
-                    true
-                })
-                .unwrap();
-            let of_range: Vec<_> = batched.iter().filter(|e| e.0 == ri).cloned().collect();
-            assert_eq!(of_range, single, "range {ri}");
-        }
-        assert!(batched.iter().any(|(ri, _, _)| *ri == 2), "overlap covered");
-        assert!(batched.iter().all(|(ri, _, _)| *ri != 3), "empty range");
-        // fetch_many over the sorted, deduped matches agrees with the
-        // indexed columns the probes decoded.
-        let mut rids: Vec<(RowId, Vec<f64>)> = batched
-            .into_iter()
-            .map(|(_, rid, cols)| (rid, cols))
-            .collect();
-        rids.sort_by_key(|(rid, _)| *rid);
-        rids.dedup_by_key(|(rid, _)| *rid);
-        let mut n = 0;
-        let ids: Vec<RowId> = rids.iter().map(|(rid, _)| *rid).collect();
-        table
-            .fetch_many(&ids, |rid, row| {
-                assert_eq!((rid, &row[..2]), (rids[n].0, &rids[n].1[..]));
-                n += 1;
-                true
-            })
-            .unwrap();
-        assert_eq!(n, rids.len());
         cleanup(&paths);
     }
 
@@ -955,23 +849,13 @@ mod tests {
                 let before = scanned.get();
                 let mut got = Vec::new();
                 table
-                    .index_scan_batch("by_dt_dv", &[(&lo, &hi)], |_, rid, cols| {
-                        got.push((cols[0], cols[1], rid));
-                        got.len() < stop
-                    })
-                    .unwrap();
-                assert!(got == want, "batch over {lo:?}..{hi:?}, stop {stop}");
-                assert_eq!(scanned.get() - before, want.len() as u64, "batch count");
-                let before = scanned.get();
-                got.clear();
-                table
                     .index_scan("by_dt_dv", &lo, &hi, |rid, cols| {
                         got.push((cols[0], cols[1], rid));
                         got.len() < stop
                     })
                     .unwrap();
                 assert!(got == want, "scan over {lo:?}..{hi:?}, stop {stop}");
-                assert_eq!(scanned.get() - before, want.len() as u64, "scan count");
+                assert_eq!(scanned.get() - before, want.len() as u64, "count");
             }
         }
         cleanup(&paths);
