@@ -39,7 +39,7 @@ pub struct LockClass {
     pub name: String,
     /// Position in the declared order (lower acquires first).
     pub rank: usize,
-    /// Receiver-path globs (e.g. `*.shards[]`, `files[].file`).
+    /// Receiver-path globs (e.g. `*.frames`, `files[].file`).
     pub paths: Vec<String>,
     /// Path glob limiting which files the mapping applies to
     /// (empty = everywhere).
@@ -202,7 +202,7 @@ mod tests {
     use super::*;
 
     const SAMPLE: &str = r#"
-order = ["pool.files", "pool.shard", "pool.file"]
+order = ["pool.files", "pool.frames", "pool.file"]
 
 [[class]]
 name = "pool.files"
@@ -210,8 +210,8 @@ paths = ["*.files"]
 scope = "crates/pagestore/*"
 
 [[class]]
-name = "pool.shard"
-paths = ["*.shards[]", "s"]
+name = "pool.frames"
+paths = ["*.frames", "s"]
 scope = "crates/pagestore/src/buffer.rs"
 
 [[class]]
@@ -225,9 +225,9 @@ reentrant = false
         let lo = LockOrder::parse(SAMPLE).unwrap();
         assert_eq!(lo.classes.len(), 3);
         let c = lo
-            .classify("crates/pagestore/src/buffer.rs", "self.shards[]")
+            .classify("crates/pagestore/src/buffer.rs", "self.frames")
             .unwrap();
-        assert_eq!(c.name, "pool.shard");
+        assert_eq!(c.name, "pool.frames");
         assert_eq!(c.rank, 1);
         // Scope excludes other files.
         assert!(lo.classify("crates/server/src/queue.rs", "s").is_none());

@@ -2,7 +2,7 @@
 //!
 //! A blocking syscall under a mutex turns every waiter on that mutex
 //! into a waiter on the disk (or the network, or a timer) — the exact
-//! latency coupling the sharded buffer pool exists to avoid. The rule
+//! latency coupling short critical sections exist to avoid. The rule
 //! fires on a fixed table of blocking operations (file I/O, fsync,
 //! socket ops, sleeps, channel receives, thread joins) whenever the
 //! shared guard-lifetime walk ([`crate::flow`]) says *any* guard is
@@ -144,11 +144,11 @@ mod tests {
     use crate::context::SuppressionIndex;
 
     const ORDER: &str = r#"
-order = ["shard"]
+order = ["pool.frames"]
 
 [[class]]
-name = "shard"
-paths = ["*.shards[]"]
+name = "pool.frames"
+paths = ["*.frames"]
 
 [[allow_blocking]]
 file = "crates/pagestore/src/wal.rs"
@@ -171,32 +171,32 @@ reason = "WAL durability: fsync must serialize under the writer lock"
 
     #[test]
     fn fsync_under_classified_guard_fires() {
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.sync();\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.frames.lock();\n file.sync();\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
         assert!(
             d[0].message
-                .contains("blocking call `sync` while holding `shard`"),
+                .contains("blocking call `sync` while holding `pool.frames`"),
             "{}",
             d[0].message
         );
     }
 
     #[test]
-    fn seam_write_under_shard_guard_fires() {
+    fn seam_write_under_frame_guard_fires() {
         let src =
-            "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.write_at(&buf, off);\n}\n";
+            "fn f(&self) {\n let mut s = self.frames.lock();\n file.write_at(&buf, off);\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
         assert!(
             d[0].message
-                .contains("blocking call `write_at` while holding `shard`"),
+                .contains("blocking call `write_at` while holding `pool.frames`"),
             "{}",
             d[0].message
         );
         // The standard library's name for it is not the seam's.
         let std_src =
-            "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.write_all(&buf);\n}\n";
+            "fn f(&self) {\n let mut s = self.frames.lock();\n file.write_all(&buf);\n}\n";
         assert!(run(std_src).is_empty());
     }
 
@@ -219,7 +219,7 @@ reason = "WAL durability: fsync must serialize under the writer lock"
     fn bare_calls_are_not_blocking() {
         // A local `fn flush()` shares a name with io::Write::flush;
         // only method/path forms match the table.
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n flush();\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.frames.lock();\n flush();\n}\n";
         assert!(run(src).is_empty());
     }
 
@@ -241,14 +241,14 @@ reason = "WAL durability: fsync must serialize under the writer lock"
     #[test]
     fn allowlist_is_per_file_and_per_op() {
         // Same ops in a different file are not covered.
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n f.write_at(&buf, 0);\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.frames.lock();\n f.write_at(&buf, 0);\n}\n";
         let d = run(src);
         assert_eq!(d.len(), 1);
     }
 
     #[test]
     fn suppression_honored() {
-        let src = "fn f(&self) {\n let mut s = self.shards[i].lock();\n file.sync(); // lint: allow(L7) shutdown path, no concurrent readers\n}\n";
+        let src = "fn f(&self) {\n let mut s = self.frames.lock();\n file.sync(); // lint: allow(L7) shutdown path, no concurrent readers\n}\n";
         assert!(run(src).is_empty());
     }
 }

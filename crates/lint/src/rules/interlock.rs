@@ -2,9 +2,9 @@
 //! intra-crate calls.
 //!
 //! L3 proves each function's *own* acquisitions are ordered; L6 closes
-//! the composition gap: a helper that acquires `pool.shard` is fine in
+//! the composition gap: a helper that acquires `pool.frames` is fine in
 //! isolation and its caller holding `wal` is fine in isolation, but the
-//! composed path acquires `pool.shard` *under* `wal` — an inversion no
+//! composed path acquires `pool.frames` *under* `wal` — an inversion no
 //! single-function pass can see. The check consumes the bounded-depth
 //! summaries of [`crate::callgraph`]: at every call site where the
 //! caller holds classified guards, every class the (resolved) callee

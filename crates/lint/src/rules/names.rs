@@ -62,7 +62,7 @@ pub struct CallSite {
 /// One parsed registry entry (`MetricDef::counter("…", "…")`).
 #[derive(Debug, Clone)]
 pub struct RegistryEntry {
-    /// Registered name (may contain one `*`).
+    /// Registered name.
     pub name: String,
     /// Counter or histogram.
     pub kind: Kind,
@@ -239,20 +239,6 @@ pub fn markdown_table(entries: &[RegistryEntry]) -> String {
     out
 }
 
-/// Whether registry entry `entry` covers metric `name` (wildcard-aware,
-/// same semantics as `obs::names::MetricDef::matches`).
-fn entry_matches(entry: &str, name: &str) -> bool {
-    match entry.split_once('*') {
-        None => entry == name,
-        Some((prefix, suffix)) => {
-            name.len() > prefix.len() + suffix.len()
-                && name.starts_with(prefix)
-                && name.ends_with(suffix)
-                && !name[prefix.len()..name.len() - suffix.len()].contains('.')
-        }
-    }
-}
-
 /// Cross-file reconciliation: forward check (sites → registry),
 /// reverse check (registry → sites/literals), README drift.
 pub fn reconcile(
@@ -269,9 +255,9 @@ pub fn reconcile(
                 && if site.is_pattern {
                     // A format-pattern site references every entry the
                     // pattern covers; it must cover at least one.
-                    pattern_overlaps(&site.name, &e.name)
+                    pattern_covers(&site.name, &e.name)
                 } else {
-                    entry_matches(&e.name, &site.name)
+                    e.name == site.name
                 }
         });
         if !matched {
@@ -295,9 +281,9 @@ pub fn reconcile(
         let referenced = collected.sites.iter().any(|s| {
             s.kind == e.kind
                 && if s.is_pattern {
-                    pattern_overlaps(&s.name, &e.name)
+                    pattern_covers(&s.name, &e.name)
                 } else {
-                    entry_matches(&e.name, &s.name)
+                    e.name == s.name
                 }
         }) || (e.name.starts_with("span.")
             && (collected.literals.contains(&e.name)
@@ -349,14 +335,18 @@ pub fn reconcile(
     out
 }
 
-/// Do a `*`-pattern and a registry name (itself possibly wildcarded)
-/// overlap? Conservative: compare the non-wildcard prefix/suffix.
-fn pattern_overlaps(pattern: &str, entry: &str) -> bool {
-    let (pp, ps) = pattern.split_once('*').unwrap_or((pattern, ""));
-    let (ep, es) = entry.split_once('*').unwrap_or((entry, ""));
-    let prefix_ok = pp.starts_with(ep) || ep.starts_with(pp);
-    let suffix_ok = ps.ends_with(es) || es.ends_with(ps);
-    prefix_ok && suffix_ok
+/// Can a `*`-pattern produce registry name `entry`? The literal text
+/// before its first and after its last interpolation must frame the name.
+fn pattern_covers(pattern: &str, entry: &str) -> bool {
+    match pattern.split_once('*') {
+        None => pattern == entry,
+        Some((prefix, rest)) => {
+            let suffix = rest.rsplit_once('*').map_or(rest, |(_, suffix)| suffix);
+            entry.len() > prefix.len() + suffix.len()
+                && entry.starts_with(prefix)
+                && entry.ends_with(suffix)
+        }
+    }
 }
 
 /// Returns (1-based line after the begin marker, text between markers).
@@ -375,7 +365,7 @@ mod tests {
     const REGISTRY_SRC: &str = r#"
 pub const METRICS: &[MetricDef] = &[
     MetricDef::counter("pool.hits", "Pool hits"),
-    MetricDef::counter("pool.shard*.hits", "Per-shard hits"),
+    MetricDef::counter("server.accepted", "Accepted connections"),
     MetricDef::gauge("pool.level", "Pool level"),
     MetricDef::histogram("span.query", "Query time"),
     MetricDef::histogram("span.query.plan", "Plan phase"),
@@ -397,7 +387,7 @@ pub const METRICS: &[MetricDef] = &[
         assert_eq!(reg[0].kind, Kind::Counter);
         assert_eq!(reg[2].kind, Kind::Gauge);
         assert_eq!(reg[3].kind, Kind::Histogram);
-        assert_eq!(reg[1].help, "Per-shard hits");
+        assert_eq!(reg[1].help, "Accepted connections");
     }
 
     #[test]
@@ -412,7 +402,7 @@ pub const METRICS: &[MetricDef] = &[
     }
 
     #[test]
-    fn wildcard_and_pattern_sites_resolve() {
+    fn exact_and_pattern_sites_resolve() {
         let reg = parse_registry(REGISTRY_SRC);
         let src = r#"
 fn f(prefix: &str, i: usize) {
@@ -444,7 +434,7 @@ fn f(prefix: &str, i: usize) {
         let src = r#"
 fn f() {
     r.counter("pool.hits").inc();
-    r.counter(&format!("pool.shard{i}.hits")).inc();
+    r.counter(&format!("{name}.accepted")).inc();
     r.gauge("pool.level").set(1);
     let s = span("query");
     let phase = Phase::start(db, "query.plan");

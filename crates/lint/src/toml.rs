@@ -254,8 +254,8 @@ max = 4
 title = "lock order"
 
 [[class]]
-name = "pool.shard"
-paths = ["*.shards[]", "shard"]
+name = "pool.frames"
+paths = ["*.frames", "table"]
 
 [[class]]
 name = "wal"
@@ -280,7 +280,10 @@ paths = ["*.inner"]
         );
         let classes = doc.arrays.get("class").unwrap();
         assert_eq!(classes.len(), 2);
-        assert_eq!(classes[0].get("name").unwrap().as_str(), Some("pool.shard"));
+        assert_eq!(
+            classes[0].get("name").unwrap().as_str(),
+            Some("pool.frames")
+        );
         assert_eq!(
             classes[1].get("paths").unwrap().as_array().unwrap(),
             &["*.inner".to_string()]

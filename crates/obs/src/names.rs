@@ -42,16 +42,11 @@ impl MetricKind {
 }
 
 /// One registered metric name.
-///
-/// `name` may contain a single `*` wildcard covering one dot-free,
-/// non-empty segment run — used for the per-shard counters
-/// (`pool.shard*.hits` matches `pool.shard0.hits`, `pool.shard12.hits`,
-/// … but not `pool.shard.hits` or `pool.shardX.extra.hits`).
 #[derive(Debug, Clone, Copy)]
 pub struct MetricDef {
     /// Counter or histogram.
     pub kind: MetricKind,
-    /// Registered name (optionally with one `*` wildcard).
+    /// Registered name.
     pub name: &'static str,
     /// One-line description, surfaced in the generated docs table.
     pub help: &'static str,
@@ -84,19 +79,6 @@ impl MetricDef {
             help,
         }
     }
-
-    /// Whether `name` is this entry (exact, or via the `*` wildcard).
-    pub fn matches(&self, name: &str) -> bool {
-        match self.name.split_once('*') {
-            None => self.name == name,
-            Some((prefix, suffix)) => {
-                name.len() > prefix.len() + suffix.len()
-                    && name.starts_with(prefix)
-                    && name.ends_with(suffix)
-                    && !name[prefix.len()..name.len() - suffix.len()].contains('.')
-            }
-        }
-    }
 }
 
 /// Every metric name the system may publish, grouped by namespace.
@@ -110,17 +92,9 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef::counter("pool.evictions", "Frames evicted to make room"),
     MetricDef::counter("pool.physical_reads", "Pages read from backing files"),
     MetricDef::counter("pool.physical_writes", "Pages written to backing files"),
-    MetricDef::counter(
-        "pool.shard*.hits",
-        "Per-shard pool hits (sum equals `pool.hits`)",
-    ),
-    MetricDef::counter("pool.shard*.misses", "Per-shard pool misses"),
-    MetricDef::counter("pool.shard*.evictions", "Per-shard evictions"),
-    MetricDef::counter("pool.shard*.physical_reads", "Per-shard physical reads"),
-    MetricDef::counter("pool.shard*.physical_writes", "Per-shard physical writes"),
     MetricDef::gauge(
         "pool.resident_pages",
-        "Pages currently resident across all pool shards",
+        "Pages currently resident across all buffer pools",
     ),
     // Zone maps (pagestore::heap + zonemap).
     MetricDef::counter(
@@ -134,10 +108,6 @@ pub const METRICS: &[MetricDef] = &[
     MetricDef::counter(
         "zonemap.extents_pruned",
         "Zone-map extents (64-page groups, plus whole-segment rejections counted as their extents) skipped without touching per-page entries",
-    ),
-    MetricDef::gauge(
-        "zonemap.levels",
-        "Depth of the zone-map hierarchy maintained per heap (page / extent / segment)",
     ),
     // Compressed columnar pages (pagestore::colpage).
     MetricDef::counter(
@@ -359,9 +329,9 @@ pub const METRICS: &[MetricDef] = &[
     ),
 ];
 
-/// Finds the registry entry for `name`, honoring `*` wildcards.
+/// Finds the registry entry for `name`.
 pub fn lookup(name: &str) -> Option<&'static MetricDef> {
-    METRICS.iter().find(|d| d.matches(name))
+    METRICS.iter().find(|d| d.name == name)
 }
 
 /// The generated markdown metrics table (README "Metrics reference").
@@ -386,13 +356,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn exact_and_wildcard_lookup() {
+    fn lookup_is_exact() {
         assert!(lookup("pool.hits").is_some());
-        assert!(lookup("pool.shard0.hits").is_some());
-        assert!(lookup("pool.shard12.physical_writes").is_some());
-        assert!(lookup("pool.shard.hits").is_none());
-        assert!(lookup("pool.shard0.extra.hits").is_none());
         assert!(lookup("pool.hit").is_none());
+        assert!(lookup("pool.hits.extra").is_none());
         assert!(lookup("span.query.refine").is_some());
     }
 

@@ -1,17 +1,18 @@
-//! The shared buffer pool: striped clock eviction plus I/O accounting.
+//! The shared buffer pool: one clock over one frame table, plus I/O
+//! accounting.
 //!
-//! The pool is divided into `N` independent *shards*, each protecting its
-//! own frame table, hash map, clock hand and counters with its own lock.
-//! A page `(FileId, PageId)` is pinned to one shard by hashing, so two
-//! threads touching pages in different shards never contend. Physical
-//! I/O is positional and takes no lock of its own — a page's shard lock
-//! serializes every transfer of that page — so the lock order is `files`
-//! registry → WAL handle → shard.
+//! One mutex guards the whole frame table — its frames, the map from
+//! `(FileId, PageId)` to a frame, the clock hand and the counters — so a
+//! pool of `C` pages holds any `C` pages, and its hits, misses and
+//! evictions are those of a single clock (the paper's §6 I/O cost model).
+//! Physical I/O is positional and takes no lock of its own — the frame
+//! lock serializes every transfer of a page — so the lock order is
+//! `files` registry → WAL handle → frame table.
 //!
-//! A page *hit* takes the shard lock and nothing else. Only a miss needs
+//! A page *hit* takes the frame lock and nothing else. Only a miss needs
 //! the registry (to read the page) and the WAL handle (to log a dirty
-//! victim first); it lets go of the shard, takes both in the declared
-//! order and looks the page up again.
+//! victim first); it lets go of the frame lock, takes both in the
+//! declared order and looks the page up again.
 
 use crate::error::Result;
 use crate::page::PageBuf;
@@ -77,33 +78,23 @@ impl PoolStats {
 /// Global-registry handles mirroring [`PoolStats`]. Every increment of
 /// the per-pool counters also lands here, so `segdiff metrics` and the
 /// bench harness see pool activity without holding a pool reference.
-/// One set exists for the pool as a whole (`pool.*`) and one per shard
-/// (`pool.shard<i>.*`); the shard counters sum to the pool counters.
 struct PoolMetrics {
-    hits: std::sync::Arc<obs::Counter>,
-    misses: std::sync::Arc<obs::Counter>,
-    evictions: std::sync::Arc<obs::Counter>,
-    physical_reads: std::sync::Arc<obs::Counter>,
-    physical_writes: std::sync::Arc<obs::Counter>,
+    hits: Arc<obs::Counter>,
+    misses: Arc<obs::Counter>,
+    evictions: Arc<obs::Counter>,
+    physical_reads: Arc<obs::Counter>,
+    physical_writes: Arc<obs::Counter>,
 }
 
 impl PoolMetrics {
     fn global() -> Self {
-        Self::with_prefix("pool")
-    }
-
-    fn for_shard(i: usize) -> Self {
-        Self::with_prefix(&format!("pool.shard{i}"))
-    }
-
-    fn with_prefix(prefix: &str) -> Self {
         let r = obs::global();
         PoolMetrics {
-            hits: r.counter(&format!("{prefix}.hits")),
-            misses: r.counter(&format!("{prefix}.misses")),
-            evictions: r.counter(&format!("{prefix}.evictions")),
-            physical_reads: r.counter(&format!("{prefix}.physical_reads")),
-            physical_writes: r.counter(&format!("{prefix}.physical_writes")),
+            hits: r.counter("pool.hits"),
+            misses: r.counter("pool.misses"),
+            evictions: r.counter("pool.evictions"),
+            physical_reads: r.counter("pool.physical_reads"),
+            physical_writes: r.counter("pool.physical_writes"),
         }
     }
 }
@@ -128,7 +119,7 @@ struct FileEntry {
     wal_name: Option<String>,
 }
 
-/// Hasher of the shard maps. The keys are two `u32`s this program hands
+/// Hasher of the frame map. The keys are two `u32`s this program hands
 /// out itself, so one multiply per word replaces SipHash; the rotation
 /// brings the product's well-mixed high bits down to where the table
 /// takes its bucket index from.
@@ -149,46 +140,30 @@ impl Hasher for PageKeyHasher {
     }
 }
 
-/// One lock stripe: an independent frame table with its own clock hand.
-struct Shard {
-    capacity: usize,
+/// Everything the frame lock guards: the resident pages, where each one
+/// is, the clock hand and the counters.
+#[derive(Default)]
+struct FrameTable {
     map: HashMap<(FileId, PageId), usize, BuildHasherDefault<PageKeyHasher>>,
     frames: Vec<Frame>,
     hand: usize,
     stats: PoolStats,
 }
 
-impl Shard {
-    fn new(capacity: usize) -> Self {
-        Shard {
-            capacity,
-            map: HashMap::default(),
-            frames: Vec::new(),
-            hand: 0,
-            stats: PoolStats::default(),
-        }
-    }
-}
-
-/// Smallest sensible shard: below this many frames per shard the clock
-/// degenerates, so `new`/`with_shards` reduce the shard count instead.
-const MIN_FRAMES_PER_SHARD: usize = 8;
-
-/// Default number of lock stripes (reduced for small pools).
-pub const DEFAULT_SHARDS: usize = 8;
-
 /// A shared buffer pool over a set of registered page files.
 ///
 /// All page access goes through the pool so that cache behaviour — and the
 /// cold/warm distinction the paper's §6.4 experiments rely on — is fully
 /// under the caller's control via [`BufferPool::clear_cache`]. The pool is
-/// safe for concurrent use from many threads; see the module docs for the
-/// striping design.
+/// safe for concurrent use from many threads; see the module docs for its
+/// locks.
 pub struct BufferPool {
     /// The file system every registered file lives in.
     vfs: Arc<dyn Vfs>,
     files: RwLock<Vec<FileEntry>>,
-    shards: Vec<Mutex<Shard>>,
+    /// Most pages resident at once.
+    capacity: usize,
+    frames: Mutex<FrameTable>,
     /// When attached, dirty pages of WAL-named files are appended to the
     /// log before every writeback (flush and eviction alike).
     wal: RwLock<Option<Arc<Wal>>>,
@@ -196,52 +171,24 @@ pub struct BufferPool {
     /// buffers (false, the test/bench escape hatch).
     sync: AtomicBool,
     metrics: PoolMetrics,
-    shard_metrics: Vec<PoolMetrics>,
-    /// Pages currently resident across all shards (the `pool.resident_pages`
-    /// gauge). Grows when a fresh frame is populated, shrinks on
+    /// Pages currently resident (the `pool.resident_pages` gauge). Grows
+    /// when a fresh frame is populated, shrinks on
     /// [`BufferPool::clear_cache`] and pool drop; eviction reuses a frame,
     /// so residency is unchanged there.
     resident_pages: Arc<obs::Gauge>,
 }
 
-/// Shard index for a page: a cheap multiplicative hash over the key so
-/// consecutive pages of one file spread across all shards.
-fn shard_for(nshards: usize, fid: FileId, pid: PageId) -> usize {
-    let h = (fid as u64)
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .rotate_left(17)
-        ^ (pid as u64).wrapping_mul(0xD1B5_4A32_D192_ED03);
-    (h % nshards as u64) as usize
-}
-
 impl BufferPool {
-    /// Creates a pool holding at most `capacity` pages (min 8), striped
-    /// over `DEFAULT_SHARDS` shards (fewer for small capacities).
+    /// Creates a pool holding at most `capacity` pages (min 8).
     pub fn new(capacity: usize) -> Self {
-        Self::with_shards(capacity, DEFAULT_SHARDS)
-    }
-
-    /// Creates a pool with an explicit shard count. The count is clamped
-    /// so every shard holds at least `MIN_FRAMES_PER_SHARD` frames; the
-    /// total capacity is preserved exactly (frames are distributed as
-    /// evenly as possible).
-    pub fn with_shards(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(8);
-        let nshards = shards.clamp(1, (capacity / MIN_FRAMES_PER_SHARD).max(1));
-        let base = capacity / nshards;
-        let rem = capacity % nshards;
-        let shards: Vec<Mutex<Shard>> = (0..nshards)
-            .map(|i| Mutex::new(Shard::new(base + usize::from(i < rem))))
-            .collect();
-        let shard_metrics = (0..nshards).map(PoolMetrics::for_shard).collect();
         Self {
             vfs: Arc::new(OsVfs),
             files: RwLock::new(Vec::new()),
-            shards,
+            capacity: capacity.max(8),
+            frames: Mutex::new(FrameTable::default()),
             wal: RwLock::new(None),
             sync: AtomicBool::new(true),
             metrics: PoolMetrics::global(),
-            shard_metrics,
             resident_pages: obs::global().gauge("pool.resident_pages"),
         }
     }
@@ -257,16 +204,10 @@ impl BufferPool {
         &self.vfs
     }
 
-    /// Number of lock stripes.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Pages currently resident across all shards. This is the per-pool
-    /// view of the global `pool.resident_pages` gauge (which sums every
-    /// live pool).
+    /// Pages currently resident. This is the per-pool view of the global
+    /// `pool.resident_pages` gauge (which sums every live pool).
     pub fn resident_pages(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().frames.len()).sum()
+        self.frames.lock().frames.len()
     }
 
     /// Registers a file; all subsequent access uses the returned id.
@@ -337,39 +278,36 @@ impl BufferPool {
         }
         let files = self.files.read();
         let pid = files[fid as usize].file.allocate()?;
-        let si = shard_for(self.shards.len(), fid, pid);
-        let mut shard = self.shards[si].lock();
-        shard.stats.physical_writes += 1; // the zero-fill write
+        let mut table = self.frames.lock();
+        table.stats.physical_writes += 1; // the zero-fill write
         self.metrics.physical_writes.inc();
-        self.shard_metrics[si].physical_writes.inc();
-        let frame = self.frame_for(&mut shard, si, &files, wal.as_ref(), fid, pid, false)?;
-        *shard.frames[frame].buf.bytes_mut() = [0u8; PAGE_SIZE];
+        let frame = self.frame_for(&mut table, &files, wal.as_ref(), fid, pid, false)?;
+        *table.frames[frame].buf.bytes_mut() = [0u8; PAGE_SIZE];
         Ok(pid)
     }
 
-    /// Runs `f` on the frame holding the page, under its shard lock.
+    /// Runs `f` on the frame holding the page, under the frame lock.
     fn with_frame<R>(
         &self,
         fid: FileId,
         pid: PageId,
         f: impl FnOnce(&mut Frame) -> R,
     ) -> Result<R> {
-        let si = shard_for(self.shards.len(), fid, pid);
         {
-            let mut shard = self.shards[si].lock();
-            if let Some(i) = self.lookup(&mut shard, si, (fid, pid)) {
-                return Ok(f(&mut shard.frames[i]));
+            let mut table = self.frames.lock();
+            if let Some(i) = self.lookup(&mut table, (fid, pid)) {
+                return Ok(f(&mut table.frames[i]));
             }
         }
         let files = self.files.read();
         let wal = self.wal.read().clone();
-        let mut shard = self.shards[si].lock();
-        let i = self.frame_for(&mut shard, si, &files, wal.as_ref(), fid, pid, true)?;
-        Ok(f(&mut shard.frames[i]))
+        let mut table = self.frames.lock();
+        let i = self.frame_for(&mut table, &files, wal.as_ref(), fid, pid, true)?;
+        Ok(f(&mut table.frames[i]))
     }
 
     /// Runs `f` over a read-only view of the page. The closure executes
-    /// under the page's shard lock, so it must not re-enter the pool.
+    /// under the frame lock, so it must not re-enter the pool.
     pub fn with_page<R>(
         &self,
         fid: FileId,
@@ -407,10 +345,7 @@ impl BufferPool {
         self.log_before_flush()?;
         let files = self.files.read();
         let wal = self.wal.read().clone();
-        for (si, s) in self.shards.iter().enumerate() {
-            let mut shard = s.lock();
-            self.flush_shard(&mut shard, si, &files, wal.as_ref(), None)?;
-        }
+        self.flush_frames(&mut self.frames.lock(), &files, wal.as_ref(), None)?;
         self.sync_files(&files)
     }
 
@@ -421,10 +356,7 @@ impl BufferPool {
     pub fn flush_file(&self, fid: FileId) -> Result<()> {
         let files = self.files.read();
         let wal = self.wal.read().clone();
-        for (si, s) in self.shards.iter().enumerate() {
-            let mut shard = s.lock();
-            self.flush_shard(&mut shard, si, &files, wal.as_ref(), Some(fid))?;
-        }
+        self.flush_frames(&mut self.frames.lock(), &files, wal.as_ref(), Some(fid))?;
         self.sync_files(&files[fid as usize..=fid as usize])
     }
 
@@ -434,14 +366,13 @@ impl BufferPool {
         self.log_before_flush()?;
         let files = self.files.read();
         let wal = self.wal.read().clone();
-        for (si, s) in self.shards.iter().enumerate() {
-            let mut shard = s.lock();
-            self.flush_shard(&mut shard, si, &files, wal.as_ref(), None)?;
-            self.resident_pages.sub(shard.frames.len() as i64);
-            shard.map.clear();
-            shard.frames.clear();
-            shard.hand = 0;
-        }
+        let mut table = self.frames.lock();
+        self.flush_frames(&mut table, &files, wal.as_ref(), None)?;
+        self.resident_pages.sub(table.frames.len() as i64);
+        table.map.clear();
+        table.frames.clear();
+        table.hand = 0;
+        drop(table);
         self.sync_files(&files)
     }
 
@@ -455,25 +386,23 @@ impl BufferPool {
     /// contents can replay onto the new file.
     pub fn swap_file(&self, fid: FileId, file: PageFile) {
         let mut files = self.files.write();
-        for s in self.shards.iter() {
-            let mut shard = s.lock();
-            let mut i = 0;
-            while i < shard.frames.len() {
-                if shard.frames[i].key.0 == fid {
-                    let key = shard.frames[i].key;
-                    shard.map.remove(&key);
-                    shard.frames.swap_remove(i);
-                    if i < shard.frames.len() {
-                        let moved = shard.frames[i].key;
-                        shard.map.insert(moved, i);
-                    }
-                    self.resident_pages.sub(1);
-                } else {
-                    i += 1;
+        let mut table = self.frames.lock();
+        let mut i = 0;
+        while i < table.frames.len() {
+            if table.frames[i].key.0 == fid {
+                let key = table.frames[i].key;
+                table.map.remove(&key);
+                table.frames.swap_remove(i);
+                if i < table.frames.len() {
+                    let moved = table.frames[i].key;
+                    table.map.insert(moved, i);
                 }
+                self.resident_pages.sub(1);
+            } else {
+                i += 1;
             }
-            shard.hand = 0;
         }
+        table.hand = 0;
         files[fid as usize].file = file;
     }
 
@@ -486,15 +415,12 @@ impl BufferPool {
             return Ok(0);
         };
         let mut logged = 0u64;
-        for s in self.shards.iter() {
-            let mut shard = s.lock();
-            for frame in shard.frames.iter_mut() {
-                if frame.dirty && !frame.logged {
-                    if let Some(name) = &files[frame.key.0 as usize].wal_name {
-                        wal.append_image(name, frame.key.1, frame.buf.bytes())?;
-                        frame.logged = true;
-                        logged += 1;
-                    }
+        for frame in self.frames.lock().frames.iter_mut() {
+            if frame.dirty && !frame.logged {
+                if let Some(name) = &files[frame.key.0 as usize].wal_name {
+                    wal.append_image(name, frame.key.1, frame.buf.bytes())?;
+                    frame.logged = true;
+                    logged += 1;
                 }
             }
         }
@@ -519,20 +445,19 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Writes dirty frame `i` of `shard` back to its file. WAL-before-data:
-    /// if the file is WAL-named and the current contents are not yet
-    /// logged, their image is appended to the log first. The WAL handle is
-    /// read by the caller *before* any shard lock is taken (the declared
-    /// order is `pool.walref` before `pool.shard`) and threaded in here.
+    /// Writes dirty frame `i` back to its file. WAL-before-data: if the
+    /// file is WAL-named and the current contents are not yet logged,
+    /// their image is appended to the log first. The WAL handle is read by
+    /// the caller *before* the frame lock is taken (the declared order is
+    /// `pool.walref` before `pool.frames`) and threaded in here.
     fn write_back(
         &self,
-        shard: &mut Shard,
-        si: usize,
+        table: &mut FrameTable,
         i: usize,
         files: &[FileEntry],
         wal: Option<&Arc<Wal>>,
     ) -> Result<()> {
-        let frame = &mut shard.frames[i];
+        let frame = &mut table.frames[i];
         let (fid, pid) = frame.key;
         let entry = &files[fid as usize];
         if let (false, Some(name), Some(wal)) = (frame.logged, &entry.wal_name, wal) {
@@ -541,86 +466,67 @@ impl BufferPool {
         }
         entry.file.write_page(pid, frame.buf.bytes())?;
         frame.dirty = false;
-        shard.stats.physical_writes += 1;
+        table.stats.physical_writes += 1;
         self.metrics.physical_writes.inc();
-        self.shard_metrics[si].physical_writes.inc();
         Ok(())
     }
 
-    /// Snapshot of the cumulative counters, merged across all shards.
+    /// Snapshot of the cumulative counters.
     pub fn stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for s in &self.shards {
-            total = total.merged(&s.lock().stats);
-        }
-        total
+        self.frames.lock().stats
     }
 
-    /// Per-shard counter snapshots (same order as the `pool.shard<i>.*`
-    /// registry counters). Their merge equals [`BufferPool::stats`].
-    pub fn shard_stats(&self) -> Vec<PoolStats> {
-        self.shards.iter().map(|s| s.lock().stats).collect()
-    }
-
-    /// Resets the cumulative counters to zero (all shards).
+    /// Resets the cumulative counters to zero.
     pub fn reset_stats(&self) {
-        for s in &self.shards {
-            s.lock().stats = PoolStats::default();
-        }
+        self.frames.lock().stats = PoolStats::default();
     }
 
-    /// Writes back the dirty frames of `shard` (of file `only`, if given).
-    fn flush_shard(
+    /// Writes back the dirty frames (of file `only`, if given).
+    fn flush_frames(
         &self,
-        shard: &mut Shard,
-        si: usize,
+        table: &mut FrameTable,
         files: &[FileEntry],
         wal: Option<&Arc<Wal>>,
         only: Option<FileId>,
     ) -> Result<()> {
-        for i in 0..shard.frames.len() {
-            let frame = &shard.frames[i];
+        for i in 0..table.frames.len() {
+            let frame = &table.frames[i];
             if frame.dirty && frame.key.0 == only.unwrap_or(frame.key.0) {
-                self.write_back(shard, si, i, files, wal)?;
+                self.write_back(table, i, files, wal)?;
             }
         }
         Ok(())
     }
 
     /// The frame index of a resident page, counted as a hit.
-    fn lookup(&self, shard: &mut Shard, si: usize, key: (FileId, PageId)) -> Option<usize> {
-        let i = *shard.map.get(&key)?;
-        shard.stats.hits += 1;
+    fn lookup(&self, table: &mut FrameTable, key: (FileId, PageId)) -> Option<usize> {
+        let i = *table.map.get(&key)?;
+        table.stats.hits += 1;
         self.metrics.hits.inc();
-        self.shard_metrics[si].hits.inc();
-        shard.frames[i].referenced = true;
+        table.frames[i].referenced = true;
         Some(i)
     }
 
-    /// Returns the frame index holding `(fid, pid)` within `shard`,
-    /// loading (and possibly evicting) as needed. `load` controls whether
-    /// a miss reads the page from disk (true) or leaves the frame contents
-    /// unspecified for the caller to overwrite (false, used by
-    /// `allocate_page`).
-    #[allow(clippy::too_many_arguments)] // files + wal are the pre-acquired lock context
+    /// Returns the frame index holding `(fid, pid)`, loading (and possibly
+    /// evicting) as needed. `load` controls whether a miss reads the page
+    /// from disk (true) or leaves the frame contents unspecified for the
+    /// caller to overwrite (false, used by `allocate_page`).
     fn frame_for(
         &self,
-        shard: &mut Shard,
-        si: usize,
+        table: &mut FrameTable,
         files: &[FileEntry],
         wal: Option<&Arc<Wal>>,
         fid: FileId,
         pid: PageId,
         load: bool,
     ) -> Result<usize> {
-        if let Some(i) = self.lookup(shard, si, (fid, pid)) {
+        if let Some(i) = self.lookup(table, (fid, pid)) {
             return Ok(i);
         }
-        shard.stats.misses += 1;
+        table.stats.misses += 1;
         self.metrics.misses.inc();
-        self.shard_metrics[si].misses.inc();
-        let i = if shard.frames.len() < shard.capacity {
-            shard.frames.push(Frame {
+        let i = if table.frames.len() < self.capacity {
+            table.frames.push(Frame {
                 key: (fid, pid),
                 buf: PageBuf::zeroed(),
                 dirty: false,
@@ -628,34 +534,32 @@ impl BufferPool {
                 referenced: true,
             });
             self.resident_pages.add(1);
-            shard.frames.len() - 1
+            table.frames.len() - 1
         } else {
-            let victim = clock_victim(shard);
-            let old = shard.frames[victim].key;
-            if shard.frames[victim].dirty {
+            let victim = clock_victim(table);
+            let old = table.frames[victim].key;
+            if table.frames[victim].dirty {
                 // A tree page evicted before its heap's rows are logged.
                 if let (None, Some(wal)) = (&files[old.0 as usize].wal_name, wal) {
                     wal.mark_unclean()?;
                 }
-                self.write_back(shard, si, victim, files, wal)?;
+                self.write_back(table, victim, files, wal)?;
             }
-            shard.map.remove(&old);
-            shard.stats.evictions += 1;
+            table.map.remove(&old);
+            table.stats.evictions += 1;
             self.metrics.evictions.inc();
-            self.shard_metrics[si].evictions.inc();
-            shard.frames[victim].key = (fid, pid);
-            shard.frames[victim].logged = false;
-            shard.frames[victim].referenced = true;
+            table.frames[victim].key = (fid, pid);
+            table.frames[victim].logged = false;
+            table.frames[victim].referenced = true;
             victim
         };
         if load {
-            let buf = shard.frames[i].buf.bytes_mut();
+            let buf = table.frames[i].buf.bytes_mut();
             files[fid as usize].file.read_page(pid, buf)?;
-            shard.stats.physical_reads += 1;
+            table.stats.physical_reads += 1;
             self.metrics.physical_reads.inc();
-            self.shard_metrics[si].physical_reads.inc();
         }
-        shard.map.insert((fid, pid), i);
+        table.map.insert((fid, pid), i);
         Ok(i)
     }
 }
@@ -665,21 +569,19 @@ impl Drop for BufferPool {
     /// test or bench run that builds many pools doesn't ratchet
     /// `pool.resident_pages` upward forever.
     fn drop(&mut self) {
-        for s in self.shards.iter() {
-            let shard = s.lock();
-            self.resident_pages.sub(shard.frames.len() as i64);
-        }
+        let resident = self.frames.get_mut().frames.len();
+        self.resident_pages.sub(resident as i64);
     }
 }
 
-/// Second-chance clock over one shard: clear referenced bits until an
-/// unreferenced frame is found.
-fn clock_victim(shard: &mut Shard) -> usize {
+/// Second-chance clock: clear referenced bits until an unreferenced frame
+/// is found.
+fn clock_victim(table: &mut FrameTable) -> usize {
     loop {
-        let i = shard.hand;
-        shard.hand = (shard.hand + 1) % shard.frames.len();
-        if shard.frames[i].referenced {
-            shard.frames[i].referenced = false;
+        let i = table.hand;
+        table.hand = (table.hand + 1) % table.frames.len();
+        if table.frames[i].referenced {
+            table.frames[i].referenced = false;
         } else {
             return i;
         }
@@ -740,7 +642,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let state = CommitState::default();
         let wal = Arc::new(Wal::create(Arc::new(crate::OsVfs), &dir, &state, false).unwrap());
-        let pool = BufferPool::with_shards(8, 1);
+        let pool = BufferPool::new(8);
         pool.attach_wal(Arc::clone(&wal));
         let path = dir.join("t.tbl");
         let file = PageFile::create(&crate::OsVfs, &path).unwrap();
@@ -828,7 +730,7 @@ mod tests {
         assert!(resident > 0 && resident <= 8, "resident={resident}");
         assert!(pool.stats().evictions > 0);
         pool.clear_cache().unwrap();
-        assert_eq!(pool.resident_pages(), 0, "clear_cache empties every shard");
+        assert_eq!(pool.resident_pages(), 0, "clear_cache empties the pool");
         std::fs::remove_file(&p).ok();
     }
 
@@ -971,60 +873,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_count_respects_capacity() {
-        // Tiny pools collapse to one shard; big pools get the default.
-        assert_eq!(BufferPool::new(8).num_shards(), 1);
-        assert_eq!(BufferPool::new(64).num_shards(), 8);
-        assert_eq!(BufferPool::new(4096).num_shards(), DEFAULT_SHARDS);
-        assert_eq!(BufferPool::with_shards(4096, 16).num_shards(), 16);
-        assert_eq!(BufferPool::with_shards(4096, 0).num_shards(), 1);
-    }
-
-    #[test]
-    fn shard_capacities_tile_total() {
-        // 100 frames over 8 shards: sums must preserve the capacity
-        // exactly even when it does not divide evenly.
-        let pool = BufferPool::with_shards(100, 8);
-        let total: usize = pool.shards.iter().map(|s| s.lock().capacity).sum();
-        assert_eq!(total, 100);
-    }
-
-    #[test]
-    fn shard_stats_merge_to_pool_stats() {
-        let (pool, fid, p) = pool_with_file("shardsum", 128);
-        let mut pids = Vec::new();
-        for i in 0..64u32 {
-            let pid = pool.allocate_page(fid).unwrap();
-            pool.with_page_mut(fid, pid, |b| b[0] = i as u8).unwrap();
-            pids.push(pid);
-        }
-        for &pid in &pids {
-            pool.with_page(fid, pid, |_| ()).unwrap();
-        }
-        let mut merged = PoolStats::default();
-        for s in pool.shard_stats() {
-            merged = merged.merged(&s);
-        }
-        assert_eq!(merged, pool.stats());
-        assert!(pool.num_shards() > 1, "test should exercise >1 shard");
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn pages_spread_across_shards() {
-        let pool = BufferPool::new(1024);
-        let n = pool.num_shards();
-        let mut seen = vec![false; n];
-        for pid in 0..64u32 {
-            seen[shard_for(n, 0, pid)] = true;
-        }
-        assert!(
-            seen.iter().all(|&s| s),
-            "64 consecutive pages should touch every one of {n} shards"
-        );
-    }
-
-    #[test]
     fn concurrent_readers_and_stats_are_consistent() {
         let (pool, fid, p) = pool_with_file("conc", 64);
         let mut pids = Vec::new();
@@ -1058,13 +906,13 @@ mod tests {
         let s = pool.stats();
         // Every logical request is either a hit or a miss; every miss did
         // one physical read (no allocations or writes here).
+        let requests: usize = (0..threads)
+            .flat_map(|t| (0..rounds).map(move |r| t + r))
+            .map(|tr| (0..pids.len()).filter(|i| (i + tr) % 3 == 0).count())
+            .sum();
+        assert_eq!(s.hits + s.misses, requests as u64);
         assert_eq!(s.physical_reads, s.misses);
         assert_eq!(s.physical_writes, 0);
-        let mut merged = PoolStats::default();
-        for sh in pool.shard_stats() {
-            merged = merged.merged(&sh);
-        }
-        assert_eq!(merged, s, "shard stats must tile the pool stats");
         std::fs::remove_file(&p).ok();
     }
 }

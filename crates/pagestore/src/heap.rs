@@ -7,7 +7,7 @@ use crate::error::Result;
 use crate::page::{self, PageBuf};
 use crate::pagefile::{FileId, PageFile};
 use crate::vfs::Vfs;
-use crate::zonemap::{ZoneMap, ZONE_LEVELS};
+use crate::zonemap::ZoneMap;
 use crate::{StoreError, PAGE_SIZE};
 use std::ops::{Bound, Range, RangeBounds};
 use std::path::Path;
@@ -194,14 +194,6 @@ impl ScanPage<'_> {
 }
 
 impl HeapFile {
-    /// Takes `zones` as this heap's map (and says how deep it is).
-    fn with_levels_gauge(zones: ZoneMap) -> ZoneMap {
-        obs::global()
-            .gauge("zonemap.levels")
-            .set(ZONE_LEVELS as i64);
-        zones
-    }
-
     /// Opens the heap in file `fid`, whose rows have `ncols` columns (the
     /// catalogue's count; a meta page that says otherwise is corrupt). A
     /// file of no page — a new heap, or one every row was cut from — is an
@@ -285,7 +277,6 @@ impl HeapFile {
             None if nrows == 0 => Some(ZoneMap::new(ncols)),
             zones => zones,
         };
-        let zones = zones.map(Self::with_levels_gauge);
         Ok(Self {
             pool,
             fid,
@@ -603,7 +594,7 @@ impl HeapFile {
             return Ok(());
         }
         obs::global().counter("zonemap.builds").inc();
-        let mut z = Self::with_levels_gauge(ZoneMap::new(self.ncols));
+        let mut z = ZoneMap::new(self.ncols);
         self.scan(0, |rid, row| {
             z.observe(rid_parts(rid).0, row);
             true
@@ -616,7 +607,7 @@ impl HeapFile {
     /// every row while streaming it into the new file).
     pub(crate) fn install_zones(&mut self, zones: ZoneMap) {
         debug_assert_eq!(zones.num_rows(), self.nrows);
-        self.zones = Some(Self::with_levels_gauge(zones));
+        self.zones = Some(zones);
     }
 
     /// Drops the zone map and deletes its sidecar, forcing subsequent

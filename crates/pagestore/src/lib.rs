@@ -78,7 +78,7 @@ pub use recovery::RecoveryReport;
 pub use table::{Index, Table, BUFFER_ENTRIES};
 pub use vfs::{write_atomic, OsVfs, Vfs, VfsFile};
 pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
-pub use zonemap::{ZoneMap, EXTENT_PAGES, ZONE_LEVELS};
+pub use zonemap::{ZoneMap, EXTENT_PAGES};
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 4096;

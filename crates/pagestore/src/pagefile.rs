@@ -17,7 +17,7 @@ pub type FileId = u32;
 /// `PageFile` does raw, unbuffered page I/O; all caching lives in the
 /// [`crate::BufferPool`]. Every transfer is positional, through the
 /// [`Vfs`] the file was opened in: one call a page, and no file cursor to
-/// share, so transfers of different pages need no lock (the pool's shard
+/// share, so transfers of different pages need no lock (the pool's frame
 /// lock serializes those of one page).
 #[derive(Debug)]
 pub struct PageFile {

@@ -1,13 +1,12 @@
 //! Concurrency stress tests: many reader threads over one shared pool.
 //!
-//! These tests exist to catch two classes of bug the striped buffer pool
+//! These tests exist to catch two classes of bug a shared buffer pool
 //! could introduce: `PoolStats` miscounting (a hit or miss dropped or
-//! double-counted when shards race) and shard-eviction races (a frame
-//! evicted by one thread while another still believes it holds the page).
+//! double-counted when threads race) and eviction races (a frame evicted
+//! by one thread while another still believes it holds the page).
 //! They drive real B+tree range probes and heap fetches — the same access
 //! pattern a concurrent query service produces.
 
-use crate::buffer::PoolStats;
 use crate::db::{Database, TableSpec};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -38,8 +37,7 @@ fn build_db(dir: &Path, rows: u64, pool_pages: usize) -> Arc<Database> {
 /// N reader threads doing B+tree range probes plus heap fetches over one
 /// shared pool. Every fetched row is validated against its key, which
 /// fails loudly if an eviction race ever hands a thread the wrong page
-/// image; afterwards the pool counters must obey the conservation laws
-/// and the per-shard counters must tile the global totals.
+/// image; afterwards the pool counters must obey the conservation laws.
 #[test]
 fn concurrent_probes_and_fetches_over_shared_pool() {
     let dir = tmpdir("probes");
@@ -92,24 +90,14 @@ fn concurrent_probes_and_fetches_over_shared_pool() {
     );
     assert!(s.hits > 0 && s.misses > 0, "{s:?}");
     assert!(s.evictions > 0, "pool never evicted; enlarge the workload");
-    // The per-shard counters must tile the global totals exactly.
-    let mut merged = PoolStats::default();
-    for sh in db.pool().shard_stats() {
-        merged = merged.merged(&sh);
-    }
-    assert_eq!(merged, s, "shard stats do not tile the pool stats");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Pool counter deltas must still tile per-query totals when queries run
-/// concurrently: each thread snapshots the pool around its own probes,
-/// and the sum of all per-thread deltas must equal the global delta.
-/// (Per-thread deltas include activity from *other* threads, so instead
-/// of comparing deltas pairwise, the test brackets the whole concurrent
-/// phase and checks that the global delta equals the merged per-shard
-/// delta and obeys hit/miss accounting under contention.)
+/// Pool counter deltas must stay exact when queries run concurrently:
+/// the test brackets the whole concurrent phase and checks that its delta
+/// obeys hit/miss accounting under contention.
 #[test]
-fn counter_deltas_tile_under_concurrency() {
+fn counter_deltas_stay_exact_under_concurrency() {
     let dir = tmpdir("deltas");
     let rows: u64 = 8_000;
     let db = build_db(&dir, rows, 256);
@@ -117,7 +105,6 @@ fn counter_deltas_tile_under_concurrency() {
     db.clear_cache().unwrap();
 
     let before = db.stats();
-    let shard_before = db.pool().shard_stats();
     let threads = 6;
     let total_requests: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..threads)
@@ -147,14 +134,10 @@ fn counter_deltas_tile_under_concurrency() {
     // threads hammer the counters concurrently.
     assert!(delta.hits + delta.misses > 0);
     assert_eq!(delta.physical_reads, delta.misses, "{delta:?}");
-    // Merge the per-shard deltas; they must reproduce the global delta
-    // component for component.
-    let shard_after = db.pool().shard_stats();
-    let mut merged = PoolStats::default();
-    for (a, b) in shard_after.iter().zip(shard_before.iter()) {
-        merged = merged.merged(&a.since(b));
-    }
-    assert_eq!(merged, delta, "per-shard deltas do not tile the global");
+    assert_eq!(
+        delta.physical_writes, 0,
+        "read-only workload wrote pages: {delta:?}"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -343,8 +343,8 @@ struct WalInner {
 /// An open write-ahead log.
 ///
 /// Thread-safe: a single mutex serializes appends, which sits *below*
-/// the buffer pool's shard locks in the lock order (the pool appends
-/// page images while holding a shard lock; the WAL never re-enters the
+/// the buffer pool's frame lock in the lock order (the pool appends
+/// page images while holding its frame lock; the WAL never re-enters the
 /// pool).
 pub struct Wal {
     vfs: Arc<dyn Vfs>,

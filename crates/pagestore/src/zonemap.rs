@@ -44,9 +44,6 @@ const MAGIC: u32 = 0x5344_5A48;
 /// Data pages summarized by one extent entry.
 pub const EXTENT_PAGES: u32 = 64;
 
-/// Number of levels in the hierarchy (page, extent, segment).
-pub const ZONE_LEVELS: u64 = 3;
-
 /// Hierarchical min/max summaries of every column of a heap file.
 ///
 /// Data pages start at 1 (page 0 is the heap meta page); page `p` maps to

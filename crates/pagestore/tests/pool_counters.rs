@@ -4,6 +4,7 @@
 
 use pagestore::page::PageBuf;
 use pagestore::{BufferPool, PageFile, PoolStats};
+use std::sync::Mutex;
 
 const COUNTERS: [&str; 5] = [
     "hits",
@@ -23,16 +24,26 @@ fn fields(s: &PoolStats) -> [u64; 5] {
     ]
 }
 
-#[test]
-fn shard_counters_tile_the_pool_counters_and_deltas_are_exact() {
-    let dir = std::env::temp_dir().join(format!("pagestore-poolcount-{}", std::process::id()));
+/// Held by every test here: one test's pool traffic would move the
+/// registry counters another one checks to the count.
+static REGISTRY: Mutex<()> = Mutex::new(());
+
+fn tmpdir(name: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("pagestore-{name}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+#[test]
+fn deltas_are_exact_and_the_registry_mirrors_the_pools() {
+    let _registry = REGISTRY.lock().unwrap();
+    let dir = tmpdir("poolcount");
     let registry_before = obs::global().snapshot();
 
     // A pool larger than the file: every access after the first is a hit
-    // on the shard-lock-only path, whichever of the three calls makes it.
-    let roomy = BufferPool::with_shards(1024, 8);
+    // on the frame-lock-only path, whichever of the three calls makes it.
+    let roomy = BufferPool::new(1024);
     let fid = roomy.register_file(PageFile::create(&pagestore::OsVfs, &dir.join("roomy")).unwrap());
     let pids: Vec<u32> = (0..100)
         .map(|_| roomy.allocate_page(fid).unwrap())
@@ -61,7 +72,7 @@ fn shard_counters_tile_the_pool_counters_and_deltas_are_exact() {
     // A pool a quarter of the file, cycled through in order: the clock
     // evicts every page before its turn comes round again, so every access
     // takes the miss path; the first round also writes the dirty victims.
-    let tight = BufferPool::with_shards(8, 1);
+    let tight = BufferPool::new(8);
     let fid = tight.register_file(PageFile::create(&pagestore::OsVfs, &dir.join("tight")).unwrap());
     let pids: Vec<u32> = (0..32).map(|_| tight.allocate_page(fid).unwrap()).collect();
     for &pid in &pids {
@@ -76,21 +87,44 @@ fn shard_counters_tile_the_pool_counters_and_deltas_are_exact() {
     let cycled = tight.stats().since(&before);
     assert_eq!(fields(&cycled), [0, 64, 64, 64, 8]);
 
-    // The registry mirrors: per counter, the shards sum to the pool, and
-    // the pool moved by what the two pools counted themselves.
+    // The registry mirrors: each `pool.*` counter moved by what the two
+    // pools counted themselves.
     let moved = obs::global().snapshot().delta(&registry_before);
-    let counter = |name: String| moved.counters.get(&name).copied().unwrap_or(0);
     let own = roomy.stats().merged(&tight.stats());
     for (name, own) in COUNTERS.iter().zip(fields(&own)) {
-        let shards: u64 = (0..8)
-            .map(|i| counter(format!("pool.shard{i}.{name}")))
-            .sum();
+        let name = format!("pool.{name}");
         assert_eq!(
-            shards,
-            counter(format!("pool.{name}")),
-            "pool.shard*.{name}"
+            moved.counters.get(&name).copied().unwrap_or(0),
+            own,
+            "{name}"
         );
-        assert_eq!(counter(format!("pool.{name}")), own, "pool.{name}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_pool_of_c_pages_holds_any_c_pages() {
+    // Sixteen pages eight apart in a pool of 64: all of them fit, so the
+    // second pass over them is all hits, whatever their ids hash to.
+    let _registry = REGISTRY.lock().unwrap();
+    let dir = tmpdir("poolstride");
+    let pool = BufferPool::new(64);
+    let fid = pool.register_file(PageFile::create(&pagestore::OsVfs, &dir.join("file")).unwrap());
+    for _ in 0..128 {
+        pool.allocate_page(fid).unwrap();
+    }
+    pool.clear_cache().unwrap();
+    let mut passes = Vec::new();
+    for _ in 0..2 {
+        let before = pool.stats();
+        for pid in (0..128).step_by(8) {
+            pool.with_page(fid, pid, |_| ()).unwrap();
+        }
+        passes.push(pool.stats().since(&before));
+    }
+    assert_eq!(
+        passes.iter().map(fields).collect::<Vec<_>>(),
+        [[0, 16, 0, 16, 0], [16, 0, 0, 0, 0]]
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
