@@ -256,7 +256,10 @@ fn print_trace_node(node: &obs::TraceNode, depth: usize) {
 /// or the one index of any other directory. A transect's results print
 /// in sensor order, so the output below the timing header is
 /// byte-identical for every `--threads` value.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per flag of the subcommand's usage line"
+)]
 fn query(
     index: &Path,
     kind: &str,
@@ -1234,7 +1237,10 @@ fn top(url: &str, interval_ms: u64, iterations: u64) -> Result<(), Anyhow> {
 /// server evaluates every committed feature against the region and
 /// queues notifications behind the per-subscription cursor that
 /// `segdiff watch` follows.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one parameter per flag of the subcommand's usage line"
+)]
 fn subscribe(
     url: &str,
     list: bool,

@@ -1,6 +1,13 @@
 //! End-to-end tests of the `segdiff` binary: generate → ingest → query →
 //! stats, all through the real executable.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
 

@@ -1,4 +1,12 @@
 #![warn(missing_docs)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::let_underscore_untyped,
+        clippy::let_underscore_must_use,
+        reason = "a test may discard what it provokes"
+    )
+)]
 
 //! **SegDiff** — searching for drops (and jumps) in sensor data.
 //!

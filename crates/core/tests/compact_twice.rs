@@ -7,6 +7,13 @@
 //! own test binary because the `colpage.pages_written` counter is
 //! process-wide.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use segdiff::{GeneratorStats, QueryPlan, QueryRegion, SegDiffConfig, SegDiffIndex, SegmentPair};
 use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
 use std::collections::BTreeMap;

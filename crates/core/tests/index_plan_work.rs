@@ -11,6 +11,13 @@
 //! rows appended behind it. Alone in its own test binary because the
 //! counter is process-wide.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use segdiff::{QueryPlan, QueryRegion, SearchKind, SegDiffConfig, SegDiffIndex};
 use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
 

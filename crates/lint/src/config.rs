@@ -1,24 +1,7 @@
-//! Lint configuration: rule scopes (which crates each rule covers) and
-//! the lock-order declaration loaded from `ci/lock-order.toml`.
+//! Lint configuration: the paths the rules read and the lock-order
+//! declaration loaded from `ci/lock-order.toml`.
 
 use crate::toml;
-
-/// Crates whose production code must be panic-free (rule L1): the
-/// serving and storage path. The math kernels (`segmentation`,
-/// `featurespace`, `sensorgen`) assert paper invariants with panics and
-/// are deliberately out of scope until they move onto the hot path.
-pub const L1_CRATES: &[&str] = &[
-    "pagestore",
-    "server",
-    "router",
-    "core",
-    "cli",
-    "obs",
-    "lint",
-];
-
-/// Crates where `let _ =` result discards are forbidden (rule L5).
-pub const L5_CRATES: &[&str] = &["pagestore", "core"];
 
 /// Workspace-relative path of the lock-order declaration.
 pub const LOCK_ORDER_PATH: &str = "ci/lock-order.toml";

@@ -5,7 +5,7 @@ use crate::diag::{Diagnostic, Rule};
 use crate::lexer::{lex, Tok, TokKind};
 use std::collections::HashMap;
 
-/// A parsed `// lint: allow(L1, L3) reason` comment.
+/// A parsed `// lint: allow(L3, L7) reason` comment.
 #[derive(Debug, Clone)]
 pub struct Suppression {
     /// Rules the comment names (known ones).
@@ -97,7 +97,7 @@ impl<'s> FileCtx<'s> {
                     s.comment_line,
                     s.col,
                     format!("unknown rule `{u}` in `lint: allow(...)`"),
-                    "valid rules are L0-L7".to_string(),
+                    format!("valid rules are {}", Rule::ALL.map(Rule::id).join(", ")),
                 ));
             }
             if s.reason.is_empty() {
@@ -265,7 +265,7 @@ fn match_braces(toks: &[Tok]) -> HashMap<usize, usize> {
 }
 
 /// Is the token a comment?
-pub fn is_comment(k: TokKind) -> bool {
+fn is_comment(k: TokKind) -> bool {
     matches!(k, TokKind::LineComment | TokKind::BlockComment)
 }
 
@@ -494,28 +494,31 @@ mod tests {
     #[test]
     fn suppression_parsing() {
         let src = "\
-let a = x.unwrap(); // lint: allow(L1) checked above
-// lint: allow(L1, L5): startup only
-let b = y.unwrap();
-// lint: allow(L1)
-let c = z.unwrap();
+let a = x.lock(); // lint: allow(L3) checked above
+// lint: allow(L3, L7): startup only
+let b = y.lock();
+// lint: allow(L3)
+let c = z.lock();
 // lint: allow(L9) whatever
-let d = w.unwrap();
+let d = w.lock();
+// lint: allow(L1) a rule clippy holds now
+let e = v.unwrap();
 ";
         let ctx = FileCtx::new("crates/x/src/lib.rs", src);
-        assert!(ctx.suppressed(Rule::L1, 1));
-        assert!(ctx.suppressed(Rule::L1, 3));
-        assert!(ctx.suppressed(Rule::L5, 3));
-        assert!(!ctx.suppressed(Rule::L2, 3));
+        assert!(ctx.suppressed(Rule::L3, 1));
+        assert!(ctx.suppressed(Rule::L3, 3));
+        assert!(ctx.suppressed(Rule::L7, 3));
+        assert!(!ctx.suppressed(Rule::L6, 3));
         // Reason-less suppression does not suppress…
-        assert!(!ctx.suppressed(Rule::L1, 5));
-        // …and both it and the unknown-rule one are L0 violations.
+        assert!(!ctx.suppressed(Rule::L3, 5));
+        // …and it and the two unknown-rule ones are L0 violations.
         let audit = ctx.audit_suppressions();
-        assert_eq!(audit.len(), 2);
+        assert_eq!(audit.len(), 3);
         assert!(audit.iter().any(|d| d.message.contains("without a reason")));
-        assert!(audit
-            .iter()
-            .any(|d| d.message.contains("unknown rule `L9`")));
+        for gone in ["L9", "L1"] {
+            let unknown = format!("unknown rule `{gone}`");
+            assert!(audit.iter().any(|d| d.message.contains(&unknown)), "{gone}");
+        }
     }
 
     #[test]

@@ -9,18 +9,11 @@ pub enum Rule {
     /// Suppression audit: `// lint: allow(…)` must name known rules and
     /// carry a non-empty reason.
     L0,
-    /// No `.unwrap()` / `.expect()` / `panic!` / `unimplemented!` /
-    /// `todo!` in production code paths.
-    L1,
-    /// Every `unsafe` is immediately preceded by a `// SAFETY:` comment.
-    L2,
     /// Lock acquisitions respect the declared partial order.
     L3,
     /// Metric names match the `obs::names` registry (both directions),
     /// and the README table is in sync.
     L4,
-    /// No `let _ =` result discards in `pagestore` / `core`.
-    L5,
     /// Interprocedural lock order: the classes a callee acquires
     /// (transitively, bounded depth) respect the partial order against
     /// the classes the caller holds at the call site.
@@ -33,41 +26,26 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 8] = [
-        Rule::L0,
-        Rule::L1,
-        Rule::L2,
-        Rule::L3,
-        Rule::L4,
-        Rule::L5,
-        Rule::L6,
-        Rule::L7,
-    ];
+    pub const ALL: [Rule; 5] = [Rule::L0, Rule::L3, Rule::L4, Rule::L6, Rule::L7];
 
-    /// Parses `"L1"` (case-insensitive).
+    /// Parses `"L3"` (case-insensitive).
     pub fn parse(s: &str) -> Option<Rule> {
         match s.trim().to_ascii_uppercase().as_str() {
             "L0" => Some(Rule::L0),
-            "L1" => Some(Rule::L1),
-            "L2" => Some(Rule::L2),
             "L3" => Some(Rule::L3),
             "L4" => Some(Rule::L4),
-            "L5" => Some(Rule::L5),
             "L6" => Some(Rule::L6),
             "L7" => Some(Rule::L7),
             _ => None,
         }
     }
 
-    /// `"L1"`, …
+    /// `"L3"`, …
     pub fn id(self) -> &'static str {
         match self {
             Rule::L0 => "L0",
-            Rule::L1 => "L1",
-            Rule::L2 => "L2",
             Rule::L3 => "L3",
             Rule::L4 => "L4",
-            Rule::L5 => "L5",
             Rule::L6 => "L6",
             Rule::L7 => "L7",
         }
@@ -77,11 +55,8 @@ impl Rule {
     pub fn describe(self) -> &'static str {
         match self {
             Rule::L0 => "suppression comments name known rules, carry a reason, and still fire",
-            Rule::L1 => "no unwrap/expect/panic!/unimplemented!/todo! in production paths",
-            Rule::L2 => "every `unsafe` is immediately preceded by a `// SAFETY:` comment",
             Rule::L3 => "lock acquisitions respect the order declared in ci/lock-order.toml",
             Rule::L4 => "obs metric names match the crates/obs/src/names.rs registry",
-            Rule::L5 => "no `let _ =` result discards in pagestore/core production code",
             Rule::L6 => "lock order holds across intra-crate calls (call-graph summaries)",
             Rule::L7 => "no blocking call under a live guard outside the allowlist",
         }
@@ -113,7 +88,7 @@ pub struct Diagnostic {
 
 impl Diagnostic {
     /// rustc-style rendering:
-    /// `error[L1]: message\n  --> file:line:col\n   = help: …`
+    /// `error[L3]: message\n  --> file:line:col\n   = help: …`
     pub fn render_text(&self) -> String {
         let mut out = format!(
             "error[{}]: {}\n  --> {}:{}:{}\n",
@@ -230,28 +205,28 @@ mod tests {
 
     fn sample() -> Diagnostic {
         Diagnostic {
-            rule: Rule::L1,
+            rule: Rule::L3,
             file: "crates/x/src/lib.rs".into(),
             line: 7,
             col: 13,
-            message: "`.unwrap()` in production code".into(),
-            help: "propagate the error".into(),
+            message: "`pool.frames` acquired while holding `pool.file`".into(),
+            help: "release the earlier guard first".into(),
         }
     }
 
     #[test]
     fn text_is_rustc_style() {
         let t = sample().render_text();
-        assert!(t.starts_with("error[L1]: "));
+        assert!(t.starts_with("error[L3]: "));
         assert!(t.contains("--> crates/x/src/lib.rs:7:13"));
-        assert!(t.contains("= help: propagate"));
+        assert!(t.contains("= help: release"));
     }
 
     #[test]
     fn json_shape() {
         let report = Report {
             diags: vec![sample()],
-            rules: vec![Rule::L0, Rule::L1],
+            rules: vec![Rule::L0, Rule::L3],
             files_analyzed: 42,
             wall_ms: 17,
         };
@@ -261,8 +236,8 @@ mod tests {
         assert!(j.contains("\"wall_ms\":17"));
         assert!(j.contains("\"count\":1"));
         // Enabled-but-clean rules report an explicit zero.
-        assert!(j.contains("\"rule_counts\":{\"L0\":0,\"L1\":1}"));
-        assert!(j.contains("\"rule\":\"L1\""));
+        assert!(j.contains("\"rule_counts\":{\"L0\":0,\"L3\":1}"));
+        assert!(j.contains("\"rule\":\"L3\""));
         assert!(j.contains("\"line\":7"));
         // Valid-enough JSON: balanced braces, no trailing comma.
         assert!(j.trim_end().ends_with("}]}"));
@@ -279,6 +254,8 @@ mod tests {
             assert_eq!(Rule::parse(r.id()), Some(r));
         }
         assert_eq!(Rule::parse("l3"), Some(Rule::L3));
-        assert_eq!(Rule::parse("L9"), None);
+        for gone in ["L1", "L2", "L5", "L9"] {
+            assert_eq!(Rule::parse(gone), None, "{gone}");
+        }
     }
 }

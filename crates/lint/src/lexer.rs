@@ -1,10 +1,10 @@
 //! A lightweight Rust lexer: just enough token structure for the lint
 //! rules, with exact line/column positions.
 //!
-//! Comments are kept as tokens (rules L0/L2 and the suppression parser
-//! read them); string/char literals are single tokens so rule passes
-//! never match keywords inside text; everything else is an identifier,
-//! number, lifetime, or one-byte punctuation token. The lexer is
+//! Comments are kept as tokens (the suppression parser reads them);
+//! string/char literals are single tokens so rule passes never match
+//! keywords inside text; everything else is an identifier, number,
+//! lifetime, or one-byte punctuation token. The lexer is
 //! lossless enough that walking the token stream visits every
 //! non-whitespace byte of the file exactly once.
 

@@ -1,7 +1,7 @@
 //! `segdiff-lint` — CLI for the workspace invariant checker.
 //!
 //! ```text
-//! segdiff-lint [--root DIR] [--rules L1,L3] [--format text|json]
+//! segdiff-lint [--root DIR] [--rules L3,L7] [--format text|json]
 //!              [--list] [--emit-metrics-table]
 //! ```
 //!
@@ -42,7 +42,7 @@ fn real_main() -> Result<ExitCode, String> {
                 root = Some(PathBuf::from(v));
             }
             "--rules" => {
-                let v = args.next().ok_or("--rules needs a list like L1,L3")?;
+                let v = args.next().ok_or("--rules needs a list like L3,L7")?;
                 let mut set = BTreeSet::new();
                 for part in v.split(',') {
                     set.insert(Rule::parse(part).ok_or_else(|| format!("unknown rule `{part}`"))?);
@@ -62,7 +62,7 @@ fn real_main() -> Result<ExitCode, String> {
             "--help" | "-h" => {
                 println!(
                     "segdiff-lint: workspace invariant checker\n\n\
-                     USAGE: segdiff-lint [--root DIR] [--rules L1,L3] [--format text|json]\n\
+                     USAGE: segdiff-lint [--root DIR] [--rules L3,L7] [--format text|json]\n\
                      \x20                 [--list] [--emit-metrics-table]\n\n\
                      Exit codes: 0 clean, 1 violations, 2 usage/config error.\n\n\
                      Rules (all enabled by default; suppress a site with\n\
@@ -71,6 +71,10 @@ fn real_main() -> Result<ExitCode, String> {
                 for r in Rule::ALL {
                     println!("  {}  {}", r.id(), r.describe());
                 }
+                println!(
+                    "\nPanics, `unsafe` without `// SAFETY:` and `let _ =` discards are\n\
+                     clippy lints, denied in the manifests' `[lints.clippy]` tables."
+                );
                 return Ok(ExitCode::SUCCESS);
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),

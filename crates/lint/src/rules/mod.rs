@@ -7,9 +7,6 @@
 //! centrally by [`crate::context::SuppressionIndex`].
 
 pub mod blocking;
-pub mod discard;
 pub mod interlock;
 pub mod locks;
 pub mod names;
-pub mod panics;
-pub mod safety;

@@ -128,10 +128,13 @@ impl Json {
     }
 
     /// Serializes to a compact JSON string.
+    #[expect(
+        clippy::expect_used,
+        reason = "the writer emits only ASCII punctuation and bytes copied from `str`s"
+    )]
     pub fn to_string_compact(&self) -> String {
         let mut out = Vec::new();
         self.write_to(&mut out);
-        // lint: allow(L1) the writer emits only ASCII punctuation and bytes copied from `str`s
         String::from_utf8(out).expect("the JSON writer emits UTF-8")
     }
 
@@ -415,7 +418,10 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 while *pos < bytes.len() && (bytes[*pos] & 0xC0) == 0x80 {
                     *pos += 1;
                 }
-                // lint: allow(L1) slice follows scalar boundaries of a valid &str
+                #[expect(
+                    clippy::unwrap_used,
+                    reason = "the slice follows scalar boundaries of a valid &str"
+                )]
                 out.push_str(std::str::from_utf8(&bytes[start..*pos]).unwrap());
             }
         }

@@ -1,4 +1,4 @@
-//! Metric history: fixed-size ring buffers fed by a background sampler.
+//! Metric history: fixed-size ring buffers fed by a periodic scrape.
 //!
 //! The registry ([`crate::MetricsRegistry`]) only answers "what is the
 //! value *now*" — a collapse in hit rate or a latency spike between two
@@ -7,8 +7,9 @@
 //! * [`SeriesStore`] — named rings of `(ts, value)` points with a fixed
 //!   capacity per series, so memory is bounded no matter how long the
 //!   process runs.
-//! * [`SamplerState`] / [`start_sampler`] — a scrape pass that walks
-//!   every registered metric at a fixed cadence and appends *derived*
+//! * [`SamplerState`] — a scrape pass that walks every registered
+//!   metric, ticked at a fixed cadence by its caller (the server's
+//!   observer thread, `segdiff stats --series`), and appends *derived*
 //!   series: counters become rates (`<name>.rate`, per second), gauges
 //!   record their raw level (`<name>`), histograms yield
 //!   interval-windowed quantiles (`<name>.p50`, `<name>.p99`) plus a
@@ -23,8 +24,7 @@
 
 use crate::metrics::{quantile_from_counts, MetricsRegistry, BUCKETS};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Milliseconds since the unix epoch (0 if the clock is before 1970).
@@ -119,8 +119,8 @@ struct HistBaseline {
 }
 
 /// The scrape pass. Owns only baselines; the registry and store are
-/// passed in per tick so one state can serve tests, the server observer
-/// thread, and [`start_sampler`] alike.
+/// passed in per tick so one state can serve tests, the server's
+/// observer thread and `segdiff stats --series` alike.
 #[derive(Default)]
 pub struct SamplerState {
     prev_counters: BTreeMap<String, u64>,
@@ -190,57 +190,6 @@ impl SamplerState {
                 .insert(name, HistBaseline { buckets: counts });
         }
     }
-}
-
-/// Handle to a running background sampler; stops (and joins) the thread
-/// on [`SamplerHandle::stop`] or drop.
-pub struct SamplerHandle {
-    stop: Arc<AtomicBool>,
-    join: Option<std::thread::JoinHandle<()>>,
-}
-
-impl SamplerHandle {
-    /// Signals the sampler thread and waits for it to exit.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(j) = self.join.take() {
-            let _join_result = j.join();
-        }
-    }
-}
-
-impl Drop for SamplerHandle {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-/// Spawns a background thread sampling [`crate::global`] into `store`
-/// every `period`. The thread wakes in small slices so stop latency is
-/// bounded by ~20 ms rather than by the period.
-pub fn start_sampler(store: Arc<SeriesStore>, period: Duration) -> SamplerHandle {
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
-    let builder = std::thread::Builder::new().name("segdiff-sampler".to_string());
-    let join = builder
-        .spawn(move || {
-            let mut state = SamplerState::new();
-            while !stop2.load(Ordering::Acquire) {
-                state.tick(crate::global(), &store, unix_ms());
-                let mut slept = Duration::ZERO;
-                while slept < period && !stop2.load(Ordering::Acquire) {
-                    let slice = (period - slept).min(Duration::from_millis(20));
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-            }
-        })
-        .ok();
-    SamplerHandle { stop, join }
 }
 
 #[cfg(test)]
@@ -315,19 +264,5 @@ mod tests {
         let before = store.since("depth", 0).len();
         sampler.tick(&r, &store, 4_000);
         assert_eq!(store.since("depth", 0).len(), before);
-    }
-
-    #[test]
-    fn background_sampler_scrapes_global() {
-        crate::global().counter("series.test.bg").inc();
-        let store = Arc::new(SeriesStore::new(100));
-        let handle = start_sampler(Arc::clone(&store), Duration::from_millis(10));
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        while store.last("series.test.bg.rate").is_none() {
-            assert!(std::time::Instant::now() < deadline, "sampler never ticked");
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        handle.stop();
-        assert!(store.names().iter().any(|n| n == "series.test.bg.rate"));
     }
 }

@@ -39,8 +39,11 @@ impl std::fmt::Debug for PageBuf {
 /// exactly `N` bytes long, so the conversion cannot fail (the range
 /// index is the only panic site, as with any accessor below).
 #[inline]
+#[expect(
+    clippy::unwrap_used,
+    reason = "a slice of length N always converts to [u8; N]"
+)]
 pub(crate) fn arr<const N: usize>(buf: &[u8], off: usize) -> [u8; N] {
-    // lint: allow(L1) a slice of length N always converts to [u8; N]
     buf[off..off + N].try_into().unwrap()
 }
 

@@ -50,7 +50,10 @@ pub trait Vfs: Debug + Send + Sync {
 
 /// An open file. Every transfer names its offset — there is no cursor —
 /// and moves all of its bytes or fails.
-#[allow(clippy::len_without_is_empty)] // a file's length is a syscall, not a collection size
+#[allow(
+    clippy::len_without_is_empty,
+    reason = "a file's length is a syscall, not a collection size"
+)]
 pub trait VfsFile: Debug + Send + Sync {
     /// Fills `buf` from byte `offset`; a file that ends first is
     /// `UnexpectedEof`.

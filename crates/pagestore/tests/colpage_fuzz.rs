@@ -6,6 +6,13 @@
 //! directory and payloads — bytes overwritten, bits flipped, the row and
 //! column counts edited — and decoded whole and projected.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use pagestore::colpage::{column_layout, decode_into, ColEncoding, ColPageBuilder};
 use pagestore::{StoreError, PAGE_SIZE};
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -2,6 +2,13 @@
 //! per page; the total must still be the pages actually decoded. Alone in
 //! its own test binary because the counter is process-wide.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use pagestore::{Database, RowId, Table, TableSpec};
 
 fn decoded() -> u64 {

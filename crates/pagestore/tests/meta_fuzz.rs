@@ -11,6 +11,13 @@
 //!   heap's column and row counts (`None` otherwise), and a map is never
 //!   larger than the file it came from.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use pagestore::{
     BufferPool, Database, HeapFile, OsVfs, PageFile, StoreError, TableSpec, ZoneMap, PAGE_SIZE,
 };

@@ -2,6 +2,13 @@
 //! test binary because the `pool.*` registry counters are process-wide:
 //! beside other tests only lower bounds could be asserted.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use pagestore::page::PageBuf;
 use pagestore::{BufferPool, PageFile, PoolStats};
 use std::sync::Mutex;

@@ -11,6 +11,13 @@
 //! that owns every sensor. A second reference with a different fan-out
 //! thread count pins down thread-count invariance on the way.
 
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    reason = "a test fails by panicking"
+)]
+
 use obs::json::Json;
 use proptest::prelude::*;
 use router::{Ring, Router, RouterConfig, ShardSpec};

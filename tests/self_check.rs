@@ -1,7 +1,9 @@
-//! The workspace must satisfy its own lint, the metrics table the lint
-//! re-derives lexically must match the one the live crate generates, and
-//! the README route tables must be the ones the route tables render — if
-//! any drifts, CI should say so here before the lint job does.
+//! The workspace must satisfy its own lint, the clippy lints that hold
+//! the panic, `unsafe` and discard rules must stay denied in their
+//! crates, the metrics table the lint re-derives lexically must match the
+//! one the live crate generates, and the README route tables must be the
+//! ones the route tables render — if any drifts, CI should say so here
+//! before the lint job does.
 
 use lint::diag::Rule;
 use lint::{load_registry, run, Options};
@@ -37,6 +39,99 @@ fn workspace_is_lint_clean() {
 fn every_rule_is_exercised_by_default() {
     let opts = Options::new(root());
     assert_eq!(opts.rules.len(), Rule::ALL.len());
+}
+
+/// The `key = value` pairs of the `[name]` table of a manifest.
+fn manifest_table(manifest: &str, name: &str) -> Vec<(String, String)> {
+    let header = format!("[{name}]");
+    manifest
+        .lines()
+        .map(|l| l.split('#').next().unwrap_or_default().trim())
+        .skip_while(|l| *l != header)
+        .skip(1)
+        .take_while(|l| !l.starts_with('['))
+        .filter_map(|l| l.split_once('='))
+        .map(|(k, v)| (k.trim().to_string(), v.trim().trim_matches('"').to_string()))
+        .collect()
+}
+
+/// Clippy runs in CI, not under `cargo test`: this pins its
+/// configuration, so no scope can be loosened silently. Every package
+/// denies undocumented `unsafe` and reason-less suppressions; the
+/// serving and storage crates also deny panics outside tests, and
+/// pagestore and core `let _ =` discards.
+#[test]
+fn clippy_lint_scopes_stay_denied() {
+    const EVERY_PACKAGE: [&str; 2] = [
+        "undocumented_unsafe_blocks",
+        "allow_attributes_without_reason",
+    ];
+    const PANICS: [&str; 5] = [
+        "unwrap_used",
+        "expect_used",
+        "panic",
+        "todo",
+        "unimplemented",
+    ];
+    const PANIC_FREE: [&str; 7] = [
+        "pagestore",
+        "server",
+        "router",
+        "core",
+        "cli",
+        "obs",
+        "lint",
+    ];
+    let deny = |table: &[(String, String)], lints: &[&str], what: &str| {
+        for lint in lints {
+            assert!(
+                table.iter().any(|(k, v)| k == lint && v == "deny"),
+                "{what}: clippy::{lint} is not \"deny\""
+            );
+        }
+    };
+    let read = |rel: &str| std::fs::read_to_string(root().join(rel)).expect("manifest readable");
+    let workspace = read("Cargo.toml");
+    deny(
+        &manifest_table(&workspace, "workspace.lints.clippy"),
+        &EVERY_PACKAGE,
+        "Cargo.toml [workspace.lints.clippy]",
+    );
+    let mut manifests = vec!["Cargo.toml".to_string()];
+    for dir in ["crates", "shims"] {
+        for entry in std::fs::read_dir(root().join(dir)).expect("package directory readable") {
+            let path = entry.expect("directory entry").path();
+            if path.join("Cargo.toml").is_file() {
+                let name = path.file_name().unwrap_or_default().to_string_lossy();
+                manifests.push(format!("{dir}/{name}/Cargo.toml"));
+            }
+        }
+    }
+    for rel in &manifests {
+        let manifest = read(rel);
+        assert!(
+            manifest.contains("rust-version.workspace = true"),
+            "{rel}: no MSRV"
+        );
+        let package = rel.split('/').nth(1).unwrap_or_default();
+        if !PANIC_FREE.contains(&package) {
+            let inherits =
+                manifest_table(&manifest, "lints") == [("workspace".into(), "true".into())];
+            assert!(inherits, "{rel}: [lints] must be `workspace = true`");
+            continue;
+        }
+        let own = manifest_table(&manifest, "lints.clippy");
+        let what = format!("{rel} [lints.clippy]");
+        deny(&own, &EVERY_PACKAGE, &what);
+        deny(&own, &PANICS, &what);
+        if package == "pagestore" || package == "core" {
+            deny(
+                &own,
+                &["let_underscore_untyped", "let_underscore_must_use"],
+                &what,
+            );
+        }
+    }
 }
 
 #[test]
