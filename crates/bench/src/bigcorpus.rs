@@ -33,8 +33,8 @@ pub struct BigCorpusResult {
     pub bytes: Vec<(&'static str, u64, u64)>,
     /// Buffer-pool bytes the view store's queries ran with.
     pub pool_bytes: u64,
-    /// `zonemap.extents_pruned` delta across the unsatisfiable region on
-    /// the view store.
+    /// `zonemap.extents_pruned` delta (heaps skipped whole) across the
+    /// unsatisfiable region on the view store.
     pub extents_pruned: u64,
     /// Registry delta across the view store's sweep.
     pub metrics: obs::MetricsSnapshot,
@@ -245,8 +245,8 @@ pub fn bigcorpus_report(r: &BigCorpusResult, report: &mut Report) {
         "Bytes on disk by kind of file: the row store ({row} B) and, after a \
          compaction, the view store ({view} B), whose feature rows are \
          generated from the sealed segments at query time. The view store's \
-         queries ran through a {:.1} MiB buffer pool; the unsatisfiable region \
-         pruned {} extents.",
+         queries ran through a {:.1} MiB buffer pool; the zone summary of \
+         `segments` skipped it whole {} times on the unsatisfiable region.",
         r.pool_bytes as f64 / (1 << 20) as f64,
         r.extents_pruned,
     ));

@@ -16,9 +16,10 @@
 //! Each evaluation therefore also clones the per-rule segmenter and
 //! extractor and `finish()`es the clones, evaluating the *provisional*
 //! final segment too — a drop becomes visible within roughly one
-//! sampling period of the data showing it. Fired alerts are deduplicated
-//! on the pair's start times so the provisional sighting and the later
-//! committed one count once.
+//! sampling period of the data showing it. Only provisional rows repeat
+//! (the extractor emits each committed row once), and all of them have
+//! the open tail's start as `t_b`: a rule keeps the pairs it fired against
+//! that tail, so a sighting, its repeats and its committed form fire once.
 //!
 //! Rules load from a minimal TOML subset (`ci/alert-rules.toml`); see
 //! [`AlertRuleSet::parse`] for the grammar.
@@ -28,7 +29,7 @@ use obs::json::Json;
 use obs::series::SeriesStore;
 use pagestore::{OsVfs, Vfs};
 use segmentation::SlidingWindowSegmenter;
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use crate::ingest::{FeatureExtractor, FeatureRow};
@@ -299,9 +300,8 @@ struct RuleState {
     /// Time of the last observation pushed into the segmenter (seconds);
     /// guards against a non-monotonic wall clock.
     last_t: f64,
-    /// Pairs already fired, keyed on `(t_d, t_b)` bits so a provisional
-    /// sighting and its later committed form count once.
-    fired_pairs: HashSet<(u64, u64)>,
+    /// The `(t_b, t_d)` pairs fired against the open tail: one `t_b`.
+    tail_fired: Vec<(f64, f64)>,
 }
 
 impl RuleState {
@@ -319,7 +319,7 @@ impl RuleState {
             extractor,
             last_point_ms: 0,
             last_t: f64::NEG_INFINITY,
-            fired_pairs: HashSet::new(),
+            tail_fired: Vec::new(),
         }
     }
 }
@@ -419,35 +419,26 @@ impl AlertEngine {
             // Provisional tail: finish() clones so a drop that already
             // happened is paired now instead of after the next chord
             // break commits its segment.
+            let committed = rows.len();
             let mut seg_clone = state.segmenter.clone();
             let mut ex_clone = state.extractor.clone();
             if let Some(seg) = seg_clone.finish() {
                 ex_clone.push_segment(seg, &mut rows);
             }
-            for row in rows {
+            for (i, row) in rows.into_iter().enumerate() {
                 if row.kind != state.rule.kind || !row.boundary.intersects(&state.region) {
                     continue;
                 }
-                let key = (row.t_d.to_bits(), row.t_b.to_bits());
-                if !state.fired_pairs.insert(key) {
+                let tail = &mut state.tail_fired;
+                if tail.contains(&(row.t_b, row.t_d)) {
                     continue;
                 }
-                // Bound the dedup set; clearing can at worst re-fire an
-                // old pair, and the log below is bounded anyway.
-                if state.fired_pairs.len() > 8192 {
-                    state.fired_pairs.clear();
-                    state.fired_pairs.insert(key);
+                if i >= committed {
+                    tail.retain(|&(t_b, _)| t_b == row.t_b);
+                    tail.push((row.t_b, row.t_d));
                 }
-                let dv = row
-                    .boundary
-                    .corners()
-                    .iter()
-                    .map(|c| c.dv)
-                    .fold(
-                        0.0f64,
-                        |acc, dv| if dv.abs() > acc.abs() { dv } else { acc },
-                    );
-                let alert = Alert {
+                self.fired.inc();
+                fired.push(Alert {
                     rule: state.rule.name.clone(),
                     metric: state.rule.metric.clone(),
                     kind: state.rule.kind,
@@ -456,10 +447,8 @@ impl AlertEngine {
                     t_c: row.t_c,
                     t_b: row.t_b,
                     t_a: row.t_a,
-                    dv,
-                };
-                self.fired.inc();
-                fired.push(alert);
+                    dv: row.peak_dv(),
+                });
             }
         }
         drop(states);
@@ -662,6 +651,59 @@ epsilon = 50.0
         assert!(seen > 0, "the zigzag fires");
         assert!(cursor >= seen, "gaps only lose alerts, never repeat them");
         assert!(engine.alerts_since(cursor).is_empty(), "drained");
+    }
+
+    /// A zigzag under a low threshold fires pair after pair, provisional
+    /// sightings and their committed forms among them, past 8,192 pairs:
+    /// still no `(t_d, t_b)` fires twice.
+    #[test]
+    fn a_long_zigzag_never_fires_a_pair_twice() {
+        let store = SeriesStore::new(4096);
+        let engine = AlertEngine::new(drop_rule(-5.0, 120.0, 0.1), 4);
+        let mut seen = std::collections::HashSet::new();
+        for i in 0..1500u64 {
+            store.push("m", i * 1000, if (i / 3) % 2 == 0 { 100.0 } else { 50.0 });
+            for a in engine.tick(&store, i * 1000) {
+                let pair = (a.t_d.to_bits(), a.t_b.to_bits());
+                assert!(seen.insert(pair), "fired twice: {a:?}");
+            }
+        }
+        assert!(seen.len() > 8192, "fired only {}", seen.len());
+    }
+
+    /// Plateaus at 97, then 100, then a steady fall: against the same open
+    /// tail the newer plateau's pair fires at 94, the older one's only at
+    /// 92. Each fires once, and neither again when the tail commits.
+    #[test]
+    fn an_older_pair_fires_when_the_tail_deepens() {
+        let store = SeriesStore::new(1024);
+        let engine = AlertEngine::new(drop_rule(-5.0, 120.0, 0.1), 64);
+        let mut fired = Vec::new();
+        for i in 0..70u64 {
+            let v = match i {
+                0..=20 => 97.0,
+                21..=40 => 100.0,
+                41..=52 => 140.0 - i as f64,
+                _ => 88.0,
+            };
+            store.push("m", i * 1000, v);
+            fired.extend(engine.tick(&store, i * 1000).into_iter().map(|a| (i, a)));
+        }
+        // The sample each plateau (by its end) fired at against the tail.
+        let at = |t_c: f64| -> Vec<u64> {
+            let pairs = fired.iter().filter(|(_, a)| (a.t_c, a.t_b) == (t_c, 40.0));
+            pairs.map(|&(i, _)| i).collect()
+        };
+        let (newer, older) = (at(40.0), at(20.0));
+        assert!(
+            newer.len() == 1 && older.len() == 1 && older > newer,
+            "{fired:?}"
+        );
+        let pairs: std::collections::HashSet<_> = fired
+            .iter()
+            .map(|(_, a)| [a.t_d, a.t_b].map(f64::to_bits))
+            .collect();
+        assert_eq!(pairs.len(), fired.len(), "a pair fired twice: {fired:?}");
     }
 
     #[test]

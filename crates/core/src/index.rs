@@ -193,8 +193,8 @@ impl SegDiffIndex {
         // way the cut is finished here, as the compaction would have.
         idx.cut_sealed_run()?;
         // Zone maps are derived data, like the B+trees: any sidecar that
-        // was missing or invalidated (e.g. by WAL-recovery truncation)
-        // is rebuilt here so sequential scans can prune immediately.
+        // was missing or invalidated (e.g. by WAL-recovery truncation, or
+        // written by an earlier release) is rebuilt here.
         idx.ensure_zone_maps()?;
         // Re-prime the extractor window and re-anchor the segmenter.
         let segments = idx.segments()?;
@@ -612,10 +612,12 @@ jump_hist {} {} {}
         Ok(())
     }
 
-    /// Rebuilds any missing feature-table zone map from the stored rows
-    /// (idempotent) — the inverse of [`SegDiffIndex::drop_zone_maps`].
+    /// Rebuilds any missing zone map — a feature table's, the inverse of
+    /// [`SegDiffIndex::drop_zone_maps`], or that of `segments` — from the
+    /// stored rows (idempotent).
     pub fn ensure_zone_maps(&self) -> Result<()> {
-        for t in self.drop_tables.iter().chain(self.jump_tables.iter()) {
+        let tables = self.drop_tables.iter().chain(&self.jump_tables);
+        for t in tables.chain([&self.segments_table]) {
             t.ensure_zones()?;
         }
         Ok(())
@@ -1410,6 +1412,53 @@ mod tests {
         for dir in &names {
             std::fs::remove_dir_all(dir).ok();
         }
+    }
+
+    /// Zone sidecars an earlier release wrote (version 2, "SDZH": page,
+    /// extent and whole-heap entries) are discarded on open and rebuilt
+    /// from the rows. These are well formed, of their heaps' counts, with
+    /// bounds no region reaches: loaded, they would empty every answer.
+    #[test]
+    fn version_2_zone_sidecars_are_rebuilt_on_open() {
+        let dir = tmpdir("v2-zones");
+        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+        idx.build_indexes().unwrap();
+        idx.ingest_series(&drop_series()).unwrap();
+        idx.finish().unwrap();
+        let answers = |idx: &SegDiffIndex| {
+            let regions = [QueryRegion::drop(HOUR, -3.0), QueryRegion::jump(HOUR, 0.5)];
+            let runs = regions
+                .iter()
+                .flat_map(|r| [(r, QueryPlan::SeqScan), (r, QueryPlan::Index)]);
+            let run = |(r, p)| {
+                [
+                    idx.query(r, p).unwrap().0,
+                    idx.query_stored_rows(r, p).unwrap().0,
+                ]
+            };
+            runs.flat_map(run).collect::<Vec<_>>()
+        };
+        let want = answers(&idx);
+        assert!(want.iter().all(|a| !a.is_empty()));
+        let names = [&DROP_TABLES[..], &JUMP_TABLES, &[SEGMENTS_TABLE]].concat();
+        for name in &names {
+            // Magic, columns, rows, then one page, 64 pages an extent, one
+            // extent and one whole-heap entry: three (mins, maxs) pairs.
+            let t = idx.db.table(name).unwrap();
+            let ncols = t.columns().len();
+            let mut v2 = [0x5344_5A48, ncols as u32].map(u32::to_le_bytes).concat();
+            v2.extend(t.num_rows().to_le_bytes());
+            v2.extend([1, 64 << 16, 1, 1].map(u32::to_le_bytes).concat());
+            v2.extend((0..6 * ncols).flat_map(|_| 1e300f64.to_le_bytes()));
+            std::fs::write(dir.join(format!("{name}.tbl.zones")), v2).unwrap();
+        }
+        drop(idx);
+        let idx = SegDiffIndex::open(&dir, 4096).unwrap();
+        for t in names.iter().map(|name| idx.db.table(name).unwrap()) {
+            assert!(t.has_zones() && !t.prune_whole_segment(|lo, _| lo[0] < 1e300));
+        }
+        assert!(answers(&idx) == want, "answers moved");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// A compaction keeps `segments` as it was, in temporal order, and

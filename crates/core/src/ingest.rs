@@ -22,6 +22,15 @@ pub struct FeatureRow {
     pub t_a: f64,
 }
 
+impl FeatureRow {
+    /// The boundary corner `Δv` of largest magnitude: roughly how big the
+    /// drop or jump was.
+    pub(crate) fn peak_dv(&self) -> f64 {
+        let dvs = self.boundary.corners().iter().map(|c| c.dv);
+        dvs.fold(0.0, |a, dv| if dv.abs() > a.abs() { dv } else { a })
+    }
+}
+
 /// The online feature extractor (Algorithm 1).
 ///
 /// Fed one data segment at a time (in temporal order, segments contiguous),

@@ -1,12 +1,11 @@
 //! A fixed-size fan-out worker pool for query execution.
 //!
 //! [`run_on_pool`] runs `n` independent tasks on at most `threads` OS
-//! threads and returns the results in task order. It is the shared
-//! execution primitive behind [`crate::TransectIndex::query_all`] and
-//! [`crate::refine::refine_results_with_threads`]: scoped threads pull
-//! task indices from a shared atomic dispenser (the same bounded-worker
-//! shape as the HTTP server's accept queue), so an uneven workload —
-//! one slow sensor, one dense result chunk — keeps every thread busy
+//! threads and returns the results in task order. It is the execution
+//! primitive behind [`crate::TransectIndex::query_all`]: scoped threads
+//! pull task indices from a shared atomic dispenser (the same
+//! bounded-worker shape as the HTTP server's accept queue), so an uneven
+//! workload — one slow sensor among many — keeps every thread busy
 //! instead of stalling a static partition.
 //!
 //! Tasks must be independent: the pool provides no ordering between

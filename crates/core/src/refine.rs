@@ -63,32 +63,6 @@ pub fn refine_results(
     out
 }
 
-/// Like [`refine_results`], but refines chunks of pairs in parallel on a
-/// fixed pool of at most `threads` worker threads
-/// ([`crate::pool::run_on_pool`]). Refinement of one pair is pure and
-/// independent, and chunk outputs are concatenated in submission order,
-/// so the result is identical to the sequential path for every thread
-/// count.
-pub fn refine_results_with_threads(
-    series: &TimeSeries,
-    results: &[SegmentPair],
-    region: &QueryRegion,
-    grid: usize,
-    threads: usize,
-) -> Vec<RefinedEvent> {
-    if threads <= 1 || results.len() <= 1 {
-        return refine_results(series, results, region, grid);
-    }
-    // Over-partition (4 chunks per worker) so one dense chunk cannot
-    // stall the pool behind a static split.
-    let chunk = results.len().div_ceil(threads * 4).max(1);
-    let chunks: Vec<&[SegmentPair]> = results.chunks(chunk).collect();
-    let outs = crate::pool::run_on_pool(threads, chunks.len(), |i| {
-        refine_results(series, chunks[i], region, grid)
-    });
-    outs.into_iter().flatten().collect()
-}
-
 /// Finds a `(t1, t2)` attaining (up to grid resolution) the extreme change.
 fn locate_event(
     series: &TimeSeries,

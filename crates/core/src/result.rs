@@ -58,65 +58,6 @@ pub(crate) fn canonical_order(a: &SegmentPair, b: &SegmentPair) -> std::cmp::Ord
         .then(a.t_a.total_cmp(&b.t_a))
 }
 
-/// Fewer pairs than this are sorted directly: the distribution pass has
-/// two allocations and three sweeps to pay for.
-const DISTRIBUTE_MIN: usize = 64;
-
-/// Sorts `results` into [`canonical_order`] by distribution on `t_d`:
-/// `n` equal-width buckets over `[min, max]`, a counting pass, a scatter
-/// that keeps arrival order, and the full four-field sort inside every
-/// bucket that received more than one pair. The bucket of a pair is a
-/// monotone function of its `t_d` (subtract, scale, truncate — each one
-/// monotone, and `-0.0` and `0.0` share a bucket), so bucket order plus
-/// order within buckets is the canonical order, whatever the input. A
-/// query's pairs spread over a month of `t_d` with a dozen ties apiece,
-/// so the in-bucket sorts are short and the whole is O(n); were they all
-/// to land in one bucket, that bucket's sort is the plain sort.
-///
-/// Returns `false`, `results` untouched, when there is nothing to
-/// distribute on: few pairs, one `t_d`, or a `t_d` that is not finite.
-fn distribute_on_t_d(results: &mut Vec<SegmentPair>) -> bool {
-    let n = results.len();
-    if n < DISTRIBUTE_MIN {
-        return false;
-    }
-    let (mut min, mut max, mut finite) = (f64::INFINITY, f64::NEG_INFINITY, true);
-    for p in results.iter() {
-        min = min.min(p.t_d);
-        max = max.max(p.t_d);
-        finite &= p.t_d.is_finite();
-    }
-    let spread = max - min;
-    if !(finite && spread > 0.0 && spread.is_finite()) {
-        return false;
-    }
-    let scale = (n - 1) as f64 / spread;
-    let bucket = |p: &SegmentPair| (((p.t_d - min) * scale) as usize).min(n - 1);
-    // `next[b]` starts as bucket b's first slot and ends as its end.
-    let mut next = vec![0usize; n + 1];
-    for p in results.iter() {
-        next[bucket(p) + 1] += 1;
-    }
-    for b in 1..n {
-        next[b] += next[b - 1];
-    }
-    let mut sorted = vec![results[0]; n];
-    for p in results.iter() {
-        let slot = &mut next[bucket(p)];
-        sorted[*slot] = *p;
-        *slot += 1;
-    }
-    let mut start = 0;
-    for &end in &next[..n] {
-        if end - start > 1 {
-            sorted[start..end].sort_by(canonical_order);
-        }
-        start = end;
-    }
-    *results = sorted;
-    true
-}
-
 /// Sorts by time — `t_d`, then `t_c`, `t_b`, `t_a`, each by
 /// `f64::total_cmp` — and removes duplicates in place. Input already in
 /// that order, as a compacted sensor's search generates it, is only
@@ -133,7 +74,7 @@ pub fn sort_dedup(results: &mut Vec<SegmentPair>) {
         std::cmp::Ordering::Equal => canonical_order(a, b).is_le(),
         first => first.is_lt(),
     });
-    if !sorted && !distribute_on_t_d(results) {
+    if !sorted {
         results.sort_by(canonical_order);
     }
     results.dedup_by_key(|p| p.key());
@@ -238,15 +179,9 @@ mod tests {
         assert_eq!(merged, vec![pair(9.0), pair(5.0)]);
     }
 
-    /// `sort_dedup` as it was before the distribution pass: the reference.
+    /// The plain sort and dedup, with no sorted-prefix check: the reference.
     fn sort_dedup_plain(results: &mut Vec<SegmentPair>) {
-        results.sort_by(|a, b| {
-            a.t_d
-                .total_cmp(&b.t_d)
-                .then(a.t_c.total_cmp(&b.t_c))
-                .then(a.t_b.total_cmp(&b.t_b))
-                .then(a.t_a.total_cmp(&b.t_a))
-        });
+        results.sort_by(canonical_order);
         results.dedup_by_key(|p| p.key());
     }
 
@@ -278,8 +213,8 @@ mod tests {
                 })
                 .collect()
         };
-        // Every length around the cutoff, and well past it.
-        let lens = (0..4).chain(DISTRIBUTE_MIN - 3..DISTRIBUTE_MIN + 4);
+        // Short, around 64, and long.
+        let lens = (0..4).chain(61..68);
         for n in lens.chain([200, 1200, 5000]) {
             let random = tied(n, 0.0, 2.6e6, 11);
             assert_same_as_plain(&random, "random");
@@ -304,7 +239,7 @@ mod tests {
             // early from the sort, not from the dedup pass.
             dups.sort_by(canonical_order);
             assert_same_as_plain(&dups, "sorted duplicates");
-            // One far outlier: every other pair lands in bucket 0.
+            // One far outlier.
             let mut skewed = tied(n, 0.0, 9e4, 11);
             if let Some(p) = skewed.first_mut() {
                 p.t_d = 1e18;
@@ -333,8 +268,8 @@ mod tests {
             let mut zeros = zeros;
             zeros.sort_by(canonical_order);
             assert_same_as_plain(&zeros, "sorted signed zeros");
-            // Nothing to distribute on: the spread overflows, or a `t_d`
-            // is not a number at all.
+            // A spread that overflows, or a `t_d` that is not a number
+            // at all.
             for odd in [
                 f64::MAX,
                 f64::INFINITY,

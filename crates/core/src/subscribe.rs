@@ -397,8 +397,7 @@ impl SubscriptionRegistry {
                 .index
                 .matches(&row.boundary, &mut inner.match_buf, &mut stats);
             let at = (row.t_b, row.t_d);
-            let dvs = row.boundary.corners().iter().map(|c| c.dv);
-            let dv = dvs.fold(0.0f64, |a, dv| if dv.abs() > a.abs() { dv } else { a });
+            let dv = row.peak_dv();
             let mut novel = false;
             for &slot in &inner.match_buf {
                 let slot = slot as usize;

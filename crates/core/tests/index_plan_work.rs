@@ -1,15 +1,15 @@
-//! The work of the paper's index plan over the stored rows
-//! (`query_stored_rows(.., Index)`): one range scan per B+tree, over the
-//! entries whose leading key is at most `T`, each reading the tree's run
-//! and then its write buffer's. Every entry either run visits is one row
-//! the plan considers, and every other row it considers is a boundary
-//! generated from the sealed run — so `btree.entries_scanned` moves by
-//! exactly `rows_considered − generated.boundaries`, which is the number
-//! of stored rows with a tree's leading column at most `T`, and the answer
-//! is the sequential scan's. Checked for both kinds on a store whose trees
-//! and write buffers both hold entries, and again after a compaction and
-//! rows appended behind it. Alone in its own test binary because the
-//! counter is process-wide.
+//! The work of the paper's plans over the stored rows
+//! (`query_stored_rows`), beyond the boundaries generated from the sealed
+//! run. The sequential scan reads every stored row of the kind unless a
+//! table's whole-heap zone summary rules the region out. The index plan
+//! runs one range scan per B+tree, over the entries whose leading key is
+//! at most `T`, reading the tree's run and then its write buffer's: so
+//! `btree.entries_scanned` moves by exactly `rows_considered −
+//! generated.boundaries`, the stored rows with a tree's leading column at
+//! most `T`, and the answer is the scan's. Checked for both kinds with
+//! trees and write buffers both holding entries, and again after a
+//! compaction and appends. Alone in its own test binary because the
+//! counters are process-wide.
 
 #![allow(
     clippy::unwrap_used,
@@ -43,15 +43,19 @@ fn entries_held(idx: &SegDiffIndex) -> (u64, u64) {
     (applied, buffered)
 }
 
+/// The kind's three tables.
+fn tables(kind: SearchKind) -> &'static [&'static str] {
+    match kind {
+        SearchKind::Drop => &TABLES[..3],
+        SearchKind::Jump => &TABLES[3..],
+    }
+}
+
 /// Entries the kind's trees hold with a leading key at most `t`, counted
 /// off the stored rows.
 fn entries_up_to(idx: &SegDiffIndex, kind: SearchKind, t: f64) -> u64 {
-    let tables = match kind {
-        SearchKind::Drop => &TABLES[..3],
-        SearchKind::Jump => &TABLES[3..],
-    };
     let mut n = 0;
-    for (k, table) in tables.iter().enumerate() {
+    for (k, table) in tables(kind).iter().enumerate() {
         let table = idx.database().table(table).unwrap();
         let leads: Vec<usize> = TREES
             .iter()
@@ -68,18 +72,38 @@ fn entries_up_to(idx: &SegDiffIndex, kind: SearchKind, t: f64) -> u64 {
     n
 }
 
-/// Runs the index plan over the stored rows for each kind and asserts its
-/// tree work and its answer.
+/// Rows the kind's three tables store.
+fn stored(idx: &SegDiffIndex, kind: SearchKind) -> u64 {
+    let rows = |t: &&str| idx.database().table(t).unwrap().num_rows();
+    tables(kind).iter().map(rows).sum()
+}
+
+/// Runs both plans over the stored rows for each kind and asserts their
+/// work and their answers.
 fn check(idx: &SegDiffIndex, when: &str) {
-    // Without zone maps no table is skipped whole, so every range is read.
-    idx.drop_zone_maps().unwrap();
-    let scanned = || obs::global().counter("btree.entries_scanned").get();
     let regions = [
         QueryRegion::drop(1.0 * HOUR, -3.0),
         QueryRegion::drop(4.0 * HOUR, -1.0),
         QueryRegion::jump(2.0 * HOUR, 2.0),
         QueryRegion::jump(8.0 * HOUR, 0.5),
     ];
+    let counter = |name: &str| obs::global().counter(name).get();
+    // Every zone summary admits the regions above, and every one rules
+    // out a drop deeper than any in the series: no page skipped, or all.
+    let nowhere = QueryRegion::drop(1.0 * HOUR, -50.0);
+    for region in regions.iter().chain([&nowhere]) {
+        let pruned = counter("zonemap.pages_pruned");
+        let (got, stats) = idx.query_stored_rows(region, QueryPlan::SeqScan).unwrap();
+        let skipped = counter("zonemap.pages_pruned") > pruned;
+        assert_eq!(skipped, region == &nowhere, "{when}: {region:?}");
+        let read = stats.rows_considered - stats.generated.boundaries;
+        let want = if skipped { 0 } else { stored(idx, region.kind) };
+        assert_eq!(read, want, "{when}: rows the scan read on {region:?}");
+        assert!(!skipped || got.is_empty(), "{when}");
+    }
+    // Without zone maps no table is skipped whole, so every range is read.
+    idx.drop_zone_maps().unwrap();
+    let scanned = || counter("btree.entries_scanned");
     for region in &regions {
         let (want, _) = idx.query_stored_rows(region, QueryPlan::SeqScan).unwrap();
         let before = scanned();
@@ -93,6 +117,7 @@ fn check(idx: &SegDiffIndex, when: &str) {
         assert!(got == want, "{when}: index plan != scan on {region:?}");
         assert!(!got.is_empty(), "{when}: {region:?} answered nothing");
     }
+    idx.ensure_zone_maps().unwrap();
 }
 
 #[test]

@@ -99,7 +99,7 @@ pub const METRICS: &[MetricDef] = &[
     // Zone maps (pagestore::heap + zonemap).
     MetricDef::counter(
         "zonemap.pages_pruned",
-        "Heap pages skipped by zone-map pruning during sequential scans",
+        "Heap pages skipped unread because the heap's whole-heap zone summary failed the filter",
     ),
     MetricDef::counter(
         "zonemap.builds",
@@ -107,7 +107,7 @@ pub const METRICS: &[MetricDef] = &[
     ),
     MetricDef::counter(
         "zonemap.extents_pruned",
-        "Zone-map extents (64-page groups, plus whole-segment rejections counted as their extents) skipped without touching per-page entries",
+        "Heaps (or row ranges of one) skipped whole because their zone summary failed the filter: one per skip",
     ),
     // Compressed columnar pages (pagestore::colpage).
     MetricDef::counter(

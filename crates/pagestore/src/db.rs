@@ -437,7 +437,7 @@ impl Database {
     /// 1. checkpoint, so no WAL image of the old pages can replay onto
     ///    the new file;
     /// 2. write the rows into `<name>.tbl.tmp` *outside* the buffer pool,
-    ///    building the new hierarchical zone map along the way;
+    ///    building the new zone map along the way;
     /// 3. delete the derived files, durably — the indexes (a missing or
     ///    torn `.idx`, or one that holds more rows than lie behind the
     ///    sealed ones, is rebuilt by [`Database::open`] from the heap) and
@@ -1362,9 +1362,8 @@ mod tests {
         rows
     }
 
-    /// Every `(mins, maxs)` entry of the zone hierarchy, as a scan that
-    /// prunes nothing is shown them: segment, then each extent ahead of
-    /// its pages.
+    /// The whole-heap `(mins, maxs)` zone summary, as a scan that prunes
+    /// nothing is shown it.
     fn zone_entries(t: &Table) -> Vec<(Vec<f64>, Vec<f64>)> {
         let mut entries = Vec::new();
         t.scan_pages(
@@ -1404,7 +1403,7 @@ mod tests {
         let mut want = row_bits(&t);
         db.seal_table("ev").unwrap();
         check_rewritten(&t, KEYED_ROWS, &want);
-        assert!(zone_entries(&t).len() > 64 + 2, "more than an extent");
+        assert_eq!(zone_entries(&t).len(), 1, "one whole-heap summary");
         // With no row behind the sealed ones there is nothing to seal: no
         // file is written.
         db.flush().unwrap();

@@ -91,22 +91,20 @@ pub struct HeapFile {
     /// and, last, how many they are: sealed page `p` holds rows
     /// `sealed_bounds[p - 1]..sealed_bounds[p]`. `[0]` when none is sealed.
     sealed_bounds: Vec<u64>,
-    /// Hierarchical min/max column summaries, when available. Maintained
+    /// The whole-heap min/max column summary, when available. Maintained
     /// incrementally on insert; `None` after opening a heap whose sidecar
     /// was missing or stale (rebuild with [`HeapFile::rebuild_zones`]).
     zones: Option<ZoneMap>,
 }
 
-/// Page-skip accounting returned by the zone-pruned scans.
+/// Page-skip accounting returned by the page scans.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ZoneScanStats {
     /// Data pages whose rows were decoded and visited.
     pub pages_scanned: u64,
-    /// Data pages skipped because a zone summary failed the filter.
+    /// Data pages skipped because the whole-heap summary failed the
+    /// filter.
     pub pages_pruned: u64,
-    /// Whole extents (and the segment entry, counted as its extents)
-    /// rejected without touching their per-page entries.
-    pub extents_pruned: u64,
 }
 
 /// Compression accounting for one heap (see
@@ -331,8 +329,7 @@ impl HeapFile {
                     builder.clear();
                     assert!(builder.try_push(row), "a row must fit an empty page");
                 }
-                // The row lands on the page the file grows by next.
-                zones.observe(out.num_pages(), row);
+                zones.observe(row);
             }
             if !builder.is_empty() {
                 seal(&builder)?;
@@ -346,7 +343,7 @@ impl HeapFile {
                     for (c, &v) in row.iter().enumerate() {
                         page::put_f64(b, PAGE_HDR + (slot * ncols + c) * 8, v);
                     }
-                    zones.observe(out.num_pages(), row);
+                    zones.observe(row);
                 }
                 write(&page)?;
             }
@@ -508,7 +505,7 @@ impl HeapFile {
         })?;
         self.nrows += 1;
         if let Some(z) = &mut self.zones {
-            z.observe(pid, row);
+            z.observe(row);
         }
         Ok(rid(pid, slot as u16))
     }
@@ -595,8 +592,8 @@ impl HeapFile {
         }
         obs::global().counter("zonemap.builds").inc();
         let mut z = ZoneMap::new(self.ncols);
-        self.scan(0, |rid, row| {
-            z.observe(rid_parts(rid).0, row);
+        self.scan(0, |_, row| {
+            z.observe(row);
             true
         })?;
         self.zones = Some(z);
@@ -619,119 +616,61 @@ impl HeapFile {
         Ok(self.pool.vfs().remove_file(&sidecar)?)
     }
 
-    /// Top-down hierarchical pruning of data pages `pages`: applies
-    /// `filter` to the segment entry, then to each surviving extent entry,
-    /// then to the page entries of surviving extents. Returns the pages to
-    /// visit (in order) and the skip accounting. Pages without zone
-    /// coverage are always visited.
-    fn live_pages(
-        &self,
-        filter: &mut impl FnMut(&[f64], &[f64]) -> bool,
-        pages: Range<u32>,
-        stats: &mut ZoneScanStats,
-    ) -> Vec<u32> {
-        let Some(z) = &self.zones else {
-            return pages.collect();
+    /// Whether the whole-heap summary rejects every stored row under
+    /// `filter`: `false` when no zone map is maintained, the heap is
+    /// empty, the map does not cover every stored row (skipping would
+    /// then be lossy) or the summary passes.
+    fn summary_rejects(&self, filter: &mut impl FnMut(&[f64], &[f64]) -> bool) -> bool {
+        let Some(z) = self.zones.as_ref().filter(|z| z.num_rows() == self.nrows) else {
+            return false;
         };
-        // Pages before `covered.end` carry zone entries; later ones (rows
-        // landed after the map was dropped) do not.
-        let covered = pages.start..(z.pages() + 1).clamp(pages.start, pages.end);
-        let mut live = Vec::new();
-        if !covered.is_empty() {
-            let extents = ZoneMap::extent_of(covered.start)..=ZoneMap::extent_of(covered.end - 1);
-            if !z
-                .segment_bounds()
-                .is_none_or(|(mins, maxs)| filter(mins, maxs))
-            {
-                stats.extents_pruned += extents.count() as u64;
-                stats.pages_pruned += covered.len() as u64;
-            } else {
-                for ext in extents {
-                    let in_ext = ZoneMap::extent_pages(ext);
-                    let (lo, hi) = (in_ext.start.max(covered.start), in_ext.end.min(covered.end));
-                    if let Some((mins, maxs)) = z.extent_bounds(ext) {
-                        if !filter(mins, maxs) {
-                            stats.extents_pruned += 1;
-                            stats.pages_pruned += (hi - lo) as u64;
-                            continue;
-                        }
-                    }
-                    for pid in lo..hi {
-                        match z.page_bounds(pid) {
-                            Some((mins, maxs)) if !filter(mins, maxs) => stats.pages_pruned += 1,
-                            _ => live.push(pid),
-                        }
-                    }
-                }
-            }
-        }
-        live.extend(covered.end..pages.end);
-        live
+        z.segment_bounds()
+            .is_some_and(|(mins, maxs)| !filter(mins, maxs))
     }
 
-    /// Segment-level pre-probe pruning for non-scan plans: applies
-    /// `filter` (the same conservative may-match predicate the scan
-    /// paths use) to the whole-heap zone entry alone and reports whether
-    /// the heap as a whole can be skipped. A rejection counts every
-    /// covered extent and page into the `zonemap.*` pruning counters,
-    /// exactly as a scan-time segment rejection would.
+    /// Whole-heap pre-probe pruning for non-scan plans: applies `filter`
+    /// (the same conservative may-match predicate the scan paths use) to
+    /// the whole-heap zone summary alone and reports whether the heap as
+    /// a whole can be skipped. A rejection counts every data page into
+    /// `zonemap.pages_pruned` and one heap into `zonemap.extents_pruned`,
+    /// as a scan's rejection does.
     ///
     /// Returns `false` — no pruning — when no zone map is maintained,
-    /// the heap is empty, or the map does not cover every stored row
-    /// (skipping would then be lossy).
+    /// the heap is empty, or the map does not cover every stored row.
     pub fn prune_whole_segment(&self, mut filter: impl FnMut(&[f64], &[f64]) -> bool) -> bool {
-        let Some(z) = &self.zones else {
-            return false;
-        };
-        if z.num_rows() != self.nrows {
+        if !self.summary_rejects(&mut filter) {
             return false;
         }
-        let Some((mins, maxs)) = z.segment_bounds() else {
-            return false;
-        };
-        if filter(mins, maxs) {
-            return false;
-        }
-        let stats = ZoneScanStats {
-            pages_scanned: 0,
-            pages_pruned: z.pages() as u64,
-            extents_pruned: z.extents() as u64,
-        };
-        Self::flush_zone_counters(&stats);
+        Self::count_skip(self.position(self.nrows - 1).0 as u64);
         true
     }
 
-    fn flush_zone_counters(stats: &ZoneScanStats) {
-        if stats.pages_pruned > 0 {
-            obs::global()
-                .counter("zonemap.pages_pruned")
-                .add(stats.pages_pruned);
-        }
-        if stats.extents_pruned > 0 {
-            obs::global()
-                .counter("zonemap.extents_pruned")
-                .add(stats.extents_pruned);
-        }
+    /// Counts one skip of a heap, or of a row range of one: its `pages`
+    /// into `zonemap.pages_pruned`, and one into `zonemap.extents_pruned`.
+    fn count_skip(pages: u64) {
+        let registry = obs::global();
+        registry.counter("zonemap.pages_pruned").add(pages);
+        registry.counter("zonemap.extents_pruned").inc();
     }
 
     /// The one page walk under every scan: visits the data pages that
-    /// hold the rows `rows` (clamped to the heap's), skipping zones that
-    /// fail `filter` (applied top-down: segment, then extent, then page
-    /// summaries; pages without zone coverage are always visited). The
-    /// visitor is handed each surviving page undecoded, as a
-    /// [`ScanPage`] of the range's rows on it: it asks for the columns it
-    /// needs, and may ask again once those have told it whether the rest
-    /// is worth reading. Compressed columnar pages decode the asked
+    /// hold the rows `rows` (clamped to the heap's), all of them unless
+    /// the whole-heap zone summary covers every stored row and fails
+    /// `filter`, in which case it visits none. The visitor is handed
+    /// each page undecoded, as a [`ScanPage`] of the range's rows on it:
+    /// it asks for the columns it needs, and may ask again once those
+    /// have told it whether the rest is worth reading. Compressed columnar pages decode the asked
     /// columns straight into the visitor's buffers with no row-at-a-time
     /// materialization; raw pages are transposed. Returning `Ok(false)`
     /// stops the scan, an error aborts it. `..sealed_rows` reads the
     /// sealed rows alone — with a B+tree scan of the rows behind them,
     /// every row once — and `sealed_rows..` the rows the trees index.
     ///
-    /// Skipped pages are counted into `zonemap.pages_pruned` /
-    /// `zonemap.extents_pruned` and the returned [`ZoneScanStats`]. The
-    /// filter must be *conservative* — return `true` whenever any row in
-    /// the bounds could match — for pruning to be lossless.
+    /// A skipped range counts its pages into `zonemap.pages_pruned` and
+    /// the returned [`ZoneScanStats`], and one heap into
+    /// `zonemap.extents_pruned`. The filter must be *conservative* —
+    /// return `true` whenever any row in the bounds could match — for
+    /// pruning to be lossless.
     pub fn scan_pages(
         &self,
         rows: impl RangeBounds<u64>,
@@ -754,20 +693,21 @@ impl HeapFile {
             return Ok(stats);
         }
         let pages = self.position(start).0..self.position(end - 1).0 + 1;
-        let live = self.live_pages(&mut filter, pages, &mut stats);
-        // Allocated for the first page read: a scan that prunes every page
-        // costs no more than its zone tests.
-        let mut buf = None;
+        if self.summary_rejects(&mut filter) {
+            stats.pages_pruned = pages.len() as u64;
+            Self::count_skip(stats.pages_pruned);
+            return Ok(stats);
+        }
+        let mut buf = PageBuf::zeroed();
         let mut decoded = 0;
         let mut outcome = Ok(true);
-        for pid in live {
+        for pid in pages {
             stats.pages_scanned += 1;
-            let buf = buf.get_or_insert_with(PageBuf::zeroed);
-            let on_page = self.read_page(pid, buf)?;
+            let on_page = self.read_page(pid, &mut buf)?;
             let slot = |k: u64| (k.clamp(on_page.start, on_page.end) - on_page.start) as usize;
             let page = ScanPage {
                 heap: self,
-                buf,
+                buf: &buf,
                 pid,
                 slots: slot(start)..slot(end),
                 decoded: std::cell::Cell::new(0),
@@ -779,7 +719,6 @@ impl HeapFile {
             }
         }
         Self::flush_decoded(decoded);
-        Self::flush_zone_counters(&stats);
         outcome.map(|_| stats)
     }
 
@@ -1272,7 +1211,7 @@ mod tests {
         for sealed in layouts(rows.len()) {
             let (_pool, h, p, _) = heap_of(&format!("scanproj-{sealed}"), 5, &rows, sealed);
             // The reference: every page whole, through `scan_columns`,
-            // under a filter that prunes some pages.
+            // under a filter the whole-heap summary passes.
             let filter = |_: &[f64], maxs: &[f64]| maxs[2] >= 700.0;
             let mut full: Vec<Vec<Vec<u64>>> = Vec::new();
             let mut bufs = Vec::new();
@@ -1283,7 +1222,7 @@ mod tests {
                     true
                 })
                 .unwrap();
-            assert!(want.pages_pruned > 0 && full.len() > 3, "{sealed}");
+            assert!(want.pages_pruned == 0 && full.len() > 3, "{sealed}");
             // Two projections of each page, the second one only on every
             // other page, into buffers that still hold the last page.
             let (mut lead, mut rest) = (vec![Vec::new(); 2], vec![Vec::new(); 3]);
@@ -1361,29 +1300,33 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_pruning_skips_extents() {
-        let (_pool, mut h, p) = setup("extents", 1);
-        // 511 rows per page at 1 column; fill > 2 extents (129 pages).
+    fn the_whole_heap_summary_prunes_all_pages_or_none() {
+        let (_pool, mut h, p) = setup("summary", 1);
+        // 511 rows per page at 1 column: 130 pages.
         let rows = 511 * 130;
         for i in 0..rows {
             h.insert(&[i as f64]).unwrap();
         }
-        // A filter matching only the very first page's range: everything
-        // else must be pruned, and all but extent 0 at the extent level.
+        let pages_before = obs::global().counter("zonemap.pages_pruned").get();
+        let heaps_before = obs::global().counter("zonemap.extents_pruned").get();
+        // A filter matching only the very first page's range: the summary
+        // admits it, so every page is read.
         let stats = h
             .scan_pages(.., |mins, _maxs| mins[0] < 511.0, |_| Ok(true))
             .unwrap();
-        assert_eq!(stats.pages_scanned, 1);
-        assert!(stats.extents_pruned >= 2, "stats: {stats:?}");
-        assert_eq!(
-            stats.pages_scanned + stats.pages_pruned,
-            130,
-            "stats: {stats:?}"
-        );
-        // A filter matching nothing prunes at the segment level.
+        assert_eq!((stats.pages_scanned, stats.pages_pruned), (130, 0));
+        // A filter matching nothing skips every page of the range.
         let stats = h.scan_pages(.., |_m, _x| false, |_| Ok(true)).unwrap();
-        assert_eq!(stats.pages_scanned, 0);
-        assert_eq!(stats.extents_pruned, 3, "three extents under the segment");
+        assert_eq!((stats.pages_scanned, stats.pages_pruned), (0, 130));
+        let stats = h
+            .scan_pages(511 * 10..511 * 12, |_m, _x| false, |_| Ok(true))
+            .unwrap();
+        assert_eq!((stats.pages_scanned, stats.pages_pruned), (0, 2));
+        // The counters are process-global (other tests may bump them too),
+        // so only a lower bound is exact here.
+        let pages = obs::global().counter("zonemap.pages_pruned").get() - pages_before;
+        let heaps = obs::global().counter("zonemap.extents_pruned").get() - heaps_before;
+        assert!(pages >= 132 && heaps >= 2, "pages {pages}, heaps {heaps}");
         std::fs::remove_file(&p).ok();
     }
 
@@ -1393,20 +1336,28 @@ mod tests {
         for i in 0..511 * 70 {
             h.insert(&[i as f64]).unwrap();
         }
-        let before = obs::global().counter("zonemap.extents_pruned").get();
+        let before = obs::global().counter("zonemap.pages_pruned").get();
         // The stored range is [0, 511*70): a filter demanding values
         // below -1 rejects the whole segment; one overlapping the range
         // must not prune.
         assert!(h.prune_whole_segment(|_m, maxs| maxs[0] < -1.0));
         assert!(!h.prune_whole_segment(|mins, _x| mins[0] < 1.0));
         // The counter is process-global (other tests may bump it too),
-        // so only a lower bound is exact here: 70 pages = 2 extents.
-        let after = obs::global().counter("zonemap.extents_pruned").get();
-        assert!(after - before >= 2, "before {before}, after {after}");
+        // so only a lower bound is exact here: all 70 pages.
+        let after = obs::global().counter("zonemap.pages_pruned").get();
+        assert!(after - before >= 70, "before {before}, after {after}");
         h.drop_zones().unwrap();
         assert!(
             !h.prune_whole_segment(|_m, _x| false),
             "no zone map, no pruning"
+        );
+        assert_eq!(
+            h.scan_pages(.., |_m, _x| false, |_| Ok(true)).unwrap(),
+            ZoneScanStats {
+                pages_scanned: 70,
+                pages_pruned: 0
+            },
+            "no zone map, every page read"
         );
         std::fs::remove_file(&p).ok();
     }

@@ -405,8 +405,8 @@ impl Table {
         self.heap.read().fetch_many_cols(rids, cols, visit)
     }
 
-    /// Page-at-a-time scan of the rows `rows` with zone-map pruning, the
-    /// visitor choosing which columns of each surviving page to decode,
+    /// Page-at-a-time scan of the rows `rows`, skipped whole when the
+    /// table's zone summary fails `filter`, the visitor choosing which columns of each surviving page to decode,
     /// and when; see [`HeapFile::scan_pages`].
     pub fn scan_pages(
         &self,
@@ -881,7 +881,17 @@ mod tests {
                 },
             )
             .unwrap();
-        assert!(stats.pages_pruned > 0, "selective scan must prune");
+        // The whole-table summary admits the region: every page is read.
+        assert_eq!(stats.pages_pruned, 0);
+        assert!(stats.pages_scanned > 1);
+        // A region below every row: the summary skips every page.
+        let skipped = table
+            .scan_columns(|mins, _maxs| mins[0] <= -1.0, &mut cols, |_, _| true)
+            .unwrap();
+        assert_eq!(
+            (skipped.pages_scanned, skipped.pages_pruned),
+            (0, stats.pages_scanned)
+        );
         // Ground truth from the unpruned row scan.
         let mut expect = 0;
         table

@@ -1,26 +1,13 @@
-//! Hierarchical zone maps: page / extent / segment min-max summaries.
+//! Zone maps: one whole-heap min/max summary per heap.
 //!
-//! A zone map holds, for every data page of a heap, the minimum and
-//! maximum of each column over the rows stored on that page. A sequential
-//! scan with a *conservative* predicate (one that returns `true` whenever
-//! any row in the summarized range could match) may then skip whole pages
-//! without reading them — MacroBase-style pruning adapted to the feature
-//! tables' corner columns.
-//!
-//! The summaries are stacked three levels deep in the same sidecar:
-//!
-//! * **page** — one entry per data page, as before;
-//! * **extent** — one entry per [`EXTENT_PAGES`] consecutive data pages,
-//!   so a selective scan over a large heap rejects 64 pages with one
-//!   comparison and never touches their page entries;
-//! * **segment** — a single whole-heap entry, letting a query plan skip
-//!   an entire table (or answer a coarse "did anything in this heap ever
-//!   reach the region?" probe) without walking the extent level.
-//!
-//! Every level is maintained by the same [`ZoneMap::observe`] fold, so the
-//! hierarchy is consistent by construction: an upper entry always envelops
-//! the entries below it, and pruning with the same predicate at every
-//! level is lossless.
+//! A zone map holds the minimum and maximum of each column over every row
+//! a heap stores. A plan with a *conservative* predicate (one that returns
+//! `true` whenever any row in the summarized range could match) may then
+//! skip the whole heap without reading a page of it — MacroBase-style
+//! pruning adapted to the feature tables' corner columns. The search
+//! generator asks it of `segments` before reading a segment
+//! ([`crate::HeapFile::prune_whole_segment`]); the paper's sequential scan
+//! reads every page of a heap the summary admits.
 //!
 //! Zone maps are derived data, like the B+trees: they are persisted to a
 //! `<heap>.zones` sidecar (atomic temp + rename) keyed by the heap's row
@@ -37,30 +24,21 @@ use crate::vfs::{write_atomic, Vfs};
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 
-/// Version-2 magic ("SDZH" — zone hierarchy). Version-1 flat sidecars
+/// Version-3 magic ("SDZS" — zone summary). Earlier sidecars (version 1,
+/// "SDZM"; version 2, "SDZH", which held page and extent entries too)
 /// fail this check and are discarded/rebuilt on first open.
-const MAGIC: u32 = 0x5344_5A48;
+const MAGIC: u32 = 0x5344_5A53;
 
-/// Data pages summarized by one extent entry.
-pub const EXTENT_PAGES: u32 = 64;
+/// Sidecar header: magic, column count, row count.
+const HEADER: usize = 16;
 
-/// Hierarchical min/max summaries of every column of a heap file.
-///
-/// Data pages start at 1 (page 0 is the heap meta page); page `p` maps to
-/// page entry `p - 1` and extent entry `(p - 1) / EXTENT_PAGES`. Entries
-/// are stored page-major: `mins[(p-1)*ncols + c]` is the minimum of
-/// column `c` on page `p`.
+/// The whole-heap min/max summary of every column of a heap file.
 #[derive(Debug, Clone)]
 pub struct ZoneMap {
-    ncols: usize,
     /// Rows observed; must equal the heap's row count to be valid.
     nrows: u64,
     mins: Vec<f64>,
     maxs: Vec<f64>,
-    ext_mins: Vec<f64>,
-    ext_maxs: Vec<f64>,
-    seg_mins: Vec<f64>,
-    seg_maxs: Vec<f64>,
 }
 
 impl ZoneMap {
@@ -68,25 +46,10 @@ impl ZoneMap {
     pub fn new(ncols: usize) -> Self {
         assert!(ncols > 0, "zone map needs at least one column");
         Self {
-            ncols,
             nrows: 0,
-            mins: Vec::new(),
-            maxs: Vec::new(),
-            ext_mins: Vec::new(),
-            ext_maxs: Vec::new(),
-            seg_mins: Vec::new(),
-            seg_maxs: Vec::new(),
+            mins: vec![f64::INFINITY; ncols],
+            maxs: vec![f64::NEG_INFINITY; ncols],
         }
-    }
-
-    /// Number of data pages covered.
-    pub fn pages(&self) -> u32 {
-        (self.mins.len() / self.ncols) as u32
-    }
-
-    /// Number of extent entries covering those pages.
-    pub fn extents(&self) -> u32 {
-        (self.ext_mins.len() / self.ncols) as u32
     }
 
     /// Rows observed so far.
@@ -94,93 +57,23 @@ impl ZoneMap {
         self.nrows
     }
 
-    /// The extent entry index covering data page `page`.
-    pub fn extent_of(page: u32) -> u32 {
-        debug_assert!(page > 0, "data pages start at 1");
-        (page - 1) / EXTENT_PAGES
-    }
-
-    /// The data pages covered by extent entry `ext` (intersect with the
-    /// heap's actual page range before use).
-    pub fn extent_pages(ext: u32) -> std::ops::Range<u32> {
-        1 + ext * EXTENT_PAGES..1 + (ext + 1) * EXTENT_PAGES
-    }
-
-    /// Folds one row stored on data page `page` into all three levels.
+    /// Folds one row into the summary.
     ///
     /// # Panics
     ///
-    /// Panics if `page == 0` (the meta page holds no rows) or the row
-    /// arity differs from the map's.
-    pub fn observe(&mut self, page: u32, row: &[f64]) {
-        assert!(page > 0, "data pages start at 1");
-        assert_eq!(row.len(), self.ncols, "row arity mismatch");
-        let want = page as usize * self.ncols;
-        if self.mins.len() < want {
-            self.mins.resize(want, f64::INFINITY);
-            self.maxs.resize(want, f64::NEG_INFINITY);
-        }
-        let ext = Self::extent_of(page);
-        let ext_want = (ext as usize + 1) * self.ncols;
-        if self.ext_mins.len() < ext_want {
-            self.ext_mins.resize(ext_want, f64::INFINITY);
-            self.ext_maxs.resize(ext_want, f64::NEG_INFINITY);
-        }
-        if self.seg_mins.is_empty() {
-            self.seg_mins.resize(self.ncols, f64::INFINITY);
-            self.seg_maxs.resize(self.ncols, f64::NEG_INFINITY);
-        }
-        let base = (page as usize - 1) * self.ncols;
-        let ebase = ext as usize * self.ncols;
-        for (c, &v) in row.iter().enumerate() {
-            let m = &mut self.mins[base + c];
-            *m = m.min(v);
-            let m = &mut self.maxs[base + c];
-            *m = m.max(v);
-            let m = &mut self.ext_mins[ebase + c];
-            *m = m.min(v);
-            let m = &mut self.ext_maxs[ebase + c];
-            *m = m.max(v);
-            let m = &mut self.seg_mins[c];
-            *m = m.min(v);
-            let m = &mut self.seg_maxs[c];
-            *m = m.max(v);
+    /// Panics if the row arity differs from the map's.
+    pub fn observe(&mut self, row: &[f64]) {
+        assert_eq!(row.len(), self.mins.len(), "row arity mismatch");
+        for ((lo, hi), &v) in self.mins.iter_mut().zip(&mut self.maxs).zip(row) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
         }
         self.nrows += 1;
     }
 
-    /// The `(mins, maxs)` column summaries of data page `page`, or `None`
-    /// when the page is not covered (no rows observed there).
-    pub fn page_bounds(&self, page: u32) -> Option<(&[f64], &[f64])> {
-        if page == 0 || page > self.pages() {
-            return None;
-        }
-        let base = (page as usize - 1) * self.ncols;
-        Some((
-            &self.mins[base..base + self.ncols],
-            &self.maxs[base..base + self.ncols],
-        ))
-    }
-
-    /// The `(mins, maxs)` summaries of extent entry `ext`, or `None` when
-    /// no observed page falls in that extent.
-    pub fn extent_bounds(&self, ext: u32) -> Option<(&[f64], &[f64])> {
-        if ext >= self.extents() {
-            return None;
-        }
-        let base = ext as usize * self.ncols;
-        Some((
-            &self.ext_mins[base..base + self.ncols],
-            &self.ext_maxs[base..base + self.ncols],
-        ))
-    }
-
     /// The whole-heap `(mins, maxs)` summary, or `None` for an empty map.
     pub fn segment_bounds(&self) -> Option<(&[f64], &[f64])> {
-        if self.seg_mins.is_empty() {
-            return None;
-        }
-        Some((&self.seg_mins[..], &self.seg_maxs[..]))
+        (self.nrows > 0).then_some((&self.mins[..], &self.maxs[..]))
     }
 
     /// The sidecar path for a heap stored at `heap_path`.
@@ -190,33 +83,16 @@ impl ZoneMap {
         PathBuf::from(os)
     }
 
-    /// Serializes the map (little-endian, fixed layout).
+    /// Serializes the map (little-endian, fixed layout): the header, then
+    /// the column minimums, then the maximums.
     fn to_bytes(&self) -> Vec<u8> {
-        let npages = self.pages();
-        let next = self.extents();
-        let seg = if self.seg_mins.is_empty() { 0u32 } else { 1 };
-        let mut out = Vec::with_capacity(
-            32 + (self.mins.len() + self.ext_mins.len() + self.seg_mins.len()) * 16,
-        );
+        let mut out = Vec::with_capacity(HEADER + self.mins.len() * 16);
         out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.extend_from_slice(&(self.ncols as u32).to_le_bytes());
+        out.extend_from_slice(&(self.mins.len() as u32).to_le_bytes());
         out.extend_from_slice(&self.nrows.to_le_bytes());
-        out.extend_from_slice(&npages.to_le_bytes());
-        out.extend_from_slice(&[0; 2]); // reserved (once a page-format stamp)
-        out.extend_from_slice(&(EXTENT_PAGES as u16).to_le_bytes());
-        out.extend_from_slice(&next.to_le_bytes());
-        out.extend_from_slice(&seg.to_le_bytes());
-        let mut dump = |vals: &[f64]| {
-            for v in vals {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-        };
-        dump(&self.mins);
-        dump(&self.maxs);
-        dump(&self.ext_mins);
-        dump(&self.ext_maxs);
-        dump(&self.seg_mins);
-        dump(&self.seg_maxs);
+        for v in self.mins.iter().chain(&self.maxs) {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
         out
     }
 
@@ -237,7 +113,7 @@ impl ZoneMap {
             Err(e) if e.kind() == ErrorKind::NotFound => return Ok(None),
             read => read?,
         };
-        let map = Self::from_bytes(&bytes).filter(|m| m.ncols == ncols && m.nrows == nrows);
+        let map = Self::from_bytes(&bytes).filter(|m| m.mins.len() == ncols && m.nrows == nrows);
         if map.is_none() {
             vfs.remove_file(&path)?;
         }
@@ -246,33 +122,22 @@ impl ZoneMap {
 
     /// The map `b` serializes, if it is a well-formed one.
     fn from_bytes(b: &[u8]) -> Option<ZoneMap> {
-        let word = |at: usize| u32::from_le_bytes(arr(b, at)) as usize;
-        if b.len() < 32 || word(0) != MAGIC as usize {
+        if b.len() < HEADER || u32::from_le_bytes(arr(b, 0)) != MAGIC {
             return None;
         }
-        let (ncols, npages, next, seg) = (word(4), word(16), word(24), word(28));
-        let ext_pages = u16::from_le_bytes(arr(b, 22)) as u32;
-        let expected_ext = (npages as u32).div_ceil(EXTENT_PAGES) as usize;
-        if ncols == 0 || ext_pages != EXTENT_PAGES || next != expected_ext || seg > 1 {
+        let ncols = u32::from_le_bytes(arr(b, 4)) as usize;
+        if ncols == 0 || b.len() as u128 != HEADER as u128 + ncols as u128 * 16 {
             return None;
         }
-        let entries = (npages + next + seg).checked_mul(ncols)?;
-        if b.len() as u128 != 32 + entries as u128 * 16 {
-            return None;
-        }
-        let mut values = b[32..]
+        let values: Vec<f64> = b[HEADER..]
             .chunks_exact(8)
-            .map(|v| f64::from_le_bytes(arr(v, 0)));
-        let mut take = |count: usize| values.by_ref().take(count * ncols).collect();
+            .map(|v| f64::from_le_bytes(arr(v, 0)))
+            .collect();
+        let (mins, maxs) = values.split_at(ncols);
         Some(ZoneMap {
-            ncols,
             nrows: u64::from_le_bytes(arr(b, 8)),
-            mins: take(npages),
-            maxs: take(npages),
-            ext_mins: take(next),
-            ext_maxs: take(next),
-            seg_mins: take(seg),
-            seg_maxs: take(seg),
+            mins: mins.to_vec(),
+            maxs: maxs.to_vec(),
         })
     }
 }
@@ -283,49 +148,16 @@ mod tests {
     use crate::vfs::OsVfs;
 
     #[test]
-    fn observe_tracks_min_max_per_page() {
+    fn observe_tracks_the_whole_heap_min_max() {
         let mut z = ZoneMap::new(2);
-        z.observe(1, &[1.0, -5.0]);
-        z.observe(1, &[3.0, -1.0]);
-        z.observe(2, &[10.0, 0.0]);
-        assert_eq!(z.pages(), 2);
+        assert!(z.segment_bounds().is_none());
+        z.observe(&[1.0, -5.0]);
+        z.observe(&[3.0, -1.0]);
+        z.observe(&[10.0, 0.0]);
         assert_eq!(z.num_rows(), 3);
-        let (mins, maxs) = z.page_bounds(1).unwrap();
+        let (mins, maxs) = z.segment_bounds().unwrap();
         assert_eq!(mins, &[1.0, -5.0]);
-        assert_eq!(maxs, &[3.0, -1.0]);
-        let (mins, maxs) = z.page_bounds(2).unwrap();
-        assert_eq!(mins, &[10.0, 0.0]);
         assert_eq!(maxs, &[10.0, 0.0]);
-        assert!(z.page_bounds(0).is_none());
-        assert!(z.page_bounds(3).is_none());
-    }
-
-    #[test]
-    fn upper_levels_envelop_lower_levels() {
-        let mut z = ZoneMap::new(1);
-        // Pages 1 and 64 fall in extent 0; page 65 starts extent 1.
-        z.observe(1, &[5.0]);
-        z.observe(64, &[-2.0]);
-        z.observe(65, &[100.0]);
-        assert_eq!(z.extents(), 2);
-        assert_eq!(ZoneMap::extent_of(64), 0);
-        assert_eq!(ZoneMap::extent_of(65), 1);
-        assert_eq!(ZoneMap::extent_pages(1), 65..129);
-        let (emin, emax) = z.extent_bounds(0).unwrap();
-        assert_eq!((emin[0], emax[0]), (-2.0, 5.0));
-        let (emin, emax) = z.extent_bounds(1).unwrap();
-        assert_eq!((emin[0], emax[0]), (100.0, 100.0));
-        let (smin, smax) = z.segment_bounds().unwrap();
-        assert_eq!((smin[0], smax[0]), (-2.0, 100.0));
-        // Every page entry is enveloped by its extent and the segment.
-        for p in [1u32, 64, 65] {
-            let (pmin, pmax) = z.page_bounds(p).unwrap();
-            let (emin, emax) = z.extent_bounds(ZoneMap::extent_of(p)).unwrap();
-            assert!(emin[0] <= pmin[0] && emax[0] >= pmax[0]);
-            assert!(smin[0] <= pmin[0] && smax[0] >= pmax[0]);
-        }
-        assert!(z.extent_bounds(2).is_none());
-        assert!(ZoneMap::new(1).segment_bounds().is_none());
     }
 
     #[test]
@@ -334,23 +166,23 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let heap = dir.join("t.tbl");
         let mut z = ZoneMap::new(3);
-        z.observe(1, &[1.0, 2.0, 3.0]);
-        z.observe(2, &[-1.0, 0.0, 9.0]);
-        z.observe(70, &[5.0, 5.0, 5.0]);
+        z.observe(&[1.0, 2.0, 3.0]);
+        z.observe(&[-1.0, 0.0, 9.0]);
+        z.observe(&[5.0, 5.0, 5.0]);
         z.save(&OsVfs, &heap, false).unwrap();
+        assert_eq!(
+            std::fs::metadata(ZoneMap::sidecar_path(&heap))
+                .unwrap()
+                .len(),
+            16 + 3 * 16
+        );
         let loaded = ZoneMap::load(&OsVfs, &heap, 3, 3)
             .unwrap()
             .expect("valid sidecar loads");
-        assert_eq!(loaded.page_bounds(2), z.page_bounds(2));
-        assert_eq!(loaded.extent_bounds(1), z.extent_bounds(1));
         assert_eq!(loaded.segment_bounds(), z.segment_bounds());
-        // Bytes 20..22 are reserved: earlier releases stamped a page format
-        // there, and their sidecars still load.
-        let mut stamped = std::fs::read(ZoneMap::sidecar_path(&heap)).unwrap();
-        assert_eq!(stamped[20..22], [0, 0]);
-        stamped[20] = 1;
-        std::fs::write(ZoneMap::sidecar_path(&heap), stamped).unwrap();
-        assert!(ZoneMap::load(&OsVfs, &heap, 3, 3).unwrap().is_some());
+        // Column-count mismatch: discarded + deleted.
+        assert!(ZoneMap::load(&OsVfs, &heap, 2, 3).unwrap().is_none());
+        z.save(&OsVfs, &heap, false).unwrap();
         // Row-count mismatch (e.g. recovery truncation): discarded + deleted.
         assert!(ZoneMap::load(&OsVfs, &heap, 3, 1).unwrap().is_none());
         assert!(
@@ -360,29 +192,6 @@ mod tests {
         // Malformed bytes: rejected.
         std::fs::write(ZoneMap::sidecar_path(&heap), b"junk").unwrap();
         assert!(ZoneMap::load(&OsVfs, &heap, 3, 2).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_flat_sidecars_are_rejected() {
-        let dir = std::env::temp_dir().join(format!("segdiff-zones-v1-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let heap = dir.join("t.tbl");
-        // A well-formed version-1 sidecar (old magic "SDZM", flat layout).
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(&0x5344_5A4Du32.to_le_bytes());
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&1u64.to_le_bytes());
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&[0u8; 4]);
-        v1.extend_from_slice(&1.0f64.to_le_bytes());
-        v1.extend_from_slice(&1.0f64.to_le_bytes());
-        std::fs::write(ZoneMap::sidecar_path(&heap), &v1).unwrap();
-        assert!(
-            ZoneMap::load(&OsVfs, &heap, 1, 1).unwrap().is_none(),
-            "v1 must not load"
-        );
-        assert!(!ZoneMap::sidecar_path(&heap).exists());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -270,20 +270,16 @@ fn mutated_heap_files_open_to_ok_or_corrupt_and_never_panic() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Zone maps as sidecars: `(ncols, rows, bytes)` over 0, 1, 64, 65 and 130
-/// pages of one to five columns.
+/// Zone maps as sidecars: `(ncols, rows, bytes)` over 0, 3, 192, 195 and
+/// 390 rows of one to five columns.
 fn sidecars(dir: &Path) -> Vec<(usize, u64, Vec<u8>)> {
     let heap = dir.join("base.tbl");
     let mut out = Vec::new();
-    for (ncols, pages) in [(1, 0), (2, 1), (3, 64), (1, 65), (5, 130)] {
+    for (ncols, rows) in [(1, 0), (2, 3), (3, 192), (1, 195), (5, 390)] {
         let mut map = ZoneMap::new(ncols);
-        for page in 1..=pages {
-            for r in 0..3 {
-                let row: Vec<f64> = (0..ncols)
-                    .map(|c| (page * 7 + r + c as u32) as f64)
-                    .collect();
-                map.observe(page, &row);
-            }
+        for r in 0..rows {
+            let row: Vec<f64> = (0..ncols).map(|c| (r * 7 + c as u32) as f64).collect();
+            map.observe(&row);
         }
         map.save(&OsVfs, &heap, false).unwrap();
         let bytes = std::fs::read(ZoneMap::sidecar_path(&heap)).unwrap();
@@ -293,20 +289,16 @@ fn sidecars(dir: &Path) -> Vec<(usize, u64, Vec<u8>)> {
 }
 
 /// Whether `b` is the sidecar of a heap of `ncols` columns and `nrows`
-/// rows, by the format's own rules: magic, counts, a whole-heap entry or
-/// none, one extent entry per 64 pages, and exactly the length those need.
+/// rows, by the format's own rules: magic, counts, and exactly the length
+/// one whole-heap entry needs.
 fn well_formed(b: &[u8], magic: &[u8], ncols: usize, nrows: u64) -> bool {
-    if b.len() < 32 || &b[..4] != magic {
+    if b.len() < 16 || &b[..4] != magic {
         return false;
     }
-    let word = |at: usize| u64::from(u32::from_le_bytes(b[at..at + 4].try_into().unwrap()));
-    let (n, pages, extents, seg) = (word(4), word(16), word(24), word(28));
+    let n = u64::from(u32::from_le_bytes(b[4..8].try_into().unwrap()));
     n == ncols as u64
         && u64::from_le_bytes(b[8..16].try_into().unwrap()) == nrows
-        && b[22..24] == 64u16.to_le_bytes()
-        && extents == pages.div_ceil(64)
-        && seg <= 1
-        && b.len() as u64 == 32 + (pages + extents + seg) * n * 16
+        && b.len() as u64 == 16 + n * 16
 }
 
 #[test]
@@ -325,10 +317,9 @@ fn mutated_zone_sidecars_load_only_when_well_formed_and_never_panic() {
         for _ in 0..1 + rng.below(2) {
             let len = b.len();
             match rng.below(6) {
-                // A count: column, row, page, extent or whole-heap entries.
+                // A count: columns or rows.
                 0 | 1 => {
-                    let (at, width) =
-                        [(4, 4), (8, 8), (16, 4), (22, 2), (24, 4), (28, 4)][rng.below(6)];
+                    let (at, width) = [(4, 4), (8, 8)][rng.below(2)];
                     if at + width <= len {
                         let mut was = [0u8; 8];
                         was[..width].copy_from_slice(&b[at..at + width]);
@@ -354,7 +345,7 @@ fn mutated_zone_sidecars_load_only_when_well_formed_and_never_panic() {
                     what.push(format!("bit {bit} of byte {at}"));
                 }
                 3 => {
-                    let (len64, edits) = (len as u64, [0, 4, 31, 32]);
+                    let (len64, edits) = (len as u64, [0, 4, 15, 16]);
                     let cut = rng.pick(
                         &[
                             &edits[..],
@@ -371,8 +362,8 @@ fn mutated_zone_sidecars_load_only_when_well_formed_and_never_panic() {
                     what.push(format!("{more} bytes more"));
                 }
                 _ => {
-                    if len > 32 {
-                        let at = 32 + rng.below(len - 32);
+                    if len > 16 {
+                        let at = 16 + rng.below(len - 16);
                         b[at] = rng.next() as u8;
                         what.push(format!("value byte {at}"));
                     }
@@ -391,9 +382,10 @@ fn mutated_zone_sidecars_load_only_when_well_formed_and_never_panic() {
             Some(map) => {
                 loaded += 1;
                 // No larger than the file it came from.
-                let seg = usize::from(map.segment_bounds().is_some());
-                let entries = (map.pages() + map.extents()) as usize + seg;
-                assert_eq!(32 + entries * ncols * 16, b.len(), "case {case}: {what:?}");
+                let (mins, maxs) = map.segment_bounds().unwrap_or_else(|| (&[][..], &[][..]));
+                assert_eq!(mins.len() == *ncols, *nrows > 0, "case {case}: {what:?}");
+                assert_eq!(maxs.len(), mins.len(), "case {case}: {what:?}");
+                assert_eq!(16 + ncols * 16, b.len(), "case {case}: {what:?}");
                 assert_eq!(map.num_rows(), *nrows);
             }
             None => {

@@ -102,17 +102,8 @@ impl Observer {
                     // ingest-path flush, so a stalled ingest cannot hold
                     // matched features out of the cursors indefinitely.
                     subs.flush();
-                    let fired = alerts.tick(&series, now);
-                    for a in &fired {
-                        obs::warn!(
-                            "alert {}: {} {} at t={:.0}s (dv={:.2})",
-                            a.rule,
-                            a.metric,
-                            a.kind.name(),
-                            a.t_b,
-                            a.dv
-                        );
-                    }
+                    // The engine logs every alert it fires.
+                    alerts.tick(&series, now);
                     // Sleep in slices so stop() returns promptly even
                     // with a long sampling period.
                     let mut slept = Duration::ZERO;
