@@ -166,8 +166,10 @@ pub(crate) fn in_window(cd: &Segment, ab: &Segment, window: f64) -> Option<Segme
 /// when its boundary is pruned.
 ///
 /// The one place a row's corners are computed: ingest stores what it
-/// returns, and a search generates its rows here from the stored
-/// segments, so the two cannot drift.
+/// returns, built from `featurespace`'s corner pick
+/// ([`featurespace::pick_corners`]), and a search picks its corners with
+/// the same function from the stored segments and tests them in place,
+/// so the two cannot drift.
 pub(crate) fn pair_row(
     cd: Option<&Segment>,
     ab: &Segment,

@@ -9,11 +9,12 @@
 //! execution feeds the `span.query.*` latency histograms and — when a
 //! trace is active — an `EXPLAIN ANALYZE`-style call tree.
 
-use crate::ingest::{in_window, pair_row};
 use crate::result::SegmentPair;
 use crate::tables::{index_specs, pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
-use featurespace::{QueryRegion, SearchKind};
+use featurespace::{
+    pick_corners, pick_self_corners, CornerPick, Parallelogram, QueryRegion, SearchKind,
+};
 use pagestore::{Database, PoolStats, Result, ScanPage, StoreError, Table, ZoneScanStats};
 use segmentation::Segment;
 use sensorgen::HOUR;
@@ -238,8 +239,9 @@ fn fault_injection_sleep() {
 
 /// A sensor's `segments` heap, the run of it held decoded between
 /// searches, and the tolerance and window feature rows are extracted with.
-/// Both plans generate a feature row here, from the segments, through the
-/// function ingest stores rows with ([`pair_row`]): a search
+/// Both plans generate a feature row's corners here, from the segments,
+/// with the corner pick ingest stores rows through
+/// ([`crate::ingest::pair_row`]): a search
 /// ([`run_segment_query`]) over the whole heap, a search over stored rows
 /// ([`run_feature_query`]) over the sealed run, whose rows are not stored
 /// ([`crate::SegDiffIndex::compact_storage`] cut them).
@@ -260,13 +262,51 @@ pub(crate) struct SegmentRun<'a> {
 pub(crate) struct ResidentRun {
     /// The rows decoded so far, locked only to clone or swap the `Arc`:
     /// the decode runs with the guard released.
-    decoded: Mutex<Arc<[Segment]>>,
+    decoded: Mutex<Arc<[HeldSegment]>>,
+}
+
+/// A decoded `segments` row and its slope, computed once, as the row was
+/// decoded: every pair the row starts or ends reads it from here.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HeldSegment {
+    seg: Segment,
+    slope: f64,
+}
+
+impl HeldSegment {
+    /// The row `row` of `segments`, `(t_start, v_start, t_end, v_end)`,
+    /// held if it is a segment that can follow one ending at `after`:
+    /// finite, of positive duration and in temporal order. This one check
+    /// per decoded row is what the generator's pairs rest on, so a corrupt
+    /// row is an error here rather than a panic there.
+    fn check(row: u64, [t_start, v_start, t_end, v_end]: [f64; 4], after: f64) -> Result<Self> {
+        let finite = [t_start, v_start, t_end, v_end]
+            .iter()
+            .all(|x| x.is_finite());
+        if !(finite && t_start < t_end && t_start >= after) {
+            return Err(StoreError::Corrupt(format!(
+                "segments row {row} ({t_start}, {v_start}) → ({t_end}, {v_end}) is not a \
+                 finite segment of positive duration starting at or after {after}"
+            )));
+        }
+        let seg = Segment {
+            t_start,
+            v_start,
+            t_end,
+            v_end,
+        };
+        Ok(HeldSegment {
+            seg,
+            slope: seg.slope(),
+        })
+    }
 }
 
 impl ResidentRun {
     /// A run holding at least the first `rows` rows of `segments`, and the
-    /// rows this call decoded into it.
-    fn get(&self, segments: &Table, rows: u64) -> Result<(Arc<[Segment]>, u64)> {
+    /// rows this call decoded into it. A row that is no segment, or that
+    /// starts before the one before it ends, is [`StoreError::Corrupt`].
+    fn get(&self, segments: &Table, rows: u64) -> Result<(Arc<[HeldSegment]>, u64)> {
         let lock = || self.decoded.lock().unwrap_or_else(PoisonError::into_inner);
         let held = Arc::clone(&lock());
         let key = held.len() as u64;
@@ -274,19 +314,26 @@ impl ResidentRun {
             return Ok((held, 0));
         }
         let mut cols = vec![Vec::new(); 4];
-        let mut appended = Vec::with_capacity((rows - key) as usize);
+        let mut appended: Vec<HeldSegment> = Vec::with_capacity((rows - key) as usize);
+        let mut after = held.last().map_or(f64::NEG_INFINITY, |h| h.seg.t_end);
         segments.scan_pages(
             key..rows,
             |_, _| true,
             |page| {
                 page.columns(0..4, &mut cols)?;
-                let at = |r: usize| Segment::new(cols[0][r], cols[1][r], cols[2][r], cols[3][r]);
-                appended.extend((0..page.rows()).map(at));
+                let ends = cols[0].iter().zip(&cols[1]).zip(&cols[2]).zip(&cols[3]);
+                for (((&t_start, &v_start), &t_end), &v_end) in ends.take(page.rows()) {
+                    let row = key + appended.len() as u64;
+                    let ends = [t_start, v_start, t_end, v_end];
+                    let next = HeldSegment::check(row, ends, after)?;
+                    after = next.seg.t_end;
+                    appended.push(next);
+                }
                 Ok(true)
             },
         )?;
         // One allocation of the longer run, written in place.
-        let run: Arc<[Segment]> = held.iter().chain(&appended).copied().collect();
+        let run: Arc<[HeldSegment]> = held.iter().chain(&appended).copied().collect();
         let mut held = lock();
         // Another search may have grown it further meanwhile.
         if held.len() < run.len() {
@@ -350,20 +397,25 @@ impl SegmentRun<'_> {
 /// to `out`. For each earlier segment `cd`: its self pair, then the later
 /// segments `ab` forward, stopping at the first whose gap `t_b − t_c`
 /// exceeds `T` (every corner's `Δt` is at least the gap, and later ones lie
-/// further) or that leaves nothing of `cd` in its window ([`in_window`]).
+/// further) or that leaves nothing of `cd` in its window (the window start
+/// `t_b − w` at or past `t_c`, as [`crate::ingest::in_window`] has it).
 /// Both stops are monotone in `ab`, so these are the pairs ingest extracts
-/// within `T`. A pair whose endpoint values cannot reach `V`
-/// ([`may_reach`]) computes no boundary; the rest are tested with
-/// [`featurespace::Boundary::intersects`], the predicate the row store's
-/// kernels evaluate bit for bit.
+/// within `T`. A pair whose endpoint values cannot reach `V` ([`may_reach`])
+/// computes no boundary. The rest pick their corners as ingest does
+/// ([`pick_corners`], [`pick_self_corners`]: what
+/// [`featurespace::extract_boundary`] stores), from the held slopes — only
+/// a `cd` the window truncates has a slope of its own to compute — and are
+/// tested in place, with the lanes the index plan's probe evaluates
+/// ([`featurespace::CornerPick::hits`], [`featurespace::Boundary::intersects`]
+/// bit for bit). A hit pushes its time stamps; no row is built.
 ///
 /// The pairs come out in [`crate::result::sort_dedup`]'s order: every pair
 /// of `cd` has `t_d` in `[cd.t_start, cd.t_end)` (a windowed `cd` starts at
-/// `t_b − w`, which truncation keeps below `t_end`), the self pair has the
-/// least `t_b`, and the pairs whose `cd` is whole precede the windowed
-/// ones, each ascending in `t_b`.
+/// `t_b − w`, strictly inside it), the self pair has the least `t_b`, and
+/// the pairs whose `cd` is whole precede the windowed ones, each ascending
+/// in `t_b`.
 fn generate(
-    run: &[Segment],
+    run: &[HeldSegment],
     region: &QueryRegion,
     epsilon: f64,
     window: f64,
@@ -373,26 +425,59 @@ fn generate(
         segments_read: run.len() as u64,
         ..GeneratorStats::default()
     };
-    let range = |s: &Segment| (s.min_value(), s.max_value());
-    let mut pair = |cd: Option<&Segment>, ab: &Segment| {
+    let kind = region.kind;
+    // Counts the pair, and whether its boundary can reach `V` at all.
+    let mut reach = |cd: &Segment, ab: &Segment| {
         done.pairs_within_t += 1;
-        if !may_reach(region, range(ab), range(cd.unwrap_or(ab)), epsilon) {
-            return;
-        }
-        done.boundaries += 1;
-        let row = pair_row(cd, ab, epsilon, region.kind);
-        if let Some(row) = row.filter(|row| row.boundary.intersects(region)) {
-            out.push(pair_from_stamps(&[row.t_d, row.t_c, row.t_b, row.t_a]));
+        let range = |s: &Segment| (s.min_value(), s.max_value());
+        let reach = may_reach(region, range(ab), range(cd), epsilon);
+        done.boundaries += u64::from(reach);
+        reach
+    };
+    let mut emit = |cd: &Segment, ab: &Segment, pick: CornerPick| {
+        if pick.hits(region) {
+            out.push(SegmentPair {
+                t_d: cd.t_start,
+                t_c: cd.t_end,
+                t_b: ab.t_start,
+                t_a: ab.t_end,
+            });
         }
     };
     for (j, cd) in run.iter().enumerate() {
-        pair(None, cd);
+        let whole = &cd.seg;
+        if reach(whole, whole) {
+            emit(whole, whole, pick_self_corners(whole, epsilon, kind));
+        }
         for ab in &run[j + 1..] {
-            let within_t = ab.t_start - cd.t_end <= region.t;
-            let Some(windowed) = within_t.then(|| in_window(cd, ab, window)).flatten() else {
+            let within_t = ab.seg.t_start - whole.t_end <= region.t;
+            if !within_t {
                 break;
+            }
+            let t0 = ab.seg.t_start - window;
+            if t0 >= whole.t_end {
+                break;
+            }
+            let (cd, k_cd) = if t0 <= whole.t_start {
+                (*whole, cd.slope)
+            } else {
+                // Truncated at the window start, as `Segment::truncate_left`
+                // has it: a new start, so a slope of its own.
+                let cut = Segment {
+                    t_start: t0,
+                    v_start: whole.value_at(t0),
+                    ..*whole
+                };
+                (cut, cut.slope())
             };
-            pair(Some(&windowed), ab);
+            if reach(&cd, &ab.seg) {
+                let para = Parallelogram::between(&cd, &ab.seg);
+                emit(
+                    &cd,
+                    &ab.seg,
+                    pick_corners(&para, k_cd, ab.slope, epsilon, kind),
+                );
+            }
         }
     }
     done
@@ -668,6 +753,7 @@ pub(crate) fn run_feature_query(
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ingest::{in_window, pair_row};
     use crate::result::canonical_order;
     use crate::tables::table_name;
     use crate::{SegDiffConfig, SegDiffIndex};
@@ -795,8 +881,19 @@ mod proptests {
             } else {
                 QueryRegion::jump(t, v_mag)
             };
+            let mut after = f64::NEG_INFINITY;
+            let held: Vec<HeldSegment> = run
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    let ends = [s.t_start, s.v_start, s.t_end, s.v_end];
+                    let held = HeldSegment::check(i as u64, ends, after).unwrap();
+                    after = s.t_end;
+                    held
+                })
+                .collect();
             let mut got = Vec::new();
-            let counts = generate(&run, &region, epsilon, window, &mut got);
+            let counts = generate(&held, &region, epsilon, window, &mut got);
             prop_assert!(got.is_sorted_by(|a, b| canonical_order(a, b).is_le()));
 
             let mut want = GeneratorStats {
@@ -1016,6 +1113,56 @@ mod tests {
         assert!(appended > 0);
         assert_eq!(decoded(&idx, QueryPlan::Index), appended);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `segments` row that starts before the row before it ends — what a
+    /// corrupt heap leaves — is `Corrupt` on both plans, searched again
+    /// too, and not a panic in the generator.
+    #[test]
+    fn an_out_of_order_segments_row_is_corrupt_on_both_plans() {
+        let dir = tmpdir("out-of-order");
+        let mut idx =
+            SegDiffIndex::create(&dir, SegDiffConfig::default().with_durable(false)).unwrap();
+        idx.ingest_series(&zigzag_series()).unwrap();
+        idx.finish().unwrap();
+        let rows = idx.stats().n_segments;
+        let segments = idx.database().table("segments").unwrap();
+        segments.insert(&[100.0, 0.0, 200.0, -5.0]).unwrap();
+        let region = QueryRegion::drop(2.0 * HOUR, -1.5);
+        for plan in [QueryPlan::SeqScan, QueryPlan::Index, QueryPlan::SeqScan] {
+            match idx.query(&region, plan) {
+                Err(StoreError::Corrupt(msg)) => {
+                    assert!(msg.contains(&format!("segments row {rows} ")), "{msg}");
+                }
+                other => panic!("{plan:?} answered {other:?}"),
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The decode check refuses every row that is no segment or that
+    /// starts before `after`, and holds the slope of the rest.
+    #[test]
+    fn the_decode_check_refuses_what_is_no_segment() {
+        let after = 10.0;
+        for ends in [
+            [5.0, 0.0, 20.0, 1.0],
+            [10.0, 0.0, 10.0, 1.0],
+            [12.0, 0.0, 11.0, 1.0],
+            [10.0, f64::NAN, 20.0, 1.0],
+            [10.0, 0.0, f64::INFINITY, 1.0],
+            [f64::NEG_INFINITY, 0.0, 20.0, 1.0],
+        ] {
+            assert!(
+                matches!(
+                    HeldSegment::check(7, ends, after),
+                    Err(StoreError::Corrupt(_))
+                ),
+                "{ends:?}"
+            );
+        }
+        let held = HeldSegment::check(7, [10.0, 1.0, 20.0, -2.0], after).unwrap();
+        assert_eq!(held.slope.to_bits(), held.seg.slope().to_bits());
     }
 
     #[test]

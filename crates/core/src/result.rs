@@ -59,9 +59,12 @@ pub(crate) fn canonical_order(a: &SegmentPair, b: &SegmentPair) -> std::cmp::Ord
 }
 
 /// Sorts by time — `t_d`, then `t_c`, `t_b`, `t_a`, each by
-/// `f64::total_cmp` — and removes duplicates in place. Input already in
-/// that order, as a compacted sensor's search generates it, is only
-/// deduplicated; the check stops at the first pair out of order.
+/// `f64::total_cmp` — and removes duplicates in place. Input already
+/// strictly in that order, as a search generates it, is left as it is after
+/// one pass that says so: `total_cmp` tells two pairs apart unless they are
+/// the same bits, so a strictly ascending list holds no duplicate. Any
+/// other input is sorted and deduplicated; the check stops at the first
+/// pair that is not above the one before.
 ///
 /// Public because this is the determinism contract distributed execution
 /// relies on: every per-sensor result list is in this canonical order, so
@@ -69,14 +72,15 @@ pub(crate) fn canonical_order(a: &SegmentPair, b: &SegmentPair) -> std::cmp::Ord
 /// byte-identical to single-process execution ([`merge_sharded`]).
 pub fn sort_dedup(results: &mut Vec<SegmentPair>) {
     // `t_d` settles almost every comparison, so it is compared alone
-    // first: a long sorted prefix of stored rows costs one compare a pair.
-    let sorted = results.is_sorted_by(|a, b| match a.t_d.total_cmp(&b.t_d) {
-        std::cmp::Ordering::Equal => canonical_order(a, b).is_le(),
+    // first: a long ascending run costs one compare a pair.
+    let ascending = results.is_sorted_by(|a, b| match a.t_d.total_cmp(&b.t_d) {
+        std::cmp::Ordering::Equal => canonical_order(a, b).is_lt(),
         first => first.is_lt(),
     });
-    if !sorted {
-        results.sort_by(canonical_order);
+    if ascending {
+        return;
     }
+    results.sort_by(canonical_order);
     results.dedup_by_key(|p| p.key());
 }
 
@@ -234,11 +238,23 @@ mod tests {
             dups.extend(dups.clone());
             dups.truncate(n);
             assert_same_as_plain(&dups, "duplicates");
-            // In order and still holding duplicates, as a compacted
-            // sensor's search may hand them over: the order check returns
-            // early from the sort, not from the dedup pass.
+            // In order and still holding duplicates: not strictly
+            // ascending, so the check must not return early.
             dups.sort_by(canonical_order);
             assert_same_as_plain(&dups, "sorted duplicates");
+            // Strictly ascending, which returns after the check, and the
+            // same with one pair repeated beside itself — first, in the
+            // middle, last — which must take the sort-and-dedup branch.
+            let mut strict = tied(n, 0.0, 2.6e6, 11);
+            sort_dedup_plain(&mut strict);
+            assert_same_as_plain(&strict, "strictly ascending");
+            for at in [0, strict.len() / 2, strict.len().saturating_sub(1)] {
+                if let Some(&p) = strict.get(at) {
+                    let mut twice = strict.clone();
+                    twice.insert(at, p);
+                    assert_same_as_plain(&twice, "ascending, one pair twice");
+                }
+            }
             // One far outlier.
             let mut skewed = tied(n, 0.0, 9e4, 11);
             if let Some(p) = skewed.first_mut() {

@@ -1,7 +1,8 @@
 //! Boundary extraction: the corner analysis of §4.3.1 and the Appendix.
 
+use crate::batch::{edge_hits, point_hits};
 use crate::intersect::{edge_crosses_region, point_in_region};
-use crate::{FeaturePoint, Parallelogram, QueryRegion, SearchKind, SlopeCase};
+use crate::{FeaturePoint, Parallelogram, QueryRegion, SearchKind};
 use segmentation::Segment;
 
 /// The region-facing boundary of a feature parallelogram: a chain of one,
@@ -63,15 +64,6 @@ impl Boundary {
         false
     }
 
-    /// This boundary with every corner shifted vertically by `dy`.
-    pub fn shifted(&self, dy: f64) -> Self {
-        let mut out = *self;
-        for p in out.pts[..out.len as usize].iter_mut() {
-            *p = p.shifted(dy);
-        }
-        out
-    }
-
     /// Does this boundary intersect the query region? The union of the
     /// point queries on every corner and the line queries on every edge
     /// (§4.4). This is the in-memory reference implementation of the
@@ -86,13 +78,151 @@ impl Boundary {
     }
 }
 
+/// The corners Algorithm 1 keeps of one segment pair's boundary, the
+/// case analysis of §4.3.1 (Table 2 and the Appendix) done: 1–3 corners
+/// ascending in `Δt` and already ε-shifted, the last repeated to fill
+/// three, and how many are the boundary's — 0 when the shifted
+/// parallelogram cannot hold a drop (jump) and the pair stores nothing.
+///
+/// The padding is exact for [`CornerPick::hits`]: a repeated corner is
+/// tested twice, and an edge from a corner to itself (`dt1 == dt2`) fails
+/// the line query's `dt1 <= T < dt2`. So a pick is tested in place, with
+/// no [`Boundary`] built ([`CornerPick::boundary`] builds one to store).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct CornerPick {
+    /// The corners, ascending in `Δt`, the last repeated up to three.
+    corners: [FeaturePoint; 3],
+    /// How many of `corners` the boundary has (1–3), 0 when it is pruned.
+    len: usize,
+}
+
+impl CornerPick {
+    fn new(corners: [FeaturePoint; 3], len: usize) -> Self {
+        Self { corners, len }
+    }
+
+    /// The boundary to store, or `None` when the pick pruned it.
+    pub fn boundary(&self) -> Option<Boundary> {
+        let [p, q, r] = self.corners;
+        match self.len {
+            1 => Some(Boundary::one(p)),
+            2 => Some(Boundary::two(p, q)),
+            3 => Some(Boundary::three(p, q, r)),
+            _ => None,
+        }
+    }
+
+    /// [`Boundary::intersects`] of [`CornerPick::boundary`], `false` when
+    /// there is none: the point query on each of the three corners and the
+    /// line query on both edges, as the branch-free lanes of
+    /// [`crate::batch`] (`|` for `||`), the padding tested like the rest.
+    #[inline]
+    pub fn hits(&self, region: &QueryRegion) -> bool {
+        let [p, q, r] = self.corners;
+        (self.len > 0)
+            & (point_hits(p.dt, p.dv, region)
+                | point_hits(q.dt, q.dv, region)
+                | point_hits(r.dt, r.dv, region)
+                | edge_hits(p.dt, p.dv, q.dt, q.dv, region)
+                | edge_hits(q.dt, q.dv, r.dt, r.dv, region))
+    }
+}
+
+/// Picks the boundary of the pair whose parallelogram is `para` — earlier
+/// segment of slope `k_cd`, later of slope `k_ab` — under tolerance `eps`:
+/// the lower-left corners for [`SearchKind::Drop`] shifted down by `eps`,
+/// the upper-left for [`SearchKind::Jump`] shifted up (Lemma 4), pruned
+/// where the Appendix prunes. The slopes split the cases as
+/// [`crate::SlopeCase::classify`] does, comparison for comparison.
+#[inline]
+pub fn pick_corners(
+    para: &Parallelogram,
+    k_cd: f64,
+    k_ab: f64,
+    eps: f64,
+    kind: SearchKind,
+) -> CornerPick {
+    let one = |p: FeaturePoint, keep: bool| CornerPick::new([p; 3], usize::from(keep));
+    let two = |p: FeaturePoint, q: FeaturePoint, keep: bool| {
+        CornerPick::new([p, q, q], 2 * usize::from(keep))
+    };
+    // A chain through `mid` to `ad`: all three corners while `mid` holds an
+    // event itself (`mid_holds`), else the edge (`mid`, `ad`) while `ad`
+    // does (`ad_holds`) — "drop II" / "jump II" of the Appendix.
+    let chain = |bc: FeaturePoint, mid: FeaturePoint, ad: FeaturePoint, mid_holds, ad_holds| {
+        if mid_holds {
+            CornerPick::new([bc, mid, ad], 3)
+        } else {
+            two(mid, ad, ad_holds)
+        }
+    };
+    match kind {
+        SearchKind::Drop => {
+            let [bc, bd, ac, ad] = [para.bc, para.bd, para.ac, para.ad].map(|c| c.shifted(-eps));
+            if k_cd >= 0.0 {
+                if k_ab <= 0.0 {
+                    two(bc, ac, ac.dv <= 0.0) // case 1: (BC, AC)
+                } else {
+                    one(bc, bc.dv <= 0.0) // cases 2, 3: BC alone
+                }
+            } else if k_ab >= 0.0 {
+                two(bc, bd, bd.dv <= 0.0) // case 4: (BC, BD)
+            } else {
+                // Case 5 chains through AC, case 6 through BD.
+                let mid = if k_ab <= k_cd { ac } else { bd };
+                chain(bc, mid, ad, mid.dv <= 0.0, ad.dv <= 0.0)
+            }
+        }
+        SearchKind::Jump => {
+            let [bc, bd, ac, ad] = [para.bc, para.bd, para.ac, para.ad].map(|c| c.shifted(eps));
+            if k_cd >= 0.0 {
+                if k_ab <= 0.0 {
+                    two(bc, bd, bd.dv > 0.0) // case 1: (BC, BD)
+                } else {
+                    // Case 2 chains through AC, case 3 through BD.
+                    let mid = if k_ab >= k_cd { ac } else { bd };
+                    chain(bc, mid, ad, mid.dv >= 0.0, ad.dv > 0.0)
+                }
+            } else if k_ab >= 0.0 {
+                two(bc, ac, ac.dv > 0.0) // case 4: (BC, AC)
+            } else {
+                one(bc, bc.dv > 0.0) // cases 5, 6: BC alone
+            }
+        }
+    }
+}
+
+/// Picks the boundary for events *within* the segment `seg`: both event
+/// points on one segment give exactly the feature segment through the
+/// origin, `(0, 0) → (duration, Δv)` (the parallelogram of a segment with
+/// itself degenerates, §4.2), ε-shifted, and pruned when the segment
+/// cannot hold a drop (jump): at `ε = 0` a non-falling (non-rising)
+/// segment keeps nothing.
+#[inline]
+pub fn pick_self_corners(seg: &Segment, eps: f64, kind: SearchKind) -> CornerPick {
+    let far = FeaturePoint::new(seg.duration(), seg.delta_v());
+    // Only a boundary that dips below (rises above) zero can ever reach
+    // V < 0 (V > 0).
+    let (dy, keep) = match kind {
+        SearchKind::Drop => (-eps, far.dv.min(0.0) - eps < 0.0),
+        SearchKind::Jump => (eps, far.dv.max(0.0) + eps > 0.0),
+    };
+    let (origin, far) = (FeaturePoint::new(0.0, 0.0).shifted(dy), far.shifted(dy));
+    CornerPick::new([origin, far, far], 2 * usize::from(keep))
+}
+
 /// Extracts the stored boundary for the pair (earlier `cd`, later `ab`)
-/// under error tolerance `eps`, or `None` when the shifted parallelogram
-/// cannot contain any drop (jump) and nothing needs to be stored — the
-/// pruning conditions of the Appendix.
+/// under error tolerance `eps` ([`pick_corners`]), or `None` when the
+/// shifted parallelogram cannot contain any drop (jump) and nothing needs
+/// to be stored — the pruning conditions of the Appendix.
 ///
 /// The returned corners are already ε-shifted: down by `eps` for
 /// [`SearchKind::Drop`], up by `eps` for [`SearchKind::Jump`] (Lemma 4).
+///
+/// # Panics
+///
+/// Panics unless `ab` starts at or after `cd` ends
+/// ([`Parallelogram::from_pair`]).
 pub fn extract_boundary(
     cd: &Segment,
     ab: &Segment,
@@ -101,101 +231,22 @@ pub fn extract_boundary(
 ) -> Option<Boundary> {
     debug_assert!(eps >= 0.0);
     let para = Parallelogram::from_pair(cd, ab);
-    let case = SlopeCase::classify(cd.slope(), ab.slope());
-    let (bc, bd, ac, ad) = (para.bc, para.bd, para.ac, para.ad);
-    match kind {
-        SearchKind::Drop => {
-            let b = match case {
-                // Lower-left boundary (BC, AC); lowest corner is AC.
-                SlopeCase::C1 => (ac.dv - eps <= 0.0).then(|| Boundary::two(bc, ac)),
-                // Degenerate lower-left boundary: the single corner BC.
-                SlopeCase::C2 | SlopeCase::C3 => (bc.dv - eps <= 0.0).then(|| Boundary::one(bc)),
-                // Lower-left boundary (BC, BD); lowest corner is BD.
-                SlopeCase::C4 => (bd.dv - eps <= 0.0).then(|| Boundary::two(bc, bd)),
-                // Chain (BC, AC, AD); drop II degrades to (AC, AD).
-                SlopeCase::C5 => {
-                    if ac.dv - eps <= 0.0 {
-                        Some(Boundary::three(bc, ac, ad))
-                    } else if ad.dv - eps <= 0.0 {
-                        Some(Boundary::two(ac, ad))
-                    } else {
-                        None
-                    }
-                }
-                // Case 6 is case 5 with AC replaced by BD.
-                SlopeCase::C6 => {
-                    if bd.dv - eps <= 0.0 {
-                        Some(Boundary::three(bc, bd, ad))
-                    } else if ad.dv - eps <= 0.0 {
-                        Some(Boundary::two(bd, ad))
-                    } else {
-                        None
-                    }
-                }
-            };
-            b.map(|b| b.shifted(-eps))
-        }
-        SearchKind::Jump => {
-            let b = match case {
-                // Upper-left boundary (BC, BD); highest corner is BD.
-                SlopeCase::C1 => (bd.dv + eps > 0.0).then(|| Boundary::two(bc, bd)),
-                // Chain (BC, AC, AD); jump II degrades to (AC, AD).
-                SlopeCase::C2 => {
-                    if ac.dv + eps >= 0.0 {
-                        Some(Boundary::three(bc, ac, ad))
-                    } else if ad.dv + eps > 0.0 {
-                        Some(Boundary::two(ac, ad))
-                    } else {
-                        None
-                    }
-                }
-                // Case 3 is case 2 with AC replaced by BD.
-                SlopeCase::C3 => {
-                    if bd.dv + eps >= 0.0 {
-                        Some(Boundary::three(bc, bd, ad))
-                    } else if ad.dv + eps > 0.0 {
-                        Some(Boundary::two(bd, ad))
-                    } else {
-                        None
-                    }
-                }
-                // Upper-left boundary (BC, AC); highest corner is AC.
-                SlopeCase::C4 => (ac.dv + eps > 0.0).then(|| Boundary::two(bc, ac)),
-                // Degenerate upper-left boundary: the single corner BC.
-                SlopeCase::C5 | SlopeCase::C6 => (bc.dv + eps > 0.0).then(|| Boundary::one(bc)),
-            };
-            b.map(|b| b.shifted(eps))
-        }
-    }
+    pick_corners(&para, cd.slope(), ab.slope(), eps, kind).boundary()
 }
 
-/// The boundary for events occurring *within* a single segment.
-///
-/// When both event points lie on the same segment, the feature points are
-/// exactly the segment through the origin `(0, 0) -> (duration, Δv)` (the
-/// parallelogram of a segment with itself degenerates, §4.2). Returns the
-/// ε-shifted two-corner boundary, or `None` when the segment cannot
-/// contain a drop (jump): at `ε = 0` a non-falling (non-rising) segment
-/// stores nothing.
+/// The boundary for events occurring *within* a single segment
+/// ([`pick_self_corners`]): the ε-shifted two-corner boundary, or `None`
+/// when the segment cannot contain a drop (jump).
 pub fn extract_self_boundary(seg: &Segment, eps: f64, kind: SearchKind) -> Option<Boundary> {
     debug_assert!(eps >= 0.0);
-    let origin = FeaturePoint::new(0.0, 0.0);
-    let far = FeaturePoint::new(seg.duration(), seg.delta_v());
-    match kind {
-        SearchKind::Drop => {
-            // Lowest shifted dv: min(-eps, Δv - eps). Only boundaries that
-            // dip below zero can ever satisfy Δv <= V < 0.
-            (far.dv.min(0.0) - eps < 0.0).then(|| Boundary::two(origin, far).shifted(-eps))
-        }
-        SearchKind::Jump => {
-            (far.dv.max(0.0) + eps > 0.0).then(|| Boundary::two(origin, far).shifted(eps))
-        }
-    }
+    pick_self_corners(seg, eps, kind).boundary()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SlopeCase;
+    use proptest::prelude::*;
 
     /// cd rising, ab falling: case 1.
     fn case1_pair() -> (Segment, Segment) {
@@ -320,5 +371,239 @@ mod tests {
         assert_eq!(Boundary::two(p, q).len(), 2);
         assert_eq!(Boundary::three(p, q, r).corners(), &[p, q, r]);
         assert!(!Boundary::one(p).is_empty());
+    }
+
+    /// The paper's six-case table as the Appendix states it, case by case:
+    /// the reference [`pick_corners`] is held to.
+    fn case_table(cd: &Segment, ab: &Segment, eps: f64, kind: SearchKind) -> Option<Boundary> {
+        let para = Parallelogram::from_pair(cd, ab);
+        let case = SlopeCase::classify(cd.slope(), ab.slope());
+        let (bc, bd, ac, ad) = (para.bc, para.bd, para.ac, para.ad);
+        match kind {
+            SearchKind::Drop => {
+                let b = match case {
+                    SlopeCase::C1 => (ac.dv - eps <= 0.0).then(|| Boundary::two(bc, ac)),
+                    SlopeCase::C2 | SlopeCase::C3 => {
+                        (bc.dv - eps <= 0.0).then(|| Boundary::one(bc))
+                    }
+                    SlopeCase::C4 => (bd.dv - eps <= 0.0).then(|| Boundary::two(bc, bd)),
+                    SlopeCase::C5 => {
+                        if ac.dv - eps <= 0.0 {
+                            Some(Boundary::three(bc, ac, ad))
+                        } else if ad.dv - eps <= 0.0 {
+                            Some(Boundary::two(ac, ad))
+                        } else {
+                            None
+                        }
+                    }
+                    SlopeCase::C6 => {
+                        if bd.dv - eps <= 0.0 {
+                            Some(Boundary::three(bc, bd, ad))
+                        } else if ad.dv - eps <= 0.0 {
+                            Some(Boundary::two(bd, ad))
+                        } else {
+                            None
+                        }
+                    }
+                };
+                b.map(|b| shifted(b, -eps))
+            }
+            SearchKind::Jump => {
+                let b = match case {
+                    SlopeCase::C1 => (bd.dv + eps > 0.0).then(|| Boundary::two(bc, bd)),
+                    SlopeCase::C2 => {
+                        if ac.dv + eps >= 0.0 {
+                            Some(Boundary::three(bc, ac, ad))
+                        } else if ad.dv + eps > 0.0 {
+                            Some(Boundary::two(ac, ad))
+                        } else {
+                            None
+                        }
+                    }
+                    SlopeCase::C3 => {
+                        if bd.dv + eps >= 0.0 {
+                            Some(Boundary::three(bc, bd, ad))
+                        } else if ad.dv + eps > 0.0 {
+                            Some(Boundary::two(bd, ad))
+                        } else {
+                            None
+                        }
+                    }
+                    SlopeCase::C4 => (ac.dv + eps > 0.0).then(|| Boundary::two(bc, ac)),
+                    SlopeCase::C5 | SlopeCase::C6 => (bc.dv + eps > 0.0).then(|| Boundary::one(bc)),
+                };
+                b.map(|b| shifted(b, eps))
+            }
+        }
+    }
+
+    /// `b` with every corner shifted vertically by `dy` (Lemma 4).
+    fn shifted(b: Boundary, dy: f64) -> Boundary {
+        let mut out = b;
+        for p in out.pts[..out.len as usize].iter_mut() {
+            *p = p.shifted(dy);
+        }
+        out
+    }
+
+    /// The self pair as §4.2 states it: the origin and the far end, pruned
+    /// unless the shifted segment dips below (rises above) zero.
+    fn self_reference(seg: &Segment, eps: f64, kind: SearchKind) -> Option<Boundary> {
+        let origin = FeaturePoint::new(0.0, 0.0);
+        let far = FeaturePoint::new(seg.duration(), seg.delta_v());
+        let two = Boundary::two(origin, far);
+        match kind {
+            SearchKind::Drop => (far.dv.min(0.0) - eps < 0.0).then(|| shifted(two, -eps)),
+            SearchKind::Jump => (far.dv.max(0.0) + eps > 0.0).then(|| shifted(two, eps)),
+        }
+    }
+
+    fn bits(b: Option<Boundary>) -> Option<Vec<(u64, u64)>> {
+        b.map(|b| {
+            let corners = b.corners().iter();
+            corners.map(|p| (p.dt.to_bits(), p.dv.to_bits())).collect()
+        })
+    }
+
+    /// Regions on the pick's own corners — `T` exactly a corner's `Δt`,
+    /// `V` exactly a corner's `Δv`, each of the nine combinations, where
+    /// `<=` and `<` part — and on `(t, v)`.
+    fn regions_on(b: Option<Boundary>, kind: SearchKind, t: f64, v: f64) -> Vec<QueryRegion> {
+        let mut ts = vec![t];
+        let mut vs = vec![v];
+        for p in b.iter().flat_map(|b| b.corners()) {
+            ts.push(p.dt);
+            vs.push(p.dv);
+        }
+        let mut out = Vec::new();
+        for &t in ts.iter().filter(|&&t| t > 0.0) {
+            for &v in &vs {
+                match kind {
+                    SearchKind::Drop if v < 0.0 => out.push(QueryRegion::drop(t, v)),
+                    SearchKind::Jump if v > 0.0 => out.push(QueryRegion::jump(t, v)),
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
+
+    /// Holds the pick of (`cd`, `ab`) and of `ab`'s self pair to the case
+    /// table bit for bit, and its lanes to [`Boundary::intersects`] on
+    /// regions through every corner.
+    fn check_pair(cd: &Segment, ab: &Segment, eps: f64, t: f64, v: f64) -> TestCaseResult {
+        for kind in [SearchKind::Drop, SearchKind::Jump] {
+            let para = Parallelogram::from_pair(cd, ab);
+            let pairs = [
+                (
+                    pick_corners(&para, cd.slope(), ab.slope(), eps, kind),
+                    case_table(cd, ab, eps, kind),
+                ),
+                (
+                    pick_self_corners(ab, eps, kind),
+                    self_reference(ab, eps, kind),
+                ),
+            ];
+            for (pick, want) in pairs {
+                prop_assert_eq!(
+                    bits(pick.boundary()),
+                    bits(want),
+                    "{:?} {:?} {:?}",
+                    kind,
+                    cd,
+                    ab
+                );
+                if let Some(last) = pick.len.checked_sub(1) {
+                    let pad = &pick.corners[last..];
+                    prop_assert!(
+                        pad.iter().all(|p| p == &pad[0]),
+                        "padded with the last corner"
+                    );
+                }
+                for region in regions_on(want, kind, t, v) {
+                    let hit = want.is_some_and(|b| b.intersects(&region));
+                    prop_assert_eq!(pick.hits(&region), hit, "{:?} on {:?}", region, pick);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(if cfg!(miri) { 4 } else { 2048 }))]
+
+        /// The pick is the case table on random pairs: arbitrary values,
+        /// durations and gaps, adjacent pairs (gap 0) included.
+        #[test]
+        fn the_pick_is_the_case_table_on_random_pairs(
+            v in (-50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0, -50.0f64..50.0),
+            d in (0.1f64..100.0, 0.0f64..50.0, 0.1f64..100.0, any::<bool>()),
+            eps in 0.0f64..2.0,
+            region in (0.1f64..250.0, 0.01f64..60.0),
+        ) {
+            let (gap, t) = (if d.3 { d.1 } else { 0.0 }, region.0);
+            let cd = Segment::new(0.0, v.0, d.0, v.1);
+            let ab = Segment::new(d.0 + gap, v.2, d.0 + gap + d.2, v.3);
+            check_pair(&cd, &ab, eps, t, -region.1)?;
+            check_pair(&cd, &ab, eps, t, region.1)?;
+        }
+
+        /// The pick is the case table on its ties, on a grid of quarters
+        /// where every subtraction is exact: `k_AB == k_CD` (the C2/C3 and
+        /// C5/C6 splits), zero slopes, and a corner whose `Δv` is exactly
+        /// `±ε` (jump C2/C3 keep their chain at `>=`, every other test is
+        /// `>` or `<=`).
+        #[test]
+        fn the_pick_is_the_case_table_on_its_ties(
+            v in (-16i32..16, -16i32..16, -16i32..16, -16i32..16),
+            d in (1i32..16, 0i32..8, 1i32..16),
+            tie in (0usize..4, 0usize..4, any::<bool>()),
+            slope in -8i32..8,
+            eps in 0i32..5,
+            region in (1i32..120, 1i32..40),
+        ) {
+            let q = |n: i32| f64::from(n) * 0.25;
+            let eps = q(eps);
+            let (vd, mut vc, mut vb, mut va) = (q(v.0), q(v.1), q(v.2), q(v.3));
+            let (d1, gap, d2) = (q(d.0), q(d.1), q(d.2));
+            let (sign, slope) = (if tie.2 { 1.0 } else { -1.0 }, q(slope));
+            match tie.0 {
+                // The later segment parallel to the earlier one, of
+                // another length, so that AC and BD differ.
+                0 => {
+                    vc = vd + slope * d1;
+                    va = vb + slope * d2;
+                }
+                // One or both segments flat.
+                1 => {
+                    vc = vd;
+                    if tie.2 {
+                        va = vb;
+                    }
+                }
+                // A corner exactly ±ε: BC, BD, AC or AD.
+                2 => match tie.1 {
+                    0 => vb = vc + sign * eps,
+                    1 => vb = vd + sign * eps,
+                    2 => va = vc + sign * eps,
+                    _ => va = vd + sign * eps,
+                },
+                // Parallel, and AC — the middle corner of jump case 2's
+                // and drop case 5's chain — exactly ±ε.
+                _ => {
+                    vc = vd + slope * d1;
+                    va = vc + sign * eps;
+                    vb = va - slope * d2;
+                }
+            }
+            let cd = Segment::new(0.0, vd, d1, vc);
+            let ab = Segment::new(d1 + gap, vb, d1 + gap + d2, va);
+            check_pair(&cd, &ab, eps, q(region.0), -q(region.1))?;
+            check_pair(&cd, &ab, eps, q(region.0), q(region.1))?;
+            // Parallel cases really are ties.
+            if tie.0 == 0 || tie.0 == 3 {
+                prop_assert_eq!(cd.slope().to_bits(), ab.slope().to_bits());
+            }
+        }
     }
 }

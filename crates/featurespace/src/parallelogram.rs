@@ -42,6 +42,14 @@ impl Parallelogram {
             ab.t_start >= cd.t_end,
             "later segment must start at or after the earlier segment ends"
         );
+        Self::between(cd, ab)
+    }
+
+    /// [`Parallelogram::from_pair`] without its order check, for a caller
+    /// that has checked a whole run's order once: a search over a sensor's
+    /// segments, whose order is checked as they are decoded.
+    #[inline]
+    pub fn between(cd: &Segment, ab: &Segment) -> Self {
         let (t_d, v_d) = (cd.t_start, cd.v_start);
         let (t_c, v_c) = (cd.t_end, cd.v_end);
         let (t_b, v_b) = (ab.t_start, ab.v_start);

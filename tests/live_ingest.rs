@@ -165,21 +165,69 @@ fn pushes_queries_and_standing_queries_agree() {
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// Regions drawn on stored corners, two a kind: `T` exactly a corner's
+/// `Δt` and `V` exactly its `Δv`, where a search's `<=` and `<` part. Of
+/// the corners within the window `w` and at least 1.5 away from zero, the
+/// deepest and the middle one by `(Δt, Δv)`.
+fn regions_on_stored_corners(index: &SegDiffIndex, window: f64) -> Vec<QueryRegion> {
+    let mut regions = Vec::new();
+    for kind in ["drop", "jump"] {
+        let mut corners = Vec::new();
+        for c in 1..=3 {
+            let table = index.database().table(&format!("{kind}{c}")).unwrap();
+            table
+                .seq_scan(|_, row| {
+                    corners.extend((0..c).map(|j| (row[2 * j], row[2 * j + 1])));
+                    true
+                })
+                .unwrap();
+        }
+        corners.retain(|&(dt, dv)| dt > 0.0 && dt <= window && dv.abs() >= 1.5);
+        corners.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+        let deepest = corners
+            .iter()
+            .max_by(|a, b| a.1.abs().total_cmp(&b.1.abs()));
+        let middle = corners.get(corners.len() / 2);
+        for &(dt, dv) in deepest.into_iter().chain(middle) {
+            regions.push(match kind {
+                "drop" => QueryRegion::drop(dt, dv),
+                _ => QueryRegion::jump(dt, dv),
+            });
+        }
+    }
+    assert_eq!(regions.len(), 4, "two stored corners a kind");
+    regions
+}
+
 /// One sensor's life — pushes, a compaction, pushes behind the seal, a
 /// finish and a reopen — with searches at every stage: each answer, on
 /// either plan, is what the paper's plans read off the same store's stored
 /// rows, and covers every true event among the samples stored so far
-/// (Theorem 1).
+/// (Theorem 1). The searches include regions at `T = w`, where the window
+/// truncates earlier segments, and regions on stored corners.
 #[test]
 fn searches_answer_as_the_stored_rows_across_a_compaction_and_a_reopen() {
     let dir = tmpdir("view");
     let series = &series()[0];
-    let searches = [
+    let window = 8.0 * HOUR;
+    let config = SegDiffConfig::default()
+        .with_epsilon(0.2)
+        .with_window(window);
+    let mut index = SegDiffIndex::create(&dir, config).unwrap();
+    index.build_indexes().unwrap();
+    let third = series.len() / 3;
+    let mut samples = series.iter();
+    for (t, v) in samples.by_ref().take(third) {
+        index.push(t, v).unwrap();
+    }
+    let mut searches = vec![
         QueryRegion::drop(0.5 * HOUR, -1.0),
         QueryRegion::drop(4.0 * HOUR, -3.0),
+        QueryRegion::drop(window, -2.0),
         QueryRegion::jump(1.0 * HOUR, 1.0),
-        QueryRegion::jump(8.0 * HOUR, 2.5),
+        QueryRegion::jump(window, 2.5),
     ];
+    searches.extend(regions_on_stored_corners(&index, window));
     let check = |index: &SegDiffIndex, stage: &str| {
         let segments = index.segments().unwrap();
         let end = segments.last().expect("a stored segment").t_end;
@@ -198,16 +246,6 @@ fn searches_answer_as_the_stored_rows_across_a_compaction_and_a_reopen() {
         }
         assert!(found > 0, "{stage}: no search found anything");
     };
-    let config = SegDiffConfig::default()
-        .with_epsilon(0.2)
-        .with_window(8.0 * HOUR);
-    let mut index = SegDiffIndex::create(&dir, config).unwrap();
-    index.build_indexes().unwrap();
-    let third = series.len() / 3;
-    let mut samples = series.iter();
-    for (t, v) in samples.by_ref().take(third) {
-        index.push(t, v).unwrap();
-    }
     check(&index, "pushed");
     index.compact_storage().unwrap();
     check(&index, "compacted");
