@@ -143,30 +143,26 @@ fn sweep_plans(
 }
 
 /// The kinds of file a store holds, in report order.
-const KINDS: [&str; 7] = [
+const KINDS: [&str; 5] = [
     "segments heap",
-    "segments zones",
     "feature heaps",
-    "feature zones",
     "trees",
     "catalogue and meta",
     "log",
 ];
 
 /// Bytes on disk in `dir` by kind of file ([`KINDS`]).
-fn bytes_by_kind(dir: &Path) -> [u64; 7] {
-    let mut bytes = [0; 7];
+fn bytes_by_kind(dir: &Path) -> [u64; 5] {
+    let mut bytes = [0; 5];
     for entry in std::fs::read_dir(dir).expect("store directory") {
         let entry = entry.expect("directory entry");
         let name = entry.file_name().to_string_lossy().into_owned();
         let kind = match name.split_once('.') {
             Some(("segments", "tbl")) => 0,
-            Some(("segments", "tbl.zones")) => 1,
-            Some((_, "tbl")) => 2,
-            Some((_, "tbl.zones")) => 3,
-            Some((_, ext)) if ext.ends_with("idx") => 4,
-            Some(("wal", _)) => 6,
-            _ => 5,
+            Some((_, "tbl")) => 1,
+            Some((_, ext)) if ext.ends_with("idx") => 2,
+            Some(("wal", _)) => 4,
+            _ => 3,
         };
         bytes[kind] += entry.metadata().expect("file size").len();
     }
@@ -315,9 +311,8 @@ mod tests {
         let r = run_bigcorpus(&scale);
         assert!(r.extents_pruned > 0, "zone summary never pruned the run");
         let bytes = |kind: &str| *r.bytes.iter().find(|b| b.0 == kind).unwrap();
-        // Six feature heaps and eight trees that hold nothing own no page,
-        // and an empty heap keeps no zone sidecar.
-        for kind in ["feature heaps", "feature zones", "trees"] {
+        // Six feature heaps and eight trees that hold nothing own no page.
+        for kind in ["feature heaps", "trees"] {
             assert_eq!(bytes(kind).2, 0, "{kind}");
         }
         assert!(bytes("segments heap").2 < bytes("segments heap").1);

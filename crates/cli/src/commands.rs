@@ -217,7 +217,6 @@ fn ingest(
     let before = idx.stats().n_observations;
     idx.ingest_series(&series)?;
     idx.finish()?;
-    idx.build_indexes()?;
     let s = idx.stats();
     println!(
         "ingested {} observations (total {}), {} segments (r = {:.2}), {} feature rows",
@@ -539,10 +538,6 @@ fn stats(index: &Path, json: bool, series: bool) -> Result<(), Anyhow> {
 fn recover(index: &Path, json: bool) -> Result<(), Anyhow> {
     let idx = SegDiffIndex::open(index, 4096)?;
     let report = idx.recovery_report().cloned();
-    // A crash during index building can leave later B+trees uncreated
-    // (the catalog only names finished ones); complete the set so query
-    // --plan index works again. Idempotent when nothing is missing.
-    idx.build_indexes()?;
     let verified = idx.verify_consistency();
     let segments = idx.stats().n_segments;
     if json {

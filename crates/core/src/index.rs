@@ -192,10 +192,6 @@ impl SegDiffIndex {
         // release compacted, whose sealed feature pages held them. Either
         // way the cut is finished here, as the compaction would have.
         idx.cut_sealed_run()?;
-        // Zone maps are derived data, like the B+trees: any sidecar that
-        // was missing or invalidated (e.g. by WAL-recovery truncation, or
-        // written by an earlier release) is rebuilt here.
-        idx.ensure_zone_maps()?;
         // Re-prime the extractor window and re-anchor the segmenter.
         let segments = idx.segments()?;
         idx.n_segments = segments.len() as u64;
@@ -602,27 +598,6 @@ jump_hist {} {} {}
         self.db.clear_cache()
     }
 
-    /// Drops every feature table's zone map (and its sidecar file),
-    /// forcing subsequent sequential scans down the unpruned path — for
-    /// ablation experiments and the pruning-losslessness tests.
-    pub fn drop_zone_maps(&self) -> Result<()> {
-        for t in self.drop_tables.iter().chain(self.jump_tables.iter()) {
-            t.drop_zones()?;
-        }
-        Ok(())
-    }
-
-    /// Rebuilds any missing zone map — a feature table's, the inverse of
-    /// [`SegDiffIndex::drop_zone_maps`], or that of `segments` — from the
-    /// stored rows (idempotent).
-    pub fn ensure_zone_maps(&self) -> Result<()> {
-        let tables = self.drop_tables.iter().chain(&self.jump_tables);
-        for t in tables.chain([&self.segments_table]) {
-            t.ensure_zones()?;
-        }
-        Ok(())
-    }
-
     /// Compacts the store into its view form: seals `segments` into
     /// compressed columnar pages ([`pagestore::Database::seal_table`]:
     /// bit-exact and in temporal order, which [`SegDiffIndex::segments`]
@@ -814,14 +789,13 @@ jump_hist {} {} {}
     }
 
     /// The stored segments, in temporal order (used by examples to overlay
-    /// results on the approximation).
+    /// results on the approximation): the resident run every search reads,
+    /// so a row that is no segment, or that starts before the one before
+    /// it ends, is [`StoreError::Corrupt`] here too.
     pub fn segments(&self) -> Result<Vec<Segment>> {
-        let mut out = Vec::new();
-        self.segments_table.seq_scan(|_, row| {
-            out.push(Segment::new(row[0], row[1], row[2], row[3]));
-            true
-        })?;
-        Ok(out)
+        let rows = self.segments_table.num_rows();
+        let (run, _) = self.resident.get(&self.segments_table, rows)?;
+        Ok(run[..rows as usize].iter().map(|held| held.seg).collect())
     }
 }
 
@@ -1414,51 +1388,89 @@ mod tests {
         }
     }
 
-    /// Zone sidecars an earlier release wrote (version 2, "SDZH": page,
-    /// extent and whole-heap entries) are discarded on open and rebuilt
-    /// from the rows. These are well formed, of their heaps' counts, with
-    /// bounds no region reaches: loaded, they would empty every answer.
+    /// A store keeps no zone summary on disk: none after ingest, a flush,
+    /// a compaction or a reopen. A `.zones` file an earlier release left
+    /// is never read (nor removed): these are well formed, of their heaps'
+    /// counts, with bounds no region reaches, and the answers do not move.
     #[test]
-    fn version_2_zone_sidecars_are_rebuilt_on_open() {
-        let dir = tmpdir("v2-zones");
-        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
-        idx.build_indexes().unwrap();
-        idx.ingest_series(&drop_series()).unwrap();
-        idx.finish().unwrap();
+    fn a_store_holds_no_zone_file_and_reads_none() {
+        let dir = tmpdir("no-zones");
+        let zone_files = || {
+            let names = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name());
+            let zones = names.filter(|n| n.to_string_lossy().ends_with(".zones"));
+            zones.collect::<Vec<_>>()
+        };
         let answers = |idx: &SegDiffIndex| {
             let regions = [QueryRegion::drop(HOUR, -3.0), QueryRegion::jump(HOUR, 0.5)];
             let runs = regions
                 .iter()
                 .flat_map(|r| [(r, QueryPlan::SeqScan), (r, QueryPlan::Index)]);
-            let run = |(r, p)| {
-                [
-                    idx.query(r, p).unwrap().0,
-                    idx.query_stored_rows(r, p).unwrap().0,
-                ]
-            };
-            runs.flat_map(run).collect::<Vec<_>>()
+            runs.map(|(r, p)| idx.query(r, p).unwrap().0)
+                .collect::<Vec<_>>()
         };
+        let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+        idx.ingest_series(&drop_series()).unwrap();
+        idx.finish().unwrap();
+        assert!(zone_files().is_empty(), "after ingest");
+        idx.database().flush().unwrap();
+        assert!(zone_files().is_empty(), "after a flush");
         let want = answers(&idx);
         assert!(want.iter().all(|a| !a.is_empty()));
         let names = [&DROP_TABLES[..], &JUMP_TABLES, &[SEGMENTS_TABLE]].concat();
-        for name in &names {
-            // Magic, columns, rows, then one page, 64 pages an extent, one
-            // extent and one whole-heap entry: three (mins, maxs) pairs.
-            let t = idx.db.table(name).unwrap();
-            let ncols = t.columns().len();
-            let mut v2 = [0x5344_5A48, ncols as u32].map(u32::to_le_bytes).concat();
-            v2.extend(t.num_rows().to_le_bytes());
-            v2.extend([1, 64 << 16, 1, 1].map(u32::to_le_bytes).concat());
-            v2.extend((0..6 * ncols).flat_map(|_| 1e300f64.to_le_bytes()));
-            std::fs::write(dir.join(format!("{name}.tbl.zones")), v2).unwrap();
-        }
+        let counts: Vec<_> = names
+            .iter()
+            .map(|name| {
+                let t = idx.db.table(name).unwrap();
+                (t.columns().len(), t.num_rows())
+            })
+            .collect();
+        idx.compact_storage().unwrap();
+        assert!(zone_files().is_empty(), "after a compaction");
         drop(idx);
         let idx = SegDiffIndex::open(&dir, 4096).unwrap();
-        for t in names.iter().map(|name| idx.db.table(name).unwrap()) {
-            assert!(t.has_zones() && !t.prune_whole_segment(|lo, _| lo[0] < 1e300));
-        }
+        assert!(zone_files().is_empty(), "after a reopen");
         assert!(answers(&idx) == want, "answers moved");
+        drop(idx);
+        // Magic "SDZS", columns, rows, then one (mins, maxs) pair.
+        for (name, (ncols, nrows)) in names.iter().zip(counts) {
+            let mut stale = [0x5344_5A53, ncols as u32].map(u32::to_le_bytes).concat();
+            stale.extend(nrows.to_le_bytes());
+            stale.extend((0..2 * ncols).flat_map(|_| 1e300f64.to_le_bytes()));
+            std::fs::write(dir.join(format!("{name}.tbl.zones")), stale).unwrap();
+        }
+        let idx = SegDiffIndex::open(&dir, 4096).unwrap();
+        assert!(answers(&idx) == want, "a stale file was read");
+        assert_eq!(zone_files().len(), names.len(), "a stale file was removed");
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A `segments` row that is no segment (a NaN), or one that starts
+    /// before the row before it ends, makes the open `Corrupt`, not a
+    /// panic in the resume path.
+    #[test]
+    fn a_corrupt_segments_row_fails_the_open() {
+        for (tag, bad) in [
+            ("nan-row", [f64::NAN, 0.0, 1e9, 1.0]),
+            ("out-of-order-row", [100.0, 0.0, 200.0, -5.0]),
+        ] {
+            let dir = tmpdir(tag);
+            let mut idx = SegDiffIndex::create(&dir, SegDiffConfig::default()).unwrap();
+            idx.ingest_series(&drop_series()).unwrap();
+            idx.finish().unwrap();
+            drop(idx);
+            let db = Database::open(&dir, 64).unwrap();
+            db.table(SEGMENTS_TABLE).unwrap().insert(&bad).unwrap();
+            db.checkpoint().unwrap();
+            drop(db);
+            match SegDiffIndex::open(&dir, 4096) {
+                Err(StoreError::Corrupt(msg)) => assert!(msg.contains("segments row"), "{msg}"),
+                Err(e) => panic!("{tag}: {e:?}"),
+                Ok(_) => panic!("{tag}: opened"),
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     /// A compaction keeps `segments` as it was, in temporal order, and

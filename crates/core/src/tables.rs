@@ -189,6 +189,8 @@ mod tests {
                 (i as f64 * 300.0, v)
             })
             .collect();
+        // A region every table's zone summary admits, so the plan probes
+        // every table it has trees for.
         let region = QueryRegion::drop(4.0 * HOUR, -0.5);
         let build = |tag: &str| {
             let dir =
@@ -198,8 +200,6 @@ mod tests {
             let mut idx = SegDiffIndex::create(&dir, config).unwrap();
             idx.ingest_series(&series).unwrap();
             idx.finish().unwrap();
-            // No zone summary: the plan probes every table it has trees for.
-            idx.drop_zone_maps().unwrap();
             (dir, idx)
         };
         let (dir, idx) = build("all");

@@ -102,10 +102,6 @@ pub const METRICS: &[MetricDef] = &[
         "Heap pages skipped unread because the heap's whole-heap zone summary failed the filter",
     ),
     MetricDef::counter(
-        "zonemap.builds",
-        "Zone maps rebuilt from a full scan (missing or stale sidecar)",
-    ),
-    MetricDef::counter(
         "zonemap.extents_pruned",
         "Heaps (or row ranges of one) skipped whole because their zone summary failed the filter: one per skip",
     ),

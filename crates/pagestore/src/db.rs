@@ -205,7 +205,7 @@ impl Database {
         if wal_exists {
             db.attach(Wal::open(Arc::clone(&vfs), dir, db.opts.sync)?);
         }
-        let mut rebuilt_indexes = false;
+        let mut indexes = Vec::new();
         for line in text.lines() {
             let parts: Vec<&str> = line.split_whitespace().collect();
             match parts.as_slice() {
@@ -220,52 +220,61 @@ impl Database {
                     let table = Arc::new(Table::new(name.to_string(), cols, heap));
                     db.tables.lock().insert(name.to_string(), table);
                 }
-                ["index", tname, iname, cols] => {
-                    let cols: Vec<usize> = cols
-                        .split(',')
-                        .map(|s| {
-                            s.parse().map_err(|_| {
-                                StoreError::Corrupt(format!("bad catalog column index: {line}"))
-                            })
-                        })
-                        .collect::<Result<_>>()?;
-                    let table = db.table(tname)?;
-                    let path = db.index_path(tname, iname);
-                    // A tree holds the `len()` rows behind its heap's
-                    // sealed ones (`attach_index` derives the rest into
-                    // its write buffer, as keys of the catalogue's
-                    // columns); a file of no page holds none. One that
-                    // is missing (recovery dropped it), torn (zeros
-                    // where the magic goes), of an earlier release's
-                    // layout (another magic), ahead of its heap (a file
-                    // from before a seal) or of another key width is
-                    // rebuilt from the recovered heap by the
-                    // deterministic bulk load that created it.
-                    let missing = |e: &StoreError| match e {
-                        StoreError::Io(e) => e.kind() == ErrorKind::NotFound,
-                        e => matches!(e, StoreError::Corrupt(_)),
-                    };
-                    let kw = cols.len() * 8 + 8;
-                    let opened = PageFile::open(&*vfs, &path).and_then(|file| {
-                        BTree::open(db.pool.clone(), db.pool.register_file(file), kw)
-                    });
-                    let tree = match opened {
-                        Ok(tree) if table.sealed_rows() + tree.len() <= table.num_rows() => tree,
-                        Err(e) if !missing(&e) => return Err(e),
-                        _ => {
-                            let fid = db.pool.register_file(PageFile::create(&*vfs, &path)?);
-                            rebuilt_indexes = true;
-                            db.bulk_build_tree(&table, fid, &cols)?
-                        }
-                    };
-                    table.attach_index(iname.to_string(), cols, tree)?;
-                }
+                ["index", tname, iname, cols] => indexes.push((line, *tname, *iname, *cols)),
                 [] => {}
                 _ => {
                     return Err(StoreError::Corrupt(format!("bad catalog line: {line}")));
                 }
             }
             db.catalog.lock().push(line.to_string());
+        }
+        // A crash between a heap rewrite's rename and the checkpoint of its
+        // new row count leaves a clean log that counts the old rows: log
+        // the heaps' counts before a tree rebuild below marks the log
+        // unclean, or a crash inside it would recover to the old count.
+        if let (Some(wal), Some(report)) = (&db.wal, &db.recovery) {
+            let state = db.current_state();
+            if report.clean && state.tables != report.committed.tables {
+                wal.checkpoint(&state)?;
+            }
+        }
+        let mut rebuilt_indexes = false;
+        for (line, tname, iname, cols) in indexes {
+            let cols: Vec<usize> = cols
+                .split(',')
+                .map(|s| {
+                    s.parse().map_err(|_| {
+                        StoreError::Corrupt(format!("bad catalog column index: {line}"))
+                    })
+                })
+                .collect::<Result<_>>()?;
+            let table = db.table(tname)?;
+            let path = db.index_path(tname, iname);
+            // A tree holds the `len()` rows behind its heap's sealed ones
+            // (`attach_index` derives the rest into its write buffer, as
+            // keys of the catalogue's columns); a file of no page holds
+            // none. One that is missing (recovery dropped it), torn (zeros
+            // where the magic goes), of an earlier release's layout
+            // (another magic), ahead of its heap (a file from before a
+            // seal) or of another key width is rebuilt from the recovered
+            // heap by the deterministic bulk load that created it.
+            let missing = |e: &StoreError| match e {
+                StoreError::Io(e) => e.kind() == ErrorKind::NotFound,
+                e => matches!(e, StoreError::Corrupt(_)),
+            };
+            let kw = cols.len() * 8 + 8;
+            let opened = PageFile::open(&*vfs, &path)
+                .and_then(|file| BTree::open(db.pool.clone(), db.pool.register_file(file), kw));
+            let tree = match opened {
+                Ok(tree) if table.sealed_rows() + tree.len() <= table.num_rows() => tree,
+                Err(e) if !missing(&e) => return Err(e),
+                _ => {
+                    let fid = db.pool.register_file(PageFile::create(&*vfs, &path)?);
+                    rebuilt_indexes = true;
+                    db.bulk_build_tree(&table, fid, &cols)?
+                }
+            };
+            table.attach_index(iname.to_string(), cols, tree)?;
         }
 
         if wal_mode && !wal_exists {
@@ -438,19 +447,18 @@ impl Database {
     ///    the new file;
     /// 2. write the rows into `<name>.tbl.tmp` *outside* the buffer pool,
     ///    building the new zone map along the way;
-    /// 3. delete the derived files, durably — the indexes (a missing or
-    ///    torn `.idx`, or one that holds more rows than lie behind the
-    ///    sealed ones, is rebuilt by [`Database::open`] from the heap) and
-    ///    the zone sidecar (whose row count a seal does not change: left in
-    ///    place it would pass for the sealed file's; a heap without one
-    ///    rebuilds it) — so a crash anywhere past this point self-repairs;
+    /// 3. delete the indexes, durably — a missing or torn `.idx`, or one
+    ///    that holds more rows than lie behind the sealed ones, is rebuilt
+    ///    by [`Database::open`] from the heap — so a crash anywhere past
+    ///    this point self-repairs;
     /// 4. rename the temp file over the heap — its row counts are in the
     ///    file, so the rename publishes them — and swap the pool's file
-    ///    handle ([`BufferPool::swap_file`] discards the stale frames);
+    ///    handle ([`BufferPool::swap_file`] discards the stale frames),
+    ///    opening the new heap with the zone map step 2 built;
     /// 5. log a checkpoint of the new row counts before any page is
     ///    written again: nothing is dirty since step 1, and a cut's count
     ///    is smaller than the one recovery would otherwise truncate to;
-    /// 6. install the new zone map, rebuild the indexes, and checkpoint.
+    /// 6. rebuild the indexes, and checkpoint.
     ///
     /// One table's rows are held in memory while it is rewritten (rows x
     /// columns x 8 bytes).
@@ -481,21 +489,20 @@ impl Database {
         let rows: Vec<&[f64]> = rows.chunks_exact(ncols).collect();
         let zones = HeapFile::write(vfs, &tmp, ncols, &rows, sealed, self.opts.sync)?;
 
-        // Point of no return: drop derived files, then the heap itself.
+        // Point of no return: drop the trees, then the heap itself.
         for iname in table.index_names() {
             vfs.remove_file(&self.index_path(name, &iname))?;
         }
-        table.drop_zones()?;
         self.sync_dir()?;
         vfs.rename(&tmp, &path)?;
         self.sync_dir()?;
         let fid = table.heap_fid();
         self.pool.swap_file(fid, PageFile::open(vfs, &path)?);
-        table.replace_heap(HeapFile::open(self.pool.clone(), fid, ncols)?);
+        let heap = HeapFile::open_written(self.pool.clone(), fid, ncols, zones)?;
+        table.replace_heap(heap);
         if let Some(wal) = &self.wal {
             wal.checkpoint(&self.current_state())?;
         }
-        table.install_zones(zones)?; // persists the new file's sidecar
         for idx in table.indexes() {
             let ipath = self.index_path(name, idx.name());
             let ifid = idx.tree_fid();
@@ -1014,13 +1021,17 @@ mod tests {
             db.flush().unwrap();
         }
         let db = Database::open(&dir, 1024).unwrap();
-        let reads = db.stats().physical_reads;
+        let asked = db.stats().hits + db.stats().misses;
         let t = db.table("ev").unwrap();
         let heap_pages = t.heap_bytes() / crate::PAGE_SIZE as u64;
         assert!(heap_pages > 200, "{heap_pages} heap pages");
-        // The meta pages of the heap and the two trees, and the few heap
-        // pages that hold the last rows (at most a buffer's worth).
-        assert!(reads <= 12, "open read {reads} of {heap_pages} heap pages");
+        // Every page of the heap once, for its zone summary; the meta pages
+        // of the two trees; and the few heap pages that hold the last rows
+        // (at most a buffer's worth).
+        assert!(
+            asked <= heap_pages + 12,
+            "open asked for {asked} pages, the heap has {heap_pages}"
+        );
         for name in ["by_ab", "by_c"] {
             let tree = t.index(name).unwrap();
             assert_eq!(tree.len(), 40_000);
@@ -1187,7 +1198,6 @@ mod tests {
 
         db.seal_table("ev").unwrap();
         t.assert_one_layout();
-        assert!(t.has_zones(), "a seal installs a fresh zone map");
         assert!(
             t.heap_bytes() < heap_before,
             "sealed heap must shrink ({} -> {})",
@@ -1239,7 +1249,6 @@ mod tests {
         let t = db.table("ev").unwrap();
         t.assert_one_layout();
         assert_eq!((t.num_rows(), t.sealed_rows()), (3001, 3000));
-        assert!(t.has_zones(), "sidecar valid across reopen");
         assert_eq!(at_3000(&t), (1, 60));
         // A second seal takes the row behind the first, and the tree is
         // empty again.
@@ -1378,18 +1387,42 @@ mod tests {
         entries
     }
 
+    /// Checks that the whole-heap summary `t`'s `prune_whole_segment`
+    /// filter is shown is the min/max fold of the rows `t` stores — none
+    /// for no row — so it is never narrower than the rows, which would
+    /// prune wrongly, nor wider.
+    fn assert_summary_is_the_fold(t: &Table) {
+        let mut fold: Option<(Vec<f64>, Vec<f64>)> = None;
+        t.seq_scan(|_, row| {
+            let (lo, hi) = fold.get_or_insert_with(|| (row.to_vec(), row.to_vec()));
+            for ((lo, hi), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(row) {
+                *lo = lo.min(v);
+                *hi = hi.max(v);
+            }
+            true
+        })
+        .unwrap();
+        let mut shown = None;
+        t.prune_whole_segment(|mins, maxs| {
+            shown = Some((mins.to_vec(), maxs.to_vec()));
+            true
+        });
+        assert!(
+            shown == fold,
+            "{}: summary {shown:?}, rows {fold:?}",
+            t.name()
+        );
+    }
+
     /// Checks that `t` holds `want` in that order, `sealed` of them
-    /// sealed: the one layout, zones equal to the ones a rebuild from the
-    /// pages makes, and both trees holding exactly the rows behind the
-    /// sealed ones — which, with the sealed pages, are every row once.
+    /// sealed: the one layout, the zone summary of those rows, and both
+    /// trees holding exactly the rows behind the sealed ones — which, with
+    /// the sealed pages, are every row once.
     fn check_rewritten(t: &Table, sealed: u64, want: &[[u64; 4]]) {
         t.assert_one_layout();
         assert_eq!(t.sealed_rows(), sealed);
         assert!(row_bits(t) == want, "{sealed} sealed: rows or their order");
-        let installed = zone_entries(t);
-        t.drop_zones().unwrap();
-        t.ensure_zones().unwrap();
-        assert!(installed == zone_entries(t), "{sealed} sealed: zones");
+        assert_summary_is_the_fold(t);
         for tree in ["by_dt_dv", "by_t"] {
             assert_eq!(t.index(tree).unwrap().len(), want.len() as u64 - sealed);
             let [scanned, found] = t.rows_by_scan_and_by_seal_and_tree(tree);
@@ -1426,6 +1459,56 @@ mod tests {
     }
 
     #[test]
+    fn every_summary_is_the_fold_of_the_rows_its_heap_holds() {
+        // A zone summary is built when its heap opens and never stored: a
+        // seal, a cut, a recovery that truncates rows and a clean reopen
+        // each leave the summary of exactly the rows the heap holds.
+        let dir = tmpdir("fold");
+        fs::remove_dir_all(&dir).ok();
+        let from = (KEYED_ROWS - 1000) as f64;
+        {
+            // A pool this small writes the uncommitted rows below to the
+            // file before the crash.
+            let db = Database::create_with(&dir, 16, durable_every_commit()).unwrap();
+            let t = db
+                .create_table(TableSpec::new("ev", &["dt", "dv", "t", "noise"]))
+                .unwrap();
+            db.create_index("ev", "by_t", &["t"]).unwrap();
+            for i in 0..KEYED_ROWS {
+                t.insert(&keyed_row(i)).unwrap();
+            }
+            db.seal_table("ev").unwrap();
+            assert_summary_is_the_fold(&t);
+            for i in KEYED_ROWS..KEYED_ROWS + 3000 {
+                t.insert(&keyed_row(i)).unwrap();
+            }
+            db.cut_table("ev", |row| row[2] >= from).unwrap();
+            assert_summary_is_the_fold(&t);
+            db.commit(b"cut").unwrap();
+            // Rows no commit covers, outside every committed one's range.
+            for i in 0..3000 {
+                t.insert(&[1e12, -1e12, 1e12 + i as f64, 0.5]).unwrap();
+            }
+            assert_summary_is_the_fold(&t);
+        }
+        let db = Database::open(&dir, 16).unwrap();
+        assert!(!db.recovery_report().unwrap().clean, "recovery truncated");
+        let t = db.table("ev").unwrap();
+        assert_eq!(t.num_rows(), 4000, "the rows the cut kept");
+        assert_summary_is_the_fold(&t);
+        t.insert(&keyed_row(KEYED_ROWS + 3000)).unwrap();
+        db.commit(b"one more").unwrap();
+        db.flush().unwrap();
+        drop((t, db));
+        let db = Database::open(&dir, 16).unwrap();
+        assert!(db.recovery_report().unwrap().clean, "a clean reopen");
+        let t = db.table("ev").unwrap();
+        assert_eq!(t.num_rows(), 4001);
+        assert_summary_is_the_fold(&t);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn a_cut_keeps_the_rows_asked_for_on_raw_pages_under_rebuilt_trees() {
         let (dir, db, t) = keyed_table("cut", KEYED_ROWS);
         db.seal_table("ev").unwrap();
@@ -1445,8 +1528,8 @@ mod tests {
         db.cut_table("ev", |row| row[2] >= from).unwrap();
         assert!(data_files(&dir) == cut_files, "a no-op cut wrote a file");
         // A cut of every row leaves a heap and trees that own no page: the
-        // catalogued files stay, empty, with no sidecar beside them, and
-        // rows append to the heap as to a new one.
+        // catalogued files stay, empty, and rows append to the heap as to
+        // a new one.
         db.cut_table("ev", |_| false).unwrap();
         check_rewritten(&t, 0, &[]);
         db.flush().unwrap();
@@ -1454,7 +1537,6 @@ mod tests {
         let files = data_files(&dir);
         assert_eq!(files.len(), 3, "one heap, two trees");
         assert!(files.values().all(Vec::is_empty), "a page of nothing");
-        assert!(!dir.join("ev.tbl.zones").exists(), "a sidecar of nothing");
         t.insert(&keyed_row(7)).unwrap();
         check_rewritten(&t, 0, &[keyed_row(7).map(f64::to_bits)]);
         db.flush().unwrap();
@@ -1537,8 +1619,6 @@ mod tests {
             assert!(once[tree].is_empty(), "{tree}: an empty tree owns no page");
         }
         assert!(once == data_files(&twice_dir), "heap or trees");
-        let zones = |dir: &Path| fs::read(dir.join("ev.tbl.zones")).unwrap();
-        assert!(zones(&once_dir) == zones(&twice_dir), "zone sidecars");
         fs::remove_dir_all(&once_dir).ok();
         fs::remove_dir_all(&twice_dir).ok();
     }

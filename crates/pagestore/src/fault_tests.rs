@@ -431,59 +431,6 @@ fn a_tree_of_no_page_under_unsealed_rows_reopens_to_every_row() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn a_seal_leaves_no_sidecar_behind_the_rename() {
-    // A seal moves rows and keeps their count, so the zone sidecar of the
-    // heap it replaces would pass for the sealed file's: it must be gone,
-    // with the trees, before the rename publishes that file. A rename onto
-    // a directory that is not empty fails: stop the seal there.
-    let (dir, db) = loaded_store("sealsidecar");
-    let heap = dir.join("t.tbl");
-    let old_heap = std::fs::read(&heap).unwrap();
-    let [rows, _] = db
-        .table("t")
-        .unwrap()
-        .rows_by_scan_and_by_seal_and_tree("by_ab");
-    assert!(dir.join("t.tbl.zones").exists() && dir.join("t.by_ab.idx").exists());
-    std::fs::remove_file(&heap).unwrap(); // the pool keeps reading it
-    std::fs::create_dir(&heap).unwrap();
-    std::fs::write(heap.join("kept"), b"").unwrap();
-    assert!(matches!(db.seal_table("t"), Err(StoreError::Io(_))));
-    drop(db);
-    assert!(
-        !dir.join("t.tbl.zones").exists(),
-        "sidecar outlived the seal"
-    );
-    assert!(!dir.join("t.by_ab.idx").exists(), "tree outlived the seal");
-    let sealed_heap = std::fs::read(dir.join("t.tbl.tmp")).unwrap();
-    assert_eq!(sealed_heap[24..32], 2000u64.to_le_bytes(), "temp file");
-    // A kill on either side of the rename reopens to the same rows, with
-    // no zone map until one is rebuilt from the heap that is there.
-    let sides = [("before", &old_heap, 0), ("after", &sealed_heap, 2000)];
-    for (side, heap, sealed) in sides {
-        let killed = tmpdir(&format!("sealsidecar-{side}"));
-        copy_store(&dir, &killed);
-        std::fs::write(killed.join("t.tbl"), heap).unwrap();
-        let db = assert_reopens_to(&killed, &rows, sealed);
-        let t = db.table("t").unwrap();
-        assert!(!t.has_zones(), "{side}: a zone map from nowhere");
-        t.ensure_zones().unwrap();
-        let mut low = 0;
-        t.scan_columns(
-            |mins, _| mins[0] < 3.0,
-            &mut Vec::new(),
-            |cols, n| {
-                low += cols[0][..n].iter().filter(|&&a| a < 3.0).count();
-                true
-            },
-        )
-        .unwrap();
-        assert_eq!(low, 600, "{side}: pruned scan over rebuilt zones");
-        std::fs::remove_dir_all(&killed).ok();
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
 /// The store an earlier release leaves after compacting 2,000 rows and
 /// ingesting `tail` more: their columnar pages behind the compacted ones,
 /// the last of them partly filled, `sealed` rows counted sealed on the meta
@@ -512,7 +459,6 @@ fn earlier_release_store(
     // (Entry count of a tree: a u64 at byte 16 of page 0.)
     std::fs::copy(past.join("t.by_ab.idx"), dir.join("t.by_ab.idx")).unwrap();
     patch(&dir.join("t.by_ab.idx"), 16, &entries.to_le_bytes());
-    std::fs::remove_file(dir.join("t.tbl.zones")).unwrap();
     std::fs::remove_dir_all(&past).ok();
     rows.extend(tail_rows.iter().map(|r| r.map(f64::to_bits).to_vec()));
     rows.sort_unstable();

@@ -91,10 +91,10 @@ pub struct HeapFile {
     /// and, last, how many they are: sealed page `p` holds rows
     /// `sealed_bounds[p - 1]..sealed_bounds[p]`. `[0]` when none is sealed.
     sealed_bounds: Vec<u64>,
-    /// The whole-heap min/max column summary, when available. Maintained
-    /// incrementally on insert; `None` after opening a heap whose sidecar
-    /// was missing or stale (rebuild with [`HeapFile::rebuild_zones`]).
-    zones: Option<ZoneMap>,
+    /// The whole-heap min/max column summary of every stored row: built
+    /// by the open's scan, or installed by the rewrite that wrote the
+    /// file, and folded into on insert.
+    zones: ZoneMap,
 }
 
 /// Page-skip accounting returned by the page scans.
@@ -202,7 +202,35 @@ impl HeapFile {
     /// to in columnar pages has every such row sealed where it stands
     /// (its meta count, which ends on one of those pages, is brought up to
     /// date by the next flush), and the next row opens a raw page.
+    ///
+    /// The zone map is built here, with one scan of the rows.
     pub fn open(pool: Arc<BufferPool>, fid: FileId, ncols: usize) -> Result<Self> {
+        let mut heap = Self::open_meta(pool, fid, ncols)?;
+        let mut zones = ZoneMap::new(ncols);
+        heap.scan(0, |_, row| {
+            zones.observe(row);
+            true
+        })?;
+        heap.zones = zones;
+        Ok(heap)
+    }
+
+    /// [`HeapFile::open`] of a file [`HeapFile::write`] just wrote, with
+    /// the zone map that write returned instead of a second scan.
+    pub(crate) fn open_written(
+        pool: Arc<BufferPool>,
+        fid: FileId,
+        ncols: usize,
+        zones: ZoneMap,
+    ) -> Result<Self> {
+        let heap = Self::open_meta(pool, fid, ncols)?;
+        debug_assert_eq!(zones.num_rows(), heap.nrows);
+        Ok(Self { zones, ..heap })
+    }
+
+    /// The heap in file `fid` as its meta page and page headers say, with
+    /// an empty zone map.
+    fn open_meta(pool: Arc<BufferPool>, fid: FileId, ncols: usize) -> Result<Self> {
         let path = pool.file_path(fid);
         let npages = pool.file_pages(fid);
         let (magic, on_file, nrows, columnar, meta_sealed) = match npages {
@@ -270,11 +298,6 @@ impl HeapFile {
                 "{npages} pages hold fewer rows than the meta count {nrows}"
             ));
         }
-        // An empty heap's map is the empty one: it needs no sidecar.
-        let zones = match ZoneMap::load(&**pool.vfs(), &path, ncols, nrows)? {
-            None if nrows == 0 => Some(ZoneMap::new(ncols)),
-            zones => zones,
-        };
         Ok(Self {
             pool,
             fid,
@@ -282,7 +305,7 @@ impl HeapFile {
             rows_per_page,
             nrows,
             sealed_bounds,
-            zones,
+            zones: ZoneMap::new(ncols),
         })
     }
 
@@ -364,18 +387,13 @@ impl HeapFile {
         })
     }
 
-    /// Persists the row count to the meta page, and the zone-map sidecar
-    /// when one is maintained. A heap with no row has neither to write.
+    /// Persists the row count to the meta page. A heap with no row has no
+    /// meta page to write.
     pub fn sync_meta(&self) -> Result<()> {
         if self.nrows == 0 {
             return Ok(());
         }
-        self.write_meta()?;
-        if let Some(z) = &self.zones {
-            let path = self.pool.file_path(self.fid);
-            z.save(&**self.pool.vfs(), &path, self.pool.syncs())?;
-        }
-        Ok(())
+        self.write_meta()
     }
 
     /// Number of columns per row.
@@ -504,9 +522,7 @@ impl HeapFile {
             page::put_u16(b, 0, slot as u16 + 1);
         })?;
         self.nrows += 1;
-        if let Some(z) = &mut self.zones {
-            z.observe(row);
-        }
+        self.zones.observe(row);
         Ok(rid(pid, slot as u16))
     }
 
@@ -576,56 +592,15 @@ impl HeapFile {
         Ok(())
     }
 
-    /// Whether a zone map is currently maintained.
-    pub fn has_zones(&self) -> bool {
-        self.zones.is_some()
-    }
-
-    /// Rebuilds the zone map from a full scan (idempotent; a heap that
-    /// already maintains one is left untouched). Needed after opening a
-    /// heap whose sidecar was missing or stale — e.g. created before zone
-    /// maps existed, truncated by WAL recovery, or killed inside a seal,
-    /// which removes the sidecar before it publishes the sealed file.
-    pub fn rebuild_zones(&mut self) -> Result<()> {
-        if self.zones.is_some() {
-            return Ok(());
-        }
-        obs::global().counter("zonemap.builds").inc();
-        let mut z = ZoneMap::new(self.ncols);
-        self.scan(0, |_, row| {
-            z.observe(row);
-            true
-        })?;
-        self.zones = Some(z);
-        Ok(())
-    }
-
-    /// Installs a zone map built elsewhere (the seal, which observes
-    /// every row while streaming it into the new file).
-    pub(crate) fn install_zones(&mut self, zones: ZoneMap) {
-        debug_assert_eq!(zones.num_rows(), self.nrows);
-        self.zones = Some(zones);
-    }
-
-    /// Drops the zone map and deletes its sidecar, forcing subsequent
-    /// scans down the unpruned path (a seal, before it replaces the file;
-    /// tests and ablations).
-    pub fn drop_zones(&mut self) -> Result<()> {
-        self.zones = None;
-        let sidecar = ZoneMap::sidecar_path(&self.pool.file_path(self.fid));
-        Ok(self.pool.vfs().remove_file(&sidecar)?)
-    }
-
     /// Whether the whole-heap summary rejects every stored row under
-    /// `filter`: `false` when no zone map is maintained, the heap is
-    /// empty, the map does not cover every stored row (skipping would
-    /// then be lossy) or the summary passes.
+    /// `filter`: `false` when the heap is empty or the summary passes.
+    /// The summary is empty only while the open's scan builds it.
     fn summary_rejects(&self, filter: &mut impl FnMut(&[f64], &[f64]) -> bool) -> bool {
-        let Some(z) = self.zones.as_ref().filter(|z| z.num_rows() == self.nrows) else {
+        let Some((mins, maxs)) = self.zones.segment_bounds() else {
             return false;
         };
-        z.segment_bounds()
-            .is_some_and(|(mins, maxs)| !filter(mins, maxs))
+        debug_assert_eq!(self.zones.num_rows(), self.nrows, "a summary of every row");
+        !filter(mins, maxs)
     }
 
     /// Whole-heap pre-probe pruning for non-scan plans: applies `filter`
@@ -635,8 +610,7 @@ impl HeapFile {
     /// `zonemap.pages_pruned` and one heap into `zonemap.extents_pruned`,
     /// as a scan's rejection does.
     ///
-    /// Returns `false` — no pruning — when no zone map is maintained,
-    /// the heap is empty, or the map does not cover every stored row.
+    /// Returns `false` — no pruning — when the heap is empty.
     pub fn prune_whole_segment(&self, mut filter: impl FnMut(&[f64], &[f64]) -> bool) -> bool {
         if !self.summary_rejects(&mut filter) {
             return false;
@@ -655,8 +629,8 @@ impl HeapFile {
 
     /// The one page walk under every scan: visits the data pages that
     /// hold the rows `rows` (clamped to the heap's), all of them unless
-    /// the whole-heap zone summary covers every stored row and fails
-    /// `filter`, in which case it visits none. The visitor is handed
+    /// the whole-heap zone summary fails `filter`, in which case it visits
+    /// none. The visitor is handed
     /// each page undecoded, as a [`ScanPage`] of the range's rows on it:
     /// it asks for the columns it needs, and may ask again once those
     /// have told it whether the rest is worth reading. Compressed columnar pages decode the asked
@@ -885,9 +859,7 @@ mod tests {
             let lead: Vec<&[f64]> = rows[..sealed].iter().map(|r| &r[..]).collect();
             let zones = HeapFile::write(&OsVfs, &p, ncols, &lead, true, false).unwrap();
             let fid = pool.register_file(PageFile::open(&OsVfs, &p).unwrap());
-            let mut heap = HeapFile::open(pool.clone(), fid, ncols).unwrap();
-            heap.install_zones(zones);
-            heap
+            HeapFile::open_written(pool.clone(), fid, ncols, zones).unwrap()
         };
         for row in &rows[sealed..] {
             heap.insert(row).unwrap();
@@ -1098,19 +1070,15 @@ mod tests {
             (HeapFile::open(pool.clone(), fid, ncols), pool, fid)
         };
         let len = || std::fs::metadata(&p).unwrap().len();
-        // Created, synced and flushed with no row: nothing written, no
-        // sidecar, and every read answers nothing.
+        // Created, synced and flushed with no row: nothing written, and
+        // every read answers nothing.
         PageFile::create(&OsVfs, &p).unwrap();
         let (h, pool, fid) = open(3);
         let mut h = h.unwrap();
         h.sync_meta().unwrap();
         pool.flush_all().unwrap();
         assert_eq!((len(), h.size_bytes()), (0, 0));
-        assert!(
-            !ZoneMap::sidecar_path(&p).exists(),
-            "an empty heap's sidecar"
-        );
-        assert!(h.has_zones() && !h.prune_whole_segment(|_, _| false));
+        assert!(!h.prune_whole_segment(|_, _| false));
         h.scan(0, |_, _| panic!("a row of no page")).unwrap();
         h.fetch_many_cols(&[], 0..3, |_, _| panic!("a row of no page"))
             .unwrap();
@@ -1346,19 +1314,6 @@ mod tests {
         // so only a lower bound is exact here: all 70 pages.
         let after = obs::global().counter("zonemap.pages_pruned").get();
         assert!(after - before >= 70, "before {before}, after {after}");
-        h.drop_zones().unwrap();
-        assert!(
-            !h.prune_whole_segment(|_m, _x| false),
-            "no zone map, no pruning"
-        );
-        assert_eq!(
-            h.scan_pages(.., |_m, _x| false, |_| Ok(true)).unwrap(),
-            ZoneScanStats {
-                pages_scanned: 70,
-                pages_pruned: 0
-            },
-            "no zone map, every page read"
-        );
         std::fs::remove_file(&p).ok();
     }
 

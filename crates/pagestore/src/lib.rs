@@ -86,7 +86,6 @@ pub use recovery::RecoveryReport;
 pub use table::{Index, Table, BUFFER_ENTRIES};
 pub use vfs::{write_atomic, OsVfs, Vfs, VfsFile};
 pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
-pub use zonemap::ZoneMap;
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 4096;

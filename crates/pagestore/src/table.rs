@@ -449,32 +449,8 @@ impl Table {
         *self.heap.write() = heap;
     }
 
-    /// Installs a zone map a heap rewrite built, and persists it.
-    pub(crate) fn install_zones(&self, zones: crate::zonemap::ZoneMap) -> Result<()> {
-        let mut heap = self.heap.write();
-        heap.install_zones(zones);
-        heap.sync_meta()
-    }
-
     pub(crate) fn indexes(&self) -> Vec<Arc<Index>> {
         self.indexes.read().clone()
-    }
-
-    /// Whether the heap currently maintains a zone map.
-    pub fn has_zones(&self) -> bool {
-        self.heap.read().has_zones()
-    }
-
-    /// Builds the zone map from existing rows when the sidecar was
-    /// missing or stale (idempotent); see [`HeapFile::rebuild_zones`].
-    pub fn ensure_zones(&self) -> Result<()> {
-        self.heap.write().rebuild_zones()
-    }
-
-    /// Drops the zone map and its sidecar, disabling pruning (tests and
-    /// ablations).
-    pub fn drop_zones(&self) -> Result<()> {
-        self.heap.write().drop_zones()
     }
 
     /// Persists heap and index metadata (called by `Database::flush`). A
@@ -867,7 +843,6 @@ mod tests {
         for i in 0..4000 {
             table.insert(&[i as f64, -((i % 13) as f64)]).unwrap();
         }
-        assert!(table.has_zones());
         // Count rows with dt <= 100 via the pruned page scan.
         let mut pruned_rows = 0;
         let mut cols = Vec::new();
@@ -903,13 +878,6 @@ mod tests {
             })
             .unwrap();
         assert_eq!(pruned_rows, expect);
-        // Dropping zones disables pruning but not the scan itself.
-        table.drop_zones().unwrap();
-        assert!(!table.has_zones());
-        let stats = table.scan_pages(.., |_, _| false, |_| Ok(true)).unwrap();
-        assert_eq!(stats.pages_pruned, 0);
-        table.ensure_zones().unwrap();
-        assert!(table.has_zones());
         cleanup(&paths);
     }
 

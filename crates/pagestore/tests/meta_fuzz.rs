@@ -1,15 +1,9 @@
-//! Mutated heap meta pages and zone sidecars, the two decoders a heap open
-//! runs (this runs in a debug build, so arithmetic overflow counts):
-//!
-//! * a heap file — its meta page's magic, column count, row count,
-//!   columnar tag and sealed row count edited, bits flipped, data page
-//!   headers edited, the file cut short or to nothing — opens to `Ok` or
-//!   `StoreError::Corrupt`, never a panic, and an `Ok` heap reads to `Ok`
-//!   or `Corrupt` too;
-//! * a zone sidecar — its counts edited, bits flipped, the file cut or
-//!   grown — loads to a map exactly when it is well formed and of the
-//!   heap's column and row counts (`None` otherwise), and a map is never
-//!   larger than the file it came from.
+//! Mutated heap meta pages, the decoder a heap open runs (this runs in a
+//! debug build, so arithmetic overflow counts): a heap file — its meta
+//! page's magic, column count, row count, columnar tag and sealed row
+//! count edited, bits flipped, data page headers edited, the file cut
+//! short or to nothing — opens to `Ok` or `StoreError::Corrupt`, never a
+//! panic, and an `Ok` heap reads to `Ok` or `Corrupt` too.
 
 #![allow(
     clippy::unwrap_used,
@@ -19,7 +13,7 @@
 )]
 
 use pagestore::{
-    BufferPool, Database, HeapFile, OsVfs, PageFile, StoreError, TableSpec, ZoneMap, PAGE_SIZE,
+    BufferPool, Database, HeapFile, OsVfs, PageFile, StoreError, TableSpec, PAGE_SIZE,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -267,136 +261,5 @@ fn mutated_heap_files_open_to_ok_or_corrupt_and_never_panic() {
             Err(StoreError::Corrupt(_))
         ));
     }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// Zone maps as sidecars: `(ncols, rows, bytes)` over 0, 3, 192, 195 and
-/// 390 rows of one to five columns.
-fn sidecars(dir: &Path) -> Vec<(usize, u64, Vec<u8>)> {
-    let heap = dir.join("base.tbl");
-    let mut out = Vec::new();
-    for (ncols, rows) in [(1, 0), (2, 3), (3, 192), (1, 195), (5, 390)] {
-        let mut map = ZoneMap::new(ncols);
-        for r in 0..rows {
-            let row: Vec<f64> = (0..ncols).map(|c| (r * 7 + c as u32) as f64).collect();
-            map.observe(&row);
-        }
-        map.save(&OsVfs, &heap, false).unwrap();
-        let bytes = std::fs::read(ZoneMap::sidecar_path(&heap)).unwrap();
-        out.push((ncols, map.num_rows(), bytes));
-    }
-    out
-}
-
-/// Whether `b` is the sidecar of a heap of `ncols` columns and `nrows`
-/// rows, by the format's own rules: magic, counts, and exactly the length
-/// one whole-heap entry needs.
-fn well_formed(b: &[u8], magic: &[u8], ncols: usize, nrows: u64) -> bool {
-    if b.len() < 16 || &b[..4] != magic {
-        return false;
-    }
-    let n = u64::from(u32::from_le_bytes(b[4..8].try_into().unwrap()));
-    n == ncols as u64
-        && u64::from_le_bytes(b[8..16].try_into().unwrap()) == nrows
-        && b.len() as u64 == 16 + n * 16
-}
-
-#[test]
-fn mutated_zone_sidecars_load_only_when_well_formed_and_never_panic() {
-    let dir = tmpdir("zones");
-    let bases = sidecars(&dir);
-    let heap = dir.join("case.tbl");
-    let sidecar = ZoneMap::sidecar_path(&heap);
-    let magic = bases[0].2[..4].to_vec();
-    let mut rng = XorShift(0x9E37_79B9_7F4A_7C15);
-    let (mut loaded, mut refused) = (0u32, 0u32);
-    for case in 0..20_000 {
-        let (ncols, nrows, base) = &bases[rng.below(bases.len())];
-        let mut b = base.clone();
-        let mut what = Vec::new();
-        for _ in 0..1 + rng.below(2) {
-            let len = b.len();
-            match rng.below(6) {
-                // A count: columns or rows.
-                0 | 1 => {
-                    let (at, width) = [(4, 4), (8, 8)][rng.below(2)];
-                    if at + width <= len {
-                        let mut was = [0u8; 8];
-                        was[..width].copy_from_slice(&b[at..at + width]);
-                        let was = u64::from_le_bytes(was);
-                        let v = rng.pick(&[
-                            0,
-                            1,
-                            was.wrapping_sub(1),
-                            was.wrapping_add(1),
-                            was.wrapping_mul(2),
-                            u32::MAX as u64,
-                            u64::MAX,
-                        ]);
-                        b[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
-                        what.push(format!("field at {at}: {was} -> {v}"));
-                    }
-                }
-                2 => {
-                    let (at, bit) = (rng.below(len.max(1)), rng.below(8));
-                    if at < len {
-                        b[at] ^= 1 << bit;
-                    }
-                    what.push(format!("bit {bit} of byte {at}"));
-                }
-                3 => {
-                    let (len64, edits) = (len as u64, [0, 4, 15, 16]);
-                    let cut = rng.pick(
-                        &[
-                            &edits[..],
-                            &[len64.saturating_sub(1), len64.saturating_sub(16)],
-                        ]
-                        .concat(),
-                    ) as usize;
-                    b.truncate(cut.min(len));
-                    what.push(format!("cut to {} bytes", b.len()));
-                }
-                4 => {
-                    let more = [16, 32, 1 + rng.below(64)][rng.below(3)];
-                    b.extend((0..more).map(|_| rng.next() as u8));
-                    what.push(format!("{more} bytes more"));
-                }
-                _ => {
-                    if len > 16 {
-                        let at = 16 + rng.below(len - 16);
-                        b[at] = rng.next() as u8;
-                        what.push(format!("value byte {at}"));
-                    }
-                }
-            }
-        }
-        std::fs::write(&sidecar, &b).unwrap();
-        let got = catch_unwind(AssertUnwindSafe(|| {
-            ZoneMap::load(&OsVfs, &heap, *ncols, *nrows)
-        }))
-        .unwrap_or_else(|_| panic!("case {case}: load panicked after {what:?}"))
-        .unwrap_or_else(|e| panic!("case {case}: {e:?} after {what:?}"));
-        let want = well_formed(&b, &magic, *ncols, *nrows);
-        assert_eq!(got.is_some(), want, "case {case}: {what:?}");
-        match got {
-            Some(map) => {
-                loaded += 1;
-                // No larger than the file it came from.
-                let (mins, maxs) = map.segment_bounds().unwrap_or_else(|| (&[][..], &[][..]));
-                assert_eq!(mins.len() == *ncols, *nrows > 0, "case {case}: {what:?}");
-                assert_eq!(maxs.len(), mins.len(), "case {case}: {what:?}");
-                assert_eq!(16 + ncols * 16, b.len(), "case {case}: {what:?}");
-                assert_eq!(map.num_rows(), *nrows);
-            }
-            None => {
-                refused += 1;
-                assert!(!sidecar.exists(), "case {case}: a refused sidecar was kept");
-            }
-        }
-    }
-    assert!(
-        loaded > 100 && refused > 1000,
-        "loaded {loaded}, refused {refused}"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }

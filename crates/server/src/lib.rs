@@ -33,9 +33,11 @@
 //!   connections, used by `segdiff loadgen` and the bench harness.
 //!
 //! Concurrent reads are safe because [`segdiff::SegDiffIndex::query`]
-//! and `query_cached` take `&self`: the buffer pool is striped into
-//! lock shards and the table internals are reader/writer-locked, so
-//! worker threads genuinely execute in parallel. Repeated queries are
+//! and `query_cached` take `&self`: a search generates its answer from
+//! the sensor's resident `segments` run, shared behind an `Arc` that a
+//! short lock hands out, and asks the buffer pool (one clock under one
+//! mutex) for no page, so worker threads genuinely execute in parallel.
+//! Repeated queries are
 //! answered from the epoch-tagged result cache (`cache.*` counters).
 
 pub mod http;

@@ -124,9 +124,9 @@ fn steps_of(trace: &[(Op, PathBuf)]) -> Vec<u64> {
 /// A crash at every step of the first two heap rewrites a compaction
 /// makes — the seal of `segments`, then the cut of the first feature table
 /// that stores rows of the sealed run — each from the checkpoint it begins
-/// with through the temporary heap, the removal of the derived files, the
-/// rename, the checkpoint of the new row counts, the rebuilt zones and
-/// trees, to the checkpoint it ends with: one compaction after each of
+/// with through the temporary heap, the removal of the trees, the rename,
+/// the checkpoint of the new row counts and the rebuilt trees, to the
+/// checkpoint it ends with: one compaction after each of
 /// `fills` samples pushed, so the first compacts a row store and the next
 /// ones a store compacted before with rows behind its sealed run. Returns
 /// the crashes made.

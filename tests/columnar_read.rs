@@ -89,13 +89,14 @@ fn columnar_pages_answer_as_the_row_store_did() {
         // Reopen: a compacted store stores `segments` and no feature row —
         // its six feature heaps and eight trees hold nothing and own no
         // page — and an index plan that examines the boundaries the scan
-        // examines.
+        // examines. The open decodes the sealed `segments` pages the
+        // searches then read.
+        let before = decoded();
         let idx = SegDiffIndex::open(&dir, 1024).unwrap();
         let stats = idx.stats();
         assert_eq!(stats.n_rows, 0, "rows of the sealed run stored");
         assert_eq!((stats.heap_bytes, stats.index_bytes), (0, 0));
         assert!(row_heap_bytes > 0 && row_index_bytes > 0);
-        let before = decoded();
         for (region, want) in regions.iter().zip(&recorded) {
             let (scan, scan_stats) = idx.query(region, QueryPlan::SeqScan).unwrap();
             let (indexed, index_stats) = idx.query(region, QueryPlan::Index).unwrap();
