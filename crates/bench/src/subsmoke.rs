@@ -7,8 +7,8 @@
 //!   a population of subscriptions over HTTP (a mix of regions that must
 //!   match a planted drop and regions that must not), ingest the planted
 //!   series through the live registry, then poll every cursor and check
-//!   each expected notification arrives **exactly once** and no
-//!   unexpected subscription hears anything.
+//!   each expected notification arrives **exactly once**, carrying its
+//!   subscription's kind, and no unexpected subscription hears anything.
 //! * **churn** — the indexing claim: with ~1,000 standing regions per
 //!   sensor, matching committed features through the [`RegionIndex`]
 //!   must test far fewer regions than the brute-force scan while
@@ -22,6 +22,7 @@ use segdiff::{FeatureExtractor, FeatureRow, SegDiffConfig, SegDiffIndex};
 use segdiff_server::loadgen::fetch;
 use segdiff_server::{Server, ServerConfig};
 use sensorgen::{TimeSeries, HOUR};
+use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -101,7 +102,8 @@ fn count_duplicates(pages: &[Vec<Json>]) -> u64 {
 /// Serves a real index, registers `config.subs` standing queries over
 /// HTTP, ingests the planted series through the server's live registry,
 /// polls every cursor until the deadline, and checks that each expected
-/// notification arrived exactly once and no decoy heard anything.
+/// notification arrived exactly once, of its subscription's kind, and no
+/// decoy heard anything.
 /// Artifacts: `notifications.ndjson` (every notification received, one
 /// JSON object a line) and `subscriptions.json` (`GET /subscribe` after
 /// registration).
@@ -163,6 +165,15 @@ pub fn run_subsmoke(config: &SmokeConfig, gate: &mut Gate) -> Result<(), String>
         }
     }
     let (_, subs_body) = fetch(&host, "GET", "/subscribe", None)?;
+    // Each subscription's kind, as the server stored it.
+    let listing = Json::parse(&subs_body).map_err(|e| format!("parse /subscribe: {e}"))?;
+    let kind_of: HashMap<u64, String> = listing
+        .get("subscriptions")
+        .and_then(Json::as_array)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|s| Some((s.get("id")?.as_u64()?, s.get("kind")?.as_str()?.to_string())))
+        .collect();
     gate.artifact("subscriptions.json", subs_body);
 
     // Ingest the planted series through the server's live registry, the
@@ -183,6 +194,7 @@ pub fn run_subsmoke(config: &SmokeConfig, gate: &mut Gate) -> Result<(), String>
     let mut seen: Vec<Vec<u64>> = vec![Vec::new(); subs.len()];
     let mut log = String::new();
     let mut covered: Vec<bool> = vec![false; matchers.len()];
+    let mut mislabelled = 0u64;
     let mut max_latency_ms = 0i64;
     let deadline = Instant::now() + config.deadline;
     loop {
@@ -204,6 +216,10 @@ pub fn run_subsmoke(config: &SmokeConfig, gate: &mut Gate) -> Result<(), String>
                 seen[slot].push(seq);
                 log.push_str(&n.to_string_compact());
                 log.push('\n');
+                let kind = n.get("kind").and_then(Json::as_str);
+                if kind.is_none() || kind != kind_of.get(&id).map(String::as_str) {
+                    mislabelled += 1;
+                }
                 if let Some(committed) = n.get("committed_ms").and_then(Json::as_u64) {
                     max_latency_ms = max_latency_ms.max(now_ms - committed as i64);
                 }
@@ -246,6 +262,7 @@ pub fn run_subsmoke(config: &SmokeConfig, gate: &mut Gate) -> Result<(), String>
     gate.field("missing", missing.len());
     gate.field("unexpected", unexpected.len());
     gate.field("duplicates", duplicates);
+    gate.field("mislabelled", mislabelled);
     gate.field("max_latency_ms", max_latency_ms);
     gate.check(
         "every matching subscription notified",
@@ -261,6 +278,11 @@ pub fn run_subsmoke(config: &SmokeConfig, gate: &mut Gate) -> Result<(), String>
         "every notification delivered exactly once",
         duplicates == 0,
         format!("{duplicates} duplicate deliveries"),
+    );
+    gate.check(
+        "every notification carries its subscription's kind",
+        mislabelled == 0,
+        format!("{mislabelled} notification(s) of another kind than their subscription's"),
     );
     gate.check(
         "notifications cover the planted drop",

@@ -14,8 +14,21 @@
 //! [`RegionIndex`] — the logarithmic `(T, |V|)` grid whose cell
 //! representatives are pruned with `zone_may_intersect` — so each
 //! committed feature tests O(matching) regions, exactly as the B+tree
-//! made historical queries sublinear. The `subscribe.regions_tested` /
+//! made historical queries sublinear. A feature row is searched through
+//! the boundary of its own kind (paper Lemma 4: a drop's shifted down
+//! by ε, a jump's up), so it is matched against the regions of that
+//! kind alone ([`RegionIndex::matches_kind`]) and a subscription hears
+//! only its own kind. The `subscribe.regions_tested` /
 //! `subscribe.features_evaluated` counters expose the ratio.
+//!
+//! Memory: a matched row is held once, in one slab of the registry,
+//! however many subscriptions it reaches. A log entry is the row's
+//! 4-byte slab index, and the slab row counts the entries naming it; the
+//! last one to go (log overflow or `unsubscribe`) frees its slot.
+//! [`SubscriptionRegistry::since`] builds each [`Notification`] from the
+//! row and the subscription. So the logs cost the distinct rows they
+//! name plus 4 B a notification, bounded by subscriptions × log
+//! capacity.
 //!
 //! Delivery semantics: matches found by `on_features` are *staged* —
 //! numbered and logged, but invisible to the cursors until
@@ -168,12 +181,75 @@ impl EventFrequency {
 /// "Nothing delivered yet": below every real `(t_b, t_d)`.
 const NEVER: (f64, f64) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
 
+/// A matched row as a notification tells it, held once however many
+/// logs name it.
+struct HeldRow {
+    sensor: u32,
+    /// Log entries naming this row; at 0 its slot is free.
+    refs: u32,
+    t_d: f64,
+    t_c: f64,
+    t_b: f64,
+    t_a: f64,
+    dv: f64,
+    committed_ms: u64,
+}
+
+/// The rows the logs name, each once; freed slots are reused. A held
+/// row is named by some log entry, so the slab never outgrows
+/// subscriptions × log capacity, which keeps a slot within a `u32`.
+#[derive(Default)]
+struct RowSlab {
+    rows: Vec<HeldRow>,
+    free: Vec<u32>,
+}
+
+impl RowSlab {
+    /// Holds `row` (its `refs` 0) and returns its slot.
+    fn hold(&mut self, row: HeldRow) -> u32 {
+        match self.free.pop() {
+            Some(at) => {
+                self.rows[at as usize] = row;
+                at
+            }
+            None => {
+                debug_assert!(
+                    self.rows.len() < u32::MAX as usize,
+                    "slab slot overflows u32"
+                );
+                self.rows.push(row);
+                (self.rows.len() - 1) as u32
+            }
+        }
+    }
+
+    /// Adds one log entry's reference to the row at `at`.
+    fn retain(&mut self, at: u32) {
+        self.rows[at as usize].refs += 1;
+    }
+
+    /// Drops one log entry's reference to the row at `at`.
+    fn release(&mut self, at: u32) {
+        let row = &mut self.rows[at as usize];
+        row.refs -= 1;
+        if row.refs == 0 {
+            self.free.push(at);
+        }
+    }
+
+    /// Rows some log still names.
+    #[cfg(test)]
+    fn held(&self) -> usize {
+        self.rows.len() - self.free.len()
+    }
+}
+
 /// Per-subscription delivery state.
 struct SubState {
     sub: Subscription,
-    /// Notifications, oldest first, bounded, dense in `seq`; the newest
-    /// has `seq == last_seq`.
-    log: VecDeque<Notification>,
+    /// Slab slots of the rows delivered, oldest first, bounded, dense in
+    /// `seq`; the newest has `seq == last_seq`.
+    log: VecDeque<u32>,
     last_seq: u64,
     /// What the cursors may see: `seq <= published`. `on_features` stages
     /// past it, `flush` moves it up to `last_seq`.
@@ -189,6 +265,8 @@ struct Inner {
     slots: Vec<Option<SubState>>,
     free_slots: Vec<usize>,
     slot_of: HashMap<u64, usize>,
+    /// Every row some log names.
+    rows: RowSlab,
     /// Slots staged past `published`, in staging order.
     staged: Vec<usize>,
     sensors: Vec<(u32, EventFrequency)>,
@@ -254,6 +332,7 @@ impl SubscriptionRegistry {
                 slots: Vec::new(),
                 free_slots: Vec::new(),
                 slot_of: HashMap::new(),
+                rows: RowSlab::default(),
                 staged: Vec::new(),
                 sensors: Vec::new(),
                 sensor_slot_of: HashMap::new(),
@@ -322,6 +401,9 @@ impl SubscriptionRegistry {
         };
         if let Some(state) = inner.slots[slot].take() {
             inner.index.remove(slot as u64, &state.sub.region);
+            for at in state.log {
+                inner.rows.release(at);
+            }
         }
         inner.free_slots.push(slot);
         self.removed.inc();
@@ -366,9 +448,9 @@ impl SubscriptionRegistry {
     }
 
     /// Evaluates newly committed feature rows from `sensor` against the
-    /// region index and stages matches. Call [`Self::flush`] afterwards
-    /// (the ingest hook does, right after the segment's WAL commit) to
-    /// publish them to the cursors.
+    /// regions of their own kind and stages matches. Call [`Self::flush`]
+    /// afterwards (the ingest hook does, right after the segment's WAL
+    /// commit) to publish them to the cursors.
     ///
     /// `rows` must be in Algorithm 1's emission order: strictly
     /// increasing `(t_b, t_d)` within each kind, calls for one sensor in
@@ -395,10 +477,10 @@ impl SubscriptionRegistry {
             inner.match_buf.clear();
             inner
                 .index
-                .matches(&row.boundary, &mut inner.match_buf, &mut stats);
+                .matches_kind(row.kind, &row.boundary, &mut inner.match_buf, &mut stats);
             let at = (row.t_b, row.t_d);
-            let dv = row.peak_dv();
-            let mut novel = false;
+            // The row's slab slot, once a subscription has taken it.
+            let mut held: Option<u32> = None;
             for &slot in &inner.match_buf {
                 let slot = slot as usize;
                 let Some(state) = inner.slots[slot].as_mut() else {
@@ -415,29 +497,32 @@ impl SubscriptionRegistry {
                     continue;
                 }
                 state.delivered[si] = at;
-                novel = true;
+                let entry = *held.get_or_insert_with(|| {
+                    inner.rows.hold(HeldRow {
+                        sensor,
+                        refs: 0,
+                        t_d: row.t_d,
+                        t_c: row.t_c,
+                        t_b: row.t_b,
+                        t_a: row.t_a,
+                        dv: row.peak_dv(),
+                        committed_ms: now_ms,
+                    })
+                });
+                inner.rows.retain(entry);
                 if state.last_seq == state.published {
                     inner.staged.push(slot);
                 }
                 if state.log.len() >= self.log_capacity {
-                    state.log.pop_front();
+                    if let Some(oldest) = state.log.pop_front() {
+                        inner.rows.release(oldest);
+                    }
                     dropped += 1;
                 }
                 state.last_seq += 1;
-                state.log.push_back(Notification {
-                    seq: state.last_seq,
-                    sub_id: state.sub.id,
-                    sensor,
-                    kind: row.kind,
-                    t_d: row.t_d,
-                    t_c: row.t_c,
-                    t_b: row.t_b,
-                    t_a: row.t_a,
-                    dv,
-                    committed_ms: now_ms,
-                });
+                state.log.push_back(entry);
             }
-            if novel {
+            if held.is_some() {
                 inner.sensors[si].1.record(now_ms);
             }
         }
@@ -475,15 +560,31 @@ impl SubscriptionRegistry {
     pub fn since(&self, sub_id: u64, after: u64, max: usize) -> Option<(Vec<Notification>, u64)> {
         let inner = self.lock();
         let state = inner.state(sub_id)?;
-        // The log is dense in `seq`, so `after` names an offset.
-        let first = state.log.front().map_or(0, |n| n.seq);
+        // The log is dense in `seq`, so a position names a `seq` and
+        // `after` names an offset.
+        let first = state.last_seq + 1 - state.log.len() as u64;
         let skip = usize::try_from(after.saturating_add(1).saturating_sub(first))
             .map_or(state.log.len(), |skip| skip.min(state.log.len()));
-        let visible = state
-            .log
-            .range(skip..)
-            .take_while(|n| n.seq <= state.published);
-        let out: Vec<Notification> = visible.take(max).cloned().collect();
+        let out: Vec<Notification> = (first + skip as u64..)
+            .zip(state.log.range(skip..))
+            .take_while(|&(seq, _)| seq <= state.published)
+            .take(max)
+            .map(|(seq, &at)| {
+                let row = &inner.rows.rows[at as usize];
+                Notification {
+                    seq,
+                    sub_id: state.sub.id,
+                    sensor: row.sensor,
+                    kind: state.sub.region.kind,
+                    t_d: row.t_d,
+                    t_c: row.t_c,
+                    t_b: row.t_b,
+                    t_a: row.t_a,
+                    dv: row.dv,
+                    committed_ms: row.committed_ms,
+                }
+            })
+            .collect();
         let next_after = out.last().map_or(after, |n| n.seq);
         Some((out, next_after))
     }
@@ -763,7 +864,9 @@ mod tests {
                         for id in brute.matches_brute(&row.boundary) {
                             let sub = subs.iter().find(|s| s.id == id).unwrap();
                             let key = (id, sensor, row.t_d.to_bits(), row.t_b.to_bits());
-                            novel |= sub.covers(sensor) && predicted.insert(key);
+                            novel |= sub.region.kind == row.kind
+                                && sub.covers(sensor)
+                                && predicted.insert(key);
                         }
                         events[sensor as usize] += u64::from(novel);
                     }
@@ -776,6 +879,7 @@ mod tests {
             let mut published = Vec::new();
             for sub in &subs {
                 let (got, _) = reg.since(sub.id, 0, usize::MAX).unwrap();
+                assert!(got.iter().all(|n| n.kind == sub.region.kind), "seed {seed}");
                 published.extend(
                     got.iter()
                         .map(|n| (n.sub_id, n.sensor, n.t_d.to_bits(), n.t_b.to_bits())),
@@ -793,6 +897,95 @@ mod tests {
             pairs += predicted.len();
         }
         assert!(pairs > 0, "the streams matched nothing");
+    }
+
+    #[test]
+    fn a_subscription_hears_only_its_own_kind() {
+        use crate::ingest::FeatureExtractor;
+        use segmentation::Segment;
+
+        // `cd` rises 10 degrees in an hour and `ab` lies far below it.
+        // The drop boundary of `cd`'s self pair, shifted down by ε, still
+        // reaches a 1-degree jump region, as its jump boundary does; the
+        // pairs with `ab` answer the drop region.
+        let mut ex = FeatureExtractor::new(0.2, 8.0 * 3600.0);
+        let mut rows = Vec::new();
+        ex.push_segment(Segment::new(0.0, 0.0, 3600.0, 10.0), &mut rows);
+        ex.push_segment(Segment::new(3600.0, -20.0, 7200.0, -30.0), &mut rows);
+        let region = QueryRegion::jump(3600.0, 1.0);
+        assert!(
+            rows.iter()
+                .any(|r| r.kind == SearchKind::Drop && r.boundary.intersects(&region)),
+            "the drop boundary must reach the jump region: {rows:?}"
+        );
+        let reg = SubscriptionRegistry::new();
+        let jump = reg.subscribe("jump", region, &[], 0);
+        let drop = reg.subscribe("drop", QueryRegion::drop(3600.0, -1.0), &[], 0);
+        reg.on_features(0, &rows, 1);
+        reg.flush();
+        for (sub, kind) in [(jump, SearchKind::Jump), (drop, SearchKind::Drop)] {
+            let (got, _) = reg.since(sub.id, 0, 100).unwrap();
+            assert!(!got.is_empty(), "{kind:?}: nothing heard");
+            for n in &got {
+                assert_eq!(n.kind, kind, "{n:?}");
+                let own = rows.iter().find(|r| {
+                    r.kind == kind
+                        && (r.t_d, r.t_b) == (n.t_d, n.t_b)
+                        && r.boundary.intersects(&sub.region)
+                });
+                assert_eq!(own.map(FeatureRow::peak_dv), Some(n.dv), "{kind:?}: {n:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_row_heard_by_many_subscriptions_is_held_once() {
+        let reg = SubscriptionRegistry::with_log_capacity(4);
+        let held = || reg.lock().rows.held();
+        let region = QueryRegion::drop(36_000.0, -3.0);
+        let subs: Vec<Subscription> = (0..64)
+            .map(|i| reg.subscribe(&format!("s{i}"), region, &[], 0))
+            .collect();
+        let rows: Vec<FeatureRow> = (0..6)
+            .map(|i| drop_row(i as f64 * 10_000.0, -4.0))
+            .collect();
+        // 64 subscriptions over 4 matching rows hold 4 rows.
+        reg.on_features(0, &rows[..4], 1);
+        assert_eq!(reg.flush(), 64 * 4);
+        assert_eq!(held(), 4);
+        // Two more rows overflow every log: rows 0 and 1 lose their last
+        // reference and go.
+        reg.on_features(0, &rows[4..], 2);
+        reg.flush();
+        assert_eq!(held(), 4);
+        // Row 4 took a fifth slot while row 0 was still named; row 5
+        // reused row 0's.
+        assert_eq!(reg.lock().rows.rows.len(), 5, "a freed slot is reused");
+        // The cursor reads dense seqs across the gap the overflow left.
+        for sub in &subs {
+            let (got, next) = reg.since(sub.id, 1, 100).unwrap();
+            assert_eq!(got.iter().map(|n| n.seq).collect::<Vec<_>>(), [3, 4, 5, 6]);
+            assert_eq!(next, 6);
+            for (n, row) in got.iter().zip(&rows[2..]) {
+                assert_eq!(
+                    (n.sub_id, n.kind, n.t_d, n.t_a),
+                    (sub.id, SearchKind::Drop, row.t_d, row.t_a)
+                );
+                assert_eq!(
+                    (n.dv, n.committed_ms),
+                    (row.peak_dv(), if n.seq <= 4 { 1 } else { 2 })
+                );
+            }
+            let (tail, _) = reg.since(sub.id, 4, 1).unwrap();
+            assert_eq!((tail[0].seq, tail[0].t_d), (5, rows[4].t_d));
+        }
+        // A row stays while any log names it, and goes with the last.
+        for sub in &subs[..63] {
+            assert!(reg.unsubscribe(sub.id));
+        }
+        assert_eq!(held(), 4);
+        assert!(reg.unsubscribe(subs[63].id));
+        assert_eq!(held(), 0);
     }
 
     #[test]

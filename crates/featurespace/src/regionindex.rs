@@ -16,12 +16,19 @@
 //! can intersect the boundary (the ε shift is already folded into the
 //! boundary corners, so cell bounds need no shift of their own). The
 //! cells of one kind sit under one more representative, the most
-//! permissive of theirs, which lets a boundary of the other kind skip
-//! them all with a single test. Cells
+//! permissive of theirs, which lets a boundary that reaches none of them
+//! skip them all with a single test. Cells
 //! that survive refine member by member with the exact
 //! [`Boundary::intersects`] predicate, which stays the single source of
 //! truth — [`RegionIndex::matches_brute`] runs it over every member and
 //! the property tests assert both paths return identical sets.
+//!
+//! A feature row is searched through the boundary of its own kind — the
+//! lower-left one shifted down by ε for a drop, the upper-left one
+//! shifted up for a jump (paper Lemma 4) — so it answers only regions
+//! of that kind. [`RegionIndex::matches_kind`] is the call that matches
+//! a row: it reads one kind's cells. [`RegionIndex::matches`] reads
+//! both, for callers that hold a bare boundary.
 //!
 //! [`zone_may_intersect`]: crate::batch::zone_may_intersect
 
@@ -29,7 +36,7 @@ use crate::batch::ZoneExtent;
 use crate::{Boundary, QueryRegion, SearchKind};
 use std::collections::HashMap;
 
-/// Work counters for one [`RegionIndex::matches`] call, accumulated
+/// Work counters for one [`RegionIndex::matches_kind`] call, accumulated
 /// across calls so ingest paths can expose O(matching) evidence.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RegionMatchStats {
@@ -50,7 +57,7 @@ struct Cell {
 
 /// The cells of one [`SearchKind`], under one more representative: the
 /// most permissive region of *any* cell, so a boundary that cannot reach
-/// it — typically one of the other kind — skips all of them at once.
+/// it skips all of them at once.
 #[derive(Debug, Default)]
 struct KindGrid {
     cells: HashMap<(i32, i32), Cell>,
@@ -59,6 +66,32 @@ struct KindGrid {
 }
 
 impl KindGrid {
+    /// Appends the ids of the members `boundary` intersects; `extent` is
+    /// the boundary's zone.
+    fn matches(
+        &self,
+        extent: &ZoneExtent,
+        boundary: &Boundary,
+        out: &mut Vec<u64>,
+        stats: &mut RegionMatchStats,
+    ) {
+        if !self.rep.is_some_and(|rep| extent.may_intersect(&rep)) {
+            return;
+        }
+        for cell in self.cells.values() {
+            stats.cells_visited += 1;
+            if !extent.may_intersect(&cell.rep) {
+                continue;
+            }
+            for (id, region) in &cell.members {
+                stats.regions_tested += 1;
+                if boundary.intersects(region) {
+                    out.push(*id);
+                }
+            }
+        }
+    }
+
     fn widest(&self) -> Option<QueryRegion> {
         let mut cells = self.cells.values().map(|c| c.rep);
         let first = cells.next()?;
@@ -167,32 +200,33 @@ impl RegionIndex {
         true
     }
 
-    /// Appends to `out` the ids of every registered region the boundary
-    /// intersects, via the grid: zone-test each kind's representative,
-    /// then each of its occupied cells', then refine surviving cells
-    /// member by member with the exact predicate. Work counters
-    /// accumulate into `stats`.
+    /// Appends to `out` the ids of every registered region of `kind` the
+    /// boundary intersects, via the grid: zone-test the kind's
+    /// representative, then each of its occupied cells', then refine
+    /// surviving cells member by member with the exact predicate. Work
+    /// counters accumulate into `stats`.
     ///
-    /// Lossless by construction — returns exactly the ids
+    /// A feature row answers only regions of its own kind (the paper
+    /// shifts a drop's boundary down by ε and a jump's up), so this is
+    /// the call that matches one: the registry passes the row's kind.
+    /// Lossless by construction — returns exactly the ids of `kind`
     /// [`Self::matches_brute`] returns, in unspecified order.
+    pub fn matches_kind(
+        &self,
+        kind: SearchKind,
+        boundary: &Boundary,
+        out: &mut Vec<u64>,
+        stats: &mut RegionMatchStats,
+    ) {
+        self.kinds[kind as usize].matches(&extent(boundary), boundary, out, stats);
+    }
+
+    /// [`Self::matches_kind`] over both kinds: every registered region
+    /// the boundary intersects, whatever its kind.
     pub fn matches(&self, boundary: &Boundary, out: &mut Vec<u64>, stats: &mut RegionMatchStats) {
         let extent = extent(boundary);
         for grid in &self.kinds {
-            if !grid.rep.is_some_and(|rep| extent.may_intersect(&rep)) {
-                continue;
-            }
-            for cell in grid.cells.values() {
-                stats.cells_visited += 1;
-                if !extent.may_intersect(&cell.rep) {
-                    continue;
-                }
-                for (id, region) in &cell.members {
-                    stats.regions_tested += 1;
-                    if boundary.intersects(region) {
-                        out.push(*id);
-                    }
-                }
-            }
+            grid.matches(&extent, boundary, out, stats);
         }
     }
 
@@ -305,26 +339,41 @@ mod tests {
     #[test]
     fn indexed_matching_equals_brute_force() {
         // The losslessness property: for random region sets and random
-        // boundaries, the grid path returns exactly the brute-force set.
+        // boundaries, the grid path returns exactly the brute-force set,
+        // and each kind's path exactly the brute-force ids of that kind.
         let mut rng = Lcg(0.41);
         let rounds = if cfg!(miri) { 3 } else { 60 };
         let boundaries_per_round = if cfg!(miri) { 5 } else { 80 };
         for round in 0..rounds {
             let mut idx = RegionIndex::new();
+            let mut kinds = HashMap::new();
             let n_regions = 1 + (round * 7) % 50;
-            for id in 0..n_regions {
-                idx.insert(id as u64, random_region(&mut rng));
+            for id in 0..n_regions as u64 {
+                let region = random_region(&mut rng);
+                idx.insert(id, region);
+                kinds.insert(id, region.kind);
             }
             for _ in 0..boundaries_per_round {
                 let b = random_boundary(&mut rng);
+                let brute = idx.matches_brute(&b);
                 let mut out = Vec::new();
                 let mut stats = RegionMatchStats::default();
                 idx.matches(&b, &mut out, &mut stats);
                 assert_eq!(
                     sorted(out),
-                    sorted(idx.matches_brute(&b)),
+                    sorted(brute.clone()),
                     "index diverged from brute force for {b:?}"
                 );
+                for kind in [SearchKind::Drop, SearchKind::Jump] {
+                    let mut out = Vec::new();
+                    idx.matches_kind(kind, &b, &mut out, &mut stats);
+                    let of_kind = brute.iter().filter(|id| kinds[*id] == kind);
+                    assert_eq!(
+                        sorted(out),
+                        sorted(of_kind.copied().collect()),
+                        "{kind:?} diverged from brute force for {b:?}"
+                    );
+                }
             }
         }
     }
@@ -332,7 +381,8 @@ mod tests {
     #[test]
     fn other_kind_is_skipped_wholesale() {
         // A boundary that never dips below zero cannot reach any drop
-        // cell: the kind-level representative rejects them all unvisited.
+        // cell: the kind-level representative rejects them all unvisited,
+        // and asking for drops alone visits nothing.
         let mut idx = RegionIndex::new();
         for id in 0..40 {
             idx.insert(
@@ -342,11 +392,18 @@ mod tests {
         }
         idx.insert(100, QueryRegion::jump(20.0, 2.0));
         let b = Boundary::two(FeaturePoint::new(1.0, 0.5), FeaturePoint::new(9.0, 3.0));
-        let mut out = Vec::new();
-        let mut stats = RegionMatchStats::default();
-        idx.matches(&b, &mut out, &mut stats);
-        assert_eq!(out, vec![100]);
-        assert_eq!(stats.cells_visited, 1, "only the jump cell is visited");
+        let visit = |kind: Option<SearchKind>| {
+            let mut out = Vec::new();
+            let mut stats = RegionMatchStats::default();
+            match kind {
+                Some(kind) => idx.matches_kind(kind, &b, &mut out, &mut stats),
+                None => idx.matches(&b, &mut out, &mut stats),
+            }
+            (out, stats.cells_visited)
+        };
+        assert_eq!(visit(None), (vec![100], 1), "only the jump cell is visited");
+        assert_eq!(visit(Some(SearchKind::Jump)), (vec![100], 1));
+        assert_eq!(visit(Some(SearchKind::Drop)), (vec![], 0));
         // Removing the shallowest drop regions narrows the representative.
         assert!(idx.remove(0, &QueryRegion::drop(1.0, -1.0)));
         assert_eq!(sorted(idx.matches_brute(&b)), vec![100]);
