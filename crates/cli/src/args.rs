@@ -372,11 +372,12 @@ fn ingest(f: &Flags) -> Result<Command, String> {
 }
 
 fn query(f: &Flags) -> Result<Command, String> {
+    let kind: String = f.required("--kind")?;
     Ok(Command::Query {
         index: f.required("--index")?,
-        kind: f.required("--kind")?,
-        v: f.required("--v")?,
-        t_hours: f.required("--t-hours")?,
+        v: signed_v(&kind, f.required("--v")?, "queries")?,
+        kind,
+        t_hours: positive_hours(f.required("--t-hours")?)?,
         plan: f.value("--plan")?.unwrap_or_else(|| "scan".to_string()),
         refine: f.value("--refine")?,
         limit: f.value("--limit")?.unwrap_or(50),
@@ -475,7 +476,7 @@ fn loadgen(f: &Flags) -> Result<Command, String> {
         duration_secs,
         v: signed_v(&kind, v, "queries")?,
         kind,
-        t_hours: f.value("--t-hours")?.unwrap_or(1.0),
+        t_hours: positive_hours(f.value("--t-hours")?.unwrap_or(1.0))?,
         guard: f.value("--guard")?,
     })
 }
@@ -521,10 +522,7 @@ fn subscribe(f: &Flags) -> Result<Command, String> {
         });
     }
     let kind: String = f.required("--kind")?;
-    let t_hours: f64 = f.required("--t-hours")?;
-    if !(t_hours.is_finite() && t_hours > 0.0) {
-        return Err("--t-hours must be positive".into());
-    }
+    let t_hours = positive_hours(f.required("--t-hours")?)?;
     Ok(Command::Subscribe {
         url,
         list: false,
@@ -561,12 +559,31 @@ fn at_least_one<T: FromStr + Default + PartialEq>(
     }
 }
 
-/// `v`, if its sign is the one `kind` searches for.
+/// `v`, if `kind` is `drop` or `jump` and `v` is finite with the sign it
+/// searches for: what the region's constructors assert.
 fn signed_v(kind: &str, v: f64, what: &str) -> Result<f64, String> {
     match kind {
-        "drop" if v >= 0.0 => Err(format!("--v must be negative for drop {what}")),
-        "jump" if v <= 0.0 => Err(format!("--v must be positive for jump {what}")),
-        _ => Ok(v),
+        "drop" if !(v.is_finite() && v < 0.0) => {
+            Err(format!("--v must be negative for drop {what}"))
+        }
+        "jump" if !(v.is_finite() && v > 0.0) => {
+            Err(format!("--v must be positive for jump {what}"))
+        }
+        "drop" | "jump" => Ok(v),
+        _ => Err(format!("--kind must be drop or jump, got {kind:?}")),
+    }
+}
+
+/// `t_hours`, if it is positive and finite in seconds, the unit the
+/// region is built in.
+fn positive_hours(t_hours: f64) -> Result<f64, String> {
+    let seconds = t_hours * sensorgen::HOUR;
+    if seconds.is_finite() && seconds > 0.0 {
+        Ok(t_hours)
+    } else {
+        Err(format!(
+            "--t-hours must be positive and finite, got {t_hours:?}"
+        ))
     }
 }
 
@@ -838,6 +855,26 @@ mod tests {
         assert!(parse(&argv("frobnicate")).is_err());
         assert!(parse(&argv("generate --days 3")).is_err());
         assert!(parse(&argv("query --index d --kind sideways --v -3 --t-hours 1")).is_err());
+        // What the region's constructors would assert: V of the wrong
+        // sign or not finite, T not positive or infinite in seconds.
+        for bad in [
+            "--kind drop --v 1 --t-hours 1",
+            "--kind drop --v 0 --t-hours 1",
+            "--kind drop --v -inf --t-hours 1",
+            "--kind jump --v -1 --t-hours 1",
+            "--kind jump --v NaN --t-hours 1",
+            "--kind drop --v -3 --t-hours -1",
+            "--kind drop --v -3 --t-hours 0",
+            "--kind drop --v -3 --t-hours NaN",
+            "--kind drop --v -3 --t-hours 1e305",
+        ] {
+            let line = format!("query --index d {bad}");
+            assert!(parse(&argv(&line)).is_err(), "accepted: {line}");
+        }
+        assert_eq!(
+            signed_v("sideways", -3.0, "queries").unwrap_err(),
+            "--kind must be drop or jump, got \"sideways\""
+        );
         assert!(parse(&argv(
             "query --index d --kind drop --v -3 --t-hours 1 --plan turbo"
         ))

@@ -13,7 +13,7 @@ use crate::result::SegmentPair;
 use crate::tables::{index_specs, pair_from_stamps, stamp_cols};
 use featurespace::batch::{boundaries_intersect_cols, edge_hits, point_hits, zone_may_intersect};
 use featurespace::{
-    pick_corners, pick_self_corners, CornerPick, Parallelogram, QueryRegion, SearchKind,
+    pick_corners, pick_self_corners, Boundary, Parallelogram, QueryRegion, SearchKind,
 };
 use pagestore::{Database, PoolStats, Result, ScanPage, StoreError, Table, ZoneScanStats};
 use segmentation::Segment;
@@ -405,9 +405,9 @@ impl SegmentRun<'_> {
 /// ([`pick_corners`], [`pick_self_corners`]: what
 /// [`featurespace::extract_boundary`] stores), from the held slopes — only
 /// a `cd` the window truncates has a slope of its own to compute — and are
-/// tested in place, with the lanes the index plan's probe evaluates
-/// ([`featurespace::CornerPick::hits`], [`featurespace::Boundary::intersects`]
-/// bit for bit). A hit pushes its time stamps; no row is built.
+/// tested in place with [`Boundary::intersects`], the lanes the index
+/// plan's probe and the scan's kernel evaluate. A hit pushes its time
+/// stamps; no row is built.
 ///
 /// The pairs come out in [`crate::result::sort_dedup`]'s order: every pair
 /// of `cd` has `t_d` in `[cd.t_start, cd.t_end)` (a windowed `cd` starts at
@@ -434,8 +434,8 @@ fn generate(
         done.boundaries += u64::from(reach);
         reach
     };
-    let mut emit = |cd: &Segment, ab: &Segment, pick: CornerPick| {
-        if pick.hits(region) {
+    let mut emit = |cd: &Segment, ab: &Segment, pick: Boundary| {
+        if pick.intersects(region) {
             out.push(SegmentPair {
                 t_d: cd.t_start,
                 t_c: cd.t_end,

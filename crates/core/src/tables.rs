@@ -60,9 +60,8 @@ pub(crate) fn encode_row(row: &FeatureRow, out: &mut Vec<f64>) {
 }
 
 /// Reconstructs the stored boundary from a row of the `corners`-corner
-/// table. Production scans evaluate intersection through the columnar
-/// batch kernel instead; this scalar path remains the reference the
-/// equivalence tests check against.
+/// table, the inverse [`encode_row`]'s round-trip test checks. Scans build
+/// none: the column kernel reads the decoded columns in place.
 #[cfg(test)]
 pub(crate) fn boundary_from_row(row: &[f64], corners: usize) -> Boundary {
     let p = |i: usize| FeaturePoint::new(row[2 * i], row[2 * i + 1]);

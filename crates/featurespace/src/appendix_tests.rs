@@ -4,7 +4,8 @@
 //! the paper lists in Table 2 (including the sub-cases that degrade to
 //! fewer corners).
 
-use crate::{extract_boundary, Parallelogram, QueryRegion, SearchKind, SlopeCase};
+use crate::cases::SlopeCase;
+use crate::{extract_boundary, Parallelogram, QueryRegion, SearchKind};
 use segmentation::Segment;
 
 fn classify(cd: &Segment, ab: &Segment) -> SlopeCase {

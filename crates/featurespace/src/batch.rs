@@ -1,17 +1,18 @@
-//! Columnar batch predicates: the kernels of §4.4 over struct-of-arrays
-//! corner buffers.
+//! The branch-free lanes of §4.4 and the one column kernel built on them.
 //!
-//! The row-at-a-time executor materializes one [`crate::FeaturePoint`] per
-//! stored corner and calls [`crate::point_in_region`] /
-//! [`crate::edge_crosses_region`] per row.
-//! These kernels evaluate the same predicates over column slices decoded a
-//! page at a time: one pass per corner column, accumulating into a shared
-//! match mask. Each pass is straight-line lane arithmetic — `&` where the
-//! scalar predicates short-circuit, the search kind fixed outside the
-//! loop — so it vectorises instead of mispredicting; a lane whose answer
-//! is already known is computed anyway. The scalar predicates stay the
-//! single source of truth — the tests assert the batch kernels agree with
-//! them bit for bit, degenerate lanes included.
+//! A boundary intersects a query region when one of its corners answers
+//! the point query or one of its edges answers the line query. Here each
+//! query is one *lane*: straight-line arithmetic, `&` where a scalar
+//! predicate would short-circuit, the search kind fixed outside the loop,
+//! so a lane whose answer is already known is computed anyway and nothing
+//! mispredicts. [`crate::Boundary::intersects`] ORs the lanes of its
+//! three padded corners; [`boundaries_intersect_cols`] ORs them row by row
+//! over the struct-of-arrays columns a page scan decodes, so a stored row
+//! and an in-memory boundary are tested by the same arithmetic. The index
+//! plan's probe, which visits one B+tree entry at a time, calls the lanes
+//! itself through [`point_hits`] and [`edge_hits`]. The tests hold every
+//! lane to the short-circuit predicates of the paper bit for bit,
+//! degenerate lanes included.
 //!
 //! The module also hosts [`zone_may_intersect`], the page-level pruning
 //! predicate derived from the same conditions: a page whose per-column
@@ -20,20 +21,23 @@
 
 use crate::{QueryRegion, SearchKind};
 
-/// One lane of the point query: [`crate::point_in_region`] with `&` for
-/// `&&`, the search kind a compile-time constant.
+/// One lane of the point query: the corner lies in the region, `&` for
+/// `&&`, the search kind a compile-time constant. Deliberately without the
+/// `Δt > 0` of the problem statement, as the paper issues it: a match at
+/// `Δt = 0` comes only from pairs that also hold events of arbitrarily
+/// small positive `Δt`, which Lemma 5's `2ε` tolerance covers.
 #[inline(always)]
 fn point_lane<const DROP: bool>(dt: f64, dv: f64, t: f64, v: f64) -> bool {
     (dt <= t) & if DROP { dv <= v } else { dv >= v }
 }
 
-/// One lane of the line query: [`crate::edge_crosses_region`] as
-/// straight-line arithmetic. The interpolation is computed whatever the
-/// endpoints are — a lane with `dt1 == dt2` divides by zero and gets an
-/// infinity or a NaN — and masked by the four inequalities, of which
-/// `dt1 <= t < dt2` excludes exactly those lanes. Where the inequalities
-/// hold, the value is the one the scalar predicate computes, from the same
-/// operations in the same order.
+/// One lane of the line query: the edge `(dt1, dv1) → (dt2, dv2)`
+/// (`dt1 <= dt2`) has its left end above the region (`Δt₁ <= T`,
+/// `Δv₁ > V` for a drop), its right end beyond it (`Δt₂ > T`, `Δv₂ < V`),
+/// and its value at `Δt = T` at or below `V`. The interpolation is computed
+/// whatever the endpoints are — a lane with `dt1 == dt2` divides by zero
+/// and gets an infinity or a NaN — and masked by the four inequalities, of
+/// which `dt1 <= t < dt2` excludes exactly those lanes.
 #[inline(always)]
 fn edge_lane<const DROP: bool>(dt1: f64, dv1: f64, dt2: f64, dv2: f64, t: f64, v: f64) -> bool {
     let at_t = dv1 + (dv2 - dv1) / (dt2 - dt1) * (t - dt1);
@@ -46,19 +50,50 @@ fn edge_lane<const DROP: bool>(dt1: f64, dv1: f64, dt2: f64, dv2: f64, t: f64, v
         }
 }
 
-/// [`crate::point_in_region`] without a data-dependent branch: what one
-/// lane of [`points_in_region`] computes, for callers that visit corners
-/// one at a time (the index plan's probe).
+/// The union of the point query on each of `C` corners (ascending in
+/// `Δt`) and the line query on each of their `C − 1` edges, every lane
+/// computed. A corner repeated as padding is exact: it is tested twice,
+/// and the edge from it to itself fails `dt1 <= T < dt2`.
+#[inline(always)]
+fn corner_lanes<const DROP: bool, const C: usize>(
+    dt: [f64; C],
+    dv: [f64; C],
+    t: f64,
+    v: f64,
+) -> bool {
+    let mut hit = false;
+    for j in 0..C {
+        hit |= point_lane::<DROP>(dt[j], dv[j], t, v);
+    }
+    for j in 1..C {
+        hit |= edge_lane::<DROP>(dt[j - 1], dv[j - 1], dt[j], dv[j], t, v);
+    }
+    hit
+}
+
+/// [`corner_lanes`] of `region`: what [`crate::Boundary::intersects`]
+/// evaluates on its padded corners.
 #[inline]
-pub fn point_hits(dt: f64, dv: f64, region: &QueryRegion) -> bool {
+pub(crate) fn corners_hit<const C: usize>(
+    dt: [f64; C],
+    dv: [f64; C],
+    region: &QueryRegion,
+) -> bool {
     match region.kind {
-        SearchKind::Drop => point_lane::<true>(dt, dv, region.t, region.v),
-        SearchKind::Jump => point_lane::<false>(dt, dv, region.t, region.v),
+        SearchKind::Drop => corner_lanes::<true, C>(dt, dv, region.t, region.v),
+        SearchKind::Jump => corner_lanes::<false, C>(dt, dv, region.t, region.v),
     }
 }
 
-/// [`crate::edge_crosses_region`] without a data-dependent branch: what
-/// one lane of [`edges_cross_region`] computes.
+/// The point query on one corner, without a data-dependent branch: for
+/// callers that visit corners one at a time (the index plan's probe).
+#[inline]
+pub fn point_hits(dt: f64, dv: f64, region: &QueryRegion) -> bool {
+    corners_hit([dt], [dv], region)
+}
+
+/// The line query on the edge `(dt1, dv1) → (dt2, dv2)`, `dt1 <= dt2`,
+/// without a data-dependent branch.
 #[inline]
 pub fn edge_hits(dt1: f64, dv1: f64, dt2: f64, dv2: f64, region: &QueryRegion) -> bool {
     match region.kind {
@@ -67,114 +102,26 @@ pub fn edge_hits(dt1: f64, dv1: f64, dt2: f64, dv2: f64, region: &QueryRegion) -
     }
 }
 
-fn points<const DROP: bool>(dts: &[f64], dvs: &[f64], t: f64, v: f64, mask: &mut [bool]) {
-    for ((m, &dt), &dv) in mask.iter_mut().zip(dts).zip(dvs) {
-        *m |= point_lane::<DROP>(dt, dv, t, v);
-    }
-}
-
-fn edges<const DROP: bool>(cols: [&[f64]; 4], t: f64, v: f64, mask: &mut [bool]) {
-    let [dt1s, dv1s, dt2s, dv2s] = cols;
-    for ((((m, &dt1), &dv1), &dt2), &dv2) in mask.iter_mut().zip(dt1s).zip(dv1s).zip(dt2s).zip(dv2s)
-    {
-        *m |= edge_lane::<DROP>(dt1, dv1, dt2, dv2, t, v);
-    }
-}
-
-/// OR-accumulates the point query (`point_in_region`) over parallel
-/// `(Δt, Δv)` columns into `mask`: one compare pair per lane, no branch,
-/// so the loop vectorises.
-///
-/// # Panics
-///
-/// Panics unless `dts`, `dvs` and `mask` have equal lengths.
-pub fn points_in_region(dts: &[f64], dvs: &[f64], region: &QueryRegion, mask: &mut [bool]) {
-    assert!(dts.len() == dvs.len() && dts.len() == mask.len());
-    match region.kind {
-        SearchKind::Drop => points::<true>(dts, dvs, region.t, region.v, mask),
-        SearchKind::Jump => points::<false>(dts, dvs, region.t, region.v, mask),
-    }
-}
-
-/// OR-accumulates the line query (`edge_crosses_region`) over parallel
-/// edge-endpoint columns (`p1 = (dt1s, dv1s)`, `p2 = (dt2s, dv2s)`,
-/// `p1.dt <= p2.dt` per lane) into `mask` — the union semantics of
-/// [`crate::Boundary::intersects`]. Every lane is computed, set or not:
-/// a dead lane costs less than the branch that would skip it.
-///
-/// # Panics
-///
-/// Panics unless all five slices have equal lengths.
-pub fn edges_cross_region(
-    dt1s: &[f64],
-    dv1s: &[f64],
-    dt2s: &[f64],
-    dv2s: &[f64],
-    region: &QueryRegion,
-    mask: &mut [bool],
-) {
-    assert!(
-        dt1s.len() == dv1s.len()
-            && dt1s.len() == dt2s.len()
-            && dt1s.len() == dv2s.len()
-            && dt1s.len() == mask.len()
-    );
-    let cols = [dt1s, dv1s, dt2s, dv2s];
-    match region.kind {
-        SearchKind::Drop => edges::<true>(cols, region.t, region.v, mask),
-        SearchKind::Jump => edges::<false>(cols, region.t, region.v, mask),
+/// One [`corner_lanes`] per row over `C` corners' columns: a one-corner
+/// table does no edge work.
+fn rows<const DROP: bool, const C: usize>(cols: &[Vec<f64>], t: f64, v: f64, mask: &mut [bool]) {
+    let n = mask.len();
+    let dts: [&[f64]; C] = std::array::from_fn(|j| &cols[2 * j][..n]);
+    let dvs: [&[f64]; C] = std::array::from_fn(|j| &cols[2 * j + 1][..n]);
+    for (i, m) in mask.iter_mut().enumerate() {
+        *m = corner_lanes::<DROP, C>(dts.map(|c| c[i]), dvs.map(|c| c[i]), t, v);
     }
 }
 
 /// Evaluates [`crate::Boundary::intersects`] for a block of stored
-/// boundary rows in struct-of-arrays form.
-///
-/// `cols` holds `2 * corners` column slices in storage order
-/// (`Δt₁, Δv₁, …, Δtᶜ, Δvᶜ`), each `len` rows long. `mask` is resized to
-/// `len` and overwritten: `mask[i]` is true iff row `i`'s boundary
-/// intersects `region` — the union of the point query on every corner and
-/// the line query on every adjacent corner pair, exactly as the scalar
-/// path computes it.
-///
-/// # Panics
-///
-/// Panics unless `corners` is 1–3 and `cols` has `2 * corners` slices of
-/// length `len`.
-pub fn boundaries_intersect(
-    corners: usize,
-    cols: &[&[f64]],
-    len: usize,
-    region: &QueryRegion,
-    mask: &mut Vec<bool>,
-) {
-    assert!((1..=3).contains(&corners), "corners must be 1-3");
-    assert_eq!(cols.len(), 2 * corners, "need dt/dv columns per corner");
-    for c in cols {
-        assert_eq!(c.len(), len);
-    }
-    mask.clear();
-    mask.resize(len, false);
-    for j in 0..corners {
-        points_in_region(cols[2 * j], cols[2 * j + 1], region, mask);
-    }
-    for j in 0..corners.saturating_sub(1) {
-        edges_cross_region(
-            cols[2 * j],
-            cols[2 * j + 1],
-            cols[2 * j + 2],
-            cols[2 * j + 3],
-            region,
-            mask,
-        );
-    }
-}
-
-/// [`boundaries_intersect`] over owned column buffers, as a columnar
-/// page scan decodes them: `cols` holds at least the `2 * corners`
-/// corner columns in storage order (trailing columns — the segment
-/// endpoints ride along in the same pages — are ignored), each `len`
-/// rows long. No transpose, no per-row materialization: the buffers the
-/// storage layer decoded into are evaluated in place.
+/// boundary rows in struct-of-arrays form, as a columnar page scan decodes
+/// them: `cols` holds at least the `2 * corners` corner columns in storage
+/// order (`Δt₁, Δv₁, …, Δtᶜ, Δvᶜ`; trailing columns — the segment
+/// endpoints ride along in the same pages — are ignored), each `len` rows
+/// long. `mask` is resized to `len` and overwritten: `mask[i]` is true iff
+/// row `i`'s boundary intersects `region`. No transpose, no per-row
+/// materialization: the buffers the storage layer decoded into are
+/// evaluated in place.
 ///
 /// # Panics
 ///
@@ -189,11 +136,20 @@ pub fn boundaries_intersect_cols(
 ) {
     assert!((1..=3).contains(&corners), "corners must be 1-3");
     assert!(cols.len() >= 2 * corners, "need dt/dv columns per corner");
-    let mut views: [&[f64]; 6] = [&[]; 6];
-    for (v, c) in views.iter_mut().zip(cols) {
-        *v = c.as_slice();
+    for c in &cols[..2 * corners] {
+        assert_eq!(c.len(), len);
     }
-    boundaries_intersect(corners, &views[..2 * corners], len, region, mask);
+    mask.clear();
+    mask.resize(len, false);
+    let (t, v) = (region.t, region.v);
+    match (region.kind, corners) {
+        (SearchKind::Drop, 1) => rows::<true, 1>(cols, t, v, mask),
+        (SearchKind::Drop, 2) => rows::<true, 2>(cols, t, v, mask),
+        (SearchKind::Drop, _) => rows::<true, 3>(cols, t, v, mask),
+        (SearchKind::Jump, 1) => rows::<false, 1>(cols, t, v, mask),
+        (SearchKind::Jump, 2) => rows::<false, 2>(cols, t, v, mask),
+        (SearchKind::Jump, _) => rows::<false, 3>(cols, t, v, mask),
+    }
 }
 
 /// Page-level pruning predicate for zone maps: can *any* row whose corner
@@ -256,7 +212,8 @@ impl ZoneExtent {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{edge_crosses_region, point_in_region, Boundary, FeaturePoint};
+    use crate::intersect::{edge_crosses_region, point_in_region, scalar_intersects};
+    use crate::{Boundary, FeaturePoint};
 
     fn soa(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let ncols = rows.first().map_or(0, Vec::len);
@@ -265,89 +222,67 @@ mod tests {
             .collect()
     }
 
-    fn check_against_scalar(corners: usize, rows: &[Vec<f64>], region: &QueryRegion) {
-        let cols = soa(rows);
-        let views: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-        let mut mask = Vec::new();
-        boundaries_intersect(corners, &views, rows.len(), region, &mut mask);
-        for (i, row) in rows.iter().enumerate() {
-            let pts: Vec<FeaturePoint> = (0..corners)
-                .map(|j| FeaturePoint::new(row[2 * j], row[2 * j + 1]))
-                .collect();
-            let b = match corners {
-                1 => Boundary::one(pts[0]),
-                2 => Boundary::two(pts[0], pts[1]),
-                _ => Boundary::three(pts[0], pts[1], pts[2]),
-            };
-            assert_eq!(mask[i], b.intersects(region), "row {i}: {row:?}");
+    /// The boundary whose corners are `row`'s `(Δt, Δv)` pairs.
+    fn boundary_of(row: &[f64]) -> Boundary {
+        let pts: Vec<FeaturePoint> = row
+            .chunks(2)
+            .map(|c| FeaturePoint::new(c[0], c[1]))
+            .collect();
+        match pts[..] {
+            [p] => Boundary::one(p),
+            [p, q] => Boundary::two(p, q),
+            [p, q, r] => Boundary::three(p, q, r),
+            _ => unreachable!("boundaries have 1-3 corners"),
         }
     }
 
-    #[test]
-    fn batch_matches_scalar_boundaries() {
-        let region = QueryRegion::drop(10.0, -2.0);
-        // Two-corner rows covering point hit, edge hit, and miss.
-        let rows2 = vec![
-            vec![2.0, -1.0, 12.0, -6.0],  // edge crossing
-            vec![5.0, -3.0, 8.0, -4.0],   // corner inside
-            vec![11.0, -3.0, 20.0, -6.0], // entirely right of T
-            vec![2.0, -1.0, 9.0, -1.5],   // too shallow
-        ];
-        check_against_scalar(2, &rows2, &region);
-        let rows1 = vec![vec![5.0, -3.0], vec![5.0, -1.0]];
-        check_against_scalar(1, &rows1, &region);
-        let rows3 = vec![
-            vec![1.0, -0.5, 6.0, -1.0, 14.0, -5.0],
-            vec![1.0, 0.5, 6.0, 1.0, 14.0, 5.0],
-        ];
-        check_against_scalar(3, &rows3, &region);
-        let jump = QueryRegion::jump(10.0, 2.0);
-        let rows_j = vec![
-            vec![2.0, 1.0, 12.0, 6.0],
-            vec![5.0, 3.0, 8.0, 4.0],
-            vec![2.0, 1.0, 9.0, 1.5],
-        ];
-        check_against_scalar(2, &rows_j, &jump);
+    /// Holds `rows` of `corners` corners (ascending in `Δt`) to the scalar
+    /// oracle: [`Boundary::intersects`] is the short-circuit union over
+    /// its `corners()`, and the kernel's mask — four segment-endpoint
+    /// columns riding along, as in a stored page — is
+    /// [`Boundary::intersects`] row by row.
+    fn check_rows(corners: usize, rows: &[Vec<f64>], region: &QueryRegion) {
+        let mut cols = soa(rows);
+        cols.resize(2 * corners, Vec::new());
+        cols.extend((0..4).map(|_| vec![99.0; rows.len()]));
+        let mut mask = vec![true; 3];
+        boundaries_intersect_cols(corners, &cols, rows.len(), region, &mut mask);
+        assert_eq!(mask.len(), rows.len());
+        for (row, &m) in rows.iter().zip(&mask) {
+            let b = boundary_of(row);
+            let hit = b.intersects(region);
+            let oracle = scalar_intersects(b.corners(), region);
+            assert_eq!(hit, oracle, "boundary {row:?} in {region:?}");
+            assert_eq!(m, hit, "kernel row {row:?} in {region:?}");
+        }
     }
 
-    /// Runs both kernels and both lane functions over `lanes`
-    /// (`[dt1, dv1, dt2, dv2]`, `dt1 <= dt2`) and compares every lane with
-    /// the scalar predicates; then checks that a lane already set stays
-    /// set (the kernels OR into the mask).
+    /// Holds the probe's lanes to the scalar predicates on every lane
+    /// (`[dt1, dv1, dt2, dv2]`, `dt1 <= dt2`), then [`check_rows`] on the
+    /// lanes as one-, two- and three-corner rows (the third corner is the
+    /// next lane's far end where it lies further right, else the padding).
     fn check_lanes_against_scalar(lanes: &[[f64; 4]], region: &QueryRegion) {
-        let col = |c: usize| lanes.iter().map(|l| l[c]).collect::<Vec<f64>>();
-        let (dt1s, dv1s, dt2s, dv2s) = (col(0), col(1), col(2), col(3));
-        let mut points = vec![false; lanes.len()];
-        points_in_region(&dt1s, &dv1s, region, &mut points);
-        let mut edges = vec![false; lanes.len()];
-        edges_cross_region(&dt1s, &dv1s, &dt2s, &dv2s, region, &mut edges);
-        for (i, &[dt1, dv1, dt2, dv2]) in lanes.iter().enumerate() {
+        for lane @ &[dt1, dv1, dt2, dv2] in lanes {
             let (p1, p2) = (FeaturePoint::new(dt1, dv1), FeaturePoint::new(dt2, dv2));
-            let (point, edge) = (
-                point_in_region(p1, region),
-                edge_crosses_region(p1, p2, region),
-            );
-            let lane = &lanes[i];
-            assert_eq!(points[i], point, "point kernel, {lane:?} in {region:?}");
-            assert_eq!(edges[i], edge, "edge kernel, {lane:?} in {region:?}");
+            let point = point_in_region(p1, region);
+            let edge = edge_crosses_region(p1, p2, region);
             assert_eq!(point_hits(dt1, dv1, region), point, "point lane {lane:?}");
-            assert_eq!(
-                edge_hits(dt1, dv1, dt2, dv2, region),
-                edge,
-                "edge lane {lane:?}"
-            );
+            let got = edge_hits(dt1, dv1, dt2, dv2, region);
+            assert_eq!(got, edge, "edge lane {lane:?} in {region:?}");
         }
-        let preset: Vec<bool> = (0..lanes.len()).map(|i| i % 3 == 0).collect();
-        let mut mask = preset.clone();
-        points_in_region(&dt1s, &dv1s, region, &mut mask);
-        edges_cross_region(&dt1s, &dv1s, &dt2s, &dv2s, region, &mut mask);
-        for i in 0..lanes.len() {
-            assert_eq!(
-                mask[i],
-                preset[i] | points[i] | edges[i],
-                "lane {i} of the union"
-            );
-        }
+        let ones: Vec<Vec<f64>> = lanes.iter().map(|l| l[..2].to_vec()).collect();
+        check_rows(1, &ones, region);
+        let twos: Vec<Vec<f64>> = lanes.iter().map(|l| l.to_vec()).collect();
+        check_rows(2, &twos, region);
+        let threes: Vec<Vec<f64>> = lanes
+            .iter()
+            .zip(lanes.iter().cycle().skip(1))
+            .map(|(l, next)| {
+                let far = if next[2] >= l[2] { &next[2..] } else { &l[2..] };
+                [&l[..], far].concat()
+            })
+            .collect();
+        check_rows(3, &threes, region);
     }
 
     #[test]
@@ -387,28 +322,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn kernels_equal_scalar_predicates_on_random_rows() {
-        use rand::{rngs::StdRng, RngExt, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(44);
-        let regions = [
-            QueryRegion::drop(8.0, -1.5),
-            QueryRegion::jump(8.0, 1.5),
-            QueryRegion::drop(2.0, -6.0),
-            QueryRegion::jump(20.0, 0.25),
-        ];
-        // Odd lengths, so a vectorised loop's remainder lanes are covered.
-        for len in [0, 1, 7, 64, 333] {
-            let lanes: Vec<[f64; 4]> = (0..len)
+    // Property tests sample thousands of cases; under Miri's interpreter
+    // that is hours, not seconds, so this one runs natively only.
+    #[cfg(not(miri))]
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Random blocks of 1–3-corner boundaries, of odd lengths too so
+        /// that a vectorised loop's remainder lanes are covered, one in
+        /// twelve coordinates exactly on the region's bound: held to the
+        /// scalar oracle by [`check_rows`].
+        #[test]
+        fn boundaries_and_the_kernel_equal_the_scalar_oracle(
+            corners in 1usize..4,
+            len in 0usize..70,
+            seed in proptest::prelude::any::<u64>(),
+            region in (0.5f64..12.0, 0.1f64..6.0, proptest::prelude::any::<bool>()),
+        ) {
+            use rand::{rngs::StdRng, RngExt, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (t, mag, drop) = region;
+            let region = if drop {
+                QueryRegion::drop(t, -mag)
+            } else {
+                QueryRegion::jump(t, mag)
+            };
+            let mut coord = |range: std::ops::Range<f64>, bound: f64| {
+                [rng.random_range(range), bound][usize::from(rng.random_range(0..12u32) == 0)]
+            };
+            let rows: Vec<Vec<f64>> = (0..len)
                 .map(|_| {
-                    let (a, b) = (rng.random_range(0.0..16.0), rng.random_range(0.0..16.0));
-                    let mut dv = || rng.random_range(-8.0..8.0);
-                    [f64::min(a, b), dv(), f64::max(a, b), dv()]
+                    let mut dts: Vec<f64> =
+                        (0..corners).map(|_| coord(0.0..16.0, region.t)).collect();
+                    dts.sort_by(f64::total_cmp);
+                    dts.iter().flat_map(|&dt| [dt, coord(-8.0..8.0, region.v)]).collect()
                 })
                 .collect();
-            for region in &regions {
-                check_lanes_against_scalar(&lanes, region);
-            }
+            check_rows(corners, &rows, &region);
         }
     }
 
@@ -509,30 +459,6 @@ mod tests {
             hits += usize::from(stated);
         }
         assert!(hits > 1000 && point_hit > 1000 && edge_hit > 100);
-    }
-
-    #[test]
-    fn cols_variant_matches_slice_variant_and_ignores_trailing_cols() {
-        let region = QueryRegion::drop(10.0, -2.0);
-        let rows = vec![
-            vec![2.0, -1.0, 12.0, -6.0],
-            vec![5.0, -3.0, 8.0, -4.0],
-            vec![11.0, -3.0, 20.0, -6.0],
-            vec![2.0, -1.0, 9.0, -1.5],
-        ];
-        let mut cols = soa(&rows);
-        let views: Vec<&[f64]> = cols.iter().map(Vec::as_slice).collect();
-        let mut want = Vec::new();
-        boundaries_intersect(2, &views, rows.len(), &region, &mut want);
-        // Storage pages carry four trailing segment-endpoint columns after
-        // the corners; the cols variant must skip them.
-        for _ in 0..4 {
-            cols.push(vec![99.0; rows.len()]);
-        }
-        let mut got = Vec::new();
-        boundaries_intersect_cols(2, &cols, rows.len(), &region, &mut got);
-        assert_eq!(got, want);
-        assert!(got.iter().any(|&m| m) && got.iter().any(|&m| !m));
     }
 
     #[test]

@@ -1,30 +1,43 @@
 //! Boundary extraction: the corner analysis of §4.3.1 and the Appendix.
 
-use crate::batch::{edge_hits, point_hits};
-use crate::intersect::{edge_crosses_region, point_in_region};
+use crate::batch::corners_hit;
 use crate::{FeaturePoint, Parallelogram, QueryRegion, SearchKind};
 use segmentation::Segment;
 
 /// The region-facing boundary of a feature parallelogram: a chain of one,
-/// two, or three corner points ordered by increasing `Δt`.
+/// two, or three corner points ordered by increasing `Δt`, or none at all
+/// when the pair is pruned.
 ///
 /// For drop search this is the lower-left boundary, for jump search the
 /// upper-left boundary. These are the rows SegDiff actually stores; the ε
 /// shift of Lemma 4 has already been applied by the time a `Boundary` is
-/// produced by [`extract_boundary`].
+/// produced by [`pick_corners`]. The corners are held three wide, the last
+/// one repeated as padding, and the padding is exact for
+/// [`Boundary::intersects`]: a repeated corner is tested twice, and an edge
+/// from a corner to itself (`dt1 == dt2`) fails the line query's
+/// `dt1 <= T < dt2`. So every boundary is tested by the same straight-line
+/// lanes, whatever its length.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Boundary {
+    /// The corners, ascending in `Δt`, the last repeated up to three.
     pts: [FeaturePoint; 3],
-    len: u8,
+    /// How many of `pts` the boundary has (1–3), 0 when it is pruned.
+    len: usize,
 }
 
 impl Boundary {
+    /// `len` of `pts` (padded with the last of them), or a pruned
+    /// boundary unless `keep`.
+    fn new(pts: [FeaturePoint; 3], len: usize, keep: bool) -> Self {
+        Self {
+            pts,
+            len: len * usize::from(keep),
+        }
+    }
+
     /// A degenerate single-corner boundary.
     pub fn one(p: FeaturePoint) -> Self {
-        Self {
-            pts: [p, FeaturePoint::default(), FeaturePoint::default()],
-            len: 1,
-        }
+        Self::new([p; 3], 1, true)
     }
 
     /// A two-corner boundary (one edge).
@@ -34,97 +47,40 @@ impl Boundary {
     /// Debug-asserts the corners are ordered by `Δt`.
     pub fn two(p: FeaturePoint, q: FeaturePoint) -> Self {
         debug_assert!(p.dt <= q.dt);
-        Self {
-            pts: [p, q, FeaturePoint::default()],
-            len: 2,
-        }
+        Self::new([p, q, q], 2, true)
     }
 
     /// A three-corner boundary (two edges).
     pub fn three(p: FeaturePoint, q: FeaturePoint, r: FeaturePoint) -> Self {
         debug_assert!(p.dt <= q.dt && q.dt <= r.dt);
-        Self {
-            pts: [p, q, r],
-            len: 3,
-        }
+        Self::new([p, q, r], 3, true)
     }
 
-    /// The corners, ordered by increasing `Δt`.
+    /// The corners, ordered by increasing `Δt`; none when pruned.
     pub fn corners(&self) -> &[FeaturePoint] {
-        &self.pts[..self.len as usize]
+        &self.pts[..self.len]
     }
 
-    /// Number of corners (1–3).
+    /// Number of corners: 1–3, 0 when the pair is pruned.
     pub fn len(&self) -> usize {
-        self.len as usize
+        self.len
     }
 
-    /// Boundaries are never empty; provided for clippy-consistency.
+    /// Whether the pair is pruned: its shifted parallelogram cannot
+    /// contain any drop (jump), and nothing of it is stored.
     pub fn is_empty(&self) -> bool {
-        false
+        self.len == 0
     }
 
     /// Does this boundary intersect the query region? The union of the
     /// point queries on every corner and the line queries on every edge
-    /// (§4.4). This is the in-memory reference implementation of the
-    /// predicate the storage layer evaluates with range queries.
-    pub fn intersects(&self, region: &QueryRegion) -> bool {
-        let pts = self.corners();
-        if pts.iter().any(|&p| point_in_region(p, region)) {
-            return true;
-        }
-        pts.windows(2)
-            .any(|w| edge_crosses_region(w[0], w[1], region))
-    }
-}
-
-/// The corners Algorithm 1 keeps of one segment pair's boundary, the
-/// case analysis of §4.3.1 (Table 2 and the Appendix) done: 1–3 corners
-/// ascending in `Δt` and already ε-shifted, the last repeated to fill
-/// three, and how many are the boundary's — 0 when the shifted
-/// parallelogram cannot hold a drop (jump) and the pair stores nothing.
-///
-/// The padding is exact for [`CornerPick::hits`]: a repeated corner is
-/// tested twice, and an edge from a corner to itself (`dt1 == dt2`) fails
-/// the line query's `dt1 <= T < dt2`. So a pick is tested in place, with
-/// no [`Boundary`] built ([`CornerPick::boundary`] builds one to store).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CornerPick {
-    /// The corners, ascending in `Δt`, the last repeated up to three.
-    corners: [FeaturePoint; 3],
-    /// How many of `corners` the boundary has (1–3), 0 when it is pruned.
-    len: usize,
-}
-
-impl CornerPick {
-    fn new(corners: [FeaturePoint; 3], len: usize) -> Self {
-        Self { corners, len }
-    }
-
-    /// The boundary to store, or `None` when the pick pruned it.
-    pub fn boundary(&self) -> Option<Boundary> {
-        let [p, q, r] = self.corners;
-        match self.len {
-            1 => Some(Boundary::one(p)),
-            2 => Some(Boundary::two(p, q)),
-            3 => Some(Boundary::three(p, q, r)),
-            _ => None,
-        }
-    }
-
-    /// [`Boundary::intersects`] of [`CornerPick::boundary`], `false` when
-    /// there is none: the point query on each of the three corners and the
-    /// line query on both edges, as the branch-free lanes of
-    /// [`crate::batch`] (`|` for `||`), the padding tested like the rest.
+    /// (§4.4), `false` when pruned: the branch-free lanes of
+    /// [`crate::batch`] on the three padded corners, `|` for `||`, which
+    /// is what the storage layer's column kernel evaluates on a stored row.
     #[inline]
-    pub fn hits(&self, region: &QueryRegion) -> bool {
-        let [p, q, r] = self.corners;
-        (self.len > 0)
-            & (point_hits(p.dt, p.dv, region)
-                | point_hits(q.dt, q.dv, region)
-                | point_hits(r.dt, r.dv, region)
-                | edge_hits(p.dt, p.dv, q.dt, q.dv, region)
-                | edge_hits(q.dt, q.dv, r.dt, r.dv, region))
+    pub fn intersects(&self, region: &QueryRegion) -> bool {
+        let (dt, dv) = (self.pts.map(|p| p.dt), self.pts.map(|p| p.dv));
+        (self.len > 0) & corners_hit(dt, dv, region)
     }
 }
 
@@ -132,8 +88,9 @@ impl CornerPick {
 /// segment of slope `k_cd`, later of slope `k_ab` — under tolerance `eps`:
 /// the lower-left corners for [`SearchKind::Drop`] shifted down by `eps`,
 /// the upper-left for [`SearchKind::Jump`] shifted up (Lemma 4), pruned
-/// where the Appendix prunes. The slopes split the cases as
-/// [`crate::SlopeCase::classify`] does, comparison for comparison.
+/// where the Appendix prunes — an empty boundary. The slopes split the
+/// six cases of Table 2 (`k_CD >= 0` or not, then `k_AB` against 0 and
+/// against `k_CD`) in the order the paper lists them.
 #[inline]
 pub fn pick_corners(
     para: &Parallelogram,
@@ -141,17 +98,15 @@ pub fn pick_corners(
     k_ab: f64,
     eps: f64,
     kind: SearchKind,
-) -> CornerPick {
-    let one = |p: FeaturePoint, keep: bool| CornerPick::new([p; 3], usize::from(keep));
-    let two = |p: FeaturePoint, q: FeaturePoint, keep: bool| {
-        CornerPick::new([p, q, q], 2 * usize::from(keep))
-    };
+) -> Boundary {
+    let one = |p: FeaturePoint, keep: bool| Boundary::new([p; 3], 1, keep);
+    let two = |p: FeaturePoint, q: FeaturePoint, keep: bool| Boundary::new([p, q, q], 2, keep);
     // A chain through `mid` to `ad`: all three corners while `mid` holds an
     // event itself (`mid_holds`), else the edge (`mid`, `ad`) while `ad`
     // does (`ad_holds`) — "drop II" / "jump II" of the Appendix.
     let chain = |bc: FeaturePoint, mid: FeaturePoint, ad: FeaturePoint, mid_holds, ad_holds| {
         if mid_holds {
-            CornerPick::new([bc, mid, ad], 3)
+            Boundary::new([bc, mid, ad], 3, true)
         } else {
             two(mid, ad, ad_holds)
         }
@@ -199,7 +154,7 @@ pub fn pick_corners(
 /// cannot hold a drop (jump): at `ε = 0` a non-falling (non-rising)
 /// segment keeps nothing.
 #[inline]
-pub fn pick_self_corners(seg: &Segment, eps: f64, kind: SearchKind) -> CornerPick {
+pub fn pick_self_corners(seg: &Segment, eps: f64, kind: SearchKind) -> Boundary {
     let far = FeaturePoint::new(seg.duration(), seg.delta_v());
     // Only a boundary that dips below (rises above) zero can ever reach
     // V < 0 (V > 0).
@@ -208,7 +163,7 @@ pub fn pick_self_corners(seg: &Segment, eps: f64, kind: SearchKind) -> CornerPic
         SearchKind::Jump => (eps, far.dv.max(0.0) + eps > 0.0),
     };
     let (origin, far) = (FeaturePoint::new(0.0, 0.0).shifted(dy), far.shifted(dy));
-    CornerPick::new([origin, far, far], 2 * usize::from(keep))
+    Boundary::new([origin, far, far], 2, keep)
 }
 
 /// Extracts the stored boundary for the pair (earlier `cd`, later `ab`)
@@ -231,7 +186,7 @@ pub fn extract_boundary(
 ) -> Option<Boundary> {
     debug_assert!(eps >= 0.0);
     let para = Parallelogram::from_pair(cd, ab);
-    pick_corners(&para, cd.slope(), ab.slope(), eps, kind).boundary()
+    Some(pick_corners(&para, cd.slope(), ab.slope(), eps, kind)).filter(|b| !b.is_empty())
 }
 
 /// The boundary for events occurring *within* a single segment
@@ -239,13 +194,14 @@ pub fn extract_boundary(
 /// when the segment cannot contain a drop (jump).
 pub fn extract_self_boundary(seg: &Segment, eps: f64, kind: SearchKind) -> Option<Boundary> {
     debug_assert!(eps >= 0.0);
-    pick_self_corners(seg, eps, kind).boundary()
+    Some(pick_self_corners(seg, eps, kind)).filter(|b| !b.is_empty())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SlopeCase;
+    use crate::cases::SlopeCase;
+    use crate::intersect::scalar_intersects;
     use proptest::prelude::*;
 
     /// cd rising, ab falling: case 1.
@@ -371,6 +327,9 @@ mod tests {
         assert_eq!(Boundary::two(p, q).len(), 2);
         assert_eq!(Boundary::three(p, q, r).corners(), &[p, q, r]);
         assert!(!Boundary::one(p).is_empty());
+        let pruned = Boundary::new([p, q, q], 2, false);
+        assert!(pruned.is_empty() && pruned.corners().is_empty());
+        assert!(!pruned.intersects(&QueryRegion::jump(10.0, 0.5)));
     }
 
     /// The paper's six-case table as the Appendix states it, case by case:
@@ -439,11 +398,10 @@ mod tests {
 
     /// `b` with every corner shifted vertically by `dy` (Lemma 4).
     fn shifted(b: Boundary, dy: f64) -> Boundary {
-        let mut out = b;
-        for p in out.pts[..out.len as usize].iter_mut() {
-            *p = p.shifted(dy);
+        Boundary {
+            pts: b.pts.map(|p| p.shifted(dy)),
+            ..b
         }
-        out
     }
 
     /// The self pair as §4.2 states it: the origin and the far end, pruned
@@ -489,7 +447,7 @@ mod tests {
     }
 
     /// Holds the pick of (`cd`, `ab`) and of `ab`'s self pair to the case
-    /// table bit for bit, and its lanes to [`Boundary::intersects`] on
+    /// table bit for bit, and its padded lanes to the scalar oracle on
     /// regions through every corner.
     fn check_pair(cd: &Segment, ab: &Segment, eps: f64, t: f64, v: f64) -> TestCaseResult {
         for kind in [SearchKind::Drop, SearchKind::Jump] {
@@ -506,23 +464,24 @@ mod tests {
             ];
             for (pick, want) in pairs {
                 prop_assert_eq!(
-                    bits(pick.boundary()),
+                    bits(Some(pick).filter(|b| !b.is_empty())),
                     bits(want),
                     "{:?} {:?} {:?}",
                     kind,
                     cd,
                     ab
                 );
-                if let Some(last) = pick.len.checked_sub(1) {
-                    let pad = &pick.corners[last..];
+                if let Some(last) = pick.len().checked_sub(1) {
+                    let pad = &pick.pts[last..];
                     prop_assert!(
                         pad.iter().all(|p| p == &pad[0]),
                         "padded with the last corner"
                     );
                 }
                 for region in regions_on(want, kind, t, v) {
-                    let hit = want.is_some_and(|b| b.intersects(&region));
-                    prop_assert_eq!(pick.hits(&region), hit, "{:?} on {:?}", region, pick);
+                    let hit = want.is_some_and(|b| scalar_intersects(b.corners(), &region));
+                    let got = pick.intersects(&region);
+                    prop_assert_eq!(got, hit, "{:?} on {:?}", region, pick);
                 }
             }
         }

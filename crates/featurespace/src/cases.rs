@@ -1,10 +1,12 @@
-//! The six slope cases of Table 2.
+//! The six slope cases of Table 2, as the paper tabulates them: the
+//! reference [`crate::pick_corners`]'s own split of the slopes is tested
+//! against.
 
 /// Classification of a segment pair by the slopes `k_CD` (earlier segment)
 /// and `k_AB` (later segment). The case determines which parallelogram
 /// corners form the lower-left (drop) and upper-left (jump) boundaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SlopeCase {
+pub(crate) enum SlopeCase {
     /// `k_CD >= 0`, `k_AB <= 0`.
     C1,
     /// `k_CD >= 0`, `k_AB >= k_CD` (both non-negative).

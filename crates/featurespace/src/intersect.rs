@@ -1,4 +1,6 @@
-//! The two storage-level intersection predicates of §4.4.
+//! The two intersection predicates of §4.4 as the paper states them,
+//! short-circuit: the oracles the branch-free lanes of [`crate::batch`]
+//! (and so [`crate::Boundary::intersects`]) are held to bit for bit.
 //!
 //! SegDiff reduces "does this parallelogram intersect the query region" to
 //! a union of **point queries** (is a stored corner inside the region) and
@@ -8,6 +10,15 @@
 
 use crate::{FeaturePoint, QueryRegion, SearchKind};
 
+/// The union of §4.4 over a boundary's corners (ascending in `Δt`): the
+/// point query on every corner or the line query on every edge.
+pub(crate) fn scalar_intersects(corners: &[FeaturePoint], region: &QueryRegion) -> bool {
+    corners.iter().any(|&p| point_in_region(p, region))
+        || corners
+            .windows(2)
+            .any(|w| edge_crosses_region(w[0], w[1], region))
+}
+
 /// Point query (paper §4.4): is the stored corner inside the query region?
 ///
 /// This is the *storage-level* predicate — `Δt <= T` and `Δv <= V` for drop
@@ -16,7 +27,7 @@ use crate::{FeaturePoint, QueryRegion, SearchKind};
 /// `Δt >= 0`; a match at `Δt = 0` can only arise from segment pairs that
 /// also contain events with arbitrarily small positive `Δt`, which is
 /// covered by the `2ε` false-positive tolerance (Lemma 5).
-pub fn point_in_region(p: FeaturePoint, region: &QueryRegion) -> bool {
+pub(crate) fn point_in_region(p: FeaturePoint, region: &QueryRegion) -> bool {
     match region.kind {
         SearchKind::Drop => p.dt <= region.t && p.dv <= region.v,
         SearchKind::Jump => p.dt <= region.t && p.dv >= region.v,
@@ -34,7 +45,11 @@ pub fn point_in_region(p: FeaturePoint, region: &QueryRegion) -> bool {
 /// # Panics
 ///
 /// Debug-asserts `p1.dt <= p2.dt`.
-pub fn edge_crosses_region(p1: FeaturePoint, p2: FeaturePoint, region: &QueryRegion) -> bool {
+pub(crate) fn edge_crosses_region(
+    p1: FeaturePoint,
+    p2: FeaturePoint,
+    region: &QueryRegion,
+) -> bool {
     debug_assert!(p1.dt <= p2.dt, "edge endpoints must be ordered by dt");
     let (t, v) = (region.t, region.v);
     match region.kind {

@@ -11,7 +11,8 @@
 //!    point inside both the parallelogram and the region;
 //! 4. growing ε never loses results (monotonicity of the shift + prune).
 
-use crate::{extract_boundary, point_in_region, FeaturePoint, Parallelogram, QueryRegion};
+use crate::intersect::{edge_crosses_region, point_in_region};
+use crate::{extract_boundary, FeaturePoint, Parallelogram, QueryRegion};
 use proptest::prelude::*;
 use segmentation::Segment;
 
@@ -111,7 +112,7 @@ proptest! {
             .find(|&p| point_in_region(p, &region));
         if witness.is_none() {
             for w in b.corners().windows(2) {
-                if crate::edge_crosses_region(w[0], w[1], &region) {
+                if edge_crosses_region(w[0], w[1], &region) {
                     let (p1, p2) = (w[0], w[1]);
                     let dv_at_t = p1.dv + (p2.dv - p1.dv) / (p2.dt - p1.dt) * (region.t - p1.dt);
                     witness = Some(FeaturePoint::new(region.t, dv_at_t));

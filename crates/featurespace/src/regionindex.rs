@@ -18,10 +18,10 @@
 //! cells of one kind sit under one more representative, the most
 //! permissive of theirs, which lets a boundary that reaches none of them
 //! skip them all with a single test. Cells
-//! that survive refine member by member with the exact
-//! [`Boundary::intersects`] predicate, which stays the single source of
-//! truth — [`RegionIndex::matches_brute`] runs it over every member and
-//! the property tests assert both paths return identical sets.
+//! that survive refine member by member with [`Boundary::intersects`],
+//! the branch-free predicate every search tests a boundary with —
+//! [`RegionIndex::matches_brute`] runs it over every member and the
+//! property tests assert both paths return identical sets.
 //!
 //! A feature row is searched through the boundary of its own kind — the
 //! lower-left one shifted down by ε for a drop, the upper-left one

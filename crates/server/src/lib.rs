@@ -699,54 +699,6 @@ mod e2e_tests {
         assert!(fetch(&host, "GET", "/healthz", None).is_err());
     }
 
-    #[test]
-    fn post_shutdown_leaves_store_durable() {
-        let dir = TempDir::new("durable");
-        let idx = build_index(&dir.0);
-        let (expected, _) = idx
-            .query(
-                &featurespace::QueryRegion::drop(3600.0, -2.0),
-                QueryPlan::Index,
-            )
-            .unwrap();
-        let running = start_server(idx, 2);
-        let host = running.host().to_string();
-        // The WAL's counter family is part of the exported metrics.
-        let (status, body) = fetch(&host, "GET", "/metrics?format=json", None).unwrap();
-        assert_eq!(status, 200);
-        for name in ["wal.appends", "wal.bytes", "wal.checkpoints"] {
-            assert!(
-                body.contains(&format!("\"{name}\"")),
-                "GET /metrics must export {name}: {body}"
-            );
-        }
-        let before = obs::global().histogram("server.flush_ms").count();
-        let (status, _) = fetch(&host, "POST", "/shutdown", None).unwrap();
-        assert_eq!(status, 200);
-        running.stop().unwrap();
-        // The drain ended in a flush: its duration was recorded...
-        assert_eq!(
-            obs::global().histogram("server.flush_ms").count(),
-            before + 1,
-            "drain must record server.flush_ms"
-        );
-        // ...and the store on disk is complete: a fresh process sees a
-        // cleanly shut-down index that answers the same query.
-        let reopened = SegDiffIndex::open(&dir.0, 4096).unwrap();
-        assert!(
-            reopened.recovery_report().unwrap().clean,
-            "drain flush must leave a clean WAL"
-        );
-        reopened.verify_consistency().unwrap();
-        let (results, _) = reopened
-            .query(
-                &featurespace::QueryRegion::drop(3600.0, -2.0),
-                QueryPlan::Index,
-            )
-            .unwrap();
-        assert_eq!(results, expected, "reopened store must answer identically");
-    }
-
     /// The replication loop end to end over real HTTP: a replica
     /// bootstraps from a live primary, serves byte-identical `/query`
     /// answers with role `"replica"` and an `applied_lsn`, and — after

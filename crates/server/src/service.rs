@@ -376,9 +376,12 @@ impl SearchFields {
                     / HOUR
             }
         };
-        if !t_hours.is_finite() || t_hours <= 0.0 {
+        // The region is built in seconds: a finite `t_hours` whose seconds
+        // overflow would still trip the constructor's assert.
+        let t_seconds = t_hours * HOUR;
+        if !(t_seconds.is_finite() && t_seconds > 0.0) {
             return Err(format!(
-                "t_hours must be positive and finite, got {t_hours}"
+                "t_hours must be positive and finite in seconds, got {t_hours:?}"
             ));
         }
         if kind == "drop" && !(v.is_finite() && v < 0.0) {
@@ -1906,9 +1909,11 @@ mod tests {
 
     /// Bodies both parsers refuse: each would have tripped a
     /// `QueryRegion` assert, or names sensors no id can be.
-    const INVALID_SEARCHES: [&str; 12] = [
+    const INVALID_SEARCHES: [&str; 13] = [
         "not json",
         "{}",
+        // Finite hours, infinite seconds.
+        r#"{"kind":"drop","v":-1,"t_hours":1e305}"#,
         r#"{"kind":"sideways","v":-1,"t_hours":1}"#,
         r#"{"kind":"drop","v":1,"t_hours":1}"#,
         r#"{"kind":"drop","v":0,"t_hours":1}"#,
