@@ -24,12 +24,13 @@
 
 use crate::gate::{await_until, Gate, Proc};
 use crate::harness::scratch_dir;
+use featurespace::QueryRegion;
 use obs::json::Json;
 use router::Ring;
 use segdiff::{SegDiffConfig, TransectIndex};
 use segdiff_server::loadgen::{self, fetch, query_mix};
 use segdiff_server::{Engine, LoadgenConfig, Server, ServerConfig};
-use sensorgen::{generate_sensor, CadTransectConfig};
+use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -264,7 +265,7 @@ pub fn run_clustersmoke(cfg: &ClusterConfig, gate: &mut Gate) -> Result<(), Stri
         host: router_host.clone(),
         concurrency: 8,
         duration: cfg.duration,
-        bodies: query_mix("drop", -2.0, 1.0),
+        bodies: query_mix(&QueryRegion::drop(HOUR, -2.0)),
     })?;
     gate.field("load_ok", report.ok);
     gate.field("load_failures", report.non_2xx + report.errors);

@@ -6,7 +6,10 @@
 //! subcommand's usage by [`obs::flags`], so a flag that usage does not
 //! name is an error, and [`usage`] prints the same table.
 
+use featurespace::{QueryRegion, SearchKind};
 use obs::flags::Flags;
+use segdiff::QueryPlan;
+use sensorgen::HOUR;
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -165,14 +168,10 @@ pub enum Command {
     Query {
         /// Index directory, or transect root.
         index: PathBuf,
-        /// "drop" or "jump".
-        kind: String,
-        /// Threshold V (negative for drops).
-        v: f64,
-        /// Threshold T in hours.
-        t_hours: f64,
-        /// "scan" or "index".
-        plan: String,
+        /// The search `--kind`, `--v` and `--t-hours` name.
+        region: QueryRegion,
+        /// The plan `--plan` names (scan unless given).
+        plan: QueryPlan,
         /// Optional raw CSV to refine against.
         refine: Option<PathBuf>,
         /// Max results to print.
@@ -278,12 +277,8 @@ pub enum Command {
         concurrency: usize,
         /// Run duration in seconds.
         duration_secs: f64,
-        /// "drop" or "jump".
-        kind: String,
-        /// Threshold V for the query mix.
-        v: f64,
-        /// Threshold T in hours for the query mix.
-        t_hours: f64,
+        /// The search the query mix is built around.
+        region: QueryRegion,
         /// p99 regression-guard file (JSON with `max_p99_ms`).
         guard: Option<PathBuf>,
     },
@@ -316,20 +311,8 @@ pub enum Command {
     Subscribe {
         /// Base URL of the server (`http://host:port`).
         url: String,
-        /// List existing subscriptions instead of registering one.
-        list: bool,
-        /// Remove this subscription instead of registering one.
-        delete: Option<u64>,
-        /// "drop" or "jump" (register mode).
-        kind: String,
-        /// Threshold V (negative for drops).
-        v: f64,
-        /// Threshold T in hours.
-        t_hours: f64,
-        /// Human-readable label stored with the subscription.
-        label: String,
-        /// Sensors the subscription listens to (empty = all).
-        sensors: Vec<u32>,
+        /// Register, list or remove.
+        op: SubscribeOp,
         /// Print the server's raw JSON response instead of text.
         json: bool,
     },
@@ -349,6 +332,24 @@ pub enum Command {
         /// Print one raw JSON object per notification instead of text.
         json: bool,
     },
+}
+
+/// What `segdiff subscribe` asks of the server.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SubscribeOp {
+    /// Register a standing query.
+    Register {
+        /// The standing search.
+        region: QueryRegion,
+        /// Human-readable label stored with the subscription.
+        label: String,
+        /// Sensors the subscription listens to (empty = all).
+        sensors: Vec<u32>,
+    },
+    /// List the registered subscriptions.
+    List,
+    /// Remove this subscription.
+    Delete(u64),
 }
 
 fn generate(f: &Flags) -> Result<Command, String> {
@@ -372,13 +373,12 @@ fn ingest(f: &Flags) -> Result<Command, String> {
 }
 
 fn query(f: &Flags) -> Result<Command, String> {
-    let kind: String = f.required("--kind")?;
+    let kind = SearchKind::parse(&f.required::<String>("--kind")?)?;
+    let plan = f.value::<String>("--plan")?;
     Ok(Command::Query {
         index: f.required("--index")?,
-        v: signed_v(&kind, f.required("--v")?, "queries")?,
-        kind,
-        t_hours: positive_hours(f.required("--t-hours")?)?,
-        plan: f.value("--plan")?.unwrap_or_else(|| "scan".to_string()),
+        region: search(kind, f.required("--v")?, f.required("--t-hours")?)?,
+        plan: plan.map_or(Ok(QueryPlan::SeqScan), |p| QueryPlan::parse(&p))?,
         refine: f.value("--refine")?,
         limit: f.value("--limit")?.unwrap_or(50),
         trace: f.switch("--trace"),
@@ -462,10 +462,12 @@ fn cluster(f: &Flags) -> Result<Command, String> {
 }
 
 fn loadgen(f: &Flags) -> Result<Command, String> {
-    let kind = f.value("--kind")?.unwrap_or_else(|| "drop".to_string());
-    let v = f
-        .value("--v")?
-        .unwrap_or(if kind == "drop" { -1.0 } else { 1.0 });
+    let kind = f.value::<String>("--kind")?;
+    let kind = kind.map_or(Ok(SearchKind::Drop), |k| SearchKind::parse(&k))?;
+    let v = f.value("--v")?.unwrap_or(match kind {
+        SearchKind::Drop => -1.0,
+        SearchKind::Jump => 1.0,
+    });
     let duration_secs: f64 = f.value("--duration-secs")?.unwrap_or(5.0);
     if !(duration_secs.is_finite() && duration_secs > 0.0) {
         return Err("--duration-secs must be positive".into());
@@ -474,9 +476,7 @@ fn loadgen(f: &Flags) -> Result<Command, String> {
         url: f.required("--url")?,
         concurrency: at_least_one(f, "--concurrency", 8)?,
         duration_secs,
-        v: signed_v(&kind, v, "queries")?,
-        kind,
-        t_hours: positive_hours(f.value("--t-hours")?.unwrap_or(1.0))?,
+        region: search(kind, v, f.value("--t-hours")?.unwrap_or(1.0))?,
         guard: f.value("--guard")?,
     })
 }
@@ -502,38 +502,22 @@ fn top(f: &Flags) -> Result<Command, String> {
 
 fn subscribe(f: &Flags) -> Result<Command, String> {
     let url = f.required("--url")?;
-    let list = f.switch("--list");
-    let delete = f.value("--delete")?;
+    let op = match (f.switch("--list"), f.value("--delete")?) {
+        (true, Some(_)) => return Err("--list and --delete are mutually exclusive".into()),
+        (true, None) => SubscribeOp::List,
+        (false, Some(id)) => SubscribeOp::Delete(id),
+        (false, None) => SubscribeOp::Register {
+            region: search(
+                SearchKind::parse(&f.required::<String>("--kind")?)?,
+                f.required("--v")?,
+                f.required("--t-hours")?,
+            )?,
+            label: f.value("--label")?.unwrap_or_default(),
+            sensors: sensor_list(f)?,
+        },
+    };
     let json = f.switch("--json");
-    if list && delete.is_some() {
-        return Err("--list and --delete are mutually exclusive".into());
-    }
-    if list || delete.is_some() {
-        return Ok(Command::Subscribe {
-            url,
-            list,
-            delete,
-            kind: String::new(),
-            v: 0.0,
-            t_hours: 0.0,
-            label: String::new(),
-            sensors: Vec::new(),
-            json,
-        });
-    }
-    let kind: String = f.required("--kind")?;
-    let t_hours = positive_hours(f.required("--t-hours")?)?;
-    Ok(Command::Subscribe {
-        url,
-        list: false,
-        delete: None,
-        v: signed_v(&kind, f.required("--v")?, "subscriptions")?,
-        kind,
-        t_hours,
-        label: f.value("--label")?.unwrap_or_default(),
-        sensors: sensor_list(f)?,
-        json,
-    })
+    Ok(Command::Subscribe { url, op, json })
 }
 
 fn watch(f: &Flags) -> Result<Command, String> {
@@ -559,32 +543,9 @@ fn at_least_one<T: FromStr + Default + PartialEq>(
     }
 }
 
-/// `v`, if `kind` is `drop` or `jump` and `v` is finite with the sign it
-/// searches for: what the region's constructors assert.
-fn signed_v(kind: &str, v: f64, what: &str) -> Result<f64, String> {
-    match kind {
-        "drop" if !(v.is_finite() && v < 0.0) => {
-            Err(format!("--v must be negative for drop {what}"))
-        }
-        "jump" if !(v.is_finite() && v > 0.0) => {
-            Err(format!("--v must be positive for jump {what}"))
-        }
-        "drop" | "jump" => Ok(v),
-        _ => Err(format!("--kind must be drop or jump, got {kind:?}")),
-    }
-}
-
-/// `t_hours`, if it is positive and finite in seconds, the unit the
-/// region is built in.
-fn positive_hours(t_hours: f64) -> Result<f64, String> {
-    let seconds = t_hours * sensorgen::HOUR;
-    if seconds.is_finite() && seconds > 0.0 {
-        Ok(t_hours)
-    } else {
-        Err(format!(
-            "--t-hours must be positive and finite, got {t_hours:?}"
-        ))
-    }
+/// The search `--kind`, `--v` and `--t-hours` name, if it is one.
+fn search(kind: SearchKind, v: f64, t_hours: f64) -> Result<QueryRegion, String> {
+    QueryRegion::new(kind, t_hours * HOUR, v)
 }
 
 /// The `--sensors 1,2,3` comma list (empty when not given; blanks
@@ -768,7 +729,7 @@ mod tests {
                 threads,
                 ..
             } => {
-                assert_eq!(plan, "scan");
+                assert_eq!(plan, QueryPlan::SeqScan);
                 assert_eq!(limit, 50);
                 assert!(refine.is_none());
                 assert!(!trace);
@@ -872,13 +833,12 @@ mod tests {
             assert!(parse(&argv(&line)).is_err(), "accepted: {line}");
         }
         assert_eq!(
-            signed_v("sideways", -3.0, "queries").unwrap_err(),
-            "--kind must be drop or jump, got \"sideways\""
+            parse(&argv(
+                "query --index d --kind drop --v -3 --t-hours 1 --plan turbo"
+            ))
+            .unwrap_err(),
+            "--plan must be scan or index, not \"turbo\""
         );
-        assert!(parse(&argv(
-            "query --index d --kind drop --v -3 --t-hours 1 --plan turbo"
-        ))
-        .is_err());
         assert!(parse(&argv("ingest --index d --csv f --epsilon nope")).is_err());
         // A flag another subcommand takes is no flag of this one.
         for (line, flag, sub) in [
@@ -1106,9 +1066,7 @@ mod tests {
                 url: "http://127.0.0.1:7878".into(),
                 concurrency: 8,
                 duration_secs: 5.0,
-                kind: "drop".into(),
-                v: -1.0,
-                t_hours: 1.0,
+                region: QueryRegion::drop(HOUR, -1.0),
                 guard: None,
             }
         );
@@ -1118,9 +1076,8 @@ mod tests {
         ))
         .unwrap();
         match c {
-            Command::Loadgen { kind, v, guard, .. } => {
-                assert_eq!(kind, "jump");
-                assert_eq!(v, 2.0);
+            Command::Loadgen { region, guard, .. } => {
+                assert_eq!(region, QueryRegion::jump(0.5 * HOUR, 2.0));
                 assert_eq!(guard, Some("ci/serving-guard.json".into()));
             }
             _ => panic!(),
@@ -1140,29 +1097,22 @@ mod tests {
             .unwrap(),
             Command::Subscribe {
                 url: "http://h:1".into(),
-                list: false,
-                delete: None,
-                kind: "drop".into(),
-                v: -2.0,
-                t_hours: 1.5,
-                label: "coolant".into(),
-                sensors: vec![3, 7, 11],
+                op: SubscribeOp::Register {
+                    region: QueryRegion::drop(1.5 * HOUR, -2.0),
+                    label: "coolant".into(),
+                    sensors: vec![3, 7, 11],
+                },
                 json: true,
             }
         );
-        match parse(&argv("subscribe --url u --list")).unwrap() {
-            Command::Subscribe { list, delete, .. } => {
-                assert!(list);
-                assert!(delete.is_none());
+        for (line, op) in [
+            ("subscribe --url u --list", SubscribeOp::List),
+            ("subscribe --url u --delete 9", SubscribeOp::Delete(9)),
+        ] {
+            match parse(&argv(line)).unwrap() {
+                Command::Subscribe { op: got, .. } => assert_eq!(got, op),
+                _ => panic!(),
             }
-            _ => panic!(),
-        }
-        match parse(&argv("subscribe --url u --delete 9")).unwrap() {
-            Command::Subscribe { list, delete, .. } => {
-                assert!(!list);
-                assert_eq!(delete, Some(9));
-            }
-            _ => panic!(),
         }
         // Register mode validates the region like `query` does.
         assert!(parse(&argv("subscribe --url u")).is_err());

@@ -1,6 +1,6 @@
 //! Command implementations.
 
-use crate::args::Command;
+use crate::args::{Command, SubscribeOp};
 use featurespace::QueryRegion;
 use obs::export::Exporter;
 use obs::json::Json;
@@ -34,9 +34,7 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
         } => ingest(&index, &csv, epsilon, window_hours, no_smooth),
         Command::Query {
             index,
-            kind,
-            v,
-            t_hours,
+            region,
             plan,
             refine,
             limit,
@@ -44,10 +42,8 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
             threads,
         } => query(
             &index,
-            &kind,
-            v,
-            t_hours,
-            &plan,
+            &region,
+            plan,
             refine.as_deref(),
             limit,
             trace,
@@ -112,19 +108,9 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
             url,
             concurrency,
             duration_secs,
-            kind,
-            v,
-            t_hours,
+            region,
             guard,
-        } => loadgen(
-            &url,
-            concurrency,
-            duration_secs,
-            &kind,
-            v,
-            t_hours,
-            guard.as_deref(),
-        ),
+        } => loadgen(&url, concurrency, duration_secs, &region, guard.as_deref()),
         Command::Alerts {
             url,
             json,
@@ -144,19 +130,7 @@ pub fn run(cmd: Command) -> Result<(), Anyhow> {
             interval_ms,
             iterations,
         } => top(&url, interval_ms, iterations),
-        Command::Subscribe {
-            url,
-            list,
-            delete,
-            kind,
-            v,
-            t_hours,
-            label,
-            sensors,
-            json,
-        } => subscribe(
-            &url, list, delete, &kind, v, t_hours, &label, &sensors, json,
-        ),
+        Command::Subscribe { url, op, json } => subscribe(&url, op, json),
         Command::Watch {
             url,
             sub,
@@ -261,24 +235,13 @@ fn print_trace_node(node: &obs::TraceNode, depth: usize) {
 )]
 fn query(
     index: &Path,
-    kind: &str,
-    v: f64,
-    t_hours: f64,
-    plan: &str,
+    region: &QueryRegion,
+    plan: QueryPlan,
     refine: Option<&Path>,
     limit: usize,
     trace: bool,
     threads: usize,
 ) -> Result<(), Anyhow> {
-    let region = match kind {
-        "drop" => QueryRegion::drop(t_hours * HOUR, v),
-        _ => QueryRegion::jump(t_hours * HOUR, v),
-    };
-    let plan = if plan == "index" {
-        QueryPlan::Index
-    } else {
-        QueryPlan::SeqScan
-    };
     let is_transect = !TransectIndex::scan_ids(index)?.is_empty();
     let (transect, bare);
     let (ids, indexes): (&[u32], &[SegDiffIndex]) = if is_transect {
@@ -300,7 +263,7 @@ fn query(
         obs::trace_begin();
     }
     let sensors: Vec<&SegDiffIndex> = indexes.iter().collect();
-    let (per_sensor, qstats) = fan_out(&sensors, threads, |s| s.query(&region, plan))?;
+    let (per_sensor, qstats) = fan_out(&sensors, threads, |s| s.query(region, plan))?;
     let total: usize = per_sensor.iter().map(Vec::len).sum();
     if is_transect {
         println!(
@@ -370,7 +333,7 @@ fn query(
     }
     if let (Some(raw_csv), [results]) = (refine, per_sensor.as_slice()) {
         let series = read_csv(raw_csv)?;
-        let refined = refine_results(&series, results, &region, 24);
+        let refined = refine_results(&series, results, region, 24);
         let exact = refined.iter().filter(|e| e.meets_threshold).count();
         println!(
             "\nrefined against {}: {exact}/{} meet the threshold exactly",
@@ -953,16 +916,14 @@ fn loadgen(
     url: &str,
     concurrency: usize,
     duration_secs: f64,
-    kind: &str,
-    v: f64,
-    t_hours: f64,
+    region: &QueryRegion,
     guard: Option<&Path>,
 ) -> Result<(), Anyhow> {
     use segdiff_server::loadgen::{check_p99_guard, fetch, parse_url, query_mix, run as run_load};
     use segdiff_server::LoadgenConfig;
 
     let host = parse_url(url)?;
-    let bodies = query_mix(kind, v, t_hours);
+    let bodies = query_mix(region);
     println!(
         "loadgen: {concurrency} closed-loop worker{} x {duration_secs} s against http://{host} \
          ({} distinct queries)",
@@ -1232,94 +1193,34 @@ fn top(url: &str, interval_ms: u64, iterations: u64) -> Result<(), Anyhow> {
 /// server evaluates every committed feature against the region and
 /// queues notifications behind the per-subscription cursor that
 /// `segdiff watch` follows.
-#[allow(
-    clippy::too_many_arguments,
-    reason = "one parameter per flag of the subcommand's usage line"
-)]
-fn subscribe(
-    url: &str,
-    list: bool,
-    delete: Option<u64>,
-    kind: &str,
-    v: f64,
-    t_hours: f64,
-    label: &str,
-    sensors: &[u32],
-    json: bool,
-) -> Result<(), Anyhow> {
+fn subscribe(url: &str, op: SubscribeOp, json: bool) -> Result<(), Anyhow> {
     use segdiff_server::loadgen::{fetch, parse_url};
 
     let host = parse_url(url)?;
-    if list {
-        let (status, body) = fetch(&host, "GET", "/subscribe", None)?;
-        if status != 200 {
-            return Err(format!("GET /subscribe returned {status}: {body}").into());
-        }
-        if json {
-            println!("{body}");
+    let (region, label, sensors) = match op {
+        SubscribeOp::Register {
+            region,
+            label,
+            sensors,
+        } => (region, label, sensors),
+        SubscribeOp::List => return list_subscriptions(&host, json),
+        SubscribeOp::Delete(id) => {
+            let (status, body) = fetch(&host, "DELETE", &format!("/subscribe/{id}"), None)?;
+            if status != 200 {
+                return Err(format!("DELETE /subscribe/{id} returned {status}: {body}").into());
+            }
+            if json {
+                println!("{body}");
+            } else {
+                println!("unsubscribed #{id}");
+            }
             return Ok(());
         }
-        let doc = Json::parse(&body).map_err(|e| format!("bad /subscribe response: {e}"))?;
-        let empty = Vec::new();
-        let subs = doc
-            .get("subscriptions")
-            .and_then(Json::as_array)
-            .unwrap_or(&empty);
-        println!("standing queries ({}):", subs.len());
-        for s in subs {
-            let sensor_list = s
-                .get("sensors")
-                .and_then(Json::as_array)
-                .map(|a| {
-                    a.iter()
-                        .filter_map(Json::as_u64)
-                        .map(|n| n.to_string())
-                        .collect::<Vec<_>>()
-                        .join(",")
-                })
-                .unwrap_or_default();
-            println!(
-                "  #{} {:<20} {:<5} V={:<8} T={:.0}s  sensors=[{}]",
-                s.get("id").and_then(Json::as_u64).unwrap_or(0),
-                s.get("label").and_then(Json::as_str).unwrap_or("-"),
-                s.get("kind").and_then(Json::as_str).unwrap_or("?"),
-                s.get("v").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                s.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
-                sensor_list,
-            );
-        }
-        for st in doc
-            .get("sensors")
-            .and_then(Json::as_array)
-            .unwrap_or(&empty)
-        {
-            println!(
-                "  sensor {}: {} matching events seen (~{:.2}/h)",
-                st.get("sensor").and_then(Json::as_u64).unwrap_or(0),
-                st.get("events").and_then(Json::as_u64).unwrap_or(0),
-                st.get("expected_per_hour")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0),
-            );
-        }
-        return Ok(());
-    }
-    if let Some(id) = delete {
-        let (status, body) = fetch(&host, "DELETE", &format!("/subscribe/{id}"), None)?;
-        if status != 200 {
-            return Err(format!("DELETE /subscribe/{id} returned {status}: {body}").into());
-        }
-        if json {
-            println!("{body}");
-        } else {
-            println!("unsubscribed #{id}");
-        }
-        return Ok(());
-    }
+    };
     let mut fields = vec![
-        ("kind".to_string(), Json::from(kind)),
-        ("v".to_string(), Json::from(v)),
-        ("t_hours".to_string(), Json::from(t_hours)),
+        ("kind".to_string(), Json::from(region.kind.name())),
+        ("v".to_string(), Json::from(region.v)),
+        ("t_seconds".to_string(), Json::from(region.t)),
     ];
     if !label.is_empty() {
         fields.push(("label".to_string(), Json::from(label)));
@@ -1342,9 +1243,70 @@ fn subscribe(
     let doc = Json::parse(&resp).map_err(|e| format!("bad /subscribe response: {e}"))?;
     let id = doc.get("id").and_then(Json::as_u64).unwrap_or(0);
     println!(
-        "subscribed #{id} ({kind} V={v} T={:.0}s); follow it with: segdiff watch --url {url} --sub {id}",
-        t_hours * HOUR,
+        "subscribed #{id} ({} V={} T={:.0}s); follow it with: segdiff watch --url {url} --sub {id}",
+        region.kind.name(),
+        region.v,
+        region.t,
     );
+    Ok(())
+}
+
+/// `segdiff subscribe --list`: every standing query and what each
+/// sensor has matched.
+fn list_subscriptions(host: &str, json: bool) -> Result<(), Anyhow> {
+    use segdiff_server::loadgen::fetch;
+
+    let (status, body) = fetch(host, "GET", "/subscribe", None)?;
+    if status != 200 {
+        return Err(format!("GET /subscribe returned {status}: {body}").into());
+    }
+    if json {
+        println!("{body}");
+        return Ok(());
+    }
+    let doc = Json::parse(&body).map_err(|e| format!("bad /subscribe response: {e}"))?;
+    let empty = Vec::new();
+    let subs = doc
+        .get("subscriptions")
+        .and_then(Json::as_array)
+        .unwrap_or(&empty);
+    println!("standing queries ({}):", subs.len());
+    for s in subs {
+        let sensor_list = s
+            .get("sensors")
+            .and_then(Json::as_array)
+            .map(|a| {
+                a.iter()
+                    .filter_map(Json::as_u64)
+                    .map(|n| n.to_string())
+                    .collect::<Vec<_>>()
+                    .join(",")
+            })
+            .unwrap_or_default();
+        println!(
+            "  #{} {:<20} {:<5} V={:<8} T={:.0}s  sensors=[{}]",
+            s.get("id").and_then(Json::as_u64).unwrap_or(0),
+            s.get("label").and_then(Json::as_str).unwrap_or("-"),
+            s.get("kind").and_then(Json::as_str).unwrap_or("?"),
+            s.get("v").and_then(Json::as_f64).unwrap_or(f64::NAN),
+            s.get("t").and_then(Json::as_f64).unwrap_or(f64::NAN),
+            sensor_list,
+        );
+    }
+    for st in doc
+        .get("sensors")
+        .and_then(Json::as_array)
+        .unwrap_or(&empty)
+    {
+        println!(
+            "  sensor {}: {} matching events seen (~{:.2}/h)",
+            st.get("sensor").and_then(Json::as_u64).unwrap_or(0),
+            st.get("events").and_then(Json::as_u64).unwrap_or(0),
+            st.get("expected_per_hour")
+                .and_then(Json::as_f64)
+                .unwrap_or(0.0),
+        );
+    }
     Ok(())
 }
 

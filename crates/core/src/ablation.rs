@@ -307,7 +307,7 @@ mod tests {
         full.finish().unwrap();
         match full.query(&QueryRegion::drop(5.0 * HOUR, -1.0)) {
             Err(pagestore::StoreError::InvalidArgument(m)) => {
-                assert_eq!(m, "t_hours 5 exceeds the index window of 4 h")
+                assert_eq!(m, "t_hours 5.0 exceeds the index window of 4 h")
             }
             other => panic!("{:?}", other.map(|(r, _)| r.len())),
         }

@@ -71,21 +71,7 @@ impl AlertRule {
         if self.metric.is_empty() {
             return Err(ctx("missing 'metric'".to_string()));
         }
-        if !(self.t_seconds.is_finite() && self.t_seconds > 0.0) {
-            return Err(ctx(format!(
-                "t_seconds must be > 0, got {}",
-                self.t_seconds
-            )));
-        }
-        match self.kind {
-            SearchKind::Drop if !(self.v.is_finite() && self.v < 0.0) => {
-                return Err(ctx(format!("drop rules need v < 0, got {}", self.v)));
-            }
-            SearchKind::Jump if !(self.v.is_finite() && self.v > 0.0) => {
-                return Err(ctx(format!("jump rules need v > 0, got {}", self.v)));
-            }
-            _ => {}
-        }
+        QueryRegion::new(self.kind, self.t_seconds, self.v).map_err(ctx)?;
         if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
             return Err(ctx(format!("epsilon must be >= 0, got {}", self.epsilon)));
         }
@@ -156,11 +142,8 @@ impl AlertRuleSet {
                 "name" => rule.name = parse_string(value).map_err(err)?,
                 "metric" => rule.metric = parse_string(value).map_err(err)?,
                 "kind" => {
-                    rule.kind = match parse_string(value).map_err(err)?.as_str() {
-                        "drop" => SearchKind::Drop,
-                        "jump" => SearchKind::Jump,
-                        other => return Err(err(format!("kind must be drop|jump, got {other}"))),
-                    }
+                    rule.kind =
+                        SearchKind::parse(&parse_string(value).map_err(err)?).map_err(err)?
                 }
                 "v" => rule.v = parse_number(value).map_err(err)?,
                 "t_seconds" => rule.t_seconds = parse_number(value).map_err(err)?,

@@ -1522,7 +1522,7 @@ mod tests {
         idx.finish().unwrap();
         let region = QueryRegion::drop(9.0 * HOUR, -3.0); // w is 8 h
         for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
-            let expect = "t_hours 9 exceeds the index window of 8 h";
+            let expect = "t_hours 9.0 exceeds the index window of 8 h";
             match idx.query(&region, plan) {
                 Err(StoreError::InvalidArgument(m)) => assert_eq!(m, expect),
                 other => panic!("{plan:?}: {:?}", other.map(|(r, _)| r.len())),

@@ -88,7 +88,7 @@ pub use cache::{CacheKey, QueryCache};
 pub use config::SegDiffConfig;
 pub use index::SegDiffIndex;
 pub use ingest::{FeatureExtractor, FeatureRow};
-pub use query::{GeneratorStats, PhaseStats, QueryPlan, QueryStats};
+pub use query::{check_window, GeneratorStats, PhaseStats, QueryPlan, QueryStats};
 pub use result::{merge_sharded, sort_dedup, SegmentPair, ShardResults};
 pub use stats::{CornerHistogram, SegDiffStats};
 pub use subscribe::{Notification, Subscription, SubscriptionRegistry};

@@ -48,6 +48,22 @@ impl QueryPlan {
             QueryPlan::Index => "index",
         }
     }
+
+    /// The word a request names the plan by (`scan` / `index`).
+    pub fn word(&self) -> &'static str {
+        match self {
+            QueryPlan::SeqScan => "scan",
+            QueryPlan::Index => "index",
+        }
+    }
+
+    /// The plan a request word names: the inverse of [`QueryPlan::word`].
+    pub fn parse(word: &str) -> std::result::Result<QueryPlan, String> {
+        [QueryPlan::SeqScan, QueryPlan::Index]
+            .into_iter()
+            .find(|plan| plan.word() == word)
+            .ok_or_else(|| format!("plan must be \"scan\" or \"index\", got {word:?}"))
+    }
 }
 
 /// Metrics for one execution phase of a query.
@@ -149,10 +165,10 @@ impl QueryStats {
 /// Rejects a search for pairs further apart than the window `w` a store
 /// was built with: their features were never extracted, so the store has
 /// no answer, and says so with an error naming the window.
-pub(crate) fn check_window(region: &QueryRegion, window: f64) -> Result<()> {
+pub fn check_window(region: &QueryRegion, window: f64) -> Result<()> {
     if region.t > window {
         return Err(StoreError::InvalidArgument(format!(
-            "t_hours {} exceeds the index window of {} h",
+            "t_hours {:?} exceeds the index window of {} h",
             region.t / HOUR,
             window / HOUR
         )));
@@ -998,13 +1014,8 @@ mod proptests {
             prop_assume!(!corners.is_empty());
             for pick in &picks {
                 let (kind, t, v) = corners[(pick % corners.len() as u64) as usize];
-                let valid = match kind {
-                    SearchKind::Drop => v < 0.0,
-                    SearchKind::Jump => v > 0.0,
-                };
-                if valid && t > 0.0 && t <= window {
-                    regions.push(QueryRegion { kind, t, v });
-                }
+                let region = QueryRegion::new(kind, t, v).ok();
+                regions.extend(region.filter(|r| r.t <= window));
             }
             for region in &regions {
                 let (want, _) = rows.query_stored_rows(region, QueryPlan::SeqScan).unwrap();

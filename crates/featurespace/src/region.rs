@@ -19,6 +19,14 @@ impl SearchKind {
             SearchKind::Jump => "jump",
         }
     }
+
+    /// The kind a wire word names: the inverse of [`SearchKind::name`].
+    pub fn parse(word: &str) -> Result<SearchKind, String> {
+        [SearchKind::Drop, SearchKind::Jump]
+            .into_iter()
+            .find(|kind| kind.name() == word)
+            .ok_or_else(|| format!("kind must be \"drop\" or \"jump\", got {word:?}"))
+    }
 }
 
 /// A query region (paper §3): all feature points satisfying the user's
@@ -34,22 +42,34 @@ pub struct QueryRegion {
 }
 
 impl QueryRegion {
+    /// A `kind` search for changes of at least `|v|` within `t` seconds,
+    /// if it is one: `t` positive and finite, `v` finite with the kind's
+    /// sign (negative for drops, positive for jumps). The one check of
+    /// what a valid search is; every front end builds its region here.
+    pub fn new(kind: SearchKind, t: f64, v: f64) -> Result<Self, String> {
+        if !(t > 0.0 && t.is_finite()) {
+            return Err(format!(
+                "T must be positive and finite in seconds, got {t:?}"
+            ));
+        }
+        let (signed, sign) = match kind {
+            SearchKind::Drop => (v < 0.0, "negative"),
+            SearchKind::Jump => (v > 0.0, "positive"),
+        };
+        if !(signed && v.is_finite()) {
+            let kind = kind.name();
+            return Err(format!("V must be {sign} for {kind} search, got {v:?}"));
+        }
+        Ok(Self { kind, t, v })
+    }
+
     /// A drop-search region: events with `Δv <= v` within `Δt <= t`.
     ///
     /// # Panics
     ///
     /// Panics unless `t > 0` and `v < 0`.
     pub fn drop(t: f64, v: f64) -> Self {
-        assert!(t > 0.0 && t.is_finite(), "T must be positive");
-        assert!(
-            v < 0.0 && v.is_finite(),
-            "V must be negative for drop search"
-        );
-        Self {
-            kind: SearchKind::Drop,
-            t,
-            v,
-        }
+        Self::new(SearchKind::Drop, t, v).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// A jump-search region: events with `Δv >= v` within `Δt <= t`.
@@ -58,16 +78,7 @@ impl QueryRegion {
     ///
     /// Panics unless `t > 0` and `v > 0`.
     pub fn jump(t: f64, v: f64) -> Self {
-        assert!(t > 0.0 && t.is_finite(), "T must be positive");
-        assert!(
-            v > 0.0 && v.is_finite(),
-            "V must be positive for jump search"
-        );
-        Self {
-            kind: SearchKind::Jump,
-            t,
-            v,
-        }
+        Self::new(SearchKind::Jump, t, v).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Whether a feature point satisfies the search conditions, including

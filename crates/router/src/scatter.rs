@@ -29,9 +29,9 @@ use crate::health::HealthBoard;
 use crate::ring::Ring;
 use crate::RouterMetrics;
 use obs::json::{write_u64, Json};
+use segdiff_server::answer::open_answer;
 use segdiff_server::http::{HttpError, Response};
 use segdiff_server::loadgen::pooled_request;
-use segdiff_server::service::open_answer;
 use segdiff_server::QuerySpec;
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -326,15 +326,8 @@ fn query_shard(
 /// The per-shard request body: the validated spec re-serialized with
 /// this shard's sensor slice and grouped output.
 fn shard_body(spec: &QuerySpec, sensors: &[u32]) -> String {
-    let mut fields = Vec::new();
-    if let Some(series) = &spec.series {
-        fields.push(("series".to_string(), Json::Str(series.clone())));
-    }
+    let mut fields = spec.echo();
     fields.extend([
-        ("kind".to_string(), Json::Str(spec.kind.clone())),
-        ("v".to_string(), Json::Float(spec.v)),
-        ("t_hours".to_string(), Json::Float(spec.t_hours)),
-        ("plan".to_string(), Json::Str(spec.plan.clone())),
         (
             "sensors".to_string(),
             Json::Array(sensors.iter().map(|&s| Json::Uint(u64::from(s))).collect()),
@@ -491,15 +484,14 @@ mod tests {
         let spec = QuerySpec::from_json(r#"{"kind":"drop","v":-2.5,"t_hours":3.0}"#).expect("spec");
         let body = shard_body(&spec, &[4, 7]);
         let back = QuerySpec::from_json(&body).expect("shard body must be a valid query");
-        assert_eq!(back.kind, "drop");
-        assert_eq!(back.v, -2.5);
+        assert_eq!((back.region, back.plan), (spec.region, spec.plan));
         assert_eq!(back.t_hours, 3.0);
         assert_eq!(back.sensors, vec![4, 7]);
         assert!(back.per_sensor);
     }
 
     /// The tree form of a pair list (what the shard's writer is tested
-    /// against in `segdiff_server::service`).
+    /// against in `segdiff_server::answer`).
     fn pairs_to_json(results: &[SegmentPair]) -> Json {
         Json::Array(
             results

@@ -17,6 +17,11 @@
 //! * [`routes`] — the route table: every `(method, path)` the service
 //!   answers, the query parameters it accepts and its handler, plus the
 //!   dispatcher that answers 404/405/400 from the table;
+//! * [`spec`] — the `/query` and `/subscribe` bodies, parsed and checked
+//!   once into typed values;
+//! * [`engine`] — the sensors a service answers from and the one query
+//!   path over them;
+//! * [`answer`] — the `/query` answer writer the router shares;
 //! * [`service`] — the handlers: `POST /query`, `GET /metrics`,
 //!   `GET /healthz`, `GET /series`, `GET /alerts`,
 //!   `GET /debug/traces`, `POST /shutdown`, plus the standing-query
@@ -40,6 +45,8 @@
 //! Repeated queries are
 //! answered from the epoch-tagged result cache (`cache.*` counters).
 
+pub mod answer;
+pub mod engine;
 pub mod http;
 pub mod httpd;
 pub mod loadgen;
@@ -50,14 +57,17 @@ pub mod routes;
 pub mod server;
 pub mod service;
 pub mod ship;
+pub mod spec;
 
+pub use engine::{Engine, EngineCell};
 pub use http::{Request, Response};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use observer::{Observability, Observer};
 pub use queue::BoundedQueue;
 pub use replica::{Replica, ReplicaConfig};
 pub use server::{Server, ServerConfig};
-pub use service::{Engine, EngineCell, QuerySpec, Service, ShardRole, SubscribeSpec};
+pub use service::{Service, ShardRole};
+pub use spec::{QuerySpec, SubscribeSpec};
 
 #[cfg(test)]
 mod e2e_tests {
@@ -110,26 +120,40 @@ mod e2e_tests {
     }
 
     /// A search wider than the index window (8 h by default) is a 400
-    /// that names the window and counts as a bad request — and the
-    /// worker that took it is still there for the next request.
+    /// that names the window and counts as a bad request — on `/query`,
+    /// and on `/subscribe`, whose standing query would never hear a row —
+    /// and the worker that took it is still there for the next request.
+    /// A `T` of 300 digits in hours is named in a few.
     fn expect_window_400(host: &str) {
         let bad_before = obs::global().counter("server.bad_requests").get();
-        for too_long in [
-            r#"{"kind":"drop","v":-2.0,"t_hours":8.5}"#,
-            r#"{"kind":"jump","v":2.0,"t_hours":9000,"plan":"scan","per_sensor":true}"#,
+        let huge = r#"{"kind":"drop","v":-1,"t_seconds":1.7976931348623157e308}"#;
+        for (route, too_long) in [
+            ("/query", r#"{"kind":"drop","v":-2.0,"t_hours":8.5}"#),
+            (
+                "/query",
+                r#"{"kind":"jump","v":2.0,"t_hours":9000,"plan":"scan","per_sensor":true}"#,
+            ),
+            ("/query", huge),
+            ("/subscribe", r#"{"kind":"drop","v":-6,"t_hours":24}"#),
+            (
+                "/subscribe",
+                r#"{"kind":"jump","v":2,"t_hours":8.5,"sensors":[0]}"#,
+            ),
+            ("/subscribe", huge),
         ] {
-            let (status, body) = fetch(host, "POST", "/query", Some(too_long)).unwrap();
-            assert_eq!(status, 400, "{too_long}: {body}");
+            let (status, body) = fetch(host, "POST", route, Some(too_long)).unwrap();
+            assert_eq!(status, 400, "{route} {too_long}: {body}");
+            assert!(body.len() < 256, "{route} {too_long}: {body}");
             let error = Json::parse(&body).unwrap();
             let error = error.get("error").and_then(Json::as_str).unwrap();
             assert!(error.contains("window of 8 h"), "{too_long}: {error}");
         }
         let bad = obs::global().counter("server.bad_requests").get() - bad_before;
-        assert!(bad >= 2, "server.bad_requests moved by {bad}");
+        assert!(bad >= 6, "server.bad_requests moved by {bad}");
         let at_the_window = r#"{"kind":"drop","v":-2.0,"t_hours":8}"#;
-        for _ in 0..8 {
-            let (status, body) = fetch(host, "POST", "/query", Some(at_the_window)).unwrap();
-            assert_eq!(status, 200, "{body}");
+        for route in ["/query"; 8].into_iter().chain(["/subscribe"]) {
+            let (status, body) = fetch(host, "POST", route, Some(at_the_window)).unwrap();
+            assert_eq!(status, 200, "{route}: {body}");
         }
     }
 
@@ -429,7 +453,7 @@ mod e2e_tests {
             host: host.clone(),
             concurrency: 4,
             duration: Duration::from_millis(600),
-            bodies: query_mix("drop", -2.0, 1.0),
+            bodies: query_mix(&featurespace::QueryRegion::drop(3600.0, -2.0)),
         })
         .unwrap();
         assert!(report.ok > 0, "no successful requests: {report:?}");

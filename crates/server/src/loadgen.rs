@@ -9,8 +9,11 @@
 //! global registry as `loadgen.request_nanos`.
 
 use crate::http::{read_response, write_request, HttpError};
+use featurespace::QueryRegion;
 use obs::json::Json;
 use obs::HistogramSummary;
+use segdiff::QueryPlan;
+use sensorgen::HOUR;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::path::Path;
@@ -308,16 +311,17 @@ pub fn check_p99_guard(latency: &HistogramSummary, guard: &Path) -> Result<Strin
     ))
 }
 
-/// Builds the standard query mix for one `(kind, v, t_hours)` target:
-/// both plans over four time thresholds, so a run exercises scan and
-/// index paths and produces plenty of repeat queries for the cache.
-pub fn query_mix(kind: &str, v: f64, t_hours: f64) -> Vec<String> {
+/// Builds the standard query mix around one search: both plans over its
+/// `T` and three fractions of it, so a run exercises scan and index paths
+/// and produces plenty of repeat queries for the cache.
+pub fn query_mix(region: &QueryRegion) -> Vec<String> {
+    let (kind, v) = (region.kind.name(), region.v);
     let mut bodies = Vec::new();
-    for plan in ["scan", "index"] {
+    for plan in [QueryPlan::SeqScan, QueryPlan::Index] {
         for frac in [1.0, 0.75, 0.5, 0.25] {
+            let (t_hours, plan) = (region.t * frac / HOUR, plan.word());
             bodies.push(format!(
-                r#"{{"kind":"{kind}","v":{v},"t_hours":{},"plan":"{plan}"}}"#,
-                t_hours * frac
+                r#"{{"kind":"{kind}","v":{v},"t_hours":{t_hours},"plan":"{plan}"}}"#
             ));
         }
     }
@@ -346,7 +350,7 @@ mod tests {
 
     #[test]
     fn query_mix_is_distinct_and_valid_json() {
-        let mix = query_mix("drop", -3.0, 1.0);
+        let mix = query_mix(&QueryRegion::drop(HOUR, -3.0));
         assert_eq!(mix.len(), 8);
         let mut seen = std::collections::HashSet::new();
         for body in &mix {

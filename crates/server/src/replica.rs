@@ -27,8 +27,8 @@
 //! `sensor lsn` line each), so a restarted replica resumes tailing
 //! instead of re-copying, unless the primary checkpointed past it.
 
+use crate::engine::{Engine, EngineCell};
 use crate::loadgen::{fetch, fetch_bytes};
-use crate::service::{Engine, EngineCell};
 use crate::ship;
 use obs::json::Json;
 use pagestore::{sync_from_env, OsVfs, Vfs, Wal, WalSegment, WAL_FILE};

@@ -9,9 +9,10 @@
 //! after every worker has joined, so the caller can flush and print a
 //! final metrics snapshot knowing no query is still executing.
 
+use crate::engine::Engine;
 use crate::httpd::{self, Running, Tuning};
 use crate::observer::{Observability, Observer};
-use crate::service::{Engine, Service, ShardRole};
+use crate::service::{Service, ShardRole};
 use segdiff::alerts::AlertRuleSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener};

@@ -16,24 +16,20 @@
 //! `GET /alerts` serve the sampled metric history and the standing
 //! drop/jump alerts (see [`crate::observer`]).
 
+use crate::answer::{write_answer, Envelope};
+use crate::engine::Engine;
 use crate::http::{finish_chunks, write_chunk, write_chunked_head, Request, Response};
 use crate::httpd::{Handler, Reply};
 use crate::observer::Observability;
 use crate::routes::{dispatch, ROUTES};
+use crate::spec::{QuerySpec, SubscribeSpec};
 use obs::export::Exporter;
-use obs::json::{write_f64, write_u64, Json};
+use obs::json::Json;
 use obs::tracering::TraceRecord;
 use obs::TraceNode;
 use pagestore::{OsVfs, StoreError, Vfs};
-use parking_lot::RwLock;
-use segdiff::transect::{fan_out_cached, CachedAnswer};
-use segdiff::{
-    QueryPlan, QueryStats, SegDiffIndex, SegmentPair, Subscription, SubscriptionRegistry,
-    TransectIndex,
-};
-use sensorgen::HOUR;
+use segdiff::{Subscription, SubscriptionRegistry};
 use std::io::Write;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -62,213 +58,6 @@ impl ShardRole {
             ShardRole::Primary => "primary",
             ShardRole::Replica => "replica",
         }
-    }
-}
-
-/// The sensors a [`Service`] answers for: whatever its [`EngineCell`]
-/// holds. Every method reads the cell through one accessor
-/// (`Engine::with_sensors`), so there is one query path whatever is
-/// held — each wanted sensor answers through its own result cache.
-#[derive(Clone)]
-pub struct Engine {
-    cell: Arc<EngineCell>,
-    /// Worker threads the cache misses of one query fan out on (min 1).
-    threads: usize,
-}
-
-/// The slot an [`Engine`] serves from. A replica's tail loop shares it
-/// and swaps what it holds after applying shipped frames: the outgoing
-/// indexes must close their files before the refreshed ones recover over
-/// them, so the slot is empty in between. A query holds the read guard
-/// while it runs — [`EngineCell::clear`] waits for those in flight — and
-/// one landing in the gap is answered `503`, never from torn pages.
-pub struct EngineCell {
-    held: RwLock<Option<Held>>,
-    /// Highest primary LSN a tailing replica has applied (0 on a primary).
-    applied_lsn: AtomicU64,
-}
-
-enum Held {
-    /// One index outside any transect root, served as sensor 0.
-    Bare(Arc<SegDiffIndex>),
-    /// A transect root's indexes: all of them, or a shard's slice.
-    Transect(Arc<TransectIndex>),
-}
-
-impl EngineCell {
-    fn holding(held: Option<Held>) -> Arc<EngineCell> {
-        Arc::new(EngineCell {
-            held: RwLock::new(held),
-            applied_lsn: AtomicU64::new(0),
-        })
-    }
-
-    /// An empty cell, for a replica to [`EngineCell::set`].
-    pub fn empty() -> Arc<EngineCell> {
-        EngineCell::holding(None)
-    }
-
-    /// Empties the slot, dropping the indexes it held and with them
-    /// every open file, before a refresh reopens the directory.
-    pub fn clear(&self) {
-        self.held.write().take();
-    }
-
-    /// Installs a freshly opened transect.
-    pub fn set(&self, index: TransectIndex) {
-        *self.held.write() = Some(Held::Transect(Arc::new(index)));
-    }
-
-    /// Records the highest primary LSN the replica's tail loop applied.
-    pub fn set_applied_lsn(&self, lsn: u64) {
-        self.applied_lsn.store(lsn, Ordering::Release);
-    }
-}
-
-/// What an engine serves at one moment: `indexes[i]` is global sensor
-/// `ids[i]`, ascending.
-struct Sensors<'a> {
-    ids: &'a [u32],
-    indexes: &'a [SegDiffIndex],
-    /// A bare index's answers carry no `sensors` count.
-    bare: bool,
-}
-
-impl<'a> Sensors<'a> {
-    fn get(&self, sensor: u32) -> Option<&'a SegDiffIndex> {
-        self.indexes.get(self.ids.binary_search(&sensor).ok()?)
-    }
-}
-
-impl Engine {
-    /// An engine over a transect, with a worker-pool size.
-    pub fn transect(index: Arc<TransectIndex>, threads: usize) -> Engine {
-        Engine::over(EngineCell::holding(Some(Held::Transect(index))), threads)
-    }
-
-    /// An engine over a replica's cell; `threads` as in [`Engine::transect`].
-    pub fn over(cell: Arc<EngineCell>, threads: usize) -> Engine {
-        let threads = threads.max(1);
-        Engine { cell, threads }
-    }
-
-    /// Runs `f` on what the cell holds, the read guard held until it
-    /// returns; `None` from an empty cell. The one place that knows how
-    /// the sensors are held.
-    fn with_sensors<R>(&self, f: impl FnOnce(Sensors<'_>) -> R) -> Option<R> {
-        let held = self.cell.held.read();
-        let (ids, indexes, bare) = match held.as_ref()? {
-            Held::Bare(index) => (&[0][..], std::slice::from_ref(index.as_ref()), true),
-            Held::Transect(t) => (t.sensor_ids(), t.indexes(), false),
-        };
-        Some(f(Sensors { ids, indexes, bare }))
-    }
-
-    /// Executes one query on `wanted` (`None`: every sensor served), each
-    /// sensor through its result cache ([`fan_out_cached`]). Parts come
-    /// back in ascending sensor order — the order a flat response
-    /// concatenates and a router splices them in — with whether every one
-    /// came from a cache. `Ok(None)`: the cell is empty.
-    fn query(
-        &self,
-        region: &featurespace::QueryRegion,
-        plan: QueryPlan,
-        wanted: Option<&[u32]>,
-    ) -> pagestore::Result<Option<(SensorResults, QueryStats, bool)>> {
-        let answer = |held: Sensors<'_>| {
-            let mut ids = wanted.unwrap_or(held.ids).to_vec();
-            ids.sort_unstable();
-            ids.dedup();
-            let unknown = |id| format!("bad sensor filter: sensor {id} is not served here");
-            let picked = ids
-                .iter()
-                .map(|&id| held.get(id).ok_or_else(|| unknown(id)))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(StoreError::InvalidArgument)?;
-            let (parts, stats, cached) = fan_out_cached(&picked, region, plan, self.threads)?;
-            Ok((ids.into_iter().zip(parts).collect(), stats, cached))
-        };
-        self.with_sensors(answer).transpose()
-    }
-
-    /// The epoch versioning responses: the sum of the sensors' epochs.
-    pub fn epoch(&self) -> u64 {
-        let sum = |s: Sensors<'_>| s.indexes.iter().map(SegDiffIndex::epoch).sum();
-        self.with_sensors(sum).unwrap_or(0)
-    }
-
-    /// Entries currently held in the sensors' result caches.
-    fn cache_entries(&self) -> usize {
-        let sum = |s: Sensors<'_>| s.indexes.iter().map(|i| i.result_cache().len()).sum();
-        self.with_sensors(sum).unwrap_or(0)
-    }
-
-    /// Number of sensors served.
-    pub fn num_sensors(&self) -> u32 {
-        self.with_sensors(|s| s.ids.len() as u32).unwrap_or(0)
-    }
-
-    /// The `sensors` count of a `/query` answer: none from a bare index.
-    fn served(&self) -> Option<u32> {
-        self.with_sensors(|s| (!s.bare).then_some(s.ids.len() as u32))?
-    }
-
-    /// The global sensor ids this engine serves, ascending.
-    pub fn sensor_ids(&self) -> Vec<u32> {
-        self.with_sensors(|s| s.ids.to_vec()).unwrap_or_default()
-    }
-
-    /// The directory backing `sensor`, when this engine serves it (the
-    /// WAL-shipping routes read `wal.log` and data files there).
-    pub fn sensor_dir(&self, sensor: u32) -> Option<PathBuf> {
-        self.with_sensors(|s| Some(s.get(sensor)?.database().dir().to_path_buf()))?
-    }
-
-    /// The highest LSN durably appended to any backing WAL (0 without logs).
-    pub fn last_durable_lsn(&self) -> u64 {
-        let last = |i: &SegDiffIndex| Some(i.database().wal()?.next_lsn().saturating_sub(1));
-        self.with_sensors(|s| s.indexes.iter().filter_map(last).max())
-            .flatten()
-            .unwrap_or(0)
-    }
-
-    /// What recovery did when the backing databases opened: `(all clean,
-    /// pages replayed, rows truncated)`; no report counts as clean.
-    pub fn recovery_summary(&self) -> (bool, u64, u64) {
-        let sum = |s: Sensors<'_>| {
-            let reports = s.indexes.iter().filter_map(SegDiffIndex::recovery_report);
-            reports.fold((true, 0, 0), |(clean, replayed, truncated), r| {
-                let (replayed, truncated) =
-                    (replayed + r.replayed_pages, truncated + r.truncated_rows);
-                (clean && r.clean, replayed, truncated)
-            })
-        };
-        self.with_sensors(sum).unwrap_or((true, 0, 0))
-    }
-
-    /// The highest primary LSN a tailing replica applied (0 on a primary).
-    pub fn applied_lsn(&self) -> u64 {
-        self.cell.applied_lsn.load(Ordering::Acquire)
-    }
-
-    /// Flushes dirty pages (and checkpoints the WAL) on every backing
-    /// database; called once the server has drained.
-    pub fn flush(&self) -> pagestore::Result<()> {
-        let flush = |s: Sensors<'_>| s.indexes.iter().try_for_each(|i| i.database().flush());
-        self.with_sensors(flush).unwrap_or(Ok(()))
-    }
-}
-
-impl From<Arc<SegDiffIndex>> for Engine {
-    fn from(index: Arc<SegDiffIndex>) -> Engine {
-        Engine::over(EngineCell::holding(Some(Held::Bare(index))), 1)
-    }
-}
-
-impl From<Arc<TransectIndex>> for Engine {
-    fn from(index: Arc<TransectIndex>) -> Engine {
-        let threads = index.num_sensors() as usize;
-        Engine::transect(index, threads)
     }
 }
 
@@ -316,225 +105,6 @@ pub struct Service {
     observability: Arc<Observability>,
 }
 
-/// A validated `/query` request body.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuerySpec {
-    /// Optional caller-supplied series label, echoed in the response.
-    pub series: Option<String>,
-    /// `"drop"` or `"jump"`.
-    pub kind: String,
-    /// Value threshold `V` (negative for drops, positive for jumps).
-    pub v: f64,
-    /// Time threshold `T` in hours.
-    pub t_hours: f64,
-    /// `"scan"` or `"index"`.
-    pub plan: String,
-    /// Restrict execution to these global sensor ids (empty = all).
-    pub sensors: Vec<u32>,
-    /// Group results per sensor (`by_sensor`) instead of flattening —
-    /// the shape a scatter–gather router merges deterministically.
-    pub per_sensor: bool,
-    /// Whether to attach an `EXPLAIN ANALYZE`-style trace.
-    pub trace: bool,
-}
-
-/// What `/query` and `/subscribe` bodies share: the parsed document, the
-/// search's kind, `V` and `T`, and the sensors it covers.
-struct SearchFields {
-    doc: Json,
-    kind: String,
-    v: f64,
-    t_hours: f64,
-    sensors: Vec<u32>,
-}
-
-impl SearchFields {
-    /// Parses a body and validates the shared fields: every constraint
-    /// the checked [`featurespace::QueryRegion`] constructors would
-    /// `assert!` is verified here first, so invalid input becomes a `400`,
-    /// never a worker-thread panic.
-    fn parse(body: &str) -> Result<SearchFields, String> {
-        let doc = Json::parse(body).map_err(|e| format!("invalid JSON: {e}"))?;
-        let kind = doc
-            .get("kind")
-            .and_then(Json::as_str)
-            .ok_or("missing field: kind (\"drop\" or \"jump\")")?
-            .to_string();
-        if kind != "drop" && kind != "jump" {
-            return Err(format!("kind must be \"drop\" or \"jump\", got {kind:?}"));
-        }
-        let v = doc
-            .get("v")
-            .and_then(Json::as_f64)
-            .ok_or("missing field: v (number)")?;
-        let t_hours = match doc.get("t_hours").and_then(Json::as_f64) {
-            Some(h) => h,
-            None => {
-                doc.get("t_seconds")
-                    .and_then(Json::as_f64)
-                    .ok_or("missing field: t_hours (number)")?
-                    / HOUR
-            }
-        };
-        // The region is built in seconds: a finite `t_hours` whose seconds
-        // overflow would still trip the constructor's assert.
-        let t_seconds = t_hours * HOUR;
-        if !(t_seconds.is_finite() && t_seconds > 0.0) {
-            return Err(format!(
-                "t_hours must be positive and finite in seconds, got {t_hours:?}"
-            ));
-        }
-        if kind == "drop" && !(v.is_finite() && v < 0.0) {
-            return Err(format!("v must be negative for a drop search, got {v}"));
-        }
-        if kind == "jump" && !(v.is_finite() && v > 0.0) {
-            return Err(format!("v must be positive for a jump search, got {v}"));
-        }
-        let sensors = match doc.get("sensors") {
-            None => Vec::new(),
-            Some(Json::Array(items)) => {
-                let mut out = Vec::with_capacity(items.len());
-                for item in items {
-                    let id = item
-                        .as_u64()
-                        .filter(|&n| n <= u64::from(u32::MAX))
-                        .ok_or("sensors must be an array of non-negative sensor ids")?;
-                    out.push(id as u32);
-                }
-                out
-            }
-            Some(_) => return Err("sensors must be an array of sensor ids".to_string()),
-        };
-        Ok(SearchFields {
-            doc,
-            kind,
-            v,
-            t_hours,
-            sensors,
-        })
-    }
-}
-
-/// The region of a validated search (safe: the parse already enforced
-/// the constructor preconditions).
-fn search_region(kind: &str, t_hours: f64, v: f64) -> featurespace::QueryRegion {
-    if kind == "drop" {
-        featurespace::QueryRegion::drop(t_hours * HOUR, v)
-    } else {
-        featurespace::QueryRegion::jump(t_hours * HOUR, v)
-    }
-}
-
-impl QuerySpec {
-    /// Parses and validates a JSON body (see [`SubscribeSpec::from_json`]
-    /// for the fields both share).
-    pub fn from_json(body: &str) -> Result<QuerySpec, String> {
-        let SearchFields {
-            doc,
-            kind,
-            v,
-            t_hours,
-            sensors,
-        } = SearchFields::parse(body)?;
-        let plan = doc
-            .get("plan")
-            .and_then(Json::as_str)
-            .unwrap_or("scan")
-            .to_string();
-        if plan != "scan" && plan != "index" {
-            return Err(format!("plan must be \"scan\" or \"index\", got {plan:?}"));
-        }
-        let trace = matches!(doc.get("trace"), Some(Json::Bool(true)));
-        let series = doc
-            .get("series")
-            .and_then(Json::as_str)
-            .map(|s| s.to_string());
-        let per_sensor = match doc.get("per_sensor") {
-            None => false,
-            Some(Json::Bool(b)) => *b,
-            Some(_) => return Err("per_sensor must be a boolean".to_string()),
-        };
-        Ok(QuerySpec {
-            series,
-            kind,
-            v,
-            t_hours,
-            plan,
-            sensors,
-            per_sensor,
-            trace,
-        })
-    }
-
-    /// The parsed plan.
-    pub fn query_plan(&self) -> QueryPlan {
-        if self.plan == "index" {
-            QueryPlan::Index
-        } else {
-            QueryPlan::SeqScan
-        }
-    }
-
-    /// The validated region.
-    pub fn region(&self) -> featurespace::QueryRegion {
-        search_region(&self.kind, self.t_hours, self.v)
-    }
-}
-
-/// A validated `POST /subscribe` request body: the standing query's
-/// `(V, T)` region plus an optional label and sensor restriction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubscribeSpec {
-    /// Caller-supplied label echoed in listings (default empty).
-    pub label: String,
-    /// `"drop"` or `"jump"`.
-    pub kind: String,
-    /// Value threshold `V` (negative for drops, positive for jumps).
-    pub v: f64,
-    /// Time threshold `T` in hours.
-    pub t_hours: f64,
-    /// Sensors the subscription watches; empty means all.
-    pub sensors: Vec<u32>,
-}
-
-impl SubscribeSpec {
-    /// Parses and validates a JSON body with the same rules as
-    /// [`QuerySpec::from_json`] for the fields both share — `kind`, `v`,
-    /// `t_hours` (or `t_seconds`) and `sensors` — so every constraint the
-    /// checked [`featurespace::QueryRegion`] constructors would `assert!`
-    /// becomes a `400` here.
-    pub fn from_json(body: &str) -> Result<SubscribeSpec, String> {
-        let SearchFields {
-            doc,
-            kind,
-            v,
-            t_hours,
-            sensors,
-        } = SearchFields::parse(body)?;
-        let label = doc
-            .get("label")
-            .map(|l| {
-                l.as_str()
-                    .map(|s| s.to_string())
-                    .ok_or("label must be a string")
-            })
-            .transpose()?
-            .unwrap_or_default();
-        Ok(SubscribeSpec {
-            label,
-            kind,
-            v,
-            t_hours,
-            sensors,
-        })
-    }
-
-    /// The validated region.
-    pub fn region(&self) -> featurespace::QueryRegion {
-        search_region(&self.kind, self.t_hours, self.v)
-    }
-}
-
 /// Parses a `/series` window parameter: plain seconds (`"90"`) or a
 /// number with an `s`/`m`/`h` suffix (`"90s"`, `"5m"`, `"2h"`).
 fn parse_window(raw: &str) -> Result<Duration, String> {
@@ -560,153 +130,6 @@ fn parse_u64_param(req: &Request, key: &str, default: u64) -> Result<u64, String
             .parse::<u64>()
             .map_err(|_| format!("{key} must be a non-negative integer, got {raw:?}")),
     }
-}
-
-/// One query's answer per sensor, ascending. A result-cache hit shares
-/// the cached vector, so nothing between the cache and the socket
-/// copies a pair.
-type SensorResults = Vec<(u32, CachedAnswer)>;
-
-/// What one result pair prints to, rounded up: four 7-byte keys, four
-/// time stamps of ≈ 9 digits, a brace and a comma.
-const PAIR_JSON_BYTES: usize = 72;
-
-/// Appends result pairs as a JSON array in the canonical field order,
-/// straight into the response buffer: fixed key bytes and the one float
-/// printer ([`obs::json::write_f64`]) that `Json` itself prints with,
-/// so the bytes are those of the tree form (`pairs_to_json` in the
-/// tests below) without building it. The shard server answers through
-/// this and the router splices what it wrote, which is what makes a
-/// scattered `results` array byte-identical to a single process's.
-fn write_pairs<'a>(out: &mut Vec<u8>, pairs: impl Iterator<Item = &'a SegmentPair>) {
-    out.push(b'[');
-    for (i, p) in pairs.enumerate() {
-        out.extend_from_slice(if i == 0 { b"{\"t_d\":" } else { b",{\"t_d\":" });
-        write_f64(out, p.t_d);
-        out.extend_from_slice(b",\"t_c\":");
-        write_f64(out, p.t_c);
-        out.extend_from_slice(b",\"t_b\":");
-        write_f64(out, p.t_b);
-        out.extend_from_slice(b",\"t_a\":");
-        write_f64(out, p.t_a);
-        out.push(b'}');
-    }
-    out.push(b']');
-}
-
-/// What a `/query` response says besides the pairs.
-struct Envelope<'a> {
-    spec: &'a QuerySpec,
-    stats: &'a QueryStats,
-    cached: bool,
-    epoch: u64,
-    /// `sensors`: how many the engine serves ([`Engine::served`]).
-    served: Option<u32>,
-    trace_id: u64,
-    /// The span tree, when the request asked for it.
-    trace: Option<&'a TraceNode>,
-}
-
-/// Starts a `/query` answer in `out`: the scalar fields every answer
-/// begins with — a shard's and, from the shards' sums, the router's —
-/// with the object left open for the arrays that follow. These go
-/// through [`Json`]: they are few, and it keeps one definition of how a
-/// string and a float print.
-pub fn open_answer(
-    out: &mut Vec<u8>,
-    spec: &QuerySpec,
-    epoch: u64,
-    cached: bool,
-    count: u64,
-    rows_considered: u64,
-    wall_ms: f64,
-) {
-    let mut fields = Vec::new();
-    if let Some(series) = &spec.series {
-        fields.push(("series".to_string(), Json::Str(series.clone())));
-    }
-    fields.extend([
-        ("kind".to_string(), Json::Str(spec.kind.clone())),
-        ("v".to_string(), Json::Float(spec.v)),
-        ("t_hours".to_string(), Json::Float(spec.t_hours)),
-        ("plan".to_string(), Json::Str(spec.plan.clone())),
-        ("epoch".to_string(), Json::Uint(epoch)),
-        ("cached".to_string(), Json::Bool(cached)),
-        ("count".to_string(), Json::Uint(count)),
-        ("rows_considered".to_string(), Json::Uint(rows_considered)),
-        ("wall_ms".to_string(), Json::Float(wall_ms)),
-    ]);
-    Json::Object(fields).write_to(out);
-    out.pop(); // reopen the object
-}
-
-/// The `200` body of `/query`, all three shapes: `results` flattened in
-/// ascending sensor order (with or without a sensor filter —
-/// byte-identical to the unfiltered response over the same sensors), or
-/// `by_sensor` entries for `per_sensor`. The arrays are written in
-/// place, into a buffer reserved once.
-fn write_answer(env: &Envelope, parts: &[(u32, CachedAnswer)]) -> Vec<u8> {
-    let spec = env.spec;
-    let count: usize = parts.iter().map(|(_, r)| r.len()).sum();
-    let mut out = Vec::with_capacity(512 + 48 * parts.len() + PAIR_JSON_BYTES * count);
-    open_answer(
-        &mut out,
-        spec,
-        env.epoch,
-        env.cached,
-        count as u64,
-        env.stats.rows_considered,
-        env.stats.wall_seconds * 1e3,
-    );
-    if spec.per_sensor {
-        out.extend_from_slice(b",\"by_sensor\":[");
-        for (i, (sensor, results)) in parts.iter().enumerate() {
-            out.extend_from_slice(if i == 0 {
-                b"{\"sensor\":"
-            } else {
-                b",{\"sensor\":"
-            });
-            write_u64(&mut out, u64::from(*sensor));
-            out.extend_from_slice(b",\"count\":");
-            write_u64(&mut out, results.len() as u64);
-            out.extend_from_slice(b",\"results\":");
-            write_pairs(&mut out, results.iter());
-            out.push(b'}');
-        }
-        out.push(b']');
-    } else {
-        out.extend_from_slice(b",\"results\":");
-        write_pairs(&mut out, parts.iter().flat_map(|(_, r)| r.iter()));
-    }
-    if let Some(served) = env.served {
-        out.extend_from_slice(b",\"sensors\":");
-        write_u64(&mut out, u64::from(served));
-    }
-    out.extend_from_slice(b",\"trace_id\":");
-    write_u64(&mut out, env.trace_id);
-    if let Some(node) = env.trace {
-        out.extend_from_slice(b",\"trace\":");
-        trace_to_json(node).write_to(&mut out);
-    }
-    out.push(b'}');
-    out
-}
-
-fn trace_to_json(node: &TraceNode) -> Json {
-    let mut fields = vec![
-        ("span".to_string(), Json::Str(node.name.clone())),
-        ("wall_nanos".to_string(), Json::Uint(node.wall_nanos)),
-    ];
-    for (k, v) in &node.attrs {
-        fields.push((k.clone(), v.clone()));
-    }
-    if !node.children.is_empty() {
-        fields.push((
-            "children".to_string(),
-            Json::Array(node.children.iter().map(trace_to_json).collect()),
-        ));
-    }
-    Json::Object(fields)
 }
 
 /// How often the live feed polls the registry for fresh notifications.
@@ -920,7 +343,7 @@ impl Service {
         let start = Instant::now();
         obs::trace_begin();
         let subset = (!spec.sensors.is_empty()).then_some(spec.sensors.as_slice());
-        let outcome = self.engine.query(&spec.region(), spec.query_plan(), subset);
+        let outcome = self.engine.query(&spec.region, spec.plan, subset);
         let trace = obs::trace_take();
         let (parts, stats, cached) = match outcome {
             Ok(Some(t)) => t,
@@ -1134,9 +557,15 @@ impl Service {
             Ok(s) => s,
             Err(e) => return Response::error(400, e),
         };
+        // A search slower than a covered sensor's window never hears a row.
+        if let Err(StoreError::InvalidArgument(m)) =
+            self.engine.check_window(&spec.region, &spec.sensors)
+        {
+            return Response::error(400, m);
+        }
         let sub = self.observability.subs.subscribe(
             &spec.label,
-            spec.region(),
+            spec.region,
             &spec.sensors,
             obs::unix_ms(),
         );
@@ -1486,27 +915,13 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use segdiff::SegDiffConfig;
-    use sensorgen::{generate_sensor, CadTransectConfig};
-
-    /// The tree form of a pair list — what `/query` built and printed
-    /// before it wrote bytes, kept as the oracle [`write_pairs`] must
-    /// match byte for byte.
-    fn pairs_to_json(results: &[SegmentPair]) -> Json {
-        Json::Array(
-            results
-                .iter()
-                .map(|p| {
-                    Json::obj([
-                        ("t_d", Json::Float(p.t_d)),
-                        ("t_c", Json::Float(p.t_c)),
-                        ("t_b", Json::Float(p.t_b)),
-                        ("t_a", Json::Float(p.t_a)),
-                    ])
-                })
-                .collect(),
-        )
-    }
+    use crate::answer::tests::pairs_to_json;
+    use crate::answer::trace_to_json;
+    use crate::engine::EngineCell;
+    use segdiff::transect::CachedAnswer;
+    use segdiff::{QueryPlan, SegDiffConfig, SegDiffIndex, SegmentPair, TransectIndex};
+    use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
+    use std::path::PathBuf;
 
     /// The tree-built `/query` body, as `Service::query` assembled it
     /// before [`write_answer`].
@@ -1518,10 +933,10 @@ mod tests {
             fields.push(("series".to_string(), Json::Str(series.clone())));
         }
         fields.extend([
-            ("kind".to_string(), Json::Str(spec.kind.clone())),
-            ("v".to_string(), Json::Float(spec.v)),
+            ("kind".to_string(), Json::from(spec.region.kind.name())),
+            ("v".to_string(), Json::Float(spec.region.v)),
             ("t_hours".to_string(), Json::Float(spec.t_hours)),
-            ("plan".to_string(), Json::Str(spec.plan.clone())),
+            ("plan".to_string(), Json::from(spec.plan.word())),
             ("epoch".to_string(), Json::Uint(env.epoch)),
             ("cached".to_string(), Json::Bool(env.cached)),
             ("count".to_string(), Json::Uint(count as u64)),
@@ -1556,48 +971,6 @@ mod tests {
             fields.push(("trace".to_string(), trace_to_json(node)));
         }
         Json::Object(fields).to_string_compact()
-    }
-
-    #[test]
-    fn written_pairs_equal_the_tree_form() {
-        let two53 = (1u64 << 53) as f64;
-        let odd = [
-            0.0,
-            -0.0,
-            two53 - 1.0,
-            two53 + 2.0,
-            -two53,
-            1e20,
-            1e-7,
-            0.1,
-            -1234567.875,
-            f64::NAN,
-            f64::INFINITY,
-            f64::NEG_INFINITY,
-        ];
-        let mut pairs: Vec<SegmentPair> = odd
-            .windows(4)
-            .map(|w| SegmentPair {
-                t_d: w[0],
-                t_c: w[1],
-                t_b: w[2],
-                t_a: w[3],
-            })
-            .collect();
-        pairs.extend((0..500).map(|i| SegmentPair {
-            t_d: f64::from(i) * 300.0,
-            t_c: f64::from(i) * 300.0 + 150.5,
-            t_b: f64::from(i) * 300.0 + 86400.0,
-            t_a: f64::from(i) * 300.0 + 2_592_000.0,
-        }));
-        for n in [0, 1, 2, pairs.len()] {
-            let mut out = Vec::new();
-            write_pairs(&mut out, pairs[..n].iter());
-            assert_eq!(
-                String::from_utf8(out).unwrap(),
-                pairs_to_json(&pairs[..n]).to_string_compact()
-            );
-        }
     }
 
     struct TempDir(PathBuf);
@@ -1693,11 +1066,11 @@ mod tests {
                     obs::trace_begin();
                     let (parts, stats, cached) = service
                         .engine
-                        .query(&spec.region(), spec.query_plan(), subset)
+                        .query(&spec.region, spec.plan, subset)
                         .unwrap()
                         .unwrap();
                     let trace = obs::trace_take();
-                    let search = format!("{} {} {} {}", spec.kind, spec.v, spec.t_hours, spec.plan);
+                    let search = format!("{:?} {:?}", spec.region, spec.plan);
                     let fresh = parts
                         .iter()
                         .filter(|(sensor, _)| answered.insert((search.clone(), *sensor)))
@@ -1855,90 +1228,5 @@ mod tests {
         assert!(error.contains("bad sensor filter: sensor 7"), "{error}");
         cell.clear();
         assert_eq!(error_of(routed).0, 503);
-    }
-
-    #[test]
-    fn parses_minimal_query_spec() {
-        let s = QuerySpec::from_json(r#"{"kind":"drop","v":-3,"t_hours":1}"#).unwrap();
-        assert_eq!(s.kind, "drop");
-        assert_eq!(s.v, -3.0);
-        assert_eq!(s.t_hours, 1.0);
-        assert_eq!(s.plan, "scan");
-        assert!(!s.trace);
-        assert!(s.series.is_none());
-        assert_eq!(s.query_plan(), QueryPlan::SeqScan);
-    }
-
-    #[test]
-    fn accepts_t_seconds_alternative() {
-        let s = QuerySpec::from_json(r#"{"kind":"jump","v":2,"t_seconds":1800}"#).unwrap();
-        assert_eq!(s.t_hours, 0.5);
-    }
-
-    #[test]
-    fn parses_full_query_spec() {
-        let s = QuerySpec::from_json(
-            r#"{"series":"cad-12","kind":"jump","v":1.5,"t_hours":0.5,"plan":"index","trace":true}"#,
-        )
-        .unwrap();
-        assert_eq!(s.series.as_deref(), Some("cad-12"));
-        assert_eq!(s.query_plan(), QueryPlan::Index);
-        assert!(s.trace);
-        let r = s.region();
-        assert_eq!(r.v, 1.5);
-        assert_eq!(r.t, 0.5 * HOUR);
-    }
-
-    #[test]
-    fn parses_subscribe_spec() {
-        let s = SubscribeSpec::from_json(
-            r#"{"label":"canyon","kind":"drop","v":-3,"t_hours":1,"sensors":[0,2]}"#,
-        )
-        .unwrap();
-        assert_eq!(s.label, "canyon");
-        assert_eq!(s.sensors, vec![0, 2]);
-        let r = s.region();
-        assert_eq!(r.v, -3.0);
-        assert_eq!(r.t, HOUR);
-
-        let s = SubscribeSpec::from_json(r#"{"kind":"jump","v":2,"t_seconds":1800}"#).unwrap();
-        assert!(s.label.is_empty());
-        assert!(s.sensors.is_empty(), "no sensors means all sensors");
-        assert_eq!(s.t_hours, 0.5);
-    }
-
-    /// Bodies both parsers refuse: each would have tripped a
-    /// `QueryRegion` assert, or names sensors no id can be.
-    const INVALID_SEARCHES: [&str; 13] = [
-        "not json",
-        "{}",
-        // Finite hours, infinite seconds.
-        r#"{"kind":"drop","v":-1,"t_hours":1e305}"#,
-        r#"{"kind":"sideways","v":-1,"t_hours":1}"#,
-        r#"{"kind":"drop","v":1,"t_hours":1}"#,
-        r#"{"kind":"drop","v":0,"t_hours":1}"#,
-        r#"{"kind":"jump","v":-1,"t_hours":1}"#,
-        r#"{"kind":"drop","v":-1,"t_hours":0}"#,
-        r#"{"kind":"drop","v":-1,"t_hours":-2}"#,
-        r#"{"kind":"drop","v":-1}"#,
-        r#"{"kind":"drop","t_hours":1}"#,
-        r#"{"kind":"drop","v":-1,"t_hours":1,"sensors":7}"#,
-        r#"{"kind":"drop","v":-1,"t_hours":1,"sensors":[-1]}"#,
-    ];
-
-    #[test]
-    fn rejects_invalid_subscribe_specs() {
-        let label = r#"{"kind":"drop","v":-1,"t_hours":1,"label":7}"#;
-        for body in INVALID_SEARCHES.into_iter().chain([label]) {
-            assert!(SubscribeSpec::from_json(body).is_err(), "accepted: {body}");
-        }
-    }
-
-    #[test]
-    fn rejects_invalid_specs() {
-        let plan = r#"{"kind":"drop","v":-1,"t_hours":1,"plan":"turbo"}"#;
-        for body in INVALID_SEARCHES.into_iter().chain([plan]) {
-            assert!(QuerySpec::from_json(body).is_err(), "accepted: {body}");
-        }
     }
 }

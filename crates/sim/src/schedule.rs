@@ -16,7 +16,7 @@
 //! A failure names the seed and prints the schedule that led to it.
 
 use crate::fs::{CrashModel, Fault, Op, SimVfs};
-use featurespace::{QueryRegion, SearchKind};
+use featurespace::QueryRegion;
 use pagestore::Vfs;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -413,13 +413,8 @@ impl Sim {
             // higher for a jump.
             let away = f64::from_bits(on.to_bits() + 1);
             for v in [on, away] {
-                let valid = match kind {
-                    SearchKind::Drop => v < 0.0,
-                    SearchKind::Jump => v > 0.0,
-                };
-                if valid && t > 0.0 && t <= window {
-                    regions.push(QueryRegion { kind, t, v });
-                }
+                let region = QueryRegion::new(kind, t, v).ok();
+                regions.extend(region.filter(|r| r.t <= window));
             }
         }
         Ok(regions)
