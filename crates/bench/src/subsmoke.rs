@@ -12,7 +12,9 @@
 //! * **churn** — the indexing claim: with ~1,000 standing regions per
 //!   sensor, matching committed features through the [`RegionIndex`]
 //!   must test far fewer regions than the brute-force scan while
-//!   returning the identical match set.
+//!   returning the identical match set — over both kinds
+//!   ([`RegionIndex::matches`]) and over a row's own kind
+//!   ([`RegionIndex::matches_kind`], the call the registry makes).
 
 use crate::gate::Gate;
 use crate::harness::{build_segdiff, default_series, scratch_dir, Scale};
@@ -377,6 +379,22 @@ pub fn run_churn(config: &ChurnConfig, gate: &mut Gate) {
     }
     let indexed_seconds = start.elapsed().as_secs_f64();
 
+    // The call the registry makes: a row against the regions of its own
+    // kind, which must be brute force's ids of that kind.
+    let mut kind_stats = RegionMatchStats::default();
+    let mut kind_mismatches = 0u64;
+    for (row, expected) in rows.iter().zip(&brute) {
+        buf.clear();
+        index.matches_kind(row.kind, &row.boundary, &mut buf, &mut kind_stats);
+        buf.sort_unstable();
+        let of_kind = expected
+            .iter()
+            .filter(|&&id| regions[id as usize].kind == row.kind);
+        if !buf.iter().eq(of_kind) {
+            kind_mismatches += 1;
+        }
+    }
+
     let brute_tested = rows.len() as u64 * regions.len() as u64;
     let test_ratio = stats.regions_tested as f64 / brute_tested.max(1) as f64;
     gate.field("mode", "churn");
@@ -384,6 +402,8 @@ pub fn run_churn(config: &ChurnConfig, gate: &mut Gate) {
     gate.field("rows", rows.len());
     gate.field("matches", matches);
     gate.field("mismatches", mismatches);
+    gate.field("kind_mismatches", kind_mismatches);
+    gate.field("kind_regions_tested", kind_stats.regions_tested);
     gate.field("regions_tested", stats.regions_tested);
     gate.field("cells_visited", stats.cells_visited);
     gate.field("brute_tested", brute_tested);
@@ -399,6 +419,11 @@ pub fn run_churn(config: &ChurnConfig, gate: &mut Gate) {
         "indexed matching equals brute force",
         mismatches == 0,
         format!("disagreed on {mismatches} row(s)"),
+    );
+    gate.check(
+        "matching a row's own kind equals brute force of that kind",
+        kind_mismatches == 0,
+        format!("disagreed on {kind_mismatches} row(s)"),
     );
     gate.check(
         "index tests at most half the brute-force regions",

@@ -295,8 +295,10 @@ jump_hist {} {} {}
     /// Attaches a standing-query registry: from now on every committed
     /// segment's feature rows are evaluated against the registered
     /// regions (tagged with `sensor`) and matches are published right
-    /// after the segment's WAL commit — so a published notification
-    /// trails durability by at most one group-commit window.
+    /// after the segment's WAL commit. That commit writes the log only on
+    /// every `group_commit`-th call, so a published notification may
+    /// precede the durability of its row by up to one group-commit window
+    /// — the rows a crash can already un-commit.
     pub fn attach_subscriptions(
         &mut self,
         registry: Arc<crate::subscribe::SubscriptionRegistry>,
@@ -398,9 +400,10 @@ jump_hist {} {} {}
         if self.db.wal().is_some() {
             self.db.commit(self.meta_text().as_bytes())?;
         }
-        // Standing queries see the rows only after the commit point, so a
-        // notification can never describe a feature a crash would lose by
-        // more than the group-commit deferral window.
+        // Standing queries see the rows only after the commit point. The
+        // log is written only every `group_commit`-th commit, so a
+        // notification may describe a row a crash still loses, by at most
+        // one group-commit window.
         if let Some((subs, sensor)) = &self.subs {
             if !self.rows_buf.is_empty() {
                 subs.on_features(*sensor, &self.rows_buf, obs::unix_ms());

@@ -23,8 +23,9 @@
 //!
 //! Memory: a matched row is held once, in one slab of the registry,
 //! however many subscriptions it reaches. A log entry is the row's
-//! 4-byte slab index, and the slab row counts the entries naming it; the
-//! last one to go (log overflow or `unsubscribe`) frees its slot.
+//! 4-byte slab index, and a dense `u32` array beside the slab counts the
+//! entries naming each row; the last one to go (log overflow or
+//! `unsubscribe`) frees its slot.
 //! [`SubscriptionRegistry::since`] builds each [`Notification`] from the
 //! row and the subscription. So the logs cost the distinct rows they
 //! name plus 4 B a notification, bounded by subscriptions × log
@@ -43,7 +44,9 @@
 //! subscription: Algorithm 1 emits a sensor's pairs in increasing
 //! `(t_b, t_d)` order, so each `(subscription, sensor)` keeps only the
 //! last pair it delivered and a row at or below that watermark is a
-//! duplicate — one comparison, O(1) memory.
+//! duplicate — one comparison, O(1) memory. A sensor's watermarks are
+//! one dense array indexed by subscription slot, reset when a slot is
+//! let to a new subscription.
 //!
 //! Each sensor also accumulates an [`EventFrequency`] — observed event
 //! count over the observation span, in the spirit of Albrecht et al.'s
@@ -185,8 +188,6 @@ const NEVER: (f64, f64) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
 /// logs name it.
 struct HeldRow {
     sensor: u32,
-    /// Log entries naming this row; at 0 its slot is free.
-    refs: u32,
     t_d: f64,
     t_c: f64,
     t_b: f64,
@@ -201,11 +202,15 @@ struct HeldRow {
 #[derive(Default)]
 struct RowSlab {
     rows: Vec<HeldRow>,
+    /// Per slot, the log entries naming its row; at 0 the slot is free.
+    /// Apart from `rows` so that releasing an entry, most of them by log
+    /// overflow, touches 4 bytes, not the row.
+    refs: Vec<u32>,
     free: Vec<u32>,
 }
 
 impl RowSlab {
-    /// Holds `row` (its `refs` 0) and returns its slot.
+    /// Holds `row` (named by no entry yet) and returns its slot.
     fn hold(&mut self, row: HeldRow) -> u32 {
         match self.free.pop() {
             Some(at) => {
@@ -218,6 +223,7 @@ impl RowSlab {
                     "slab slot overflows u32"
                 );
                 self.rows.push(row);
+                self.refs.push(0);
                 (self.rows.len() - 1) as u32
             }
         }
@@ -225,14 +231,14 @@ impl RowSlab {
 
     /// Adds one log entry's reference to the row at `at`.
     fn retain(&mut self, at: u32) {
-        self.rows[at as usize].refs += 1;
+        self.refs[at as usize] += 1;
     }
 
     /// Drops one log entry's reference to the row at `at`.
     fn release(&mut self, at: u32) {
-        let row = &mut self.rows[at as usize];
-        row.refs -= 1;
-        if row.refs == 0 {
+        let refs = &mut self.refs[at as usize];
+        *refs -= 1;
+        if *refs == 0 {
             self.free.push(at);
         }
     }
@@ -254,7 +260,16 @@ struct SubState {
     /// What the cursors may see: `seq <= published`. `on_features` stages
     /// past it, `flush` moves it up to `last_seq`.
     published: u64,
-    /// Per sensor slot, the `(t_b, t_d)` of the last pair delivered.
+}
+
+/// What the registry knows of one sensor that has fed it rows.
+struct SensorState {
+    id: u32,
+    freq: EventFrequency,
+    /// Per subscription slot, the `(t_b, t_d)` of the last pair that
+    /// subscription delivered from this sensor; [`NEVER`] past the end
+    /// and for a slot let since. One array a sensor, so a row's matches
+    /// read one dense array.
     delivered: Vec<(f64, f64)>,
 }
 
@@ -269,7 +284,7 @@ struct Inner {
     rows: RowSlab,
     /// Slots staged past `published`, in staging order.
     staged: Vec<usize>,
-    sensors: Vec<(u32, EventFrequency)>,
+    sensors: Vec<SensorState>,
     sensor_slot_of: HashMap<u32, usize>,
     match_buf: Vec<u64>,
 }
@@ -383,8 +398,13 @@ impl SubscriptionRegistry {
             log: VecDeque::new(),
             last_seq: 0,
             published: 0,
-            delivered: Vec::new(),
         });
+        // A re-let slot must not inherit its last tenant's watermarks.
+        for sensor in &mut inner.sensors {
+            if let Some(mark) = sensor.delivered.get_mut(slot) {
+                *mark = NEVER;
+            }
+        }
         inner.index.insert(slot as u64, region);
         inner.slot_of.insert(id, slot);
         self.registered.inc();
@@ -468,9 +488,17 @@ impl SubscriptionRegistry {
             return;
         }
         let si = *inner.sensor_slot_of.entry(sensor).or_insert_with(|| {
-            inner.sensors.push((sensor, EventFrequency::default()));
+            inner.sensors.push(SensorState {
+                id: sensor,
+                freq: EventFrequency::default(),
+                delivered: Vec::new(),
+            });
             inner.sensors.len() - 1
         });
+        let SensorState {
+            freq, delivered, ..
+        } = &mut inner.sensors[si];
+        delivered.resize(inner.slots.len(), NEVER);
         let mut stats = RegionMatchStats::default();
         let (mut deduped, mut dropped) = (0u64, 0u64);
         for row in rows {
@@ -489,18 +517,14 @@ impl SubscriptionRegistry {
                 if !state.sub.covers(sensor) {
                     continue;
                 }
-                if state.delivered.len() <= si {
-                    state.delivered.resize(si + 1, NEVER);
-                }
-                if at <= state.delivered[si] {
+                if at <= delivered[slot] {
                     deduped += 1;
                     continue;
                 }
-                state.delivered[si] = at;
+                delivered[slot] = at;
                 let entry = *held.get_or_insert_with(|| {
                     inner.rows.hold(HeldRow {
                         sensor,
-                        refs: 0,
                         t_d: row.t_d,
                         t_c: row.t_c,
                         t_b: row.t_b,
@@ -523,7 +547,7 @@ impl SubscriptionRegistry {
                 state.log.push_back(entry);
             }
             if held.is_some() {
-                inner.sensors[si].1.record(now_ms);
+                freq.record(now_ms);
             }
         }
         self.features_evaluated.add(rows.len() as u64);
@@ -595,8 +619,8 @@ impl SubscriptionRegistry {
         let mut stats: Vec<(u32, EventFrequency)> = inner
             .sensors
             .iter()
-            .filter(|(_, f)| f.events > 0)
-            .copied()
+            .filter(|s| s.freq.events > 0)
+            .map(|s| (s.id, s.freq))
             .collect();
         stats.sort_by_key(|(s, _)| *s);
         stats
@@ -797,6 +821,24 @@ mod tests {
         assert_eq!(reg.flush(), 1);
         assert_eq!(reg.since(new.id, 0, 10).unwrap().0[0].sub_id, new.id);
         assert!(reg.since(gone.id, 0, 10).is_none());
+    }
+
+    #[test]
+    fn a_re_let_slot_starts_with_a_clean_watermark() {
+        let reg = SubscriptionRegistry::new();
+        let region = QueryRegion::drop(36_000.0, -3.0);
+        let gone = reg.subscribe("gone", region, &[0], 0);
+        let slot = reg.lock().slot_of[&gone.id];
+        reg.on_features(0, &[drop_row(50_000.0, -4.0)], 0);
+        assert_eq!(reg.flush(), 1);
+        assert!(reg.unsubscribe(gone.id));
+        let new = reg.subscribe("new", region, &[0], 0);
+        assert_eq!(reg.lock().slot_of[&new.id], slot, "the slot is re-let");
+        // A pair below the last tenant's watermark is news to the new one.
+        reg.on_features(0, &[drop_row(0.0, -4.0)], 1);
+        assert_eq!(reg.flush(), 1);
+        let (got, _) = reg.since(new.id, 0, 10).unwrap();
+        assert_eq!((got.len(), got[0].sub_id, got[0].t_d), (1, new.id, 0.0));
     }
 
     #[test]

@@ -5,13 +5,16 @@
 //! query is one *lane*: straight-line arithmetic, `&` where a scalar
 //! predicate would short-circuit, the search kind fixed outside the loop,
 //! so a lane whose answer is already known is computed anyway and nothing
-//! mispredicts. [`crate::Boundary::intersects`] ORs the lanes of its
-//! three padded corners; [`boundaries_intersect_cols`] ORs them row by row
-//! over the struct-of-arrays columns a page scan decodes, so a stored row
-//! and an in-memory boundary are tested by the same arithmetic. The index
-//! plan's probe, which visits one B+tree entry at a time, calls the lanes
-//! itself through [`point_hits`] and [`edge_hits`]. The tests hold every
-//! lane to the short-circuit predicates of the paper bit for bit,
+//! mispredicts. A boundary's corners with the slope of each edge divided
+//! once are a `Corners`, and `Corners::hit` ORs their lanes:
+//! [`crate::Boundary::intersects`] builds one from its three padded
+//! corners, [`boundaries_intersect_cols`] one a row from the
+//! struct-of-arrays columns a page scan decodes, and the region index one
+//! a boundary for every region it tests, so a stored row, an in-memory
+//! boundary and a standing query are tested by the same arithmetic. The
+//! index plan's probe, which visits one B+tree entry at a time, calls the
+//! lanes itself through [`point_hits`] and [`edge_hits`]. The tests hold
+//! every lane to the short-circuit predicates of the paper bit for bit,
 //! degenerate lanes included.
 //!
 //! The module also hosts [`zone_may_intersect`], the page-level pruning
@@ -31,16 +34,34 @@ fn point_lane<const DROP: bool>(dt: f64, dv: f64, t: f64, v: f64) -> bool {
     (dt <= t) & if DROP { dv <= v } else { dv >= v }
 }
 
-/// One lane of the line query: the edge `(dt1, dv1) → (dt2, dv2)`
-/// (`dt1 <= dt2`) has its left end above the region (`Δt₁ <= T`,
-/// `Δv₁ > V` for a drop), its right end beyond it (`Δt₂ > T`, `Δv₂ < V`),
-/// and its value at `Δt = T` at or below `V`. The interpolation is computed
-/// whatever the endpoints are — a lane with `dt1 == dt2` divides by zero
-/// and gets an infinity or a NaN — and masked by the four inequalities, of
-/// which `dt1 <= t < dt2` excludes exactly those lanes.
+/// The slope of the edge `(dt1, dv1) → (dt2, dv2)` as [`edge_lane`]
+/// interpolates with it. The paper's `Δv₁ + (Δv₂ − Δv₁) / (Δt₂ − Δt₁) ·
+/// (T − Δt₁)` divides first, so a lane handed this quotient computes bit
+/// for bit what it would dividing itself, and a caller testing one edge
+/// against many regions divides once.
 #[inline(always)]
-fn edge_lane<const DROP: bool>(dt1: f64, dv1: f64, dt2: f64, dv2: f64, t: f64, v: f64) -> bool {
-    let at_t = dv1 + (dv2 - dv1) / (dt2 - dt1) * (t - dt1);
+fn slope(dt1: f64, dv1: f64, dt2: f64, dv2: f64) -> f64 {
+    (dv2 - dv1) / (dt2 - dt1)
+}
+
+/// One lane of the line query: the edge `(dt1, dv1) → (dt2, dv2)`
+/// (`dt1 <= dt2`) of [`slope`] `slope` has its left end above the region
+/// (`Δt₁ <= T`, `Δv₁ > V` for a drop), its right end beyond it
+/// (`Δt₂ > T`, `Δv₂ < V`), and its value at `Δt = T` at or below `V`. The
+/// interpolation is computed whatever the endpoints are — an edge with
+/// `dt1 == dt2` has an infinite or NaN slope — and masked by the four
+/// inequalities, of which `dt1 <= t < dt2` excludes exactly those lanes.
+#[inline(always)]
+fn edge_lane<const DROP: bool>(
+    dt1: f64,
+    dv1: f64,
+    dt2: f64,
+    dv2: f64,
+    slope: f64,
+    t: f64,
+    v: f64,
+) -> bool {
+    let at_t = dv1 + slope * (t - dt1);
     (dt1 <= t)
         & (dt2 > t)
         & if DROP {
@@ -50,38 +71,52 @@ fn edge_lane<const DROP: bool>(dt1: f64, dv1: f64, dt2: f64, dv2: f64, t: f64, v
         }
 }
 
-/// The union of the point query on each of `C` corners (ascending in
-/// `Δt`) and the line query on each of their `C − 1` edges, every lane
-/// computed. A corner repeated as padding is exact: it is tested twice,
-/// and the edge from it to itself fails `dt1 <= T < dt2`.
-#[inline(always)]
-fn corner_lanes<const DROP: bool, const C: usize>(
+/// `C` corners ascending in `Δt`, with the [`slope`] of each edge divided
+/// once: what every lane of one boundary reads, whatever region it is
+/// tested against.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Corners<const C: usize> {
     dt: [f64; C],
     dv: [f64; C],
-    t: f64,
-    v: f64,
-) -> bool {
-    let mut hit = false;
-    for j in 0..C {
-        hit |= point_lane::<DROP>(dt[j], dv[j], t, v);
-    }
-    for j in 1..C {
-        hit |= edge_lane::<DROP>(dt[j - 1], dv[j - 1], dt[j], dv[j], t, v);
-    }
-    hit
+    /// `slope[j]` is the slope of the edge ending at corner `j`;
+    /// `slope[0]` is unused.
+    slope: [f64; C],
 }
 
-/// [`corner_lanes`] of `region`: what [`crate::Boundary::intersects`]
-/// evaluates on its padded corners.
-#[inline]
-pub(crate) fn corners_hit<const C: usize>(
-    dt: [f64; C],
-    dv: [f64; C],
-    region: &QueryRegion,
-) -> bool {
-    match region.kind {
-        SearchKind::Drop => corner_lanes::<true, C>(dt, dv, region.t, region.v),
-        SearchKind::Jump => corner_lanes::<false, C>(dt, dv, region.t, region.v),
+impl<const C: usize> Corners<C> {
+    #[inline(always)]
+    pub(crate) fn new(dt: [f64; C], dv: [f64; C]) -> Self {
+        let slope = std::array::from_fn(|j| match j {
+            0 => 0.0,
+            _ => slope(dt[j - 1], dv[j - 1], dt[j], dv[j]),
+        });
+        Self { dt, dv, slope }
+    }
+
+    /// The union of the point query on each corner and the line query on
+    /// each of the `C − 1` edges, every lane computed. A corner repeated
+    /// as padding is exact: it is tested twice, and the edge from it to
+    /// itself fails `dt1 <= T < dt2`.
+    #[inline(always)]
+    pub(crate) fn hit<const DROP: bool>(&self, t: f64, v: f64) -> bool {
+        let (dt, dv) = (&self.dt, &self.dv);
+        let mut hit = false;
+        for j in 0..C {
+            hit |= point_lane::<DROP>(dt[j], dv[j], t, v);
+        }
+        for j in 1..C {
+            hit |= edge_lane::<DROP>(dt[j - 1], dv[j - 1], dt[j], dv[j], self.slope[j], t, v);
+        }
+        hit
+    }
+
+    /// [`Self::hit`] of `region`.
+    #[inline]
+    pub(crate) fn hits(&self, region: &QueryRegion) -> bool {
+        match region.kind {
+            SearchKind::Drop => self.hit::<true>(region.t, region.v),
+            SearchKind::Jump => self.hit::<false>(region.t, region.v),
+        }
     }
 }
 
@@ -89,27 +124,28 @@ pub(crate) fn corners_hit<const C: usize>(
 /// callers that visit corners one at a time (the index plan's probe).
 #[inline]
 pub fn point_hits(dt: f64, dv: f64, region: &QueryRegion) -> bool {
-    corners_hit([dt], [dv], region)
+    Corners::new([dt], [dv]).hits(region)
 }
 
 /// The line query on the edge `(dt1, dv1) → (dt2, dv2)`, `dt1 <= dt2`,
 /// without a data-dependent branch.
 #[inline]
 pub fn edge_hits(dt1: f64, dv1: f64, dt2: f64, dv2: f64, region: &QueryRegion) -> bool {
+    let slope = slope(dt1, dv1, dt2, dv2);
     match region.kind {
-        SearchKind::Drop => edge_lane::<true>(dt1, dv1, dt2, dv2, region.t, region.v),
-        SearchKind::Jump => edge_lane::<false>(dt1, dv1, dt2, dv2, region.t, region.v),
+        SearchKind::Drop => edge_lane::<true>(dt1, dv1, dt2, dv2, slope, region.t, region.v),
+        SearchKind::Jump => edge_lane::<false>(dt1, dv1, dt2, dv2, slope, region.t, region.v),
     }
 }
 
-/// One [`corner_lanes`] per row over `C` corners' columns: a one-corner
+/// One [`Corners::hit`] per row over `C` corners' columns: a one-corner
 /// table does no edge work.
 fn rows<const DROP: bool, const C: usize>(cols: &[Vec<f64>], t: f64, v: f64, mask: &mut [bool]) {
     let n = mask.len();
     let dts: [&[f64]; C] = std::array::from_fn(|j| &cols[2 * j][..n]);
     let dvs: [&[f64]; C] = std::array::from_fn(|j| &cols[2 * j + 1][..n]);
     for (i, m) in mask.iter_mut().enumerate() {
-        *m = corner_lanes::<DROP, C>(dts.map(|c| c[i]), dvs.map(|c| c[i]), t, v);
+        *m = Corners::new(dts.map(|c| c[i]), dvs.map(|c| c[i])).hit::<DROP>(t, v);
     }
 }
 
@@ -201,10 +237,20 @@ impl ZoneExtent {
     };
 
     pub fn may_intersect(&self, region: &QueryRegion) -> bool {
+        match region.kind {
+            SearchKind::Drop => self.reaches::<true>(region),
+            SearchKind::Jump => self.reaches::<false>(region),
+        }
+    }
+
+    /// [`Self::may_intersect`] of a region known to be a drop iff `DROP`.
+    #[inline(always)]
+    pub fn reaches<const DROP: bool>(&self, region: &QueryRegion) -> bool {
         self.min_dt <= region.t
-            && match region.kind {
-                SearchKind::Drop => self.min_dv <= region.v,
-                SearchKind::Jump => self.max_dv >= region.v,
+            && if DROP {
+                self.min_dv <= region.v
+            } else {
+                self.max_dv >= region.v
             }
     }
 }
@@ -213,7 +259,7 @@ impl ZoneExtent {
 mod tests {
     use super::*;
     use crate::intersect::{edge_crosses_region, point_in_region, scalar_intersects};
-    use crate::{Boundary, FeaturePoint};
+    use crate::{Boundary, FeaturePoint, RegionIndex, RegionMatchStats};
 
     fn soa(rows: &[Vec<f64>]) -> Vec<Vec<f64>> {
         let ncols = rows.first().map_or(0, Vec::len);
@@ -240,7 +286,8 @@ mod tests {
     /// oracle: [`Boundary::intersects`] is the short-circuit union over
     /// its `corners()`, and the kernel's mask — four segment-endpoint
     /// columns riding along, as in a stored page — is
-    /// [`Boundary::intersects`] row by row.
+    /// [`Boundary::intersects`] row by row. So is the region index
+    /// holding `region` alone, which tests the boundary prepared once.
     fn check_rows(corners: usize, rows: &[Vec<f64>], region: &QueryRegion) {
         let mut cols = soa(rows);
         cols.resize(2 * corners, Vec::new());
@@ -248,19 +295,31 @@ mod tests {
         let mut mask = vec![true; 3];
         boundaries_intersect_cols(corners, &cols, rows.len(), region, &mut mask);
         assert_eq!(mask.len(), rows.len());
+        let mut index = RegionIndex::new();
+        index.insert(7, *region);
+        let (mut ids, mut stats) = (Vec::new(), RegionMatchStats::default());
         for (row, &m) in rows.iter().zip(&mask) {
             let b = boundary_of(row);
             let hit = b.intersects(region);
             let oracle = scalar_intersects(b.corners(), region);
             assert_eq!(hit, oracle, "boundary {row:?} in {region:?}");
             assert_eq!(m, hit, "kernel row {row:?} in {region:?}");
+            ids.clear();
+            index.matches_kind(region.kind, &b, &mut ids, &mut stats);
+            assert_eq!(
+                ids,
+                [7].repeat(usize::from(hit)),
+                "index {row:?} in {region:?}"
+            );
         }
     }
 
     /// Holds the probe's lanes to the scalar predicates on every lane
     /// (`[dt1, dv1, dt2, dv2]`, `dt1 <= dt2`), then [`check_rows`] on the
     /// lanes as one-, two- and three-corner rows (the third corner is the
-    /// next lane's far end where it lies further right, else the padding).
+    /// next lane's far end where it lies further right, else the padding),
+    /// and as three-corner rows padded by hand: the lane with its far end
+    /// repeated, and with its near end repeated.
     fn check_lanes_against_scalar(lanes: &[[f64; 4]], region: &QueryRegion) {
         for lane @ &[dt1, dv1, dt2, dv2] in lanes {
             let (p1, p2) = (FeaturePoint::new(dt1, dv1), FeaturePoint::new(dt2, dv2));
@@ -283,6 +342,11 @@ mod tests {
             })
             .collect();
         check_rows(3, &threes, region);
+        let padded: Vec<Vec<f64>> = lanes
+            .iter()
+            .flat_map(|l| [[&l[..], &l[2..]].concat(), [&l[..2], &l[..]].concat()])
+            .collect();
+        check_rows(3, &padded, region);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Boundary extraction: the corner analysis of §4.3.1 and the Appendix.
 
-use crate::batch::corners_hit;
+use crate::batch::Corners;
 use crate::{FeaturePoint, Parallelogram, QueryRegion, SearchKind};
 use segmentation::Segment;
 
@@ -79,8 +79,16 @@ impl Boundary {
     /// is what the storage layer's column kernel evaluates on a stored row.
     #[inline]
     pub fn intersects(&self, region: &QueryRegion) -> bool {
-        let (dt, dv) = (self.pts.map(|p| p.dt), self.pts.map(|p| p.dv));
-        (self.len > 0) & corners_hit(dt, dv, region)
+        (self.len > 0) & self.lanes().hits(region)
+    }
+
+    /// The three padded corners as the lanes read them, edge slopes
+    /// divided: a caller testing one non-pruned boundary against many
+    /// regions prepares it once, and each [`Corners::hit`] is then
+    /// [`Self::intersects`] bit for bit.
+    #[inline]
+    pub(crate) fn lanes(&self) -> Corners<3> {
+        Corners::new(self.pts.map(|p| p.dt), self.pts.map(|p| p.dv))
     }
 }
 

@@ -17,11 +17,17 @@
 //! boundary corners, so cell bounds need no shift of their own). The
 //! cells of one kind sit under one more representative, the most
 //! permissive of theirs, which lets a boundary that reaches none of them
-//! skip them all with a single test. Cells
-//! that survive refine member by member with [`Boundary::intersects`],
-//! the branch-free predicate every search tests a boundary with —
-//! [`RegionIndex::matches_brute`] runs it over every member and the
-//! property tests assert both paths return identical sets.
+//! skip them all with a single test. A kind's cells are one flat `Vec`,
+//! walked front to back; insert and remove find a cell by its key.
+//!
+//! Cells that survive refine member by member with the lanes of
+//! [`Boundary::intersects`], the branch-free predicate every search tests
+//! a boundary with. A match prepares the boundary once — its three padded
+//! corners, each edge's slope divided — and every member test is then
+//! [`Boundary::intersects`] bit for bit without the division.
+//! [`RegionIndex::matches_brute`] runs [`Boundary::intersects`] itself
+//! over every member, and the property tests assert both paths return
+//! identical sets.
 //!
 //! A feature row is searched through the boundary of its own kind — the
 //! lower-left one shifted down by ε for a drop, the upper-left one
@@ -32,9 +38,8 @@
 //!
 //! [`zone_may_intersect`]: crate::batch::zone_may_intersect
 
-use crate::batch::ZoneExtent;
+use crate::batch::{Corners, ZoneExtent};
 use crate::{Boundary, QueryRegion, SearchKind};
-use std::collections::HashMap;
 
 /// Work counters for one [`RegionIndex::matches_kind`] call, accumulated
 /// across calls so ingest paths can expose O(matching) evidence.
@@ -48,6 +53,8 @@ pub struct RegionMatchStats {
 
 #[derive(Debug)]
 struct Cell {
+    /// The cell's `(T, |V|)` buckets.
+    key: (i32, i32),
     /// Most permissive region representable in this cell: `T` at the
     /// upper cell bound, `|V|` at the lower. Sound for pruning because
     /// the zone test is monotone in both thresholds.
@@ -60,32 +67,37 @@ struct Cell {
 /// it skips all of them at once.
 #[derive(Debug, Default)]
 struct KindGrid {
-    cells: HashMap<(i32, i32), Cell>,
+    /// The occupied cells, in no particular order: a match walks them
+    /// front to back.
+    cells: Vec<Cell>,
     /// `None` while `cells` is empty.
     rep: Option<QueryRegion>,
 }
 
 impl KindGrid {
-    /// Appends the ids of the members `boundary` intersects; `extent` is
-    /// the boundary's zone.
-    fn matches(
+    /// Appends the ids of the members the boundary intersects; `extent`
+    /// is its zone and `lanes` its prepared corners, the grid's kind a
+    /// drop iff `DROP`. Each member test is [`Boundary::intersects`] bit
+    /// for bit, with the boundary's edge slopes divided once for all of
+    /// them.
+    fn matches<const DROP: bool>(
         &self,
         extent: &ZoneExtent,
-        boundary: &Boundary,
+        lanes: &Corners<3>,
         out: &mut Vec<u64>,
         stats: &mut RegionMatchStats,
     ) {
-        if !self.rep.is_some_and(|rep| extent.may_intersect(&rep)) {
+        if !self.rep.is_some_and(|rep| extent.reaches::<DROP>(&rep)) {
             return;
         }
-        for cell in self.cells.values() {
+        for cell in &self.cells {
             stats.cells_visited += 1;
-            if !extent.may_intersect(&cell.rep) {
+            if !extent.reaches::<DROP>(&cell.rep) {
                 continue;
             }
+            stats.regions_tested += cell.members.len() as u64;
             for (id, region) in &cell.members {
-                stats.regions_tested += 1;
-                if boundary.intersects(region) {
+                if lanes.hit::<DROP>(region.t, region.v) {
                     out.push(*id);
                 }
             }
@@ -93,13 +105,18 @@ impl KindGrid {
     }
 
     fn widest(&self) -> Option<QueryRegion> {
-        let mut cells = self.cells.values().map(|c| c.rep);
+        let mut cells = self.cells.iter().map(|c| c.rep);
         let first = cells.next()?;
         Some(cells.fold(first, |a, b| QueryRegion {
             kind: a.kind,
             t: a.t.max(b.t),
             v: if a.v.abs() <= b.v.abs() { a.v } else { b.v },
         }))
+    }
+
+    /// The position of the cell `key` in `cells`.
+    fn find(&self, key: (i32, i32)) -> Option<usize> {
+        self.cells.iter().position(|c| c.key == key)
     }
 }
 
@@ -170,11 +187,15 @@ impl RegionIndex {
     pub fn insert(&mut self, id: u64, region: QueryRegion) {
         let grid = &mut self.kinds[region.kind as usize];
         let key = cell_key(&region);
-        let cell = grid.cells.entry(key).or_insert_with(|| Cell {
-            rep: representative(region.kind, key.0, key.1),
-            members: Vec::new(),
+        let at = grid.find(key).unwrap_or_else(|| {
+            grid.cells.push(Cell {
+                key,
+                rep: representative(region.kind, key.0, key.1),
+                members: Vec::new(),
+            });
+            grid.cells.len() - 1
         });
-        cell.members.push((id, region));
+        grid.cells[at].members.push((id, region));
         grid.rep = grid.widest();
         self.len += 1;
     }
@@ -184,17 +205,17 @@ impl RegionIndex {
     /// cell to search.
     pub fn remove(&mut self, id: u64, region: &QueryRegion) -> bool {
         let grid = &mut self.kinds[region.kind as usize];
-        let key = cell_key(region);
-        let Some(cell) = grid.cells.get_mut(&key) else {
+        let Some(at) = grid.find(cell_key(region)) else {
             return false;
         };
-        let Some(pos) = cell.members.iter().position(|(mid, _)| *mid == id) else {
+        let members = &mut grid.cells[at].members;
+        let Some(pos) = members.iter().position(|(mid, _)| *mid == id) else {
             return false;
         };
-        cell.members.swap_remove(pos);
+        members.swap_remove(pos);
         self.len -= 1;
-        if cell.members.is_empty() {
-            grid.cells.remove(&key);
+        if members.is_empty() {
+            grid.cells.swap_remove(at);
             grid.rep = grid.widest();
         }
         true
@@ -218,15 +239,35 @@ impl RegionIndex {
         out: &mut Vec<u64>,
         stats: &mut RegionMatchStats,
     ) {
-        self.kinds[kind as usize].matches(&extent(boundary), boundary, out, stats);
+        self.matches_of(Some(kind), boundary, out, stats);
     }
 
     /// [`Self::matches_kind`] over both kinds: every registered region
     /// the boundary intersects, whatever its kind.
     pub fn matches(&self, boundary: &Boundary, out: &mut Vec<u64>, stats: &mut RegionMatchStats) {
-        let extent = extent(boundary);
-        for grid in &self.kinds {
-            grid.matches(&extent, boundary, out, stats);
+        self.matches_of(None, boundary, out, stats);
+    }
+
+    /// The grids of `kind` (both for `None`) against `boundary`, prepared
+    /// once.
+    fn matches_of(
+        &self,
+        kind: Option<SearchKind>,
+        boundary: &Boundary,
+        out: &mut Vec<u64>,
+        stats: &mut RegionMatchStats,
+    ) {
+        // A pruned boundary's zone is empty: it reaches no cell.
+        if boundary.is_empty() {
+            return;
+        }
+        let (extent, lanes) = (extent(boundary), boundary.lanes());
+        let [drops, jumps] = &self.kinds;
+        if kind != Some(SearchKind::Jump) {
+            drops.matches::<true>(&extent, &lanes, out, stats);
+        }
+        if kind != Some(SearchKind::Drop) {
+            jumps.matches::<false>(&extent, &lanes, out, stats);
         }
     }
 
@@ -235,7 +276,7 @@ impl RegionIndex {
     /// [`Self::matches`] agrees with this bit for bit.
     pub fn matches_brute(&self, boundary: &Boundary) -> Vec<u64> {
         let mut out = Vec::new();
-        for cell in self.kinds.iter().flat_map(|g| g.cells.values()) {
+        for cell in self.kinds.iter().flat_map(|g| &g.cells) {
             for (id, region) in &cell.members {
                 if boundary.intersects(region) {
                     out.push(*id);
@@ -250,6 +291,7 @@ impl RegionIndex {
 mod tests {
     use super::*;
     use crate::FeaturePoint;
+    use std::collections::HashMap;
 
     /// Tiny deterministic LCG, same recurrence the batch tests use.
     struct Lcg(f64);
@@ -336,23 +378,68 @@ mod tests {
         assert!(stats.cells_visited >= 1);
     }
 
+    /// The grid's own bookkeeping against the regions registered: no
+    /// empty cell, no key held by two cells, each member in the cell of
+    /// its region, and each kind's representative the widest of its
+    /// cells' — recomputed from the live regions, not from the grid.
+    fn assert_consistent(idx: &RegionIndex, live: &HashMap<u64, QueryRegion>) {
+        assert_eq!(idx.len(), live.len());
+        for (k, grid) in idx.kinds.iter().enumerate() {
+            for (at, cell) in grid.cells.iter().enumerate() {
+                assert!(!cell.members.is_empty(), "an empty cell stays");
+                assert_eq!(grid.find(cell.key), Some(at), "cell {:?} twice", cell.key);
+                for (id, region) in &cell.members {
+                    assert_eq!((live[id], cell_key(region)), (*region, cell.key));
+                }
+            }
+            let widest = live
+                .values()
+                .filter(|r| r.kind as usize == k)
+                .map(|r| {
+                    let (bt, bv) = cell_key(r);
+                    representative(r.kind, bt, bv)
+                })
+                .reduce(|a, b| QueryRegion {
+                    t: a.t.max(b.t),
+                    v: if a.v.abs() <= b.v.abs() { a.v } else { b.v },
+                    ..a
+                });
+            assert_eq!(grid.rep, widest, "kind {k}'s representative");
+        }
+    }
+
     #[test]
     fn indexed_matching_equals_brute_force() {
         // The losslessness property: for random region sets and random
         // boundaries, the grid path returns exactly the brute-force set,
         // and each kind's path exactly the brute-force ids of that kind.
+        // Between match rounds registered regions leave at random (every
+        // tenth round all of them) and new ones arrive, so cells empty
+        // and come back and the kinds' representatives move.
         let mut rng = Lcg(0.41);
         let rounds = if cfg!(miri) { 3 } else { 60 };
         let boundaries_per_round = if cfg!(miri) { 5 } else { 80 };
+        let mut idx = RegionIndex::new();
+        let mut live: HashMap<u64, QueryRegion> = HashMap::new();
+        let mut next_id = 0u64;
         for round in 0..rounds {
-            let mut idx = RegionIndex::new();
-            let mut kinds = HashMap::new();
-            let n_regions = 1 + (round * 7) % 50;
-            for id in 0..n_regions as u64 {
-                let region = random_region(&mut rng);
-                idx.insert(id, region);
-                kinds.insert(id, region.kind);
+            let leave = if round % 10 == 9 { 1.0 } else { 0.5 };
+            let mut ids: Vec<u64> = live.keys().copied().collect();
+            ids.sort_unstable();
+            for id in ids {
+                if rng.next() < leave {
+                    let region = live.remove(&id).unwrap();
+                    assert!(idx.remove(id, &region));
+                }
             }
+            let n_regions = 1 + (round * 7) % 50;
+            while live.len() < n_regions {
+                let region = random_region(&mut rng);
+                idx.insert(next_id, region);
+                live.insert(next_id, region);
+                next_id += 1;
+            }
+            assert_consistent(&idx, &live);
             for _ in 0..boundaries_per_round {
                 let b = random_boundary(&mut rng);
                 let brute = idx.matches_brute(&b);
@@ -367,7 +454,7 @@ mod tests {
                 for kind in [SearchKind::Drop, SearchKind::Jump] {
                     let mut out = Vec::new();
                     idx.matches_kind(kind, &b, &mut out, &mut stats);
-                    let of_kind = brute.iter().filter(|id| kinds[*id] == kind);
+                    let of_kind = brute.iter().filter(|id| live[*id].kind == kind);
                     assert_eq!(
                         sorted(out),
                         sorted(of_kind.copied().collect()),
@@ -376,6 +463,7 @@ mod tests {
                 }
             }
         }
+        assert!(next_id > 500, "the churn registered too few regions");
     }
 
     #[test]
