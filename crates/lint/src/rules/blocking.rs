@@ -44,7 +44,7 @@ pub const BLOCKING_OPS: &[&str] = &[
     // ... and the pagestore calls that reach them.
     "read_page",
     "write_page",
-    "append_image",
+    "append_images",
     "mark_unclean",
     // Sockets.
     "accept",

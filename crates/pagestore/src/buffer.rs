@@ -407,22 +407,25 @@ impl BufferPool {
     }
 
     /// Appends the image of every dirty-but-unlogged page of every
-    /// WAL-named file to the attached log (commit preparation). Returns
+    /// WAL-named file to the attached log (commit preparation), in one
+    /// write; the frames count as logged only once it succeeded, so a
+    /// failed write leaves every one of them to the next commit. Returns
     /// the number of images appended. A no-op without an attached WAL.
     pub fn log_dirty_pages(&self) -> Result<u64> {
         let files = self.files.read();
         let Some(wal) = self.wal.read().clone() else {
             return Ok(0);
         };
-        let mut logged = 0u64;
-        for frame in self.frames.lock().frames.iter_mut() {
-            if frame.dirty && !frame.logged {
-                if let Some(name) = &files[frame.key.0 as usize].wal_name {
-                    wal.append_image(name, frame.key.1, frame.buf.bytes())?;
-                    frame.logged = true;
-                    logged += 1;
-                }
-            }
+        let mut table = self.frames.lock();
+        let name = |frame: &Frame| files[frame.key.0 as usize].wal_name.as_deref();
+        let images: Vec<_> = (table.frames.iter())
+            .filter(|frame| frame.dirty && !frame.logged)
+            .filter_map(|frame| Some((name(frame)?, frame.key.1, frame.buf.bytes())))
+            .collect();
+        wal.append_images(&images)?;
+        let logged = images.len() as u64;
+        for frame in table.frames.iter_mut() {
+            frame.logged |= frame.dirty && name(frame).is_some();
         }
         Ok(logged)
     }
@@ -461,7 +464,7 @@ impl BufferPool {
         let (fid, pid) = frame.key;
         let entry = &files[fid as usize];
         if let (false, Some(name), Some(wal)) = (frame.logged, &entry.wal_name, wal) {
-            wal.append_image(name, pid, frame.buf.bytes())?;
+            wal.append_images(&[(name, pid, frame.buf.bytes())])?;
             frame.logged = true;
         }
         entry.file.write_page(pid, frame.buf.bytes())?;

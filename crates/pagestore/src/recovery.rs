@@ -363,7 +363,7 @@ mod tests {
         let mut good = [0u8; PAGE_SIZE];
         good[0..2].copy_from_slice(&3u16.to_le_bytes());
         good[PAGE_HDR] = 0xAB;
-        wal.append_image("t.tbl", 1, &good).unwrap();
+        wal.append_images(&[("t.tbl", 1, &good)]).unwrap();
         wal.append_commit(&state).unwrap();
         drop(wal);
         let mut bad = std::fs::read(&heap).unwrap();

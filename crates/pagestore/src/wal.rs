@@ -21,12 +21,19 @@
 //! with one, so "any record after the first" is exactly the unclean-
 //! shutdown predicate [`crate::recovery`] keys off.
 //!
-//! Durability discipline: [`Wal::append_commit`] fsyncs the log;
-//! checkpointing rewrites it atomically (temp file + fsync + rename +
-//! directory fsync), which both truncates the log and bounds replay. A
-//! log that is its checkpoint alone promises that no data file changed
-//! since; `Wal::mark_unclean` breaks the promise, durably, before a page
-//! the log does not cover is written.
+//! The byte path: every payload is checksummed by a slicing-by-8
+//! [`crc32`] (eight table lookups per eight bytes), an image's zero tail
+//! is found a word at a time, and a group commit's images go to the log
+//! in one write ([`Wal::append_images`]); the commit record follows in a
+//! write of its own.
+//!
+//! Durability discipline: in sync mode, [`Wal::append_commit`] fsyncs
+//! the log, and checkpointing rewrites it atomically (temp file + fsync +
+//! rename + directory fsync), which both truncates the log and bounds
+//! replay. Without sync mode no call fsyncs: the log then survives a
+//! killed process, not a power loss. A log that is its checkpoint alone
+//! promises that no data file changed since; `Wal::mark_unclean` breaks
+//! the promise, durably, before a page the log does not cover is written.
 
 use crate::error::Result;
 use crate::page::arr;
@@ -52,9 +59,12 @@ pub const FRAME_HDR: usize = 12;
 
 // ---------------------------------------------------------------- crc32
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), sliced by 8:
+/// `CRC_TABLES[0]` is the byte-at-a-time table, and `CRC_TABLES[k]` takes
+/// a byte's remainder through `k` more zero bytes, so eight lookups fold
+/// eight bytes at once.
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -67,19 +77,43 @@ const fn crc_table() -> [u32; 256] {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let c = tables[t - 1][i];
+            tables[t][i] = (c >> 8) ^ tables[0][(c & 0xFF) as usize];
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 }
 
-static CRC_TABLE: [u32; 256] = crc_table();
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
-/// Checksum of `data` (used for every WAL record payload).
+/// Checksum of `data` (used for every WAL record payload): eight bytes a
+/// step, the last `len % 8` a byte at a time.
 pub fn crc32(data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for word in &mut words {
+        let b = (u64::from_le_bytes(arr(word, 0)) ^ u64::from(c)).to_le_bytes();
+        c = t[7][b[0] as usize]
+            ^ t[6][b[1] as usize]
+            ^ t[5][b[2] as usize]
+            ^ t[4][b[3] as usize]
+            ^ t[3][b[4] as usize]
+            ^ t[2][b[5] as usize]
+            ^ t[1][b[6] as usize]
+            ^ t[0][b[7] as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -316,8 +350,7 @@ struct WalMetrics {
 }
 
 impl WalMetrics {
-    fn new() -> Self {
-        let r = obs::global();
+    fn new(r: &obs::MetricsRegistry) -> Self {
         WalMetrics {
             appends: r.counter("wal.appends"),
             bytes: r.counter("wal.bytes"),
@@ -406,7 +439,7 @@ impl Wal {
             }),
             sync,
             last_checkpoint_lsn: AtomicU64::new(checkpoint_lsn),
-            metrics: WalMetrics::new(),
+            metrics: WalMetrics::new(obs::global()),
         })
     }
 
@@ -425,18 +458,32 @@ impl Wal {
         self.inner.lock().next_lsn
     }
 
-    /// Appends the after-image of one page, with trailing zeros elided
-    /// (replay zero-fills). Not fsynced by itself: images only need to
-    /// be durable before the data page overwrite, and the
-    /// commit/checkpoint that follows syncs them.
-    pub fn append_image(&self, file: &str, pid: PageId, image: &[u8; PAGE_SIZE]) -> Result<u64> {
-        let used = image.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
-        self.append(&mut self.inner.lock(), KIND_PAGE_IMAGE, |b| {
-            put_str(b, file);
-            b.extend_from_slice(&pid.to_le_bytes());
-            b.extend_from_slice(&(used as u32).to_le_bytes());
-            b.extend_from_slice(&image[..used]);
-        })
+    /// Appends the after-images of `images` — `(logged file name, page,
+    /// bytes)` — one record each, with trailing zeros elided (replay
+    /// zero-fills), in one write. The frames are encoded into a buffer of
+    /// this call's own, dropped after the write. Not fsynced by itself:
+    /// images only need to be durable before the data pages are
+    /// overwritten, and the commit/checkpoint that follows syncs them. On
+    /// an error no record is appended: the next append writes over
+    /// whatever part of this write landed.
+    pub fn append_images(&self, images: &[(&str, PageId, &[u8; PAGE_SIZE])]) -> Result<()> {
+        if images.is_empty() {
+            return Ok(());
+        }
+        let mut inner = self.inner.lock();
+        let mut frames = Vec::new();
+        for (lsn, &(file, pid, image)) in (inner.next_lsn..).zip(images) {
+            let used = used_len(image);
+            // Header, kind and LSN, name, page and length, bytes.
+            frames.reserve(FRAME_HDR + 9 + 2 + file.len() + 8 + used);
+            encode_frame(&mut frames, KIND_PAGE_IMAGE, lsn, |b| {
+                put_str(b, file);
+                b.extend_from_slice(&pid.to_le_bytes());
+                b.extend_from_slice(&(used as u32).to_le_bytes());
+                b.extend_from_slice(&image[..used]);
+            });
+        }
+        self.write_frames(&mut inner, &frames, images.len() as u64)
     }
 
     /// Appends a commit record and syncs the log (in sync mode): group
@@ -486,6 +533,7 @@ impl Wal {
         let mut inner = self.inner.lock();
         let lsn = inner.next_lsn;
         let mut frame = std::mem::take(&mut inner.scratch);
+        frame.clear();
         encode_frame(&mut frame, KIND_CHECKPOINT, lsn, |b| encode_state(b, state));
         write_atomic(&*self.vfs, &self.path, &frame, self.sync)?;
         inner.file = self.vfs.open(&self.path)?;
@@ -536,39 +584,64 @@ impl Wal {
     ) -> Result<u64> {
         let lsn = inner.next_lsn;
         let mut frame = std::mem::take(&mut inner.scratch);
+        frame.clear();
         encode_frame(&mut frame, kind, lsn, body);
-        let written = inner.file.write_at(&frame, inner.bytes);
-        let len = frame.len() as u64;
+        let written = self.write_frames(inner, &frame, 1);
         inner.scratch = frame;
-        written?;
-        inner.next_lsn += 1;
-        inner.bytes += len;
+        written.map(|()| lsn)
+    }
+
+    /// Writes `frames`, `records` whole records from `inner.next_lsn` on,
+    /// at the end of the log's valid prefix, and counts them appended once
+    /// the write succeeded.
+    fn write_frames(&self, inner: &mut WalInner, frames: &[u8], records: u64) -> Result<()> {
+        inner.file.write_at(frames, inner.bytes)?;
+        inner.next_lsn += records;
+        inner.bytes += frames.len() as u64;
         inner.clean = None;
         inner.unsynced = self.sync;
-        self.metrics.appends.inc();
-        self.metrics.bytes.add(len);
-        Ok(lsn)
+        self.metrics.appends.add(records);
+        self.metrics.bytes.add(frames.len() as u64);
+        Ok(())
     }
 }
 
-/// Encodes into `frame` (cleared first) the frame of a record of `kind`
-/// and `lsn` whose body `body` writes.
-fn encode_frame(frame: &mut Vec<u8>, kind: u8, lsn: u64, body: impl FnOnce(&mut Vec<u8>)) {
-    frame.clear();
-    frame.extend_from_slice(&[0; FRAME_HDR]);
-    frame.push(kind);
-    frame.extend_from_slice(&lsn.to_le_bytes());
-    body(frame);
-    let (len, crc) = ((frame.len() - FRAME_HDR) as u32, crc32(&frame[FRAME_HDR..]));
-    frame[..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
-    frame[4..8].copy_from_slice(&len.to_le_bytes());
-    frame[8..FRAME_HDR].copy_from_slice(&crc.to_le_bytes());
+/// Appends to `buf` the frame of a record of `kind` and `lsn` whose body
+/// `body` writes.
+fn encode_frame(buf: &mut Vec<u8>, kind: u8, lsn: u64, body: impl FnOnce(&mut Vec<u8>)) {
+    let start = buf.len();
+    buf.extend_from_slice(&[0; FRAME_HDR]);
+    buf.push(kind);
+    buf.extend_from_slice(&lsn.to_le_bytes());
+    body(buf);
+    let payload = &buf[start + FRAME_HDR..];
+    let (len, crc) = (payload.len() as u32, crc32(payload));
+    let hdr = &mut buf[start..start + FRAME_HDR];
+    hdr[..4].copy_from_slice(&WAL_MAGIC.to_le_bytes());
+    hdr[4..8].copy_from_slice(&len.to_le_bytes());
+    hdr[8..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// How many bytes of `image` a page-image record keeps: one past its last
+/// non-zero byte, 0 for a page of zeros. Steps back over the zero tail a
+/// word at a time, then a byte at a time inside the last non-zero word.
+fn used_len(image: &[u8; PAGE_SIZE]) -> usize {
+    let mut end = PAGE_SIZE;
+    while end >= 8 && u64::from_ne_bytes(arr(image, end - 8)) == 0 {
+        end -= 8;
+    }
+    image[..end]
+        .iter()
+        .rposition(|&b| b != 0)
+        .map_or(0, |i| i + 1)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::vfs::OsVfs;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn os() -> Arc<dyn Vfs> {
         Arc::new(OsVfs)
@@ -588,11 +661,165 @@ mod tests {
         }
     }
 
+    /// The byte-at-a-time CRC: the oracle the sliced loop must equal.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    fn random_bytes(rng: &mut StdRng, n: usize) -> Vec<u8> {
+        (0..n).map(|_| rng.random::<u8>()).collect()
+    }
+
     #[test]
-    fn crc32_known_vectors() {
-        // Standard IEEE test vector.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
+    fn codec_crc32_check_vectors() {
+        let vectors: [(&[u8], u32); 7] = [
+            (b"123456789", 0xCBF4_3926),
+            (b"", 0),
+            (b"a", 0xE8B7_BE43),
+            (b"abc", 0x3524_41C2),
+            (b"The quick brown fox jumps over the lazy dog", 0x414F_A339),
+            (&[0; 32], 0x190A_55AD),
+            (&[0xFF; 32], 0xFF6C_AB0B),
+        ];
+        for (data, crc) in vectors {
+            assert_eq!(crc32(data), crc, "{data:?}");
+            assert_eq!(crc32_bytewise(data), crc, "{data:?}");
+        }
+    }
+
+    #[test]
+    fn codec_crc32_equals_the_byte_loop() {
+        let mut rng = StdRng::seed_from_u64(0xC4C3);
+        // Every length up to eight words past every alignment: the word
+        // loop's every tail, from every start.
+        let buf = random_bytes(&mut rng, 8 + 64);
+        for start in 0..8 {
+            for len in 0..=64 {
+                let data = &buf[start..start + len];
+                assert_eq!(
+                    crc32(data),
+                    crc32_bytewise(data),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        let (rounds, len) = if cfg!(miri) {
+            (1, 4 << 10)
+        } else {
+            (16, 64 << 10)
+        };
+        for _ in 0..rounds {
+            let data = random_bytes(&mut rng, len);
+            assert_eq!(crc32(&data), crc32_bytewise(&data));
+        }
+    }
+
+    #[test]
+    fn codec_used_len_equals_rposition() {
+        let rposition =
+            |page: &[u8; PAGE_SIZE]| page.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let zeros = [0u8; PAGE_SIZE];
+        assert_eq!(used_len(&zeros), 0);
+        assert_eq!(rposition(&zeros), 0);
+        let mut rng = StdRng::seed_from_u64(0x2E80);
+        let named = [0, 1, 7, 8, 9, 4088, 4095];
+        let every: Vec<usize> = match cfg!(miri) {
+            true => named.to_vec(),
+            false => named.into_iter().chain(0..PAGE_SIZE).collect(),
+        };
+        for last in every {
+            // Zeros but the last byte, then noise (zeros among it) below.
+            let mut page = [0u8; PAGE_SIZE];
+            page[last] = rng.random_range(1..=255u8);
+            assert_eq!(used_len(&page), last + 1, "last non-zero byte {last}");
+            for b in &mut page[..last] {
+                *b = rng.random::<u8>() & 0x81;
+            }
+            assert_eq!(
+                used_len(&page),
+                rposition(&page),
+                "last non-zero byte {last}"
+            );
+            assert_eq!(used_len(&page), last + 1);
+        }
+    }
+
+    /// One image a record and a write, its zero tail found by
+    /// `rposition`: the oracle a batch of images must equal.
+    fn append_image_bytewise(wal: &Wal, file: &str, pid: PageId, image: &[u8; PAGE_SIZE]) -> u64 {
+        let used = image.iter().rposition(|&b| b != 0).map_or(0, |i| i + 1);
+        let body = |b: &mut Vec<u8>| {
+            put_str(b, file);
+            b.extend_from_slice(&pid.to_le_bytes());
+            b.extend_from_slice(&(used as u32).to_le_bytes());
+            b.extend_from_slice(&image[..used]);
+        };
+        wal.append(&mut wal.inner.lock(), KIND_PAGE_IMAGE, body)
+            .unwrap()
+    }
+
+    #[test]
+    fn a_batch_of_images_writes_what_single_appends_wrote() {
+        let mut rng = StdRng::seed_from_u64(0xBA7C);
+        let mut pages: Vec<Box<[u8; PAGE_SIZE]>> = Vec::new();
+        for last in [PAGE_SIZE - 1, 0, 8, 4088, 1000, 7, 2049] {
+            let mut page = Box::new([0u8; PAGE_SIZE]);
+            page[..last].copy_from_slice(&random_bytes(&mut rng, last));
+            page[last] = 0x5A;
+            pages.push(page);
+        }
+        pages.push(Box::new([0u8; PAGE_SIZE]));
+        let names = ["t.tbl", "segments.tbl", "a-much-longer-table-name.tbl"];
+        let images: Vec<(&str, PageId, &[u8; PAGE_SIZE])> = (pages.iter().enumerate())
+            .map(|(i, page)| (names[i % names.len()], 3 * i as PageId, &**page))
+            .collect();
+        let mut logs = Vec::new();
+        for batch in [true, false] {
+            let dir = tmpdir(&format!("batch-{batch}"));
+            let mut wal = Wal::create(os(), &dir, &state(0), true).unwrap();
+            wal.append_commit(&state(1)).unwrap();
+            let registry = obs::MetricsRegistry::new();
+            wal.metrics = WalMetrics::new(&registry);
+            let first = wal.next_lsn();
+            if batch {
+                wal.append_images(&images).unwrap();
+            } else {
+                for (lsn, &(file, pid, image)) in (first..).zip(&images) {
+                    assert_eq!(append_image_bytewise(&wal, file, pid, image), lsn);
+                }
+            }
+            wal.append_commit(&state(2)).unwrap();
+            let counted = |name| registry.counter(name).get();
+            let counts = [counted("wal.appends"), counted("wal.bytes")];
+            let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
+            logs.push((bytes, wal.next_lsn(), counts));
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        let (batched, singles) = (&logs[0], &logs[1]);
+        assert_eq!(batched.1, singles.1, "next LSN");
+        assert_eq!(batched.2, singles.2, "wal.appends, wal.bytes");
+        assert_eq!(batched.2[0], images.len() as u64 + 1);
+        assert!(batched.0 == singles.0, "the two logs differ");
+        // Every frame's checksum is the byte loop's, and every image
+        // replays to its page.
+        let mut replayed = Vec::new();
+        let valid = walk(&batched.0, |frame, lsn, rec| {
+            let crc = u32::from_le_bytes(arr(frame, 8));
+            assert_eq!(crc, crc32_bytewise(&frame[FRAME_HDR..]), "LSN {lsn}");
+            if let Record::PageImage { file, pid, image } = rec {
+                replayed.push((file, pid, image));
+            }
+        });
+        assert_eq!(valid, batched.0.len());
+        assert_eq!(replayed.len(), images.len());
+        for ((file, pid, image), &(name, page, bytes)) in replayed.iter().zip(&images) {
+            assert_eq!((file.as_str(), *pid), (name, page));
+            assert!(**image == *bytes);
+        }
     }
 
     #[test]
@@ -600,13 +827,13 @@ mod tests {
         let dir = tmpdir("roundtrip");
         let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
         let img = Box::new([7u8; PAGE_SIZE]);
-        wal.append_image("t.tbl", 3, &img).unwrap();
+        wal.append_images(&[("t.tbl", 3, &*img)]).unwrap();
         // A mostly-empty page: its trailing zeros are elided on disk and
         // zero-filled back on replay.
         let mut sparse = Box::new([0u8; PAGE_SIZE]);
         sparse[..3].copy_from_slice(&[9, 8, 7]);
         let before = wal.size_bytes();
-        wal.append_image("t.tbl", 4, &sparse).unwrap();
+        wal.append_images(&[("t.tbl", 4, &*sparse)]).unwrap();
         assert!(
             wal.size_bytes() - before < 100,
             "sparse image must be stored compressed"
@@ -669,7 +896,7 @@ mod tests {
         let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
         let img = Box::new([1u8; PAGE_SIZE]);
         for pid in 0..20 {
-            wal.append_image("t.tbl", pid, &img).unwrap();
+            wal.append_images(&[("t.tbl", pid, &*img)]).unwrap();
         }
         wal.append_commit(&state(9)).unwrap();
         let before = wal.size_bytes();
@@ -710,8 +937,8 @@ mod tests {
         let dir = tmpdir("ship");
         let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
         let img = Box::new([5u8; PAGE_SIZE]);
-        wal.append_image("t.tbl", 0, &img).unwrap();
-        wal.append_image("t.tbl", 1, &img).unwrap();
+        wal.append_images(&[("t.tbl", 0, &*img)]).unwrap();
+        wal.append_images(&[("t.tbl", 1, &*img)]).unwrap();
         wal.append_commit(&state(2)).unwrap();
         // Cursor 0 ships the whole log, byte-identical to the file.
         let seg = read_after(&OsVfs, &dir.join(WAL_FILE), 0, usize::MAX).unwrap();
@@ -749,7 +976,7 @@ mod tests {
         let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
         let img = Box::new([1u8; PAGE_SIZE]);
         for pid in 0..8 {
-            wal.append_image("t.tbl", pid, &img).unwrap();
+            wal.append_images(&[("t.tbl", pid, &*img)]).unwrap();
         }
         // A cap smaller than one frame still ships one frame (progress),
         // and a multi-frame cap stops once the budget is crossed.
@@ -780,7 +1007,7 @@ mod tests {
         let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
         let img = Box::new([1u8; PAGE_SIZE]);
         for pid in 0..4 {
-            wal.append_image("t.tbl", pid, &img).unwrap();
+            wal.append_images(&[("t.tbl", pid, &*img)]).unwrap();
         }
         wal.append_commit(&state(4)).unwrap();
         let ckpt = wal.checkpoint(&state(4)).unwrap();
@@ -826,7 +1053,7 @@ mod tests {
         let wal = Wal::create(os(), &dir, &state(0), true).unwrap();
         let img = Box::new([1u8; PAGE_SIZE]);
         for i in 0..8 {
-            wal.append_image("t.tbl", i, &img).unwrap();
+            wal.append_images(&[("t.tbl", i, &*img)]).unwrap();
             wal.append_commit(&state(i.into())).unwrap();
         }
         wal.sync().unwrap(); // nothing since the last commit: no sync

@@ -239,36 +239,35 @@ pub fn seal_then_cut(
     sim.check()
 }
 
-/// A crash at every step of a group commit: before its first page image,
-/// among them, before its commit record, before and after the sync.
+/// A crash at every step of a group commit, whose page images reach the
+/// log in one write: before that write; with it pending, which a power
+/// loss keeps, drops or tears at sectors; after the commit record; after
+/// the sync (when the store syncs). The push runs on the schedules of
+/// `seed` and `seed + 1`, so the pending write meets two crash seeds.
 /// Returns the crashes made.
 pub fn group_commit_steps(seed: u64, model: CrashModel) -> Result<usize, String> {
-    let config = SegDiffConfig::default()
-        .with_pool_pages(256)
-        .with_group_commit(4);
-    let sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
-    let trace = sim.trace(Step::Push(60))?;
-    let log = |i: &usize| trace[*i].1.ends_with("wal.log");
-    // The longest run of calls on the log is a group commit: its images,
-    // its record, its sync. (The first rows' heaps taking their first
-    // pages mark the log unclean before: one record and its sync.)
-    let mut runs = Vec::new();
-    let mut at = 0;
-    while let Some(first) = (at..trace.len()).find(log) {
-        let end = (first..trace.len())
-            .find(|i| !log(i))
-            .unwrap_or(trace.len());
-        runs.push((first, end));
-        at = end;
+    let mut crashes = 0;
+    for seed in [seed, seed + 1] {
+        let config = SegDiffConfig::default()
+            .with_pool_pages(256)
+            .with_group_commit(4);
+        let sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
+        let trace = sim.trace(Step::Push(60))?;
+        let on_log = |i: usize, call: Op| {
+            trace
+                .get(i)
+                .is_some_and(|(op, path)| *op == call && path.ends_with("wal.log"))
+        };
+        // A group commit is two writes to the log in a row, its images and
+        // its record, then the sync. (The first rows' heaps taking their
+        // first pages mark the log unclean before: one record and its
+        // sync.)
+        let first = (0..trace.len())
+            .find(|&i| on_log(i, Op::WriteAt) && on_log(i + 1, Op::WriteAt))
+            .ok_or(format!("seed {seed}: no group commit in 60 samples"))?;
+        let end = first + 2 + usize::from(on_log(first + 2, Op::Sync));
+        let points: Vec<u64> = (first..=end).map(|i| i as u64).collect();
+        crashes += sim.crash_at(Step::Push(60), &points)?;
     }
-    let (first, end) = runs
-        .into_iter()
-        .rev()
-        .max_by_key(|(first, end)| end - first)
-        .ok_or("no group commit in 60 samples")?;
-    let mut points: Vec<u64> = [first, first + 1, (first + end) / 2, end - 1, end]
-        .map(|i| i as u64)
-        .into();
-    points.dedup();
-    sim.crash_at(Step::Push(60), &points)
+    Ok(crashes)
 }

@@ -1,6 +1,7 @@
 //! Aimed faults on a `Database`: a failing directory sync surfaces as an
-//! error and loses nothing committed; a flipped bit in the log is a
-//! shorter recovery or a typed error, never a panic.
+//! error and loses nothing committed; so does a failing group-commit
+//! write, whose images the next commit logs again; a flipped bit in the
+//! log is a shorter recovery or a typed error, never a panic.
 
 use pagestore::{Database, DurabilityOptions, StoreError, TableSpec, Vfs};
 use sim::{CrashModel, Fault, Op, SimVfs};
@@ -126,6 +127,106 @@ fn a_flipped_bit_in_the_log_recovers_a_prefix_or_fails_typed() {
         }
     }
     assert!(recovered > 0, "{refused} refused, none recovered");
+}
+
+/// The image frames of the log at `fs`'s store behind LSN `after`.
+fn images_after(fs: &SimVfs, after: u64) -> Vec<Vec<u8>> {
+    let log = Path::new(DIR).join(pagestore::WAL_FILE);
+    let shipped = pagestore::wal::read_after(fs, &log, after, usize::MAX).unwrap();
+    let (mut frames, mut rest) = (Vec::new(), &shipped.frames[..]);
+    while !rest.is_empty() {
+        let len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
+        let (frame, tail) = rest.split_at(pagestore::wal::FRAME_HDR + len);
+        // A payload opens with its kind: 1 is a page image.
+        if frame[pagestore::wal::FRAME_HDR] == 1 {
+            frames.push(frame.to_vec());
+        }
+        rest = tail;
+    }
+    frames
+}
+
+#[test]
+fn a_failed_group_commit_write_is_an_error_and_every_image_is_logged_again() {
+    let opts = DurabilityOptions {
+        group_commit: 4,
+        ..opts()
+    };
+    let insert = |db: &Database, rows: std::ops::Range<u64>| {
+        let t = db.table("ev").unwrap();
+        for i in rows {
+            let h = i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40;
+            t.insert(&[(h % 977) as f64, i as f64]).unwrap();
+        }
+    };
+    // Twin stores: three groups of four commits (300 rows) go through,
+    // then 900 rows, a few pages of them, and the four commits of a fourth
+    // group, whose write of its images `fault`, if any, fails.
+    let run = |fault: Option<Fault>| {
+        let fs = SimVfs::new(9);
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let db = Database::create_in(vfs, Path::new(DIR), 64, opts.clone()).unwrap();
+        db.create_table(TableSpec::new("ev", &["a", "b"])).unwrap();
+        db.create_index("ev", "by_a", &["a"]).unwrap();
+        for n in (25..=300).step_by(25) {
+            insert(&db, n - 25..n);
+            db.commit(format!("{n}").as_bytes()).unwrap();
+        }
+        let good = db.wal().unwrap().next_lsn() - 1;
+        let committed = rows(&db);
+        insert(&db, 300..1200);
+        for _ in 0..3 {
+            db.commit(b"1200").unwrap();
+        }
+        let writes = || [fs.count(Op::WriteAt, ""), fs.count(Op::WriteAt, "wal.log")];
+        let before = writes();
+        if let Some(fault) = fault {
+            fs.fail_nth(Op::WriteAt, 0, fault);
+        }
+        let done = db.commit(b"1200");
+        let after = writes();
+        let made = [after[0] - before[0], after[1] - before[1]];
+        (fs, db, good, committed, done, made)
+    };
+    let (reference, db, good, _, done, _) = run(None);
+    done.unwrap();
+    let logged = images_after(&reference, good);
+    assert!(logged.len() > 1, "the group logs {} images", logged.len());
+    drop(db);
+    for fault in [Fault::Eio, Fault::Short] {
+        let (fs, db, lsn, committed, done, writes) = run(Some(fault));
+        assert_eq!(lsn, good);
+        match done {
+            Err(StoreError::Io(_)) => {}
+            other => panic!("{fault:?}: the commit returned {other:?}"),
+        }
+        // The failed write was the group's one write, of its images.
+        assert_eq!(writes, [1, 1], "{fault:?}");
+        // A crash now keeps the last successful commit.
+        let recovers_to = |fs: &SimVfs, rows_then: &[[u64; 2]], at: &str| {
+            for seed in 0..6 {
+                let fork = fs.fork();
+                fork.crash(seed, CrashModel::PowerLoss);
+                let db = reopen(&fork).unwrap_or_else(|e| panic!("{fault:?}, {at}: {e}"));
+                assert!(rows(&db) == rows_then, "{fault:?}, {at}, crash seed {seed}");
+            }
+        };
+        recovers_to(&fs, &committed, "after the failed commit");
+        // The next group commit logs every image of the failed group
+        // again, byte for byte as the twin logged them.
+        for _ in 0..4 {
+            db.commit(b"1200").unwrap();
+        }
+        assert!(
+            images_after(&fs, good) == logged,
+            "{fault:?}: the next group commit logged {} of the {} images",
+            images_after(&fs, good).len(),
+            logged.len()
+        );
+        let committed = rows(&db);
+        assert_eq!(committed.len(), 1200);
+        recovers_to(&fs, &committed, "after the next commit");
+    }
 }
 
 #[test]
