@@ -1017,7 +1017,7 @@ fn alerts(url: &str, json: bool) -> Result<(), Anyhow> {
     for r in rules {
         let f = |k: &str| r.get(k).and_then(Json::as_f64).unwrap_or(f64::NAN);
         println!(
-            "  {:<20} {:<5} on {:<28} V={:<8} T={:.0}s  epsilon={} scale={}",
+            "  {:<20} {:<5} on {:<28} V={:<8} T={:.0}s  epsilon={} scale={} transform={}",
             r.get("name").and_then(Json::as_str).unwrap_or("?"),
             r.get("kind").and_then(Json::as_str).unwrap_or("?"),
             r.get("metric").and_then(Json::as_str).unwrap_or("?"),
@@ -1025,6 +1025,7 @@ fn alerts(url: &str, json: bool) -> Result<(), Anyhow> {
             f("t_seconds"),
             f("epsilon"),
             f("scale"),
+            r.get("transform").and_then(Json::as_str).unwrap_or("?"),
         );
     }
     let alerts = doc.get("alerts").and_then(Json::as_array).unwrap_or(&empty);

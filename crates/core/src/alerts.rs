@@ -55,6 +55,37 @@ pub struct AlertRule {
     /// (e.g. `1e-6` renders nanosecond latencies in milliseconds, so
     /// `v` and `epsilon` read naturally).
     pub scale: f64,
+    /// What is segmented and searched: the scaled values, or their log.
+    pub transform: Transform,
+}
+
+/// The map from a rule's scaled series value to the value it searches.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Transform {
+    /// The scaled value itself: `V` and `ε` are in scaled units.
+    #[default]
+    Linear,
+    /// `ln(max(value, 1))`, the floor keeping an idle series finite: `V`
+    /// is a ratio's log, so `V = ln 0.5` finds every halving within `T`
+    /// at any level, and a hit is a fall to at most `e^(V + 2ε)`.
+    Ln,
+}
+
+impl Transform {
+    fn apply(self, value: f64) -> f64 {
+        match self {
+            Transform::Linear => value,
+            Transform::Ln => value.max(1.0).ln(),
+        }
+    }
+
+    /// The name the rules grammar gives it.
+    pub fn name(self) -> &'static str {
+        match self {
+            Transform::Linear => "linear",
+            Transform::Ln => "ln",
+        }
+    }
 }
 
 impl AlertRule {
@@ -102,6 +133,7 @@ impl AlertRuleSet {
     /// t_seconds = 60.0
     /// epsilon = 8.0
     /// scale = 1e-6                    # optional, default 1.0
+    /// transform = "ln"                # optional: search ln(max(value, 1))
     /// ```
     ///
     /// Anything else (tables, arrays, multi-line strings) is rejected.
@@ -127,6 +159,7 @@ impl AlertRuleSet {
                     t_seconds: f64::NAN,
                     epsilon: 0.0,
                     scale: 1.0,
+                    transform: Transform::Linear,
                 });
                 continue;
             }
@@ -149,6 +182,13 @@ impl AlertRuleSet {
                 "t_seconds" => rule.t_seconds = parse_number(value).map_err(err)?,
                 "epsilon" => rule.epsilon = parse_number(value).map_err(err)?,
                 "scale" => rule.scale = parse_number(value).map_err(err)?,
+                "transform" => {
+                    rule.transform = match parse_string(value).map_err(err)?.as_str() {
+                        "linear" => Transform::Linear,
+                        "ln" => Transform::Ln,
+                        other => return Err(err(format!("unknown transform '{other}'"))),
+                    }
+                }
                 other => return Err(err(format!("unknown key '{other}'"))),
             }
         }
@@ -180,19 +220,23 @@ impl AlertRuleSet {
                     t_seconds: 60.0,
                     epsilon: 8.0,
                     scale: 1e-6,
+                    transform: Transform::Linear,
                 },
-                // Thresholds sized against the measured clean baseline
-                // (~5.5k qps on the alert-smoke workload, with noise
-                // between sampling intervals of a few hundred qps): the
-                // rule must catch a collapse, not closed-loop jitter.
+                // A fall to a tenth within 60 s, on the rate's log, so the
+                // rule means the same at any query rate. Clean runs fall
+                // by up to ln-units 1.01 (to 36 %) within 60 s and the
+                // latency fault by ≈ 6; a hit holds a fall of at least
+                // 2.3 − 2·0.25 = 1.8 (EXPERIMENTS.md, "Query-rate alert
+                // on ln(rate)").
                 AlertRule {
                     name: "query-rate-drop".to_string(),
                     metric: "server.queries.rate".to_string(),
                     kind: SearchKind::Drop,
-                    v: -2000.0,
+                    v: -2.3,
                     t_seconds: 60.0,
-                    epsilon: 500.0,
+                    epsilon: 0.25,
                     scale: 1.0,
+                    transform: Transform::Ln,
                 },
             ],
         }
@@ -395,6 +439,7 @@ impl AlertEngine {
                 if !v.is_finite() {
                     continue;
                 }
+                let v = state.rule.transform.apply(v);
                 if let Some(seg) = state.segmenter.push(t, v) {
                     state.extractor.push_segment(seg, &mut rows);
                 }
@@ -546,6 +591,7 @@ epsilon = 50.0
                 t_seconds,
                 epsilon,
                 scale: 1.0,
+                transform: Transform::Linear,
             }],
         }
     }
@@ -687,6 +733,67 @@ epsilon = 50.0
             .map(|(_, a)| [a.t_d, a.t_b].map(f64::to_bits))
             .collect();
         assert_eq!(pairs.len(), fired.len(), "a pair fired twice: {fired:?}");
+    }
+
+    /// The shipped rate rule alone.
+    fn rate_rule() -> AlertEngine {
+        let mut rules = AlertRuleSet::defaults();
+        rules.rules.retain(|r| r.name == "query-rate-drop");
+        assert_eq!(rules.rules[0].transform, Transform::Ln);
+        AlertEngine::new(rules, 64)
+    }
+
+    /// Feeds 60 s at `level` q/s, then `shape(s)` times it for the `s`
+    /// seconds after, at 4 samples a second with ±5 % jitter; returns the
+    /// alerts fired.
+    fn feed_rate(level: f64, shape: impl Fn(f64) -> f64) -> Vec<Alert> {
+        let (store, engine) = (SeriesStore::new(4096), rate_rule());
+        let mut fired = Vec::new();
+        for i in 0..4 * 180u64 {
+            let s = i as f64 / 4.0 - 60.0;
+            let jitter = [1.0, 1.05, 0.97, 0.95, 1.02][i as usize % 5];
+            let rate = level * jitter * if s < 0.0 { 1.0 } else { shape(s) };
+            store.push("server.queries.rate", i * 250, rate);
+            fired.extend(engine.tick(&store, i * 250));
+        }
+        fired
+    }
+
+    /// The rate rule is relative: a collapse to a tenth within 60 s fires
+    /// at 5 k and at 20 k q/s, a step or a ramp; a fall to the clean runs'
+    /// worst (36 %), a halving held a minute and a 30 % dip fire at
+    /// neither; an idle server (rate 0, floored at 1) stays finite.
+    #[test]
+    fn the_rate_rule_fires_on_a_collapse_at_any_level() {
+        for level in [5_000.0, 20_000.0] {
+            let step = |f: f64| move |_: f64| f;
+            let ramp = |f: f64| move |s: f64| 1.0 - (1.0 - f) * (s / 30.0).min(1.0);
+            for (what, fired) in [
+                ("step to a tenth", feed_rate(level, step(0.1))),
+                ("ramp to a tenth", feed_rate(level, ramp(0.1))),
+                ("step to idle", feed_rate(level, step(0.0))),
+            ] {
+                assert!(!fired.is_empty(), "{level} q/s, {what}: nothing fired");
+                assert!(fired.iter().all(|a| a.dv <= -1.8), "{what}: {fired:?}");
+            }
+            let dip = |f: f64| move |s: f64| if s < 5.0 { f } else { 1.0 };
+            for (what, fired) in [
+                ("clean runs' worst fall", feed_rate(level, dip(0.36))),
+                ("halving", feed_rate(level, step(0.5))),
+                ("30 % dip", feed_rate(level, dip(0.7))),
+            ] {
+                assert!(fired.is_empty(), "{level} q/s, {what}: {fired:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn parses_a_transform() {
+        let ln = AlertRuleSet::parse(&format!("{RULES}transform = \"ln\"\n")).expect("parses");
+        assert_eq!(ln.rules[0].transform, Transform::Linear, "default");
+        assert_eq!(ln.rules[1].transform, Transform::Ln);
+        let bad = AlertRuleSet::parse(&format!("{RULES}transform = \"log2\"\n"));
+        assert!(bad.is_err(), "unknown transform");
     }
 
     #[test]

@@ -183,11 +183,11 @@ impl Database {
         opts: DurabilityOptions,
     ) -> Result<Arc<Self>> {
         let wal_exists = vfs.exists(&dir.join(WAL_FILE))?;
-        let report = if wal_exists {
-            Some(recovery::recover(&*vfs, dir, opts.sync)?)
-        } else {
-            None
-        };
+        // One walk of the log: recovery's, which also finds where the log
+        // opens for appending.
+        let (report, log_end) = (wal_exists.then(|| recovery::recover(&*vfs, dir, opts.sync)))
+            .transpose()?
+            .unzip();
         let wal_mode = wal_exists || opts.wal;
 
         let text = match vfs.read(&dir.join(CATALOG)) {
@@ -202,8 +202,8 @@ impl Database {
         let mut db = Self::new(Arc::clone(&vfs), dir, pool_pages, opts, report);
         // Attached first, so that a tree page a rebuild below evicts marks
         // the log unclean before it reaches its file.
-        if wal_exists {
-            db.attach(Wal::open(Arc::clone(&vfs), dir, db.opts.sync)?);
+        if let Some(end) = log_end {
+            db.attach(Wal::open_at(Arc::clone(&vfs), dir, end, db.opts.sync)?);
         }
         let mut indexes = Vec::new();
         for line in text.lines() {

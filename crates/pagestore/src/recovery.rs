@@ -1,16 +1,18 @@
 //! Crash recovery: log replay and logical truncation to the last commit.
 //!
-//! [`recover`] runs at raw-file level, before any [`crate::Database`]
-//! structure is built, and restores the directory to the state of the
-//! last durable commit point:
+//! `recover` runs at raw-file level, inside [`crate::Database::open`]
+//! before any of its structure is built, and restores the directory to
+//! the state of the last durable commit point:
 //!
-//! 1. **Scan** `wal.log`, stopping at the first torn or garbled record
-//!    (bad magic / bad CRC / short frame). The log always begins with a
-//!    checkpoint, so a log that is *only* that checkpoint means the last
-//!    shutdown was clean and recovery is a no-op.
-//! 2. **Replay** every valid page image into its file (full after-images
-//!    are idempotent, so images past the last commit are harmless).
-//! 3. **Truncate logically** to the last commit's per-table row counts:
+//! 1. **Walk** `wal.log` once, up to the first torn or garbled record
+//!    (bad magic / bad CRC / short frame), replaying each page image into
+//!    its file as it is decoded (after-images are idempotent, so images
+//!    past the last commit are harmless) and keeping only the last commit
+//!    state. The log must begin with a checkpoint, which is checked before
+//!    anything is written; a log that is *only* that checkpoint means the
+//!    last shutdown was clean and there is nothing to replay. The walk
+//!    also finds where the log ends, and [`crate::Wal`] opens there.
+//! 2. **Truncate logically** to the last commit's per-table row counts:
 //!    chop each heap file to the committed page count, rewrite the
 //!    per-page slot counts, zero the uncommitted tail slots, and restore
 //!    the meta-page row count; a count of 0 cuts the heap to no page, as a
@@ -19,7 +21,7 @@
 //!    the sealed rows' columnar pages or among the positional raw pages
 //!    behind them. Tables created after the last commit are removed (file
 //!    + catalog line) — they never reached a durable state.
-//! 4. **Drop B+tree files.** Index pages are not WAL-logged; on an
+//! 3. **Drop B+tree files.** Index pages are not WAL-logged; on an
 //!    unclean shutdown every `*.idx` file is deleted and
 //!    [`crate::Database::open`] rebuilds it from the (recovered) heap via
 //!    the same bulk-load path that created it, which is deterministic.
@@ -32,14 +34,15 @@ use crate::colpage;
 use crate::db::CATALOG;
 use crate::error::Result;
 use crate::heap::{raw_rows_per_page, MAGIC as HEAP_MAGIC, PAGE_HDR, RELEASE_RULE};
-use crate::vfs::{write_atomic, Vfs};
-use crate::wal::{self, CommitState, Record, WAL_FILE};
+use crate::vfs::{write_atomic, Vfs, VfsFile};
+use crate::wal::{self, CommitState, LogEnd, Record, WAL_FILE};
 use crate::{StoreError, PAGE_SIZE};
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeSet, HashMap};
 use std::io::ErrorKind;
 use std::path::Path;
 
-/// What [`recover`] did, surfaced through
+/// What recovery did, surfaced through
 /// [`crate::Database::recovery_report`] and `segdiff recover`.
 #[derive(Debug, Clone, Default)]
 pub struct RecoveryReport {
@@ -70,74 +73,72 @@ pub struct RecoveryReport {
 /// Recovers the database directory `dir` of `vfs` to its last commit
 /// point; `sync` is the fsync discipline of the catalog rewrite that drops
 /// uncommitted tables. Call only when `dir/wal.log` exists; a clean log
-/// is a cheap no-op. Nothing recovery writes is synced here: the
+/// is a cheap no-op. Returns what it did and where the log ends, which
+/// the log opens at. Nothing recovery writes is synced here: the
 /// checkpoint [`crate::Database::open`] takes after an unclean recovery
 /// syncs the files it repaired and the directory entries it removed.
-pub fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<RecoveryReport> {
-    let scan = wal::scan(vfs, &dir.join(WAL_FILE))?;
+pub(crate) fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<(RecoveryReport, LogEnd)> {
+    let (mut committed, mut checkpoint_lsn, mut replayed_pages) = (None, 0, 0);
+    let mut replayed: HashMap<String, Replayed> = HashMap::new();
+    // One page buffer for every image: its used bytes, then zeros.
+    let mut page = vec![0u8; PAGE_SIZE];
+    let log = wal::read_log(vfs, &dir.join(WAL_FILE))?;
+    let end = wal::walk(&log, |_, lsn, rec| {
+        if committed.is_none() {
+            // Checked before anything is written.
+            let Record::Checkpoint(_) = rec else {
+                return Err(not_a_checkpoint());
+            };
+            checkpoint_lsn = lsn;
+        }
+        match rec {
+            Record::PageImage { file, pid, used } => {
+                let into = match replayed.entry(file.to_owned()) {
+                    Entry::Occupied(into) => into.into_mut(),
+                    Entry::Vacant(new) => new.insert(Replayed::open(vfs, &dir.join(file))?),
+                };
+                let pid = u64::from(pid);
+                if pid >= into.pages_before {
+                    into.written_past.insert(pid);
+                }
+                page[..used.len()].copy_from_slice(used);
+                page[used.len()..].fill(0);
+                into.file.write_at(&page, pid * PAGE_SIZE as u64)?;
+                replayed_pages += 1;
+            }
+            Record::Commit(state) | Record::Checkpoint(state) => committed = Some(state),
+        }
+        Ok(())
+    })?;
+    let committed = committed.ok_or_else(not_a_checkpoint)?;
     let mut report = RecoveryReport {
-        torn_bytes: scan.torn_bytes,
-        scanned_records: scan.records.len() as u64,
+        clean: end.clean.is_some() && end.torn_bytes == 0,
+        scanned_records: end.records,
+        replayed_pages,
+        torn_bytes: end.torn_bytes,
+        last_lsn: end.last_lsn,
+        checkpoint_lsn,
+        committed,
         ..RecoveryReport::default()
     };
-    let Some((first_lsn, Record::Checkpoint(_))) = scan.records.first() else {
-        return Err(StoreError::Corrupt(
-            "wal.log does not begin with a valid checkpoint record".into(),
-        ));
-    };
-    report.checkpoint_lsn = *first_lsn;
-    report.last_lsn = scan.records.last().map(|(l, _)| *l).unwrap_or(0);
-
-    // Committed state: the last commit or checkpoint in the valid prefix.
-    let committed = scan
-        .records
-        .iter()
-        .rev()
-        .find_map(|(_, r)| match r {
-            Record::Commit(s) | Record::Checkpoint(s) => Some(s.clone()),
-            _ => None,
-        })
-        .ok_or_else(|| StoreError::Corrupt("wal holds no checkpoint or commit record".into()))?;
-    report.committed = committed;
-
-    if scan.records.len() == 1 && scan.torn_bytes == 0 {
-        report.clean = true;
-        return Ok(report);
+    if report.clean {
+        return Ok((report, end));
     }
-
-    // Unclean shutdown: replay all valid page images in log order.
     obs::global().counter("recovery.runs").inc();
-    let replayed = obs::global().counter("wal.replayed_records");
-    for (_, rec) in &scan.records {
-        if let Record::PageImage { file, pid, image } = rec {
-            // A file whose creation a crash lost is made again; a write
-            // past its end zero-fills the gap its lost allocations left.
-            let path = dir.join(file);
-            let f = match vfs.open(&path) {
-                Err(e) if e.kind() == ErrorKind::NotFound => vfs.create(&path)?,
-                open => open?,
-            };
-            f.write_at(image.as_slice(), *pid as u64 * PAGE_SIZE as u64)?;
-            report.replayed_pages += 1;
-        }
-        replayed.inc();
-    }
+    obs::global()
+        .counter("wal.replayed_records")
+        .add(end.records);
 
     // Logical truncation of every committed heap, then removal of
     // anything that never reached a commit.
-    let committed_names: HashSet<&str> = report
-        .committed
-        .tables
-        .iter()
-        .map(|(n, _)| n.as_str())
-        .collect();
     for (name, nrows) in &report.committed.tables {
-        let path = dir.join(format!("{name}.tbl"));
-        report.truncated_rows += truncate_heap(vfs, &path, *nrows)?;
+        let file = format!("{name}.tbl");
+        let rows = truncate_heap(vfs, &dir.join(&file), *nrows, replayed.get(&file))?;
+        report.truncated_rows += rows;
     }
     for fname in vfs.list(dir)? {
         if let Some(stem) = fname.strip_suffix(".tbl") {
-            if !committed_names.contains(stem) {
+            if !report.committed.tables.iter().any(|(name, _)| name == stem) {
                 vfs.remove_file(&dir.join(&fname))?;
                 report.pruned_tables.push(stem.to_string());
             }
@@ -147,7 +148,37 @@ pub fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<RecoveryReport> 
         }
     }
     prune_catalog(vfs, dir, &report.pruned_tables, sync)?;
-    Ok(report)
+    Ok((report, end))
+}
+
+/// A file recovery replays images into: its handle, its length in pages
+/// before replay, and the pages replay wrote at or past that length. A gap
+/// between those reads as zeros.
+struct Replayed {
+    file: Box<dyn VfsFile>,
+    pages_before: u64,
+    written_past: BTreeSet<u64>,
+}
+
+impl Replayed {
+    /// Opens the file at `path`; one whose creation a crash lost is made
+    /// again (a write past its end zero-fills the gap its lost
+    /// allocations left).
+    fn open(vfs: &dyn Vfs, path: &Path) -> Result<Replayed> {
+        let file = match vfs.open(path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => vfs.create(path)?,
+            open => open?,
+        };
+        Ok(Replayed {
+            pages_before: file.len()?.div_ceil(PAGE_SIZE as u64),
+            file,
+            written_past: BTreeSet::new(),
+        })
+    }
+}
+
+fn not_a_checkpoint() -> StoreError {
+    StoreError::Corrupt("wal.log does not begin with a valid checkpoint record".into())
 }
 
 /// Truncates a heap file to exactly `nrows` committed rows: page count,
@@ -155,9 +186,14 @@ pub fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<RecoveryReport> 
 /// restored. A heap with no committed row owns no page, and is cut to
 /// none; one of no page (or a meta page of anything but a heap's) with a
 /// committed row lost it, and is corrupt, never an empty table. Returns
-/// how many uncommitted rows were discarded.
-fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64) -> Result<u64> {
-    let f = vfs.open(path)?;
+/// how many uncommitted rows were discarded. Of a file replay wrote past
+/// its end, only the pages replay wrote are read there: a gap holds no
+/// row, however far an image reached.
+fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64, replay: Option<&Replayed>) -> Result<u64> {
+    let f = vfs.open(path).map_err(|e| match e.kind() {
+        ErrorKind::NotFound => StoreError::Corrupt(format!("{}: no heap", path.display())),
+        _ => e.into(),
+    })?;
     let len = f.len()?;
     let mut page = vec![0u8; PAGE_SIZE];
     if len >= PAGE_SIZE as u64 {
@@ -191,12 +227,17 @@ fn truncate_heap(vfs: &dyn Vfs, path: &Path, nrows: u64) -> Result<u64> {
     // the sealed rows, whole; the rest count rows visible before
     // truncation (for the report).
     let (mut sealed, mut sealed_pages, mut observed) = (0u64, 0u64, 0u64);
-    let mut leading = true;
-    for pid in 1..old_pages {
+    let (mut leading, mut next) = (true, 1);
+    let (before, past) = replay.map_or((old_pages, None), |r| {
+        (r.pages_before, Some(r.written_past.range(1..)))
+    });
+    for pid in (1..before.min(old_pages)).chain(past.into_iter().flatten().copied()) {
         let mut hdr = [0u8; 4];
         f.read_at(&mut hdr, pid * PAGE_SIZE as u64)?;
         let n = u16::from_le_bytes([hdr[0], hdr[1]]) as u64;
-        leading &= colpage::is_colpage(&hdr);
+        // A gap's zero page would have ended the columnar run.
+        leading &= pid == next && colpage::is_colpage(&hdr);
+        next = pid + 1;
         observed += if leading { n } else { n.min(rpp) };
         if leading && sealed < nrows {
             if sealed + n > nrows {
@@ -246,17 +287,14 @@ fn prune_catalog(vfs: &dyn Vfs, dir: &Path, pruned: &[String], sync: bool) -> Re
         Err(e) if e.kind() == ErrorKind::NotFound => return Ok(()),
         read => String::from_utf8_lossy(&read?).into_owned(),
     };
-    let gone: HashSet<&str> = pruned.iter().map(|s| s.as_str()).collect();
     let kept: Vec<&str> = text
         .lines()
-        .filter(|line| {
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            match parts.as_slice() {
-                ["table", name, ..] => !gone.contains(name),
-                ["index", tname, ..] => !gone.contains(tname),
+        .filter(
+            |line| match line.split_whitespace().collect::<Vec<_>>()[..] {
+                ["table" | "index", table, ..] => !pruned.iter().any(|p| p == table),
                 _ => true,
-            }
-        })
+            },
+        )
         .collect();
     write_atomic(vfs, &dir.join(CATALOG), kept.join("\n").as_bytes(), sync)
 }
@@ -307,7 +345,7 @@ mod tests {
             blob: b"meta".to_vec(),
         };
         Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
-        let report = recover(&OsVfs, &dir, false).unwrap();
+        let (report, _) = recover(&OsVfs, &dir, false).unwrap();
         assert!(report.clean);
         assert_eq!(report.committed, state);
         assert_eq!(report.replayed_pages, 0);
@@ -330,7 +368,7 @@ mod tests {
         // counts (models a crash right after a commit).
         wal.append_commit(&state).unwrap();
         drop(wal);
-        let report = recover(&OsVfs, &dir, false).unwrap();
+        let (report, _) = recover(&OsVfs, &dir, false).unwrap();
         assert!(!report.clean);
         assert_eq!(report.truncated_rows, 31);
         let data = std::fs::read(&heap).unwrap();
@@ -372,7 +410,7 @@ mod tests {
         }
         std::fs::write(&heap, &bad).unwrap();
 
-        let report = recover(&OsVfs, &dir, false).unwrap();
+        let (report, _) = recover(&OsVfs, &dir, false).unwrap();
         assert_eq!(report.replayed_pages, 1);
         assert_eq!(report.dropped_indexes, 1);
         assert!(!dir.join("t.i.idx").exists());
@@ -398,7 +436,7 @@ mod tests {
         let wal = Wal::create(Arc::new(OsVfs), &dir, &state, false).unwrap();
         wal.append_commit(&state).unwrap();
         drop(wal);
-        let report = recover(&OsVfs, &dir, false).unwrap();
+        let (report, _) = recover(&OsVfs, &dir, false).unwrap();
         assert_eq!(report.pruned_tables, vec!["new".to_string()]);
         assert!(!dir.join("new.tbl").exists());
         let cat = std::fs::read_to_string(dir.join("catalog.txt")).unwrap();

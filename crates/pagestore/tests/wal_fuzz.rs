@@ -18,7 +18,10 @@
 )]
 
 use pagestore::wal::{crc32, read_after, FRAME_HDR};
-use pagestore::{CommitState, OsVfs, Wal, PAGE_SIZE, WAL_FILE};
+use pagestore::{
+    CommitState, Database, DurabilityOptions, OsVfs, StoreError, TableSpec, Wal, PAGE_SIZE,
+    WAL_FILE,
+};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -334,4 +337,129 @@ fn mutated_logs_yield_a_valid_prefix_and_never_panic() {
     assert!(whole > 10 && cut > 750, "whole {whole}, cut short {cut}");
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_dir_all(&sink).ok();
+}
+
+fn opts() -> DurabilityOptions {
+    DurabilityOptions {
+        wal: true,
+        sync: false,
+        group_commit: 1,
+        ..DurabilityOptions::default()
+    }
+}
+
+/// The files of a store whose process died after four commits: its
+/// catalogue and heaps as the disk held them (pages allocated, none
+/// flushed since the checkpoint) and a log of page images and commits.
+fn crashed_store(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let db = Database::create_in(Arc::new(OsVfs), dir, 8, opts()).unwrap();
+    let (a, b) = (
+        db.create_table(TableSpec::new("segments", &["t", "v"]))
+            .unwrap(),
+        db.create_table(TableSpec::new("drop1", &["a", "b", "c"]))
+            .unwrap(),
+    );
+    for i in 0..4 {
+        let rows = 100 + 300 * i;
+        let f = |k: u64| (k * 7 % 13) as f64;
+        a.insert_many(&(0..2 * rows).map(f).collect::<Vec<_>>())
+            .unwrap();
+        b.insert_many(&(0..3 * (rows / 5)).map(f).collect::<Vec<_>>())
+            .unwrap();
+        db.commit(format!("commit {i}").as_bytes()).unwrap();
+    }
+    let files = std::fs::read_dir(dir).unwrap().map(|e| {
+        let name = e.unwrap().file_name().into_string().unwrap();
+        let bytes = std::fs::read(dir.join(&name)).unwrap();
+        (name, bytes)
+    });
+    let files = files.collect();
+    drop(db);
+    files
+}
+
+/// Lays `files` out in `dir` with `log` as its log, opens the store and
+/// checks the contract: `Ok` or `Corrupt`, no panic, allocation bounded
+/// by the log.
+fn recover_from(files: &[(String, Vec<u8>)], log: &[u8], dir: &Path, what: &str) -> bool {
+    std::fs::remove_dir_all(dir).ok();
+    std::fs::create_dir_all(dir).unwrap();
+    for (name, bytes) in files {
+        std::fs::write(dir.join(name), bytes).unwrap();
+    }
+    std::fs::write(dir.join(WAL_FILE), log).unwrap();
+    let bound = 4 * log.len() + (64 << 10);
+    let (opened, peak) = peak_during(|| {
+        catch_unwind(AssertUnwindSafe(|| {
+            Database::open_in(Arc::new(OsVfs), dir, 8, opts()).map(drop)
+        }))
+        .unwrap_or_else(|_| panic!("Database::open_in panicked after {what}"))
+    });
+    assert!(
+        peak <= bound,
+        "Database::open_in held {peak} B of a {} B log after {what}",
+        log.len()
+    );
+    match opened {
+        Ok(()) => true,
+        Err(StoreError::Corrupt(_)) => false,
+        Err(e) => panic!("{what}: {e}"),
+    }
+}
+
+#[test]
+fn recovery_of_mutated_logs_is_ok_or_corrupt() {
+    let (store, dir) = (tmpdir("store"), tmpdir("recover"));
+    let files = crashed_store(&store);
+    let (names, logs): (Vec<_>, Vec<_>) = files.into_iter().partition(|(n, _)| n != WAL_FILE);
+    let log = &logs[0].1;
+    let starts = frame_starts(log);
+    assert!(starts.len() > 8, "{} frames", starts.len() - 1);
+    assert!(recover_from(&names, log, &dir, "nothing"));
+    for &b in &starts {
+        for cut in [b.saturating_sub(1), b, b + 1] {
+            let cut = cut.min(log.len());
+            recover_from(&names, &log[..cut], &dir, &format!("truncation at {cut}"));
+        }
+    }
+    let mut rng = XorShift(0x0BAD_5EED_1065);
+    let (mut opened, mut corrupt) = (0u32, 0u32);
+    for case in 0..if cfg!(miri) { 5 } else { 1_500 } {
+        let mut mutated = log.clone();
+        let what: Vec<String> = (0..1 + rng.below(3))
+            .map(|_| mutate(&mut mutated, &starts, &mut rng).1)
+            .collect();
+        match recover_from(&names, &mutated, &dir, &format!("case {case}: {what:?}")) {
+            true => opened += 1,
+            false => corrupt += 1,
+        }
+    }
+    assert!(
+        opened > 30 && corrupt > 0,
+        "opened {opened}, corrupt {corrupt}"
+    );
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn many_sparse_images_replay_in_bounded_memory() {
+    // Thousands of images of a few bytes each: a few dozen bytes a frame,
+    // a whole page each if recovery held them.
+    let (store, dir) = (tmpdir("sparse-store"), tmpdir("sparse"));
+    let files = crashed_store(&store);
+    let names: Vec<_> = files.into_iter().filter(|(n, _)| n != WAL_FILE).collect();
+    let state = CommitState::default();
+    let wal = Wal::create(Arc::new(OsVfs), &store, &state, false).unwrap();
+    let mut page = [0u8; PAGE_SIZE];
+    for i in 0..4000u32 {
+        page[..4].copy_from_slice(&i.to_le_bytes());
+        wal.append_images(&[("scratch.tbl", i % 4, &page)]).unwrap();
+    }
+    wal.append_commit(&state).unwrap();
+    let log = std::fs::read(store.join(WAL_FILE)).unwrap();
+    assert!(log.len() < 4000 * 64, "{} B", log.len());
+    assert!(recover_from(&names, &log, &dir, "4000 sparse images"));
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -450,6 +450,7 @@ impl Service {
                     ("t_seconds", Json::Float(r.t_seconds)),
                     ("epsilon", Json::Float(r.epsilon)),
                     ("scale", Json::Float(r.scale)),
+                    ("transform", Json::from(r.transform.name())),
                 ])
             })
             .collect();

@@ -3,7 +3,7 @@
 //! first rows behind a full compaction, the inside of a group commit.
 
 use crate::fs::{CrashModel, Op, SimVfs};
-use crate::schedule::{Schedule, Sim, Step};
+use crate::schedule::{Outcome, Schedule, Sim, Step};
 use pagestore::PAGE_SIZE;
 use pagestore::{Database, DurabilityOptions, Result as StoreResult, Table, TableSpec, Vfs};
 use segdiff::SegDiffConfig;
@@ -142,7 +142,7 @@ pub fn seal_steps(seed: u64, model: CrashModel, fills: &[usize]) -> Result<usize
         // the sixth new log.
         let renames: Vec<usize> = (0..trace.len()).filter(|&i| new_log(&trace[i])).collect();
         let end = renames.get(5).map_or(trace.len(), |&at| at + 2);
-        crashes += sim.crash_at(Step::Compact, &steps_of(&trace[..end]))?;
+        crashes += sim.crash_at(Step::Compact, &steps_of(&trace[..end]))?.len();
         sim.arm(i + 2, Step::Compact, None)?;
     }
     Ok(crashes)
@@ -193,7 +193,7 @@ pub fn first_rows_behind_a_seal(
         }
     }
     points.push(trace.len() as u64);
-    sim.crash_at(push, &points)
+    Ok(sim.crash_at(push, &points)?.len())
 }
 
 /// A crash in the gap between a compaction's two steps, on a store of
@@ -241,33 +241,37 @@ pub fn seal_then_cut(
 
 /// A crash at every step of a group commit, whose page images reach the
 /// log in one write: before that write; with it pending, which a power
-/// loss keeps, drops or tears at sectors; after the commit record; after
-/// the sync (when the store syncs). The push runs on the schedules of
-/// `seed` and `seed + 1`, so the pending write meets two crash seeds.
-/// Returns the crashes made.
+/// loss keeps, drops or tears at sectors, aimed twice so that it meets
+/// two crash seeds; after the commit record; after the sync (when the
+/// store syncs). Returns the crashes made.
 pub fn group_commit_steps(seed: u64, model: CrashModel) -> Result<usize, String> {
-    let mut crashes = 0;
-    for seed in [seed, seed + 1] {
-        let config = SegDiffConfig::default()
-            .with_pool_pages(256)
-            .with_group_commit(4);
-        let sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
-        let trace = sim.trace(Step::Push(60))?;
-        let on_log = |i: usize, call: Op| {
-            trace
-                .get(i)
-                .is_some_and(|(op, path)| *op == call && path.ends_with("wal.log"))
-        };
-        // A group commit is two writes to the log in a row, its images and
-        // its record, then the sync. (The first rows' heaps taking their
-        // first pages mark the log unclean before: one record and its
-        // sync.)
-        let first = (0..trace.len())
-            .find(|&i| on_log(i, Op::WriteAt) && on_log(i + 1, Op::WriteAt))
-            .ok_or(format!("seed {seed}: no group commit in 60 samples"))?;
-        let end = first + 2 + usize::from(on_log(first + 2, Op::Sync));
-        let points: Vec<u64> = (first..=end).map(|i| i as u64).collect();
-        crashes += sim.crash_at(Step::Push(60), &points)?;
+    let config = SegDiffConfig::default()
+        .with_pool_pages(256)
+        .with_group_commit(4);
+    let sim = Sim::with_config(&Schedule::new(seed, model, 0), config)?;
+    let trace = sim.trace(Step::Push(60))?;
+    let on_log = |i: usize, call: Op| {
+        trace
+            .get(i)
+            .is_some_and(|(op, path)| *op == call && path.ends_with("wal.log"))
+    };
+    // A group commit is two writes to the log in a row, its images and
+    // its record, then the sync. (The first rows' heaps taking their
+    // first pages mark the log unclean before: one record and its
+    // sync.)
+    let first = (0..trace.len())
+        .find(|&i| on_log(i, Op::WriteAt) && on_log(i + 1, Op::WriteAt))
+        .ok_or(format!("seed {seed}: no group commit in 60 samples"))?;
+    let end = first + 2 + usize::from(on_log(first + 2, Op::Sync));
+    let mut points: Vec<u64> = (first..=end).map(|i| i as u64).collect();
+    points.insert(1, first as u64 + 1);
+    let runs = sim.crash_at(Step::Push(60), &points)?;
+    let crash = |run: &Outcome| run.log.iter().find(|l| l.starts_with("  crash ")).cloned();
+    if crash(&runs[1]) == crash(&runs[2]) {
+        return Err(format!(
+            "seed {seed}: the pending write's two aims crashed alike: {:?}",
+            crash(&runs[1])
+        ));
     }
-    Ok(crashes)
+    Ok(runs.len())
 }

@@ -207,13 +207,19 @@ impl Sim {
 
     /// Crashes `step` at each of `points` (changing calls let through
     /// first), each time on a fresh fork, reopening and checking the store
-    /// after; returns the crashes made.
-    pub fn crash_at(&self, step: Step, points: &[u64]) -> Result<usize, String> {
+    /// after; returns what each fork did. Fork `i` draws from a generator
+    /// of its own, seeded from this runner's state and `i`, so two points
+    /// (or one point aimed twice) crash with different seeds.
+    pub fn crash_at(&self, step: Step, points: &[u64]) -> Result<Vec<Outcome>, String> {
+        let base: u64 = self.rng.clone().random();
+        let mut outcomes = Vec::with_capacity(points.len());
         for (i, &k) in points.iter().enumerate() {
             let mut run = self.fork()?;
+            run.rng = StdRng::seed_from_u64(base.wrapping_add(i as u64));
             run.arm(i, step, Some(k)).map_err(|e| run.failure(&e))?;
+            outcomes.push(run.outcome);
         }
-        Ok(points.len())
+        Ok(outcomes)
     }
 
     fn draw(&mut self) -> Step {
