@@ -677,7 +677,7 @@ pub(crate) fn key_cmp(a: &[u8], b: &[u8]) -> std::cmp::Ordering {
 /// How many of the `n` sorted entries in `entries` (`esz` bytes each, the
 /// `kw`-byte key first) come before the first one whose key `before`
 /// rejects.
-pub(crate) fn partition_point(
+fn partition_point(
     entries: &[u8],
     n: usize,
     esz: usize,

@@ -259,8 +259,13 @@ impl BufferPool {
         self.files.read()[fid as usize].file.path().to_path_buf()
     }
 
-    /// Appends a zeroed page to file `fid` and returns its id. The page is
-    /// installed in the pool as a clean frame (no physical read needed).
+    /// Appends a page of zeros to file `fid` and returns its id. Nothing
+    /// is written: the page is installed in the pool as a *dirty* frame
+    /// of zeros, so its first write-back — a flush, a checkpoint or an
+    /// eviction, whether or not the caller wrote it first — puts it in
+    /// the file, and no page below the file's count is ever read past the
+    /// file's end. The frame is found (a dirty victim written back) before
+    /// the count advances, so an eviction that fails allocates nothing.
     ///
     /// The first page of a logged file is its meta page, and a meta page of
     /// zeros does not open: before a logged file that owns no page takes
@@ -277,12 +282,14 @@ impl BufferPool {
             wal.mark_unclean()?;
         }
         let files = self.files.read();
-        let pid = files[fid as usize].file.allocate()?;
+        let file = &files[fid as usize].file;
         let mut table = self.frames.lock();
-        table.stats.physical_writes += 1; // the zero-fill write
-        self.metrics.physical_writes.inc();
-        let frame = self.frame_for(&mut table, &files, wal.as_ref(), fid, pid, false)?;
-        *table.frames[frame].buf.bytes_mut() = [0u8; PAGE_SIZE];
+        let next = file.num_pages();
+        let i = self.frame_for(&mut table, &files, wal.as_ref(), fid, next, false)?;
+        let pid = file.allocate()?;
+        let frame = &mut table.frames[i];
+        *frame.buf.bytes_mut() = [0u8; PAGE_SIZE];
+        (frame.dirty, frame.logged) = (true, false);
         Ok(pid)
     }
 
@@ -513,7 +520,8 @@ impl BufferPool {
     /// Returns the frame index holding `(fid, pid)`, loading (and possibly
     /// evicting) as needed. `load` controls whether a miss reads the page
     /// from disk (true) or leaves the frame contents unspecified for the
-    /// caller to overwrite (false, used by `allocate_page`).
+    /// caller to overwrite (false, used by `allocate_page`, whose page the
+    /// file does not hold yet).
     fn frame_for(
         &self,
         table: &mut FrameTable,

@@ -3,8 +3,8 @@
 use crate::error::Result;
 use crate::vfs::{Vfs, VfsFile};
 use crate::{StoreError, PAGE_SIZE};
-use parking_lot::Mutex;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// Identifier of a page within one [`PageFile`].
 pub type PageId = u32;
@@ -19,12 +19,19 @@ pub type FileId = u32;
 /// [`Vfs`] the file was opened in: one call a page, and no file cursor to
 /// share, so transfers of different pages need no lock (the pool's frame
 /// lock serializes those of one page).
+///
+/// Allocation writes nothing: it advances the page count, and a page
+/// reaches the file at its first [`PageFile::write_page`]. The file's
+/// length is therefore its highest written page + 1, and a page it skips
+/// reads as zeros. A page below the count that was never written lies
+/// past the file's end, so it is written before it is read: the pool
+/// installs every page it allocates as a dirty page of zeros.
 #[derive(Debug)]
 pub struct PageFile {
     file: Box<dyn VfsFile>,
     path: PathBuf,
-    /// Pages allocated; its lock serializes allocation.
-    pages: Mutex<u32>,
+    /// Pages allocated.
+    pages: AtomicU32,
 }
 
 impl PageFile {
@@ -33,27 +40,28 @@ impl PageFile {
         Ok(Self {
             file: vfs.create(path)?,
             path: path.to_path_buf(),
-            pages: Mutex::new(0),
+            pages: AtomicU32::new(0),
         })
     }
 
-    /// Opens an existing page file. A partial page at its end is the
-    /// allocation of a page a crash cut short — a write nothing synced,
-    /// so nothing committed — and is not counted: the next
-    /// [`PageFile::allocate`] writes over it.
+    /// Opens an existing page file; its page count is its length in whole
+    /// pages. A partial page at its end is a page's first write that a
+    /// crash cut short — a write nothing synced, so nothing the last
+    /// checkpoint holds, and one the log has the image of if a commit
+    /// holds it — and is not counted: the page's next write covers it.
     pub fn open(vfs: &dyn Vfs, path: &Path) -> Result<Self> {
         let file = vfs.open(path)?;
         let len = file.len()?;
         Ok(Self {
             file,
             path: path.to_path_buf(),
-            pages: Mutex::new((len / PAGE_SIZE as u64) as u32),
+            pages: AtomicU32::new((len / PAGE_SIZE as u64) as u32),
         })
     }
 
     /// Number of allocated pages.
     pub fn num_pages(&self) -> u32 {
-        *self.pages.lock()
+        self.pages.load(Ordering::Acquire)
     }
 
     /// Total size on disk in bytes.
@@ -66,14 +74,18 @@ impl PageFile {
         &self.path
     }
 
-    /// Appends a zeroed page and returns its id.
+    /// Appends a page to the count and returns its id. No I/O: the page
+    /// reaches the file at its first [`PageFile::write_page`], which must
+    /// come before any [`PageFile::read_page`] of it.
     pub fn allocate(&self) -> Result<PageId> {
-        let mut pages = self.pages.lock();
-        let id = *pages;
-        self.file
-            .write_at(&[0u8; PAGE_SIZE], id as u64 * PAGE_SIZE as u64)?;
-        *pages += 1;
-        Ok(id)
+        self.pages
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| n.checked_add(1))
+            .map_err(|n| {
+                StoreError::InvalidArgument(format!(
+                    "{} holds {n} pages, the most a page file can",
+                    self.path.display()
+                ))
+            })
     }
 
     /// The byte offset of page `id`, which the file must hold.
@@ -170,13 +182,36 @@ mod tests {
         let f = PageFile::open(&OsVfs, &p).unwrap();
         assert_eq!(f.num_pages(), 1);
         assert_eq!(f.allocate().unwrap(), 1);
+        // Allocation wrote nothing; the page's first write covers the tear.
+        assert_eq!(std::fs::read(&p).unwrap().len(), PAGE_SIZE + 13);
+        let mut page = [0u8; PAGE_SIZE];
+        page[PAGE_SIZE - 1] = 5;
+        f.write_page(1, &page).unwrap();
         assert_eq!(std::fs::read(&p).unwrap().len(), 2 * PAGE_SIZE);
-        let mut page = [9u8; PAGE_SIZE];
-        f.read_page(1, &mut page).unwrap();
-        assert!(
-            page.iter().all(|&b| b == 0),
-            "the torn page was written over"
+        let mut back = [9u8; PAGE_SIZE];
+        f.read_page(1, &mut back).unwrap();
+        assert!(back == page, "the torn page was written over");
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn allocation_writes_nothing_and_a_skipped_page_reads_as_zeros() {
+        let p = tmp("holes");
+        let f = PageFile::create(&OsVfs, &p).unwrap();
+        assert_eq!(
+            (0..3).map(|_| f.allocate().unwrap()).collect::<Vec<_>>(),
+            [0, 1, 2]
         );
+        assert_eq!((f.num_pages(), f.size_bytes()), (3, 3 * PAGE_SIZE as u64));
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), 0);
+        let mut page = [0u8; PAGE_SIZE];
+        // Past the file's end until something writes it.
+        assert!(f.read_page(0, &mut page).is_err());
+        page[0] = 7;
+        f.write_page(1, &page).unwrap();
+        assert_eq!(std::fs::metadata(&p).unwrap().len(), 2 * PAGE_SIZE as u64);
+        f.read_page(0, &mut page).unwrap();
+        assert!(page.iter().all(|&b| b == 0), "a hole reads as zeros");
         std::fs::remove_file(&p).ok();
     }
 }

@@ -95,9 +95,17 @@ pub(crate) fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<(Recovery
             Record::PageImage { file, pid, used } => {
                 let into = match replayed.entry(file.to_owned()) {
                     Entry::Occupied(into) => into.into_mut(),
-                    Entry::Vacant(new) => new.insert(Replayed::open(vfs, &dir.join(file))?),
+                    Entry::Vacant(new) => new.insert(Replayed::open(vfs, dir, file, log.len())?),
                 };
                 let pid = u64::from(pid);
+                if pid >= into.bound {
+                    return Err(StoreError::Corrupt(format!(
+                        "{WAL_FILE}: an image of page {pid} of {file}, which with {} pages \
+                         before replay can have no page past {}",
+                        into.pages_before,
+                        into.bound - 1
+                    )));
+                }
                 if pid >= into.pages_before {
                     into.written_past.insert(pid);
                 }
@@ -152,26 +160,44 @@ pub(crate) fn recover(vfs: &dyn Vfs, dir: &Path, sync: bool) -> Result<(Recovery
 }
 
 /// A file recovery replays images into: its handle, its length in pages
-/// before replay, and the pages replay wrote at or past that length. A gap
-/// between those reads as zeros.
+/// before replay, the first page no image of it can name, and the pages
+/// replay wrote at or past that length. A gap between those reads as
+/// zeros.
+///
+/// The bound: a checkpoint writes every allocated page back, so a logged
+/// file's pages past its length at open are pages it took since, and a
+/// page reaches the log before its file (every dirty page at a commit or
+/// a flush, its own at an eviction). An image names a page below that
+/// length plus the pages the log holds images of — give or take pages
+/// still only in the pool when an eviction logged a later one. The bound
+/// counts every image frame the log's bytes could hold at the shortest a
+/// frame can be, a few dozen bytes where an image of a page of rows takes
+/// up to 4 KiB, which leaves room for those. A page past it is a garbled
+/// record: replaying it would make a sparse file as large as its page id
+/// says.
 struct Replayed {
     file: Box<dyn VfsFile>,
     pages_before: u64,
+    bound: u64,
     written_past: BTreeSet<u64>,
 }
 
 impl Replayed {
-    /// Opens the file at `path`; one whose creation a crash lost is made
-    /// again (a write past its end zero-fills the gap its lost
-    /// allocations left).
-    fn open(vfs: &dyn Vfs, path: &Path) -> Result<Replayed> {
-        let file = match vfs.open(path) {
-            Err(e) if e.kind() == ErrorKind::NotFound => vfs.create(path)?,
+    /// Opens `name` in `dir`, whose log is `log_len` bytes; one whose
+    /// creation a crash lost is made again (a write past its end leaves
+    /// zeros in the gap of pages that never reached it).
+    fn open(vfs: &dyn Vfs, dir: &Path, name: &str, log_len: usize) -> Result<Replayed> {
+        let path = dir.join(name);
+        let file = match vfs.open(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => vfs.create(&path)?,
             open => open?,
         };
+        let pages_before = file.len()?.div_ceil(PAGE_SIZE as u64);
+        let most_images = (log_len / wal::image_frame_len(name, 0)) as u64;
         Ok(Replayed {
-            pages_before: file.len()?.div_ceil(PAGE_SIZE as u64),
             file,
+            pages_before,
+            bound: pages_before + most_images,
             written_past: BTreeSet::new(),
         })
     }

@@ -486,8 +486,7 @@ impl Wal {
         let mut frames = Vec::new();
         for (lsn, &(file, pid, image)) in (inner.next_lsn..).zip(images) {
             let used = used_len(image);
-            // Header, kind and LSN, name, page and length, bytes.
-            frames.reserve(FRAME_HDR + 9 + 2 + file.len() + 8 + used);
+            frames.reserve(image_frame_len(file, used));
             encode_frame(&mut frames, KIND_PAGE_IMAGE, lsn, |b| {
                 put_str(b, file);
                 b.extend_from_slice(&pid.to_le_bytes());
@@ -617,6 +616,12 @@ impl Wal {
         self.metrics.bytes.add(frames.len() as u64);
         Ok(())
     }
+}
+
+/// The length of the frame of an image of a page of `file` that keeps
+/// `used` bytes: header, kind and LSN, name, page and length, bytes.
+pub(crate) fn image_frame_len(file: &str, used: usize) -> usize {
+    FRAME_HDR + 9 + 2 + file.len() + 8 + used
 }
 
 /// Appends to `buf` the frame of a record of `kind` and `lsn` whose body

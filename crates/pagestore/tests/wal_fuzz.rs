@@ -463,3 +463,30 @@ fn many_sparse_images_replay_in_bounded_memory() {
     std::fs::remove_dir_all(&store).ok();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn an_image_past_what_the_file_and_the_log_can_hold_is_corrupt() {
+    // A file of no page and a log of a few frames: page 3 is within the
+    // log's reach, page 2^32 - 2 is not, and is never written.
+    let (store, dir) = (tmpdir("far-store"), tmpdir("far"));
+    let files = crashed_store(&store);
+    let names: Vec<_> = files.into_iter().filter(|(n, _)| n != WAL_FILE).collect();
+    let state = CommitState::default();
+    let mut page = [0u8; PAGE_SIZE];
+    page[..4].copy_from_slice(b"rows");
+    let log_of = |pids: &[u32]| {
+        let wal = Wal::create(Arc::new(OsVfs), &store, &state, false).unwrap();
+        for &pid in pids {
+            wal.append_images(&[("scratch.tbl", pid, &page)]).unwrap();
+        }
+        wal.append_commit(&state).unwrap();
+        std::fs::read(store.join(WAL_FILE)).unwrap()
+    };
+    assert!(recover_from(&names, &log_of(&[0, 1, 3]), &dir, "page 3"));
+    let far = log_of(&[0, 1, 3, u32::MAX - 1]);
+    assert!(!recover_from(&names, &far, &dir, "page 2^32 - 2"));
+    let len = std::fs::metadata(dir.join("scratch.tbl")).unwrap().len();
+    assert_eq!(len, 4 * PAGE_SIZE as u64, "replay stopped at the far page");
+    std::fs::remove_dir_all(&store).ok();
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -120,6 +120,10 @@ struct Inode {
     durable: Vec<u8>,
     /// The changes between the two, in order.
     pending: Vec<Pending>,
+    /// Byte ranges of `data` that a write past the end skipped and no
+    /// write has filled since: a page file's pages below a later one that
+    /// reached it first.
+    holes: Vec<(u64, u64)>,
 }
 
 #[derive(Debug, Clone)]
@@ -336,6 +340,17 @@ impl SimVfs {
         matching.filter_map(|(_, ops)| ops.get(&op)).sum()
     }
 
+    /// The files, by name, that the running process sees with a hole: a
+    /// range a write past the end skipped and nothing has written since.
+    pub fn holes(&self) -> Vec<PathBuf> {
+        let st = self.lock();
+        let names = st.names.iter();
+        names
+            .filter(|(_, &ino)| !st.inodes[ino].holes.is_empty())
+            .map(|(path, _)| path.clone())
+            .collect()
+    }
+
     /// Starts recording the changing calls, and returns the ones recorded
     /// since the last call (the first returns none).
     pub fn trace(&self) -> Vec<(Op, PathBuf)> {
@@ -392,6 +407,7 @@ impl SimVfs {
             }
             inode.data = data.clone();
             inode.durable = data;
+            inode.holes.clear();
         }
         st.names = st.durable_names.clone();
         st.generation += 1;
@@ -551,6 +567,14 @@ impl VfsFile for SimFile {
         let short = fault == Some(Fault::Short);
         let n = if short { buf.len() / 2 } else { buf.len() };
         let inode = &mut st.inodes[self.ino];
+        let (len, end) = (inode.data.len() as u64, offset + n as u64);
+        if offset > len {
+            inode.holes.push((len, offset));
+        }
+        inode.holes = (inode.holes.iter())
+            .flat_map(|&(a, b)| [(a, b.min(offset)), (a.max(end), b)])
+            .filter(|(a, b)| a < b)
+            .collect();
         write_into(&mut inode.data, offset, &buf[..n]);
         let pending = Pending::Write(offset, buf[..n].to_vec());
         inode.pending.push(pending);
@@ -569,6 +593,10 @@ impl VfsFile for SimFile {
         let (mut st, _) = self.enter(Op::SetLen)?;
         let inode = &mut st.inodes[self.ino];
         inode.data.resize(len as usize, 0);
+        inode.holes.retain_mut(|(a, b)| {
+            *b = (*b).min(len);
+            a < b
+        });
         inode.pending.push(Pending::SetLen(len));
         Ok(())
     }

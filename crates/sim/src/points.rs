@@ -4,8 +4,7 @@
 
 use crate::fs::{CrashModel, Op, SimVfs};
 use crate::schedule::{Outcome, Schedule, Sim, Step};
-use pagestore::PAGE_SIZE;
-use pagestore::{Database, DurabilityOptions, Result as StoreResult, Table, TableSpec, Vfs};
+use pagestore::{Database, DurabilityOptions, Result as StoreResult, Table, TableSpec};
 use segdiff::SegDiffConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -14,55 +13,74 @@ const FEATURE_TABLES: [&str; 6] = ["drop1", "drop2", "drop3", "jump1", "jump2", 
 
 /// The unlogged-tree window: a checkpoint; inserts until the pool evicts
 /// a dirty B+tree page — trees are not logged, so the eviction appends no
-/// image — and a crash before the next commit. A log that is its
-/// checkpoint alone reads as a clean shutdown, and recovery keeps the
-/// trees of a clean one: unless the log says otherwise before the tree
-/// page reaches its file, the reopened tree holds entries for rows the
-/// crash took from the heap. Checks that the log does say so, and that a
-/// full index scan then finds exactly the rows a sequential scan finds.
+/// image — and a crash right after that write, before the next commit. A
+/// log that is its checkpoint alone reads as a clean shutdown, and
+/// recovery keeps the trees of a clean one: unless the log says otherwise
+/// before the tree page reaches its file, the reopened tree holds entries
+/// for rows the crash took from the heap. Checks that the log does say
+/// so, and that a full index scan then finds exactly the rows a
+/// sequential scan finds.
+///
+/// The crash lands on the write itself: the apply that evicts the tree's
+/// pages evicts the heap's tail page too, whose image would leave the log
+/// unclean with or without the tree's mark. A first run finds the write
+/// among the calls behind the checkpoint, and a second, the same up to
+/// there, halts right after it.
 pub fn unlogged_tree(seed: u64, model: CrashModel) -> Result<(), String> {
-    let fs = SimVfs::new(seed);
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let dir = Path::new("/sim/db");
+    const STORED: u64 = 20_000;
+    let fail = |e: pagestore::StoreError| e.to_string();
+    let key = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as f64;
     let opts = DurabilityOptions {
         wal: true,
         sync: model == CrashModel::PowerLoss,
         group_commit: 1,
         checkpoint_wal_bytes: u64::MAX,
     };
-    let key = |i: u64| (i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 44) as f64;
-    let fail = |e: pagestore::StoreError| e.to_string();
-    let db = Database::create_in(Arc::clone(&vfs), dir, 24, opts.clone()).map_err(fail)?;
-    let t = db
-        .create_table(TableSpec::new("ev", &["k"]))
-        .map_err(fail)?;
-    db.create_index("ev", "by_k", &["k"]).map_err(fail)?;
-    for i in 0..1000 {
-        t.insert(&[key(i)]).map_err(fail)?;
-    }
-    db.commit(b"")
-        .and_then(|()| db.checkpoint())
-        .map_err(fail)?;
-    // A tree's file grows by one zeroed page a split allocates (no entry
-    // in it); every other write to it is a page the pool wrote back.
-    let written_back = || fs.count(Op::WriteAt, ".idx") - t.index_bytes() / PAGE_SIZE as u64;
-    let before = written_back();
-    let mut i = 1000;
-    while written_back() == before {
-        t.insert(&[key(i)]).map_err(fail)?;
-        i += 1;
-        if i == 20_000 {
-            return Err("no tree page was evicted".into());
+    let dir = Path::new("/sim/db");
+    let checkpointed = || -> StoreResult<(SimVfs, Arc<Database>, Arc<Table>)> {
+        let fs = SimVfs::new(seed);
+        let db = Database::create_in(Arc::new(fs.clone()), dir, 24, opts.clone())?;
+        let t = db.create_table(TableSpec::new("ev", &["k"]))?;
+        db.create_index("ev", "by_k", &["k"])?;
+        for i in 0..STORED {
+            t.insert(&[key(i)])?;
         }
+        db.commit(b"").and_then(|()| db.checkpoint())?;
+        Ok((fs, db, t))
+    };
+    let calls = {
+        let (fs, _db, t) = checkpointed().map_err(fail)?;
+        fs.trace();
+        let before = fs.count(Op::WriteAt, ".idx");
+        let mut i = STORED;
+        while fs.count(Op::WriteAt, ".idx") == before {
+            t.insert(&[key(i)]).map_err(fail)?;
+            i += 1;
+            if i == 2 * STORED {
+                return Err("no tree page was evicted".into());
+            }
+        }
+        fs.trace()
+    };
+    let is_tree = |path: &Path| path.extension().is_some_and(|ext| ext == "idx");
+    let Some(write) = (calls.iter()).position(|(op, path)| *op == Op::WriteAt && is_tree(path))
+    else {
+        return Err("the traced calls hold no tree write".into());
+    };
+    let (fs, db, t) = checkpointed().map_err(fail)?;
+    fs.halt_after(write as u64 + 1);
+    let mut i = STORED;
+    while t.insert(&[key(i)]).is_ok() {
+        i += 1;
     }
     drop((t, db));
     fs.crash(seed, model);
-    let db = Database::open_in(vfs, dir, 24, opts).map_err(fail)?;
+    let db = Database::open_in(Arc::new(fs.clone()), dir, 24, opts).map_err(fail)?;
     if db.recovery_report().is_some_and(|r| r.clean) {
         return Err(format!(
             "a tree page reached its file {} rows after the checkpoint, and recovery called \
              the shutdown clean",
-            i - 1000
+            i - STORED
         ));
     }
     let t = db.table("ev").map_err(fail)?;

@@ -80,6 +80,9 @@ pub struct Outcome {
     pub crashes: usize,
     /// Steps a crash or a fault cut short.
     pub cut_short: usize,
+    /// Crashes that met a page file with a hole: a page written back
+    /// while one allocated before it was still only in the pool.
+    pub crashes_with_a_hole: usize,
     /// Segments the store ended with.
     pub segments: usize,
 }
@@ -324,9 +327,19 @@ impl Sim {
     pub fn crash(&mut self) -> Result<(), String> {
         self.idx = None;
         let seed = self.rng.random();
+        let holes: Vec<PathBuf> = (self.fs.holes().into_iter())
+            .filter(|file| {
+                file.extension()
+                    .is_some_and(|ext| ext == "tbl" || ext == "idx")
+            })
+            .collect();
         self.fs.crash(seed, self.model);
         self.outcome.crashes += 1;
         self.note(format!("  crash {seed:#x}, {:?}", self.model));
+        if !holes.is_empty() {
+            self.outcome.crashes_with_a_hole += 1;
+            self.note(format!("  with a hole in {holes:?}"));
+        }
         let vfs: Arc<dyn Vfs> = Arc::new(self.fs.clone());
         self.inject();
         let opened = SegDiffIndex::open_in(Arc::clone(&vfs), Path::new(STORE), self.pool_pages);

@@ -1,7 +1,9 @@
 //! Aimed faults on a `Database`: a failing directory sync surfaces as an
 //! error and loses nothing committed; so does a failing group-commit
-//! write, whose images the next commit logs again; a flipped bit in the
-//! log is a shorter recovery or a typed error, never a panic.
+//! write, whose images the next commit logs again, and a failing first
+//! write-back of a fresh page, which the next write-back writes; a
+//! flipped bit in the log is a shorter recovery or a typed error, never a
+//! panic.
 
 use pagestore::{Database, DurabilityOptions, StoreError, TableSpec, Vfs};
 use sim::{CrashModel, Fault, Op, SimVfs};
@@ -229,15 +231,100 @@ fn a_failed_group_commit_write_is_an_error_and_every_image_is_logged_again() {
     }
 }
 
+/// A store of `ev` whose heap ends in a page no write has reached: three
+/// full pages (765 rows) behind a checkpoint, then ten rows on a fourth,
+/// committed, which logs its image. Allocation writes nothing, so the
+/// file ends before that page until a write-back puts it there.
+fn with_a_fresh_page(fs: &SimVfs, pool: usize) -> Arc<Database> {
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let db = Database::create_in(vfs, Path::new(DIR), pool, opts()).unwrap();
+    let t = db.create_table(TableSpec::new("ev", &["a", "b"])).unwrap();
+    db.create_index("ev", "by_a", &["a"]).unwrap();
+    let row = |i: u64| {
+        [
+            ((i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 40) % 977) as f64,
+            i as f64,
+        ]
+    };
+    for i in 0..765 {
+        t.insert(&row(i)).unwrap();
+    }
+    db.commit(b"765").and_then(|()| db.checkpoint()).unwrap();
+    for i in 765..775 {
+        t.insert(&row(i)).unwrap();
+    }
+    db.commit(b"775").unwrap();
+    db
+}
+
+/// How long `ev`'s heap file is, and how long its page count says.
+fn heap_lengths(fs: &SimVfs, db: &Database) -> (u64, u64) {
+    let file = fs.open(&Path::new(DIR).join("ev.tbl")).unwrap();
+    (file.len().unwrap(), db.table("ev").unwrap().heap_bytes())
+}
+
 #[test]
-fn a_failed_allocation_allocates_nothing() {
-    let fs = SimVfs::new(3);
-    fs.create_dir_all(Path::new(DIR)).unwrap();
-    let file = pagestore::PageFile::create(&fs, &Path::new(DIR).join("f")).unwrap();
-    fs.fail_nth(Op::WriteAt, 0, Fault::Enospc);
-    assert!(file.allocate().is_err());
-    assert_eq!(file.num_pages(), 0);
-    assert_eq!(file.allocate().unwrap(), 0);
+fn a_fresh_pages_failed_first_write_back_is_an_error_and_a_retry_writes_it() {
+    let calls: [(&str, Call); 2] = [
+        ("flush", |db| db.checkpoint()),
+        ("eviction", |db| {
+            // Eight pages besides the fresh one, read in turn through a
+            // pool of eight: the clock evicts the fresh page.
+            let t = db.table("ev")?;
+            let (lo, hi) = ([f64::NEG_INFINITY], [f64::INFINITY]);
+            for _ in 0..2 {
+                t.scan_pages(..765, |_, _| true, |_| Ok(true))?;
+                t.index_scan("by_a", &lo, &hi, |_, _| true)?;
+            }
+            Ok(())
+        }),
+    ];
+    let page = pagestore::PAGE_SIZE as u64;
+    // Read from a store of its own: a read through a pool of eight evicts.
+    let committed = rows(&with_a_fresh_page(&SimVfs::new(46), 8));
+    for (name, call) in calls {
+        let fs = SimVfs::new(46);
+        let db = with_a_fresh_page(&fs, 8);
+        let (len, pages) = heap_lengths(&fs, &db);
+        assert_eq!(len + page, pages, "{name}: the fourth page is in its file");
+        let before = fs.count(Op::WriteAt, "");
+        call(&db).unwrap();
+        let writes = fs.count(Op::WriteAt, "") - before;
+        assert_eq!(
+            heap_lengths(&fs, &db),
+            (pages, pages),
+            "{name} wrote no fresh page"
+        );
+        // The write that puts the page in its file: the one whose short
+        // write leaves the file ending inside a page.
+        let nth = (0..writes).find(|&nth| {
+            let fs = SimVfs::new(46);
+            let db = with_a_fresh_page(&fs, 8);
+            fs.fail_nth(Op::WriteAt, nth, Fault::Short);
+            assert!(call(&db).is_err(), "{name}, write {nth}");
+            heap_lengths(&fs, &db).0 % page != 0
+        });
+        let nth = nth.unwrap_or_else(|| panic!("{name}: no write of the fresh page"));
+        for fault in [Fault::Enospc, Fault::Eio, Fault::Short] {
+            let fs = SimVfs::new(46);
+            let db = with_a_fresh_page(&fs, 8);
+            fs.fail_nth(Op::WriteAt, nth, fault);
+            match call(&db) {
+                Err(StoreError::Io(_)) => {}
+                other => panic!("{name}, {fault:?}: {other:?}"),
+            }
+            let (len, pages) = heap_lengths(&fs, &db);
+            assert!(len < pages, "{name}, {fault:?}: the failed write landed");
+            // The frame stayed dirty: the retry writes it.
+            call(&db).unwrap_or_else(|e| panic!("{name}, {fault:?}, retried: {e}"));
+            assert_eq!(heap_lengths(&fs, &db), (pages, pages), "{name}, {fault:?}");
+            assert!(rows(&db) == committed, "{name}, {fault:?}");
+            drop(db);
+            fs.crash(46, CrashModel::PowerLoss);
+            let db = reopen(&fs).unwrap_or_else(|e| panic!("{name}, {fault:?}: {e}"));
+            assert!(rows(&db) == committed, "{name}, {fault:?}: reopened");
+        }
+    }
 }
 
 /// Schedules the seeds found bugs with, kept as they were found.

@@ -13,11 +13,15 @@ use sim::{run, Schedule};
 
 /// A B+tree page evicted between a checkpoint and the next commit: the
 /// log must say the shutdown was not clean before the page reaches its
-/// file, or recovery keeps a tree of rows the heap lost.
+/// file, or recovery keeps a tree of rows the heap lost. The heap's
+/// evicted pages put their images in the log first, so only a power loss
+/// that drops those and keeps the tree's write can tell a missing mark:
+/// seed 3's does.
 #[test]
 fn unlogged_tree_window() {
     unlogged_tree(0, ProcessKill).unwrap();
     unlogged_tree(1, PowerLoss).unwrap();
+    unlogged_tree(3, PowerLoss).unwrap();
 }
 
 /// A power loss at every step of a compaction's seal of `segments` and
@@ -57,6 +61,23 @@ fn crash_between_sealing_segments_and_cutting_the_feature_tables() {
 fn crash_inside_a_group_commit() {
     let crashes = group_commit_steps(12, PowerLoss).unwrap();
     assert!(crashes >= 4, "{crashes} crash points");
+}
+
+/// Whole schedules that crash with a hole in a page file: a page written
+/// back, and below it one allocated earlier that was still only in the
+/// pool. Allocation writes nothing, so the file skips that page; recovery
+/// must fill it from the log or cut it (a heap), or drop the file (a
+/// tree).
+#[test]
+fn crashes_with_a_hole() {
+    for (seed, model) in [(33, ProcessKill), (27, PowerLoss)] {
+        let outcome = run(&Schedule::new(seed, model, 10)).unwrap();
+        assert!(
+            outcome.crashes_with_a_hole > 0,
+            "seed {seed}: {:#?}",
+            outcome.log
+        );
+    }
 }
 
 /// Whole schedules: a store that does not sync, killed (everything
