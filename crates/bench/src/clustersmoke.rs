@@ -3,7 +3,7 @@
 //! The smoke builds a small transect, partitions its sensors with the
 //! same consistent-hash ring `segdiff router` uses, and launches the
 //! real deployment shape as separate OS processes: one `segdiff serve`
-//! per shard, one warm replica tailing shard 0's WAL, and a
+//! per shard, one warm replica applying shard 0's shipped rows, and a
 //! `segdiff router` in front. It then asserts the tentpole claims:
 //!
 //! 1. **Byte identity** — the router's `results` array for a
@@ -213,8 +213,8 @@ pub fn run_clustersmoke(cfg: &ClusterConfig, gate: &mut Gate) -> Result<(), Stri
         )?);
     }
 
-    // Warm replica of shard 0: bootstraps a snapshot over HTTP, then
-    // tails the primary's WAL.
+    // Warm replica of shard 0: applies the primary's `segments` rows from
+    // row 0 over HTTP, then polls for more.
     let replica_root = dir.join("replica-0").display().to_string();
     let primary = format!("http://{}", procs[0].host);
     let args = ["serve", "--index", &replica_root, "--replica-of", &primary];

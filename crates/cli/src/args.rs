@@ -221,8 +221,8 @@ pub enum Command {
         /// cluster shard serves its ring slice.
         sensors: Vec<u32>,
         /// Run as a warm replica of this primary (`http://host:port`):
-        /// bootstrap `--index` as the replica root, tail the primary's
-        /// WAL, and serve reads with role "replica".
+        /// keep `--index` as the replica root, apply the primary's
+        /// shipped `segments` rows, and serve reads with role "replica".
         replica_of: Option<String>,
         /// Replica tail-poll interval in milliseconds.
         poll_ms: u64,

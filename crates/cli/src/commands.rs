@@ -714,8 +714,8 @@ fn serve(opts: ServeOpts) -> Result<(), Anyhow> {
     )?;
     let flag = server.shutdown_flag();
     bridge_signals(Arc::clone(&flag));
-    // The WAL tail shares the server's shutdown flag, so one drain stops
-    // both the HTTP workers and the shipping loop.
+    // The replica's tail shares the server's shutdown flag, so one drain
+    // stops both the HTTP workers and the loop applying shipped rows.
     let tail = replica.map(|r| {
         let flag = Arc::clone(&flag);
         std::thread::spawn(move || r.run(flag))
@@ -734,12 +734,10 @@ fn serve(opts: ServeOpts) -> Result<(), Anyhow> {
     if let Some(tail) = tail {
         let _ = tail.join();
     }
-    // Drained: no query is in flight. A primary flushes dirty pages (a
-    // replica's store is a disposable copy the tail thread re-syncs);
-    // both print the final registry snapshot like `segdiff metrics`.
-    if role == ShardRole::Primary {
-        engine.flush()?;
-    }
+    // Drained: no query is in flight and no row is being applied. Flush
+    // what a replica's tail applied after the server's own drain flush,
+    // then print the final registry snapshot like `segdiff metrics`.
+    engine.flush()?;
     println!("shutdown complete; final telemetry:");
     print!("{}", render_registry(opts.json));
     Ok(())

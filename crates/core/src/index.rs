@@ -17,6 +17,7 @@ use featurespace::{QueryRegion, SearchKind};
 use pagestore::{Database, OsVfs, RecoveryReport, Result, StoreError, Table, TableSpec, Vfs};
 use segmentation::{PiecewiseLinear, Segment, SlidingWindowSegmenter};
 use sensorgen::TimeSeries;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -796,9 +797,18 @@ jump_hist {} {} {}
     /// so a row that is no segment, or that starts before the one before
     /// it ends, is [`StoreError::Corrupt`] here too.
     pub fn segments(&self) -> Result<Vec<Segment>> {
-        let rows = self.segments_table.num_rows();
-        let (run, _) = self.resident.get(&self.segments_table, rows)?;
-        Ok(run[..rows as usize].iter().map(|held| held.seg).collect())
+        self.segments_in(0..u64::MAX)
+    }
+
+    /// The stored segments of the rows `rows` (clamped to the rows
+    /// stored), copied from the resident run as [`SegDiffIndex::segments`]
+    /// copies them: what a replica is shipped.
+    pub fn segments_in(&self, rows: Range<u64>) -> Result<Vec<Segment>> {
+        let stored = self.segments_table.num_rows();
+        let (run, _) = self.resident.get(&self.segments_table, stored)?;
+        let end = rows.end.min(stored) as usize;
+        let start = (rows.start as usize).min(end);
+        Ok(run[start..end].iter().map(|held| held.seg).collect())
     }
 }
 

@@ -107,6 +107,35 @@ impl TransectIndex {
         })
     }
 
+    /// A transect of no sensor at `root`, for a replica to fill
+    /// ([`TransectIndex::insert`]).
+    pub fn empty(root: &Path) -> Self {
+        Self {
+            root: root.to_path_buf(),
+            ids: Vec::new(),
+            sensors: Vec::new(),
+        }
+    }
+
+    /// Holds `index` as global sensor id `sensor`, in place of the index
+    /// held as `sensor` before, if any.
+    pub fn insert(&mut self, sensor: u32, index: SegDiffIndex) {
+        match self.ids.binary_search(&sensor) {
+            Ok(i) => self.sensors[i] = index,
+            Err(i) => {
+                self.ids.insert(i, sensor);
+                self.sensors.insert(i, index);
+            }
+        }
+    }
+
+    /// Stops holding global sensor id `sensor`; returns its index.
+    pub fn remove(&mut self, sensor: u32) -> Option<SegDiffIndex> {
+        let i = self.ids.binary_search(&sensor).ok()?;
+        self.ids.remove(i);
+        Some(self.sensors.remove(i))
+    }
+
     /// Global sensor ids present under `root`, ascending.
     pub fn scan_ids(root: &Path) -> Result<Vec<u32>> {
         let names = match OsVfs.list(root) {
@@ -122,7 +151,8 @@ impl TransectIndex {
         Ok(ids)
     }
 
-    fn sensor_dir(root: &Path, sensor: u32) -> PathBuf {
+    /// The directory of global sensor id `sensor` under `root`.
+    pub fn sensor_dir(root: &Path, sensor: u32) -> PathBuf {
         root.join(format!("sensor-{sensor}"))
     }
 
@@ -157,6 +187,12 @@ impl TransectIndex {
     /// The index for global sensor id `sensor`.
     pub fn sensor(&self, sensor: u32) -> Result<&SegDiffIndex> {
         Ok(&self.sensors[self.pos(sensor)?])
+    }
+
+    /// The index for global sensor id `sensor`, to write through.
+    pub fn sensor_mut(&mut self, sensor: u32) -> Result<&mut SegDiffIndex> {
+        let i = self.pos(sensor)?;
+        Ok(&mut self.sensors[i])
     }
 
     /// Ingests one observation for global sensor id `sensor`.

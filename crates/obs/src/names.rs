@@ -235,37 +235,22 @@ pub const METRICS: &[MetricDef] = &[
         "server.flush_ms",
         "Store flush duration at drain (milliseconds)",
     ),
-    // WAL shipping: primary side (server::service `/wal` routes).
-    MetricDef::counter("wal.ship.requests", "GET /wal segment fetches served"),
-    MetricDef::counter("wal.ship.bytes", "WAL frame bytes shipped to replicas"),
-    MetricDef::counter(
-        "wal.ship.restarts",
-        "Ship responses telling the replica its cursor predates the log",
-    ),
-    // WAL shipping: replica side (server::replica).
+    // Row shipping: replica side (server::replica; `GET /segments`).
     MetricDef::counter(
         "replica.ship_rounds",
         "Tail rounds completed by the replica",
     ),
     MetricDef::counter(
         "replica.ship_errors",
-        "Tail rounds that failed (transport, status, or decode)",
+        "Tail rounds that failed (transport, status, decode, or a refused run)",
     ),
     MetricDef::counter(
-        "replica.frames_applied",
-        "WAL frames appended to the replica's local log",
+        "replica.rows_applied",
+        "Shipped `segments` rows the replica applied to its store",
     ),
     MetricDef::counter(
-        "replica.bytes_applied",
-        "WAL frame bytes appended to the replica's local log",
-    ),
-    MetricDef::counter(
-        "replica.resyncs",
-        "Full snapshot re-syncs after the primary truncated past the cursor",
-    ),
-    MetricDef::counter(
-        "replica.engine_refreshes",
-        "Engine reloads after applying shipped frames",
+        "replica.rebuilds",
+        "Sensors rebuilt from row 0 after the primary held fewer rows than the replica",
     ),
     // Cluster router (router crate).
     MetricDef::counter("router.queries", "POST /query requests routed"),

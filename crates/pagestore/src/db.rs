@@ -607,11 +607,6 @@ impl Database {
         Ok(())
     }
 
-    /// The directory this database lives in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// The file system the directory lives in.
     pub fn vfs(&self) -> &Arc<dyn Vfs> {
         self.pool.vfs()

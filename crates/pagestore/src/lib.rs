@@ -85,7 +85,7 @@ pub use pagefile::{FileId, PageFile, PageId};
 pub use recovery::RecoveryReport;
 pub use table::{Index, Table, BUFFER_ENTRIES};
 pub use vfs::{write_atomic, OsVfs, Vfs, VfsFile};
-pub use wal::{CommitState, Wal, WalSegment, WAL_FILE};
+pub use wal::{CommitState, Wal, WAL_FILE};
 
 /// Size of every page in bytes.
 pub const PAGE_SIZE: usize = 4096;

@@ -289,74 +289,6 @@ pub(crate) fn read_log(vfs: &dyn Vfs, path: &Path) -> Result<Vec<u8>> {
     }
 }
 
-// ------------------------------------------------------------ shipping
-
-/// A contiguous run of raw WAL frames, as served to a tailing replica.
-///
-/// `frames` is a byte-exact slice of the log: each frame keeps its
-/// `[magic][len][crc]` header, so the receiver can append it verbatim
-/// to its own `wal.log` ([`Wal::append_frames`]) and replay it through
-/// the ordinary recovery path. The LSN fields let the receiver advance
-/// its cursor without decoding payloads.
-#[derive(Debug, Clone, Default)]
-pub struct WalSegment {
-    /// Raw frame bytes (possibly empty), headers included.
-    pub frames: Vec<u8>,
-    /// LSN of the first shipped frame (0 when `frames` is empty).
-    pub first_lsn: u64,
-    /// LSN of the last shipped frame (0 when `frames` is empty).
-    pub last_lsn: u64,
-    /// LSN of the first valid record in the log file. The log always
-    /// starts with a checkpoint, so history before this LSN has been
-    /// truncated away.
-    pub log_start_lsn: u64,
-    /// LSN of the last valid record in the log file (the shipping
-    /// horizon; `last_lsn < log_end_lsn` means more frames remain).
-    pub log_end_lsn: u64,
-    /// True when the requested cursor predates `log_start_lsn - 1`: a
-    /// checkpoint truncated records the receiver never saw, so tailing
-    /// cannot catch up and the receiver must re-bootstrap from the data
-    /// files.
-    pub restart: bool,
-}
-
-/// Reads raw frames with LSN > `after_lsn` from the log at `path`,
-/// stopping after roughly `max_bytes` of frames (at least one frame is
-/// always shipped when any qualifies, so progress is guaranteed).
-///
-/// Concurrent appenders are safe: a mid-write frame fails its length or
-/// CRC check and the scan simply stops there, exactly as recovery would.
-/// A concurrent checkpoint rename yields either the old or the new log,
-/// both of which are internally consistent.
-pub fn read_after(
-    vfs: &dyn Vfs,
-    path: &Path,
-    after_lsn: u64,
-    max_bytes: usize,
-) -> Result<WalSegment> {
-    let data = read_log(vfs, path)?;
-    let mut seg = WalSegment::default();
-    let end = walk(&data, |frame, lsn, _| {
-        if seg.log_start_lsn == 0 {
-            seg.log_start_lsn = lsn;
-        }
-        if lsn > after_lsn && (seg.frames.is_empty() || seg.frames.len() < max_bytes) {
-            if seg.frames.is_empty() {
-                seg.first_lsn = lsn;
-            }
-            seg.last_lsn = lsn;
-            seg.frames.extend_from_slice(frame);
-        }
-        Ok(())
-    })?;
-    seg.log_end_lsn = end.last_lsn;
-    // The log opens with a checkpoint; a cursor older than the record
-    // just before it points at truncated history. Saturating: the
-    // horizon probe passes `after_lsn == u64::MAX`.
-    seg.restart = seg.log_start_lsn > 0 && after_lsn.saturating_add(1) < seg.log_start_lsn;
-    Ok(seg)
-}
-
 // ----------------------------------------------------------------- Wal
 
 /// Global-registry counters for the log (`wal.*`).
@@ -565,25 +497,6 @@ impl Wal {
         self.metrics.appends.inc();
         self.metrics.bytes.add(len as u64);
         self.metrics.checkpoints.inc();
-    }
-
-    /// Appends frames shipped from another log ([`read_after`]) as they
-    /// are, up to the first torn one, and syncs them; returns how many.
-    pub fn append_frames(&self, frames: &[u8]) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        let end = walk(frames, |_, _, _| Ok(()))?;
-        let at = inner.bytes;
-        inner
-            .file
-            .write_at(&frames[..end.valid_bytes as usize], at)?;
-        inner.bytes += end.valid_bytes;
-        if end.records > 0 {
-            inner.next_lsn = end.last_lsn.saturating_add(1);
-            inner.clean = None;
-            inner.unsynced = self.sync;
-        }
-        self.sync_locked(&mut inner)?;
-        Ok(end.records)
     }
 
     /// Appends one record of `kind`, whose body `body` writes, at the end
@@ -950,120 +863,6 @@ mod tests {
         assert_eq!(l, last + 1);
         let end = records(&std::fs::read(dir.join(WAL_FILE)).unwrap()).1;
         assert_eq!(end.records, 3);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_after_ships_exact_frames() {
-        let dir = tmpdir("ship");
-        let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
-        let img = Box::new([5u8; PAGE_SIZE]);
-        wal.append_images(&[("t.tbl", 0, &*img)]).unwrap();
-        wal.append_images(&[("t.tbl", 1, &*img)]).unwrap();
-        wal.append_commit(&state(2)).unwrap();
-        // Cursor 0 ships the whole log, byte-identical to the file.
-        let seg = read_after(&OsVfs, &dir.join(WAL_FILE), 0, usize::MAX).unwrap();
-        assert!(!seg.restart);
-        assert_eq!(seg.first_lsn, 1);
-        assert_eq!(seg.last_lsn, 4);
-        assert_eq!(seg.log_start_lsn, 1);
-        assert_eq!(seg.log_end_lsn, 4);
-        assert_eq!(seg.frames, std::fs::read(dir.join(WAL_FILE)).unwrap());
-        // A mid-log cursor ships only the tail; appending the shipped
-        // frames to a copy of the already-consumed prefix reproduces the
-        // file, which is exactly what a tailing replica does.
-        let seg2 = read_after(&OsVfs, &dir.join(WAL_FILE), 2, usize::MAX).unwrap();
-        assert_eq!(seg2.first_lsn, 3);
-        assert_eq!(seg2.last_lsn, 4);
-        let consumed = read_after(&OsVfs, &dir.join(WAL_FILE), 0, usize::MAX)
-            .unwrap()
-            .frames[..seg.frames.len() - seg2.frames.len()]
-            .to_vec();
-        let mut rebuilt = consumed;
-        rebuilt.extend_from_slice(&seg2.frames);
-        assert_eq!(rebuilt, seg.frames);
-        // A caught-up cursor ships nothing.
-        let seg3 = read_after(&OsVfs, &dir.join(WAL_FILE), 4, usize::MAX).unwrap();
-        assert!(seg3.frames.is_empty());
-        assert_eq!(seg3.first_lsn, 0);
-        assert_eq!(seg3.log_end_lsn, 4);
-        assert!(!seg3.restart);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_after_respects_max_bytes_with_progress() {
-        let dir = tmpdir("ship-max");
-        let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
-        let img = Box::new([1u8; PAGE_SIZE]);
-        for pid in 0..8 {
-            wal.append_images(&[("t.tbl", pid, &*img)]).unwrap();
-        }
-        // A cap smaller than one frame still ships one frame (progress),
-        // and a multi-frame cap stops once the budget is crossed.
-        let one = read_after(&OsVfs, &dir.join(WAL_FILE), 0, 1).unwrap();
-        assert_eq!(one.first_lsn, one.last_lsn);
-        assert_eq!(one.first_lsn, 1);
-        let some = read_after(&OsVfs, &dir.join(WAL_FILE), 0, PAGE_SIZE * 3).unwrap();
-        assert!(some.last_lsn > some.first_lsn);
-        assert!(some.last_lsn < some.log_end_lsn);
-        // Tailing in bounded steps eventually reaches the horizon.
-        let mut cursor = 0;
-        let mut shipped = Vec::new();
-        loop {
-            let seg = read_after(&OsVfs, &dir.join(WAL_FILE), cursor, PAGE_SIZE * 2).unwrap();
-            if seg.frames.is_empty() {
-                break;
-            }
-            shipped.extend_from_slice(&seg.frames);
-            cursor = seg.last_lsn;
-        }
-        assert_eq!(shipped, std::fs::read(dir.join(WAL_FILE)).unwrap());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_after_flags_restart_past_checkpoint() {
-        let dir = tmpdir("ship-restart");
-        let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
-        let img = Box::new([1u8; PAGE_SIZE]);
-        for pid in 0..4 {
-            wal.append_images(&[("t.tbl", pid, &*img)]).unwrap();
-        }
-        wal.append_commit(&state(4)).unwrap();
-        let ckpt = wal.checkpoint(&state(4)).unwrap();
-        // Cursors at or after ckpt-1 can still tail: the next record they
-        // need (the checkpoint itself, or later) is in the log.
-        let ok = read_after(&OsVfs, &dir.join(WAL_FILE), ckpt - 1, usize::MAX).unwrap();
-        assert!(!ok.restart);
-        assert_eq!(ok.first_lsn, ckpt);
-        // An older cursor points at truncated history: restart.
-        let stale = read_after(&OsVfs, &dir.join(WAL_FILE), 1, usize::MAX).unwrap();
-        assert!(stale.restart);
-        assert_eq!(stale.log_start_lsn, ckpt);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn read_after_missing_or_torn_log() {
-        let dir = tmpdir("ship-torn");
-        // Missing file: empty segment, no restart.
-        let seg = read_after(&OsVfs, &dir.join(WAL_FILE), 0, usize::MAX).unwrap();
-        assert!(seg.frames.is_empty());
-        assert_eq!(seg.log_end_lsn, 0);
-        assert!(!seg.restart);
-        // A torn tail is excluded from shipping, like recovery excludes
-        // it from replay.
-        let wal = Wal::create(os(), &dir, &state(0), false).unwrap();
-        wal.append_commit(&state(1)).unwrap();
-        wal.append_commit(&state(2)).unwrap();
-        drop(wal);
-        let path = dir.join(WAL_FILE);
-        let full = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let seg = read_after(&OsVfs, &path, 0, usize::MAX).unwrap();
-        assert_eq!(seg.last_lsn, 2);
-        assert_eq!(seg.log_end_lsn, 2);
         std::fs::remove_dir_all(&dir).ok();
     }
 

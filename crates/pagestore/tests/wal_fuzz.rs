@@ -7,8 +7,8 @@
 //! bytes overwritten, bits flipped, a frame's `len` set up to
 //! `u32::MAX`, a payload byte overwritten under a re-sealed checksum (so
 //! the record decoder itself sees the garbage), the log truncated at
-//! every frame boundary ±1 — and fed to `wal::read_after` and to
-//! `Wal::append_frames`, the replica's input from the network.
+//! every frame boundary ±1 — and opened as a log (`Wal::open`, which
+//! walks it once and cuts the torn tail) and recovered from.
 
 #![allow(
     clippy::unwrap_used,
@@ -17,7 +17,7 @@
     reason = "a test fails by panicking"
 )]
 
-use pagestore::wal::{crc32, read_after, FRAME_HDR};
+use pagestore::wal::{crc32, FRAME_HDR};
 use pagestore::{
     CommitState, Database, DurabilityOptions, OsVfs, StoreError, TableSpec, Wal, PAGE_SIZE,
     WAL_FILE,
@@ -217,79 +217,47 @@ fn lsn(frame: &[u8]) -> u64 {
     u64::from_le_bytes(frame[FRAME_HDR + 1..FRAME_HDR + 9].try_into().unwrap())
 }
 
-/// Feeds `input` to `read_after` (as a log of its own) and to
-/// `Wal::append_frames` (on a fresh log in `sink`), checks the contract
-/// and returns the length of the valid prefix both took.
-fn feed(input: &[u8], dir: &Path, sink: &Path, what: &str) -> usize {
+/// Opens `input` as the log in `dir` (`Wal::open`), checks the contract
+/// and returns the length of the valid prefix the log kept.
+fn feed(input: &[u8], dir: &Path, what: &str) -> usize {
     let log = dir.join(WAL_FILE);
     std::fs::write(&log, input).unwrap();
     let bound = 4 * input.len() + (64 << 10);
-    let (shipped, peak) = peak_during(|| {
-        catch_unwind(AssertUnwindSafe(|| read_after(&OsVfs, &log, 0, usize::MAX)))
-            .unwrap_or_else(|_| panic!("read_after panicked after {what}"))
+    let (opened, peak) = peak_during(|| {
+        catch_unwind(AssertUnwindSafe(|| Wal::open(Arc::new(OsVfs), dir, false)))
+            .unwrap_or_else(|_| panic!("Wal::open panicked after {what}"))
     });
     assert!(
         peak <= bound,
-        "read_after held {peak} B of a {} B log after {what}",
+        "Wal::open held {peak} B of a {} B log after {what}",
         input.len()
     );
-    let shipped = shipped.unwrap();
-
-    let wal = Wal::create(Arc::new(OsVfs), sink, &state(7), false).unwrap();
-    let base = std::fs::read(sink.join(WAL_FILE)).unwrap();
-    let (appended, peak) = peak_during(|| {
-        catch_unwind(AssertUnwindSafe(|| wal.append_frames(input)))
-            .unwrap_or_else(|_| panic!("append_frames panicked after {what}"))
-    });
+    let wal = opened.unwrap();
+    // What the log kept is a prefix of the input, and nothing past it.
+    let kept = std::fs::read(&log).unwrap();
     assert!(
-        peak <= bound,
-        "append_frames held {peak} B of {} B after {what}",
-        input.len()
+        input.starts_with(&kept),
+        "{what}: kept bytes are not the input's"
     );
-    let count = appended.unwrap();
-    let after = std::fs::read(sink.join(WAL_FILE)).unwrap();
-    assert!(
-        after.starts_with(&base),
-        "{what}: the log's own frames changed"
-    );
-    // What the log took is a prefix of the input, and nothing past it.
-    let prefix = &after[base.len()..];
-    assert!(
-        input.starts_with(prefix),
-        "{what}: appended bytes are not the input's"
-    );
-    assert_eq!(wal.size_bytes(), after.len() as u64, "{what}");
-    // The prefix is whole frames, every one of them valid on its own.
-    let starts = frame_starts(prefix);
-    assert_eq!(count as usize, starts.len() - 1, "{what}");
-    // `read_after` ships the same prefix, less frames at LSN 0 (its cursor
-    // is past them), from the input and from the log that took it.
-    let frames = starts.windows(2).map(|w| &prefix[w[0]..w[1]]);
-    let past_cursor: Vec<u8> = frames.filter(|f| lsn(f) > 0).flatten().copied().collect();
-    assert!(
-        shipped.frames == past_cursor,
-        "{what}: read_after shipped another prefix"
-    );
-    let again = read_after(&OsVfs, &sink.join(WAL_FILE), 0, usize::MAX).unwrap();
-    assert!(
-        again.frames == [&base[..], &past_cursor].concat(),
-        "{what}: the appended frames do not read back whole"
-    );
+    assert_eq!(wal.size_bytes(), kept.len() as u64, "{what}");
+    // The prefix is whole frames, every one of them valid on its own, and
+    // the log appends after the last.
+    let starts = frame_starts(&kept);
     let last = starts
         .len()
         .checked_sub(2)
-        .map_or(0, |i| lsn(&prefix[starts[i]..]));
-    assert_eq!(shipped.log_end_lsn, last, "{what}");
-    prefix.len()
+        .map_or(0, |i| lsn(&kept[starts[i]..]));
+    assert_eq!(wal.next_lsn(), last.saturating_add(1), "{what}");
+    kept.len()
 }
 
 #[test]
 fn mutated_logs_yield_a_valid_prefix_and_never_panic() {
-    let (dir, sink) = (tmpdir("log"), tmpdir("sink"));
+    let dir = tmpdir("log");
     let mut rng = XorShift(0x005E_ED0F_1065);
     let (log, starts) = valid_log(&dir, &mut rng);
     assert_eq!(starts.len(), 10, "a checkpoint, six images, two commits");
-    assert_eq!(feed(&log, &dir, &sink, "nothing"), log.len());
+    assert_eq!(feed(&log, &dir, "nothing"), log.len());
 
     // Truncated at every frame boundary and a byte either side of it.
     for (i, &b) in starts.iter().enumerate() {
@@ -300,7 +268,7 @@ fn mutated_logs_yield_a_valid_prefix_and_never_panic() {
                 Ok(_) => cut,
                 Err(_) => boundary_below(&starts, cut),
             };
-            assert_eq!(feed(&log[..cut], &dir, &sink, &what), want, "boundary {i}");
+            assert_eq!(feed(&log[..cut], &dir, &what), want, "boundary {i}");
         }
     }
 
@@ -315,7 +283,7 @@ fn mutated_logs_yield_a_valid_prefix_and_never_panic() {
             what.push(said);
         }
         let what = format!("case {case}: {what:?}");
-        let took = feed(&mutated, &dir, &sink, &what);
+        let took = feed(&mutated, &dir, &what);
         // The frames before the first byte changed must all be taken.
         let first = mutated.iter().zip(&log).position(|(a, b)| a != b);
         let intact = first.map_or(log.len(), |at| boundary_below(&starts, at));
@@ -336,7 +304,6 @@ fn mutated_logs_yield_a_valid_prefix_and_never_panic() {
     // The mutations must reach both outcomes to mean anything.
     assert!(whole > 10 && cut > 750, "whole {whole}, cut short {cut}");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_dir_all(&sink).ok();
 }
 
 fn opts() -> DurabilityOptions {

@@ -69,8 +69,9 @@ pub struct ShardHealth {
     pub epoch: u64,
     /// Primary durability high-water mark from the last probe.
     pub last_durable_lsn: u64,
-    /// Replica apply high-water mark (0 when reads go to the primary).
-    pub applied_lsn: u64,
+    /// `segments` rows the replica applied, summed over its sensors (0
+    /// when reads go to the primary).
+    pub applied_rows: u64,
 }
 
 /// What one successful `/healthz` probe yields. The reported `role`
@@ -80,7 +81,7 @@ struct Probe {
     sensors: Vec<u32>,
     epoch: u64,
     last_durable_lsn: u64,
-    applied_lsn: u64,
+    applied_rows: u64,
 }
 
 /// The shared health board.
@@ -102,7 +103,7 @@ impl HealthBoard {
                 sensors: Vec::new(),
                 epoch: 0,
                 last_durable_lsn: 0,
-                applied_lsn: 0,
+                applied_rows: 0,
             })
             .collect();
         let registry = obs::global();
@@ -209,7 +210,7 @@ impl HealthBoard {
                 health.sensors = p.sensors;
                 health.epoch = p.epoch;
                 health.last_durable_lsn = p.last_durable_lsn;
-                health.applied_lsn = p.applied_lsn;
+                health.applied_rows = p.applied_rows;
             }
             None => {
                 if health.state != ShardState::Down {
@@ -266,7 +267,7 @@ fn probe(addr: &str) -> Option<Probe> {
             .get("last_durable_lsn")
             .and_then(Json::as_u64)
             .unwrap_or(0),
-        applied_lsn: doc.get("applied_lsn").and_then(Json::as_u64).unwrap_or(0),
+        applied_rows: doc.get("applied_rows").and_then(Json::as_u64).unwrap_or(0),
     })
 }
 

@@ -299,7 +299,7 @@ fn healthz(board: &HealthBoard) -> Response {
                 ),
             ]);
             if health.state == ShardState::Replica {
-                fields.push(("applied_lsn".to_string(), Json::Uint(health.applied_lsn)));
+                fields.push(("applied_rows".to_string(), Json::Uint(health.applied_rows)));
             }
             Json::Object(fields)
         })

@@ -766,10 +766,9 @@ mod tests {
         (addr, served)
     }
 
-    /// A shard endpoint that answers `503` — a replica whose cell is
-    /// empty mid-refresh says so, where it used to say `400` — is a
-    /// failed endpoint to the query in hand: reported, re-probed, and the
-    /// query answered by the shard's other endpoint.
+    /// A shard endpoint that answers `503` (an overloaded one sheds
+    /// load so) is a failed endpoint to the query in hand: reported,
+    /// re-probed, and the query answered by the shard's other endpoint.
     #[test]
     fn a_shard_that_answers_503_is_failed_over_like_a_dead_connection() {
         let healthz = || {
@@ -791,10 +790,7 @@ mod tests {
         // Healthy at start-up, `503` to the query, gone at the re-probe.
         let (primary, primary_thread) = scripted(vec![
             ("/healthz", healthz()),
-            (
-                "/query",
-                Response::error(503, "engine unavailable: reload in progress"),
-            ),
+            ("/query", Response::error(503, "server overloaded")),
             ("/healthz", Response::error(500, "going away")),
         ]);
         let (replica, replica_thread) = scripted(vec![

@@ -1,14 +1,14 @@
 //! The engine a [`crate::Service`] answers from: the sensors it serves,
-//! held in a slot a replica's tail loop can swap, and the one query path
-//! over them — each wanted sensor through its own result cache.
+//! held in a slot a replica's tail loop applies shipped rows to, and the
+//! one query path over them — each wanted sensor through its own result
+//! cache.
 
+use crate::rowstream;
 use featurespace::QueryRegion;
 use pagestore::StoreError;
 use parking_lot::RwLock;
 use segdiff::transect::{fan_out_cached, CachedAnswer};
 use segdiff::{check_window, QueryPlan, QueryStats, SegDiffIndex, TransectIndex};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The sensors a [`Service`](crate::Service) answers for: whatever its [`EngineCell`]
@@ -22,16 +22,12 @@ pub struct Engine {
     threads: usize,
 }
 
-/// The slot an [`Engine`] serves from. A replica's tail loop shares it
-/// and swaps what it holds after applying shipped frames: the outgoing
-/// indexes must close their files before the refreshed ones recover over
-/// them, so the slot is empty in between. A query holds the read guard
-/// while it runs — [`EngineCell::clear`] waits for those in flight — and
-/// one landing in the gap is answered `503`, never from torn pages.
+/// The slot an [`Engine`] serves from. A query holds the read guard while
+/// it runs; a replica's tail loop applies shipped rows to the transect it
+/// holds under the write guard (`Engine::apply`), so a query waits for
+/// an apply and never reads a sensor halfway through one.
 pub struct EngineCell {
-    held: RwLock<Option<Held>>,
-    /// Highest primary LSN a tailing replica has applied (0 on a primary).
-    applied_lsn: AtomicU64,
+    held: RwLock<Held>,
 }
 
 enum Held {
@@ -39,36 +35,6 @@ enum Held {
     Bare(Arc<SegDiffIndex>),
     /// A transect root's indexes: all of them, or a shard's slice.
     Transect(Arc<TransectIndex>),
-}
-
-impl EngineCell {
-    fn holding(held: Option<Held>) -> Arc<EngineCell> {
-        Arc::new(EngineCell {
-            held: RwLock::new(held),
-            applied_lsn: AtomicU64::new(0),
-        })
-    }
-
-    /// An empty cell, for a replica to [`EngineCell::set`].
-    pub fn empty() -> Arc<EngineCell> {
-        EngineCell::holding(None)
-    }
-
-    /// Empties the slot, dropping the indexes it held and with them
-    /// every open file, before a refresh reopens the directory.
-    pub fn clear(&self) {
-        self.held.write().take();
-    }
-
-    /// Installs a freshly opened transect.
-    pub fn set(&self, index: TransectIndex) {
-        *self.held.write() = Some(Held::Transect(Arc::new(index)));
-    }
-
-    /// Records the highest primary LSN the replica's tail loop applied.
-    pub fn set_applied_lsn(&self, lsn: u64) {
-        self.applied_lsn.store(lsn, Ordering::Release);
-    }
 }
 
 /// What an engine serves at one moment: `indexes[i]` is global sensor
@@ -89,38 +55,54 @@ impl<'a> Sensors<'a> {
 impl Engine {
     /// An engine over a transect, with a worker-pool size.
     pub fn transect(index: Arc<TransectIndex>, threads: usize) -> Engine {
-        Engine::over(EngineCell::holding(Some(Held::Transect(index))), threads)
+        Engine::holding(Held::Transect(index), threads)
     }
 
-    /// An engine over a replica's cell; `threads` as in [`Engine::transect`].
-    pub fn over(cell: Arc<EngineCell>, threads: usize) -> Engine {
+    fn holding(held: Held, threads: usize) -> Engine {
+        let cell = Arc::new(EngineCell {
+            held: RwLock::new(held),
+        });
         let threads = threads.max(1);
         Engine { cell, threads }
     }
 
     /// Runs `f` on what the cell holds, the read guard held until it
-    /// returns; `None` from an empty cell. The one place that knows how
-    /// the sensors are held.
-    fn with_sensors<R>(&self, f: impl FnOnce(Sensors<'_>) -> R) -> Option<R> {
+    /// returns. The one place that knows how the sensors are held.
+    fn with_sensors<R>(&self, f: impl FnOnce(Sensors<'_>) -> R) -> R {
         let held = self.cell.held.read();
-        let (ids, indexes, bare) = match held.as_ref()? {
+        let (ids, indexes, bare) = match &*held {
             Held::Bare(index) => (&[0][..], std::slice::from_ref(index.as_ref()), true),
             Held::Transect(t) => (t.sensor_ids(), t.indexes(), false),
         };
-        Some(f(Sensors { ids, indexes, bare }))
+        f(Sensors { ids, indexes, bare })
+    }
+
+    /// Runs `f` on the transect the cell holds under the write guard:
+    /// queries wait until it returns. How a replica's tail loop applies
+    /// shipped rows; `Err` when the cell holds a bare index, or a
+    /// transect shared outside it (the transect a replica builds is the
+    /// cell's alone).
+    pub(crate) fn apply<R>(&self, f: impl FnOnce(&mut TransectIndex) -> R) -> Result<R, String> {
+        let mut held = self.cell.held.write();
+        match &mut *held {
+            Held::Transect(t) => Arc::get_mut(t)
+                .map(f)
+                .ok_or_else(|| "the served transect is shared; it takes no rows".to_string()),
+            Held::Bare(_) => Err("a bare index takes no shipped rows".to_string()),
+        }
     }
 
     /// Executes one query on `wanted` (`None`: every sensor served), each
     /// sensor through its result cache ([`fan_out_cached`]). Parts come
     /// back in ascending sensor order — the order a flat response
     /// concatenates and a router splices them in — with whether every one
-    /// came from a cache. `Ok(None)`: the cell is empty.
+    /// came from a cache.
     pub(crate) fn query(
         &self,
         region: &QueryRegion,
         plan: QueryPlan,
         wanted: Option<&[u32]>,
-    ) -> pagestore::Result<Option<(SensorResults, QueryStats, bool)>> {
+    ) -> pagestore::Result<(SensorResults, QueryStats, bool)> {
         let answer = |held: Sensors<'_>| {
             let mut ids = wanted.unwrap_or(held.ids).to_vec();
             ids.sort_unstable();
@@ -134,7 +116,7 @@ impl Engine {
             let (parts, stats, cached) = fan_out_cached(&picked, region, plan, self.threads)?;
             Ok((ids.into_iter().zip(parts).collect(), stats, cached))
         };
-        self.with_sensors(answer).transpose()
+        self.with_sensors(answer)
     }
 
     /// Rejects `region` when a sensor of `wanted` (empty: every sensor
@@ -154,47 +136,51 @@ impl Engine {
                 .map(|i| i.config().window)
                 .try_for_each(|w| check_window(region, w))
         };
-        self.with_sensors(check).unwrap_or(Ok(()))
+        self.with_sensors(check)
     }
 
     /// The epoch versioning responses: the sum of the sensors' epochs.
     pub fn epoch(&self) -> u64 {
         let sum = |s: Sensors<'_>| s.indexes.iter().map(SegDiffIndex::epoch).sum();
-        self.with_sensors(sum).unwrap_or(0)
+        self.with_sensors(sum)
     }
 
     /// Entries currently held in the sensors' result caches.
     pub(crate) fn cache_entries(&self) -> usize {
         let sum = |s: Sensors<'_>| s.indexes.iter().map(|i| i.result_cache().len()).sum();
-        self.with_sensors(sum).unwrap_or(0)
+        self.with_sensors(sum)
     }
 
     /// Number of sensors served.
     pub fn num_sensors(&self) -> u32 {
-        self.with_sensors(|s| s.ids.len() as u32).unwrap_or(0)
+        self.with_sensors(|s| s.ids.len() as u32)
     }
 
     /// The `sensors` count of a `/query` answer: none from a bare index.
     pub(crate) fn served(&self) -> Option<u32> {
-        self.with_sensors(|s| (!s.bare).then_some(s.ids.len() as u32))?
+        self.with_sensors(|s| (!s.bare).then_some(s.ids.len() as u32))
     }
 
     /// The global sensor ids this engine serves, ascending.
     pub fn sensor_ids(&self) -> Vec<u32> {
-        self.with_sensors(|s| s.ids.to_vec()).unwrap_or_default()
+        self.with_sensors(|s| s.ids.to_vec())
     }
 
-    /// The directory backing `sensor`, when this engine serves it (the
-    /// WAL-shipping routes read `wal.log` and data files there).
-    pub fn sensor_dir(&self, sensor: u32) -> Option<PathBuf> {
-        self.with_sensors(|s| Some(s.get(sensor)?.database().dir().to_path_buf()))?
+    /// The `GET /segments` body of `sensor` from row `after_row` on
+    /// ([`rowstream::encode`]); `None` when this engine does not serve
+    /// `sensor`.
+    pub(crate) fn rows_after(
+        &self,
+        sensor: u32,
+        after_row: u64,
+    ) -> Option<pagestore::Result<Vec<u8>>> {
+        self.with_sensors(|s| Some(rowstream::encode(s.get(sensor)?, after_row)))
     }
 
     /// The highest LSN durably appended to any backing WAL (0 without logs).
     pub fn last_durable_lsn(&self) -> u64 {
         let last = |i: &SegDiffIndex| Some(i.database().wal()?.next_lsn().saturating_sub(1));
         self.with_sensors(|s| s.indexes.iter().filter_map(last).max())
-            .flatten()
             .unwrap_or(0)
     }
 
@@ -209,25 +195,36 @@ impl Engine {
                 (clean && r.clean, replayed, truncated)
             })
         };
-        self.with_sensors(sum).unwrap_or((true, 0, 0))
+        self.with_sensors(sum)
     }
 
-    /// The highest primary LSN a tailing replica applied (0 on a primary).
-    pub fn applied_lsn(&self) -> u64 {
-        self.cell.applied_lsn.load(Ordering::Acquire)
+    /// The `segments` rows the served sensors hold, summed: on a replica,
+    /// the rows it applied, each sensor's cursor.
+    pub fn applied_rows(&self) -> u64 {
+        self.with_sensors(|s| s.indexes.iter().map(|i| i.stats().n_segments).sum())
     }
 
     /// Flushes dirty pages (and checkpoints the WAL) on every backing
     /// database; called once the server has drained.
     pub fn flush(&self) -> pagestore::Result<()> {
         let flush = |s: Sensors<'_>| s.indexes.iter().try_for_each(|i| i.database().flush());
-        self.with_sensors(flush).unwrap_or(Ok(()))
+        self.with_sensors(flush)
+    }
+
+    /// Runs `f` on the index of `sensor`, when this engine serves it.
+    #[cfg(test)]
+    pub(crate) fn with_sensor<R>(
+        &self,
+        sensor: u32,
+        f: impl FnOnce(&SegDiffIndex) -> R,
+    ) -> Option<R> {
+        self.with_sensors(|s| s.get(sensor).map(f))
     }
 }
 
 impl From<Arc<SegDiffIndex>> for Engine {
     fn from(index: Arc<SegDiffIndex>) -> Engine {
-        Engine::over(EngineCell::holding(Some(Held::Bare(index))), 1)
+        Engine::holding(Held::Bare(index), 1)
     }
 }
 

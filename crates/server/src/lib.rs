@@ -21,6 +21,8 @@
 //!   once into typed values;
 //! * [`engine`] — the sensors a service answers from and the one query
 //!   path over them;
+//! * [`replica`] and [`rowstream`] — a warm replica, which applies a
+//!   primary's shipped `segments` rows (`GET /segments`) to a live store;
 //! * [`answer`] — the `/query` answer writer the router shares;
 //! * [`service`] — the handlers: `POST /query`, `GET /metrics`,
 //!   `GET /healthz`, `GET /series`, `GET /alerts`,
@@ -54,12 +56,12 @@ pub mod observer;
 pub mod queue;
 pub mod replica;
 pub mod routes;
+pub mod rowstream;
 pub mod server;
 pub mod service;
-pub mod ship;
 pub mod spec;
 
-pub use engine::{Engine, EngineCell};
+pub use engine::Engine;
 pub use http::{Request, Response};
 pub use loadgen::{LoadReport, LoadgenConfig};
 pub use observer::{Observability, Observer};
@@ -723,12 +725,27 @@ mod e2e_tests {
         assert!(fetch(&host, "GET", "/healthz", None).is_err());
     }
 
-    /// The replication loop end to end over real HTTP: a replica
-    /// bootstraps from a live primary, serves byte-identical `/query`
-    /// answers with role `"replica"` and an `applied_lsn`, and — after
-    /// the primary drains, ingests more data offline, and rebinds on
-    /// the same port — tails (or resyncs past) the new WAL history
-    /// until it matches the restarted primary again.
+    /// Binds a server for `t` on `addr`, retrying while a port a stopped
+    /// server held is still in use.
+    fn rebind(addr: &str, t: &Arc<segdiff::TransectIndex>, config: &ServerConfig) -> Server {
+        for _ in 0..40 {
+            match Server::bind(addr, Engine::transect(Arc::clone(t), 2), config.clone()) {
+                Ok(server) => return server,
+                Err(_) => std::thread::sleep(Duration::from_millis(50)),
+            }
+        }
+        panic!("rebind {addr}");
+    }
+
+    /// The replication loop end to end over real HTTP, on the row stream.
+    /// After every replica `round()`, each sensor's `segments()` on the
+    /// replica is bit-equal to the primary's and the `/query` answers are
+    /// byte-equal, across: a bootstrap; the primary's `compact_storage()`
+    /// (a seal and feature-table cuts) between polls; a primary restart
+    /// with more rows (tailed, no rebuild); a primary replaced by a
+    /// different, shorter store (that sensor rebuilt from row 0, one
+    /// `replica.rebuilds`); the replica's own `compact_storage()`; and
+    /// more rows tailed onto the replica's sealed run.
     #[test]
     fn replica_bootstraps_tails_and_serves() {
         use segdiff::TransectIndex;
@@ -740,17 +757,29 @@ mod e2e_tests {
             .with_days(3)
             .with_sensors(2)
             .clean();
-        let series0 = generate_sensor(&cfg, 0, 7);
-        let series1 = generate_sensor(&cfg, 1, 7);
-        let half = series0.len() / 2;
-
-        // Round one: sensor 0 has only the first half of its series;
-        // the rest arrives after the primary restart below.
-        let mut t = TransectIndex::create(&prim.0, SegDiffConfig::default(), 2).unwrap();
-        t.ingest_series(0, &series0.prefix(half)).unwrap();
-        t.ingest_series(1, &series1).unwrap();
-        t.finish_all().unwrap();
-        t.build_indexes_all().unwrap();
+        let series = [generate_sensor(&cfg, 0, 7), generate_sensor(&cfg, 1, 7)];
+        let (quarter, half) = (series[0].len() / 4, series[0].len() / 2);
+        let part = |s: &TimeSeries, rows: std::ops::Range<usize>| {
+            TimeSeries::from_parts(s.times()[rows.clone()].to_vec(), s.values()[rows].to_vec())
+        };
+        // A primary store: sensor 0 holds `rows` of its series, sensor 1
+        // all of its own.
+        let create = |rows: usize| {
+            std::fs::remove_dir_all(&prim.0).ok();
+            let mut t = TransectIndex::create(&prim.0, SegDiffConfig::default(), 2).unwrap();
+            t.ingest_series(0, &series[0].prefix(rows)).unwrap();
+            t.ingest_series(1, &series[1]).unwrap();
+            t.finish_all().unwrap();
+            t.build_indexes_all().unwrap();
+            Arc::new(t)
+        };
+        // The primary reopened with sensor 0's `rows` ingested on top.
+        let extend = |rows: std::ops::Range<usize>| {
+            let mut t = TransectIndex::open(&prim.0, 4096).unwrap();
+            t.ingest_series(0, &part(&series[0], rows)).unwrap();
+            t.finish_all().unwrap();
+            Arc::new(t)
+        };
 
         let config = ServerConfig {
             threads: 2,
@@ -758,24 +787,29 @@ mod e2e_tests {
             read_timeout: Duration::from_millis(250),
             ..ServerConfig::default()
         };
-        let running = Server::bind(
-            "127.0.0.1:0",
-            Engine::transect(Arc::new(t), 2),
-            config.clone(),
-        )
-        .unwrap()
-        .spawn();
+        let mut primary = create(half);
+        let mut running = rebind("127.0.0.1:0", &primary, &config).spawn();
         let primary_host = running.host().to_string();
 
-        let query = r#"{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"}"#;
-        let results_of = |host: &str| -> String {
-            let (status, body) = fetch(host, "POST", "/query", Some(query)).unwrap();
-            assert_eq!(status, 200, "body: {body}");
-            let doc = Json::parse(&body).unwrap();
-            doc.get("results").unwrap().to_string_compact()
+        let bodies = [
+            r#"{"kind":"drop","v":-2.0,"t_hours":1.0,"plan":"index"}"#,
+            r#"{"kind":"jump","v":1.5,"t_hours":2.5,"per_sensor":true}"#,
+        ];
+        let answers_of = |host: &str| -> Vec<String> {
+            let answer = |body: &&str| {
+                let (status, text) = fetch(host, "POST", "/query", Some(body)).unwrap();
+                assert_eq!(status, 200, "body: {text}");
+                let doc = Json::parse(&text).unwrap();
+                let part = doc.get("results").or_else(|| doc.get("by_sensor"));
+                part.unwrap().to_string_compact()
+            };
+            bodies.iter().map(answer).collect()
         };
-        let reference = results_of(&primary_host);
-        assert_ne!(reference, "[]", "the CAD tides must produce drop results");
+        let bits = |rows: Vec<segmentation::Segment>| -> Vec<[u64; 4]> {
+            let row = |s: &segmentation::Segment| [s.t_start, s.v_start, s.t_end, s.v_end];
+            rows.iter().map(|s| row(s).map(f64::to_bits)).collect()
+        };
+        let rebuilds = || obs::global().counter("replica.rebuilds").get();
 
         let mut replica = Replica::bootstrap(ReplicaConfig {
             primary: primary_host.clone(),
@@ -785,10 +819,10 @@ mod e2e_tests {
         })
         .unwrap();
         assert_eq!(replica.sensor_ids(), vec![0, 1]);
-
+        let engine = replica.engine();
         let rep_running = Server::bind(
             "127.0.0.1:0",
-            replica.engine(),
+            engine.clone(),
             ServerConfig {
                 role: ShardRole::Replica,
                 ..config.clone()
@@ -797,71 +831,82 @@ mod e2e_tests {
         .unwrap()
         .spawn();
         let replica_host = rep_running.host().to_string();
+        let mirrors = |primary: &TransectIndex, what: &str| {
+            for sensor in 0..2 {
+                let want = primary.sensor(sensor).unwrap().segments().unwrap();
+                let got = engine.with_sensor(sensor, |i| i.segments().unwrap());
+                assert!(
+                    got.map(bits) == Some(bits(want)),
+                    "{what}: sensor {sensor}'s rows differ"
+                );
+            }
+            let want = answers_of(&primary_host);
+            assert_eq!(answers_of(&replica_host), want, "{what}");
+            want
+        };
 
+        let first = mirrors(&primary, "bootstrap");
+        assert_ne!(first[0], "[]", "the CAD tides must produce drop results");
         let (status, body) = fetch(&replica_host, "GET", "/healthz", None).unwrap();
         assert_eq!(status, 200);
         let health = Json::parse(&body).unwrap();
         assert_eq!(health.get("role").and_then(Json::as_str), Some("replica"));
-        assert!(
-            health.get("applied_lsn").and_then(Json::as_u64).is_some(),
-            "replica /healthz must report applied_lsn: {body}"
+        let rows: u64 = (0..2)
+            .map(|s| primary.sensor(s).unwrap().stats().n_segments)
+            .sum();
+        assert_eq!(
+            health.get("applied_rows").and_then(Json::as_u64),
+            Some(rows),
+            "replica /healthz must report the rows it applied: {body}"
         );
         assert_eq!(health.get("sensors").and_then(Json::as_u64), Some(2));
-        assert_eq!(
-            results_of(&replica_host),
-            reference,
-            "bootstrapped replica must answer byte-identically"
-        );
-        expect_window_400(&replica_host); // the swappable engine, too
+        expect_window_400(&replica_host);
+        let rebuilt = rebuilds();
 
-        // Restart the primary with new data: drain (via the flag, so no
-        // server-side close leaves the port in TIME_WAIT), ingest the
-        // second half of sensor 0 offline, rebind on the same port.
-        running.stop().unwrap();
-        let mut t = TransectIndex::open(&prim.0, 4096).unwrap();
-        let rest = TimeSeries::from_parts(
-            series0.times()[half..].to_vec(),
-            series0.values()[half..].to_vec(),
-        );
-        t.ingest_series(0, &rest).unwrap();
-        t.finish_all().unwrap();
-        t.build_indexes_all().unwrap();
-        let t = Arc::new(t);
-        let server = {
-            let mut attempt = 0;
-            loop {
-                match Server::bind(
-                    &primary_host,
-                    Engine::transect(Arc::clone(&t), 2),
-                    config.clone(),
-                ) {
-                    Ok(server) => break server,
-                    Err(e) if attempt < 40 => {
-                        attempt += 1;
-                        std::thread::sleep(Duration::from_millis(50));
-                        let _ = e;
-                    }
-                    Err(e) => panic!("rebind {primary_host}: {e}"),
-                }
-            }
-        };
-        let running = server.spawn();
-        let updated = results_of(&primary_host);
-        assert_ne!(updated, reference, "the second half must change the answer");
-
-        // The replica's cursor points at pre-restart history: each round
-        // either tails the new frames or, when the restart checkpointed
-        // past the cursor, falls back to a full resync of the sensor.
-        let mut caught_up = false;
-        for _ in 0..50 {
-            replica.round().unwrap();
-            if results_of(&replica_host) == updated {
-                caught_up = true;
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(50));
+        // A seal and cuts on the served primary between two polls.
+        for sensor in 0..2 {
+            primary.sensor(sensor).unwrap().compact_storage().unwrap();
         }
-        assert!(caught_up, "replica must converge on the restarted primary");
+        replica.round().unwrap();
+        mirrors(&primary, "primary compacted between polls");
+
+        // A restart with more rows: sensor 0 tails across a seal.
+        running.stop().unwrap();
+        drop(primary);
+        primary = extend(half..series[0].len());
+        primary.sensor(0).unwrap().compact_storage().unwrap();
+        running = rebind(&primary_host, &primary, &config).spawn();
+        replica.round().unwrap();
+        let longer = mirrors(&primary, "primary restarted with more rows");
+        assert_ne!(longer, first, "the second half must change the answers");
+        assert_eq!(rebuilds(), rebuilt, "a longer primary is tailed");
+
+        // A different, shorter store: sensor 0 rebuilds from row 0, and
+        // sensor 1 (the same rows again) is left as it is.
+        running.stop().unwrap();
+        drop(primary);
+        primary = create(quarter);
+        running = rebind(&primary_host, &primary, &config).spawn();
+        replica.round().unwrap();
+        let shorter = mirrors(&primary, "primary replaced by a shorter store");
+        assert_eq!(rebuilds(), rebuilt + 1, "one sensor rebuilt");
+
+        // The replica compacts on its own; its answers do not move, and
+        // rows shipped later append behind its sealed run.
+        for sensor in 0..2 {
+            let compacted = engine.with_sensor(sensor, |i| i.compact_storage().map(drop));
+            assert!(matches!(compacted, Some(Ok(()))), "sensor {sensor}");
+        }
+        assert_eq!(answers_of(&replica_host), shorter, "replica compacted");
+        replica.round().unwrap();
+        mirrors(&primary, "replica compacted");
+        running.stop().unwrap();
+        drop(primary);
+        primary = extend(quarter..half);
+        running = rebind(&primary_host, &primary, &config).spawn();
+        replica.round().unwrap();
+        mirrors(&primary, "rows tailed onto the replica's sealed run");
+        assert_eq!(rebuilds(), rebuilt + 1);
 
         for host in [&primary_host, &replica_host] {
             let (status, _) = fetch(host, "POST", "/shutdown", None).unwrap();

@@ -1,51 +1,37 @@
-//! Warm replica: bootstrap from a primary's data files, then tail its
-//! WAL over `GET /wal` and replay through the ordinary recovery path.
+//! Warm replica: follows a primary by applying its `segments` rows to a
+//! live index.
 //!
-//! The protocol has two phases per sensor:
+//! Everything a shard answers from is a function of each sensor's
+//! segment chain, its ε and its window: both plans generate their pairs
+//! from the chain. So a replica is shipped rows, not files:
+//! `GET /segments?sensor=G&after_row=N` ([`crate::rowstream`]) answers
+//! with the primary's rows `N..`, ε, window, observation count and row
+//! count. The replica holds one live [`TransectIndex`] under its root
+//! (`<root>/sensor-<id>/`, ordinary stores) and appends the rows through
+//! [`SegDiffIndex::ingest_pla`], the ingest store step, under the engine
+//! slot's write guard (`Engine::apply`): a query waits for an apply,
+//! and none is refused.
 //!
-//! 1. **Bootstrap** — copy the sensor directory over
-//!    `GET /wal/manifest?sensor=` + `GET /wal/file` (data files first,
-//!    `wal.log` last, so the log covers anything the data files were
-//!    still missing), open the copied log — which cuts it to its valid
-//!    prefix — and remember its last LSN as the replication cursor. A
-//!    checkpoint racing the copy moves the log's start LSN; the copy is
-//!    simply retried.
-//! 2. **Tail** — poll `GET /wal?sensor=&after_lsn=cursor`, append the
-//!    shipped raw frames to the local `wal.log` ([`Wal::append_frames`]:
-//!    the log format has one reader and writer), and refresh the serving
-//!    engine by reopening the directory: recovery replays the primary's
-//!    page images (file order, no LSN assumptions), truncates to the
-//!    last commit, rebuilds indexes, and checkpoints. A `restart` flag
-//!    (cursor older than the primary's truncated history) falls back to
-//!    a fresh bootstrap of that sensor.
-//!
-//! The replica never writes through its own engine, so the local log is
-//! exclusively: `[local checkpoint][shipped primary frames...]` — which
-//! recovery replays correctly because it follows file order.
-//!
-//! Cursors persist in `replica.cursor` at the replica root (one
-//! `sensor lsn` line each), so a restarted replica resumes tailing
-//! instead of re-copying, unless the primary checkpointed past it.
+//! A sensor's cursor is its own row count, which opening its store
+//! recovers, so bootstrap is the same call from row 0 and a restarted
+//! replica resumes where its store stands. Before any write, a shipped
+//! run is refused unless it continues the sensor's last row bit for bit
+//! and carries the sensor's ε and window; a primary holding fewer rows
+//! than the replica is another store, and that sensor is rebuilt from
+//! row 0. Nothing a primary rewrites outside its log (a seal, a cut, a
+//! checkpoint) is shipped, so none of it can tear a replica, and the
+//! replica seals and compacts on its own schedule.
 
-use crate::engine::{Engine, EngineCell};
+use crate::engine::Engine;
 use crate::loadgen::{fetch, fetch_bytes};
-use crate::ship;
+use crate::rowstream::{self, Shipment};
 use obs::json::Json;
-use pagestore::{sync_from_env, OsVfs, Vfs, Wal, WalSegment, WAL_FILE};
-use segdiff::TransectIndex;
-use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use segdiff::{SegDiffConfig, SegDiffIndex, TransectIndex};
+use segmentation::PiecewiseLinear;
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Name of the cursor file at the replica root (excluded from
-/// bootstrap manifests).
-pub const CURSOR_FILE: &str = "replica.cursor";
-
-/// Full-directory copy attempts before giving up on a sensor whose
-/// primary keeps checkpointing mid-copy.
-const SYNC_ATTEMPTS: usize = 5;
 
 /// Granularity of the shutdown-aware sleep between tail rounds.
 const SLEEP_SLICE: Duration = Duration::from_millis(20);
@@ -63,8 +49,6 @@ pub struct ReplicaConfig {
     pub threads: usize,
     /// Tail-poll interval.
     pub poll: Duration,
-    /// Bytes of WAL frames (or file chunk) requested per round trip.
-    pub max_bytes: u64,
 }
 
 impl Default for ReplicaConfig {
@@ -75,7 +59,6 @@ impl Default for ReplicaConfig {
             pool_pages: 4096,
             threads: 4,
             poll: Duration::from_millis(200),
-            max_bytes: 1 << 20,
         }
     }
 }
@@ -84,10 +67,8 @@ impl Default for ReplicaConfig {
 struct ReplicaMetrics {
     rounds: Arc<obs::Counter>,
     errors: Arc<obs::Counter>,
-    frames: Arc<obs::Counter>,
-    bytes: Arc<obs::Counter>,
-    resyncs: Arc<obs::Counter>,
-    refreshes: Arc<obs::Counter>,
+    rows: Arc<obs::Counter>,
+    rebuilds: Arc<obs::Counter>,
 }
 
 impl ReplicaMetrics {
@@ -96,95 +77,66 @@ impl ReplicaMetrics {
         ReplicaMetrics {
             rounds: r.counter("replica.ship_rounds"),
             errors: r.counter("replica.ship_errors"),
-            frames: r.counter("replica.frames_applied"),
-            bytes: r.counter("replica.bytes_applied"),
-            resyncs: r.counter("replica.resyncs"),
-            refreshes: r.counter("replica.engine_refreshes"),
+            rows: r.counter("replica.rows_applied"),
+            rebuilds: r.counter("replica.rebuilds"),
         }
     }
 }
 
-/// A warm replica of one shard primary: owns the swappable engine the
-/// server serves reads from, and the tail loop that keeps it fresh.
+/// A warm replica of one shard primary: owns the engine the server
+/// serves reads from, and the tail loop that keeps it fresh.
 pub struct Replica {
     cfg: ReplicaConfig,
-    cell: Arc<EngineCell>,
-    /// Per-sensor replication cursor: last primary LSN applied.
-    cursors: BTreeMap<u32, u64>,
-    /// Set while the serving engine lags the applied log (a failed
-    /// refresh retries next round even without new frames).
-    engine_stale: bool,
+    engine: Engine,
+    /// The primary's sensors, ascending.
+    sensors: Vec<u32>,
     metrics: ReplicaMetrics,
 }
 
 impl Replica {
-    /// Bootstraps (or resumes) a replica of `cfg.primary` into
-    /// `cfg.root` and opens the serving engine. Fails if the primary is
-    /// unreachable, serves no sensors, or is itself a replica.
+    /// Opens what `cfg.root` holds of the primary's sensors and brings
+    /// every sensor level with `cfg.primary` (from row 0 for a sensor it
+    /// lacks). Fails if the primary is unreachable, serves no sensors, or
+    /// is itself a replica.
     pub fn bootstrap(cfg: ReplicaConfig) -> Result<Replica, String> {
         std::fs::create_dir_all(&cfg.root)
             .map_err(|e| format!("create {}: {e}", cfg.root.display()))?;
-        let (status, body) = fetch(&cfg.primary, "GET", "/wal/manifest", None)?;
-        if status != 200 {
-            return Err(format!(
-                "GET /wal/manifest on {}: status {status}",
-                cfg.primary
-            ));
-        }
-        let doc = Json::parse(&body).map_err(|e| format!("bad manifest: {e}"))?;
-        let role = doc.get("role").and_then(Json::as_str).unwrap_or("");
-        if role != "primary" {
-            return Err(format!(
-                "{} reports role {role:?}; replicas only follow primaries",
-                cfg.primary
-            ));
-        }
-        let sensors: Vec<u32> = match doc.get("sensors") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .filter_map(Json::as_u64)
-                .filter(|&n| n <= u64::from(u32::MAX))
-                .map(|n| n as u32)
-                .collect(),
-            _ => Vec::new(),
-        };
-        if sensors.is_empty() {
-            return Err(format!("{} serves no sensors", cfg.primary));
+        let sensors = primary_sensors(&cfg.primary)?;
+        let mut transect = TransectIndex::empty(&cfg.root);
+        for &sensor in &sensors {
+            let dir = TransectIndex::sensor_dir(&cfg.root, sensor);
+            if !dir.exists() {
+                continue;
+            }
+            // A store that does not open is rebuilt from row 0 below.
+            match SegDiffIndex::open(&dir, cfg.pool_pages) {
+                Ok(index) => transect.insert(sensor, index),
+                Err(e) => obs::warn!("replica sensor {sensor} rebuilds: {e}"),
+            }
         }
         let mut replica = Replica {
-            cell: EngineCell::empty(),
-            cursors: load_cursors(&cfg.root),
-            engine_stale: true,
+            engine: Engine::transect(Arc::new(transect), cfg.threads),
+            sensors,
             metrics: ReplicaMetrics::new(),
             cfg,
         };
-        // Cursors for sensors the primary no longer serves are stale.
-        replica.cursors.retain(|sensor, _| sensors.contains(sensor));
-        for &sensor in &sensors {
-            let resumable = replica.cursors.contains_key(&sensor)
-                && replica.sensor_dir(sensor).join(WAL_FILE).exists();
-            if !resumable {
-                replica.sync_sensor(sensor)?;
-            }
-        }
-        replica.save_cursors()?;
-        replica.refresh_engine()?;
+        replica.round()?;
         Ok(replica)
     }
 
-    /// The swappable engine to serve queries from.
+    /// The engine to serve queries from.
     pub fn engine(&self) -> Engine {
-        Engine::over(Arc::clone(&self.cell), self.cfg.threads)
+        self.engine.clone()
     }
 
     /// Sensors this replica mirrors, ascending.
     pub fn sensor_ids(&self) -> Vec<u32> {
-        self.cursors.keys().copied().collect()
+        self.sensors.clone()
     }
 
     /// Runs tail rounds every `poll` until `shutdown` is set. Errors
-    /// (primary down, mid-copy races) are counted and retried next
-    /// round; the engine keeps serving the last applied state.
+    /// (primary down, a refused run) are counted and retried next round;
+    /// the engine keeps serving what it applied.
     pub fn run(mut self, shutdown: Arc<AtomicBool>) {
         while !shutdown.load(Ordering::Acquire) {
             let round_start = Instant::now();
@@ -199,212 +151,132 @@ impl Replica {
         }
     }
 
-    /// One tail round over every sensor; refreshes the engine when any
-    /// sensor advanced (or a previous refresh failed).
+    /// One tail round: brings every sensor level with the primary.
     pub fn round(&mut self) -> Result<(), String> {
         self.metrics.rounds.inc();
-        let mut dirty = false;
-        for sensor in self.sensor_ids() {
-            let cursor = self.cursors.get(&sensor).copied().unwrap_or(0);
-            let seg = self.fetch_segment(sensor, cursor)?;
-            if seg.restart {
-                // The primary checkpointed past our cursor: history we
-                // never saw is gone, so re-copy the whole sensor.
-                self.metrics.resyncs.inc();
-                self.sync_sensor(sensor)?;
-                dirty = true;
-                continue;
-            }
-            if seg.frames.is_empty() {
-                continue;
-            }
-            self.append_frames(sensor, &seg)?;
-            self.cursors.insert(sensor, seg.last_lsn);
-            dirty = true;
-        }
-        if dirty || self.engine_stale {
-            self.refresh_engine()?;
-            self.save_cursors()?;
-        }
-        Ok(())
+        self.sensors.iter().try_for_each(|&s| self.follow(s))
     }
 
-    fn sensor_dir(&self, sensor: u32) -> PathBuf {
-        self.cfg.root.join(format!("sensor-{sensor}"))
+    /// Fetches the rows `sensor` lacks and applies them, a body at a time
+    /// (each fetched with no guard held), until it holds the primary's.
+    fn follow(&self, sensor: u32) -> Result<(), String> {
+        let held = |t: &mut TransectIndex| Some(t.sensor(sensor).ok()?.stats().n_segments);
+        // `None`: the sensor's store is to be created from row 0.
+        let mut cursor = self.engine.apply(held)?;
+        loop {
+            let shipment = self.fetch(sensor, cursor.unwrap_or(0))?;
+            if cursor.is_some_and(|rows| shipment.total_rows < rows) {
+                // Fewer rows than this replica holds: another store.
+                obs::warn!(
+                    "replica sensor {sensor} rebuilds: the primary holds {} rows, the replica {}",
+                    shipment.total_rows,
+                    cursor.unwrap_or(0)
+                );
+                self.metrics.rebuilds.inc();
+                cursor = None;
+                continue;
+            }
+            let (total, fresh) = (shipment.total_rows, cursor.is_none());
+            let shipped = shipment.rows.len() as u64;
+            let apply = |t: &mut TransectIndex| self.apply(t, sensor, shipment, fresh);
+            let rows = self.engine.apply(apply)??;
+            self.metrics.rows.add(shipped);
+            if rows >= total {
+                return Ok(());
+            }
+            cursor = Some(rows);
+        }
     }
 
-    fn fetch_segment(&self, sensor: u32, after: u64) -> Result<WalSegment, String> {
-        let target = format!(
-            "/wal?sensor={sensor}&after_lsn={after}&max_bytes={}",
-            self.cfg.max_bytes
-        );
+    /// Appends `shipment` to `sensor` in `t` (when `fresh`, to a store
+    /// created for it in place of any it held) and returns the rows the
+    /// sensor then holds. A run that does not follow what the sensor holds
+    /// is refused before anything is written.
+    fn apply(
+        &self,
+        t: &mut TransectIndex,
+        sensor: u32,
+        shipment: Shipment,
+        fresh: bool,
+    ) -> Result<u64, String> {
+        let failed = |e: pagestore::StoreError| format!("replica sensor {sensor}: {e}");
+        if fresh {
+            if shipment.first_row != 0 {
+                return Err(format!(
+                    "replica sensor {sensor} starts afresh; shipped from row {}",
+                    shipment.first_row
+                ));
+            }
+            // The store held before closes its files before they go.
+            drop(t.remove(sensor));
+            let dir = TransectIndex::sensor_dir(&self.cfg.root, sensor);
+            match std::fs::remove_dir_all(&dir) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => {
+                    return Err(format!("remove {}: {e}", dir.display()));
+                }
+                _ => {}
+            }
+            let config = SegDiffConfig::default()
+                .with_epsilon(shipment.epsilon)
+                .with_window(shipment.window)
+                .with_pool_pages(self.cfg.pool_pages);
+            t.insert(sensor, SegDiffIndex::create(&dir, config).map_err(failed)?);
+        }
+        let index = t.sensor_mut(sensor).map_err(failed)?;
+        let held = index.stats();
+        let last = index.segments_in(held.n_segments.saturating_sub(1)..held.n_segments);
+        let (epsilon, window) = (index.config().epsilon, index.config().window);
+        shipment.check_follows(epsilon, window, last.map_err(failed)?.last())?;
+        if shipment.first_row != held.n_segments {
+            return Err(format!(
+                "replica sensor {sensor} holds {} rows; shipped from row {}",
+                held.n_segments, shipment.first_row
+            ));
+        }
+        let rows = held.n_segments + shipment.rows.len() as u64;
+        if !shipment.rows.is_empty() {
+            let observations = shipment.n_observations.saturating_sub(held.n_observations);
+            // `decode` refused a run with a gap, so this cannot panic.
+            let pla = PiecewiseLinear::from_segments(shipment.rows);
+            index.ingest_pla(&pla, observations).map_err(failed)?;
+        }
+        Ok(rows)
+    }
+
+    fn fetch(&self, sensor: u32, after_row: u64) -> Result<Shipment, String> {
+        let target = format!("/segments?sensor={sensor}&after_row={after_row}");
         let (status, body) = fetch_bytes(&self.cfg.primary, "GET", &target, None)?;
         if status != 200 {
             return Err(format!("GET {target}: status {status}"));
         }
-        ship::decode_segment(&body)
+        rowstream::decode(&body).map_err(|e| format!("GET {target}: {e}"))
     }
+}
 
-    fn append_frames(&self, sensor: u32, seg: &WalSegment) -> Result<(), String> {
-        let dir = self.sensor_dir(sensor);
-        let frames = open_log(&dir)
-            .and_then(|wal| wal.append_frames(&seg.frames))
-            .map_err(|e| format!("append to the log in {}: {e}", dir.display()))?;
-        self.metrics.frames.add(frames);
-        self.metrics.bytes.add(seg.frames.len() as u64);
-        Ok(())
+/// The sensors `primary` serves, from its `/healthz`; an error unless it
+/// answers as a primary serving at least one.
+fn primary_sensors(primary: &str) -> Result<Vec<u32>, String> {
+    let (status, body) = fetch(primary, "GET", "/healthz", None)?;
+    if status != 200 {
+        return Err(format!("GET /healthz on {primary}: status {status}"));
     }
-
-    /// Full directory copy of one sensor, retried while the primary's
-    /// checkpoints race the copy.
-    fn sync_sensor(&mut self, sensor: u32) -> Result<(), String> {
-        for _ in 0..SYNC_ATTEMPTS {
-            if self.try_sync_sensor(sensor)? {
-                return Ok(());
-            }
-        }
-        Err(format!(
-            "sensor {sensor}: primary kept checkpointing during the copy"
-        ))
+    let doc = Json::parse(&body).map_err(|e| format!("bad /healthz on {primary}: {e}"))?;
+    let role = doc.get("role").and_then(Json::as_str).unwrap_or("");
+    if role != "primary" {
+        return Err(format!(
+            "{primary} reports role {role:?}; replicas only follow primaries"
+        ));
     }
-
-    fn try_sync_sensor(&mut self, sensor: u32) -> Result<bool, String> {
-        let dir = self.sensor_dir(sensor);
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-        // Log horizon before the copy: a checkpoint during it moves the
-        // log's start LSN, and the attempt returns false to retry.
-        let pre = self.fetch_segment(sensor, u64::MAX)?;
-        let target = format!("/wal/manifest?sensor={sensor}");
-        let (status, body) = fetch(&self.cfg.primary, "GET", &target, None)?;
-        if status != 200 {
-            return Err(format!("GET {target}: status {status}"));
-        }
-        let doc = Json::parse(&body).map_err(|e| format!("bad manifest: {e}"))?;
-        let names: Vec<String> = match doc.get("files") {
-            Some(Json::Array(items)) => items
-                .iter()
-                .filter_map(|f| f.get("name").and_then(Json::as_str))
-                .map(str::to_string)
-                .collect(),
-            _ => return Err(format!("manifest for sensor {sensor} lists no files")),
-        };
-        // Data files first, the log last: the log then covers every
-        // change a data file copy might have caught mid-flight.
-        for name in names.iter().filter(|n| n.as_str() != WAL_FILE) {
-            self.copy_file(sensor, name, &dir)?;
-        }
-        if names.iter().any(|n| n == WAL_FILE) {
-            self.copy_file(sensor, WAL_FILE, &dir)?;
-        }
-        let post = self.fetch_segment(sensor, u64::MAX)?;
-        if post.log_start_lsn != pre.log_start_lsn {
-            return Ok(false);
-        }
-        // Opening the copied log cuts off a torn frame the copy may end
-        // in: frames appended behind torn bytes would be invisible to
-        // recovery. The log starts with its one checkpoint.
-        let local = open_log(&dir).map_err(|e| format!("open copied log: {e}"))?;
-        if local.last_checkpoint_lsn() != pre.log_start_lsn {
-            return Ok(false);
-        }
-        self.cursors.insert(sensor, local.next_lsn() - 1);
-        Ok(true)
-    }
-
-    fn copy_file(&self, sensor: u32, name: &str, dir: &Path) -> Result<(), String> {
-        let path = dir.join(name);
-        let failed = |e: std::io::Error| format!("copy to {}: {e}", path.display());
-        let out = OsVfs.create(&path).map_err(failed)?;
-        let mut offset = 0u64;
-        loop {
-            let target = format!(
-                "/wal/file?sensor={sensor}&name={name}&offset={offset}&len={}",
-                self.cfg.max_bytes
-            );
-            let (status, chunk) = fetch_bytes(&self.cfg.primary, "GET", &target, None)?;
-            if status != 200 {
-                return Err(format!("GET {target}: status {status}"));
-            }
-            if chunk.is_empty() {
-                break;
-            }
-            out.write_at(&chunk, offset).map_err(failed)?;
-            offset += chunk.len() as u64;
-        }
-        if sync_from_env() {
-            out.sync().map_err(failed)?;
-        }
-        Ok(())
-    }
-
-    /// Reopens the replica directory and swaps the serving engine. The
-    /// old engine drops first — recovery rewrites the very files it
-    /// holds open, and two buffer pools over one directory tear reads —
-    /// so queries in the short gap get the typed reload error.
-    fn refresh_engine(&mut self) -> Result<(), String> {
-        self.engine_stale = true;
-        self.cell.clear();
-        let index = TransectIndex::open(&self.cfg.root, self.cfg.pool_pages)
-            .map_err(|e| format!("open replica index: {e}"))?;
-        self.cell.set(index);
-        self.cell
-            .set_applied_lsn(self.cursors.values().copied().max().unwrap_or(0));
-        self.engine_stale = false;
-        self.metrics.refreshes.inc();
-        Ok(())
-    }
-
-    fn save_cursors(&self) -> Result<(), String> {
-        let text: String = self
-            .cursors
+    let sensors: Vec<u32> = match doc.get("sensor_ids") {
+        Some(Json::Array(items)) => items
             .iter()
-            .map(|(s, lsn)| format!("{s} {lsn}\n"))
-            .collect();
-        // Synced like the frames the cursor counts (`append_frames`): a
-        // cursor may lag the local log, never lead it.
-        pagestore::write_atomic(
-            &OsVfs,
-            &self.cfg.root.join(CURSOR_FILE),
-            text.as_bytes(),
-            sync_from_env(),
-        )
-        .map_err(|e| format!("persist {CURSOR_FILE}: {e}"))
-    }
-}
-
-/// The log of the sensor directory `dir`, opened for appending.
-fn open_log(dir: &Path) -> pagestore::Result<Wal> {
-    Wal::open(Arc::new(OsVfs), dir, sync_from_env())
-}
-
-/// Loads persisted cursors; a missing or garbled file is an empty map
-/// (the affected sensors re-bootstrap).
-fn load_cursors(root: &Path) -> BTreeMap<u32, u64> {
-    let text = OsVfs.read(&root.join(CURSOR_FILE)).unwrap_or_default();
-    let lines = String::from_utf8_lossy(&text).into_owned();
-    let cursor = |line: &str| {
-        let (sensor, lsn) = line.split_once(' ')?;
-        Some((sensor.parse().ok()?, lsn.parse().ok()?))
+            .filter_map(Json::as_u64)
+            .filter_map(|n| u32::try_from(n).ok())
+            .collect(),
+        _ => Vec::new(),
     };
-    lines.lines().filter_map(cursor).collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn cursor_file_round_trips() {
-        let root = std::env::temp_dir().join(format!("segdiff-cursor-{}", std::process::id()));
-        std::fs::remove_dir_all(&root).ok();
-        std::fs::create_dir_all(&root).expect("mkdir");
-        assert!(load_cursors(&root).is_empty(), "missing file is empty");
-        std::fs::write(root.join(CURSOR_FILE), "0 17\n3 9\nbad line\nx y\n").expect("write");
-        let cursors = load_cursors(&root);
-        assert_eq!(cursors.len(), 2);
-        assert_eq!(cursors.get(&0), Some(&17));
-        assert_eq!(cursors.get(&3), Some(&9));
-        std::fs::remove_dir_all(&root).ok();
+    if sensors.is_empty() {
+        return Err(format!("{primary} serves no sensors"));
     }
+    Ok(sensors)
 }

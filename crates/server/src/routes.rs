@@ -143,24 +143,10 @@ pub const ROUTES: &[RouteDef<Service, Handled>] = &[
     ),
     RouteDef::new(
         "GET",
-        "/wal",
-        &["sensor", "after_lsn", "max_bytes"],
-        "WAL segment shipping for replicas (frames after a LSN cursor)",
-        |s, req, _| s.wal_ship(req).into(),
-    ),
-    RouteDef::new(
-        "GET",
-        "/wal/manifest",
-        &["sensor"],
-        "WAL file manifest for replica bootstrap",
-        |s, req, _| s.wal_manifest(req).into(),
-    ),
-    RouteDef::new(
-        "GET",
-        "/wal/file",
-        &["sensor", "name", "offset", "len"],
-        "raw WAL file byte ranges for replica bootstrap",
-        |s, req, _| s.wal_file(req).into(),
+        "/segments",
+        &["sensor", "after_row"],
+        "a sensor's `segments` rows from a row on, for replicas to apply",
+        |s, req, _| s.segments(req).into(),
     ),
     RouteDef::new(
         "GET",

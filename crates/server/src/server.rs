@@ -42,8 +42,7 @@ pub struct ServerConfig {
     /// series (defaults mirror `ci/alert-rules.toml`).
     pub alert_rules: AlertRuleSet,
     /// Whether this process serves as a shard primary or a warm replica
-    /// (reported by `/healthz`; replicas skip the drain-time flush
-    /// because the tail thread owns their durability).
+    /// (reported by `/healthz`).
     pub role: ShardRole,
 }
 
@@ -135,25 +134,21 @@ impl Server {
         )?;
         // Every query has finished; make the store durable before telling
         // the caller the drain is complete. With WAL on this checkpoints
-        // and truncates the log, so the next open is clean. Replicas
-        // skip it: the tail thread may still be appending shipped
-        // frames, and a checkpoint here would race it — replica state is
-        // disposable (rebuilt from the primary) so durability is the
-        // tail loop's job.
-        if self.service.role() == ShardRole::Primary {
-            let flush_start = std::time::Instant::now();
-            self.service
-                .engine()
-                .flush()
-                .map_err(|e| io::Error::other(format!("flush on drain failed: {e}")))?;
-            obs::global()
-                .histogram("server.flush_ms")
-                .record(flush_start.elapsed().as_millis().min(u64::MAX as u128) as u64);
-            obs::info!(
-                "drained and flushed in {:.1} ms",
-                flush_start.elapsed().as_secs_f64() * 1e3
-            );
-        }
+        // and truncates the log, so the next open is clean. A replica's
+        // store is an ordinary live one: its flush waits for an apply in
+        // progress, and a row applied after it is the log's to recover.
+        let flush_start = std::time::Instant::now();
+        self.service
+            .engine()
+            .flush()
+            .map_err(|e| io::Error::other(format!("flush on drain failed: {e}")))?;
+        obs::global()
+            .histogram("server.flush_ms")
+            .record(flush_start.elapsed().as_millis().min(u64::MAX as u128) as u64);
+        obs::info!(
+            "drained and flushed in {:.1} ms",
+            flush_start.elapsed().as_secs_f64() * 1e3
+        );
         observer.stop();
         Ok(())
     }

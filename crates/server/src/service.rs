@@ -27,27 +27,21 @@ use obs::export::Exporter;
 use obs::json::Json;
 use obs::tracering::TraceRecord;
 use obs::TraceNode;
-use pagestore::{OsVfs, StoreError, Vfs};
+use pagestore::StoreError;
 use segdiff::{Subscription, SubscriptionRegistry};
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Default bytes of WAL frames (or file chunk) per shipping response.
-const SHIP_DEFAULT_BYTES: u64 = 1 << 20;
-/// Upper bound a client may request per shipping response (stays well
-/// under the transport's 4 MiB body cap).
-const SHIP_MAX_BYTES: u64 = 2 << 20;
-
 /// Which role this process plays in a cluster deployment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShardRole {
-    /// Owns its sensors: ingests, serves queries, ships WAL frames.
+    /// Owns its sensors: ingests, serves queries, ships `segments` rows.
     #[default]
     Primary,
-    /// Tails a primary's WAL and serves read queries from the applied
-    /// state; never writes through its own engine.
+    /// Applies a primary's shipped `segments` rows to a live store and
+    /// serves read queries from it.
     Replica,
 }
 
@@ -71,9 +65,6 @@ struct ServiceMetrics {
     inflight: Arc<obs::Gauge>,
     request_nanos: Arc<obs::Histogram>,
     query_nanos: Arc<obs::Histogram>,
-    ship_requests: Arc<obs::Counter>,
-    ship_bytes: Arc<obs::Counter>,
-    ship_restarts: Arc<obs::Counter>,
 }
 
 impl ServiceMetrics {
@@ -88,9 +79,6 @@ impl ServiceMetrics {
             inflight: r.gauge("server.inflight"),
             request_nanos: r.histogram("server.request_nanos"),
             query_nanos: r.histogram("server.query_nanos"),
-            ship_requests: r.counter("wal.ship.requests"),
-            ship_bytes: r.counter("wal.ship.bytes"),
-            ship_restarts: r.counter("wal.ship.restarts"),
         }
     }
 }
@@ -291,11 +279,6 @@ impl Service {
         self.role = role;
     }
 
-    /// The role this process serves as.
-    pub fn role(&self) -> ShardRole {
-        self.role
-    }
-
     /// The engine queries execute against.
     pub fn engine(&self) -> &Engine {
         &self.engine
@@ -346,12 +329,7 @@ impl Service {
         let outcome = self.engine.query(&spec.region, spec.plan, subset);
         let trace = obs::trace_take();
         let (parts, stats, cached) = match outcome {
-            Ok(Some(t)) => t,
-            // A replica reopening its store: not the caller's mistake.
-            Ok(None) => {
-                let resp = Response::error(503, "engine unavailable: reload in progress");
-                return Handled(resp.into(), trace);
-            }
+            Ok(t) => t,
             Err(StoreError::InvalidArgument(m)) => {
                 return Handled(Response::error(400, m).into(), trace);
             }
@@ -709,7 +687,7 @@ impl Service {
 
     /// `GET /healthz` — liveness plus the shard's cluster-facing state:
     /// role, served sensor ids, last durable WAL LSN, what recovery did
-    /// at open, and (on replicas) the highest primary LSN applied.
+    /// at open, and (on replicas) the `segments` rows applied.
     pub(crate) fn healthz(&self) -> Response {
         let ids = self.engine.sensor_ids();
         let (clean, replayed_pages, truncated_rows) = self.engine.recovery_summary();
@@ -736,8 +714,8 @@ impl Service {
         ];
         if self.role == ShardRole::Replica {
             fields.push((
-                "applied_lsn".to_string(),
-                Json::Uint(self.engine.applied_lsn()),
+                "applied_rows".to_string(),
+                Json::Uint(self.engine.applied_rows()),
             ));
         }
         fields.push((
@@ -751,158 +729,22 @@ impl Service {
         Response::json(200, &Json::Object(fields))
     }
 
-    /// `GET /wal?sensor=G&after_lsn=N[&max_bytes=M]` — raw WAL frames
-    /// with LSN > N for one served sensor, wrapped in the
-    /// [`crate::ship`] header. A warm replica tails this to stay fresh.
-    pub(crate) fn wal_ship(&self, req: &Request) -> Response {
-        let sensor = match self.sensor_param(req) {
-            Ok(sensor) => sensor,
-            Err(resp) => return *resp,
+    /// `GET /segments?sensor=G&after_row=N` — the sensor's `segments`
+    /// rows from row N on, with its ε, window and counts
+    /// ([`crate::rowstream`]): what a replica applies.
+    pub(crate) fn segments(&self, req: &Request) -> Response {
+        let raw = req.query_param("sensor").unwrap_or_default();
+        let Ok(sensor) = raw.parse::<u32>() else {
+            return Response::error(400, format!("sensor must be a sensor id, got {raw:?}"));
         };
-        let after = match parse_u64_param(req, "after_lsn", 0) {
+        let after = match parse_u64_param(req, "after_row", 0) {
             Ok(n) => n,
             Err(e) => return Response::error(400, e),
         };
-        let max_bytes = match parse_u64_param(req, "max_bytes", SHIP_DEFAULT_BYTES) {
-            Ok(n) => n.min(SHIP_MAX_BYTES) as usize,
-            Err(e) => return Response::error(400, e),
-        };
-        let Some(dir) = self.engine.sensor_dir(sensor) else {
-            return Response::error(404, format!("no sensor {sensor}"));
-        };
-        let log = dir.join(pagestore::WAL_FILE);
-        match pagestore::wal::read_after(&OsVfs, &log, after, max_bytes) {
-            Ok(seg) => {
-                self.metrics.ship_requests.inc();
-                self.metrics.ship_bytes.add(seg.frames.len() as u64);
-                if seg.restart {
-                    self.metrics.ship_restarts.inc();
-                }
-                Response::binary(200, crate::ship::encode_segment(&seg))
-            }
-            Err(e) => Response::error(500, format!("wal read failed: {e}")),
-        }
-    }
-
-    /// `GET /wal/manifest` — role and served sensor ids; with
-    /// `?sensor=G`, the sensor directory's file list (name + length) a
-    /// replica copies to bootstrap. Volatile companions (`*.tmp`, the
-    /// replica cursor) are excluded.
-    pub(crate) fn wal_manifest(&self, req: &Request) -> Response {
-        if req.query_param("sensor").is_none() {
-            let ids = self.engine.sensor_ids();
-            return Response::json(
-                200,
-                &Json::obj([
-                    ("role", Json::from(self.role.name())),
-                    (
-                        "sensors",
-                        Json::Array(ids.iter().map(|&g| Json::Uint(u64::from(g))).collect()),
-                    ),
-                ]),
-            );
-        }
-        let sensor = match self.sensor_param(req) {
-            Ok(sensor) => sensor,
-            Err(resp) => return *resp,
-        };
-        let Some(dir) = self.engine.sensor_dir(sensor) else {
-            return Response::error(404, format!("no sensor {sensor}"));
-        };
-        let names = match OsVfs.list(&dir) {
-            Ok(names) => names,
-            Err(e) => return Response::error(500, format!("read_dir failed: {e}")),
-        };
-        let mut files = Vec::new();
-        for name in names {
-            if name.ends_with(".tmp") || name == crate::replica::CURSOR_FILE {
-                continue;
-            }
-            // A directory does not open as a file; a file that vanished
-            // since the listing is not one to copy.
-            if let Ok(len) = OsVfs.open(&dir.join(&name)).and_then(|f| f.len()) {
-                files.push((name, len));
-            }
-        }
-        files.sort();
-        Response::json(
-            200,
-            &Json::obj([
-                ("sensor", Json::Uint(u64::from(sensor))),
-                (
-                    "files",
-                    Json::Array(
-                        files
-                            .iter()
-                            .map(|(name, len)| {
-                                Json::obj([
-                                    ("name", Json::from(name.as_str())),
-                                    ("len", Json::Uint(*len)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ]),
-        )
-    }
-
-    /// `GET /wal/file?sensor=G&name=F&offset=O[&len=L]` — one bounded
-    /// chunk of a sensor data file, for replica bootstrap. An empty body
-    /// means EOF at `offset`.
-    pub(crate) fn wal_file(&self, req: &Request) -> Response {
-        let sensor = match self.sensor_param(req) {
-            Ok(sensor) => sensor,
-            Err(resp) => return *resp,
-        };
-        let Some(name) = req.query_param("name") else {
-            return Response::error(400, "missing query parameter \"name\"");
-        };
-        if name.is_empty() || name.contains('/') || name.contains('\\') || name.contains("..") {
-            return Response::error(400, format!("invalid file name {name:?}"));
-        }
-        let offset = match parse_u64_param(req, "offset", 0) {
-            Ok(n) => n,
-            Err(e) => return Response::error(400, e),
-        };
-        let len = match parse_u64_param(req, "len", SHIP_DEFAULT_BYTES) {
-            Ok(n) => n.min(SHIP_MAX_BYTES),
-            Err(e) => return Response::error(400, e),
-        };
-        let Some(dir) = self.engine.sensor_dir(sensor) else {
-            return Response::error(404, format!("no sensor {sensor}"));
-        };
-        let file = match OsVfs.open(&dir.join(name)) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Response::error(404, format!("no file {name:?} for sensor {sensor}"));
-            }
-            Err(e) => return Response::error(500, format!("open failed: {e}")),
-        };
-        let read = file.len().and_then(|size| {
-            let mut buf = vec![0; size.saturating_sub(offset).min(len) as usize];
-            file.read_at(&mut buf, offset).map(|()| buf)
-        });
-        match read {
-            Ok(buf) => Response::binary(200, buf),
-            Err(e) => Response::error(500, format!("read failed: {e}")),
-        }
-    }
-
-    /// Parses the required `sensor` query parameter; the error side is a
-    /// ready-to-return response (boxed to keep the Ok path lean).
-    fn sensor_param(&self, req: &Request) -> Result<u32, Box<Response>> {
-        match req.query_param("sensor") {
-            None => Err(Box::new(Response::error(
-                400,
-                "missing query parameter \"sensor\"",
-            ))),
-            Some(raw) => raw.parse::<u32>().map_err(|_| {
-                Box::new(Response::error(
-                    400,
-                    format!("sensor must be a sensor id, got {raw:?}"),
-                ))
-            }),
+        match self.engine.rows_after(sensor, after) {
+            None => Response::error(404, format!("no sensor {sensor}")),
+            Some(Ok(body)) => Response::binary(200, body),
+            Some(Err(e)) => Response::error(500, format!("segments read failed: {e}")),
         }
     }
 
@@ -918,7 +760,6 @@ mod tests {
     use super::*;
     use crate::answer::tests::pairs_to_json;
     use crate::answer::trace_to_json;
-    use crate::engine::EngineCell;
     use segdiff::transect::CachedAnswer;
     use segdiff::{QueryPlan, SegDiffConfig, SegDiffIndex, SegmentPair, TransectIndex};
     use sensorgen::{generate_sensor, CadTransectConfig, HOUR};
@@ -1014,7 +855,7 @@ mod tests {
     }
 
     /// Every `/query` shape, twice (cache misses, then hits), on a bare
-    /// index, a transect and a replica's loaded cell: the written body
+    /// index, a transect and a replica's filled transect: the written body
     /// equals the tree-built one byte for byte — same envelope values on
     /// both sides, so `trace_id` and `wall_ms` compare too — and what
     /// `Service::handle` serves is that body in canonical form.
@@ -1026,8 +867,12 @@ mod tests {
         single.ingest_series(&generate_sensor(&cfg, 1, 7)).unwrap();
         single.finish().unwrap();
         single.build_indexes().unwrap();
-        let cell = EngineCell::empty();
-        cell.set(build_transect(&dir.0.join("c"), 3));
+        // A transect filled sensor by sensor, as a replica fills one.
+        let mut built = build_transect(&dir.0.join("c"), 3);
+        let mut filled = TransectIndex::empty(&dir.0.join("c"));
+        for k in [2, 0, 1] {
+            filled.insert(k, built.remove(k).unwrap());
+        }
         let engines = [
             (Engine::from(Arc::new(single)), "0"),
             // One fan-out thread: the sensors' spans land on this thread.
@@ -1035,7 +880,7 @@ mod tests {
                 Engine::transect(Arc::new(build_transect(&dir.0.join("t"), 3)), 1),
                 "0,2",
             ),
-            (Engine::over(cell, 1), "1,2"),
+            (Engine::transect(Arc::new(filled), 1), "1,2"),
         ];
 
         let (mut nonempty, mut traced) = (0, 0);
@@ -1068,7 +913,6 @@ mod tests {
                     let (parts, stats, cached) = service
                         .engine
                         .query(&spec.region, spec.plan, subset)
-                        .unwrap()
                         .unwrap();
                     let trace = obs::trace_take();
                     let search = format!("{:?} {:?}", spec.region, spec.plan);
@@ -1142,10 +986,7 @@ mod tests {
         let engine = Engine::from(Arc::clone(&idx));
         let region = featurespace::QueryRegion::drop(HOUR, -2.0);
         let query = |engine: &Engine, wanted: Option<&[u32]>| {
-            engine
-                .query(&region, QueryPlan::SeqScan, wanted)
-                .unwrap()
-                .unwrap()
+            engine.query(&region, QueryPlan::SeqScan, wanted).unwrap()
         };
         let (cold, _, cached) = query(&engine, Some(&[0]));
         assert!(!cached && !cold[0].1.is_empty());
@@ -1197,37 +1038,24 @@ mod tests {
         }
     }
 
-    /// A replica mid-refresh has no engine to ask, which is not the
-    /// caller's mistake: `503`, whatever the request's shape — the router
-    /// always sends a sensor filter. An unknown sensor is still a `400`.
+    /// An unknown sensor in a filter is the caller's mistake: `400`,
+    /// whatever else the request names. A replica applying rows holds the
+    /// slot's write guard, so a query waits for the apply and is answered.
     #[test]
-    fn an_empty_cell_answers_503_and_an_unknown_sensor_400() {
-        let dir = TempDir::new("reload");
-        let cell = EngineCell::empty();
-        let service = Service::new(
-            Engine::over(Arc::clone(&cell), 2),
-            Arc::new(AtomicBool::new(false)),
-        );
+    fn an_unknown_sensor_in_a_filter_is_400() {
+        let dir = TempDir::new("unknown");
+        let engine = Engine::transect(Arc::new(build_transect(&dir.0, 2)), 2);
+        let service = Service::new(engine.clone(), Arc::new(AtomicBool::new(false)));
         let routed = r#"{"kind":"drop","v":-2,"t_hours":1,"sensors":[0,1],"per_sensor":true}"#;
         let unknown = r#"{"kind":"drop","v":-2,"t_hours":1,"sensors":[0,7]}"#;
-        let error_of = |body: &str| {
-            let resp = service.handle(&post_query(body));
-            let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
-            let error = doc.get("error").and_then(Json::as_str).map(str::to_string);
-            (resp.status, error.unwrap_or_default())
-        };
-        for body in [routed, unknown, r#"{"kind":"drop","v":-2,"t_hours":1}"#] {
-            let (status, error) = error_of(body);
-            assert_eq!(status, 503, "{body}: {error}");
-            assert!(error.contains("reload in progress"), "{body}: {error}");
-        }
-        assert_eq!(service.engine.sensor_ids(), Vec::<u32>::new());
-        cell.set(build_transect(&dir.0, 2));
         assert_eq!(service.handle(&post_query(routed)).status, 200);
-        let (status, error) = error_of(unknown);
-        assert_eq!(status, 400, "{error}");
+        let resp = service.handle(&post_query(unknown));
+        let doc = Json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let error = doc.get("error").and_then(Json::as_str).unwrap_or_default();
+        assert_eq!(resp.status, 400, "{error}");
         assert!(error.contains("bad sensor filter: sensor 7"), "{error}");
-        cell.clear();
-        assert_eq!(error_of(routed).0, 503);
+        // The transect is the cell's alone, so it takes writes.
+        assert_eq!(engine.apply(|t| t.num_sensors()), Ok(2));
+        assert_eq!(service.handle(&post_query(routed)).status, 200);
     }
 }

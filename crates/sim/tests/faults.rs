@@ -131,19 +131,27 @@ fn a_flipped_bit_in_the_log_recovers_a_prefix_or_fails_typed() {
     assert!(recovered > 0, "{refused} refused, none recovered");
 }
 
-/// The image frames of the log at `fs`'s store behind LSN `after`.
+/// The image frames of the log at `fs`'s store behind LSN `after`, split
+/// from the log's bytes as `wal.rs` lays them out (`[magic][len][crc]`,
+/// then the payload) up to the first frame that is not whole.
 fn images_after(fs: &SimVfs, after: u64) -> Vec<Vec<u8>> {
-    let log = Path::new(DIR).join(pagestore::WAL_FILE);
-    let shipped = pagestore::wal::read_after(fs, &log, after, usize::MAX).unwrap();
-    let (mut frames, mut rest) = (Vec::new(), &shipped.frames[..]);
-    while !rest.is_empty() {
-        let len = u32::from_le_bytes(rest[4..8].try_into().unwrap()) as usize;
-        let (frame, tail) = rest.split_at(pagestore::wal::FRAME_HDR + len);
-        // A payload opens with its kind: 1 is a page image.
-        if frame[pagestore::wal::FRAME_HDR] == 1 {
+    use pagestore::wal::{crc32, FRAME_HDR as HDR, WAL_MAGIC};
+    let word = |b: &[u8], at: usize| u32::from_le_bytes(b[at..at + 4].try_into().unwrap());
+    let log = fs.read(&Path::new(DIR).join(pagestore::WAL_FILE)).unwrap();
+    let (mut frames, mut rest) = (Vec::new(), &log[..]);
+    while rest.len() >= HDR && word(rest, 0) == WAL_MAGIC {
+        let Some(frame) = rest.get(..HDR + word(rest, 4) as usize) else {
+            break;
+        };
+        if crc32(&frame[HDR..]) != word(frame, 8) {
+            break;
+        }
+        // A payload opens with its kind (1 is a page image), then its LSN.
+        let lsn = u64::from_le_bytes(frame[HDR + 1..HDR + 9].try_into().unwrap());
+        if frame[HDR] == 1 && lsn > after {
             frames.push(frame.to_vec());
         }
-        rest = tail;
+        rest = &rest[frame.len()..];
     }
     frames
 }
